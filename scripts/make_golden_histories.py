@@ -39,8 +39,10 @@ GOLDEN_META_KEYS = (
 )
 
 #: The canonical configs: small enough to re-run in seconds, broad enough
-#: to cover the sync loop, the tiered-async loop, TiFL's credit policy,
-#: and a dynamic scenario with online re-tiering.
+#: to cover every method (sync loop, tiered-async loop, TiFL's credit
+#: policy, FedProx, the two fully-async baselines), a dynamic scenario with
+#: online re-tiering, every layer family (Dense, conv/pool, recurrent) and
+#: the float32 parameter dtype.
 CONFIGS: dict[str, dict] = {
     "fedavg_static": {
         "method": "fedavg",
@@ -85,6 +87,50 @@ CONFIGS: dict[str, dict] = {
             "eval_every": 2,
             "scenario": "churn:0.2+bwdrift:2.0",
         },
+    },
+    "fedprox_static": {
+        "method": "fedprox",
+        "dataset": "sentiment140",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 5, "eval_every": 1},
+    },
+    "fedasync_static": {
+        "method": "fedasync",
+        "dataset": "sentiment140",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 20, "eval_every": 4},
+    },
+    "asofed_static": {
+        "method": "asofed",
+        "dataset": "sentiment140",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 20, "eval_every": 4},
+    },
+    # Conv / pool / ReLU plan kernels (everything above is Dense only).
+    "fedat_cnn": {
+        "method": "fedat",
+        "dataset": "cifar10",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 12, "eval_every": 2},
+    },
+    # Embedding + LSTM: layers without plan kernels, wrapped as-is.
+    "fedasync_lstm": {
+        "method": "fedasync",
+        "dataset": "reddit",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 12, "eval_every": 4, "compression": None},
+    },
+    "fedat_float32": {
+        "method": "fedat",
+        "dataset": "sentiment140",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 10, "eval_every": 2, "dtype": "float32"},
     },
 }
 

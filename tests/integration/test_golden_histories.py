@@ -43,7 +43,7 @@ def test_fixture_set_covers_the_method_families():
     methods = set()
     for path in FIXTURES:
         methods.add(json.loads(path.read_text())["run"]["method"])
-    assert {"fedat", "fedavg", "tifl"} <= methods
+    assert {"fedat", "fedavg", "fedprox", "tifl", "fedasync", "asofed"} <= methods
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
