@@ -81,11 +81,11 @@ def test_ablation_staleness(benchmark, scale, seed, artifact):
 
     def run():
         return {
-            fn: run_cached(
+            spec.partition(":")[0]: run_cached(
                 "fedasync", "cifar10", scale=scale, seed=seed,
-                classes_per_client=2, fedasync_staleness=fn,
+                classes_per_client=2, staleness=spec,
             ).best_accuracy()
-            for fn in ("constant", "poly", "hinge")
+            for spec in ("constant", "poly:0.5", "hinge:0.5:4")
         }
 
     result = once(benchmark, run)

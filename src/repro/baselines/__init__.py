@@ -11,9 +11,9 @@
 """
 
 from repro.baselines.asofed import ASOFed
-from repro.baselines.fedasync import FedAsync, staleness_factor
+from repro.baselines.fedasync import FedAsync
 from repro.baselines.fedavg import FedAvg
 from repro.baselines.fedprox import FedProx
 from repro.baselines.tifl import TiFL
 
-__all__ = ["FedAvg", "FedProx", "TiFL", "FedAsync", "ASOFed", "staleness_factor"]
+__all__ = ["FedAvg", "FedProx", "TiFL", "FedAsync", "ASOFed"]

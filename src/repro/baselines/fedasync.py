@@ -20,16 +20,7 @@ from repro.core.staleness import StalenessPolicy
 from repro.metrics.history import RunHistory
 from repro.sim.events import EventQueue
 
-__all__ = ["FedAsync", "staleness_factor"]
-
-
-def staleness_factor(kind: str, staleness: int, a: float = 0.5, b: int = 4) -> float:
-    """The s(t−τ) functions from the FedAsync paper.
-
-    Thin wrapper over :class:`repro.core.staleness.StalenessPolicy`, kept
-    for the staleness ablation bench's historical call sites.
-    """
-    return StalenessPolicy(kind, a=a, b=float(b)).factor(float(staleness))
+__all__ = ["FedAsync"]
 
 
 @dataclass
@@ -46,10 +37,8 @@ class FedAsync(FLSystem):
 
     def __init__(self, population, model_builder, config, *, delay_model=None):
         super().__init__(population, model_builder, config, delay_model=delay_model)
-        # The shared FLConfig.staleness policy wins; without one, fall back
-        # to the method's legacy fedasync_* knobs (bit-identical histories).
         self.staleness_policy = StalenessPolicy.parse(config.staleness) or (
-            StalenessPolicy(config.fedasync_staleness, a=config.fedasync_a)
+            StalenessPolicy("constant")
         )
 
     def _mix(self, local: np.ndarray, staleness: int) -> None:

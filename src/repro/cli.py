@@ -67,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default for --population runs: min(N, 200))")
     run_p.add_argument("--staleness", default=None,
                        help='cross-method staleness policy, "constant", '
-                       '"poly[:a]" or "hinge[:a[:b]]" (default: method-'
-                       "specific legacy behavior)")
+                       '"poly[:a]" or "hinge[:a[:b]]" (default: no '
+                       "staleness weighting)")
     run_p.add_argument("--rounds", type=int, default=None)
     run_p.add_argument("--max-time", type=float, default=None)
     run_p.add_argument("--lam", type=float, default=None)

@@ -465,19 +465,6 @@ class FLSystem:
             results, reference, round_no=self.round, time=self.now
         )
 
-    def train_client(
-        self,
-        client_id: int,
-        start_weights: np.ndarray,
-        latency: float,
-        *,
-        epochs: int | None = None,
-        lam: float | None = None,
-    ) -> LocalTrainingResult:
-        """Run one client's local round (a singleton cohort)."""
-        task = self.make_task(client_id, latency, epochs=epochs, lam=lam)
-        return self.train_cohort([task], start_weights)[0]
-
     def train_departing_cohort(
         self, client_ids: list[int], now: float, *, lam: float | None = None
     ) -> tuple[list[tuple[LocalTrainingResult, float]], list[int]]:

@@ -136,19 +136,17 @@ class FLConfig:
     # Shared StalenessPolicy spec ("constant", "poly[:a]", "hinge[:a[:b]]")
     # applied by FedAsync's mixing rate, ASO-Fed's copy installs, and
     # FedAT's cross-tier weight modulation. None keeps each method's
-    # historical behavior (FedAsync/ASO-Fed fall back to the legacy
-    # fedasync_* knobs; FedAT applies no staleness modulation).
+    # paper behavior (FedAsync/ASO-Fed weight every update equally, i.e.
+    # "constant"; FedAT applies no staleness modulation).
     staleness: str | None = None
 
     # --- FedAsync ---------------------------------------------------------#
     # The paper describes its FedAsync baseline as plain weighted averaging
     # of the incoming client model with the current global model — i.e. no
     # staleness adaptation — and observes the resulting oscillation under
-    # non-IID data. "poly"/"hinge" (the FedAsync paper's adaptive variants)
-    # are kept for the staleness ablation bench.
+    # non-IID data. The FedAsync paper's adaptive variants are selected
+    # with `staleness="poly:a"` / `"hinge:a:b"` above.
     fedasync_alpha: float = 0.6
-    fedasync_staleness: str = "constant"  # "constant" | "poly" | "hinge"
-    fedasync_a: float = 0.5
 
     # --- TiFL --------------------------------------------------------------#
     tifl_interval: int = 20  # rounds between tier-accuracy refreshes
@@ -242,8 +240,6 @@ class FLConfig:
             UpdateGuard.parse(self.guard)  # raises ValueError on bad specs
         if self.server_weighting not in ("dynamic", "uniform"):
             raise ValueError(f"unknown server_weighting {self.server_weighting!r}")
-        if self.fedasync_staleness not in ("constant", "poly", "hinge"):
-            raise ValueError(f"unknown staleness {self.fedasync_staleness!r}")
         if self.staleness is not None:
             from repro.core.staleness import StalenessPolicy
 

@@ -8,8 +8,6 @@ fairness across compared methods. The schedule is a deterministic function of
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.utils.rng import SeedSequenceFactory
@@ -43,9 +41,9 @@ class FixedBatchSchedule:
         """Jump the cursor to ``epoch`` (cheap: orders are pure functions).
 
         The executor layer owns per-client epoch cursors so cohorts can be
-        trained out of process; after an explicit-epoch round it fast-forwards
+        trained out of process; after every round the client fast-forwards
         the schedule so :attr:`epochs_consumed` stays coherent for callers
-        that still use the stateful :meth:`next_epoch` protocol.
+        that train without an explicit cursor.
         """
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
@@ -54,9 +52,9 @@ class FixedBatchSchedule:
     def epochs(self, start_epoch: int, count: int):
         """Yield batch index arrays for ``count`` epochs from ``start_epoch``.
 
-        Stateless companion to :meth:`next_epoch`: the batches depend only on
-        ``(seed, client_id, epoch_index)``, so serial and parallel executors
-        replay identical schedules from an explicit cursor.
+        Stateless: the batches depend only on ``(seed, client_id,
+        epoch_index)``, so serial and parallel executors replay identical
+        schedules from an explicit cursor.
         """
         for e in range(start_epoch, start_epoch + count):
             order = self.epoch_order(e)
@@ -67,13 +65,6 @@ class FixedBatchSchedule:
         """The fixed permutation for a given epoch index."""
         rng = self._factory.rng(f"client/{self.client_id}/epoch/{epoch}")
         return rng.permutation(self.n)
-
-    def next_epoch(self) -> Iterator[np.ndarray]:
-        """Yield batch index arrays for the next epoch in the schedule."""
-        order = self.epoch_order(self._epoch)
-        self._epoch += 1
-        for start in range(0, self.n, self.batch_size):
-            yield order[start : start + self.batch_size]
 
     def batches_per_epoch(self) -> int:
         return int(np.ceil(self.n / self.batch_size))

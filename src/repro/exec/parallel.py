@@ -11,10 +11,10 @@ cohort ships only the segment name per chunk instead of re-pickling the
 full float vector into every pool message. The segment is allocated lazily
 at the model's flat size, reused round after round (``pool.map`` is
 synchronous, so rounds never race on it), and unlinked at :meth:`close`.
-When shared memory is unavailable — platform without ``/dev/shm``, creation
-failure, or ``shared_broadcast=False`` — dispatch falls back to the
-original pickle-per-chunk path; both paths hand workers the same bytes, so
-results are bit-identical either way.
+When the segment cannot be created — platform without ``/dev/shm``,
+permissions, quota — dispatch falls back to pickling the weights into every
+chunk message; both paths hand workers the same bytes, so results are
+bit-identical either way.
 
 Bit-identical guarantee: tasks carry explicit batch-schedule cursors and
 pre-sampled latencies, local training consumes no RNG, and every float op
@@ -189,9 +189,9 @@ class ParallelExecutor(ClientExecutor):
 
     The pool is created lazily on the first cohort and torn down by
     :meth:`close` (systems close their executor when ``run()`` returns).
-    ``shared_broadcast`` selects the shared-memory start-weight path; it
-    degrades automatically to pickled dispatch when the platform cannot
-    provide shared memory (``shm_fallback_reason`` records why).
+    Start weights travel through a shared-memory segment, degrading to
+    pickled dispatch when the platform cannot provide one
+    (``shm_fallback_reason`` records why).
     """
 
     name = "parallel"
@@ -205,7 +205,6 @@ class ParallelExecutor(ClientExecutor):
         *,
         num_workers: int = 0,
         start_method: str | None = None,
-        shared_broadcast: bool = True,
         faults: FaultPlan | None = None,
         chunk_timeout: float | None = None,
         chunk_retries: int = 3,
@@ -219,7 +218,6 @@ class ParallelExecutor(ClientExecutor):
         self._pool = None
         self._fallback: SerialExecutor | None = None
         self.fallback_reason: str | None = None
-        self.shared_broadcast = shared_broadcast
         self.shm_fallback_reason: str | None = None
         self._shm = None
         self.faults = faults
@@ -300,9 +298,9 @@ class ParallelExecutor(ClientExecutor):
         Shared-memory path: one ``copyto`` into the (lazily created,
         reused) segment, header carries only ``(name, dtype, size)``.
         Fallback: the weights themselves travel in the header and get
-        pickled once per chunk, exactly as before.
+        pickled once per chunk.
         """
-        if self.shared_broadcast and self._shm is None and self.shm_fallback_reason is None:
+        if self._shm is None and self.shm_fallback_reason is None:
             try:
                 from multiprocessing import shared_memory
 

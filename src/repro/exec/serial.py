@@ -7,7 +7,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.exec.base import ClientExecutor, CohortTask, OptimizerSpec
-from repro.nn import plan as plan_mod
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.sim.client import LocalTrainingResult, SimClient
@@ -41,8 +40,7 @@ class SerialExecutor(ClientExecutor):
         self.clients = clients
         self.loss = loss
         self.optimizer = optimizer
-        if plan_mod.DEFAULT_TRAINING_PLAN:
-            model.training_plan(loss)  # cached; local_train reuses it
+        model.training_plan(loss)  # cached; local_train reuses it
 
     def run_cohort(
         self, start_weights: np.ndarray, tasks: Sequence[CohortTask]

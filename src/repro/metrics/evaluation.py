@@ -21,12 +21,11 @@ Two operational properties matter here:
   at *any* chunk size: softmax/argmax are row-wise, and the loss is the
   mean of the same full per-sample vector regardless of how the rows were
   produced.
-- **Fused forwards.** With :data:`repro.nn.plan.DEFAULT_TRAINING_PLAN` on
-  (the default) the chunked forwards run through the model's compiled
-  forward-only :class:`~repro.nn.plan.TrainingPlan`: every chunk reuses
-  the same arena activation buffers (consumed before the next chunk
+- **Fused forwards.** The chunked forwards run through the model's
+  compiled forward-only :class:`~repro.nn.plan.TrainingPlan`: every chunk
+  reuses the same arena activation buffers (consumed before the next chunk
   overwrites them) and max-pool layers skip building their training-only
-  argmax masks — bit-identical logits either way.
+  argmax masks — the same logits ``Sequential.forward`` produces.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.data.federated import ClientData, FederatedDataset
-from repro.nn import plan as plan_mod
 from repro.nn.activations import softmax
 from repro.nn.losses import LOG_EPS
 from repro.nn.model import Sequential
@@ -86,11 +84,7 @@ class Evaluator:
         # module docstring).
         self._model = model.clone() if model.replica_safe else model
         self._batch_size = eval_batch_size
-        self._plan = (
-            self._model.training_plan(None)
-            if plan_mod.DEFAULT_TRAINING_PLAN
-            else None
-        )
+        self._plan = self._model.training_plan(None)  # forward-only
         if not clients:
             raise ValueError(
                 "cannot evaluate an empty federation (zero clients); "
@@ -135,16 +129,9 @@ class Evaluator:
         correct = np.empty(n, dtype=np.float64)
         sample_losses = np.empty(n, dtype=np.float64)
         labels = np.asarray(self._y).reshape(-1)
-        forward = (
-            self._plan.forward
-            if self._plan is not None
-            else lambda chunk, training=False: self._model.forward(
-                chunk, training=training
-            )
-        )
         for start in range(0, n, self._batch_size):
             stop = min(start + self._batch_size, n)
-            logits = forward(self._x[start:stop], training=False)
+            logits = self._plan.forward(self._x[start:stop], training=False)
             chunk_labels = labels[start:stop]
             pred = np.argmax(logits, axis=-1)
             correct[start:stop] = (pred == chunk_labels).astype(np.float64)
@@ -157,10 +144,9 @@ class Evaluator:
             for a, b in zip(self._bounds[:-1], self._bounds[1:])
             if b > a
         ]
-        if self._plan is not None:
-            # Drop per-layer forward caches so the evaluator's replica does
-            # not pin last-chunk activations between evaluations.
-            self._plan.release_caches()
+        # Drop per-layer forward caches so the evaluator's replica does not
+        # pin last-chunk activations between evaluations.
+        self._plan.release_caches()
         out = {
             "accuracy": float(correct.mean()),
             "loss": float(sample_losses.mean()),

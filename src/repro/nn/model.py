@@ -6,15 +6,11 @@ owns the mapping between that vector and the per-layer parameter arrays via
 :class:`WeightSpec`, which records shapes and offsets (the "marshalling"
 metadata the paper transmits alongside compressed weights, §4.3).
 
-By default every model adopts its parameters into a
+Every model adopts its parameters into a
 :class:`~repro.nn.store.FlatParameterStore`: one contiguous buffer per
-model, parameters as views. ``get_flat_weights`` then costs one memcpy,
+model, parameters as views. ``get_flat_weights`` costs one memcpy,
 ``set_flat_weights`` one vectorized ``copyto``, and optimizer steps run as
-whole-buffer operations — all bit-identical to the per-parameter legacy
-path at float64 (``tests/nn/test_store.py`` proves it on full training
-histories). ``use_flat_store=False`` (or flipping
-:data:`DEFAULT_FLAT_STORE`) keeps the legacy standalone-array layout, which
-the perf benchmarks use as their comparison baseline.
+whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -30,12 +26,7 @@ from repro.nn.optimizers import Optimizer
 from repro.nn.store import FlatParameterStore
 from repro.nn.tensor import Parameter
 
-__all__ = ["Sequential", "WeightSpec", "DEFAULT_FLAT_STORE"]
-
-#: Module-wide default for whether new models adopt a flat parameter store.
-#: The old-vs-new-path regression tests and the parameter-engine benchmark
-#: flip this to rebuild the legacy layout without forking the model code.
-DEFAULT_FLAT_STORE = True
+__all__ = ["Sequential", "WeightSpec"]
 
 
 @dataclass(frozen=True)
@@ -96,28 +87,26 @@ class Sequential:
         layers: list[Layer],
         name: str = "model",
         *,
-        use_flat_store: bool | None = None,
         dtype=np.float64,
     ):
         if not layers:
             raise ValueError("Sequential requires at least one layer")
         self.layers = list(layers)
         self.name = name
-        self._use_store = DEFAULT_FLAT_STORE if use_flat_store is None else use_flat_store
         self._dtype = np.dtype(dtype)
-        self._store: FlatParameterStore | None = None
         #: Compiled TrainingPlans keyed by loss object (None = forward-only).
         self._plans: dict = {}
-        if self._use_store:
-            self._attach_store()
+        self._attach_store()
 
     def _attach_store(self) -> None:
         """(Re)bind every parameter into one fresh contiguous store."""
-        self._store = FlatParameterStore(self.params, dtype=self._dtype)
+        self._store = FlatParameterStore(
+            [p for layer in self.layers for p in layer.params], dtype=self._dtype
+        )
 
     @property
-    def store(self) -> FlatParameterStore | None:
-        """The flat parameter store, or None in legacy layout."""
+    def store(self) -> FlatParameterStore:
+        """The flat parameter store backing every parameter of this model."""
         return self._store
 
     @property
@@ -136,12 +125,7 @@ class Sequential:
             return self
         self._dtype = dtype
         self._plans.clear()  # plans cache the store; recompile at new dtype
-        if self._use_store:
-            self._attach_store()  # casts current values into the new buffer
-        else:
-            for p in self.params:
-                p.data = p.data.astype(dtype)
-                p.grad = p.grad.astype(dtype)
+        self._attach_store()  # casts current values into the new buffer
         return self
 
     # ------------------------------------------------------------------ #
@@ -157,18 +141,14 @@ class Sequential:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        if self._use_store:
-            self._attach_store()
+        self._attach_store()
 
     # ------------------------------------------------------------------ #
     # Parameter access
     # ------------------------------------------------------------------ #
     @property
     def params(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for layer in self.layers:
-            out.extend(layer.params)
-        return out
+        return list(self._store.params)
 
     @property
     def num_params(self) -> int:
@@ -196,33 +176,25 @@ class Sequential:
 
     def get_flat_weights(self) -> np.ndarray:
         """All parameters marshalled into one 1-D vector (an owned copy)."""
-        if self._store is not None:
-            return self._store.data.copy()  # one memcpy of the flat buffer
-        return self.weight_spec.join([p.data for p in self.params])
+        return self._store.data.copy()  # one memcpy of the flat buffer
 
     def flat_weights_view(self) -> np.ndarray:
-        """Read-only zero-copy view of the flat weights (store layout only).
+        """Read-only zero-copy view of the flat weights.
 
         Callers that only *read* the weights — evaluation, norm checks —
-        can skip the defensive copy :meth:`get_flat_weights` makes. Falls
-        back to a materialized copy in legacy layout.
+        can skip the defensive copy :meth:`get_flat_weights` makes.
         """
-        if self._store is None:
-            return self.get_flat_weights()
         view = self._store.data[:]
         view.flags.writeable = False
         return view
 
     def set_flat_weights(self, flat: np.ndarray) -> None:
-        if self._store is not None:
-            flat = np.asarray(flat)
-            if flat.ndim != 1 or flat.size != self._store.total:
-                raise ValueError(
-                    f"flat vector has size {flat.size}, model expects {self._store.total}"
-                )
-            np.copyto(self._store.data, flat, casting="same_kind")
-            return
-        self.set_weights(self.weight_spec.split(flat))
+        flat = np.asarray(flat)
+        if flat.ndim != 1 or flat.size != self._store.total:
+            raise ValueError(
+                f"flat vector has size {flat.size}, model expects {self._store.total}"
+            )
+        np.copyto(self._store.data, flat, casting="same_kind")
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -248,11 +220,7 @@ class Sequential:
         return grad
 
     def zero_grad(self) -> None:
-        if self._store is not None:
-            self._store.zero_grad()  # one fill over the whole grad buffer
-            return
-        for p in self.params:
-            p.zero_grad()
+        self._store.zero_grad()  # one fill over the whole grad buffer
 
     def release_caches(self) -> None:
         """Drop every layer's forward caches (activations, masks, columns).
@@ -305,9 +273,12 @@ class Sequential:
         logits = self.forward(x, training=True)
         value = loss.forward(logits, y)
         self.backward(loss.backward())
+        # The store's own list, not a fresh copy: coverage checks on it are
+        # one identity test instead of a scan over every parameter.
+        params = self._store.params
         if grad_hook is not None:
-            grad_hook(self.params)
-        optimizer.step(self.params, store=self._store)
+            grad_hook(params)
+        optimizer.step(params, store=self._store)
         return value
 
     def predict(self, x: np.ndarray, *, batch_size: int = 256) -> np.ndarray:

@@ -4,75 +4,63 @@ The paper uses Adam as the local solver (§6 Hyperparameters); SGD (with
 optional momentum) is provided for the convergence-theory checks, which
 assume plain gradient steps.
 
-When the parameters are backed by a :class:`~repro.nn.store.FlatParameterStore`
-(the default model layout), :meth:`Optimizer.step` applies the update as
-whole-buffer operations on the store's flat data/grad arrays instead of a
-per-parameter Python loop. Every update rule here is elementwise, so the
-two forms are bit-identical — the flat form just replaces O(#params) small
-NumPy calls per step with O(1) large ones.
+Parameters are always backed by a :class:`~repro.nn.store.FlatParameterStore`
+(every :class:`~repro.nn.model.Sequential` owns one), so
+:meth:`Optimizer.step` applies the update as whole-buffer operations on the
+store's flat data/grad arrays: O(1) large NumPy calls per step however many
+parameter tensors the model has. Every update rule here is elementwise, so
+the result equals updating each parameter on its own.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
+from repro.nn.store import FlatParameterStore
 from repro.nn.tensor import Parameter
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from repro.nn.store import FlatParameterStore
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
-    """Base optimizer. Subclasses implement :meth:`_update` per parameter
-    and :meth:`_update_flat` per store."""
+    """Base optimizer. Subclasses implement :meth:`_update` over a store."""
 
     def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self._cov_store = self._cov_params = None
 
     def step(
         self,
         params: list[Parameter],
-        store: "FlatParameterStore | None" = None,
+        store: FlatParameterStore | None = None,
         scratch=None,
     ) -> None:
         """Apply one update using each parameter's accumulated gradient, then
         clear the gradients.
 
-        With a ``store`` covering exactly ``params``, the update runs as one
-        whole-buffer operation; otherwise parameter by parameter. ``scratch``
-        (a fused-plan arena provider, see :mod:`repro.nn.plan`) lets the
-        flat update reuse persistent buffers instead of allocating
+        ``params`` must be exactly the parameters of one store — ``store``
+        when given, else the one they are views of; models pass
+        ``store.params`` itself, which makes the check one identity test.
+        ``scratch`` (a fused-plan arena provider, see :mod:`repro.nn.plan`)
+        lets the update reuse persistent buffers instead of allocating
         temporaries — the identical elementwise op chain either way.
         """
-        if store is not None and (
-            (store is self._cov_store and params is self._cov_params)
-            or store.covers(params)
-        ):
-            # Identity-cache the coverage check: the fused plan passes the
-            # same (params, store) pair every batch of a round.
-            self._cov_store, self._cov_params = store, params
-            self._update_flat(store, scratch=scratch)
-            store.zero_grad()
-            return
-        for i, p in enumerate(params):
-            self._update(i, p)
-            p.zero_grad()
+        if store is None:
+            store = FlatParameterStore.of(params)
+        elif not store.covers(params):
+            raise ValueError(
+                "store does not cover exactly the given parameters (a subset, "
+                "a reordering, or parameters of another model)"
+            )
+        self._update(store, scratch=scratch)
+        store.zero_grad()
 
-    def _update(self, index: int, p: Parameter) -> None:
-        raise NotImplementedError
-
-    def _update_flat(self, store: "FlatParameterStore", scratch=None) -> None:
+    def _update(self, store: FlatParameterStore, scratch=None) -> None:
         raise NotImplementedError
 
     def reset_state(self) -> None:
-        """Drop per-parameter state (moments). Called when a client receives
+        """Drop optimizer state (moments). Called when a client receives
         a fresh global model so stale moments don't leak across rounds."""
 
 
@@ -84,22 +72,9 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-        self._flat_velocity: np.ndarray | None = None
+        self._velocity: np.ndarray | None = None
 
-    def _update(self, index: int, p: Parameter) -> None:
-        if self.momentum == 0.0:
-            p.data -= self.lr * p.grad
-            return
-        v = self._velocity.get(index)
-        if v is None:
-            v = np.zeros_like(p.data)
-        v *= self.momentum
-        v -= self.lr * p.grad
-        self._velocity[index] = v
-        p.data += v
-
-    def _update_flat(self, store: "FlatParameterStore", scratch=None) -> None:
+    def _update(self, store: FlatParameterStore, scratch=None) -> None:
         if self.momentum == 0.0:
             if scratch is not None:
                 s = scratch("sgd_s", store.grad.shape, store.grad.dtype)
@@ -108,17 +83,16 @@ class SGD(Optimizer):
                 return
             store.data -= self.lr * store.grad
             return
-        v = self._flat_velocity
+        v = self._velocity
         if v is None:
             v = np.zeros_like(store.data)
-            self._flat_velocity = v
+            self._velocity = v
         v *= self.momentum
         v -= self.lr * store.grad
         store.data += v
 
     def reset_state(self) -> None:
-        self._velocity.clear()
-        self._flat_velocity = None
+        self._velocity = None
 
 
 class Adam(Optimizer):
@@ -136,45 +110,32 @@ class Adam(Optimizer):
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._flat_m: np.ndarray | None = None
-        self._flat_v: np.ndarray | None = None
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self._t = 0
 
     def step(
         self,
         params: list[Parameter],
-        store: "FlatParameterStore | None" = None,
+        store: FlatParameterStore | None = None,
         scratch=None,
     ) -> None:
         self._t += 1
         super().step(params, store=store, scratch=scratch)
 
-    def _update(self, index: int, p: Parameter) -> None:
-        m = self._m.get(index)
-        if m is None:
-            m = np.zeros_like(p.data)
-            self._m[index] = m
-        v = self._v.get(index)
-        if v is None:
-            v = np.zeros_like(p.data)
-            self._v[index] = v
-        self._adam_step(p.data, p.grad, m, v)
-
-    def _update_flat(self, store: "FlatParameterStore", scratch=None) -> None:
-        if self._flat_m is None:
-            self._flat_m = np.zeros_like(store.data)
-            self._flat_v = np.zeros_like(store.data)
+    def _update(self, store: FlatParameterStore, scratch=None) -> None:
+        if self._m is None:
+            self._m = np.zeros_like(store.data)
+            self._v = np.zeros_like(store.data)
         if scratch is None:
-            self._adam_step(store.data, store.grad, self._flat_m, self._flat_v)
+            self._adam_step(store.data, store.grad, self._m, self._v)
             return
         # The allocation-free form of _adam_step: the identical elementwise
         # op chain written into two arena scratch buffers, so each of the
         # ~6 whole-buffer temporaries the expression form materializes per
         # step becomes a reused write. Bit-identical by elementwiseness.
         data, g = store.data, store.grad
-        m, v = self._flat_m, self._flat_v
+        m, v = self._m, self._v
         s1 = scratch("adam_s1", data.shape, data.dtype)
         s2 = scratch("adam_s2", data.shape, data.dtype)
         m *= self.beta1
@@ -204,8 +165,5 @@ class Adam(Optimizer):
         data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def reset_state(self) -> None:
-        self._m.clear()
-        self._v.clear()
-        self._flat_m = None
-        self._flat_v = None
+        self._m = self._v = None
         self._t = 0

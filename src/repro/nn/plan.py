@@ -18,24 +18,22 @@ store removed marshalling:
   buffer lives in a :class:`ScratchArena` — allocated once at the largest
   batch shape seen and reused via ``out=``-style writes across every batch
   of every epoch (layers that support it take optional ``out``/``scratch``
-  parameters; their legacy allocation path is untouched);
+  parameters; with ``scratch=None`` they allocate, which is the reference
+  the plan kernels are tested against);
 - the whole ``epochs x batches`` loop of ``SimClient.local_train`` runs
   inside :meth:`TrainingPlan.run_epochs`: one Python frame per batch,
   gathers via ``np.take(..., out=batch_buf)``, gradients zeroed by the
-  store's single ``zero_grad`` memset, and the optimizer stepping through
-  the existing whole-buffer ``_update_flat`` path.
+  store's single ``zero_grad`` memset, and the optimizer stepping over
+  the store's whole buffers.
 
 Every planned operation is the ``out=`` form of exactly the operation the
-legacy path runs (same ufuncs, same BLAS calls, same order), so the plan is
-**bit-identical at float64** — proven end to end by the golden-history
-fixtures and ``tests/nn/test_plan.py``. Layers without planned kernels
-(LSTM, GRU, Embedding, BatchNorm, Dropout, ...) fall back to their normal
-forward/backward inside the compiled step list, so any model gets a plan
-and unsupported layers simply keep allocating.
-
-:data:`DEFAULT_TRAINING_PLAN` mirrors ``DEFAULT_FLAT_STORE``: benchmarks
-and the old-path regression tests flip it to rebuild the unfused loop as
-the comparison baseline.
+allocating per-layer reference (``Sequential.train_on_batch``) runs — same
+ufuncs, same BLAS calls, same order — so the plan is **bit-identical at
+float64** to it, checked kernel by kernel and loop by loop in
+``tests/nn/test_plan.py`` and end to end by the golden-history fixtures.
+Layers without planned kernels (LSTM, GRU, Embedding, BatchNorm, Dropout,
+...) run their normal forward/backward inside the compiled step list, so
+any model gets a plan and unsupported layers simply keep allocating.
 """
 
 from __future__ import annotations
@@ -50,13 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.nn.model import Sequential
     from repro.nn.optimizers import Optimizer
 
-__all__ = ["ScratchArena", "TrainingPlan", "DEFAULT_TRAINING_PLAN"]
-
-#: Module-wide default for whether local training runs through a compiled
-#: :class:`TrainingPlan`. The plan-on/plan-off regression tests and the
-#: parameter-engine benchmark flip this to rebuild the unfused per-batch
-#: loop without forking the client code.
-DEFAULT_TRAINING_PLAN = True
+__all__ = ["ScratchArena", "TrainingPlan"]
 
 
 class ScratchArena:
@@ -192,7 +184,7 @@ def _compile_layer(
     Plan-aware layers (``layer.plan_aware``) receive the arena-backed
     ``scratch`` provider and run their ``out=``-form kernels; everything
     else is wrapped as-is, so its allocation behavior (and any hidden state
-    such as dropout's RNG draws) is exactly the legacy path's.
+    such as dropout's RNG draws) is exactly the per-layer reference's.
 
     ``input_grad=False`` (the model's first layer) skips computing
     ``dL/d(input)`` entirely — nothing consumes it, and for a convolution
@@ -246,8 +238,8 @@ class TrainingPlan:
         self.model = model
         self.loss = loss
         self.arena = ScratchArena()
-        self._params = model.params
         self._store = model.store
+        self._params = self._store.params
         self._fwds = []
         self._bwds = []
         prev_overwritable = False
@@ -330,11 +322,10 @@ class TrainingPlan:
     ) -> float:
         """Run ``epochs`` epochs of ``schedule`` batches over ``(x, y)``.
 
-        Returns the mean batch loss, exactly as the unfused loop computes
-        it. Caller-owned ``x``/``y`` are only ever *read* (gathers copy
-        into arena buffers), and layer forward caches are released before
-        returning so worker replicas stop pinning last-batch activations
-        between rounds.
+        Returns the mean batch loss. Caller-owned ``x``/``y`` are only ever
+        *read* (gathers copy into arena buffers), and layer forward caches
+        are released before returning so worker replicas stop pinning
+        last-batch activations between rounds.
         """
         if self._loss_fwd is None:
             raise ValueError("plan was compiled without a loss; cannot train")
@@ -363,7 +354,7 @@ class TrainingPlan:
 
         The arena keeps its buffers (that is the point of an arena); what
         this releases are the *references* layers hold onto between rounds,
-        which in the unfused path pin last-batch activations — and, for the
+        which would otherwise pin last-batch activations — and, for the
         first layer, gathered client data — for the life of the replica.
         """
         self.model.release_caches()

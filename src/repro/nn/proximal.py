@@ -3,8 +3,8 @@
 Paper §4.1: clients minimize the surrogate
 ``h_k(w_k) = F_k(w_k) + λ/2 ‖w_k − w‖²`` where ``w`` is the global model
 snapshot received at the start of the round. The gradient contribution is
-``λ (w_k − w)``, injected after backprop via ``Sequential.train_on_batch``'s
-``grad_hook``. With ``λ = 0`` local training reduces exactly to FedAvg.
+``λ (w_k − w)``, injected after backprop through the ``grad_hook`` of
+``TrainingPlan.run_epochs`` / ``Sequential.train_on_batch``. With ``λ = 0`` local training reduces exactly to FedAvg.
 """
 
 from __future__ import annotations
@@ -18,82 +18,44 @@ __all__ = ["ProximalTerm"]
 
 
 class ProximalTerm:
-    """Callable gradient hook adding ``λ (w − w_ref)`` to each parameter grad.
+    """Callable gradient hook adding ``λ (w − w_ref)`` to the gradients.
 
-    When the parameters are store-backed the hook applies as one
-    whole-buffer operation against a flattened reference (built lazily, in
-    parameter order, so it matches the store layout) — bit-identical to the
-    per-parameter loop since the update is elementwise.
+    The reference is one flat snapshot of a model's
+    :class:`~repro.nn.store.FlatParameterStore`, and the hook is one
+    whole-buffer elementwise operation on the store backing the parameters
+    it is called with.
     """
 
     def __init__(self, lam: float):
         if lam < 0:
             raise ValueError(f"lambda must be non-negative, got {lam}")
         self.lam = lam
-        self._ref: list[np.ndarray] | None = None
-        self._ref_flat: np.ndarray | None = None
+        self._ref: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
-    def set_reference(self, weights: list[np.ndarray]) -> None:
-        """Snapshot the global model the local updates are constrained to."""
-        self._ref = [np.array(w, copy=True) for w in weights]
-        self._ref_flat = None
-        self._scratch = None
+    def set_reference(self, store: FlatParameterStore) -> None:
+        """Snapshot the global model the local updates are constrained to
+        (one memcpy of the store's flat buffer)."""
+        self._ref = store.data.copy()
+        self._scratch = np.empty_like(self._ref)
 
-    def set_reference_flat(self, store: FlatParameterStore) -> None:
-        """Snapshot the reference as one memcpy of a store's flat buffer.
-
-        The fused-plan fast path: equivalent to :meth:`set_reference` over
-        the store's parameters (the flat buffer *is* their concatenation)
-        without the per-parameter copies.
-        """
-        self._ref = None
-        self._ref_flat = np.array(store.data, copy=True)
-        self._scratch = np.empty_like(self._ref_flat)
+    def _difference(self, params: list[Parameter]) -> tuple[FlatParameterStore, np.ndarray]:
+        """``w − w_ref`` over the store backing ``params``, in the scratch buffer."""
+        store = FlatParameterStore.of(params)
+        if store.total != self._ref.size:
+            raise ValueError("reference weights do not match parameter list")
+        return store, np.subtract(store.data, self._ref, out=self._scratch)
 
     def penalty(self, params: list[Parameter]) -> float:
         """Value of ``λ/2 ‖w − w_ref‖²`` (for loss reporting/tests)."""
-        if self.lam == 0.0 or (self._ref is None and self._ref_flat is None):
+        if self.lam == 0.0 or self._ref is None:
             return 0.0
-        if self._ref is not None:
-            sq = 0.0
-            for p, r in zip(params, self._ref):
-                diff = p.data - r
-                sq += float(np.dot(diff.ravel(), diff.ravel()))
-            return 0.5 * self.lam * sq
-        flat = np.concatenate([np.asarray(p.data).reshape(-1) for p in params])
-        diff = flat - self._ref_flat
+        _, diff = self._difference(params)
         return 0.5 * self.lam * float(np.dot(diff, diff))
 
     def __call__(self, params: list[Parameter]) -> None:
-        if self.lam == 0.0 or (self._ref is None and self._ref_flat is None):
+        if self.lam == 0.0 or self._ref is None:
             return
-        if self._ref is not None and len(params) != len(self._ref):
-            raise ValueError("reference weights do not match parameter list")
-        store = FlatParameterStore.of(params)
-        if store is not None:
-            if self._ref_flat is None or self._ref_flat.size != store.total:
-                self._ref_flat = np.concatenate(
-                    [np.asarray(r, dtype=store.dtype).reshape(-1) for r in self._ref]
-                )
-            if self._scratch is not None and self._scratch.size == store.total:
-                # Fused-plan fast path (set_reference_flat): the identical
-                # elementwise op chain through a persistent scratch buffer.
-                s = self._scratch
-                np.subtract(store.data, self._ref_flat, out=s)
-                np.multiply(s, self.lam, out=s)
-                store.grad += s
-                return
-            store.grad += self.lam * (store.data - self._ref_flat)
-            return
-        if self._ref is None:
-            # Flat-only reference but no covering store (the parameters
-            # were re-laid-out since the snapshot): split it back out.
-            self._ref, pos = [], 0
-            for p in params:
-                self._ref.append(
-                    self._ref_flat[pos : pos + p.size].reshape(p.shape).copy()
-                )
-                pos += p.size
-        for p, r in zip(params, self._ref):
-            p.grad += self.lam * (p.data - r)
+        store, s = self._difference(params)
+        np.multiply(s, self.lam, out=s)
+        store.grad += s

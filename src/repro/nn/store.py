@@ -12,9 +12,9 @@ its slice. Consequences:
 
 - ``get_flat_weights`` is a single ``copy()`` of the data buffer (one
   memcpy) and ``set_flat_weights`` a single vectorized ``copyto``;
-- optimizer steps and the proximal gradient hook can run as whole-buffer
-  elementwise operations instead of per-parameter Python loops —
-  bit-identical to the per-parameter form because every op involved is
+- optimizer steps and the proximal gradient hook run as whole-buffer
+  elementwise operations instead of per-parameter Python loops — the same
+  values a per-parameter loop would produce, because every op involved is
   elementwise;
 - the buffer dtype is a knob (``float64`` default for bit-identical
   histories; ``float32`` halves memory bandwidth on every matmul).
@@ -71,10 +71,13 @@ class FlatParameterStore:
     def covers(self, params: Iterable[Parameter]) -> bool:
         """True when ``params`` is exactly this store's parameter list.
 
-        Whole-buffer operations replace a per-parameter loop only if the
-        loop would have visited every slice of the buffer exactly once —
-        order is irrelevant for elementwise ops, but coverage is not.
+        A whole-buffer operation stands in for "apply this to each of
+        ``params``" only if that would visit every slice of the buffer
+        exactly once — order is irrelevant for elementwise ops, but
+        coverage is not.
         """
+        if params is self.params:
+            return True
         params = list(params)
         return len(params) == len(self.params) and all(
             p is q for p, q in zip(params, self.params)
@@ -84,17 +87,20 @@ class FlatParameterStore:
         self.grad.fill(0.0)
 
     @staticmethod
-    def of(params: Sequence[Parameter]) -> "FlatParameterStore | None":
-        """The store backing ``params`` in full, or None.
+    def of(params: Sequence[Parameter]) -> "FlatParameterStore":
+        """The store backing ``params`` in full.
 
-        Returns a store only when every parameter belongs to the *same*
-        store and the list covers it exactly; anything else (standalone
-        parameters, a subset of a model, a mix of models) gets None and
-        callers fall back to the per-parameter path.
+        Every parameter must belong to the *same* store and the list must
+        cover it exactly; anything else (standalone parameters, a subset of
+        a model, a mix of models) raises ``ValueError`` — a whole-buffer
+        operation cannot stand in for such a list.
         """
-        if not params:
-            return None
-        store = getattr(params[0], "store", None)
+        store = getattr(params[0], "store", None) if params else None
         if store is None or not store.covers(params):
-            return None
+            raise ValueError(
+                "parameters are not backed by one FlatParameterStore covering "
+                "exactly this list (standalone parameters, a subset or "
+                "reordering of a model's, or a mix of models); adopt them with "
+                "FlatParameterStore(params), as Sequential does"
+            )
         return store

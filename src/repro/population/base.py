@@ -20,13 +20,11 @@ Two implementations:
   size (the 1M-client FedAT demo).
 
 ``as_population`` is the constructor-side adapter: systems accept a
-``Population``, a ``FederatedDataset``, or (deprecated, one release) a raw
-``list[ClientData]``.
+``Population`` or a ``FederatedDataset``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -232,37 +230,15 @@ class MaterializedPopulation(Population):
 def as_population(obj) -> Population:
     """Adapt a system constructor's first argument to a :class:`Population`.
 
-    Accepts a ``Population`` (passthrough), a ``FederatedDataset`` (wrapped
-    in a :class:`MaterializedPopulation`), or — deprecated, supported for
-    one release — a raw list/tuple of :class:`ClientData` shards, whose
-    task metadata is inferred from the shards themselves.
+    Accepts a ``Population`` (passthrough) or a ``FederatedDataset``
+    (wrapped in a :class:`MaterializedPopulation`).
     """
     if isinstance(obj, Population):
         return obj
     if isinstance(obj, FederatedDataset):
         return MaterializedPopulation(obj)
-    if isinstance(obj, (list, tuple)):
-        warnings.warn(
-            "constructing an FL system from a raw client list is deprecated "
-            "and will be removed one release after the Population API; wrap "
-            "the shards in a FederatedDataset (or a MaterializedPopulation)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        clients = list(obj)
-        if not clients or not all(isinstance(c, ClientData) for c in clients):
-            raise TypeError("raw client lists must be non-empty ClientData lists")
-        labels = np.concatenate(
-            [np.concatenate([c.y_train, c.y_test]) for c in clients]
-        )
-        dataset = FederatedDataset(
-            name="custom",
-            clients=clients,
-            num_classes=int(labels.max()) + 1,
-            input_shape=tuple(clients[0].x_train.shape[1:]),
-        )
-        return MaterializedPopulation(dataset)
     raise TypeError(
-        f"cannot interpret {type(obj).__name__} as a Population "
-        "(expected Population, FederatedDataset, or list[ClientData])"
+        f"cannot interpret {type(obj).__name__} as a Population (expected "
+        "Population or FederatedDataset; wrap raw ClientData shards in a "
+        "FederatedDataset)"
     )

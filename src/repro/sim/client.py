@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.data.batching import FixedBatchSchedule
 from repro.data.federated import ClientData
-from repro.nn import plan as plan_mod
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer
@@ -115,13 +114,12 @@ class SimClient:
         from that cursor (batches are pure functions of the epoch index), so
         the round is a deterministic function of its inputs — the property the
         parallel executor relies on for bit-identical histories. Without it,
-        the client's stateful schedule advances as before.
+        the round starts at the client's own schedule cursor; either way the
+        cursor ends just past the epochs trained.
 
-        By default the ``epochs x batches`` loop runs inside the model's
-        compiled :class:`~repro.nn.plan.TrainingPlan` (one Python frame per
-        batch, arena-reused buffers) — bit-identical to the unfused loop,
-        which :data:`repro.nn.plan.DEFAULT_TRAINING_PLAN` re-enables for
-        the perf benchmarks' comparison baseline.
+        The ``epochs x batches`` loop runs inside the model's compiled
+        :class:`~repro.nn.plan.TrainingPlan` (one Python frame per batch,
+        arena-reused buffers).
 
         Returns the new flat weights; the worker model is left holding them
         (callers must not rely on worker state across clients).
@@ -130,46 +128,16 @@ class SimClient:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
         worker.set_flat_weights(global_flat)
         optimizer = optimizer_factory()
-        prox = ProximalTerm(lam)
-        use_plan = plan_mod.DEFAULT_TRAINING_PLAN
+        hook = None
         if lam > 0:
-            if use_plan and worker.store is not None:
-                # One memcpy of the store buffer == the per-parameter
-                # snapshot (parameters are views of that buffer).
-                prox.set_reference_flat(worker.store)
-            else:
-                prox.set_reference([p.data for p in worker.params])
-        hook = prox if lam > 0 else None
-
+            hook = ProximalTerm(lam)
+            hook.set_reference(worker.store)
+        first = self.schedule.epochs_consumed if start_epoch is None else start_epoch
         x, y = self.data.x_train, self.data.y_train
-        if use_plan:
-            # Fused path: the whole epochs x batches loop in one call. The
-            # stateful-schedule case replays from the current cursor, then
-            # fast-forwards it — exactly what consuming the generator does.
-            first = (
-                self.schedule.epochs_consumed if start_epoch is None else start_epoch
-            )
-            mean_loss = worker.training_plan(loss).run_epochs(
-                x, y, self.schedule, first, epochs, optimizer, grad_hook=hook
-            )
-            self.schedule.advance_to(first + epochs)
-        else:
-            losses: list[float] = []
-            if start_epoch is None:
-                batches = (
-                    idx for _ in range(epochs) for idx in self.schedule.next_epoch()
-                )
-            else:
-                batches = self.schedule.epochs(start_epoch, epochs)
-            for batch_idx in batches:
-                losses.append(
-                    worker.train_on_batch(
-                        x[batch_idx], y[batch_idx], loss, optimizer, grad_hook=hook
-                    )
-                )
-            if start_epoch is not None:
-                self.schedule.advance_to(start_epoch + epochs)
-            mean_loss = float(np.mean(losses))
+        mean_loss = worker.training_plan(loss).run_epochs(
+            x, y, self.schedule, first, epochs, optimizer, grad_hook=hook
+        )
+        self.schedule.advance_to(first + epochs)
         if latency is None:
             if rng is None:
                 raise ValueError("provide either latency or rng")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.asofed import ASOFed
-from repro.baselines.fedasync import FedAsync, staleness_factor
+from repro.baselines.fedasync import FedAsync
 from repro.core.config import FLConfig
+from repro.core.staleness import StalenessPolicy
 from repro.experiments.config import build_model_builder
 
 
@@ -33,22 +34,23 @@ def _run(cls, dataset, **overrides):
 
 class TestStalenessFactor:
     def test_constant(self):
-        assert staleness_factor("constant", 100) == 1.0
+        assert StalenessPolicy("constant").factor(100) == 1.0
 
     def test_poly_decays(self):
-        vals = [staleness_factor("poly", s, a=0.5) for s in range(6)]
+        vals = [StalenessPolicy("poly", a=0.5).factor(s) for s in range(6)]
         assert vals[0] == 1.0
         assert vals == sorted(vals, reverse=True)
 
     def test_hinge(self):
-        assert staleness_factor("hinge", 4, a=0.5, b=4) == 1.0
-        assert staleness_factor("hinge", 6, a=0.5, b=4) == pytest.approx(0.5)
+        hinge = StalenessPolicy("hinge", a=0.5, b=4)
+        assert hinge.factor(4) == 1.0
+        assert hinge.factor(6) == pytest.approx(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            staleness_factor("poly", -1)
+            StalenessPolicy("poly").factor(-1)
         with pytest.raises(ValueError):
-            staleness_factor("exp", 1)
+            StalenessPolicy("exp")
 
 
 class TestFedAsync:
@@ -75,7 +77,7 @@ class TestFedAsync:
         # Use the adaptive (poly) staleness variant; the default "constant"
         # deliberately does not damp (the paper's baseline behaviour).
         system, _ = _run(
-            FedAsync, tiny_image_dataset, max_rounds=2, fedasync_staleness="poly"
+            FedAsync, tiny_image_dataset, max_rounds=2, staleness="poly"
         )
         g0 = system.global_weights.copy()
         local = g0 + 1.0

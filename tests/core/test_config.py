@@ -35,7 +35,7 @@ def test_with_replaces_fields():
         ("eval_every", 0),
         ("optimizer", "lbfgs"),
         ("server_weighting", "random"),
-        ("fedasync_staleness", "exp"),
+        ("staleness", "exp"),
         ("compression", "gzip:9"),
         ("compression", "polyline:abc"),
         ("heartbeat_interval", 0.0),

@@ -8,13 +8,13 @@ from repro.data.batching import FixedBatchSchedule
 
 def test_epoch_covers_all_samples_once():
     s = FixedBatchSchedule(25, 10, client_id=0, seed=0)
-    seen = np.concatenate(list(s.next_epoch()))
+    seen = np.concatenate(list(s.epochs(0, 1)))
     np.testing.assert_array_equal(np.sort(seen), np.arange(25))
 
 
 def test_batch_sizes():
     s = FixedBatchSchedule(25, 10, client_id=0, seed=0)
-    sizes = [b.size for b in s.next_epoch()]
+    sizes = [b.size for b in s.epochs(0, 1)]
     assert sizes == [10, 10, 5]
     assert s.batches_per_epoch() == 3
 
@@ -22,24 +22,33 @@ def test_batch_sizes():
 def test_schedule_deterministic_across_instances():
     a = FixedBatchSchedule(30, 7, client_id=3, seed=42)
     b = FixedBatchSchedule(30, 7, client_id=3, seed=42)
-    for ba, bb in zip(a.next_epoch(), b.next_epoch()):
+    for ba, bb in zip(a.epochs(0, 2), b.epochs(0, 2)):
         np.testing.assert_array_equal(ba, bb)
 
 
 def test_different_clients_get_different_schedules():
     a = FixedBatchSchedule(30, 30, client_id=0, seed=42)
     b = FixedBatchSchedule(30, 30, client_id=1, seed=42)
-    assert not np.array_equal(next(a.next_epoch()), next(b.next_epoch()))
+    assert not np.array_equal(next(a.epochs(0, 1)), next(b.epochs(0, 1)))
 
 
-def test_epochs_differ_but_replay_after_reset():
+def test_epochs_differ_but_replay_from_the_same_cursor():
     s = FixedBatchSchedule(20, 20, client_id=0, seed=1)
-    e0 = next(s.next_epoch())
-    e1 = next(s.next_epoch())
+    e0, e1 = s.epochs(0, 2)
     assert not np.array_equal(e0, e1)
+    np.testing.assert_array_equal(next(s.epochs(0, 1)), e0)
+    np.testing.assert_array_equal(next(s.epochs(1, 1)), e1)
+
+
+def test_cursor_advances_and_resets():
+    s = FixedBatchSchedule(20, 20, client_id=0, seed=1)
+    assert s.epochs_consumed == 0
+    s.advance_to(3)
+    assert s.epochs_consumed == 3
     s.reset()
-    np.testing.assert_array_equal(next(s.next_epoch()), e0)
-    assert s.epochs_consumed == 1
+    assert s.epochs_consumed == 0
+    with pytest.raises(ValueError):
+        s.advance_to(-1)
 
 
 def test_epoch_order_is_pure_function():

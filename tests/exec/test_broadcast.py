@@ -35,7 +35,7 @@ def _fingerprint(results):
     return [(r.client_id, r.train_loss, r.weights.tobytes()) for r in results]
 
 
-def test_shared_memory_matches_pickle_and_serial(setup):
+def test_shared_memory_matches_serial(setup):
     model, clients, tasks = setup
     loss, opt = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
     start = model.get_flat_weights()
@@ -46,13 +46,7 @@ def test_shared_memory_matches_pickle_and_serial(setup):
         shm_results = shm_ex.run_cohort(start, tasks)
         assert shm_ex.shm_fallback_reason is None
         assert shm_ex._shm is not None  # the broadcast really used shm
-    with ParallelExecutor(
-        model, clients, loss, opt, num_workers=2, shared_broadcast=False
-    ) as pkl_ex:
-        pkl_results = pkl_ex.run_cohort(start, tasks)
-        assert pkl_ex._shm is None
     assert _fingerprint(shm_results) == reference
-    assert _fingerprint(pkl_results) == reference
 
 
 def test_segment_is_reused_across_rounds(setup):
@@ -85,7 +79,8 @@ def test_segment_released_on_close(setup):
 
 
 def test_creation_failure_falls_back_to_pickle(setup, monkeypatch):
-    """A platform without usable shared memory degrades, not crashes."""
+    """A platform without usable shared memory degrades, not crashes: the
+    weights travel pickled in every chunk message and results match."""
     import multiprocessing.shared_memory as shm_mod
 
     def boom(*args, **kwargs):
@@ -100,6 +95,7 @@ def test_creation_failure_falls_back_to_pickle(setup, monkeypatch):
     )
     with ParallelExecutor(model, clients, loss, opt, num_workers=2) as ex:
         results = ex.run_cohort(start, tasks)
-        assert ex.shm_fallback_reason is not None
+        assert "no /dev/shm" in ex.shm_fallback_reason
         assert ex._shm is None
+        assert ex._broadcast_header(start)[0] == "pickle"
     assert _fingerprint(results) == reference

@@ -6,6 +6,17 @@ import numpy as np
 
 from repro.nn.layers import Layer
 from repro.nn.model import Sequential
+from repro.nn.store import FlatParameterStore
+from repro.nn.tensor import Parameter
+
+
+def adopted(*arrays) -> list[Parameter]:
+    """One ``Parameter`` per array, adopted into a shared
+    :class:`FlatParameterStore` — what ``Sequential`` does for a model's
+    parameters, and what optimizers require before they will step."""
+    params = [Parameter(np.asarray(a, dtype=np.float64)) for a in arrays]
+    FlatParameterStore(params)
+    return params
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

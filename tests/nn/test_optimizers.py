@@ -5,6 +5,7 @@ import pytest
 
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.tensor import Parameter
+from tests.helpers import adopted
 
 
 def quadratic_step(p: Parameter) -> None:
@@ -14,14 +15,14 @@ def quadratic_step(p: Parameter) -> None:
 
 class TestSGD:
     def test_plain_step(self):
-        p = Parameter(np.array([1.0, -2.0]))
+        (p,) = adopted(np.array([1.0, -2.0]))
         opt = SGD(lr=0.1)
         quadratic_step(p)
         opt.step([p])
         np.testing.assert_allclose(p.data, [0.9, -1.8])
 
     def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0, -3.0]))
+        (p,) = adopted(np.array([5.0, -3.0]))
         opt = SGD(lr=0.3)
         for _ in range(100):
             quadratic_step(p)
@@ -30,7 +31,7 @@ class TestSGD:
 
     def test_momentum_accelerates(self):
         def run(momentum: float) -> float:
-            p = Parameter(np.array([10.0]))
+            (p,) = adopted(np.array([10.0]))
             opt = SGD(lr=0.05, momentum=momentum)
             for _ in range(40):
                 quadratic_step(p)
@@ -40,19 +41,29 @@ class TestSGD:
         assert run(0.9) < run(0.0)
 
     def test_grad_cleared_after_step(self):
-        p = Parameter(np.ones(3))
+        (p,) = adopted(np.ones(3))
         opt = SGD(lr=0.1)
         quadratic_step(p)
         opt.step([p])
         np.testing.assert_array_equal(p.grad, 0.0)
 
     def test_reset_state(self):
-        p = Parameter(np.array([1.0]))
+        (p,) = adopted(np.array([1.0]))
         opt = SGD(lr=0.1, momentum=0.9)
         quadratic_step(p)
         opt.step([p])
         opt.reset_state()
-        assert opt._velocity == {}
+        assert opt._velocity is None
+
+    def test_unadopted_parameters_rejected(self):
+        """Standalone parameters have no flat buffers to update: stepping
+        them is an error that says so, not a silent no-op."""
+        p = Parameter(np.array([1.0, -2.0]))
+        quadratic_step(p)
+        for opt in (SGD(lr=0.1), Adam(lr=0.1)):
+            with pytest.raises(ValueError, match="FlatParameterStore"):
+                opt.step([p])
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,7 +74,7 @@ class TestSGD:
 
 class TestAdam:
     def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0, -3.0, 0.7]))
+        (p,) = adopted(np.array([5.0, -3.0, 0.7]))
         opt = Adam(lr=0.2)
         for _ in range(300):
             quadratic_step(p)
@@ -72,28 +83,33 @@ class TestAdam:
 
     def test_first_step_magnitude_is_lr(self):
         """With bias correction, the first Adam step ≈ lr·sign(grad)."""
-        p = Parameter(np.array([1.0, -1.0]))
+        (p,) = adopted(np.array([1.0, -1.0]))
         opt = Adam(lr=0.01)
         p.grad[...] = np.array([3.0, -0.002])
         opt.step([p])
         np.testing.assert_allclose(p.data, [1.0 - 0.01, -1.0 + 0.01], atol=1e-4)
 
     def test_per_parameter_state_isolated(self):
-        p1, p2 = Parameter(np.array([1.0])), Parameter(np.array([100.0]))
-        opt = Adam(lr=0.1)
+        """One flat moment buffer, but elementwise: a parameter's trajectory
+        does not depend on what else shares the store."""
+        p1, p2 = params = adopted(np.array([1.0]), np.array([100.0]))
+        (alone,) = adopted(np.array([1.0]))
+        opt, opt_alone = Adam(lr=0.1), Adam(lr=0.1)
         for _ in range(5):
-            quadratic_step(p1)
-            quadratic_step(p2)
-            opt.step([p1, p2])
-        assert len(opt._m) == 2
+            for p in (p1, p2, alone):
+                quadratic_step(p)
+            opt.step(params)
+            opt_alone.step([alone])
+        assert opt._m.shape == (2,)
+        np.testing.assert_array_equal(p1.data, alone.data)
 
     def test_reset_state(self):
-        p = Parameter(np.array([1.0]))
+        (p,) = adopted(np.array([1.0]))
         opt = Adam(lr=0.1)
         quadratic_step(p)
         opt.step([p])
         opt.reset_state()
-        assert opt._t == 0 and opt._m == {}
+        assert opt._t == 0 and opt._m is None and opt._v is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

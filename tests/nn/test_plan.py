@@ -1,15 +1,17 @@
-"""Fused training plan: bit-identity to the unfused loop, arena hygiene.
+"""Fused training plan: bit-identity to the per-layer reference, arena hygiene.
 
 The whole contract in one file:
 
 1. kernel equivalence — every planned (``out=``/``scratch=``) layer and
-   loss kernel produces bitwise the legacy allocating result, including
+   loss kernel produces bitwise the allocating (``scratch=None``) result, including
    the awkward cases (time-distributed Dense, 'valid' convolutions,
    cropped and tied max-pooling);
 2. loop equivalence — ``SimClient.local_train`` through
-   ``TrainingPlan.run_epochs`` reproduces the unfused per-batch loop
-   byte for byte, for CNN and MLP models, ragged final batches, multiple
-   epochs, stateful and explicit-cursor schedules, and full FL histories;
+   ``TrainingPlan.run_epochs`` reproduces a reference loop written here
+   over ``Sequential.train_on_batch`` byte for byte, for CNN, MLP and
+   logistic models, ragged final batches, multiple epochs, stateful and
+   explicit-cursor schedules (full FL histories are pinned by
+   ``tests/fixtures/golden``);
 3. arena hygiene — scratch reuse never aliases or mutates caller-owned
    arrays (hypothesis-driven), buffers stop growing after the first
    round, and layer caches are released between rounds;
@@ -25,17 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.nn.plan as plan_mod
+from repro.data.batching import FixedBatchSchedule
 from repro.data.datasets import make_dataset
 from repro.exec import OptimizerSpec
 from repro.metrics.evaluation import Evaluator
-from repro.nn.activations import ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU, Sigmoid, Tanh, softmax
 from repro.nn.conv import Conv2D
 from repro.nn.layers import Dense
-from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.plan import ScratchArena, TrainingPlan
+from repro.nn.losses import LOG_EPS, SoftmaxCrossEntropy
+from repro.nn.plan import ScratchArena
 from repro.nn.pooling import MaxPool2D
-from repro.nn.zoo import build_cnn, build_lstm_classifier, build_mlp
+from repro.nn.proximal import ProximalTerm
+from repro.nn.zoo import build_cnn, build_logistic, build_lstm_classifier, build_mlp
 from repro.sim.client import SimClient
 
 
@@ -167,70 +170,107 @@ class TestKernelEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# 2. Loop equivalence: run_epochs == the unfused per-batch loop
+# 2. Loop equivalence: run_epochs == the per-layer reference loop
 # --------------------------------------------------------------------- #
-def _train_once(use_plan, builder, dataset, *, epochs=2, batch_size=10, lam=0.4,
-                optimizer=("adam", 0.005), start_epoch=None, monkeypatch=None):
-    monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", use_plan)
+def _reference_round(model, data, flat, *, epochs, batch_size, lam, spec, loss, start_epoch):
+    """One client round over ``Sequential.train_on_batch`` — the allocating
+    per-layer reference — with the schedule, optimizer and proximal hook
+    ``SimClient.local_train`` uses. Returns (weights, mean batch loss)."""
+    model.set_flat_weights(flat)
+    optimizer = spec.build()
+    hook = None
+    if lam > 0:
+        hook = ProximalTerm(lam)
+        hook.set_reference(model.store)
+    schedule = FixedBatchSchedule(data.num_train, batch_size, data.client_id, seed=0)
+    x, y = data.x_train, data.y_train
+    losses = [
+        model.train_on_batch(x[idx], y[idx], loss, optimizer, grad_hook=hook)
+        for idx in schedule.epochs(start_epoch, epochs)
+    ]
+    return model.get_flat_weights(), float(np.mean(losses))
+
+
+def _train_once(planned, builder, dataset, *, epochs=2, batch_size=10, lam=0.4,
+                optimizer=("adam", 0.005), start_epoch=None, rounds=1):
+    """``rounds`` sweeps over the dataset's clients, each client starting
+    from the previous one's weights; ``planned`` trains through
+    ``SimClient.local_train`` (the fused plan), otherwise through the
+    in-test reference loop. ``start_epoch=None`` exercises the clients'
+    stateful schedule cursors (the reference tracks them by hand)."""
     model = builder(np.random.default_rng(1))
     loss = SoftmaxCrossEntropy()
     spec = OptimizerSpec(*optimizer)
     flat = model.get_flat_weights()
+    clients = [SimClient(c, None, batch_size=batch_size, seed=0) for c in dataset.clients]
     out = []
-    for c in dataset.clients:
-        client = SimClient(c, None, batch_size=batch_size, seed=0)
-        res = client.local_train(
-            model, flat, epochs=epochs, loss=loss, optimizer_factory=spec.build,
-            lam=lam, latency=1.0, start_epoch=start_epoch,
-        )
-        out.append(res)
-        flat = res.weights
+    for r in range(rounds):
+        for client in clients:
+            if planned:
+                res = client.local_train(
+                    model, flat, epochs=epochs, loss=loss, optimizer_factory=spec.build,
+                    lam=lam, latency=1.0, start_epoch=start_epoch,
+                )
+                pair = (res.weights, res.train_loss)
+            else:
+                pair = _reference_round(
+                    model, client.data, flat, epochs=epochs, batch_size=batch_size,
+                    lam=lam, spec=spec, loss=loss,
+                    start_epoch=r * epochs if start_epoch is None else start_epoch,
+                )
+            out.append(pair)
+            flat = pair[0]
+    if planned and start_epoch is None:
+        assert all(c.schedule.epochs_consumed == rounds * epochs for c in clients)
     return out
 
 
+def _assert_rounds_identical(a, b):
+    assert len(a) == len(b)
+    for (wa, la), (wb, lb) in zip(a, b):
+        np.testing.assert_array_equal(wa, wb)
+        assert la == lb
+
+
 class TestLoopEquivalence:
-    @pytest.mark.parametrize("kind", ["cnn", "mlp"])
+    @pytest.mark.parametrize("kind", ["cnn", "mlp", "logreg"])
     @pytest.mark.parametrize("batch_size", [10, 7], ids=["even", "ragged"])
-    def test_local_train_bit_identical(self, kind, batch_size, monkeypatch):
+    def test_local_train_bit_identical(self, kind, batch_size):
         if kind == "cnn":
             builder = _cnn
             ds = _image_dataset()
         else:
-            builder = lambda rng: build_mlp(64, 3, rng=rng, hidden=(16,))  # noqa: E731
+            builder = {
+                "mlp": lambda rng: build_mlp(64, 3, rng=rng, hidden=(16,)),
+                "logreg": lambda rng: build_logistic(64, 3, rng=rng),
+            }[kind]
             ds = make_dataset(
                 "sentiment140", np.random.default_rng(0),
                 num_clients=3, samples_per_client=17,
             )
-        a = _train_once(True, builder, ds, batch_size=batch_size, monkeypatch=monkeypatch)
-        b = _train_once(False, builder, ds, batch_size=batch_size, monkeypatch=monkeypatch)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.weights, rb.weights)
-            assert ra.train_loss == rb.train_loss
+        _assert_rounds_identical(
+            _train_once(True, builder, ds, batch_size=batch_size),
+            _train_once(False, builder, ds, batch_size=batch_size),
+        )
 
-    def test_sgd_momentum_and_explicit_cursor(self, monkeypatch):
+    def test_sgd_momentum_and_explicit_cursor(self):
         ds = _image_dataset(num_clients=2)
         kwargs = dict(optimizer=("sgd", 0.05), start_epoch=3, epochs=2)
-        a = _train_once(True, _cnn, ds, monkeypatch=monkeypatch, **kwargs)
-        b = _train_once(False, _cnn, ds, monkeypatch=monkeypatch, **kwargs)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.weights, rb.weights)
+        _assert_rounds_identical(
+            _train_once(True, _cnn, ds, **kwargs), _train_once(False, _cnn, ds, **kwargs)
+        )
 
-    def test_stateful_schedule_cursor_advances_identically(self, monkeypatch):
-        ds = _image_dataset(num_clients=1)
-        client_data = ds.clients[0]
-        for use_plan in (True, False):
-            monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", use_plan)
-            model = _cnn()
-            client = SimClient(client_data, None, batch_size=10, seed=0)
-            flat = model.get_flat_weights()
-            loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
-            client.local_train(
-                model, flat, epochs=2, loss=loss,
-                optimizer_factory=spec.build, latency=1.0,
-            )
-            assert client.schedule.epochs_consumed == 2
+    def test_stateful_schedule_cursor_advances_identically(self):
+        """Without ``start_epoch`` each round starts at the client's own
+        cursor: round r must train epochs [r*E, (r+1)*E) exactly as the
+        reference loop replaying those epochs does, and leave the cursor
+        at (r+1)*E (asserted inside ``_train_once``)."""
+        ds = _image_dataset(num_clients=2)
+        _assert_rounds_identical(
+            _train_once(True, _cnn, ds, rounds=2), _train_once(False, _cnn, ds, rounds=2)
+        )
 
-    def test_stacked_activations_bit_identical(self, monkeypatch):
+    def test_stacked_activations_bit_identical(self):
         """Tanh/Sigmoid backward reads its cached output, so the plan must
         not let a following activation overwrite that buffer in place —
         regression test for the stacked-activation in-place hazard."""
@@ -255,13 +295,11 @@ class TestLoopEquivalence:
                 name="stacked",
             )
 
-        a = _train_once(True, builder, ds, epochs=2, monkeypatch=monkeypatch)
-        b = _train_once(False, builder, ds, epochs=2, monkeypatch=monkeypatch)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.weights, rb.weights)
-            assert ra.train_loss == rb.train_loss
+        _assert_rounds_identical(
+            _train_once(True, builder, ds, epochs=2), _train_once(False, builder, ds, epochs=2)
+        )
 
-    def test_generic_fallback_model(self, monkeypatch):
+    def test_generic_fallback_model(self):
         """LSTM + dropout + batch-norm layers take the generic (unplanned)
         steps inside the compiled plan; results must still match exactly."""
         ds = make_dataset(
@@ -273,46 +311,26 @@ class TestLoopEquivalence:
                 64, 64, rng=rng, embed_dim=8, hidden_dim=8, dropout=0.1
             )
 
-        a = _train_once(True, builder, ds, epochs=1, monkeypatch=monkeypatch)
-        b = _train_once(False, builder, ds, epochs=1, monkeypatch=monkeypatch)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.weights, rb.weights)
-            assert ra.train_loss == rb.train_loss
+        _assert_rounds_identical(
+            _train_once(True, builder, ds, epochs=1), _train_once(False, builder, ds, epochs=1)
+        )
 
-    def test_fedat_history_bit_identical_plan_on_off(self, tiny_bow_dataset, monkeypatch):
-        """End to end: a FedAT run (compression, tiers, eval) with the plan
-        on reproduces the plan-off history byte for byte."""
-        import dataclasses
-
-        from repro.core.config import FLConfig
-        from repro.core.fedat import FedAT
-        from repro.experiments.config import build_model_builder
-
-        def run(use_plan):
-            monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", use_plan)
-            config = FLConfig(
-                clients_per_round=4, local_epochs=2, max_rounds=8, eval_every=2,
-                num_tiers=3, num_unstable=2, seed=0, compression="polyline:4",
-            )
-            return FedAT(
-                tiny_bow_dataset, build_model_builder(tiny_bow_dataset, "tiny"), config
-            ).run()
-
-        on, off = run(True), run(False)
-        assert len(on.records) == len(off.records)
-        for a, b in zip(on.records, off.records):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-    def test_evaluator_plan_matches_model_forward(self, monkeypatch):
+    def test_evaluator_matches_model_forward(self):
+        """The evaluator's forward-only plan scores exactly what chunked
+        ``Sequential.forward`` calls score."""
         ds = _image_dataset(num_clients=3)
         model = _cnn()
-        flat = model.get_flat_weights()
+        got = Evaluator(ds, model, eval_batch_size=13).evaluate_flat(model.get_flat_weights())
 
-        monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", True)
-        with_plan = Evaluator(ds, model, eval_batch_size=13).evaluate_flat(flat)
-        monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", False)
-        without = Evaluator(ds, model, eval_batch_size=13).evaluate_flat(flat)
-        assert with_plan == without
+        x = np.concatenate([c.x_test for c in ds.clients])
+        y = np.concatenate([c.y_test for c in ds.clients]).reshape(-1)
+        logits = np.concatenate(
+            [model.forward(x[a : a + 13], training=False) for a in range(0, len(x), 13)]
+        )
+        correct = (np.argmax(logits, axis=-1) == y).astype(np.float64)
+        nll = -np.log(softmax(logits)[np.arange(len(y)), y] + LOG_EPS)
+        assert got["accuracy"] == float(correct.mean())
+        assert got["loss"] == float(nll.mean())
 
 
 # --------------------------------------------------------------------- #
@@ -355,8 +373,7 @@ class TestArenaHygiene:
             assert not p.arena.owns(res.weights)
         assert not np.shares_memory(res.weights, model.store.data)
 
-    def test_arena_stops_growing_after_first_round(self, monkeypatch):
-        monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", True)
+    def test_arena_stops_growing_after_first_round(self):
         ds = _image_dataset(num_clients=2)
         model = _cnn()
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
@@ -395,8 +412,7 @@ class TestArenaHygiene:
         c = arena.slot(1)("~x", (5, 5), np.float64)  # grows
         assert c.size == 25
 
-    def test_run_epochs_releases_layer_caches(self, monkeypatch):
-        monkeypatch.setattr(plan_mod, "DEFAULT_TRAINING_PLAN", True)
+    def test_run_epochs_releases_layer_caches(self):
         ds = _image_dataset(num_clients=1)
         model = _cnn()
         client = SimClient(ds.clients[0], None, batch_size=10, seed=0)
@@ -457,22 +473,22 @@ class TestPlanLifecycle:
                 0, 1, OptimizerSpec("adam", 0.005).build(),
             )
 
-    def test_float32_plan_close_to_unfused_and_deterministic(self, monkeypatch):
-        """At float32 the unfused max-pool tie branch silently promotes the
-        gradient to float64 (``f32 / int64`` counts), which the plan's
-        dtype-stable kernels deliberately do not replicate — so the paths
+    def test_float32_plan_close_to_reference_and_deterministic(self):
+        """At float32 the reference max-pool tie branch silently promotes
+        the gradient to float64 (``f32 / int64`` counts), which the plan's
+        dtype-stable kernels deliberately do not replicate — so the two
         agree to float32 round-off rather than bitwise (the hard bitwise
-        contract is float64). The plan path itself must be deterministic."""
+        contract is float64). The plan itself must be deterministic."""
         ds = _image_dataset(num_clients=2)
 
         def builder(rng):
             return _cnn(rng).astype(np.float32)
 
-        a = _train_once(True, builder, ds, epochs=1, monkeypatch=monkeypatch)
-        b = _train_once(False, builder, ds, epochs=1, monkeypatch=monkeypatch)
-        a2 = _train_once(True, builder, ds, epochs=1, monkeypatch=monkeypatch)
-        for ra, rb, ra2 in zip(a, b, a2):
-            assert ra.weights.dtype == np.float32
-            assert np.all(np.isfinite(ra.weights))
-            np.testing.assert_allclose(ra.weights, rb.weights, atol=1e-5, rtol=1e-4)
-            np.testing.assert_array_equal(ra.weights, ra2.weights)  # deterministic
+        a = _train_once(True, builder, ds, epochs=1)
+        b = _train_once(False, builder, ds, epochs=1)
+        a2 = _train_once(True, builder, ds, epochs=1)
+        for (wa, _), (wb, _), (wa2, _) in zip(a, b, a2):
+            assert wa.dtype == np.float32
+            assert np.all(np.isfinite(wa))
+            np.testing.assert_allclose(wa, wb, atol=1e-5, rtol=1e-4)
+            np.testing.assert_array_equal(wa, wa2)  # deterministic

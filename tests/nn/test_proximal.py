@@ -12,7 +12,8 @@ from repro.nn.zoo import build_mlp
 def test_zero_lambda_is_noop(rng):
     prox = ProximalTerm(0.0)
     m = build_mlp(4, 2, rng=rng)
-    prox.set_reference([p.data.copy() for p in m.params])
+    prox.set_reference(m.store)
+    m.store.data += 1.0
     for p in m.params:
         p.grad[...] = 1.0
     prox(m.params)
@@ -23,8 +24,8 @@ def test_zero_lambda_is_noop(rng):
 def test_gradient_direction_points_to_reference(rng):
     prox = ProximalTerm(2.0)
     m = build_mlp(4, 2, rng=rng)
-    ref = [p.data + 1.0 for p in m.params]  # reference above current weights
-    prox.set_reference(ref)
+    prox.set_reference(m.store)
+    m.store.data -= 1.0  # reference above current weights
     prox(m.params)
     for p in m.params:
         # grad += λ (w − ref) = 2 · (−1) = −2
@@ -34,8 +35,8 @@ def test_gradient_direction_points_to_reference(rng):
 def test_penalty_value(rng):
     prox = ProximalTerm(0.4)
     m = build_mlp(3, 2, rng=rng)
-    ref = [p.data - 0.5 for p in m.params]
-    prox.set_reference(ref)
+    prox.set_reference(m.store)
+    m.store.data += 0.5
     n = m.num_params
     np.testing.assert_allclose(prox.penalty(m.params), 0.5 * 0.4 * 0.25 * n, rtol=1e-9)
 
@@ -53,9 +54,28 @@ def test_negative_lambda_rejected():
 def test_mismatched_reference_rejected(rng):
     prox = ProximalTerm(1.0)
     m = build_mlp(3, 2, rng=rng)
-    prox.set_reference([m.params[0].data.copy()])
-    with pytest.raises(ValueError):
+    prox.set_reference(build_mlp(4, 2, rng=rng).store)
+    with pytest.raises(ValueError, match="do not match"):
         prox(m.params)
+
+
+def test_partial_parameter_list_rejected(rng):
+    """The hook is one whole-buffer op: a subset of a model's parameters
+    cannot be constrained on its own."""
+    prox = ProximalTerm(1.0)
+    m = build_mlp(3, 2, rng=rng)
+    prox.set_reference(m.store)
+    with pytest.raises(ValueError, match="FlatParameterStore"):
+        prox(m.params[:1])
+
+
+def test_reference_is_a_snapshot(rng):
+    """Later weight updates must not move the reference."""
+    prox = ProximalTerm(1.0)
+    m = build_mlp(3, 2, rng=rng)
+    prox.set_reference(m.store)
+    m.store.data[:] = 0.0
+    assert prox.penalty(m.params) > 0.0
 
 
 def test_constraint_keeps_weights_near_global(rng):
@@ -68,7 +88,7 @@ def test_constraint_keeps_weights_near_global(rng):
         m = build_mlp(6, 3, rng=np.random.default_rng(0))
         ref_flat = m.get_flat_weights()
         prox = ProximalTerm(lam)
-        prox.set_reference([p.data.copy() for p in m.params])
+        prox.set_reference(m.store)
         opt = SGD(lr=0.2)
         for _ in range(50):
             m.train_on_batch(x, y, loss, opt, grad_hook=prox if lam > 0 else None)

@@ -12,7 +12,7 @@ from repro.nn.schedules import (
     inverse_time_decay,
     step_decay,
 )
-from repro.nn.tensor import Parameter
+from tests.helpers import adopted
 
 
 class TestSchedules:
@@ -63,14 +63,13 @@ class TestSchedules:
 
 class TestClipping:
     def test_global_norm(self):
-        p1 = Parameter(np.zeros(2))
+        p1, p2 = adopted(np.zeros(2), np.zeros(1))
         p1.grad[...] = [3.0, 0.0]
-        p2 = Parameter(np.zeros(1))
         p2.grad[...] = [4.0]
         assert global_grad_norm([p1, p2]) == pytest.approx(5.0)
 
     def test_clips_large_gradient(self):
-        p = Parameter(np.array([0.0]))
+        (p,) = adopted(np.array([0.0]))
         p.grad[...] = [10.0]
         opt = ClippedOptimizer(SGD(lr=1.0), max_norm=1.0)
         opt.step([p])
@@ -79,7 +78,7 @@ class TestClipping:
         assert opt.last_norm == pytest.approx(10.0)
 
     def test_leaves_small_gradient(self):
-        p = Parameter(np.array([0.0]))
+        (p,) = adopted(np.array([0.0]))
         p.grad[...] = [0.5]
         opt = ClippedOptimizer(SGD(lr=1.0), max_norm=1.0)
         opt.step([p])
@@ -87,7 +86,7 @@ class TestClipping:
 
     def test_preserves_direction(self, rng):
         g = rng.normal(size=8) * 100
-        p = Parameter(np.zeros(8))
+        (p,) = adopted(np.zeros(8))
         p.grad[...] = g
         opt = ClippedOptimizer(SGD(lr=1.0), max_norm=2.0)
         opt.step([p])
@@ -98,11 +97,11 @@ class TestClipping:
     def test_reset_delegates(self):
         inner = SGD(lr=0.1, momentum=0.9)
         opt = ClippedOptimizer(inner, max_norm=1.0)
-        p = Parameter(np.ones(2))
+        (p,) = adopted(np.ones(2))
         p.grad[...] = 1.0
         opt.step([p])
         opt.reset_state()
-        assert inner._velocity == {}
+        assert inner._velocity is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,31 +1,24 @@
-"""Zero-copy flat-parameter store: aliasing, replication, and the
-old-path/new-path bit-identity contract.
+"""Zero-copy flat-parameter store: aliasing, replication, coverage.
 
 The store rebinds every ``Parameter.data``/``.grad`` to views of one
-contiguous buffer, so three invariants carry the whole refactor:
+contiguous buffer, so three invariants carry the layout:
 
 1. aliasing — mutating a parameter mutates the flat buffer and vice versa;
 2. replica independence — ``clone()`` (and the pickle path pool workers
    use) produces models whose buffers share nothing with the original;
-3. history bit-identity — a full FL run through the store layout produces
-   byte-for-byte the same ``RunHistory`` as the legacy standalone-array
-   layout at the float64 default.
+3. coverage — whole-buffer operations only ever stand in for a parameter
+   list that is exactly the store's.
+
+Full FL histories through this layout are pinned by ``tests/fixtures/golden``.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
-import repro.nn.model as model_mod
-from repro.core.config import FLConfig
-from repro.core.fedat import FedAT
-from repro.baselines.fedavg import FedAvg
-from repro.experiments.config import build_model_builder
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.optimizers import SGD, Adam
-from repro.nn.proximal import ProximalTerm
+from repro.nn.optimizers import Adam
 from repro.nn.store import FlatParameterStore
 from repro.nn.zoo import build_mlp
 
@@ -38,7 +31,6 @@ class TestAliasing:
     def test_parameter_data_is_view_of_flat_buffer(self):
         m = _mlp()
         store = m.store
-        assert store is not None
         for p, (a, b) in zip(m.params, store.offsets):
             assert p.data.base is store.data
             assert p.grad.base is store.grad
@@ -92,7 +84,6 @@ class TestReplication:
     def test_clone_buffers_are_independent(self):
         m = _mlp()
         replica = m.clone()
-        assert replica.store is not None
         assert replica.store.data is not m.store.data
         replica.store.data[:] = 42.0
         assert not (m.store.data == 42.0).any()
@@ -111,7 +102,6 @@ class TestReplication:
         working store that shares nothing with the original."""
         m = _mlp()
         replica = pickle.loads(pickle.dumps(m))
-        assert replica.store is not None
         np.testing.assert_array_equal(
             replica.get_flat_weights(), m.get_flat_weights()
         )
@@ -127,50 +117,41 @@ class TestReplication:
         np.testing.assert_array_equal(replica.get_flat_weights(), w)
 
 
-class TestLegacyMode:
-    def test_flag_disables_store(self, monkeypatch):
-        monkeypatch.setattr(model_mod, "DEFAULT_FLAT_STORE", False)
+class TestCoverage:
+    def test_partial_param_list_is_not_covered(self):
+        """A subset of a store's parameters is not the store: a whole-buffer
+        update standing in for it would also move the other parameters."""
         m = _mlp()
-        assert m.store is None
-        for p in m.params:
-            assert p.store is None and p.data.base is None
-
-    def test_legacy_and_store_flat_weights_match(self, monkeypatch):
-        new = _mlp().get_flat_weights()
-        monkeypatch.setattr(model_mod, "DEFAULT_FLAT_STORE", False)
-        old = _mlp().get_flat_weights()
-        np.testing.assert_array_equal(new, old)
-
-
-class TestFlatOptimizerSteps:
-    """Whole-buffer optimizer/proximal ops equal the per-parameter loop."""
-
-    @pytest.mark.parametrize(
-        "make_opt",
-        [lambda: Adam(0.01), lambda: SGD(0.05), lambda: SGD(0.05, momentum=0.9)],
-        ids=["adam", "sgd", "sgd-momentum"],
-    )
-    def test_step_bitwise_equal(self, make_opt, monkeypatch):
-        def train(use_store):
-            monkeypatch.setattr(model_mod, "DEFAULT_FLAT_STORE", use_store)
-            m = _mlp(seed=3)
-            loss, opt = SoftmaxCrossEntropy(), make_opt()
-            rng = np.random.default_rng(11)
-            x = rng.normal(size=(20, 6))
-            y = rng.integers(0, 3, size=20)
-            prox = ProximalTerm(0.4)
-            prox.set_reference([p.data for p in m.params])
-            for _ in range(5):
-                m.train_on_batch(x, y, loss, opt, grad_hook=prox)
-            return m.get_flat_weights()
-
-        np.testing.assert_array_equal(train(True), train(False))
-
-    def test_partial_param_list_falls_back(self):
-        """A subset of a store's parameters must not trigger the flat path."""
-        m = _mlp()
-        assert FlatParameterStore.of(m.params[:1]) is None
+        with pytest.raises(ValueError, match="FlatParameterStore"):
+            FlatParameterStore.of(m.params[:1])
         assert FlatParameterStore.of(m.params) is m.store
+        before = m.get_flat_weights()
+        with pytest.raises(ValueError, match="FlatParameterStore"):
+            Adam(0.01).step(m.params[:1])
+        with pytest.raises(ValueError, match="does not cover"):
+            Adam(0.01).step(m.params[:1], store=m.store)
+        np.testing.assert_array_equal(m.get_flat_weights(), before)
+
+    def test_params_list_is_cached_with_the_store(self):
+        """``train_on_batch`` hands the optimizer the store's own list, so
+        the coverage check is an identity test, not a scan; the list is
+        rebuilt whenever the store is (astype, unpickling)."""
+        m = _mlp()
+        seen = []
+
+        class Recording(Adam):
+            def step(self, params, store=None, scratch=None):
+                seen.append((params, store))
+                super().step(params, store=store, scratch=scratch)
+
+        x = np.zeros((2, 6))
+        y = np.zeros(2, dtype=np.int64)
+        m.train_on_batch(x, y, SoftmaxCrossEntropy(), Recording(0.01))
+        assert seen[0][0] is m.store.params and seen[0][1] is m.store
+        old = m.store
+        m.astype(np.float32)
+        assert m.store is not old and m.params == m.store.params
+        assert all(p.store is m.store for p in m.params)
 
     def test_astype_float32_roundtrip(self):
         m = _mlp()
@@ -199,9 +180,9 @@ class TestMemoryBehavior:
         )
 
     def test_plan_releases_forward_caches_between_rounds(self):
-        """After a planned round no layer holds activation caches (the
-        unfused path pins each layer's last-batch tensors until the next
-        round touches it — for idle replicas, indefinitely)."""
+        """After a round no layer holds activation caches (which would pin
+        each layer's last-batch tensors until the next round touches it —
+        for idle replicas, indefinitely)."""
         from repro.data.datasets import make_dataset
         from repro.sim.client import SimClient
 
@@ -223,34 +204,3 @@ class TestMemoryBehavior:
         for _ in range(3):
             self._one_round(model, client, model.get_flat_weights())
         assert plan.arena.nbytes == first
-
-
-_BUDGETS = {FedAT: 10, FedAvg: 4}
-
-
-def _history(dataset, cls, use_store, monkeypatch):
-    monkeypatch.setattr(model_mod, "DEFAULT_FLAT_STORE", use_store)
-    config = FLConfig(
-        clients_per_round=4,
-        local_epochs=2,
-        max_rounds=_BUDGETS[cls],
-        eval_every=2,
-        num_tiers=3,
-        num_unstable=2,
-        seed=0,
-        compression="polyline:4" if cls is FedAT else None,
-    )
-    return cls(dataset, build_model_builder(dataset, "tiny"), config).run()
-
-
-@pytest.mark.parametrize("cls", [FedAT, FedAvg], ids=["fedat", "fedavg"])
-def test_store_history_bit_identical_to_legacy_path(
-    tiny_bow_dataset, cls, monkeypatch
-):
-    """The whole refactor, end to end: flat-store runs must reproduce the
-    legacy per-parameter layout byte for byte at the float64 default."""
-    new = _history(tiny_bow_dataset, cls, True, monkeypatch)
-    old = _history(tiny_bow_dataset, cls, False, monkeypatch)
-    assert len(new.records) == len(old.records)
-    for a, b in zip(new.records, old.records):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)

@@ -1,4 +1,4 @@
-"""Public Population API surface: adapters, deprecation shim, exports."""
+"""Public Population API surface: adapters, exports."""
 
 import numpy as np
 import pytest
@@ -21,33 +21,25 @@ class TestAsPopulation:
         assert pop.dataset is tiny_bow_dataset
         assert pop.num_clients == tiny_bow_dataset.num_clients
 
-    def test_raw_client_list_warns_and_works(self, tiny_bow_dataset):
-        with pytest.warns(DeprecationWarning, match="raw client list"):
-            pop = as_population(list(tiny_bow_dataset.clients))
-        assert pop.num_clients == tiny_bow_dataset.num_clients
-        assert pop.num_classes == tiny_bow_dataset.num_classes
-        assert pop.input_shape == tiny_bow_dataset.input_shape
-
-    def test_system_accepts_raw_client_list(self, tiny_bow_dataset):
-        """The one-release compatibility shim: an FL system built from a raw
-        shard list still runs (with a DeprecationWarning)."""
+    def test_raw_client_list_rejected(self, tiny_bow_dataset):
+        """Raw shard lists were a one-release shim; they now get the same
+        TypeError as any other non-population, naming the wrapper to use."""
+        with pytest.raises(TypeError, match="FederatedDataset"):
+            as_population(list(tiny_bow_dataset.clients))
         config = FLConfig(
             clients_per_round=4, local_epochs=1, max_rounds=2,
             max_time=100.0, eval_every=1, num_unstable=0, seed=0,
             compression=None,
         )
         builder = build_model_builder(tiny_bow_dataset, "tiny")
-        with pytest.warns(DeprecationWarning):
-            system = FedAvg(list(tiny_bow_dataset.clients), builder, config)
-        history = system.run()
-        assert history.records
+        with pytest.raises(TypeError, match="FederatedDataset"):
+            FedAvg(list(tiny_bow_dataset.clients), builder, config)
 
     def test_rejects_garbage(self):
         with pytest.raises(TypeError, match="Population"):
             as_population(42)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                as_population([1, 2, 3])
+        with pytest.raises(TypeError, match="Population"):
+            as_population([1, 2, 3])
 
 
 class TestMaterializedPopulation:
