@@ -4,13 +4,17 @@
 Two runs of the same experiment:
 
 1. Serial reference.
-2. Distributed run (2 local socket workers); an assassin thread SIGKILLs
-   one worker process mid-run.
+2. Distributed run (2 local socket workers); one worker process is
+   SIGKILLed as the Nth dispatch goes out (``--kill-at-dispatch``), so the
+   strike lands however fast the run is — a wall-clock delay would miss a
+   run that finishes in milliseconds.
 
-Passes iff the distributed history is byte-identical to the serial one
-after stripping the wall-clock-only meta keys (``phase_seconds``, fault
-counters) — the kill may cost retries and a respawn, never bits — and the
-recovery counters actually recorded the event.
+Passes iff the kill landed, the distributed history is byte-identical to
+the serial one after stripping the wall-clock-only meta keys
+(``phase_seconds``, fault counters) — the kill may cost retries and a
+respawn, never bits — and the recovery counters actually recorded the
+event. A run that ends before the kill lands is a failure, not a pass: it
+tested no recovery.
 
 Usage::
 
@@ -24,8 +28,6 @@ import argparse
 import os
 import signal
 import sys
-import threading
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,7 +38,33 @@ from repro.experiments.config import build_model_builder, make_fl_config  # noqa
 from repro.experiments.runner import ALGORITHMS, build_federation  # noqa: E402
 
 
-def _run(method, args, *, executor_overrides, kill_delay=None):
+def _arm_kill(executor, at_dispatch: int, killed: dict) -> None:
+    """SIGKILL one local worker as dispatch number ``at_dispatch`` goes out.
+
+    The strike rides the executor's own dispatch path: both workers are
+    registered and idle when the victim dies, so the scheduler either hands
+    it a lease it will never answer (EOF -> requeue -> steal) or sees the
+    EOF first and runs the round on the survivor. Either way the run has to
+    recover, and the executor has to repair its roster.
+    """
+    run_cohort = executor.run_cohort
+    dispatches = 0
+
+    def striking_run_cohort(start_weights, tasks):
+        nonlocal dispatches
+        if len(tasks) >= executor.min_dispatch:  # smaller cohorts never dispatch
+            dispatches += 1
+            if dispatches == at_dispatch:
+                executor.wait_for_workers(2, timeout=60.0)
+                victim = executor.worker_processes[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                killed["pid"] = victim.pid
+        return run_cohort(start_weights, tasks)
+
+    executor.run_cohort = striking_run_cohort
+
+
+def _run(method, args, *, executor_overrides, kill_at_dispatch=None):
     dataset = build_federation(args.dataset, args.scale, args.seed)
     overrides = dict(executor_overrides)
     if args.rounds:
@@ -44,23 +72,8 @@ def _run(method, args, *, executor_overrides, kill_delay=None):
     config = make_fl_config(method, args.scale, args.seed, **overrides)
     system = ALGORITHMS[method](dataset, build_model_builder(dataset, args.scale), config)
     killed: dict = {}
-    if kill_delay is not None:
-        def assassin():
-            executor = system.executor
-            executor.wait_for_workers(2, timeout=60.0)
-            # Strike once the run is actually dispatching, so the kill
-            # lands mid-run even at tiny scales.
-            deadline = time.monotonic() + 60.0
-            while executor._dispatch_seq < 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            time.sleep(kill_delay)
-            if not executor.worker_processes:
-                return
-            victim = executor.worker_processes[0]
-            os.kill(victim.pid, signal.SIGKILL)
-            killed["pid"] = victim.pid
-
-        threading.Thread(target=assassin, daemon=True).start()
+    if kill_at_dispatch is not None:
+        _arm_kill(system.executor, kill_at_dispatch, killed)
     history = system.run()
     return history, killed
 
@@ -73,10 +86,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument(
-        "--kill-delay",
-        type=float,
-        default=0.05,
-        help="seconds between the first dispatch going out and the SIGKILL",
+        "--kill-at-dispatch",
+        type=int,
+        default=2,
+        help="SIGKILL a worker as this dispatch (1-based) goes out",
     )
     args = parser.parse_args()
 
@@ -84,7 +97,7 @@ def main() -> int:
     reference, _ = _run(args.method, args, executor_overrides={"executor": "serial"})
 
     print(f"[2/2] distributed run, SIGKILL one of 2 workers "
-          f"{args.kill_delay}s into dispatch")
+          f"at dispatch {args.kill_at_dispatch}")
     chaos, killed = _run(
         args.method,
         args,
@@ -95,12 +108,14 @@ def main() -> int:
             "heartbeat_timeout": 1.0,
             "chunk_timeout": 30.0,
         },
-        kill_delay=args.kill_delay,
+        kill_at_dispatch=args.kill_at_dispatch,
     )
-    if killed:
-        print(f"      killed worker pid {killed['pid']}")
-    else:
-        print("      WARNING: run finished before the kill landed")
+    if not killed:
+        print(f"FAIL: the run finished before dispatch {args.kill_at_dispatch}: "
+              "no worker was killed, so no recovery was tested",
+              file=sys.stderr)
+        return 1
+    print(f"      killed worker pid {killed['pid']}")
 
     counters = chaos.meta.get("faults", {})
     print(f"      recovery counters: { {k: v for k, v in counters.items() if v} or '-'}")
@@ -116,7 +131,7 @@ def main() -> int:
             if ref["meta"][key] != got["meta"].get(key):
                 print(f"  meta[{key!r}] differs", file=sys.stderr)
         return 1
-    if killed and not (counters.get("worker_deaths") or counters.get("respawns")):
+    if not (counters.get("worker_deaths") or counters.get("respawns")):
         print("FAIL: a worker was killed but no recovery counter recorded it",
               file=sys.stderr)
         return 1

@@ -398,16 +398,112 @@ class TestDistExecutor:
         assert dist.worker_processes == []
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork workers")
-def test_external_worker_via_cli(tiny_bow_dataset, tmp_path):
-    """Explicit-port mode: the executor spawns nothing; a `repro worker`
-    subprocess connects, serves the run, and exits 0 on shutdown."""
-    # Grab a free port; binding the executor to it explicitly switches off
-    # local spawning (external workers are expected).
+# --------------------------------------------------------------------- #
+# Scheduler timers: each test below is resolved by one timer and by
+# nothing else — no frame arrives at the moment the scheduler must act.
+# --------------------------------------------------------------------- #
+def _free_port():
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
+    return port
+
+
+def _hang_plan(hung, clear=(), **plan_kw):
+    """A real ``hang:0.5`` plan whose schedule hangs exactly the ``hung``
+    ``(dispatch, chunk, attempt)`` keys and none of the ``clear`` ones."""
+    spec = parse_faults("hang:0.5")
+    for seed in range(4096):
+        plan = FaultPlan(spec, seed=seed, **plan_kw)
+        if all(plan.chunk_faults(*k) == ("hang",) for k in hung) and not any(
+            plan.chunk_faults(*k) for k in clear
+        ):
+            return plan
+    raise AssertionError("no seed produces the requested hang schedule")
+
+
+class TestSchedulerTimers:
+    def test_lease_deadline_recovers_hung_worker(self, tiny_bow_dataset):
+        """A worker that hangs mid-lease keeps heartbeating, so neither EOF
+        nor the heartbeat timeout fires: only the lease deadline frees the
+        chunk, and the idle survivor steals it."""
+        plan = _hang_plan(
+            hung=[(0, 0, 0)], clear=[(0, 1, 0), (0, 0, 1), (0, 1, 1)], hang_seconds=30.0
+        )
+        serial, dist = _executors(tiny_bow_dataset, faults=plan, chunk_timeout=0.4)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            t0 = time.monotonic()
+            got = dist.run_cohort(start, tasks)
+            elapsed = time.monotonic() - t0
+            _assert_results_equal(serial.run_cohort(start, tasks), got)
+            counters = dist.fault_counters
+            assert counters["timeouts"] >= 1
+            assert counters["steals"] >= 1
+            assert counters["heartbeat_misses"] == 0
+            assert counters["degraded_chunks"] == 0
+            assert 0.4 <= elapsed < 5.0
+        finally:
+            dist.close()
+            serial.close()
+
+    def test_worker_grace_expires_on_empty_roster(self, tiny_bow_dataset):
+        """External mode with nobody dialling in: after ``worker_grace`` the
+        dispatch hands every chunk back and the executor degrades them."""
+        serial, dist = _executors(
+            tiny_bow_dataset, bind=f"127.0.0.1:{_free_port()}", worker_grace=0.3
+        )
+        try:
+            assert dist.worker_processes == []
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            t0 = time.monotonic()
+            with pytest.warns(RuntimeWarning, match="no live workers"):
+                got = dist.run_cohort(start, tasks)
+            elapsed = time.monotonic() - t0
+            _assert_results_equal(serial.run_cohort(start, tasks), got)
+            assert dist.fault_counters["degraded_chunks"] == dist.num_chunks == 2
+            assert dist.fault_counters["retries"] == 0
+            assert 0.3 <= elapsed < 3.0
+        finally:
+            dist.close()
+            serial.close()
+
+    def test_all_workers_wedged_fails_pending(self, tiny_bow_dataset):
+        """Every worker hung on an expired lease, nothing in flight: after
+        one more ``chunk_timeout`` the stall window hands the requeued
+        chunks back instead of deadlocking."""
+        plan = _hang_plan(hung=[(0, 0, 0), (0, 1, 0)], hang_seconds=30.0)
+        serial, dist = _executors(tiny_bow_dataset, faults=plan, chunk_timeout=0.3)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            t0 = time.monotonic()
+            with pytest.warns(RuntimeWarning, match="no responsive workers"):
+                got = dist.run_cohort(start, tasks)
+            elapsed = time.monotonic() - t0
+            _assert_results_equal(serial.run_cohort(start, tasks), got)
+            counters = dist.fault_counters
+            assert counters["timeouts"] == 2
+            assert counters["degraded_chunks"] == 2
+            assert counters["heartbeat_misses"] == counters["worker_deaths"] == 0
+            assert 0.6 <= elapsed < 5.0
+        finally:
+            dist.close()
+            serial.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork workers")
+def test_external_worker_via_cli(tiny_bow_dataset, tmp_path):
+    """Explicit-port mode: the executor spawns nothing; a `repro worker`
+    subprocess connects, serves the run, and exits 0 on shutdown."""
+    # Binding the executor to an explicit port switches off local spawning
+    # (external workers are expected).
+    port = _free_port()
 
     serial, dist = _executors(tiny_bow_dataset, bind=f"127.0.0.1:{port}")
     worker = None
@@ -454,11 +550,7 @@ def test_init_payload_survives_pickle(tiny_bow_dataset):
 
 
 def test_wait_for_workers_times_out_cleanly(tiny_bow_dataset):
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    _, dist = _executors(tiny_bow_dataset, bind=f"127.0.0.1:{port}")
+    _, dist = _executors(tiny_bow_dataset, bind=f"127.0.0.1:{_free_port()}")
     try:
         t0 = time.monotonic()
         assert dist.wait_for_workers(1, timeout=0.3) == 0
