@@ -1,11 +1,13 @@
-"""Fault-tolerance overhead: supervised dispatch vs the legacy fast path.
+"""Fault-tolerance overhead: what the fault layer costs on top of dispatch.
 
-Three parallel-executor cells over the same cohort, all asserted
-bit-identical to the serial baseline:
+Every pool dispatch is supervised (worker pipes, worker sentinels, chunk
+deadlines — one path, see ``ParallelExecutor``). Three
+parallel-executor cells over the same cohort, all asserted bit-identical
+to the serial baseline:
 
-- ``legacy``     — no faults, no timeout: the synchronous ``pool.map`` path.
-- ``supervised`` — fault layer engaged with null probabilities: pure
-  supervision overhead (apply_async + polling + per-chunk checksums).
+- ``plain``      — no fault plan, no timeout: supervision alone.
+- ``checksums``  — fault layer engaged with null probabilities: adds the
+  per-chunk fault draws and crc32 checksums, and nothing ever fires.
 - ``chaos``      — ``crash:0.2+corrupt:0.2``: real recovery work (pool
   respawns, redispatch) on top.
 
@@ -81,8 +83,8 @@ def test_fault_layer_overhead(artifact):
     reference = _fingerprint(serial.run_cohort(start, tasks))
 
     cells = [
-        ("legacy", ParallelExecutor, None, None),
-        ("supervised", ParallelExecutor, FaultPlan(parse_faults("crash:0"), seed=0), None),
+        ("plain", ParallelExecutor, None, None),
+        ("checksums", ParallelExecutor, FaultPlan(parse_faults("crash:0"), seed=0), None),
         ("chaos", ParallelExecutor,
          FaultPlan(parse_faults("crash:0.2+corrupt:0.2"), seed=0), 60.0),
         ("dist-chaos", DistExecutor,
@@ -107,7 +109,7 @@ def test_fault_layer_overhead(artifact):
     base = rows[0][1]
     print(f"\nfault-layer overhead — {NUM_CLIENTS} clients, {WORKERS} workers, "
           f"{COHORTS} cohorts/cell{' [smoke]' if SMOKE else ''}")
-    print(f"{'cell':<12}{'wall (s)':>10}{'clients/s':>12}{'vs legacy':>11}  recovery")
+    print(f"{'cell':<12}{'wall (s)':>10}{'clients/s':>12}{'vs plain':>11}  recovery")
     for name, dt, rate, counters in rows:
         active = {k: v for k, v in counters.items() if v}
         print(f"{name:<12}{dt:>10.3f}{rate:>12.1f}{dt / base:>10.2f}x  {active or '-'}")

@@ -41,8 +41,8 @@ GOLDEN_META_KEYS = (
 #: The canonical configs: small enough to re-run in seconds, broad enough
 #: to cover every method (sync loop, tiered-async loop, TiFL's credit
 #: policy, FedProx, the two fully-async baselines), a dynamic scenario with
-#: online re-tiering, every layer family (Dense, conv/pool, recurrent) and
-#: the float32 parameter dtype.
+#: online re-tiering, every layer family (Dense, conv/pool, recurrent), the
+#: float32 parameter dtype and a virtual population.
 CONFIGS: dict[str, dict] = {
     "fedavg_static": {
         "method": "fedavg",
@@ -131,6 +131,23 @@ CONFIGS: dict[str, dict] = {
         "scale": "tiny",
         "seed": 7,
         "fl_overrides": {"max_rounds": 10, "eval_every": 2, "dtype": "float32"},
+    },
+    # VirtualPopulation: lazily derived clients, arrivals enrolling mid-run,
+    # re-tiering over the enrolled subset (the smoke shape of the ledger's
+    # world_30k workload).
+    "fedat_virtual": {
+        "method": "fedat",
+        "dataset": "sentiment140",
+        "scale": "tiny",
+        "seed": 7,
+        "population": 2000,
+        "fl_overrides": {
+            "max_rounds": 12,
+            "eval_every": 3,
+            "scenario": "churn:0.2+arrival:0.1",
+            "retier_interval": 4,
+            "eval_clients": 50,
+        },
     },
 }
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import time
 import warnings
 from typing import Sequence
 
@@ -42,6 +41,7 @@ from repro.exec.dist.scheduler import Scheduler
 from repro.exec.dist.worker import parse_address, run_worker
 from repro.exec.faults import ExecutorFaultError, FaultPlan
 from repro.exec.serial import SerialExecutor
+from repro.exec.supervision import wait_any
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.sim.client import LocalTrainingResult, SimClient
@@ -54,8 +54,16 @@ __all__ = ["DistExecutor"]
 DEFAULT_CHUNKS = 4
 
 
-def _local_worker_entry(host: str, port: int, reconnect_window: float) -> None:
-    """Child-process entry point (module-level for spawn-safety)."""
+def _local_worker_entry(
+    host: str, port: int, reconnect_window: float, inherited: Scheduler | None
+) -> None:
+    """Child-process entry point (module-level for spawn-safety).
+
+    ``inherited`` is the parent's scheduler when this process was forked
+    from it (a spawned child inherits nothing and gets ``None``).
+    """
+    if inherited is not None:
+        inherited.close_inherited()
     raise SystemExit(run_worker(host, port, reconnect_window=reconnect_window))
 
 
@@ -194,10 +202,11 @@ class DistExecutor(ClientExecutor):
         # fork shares the parent's address space (cheap replica setup) but is
         # only reliably safe on Linux — same platform reasoning as the pool.
         ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        inherited = self._scheduler if ctx.get_start_method() == "fork" else None
         for _ in range(count):
             proc = ctx.Process(
                 target=_local_worker_entry,
-                args=(host, port, self.worker_grace),
+                args=(host, port, self.worker_grace, inherited),
                 daemon=True,
                 name="repro-dist-worker",
             )
@@ -213,18 +222,27 @@ class DistExecutor(ClientExecutor):
         gone for the rest of the run — shrinking the roster until every
         dispatch pays the no-worker grace. External workers are their own
         problem: their host restarts them and they reconnect.
+
+        Death is read off the process sentinels, not ``is_alive()``: a
+        sentinel is readable from the moment the dying process's
+        descriptors close — the same moment the scheduler sees its EOF —
+        while ``waitpid`` can still report a SIGKILLed process as running
+        for as long as the kernel takes to finish it off.
         """
         if self._closed or not self.worker_processes:
             return
-        alive = [p for p in self.worker_processes if p.is_alive()]
-        dead = len(self.worker_processes) - len(alive)
-        if dead:
-            for p in self.worker_processes:
-                if not p.is_alive():
-                    p.join(timeout=0)
-            self.fault_counters["respawns"] += dead
-            self.worker_processes = alive
-            self._spawn_local(dead)
+        gone = wait_any([p.sentinel for p in self.worker_processes], timeout=0)
+        if not gone:
+            return
+        alive = []
+        for proc in self.worker_processes:
+            if proc.sentinel in gone:
+                proc.join()  # a closed sentinel means exit is under way: reap it
+            else:
+                alive.append(proc)
+        self.worker_processes = alive
+        self.fault_counters["respawns"] += len(gone)
+        self._spawn_local(len(gone))
 
     def spawn_worker(self) -> None:
         """Add one more local worker process (test/chaos hook)."""
@@ -241,10 +259,7 @@ class DistExecutor(ClientExecutor):
         """
         if self._scheduler is None:
             return 0
-        deadline = time.monotonic() + timeout
-        while self._scheduler.live_workers < count and time.monotonic() < deadline:
-            time.sleep(0.01)
-        return self._scheduler.live_workers
+        return self._scheduler.wait_for_workers(count, timeout)
 
     # ------------------------------------------------------------------ #
     def run_cohort(
@@ -261,8 +276,8 @@ class DistExecutor(ClientExecutor):
             return self._local.run_cohort(start_weights, tasks)
         start_weights = np.ascontiguousarray(start_weights)
         # Repair the local roster before dispatching, not just while
-        # waiting: a worker killed between dispatches would otherwise go
-        # unnoticed whenever dispatches finish inside one poll interval.
+        # waiting: a worker killed between dispatches dies while nobody is
+        # watching its sentinel.
         self._reap_and_respawn()
         chunks = chunk_tasks(tasks, self.num_chunks)
         dispatch = self._dispatch_seq
@@ -275,8 +290,16 @@ class DistExecutor(ClientExecutor):
             retry_budget=self.chunk_retries,
             timeout=self.chunk_timeout,
         )
-        while not job.done.wait(0.2):
-            self._reap_and_respawn()
+        while not job.done.is_set():
+            # Sleep until the job resolves or a local worker process dies —
+            # the lease layer recovers the chunk, this loop the roster.
+            ready = wait_any(
+                [self._scheduler.done_channel, *(p.sentinel for p in self.worker_processes)]
+            )
+            if self._scheduler.done_channel in ready:
+                self._scheduler.done_channel.drain()
+            else:
+                self._reap_and_respawn()
         out: list[LocalTrainingResult] = []
         for idx, chunk in enumerate(chunks):
             if job.results[idx] is not None:
@@ -311,8 +334,12 @@ class DistExecutor(ClientExecutor):
         if self._closed:
             return
         self._closed = True
-        if self._scheduler is not None:
-            self._scheduler.stop()
+        exiting = self._scheduler.stop() if self._scheduler is not None else frozenset()
+        # A worker that was not told to exit — it never dialled in, or it is
+        # wedged on a lease — would sit out its whole reconnect window.
+        for proc in self.worker_processes:
+            if proc.pid not in exiting:
+                proc.terminate()
         for proc in self.worker_processes:
             proc.join(timeout=2.0)
             if proc.is_alive():

@@ -147,6 +147,19 @@ class LeaseTable:
             if lease.deadline is not None and now > lease.deadline
         ]
 
+    def next_deadline(self) -> float | None:
+        """Earliest deadline among outstanding leases; None when none is armed.
+
+        The instant after which :meth:`expired` first has something to
+        report — what the supervisor sleeps until. Resolved and requeued
+        leases carry no deadline, so a lease that expired and was requeued
+        no longer counts.
+        """
+        return min(
+            (lease.deadline for lease in self.outstanding() if lease.deadline is not None),
+            default=None,
+        )
+
     def held_by(self, worker_id: str) -> list[Lease]:
         return [lease for lease in self.outstanding() if lease.worker == worker_id]
 

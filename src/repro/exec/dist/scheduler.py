@@ -1,11 +1,32 @@
 """Scheduler: global weights, chunk leases, and worker supervision.
 
 One background thread runs a ``selectors`` event loop over the listening
-socket and every worker connection. All connection and lease state is
-owned by that thread; the executor talks to it through two narrow,
-thread-safe seams — :meth:`Scheduler.publish_weights` (version + cached
-wire frame under a lock) and :meth:`Scheduler.submit` (a :class:`_Job`
-dropped on a deque, resolved by setting ``job.done``).
+socket, every worker connection and a wake channel. All connection and
+lease state is owned by that thread; the executor talks to it through
+narrow, thread-safe seams — :meth:`Scheduler.publish_weights` (version +
+cached wire frame under a lock), :meth:`Scheduler.submit` (a :class:`_Job`
+dropped on a deque, then one byte down the wake channel) and
+:meth:`Scheduler.wait_for_workers` (a condition the loop notifies when the
+roster changes). A resolved job sets ``job.done`` and writes one byte to
+``done_channel``, so the executor can wait for it next to its worker
+processes' sentinels.
+
+The loop never ticks. It sleeps in ``select`` until something happens — a
+frame, a connection, an EOF, a submitted job, ``stop()`` — or until the
+earliest *armed* timer is due, and with no timer armed it sleeps without a
+timeout. Four things arm a timer:
+
+- each registered connection: ``last_seen + heartbeat_timeout``;
+- each lease of the current dispatch with a ``chunk_timeout``: its
+  deadline (:meth:`LeaseTable.next_deadline`);
+- a dispatch with no live worker: ``worker_grace`` from when the roster
+  emptied;
+- a dispatch whose every worker is wedged on an expired lease: one stall
+  window from when that began.
+
+After every wake-up, whatever its cause, the loop runs one pass that acts
+on what is due, hands pending chunks to idle workers and resolves a
+finished job — so a dispatch costs the round trip, not a poll interval.
 
 Supervision model (the PR-8 pool supervisor, lifted across the network):
 
@@ -41,8 +62,13 @@ import numpy as np
 from repro.exec.dist.leases import LeaseTable
 from repro.exec.dist.wire import FrameBuffer, encode_frame
 from repro.exec.faults import chunk_checksum
+from repro.exec.supervision import WakeChannel, wait_budget
 
 __all__ = ["Scheduler"]
+
+
+#: Selector key data of the wake channel (the listener's is None).
+_WAKE = object()
 
 
 class _Conn:
@@ -102,9 +128,12 @@ class Scheduler:
     ``counters`` is the executor's ``fault_counters`` dict; only the loop
     thread writes it while a job is unresolved, and the executor reads it
     after ``job.done`` — no lock needed beyond the GIL.
-    """
 
-    _POLL = 0.02  # selector timeout: heartbeat/deadline housekeeping cadence
+    Cross-thread signalling is two :class:`WakeChannel` s. ``_wake`` runs
+    executor -> loop: it is signalled after the state it announces (an inbox
+    entry, ``_stop``) is published and drained before that state is read.
+    ``done_channel`` runs loop -> executor, signalled for every resolved job.
+    """
 
     def __init__(
         self,
@@ -119,7 +148,8 @@ class Scheduler:
         self.worker_grace = float(worker_grace)
         self.counters = counters
         self.log = log
-        self.live_workers = 0  # refreshed every loop cycle; read cross-thread
+        self.live_workers = 0  # written by the loop under ``_roster``
+        self._roster = threading.Condition()
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -128,6 +158,13 @@ class Scheduler:
         self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._sel.register(self._listener, selectors.EVENT_READ, None)
+        self._wake = WakeChannel()
+        #: Readable whenever a job resolved since it was last drained. For
+        #: waiting on a job *and* something else (the executor adds its local
+        #: workers' process sentinels): check ``job.done`` after every
+        #: wake-up, and drain this when it is what woke you.
+        self.done_channel = WakeChannel()
+        self._sel.register(self._wake, selectors.EVENT_READ, _WAKE)
         self._conns: list[_Conn] = []
         self._seen_ids: set[str] = set()
         self._init_frame: bytes | None = None
@@ -141,6 +178,7 @@ class Scheduler:
         self._weights_frame: bytes = b""
         self._stop = False
         self._thread: threading.Thread | None = None
+        self._told_to_exit: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Executor-facing API (called from the executor's thread)
@@ -181,19 +219,59 @@ class Scheduler:
         retry_budget: int,
         timeout: float | None,
     ) -> _Job:
-        """Queue one dispatch; wait on the returned job's ``done`` event."""
+        """Queue one dispatch and wake the loop.
+
+        The returned job's ``done`` event is set, and ``done_channel``
+        signalled, once every chunk is completed or failed.
+        """
         job = _Job(
             dispatch, chunks, weights_version, retry_budget=retry_budget, timeout=timeout
         )
         self._inbox.append(job)
+        self._wake.signal()
         return job
 
-    def stop(self) -> None:
-        """Shut down: broadcast shutdown frames, close sockets, join."""
+    def wait_for_workers(self, count: int, timeout: float) -> int:
+        """Block until ``count`` workers are registered; returns the roster size."""
+        with self._roster:
+            self._roster.wait_for(lambda: self.live_workers >= count, timeout)
+            return self.live_workers
+
+    def stop(self) -> frozenset[int]:
+        """Shut down: broadcast shutdown frames, close sockets, join.
+
+        Returns the pids of the workers that will act on their shutdown
+        frame: registered, and idle when it was sent. A worker outside this
+        set never dialled in, or is still busy with (or wedged on) a lease
+        and will not read the frame any time soon.
+        """
         self._stop = True
+        self._wake.signal()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.done_channel.close()
+        return frozenset(self._told_to_exit)
+
+    def close_inherited(self) -> None:
+        """In a forked child: close this process's copies of every socket.
+
+        The listener is the one that matters. While any process holds it the
+        port stays in ``LISTEN`` after the scheduler itself has closed it,
+        and a late worker's ``connect()`` succeeds into a backlog nobody will
+        ever accept — it then blocks in ``recv`` for good instead of seeing
+        the refusal that tells it the scheduler is gone. A stray copy of a
+        connection likewise hides the scheduler's ``close()`` from the
+        worker at its other end.
+        """
+        for sock in (
+            self._listener,
+            self._wake,
+            self.done_channel,
+            *(conn.sock for conn in self._conns),
+        ):
+            sock.close()
+        self._sel.close()
 
     # ------------------------------------------------------------------ #
     # Event loop (everything below runs on the loop thread)
@@ -201,7 +279,11 @@ class Scheduler:
     def _run(self) -> None:
         try:
             while not self._stop:
-                for key, mask in self._sel.select(self._POLL):
+                timeout = self._step(time.monotonic())
+                for key, mask in self._sel.select(timeout):
+                    if key.data is _WAKE:
+                        self._wake.drain()
+                        continue
                     if key.data is None:
                         self._accept()
                         continue
@@ -212,7 +294,6 @@ class Scheduler:
                         self._on_readable(conn)
                     if mask & selectors.EVENT_WRITE and not conn.closed:
                         self._flush(conn)
-                self._housekeeping(time.monotonic())
         finally:
             self._shutdown_all()
 
@@ -382,23 +463,65 @@ class Scheduler:
             self._requeue(job, chunk, why)
 
     # ------------------------------------------------------------------ #
-    # Housekeeping: heartbeats, deadlines, assignment, completion
+    # One pass after every wake-up: timers, assignment, completion
     # ------------------------------------------------------------------ #
-    def _housekeeping(self, now: float) -> None:
+    def _step(self, now: float) -> float | None:
+        """Act on everything due at ``now``; returns the next ``select`` timeout.
+
+        Runs after every wake-up, whatever caused it, so an event (a result,
+        a registration, an EOF, a submitted job) assigns and resolves at
+        once. A timer that fires removes what armed it — the quiet
+        connection, the lease's deadline, the pending chunks — so the
+        timeout computed at the end never points at something already
+        handled.
+        """
         for conn in list(self._conns):
             if conn.registered and now - conn.last_seen > self.heartbeat_timeout:
                 self._dead(conn, "missed heartbeats")
         live = [c for c in self._conns if c.registered and not c.closed]
-        self.live_workers = len(live)
-
-        if self._job is None and self._inbox:
-            self._job = self._inbox.popleft()
+        self._publish_roster(len(live))
+        while True:
+            if self._job is None and self._inbox:
+                self._job = self._inbox.popleft()
+            job = self._job
+            if job is None:
+                break
+            self._supervise(job, live, now)
+            if not job.table.finished():
+                break
+            self._job = None
             self._no_worker_since = None
             self._stall_since = None
-        job = self._job
-        if job is None:
-            return
+            self._resolve(job)
+        return wait_budget(self._deadlines(), now)
 
+    def _deadlines(self):
+        """Every armed timer, as the monotonic instant it is due."""
+        for conn in self._conns:
+            if conn.registered:
+                yield conn.last_seen + self.heartbeat_timeout
+        job = self._job
+        if job is not None:
+            yield job.table.next_deadline()
+            if self._no_worker_since is not None:
+                yield self._no_worker_since + self.worker_grace
+            if self._stall_since is not None:
+                yield self._stall_since + self._stall_window(job)
+
+    def _stall_window(self, job: _Job) -> float:
+        return job.table.timeout if job.table.timeout is not None else self.worker_grace
+
+    def _publish_roster(self, count: int) -> None:
+        if count != self.live_workers:
+            with self._roster:
+                self.live_workers = count
+                self._roster.notify_all()
+
+    def _resolve(self, job: _Job) -> None:
+        job.done.set()
+        self.done_channel.signal()
+
+    def _supervise(self, job: _Job, live: list[_Conn], now: float) -> None:
         for lease in job.table.expired(now):
             # The holder keeps heartbeating but is presumed wedged; it earns
             # no new leases (inflight stays set) until it proves liveness.
@@ -406,36 +529,27 @@ class Scheduler:
             self._requeue(job, lease.chunk, "lease deadline expired")
 
         if not live:
+            self._stall_since = None
             if self._no_worker_since is None:
                 self._no_worker_since = now
             elif now - self._no_worker_since >= self.worker_grace:
                 job.table.fail_pending("no live workers")
+            return
+        self._no_worker_since = None
+        self._assign(job, now)
+        idle = [c for c in live if c.inflight is None and not c.closed]
+        # Expired leases were requeued above, so whatever is still
+        # outstanding can still land.
+        if job.table.has_pending() and not idle and not job.table.outstanding():
+            # Every worker is wedged on an expired lease and nothing can
+            # land; after a stall window, hand the chunks back to the
+            # executor rather than deadlock.
+            if self._stall_since is None:
+                self._stall_since = now
+            elif now - self._stall_since >= self._stall_window(job):
+                job.table.fail_pending("no responsive workers")
         else:
-            self._no_worker_since = None
-            self._assign(job, now)
-            idle = [c for c in live if c.inflight is None and not c.closed]
-            in_flight = [
-                lease
-                for lease in job.table.outstanding()
-                if lease.deadline is None or now <= lease.deadline
-            ]
-            if job.table.has_pending() and not idle and not in_flight:
-                # Every worker is wedged on an expired lease and nothing can
-                # land; after a stall window, hand the chunks back to the
-                # executor rather than deadlock.
-                window = job.table.timeout if job.table.timeout is not None else self.worker_grace
-                if self._stall_since is None:
-                    self._stall_since = now
-                elif now - self._stall_since >= window:
-                    job.table.fail_pending("no responsive workers")
-            else:
-                self._stall_since = None
-
-        if job.table.finished():
-            self._job = None
-            self._no_worker_since = None
             self._stall_since = None
-            job.done.set()
 
     def _assign(self, job: _Job, now: float) -> None:
         for conn in list(self._conns):
@@ -449,12 +563,13 @@ class Scheduler:
             if job.table.stolen(lease):
                 self.counters["steals"] += 1
             if conn.weights_version != job.weights_version:
+                # Buffered, not sent: the weights leave with the lease below,
+                # in one send and one wake-up at the worker instead of two.
                 with self._weights_lock:
-                    frame = self._weights_frame
-                self._queue(conn, frame)
-                if conn.closed:
-                    continue  # send failed; _dead already requeued the lease
+                    conn.out.extend(self._weights_frame)
                 conn.weights_version = job.weights_version
+            # Marked in flight before the send, so a failed send (-> _dead)
+            # finds the lease and requeues it.
             conn.inflight = (job.dispatch, lease.chunk)
             self._queue(
                 conn,
@@ -477,34 +592,25 @@ class Scheduler:
                 conn.sock.setblocking(True)
                 conn.sock.settimeout(0.5)
                 conn.sock.sendall(bytes(conn.out) + frame)
+                if conn.registered and conn.inflight is None:
+                    self._told_to_exit.add(conn.pid)
             except OSError:
-                pass
-            try:
-                self._sel.unregister(conn.sock)
-            except (KeyError, ValueError):
                 pass
             try:
                 conn.sock.close()
             except OSError:
                 pass
         self._conns.clear()
-        self.live_workers = 0
-        try:
-            self._sel.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
+        self._publish_roster(0)
         self._listener.close()
+        self._wake.close()
         self._sel.close()
         # Unblock any dispatch still waiting: surface its chunks as failed.
-        job = self._job
+        jobs = [job for job in (self._job, *self._inbox) if job is not None]
         self._job = None
-        if job is not None and not job.done.is_set():
+        self._inbox.clear()
+        for job in jobs:
             for lease in job.table.leases:
                 if not lease.done and lease.failed_reason is None:
                     lease.failed_reason = "scheduler stopped"
-            job.done.set()
-        while self._inbox:
-            pending = self._inbox.popleft()
-            for lease in pending.table.leases:
-                lease.failed_reason = "scheduler stopped"
-            pending.done.set()
+            self._resolve(job)

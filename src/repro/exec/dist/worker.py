@@ -221,6 +221,9 @@ def run_worker(
             time.sleep(retry_delay)
             continue
         sock.settimeout(None)
+        # Heartbeats and results are small writes from two threads; with
+        # Nagle on, one waits for the other's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             why = core.serve(sock, log)
         except Exception:

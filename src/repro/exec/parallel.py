@@ -5,12 +5,21 @@ Each pool worker holds one structural clone of the worker model
 (:meth:`SimClient.replica`). A cohort is split into contiguous chunks — one
 per busy worker — and results come back in task order.
 
+The pool is this module's own: ``num_workers`` child processes, each on a
+private duplex pipe to the parent. Nothing is shared between workers — no
+task queue, no result queue, no lock around either — so a worker can be
+killed at any instant (by the supervisor, by the OOM killer) without
+stranding anything the others or the parent will later wait on; that is
+not true of ``multiprocessing.Pool``, whose ``terminate()`` blocks forever
+on a queue lock a killed worker was holding.
+
 Broadcast path: the round's start-weight vector is written **once** into a
 POSIX shared-memory segment and workers attach read-only, so dispatching a
 cohort ships only the segment name per chunk instead of re-pickling the
 full float vector into every pool message. The segment is allocated lazily
-at the model's flat size, reused round after round (``pool.map`` is
-synchronous, so rounds never race on it), and unlinked at :meth:`close`.
+at the model's flat size, reused round after round (``run_cohort`` returns
+only once every chunk is resolved, so rounds never race on it), and
+unlinked at :meth:`close`.
 When the segment cannot be created — platform without ``/dev/shm``,
 permissions, quota — dispatch falls back to pickling the weights into every
 chunk message; both paths hand workers the same bytes, so results are
@@ -23,6 +32,13 @@ serial model exactly (enforced by ``tests/exec/test_equivalence.py``).
 Models whose layers carry hidden cross-call state (dropout RNG streams,
 batch-norm running statistics) cannot satisfy that guarantee; for those the
 executor degrades to the serial path and records why.
+
+Every dispatch is supervised, fault plan or not: a worker that dies with a
+chunk in hand (an OOM kill needs no injected fault) is noticed through its
+process sentinel, the pool is rebuilt and the chunk redispatched — a bare
+``pool.map`` would block on it forever. The supervisor sleeps in one wait
+over the busy workers' pipes, every worker's sentinel, and the distance to
+the earliest chunk deadline; it never polls.
 """
 
 from __future__ import annotations
@@ -45,6 +61,7 @@ from repro.exec.faults import (
     corrupt_results,
 )
 from repro.exec.serial import SerialExecutor
+from repro.exec.supervision import wait_any, wait_budget
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.sim.client import LocalTrainingResult, SimClient
@@ -137,22 +154,17 @@ def _attach_shared(name: str, dtype: str, size: int) -> np.ndarray:
 
 
 def _train_chunk(payload: tuple):
-    """Execute one chunk; supervised payloads carry a fault key + checksum.
+    """Execute one chunk: ``(header, tasks, key)`` -> ``(results, checksum)``.
 
-    Legacy 2-tuples ``(header, tasks)`` return a bare result list (the fast
-    ``pool.map`` path). Supervised 3-tuples add ``(dispatch, chunk,
-    attempt)`` and return ``(results, checksum)`` so the parent can verify
-    integrity; injected faults fire here, in the worker, exactly where the
-    real failure would happen.
+    ``key`` is the attempt's ``(dispatch, chunk, attempt)``. Injected faults
+    are drawn from it and fire here, in the worker, exactly where the real
+    failure would happen; the checksum (taken only under an active fault
+    plan, ``None`` otherwise) lets the parent verify integrity.
     """
-    if len(payload) == 2:
-        header, tasks = payload
-        key = None
-    else:
-        header, tasks, key = payload
+    header, tasks, key = payload
     plan: FaultPlan | None = _WORKER.get("faults")
     injected: tuple[str, ...] = ()
-    if key is not None and plan is not None:
+    if plan is not None:
         injected = plan.chunk_faults(*key)
         if "crash" in injected:
             # Die the way an OOM-killed / segfaulted worker dies: no
@@ -164,8 +176,6 @@ def _train_chunk(payload: tuple):
     else:
         start_weights = header[1]
     results = _WORKER["executor"].run_cohort(start_weights, tasks)
-    if key is None:
-        return results
     checksum = chunk_checksum(results) if plan is not None else None
     if "corrupt" in injected:
         # Damage the payload *after* the checksum, modelling in-transit
@@ -174,6 +184,43 @@ def _train_chunk(payload: tuple):
     if "hang" in injected:
         time.sleep(plan.hang_seconds)
     return results, checksum
+
+
+def _worker_main(conn, init_args: tuple, inherited: Sequence = ()) -> None:
+    """Pool worker process: serve chunks over its private pipe until EOF.
+
+    ``inherited`` are the parent's ends of the pipes that existed when this
+    process was forked (its own among them). They are closed first: while a
+    child holds a copy, the pipe never reads EOF, and EOF is how a worker
+    learns that the parent closed it — or died.
+    """
+    for other in inherited:
+        other.close()
+    _init_worker(*init_args)
+    while True:
+        try:
+            payload = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (_train_chunk(payload), None)
+        except Exception as exc:  # deterministic task bug — report, don't die
+            reply = (None, f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+class _PoolWorker:
+    """One worker process and the parent's end of its pipe."""
+
+    __slots__ = ("proc", "conn", "chunk")
+
+    def __init__(self, proc, conn):
+        self.proc = proc
+        self.conn = conn
+        self.chunk: int | None = None  # chunk index in flight here, else None
 
 
 def _resolve_workers(num_workers: int) -> int:
@@ -187,8 +234,10 @@ def _resolve_workers(num_workers: int) -> int:
 class ParallelExecutor(ClientExecutor):
     """Fan cohorts out to ``num_workers`` processes (0 → CPU count).
 
-    The pool is created lazily on the first cohort and torn down by
-    :meth:`close` (systems close their executor when ``run()`` returns).
+    The worker processes are started lazily on the first cohort and torn
+    down by :meth:`close` (systems close their executor when ``run()``
+    returns). Every dispatch goes through :meth:`_run_chunks_supervised`,
+    fault plan or not.
     Start weights travel through a shared-memory segment, degrading to
     pickled dispatch when the platform cannot provide one
     (``shm_fallback_reason`` records why).
@@ -215,7 +264,7 @@ class ParallelExecutor(ClientExecutor):
         if chunk_retries < 0:
             raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
         self.num_workers = _resolve_workers(num_workers)
-        self._pool = None
+        self._pool: list[_PoolWorker] | None = None
         self._fallback: SerialExecutor | None = None
         self.fallback_reason: str | None = None
         self.shm_fallback_reason: str | None = None
@@ -225,7 +274,6 @@ class ParallelExecutor(ClientExecutor):
         self.chunk_retries = chunk_retries
         self.degrade = degrade
         self._dispatch_seq = 0
-        self._proc_snapshot: list = []
         #: Recovery telemetry, cumulative across the run; the system layer
         #: publishes a snapshot into ``history.meta["faults"]``.
         self.fault_counters: dict[str, int] = {
@@ -277,20 +325,34 @@ class ParallelExecutor(ClientExecutor):
         )
 
     # ------------------------------------------------------------------ #
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> list[_PoolWorker]:
         if self._pool is None:
-            self._pool = self._ctx.Pool(
-                processes=self.num_workers,
-                initializer=_init_worker,
-                initargs=self._init_args,
-            )
-            # Snapshot the worker Process objects at creation: mp.Pool's
-            # maintenance thread reaps a crashed worker and drops it from
-            # ``pool._pool`` almost immediately, so polling the live list
-            # misses the death. Our own references keep the exitcode
-            # observable until the supervisor handles it.
-            self._proc_snapshot = list(getattr(self._pool, "_pool", []) or [])
+            forked = self._ctx.get_start_method() == "fork"
+            pool: list[_PoolWorker] = []
+            for _ in range(self.num_workers):
+                conn, child_conn = self._ctx.Pipe()
+                inherited = [conn, *(w.conn for w in pool)] if forked else []
+                proc = self._ctx.Process(
+                    target=_worker_main,
+                    args=(child_conn, self._init_args, inherited),
+                    daemon=True,
+                    name="repro-pool-worker",
+                )
+                proc.start()
+                child_conn.close()
+                pool.append(_PoolWorker(proc, conn))
+            self._pool = pool
         return self._pool
+
+    def _discard_pool(self) -> None:
+        """Kill every worker. Safe at any instant: a worker shares nothing
+        with its siblings, so whatever it was doing, nobody waits on it."""
+        pool, self._pool = self._pool, None
+        for worker in pool or ():
+            worker.conn.close()
+            worker.proc.kill()
+        for worker in pool or ():
+            worker.proc.join()
 
     def _broadcast_header(self, start_weights: np.ndarray) -> tuple:
         """Publish the round's start weights; return the per-chunk header.
@@ -356,34 +418,12 @@ class ParallelExecutor(ClientExecutor):
         start_weights = np.ascontiguousarray(start_weights)
         header = self._broadcast_header(start_weights)
         chunks = self._chunk(tasks, self.num_workers)
-        if self.faults is None and self.chunk_timeout is None:
-            # Legacy synchronous dispatch: nothing to supervise, and
-            # ``pool.map`` has the least per-round overhead.
-            pool = self._ensure_pool()
-            results = pool.map(_train_chunk, [(header, c) for c in chunks])
-        else:
-            results = self._run_chunks_supervised(header, chunks, start_weights)
+        results = self._run_chunks_supervised(header, chunks, start_weights)
         return [res for chunk in results for res in chunk]
 
     # ------------------------------------------------------------------ #
     # Supervised dispatch: timeouts, dead-pool recovery, capped retries
     # ------------------------------------------------------------------ #
-    def _respawn_pool(self) -> None:
-        """Tear the pool down hard and let the next submit rebuild it.
-
-        The broadcast segment is parent-owned and survives; fresh workers
-        re-attach on their first chunk.
-        """
-        self.fault_counters["respawns"] += 1
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        self._proc_snapshot = []
-
-    def _pool_has_dead_worker(self) -> bool:
-        return any(p.exitcode is not None for p in self._proc_snapshot)
-
     def _run_chunks_supervised(
         self,
         header: tuple,
@@ -392,17 +432,20 @@ class ParallelExecutor(ClientExecutor):
     ) -> list[list[LocalTrainingResult]]:
         """Dispatch chunks with per-chunk deadlines and capped redispatch.
 
-        Recovery model: a crashed worker (detected via the pool's process
-        table), a timed-out chunk, or a checksum mismatch marks the chunk
-        failed; crashes and timeouts also force a full pool respawn, since
-        ``mp.Pool`` silently drops the in-flight task of a dead worker and a
-        hung worker never frees its slot. Every redispatch burns one unit of
-        the chunk's retry budget (``1 + chunk_retries`` attempts total);
-        exhaustion degrades the chunk to the in-parent serial executor when
-        ``degrade`` is set, else raises :class:`ExecutorFaultError`. Chunk
-        work is deterministic, so however many retries it takes, the
-        results — and the downstream history — are bit-identical to a
-        fault-free run.
+        Recovery model: a crashed worker (its process sentinel becomes
+        readable), a timed-out chunk, or a checksum mismatch marks the chunk
+        failed; crashes and timeouts also force a full pool respawn (a hung
+        worker never frees itself, and a pool rebuilt whole is in a known
+        state). Every redispatch burns one unit of the chunk's retry budget
+        (``1 + chunk_retries`` attempts total); exhaustion degrades the
+        chunk to the in-parent serial executor when ``degrade`` is set, else
+        raises :class:`ExecutorFaultError`. Chunk work is deterministic, so
+        however many retries it takes, the results — and the downstream
+        history — are bit-identical to a fault-free run.
+
+        Event-driven: the supervisor blocks on the busy workers' pipes (a
+        reply is ready), every worker's sentinel (a worker is gone) and the
+        earliest chunk deadline, and acts on whichever comes first.
         """
         counters = self.fault_counters
         dispatch = self._dispatch_seq
@@ -411,18 +454,24 @@ class ParallelExecutor(ClientExecutor):
         results: list = [None] * n
         attempts = [0] * n
         budget = 1 + self.chunk_retries
-        pending: dict[int, tuple] = {}  # idx -> (AsyncResult, deadline | None)
+        pending: dict[int, float | None] = {}  # idx in flight -> its deadline
 
         def submit(idx: int) -> None:
-            pool = self._ensure_pool()
-            payload = (header, chunks[idx], (dispatch, idx, attempts[idx]))
-            attempts[idx] += 1
-            deadline = (
+            # Never more chunks than workers, and a retry follows either its
+            # own worker's reply or a full respawn: someone is always idle.
+            worker = next(w for w in self._ensure_pool() if w.chunk is None)
+            worker.chunk = idx
+            pending[idx] = (
                 time.monotonic() + self.chunk_timeout
                 if self.chunk_timeout is not None
                 else None
             )
-            pending[idx] = (pool.apply_async(_train_chunk, (payload,)), deadline)
+            payload = (header, chunks[idx], (dispatch, idx, attempts[idx]))
+            attempts[idx] += 1
+            try:
+                worker.conn.send(payload)
+            except OSError:
+                pass  # it died idle; its sentinel says so at the next wait
 
         def retry_or_fail(idx: int, reason: str) -> None:
             if attempts[idx] < budget:
@@ -451,73 +500,82 @@ class ParallelExecutor(ClientExecutor):
                 reason=reason,
             )
 
-        for idx in range(n):
-            submit(idx)
-        while pending:
-            progressed = False
-            for idx in sorted(pending):
-                async_res, _ = pending[idx]
-                if not async_res.ready():
-                    continue
-                progressed = True
-                del pending[idx]
-                try:
-                    value = async_res.get()
-                except Exception as exc:
-                    counters["worker_errors"] += 1
-                    retry_or_fail(idx, f"worker raised {type(exc).__name__}: {exc}")
-                    continue
-                chunk_results, checksum = value
-                if checksum is not None and chunk_checksum(chunk_results) != checksum:
-                    counters["corrupt_detected"] += 1
-                    retry_or_fail(idx, "result checksum mismatch")
-                    continue
-                results[idx] = chunk_results
-            if not pending:
-                break
-            if self._pool_has_dead_worker():
-                # A worker died with work in flight; mp.Pool would quietly
-                # repopulate and leave the lost chunk pending forever.
-                # Recover the whole pool and redispatch everything unfinished
-                # (chunk determinism makes the duplicate work harmless).
-                counters["worker_deaths"] += 1
-                lost = sorted(pending)
-                pending.clear()
-                self._respawn_pool()
-                for idx in lost:
-                    retry_or_fail(idx, "worker process died mid-chunk")
-                continue
-            now = time.monotonic()
-            timed_out = sorted(
-                idx
-                for idx, (_, deadline) in pending.items()
-                if deadline is not None and now > deadline
-            )
-            if timed_out:
-                # A hung worker never frees its slot; the only reliable
-                # recovery is a pool respawn, which also aborts whatever else
-                # was in flight — redispatch all of it.
-                counters["timeouts"] += len(timed_out)
-                lost = sorted(pending)
-                pending.clear()
-                self._respawn_pool()
-                for idx in lost:
-                    reason = (
-                        f"chunk exceeded chunk_timeout={self.chunk_timeout}s"
-                        if idx in timed_out
-                        else "pool respawned while chunk was in flight"
-                    )
+        def respawn_and_retry(reason: str, timed_out=()) -> None:
+            """The pool is beyond use: tear it down hard, let ``submit``
+            rebuild it, redispatch all in flight. (The broadcast segment is
+            parent-owned and survives; fresh workers re-attach to it.)"""
+            lost = sorted(pending)
+            pending.clear()
+            counters["respawns"] += 1
+            self._discard_pool()
+            for idx in lost:
+                if idx in timed_out:
+                    retry_or_fail(idx, f"chunk exceeded chunk_timeout={self.chunk_timeout}s")
+                else:
                     retry_or_fail(idx, reason)
-                continue
-            if not progressed:
-                time.sleep(0.02)
+
+        try:
+            for idx in range(n):
+                submit(idx)
+            while pending:
+                pool = self._pool
+                busy = {w.conn: w for w in pool if w.chunk is not None}
+                sentinels = [w.proc.sentinel for w in pool]
+                ready = wait_any(
+                    [*busy, *sentinels], wait_budget(pending.values(), time.monotonic())
+                )
+                died = any(sentinel in ready for sentinel in sentinels)
+                for conn in ready:
+                    worker = busy.get(conn)
+                    if worker is None:
+                        continue
+                    try:
+                        reply, error = conn.recv()
+                    except (EOFError, OSError):
+                        died = True  # EOF where a reply should be: gone mid-chunk
+                        continue
+                    idx, worker.chunk = worker.chunk, None
+                    del pending[idx]
+                    if error is not None:
+                        counters["worker_errors"] += 1
+                        retry_or_fail(idx, f"worker raised {error}")
+                        continue
+                    chunk_results, checksum = reply
+                    if checksum is not None and chunk_checksum(chunk_results) != checksum:
+                        counters["corrupt_detected"] += 1
+                        retry_or_fail(idx, "result checksum mismatch")
+                        continue
+                    results[idx] = chunk_results
+                if not pending:
+                    break
+                if died:
+                    # A worker died with work in flight. Recover the whole
+                    # pool and redispatch everything unfinished (chunk
+                    # determinism makes the duplicate work harmless).
+                    counters["worker_deaths"] += 1
+                    respawn_and_retry("worker process died mid-chunk")
+                    continue
+                now = time.monotonic()
+                timed_out = {
+                    idx
+                    for idx, deadline in pending.items()
+                    if deadline is not None and now > deadline
+                }
+                if timed_out:
+                    # A hung worker never frees itself; the pool is rebuilt
+                    # whole, which also aborts whatever else was in flight —
+                    # redispatch all of it.
+                    counters["timeouts"] += len(timed_out)
+                    respawn_and_retry("pool respawned while chunk was in flight", timed_out)
+        except BaseException:
+            # Whatever is still in flight would answer into the next
+            # dispatch: an abandoned dispatch takes its workers with it.
+            self._discard_pool()
+            raise
         return results
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        self._discard_pool()
         self._release_shm()
 
     def __del__(self):  # pragma: no cover - GC safety net

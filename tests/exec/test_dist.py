@@ -10,6 +10,7 @@ import os
 import pickle
 import signal
 import socket
+import statistics
 import struct
 import subprocess
 import sys
@@ -205,6 +206,27 @@ class TestLeaseTable:
         expired = table.expired(now=112.0)
         assert [lease.chunk for lease in expired] == [0]
 
+    def test_next_deadline(self):
+        table = LeaseTable(3, retry_budget=1, timeout=10.0)
+        assert table.next_deadline() is None  # nothing leased, nothing armed
+        table.assign("w0", now=100.0)
+        table.assign("w1", now=105.0)
+        assert table.next_deadline() == 110.0
+        # The deadline is the last instant that is still on time.
+        assert table.expired(now=110.0) == []
+        assert [lease.chunk for lease in table.expired(now=110.001)] == [0]
+        table.requeue(0, "lease deadline expired")  # pending again: disarmed
+        assert table.next_deadline() == 115.0
+        table.complete(1)
+        assert table.next_deadline() is None
+        table.assign("w1", now=120.0)  # the requeued chunk, leased afresh
+        assert table.next_deadline() == 130.0
+
+    def test_next_deadline_without_a_timeout(self):
+        table = LeaseTable(1, retry_budget=0, timeout=None)
+        table.assign("w0", now=100.0)
+        assert table.outstanding() and table.next_deadline() is None
+
     def test_accepts_bounds_and_staleness(self):
         table = LeaseTable(2, retry_budget=0, timeout=None)
         assert not table.accepts(-1) and not table.accepts(2)
@@ -397,6 +419,100 @@ class TestDistExecutor:
         dist.close()
         assert dist.worker_processes == []
 
+    def test_close_does_not_wait_for_unregistered_workers(self, tiny_bow_dataset):
+        """Closing before the forked workers have dialled in used to cost a
+        2 s join timeout per worker: the child held a copy of the listening
+        socket, so its late connect() landed in a backlog nobody accepted."""
+        t0 = time.monotonic()
+        _, dist = _executors(tiny_bow_dataset)
+        workers = list(dist.worker_processes)
+        dist.close()
+        elapsed = time.monotonic() - t0
+        assert len(workers) == 2
+        assert not any(p.is_alive() for p in workers)
+        assert elapsed < 0.5
+
+    def test_close_after_a_run_shuts_workers_down_cleanly(self, tiny_bow_dataset):
+        """Registered, idle workers are told to exit and do so on their own
+        (exit code 0), promptly — nothing is terminated, nothing times out."""
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            dist.run_cohort(start, _cohort(4))
+            workers = list(dist.worker_processes)
+            t0 = time.monotonic()
+        finally:
+            dist.close()
+            serial.close()
+        assert time.monotonic() - t0 < 0.5
+        assert [p.exitcode for p in workers] == [0, 0]
+
+    def test_no_lost_wakeups_over_many_dispatches(self, tiny_bow_dataset):
+        """A job submitted, or a result landing, while the loop is between
+        its drain and its ``select`` must still wake it. 300 back-to-back
+        two-task dispatches, fresh weights every time (so each one also
+        ships a weights frame), the interpreter switching threads as often
+        as it can; a lost wake-up would hang until a heartbeat at best."""
+        serial, dist = _executors(tiny_bow_dataset)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(2)
+            t0 = time.monotonic()
+            for i in range(300):
+                weights = start + 1e-3 * i
+                _assert_results_equal(
+                    serial.run_cohort(weights, tasks), dist.run_cohort(weights, tasks)
+                )
+            # One lost wake-up per dispatch, rescued by the next heartbeat
+            # (0.1 s here), would already take 30 s.
+            assert time.monotonic() - t0 < 20.0
+            assert not any(dist.fault_counters.values())
+        finally:
+            sys.setswitchinterval(interval)
+            dist.close()
+            serial.close()
+
+    def test_dispatch_has_no_poll_floor(self, tiny_bow_dataset):
+        """The tick loop picked a submitted job up at its next 20 ms poll,
+        so no dispatch could beat that; ``submit`` now wakes the loop."""
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(4)
+            dist.run_cohort(start, tasks)  # workers hold init payload + weights
+            samples = []
+            for _ in range(30):
+                t0 = time.perf_counter()
+                dist.run_cohort(start, tasks)
+                samples.append(time.perf_counter() - t0)
+            assert statistics.median(samples) < 0.015
+        finally:
+            dist.close()
+            serial.close()
+
+    def test_weights_and_lease_leave_in_one_send(self, tiny_bow_dataset):
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            scheduler = dist._scheduler
+            sends = []  # bytes buffered for the connection at each flush
+            flush = scheduler._flush
+            scheduler._flush = lambda conn: (sends.append(len(conn.out)), flush(conn))
+            start = serial.model.get_flat_weights()
+            dist.run_cohort(start, _cohort(4))  # new weights: frame + lease per worker
+            assert len(sends) == 2 and min(sends) > start.nbytes
+            del sends[:]
+            dist.run_cohort(start, _cohort(4))  # same weights: the lease alone
+            assert len(sends) == 2 and max(sends) < start.nbytes
+        finally:
+            dist.close()
+            serial.close()
+
 
 # --------------------------------------------------------------------- #
 # Scheduler timers: each test below is resolved by one timer and by
@@ -424,6 +540,38 @@ def _hang_plan(hung, clear=(), **plan_kw):
 
 
 class TestSchedulerTimers:
+    def test_idle_scheduler_wakes_for_heartbeats_only(self, tiny_bow_dataset):
+        """With no job and no timer due, the loop sleeps in ``select`` until
+        a frame arrives: two workers beating every 0.1 s make ~10 wake-ups
+        in half a second, where the 20 ms tick made 25 on top of them."""
+        _, dist = _executors(tiny_bow_dataset)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            scheduler = dist._scheduler
+            selects, beats = [], []
+            select, handle = scheduler._sel.select, scheduler._handle
+
+            def counting_select(timeout=None):
+                selects.append(timeout)
+                return select(timeout)
+
+            def counting_handle(conn, msg):
+                beats.append(msg[0])
+                return handle(conn, msg)
+
+            scheduler._sel.select = counting_select
+            scheduler._handle = counting_handle
+            time.sleep(0.5)
+            del scheduler._sel.select, scheduler._handle
+            assert set(beats) == {"heartbeat"}
+            assert 4 <= len(beats) <= 14
+            assert len(selects) <= len(beats) + 3
+            # Every sleep was bounded by the quietest worker's heartbeat
+            # timeout (1.0 s here), never by a fixed tick.
+            assert all(0.5 < timeout <= 1.0 for timeout in selects)
+        finally:
+            dist.close()
+
     def test_lease_deadline_recovers_hung_worker(self, tiny_bow_dataset):
         """A worker that hangs mid-lease keeps heartbeating, so neither EOF
         nor the heartbeat timeout fires: only the lease deadline frees the

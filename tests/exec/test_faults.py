@@ -216,13 +216,14 @@ def test_history_bit_identical_under_hangs(tiny_bow_dataset):
 
 
 def test_null_fault_plan_changes_nothing(tiny_bow_dataset):
-    """The supervised dispatch path with zero probabilities is exactly the
-    legacy path: same history, all recovery counters zero."""
+    """A fault plan with zero probabilities adds checksums and fault draws
+    to the (always supervised) dispatch and nothing else: same history, all
+    recovery counters zero."""
     plain = _history(tiny_bow_dataset, FedAvg, "parallel")
     nulled = _history(tiny_bow_dataset, FedAvg, "parallel", faults="crash:0")
     _assert_identical(plain, nulled)
     assert all(v == 0 for v in nulled.meta["faults"].values())
-    assert "faults" not in plain.meta  # legacy runs don't grow new meta keys
+    assert "faults" not in plain.meta  # default runs don't grow new meta keys
 
 
 def test_degrade_finishes_cohort_in_process(tiny_bow_dataset):
