@@ -54,6 +54,7 @@ class TiFL(SyncFLSystem):
         self._tier_rng = self.factory.rng("algo/tifl/tier")
         self._current_tier = 0
         self.retier_tracker = self.make_retier_tracker()
+        self.tier_index = self.make_tier_index(m)
         self._tier_evaluators = self._build_tier_evaluators()
 
     # Evaluators hold dataset references; rebuilt from the restored

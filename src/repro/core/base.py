@@ -165,9 +165,9 @@ class FLSystem:
         self._downlink_cache = None
         #: Set by tiered methods when online re-tiering is enabled.
         self.retier_tracker = None
-        #: Under arrival scenarios the tiered methods restrict tiering to
-        #: the clients that have arrived; None means the whole population.
-        self._enrolled: list[int] | None = None
+        #: Ordered index the tiered methods re-split and grow their tiers
+        #: through (see :meth:`make_tier_index`); None while tiers are fixed.
+        self.tier_index = None
 
         codec = make_codec(config.compression) if self.uses_compression else NullCodec()
         self.codec: Codec = codec
@@ -342,12 +342,7 @@ class FLSystem:
         if isinstance(client_ids, np.ndarray):
             out = self.failures.alive_array(client_ids, t)
             if not self.scenario.is_static and out.size:
-                mask = np.fromiter(
-                    (self.scenario.is_available(int(c), t) for c in out),
-                    dtype=bool,
-                    count=out.size,
-                )
-                out = out[mask]
+                out = out[self.scenario.available_mask(out, t)]
             return out
         out = self.failures.alive_clients(client_ids, t)
         if not self.scenario.is_static:
@@ -605,6 +600,23 @@ class FLSystem:
             prior = self.population.expected_latencies(self.config.local_epochs)
         return LatencyTracker(prior, alpha=self.config.retier_ewma)
 
+    def make_tier_index(self, num_tiers: int, *, client_ids=None):
+        """Ordered index every later re-split goes through, or None when
+        the tiers can never change.
+
+        Over the re-tier tracker's live estimates when online re-tiering is
+        on, else over the profiled prior (arrivals then slot in by their
+        profile). ``client_ids`` enrolls only part of the population — the
+        founders of an arrival scenario.
+        """
+        if self.retier_tracker is not None:
+            return self.retier_tracker.make_index(num_tiers, client_ids=client_ids)
+        if client_ids is None:
+            return None
+        from repro.tiering.index import TierIndex
+
+        return TierIndex(self.profiled_latencies, num_tiers, client_ids=client_ids)
+
     def retier_due(self) -> bool:
         """Whether a periodic online re-tier should fire at this round."""
         return (
@@ -614,29 +626,21 @@ class FLSystem:
         )
 
     def apply_retier(self, at_time: float):
-        """Swap in a tiering recomputed from observed latencies.
+        """Swap in a tiering re-split on observed latencies.
 
-        Shared bookkeeping for FedAT and TiFL: computes the new split from
-        the tracker, counts moved clients, and appends a ``retier_trace``
+        Shared bookkeeping for FedAT and TiFL: takes the new split from the
+        tier index, counts moved clients, and appends a ``retier_trace``
         record to the history meta. Returns the new tiering (also installed
         as ``self.tiering``); method-specific refresh (server masks, tier
         evaluators, round restarts) stays with the caller.
         """
         old = self.tiering
-        new = self.retier_tracker.retier(old.num_tiers, client_ids=self._enrolled)
-        # Clients in only one of the two tierings (arrivals since the last
-        # split) are additions, not moves.
-        moved = sum(
-            1
-            for c in range(self.num_clients)
-            if c in old and c in new and old.tier_of(c) != new.tier_of(c)
-        )
-        self.tiering = new
+        new = self.tiering = self.tier_index.split()
         self.history.meta.setdefault("retier_trace", []).append(
             {
                 "round": self.round,
                 "time": float(at_time),
-                "moved": moved,
+                "moved": new.moved_from(old),
                 "sizes": new.sizes(),
             }
         )

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.aggregation import sample_weighted_average
 from repro.core.base import FLSystem
 from repro.core.server import TieredServer
@@ -81,6 +79,7 @@ class FedAT(FLSystem):
         #: Held-back data shards of clients that have not arrived yet
         #: (arrival scenarios only; None means the population is fixed).
         self.arrival_pool = None
+        founders = None
         if tiering is None:
             tiering = self.build_tiering()
             late = self.scenario.late_arrivals()
@@ -90,16 +89,13 @@ class FedAT(FLSystem):
                 # as arrivals land. Late clients' data stays in a held-back
                 # pool until their arrival event releases it.
                 founders = self.scenario.founders()
-                self._enrolled = list(founders)
                 self.arrival_pool = self.population.hold_back(
                     [cid for cid, _ in late]
                 )
-                tiering = Tiering.from_latencies(
-                    self.profiled_latencies[np.asarray(founders, dtype=np.int64)],
-                    config.num_tiers,
-                    allow_empty=True,
-                    client_ids=founders,
-                )
+        self.retier_tracker = self.make_retier_tracker()
+        self.tier_index = self.make_tier_index(tiering.num_tiers, client_ids=founders)
+        if founders is not None:
+            tiering = self.tier_index.split()
         if self.arrival_pool is None and tiering.num_clients != self.num_clients:
             raise ValueError("tiering does not cover the client population")
         self.tiering = tiering
@@ -111,7 +107,6 @@ class FedAT(FLSystem):
         )
         self.server.set_active_tiers([size > 0 for size in tiering.sizes()])
         self.global_weights = self.server.global_weights
-        self.retier_tracker = self.make_retier_tracker()
         self._active: set[int] = set()
 
     # ------------------------------------------------------------------ #
@@ -180,25 +175,14 @@ class FedAT(FLSystem):
         """Enroll one arriving client: assign its held-back data and grow
         the tiering over the enlarged population.
 
-        The grown split comes from :meth:`Tiering.from_latencies` over the
-        enrolled clients' current latency estimates (EWMA-tracked when
-        online re-tiering is on, else the profiled prior), so an arrival
-        slots into the tier matching its speed and may rebalance others.
+        The arrival slots into the tier index at its current latency
+        estimate (EWMA-tracked when online re-tiering is on, else the
+        profiled prior) and the tiers are re-split, so it lands in the tier
+        matching its speed and may rebalance others.
         """
         self.arrival_pool.release(client_id)
-        self._enrolled.append(client_id)
-        if self.retier_tracker is not None:
-            self.tiering = self.retier_tracker.retier(
-                self.config.num_tiers, client_ids=self._enrolled
-            )
-        else:
-            ids = np.asarray(sorted(self._enrolled), dtype=np.int64)
-            self.tiering = Tiering.from_latencies(
-                self.profiled_latencies[ids],
-                self.config.num_tiers,
-                allow_empty=True,
-                client_ids=ids,
-            )
+        self.tier_index.enroll(client_id)
+        self.tiering = self.tier_index.split()
         self.server.set_active_tiers([size > 0 for size in self.tiering.sizes()])
         self.history.meta.setdefault("arrival_trace", []).append(
             {
@@ -214,13 +198,12 @@ class FedAT(FLSystem):
 
     def _post_restore(self) -> None:
         super()._post_restore()
-        if self.arrival_pool is not None and self._enrolled is not None:
+        if self.arrival_pool is not None:
             # ``__init__`` rebuilt the pool with every late client held
             # back; hand back out the shards of clients that had already
-            # arrived by the checkpoint (release is exactly-once, so only
-            # still-held ids replay).
-            for cid in self._enrolled:
-                if cid in self.arrival_pool:
+            # arrived (and enrolled) by the checkpoint.
+            for cid in self.arrival_pool.remaining():
+                if cid in self.tier_index:
                     self.arrival_pool.release(cid)
 
     def _run(self) -> RunHistory:

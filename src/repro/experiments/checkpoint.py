@@ -32,7 +32,9 @@ from pathlib import Path
 
 __all__ = ["RunCheckpointer", "VOLATILE_META_KEYS", "strip_volatile_meta"]
 
-CHECKPOINT_FORMAT = 1
+#: 2: tiered systems carry a ``TierIndex`` (and ``Tiering`` a dense tier
+#: vector) where format 1 pickled an enrolled-id list and sorted-id arrays.
+CHECKPOINT_FORMAT = 2
 
 #: History meta keys that legitimately differ between an uninterrupted run
 #: and a resumed one: wall-clock phase timers reset at process start, and

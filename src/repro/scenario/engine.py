@@ -5,6 +5,7 @@ A :class:`ScenarioEngine` turns a :class:`~repro.scenario.spec.ScenarioSpec`
 :class:`~repro.core.base.FLSystem` can query as its virtual clock advances:
 
 - ``is_available(cid, t)`` — churn/arrival: is the client online at ``t``?
+  ``available_mask(ids, t)`` asks it of a whole tier pool in array code.
 - ``available_throughout(cid, start, end)`` — does it stay online for a
   whole local round?
 - ``latency_multiplier(cid, t)`` — speed drift × burst stragglers.
@@ -15,11 +16,12 @@ A :class:`ScenarioEngine` turns a :class:`~repro.scenario.spec.ScenarioSpec`
   client with a positive arrival time does not exist before it (it is
   never profiled, tiered, or selectable until it arrives).
 
-Compilation pushes every raw event through the simulator's
-:class:`~repro.sim.events.EventQueue`, so simultaneous events resolve in
-deterministic insertion order (the same tie-break every system run uses),
-and the resulting timelines are pure functions of time — queries never
-mutate state, so out-of-order lookups are safe.
+Compilation orders the raw events by ``(time, insertion)`` — a stable sort
+on time, the order the simulator's :class:`~repro.sim.events.EventQueue`
+pops in — so simultaneous events resolve in deterministic insertion order
+(the same tie-break every system run uses), and the resulting timelines are
+pure functions of time — queries never mutate state, so out-of-order
+lookups are safe.
 
 Composition determinism: each scenario family draws its events from a
 deterministically derived RNG *substream* — the compile-time RNG yields one
@@ -38,12 +40,12 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from repro.scenario.spec import ComposedSpec, ScenarioSpec, TraceSpec
-from repro.sim.events import EventQueue
 
 __all__ = ["ScenarioEvent", "ScenarioEngine", "load_trace_events"]
 
@@ -223,20 +225,20 @@ class ScenarioEngine:
         self.num_clients = num_clients
         self.name = name
 
-        # Order events through the simulator's queue: deterministic
-        # (time, insertion) ordering, exactly like system events.
-        queue = EventQueue()
         for ev in events:
             if not 0 <= ev.client_id < num_clients:
                 raise ValueError(f"event client {ev.client_id} out of range")
-            queue.schedule_at(ev.time, ev)
+            if ev.time < 0:
+                raise ValueError(f"cannot schedule at {ev.time} < 0")
+        # Deterministic (time, insertion) ordering, exactly like system
+        # events: a stable sort on time is the order an EventQueue pops in.
+        self.events: list[ScenarioEvent] = sorted(events, key=attrgetter("time"))
 
         # Per-client timelines are sparse dicts keyed by client id — only
         # clients an event actually touches pay storage. A million-client
         # static (or lightly dynamic) world therefore costs O(events), not
         # O(population); clients absent from a dict use the defaults
         # (available, multiplier 1.0, full bandwidth, arrival at t=0).
-        self.events: list[ScenarioEvent] = []
         avail_times: dict[int, list[float]] = {}
         avail_state: dict[int, list[bool]] = {}
         mult_times: dict[int, list[float]] = {}
@@ -249,6 +251,10 @@ class ScenarioEngine:
         #: push order — keyed pops keep overlapping same-factor episodes
         #: from different families distinct.
         bursts: dict[int, list[tuple[int | None, float]]] = {}
+        #: Closed ``(client, from, until)`` stretches a client spends churned
+        #: offline, and when each currently-offline client left.
+        offline: list[tuple[int, float, float]] = []
+        offline_since: dict[int, float] = {}
 
         def push_mult(cid: int, t: float) -> None:
             # Fresh product each time so a closed burst restores the drift
@@ -269,16 +275,17 @@ class ScenarioEngine:
                     del stack[i]
                     return
 
-        while not queue.empty:
-            ev: ScenarioEvent = queue.pop().payload
-            self.events.append(ev)
+        for ev in self.events:
             cid = ev.client_id
             if ev.kind == "leave":
                 avail_times.setdefault(cid, []).append(ev.time)
                 avail_state.setdefault(cid, []).append(False)
+                offline_since.setdefault(cid, ev.time)
             elif ev.kind == "join":
                 avail_times.setdefault(cid, []).append(ev.time)
                 avail_state.setdefault(cid, []).append(True)
+                if cid in offline_since:
+                    offline.append((cid, offline_since.pop(cid), ev.time))
             elif ev.kind == "speed":
                 drift[cid] = ev.value
                 push_mult(cid, ev.time)
@@ -289,7 +296,7 @@ class ScenarioEngine:
                 pop_burst(cid, ev)
                 push_mult(cid, ev.time)
             elif ev.kind == "arrive":
-                arrival[cid] = ev.time  # queue-ordered: the last event wins
+                arrival[cid] = ev.time  # time-ordered: the last event wins
             elif ev.kind == "bandwidth":
                 bw_times.setdefault(cid, []).append(ev.time)
                 bw_values.setdefault(cid, []).append(ev.value)
@@ -301,6 +308,20 @@ class ScenarioEngine:
         self._bw_times = bw_times
         self._bw_values = bw_values
         self._arrival = arrival
+        late = [(cid, t) for cid, t in arrival.items() if t > 0.0]
+        self._late = sorted(late, key=lambda pair: (pair[1], pair[0]))
+        # The availability timelines once more as flat half-open intervals
+        # (a late client is "offline" until it arrives), so array queries
+        # test everyone against one instant without a Python call per client.
+        offline += [(cid, since, math.inf) for cid, since in offline_since.items()]
+        offline += [(cid, -math.inf, t) for cid, t in late]
+        ids, since, until = zip(*offline) if offline else ((), (), ())
+        self._offline_ids = np.array(ids, dtype=np.int64)
+        self._offline_from = np.array(since, dtype=np.float64)
+        self._offline_until = np.array(until, dtype=np.float64)
+        #: Clients with an availability timeline or an arrival: the only ones
+        #: :meth:`next_join_after` can have anything to say about.
+        self._gated_ids = np.array([*avail_times, *arrival], dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -458,6 +479,13 @@ class ScenarioEngine:
         i = bisect_right(times, t) - 1
         return self._avail_state[client_id][i] if i >= 0 else True
 
+    def available_mask(self, client_ids: np.ndarray, t: float) -> np.ndarray:
+        """:meth:`is_available` over an id array, element for element (at
+        any ``t`` ≥ 0, which every virtual clock is)."""
+        away = np.zeros(self.num_clients, dtype=bool)
+        away[self._offline_ids[(self._offline_from <= t) & (t < self._offline_until)]] = True
+        return ~away[client_ids]
+
     def available_throughout(self, client_id: int, start: float, end: float) -> bool:
         """Online at ``start`` and never leaving during ``(start, end]``."""
         client_id = int(client_id)
@@ -478,20 +506,18 @@ class ScenarioEngine:
     def late_arrivals(self) -> list[tuple[int, float]]:
         """Clients that are absent at t=0, as ``(client_id, arrival_time)``
         pairs sorted by arrival time (ties by client id)."""
-        late = [(cid, t) for cid, t in self._arrival.items() if t > 0.0]
-        return sorted(late, key=lambda pair: (pair[1], pair[0]))
+        return list(self._late)
 
     def founders(self) -> list[int]:
         """Clients present at t=0 — the population a server can profile."""
-        late = {cid for cid, t in self._arrival.items() if t > 0.0}
-        if not late:
-            return list(range(self.num_clients))
-        return [cid for cid in range(self.num_clients) if cid not in late]
+        present = np.ones(self.num_clients, dtype=bool)
+        present[[cid for cid, _ in self._late]] = False
+        return np.flatnonzero(present).tolist()
 
     @property
     def has_arrivals(self) -> bool:
         """Whether any client arrives after t=0 (population growth)."""
-        return any(t > 0.0 for t in self._arrival.values())
+        return bool(self._late)
 
     def bandwidth_scale(self, client_id: int, t: float) -> float:
         """Fraction of the client's nominal link bandwidth left at ``t``."""
@@ -525,6 +551,8 @@ class ScenarioEngine:
         """
         if not self._arrival and not self._avail_times:
             return None  # nobody ever leaves or arrives late
+        if isinstance(client_ids, np.ndarray):
+            client_ids = client_ids[np.isin(client_ids, self._gated_ids)].tolist()
         best: float | None = None
 
         def consider(cid: int, when: float) -> bool:

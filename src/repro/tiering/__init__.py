@@ -7,8 +7,9 @@ tiering approach); mis-tiering injection supports the robustness claims of
 §2.1.
 """
 
+from repro.tiering.index import TierIndex
 from repro.tiering.online import LatencyTracker
 from repro.tiering.profiler import LatencyProfiler
 from repro.tiering.tiers import Tiering
 
-__all__ = ["LatencyProfiler", "LatencyTracker", "Tiering"]
+__all__ = ["LatencyProfiler", "LatencyTracker", "TierIndex", "Tiering"]

@@ -17,20 +17,51 @@ class Tiering:
     def __init__(self, tiers: list[np.ndarray]):
         if not tiers:
             raise ValueError("need at least one tier")
-        self.tiers = [np.asarray(t, dtype=np.int64) for t in tiers]
-        # Sorted-array membership index instead of a python dict: a dict of
-        # 1M int keys costs ~100 MB; two int64 vectors cost 16 MB and give
-        # O(log n) tier_of via searchsorted.
-        all_ids = np.concatenate(self.tiers)
-        tier_idx = np.repeat(
-            np.arange(len(self.tiers), dtype=np.int64),
-            [t.size for t in self.tiers],
-        )
-        order = np.argsort(all_ids, kind="stable")
-        self._sorted_ids = all_ids[order]
-        self._sorted_tiers = tier_idx[order]
-        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
+        tiers = [np.asarray(t, dtype=np.int64) for t in tiers]
+        if any(t.size and int(t.min()) < 0 for t in tiers):
+            raise ValueError("client ids must be non-negative")
+        self._setup(tiers, 1 + max((int(t.max()) for t in tiers if t.size), default=-1))
+        self._clients_in = list(tiers)  # explicit membership is served as given
+        if np.count_nonzero(self._membership() >= 0) != self.num_clients:
             raise ValueError("a client appears in more than one tier")
+
+    def _setup(self, members: list[np.ndarray], num_ids: int) -> None:
+        #: Each tier's member ids, in whatever order they came.
+        self._members = members
+        #: What ``clients_in`` answers per tier; None until first asked.
+        self._clients_in: list[np.ndarray | None] = [None] * len(members)
+        self._num_ids = num_ids
+        self._tier_of: np.ndarray | None = None
+
+    @classmethod
+    def from_order(cls, order: np.ndarray, num_tiers: int, num_ids: int) -> "Tiering":
+        """Equal-count tiers over ``order``, ids already sorted by ``(latency,
+        id)`` among ``num_ids`` possible ones — :meth:`from_latencies` minus
+        the sort.
+
+        Holds ``order`` (never written to again by its caller) and derives the
+        rest on demand: a tier's id-sorted member array is one ``flatnonzero``
+        over the dense membership vector the first time someone asks for it,
+        so a split nobody reads — an arrival between two tier rounds — costs
+        ``num_tiers`` slices.
+        """
+        self = cls.__new__(cls)
+        self._setup(np.array_split(order, num_tiers), num_ids)
+        return self
+
+    def _membership(self) -> np.ndarray:
+        """Tier index per client id, -1 for an untiered one.
+
+        Dense instead of a python dict: a dict of 1M int keys costs ~100 MB;
+        one small-int entry per client id costs 1 MB and makes ``tier_of`` /
+        ``in`` O(1) and "who moved" one array compare.
+        """
+        if self._tier_of is None:
+            dtype = np.min_scalar_type(-self.num_tiers)
+            self._tier_of = np.full(self._num_ids, -1, dtype=dtype)
+            for m, ids in enumerate(self._members):
+                self._tier_of[ids] = m
+        return self._tier_of
 
     @staticmethod
     def from_latencies(
@@ -70,36 +101,45 @@ class Tiering:
         )
 
     @property
+    def tiers(self) -> list[np.ndarray]:
+        return [self.clients_in(m) for m in range(self.num_tiers)]
+
+    @property
     def num_tiers(self) -> int:
-        return len(self.tiers)
+        return len(self._members)
 
     @property
     def num_clients(self) -> int:
-        return sum(t.size for t in self.tiers)
-
-    def _find(self, client_id: int) -> int:
-        i = int(np.searchsorted(self._sorted_ids, client_id))
-        if i < self._sorted_ids.size and self._sorted_ids[i] == client_id:
-            return i
-        return -1
+        return sum(self.sizes())
 
     def tier_of(self, client_id: int) -> int:
         """Tier index of a client (KeyError for unknown ids)."""
-        i = self._find(int(client_id))
-        if i < 0:
-            raise KeyError(int(client_id))
-        return int(self._sorted_tiers[i])
+        cid = int(client_id)
+        if cid not in self:
+            raise KeyError(cid)
+        return int(self._membership()[cid])
 
     def __contains__(self, client_id: int) -> bool:
         """Whether the client is assigned to any tier (arrival scenarios
         tier only the part of the population that has arrived)."""
-        return self._find(int(client_id)) >= 0
+        cid = int(client_id)
+        return 0 <= cid < self._num_ids and bool(self._membership()[cid] >= 0)
+
+    def moved_from(self, old: "Tiering") -> int:
+        """How many clients tiered in both splits changed tier; clients in
+        only one of the two (arrivals since ``old``) are additions, not
+        moves."""
+        n = min(self._num_ids, old._num_ids)
+        was, now = old._membership()[:n], self._membership()[:n]
+        return int(np.count_nonzero((was != now) & (was >= 0) & (now >= 0)))
 
     def clients_in(self, tier: int) -> np.ndarray:
-        return self.tiers[tier]
+        if self._clients_in[tier] is None:
+            self._clients_in[tier] = np.flatnonzero(self._membership() == tier)
+        return self._clients_in[tier]
 
     def sizes(self) -> list[int]:
-        return [int(t.size) for t in self.tiers]
+        return [int(t.size) for t in self._members]
 
     def mistier(self, fraction: float, rng: np.random.Generator) -> "Tiering":
         """Return a copy with a fraction of clients moved to random tiers.

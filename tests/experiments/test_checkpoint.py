@@ -129,25 +129,46 @@ def test_strip_volatile_meta_keeps_everything_else():
 # --------------------------------------------------------------------- #
 # Kill-and-resume bit-identity, every method
 # --------------------------------------------------------------------- #
+#: Arrivals at t≈11…68 of a ~92 s run that re-tiers every 2 rounds (clients
+#: move at rounds 16–22 and 34): killed at round 19, the checkpoint holds a
+#: grown tier index with observations pending, and arrivals and moves follow.
+_GROWING_WORLD = {
+    "scenario": "arrival:0.5",
+    "retier_interval": 2,
+    "max_rounds": 40,
+    "dropout_horizon": 100.0,
+}
+
+
 @pytest.mark.parametrize(
-    "cls, scenario",
+    "cls, world, kill_after",
     [
-        (FedAT, None),
-        (FedAT, "churn"),
-        (FedAT, "arrival"),  # exercises the arrival-pool replay on restore
-        (FedAvg, None),
-        (TiFL, None),  # exercises the tier-evaluator rebuild on restore
-        (FedAsync, None),
-        (ASOFed, None),
+        (FedAT, {}, 3),
+        (FedAT, {"scenario": "churn"}, 3),
+        (FedAT, {"scenario": "arrival"}, 3),  # exercises the arrival-pool replay on restore
+        (FedAT, _GROWING_WORLD, 20),  # the tracker carries the tier index through the pickle
+        (FedAvg, {}, 3),
+        (TiFL, {}, 3),  # exercises the tier-evaluator rebuild on restore
+        (FedAsync, {}, 3),
+        (ASOFed, {}, 3),
     ],
-    ids=["fedat", "fedat-churn", "fedat-arrival", "fedavg", "tifl", "fedasync", "asofed"],
+    ids=[
+        "fedat",
+        "fedat-churn",
+        "fedat-arrival",
+        "fedat-arrival-retier",
+        "fedavg",
+        "tifl",
+        "fedasync",
+        "asofed",
+    ],
 )
-def test_killed_run_resumes_bit_identically(tmp_path, tiny_bow_dataset, cls, scenario):
-    kw = {"scenario": scenario, "guard": "reject"}
+def test_killed_run_resumes_bit_identically(tmp_path, tiny_bow_dataset, cls, world, kill_after):
+    kw = {**world, "guard": "reject"}
     reference = _system(tiny_bow_dataset, cls, **kw).run()
 
     killed = _system(tiny_bow_dataset, cls, **kw)
-    killed.attach_checkpointer(KillAfter(tmp_path, "kr", kill_after=3))
+    killed.attach_checkpointer(KillAfter(tmp_path, "kr", kill_after=kill_after))
     with pytest.raises(KeyboardInterrupt):
         killed.run()
 

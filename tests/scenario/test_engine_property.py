@@ -8,14 +8,20 @@ Invariants locked down here:
 - compiled arrival times are monotone in event order, stay inside the
   window, and always leave at least one founding client;
 - bandwidth timelines are strictly positive and non-increasing at every
-  queried instant.
+  queried instant;
+- the array availability query equals scalar ``is_available`` element for
+  element, and ``next_join_after`` answers an id array as it answers a list;
+- compiled events are in the order an ``EventQueue`` would pop them, however
+  many share a timestamp.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenario import ComposedSpec, ScenarioEngine, ScenarioSpec
+from repro.scenario import ComposedSpec, ScenarioEngine, ScenarioEvent, ScenarioSpec
+from repro.scenario.engine import EVENT_KINDS
+from repro.sim.events import EventQueue
 
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 positive_fractions = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
@@ -172,3 +178,111 @@ def test_multiplier_restores_drift_after_all_bursts_close(n, horizon, seed):
         assert eng.latency_multiplier(cid, probe) == drift_only.latency_multiplier(
             cid, probe
         )
+
+
+# --------------------------------------------------------------------- #
+# Array availability == scalar availability
+# --------------------------------------------------------------------- #
+#: Few distinct instants, so several events of one client share a timestamp
+#: and queries land exactly on event times.
+instants = st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0])
+
+
+def _assert_mask_matches_scalar(eng: ScenarioEngine, ids: np.ndarray, times) -> None:
+    for t in times:
+        want = [eng.is_available(int(c), t) for c in ids]
+        got = eng.available_mask(ids, t)
+        assert got.dtype == bool and got.tolist() == want
+        assert eng.next_join_after(ids, t) == eng.next_join_after(ids.tolist(), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    raw=st.lists(
+        st.tuples(instants, st.sampled_from(["leave", "join", "arrive"]), st.integers(0, 7)),
+        max_size=30,
+    ),
+    ids=st.lists(st.integers(0, 7), max_size=12),  # any order, repeats allowed
+    probes=st.lists(st.one_of(instants, st.floats(0.0, 9.0)), min_size=1, max_size=6),
+)
+def test_available_mask_equals_scalar_on_hand_built_timelines(n, raw, ids, probes):
+    """Repeated leaves, joins nobody left before, arrivals after a rejoin,
+    several events at one instant: whatever the timeline, both queries agree."""
+    events = [ScenarioEvent(t, kind, cid % n) for t, kind, cid in raw]
+    eng = ScenarioEngine.from_events(n, events)
+    _assert_mask_matches_scalar(eng, np.array([c % n for c in ids], dtype=np.int64), probes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    churn=positive_fractions,
+    arrival=positive_fractions,
+    n=populations,
+    horizon=horizons,
+    seed=seeds,
+    fractions_of_horizon=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=5),
+)
+def test_available_mask_equals_scalar_on_compiled_worlds(
+    churn, arrival, n, horizon, seed, fractions_of_horizon
+):
+    composed = ComposedSpec(
+        name="composed",
+        parts=(
+            ScenarioSpec(name="churn", churn_fraction=churn),
+            ScenarioSpec(name="arrival", arrival_fraction=arrival),
+        ),
+    )
+    eng = ScenarioEngine.compile(composed, n, horizon, np.random.default_rng(seed))
+    event_times = [e.time for e in eng.events[:: max(1, len(eng.events) // 5)]]
+    times = [f * horizon for f in fractions_of_horizon] + event_times
+    _assert_mask_matches_scalar(eng, np.arange(n, dtype=np.int64), times)
+    assert eng.has_arrivals == bool(eng.late_arrivals())
+    assert sorted(eng.founders() + [cid for cid, _ in eng.late_arrivals()]) == list(range(n))
+
+
+# --------------------------------------------------------------------- #
+# Stable sort == EventQueue order
+# --------------------------------------------------------------------- #
+def _queue_order(events: list[ScenarioEvent]) -> list[ScenarioEvent]:
+    """What the engine used to do: push every event, pop them all."""
+    queue = EventQueue()
+    for ev in events:
+        queue.schedule_at(ev.time, ev)
+    return [queue.pop().payload for _ in range(len(events))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    raw=st.lists(
+        st.tuples(instants, st.sampled_from(EVENT_KINDS), st.integers(0, 5)), max_size=40
+    )
+)
+def test_events_keep_queue_order_under_equal_timestamps(raw):
+    events = [ScenarioEvent(t, kind, cid, episode=i) for i, (t, kind, cid) in enumerate(raw)]
+    assert ScenarioEngine.from_events(6, events).events == _queue_order(events)
+
+
+class _RecordingEngine(ScenarioEngine):
+    """Keeps the compiler's raw (generation-order) event list."""
+
+    def __init__(self, num_clients, events, *, name="custom"):
+        self.raw = list(events)
+        super().__init__(num_clients, events, name=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=populations, horizon=horizons, seed=seeds, count=st.integers(1, 4))
+def test_burst_families_sharing_t0_compile_in_queue_order(n, horizon, seed, count):
+    """Every client of a burst episode starts at the same ``t0`` — the
+    largest block of equal timestamps a compiled world contains."""
+    composed = ComposedSpec(
+        name="composed",
+        parts=(
+            ScenarioSpec(name="burst", burst_count=count, burst_fraction=1.0),
+            ScenarioSpec(name="churn", churn_fraction=0.5),
+        ),
+    )
+    eng = _RecordingEngine.compile(composed, n, horizon, np.random.default_rng(seed))
+    assert sum(e.kind == "burst_on" for e in eng.raw) == count * n
+    assert eng.events == _queue_order(eng.raw)
