@@ -1,25 +1,26 @@
 #!/usr/bin/env python
-"""Kill-a-worker distributed equivalence check (CI chaos smoke).
+"""Kill-a-worker equivalence check for both worker transports (CI chaos smoke).
 
 Two runs of the same experiment:
 
 1. Serial reference.
-2. Distributed run (2 local socket workers); one worker process is
+2. A run on ``--executor dist`` (2 local socket workers, the default) or
+   ``--executor parallel`` (2 pool workers); one worker process is
    SIGKILLed as the Nth dispatch goes out (``--kill-at-dispatch``), so the
    strike lands however fast the run is — a wall-clock delay would miss a
-   run that finishes in milliseconds.
+   run that finishes in milliseconds. Both executors list their local
+   processes as ``worker_processes``, which is all the strike needs.
 
-Passes iff the kill landed, the distributed history is byte-identical to
-the serial one after stripping the wall-clock-only meta keys
-(``phase_seconds``, fault counters) — the kill may cost retries and a
-respawn, never bits — and the recovery counters actually recorded the
-event. A run that ends before the kill lands is a failure, not a pass: it
-tested no recovery.
+Passes iff the kill landed, the history is byte-identical to the serial
+one after stripping the wall-clock-only meta keys (``phase_seconds``,
+fault counters) — the kill may cost retries and a respawn, never bits —
+and the recovery counters actually recorded the event. A run that ends
+before the kill lands is a failure, not a pass: it tested no recovery.
 
 Usage::
 
     python scripts/chaos_dist_check.py --method fedavg --dataset \
-        sentiment140 --scale tiny --seed 1 --rounds 6
+        sentiment140 --scale tiny --seed 1 --rounds 6 [--executor parallel]
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ def _arm_kill(executor, at_dispatch: int, killed: dict) -> None:
     """SIGKILL one local worker as dispatch number ``at_dispatch`` goes out.
 
     The strike rides the executor's own dispatch path: both workers are
-    registered and idle when the victim dies, so the scheduler either hands
-    it a lease it will never answer (EOF -> requeue -> steal) or sees the
-    EOF first and runs the round on the survivor. Either way the run has to
-    recover, and the executor has to repair its roster.
+    idle when the victim dies, so the supervisor either hands it a lease it
+    will never answer (EOF -> requeue -> the chunk runs elsewhere) or sees
+    the death first. Either way the run has to recover, and the executor
+    has to repair its roster.
     """
     run_cohort = executor.run_cohort
     dispatches = 0
@@ -55,10 +56,15 @@ def _arm_kill(executor, at_dispatch: int, killed: dict) -> None:
         if len(tasks) >= executor.min_dispatch:  # smaller cohorts never dispatch
             dispatches += 1
             if dispatches == at_dispatch:
-                executor.wait_for_workers(2, timeout=60.0)
-                victim = executor.worker_processes[0]
-                os.kill(victim.pid, signal.SIGKILL)
-                killed["pid"] = victim.pid
+                if executor.name == "dist":
+                    # Forked workers dial in on their own time; the pool has
+                    # no roster to wait for — its workers exist from the
+                    # first dispatch on (and not before it).
+                    executor.wait_for_workers(2, timeout=60.0)
+                if executor.worker_processes:
+                    victim = executor.worker_processes[0]
+                    os.kill(victim.pid, signal.SIGKILL)
+                    killed["pid"] = victim.pid
         return run_cohort(start_weights, tasks)
 
     executor.run_cohort = striking_run_cohort
@@ -86,6 +92,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument(
+        "--executor",
+        choices=("dist", "parallel"),
+        default="dist",
+        help="worker transport to strike (default: dist)",
+    )
+    parser.add_argument(
         "--kill-at-dispatch",
         type=int,
         default=2,
@@ -96,23 +108,18 @@ def main() -> int:
     print(f"[1/2] serial reference ({args.method}/{args.dataset}/{args.scale})")
     reference, _ = _run(args.method, args, executor_overrides={"executor": "serial"})
 
-    print(f"[2/2] distributed run, SIGKILL one of 2 workers "
+    print(f"[2/2] {args.executor} run, SIGKILL one of 2 workers "
           f"at dispatch {args.kill_at_dispatch}")
+    overrides = {"executor": args.executor, "num_workers": 2, "chunk_timeout": 30.0}
+    if args.executor == "dist":
+        overrides.update(heartbeat_interval=0.1, heartbeat_timeout=1.0)
     chaos, killed = _run(
-        args.method,
-        args,
-        executor_overrides={
-            "executor": "dist",
-            "num_workers": 2,
-            "heartbeat_interval": 0.1,
-            "heartbeat_timeout": 1.0,
-            "chunk_timeout": 30.0,
-        },
-        kill_at_dispatch=args.kill_at_dispatch,
+        args.method, args, executor_overrides=overrides, kill_at_dispatch=args.kill_at_dispatch
     )
     if not killed:
-        print(f"FAIL: the run finished before dispatch {args.kill_at_dispatch}: "
-              "no worker was killed, so no recovery was tested",
+        print(f"FAIL: no worker process existed at dispatch {args.kill_at_dispatch}, "
+              "or the run finished before it: no worker was killed, so no "
+              "recovery was tested",
               file=sys.stderr)
         return 1
     print(f"      killed worker pid {killed['pid']}")
@@ -123,7 +130,7 @@ def main() -> int:
     ref = strip_volatile_meta(reference.to_dict())
     got = strip_volatile_meta(chaos.to_dict())
     if ref != got:
-        print("FAIL: distributed history diverges from the serial reference",
+        print(f"FAIL: {args.executor} history diverges from the serial reference",
               file=sys.stderr)
         if ref.get("records") != got.get("records"):
             print("  eval records differ", file=sys.stderr)
@@ -135,7 +142,7 @@ def main() -> int:
         print("FAIL: a worker was killed but no recovery counter recorded it",
               file=sys.stderr)
         return 1
-    print("OK: distributed history is byte-identical to the serial reference")
+    print(f"OK: {args.executor} history is byte-identical to the serial reference")
     return 0
 
 

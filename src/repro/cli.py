@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--executor", default=None, choices=_EXECUTORS,
                        help="client-execution backend (default: serial)")
     run_p.add_argument("--num-workers", type=int, default=None,
-                       help="parallel pool size / dist chunk count "
-                       "(0 = CPU count)")
+                       help="workers (= chunks) per cohort; 0 = a worker per "
+                       "CPU, chunks: per CPU on parallel, always 4 on dist")
     run_p.add_argument("--workers", default=None, metavar="HOST:PORT",
                        help="scheduler bind address for --executor dist; "
                        "an explicit port waits for external `repro worker "
@@ -116,9 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                        '("crash:0.2+corrupt:0.1"); requires --executor '
                        "parallel or dist")
     run_p.add_argument("--chunk-timeout", type=float, default=None,
-                       help="per-chunk wall-clock deadline (s) before the "
-                       "supervisor respawns the pool and redispatches "
-                       "(required for hang faults)")
+                       help="per-chunk wall-clock deadline (s) before its "
+                       "lease is requeued (required for hang faults)")
     run_p.add_argument("--chunk-retries", type=int, default=None,
                        help="redispatch budget per chunk (default: 3)")
     run_p.add_argument("--no-fault-degrade", action="store_true",
@@ -153,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--executor", default=None, choices=_EXECUTORS,
                        help="client-execution backend (default: serial)")
     cmp_p.add_argument("--num-workers", type=int, default=None,
-                       help="parallel pool size / dist chunk count "
-                       "(0 = CPU count)")
+                       help="workers (= chunks) per cohort; 0 = a worker per "
+                       "CPU, chunks: per CPU on parallel, always 4 on dist")
     cmp_p.add_argument("--scenario", default=None,
                        help="dynamic-world scenario applied to every method")
     cmp_p.add_argument("--retier-interval", type=int, default=None,
@@ -196,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--executor", default="serial", choices=_EXECUTORS,
                          help="client-execution backend for every cell")
     sweep_p.add_argument("--num-workers", type=int, default=0,
-                         help="parallel pool size / dist chunk count "
-                         "(0 = CPU count)")
+                         help="workers (= chunks) per cohort; 0 = a worker per "
+                         "CPU, chunks: per CPU on parallel, always 4 on dist")
     sweep_p.add_argument("--max-runs", type=int, default=None,
                          help="stop after N new cells (sweep stays resumable)")
 

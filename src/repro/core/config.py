@@ -73,7 +73,9 @@ class FLConfig:
     # workers (bit-identical histories either way, see repro.exec). Any
     # name accepted by repro.exec.register_executor is valid.
     executor: str = "serial"
-    num_workers: int = 0  # pool size / dist chunk count; 0 => CPU count
+    # Workers per cohort and chunks cut from it; 0 = one worker per CPU, and
+    # a chunk per CPU on the pool (layout follows the host) but 4 on dist.
+    num_workers: int = 0
     # Scheduler bind address for executor="dist". Port 0 (the default)
     # picks an ephemeral port and self-spawns local worker processes; an
     # explicit port listens for external `repro worker --connect` workers.
@@ -103,11 +105,10 @@ class FLConfig:
     # disables injection. Serial execution has no worker processes, so
     # faults only apply when executor is "parallel" or "dist".
     faults: str | None = None
-    # Per-chunk wall-clock deadline (seconds) before the supervisor
-    # declares a dispatched chunk hung, recovers the worker (pool respawn /
-    # lease requeue), and redispatches. None disables deadlines (crash
-    # recovery still works via dead-worker detection). Required when
-    # injecting "hang" faults.
+    # Per-chunk wall-clock deadline (seconds) before the supervisor declares
+    # a dispatched chunk hung, requeues its lease (the pool also replaces
+    # the holder) and redispatches. None disables deadlines (dead-worker
+    # detection still recovers crashes). Required to inject "hang" faults.
     chunk_timeout: float | None = None
     # Redispatch budget per chunk (attempts = 1 + chunk_retries) before
     # the chunk degrades or the run errors out.

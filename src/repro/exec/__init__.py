@@ -11,9 +11,13 @@ tasks is executed:
   rebuilt via :meth:`repro.nn.model.Sequential.clone`, chunked cohort
   dispatch, and bit-identical results (enforced by ``tests/exec/``);
 - :class:`DistExecutor` — a socket scheduler with heartbeating workers
-  (local child processes or remote ``repro worker`` processes), chunk
-  leases with capped redispatch, and the same bit-identical guarantee
-  (see :mod:`repro.exec.dist`).
+  (local child processes or remote ``repro worker`` processes) and the
+  same bit-identical guarantee (see :mod:`repro.exec.dist`).
+
+The two cross-process backends are transports under one supervisor,
+:mod:`repro.exec.supervision` (chunk split, leases, retry budget, deadlines,
+result verification, degrade-or-raise): a failure costs the chunk it hit
+and nothing else. Once closed, either refuses further cohorts.
 
 Backends resolve by name through :func:`register_executor` /
 :func:`make_executor`, so new execution strategies plug in without

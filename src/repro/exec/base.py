@@ -122,67 +122,20 @@ def _ensure_builtins() -> None:
 
         return SerialExecutor(model, clients, loss, optimizer)
 
+    # The cross-process factories pass every knob through and name only
+    # what they drop, so a default lives in ``FLConfig`` and in the
+    # executor's ``__init__`` and nowhere else.
     def _parallel(
-        *,
-        model,
-        clients,
-        loss,
-        optimizer,
-        num_workers=0,
-        faults=None,
-        chunk_timeout=None,
-        chunk_retries=3,
-        degrade=True,
-        **_ignored,
+        *, bind=None, heartbeat_interval=None, heartbeat_timeout=None, worker_grace=None, **knobs
     ):
         from repro.exec.parallel import ParallelExecutor
 
-        return ParallelExecutor(
-            model,
-            clients,
-            loss,
-            optimizer,
-            num_workers=num_workers,
-            faults=faults,
-            chunk_timeout=chunk_timeout,
-            chunk_retries=chunk_retries,
-            degrade=degrade,
-        )
+        return ParallelExecutor(**knobs)
 
-    def _dist(
-        *,
-        model,
-        clients,
-        loss,
-        optimizer,
-        num_workers=0,
-        faults=None,
-        chunk_timeout=None,
-        chunk_retries=3,
-        degrade=True,
-        bind="127.0.0.1:0",
-        heartbeat_interval=0.2,
-        heartbeat_timeout=2.0,
-        worker_grace=30.0,
-        **_ignored,
-    ):
+    def _dist(**knobs):
         from repro.exec.dist import DistExecutor
 
-        return DistExecutor(
-            model,
-            clients,
-            loss,
-            optimizer,
-            num_workers=num_workers,
-            faults=faults,
-            chunk_timeout=chunk_timeout,
-            chunk_retries=chunk_retries,
-            degrade=degrade,
-            bind=bind,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            worker_grace=worker_grace,
-        )
+        return DistExecutor(**knobs)
 
     register_executor("serial", _serial)
     register_executor("parallel", _parallel)
@@ -207,14 +160,15 @@ def make_executor(
     """Build an executor backend from its config name.
 
     ``"serial"`` trains through the shared worker model; ``"parallel"``
-    fans cohorts out to a process pool (``num_workers=0`` → CPU count);
-    ``"dist"`` dispatches lease-supervised chunks to socket-connected
-    workers (see :mod:`repro.exec.dist`). Backends resolve through the
-    :func:`register_executor` registry, and every factory receives the
-    full knob set (``num_workers``, ``faults``, ``chunk_timeout``,
-    ``chunk_retries``, ``degrade``, ``bind``, heartbeat/lease settings),
-    taking what applies — serial execution, for instance, has no worker
-    processes to lose and ignores all of them.
+    fans cohorts out to a process pool; ``"dist"`` dispatches
+    lease-supervised chunks to socket-connected workers (see
+    :mod:`repro.exec.dist`); ``num_workers=0`` is a worker per CPU on both,
+    a chunk per CPU on the pool and a fixed 4 on dist. Backends resolve
+    through the :func:`register_executor` registry, and every factory
+    receives the full knob set (``num_workers``, ``faults``,
+    ``chunk_timeout``, ``chunk_retries``, ``degrade``, ``bind``,
+    heartbeat/lease settings), taking what applies — serial execution, with
+    no worker processes to lose, ignores all of them.
     """
     _ensure_builtins()
     factory = _EXECUTOR_REGISTRY.get(spec)

@@ -3,16 +3,18 @@
 Layout:
 
 - :mod:`~repro.exec.dist.wire` — length-prefixed pickled frames with crc32;
-- :mod:`~repro.exec.dist.leases` — per-dispatch chunk-lease state machine;
 - :mod:`~repro.exec.dist.scheduler` — selector-loop scheduler thread
-  (registration, heartbeats, lease assignment, recovery);
+  (registration, heartbeats, lease assignment): frames, EOFs and timers in,
+  transitions of the shared lease state machine out;
 - :mod:`~repro.exec.dist.worker` — the worker process (``repro worker``);
 - :mod:`~repro.exec.dist.executor` — :class:`DistExecutor`, the
   ``ClientExecutor`` facade registered as ``executor="dist"``.
+
+The per-dispatch lease state machine is :mod:`repro.exec.supervision`, the
+one the process pool runs on too.
 """
 
 from repro.exec.dist.executor import DistExecutor
-from repro.exec.dist.leases import Lease, LeaseTable, chunk_tasks
 from repro.exec.dist.scheduler import Scheduler
 from repro.exec.dist.wire import FrameBuffer, FrameError, recv_frame, send_frame
 from repro.exec.dist.worker import parse_address, run_worker
@@ -20,9 +22,6 @@ from repro.exec.dist.worker import parse_address, run_worker
 __all__ = [
     "DistExecutor",
     "Scheduler",
-    "Lease",
-    "LeaseTable",
-    "chunk_tasks",
     "FrameBuffer",
     "FrameError",
     "send_frame",

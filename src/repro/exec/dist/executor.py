@@ -7,13 +7,11 @@ weights + chunk lease queue) and workers — local child processes or
 external ``repro worker`` processes on other machines — dial in, register,
 heartbeat, and execute leases.
 
-Bit-identity contract (the same one the pool honors): tasks carry explicit
-batch cursors and pre-sampled latencies, chunk boundaries depend only on
-``num_workers`` (never on how many workers happen to be connected), and
-chunk execution is deterministic — so histories match ``SerialExecutor``
-byte for byte across any worker count, arrival order, mid-round kill, or
-injected fault schedule. Faults cost wall-clock and recovery counters,
-never history bits.
+The bit-identity contract is the package's (:mod:`repro.exec`) and holds
+across any worker count, arrival order, mid-round kill, or injected fault
+schedule: chunk boundaries depend only on ``num_workers`` — never on how
+many workers happen to be connected, nor on the host's CPU count — so
+faults cost wall-clock and recovery counters, never history bits.
 
 Deployment modes, chosen by the bind address:
 
@@ -27,21 +25,15 @@ Deployment modes, chosen by the bind address:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import sys
-import warnings
 from typing import Sequence
 
 import numpy as np
 
-from repro.exec.base import ClientExecutor, CohortTask, OptimizerSpec
-from repro.exec.dist.leases import chunk_tasks
+from repro.exec.base import CohortTask, OptimizerSpec
 from repro.exec.dist.scheduler import Scheduler
 from repro.exec.dist.worker import parse_address, run_worker
-from repro.exec.faults import ExecutorFaultError, FaultPlan
-from repro.exec.serial import SerialExecutor
-from repro.exec.supervision import wait_any
+from repro.exec.supervision import SupervisedExecutor, wait_any, worker_context
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.sim.client import LocalTrainingResult, SimClient
@@ -67,15 +59,17 @@ def _local_worker_entry(
     raise SystemExit(run_worker(host, port, reconnect_window=reconnect_window))
 
 
-class DistExecutor(ClientExecutor):
+class DistExecutor(SupervisedExecutor):
     """Lease-supervised dispatch to socket-connected workers.
 
-    Knobs mirror :class:`~repro.exec.parallel.ParallelExecutor` where the
-    semantics coincide (``faults``, ``chunk_timeout``, ``chunk_retries``,
-    ``degrade``) and add the network layer's own: ``bind`` (scheduler
-    address), ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness),
-    and ``worker_grace`` (how long a dispatch tolerates an empty worker
-    pool before degrading).
+    The supervision knobs (``faults``, ``chunk_timeout``, ``chunk_retries``,
+    ``degrade``) are :class:`~repro.exec.supervision.SupervisedExecutor` 's;
+    the network layer adds its own: ``bind`` (scheduler address),
+    ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness), and
+    ``worker_grace`` (how long a dispatch tolerates an empty worker pool
+    before degrading). ``num_workers`` is the chunk count and the number of
+    local workers forked; 0 cuts ``DEFAULT_CHUNKS`` chunks and forks one
+    worker per CPU.
     """
 
     name = "dist"
@@ -87,22 +81,12 @@ class DistExecutor(ClientExecutor):
         loss: Loss,
         optimizer: OptimizerSpec,
         *,
-        num_workers: int = 0,
-        faults: FaultPlan | None = None,
-        chunk_timeout: float | None = None,
-        chunk_retries: int = 3,
-        degrade: bool = True,
         bind: str = "127.0.0.1:0",
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: float = 2.0,
         worker_grace: float = 30.0,
+        **supervision,
     ):
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
-        if chunk_retries < 0:
-            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
         if heartbeat_interval <= 0:
             raise ValueError(f"heartbeat_interval must be positive, got {heartbeat_interval}")
         if heartbeat_timeout <= heartbeat_interval:
@@ -112,63 +96,25 @@ class DistExecutor(ClientExecutor):
             )
         if worker_grace <= 0:
             raise ValueError(f"worker_grace must be positive, got {worker_grace}")
-        self.num_chunks = num_workers if num_workers > 0 else DEFAULT_CHUNKS
-        self.faults = faults
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
-        self.degrade = degrade
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.worker_grace = float(worker_grace)
-        self._dispatch_seq = 0
-        self._closed = False
-        self._fallback: SerialExecutor | None = None
-        self.fallback_reason: str | None = None
-        #: Recovery telemetry, cumulative across the run; the system layer
-        #: publishes a snapshot into ``history.meta["faults"]``. The pool's
-        #: keys (``respawns`` counts replaced *local* worker processes —
-        #: remote workers respawn themselves by reconnecting) plus the
-        #: network layer's own events.
-        self.fault_counters: dict[str, int] = {
-            "retries": 0,
-            "timeouts": 0,
-            "respawns": 0,
-            "worker_deaths": 0,
-            "heartbeat_misses": 0,
-            "corrupt_detected": 0,
-            "worker_errors": 0,
-            "degraded_chunks": 0,
-            "reconnects": 0,
-            "steals": 0,
-        }
-        # Same in-parent fast path as the pool: singleton cohorts (the async
-        # baselines' steady state) skip dispatch entirely.
-        self.min_dispatch = 2
         #: Locally spawned worker processes (self-contained mode); chaos
         #: tests reach in here for pids to SIGKILL/SIGSTOP.
         self.worker_processes: list = []
-        if not model.replica_safe:
-            self.fallback_reason = (
-                f"model {model.name!r} has layers with cross-call state "
-                "(dropout RNG / batch-norm statistics); falling back to "
-                "serial execution to preserve bit-identical histories"
-            )
-            warnings.warn(self.fallback_reason, RuntimeWarning, stacklevel=2)
-            self._fallback = SerialExecutor(model, clients, loss, optimizer)
-            self._scheduler = None
+        self._scheduler = None
+        super().__init__(model, clients, loss, optimizer, **supervision)
+        self.num_chunks = self.num_workers or DEFAULT_CHUNKS
+        self.heartbeat_interval = float(heartbeat_interval)
+        self.worker_grace = float(worker_grace)
+        # The network layer's own events (remote workers respawn themselves
+        # by reconnecting, so ``respawns`` stays a count of local processes).
+        self.fault_counters.update(heartbeat_misses=0, reconnects=0, steals=0)
+        if self._fallback is not None:
             return
-        if hasattr(clients, "replicas"):
-            replicas = clients.replicas()
-        else:
-            replicas = {c.client_id: c.replica() for c in clients}
-        # In-process executor over the same replica set: sub-min_dispatch
-        # cohorts and degraded chunks run here, bit-identical by contract.
-        self._local = SerialExecutor(model.clone(), replicas, loss, optimizer)
         init_payload = {
-            "model": model.clone(),
-            "clients": replicas,
+            "model": self._local.model,
+            "clients": self._local.clients,
             "loss": loss,
             "optimizer": optimizer,
-            "faults": faults,
+            "faults": self.faults,
             "heartbeat_interval": self.heartbeat_interval,
         }
         host, port = parse_address(bind)
@@ -183,25 +129,12 @@ class DistExecutor(ClientExecutor):
             # Ephemeral port ⇒ nobody external can have been told where to
             # connect: this run owns its workers. Explicit port ⇒ external
             # `repro worker` processes are expected and we spawn none.
-            self._spawn_local(num_workers if num_workers > 0 else (os.cpu_count() or 1))
+            self._spawn_local(self.num_workers or os.cpu_count() or 1)
 
     # ------------------------------------------------------------------ #
-    @property
-    def address(self) -> tuple[str, int]:
-        """The scheduler's bound ``(host, port)``."""
-        if self._scheduler is None:
-            raise RuntimeError(f"executor fell back to serial: {self.fallback_reason}")
-        return self._scheduler.address
-
-    @property
-    def live_workers(self) -> int:
-        return 0 if self._scheduler is None else self._scheduler.live_workers
-
     def _spawn_local(self, count: int) -> None:
         host, port = self._scheduler.address
-        # fork shares the parent's address space (cheap replica setup) but is
-        # only reliably safe on Linux — same platform reasoning as the pool.
-        ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+        ctx = worker_context()
         inherited = self._scheduler if ctx.get_start_method() == "fork" else None
         for _ in range(count):
             proc = ctx.Process(
@@ -229,7 +162,7 @@ class DistExecutor(ClientExecutor):
         while ``waitpid`` can still report a SIGKILLed process as running
         for as long as the kernel takes to finish it off.
         """
-        if self._closed or not self.worker_processes:
+        if not self.worker_processes:
             return
         gone = wait_any([p.sentinel for p in self.worker_processes], timeout=0)
         if not gone:
@@ -243,12 +176,6 @@ class DistExecutor(ClientExecutor):
         self.worker_processes = alive
         self.fault_counters["respawns"] += len(gone)
         self._spawn_local(len(gone))
-
-    def spawn_worker(self) -> None:
-        """Add one more local worker process (test/chaos hook)."""
-        if self._scheduler is None:
-            raise RuntimeError(f"executor fell back to serial: {self.fallback_reason}")
-        self._spawn_local(1)
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> int:
         """Block until ``count`` workers are registered (or timeout).
@@ -265,32 +192,17 @@ class DistExecutor(ClientExecutor):
     def run_cohort(
         self, start_weights: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
-        if self._fallback is not None:
-            return self._fallback.run_cohort(start_weights, tasks)
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if len(tasks) < self.min_dispatch:
-            # In-parent fast path, outside the fault domain — injections
-            # model worker/network infrastructure and there is none here.
-            return self._local.run_cohort(start_weights, tasks)
+        results = self._in_parent(start_weights, tasks)
+        if results is not None:
+            return results
         start_weights = np.ascontiguousarray(start_weights)
         # Repair the local roster before dispatching, not just while
         # waiting: a worker killed between dispatches dies while nobody is
         # watching its sentinel.
         self._reap_and_respawn()
-        chunks = chunk_tasks(tasks, self.num_chunks)
-        dispatch = self._dispatch_seq
-        self._dispatch_seq += 1
-        version = self._scheduler.publish_weights(start_weights)
-        job = self._scheduler.submit(
-            dispatch,
-            chunks,
-            version,
-            retry_budget=self.chunk_retries,
-            timeout=self.chunk_timeout,
-        )
-        while not job.done.is_set():
+        dispatch = self._begin(tasks, self.num_chunks)
+        done = self._scheduler.submit(dispatch, self._scheduler.publish_weights(start_weights))
+        while not done.is_set():
             # Sleep until the job resolves or a local worker process dies —
             # the lease layer recovers the chunk, this loop the roster.
             ready = wait_any(
@@ -300,34 +212,7 @@ class DistExecutor(ClientExecutor):
                 self._scheduler.done_channel.drain()
             else:
                 self._reap_and_respawn()
-        out: list[LocalTrainingResult] = []
-        for idx, chunk in enumerate(chunks):
-            if job.results[idx] is not None:
-                out.extend(job.results[idx])
-                continue
-            lease = job.table.leases[idx]
-            reason = lease.failed_reason or "chunk unresolved"
-            if not self.degrade:
-                raise ExecutorFaultError(
-                    executor=self.name,
-                    chunk=idx,
-                    chunk_size=len(chunk),
-                    num_workers=self.live_workers,
-                    attempts=lease.attempts,
-                    retry_budget=self.chunk_retries,
-                    counters=self.fault_counters,
-                    reason=reason,
-                )
-            self.fault_counters["degraded_chunks"] += 1
-            warnings.warn(
-                f"executor {self.name!r}: chunk {idx} exhausted its retry "
-                f"budget ({reason}); degrading to in-process serial "
-                "execution for this chunk",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            out.extend(self._local.run_cohort(start_weights, chunk))
-        return out
+        return self._finish(dispatch, start_weights, self._scheduler.live_workers)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -346,9 +231,3 @@ class DistExecutor(ClientExecutor):
                 proc.terminate()
                 proc.join(timeout=2.0)
         self.worker_processes = []
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass

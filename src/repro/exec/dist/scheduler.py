@@ -28,25 +28,21 @@ After every wake-up, whatever its cause, the loop runs one pass that acts
 on what is due, hands pending chunks to idle workers and resolves a
 finished job — so a dispatch costs the round trip, not a poll interval.
 
-Supervision model (the PR-8 pool supervisor, lifted across the network):
+Lease transitions — verify a result, requeue on error / loss / expiry,
+spend retry budget — are :class:`~repro.exec.supervision.Dispatch` 's, the
+same object the process pool drives; this module turns frames, EOFs and
+timers into those transitions and adds what only a network has:
 
 - workers register and heartbeat; a quiet connection past
-  ``heartbeat_timeout`` is declared dead and its lease requeued;
-- an EOF (crashed or dropped worker) requeues instantly;
-- results are crc32-verified when a fault plan is active; a mismatch
-  requeues;
-- lease deadlines (``chunk_timeout``) recover wedged-but-heartbeating
-  workers — the connection stays open but earns no new leases until it
-  proves liveness with a result or error frame;
-- every requeue burns one unit of the chunk's ``1 + chunk_retries``
-  budget; idle workers steal requeued leases off the shared queue;
+  ``heartbeat_timeout`` is declared dead, which (like an EOF from a crashed
+  or dropped worker) loses the lease it held;
+- a worker past its lease deadline (``chunk_timeout``) but still
+  heartbeating is presumed wedged — the connection stays open but earns no
+  new leases until it proves liveness with a result or error frame;
+- idle workers steal requeued leases off the shared queue;
 - zero live workers for ``worker_grace`` seconds — or every worker wedged
   with nothing in flight — fails the remaining chunks, which the executor
   then degrades in-process (or surfaces as ``ExecutorFaultError``).
-
-Chunk execution is deterministic, so a stale attempt's result is accepted
-whenever the chunk is still unresolved: the bytes are identical to the
-replacement attempt's, and taking them is pure recovery speed.
 """
 
 from __future__ import annotations
@@ -55,14 +51,12 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 
-from repro.exec.dist.leases import LeaseTable
 from repro.exec.dist.wire import FrameBuffer, encode_frame
-from repro.exec.faults import chunk_checksum
-from repro.exec.supervision import WakeChannel, wait_budget
+from repro.exec.supervision import Dispatch, WakeChannel, wait_budget
 
 __all__ = ["Scheduler"]
 
@@ -102,24 +96,9 @@ class _Conn:
         self.closed = False
 
 
-class _Job:
-    """One dispatch: chunks in, per-chunk results (or failures) out."""
-
-    def __init__(
-        self,
-        dispatch: int,
-        chunks: list,
-        weights_version: int,
-        *,
-        retry_budget: int,
-        timeout: float | None,
-    ):
-        self.dispatch = dispatch
-        self.chunks = chunks
-        self.weights_version = weights_version
-        self.table = LeaseTable(len(chunks), retry_budget=retry_budget, timeout=timeout)
-        self.results: list = [None] * len(chunks)
-        self.done = threading.Event()
+#: A submitted dispatch, the weights version it runs on, and the event set
+#: once it is resolved.
+_Job = namedtuple("_Job", "dispatch weights_version done")
 
 
 class Scheduler:
@@ -210,26 +189,16 @@ class Scheduler:
             self._weights_frame = encode_frame(("weights", self._weights_version, arr))
             return self._weights_version
 
-    def submit(
-        self,
-        dispatch: int,
-        chunks: list,
-        weights_version: int,
-        *,
-        retry_budget: int,
-        timeout: float | None,
-    ) -> _Job:
+    def submit(self, dispatch: Dispatch, weights_version: int) -> threading.Event:
         """Queue one dispatch and wake the loop.
 
-        The returned job's ``done`` event is set, and ``done_channel``
-        signalled, once every chunk is completed or failed.
+        The returned event is set, and ``done_channel`` signalled, once
+        every chunk of ``dispatch`` is completed or failed.
         """
-        job = _Job(
-            dispatch, chunks, weights_version, retry_budget=retry_budget, timeout=timeout
-        )
+        job = _Job(dispatch, weights_version, threading.Event())
         self._inbox.append(job)
         self._wake.signal()
-        return job
+        return job.done
 
     def wait_for_workers(self, count: int, timeout: float) -> int:
         """Block until ``count`` workers are registered; returns the roster size."""
@@ -364,10 +333,13 @@ class Scheduler:
             self._on_register(conn, msg)
         elif kind == "heartbeat":
             pass  # last_seen already refreshed
-        elif kind == "result":
-            self._on_result(conn, msg)
-        elif kind == "error":
-            self._on_error(conn, msg)
+        elif kind in ("result", "error"):
+            _, dispatch, chunk, _attempt, *body = msg
+            current = self._lease_of(conn, dispatch, chunk)
+            if current is not None and kind == "result":
+                current.result(chunk, conn.worker_id, *body)
+            elif current is not None:
+                current.error(chunk, conn.worker_id, f"worker error: {body[0]}")
         # Unknown frames are ignored (forward compatibility).
 
     def _on_register(self, conn: _Conn, msg) -> None:
@@ -389,46 +361,14 @@ class Scheduler:
         if self.log:
             self.log(f"scheduler: worker {conn.worker_id} registered (pid {conn.pid})")
 
-    def _on_result(self, conn: _Conn, msg) -> None:
-        _, dispatch, chunk, attempt, results, checksum = msg
+    def _lease_of(self, conn: _Conn, dispatch: int, chunk: int) -> Dispatch | None:
+        """Free ``conn`` of the lease an event ends; returns the current
+        dispatch if the lease is one of its own (a cross-dispatch straggler
+        was resolved elsewhere long ago)."""
         if conn.inflight == (dispatch, chunk):
             conn.inflight = None
         job = self._job
-        if job is None or dispatch != job.dispatch:
-            return  # stale cross-dispatch result; already resolved elsewhere
-        if not job.table.accepts(chunk):
-            return
-        lease = job.table.leases[chunk]
-        if checksum is not None and chunk_checksum(results) != checksum:
-            self.counters["corrupt_detected"] += 1
-            # Only the active attempt's corruption triggers a requeue; a
-            # stale corrupt frame must not clobber a live reassignment.
-            if lease.worker == conn.worker_id:
-                self._requeue(job, chunk, "result checksum mismatch")
-            return
-        job.results[chunk] = results
-        job.table.complete(chunk)
-
-    def _on_error(self, conn: _Conn, msg) -> None:
-        _, dispatch, chunk, attempt, reason = msg
-        if conn.inflight == (dispatch, chunk):
-            conn.inflight = None
-        job = self._job
-        if job is None or dispatch != job.dispatch or not job.table.accepts(chunk):
-            return
-        if job.table.leases[chunk].worker != conn.worker_id:
-            return  # stale error from a superseded attempt
-        self.counters["worker_errors"] += 1
-        self._requeue(job, chunk, f"worker error: {reason}")
-
-    # ------------------------------------------------------------------ #
-    # Recovery transitions
-    # ------------------------------------------------------------------ #
-    def _requeue(self, job: _Job, chunk: int, reason: str) -> bool:
-        retried = job.table.requeue(chunk, reason)
-        if retried:
-            self.counters["retries"] += 1
-        return retried
+        return job.dispatch if job is not None and job.dispatch.seq == dispatch else None
 
     def _dead(self, conn: _Conn, why: str) -> None:
         if conn.closed:
@@ -451,16 +391,11 @@ class Scheduler:
                 self.counters["worker_deaths"] += 1
         if self.log:
             self.log(f"scheduler: dropped {conn.worker_id or conn.addr} ({why})")
-        job = self._job
-        if job is None or conn.inflight is None:
-            return
-        dispatch, chunk = conn.inflight
-        if dispatch != job.dispatch or not job.table.accepts(chunk):
-            return
-        # Requeue only if this connection still holds the active lease — an
-        # expired-and-reassigned chunk belongs to someone else now.
-        if job.table.leases[chunk].worker == conn.worker_id:
-            self._requeue(job, chunk, why)
+        if conn.inflight is not None:
+            dispatch, chunk = conn.inflight
+            current = self._lease_of(conn, dispatch, chunk)
+            if current is not None:
+                current.lost(chunk, conn.worker_id, why)
 
     # ------------------------------------------------------------------ #
     # One pass after every wake-up: timers, assignment, completion
@@ -487,7 +422,7 @@ class Scheduler:
             if job is None:
                 break
             self._supervise(job, live, now)
-            if not job.table.finished():
+            if not job.dispatch.finished():
                 break
             self._job = None
             self._no_worker_since = None
@@ -502,14 +437,15 @@ class Scheduler:
                 yield conn.last_seen + self.heartbeat_timeout
         job = self._job
         if job is not None:
-            yield job.table.next_deadline()
+            yield job.dispatch.next_deadline()
             if self._no_worker_since is not None:
                 yield self._no_worker_since + self.worker_grace
             if self._stall_since is not None:
                 yield self._stall_since + self._stall_window(job)
 
     def _stall_window(self, job: _Job) -> float:
-        return job.table.timeout if job.table.timeout is not None else self.worker_grace
+        timeout = job.dispatch.timeout
+        return timeout if timeout is not None else self.worker_grace
 
     def _publish_roster(self, count: int) -> None:
         if count != self.live_workers:
@@ -522,45 +458,45 @@ class Scheduler:
         self.done_channel.signal()
 
     def _supervise(self, job: _Job, live: list[_Conn], now: float) -> None:
-        for lease in job.table.expired(now):
-            # The holder keeps heartbeating but is presumed wedged; it earns
-            # no new leases (inflight stays set) until it proves liveness.
-            self.counters["timeouts"] += 1
-            self._requeue(job, lease.chunk, "lease deadline expired")
-
+        dispatch = job.dispatch
+        # An expired lease's holder keeps heartbeating but is presumed
+        # wedged; it earns no new leases (inflight stays set) until it
+        # proves liveness.
+        dispatch.expire(now)
         if not live:
             self._stall_since = None
             if self._no_worker_since is None:
                 self._no_worker_since = now
             elif now - self._no_worker_since >= self.worker_grace:
-                job.table.fail_pending("no live workers")
+                dispatch.fail_pending("no live workers")
             return
         self._no_worker_since = None
         self._assign(job, now)
         idle = [c for c in live if c.inflight is None and not c.closed]
         # Expired leases were requeued above, so whatever is still
         # outstanding can still land.
-        if job.table.has_pending() and not idle and not job.table.outstanding():
+        if dispatch.has_pending() and not idle and not dispatch.outstanding():
             # Every worker is wedged on an expired lease and nothing can
             # land; after a stall window, hand the chunks back to the
             # executor rather than deadlock.
             if self._stall_since is None:
                 self._stall_since = now
             elif now - self._stall_since >= self._stall_window(job):
-                job.table.fail_pending("no responsive workers")
+                dispatch.fail_pending("no responsive workers")
         else:
             self._stall_since = None
 
     def _assign(self, job: _Job, now: float) -> None:
+        dispatch = job.dispatch
         for conn in list(self._conns):
-            if not job.table.has_pending():
-                return
             if conn.closed or not conn.registered or conn.inflight is not None:
                 continue
-            lease = job.table.assign(conn.worker_id, now=now)
+            lease = dispatch.assign(conn.worker_id, now=now)
             if lease is None:
                 return
-            if job.table.stolen(lease):
+            # Counted here, not in the dispatch: only a roster of named,
+            # lasting workers can tell a rebalance from a plain retry.
+            if dispatch.stolen(lease):
                 self.counters["steals"] += 1
             if conn.weights_version != job.weights_version:
                 # Buffered, not sent: the weights leave with the lease below,
@@ -570,17 +506,17 @@ class Scheduler:
                 conn.weights_version = job.weights_version
             # Marked in flight before the send, so a failed send (-> _dead)
             # finds the lease and requeues it.
-            conn.inflight = (job.dispatch, lease.chunk)
+            conn.inflight = (dispatch.seq, lease.chunk)
             self._queue(
                 conn,
                 encode_frame(
                     (
                         "lease",
-                        job.dispatch,
+                        dispatch.seq,
                         lease.chunk,
                         lease.attempts - 1,
                         job.weights_version,
-                        job.chunks[lease.chunk],
+                        dispatch.chunks[lease.chunk],
                     )
                 ),
             )
@@ -610,7 +546,5 @@ class Scheduler:
         self._job = None
         self._inbox.clear()
         for job in jobs:
-            for lease in job.table.leases:
-                if not lease.done and lease.failed_reason is None:
-                    lease.failed_reason = "scheduler stopped"
+            job.dispatch.abandon("scheduler stopped")
             self._resolve(job)

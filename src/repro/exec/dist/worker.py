@@ -14,7 +14,7 @@ the AstraFlow worker/scheduler split:
 - **serve** — execute each lease ``(dispatch, chunk, attempt)`` through
   the serial core and reply with results + a crc32 chunk checksum.
 
-Injected faults (:class:`~repro.exec.faults.FaultPlan`, drawn per lease
+Injected faults (:func:`~repro.exec.faults.run_attempt`, drawn per lease
 key so chaos runs are bit-reproducible) fire here, where the real failure
 would: ``crash`` kills the process, ``hang``/``delay`` stall the result
 frame, ``corrupt`` damages it after the checksum, and ``drop`` severs the
@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from repro.exec.dist.wire import FrameError, recv_frame, send_frame
-from repro.exec.faults import FaultPlan, chunk_checksum, corrupt_results
+from repro.exec.faults import FaultPlan, run_attempt
 from repro.exec.serial import SerialExecutor
 
 __all__ = ["run_worker", "parse_address"]
@@ -140,53 +140,27 @@ class _WorkerCore:
     def _serve_lease(self, sock, send_lock, msg, log) -> str | None:
         _, dispatch, chunk, attempt, version, tasks = msg
         key = (int(dispatch), int(chunk), int(attempt))
-        injected: tuple[str, ...] = ()
-        if self.plan is not None:
-            injected = self.plan.chunk_faults(*key)
-            if "crash" in injected:
-                # Die the way an OOM-killed worker dies: no goodbye frame.
-                os._exit(3)
-            if "drop" in injected:
-                # Sever the link before doing any work — the scheduler sees
-                # EOF, requeues the lease, and we reconnect + re-register.
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                return "drop"
-        if self.executor is None or self.weights is None or version != self.weights_version:
-            send_frame(
-                sock,
-                ("error", *key, f"worker missing weights version {version}"),
-                lock=send_lock,
-            )
-            return None
         try:
-            results = self.executor.run_cohort(self.weights, tasks)
+            if self.executor is None or self.weights is None or version != self.weights_version:
+                raise RuntimeError(f"worker missing weights version {version}")
+            outcome = run_attempt(self.executor, self.plan, key, self.weights, tasks)
+            reply = ("result", *key, *outcome)
+        except ConnectionAbortedError:
+            # Injected drop: the scheduler sees EOF and requeues the lease;
+            # the caller reconnects and re-registers.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            return "drop"
         except Exception as exc:  # deterministic task bug — report, don't die
-            send_frame(
-                sock,
-                ("error", *key, f"{type(exc).__name__}: {exc}"),
-                lock=send_lock,
-            )
-            return None
-        checksum = chunk_checksum(results) if self.plan is not None else None
-        if "corrupt" in injected:
-            # Damage the payload *after* the checksum, modelling in-transit
-            # corruption the scheduler's verify must catch.
-            corrupt_results(results)
-        if "delay" in injected:
-            time.sleep(self.plan.delay_seconds)
-        if "hang" in injected:
-            # Heartbeats keep flowing (the thread lives) — only the lease
-            # deadline can recover a wedged executor, exactly like the pool.
-            time.sleep(self.plan.hang_seconds)
+            reply = ("error", *key, f"{type(exc).__name__}: {exc}")
         try:
-            send_frame(sock, ("result", *key, results, checksum), lock=send_lock)
+            send_frame(sock, reply, lock=send_lock)
         except OSError:
             return "eof"
         if log:
-            log(f"worker {self.worker_id}: chunk {chunk} attempt {attempt} done")
+            log(f"worker {self.worker_id}: chunk {chunk} attempt {attempt} {reply[0]}")
         return None
 
 

@@ -40,6 +40,8 @@ retries make progress, and the schedule is independent of execution order
 from __future__ import annotations
 
 import hashlib
+import os
+import time
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -58,6 +60,7 @@ __all__ = [
     "parse_faults",
     "chunk_checksum",
     "corrupt_results",
+    "run_attempt",
 ]
 
 FAULT_FAMILIES = ("crash", "hang", "corrupt", "drop", "delay")
@@ -259,3 +262,39 @@ def corrupt_results(results: "Sequence[LocalTrainingResult]") -> None:
         w = np.array(r.weights, dtype=r.weights.dtype, copy=True)
         w[:: max(1, w.size // 7)] = np.nan
         r.weights = w
+
+
+# --------------------------------------------------------------------- #
+# The worker side of one attempt
+# --------------------------------------------------------------------- #
+def run_attempt(executor, plan: FaultPlan | None, key: tuple[int, int, int], weights, tasks):
+    """Run one leased attempt in a worker: ``(results, checksum)``.
+
+    ``key`` is the attempt's ``(dispatch, chunk, attempt)``. Injected faults
+    are drawn from it and fire here, in the worker, exactly where the real
+    failure would happen; the checksum (taken only under an active fault
+    plan, ``None`` otherwise) lets the parent verify integrity. An injected
+    ``drop`` raises ``ConnectionAbortedError``: the caller severs its link.
+    """
+    injected = plan.chunk_faults(*key) if plan is not None else ()
+    if "crash" in injected:
+        # Die the way an OOM-killed / segfaulted worker dies: no exception
+        # back to the parent, no goodbye frame, no cleanup, just a corpse.
+        os._exit(3)
+    if "drop" in injected:
+        # Before doing any work: the supervisor sees the link go down and
+        # requeues the lease.
+        raise ConnectionAbortedError(f"injected drop on attempt {key}")
+    results = executor.run_cohort(weights, tasks)
+    checksum = chunk_checksum(results) if plan is not None else None
+    if "corrupt" in injected:
+        # Damage the payload *after* the checksum, modelling in-transit
+        # corruption: the parent's verify catches it and redispatches.
+        corrupt_results(results)
+    if "delay" in injected:
+        time.sleep(plan.delay_seconds)
+    if "hang" in injected:
+        # Only the lease deadline recovers this (a dist worker's heartbeat
+        # thread lives on, so its connection looks healthy throughout).
+        time.sleep(plan.hang_seconds)
+    return results, checksum

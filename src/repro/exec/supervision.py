@@ -1,21 +1,58 @@
-"""Building blocks of event-driven supervision.
+"""The one supervision state machine both cross-process executors run on.
 
-The process pool's supervisor and the socket scheduler both sleep until
-something happens or a deadline is due, never on a fixed tick. Both ask
-:func:`wait_budget` how long they may block, and the loops that watch
-process sentinels block in :func:`wait_any`. :class:`WakeChannel` is for
-the events that are not file descriptors to begin with — one thread handing
-work to, or taking a result from, another: the scheduler has one in each
-direction; the pool, whose events all arrive on pipes and sentinels, needs
-none.
+A cohort is cut into contiguous chunks (:func:`chunk_tasks`) and a chunk is
+never *given* to a worker — it is **leased**: ``(dispatch, chunk, attempt)``
+plus an optional wall-clock deadline. The lease, not the worker, is the
+unit of recovery. :class:`Dispatch` holds one dispatch's leases, chunks and
+results, and every way an attempt can end is one of its transitions: a
+result arrives (crc32-verified under a fault plan; a mismatch requeues), the
+worker reports an error, the holder dies or drops, the deadline passes.
+Every requeue costs *that chunk* one attempt of its retry budget and
+nothing else — its siblings' leases, workers and budgets are untouched, so
+how a fault schedule is recovered depends on the schedule, not on what else
+was in flight when a failure was noticed. A chunk out of budget fails;
+:class:`SupervisedExecutor`, the parent-side front the executors share, then
+degrades it in-process or raises
+:class:`~repro.exec.faults.ExecutorFaultError`. Chunk work is deterministic,
+so duplicate attempts are harmless and the first verified result wins.
+
+The transports differ only in how events reach the transitions: the process
+pool (:mod:`repro.exec.parallel`) reads them off pipes and process
+sentinels, the socket scheduler (:mod:`repro.exec.dist.scheduler`) off
+frames, EOFs and heartbeat timers. Neither ticks: both sleep until an event
+or the earliest armed deadline (:func:`wait_budget`), sentinel watchers
+block in :func:`wait_any`, and :class:`WakeChannel` carries the events that
+are not file descriptors to begin with — one thread handing work to, or
+taking a result from, another.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
-from typing import Iterable
+import sys
+import time
+import warnings
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
-__all__ = ["WakeChannel", "wait_budget", "wait_any"]
+import numpy as np
+
+from repro.exec.base import ClientExecutor, CohortTask
+from repro.exec.faults import ExecutorFaultError, FaultPlan, chunk_checksum
+from repro.exec.serial import SerialExecutor
+
+__all__ = [
+    "WakeChannel",
+    "wait_budget",
+    "wait_any",
+    "chunk_tasks",
+    "Lease",
+    "LeaseTable",
+    "Dispatch",
+    "SupervisedExecutor",
+    "worker_context",
+]
 
 #: Shortest sleep :func:`wait_budget` grants for an armed deadline. The
 #: supervisors fire a deadline on a strict ``now > deadline``, so a wake-up
@@ -94,3 +131,401 @@ class WakeChannel:
     def close(self) -> None:
         self._r.close()
         self._w.close()
+
+
+def worker_context(start_method: str | None = None):
+    """The ``multiprocessing`` context worker processes are started from.
+
+    fork shares the parent's address space (cheap replica setup) but is only
+    reliably safe on Linux: macOS lists "fork" yet forking after
+    NumPy/Accelerate initialization can crash or deadlock workers (which is
+    why its platform default is spawn). Elsewhere use the platform default;
+    results are identical either way since workers get the same init state.
+    """
+    if start_method is None and sys.platform == "linux":
+        start_method = "fork"
+    return multiprocessing.get_context(start_method)
+
+
+# --------------------------------------------------------------------- #
+# Chunks and leases
+# --------------------------------------------------------------------- #
+def chunk_tasks(tasks: Sequence, n: int) -> list[list]:
+    """Contiguous near-even split preserving task order.
+
+    Chunk boundaries are part of the deterministic fault-key space, so
+    every transport cuts a cohort here and nowhere else.
+    """
+    n = min(n, len(tasks))
+    bounds = np.linspace(0, len(tasks), n + 1).astype(int)
+    return [list(tasks[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+@dataclass
+class Lease:
+    """One chunk's live assignment state within a dispatch."""
+
+    chunk: int
+    attempts: int = 0  # attempts handed out so far
+    worker: str | None = None  # worker_id currently holding the lease
+    deadline: float | None = None  # monotonic expiry of the active attempt
+    #: worker_id of the previous attempt — a different next assignee is a
+    #: "steal" (the telemetry distinguishing rebalance from plain retry).
+    last_worker: str | None = None
+    done: bool = False
+    failed_reason: str | None = None
+    #: ``(attempt, worker, outcome)`` per ended attempt; a failed chunk's
+    #: warning or error quotes it, so a failure says where each try went.
+    history: list = field(default_factory=list)
+
+    @property
+    def resolved(self) -> bool:
+        return self.done or self.failed_reason is not None
+
+
+class LeaseTable:
+    """Attempt / budget / deadline bookkeeping over the chunks of a dispatch.
+
+    Life cycle per chunk: pending -> leased -> (done | requeued -> pending
+    | failed). ``failed`` chunks exhausted their attempts; the executor
+    decides whether they degrade in-process or abort the run.
+    """
+
+    def __init__(self, num_chunks: int, *, retry_budget: int, timeout: float | None):
+        if num_chunks < 1:
+            raise ValueError("a dispatch needs at least one chunk")
+        if retry_budget < 0:
+            raise ValueError("retry_budget must be >= 0")
+        self.budget = 1 + retry_budget
+        self.timeout = timeout
+        self.leases = [Lease(chunk=i) for i in range(num_chunks)]
+        self._pending = list(range(num_chunks))  # FIFO of assignable chunks
+
+    # ------------------------------------------------------------------ #
+    # Queries
+    # ------------------------------------------------------------------ #
+    def has_pending(self) -> bool:
+        return bool(self._pending)
+
+    def outstanding(self) -> list[Lease]:
+        """Leases currently held by a worker (assigned, not resolved)."""
+        return [lease for lease in self.leases if lease.worker is not None and not lease.resolved]
+
+    def finished(self) -> bool:
+        """Every chunk either completed or exhausted its budget."""
+        return all(lease.resolved for lease in self.leases)
+
+    def failures(self) -> list[Lease]:
+        return [lease for lease in self.leases if lease.failed_reason is not None]
+
+    def accepts(self, chunk: int) -> bool:
+        """Whether a result for ``chunk`` is still wanted.
+
+        Any attempt's result is acceptable until the chunk is done: chunk
+        execution is deterministic, so a stale attempt that beats its
+        replacement home carries the identical bytes (checksum-verified by
+        the caller) — taking it is pure recovery speed, and it can still
+        rescue a chunk that has meanwhile run out of attempts.
+        """
+        return 0 <= chunk < len(self.leases) and not self.leases[chunk].done
+
+    def expired(self, now: float) -> list[Lease]:
+        """Outstanding leases whose deadline has passed."""
+        return [
+            lease
+            for lease in self.outstanding()
+            if lease.deadline is not None and now > lease.deadline
+        ]
+
+    def next_deadline(self) -> float | None:
+        """Earliest deadline among outstanding leases; None when none is armed.
+
+        The instant after which :meth:`expired` first has something to
+        report — what the supervisor sleeps until. Resolved and requeued
+        leases carry no deadline, so a lease that expired and was requeued
+        no longer counts.
+        """
+        return min(
+            (lease.deadline for lease in self.outstanding() if lease.deadline is not None),
+            default=None,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Transitions
+    # ------------------------------------------------------------------ #
+    def assign(self, worker_id: str, *, now: float | None = None) -> Lease | None:
+        """Hand the next pending chunk to ``worker_id``; None when drained.
+
+        Returns the lease with its attempt already counted, so the caller
+        keys fault draws off ``attempts - 1`` (attempt indices are 0-based).
+        """
+        if not self._pending:
+            return None
+        lease = self.leases[self._pending.pop(0)]
+        lease.worker = worker_id
+        lease.attempts += 1
+        if self.timeout is not None:
+            lease.deadline = (time.monotonic() if now is None else now) + self.timeout
+        return lease
+
+    def stolen(self, lease: Lease) -> bool:
+        """Whether the active assignment moved to a different worker."""
+        return lease.last_worker is not None and lease.worker != lease.last_worker
+
+    def _release(self, lease: Lease, outcome: str) -> None:
+        lease.history.append((lease.attempts - 1, lease.worker, outcome))
+        lease.last_worker = lease.worker
+        lease.worker = None
+        lease.deadline = None
+
+    def complete(self, chunk: int) -> Lease:
+        lease = self.leases[chunk]
+        lease.done = True
+        # A stale attempt's result can land while the chunk waits to be
+        # retried, or after it ran out of attempts: done wins either way.
+        lease.failed_reason = None
+        if chunk in self._pending:
+            self._pending.remove(chunk)
+        self._release(lease, "done")
+        return lease
+
+    def requeue(self, chunk: int, reason: str) -> bool:
+        """Return the lease to the pending queue, or fail it on exhaustion.
+
+        Returns True when the chunk will be retried, False when its budget
+        is spent (``failed_reason`` records why).
+        """
+        lease = self.leases[chunk]
+        if lease.resolved:
+            return False
+        self._release(lease, reason)
+        if lease.attempts >= self.budget:
+            lease.failed_reason = reason
+            return False
+        self._pending.append(lease.chunk)
+        return True
+
+    def fail_pending(self, reason: str) -> list[Lease]:
+        """Fail every unassigned pending chunk outright (no workers left)."""
+        failed = [self.leases[chunk] for chunk in self._pending]
+        for lease in failed:
+            lease.failed_reason = reason
+            lease.history.append((max(lease.attempts - 1, 0), None, reason))
+        self._pending.clear()
+        return failed
+
+
+class Dispatch(LeaseTable):
+    """One dispatch: chunks in, per-chunk results (or failures) out.
+
+    The transitions below are the only code that verifies a result or spends
+    retry budget, and each counts what it did in ``counters`` (the
+    executor's ``fault_counters``). ``worker`` names who an event came from:
+    only the lease's *current* holder can requeue it — a late error, EOF or
+    corrupt frame from a superseded attempt must not clobber the live
+    reassignment. A lease handed out by :meth:`assign` has the fault key
+    ``(seq, lease.chunk, lease.attempts - 1)``.
+    """
+
+    def __init__(
+        self,
+        seq: int,
+        chunks: list[list[CohortTask]],
+        *,
+        retry_budget: int,
+        timeout: float | None,
+        counters: dict[str, int],
+    ):
+        super().__init__(len(chunks), retry_budget=retry_budget, timeout=timeout)
+        self.seq = seq
+        self.chunks = chunks
+        self.results: list = [None] * len(chunks)
+        self.counters = counters
+
+    def requeue(self, chunk: int, reason: str) -> bool:
+        retried = super().requeue(chunk, reason)
+        self.counters["retries"] += retried
+        return retried
+
+    def _held_by(self, chunk: int, worker: str) -> bool:
+        return self.accepts(chunk) and self.leases[chunk].worker == worker
+
+    def result(self, chunk: int, worker: str, results: list, checksum: int | None) -> None:
+        """Verify and take a chunk's results, from any attempt still wanted."""
+        if not self.accepts(chunk):
+            return
+        if checksum is not None and chunk_checksum(results) != checksum:
+            self.counters["corrupt_detected"] += 1
+            if self._held_by(chunk, worker):
+                self.requeue(chunk, "result checksum mismatch")
+            return
+        self.results[chunk] = results
+        self.complete(chunk)
+
+    def error(self, chunk: int, worker: str, reason: str) -> None:
+        """``worker`` answered its lease with an exception instead of results."""
+        if self._held_by(chunk, worker):
+            self.counters["worker_errors"] += 1
+            self.requeue(chunk, reason)
+
+    def lost(self, chunk: int, worker: str, reason: str) -> None:
+        """``worker`` is gone (died, dropped, went quiet) with ``chunk`` in hand."""
+        if self._held_by(chunk, worker):
+            self.requeue(chunk, reason)
+
+    def expire(self, now: float) -> list[Lease]:
+        """Requeue every lease past its deadline; returns them. Each holder
+        is presumed wedged, and what becomes of it is the transport's call."""
+        expired = self.expired(now)
+        for lease in expired:
+            self.counters["timeouts"] += 1
+            self.requeue(lease.chunk, "lease deadline expired")
+        return expired
+
+    def abandon(self, reason: str) -> None:
+        """Fail whatever is unresolved: the transport is going away."""
+        for lease in self.leases:
+            if not lease.resolved:
+                lease.failed_reason = reason
+
+
+# --------------------------------------------------------------------- #
+# The parent-side front
+# --------------------------------------------------------------------- #
+class SupervisedExecutor(ClientExecutor):
+    """What :class:`ParallelExecutor` and :class:`DistExecutor` share.
+
+    The supervision knobs and their defaults (the subclasses pass them
+    through, so each default is written here and in ``FLConfig`` only),
+    recovery counters, the replica-safety fallback, the in-parent executor,
+    and both ends of a dispatch; a subclass's ``run_cohort`` is
+    :meth:`_in_parent`, :meth:`_begin`, its transport, :meth:`_finish`.
+    """
+
+    def __init__(
+        self,
+        model,
+        clients,
+        loss,
+        optimizer,
+        *,
+        num_workers: int = 0,
+        faults: FaultPlan | None = None,
+        chunk_timeout: float | None = None,
+        chunk_retries: int = 3,
+        degrade: bool = True,
+    ):
+        if num_workers < 0:
+            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
+        if chunk_timeout is not None and chunk_timeout <= 0:
+            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
+        if chunk_retries < 0:
+            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
+        self.num_workers = num_workers
+        self.faults = faults
+        self.chunk_timeout = chunk_timeout
+        self.chunk_retries = chunk_retries
+        self.degrade = degrade
+        self._dispatch_seq = 0
+        self._closed = False
+        #: Recovery telemetry, cumulative across the run; the system layer
+        #: publishes a snapshot into ``history.meta["faults"]``. ``respawns``
+        #: counts replaced *local* worker processes.
+        self.fault_counters: dict[str, int] = {
+            "retries": 0,
+            "timeouts": 0,
+            "respawns": 0,
+            "worker_deaths": 0,
+            "corrupt_detected": 0,
+            "worker_errors": 0,
+            "degraded_chunks": 0,
+        }
+        # Cohorts below this size skip dispatch and run in-process (the
+        # async baselines' steady-state singletons pay a full IPC round-trip
+        # for zero parallelism otherwise). Bit-identical either way by the
+        # replica-safety contract, so the path choice is unobservable.
+        self.min_dispatch = 2
+        self.fallback_reason: str | None = None
+        self._fallback: SerialExecutor | None = None
+        if not model.replica_safe:
+            self.fallback_reason = (
+                f"model {model.name!r} has layers with cross-call state "
+                "(dropout RNG / batch-norm statistics); falling back to "
+                "serial execution to preserve bit-identical histories"
+            )
+            warnings.warn(self.fallback_reason, RuntimeWarning, stacklevel=3)
+            self._fallback = SerialExecutor(model, clients, loss, optimizer)
+            return
+        # Client collections that know how to build their own replica
+        # mapping (virtual populations ship a lazy, picklable store instead
+        # of materializing every client) provide ``replicas()``; plain
+        # sequences fall back to the eager per-client dict.
+        if hasattr(clients, "replicas"):
+            replicas = clients.replicas()
+        else:
+            replicas = {c.client_id: c.replica() for c in clients}
+        # In-process executor over the replica set workers are initialised
+        # from: sub-min_dispatch cohorts and degraded chunks run here.
+        # (SerialExecutor indexes clients by id; the dict satisfies that.)
+        self._local = SerialExecutor(model.clone(), replicas, loss, optimizer)
+
+    def _in_parent(self, start_weights, tasks) -> list | None:
+        """Run a cohort that needs no worker (None: it must be dispatched).
+        Outside the fault domain — injections model worker and network
+        infrastructure, and there is none here."""
+        if self._closed:
+            raise RuntimeError(f"executor {self.name!r} is closed")
+        if self._fallback is not None:
+            return self._fallback.run_cohort(start_weights, tasks)
+        if len(tasks) < max(self.min_dispatch, 1):
+            return self._local.run_cohort(start_weights, tasks)
+        return None
+
+    def _begin(self, tasks: Sequence[CohortTask], num_chunks: int) -> Dispatch:
+        seq = self._dispatch_seq
+        self._dispatch_seq += 1
+        return Dispatch(
+            seq,
+            chunk_tasks(tasks, num_chunks),
+            retry_budget=self.chunk_retries,
+            timeout=self.chunk_timeout,
+            counters=self.fault_counters,
+        )
+
+    def _finish(self, dispatch: Dispatch, start_weights: np.ndarray, live_workers: int) -> list:
+        """Flatten a finished dispatch; degrade or raise on failed chunks."""
+        out: list = []
+        for lease, chunk, results in zip(dispatch.leases, dispatch.chunks, dispatch.results):
+            if not lease.done:
+                tries = "; ".join(
+                    f"attempt {n} on {who or 'no worker'}: {what}" for n, who, what in lease.history
+                )
+                reason = lease.failed_reason + (f" [{tries}]" if tries else "")
+                if not self.degrade:
+                    raise ExecutorFaultError(
+                        executor=self.name,
+                        chunk=lease.chunk,
+                        chunk_size=len(chunk),
+                        num_workers=live_workers,
+                        attempts=lease.attempts,
+                        retry_budget=self.chunk_retries,
+                        counters=self.fault_counters,
+                        reason=reason,
+                    )
+                self.fault_counters["degraded_chunks"] += 1
+                warnings.warn(
+                    f"executor {self.name!r}: chunk {lease.chunk} exhausted its retry "
+                    f"budget ({reason}); degrading to in-process serial "
+                    "execution for this chunk",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                results = self._local.run_cohort(start_weights, chunk)
+            out.extend(results)
+        return out
+
+    def __del__(self):  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass

@@ -24,15 +24,13 @@ from repro.exec.dist import (
     DistExecutor,
     FrameBuffer,
     FrameError,
-    LeaseTable,
-    chunk_tasks,
     parse_address,
     recv_frame,
     send_frame,
 )
 from repro.exec.dist.wire import encode_frame
 from repro.exec.faults import ExecutorFaultError, FaultPlan, parse_faults
-from repro.exec.parallel import ParallelExecutor
+from repro.exec.supervision import LeaseTable
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
@@ -146,17 +144,9 @@ def test_parse_address():
 
 
 # --------------------------------------------------------------------- #
-# Chunking and lease bookkeeping
+# Lease bookkeeping (repro.exec.supervision; the transitions built on it,
+# shared with the pool, are driven in test_supervision.py)
 # --------------------------------------------------------------------- #
-def test_chunk_tasks_matches_pool_chunking():
-    """Chunk boundaries key the deterministic fault draws, so the dist
-    split must cut exactly where ``ParallelExecutor._chunk`` cuts."""
-    for size in (1, 2, 3, 5, 8, 13, 20):
-        tasks = list(range(size))
-        for n in (1, 2, 3, 4, 6):
-            assert chunk_tasks(tasks, n) == ParallelExecutor._chunk(tasks, n)
-
-
 class TestLeaseTable:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -246,12 +236,6 @@ class TestLeaseTable:
         assert [lease.chunk for lease in failed] == [1, 2]
         assert not table.has_pending()
         assert len(table.outstanding()) == 1  # w0's lease survives
-
-    def test_held_by(self):
-        table = LeaseTable(3, retry_budget=0, timeout=None)
-        table.assign("w0")
-        table.assign("w1")
-        assert [lease.chunk for lease in table.held_by("w0")] == [0]
 
 
 # --------------------------------------------------------------------- #

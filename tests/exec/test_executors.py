@@ -14,6 +14,7 @@ from repro.exec import (
     roundtrip_batch,
 )
 from repro.compression.codec import PolylineCodec
+from repro.exec.supervision import chunk_tasks
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.zoo import build_logistic, build_lstm_classifier
@@ -207,17 +208,17 @@ class TestParallelExecutor:
             num_workers=2,
         ) as par:
             local = par.run_cohort(start, task)
-            assert par._pool is None  # never dispatched to the pool
+            assert par.worker_processes == []  # never dispatched to the pool
         np.testing.assert_array_equal(serial[0].weights, local[0].weights)
         assert serial[0].train_loss == local[0].train_loss
 
     def test_chunking_preserves_order(self):
         tasks = _cohort(7)
-        chunks = ParallelExecutor._chunk(tasks, 3)
+        chunks = chunk_tasks(tasks, 3)
         assert [t.client_id for c in chunks for t in c] == list(range(7))
         assert len(chunks) == 3
         # More workers than tasks: no empty chunks.
-        assert all(ParallelExecutor._chunk(tasks[:2], 5))
+        assert all(chunk_tasks(tasks[:2], 5))
 
     def test_stateful_model_falls_back_to_serial(self, tiny_bow_dataset):
         lstm = build_lstm_classifier(
@@ -247,9 +248,33 @@ class TestParallelExecutor:
         par.run_cohort(_model(tiny_bow_dataset).get_flat_weights(), _cohort(2))
         par.close()
         par.close()
-        # Pool is rebuilt lazily after close.
-        assert len(par.run_cohort(_model(tiny_bow_dataset).get_flat_weights(), _cohort(2))) == 2
-        par.close()
+        assert par.worker_processes == []
+
+
+@pytest.mark.parametrize("backend", ["parallel", "dist"])
+@pytest.mark.parametrize("cohort", [0, 1, 4], ids=["empty", "singleton", "dispatched"])
+def test_closed_executor_refuses_cohorts(tiny_bow_dataset, backend, cohort):
+    """One rule for both cross-process backends: after ``close()`` there are
+    no workers and no broadcast segment, and ``run_cohort`` says so instead
+    of quietly forking a fresh set nobody will close (the pool, once) or
+    dying on a closed descriptor inside ``connection.wait`` (dist, once)."""
+    ex = make_executor(
+        backend,
+        num_workers=2,
+        model=_model(tiny_bow_dataset),
+        clients=_clients(tiny_bow_dataset),
+        loss=SoftmaxCrossEntropy(),
+        optimizer=OptimizerSpec("sgd", 0.1),
+    )
+    start = _model(tiny_bow_dataset).get_flat_weights()
+    try:
+        assert len(ex.run_cohort(start, _cohort(4))) == 4
+    finally:
+        ex.close()
+    with pytest.raises(RuntimeError, match=f"executor '{backend}' is closed"):
+        ex.run_cohort(start, _cohort(cohort))
+    ex.close()  # still idempotent
+    assert ex.worker_processes == []
 
 
 class TestReplicas:

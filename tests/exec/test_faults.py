@@ -178,10 +178,10 @@ def _history(dataset, cls, executor, **kw):
 
 
 def _chaos_history(dataset, cls, **kw):
-    """A fault-injected parallel run. Whether a chunk exhausts its retry
-    budget depends on which chunks were still in flight when a dead worker
-    was noticed, so degradations may or may not happen — but each one must
-    be loud (one RuntimeWarning per counted chunk) and nothing else may warn."""
+    """A fault-injected parallel run. A chunk whose attempts all draw a
+    fault exhausts its retry budget and degrades (which ones do is fixed by
+    the fault schedule, not by timing) — each one must be loud (one
+    RuntimeWarning per counted chunk) and nothing else may warn."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         history = _history(dataset, cls, "parallel", **kw)

@@ -1,9 +1,10 @@
-"""Event-driven supervision: the shared wake channel and deadline question,
-and the process pool's supervisor built on them.
+"""The shared supervision machinery: the wake channel and deadline question,
+the dispatch state machine both transports drive, and the process pool's
+supervisor built on them.
 
-The socket scheduler's side of the same machinery is covered in
-``test_dist.py``; the chaos behaviour of both in ``test_faults.py`` and
-``test_equivalence.py``.
+The socket scheduler's side of the same machinery (and the lease table's
+unit tests) are in ``test_dist.py``; the chaos behaviour of both transports
+in ``test_faults.py`` and ``test_equivalence.py``.
 """
 
 import multiprocessing.connection
@@ -12,11 +13,15 @@ import signal
 import statistics
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import CohortTask, OptimizerSpec, ParallelExecutor, SerialExecutor
-from repro.exec.supervision import WakeChannel, wait_budget
+from repro.exec.faults import FaultPlan, chunk_checksum, parse_faults
+from repro.exec.supervision import Dispatch, WakeChannel, wait_budget
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
@@ -97,6 +102,111 @@ class TestWakeChannel:
 
 
 # --------------------------------------------------------------------- #
+# The dispatch state machine
+# --------------------------------------------------------------------- #
+_COUNTERS = ("retries", "timeouts", "corrupt_detected", "worker_errors")
+_EVENTS = ("assign", "result", "corrupt", "stale", "error", "lost", "expire", "fail_pending")
+
+
+def _chunk_results(chunk):
+    return [
+        SimpleNamespace(
+            client_id=chunk, n_samples=3, train_loss=0.5, latency=1.0, weights=np.full(4, chunk)
+        )
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num_chunks=st.integers(1, 4),
+    retry_budget=st.integers(0, 3),
+    events=st.lists(
+        st.tuples(st.sampled_from(_EVENTS), st.integers(0, 3), st.integers(0, 2)), max_size=80
+    ),
+)
+def test_dispatch_invariants_under_any_interleaving(num_chunks, retry_budget, events):
+    """Whatever order events arrive in — from the holder, from a superseded
+    attempt, or from nobody's lease at all — the budget holds, a resolved
+    chunk stays resolved the same way, and every retry is accounted for."""
+    counters = dict.fromkeys(_COUNTERS, 0)
+    dispatch = Dispatch(
+        0,
+        [[chunk] for chunk in range(num_chunks)],
+        retry_budget=retry_budget,
+        timeout=10.0,
+        counters=counters,
+    )
+    leases = dispatch.leases
+    now = 0.0
+    handed_out = 0  # attempts handed out, over all chunks
+    requeued_unleased = 0  # requeues whose retry has not been leased (yet)
+    first = {}  # chunk -> the results object that completed it
+    for event, pick, who in events:
+        chunk, worker = pick % num_chunks, f"w{who}"
+        holder = leases[chunk].worker or worker
+        held = {lease.chunk for lease in dispatch.outstanding()}
+        if event == "assign":
+            lease = dispatch.assign(worker, now=now)
+            if lease is not None:
+                assert not lease.done and lease.worker == worker
+                handed_out += 1
+                requeued_unleased -= lease.attempts > 1
+        elif event == "result":
+            good = _chunk_results(chunk)
+            dispatch.result(chunk, holder, good, chunk_checksum(good))
+        elif event == "corrupt":
+            bad = _chunk_results(chunk)
+            dispatch.result(chunk, holder, bad, chunk_checksum(bad) ^ 1)
+        elif event == "stale":  # a verified result from a superseded attempt
+            good = _chunk_results(chunk)
+            dispatch.result(chunk, "superseded", good, chunk_checksum(good))
+        elif event == "error":
+            dispatch.error(chunk, worker, "boom")
+        elif event == "lost":
+            dispatch.lost(chunk, worker, "gone")
+        elif event == "expire":
+            now += 10.5  # past every deadline armed so far
+            assert {lease.chunk for lease in dispatch.expire(now)} == held
+        else:
+            dispatch.fail_pending("no live workers")
+        # A lease that was held and is now back in the queue was requeued.
+        requeued_unleased += sum(
+            leases[c].worker is None and not leases[c].resolved for c in held
+        )
+
+        assert dispatch.finished() == all(
+            lease.done or lease.failed_reason is not None for lease in leases
+        )
+        if dispatch.finished():
+            assert not dispatch.has_pending() and not dispatch.outstanding()
+        for lease, results in zip(leases, dispatch.results):
+            assert lease.attempts <= 1 + retry_budget
+            assert not (lease.done and lease.failed_reason is not None)
+            assert lease.done == (results is not None)
+            if results is not None:
+                assert first.setdefault(lease.chunk, results) is results  # never overwritten
+        first_assigned = sum(lease.attempts > 0 for lease in leases)
+        assert counters["retries"] == handed_out - first_assigned + requeued_unleased
+
+
+def test_out_of_range_and_foreign_frames_are_ignored():
+    """What the wire can deliver that the table never asked for."""
+    counters = dict.fromkeys(_COUNTERS, 0)
+    dispatch = Dispatch(0, [[0]], retry_budget=1, timeout=None, counters=counters)
+    dispatch.assign("w0", now=0.0)
+    good = _chunk_results(0)
+    for chunk in (-1, 1):
+        dispatch.result(chunk, "w0", good, None)
+        dispatch.error(chunk, "w0", "boom")
+        dispatch.lost(chunk, "w0", "gone")
+    dispatch.error(0, "w1", "boom")  # not the holder
+    dispatch.lost(0, "w1", "gone")
+    assert not any(counters.values()) and dispatch.leases[0].worker == "w0"
+    dispatch.result(0, "w0", good, None)  # no fault plan: no checksum to verify
+    assert dispatch.finished() and dispatch.results == [good]
+
+
+# --------------------------------------------------------------------- #
 # The pool supervisor
 # --------------------------------------------------------------------- #
 def _executors(dataset, **pool_kw):
@@ -132,9 +242,10 @@ class TestPoolSupervisor:
     def test_default_config_survives_a_worker_killed_mid_chunk(self, tiny_bow_dataset):
         """No fault plan, no chunk_timeout: the pool is supervised all the
         same. A worker that is killed with a chunk in hand (what the OOM
-        killer does) is seen through its sentinel, the pool rebuilt and the
-        cohort finished — a bare ``pool.map`` never looks at worker exit
-        codes and blocks forever."""
+        killer does) is seen through its sentinel, replaced, and its chunk
+        run again — a bare ``pool.map`` never looks at worker exit codes and
+        blocks forever. The failure costs the chunk it hit and nothing
+        else: the sibling keeps its process, its chunk and its budget."""
         serial, pool = _executors(tiny_bow_dataset)
         # Half a second of training per chunk, so a strike 0.15 s into the
         # dispatch finds both workers with a chunk in hand.
@@ -147,7 +258,7 @@ class TestPoolSupervisor:
             expected = serial.run_cohort(start, tasks)
             pool.run_cohort(start, _cohort(2))  # pool and workers warm
             assert not any(pool.fault_counters.values())
-            victim = pool._pool[0].proc
+            victim, sibling = pool.worker_processes
             previous = signal.signal(
                 signal.SIGALRM, lambda *_: os.kill(victim.pid, signal.SIGKILL)
             )
@@ -160,8 +271,11 @@ class TestPoolSupervisor:
             _assert_results_equal(expected, got)
             assert pool.fault_counters["worker_deaths"] == 1
             assert pool.fault_counters["respawns"] == 1
-            assert pool.fault_counters["retries"] == 2  # both chunks were in flight
+            assert pool.fault_counters["retries"] == 1  # the victim's chunk, nobody else's
             assert pool.fault_counters["degraded_chunks"] == 0
+            replacement, survivor = pool.worker_processes
+            assert survivor.pid == sibling.pid and sibling.is_alive()
+            assert replacement.pid != victim.pid
         finally:
             pool.close()
             serial.close()
@@ -170,7 +284,7 @@ class TestPoolSupervisor:
         """A worker that dies between dispatches holds nothing anyone waits
         on (each worker has a private pipe — ``multiprocessing.Pool`` could
         not be torn down after this): the next dispatch finds the corpse,
-        rebuilds the pool and finishes."""
+        replaces it and finishes."""
         serial, pool = _executors(tiny_bow_dataset)
         try:
             start = serial.model.get_flat_weights()
@@ -178,7 +292,7 @@ class TestPoolSupervisor:
             expected = serial.run_cohort(start, tasks)
             _assert_results_equal(expected, pool.run_cohort(start, tasks))
             for slot in (0, 1):
-                victim = pool._pool[slot].proc
+                victim = pool.worker_processes[slot]
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join(timeout=10.0)
                 assert victim.exitcode is not None
@@ -186,7 +300,7 @@ class TestPoolSupervisor:
             assert pool.fault_counters["worker_deaths"] == 2
             assert pool.fault_counters["respawns"] == 2
             assert pool.fault_counters["degraded_chunks"] == 0
-            # The rebuilt pool is whole again: nothing left to recover.
+            # The pool is whole again: nothing left to recover.
             _assert_results_equal(expected, pool.run_cohort(start, tasks))
             assert pool.fault_counters["worker_deaths"] == 2
         finally:
@@ -230,3 +344,33 @@ class TestPoolSupervisor:
         finally:
             pool.close()
             serial.close()
+
+    def test_recovery_is_a_function_of_the_fault_schedule(self, tiny_bow_dataset):
+        """60 dispatches under ``crash:0.4+corrupt:0.2``, twice, on fresh
+        pools. A failure costs only the chunk it hit, so which attempts fail
+        is fixed by ``(seed, spec)``: both runs count the same retries,
+        deaths and corruptions, and none degrades a chunk. (Tearing the
+        whole pool down per death charged whoever else was in flight, so
+        the counters — and whether a budget ran out — were down to timing.)"""
+        start = None
+        runs = []
+        for _ in range(2):
+            plan = FaultPlan(parse_faults("crash:0.4+corrupt:0.2"), seed=3)
+            serial, pool = _executors(tiny_bow_dataset, faults=plan, chunk_retries=12)
+            try:
+                start = serial.model.get_flat_weights()
+                tasks = _cohort(4)
+                for i in range(60):
+                    weights = start + 1e-3 * i
+                    _assert_results_equal(
+                        serial.run_cohort(weights, tasks), pool.run_cohort(weights, tasks)
+                    )
+                runs.append(dict(pool.fault_counters))
+            finally:
+                pool.close()
+                serial.close()
+        first, second = runs
+        assert first == second
+        assert first["degraded_chunks"] == 0 and first["timeouts"] == 0
+        assert first["retries"] == first["worker_deaths"] + first["corrupt_detected"] > 60
+        assert first["respawns"] == first["worker_deaths"]
