@@ -2,9 +2,11 @@
 
 Usage::
 
-    python scripts/make_golden_histories.py
+    python scripts/make_golden_histories.py [NAME ...]
 
-Writes one JSON fixture per canonical config to ``tests/fixtures/golden/``.
+Writes one JSON fixture per canonical config to ``tests/fixtures/golden/``
+(only the named ones when names are given — how a new pin is added without
+rewriting the fixtures already committed).
 Each fixture embeds the exact run kwargs plus the resulting evaluation
 records and the deterministic meta keys;
 ``tests/integration/test_golden_histories.py`` re-runs the embedded config
@@ -125,6 +127,15 @@ CONFIGS: dict[str, dict] = {
         "seed": 7,
         "fl_overrides": {"max_rounds": 12, "eval_every": 4, "compression": None},
     },
+    # The same model under FedAT: cohorts larger than one, the proximal term
+    # and the polyline codec over recurrent weights.
+    "fedat_lstm": {
+        "method": "fedat",
+        "dataset": "reddit",
+        "scale": "tiny",
+        "seed": 7,
+        "fl_overrides": {"max_rounds": 12, "eval_every": 4},
+    },
     "fedat_float32": {
         "method": "fedat",
         "dataset": "sentiment140",
@@ -160,9 +171,13 @@ def run_config(config: dict):
     )
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        raise SystemExit(f"unknown golden config(s) {unknown}; known: {sorted(CONFIGS)}")
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    for name, config in CONFIGS.items():
+    for name in names or CONFIGS:
+        config = CONFIGS[name]
         history = run_config(config)
         payload = {
             "name": name,
@@ -183,4 +198,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
