@@ -119,7 +119,8 @@ CONFIGS: dict[str, dict] = {
         "seed": 7,
         "fl_overrides": {"max_rounds": 12, "eval_every": 2},
     },
-    # Embedding + LSTM: layers without plan kernels, wrapped as-is.
+    # Embedding + LSTM + Dropout + BatchNorm: the recurrent plan kernels,
+    # under cohorts of one and raw payloads.
     "fedasync_lstm": {
         "method": "fedasync",
         "dataset": "reddit",

@@ -15,14 +15,35 @@ from repro.nn.layers import Layer
 __all__ = ["ReLU", "Tanh", "Sigmoid", "Softmax", "sigmoid", "softmax"]
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic sigmoid (optionally into ``out``)."""
+def sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None, work: tuple | None = None
+) -> np.ndarray:
+    """Numerically stable logistic sigmoid (optionally into ``out``).
+
+    ``1 / (1 + exp(-x))`` where ``x >= 0`` and ``exp(x) / (1 + exp(x))``
+    below, without branching on the data: ``e = exp(-|x|)`` is the
+    exponential either side needs, so both are ``numerator / (1 + e)`` with
+    numerator ``1`` or ``e`` — element by element the same operations on the
+    same operands as the two-sided form, hence the same bits.
+
+    ``out`` may be ``x`` itself. ``work`` is an optional ``(float, bool)``
+    pair of C-contiguous buffers of ``x``'s shape; without it they are
+    allocated. ``exp`` always runs over the contiguous float buffer, never
+    over a strided ``x``.
+    """
+    if work is None:
+        e = np.empty(x.shape, dtype=x.dtype)
+        nonneg = np.empty(x.shape, dtype=np.bool_)
+    else:
+        e, nonneg = work
     if out is None:
         out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    expx = np.exp(x[~pos])
-    out[~pos] = expx / (1.0 + expx)
+    np.copysign(x, -1.0, out=e)  # -|x|
+    np.exp(e, out=e)
+    np.greater_equal(x, 0, out=nonneg)  # last read of x: out may alias it
+    np.add(e, 1.0, out=out)
+    np.putmask(e, nonneg, 1.0)
+    np.divide(e, out, out=out)
     return out
 
 
@@ -124,9 +145,12 @@ class Sigmoid(Layer):
     def forward(
         self, x: np.ndarray, training: bool = False, *, out=None, scratch=None
     ) -> np.ndarray:
-        if out is None and scratch is not None:
-            out = scratch("y", x.shape, x.dtype)
-        self._out = sigmoid(x, out=out)
+        work = None
+        if scratch is not None:
+            work = (scratch("e", x.shape, x.dtype), scratch("nonneg", x.shape, np.bool_))
+            if out is None:
+                out = scratch("y", x.shape, x.dtype)
+        self._out = sigmoid(x, out=out, work=work)
         return self._out
 
     def backward(

@@ -164,6 +164,11 @@ class Dropout(Layer):
     independent of other stochastic components.
     """
 
+    plan_aware = True
+    #: At inference (and at rate 0) the output *is* the input buffer —
+    #: caller data, or a buffer the previous layer's backward reads — so
+    #: the next layer must not overwrite it in place.
+    plan_backward_needs_output = True
     _cache_attrs = ("_mask",)
 
     def __init__(self, rate: float, *, rng: np.random.Generator):
@@ -178,22 +183,44 @@ class Dropout(Layer):
         # copies draw different masks than one shared instance would.
         return self.rate == 0.0
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, *, scratch=None
+    ) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        # Mask in the input dtype so reduced-precision stores stay put
-        # (a no-op cast at the float64 default).
-        self._mask = ((self._rng.random(x.shape) < keep) / keep).astype(
-            x.dtype, copy=False
-        )
-        return x * self._mask
+        if scratch is None:
+            # Mask in the input dtype so reduced-precision stores stay put
+            # (a no-op cast at the float64 default).
+            self._mask = ((self._rng.random(x.shape) < keep) / keep).astype(
+                x.dtype, copy=False
+            )
+            return x * self._mask
+        # random(out=) fills the buffer from the stream exactly as
+        # random(shape) fills a fresh one: same draws, same order. The
+        # draws become the 0/1 keep flags and then, divided in float64 and
+        # cast on the way out like the reference's astype, the mask.
+        u = scratch("u", x.shape, np.float64)
+        self._rng.random(out=u)
+        np.less(u, keep, out=u)
+        self._mask = u if x.dtype == u.dtype else scratch("mask", x.shape, x.dtype)
+        np.divide(u, keep, out=self._mask)
+        out = scratch("y", x.shape, x.dtype)
+        np.multiply(x, self._mask, out=out)
+        return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+    ) -> np.ndarray | None:
+        if not input_grad:
+            return None
         if self._mask is None:
             return grad
-        return grad * self._mask
+        if scratch is None:
+            return grad * self._mask
+        np.multiply(grad, self._mask, out=grad)  # the upstream grad buffer is dead
+        return grad
 
 
 class BatchNorm(Layer):
@@ -218,9 +245,14 @@ class BatchNorm(Layer):
     #: Running statistics accumulate across training calls, so replicas
     #: diverge from a shared instance (classic FL BN-state caveat).
     replica_safe = False
+    plan_aware = True
     _cache_attrs = ("_std", "_xhat")
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, *, scratch=None
+    ) -> np.ndarray:
+        if scratch is not None:
+            return self._forward_planned(x, training, scratch)
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
@@ -232,16 +264,83 @@ class BatchNorm(Layer):
         self._xhat = (x - mean) / self._std
         return self.gamma.data * self._xhat + self.beta.data
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        n = grad.shape[0]
+    def backward(
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+    ) -> np.ndarray | None:
+        if scratch is not None:
+            return self._backward_planned(grad, scratch, input_grad)
         xhat = self._xhat
         self.gamma.grad += np.sum(grad * xhat, axis=0)
         self.beta.grad += grad.sum(axis=0)
+        if not input_grad:
+            return None
         dxhat = grad * self.gamma.data
         # Standard batch-norm backward (training-mode statistics).
         return (
             dxhat - dxhat.mean(axis=0) - xhat * np.mean(dxhat * xhat, axis=0)
         ) / self._std
+
+    # ------------------------------------------------------------------ #
+    # Planned kernels. ``mean``/``var`` below are the ufunc calls
+    # ``ndarray.mean``/``var`` make (``numpy/_core/_methods.py``): add.reduce,
+    # then true_divide by the row count as an ``intp``; ``var`` squares
+    # ``x - mean`` — which normalization needs anyway — and repeats that.
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _mean0(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.add.reduce(a, axis=0, out=out)
+        return np.true_divide(out, np.intp(a.shape[0]), out=out, casting="unsafe")
+
+    def _forward_planned(self, x: np.ndarray, training: bool, scratch) -> np.ndarray:
+        stat_shape, dt = x.shape[1:], x.dtype
+        xhat = scratch("xhat", x.shape, dt)
+        std = scratch("std", stat_shape, dt)
+        if training:
+            mean = self._mean0(x, scratch("mean", stat_shape, dt))
+            np.subtract(x, mean, out=xhat)
+            sq = scratch("~sq", x.shape, dt)
+            np.square(xhat, out=sq)
+            var = self._mean0(sq, std)
+            # Running statistics move in place; (1 - momentum) * stat may
+            # clobber the batch mean, which is dead, but not var (= std).
+            np.multiply(self.running_mean, self.momentum, out=self.running_mean)
+            np.multiply(mean, 1 - self.momentum, out=mean)
+            np.add(self.running_mean, mean, out=self.running_mean)
+            np.multiply(self.running_var, self.momentum, out=self.running_var)
+            np.multiply(var, 1 - self.momentum, out=mean)
+            np.add(self.running_var, mean, out=self.running_var)
+        else:
+            np.subtract(x, self.running_mean, out=xhat)
+            var = self.running_var
+        np.add(var, self.eps, out=std)
+        np.sqrt(std, out=std)
+        np.divide(xhat, std, out=xhat)
+        self._std, self._xhat = std, xhat
+        out = scratch("y", x.shape, dt)
+        np.multiply(self.gamma.data, xhat, out=out)
+        np.add(out, self.beta.data, out=out)
+        return out
+
+    def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool):
+        xhat = self._xhat
+        prod = scratch("~sq", grad.shape, grad.dtype)
+        stat = scratch("~gb", self.gamma.data.shape, self.gamma.grad.dtype)
+        np.multiply(grad, xhat, out=prod)
+        np.add.reduce(prod, axis=0, out=stat)
+        self.gamma.grad += stat
+        np.add.reduce(grad, axis=0, out=stat)
+        self.beta.grad += stat
+        if not input_grad:
+            return None
+        dxhat = scratch("gx", grad.shape, grad.dtype)
+        np.multiply(grad, self.gamma.data, out=dxhat)
+        np.multiply(dxhat, xhat, out=prod)
+        # dxhat - mean(dxhat) - xhat * mean(dxhat * xhat), left to right.
+        np.subtract(dxhat, self._mean0(dxhat, stat), out=dxhat)
+        np.multiply(xhat, self._mean0(prod, stat), out=prod)
+        np.subtract(dxhat, prod, out=dxhat)
+        np.divide(dxhat, self._std, out=dxhat)
+        return dxhat
 
     @property
     def params(self) -> list[Parameter]:

@@ -31,9 +31,13 @@ allocating per-layer reference (``Sequential.train_on_batch``) runs — same
 ufuncs, same BLAS calls, same order — so the plan is **bit-identical at
 float64** to it, checked kernel by kernel and loop by loop in
 ``tests/nn/test_plan.py`` and end to end by the golden-history fixtures.
-Layers without planned kernels (LSTM, GRU, Embedding, BatchNorm, Dropout,
-...) run their normal forward/backward inside the compiled step list, so
-any model gets a plan and unsupported layers simply keep allocating.
+Every layer a :mod:`repro.nn.zoo` builder instantiates has planned kernels —
+the recurrent model too: the LSTM runs BPTT over time-major slabs whose
+per-timestep views are bound once per input shape
+(:meth:`ScratchArena.take_bound`). Layers without them (GRU, Flatten,
+Softmax, ...) run their normal forward/backward inside the compiled step
+list, so any model gets a plan and unsupported layers simply keep
+allocating.
 """
 
 from __future__ import annotations
@@ -104,9 +108,7 @@ class ScratchArena:
             buf = np.zeros((lead,) + shape[1:], dtype=dtype)
             self._buffers[key] = buf
             # Views of the replaced buffer are stale: drop this key's.
-            self._views = {
-                (k, n): v for (k, n), v in self._views.items() if k != key
-            }
+            self._views = {k: v for k, v in self._views.items() if k[0] != key}
         if shape[0] == buf.shape[0]:
             return buf  # the fast path serves this case directly
         view = buf[: shape[0]]
@@ -121,10 +123,14 @@ class ScratchArena:
         (column gradients, scatter buffers) is dead by the time the next
         layer's backward runs, so sharing one max-sized buffer per name
         across layers shrinks the arena's cache footprint substantially.
-        Shared buffers are *not* zero-filled between takes.
+        Shared buffers are *not* zero-filled between takes. With ``bind``
+        the request goes to :meth:`take_bound` over a flat buffer of the
+        layer's own.
         """
 
-        def scratch(name, shape, dtype):
+        def scratch(name, shape, dtype, bind=None):
+            if bind is not None:
+                return self.take_bound((index, name), shape, dtype, bind)
             if name[0] == "~":
                 return self.take_shared(name, shape, dtype)
             return self.take((index, name), shape, dtype)
@@ -143,7 +149,23 @@ class ScratchArena:
             return view
         return self._grow_shared(name, shape, dtype)
 
-    def _grow_shared(self, name: str, shape: tuple, dtype) -> np.ndarray:
+    def take_bound(self, key, shape: tuple, dtype, bind: Callable):
+        """``bind(view)`` of :meth:`take_shared`'s view for ``key``, cached.
+
+        For kernels that carve one buffer into many pre-sliced views (an
+        LSTM's per-timestep slabs): slicing happens once per shape, and
+        again only when the buffer is reallocated. Because every shape is
+        a prefix of one grow-only flat buffer, ragged batch sizes add view
+        lists, not memory — and, as with :meth:`take_shared`, what one
+        shape wrote is garbage to the next.
+        """
+        bound = self._views.get((key, shape, dtype))
+        if bound is None:
+            bound = bind(self._grow_shared(key, shape, dtype))
+            self._views[(key, shape, dtype)] = bound
+        return bound
+
+    def _grow_shared(self, name, shape: tuple, dtype) -> np.ndarray:
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
         size = 1
@@ -183,8 +205,8 @@ def _compile_layer(
 
     Plan-aware layers (``layer.plan_aware``) receive the arena-backed
     ``scratch`` provider and run their ``out=``-form kernels; everything
-    else is wrapped as-is, so its allocation behavior (and any hidden state
-    such as dropout's RNG draws) is exactly the per-layer reference's.
+    else is wrapped as-is, so its allocation behavior is exactly the
+    per-layer reference's.
 
     ``input_grad=False`` (the model's first layer) skips computing
     ``dL/d(input)`` entirely — nothing consumes it, and for a convolution

@@ -6,6 +6,10 @@ batch-norm → dense softmax head) and the Sentiment140-analogue text models.
 
 from __future__ import annotations
 
+import functools
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.nn import initializers
@@ -19,6 +23,7 @@ __all__ = ["Embedding", "LSTM"]
 class Embedding(Layer):
     """Token-id lookup table: (N, T) int -> (N, T, D) float."""
 
+    plan_aware = True
     _cache_attrs = ("_ids",)
 
     def __init__(
@@ -34,21 +39,90 @@ class Embedding(Layer):
         self.vocab_size = vocab_size
         self.w = Parameter(initializers.normal(rng, (vocab_size, embed_dim)), f"{name}.w")
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, *, scratch=None
+    ) -> np.ndarray:
         ids = np.asarray(x)
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             raise ValueError("token id out of range for embedding table")
         self._ids = ids
-        return self.w.data[ids]
+        if scratch is None:
+            return self.w.data[ids]
+        out = scratch("y", ids.shape + self.w.data.shape[1:], self.w.data.dtype)
+        # Ids are in range (checked above), so "clip" never clips; the
+        # default mode would gather into a temporary and copy it to ``out``.
+        return np.take(self.w.data, ids, axis=0, out=out, mode="clip")
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+    ) -> np.ndarray | None:
         # Scatter-add gradients for repeated token ids.
         np.add.at(self.w.grad, self._ids.reshape(-1), grad.reshape(-1, grad.shape[-1]))
+        if not input_grad:
+            return None
         return np.zeros(self._ids.shape)  # no gradient w.r.t. integer ids
 
     @property
     def params(self) -> list[Parameter]:
         return [self.w]
+
+
+def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive C-contiguous views of 1-D ``flat``, one per shape."""
+    views, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    if pos != flat.size:
+        raise ValueError(f"slab holds {flat.size} elements, its layout needs {pos}")
+    return views
+
+
+def _slab_shapes(n: int, t: int, d: int, h: int, training: bool, seq: bool) -> tuple:
+    """What the planned LSTM carves, in order, for an ``(n, t, d)`` input.
+
+    Every shape is linear in ``n``, so the slab is ``n`` rows of
+    :func:`_slab_row` elements and a smaller batch is a prefix of a larger
+    one's. Time-major: what a timestep touches is contiguous. Gate-major
+    within a step (``[i, f, o, g, tanh(c)]`` as five ``(n, h)`` planes), so
+    each gate, and the ``[i, f, o]`` block the one sigmoid runs over, is
+    contiguous too.
+    """
+    forward = (
+        (n * t, 4 * h),  # xp: input projection, all steps in one GEMM
+        (n, 4 * h),  # z: h_{t-1} @ Wh, row-major as BLAS writes it
+        (3, n, h),  # e: the sigmoid's float work buffer
+        (n, h),  # tmp: i * g
+        (4, n, h),  # bias: b spread over the rows, so adding it needs no broadcast
+    )
+    if not training:
+        # No BPTT history: h (unless the caller wants the sequence), c and
+        # the gates roll over one step's worth of memory.
+        return forward + (
+            (2, n, h),  # hc0: h_0 and the rolling c, zeroed together
+            (t if seq else 0, n, h),  # hs: h_1..h_T when returned
+            (5, n, h),  # s: one step's gates and tanh(c)
+        )
+    return forward + (
+        (t + 1, 2, n, h),  # hc: (h_t, c_t) for t = 0..T
+        (t, 5, n, h),  # s: gates and tanh(c) per step
+        (t, 5, n, h),  # om: 1 - [i f o], 1 - [g tanh(c)]**2
+        (t, n, 4 * h),  # dz: row-major per step, for dz @ Wh.T
+        (n * t, 4 * h),  # dzf: batch-major, for the parameter GEMMs
+        (n * t, h),  # hp: h_{t-1}, batch-major
+        (n * t, d),  # dx
+        (3, n, h),  # zero: dh of a step with no output, dh_next, dc_next
+        (n, h),  # dh
+        (n, h),  # dc
+        (3, n, h),  # dg: d[i f o] before the sigmoid derivative
+        (4, n, h),  # dzg: dz of one step, gate-major
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _slab_row(t: int, d: int, h: int, training: bool, seq: bool) -> int:
+    return sum(math.prod(shape) for shape in _slab_shapes(1, t, d, h, training, seq))
 
 
 class LSTM(Layer):
@@ -60,9 +134,19 @@ class LSTM(Layer):
     Gate order in the fused kernel is ``[i, f, o, g]`` (input, forget,
     output, candidate). Forget-gate bias is initialized to 1, the standard
     trick for gradient flow early in training.
+
+    With ``scratch`` (the fused-plan protocol, :mod:`repro.nn.plan`) both
+    passes run over one arena slab per layer whose per-timestep views are
+    bound once per input shape: the same ufuncs and BLAS calls on the same
+    operands in the same order as the allocating bodies below, which stay
+    as the reference the planned kernels are tested against.
     """
 
-    _cache_attrs = ("_x", "_hs", "_cs", "_gates")
+    plan_aware = True
+    #: The output is a view of the slab backward reads its hidden states
+    #: from, so the next layer must not overwrite it in place.
+    plan_backward_needs_output = True
+    _cache_attrs = ("_x", "_hs", "_cs", "_gates", "_bound")
 
     def __init__(
         self,
@@ -90,10 +174,17 @@ class LSTM(Layer):
         b[h : 2 * h] = 1.0  # forget-gate bias
         self.b = Parameter(b, f"{name}.b")
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, *, scratch=None
+    ) -> np.ndarray:
+        # The slab has one dtype; mixed dtypes promote mid-sequence, which
+        # only the allocating body reproduces.
+        if scratch is not None and x.dtype == self.wx.data.dtype:
+            return self._forward_planned(x, training, scratch)
         n, t, d = x.shape
         h = self.hidden_dim
         self._x = x
+        self._bound = None
         # Scratch in the input dtype so a float32 parameter store is not
         # silently promoted back to float64 mid-sequence.
         hs = np.zeros((t + 1, n, h), dtype=x.dtype)
@@ -116,7 +207,11 @@ class LSTM(Layer):
             return hs[1:].transpose(1, 0, 2)
         return hs[-1]
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+    ) -> np.ndarray | None:
+        if self._bound is not None:
+            return self._backward_planned(grad, scratch, input_grad)
         x, hs, cs, gates = self._x, self._hs, self._cs, self._gates
         n, t, d = x.shape
         h = self.hidden_dim
@@ -125,7 +220,6 @@ class LSTM(Layer):
         else:
             dh_seq = np.zeros((t, n, h), dtype=x.dtype)
             dh_seq[-1] = grad
-        dx = np.zeros_like(x)
         dh_next = np.zeros((n, h), dtype=x.dtype)
         dc_next = np.zeros((n, h), dtype=x.dtype)
         dz_all = np.zeros((t, n, 4 * h), dtype=x.dtype)
@@ -160,8 +254,169 @@ class LSTM(Layer):
         h_prev = hs[:-1].transpose(1, 0, 2).reshape(n * t, h)
         self.wh.grad += h_prev.T @ dz_flat
         self.b.grad += dz_flat.sum(axis=0)
-        dx = (dz_flat @ self.wx.data.T).reshape(n, t, d)
-        return dx
+        if not input_grad:
+            return None
+        return (dz_flat @ self.wx.data.T).reshape(n, t, d)
+
+    # ------------------------------------------------------------------ #
+    # Planned kernels
+    # ------------------------------------------------------------------ #
+    def _bind(self, n: int, t: int, d: int, training: bool, slab: np.ndarray):
+        """Slice ``slab`` into everything the loops index, once per shape."""
+        h, seq = self.hidden_dim, self.return_sequences
+        views = _carve(slab.reshape(-1), _slab_shapes(n, t, d, h, training, seq))
+        b = SimpleNamespace()
+        b.xp, b.z, b.e, b.tmp, b.bias = views[:5]
+        xp = b.xp.reshape(n, t, 4, h)
+        b.z4 = b.z.reshape(n, 4, h)
+        if training:
+            hc, s = views[5:7]
+            b.hc0 = hc[0]
+            states = [(hc[k, 0], hc[k, 1]) for k in range(t + 1)]
+            gates = list(s)
+            b.out = hc[1:, 0].transpose(1, 0, 2) if seq else hc[t, 0]
+        else:
+            b.hc0, hs, s = views[5:8]
+            c = b.hc0[1]
+            states = [(b.hc0[0], c)] + [(hs[k] if seq else b.hc0[0], c) for k in range(t)]
+            gates = [s] * t
+            b.out = hs.transpose(1, 0, 2) if seq else b.hc0[0]
+        #: Per step, in the order the forward loop uses them.
+        b.fwd = [
+            (
+                states[k][0],  # h_{t-1}
+                xp[:, k],  # this step's input projection, (n, 4, h)
+                gk[:4].transpose(1, 0, 2),  # the gate planes seen row-major
+                gk[:4],
+                gk[:3],  # [i f o]: one sigmoid
+                gk[3],  # g
+                gk[1],  # f
+                states[k][1],  # c_{t-1}
+                states[k + 1][1],  # c_t
+                gk[0],  # i
+                gk[4],  # tanh(c_t)
+                gk[2],  # o
+                states[k + 1][0],  # h_t
+            )
+            for k, gk in enumerate(gates)
+        ]
+        if not training:
+            return b
+        (b.om, b.dz, b.dzf, b.hp, dx, b.zero, b.dh, b.dc, b.dg, b.dzg) = views[7:]
+        b.s3, b.s2, b.om3, b.om2 = s[:, :3], s[:, 3:], b.om[:, :3], b.om[:, 3:]
+        b.dzf_from = (b.dzf.reshape(n, t, 4 * h), b.dz.transpose(1, 0, 2))
+        b.hp_from = (b.hp.reshape(n, t, h), hc[:-1, 0].transpose(1, 0, 2))
+        b.dx2d, b.dx = dx, dx.reshape(n, t, d)
+        b.dzg_rows = b.dzg.transpose(1, 0, 2)
+        #: Per step, last step first.
+        b.bwd = [
+            (
+                s[k, 4],  # tanh(c_t)
+                s[k, 2],  # o
+                b.om[k, 4],  # 1 - tanh(c_t)**2
+                s[k, 3],  # g
+                hc[k, 1],  # c_{t-1}
+                s[k, 0],  # i
+                b.om[k, 3],  # 1 - g**2
+                s[k, :3],
+                b.om[k, :3],
+                b.dz[k].reshape(n, 4, h),
+                b.dz[k],
+                s[k, 1],  # f
+            )
+            for k in range(t - 1, -1, -1)
+        ]
+        return b
+
+    def _forward_planned(self, x: np.ndarray, training: bool, scratch) -> np.ndarray:
+        n, t, d = x.shape
+        h = self.hidden_dim
+        b = scratch(
+            "bptt" if training else "fwd",
+            (n, _slab_row(t, d, h, training, self.return_sequences)),
+            x.dtype,
+            bind=functools.partial(self._bind, n, t, d, training),
+        )
+        self._x = x
+        self._bound = b
+        # Input shapes share the slab's memory, so h_0 = c_0 = 0 is
+        # re-established on every call.
+        b.hc0.fill(0.0)
+        np.matmul(x.reshape(n * t, d), self.wx.data, out=b.xp)
+        np.copyto(b.bias, self.b.data.reshape(4, 1, h))
+        wh = self.wh.data
+        work = (b.e, scratch("nonneg", (n, 3 * h), np.bool_).reshape(3, n, h))
+        z, z4, tmp, bias = b.z, b.z4, b.tmp, b.bias
+        for h_prev, xp, rows, gates, ifo, g, f, c_prev, c, i, tanh_c, o, h_out in b.fwd:
+            # z = (xproj[t] + h @ Wh) + b, landing gate-major.
+            np.matmul(h_prev, wh, out=z)
+            np.add(xp, z4, out=rows)
+            np.add(gates, bias, out=gates)
+            sigmoid(ifo, out=ifo, work=work)
+            np.tanh(g, out=g)
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=tmp)
+            np.add(c, tmp, out=c)
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h_out)
+        return b.out
+
+    def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool):
+        b, x = self._bound, self._x
+        if not hasattr(b, "bwd"):
+            raise RuntimeError(
+                "planned LSTM backward needs a training=True forward: the "
+                "inference kernel keeps no BPTT history"
+            )
+        n, t, d = x.shape
+        # Everything the recurrence does not feed: one whole-slab op each.
+        np.subtract(1, b.s3, out=b.om3)
+        np.square(b.s2, out=b.om2)
+        np.subtract(1, b.om2, out=b.om2)
+        b.zero.fill(0.0)
+        no_dh, dh_next, dc_next = b.zero
+        if self.return_sequences:
+            dh_seq = [grad[:, k] for k in range(t - 1, -1, -1)]
+        else:
+            dh_seq = [grad] + [no_dh] * (t - 1)
+        wh_t = self.wh.data.T
+        dh, dc, dg, dzg, dzg_rows = b.dh, b.dc, b.dg, b.dzg, b.dzg_rows
+        d_i, d_f, d_o = dg
+        dz_ifo, dz_g = dzg[:3], dzg[3]
+        for dh_out, (tanh_c, o, om_tanh_c, g, c_prev, i, om_g, ifo, om_ifo, dz4, dz, f) in zip(
+            dh_seq, b.bwd
+        ):
+            np.add(dh_out, dh_next, out=dh)
+            np.multiply(dh, tanh_c, out=d_o)
+            np.multiply(dh, o, out=dc)
+            np.multiply(dc, om_tanh_c, out=dc)
+            np.add(dc, dc_next, out=dc)
+            np.multiply(dc, g, out=d_i)
+            np.multiply(dc, c_prev, out=d_f)
+            np.multiply(dc, i, out=dz_g)
+            np.multiply(dz_g, om_g, out=dz_g)
+            np.multiply(dg, ifo, out=dg)
+            np.multiply(dg, om_ifo, out=dz_ifo)
+            np.copyto(dz4, dzg_rows)
+            np.matmul(dz, wh_t, out=dh_next)
+            np.multiply(dc, f, out=dc_next)
+        # Parameter gradients in two fused GEMMs, batch-major like the
+        # reference's.
+        np.copyto(*b.dzf_from)
+        np.copyto(*b.hp_from)
+        gw = scratch("~gw", self.wx.data.shape, self.wx.grad.dtype)
+        np.matmul(x.reshape(n * t, d).T, b.dzf, out=gw)
+        self.wx.grad += gw
+        gw = scratch("~gw", self.wh.data.shape, self.wh.grad.dtype)
+        np.matmul(b.hp.T, b.dzf, out=gw)
+        self.wh.grad += gw
+        gb = scratch("~gb", self.b.data.shape, self.b.grad.dtype)
+        np.add.reduce(b.dzf, axis=0, out=gb)
+        self.b.grad += gb
+        if not input_grad:
+            return None
+        np.matmul(b.dzf, self.wx.data.T, out=b.dx2d)
+        return b.dx
 
     @property
     def params(self) -> list[Parameter]:

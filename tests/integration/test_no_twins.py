@@ -58,3 +58,47 @@ def test_one_lease_state_machine():
     assert homes(r"min_dispatch = ") == ["supervision.py"]
     assert homes(r"= 1 \+ \w*retr\w+") == ["supervision.py"]  # the attempt budget
     assert homes(r"chunk_checksum\(results\) !=") == ["supervision.py"]
+
+
+def test_one_sigmoid():
+    """The gates of every recurrent layer and the ``Sigmoid`` activation run
+    one function; its planned form is the same body given buffers, not a
+    second implementation beside it."""
+    defs = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in re.findall(r"^\s*def (\w*sigmoid\w*)\(", path.read_text(), re.M)
+    ]
+    assert defs == ["repro/nn/activations.py: sigmoid"]
+
+
+def test_every_zoo_layer_has_plan_kernels():
+    """A model the experiments build never trains through the allocating
+    per-layer fallback: whatever layer a ``repro.nn.zoo`` builder starts
+    using needs ``out=``-form kernels first (or a reason here why not)."""
+    import numpy as np
+
+    from repro.nn import zoo
+    from repro.nn.layers import Flatten
+
+    rng = np.random.default_rng(0)
+    built = {
+        "build_cnn": zoo.build_cnn((8, 8, 3), 4, rng=rng, filters=(2, 2, 2), dense_units=4),
+        "build_femnist_cnn": zoo.build_femnist_cnn(
+            (8, 8, 1), 4, rng=rng, filters=(2, 2), dense_units=4
+        ),
+        "build_logistic": zoo.build_logistic(6, 3, rng=rng),
+        "build_mlp": zoo.build_mlp(6, 3, rng=rng, hidden=(4,)),
+        "build_lstm_classifier": zoo.build_lstm_classifier(
+            8, 4, rng=rng, embed_dim=4, hidden_dim=4
+        ),
+    }
+    assert sorted(built) == sorted(zoo.__all__)
+    unplanned = {
+        type(layer).__name__
+        for model in built.values()
+        for layer in model.layers
+        if not layer.plan_aware
+    }
+    # Flatten is a reshape: a view, no arithmetic, nothing to allocate.
+    assert unplanned <= {Flatten.__name__}

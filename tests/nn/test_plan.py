@@ -15,9 +15,9 @@ The whole contract in one file:
 3. arena hygiene — scratch reuse never aliases or mutates caller-owned
    arrays (hypothesis-driven), buffers stop growing after the first
    round, and layer caches are released between rounds;
-4. fallbacks — models with non-planned layers (LSTM, dropout, batch
-   norm) run through the plan's generic steps with identical results,
-   and plans never survive pickling/cloning/astype.
+4. fallbacks — models with non-planned layers (GRU) run through the
+   plan's generic steps with identical results, and plans never survive
+   pickling/cloning/astype.
 """
 
 import pickle
@@ -31,13 +31,16 @@ from repro.data.batching import FixedBatchSchedule
 from repro.data.datasets import make_dataset
 from repro.exec import OptimizerSpec
 from repro.metrics.evaluation import Evaluator
-from repro.nn.activations import ReLU, Sigmoid, Tanh, softmax
+from repro.nn.activations import ReLU, Sigmoid, Tanh, sigmoid, softmax
 from repro.nn.conv import Conv2D
-from repro.nn.layers import Dense
+from repro.nn.gru import GRU
+from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.losses import LOG_EPS, SoftmaxCrossEntropy
+from repro.nn.model import Sequential
 from repro.nn.plan import ScratchArena
 from repro.nn.pooling import MaxPool2D
 from repro.nn.proximal import ProximalTerm
+from repro.nn.recurrent import LSTM, Embedding
 from repro.nn.zoo import build_cnn, build_logistic, build_lstm_classifier, build_mlp
 from repro.sim.client import SimClient
 
@@ -46,6 +49,44 @@ def _cnn(rng=None, shape=(8, 8, 3)):
     return build_cnn(
         shape, 10, rng=rng or np.random.default_rng(1), filters=(4, 6, 6), dense_units=12
     )
+
+
+def _lstm_classifier(rng=None):
+    return build_lstm_classifier(
+        64, 64, rng=rng or np.random.default_rng(1), embed_dim=8, hidden_dim=8, dropout=0.1
+    )
+
+
+def _reddit_dataset(num_clients=2, samples=12):
+    return make_dataset(
+        "reddit", np.random.default_rng(0), num_clients=num_clients, samples_per_client=samples
+    )
+
+
+def _masked_sigmoid(x):
+    """The two-sided stable sigmoid ``repro.nn.activations.sigmoid`` used to
+    be, kept here as the oracle for its branch-free body."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+def _assert_same_bits(a, b):
+    """Equal bit patterns wherever a number is stored; NaN where NaN."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    np.testing.assert_array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+_SIGMOID_EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+    745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308, 36.8, -36.8, 709.9,
+]
 
 
 def _image_dataset(num_clients=3, samples=16, shape=(8, 8, 3)):
@@ -63,10 +104,10 @@ def _image_dataset(num_clients=3, samples=16, shape=(8, 8, 3)):
 # 1. Planned kernels == legacy kernels, layer by layer
 # --------------------------------------------------------------------- #
 class TestKernelEquivalence:
-    def _roundtrip(self, legacy, planned, x, grad, training=True):
+    def _roundtrip(self, legacy, planned, x, grad, training=True, slot=None):
         """forward+backward both ways; assert bitwise equality."""
-        arena = ScratchArena()
-        slot = arena.slot(0)
+        if slot is None:
+            slot = ScratchArena().slot(0)
         y_legacy = legacy.forward(x.copy(), training=training)
         y_planned = planned.forward(x.copy(), training=training, scratch=slot)
         np.testing.assert_array_equal(y_legacy, y_planned)
@@ -153,6 +194,158 @@ class TestKernelEquivalence:
         slot = arena.slot("loss")
         assert a.forward(logits, labels) == b.forward(logits, labels, scratch=slot)
         np.testing.assert_array_equal(a.backward(), b.backward(scratch=slot))
+
+    @pytest.mark.parametrize("seq", [False, True], ids=["last", "sequences"])
+    @pytest.mark.parametrize(
+        "ntdh", [(6, 5, 4, 8), (5, 1, 3, 6), (1, 4, 3, 5), (3, 6, 7, 11)],
+        ids=["plain", "T=1", "N=1", "odd-H"],
+    )
+    def test_lstm(self, ntdh, seq):
+        n, t, d, h = ntdh
+        rng = np.random.default_rng(0)
+        a = LSTM(d, h, rng=np.random.default_rng(1), return_sequences=seq)
+        b = LSTM(d, h, rng=np.random.default_rng(1), return_sequences=seq)
+        x = rng.normal(size=(n, t, d))
+        slot = ScratchArena().slot(0)
+        self._roundtrip(a, b, x, rng.normal(size=(n, t, h) if seq else (n, h)), slot=slot)
+        for pa, pb in zip(a.params, b.params):
+            np.testing.assert_array_equal(pa.grad, pb.grad)
+        # The inference kernel keeps no BPTT history: same values, no backward.
+        np.testing.assert_array_equal(
+            a.forward(x), b.forward(x, training=False, scratch=slot)
+        )
+        with pytest.raises(RuntimeError, match="training=True"):
+            b.backward(np.zeros((n, t, h) if seq else (n, h)), scratch=slot)
+
+    @pytest.mark.parametrize("seq", [False, True], ids=["last", "sequences"])
+    def test_lstm_batch_sizes_share_one_slab(self, seq):
+        """Every input shape is a prefix of one grow-only buffer, so each
+        call must re-establish its own zeros (h_0, c_0, the empty dh rows)
+        over whatever the previous shape left there."""
+        rng = np.random.default_rng(0)
+        d, h, t = 4, 6, 5
+        a = LSTM(d, h, rng=np.random.default_rng(1), return_sequences=seq)
+        b = LSTM(d, h, rng=np.random.default_rng(1), return_sequences=seq)
+        arena = ScratchArena()
+        slot = arena.slot(0)
+        sizes = []
+        for n in (7, 3, 7, 3, 1, 7):
+            x = rng.normal(size=(n, t, d))
+            np.testing.assert_array_equal(
+                a.forward(x), b.forward(x, training=False, scratch=slot)
+            )
+            self._roundtrip(
+                a, b, x, rng.normal(size=(n, t, h) if seq else (n, h)), slot=slot
+            )
+            for pa, pb in zip(a.params, b.params):
+                np.testing.assert_array_equal(pa.grad, pb.grad)
+            sizes.append(arena.nbytes)
+        assert len(set(sizes)) == 1  # the first (largest) batch sized it
+
+    def test_lstm_mixed_dtype_takes_the_reference_path(self):
+        """float64 activations into float32 weights promote mid-sequence;
+        the one-dtype slab cannot reproduce that, so the plan must not try."""
+        rng = np.random.default_rng(0)
+        a = LSTM(3, 4, rng=np.random.default_rng(1))
+        b = LSTM(3, 4, rng=np.random.default_rng(1))
+        for layer in (a, b):
+            for p in layer.params:
+                p.data, p.grad = p.data.astype(np.float32), p.grad.astype(np.float32)
+        self._roundtrip(a, b, rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 4)))
+
+    def test_embedding_repeated_ids(self):
+        rng = np.random.default_rng(0)
+        a = Embedding(9, 5, rng=np.random.default_rng(1))
+        b = Embedding(9, 5, rng=np.random.default_rng(1))
+        ids = np.array([[2, 2, 7, 2], [0, 7, 7, 8], [2, 0, 0, 0]])
+        slot = ScratchArena().slot(0)
+        grad = rng.normal(size=(3, 4, 5))
+        self._roundtrip(a, b, ids, grad, slot=slot)
+        np.testing.assert_array_equal(a.w.grad, b.w.grad)
+        # As the model's first layer nothing reads dL/d(ids).
+        assert b.backward(grad, scratch=slot, input_grad=False) is None
+        with pytest.raises(ValueError, match="out of range"):
+            b.forward(np.array([[9]]), scratch=slot)
+
+    def test_dropout_draws_the_reference_masks(self):
+        """``rng.random(out=...)`` must consume the stream exactly as
+        ``rng.random(shape)`` does, call after call and shape after shape."""
+        rng = np.random.default_rng(0)
+        a = Dropout(0.3, rng=np.random.default_rng(5))
+        b = Dropout(0.3, rng=np.random.default_rng(5))
+        slot = ScratchArena().slot(0)
+        for shape in [(6, 9), (4, 9), (6, 9)]:
+            self._roundtrip(a, b, rng.normal(size=shape), rng.normal(size=shape), slot=slot)
+            np.testing.assert_array_equal(a._mask, b._mask)
+        x = rng.normal(size=(6, 9))
+        assert b.forward(x, training=False, scratch=slot) is x  # identity at inference
+        assert a._rng.random() == b._rng.random()  # streams still in step
+
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_batchnorm(self, training):
+        rng = np.random.default_rng(0)
+        a, b = BatchNorm(7), BatchNorm(7)
+        for layer in (a, b):
+            layer.gamma.data[...] = np.linspace(0.5, 1.5, 7)
+            layer.beta.data[...] = np.linspace(-1.0, 1.0, 7)
+        slot = ScratchArena().slot(0)
+        for n in (9, 4, 9, 1) if not training else (9, 4, 9):
+            # A training step first, so inference normalizes by running
+            # statistics that are not their initial 0 / 1.
+            self._roundtrip(
+                a, b, rng.normal(2.0, 3.0, size=(n, 7)), rng.normal(size=(n, 7)), slot=slot
+            )
+            if not training:
+                self._roundtrip(
+                    a, b, rng.normal(size=(n, 7)), rng.normal(size=(n, 7)),
+                    training=False, slot=slot,
+                )
+            np.testing.assert_array_equal(a.running_mean, b.running_mean)
+            np.testing.assert_array_equal(a.running_var, b.running_var)
+            np.testing.assert_array_equal(a.gamma.grad, b.gamma.grad)
+            np.testing.assert_array_equal(a.beta.grad, b.beta.grad)
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(min_value=-50.0, max_value=50.0),
+                st.sampled_from(_SIGMOID_EDGES),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        cols=st.integers(min_value=1, max_value=7),
+        layout=st.sampled_from(["contiguous", "column-slice", "every-other", "transposed"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sigmoid_is_the_masked_formula_bit_for_bit(self, values, cols, layout):
+        rows = -(-len(values) // cols)
+        base = np.zeros((rows, 2 * cols + 1))
+        base.reshape(-1)[: len(values)] = values
+        x = {
+            "contiguous": base,
+            "column-slice": base[:, :cols],
+            "every-other": base[:, ::2],
+            "transposed": base.T,
+        }[layout]
+        want = _masked_sigmoid(x)
+        _assert_same_bits(sigmoid(x), want)
+        work = (np.empty(x.shape), np.empty(x.shape, dtype=np.bool_))
+        out = np.full((x.shape[0], x.shape[1] + 3), 7.0)[:, : x.shape[1]]  # strided target
+        assert sigmoid(x, out=out, work=work) is out
+        _assert_same_bits(out, want)
+        inplace = x.copy()
+        _assert_same_bits(sigmoid(inplace, out=inplace), want)
+
+    def test_sigmoid_edges_and_float32(self):
+        x = np.array(_SIGMOID_EDGES)
+        _assert_same_bits(sigmoid(x), _masked_sigmoid(x))
+        _assert_same_bits(sigmoid(x[::-1][::3]), _masked_sigmoid(x[::-1][::3]))
+        x32 = np.random.default_rng(0).normal(scale=20.0, size=(5, 8)).astype(np.float32)
+        got = sigmoid(x32)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, _masked_sigmoid(x32.astype(np.float64)), rtol=1e-6)
 
     def test_input_grad_skip_leaves_param_grads_intact(self):
         rng = np.random.default_rng(0)
@@ -299,18 +492,40 @@ class TestLoopEquivalence:
             _train_once(True, builder, ds, epochs=2), _train_once(False, builder, ds, epochs=2)
         )
 
-    def test_generic_fallback_model(self):
-        """LSTM + dropout + batch-norm layers take the generic (unplanned)
-        steps inside the compiled plan; results must still match exactly."""
-        ds = make_dataset(
-            "reddit", np.random.default_rng(0), num_clients=2, samples_per_client=12
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(epochs=1), dict(epochs=2, batch_size=7, rounds=2)],
+        ids=["even", "ragged"],
+    )
+    def test_recurrent_model_bit_identical(self, kwargs):
+        """Embedding -> LSTM -> Dropout -> BatchNorm -> Dense, every layer on
+        its planned kernels: dropout's mask stream, batch-norm's running
+        statistics and the LSTM's shared slab (a ragged final batch
+        alternates two shapes through it) all have to stay in step."""
+        ds = _reddit_dataset(samples=24)
+        _assert_rounds_identical(
+            _train_once(True, _lstm_classifier, ds, **kwargs),
+            _train_once(False, _lstm_classifier, ds, **kwargs),
         )
 
+    def test_generic_fallback_model(self):
+        """A layer without planned kernels (GRU, on purpose: nothing the
+        experiments build uses it) takes the generic steps inside the
+        compiled plan, between planned neighbours; results must still
+        match exactly."""
+        assert not GRU.plan_aware
+
         def builder(rng):
-            return build_lstm_classifier(
-                64, 64, rng=rng, embed_dim=8, hidden_dim=8, dropout=0.1
+            return Sequential(
+                [
+                    Embedding(64, 8, rng=rng),
+                    GRU(8, 8, rng=rng),
+                    Dense(8, 64, rng=rng, name="head"),
+                ],
+                name="gru_classifier",
             )
 
+        ds = _reddit_dataset()
         _assert_rounds_identical(
             _train_once(True, builder, ds, epochs=1), _train_once(False, builder, ds, epochs=1)
         )
@@ -374,25 +589,28 @@ class TestArenaHygiene:
         assert not np.shares_memory(res.weights, model.store.data)
 
     def test_arena_stops_growing_after_first_round(self):
-        ds = _image_dataset(num_clients=2)
-        model = _cnn()
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
-        flat = model.get_flat_weights()
-        clients = [SimClient(c, None, batch_size=10, seed=0) for c in ds.clients]
-        for c in clients:
-            c.local_train(
-                model, flat, epochs=1, loss=loss,
-                optimizer_factory=spec.build, latency=1.0,
-            )
-        plan = model.training_plan(loss)
-        nbytes_after_first_sweep = plan.arena.nbytes
-        for _ in range(3):
-            for c in clients:
-                c.local_train(
-                    model, flat, epochs=1, loss=loss,
-                    optimizer_factory=spec.build, latency=1.0,
-                )
-        assert plan.arena.nbytes == nbytes_after_first_sweep
+        for ds, model in (
+            (_image_dataset(num_clients=2), _cnn()),
+            # 17-18 training rows at batch size 10: a ragged batch every epoch.
+            (_reddit_dataset(samples=24), _lstm_classifier()),
+        ):
+            flat = model.get_flat_weights()
+            clients = [SimClient(c, None, batch_size=10, seed=0) for c in ds.clients]
+
+            def sweep():
+                for c in clients:
+                    c.local_train(
+                        model, flat, epochs=1, loss=loss,
+                        optimizer_factory=spec.build, latency=1.0,
+                    )
+
+            sweep()
+            plan = model.training_plan(loss)
+            nbytes_after_first_sweep = plan.arena.nbytes
+            for _ in range(3):
+                sweep()
+            assert plan.arena.nbytes == nbytes_after_first_sweep, model.name
 
     def test_view_cache_survives_ragged_batches(self):
         arena = ScratchArena()
@@ -413,19 +631,21 @@ class TestArenaHygiene:
         assert c.size == 25
 
     def test_run_epochs_releases_layer_caches(self):
-        ds = _image_dataset(num_clients=1)
-        model = _cnn()
-        client = SimClient(ds.clients[0], None, batch_size=10, seed=0)
-        client.local_train(
-            model, model.get_flat_weights(), epochs=1,
-            loss=SoftmaxCrossEntropy(),
-            optimizer_factory=OptimizerSpec("adam", 0.005).build, latency=1.0,
-        )
-        for layer in model.layers:
-            for attr in layer._cache_attrs:
-                assert not hasattr(layer, attr), (
-                    f"{type(layer).__name__}.{attr} still pinned after run_epochs"
-                )
+        for ds, model in (
+            (_image_dataset(num_clients=1), _cnn()),
+            (_reddit_dataset(num_clients=1), _lstm_classifier()),
+        ):
+            client = SimClient(ds.clients[0], None, batch_size=10, seed=0)
+            client.local_train(
+                model, model.get_flat_weights(), epochs=1,
+                loss=SoftmaxCrossEntropy(),
+                optimizer_factory=OptimizerSpec("adam", 0.005).build, latency=1.0,
+            )
+            for layer in model.layers:
+                for attr in layer._cache_attrs:
+                    assert not hasattr(layer, attr), (
+                        f"{type(layer).__name__}.{attr} still pinned after run_epochs"
+                    )
 
 
 # --------------------------------------------------------------------- #
@@ -492,3 +712,21 @@ class TestPlanLifecycle:
             assert np.all(np.isfinite(wa))
             np.testing.assert_allclose(wa, wb, atol=1e-5, rtol=1e-4)
             np.testing.assert_array_equal(wa, wa2)  # deterministic
+
+    def test_float32_recurrent_plan_close_to_reference(self):
+        """The recurrent kernels keep a float32 store float32 (slabs take
+        the input dtype, constants stay weak scalars) and agree with the
+        reference to float32 round-off."""
+        ds = _reddit_dataset(samples=24)
+
+        def builder(rng):
+            return _lstm_classifier(rng).astype(np.float32)
+
+        kwargs = dict(epochs=2, batch_size=7)
+        a = _train_once(True, builder, ds, **kwargs)
+        b = _train_once(False, builder, ds, **kwargs)
+        a2 = _train_once(True, builder, ds, **kwargs)
+        for (wa, _), (wb, _), (wa2, _) in zip(a, b, a2):
+            assert wa.dtype == np.float32
+            np.testing.assert_allclose(wa, wb, atol=1e-5, rtol=1e-4)
+            np.testing.assert_array_equal(wa, wa2)
