@@ -36,8 +36,10 @@ class Layer:
     #: True when forward/backward accept ``out``/``scratch`` kwargs.
     plan_aware = False
     #: True when backward reads the layer's own *output* values (e.g.
-    #: Tanh/Sigmoid cache their output for the derivative). The plan must
-    #: not let the next layer overwrite such a layer's output buffer.
+    #: Tanh/Sigmoid cache their output for the derivative), or the output
+    #: can be the layer's input handed through (Dropout at inference). The
+    #: plan must not let the next layer overwrite such a layer's output
+    #: buffer.
     plan_backward_needs_output = False
     #: Attributes set by forward and consumed by backward.
     _cache_attrs: tuple[str, ...] = ()

@@ -7,7 +7,6 @@ batch-norm → dense softmax head) and the Sentiment140-analogue text models.
 from __future__ import annotations
 
 import functools
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.activations import sigmoid
 from repro.nn.layers import Layer
+from repro.nn.model import WeightSpec
 from repro.nn.tensor import Parameter
 
 __all__ = ["Embedding", "LSTM"]
@@ -67,20 +67,9 @@ class Embedding(Layer):
         return [self.w]
 
 
-def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive C-contiguous views of 1-D ``flat``, one per shape."""
-    views, pos = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[pos : pos + size].reshape(shape))
-        pos += size
-    if pos != flat.size:
-        raise ValueError(f"slab holds {flat.size} elements, its layout needs {pos}")
-    return views
-
-
 def _slab_shapes(n: int, t: int, d: int, h: int, training: bool, seq: bool) -> tuple:
-    """What the planned LSTM carves, in order, for an ``(n, t, d)`` input.
+    """What the planned LSTM carves, in order, from its flat slab for an
+    ``(n, t, d)`` input (a :class:`WeightSpec` does the carving).
 
     Every shape is linear in ``n``, so the slab is ``n`` rows of
     :func:`_slab_row` elements and a smaller batch is a prefix of a larger
@@ -122,7 +111,7 @@ def _slab_shapes(n: int, t: int, d: int, h: int, training: bool, seq: bool) -> t
 
 @functools.lru_cache(maxsize=64)
 def _slab_row(t: int, d: int, h: int, training: bool, seq: bool) -> int:
-    return sum(math.prod(shape) for shape in _slab_shapes(1, t, d, h, training, seq))
+    return WeightSpec(_slab_shapes(1, t, d, h, training, seq)).total
 
 
 class LSTM(Layer):
@@ -264,7 +253,7 @@ class LSTM(Layer):
     def _bind(self, n: int, t: int, d: int, training: bool, slab: np.ndarray):
         """Slice ``slab`` into everything the loops index, once per shape."""
         h, seq = self.hidden_dim, self.return_sequences
-        views = _carve(slab.reshape(-1), _slab_shapes(n, t, d, h, training, seq))
+        views = WeightSpec(_slab_shapes(n, t, d, h, training, seq)).split(slab.reshape(-1))
         b = SimpleNamespace()
         b.xp, b.z, b.e, b.tmp, b.bias = views[:5]
         xp = b.xp.reshape(n, t, 4, h)
@@ -277,10 +266,11 @@ class LSTM(Layer):
             b.out = hc[1:, 0].transpose(1, 0, 2) if seq else hc[t, 0]
         else:
             b.hc0, hs, s = views[5:8]
-            c = b.hc0[1]
-            states = [(b.hc0[0], c)] + [(hs[k] if seq else b.hc0[0], c) for k in range(t)]
+            h0, c = b.hc0
+            # h rolls over h0 unless the caller wants every h_t; c always rolls.
+            states = [(h0, c)] + [(hk, c) for hk in (hs if seq else [h0] * t)]
             gates = [s] * t
-            b.out = hs.transpose(1, 0, 2) if seq else b.hc0[0]
+            b.out = hs.transpose(1, 0, 2) if seq else h0
         #: Per step, in the order the forward loop uses them.
         b.fwd = [
             (

@@ -210,12 +210,20 @@ class TestKernelEquivalence:
         self._roundtrip(a, b, x, rng.normal(size=(n, t, h) if seq else (n, h)), slot=slot)
         for pa, pb in zip(a.params, b.params):
             np.testing.assert_array_equal(pa.grad, pb.grad)
+        # As a model's first layer: no dL/dx, parameter gradients intact.
+        grad = rng.normal(size=(n, t, h) if seq else (n, h))
+        a.forward(x, training=True)
+        a.backward(grad)
+        b.forward(x, training=True, scratch=slot)
+        assert b.backward(grad, scratch=slot, input_grad=False) is None
+        for pa, pb in zip(a.params, b.params):
+            np.testing.assert_array_equal(pa.grad, pb.grad)
         # The inference kernel keeps no BPTT history: same values, no backward.
         np.testing.assert_array_equal(
             a.forward(x), b.forward(x, training=False, scratch=slot)
         )
         with pytest.raises(RuntimeError, match="training=True"):
-            b.backward(np.zeros((n, t, h) if seq else (n, h)), scratch=slot)
+            b.backward(grad, scratch=slot)
 
     @pytest.mark.parametrize("seq", [False, True], ids=["last", "sequences"])
     def test_lstm_batch_sizes_share_one_slab(self, seq):
@@ -506,6 +514,29 @@ class TestLoopEquivalence:
         _assert_rounds_identical(
             _train_once(True, _lstm_classifier, ds, **kwargs),
             _train_once(False, _lstm_classifier, ds, **kwargs),
+        )
+
+    def test_stacked_lstm_bit_identical(self):
+        """``return_sequences`` inside a plan: the first LSTM's output is a
+        strided view of the slab its backward reads h_1..h_{T-1} from, so
+        the activation after it must not run in place over it."""
+
+        def builder(rng):
+            return Sequential(
+                [
+                    Embedding(64, 6, rng=rng),
+                    LSTM(6, 7, rng=rng, return_sequences=True, name="lstm1"),
+                    ReLU(),
+                    LSTM(7, 5, rng=rng, name="lstm2"),
+                    Dense(5, 64, rng=rng, name="head"),
+                ],
+                name="stacked_lstm",
+            )
+
+        ds = _reddit_dataset(samples=24)
+        kwargs = dict(epochs=2, batch_size=7)
+        _assert_rounds_identical(
+            _train_once(True, builder, ds, **kwargs), _train_once(False, builder, ds, **kwargs)
         )
 
     def test_generic_fallback_model(self):
