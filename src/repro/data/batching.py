@@ -67,4 +67,4 @@ class FixedBatchSchedule:
         return rng.permutation(self.n)
 
     def batches_per_epoch(self) -> int:
-        return int(np.ceil(self.n / self.batch_size))
+        return -(-self.n // self.batch_size)

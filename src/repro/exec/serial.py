@@ -15,16 +15,22 @@ __all__ = ["SerialExecutor"]
 
 
 class SerialExecutor(ClientExecutor):
-    """Train the cohort in order through one shared worker model.
+    """Train the cohort through one shared worker model, as one call.
 
-    Keeps 100–500-client simulations cheap (no per-client model instances)
-    at the cost of serializing local training — the ceiling
+    The whole cohort goes to the model's compiled
+    :class:`~repro.nn.plan.TrainingPlan` at once
+    (:meth:`~repro.nn.plan.TrainingPlan.run_cohort`), which trains clients
+    that share batch shapes in lockstep — one chain of kernel calls per
+    group of clients — where the model allows it, and one at a time in
+    cohort order where it does not. Either way no per-client model
+    instance exists, which keeps 100–500-client simulations cheap; the
+    ceiling left is one process, which
     :class:`~repro.exec.parallel.ParallelExecutor` lifts.
 
-    The fused :class:`~repro.nn.plan.TrainingPlan` for ``(model, loss)`` is
-    compiled eagerly at construction, so every backend replica — this
-    executor is also the per-process worker core of the parallel backend —
-    pays compilation once, not on its first cohort.
+    The plan for ``(model, loss)`` is compiled eagerly at construction, so
+    every backend replica — this executor is also the per-process worker
+    core of the pool and dist backends, each handing it its chunk — pays
+    compilation once, not on its first cohort.
     """
 
     name = "serial"
@@ -40,21 +46,18 @@ class SerialExecutor(ClientExecutor):
         self.clients = clients
         self.loss = loss
         self.optimizer = optimizer
-        model.training_plan(loss)  # cached; local_train reuses it
+        model.training_plan(loss)  # cached; run_cohort reuses it
 
     def run_cohort(
         self, start_weights: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
+        clients = [self.clients[t.client_id] for t in tasks]
+        trained = self.model.training_plan(self.loss).run_cohort(
+            start_weights,
+            [c.member(t.epochs, t.lam, t.start_epoch) for c, t in zip(clients, tasks)],
+            self.optimizer.build(),
+        )
         return [
-            self.clients[t.client_id].local_train(
-                self.model,
-                start_weights,
-                epochs=t.epochs,
-                loss=self.loss,
-                optimizer_factory=self.optimizer.build,
-                lam=t.lam,
-                latency=t.latency,
-                start_epoch=t.start_epoch,
-            )
-            for t in tasks
+            LocalTrainingResult(c.client_id, weights, c.n_train, mean_loss, float(t.latency))
+            for c, t, (weights, mean_loss) in zip(clients, tasks, trained)
         ]

@@ -3,7 +3,8 @@
 ReLU/Tanh/Sigmoid implement the fused-plan kernel protocol (optional
 ``out``/``scratch`` parameters, see :mod:`repro.nn.plan`): every planned
 operation is the ``out=`` form of exactly the legacy expression, so the
-two paths are bit-identical.
+two paths are bit-identical. Every activation here is elementwise or
+row-wise, so a cohort's stacked batch runs through it unchanged.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class ReLU(Layer):
     """Rectified linear unit."""
 
     plan_aware = True
+    plan_stackable = True
     plan_inplace = True
     _cache_attrs = ("_mask",)
 
@@ -95,6 +97,7 @@ class Tanh(Layer):
     """Hyperbolic tangent."""
 
     plan_aware = True
+    plan_stackable = True
     plan_inplace = True
     #: backward differentiates through the cached output, so the next
     #: layer must not overwrite this layer's output buffer in place.
@@ -136,6 +139,7 @@ class Sigmoid(Layer):
     """Logistic sigmoid."""
 
     plan_aware = True
+    plan_stackable = True
     plan_inplace = True
     #: backward differentiates through the cached output, so the next
     #: layer must not overwrite this layer's output buffer in place.
@@ -181,6 +185,7 @@ class Softmax(Layer):
     outputs and for models whose loss is not cross-entropy.
     """
 
+    plan_stackable = True
     _cache_attrs = ("_out",)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

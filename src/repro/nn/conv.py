@@ -7,11 +7,13 @@ extraction allocation-free until the contiguous copy needed by BLAS.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.nn import initializers
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, client_major, per_client
 from repro.nn.tensor import Parameter
 
 __all__ = ["Conv2D", "im2col", "col2im"]
@@ -74,16 +76,47 @@ def col2im(
     return dx
 
 
+@functools.lru_cache(maxsize=None)
+def _scatter_pairs(h: int, w: int, oh: int, ow: int, kh: int, kw: int, stride: int, pad: int):
+    """``(input index, column index)`` of each kernel position's slice of
+    the col2im scatter, clipped to the unpadded interior (see
+    :meth:`Conv2D.backward`). Pure in the geometry, so computed once."""
+
+    def clip(offset: int, limit: int, count: int) -> tuple[int, int, int]:
+        """First source index, first interior index, and run length of
+        the scatter positions ``offset + r*stride`` inside [0, limit)."""
+        s0 = 0 if offset >= 0 else (-offset + stride - 1) // stride
+        d0 = offset + s0 * stride
+        if d0 >= limit:
+            return s0, d0, 0
+        return s0, d0, min((limit - 1 - d0) // stride + 1, count - s0)
+
+    pairs = []
+    for i in range(kh):
+        for j in range(kw):
+            ri, di, nr = clip(i - pad, h, oh)
+            rj, dj, nc = clip(j - pad, w, ow)
+            if nr > 0 and nc > 0:
+                dst = (slice(None), slice(di, di + nr * stride, stride))
+                dst += (slice(dj, dj + nc * stride, stride),)
+                src = (slice(None), i, j, slice(ri, ri + nr), slice(rj, rj + nc))
+                pairs.append((dst, src))
+    return tuple(pairs)
+
+
 class Conv2D(Layer):
     """2-D convolution, NHWC layout, with 'same' or 'valid' padding.
 
     The planned path (``scratch``, see :mod:`repro.nn.plan`) reuses arena
     buffers for the padded input frame, the im2col column block, and every
     gradient scatter — each op the ``out=`` form of exactly the legacy op,
-    so both paths are bit-identical.
+    so both paths are bit-identical. Patches are rows, so a cohort's
+    stacked batch needs per-client weights only in the three GEMMs and the
+    bias sum.
     """
 
     plan_aware = True
+    plan_stackable = True
     _cache_attrs = ("_x_shape", "_cols")
 
     def __init__(
@@ -115,7 +148,7 @@ class Conv2D(Layer):
         self.out_channels = out_channels
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, out=None, scratch=None
+        self, x: np.ndarray, training: bool = False, *, out=None, scratch=None, stack=None
     ) -> np.ndarray:
         self._x_shape = x.shape
         if scratch is None:
@@ -124,18 +157,17 @@ class Conv2D(Layer):
             cols, (oh, ow) = self._im2col_arena(x, scratch)
         self._cols = cols
         n = x.shape[0]
-        if out is None and scratch is not None:
-            out = scratch(
-                "y",
-                (n * oh * ow, self.out_channels),
-                np.result_type(cols.dtype, self.w.data.dtype),
-            )
-        if out is None:
+        if out is None and scratch is None:
             out = cols @ self.w.data + self.b.data
-        else:
-            out = out.reshape(n * oh * ow, self.out_channels)
-            np.matmul(cols, self.w.data, out=out)
-            np.add(out, self.b.data, out=out)
+            return out.reshape(n, oh, ow, self.out_channels)
+        (w, _), (b, _) = stack or self._own_stack()
+        if out is None:
+            out = scratch(
+                "y", (n * oh * ow, self.out_channels), np.result_type(cols.dtype, w.dtype)
+            )
+        cs, ys = client_major(cols, len(w)), out.reshape(len(w), -1, self.out_channels)
+        np.matmul(cs, w, out=ys)
+        np.add(ys, per_client(b, ys.ndim), out=ys)
         return out.reshape(n, oh, ow, self.out_channels)
 
     def _im2col_arena(self, x, scratch):
@@ -171,7 +203,13 @@ class Conv2D(Layer):
         return cols, (oh, ow)
 
     def backward(
-        self, grad: np.ndarray, *, out=None, scratch=None, input_grad: bool = True
+        self,
+        grad: np.ndarray,
+        *,
+        out=None,
+        scratch=None,
+        input_grad: bool = True,
+        stack=None,
     ) -> np.ndarray | None:
         n, oh, ow, oc = grad.shape
         gflat = grad.reshape(n * oh * ow, oc)
@@ -182,20 +220,23 @@ class Conv2D(Layer):
                 return None
             dcols = gflat @ self.w.data.T
             return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.pad)
+        (kernel, w_grad), (_, b_grad) = stack or self._own_stack()
+        clients = len(kernel)
+        cs, gs = client_major(self._cols, clients), client_major(gflat, clients)
         # "~"-named scratch is arena-wide shared across layers: everything
         # taken here is dead before any other layer's backward runs.
-        gw = scratch("~gw", self.w.data.shape, self.w.grad.dtype)
-        np.matmul(self._cols.T, gflat, out=gw)
-        self.w.grad += gw
-        gb = scratch("~gb", self.b.data.shape, self.b.grad.dtype)
+        gw = scratch("~gw", kernel.shape, w_grad.dtype)
+        np.matmul(cs.transpose(0, 2, 1), gs, out=gw)
+        w_grad += gw
+        gb = scratch("~gb", b_grad.shape, b_grad.dtype)
         # np.sum delegates to add.reduce; calling it directly skips the
         # dispatch wrapper (identical reduction, identical bits).
-        np.add.reduce(gflat, axis=0, out=gb)
-        self.b.grad += gb
+        np.add.reduce(gs, axis=1, out=gb)
+        b_grad += gb
         if not input_grad:
             return None
         dcols = scratch("~dcols", self._cols.shape, grad.dtype)
-        np.matmul(gflat, self.w.data.T, out=dcols)
+        np.matmul(gs, kernel.transpose(0, 2, 1), out=client_major(dcols, clients))
         # col2im into a reused (re-zeroed) scatter buffer. Two exact-value
         # restructurings of the legacy scatter: (a) the column block is
         # re-laid-out kernel-position-major, so each (i, j) slice is one
@@ -211,29 +252,9 @@ class Conv2D(Layer):
         np.copyto(dct, dcols.reshape(n, oh, ow, kh, kw, c).transpose(0, 3, 4, 1, 2, 5))
         dx = scratch("~dx", (n, h, w, c), grad.dtype)
         dx.fill(0.0)
-
-        def clip(offset: int, limit: int, count: int) -> tuple[int, int, int]:
-            """First source index, first interior index, and run length of
-            the scatter positions ``offset + r*stride`` inside [0, limit)."""
-            s0 = 0 if offset >= 0 else (-offset + stride - 1) // stride
-            d0 = offset + s0 * stride
-            if d0 >= limit:
-                return s0, d0, 0
-            return s0, d0, min((limit - 1 - d0) // stride + 1, count - s0)
-
-        for i in range(kh):
-            for j in range(kw):
-                ri, di, nr = clip(i - pad, h, oh)
-                rj, dj, nc = clip(j - pad, w, ow)
-                if nr <= 0 or nc <= 0:
-                    continue
-                dst = dx[
-                    :,
-                    di : di + nr * stride : stride,
-                    dj : dj + nc * stride : stride,
-                    :,
-                ]
-                np.add(dst, dct[:, i, j, ri : ri + nr, rj : rj + nc, :], out=dst)
+        for dst, src in _scatter_pairs(h, w, oh, ow, kh, kw, stride, pad):
+            dst = dx[dst]
+            np.add(dst, dct[src], out=dst)
         return dx
 
     @property

@@ -7,7 +7,23 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.tensor import Parameter
 
-__all__ = ["Layer", "Dense", "Flatten", "Dropout", "BatchNorm"]
+__all__ = ["Layer", "Dense", "Flatten", "Dropout", "BatchNorm", "client_major", "per_client"]
+
+
+def client_major(a: np.ndarray, clients: int) -> np.ndarray:
+    """``a``'s rows as ``clients`` equal, consecutive batches: a
+    ``(clients, rows, ...)`` view of a cohort plan's stacked batch."""
+    return a.reshape((clients, -1) + a.shape[1:])
+
+
+def per_client(param: np.ndarray, ndim: int) -> np.ndarray:
+    """A stacked ``(G, *shape)`` parameter broadcast against an ``ndim``-D
+    client-major operand: bias ``(G, N)`` becomes ``(G, 1, N)`` for
+    ``(G, rows, N)``, and weights gain the batch axes a time-distributed
+    input loops over (``(G, 1, in, out)`` for ``(G, rows, T, in)``)."""
+    if param.ndim == ndim:
+        return param
+    return param.reshape(param.shape[:1] + (1,) * (ndim - param.ndim) + param.shape[1:])
 
 
 class Layer:
@@ -31,10 +47,19 @@ class Layer:
     bit-identical. :attr:`_cache_attrs` names the attributes forward caches
     for backward; :meth:`release_caches` drops them so long-lived replicas
     stop pinning last-batch activations between rounds.
+
+    :attr:`plan_stackable` layers can train a cohort in one call: their
+    input holds G clients' equal-size batches client-major, and a layer
+    with parameters takes a ``stack`` of per-client ``(data, grad)``
+    views, each ``(G, *shape)``, in :attr:`params` order.
     """
 
     #: True when forward/backward accept ``out``/``scratch`` kwargs.
     plan_aware = False
+    #: True when G clients' stacked batches train as if one at a time:
+    #: row-wise or elementwise work, no hidden state, and any parameters
+    #: taken from a ``stack`` (see :func:`client_major`).
+    plan_stackable = False
     #: True when backward reads the layer's own *output* values (e.g.
     #: Tanh/Sigmoid cache their output for the derivative), or the output
     #: can be the layer's input handed through (Dropout at inference). The
@@ -60,6 +85,11 @@ class Layer:
     def params(self) -> list[Parameter]:
         return []
 
+    def _own_stack(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """This layer's own parameters as a one-client ``stack``, so the
+        planned kernels have one body whether or not a cohort stacks them."""
+        return [(p.data[None], p.grad[None]) for p in self.params]
+
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
 
@@ -72,6 +102,7 @@ class Dense(Layer):
     """
 
     plan_aware = True
+    plan_stackable = True
     _cache_attrs = ("_x",)
 
     def __init__(
@@ -91,31 +122,37 @@ class Dense(Layer):
         self.b = Parameter(initializers.zeros((out_features,)), f"{name}.b")
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, out=None, scratch=None
+        self, x: np.ndarray, training: bool = False, *, out=None, scratch=None, stack=None
     ) -> np.ndarray:
         self._x = x
-        if out is None and scratch is not None:
-            out = scratch(
-                "y",
-                x.shape[:-1] + (self.w.data.shape[1],),
-                np.result_type(x.dtype, self.w.data.dtype),
-            )
-        if out is None:
+        if out is None and scratch is None:
             return x @ self.w.data + self.b.data
-        np.matmul(x, self.w.data, out=out)
-        np.add(out, self.b.data, out=out)
+        (w, _), (b, _) = stack or self._own_stack()
+        if out is None:
+            out = scratch("y", x.shape[:-1] + (w.shape[-1],), np.result_type(x.dtype, w.dtype))
+        # One (rows, in) @ (in, out) GEMM per client, the same call a client
+        # trained alone makes (tests/nn/test_cohort.py pins the bits).
+        xs, ys = client_major(x, len(w)), client_major(out, len(w))
+        np.matmul(xs, per_client(w, xs.ndim), out=ys)
+        np.add(ys, per_client(b, ys.ndim), out=ys)
         return out
 
     def backward(
-        self, grad: np.ndarray, *, out=None, scratch=None, input_grad: bool = True
+        self,
+        grad: np.ndarray,
+        *,
+        out=None,
+        scratch=None,
+        input_grad: bool = True,
+        stack=None,
     ) -> np.ndarray | None:
         x = self._x
-        if x.ndim == 2:
-            flat_x, flat_g = x, grad
-        else:  # time-distributed: collapse leading axes
-            flat_x = x.reshape(-1, x.shape[-1])
-            flat_g = grad.reshape(-1, grad.shape[-1])
         if scratch is None:
+            if x.ndim == 2:
+                flat_x, flat_g = x, grad
+            else:  # time-distributed: collapse leading axes
+                flat_x = x.reshape(-1, x.shape[-1])
+                flat_g = grad.reshape(-1, grad.shape[-1])
             self.w.grad += flat_x.T @ flat_g
             self.b.grad += flat_g.sum(axis=0)
             if not input_grad:
@@ -124,21 +161,27 @@ class Dense(Layer):
                 return grad @ self.w.data.T
             np.matmul(grad, self.w.data.T, out=out)
             return out
+        (w, w_grad), (_, b_grad) = stack or self._own_stack()
+        clients = len(w)
+        # Per client, time-distributed leading axes collapse into rows.
+        flat_x = x.reshape(clients, -1, x.shape[-1])
+        flat_g = grad.reshape(clients, -1, grad.shape[-1])
         # "~"-named scratch is arena-wide shared (dead within this step);
         # gx stays per-layer — it is live until the next backward consumes it.
-        gw = scratch("~gw", self.w.data.shape, self.w.grad.dtype)
-        np.matmul(flat_x.T, flat_g, out=gw)
-        self.w.grad += gw
-        gb = scratch("~gb", self.b.data.shape, self.b.grad.dtype)
+        gw = scratch("~gw", w.shape, w_grad.dtype)
+        np.matmul(flat_x.transpose(0, 2, 1), flat_g, out=gw)
+        w_grad += gw
+        gb = scratch("~gb", b_grad.shape, b_grad.dtype)
         # np.sum delegates to add.reduce; calling it directly skips the
         # dispatch wrapper (identical reduction, identical bits).
-        np.add.reduce(flat_g, axis=0, out=gb)
-        self.b.grad += gb
+        np.add.reduce(flat_g, axis=1, out=gb)
+        b_grad += gb
         if not input_grad:
             return None
         if out is None:
             out = scratch("gx", x.shape, grad.dtype)
-        np.matmul(grad, self.w.data.T, out=out)
+        gs = client_major(grad, clients)
+        np.matmul(gs, per_client(w, gs.ndim).swapaxes(-1, -2), out=client_major(out, clients))
         return out
 
     @property
@@ -149,6 +192,7 @@ class Dense(Layer):
 class Flatten(Layer):
     """Collapse all axes after the batch axis."""
 
+    plan_stackable = True
     _cache_attrs = ("_shape",)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

@@ -48,12 +48,20 @@ class SoftmaxCrossEntropy(Loss):
     The planned path (``scratch``) runs the identical softmax op chain —
     max, subtract, exp, sum, divide — as ``out=`` writes into arena
     buffers, so it is bit-identical to the allocating form.
+
+    With ``clients=G`` the rows are G clients' equal-size batches,
+    client-major: forward returns the G per-client mean losses (the
+    ``add.reduce`` + ``true_divide`` that ``ndarray.mean`` runs) and
+    backward divides each client's gradient by its own row count.
     """
 
     plan_aware = True
-    _cache_attrs = ("_probs", "_labels")
+    plan_stackable = True
+    _cache_attrs = ("_probs", "_labels", "_rows")
 
-    def forward(self, logits: np.ndarray, labels: np.ndarray, *, scratch=None) -> float:
+    def forward(
+        self, logits: np.ndarray, labels: np.ndarray, *, scratch=None, clients=None
+    ) -> float | np.ndarray:
         labels = np.asarray(labels).reshape(-1)
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D (N, C), got shape {logits.shape}")
@@ -78,7 +86,18 @@ class SoftmaxCrossEntropy(Loss):
             rows = self._row_index(n, scratch)
         self._probs = probs
         self._labels = labels
-        return float(-np.log(probs[rows, labels] + LOG_EPS).mean())
+        if scratch is None:
+            nll = -np.log(probs[rows, labels] + LOG_EPS)
+        else:  # the same three ufuncs, in place over the one gathered copy
+            nll = probs[rows, labels]
+            np.negative(np.log(np.add(nll, LOG_EPS, out=nll), out=nll), out=nll)
+        if clients is None:
+            self._rows = n
+            return float(nll.mean())
+        self._rows = n // clients
+        means = scratch("means", (clients,), nll.dtype)
+        np.add.reduce(nll.reshape(clients, -1), axis=1, out=means)
+        return np.true_divide(means, np.intp(self._rows), out=means, casting="unsafe")
 
     @staticmethod
     def _row_index(n: int, scratch) -> np.ndarray:
@@ -100,7 +119,7 @@ class SoftmaxCrossEntropy(Loss):
         rows = np.arange(n) if scratch is None else self._row_index(n, scratch)
         np.copyto(out, self._probs)
         out[rows, self._labels] -= 1.0
-        np.divide(out, n, out=out)
+        np.divide(out, self._rows, out=out)
         return out
 
 

@@ -23,7 +23,17 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
-    """Base optimizer. Subclasses implement :meth:`_update` over a store."""
+    """Base optimizer. Subclasses implement :meth:`_update` over a store
+    and :meth:`apply`, the planned update over whole buffers.
+
+    An instance is also the *recipe* a cohort plan
+    (:meth:`~repro.nn.plan.TrainingPlan.run_cohort`) reads: it keeps every
+    client's state in ``state_slots`` slabs of its own and steps them
+    through :meth:`apply`, leaving the instance's own state untouched.
+    """
+
+    #: Per-weight state arrays an update reads and writes (Adam's moments).
+    state_slots = 0
 
     def __init__(self, lr: float):
         if lr <= 0:
@@ -59,6 +69,15 @@ class Optimizer:
     def _update(self, store: FlatParameterStore, scratch=None) -> None:
         raise NotImplementedError
 
+    def apply(self, data: np.ndarray, grad: np.ndarray, state: tuple, t: int, scratch) -> None:
+        """One update of ``data`` in place, written into ``scratch`` buffers.
+
+        ``state`` holds ``state_slots`` arrays shaped like ``data``; ``t``
+        is the 1-based step count. Every rule is elementwise, so ``(G, P)``
+        rows of G clients update exactly as each ``(P,)`` buffer would.
+        """
+        raise NotImplementedError
+
     def reset_state(self) -> None:
         """Drop optimizer state (moments). Called when a client receives
         a fresh global model so stale moments don't leak across rounds."""
@@ -74,22 +93,34 @@ class SGD(Optimizer):
         self.momentum = momentum
         self._velocity: np.ndarray | None = None
 
+    @property
+    def state_slots(self) -> int:
+        return 1 if self.momentum else 0
+
     def _update(self, store: FlatParameterStore, scratch=None) -> None:
-        if self.momentum == 0.0:
-            if scratch is not None:
-                s = scratch("sgd_s", store.grad.shape, store.grad.dtype)
-                np.multiply(store.grad, self.lr, out=s)
-                store.data -= s
-                return
+        if self.momentum and self._velocity is None:
+            self._velocity = np.zeros_like(store.data)
+        state = (self._velocity,) if self.momentum else ()
+        if scratch is not None:
+            self.apply(store.data, store.grad, state, 0, scratch)
+        elif state:
+            v = self._velocity
+            v *= self.momentum
+            v -= self.lr * store.grad
+            store.data += v
+        else:
             store.data -= self.lr * store.grad
-            return
-        v = self._velocity
-        if v is None:
-            v = np.zeros_like(store.data)
-            self._velocity = v
-        v *= self.momentum
-        v -= self.lr * store.grad
-        store.data += v
+
+    def apply(self, data, grad, state, t, scratch) -> None:
+        s = scratch("sgd_s", grad.shape, grad.dtype)
+        np.multiply(grad, self.lr, out=s)
+        if state:
+            (v,) = state
+            v *= self.momentum
+            v -= s
+            data += v
+        else:
+            data -= s
 
     def reset_state(self) -> None:
         self._velocity = None
@@ -97,6 +128,8 @@ class SGD(Optimizer):
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2014) with bias correction."""
+
+    state_slots = 2
 
     def __init__(
         self,
@@ -130,23 +163,25 @@ class Adam(Optimizer):
         if scratch is None:
             self._adam_step(store.data, store.grad, self._m, self._v)
             return
+        self.apply(store.data, store.grad, (self._m, self._v), self._t, scratch)
+
+    def apply(self, data, grad, state, t, scratch) -> None:
         # The allocation-free form of _adam_step: the identical elementwise
         # op chain written into two arena scratch buffers, so each of the
         # ~6 whole-buffer temporaries the expression form materializes per
         # step becomes a reused write. Bit-identical by elementwiseness.
-        data, g = store.data, store.grad
-        m, v = self._m, self._v
+        m, v = state
         s1 = scratch("adam_s1", data.shape, data.dtype)
         s2 = scratch("adam_s2", data.shape, data.dtype)
         m *= self.beta1
-        np.multiply(g, 1 - self.beta1, out=s1)
+        np.multiply(grad, 1 - self.beta1, out=s1)
         m += s1
         v *= self.beta2
-        np.multiply(g, 1 - self.beta2, out=s2)
-        np.multiply(s2, g, out=s2)
+        np.multiply(grad, 1 - self.beta2, out=s2)
+        np.multiply(s2, grad, out=s2)
         v += s2
-        np.divide(m, 1 - self.beta1**self._t, out=s1)  # mhat
-        np.divide(v, 1 - self.beta2**self._t, out=s2)  # vhat
+        np.divide(m, 1 - self.beta1**t, out=s1)  # mhat
+        np.divide(v, 1 - self.beta2**t, out=s2)  # vhat
         np.multiply(s1, self.lr, out=s1)
         np.sqrt(s2, out=s2)
         s2 += self.eps

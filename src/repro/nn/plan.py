@@ -1,4 +1,4 @@
-"""Fused local-training kernel: compiled layer plans + scratch arenas.
+"""Fused local training: compiled layer plans, scratch arenas, lockstep cohorts.
 
 Profiling (``history.meta["phase_seconds"]``) showed that once weight
 marshalling became one memcpy (the flat parameter store, PR 3), the
@@ -20,31 +20,56 @@ store removed marshalling:
   of every epoch (layers that support it take optional ``out``/``scratch``
   parameters; with ``scratch=None`` they allocate, which is the reference
   the plan kernels are tested against);
-- the whole ``epochs x batches`` loop of ``SimClient.local_train`` runs
-  inside :meth:`TrainingPlan.run_epochs`: one Python frame per batch,
-  gathers via ``np.take(..., out=batch_buf)``, gradients zeroed by the
-  store's single ``zero_grad`` memset, and the optimizer stepping over
-  the store's whole buffers.
+- a whole cohort's local training runs inside :meth:`TrainingPlan.run_cohort`,
+  and so does one client's (:meth:`TrainingPlan.run_epochs`,
+  ``SimClient.local_train``): the one-member case of the same loop.
+
+**Cohorts in lockstep.** FedAT's intra-tier round is synchronous — every
+client starts from the same weights — so a cohort does not have to train
+one client after another. :meth:`TrainingPlan.run_cohort` sorts the
+members by (shard size, epochs), splits them into *waves* of at most B
+clients (as even as B allows), and walks each wave's step index k: the
+members active at step k are grouped by batch rows, and each group runs
+**one** chain of kernel calls over its client-major ``(G·rows, ...)``
+batch. Per-client weights, gradients and optimizer state are rows of
+``[B, P]`` slabs, handed to the layers as ``(G, *shape)`` views; a group
+that is not a contiguous range of rows is gathered and scattered back.
+Only the kernels where weights enter change: GEMMs become stacked
+``(G, M, K) @ (G, K, N)`` calls, bias sums reduce over the row axis, and
+the loss returns per-client means — each bit-identical to the per-client
+call (pinned in ``tests/nn/test_cohort.py``). Everything else (im2col,
+ReLU, max-pooling, the proximal pull, Adam/SGD with t = k + 1) is row-wise
+or elementwise and runs unchanged over the stacked batch.
+
+B is how many one-client arenas fit :data:`WAVE_BYTES`, measured on the
+plan's first cohort; it is 1 where one client's arena already exceeds the
+budget. A model with a layer that cannot stack (dropout's mask stream and
+batch-norm's statistics are consumed in call order; the recurrent layers
+have no stacked kernels) trains its members one at a time, in cohort
+order, through the same loop — with the model's own store as the one-row
+slab, so every layer reads its weights where it always did.
 
 Every planned operation is the ``out=`` form of exactly the operation the
 allocating per-layer reference (``Sequential.train_on_batch``) runs — same
 ufuncs, same BLAS calls, same order — so the plan is **bit-identical at
 float64** to it, checked kernel by kernel and loop by loop in
-``tests/nn/test_plan.py`` and end to end by the golden-history fixtures.
-Every layer a :mod:`repro.nn.zoo` builder instantiates has planned kernels —
-the recurrent model too: the LSTM runs BPTT over time-major slabs whose
-per-timestep views are bound once per input shape
-(:meth:`ScratchArena.take_bound`). Layers without them (GRU, Flatten,
-Softmax, ...) run their normal forward/backward inside the compiled step
-list, so any model gets a plan and unsupported layers simply keep
-allocating.
+``tests/nn/test_plan.py`` / ``tests/nn/test_cohort.py`` and end to end by
+the golden-history fixtures. Every layer a :mod:`repro.nn.zoo` builder
+instantiates has planned kernels — the recurrent model too: the LSTM runs
+BPTT over time-major slabs whose per-timestep views are bound once per
+input shape (:meth:`ScratchArena.take_bound`). Layers without them (GRU,
+Flatten, Softmax, ...) run their normal forward/backward inside the
+compiled step list, so any model gets a plan and unsupported layers simply
+keep allocating.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from repro.nn.proximal import add_proximal_grad
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.data.batching import FixedBatchSchedule
@@ -52,7 +77,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.nn.model import Sequential
     from repro.nn.optimizers import Optimizer
 
-__all__ = ["ScratchArena", "TrainingPlan"]
+__all__ = ["ScratchArena", "TrainingPlan", "CohortMember", "WAVE_BYTES"]
+
+#: Byte budget of one wave of a cohort: B = how many one-client arenas fit.
+#: Per 10-row client batch the bench CNN ran at 444 / 310 / 265 / 245 / 226
+#: / 213 / 205 / 237 µs stacked 1 / 2 / 3 / 4 / 5 / 6.4 / 8 / 10 clients
+#: deep, with arenas of 0.6 to 5.6 MB: the knee sits near 4 MiB, past which
+#: the working set leaves a 2 MiB L2 and gets slower again.
+WAVE_BYTES = 4 << 20
 
 
 class ScratchArena:
@@ -201,12 +233,15 @@ class ScratchArena:
 def _compile_layer(
     layer, scratch, *, input_grad: bool = True, inplace: bool = False
 ) -> tuple[Callable, Callable]:
-    """Pre-bound (forward, backward) step closures for one layer.
+    """Pre-bound ``fwd(x, training, stack)`` / ``bwd(grad, stack)`` closures
+    for one layer.
 
-    Plan-aware layers (``layer.plan_aware``) receive the arena-backed
-    ``scratch`` provider and run their ``out=``-form kernels; everything
-    else is wrapped as-is, so its allocation behavior is exactly the
-    per-layer reference's.
+    Plan-aware layers receive the arena-backed ``scratch`` provider and run
+    their ``out=``-form kernels; everything else is wrapped as-is, so its
+    allocation behavior is exactly the per-layer reference's. ``stack`` —
+    the ``(G, *shape)`` weight and gradient views of the clients in the
+    batch (:meth:`TrainingPlan._stacks`) — reaches only stackable layers
+    with parameters.
 
     ``input_grad=False`` (the model's first layer) skips computing
     ``dL/d(input)`` entirely — nothing consumes it, and for a convolution
@@ -219,32 +254,69 @@ def _compile_layer(
     the buffer is arena-owned and dead after this step — never caller
     data). Elementwise, so values are unchanged.
     """
-    if getattr(layer, "plan_aware", False):
-        fwd_m, bwd_m = layer.forward, layer.backward
-        supports_inplace = inplace and getattr(layer, "plan_inplace", False)
+    fwd_m, bwd_m = layer.forward, layer.backward
+    if not getattr(layer, "plan_aware", False):
+        return (lambda x, training, stack: fwd_m(x, training)), (lambda grad, stack: bwd_m(grad))
+    if getattr(layer, "plan_stackable", False) and layer.params:
 
-        if supports_inplace:
+        def fwd(x, training, stack):
+            return fwd_m(x, training, scratch=scratch, stack=stack)
 
-            def fwd(x, training):
-                return fwd_m(x, training, scratch=scratch, out=x)
-
-        else:
-
-            def fwd(x, training):
-                return fwd_m(x, training, scratch=scratch)
-
-        if input_grad:
-
-            def bwd(grad):
-                return bwd_m(grad, scratch=scratch)
-
-        else:
-
-            def bwd(grad):
-                return bwd_m(grad, scratch=scratch, input_grad=False)
+        def bwd(grad, stack):
+            return bwd_m(grad, scratch=scratch, input_grad=input_grad, stack=stack)
 
         return fwd, bwd
-    return layer.forward, layer.backward
+    if inplace and getattr(layer, "plan_inplace", False):
+
+        def fwd(x, training, stack):
+            return fwd_m(x, training, scratch=scratch, out=x)
+
+    else:
+
+        def fwd(x, training, stack):
+            return fwd_m(x, training, scratch=scratch)
+
+    def bwd(grad, stack):
+        return bwd_m(grad, scratch=scratch, input_grad=input_grad)
+
+    return fwd, bwd
+
+
+class CohortMember(NamedTuple):
+    """One client's round inside a cohort: its training rows, its fixed
+    batch schedule from ``start_epoch`` for ``epochs`` epochs, and its
+    proximal λ (0 = no proximal term at all, as in FedAvg)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    schedule: "FixedBatchSchedule"
+    start_epoch: int
+    epochs: int
+    lam: float = 0.0
+
+    def check(self, first: "CohortMember") -> None:
+        """Raise ``ValueError`` naming the client when its data cannot be
+        batched by its schedule, or cannot share a batch with ``first``."""
+        client = f"client {self.schedule.client_id}"
+        if not self.x.shape[0] == self.schedule.n == len(self.y):
+            raise ValueError(
+                f"{client}: x has {self.x.shape[0]} rows and y {len(self.y)}, "
+                f"but its batch schedule covers {self.schedule.n}"
+            )
+        if self.epochs < 1:
+            raise ValueError(f"{client}: epochs must be >= 1, got {self.epochs}")
+        if self.lam < 0:
+            raise ValueError(f"{client}: lambda must be non-negative, got {self.lam}")
+        if (self.x.shape[1:], self.x.dtype, self.y.shape[1:], self.y.dtype) != (
+            first.x.shape[1:],
+            first.x.dtype,
+            first.y.shape[1:],
+            first.y.dtype,
+        ):
+            raise ValueError(
+                f"{client}: samples of shape {self.x.shape[1:]} {self.x.dtype} with labels "
+                f"{self.y.shape[1:]} {self.y.dtype} differ from the rest of the cohort's"
+            )
 
 
 class TrainingPlan:
@@ -261,7 +333,6 @@ class TrainingPlan:
         self.loss = loss
         self.arena = ScratchArena()
         self._store = model.store
-        self._params = self._store.params
         self._fwds = []
         self._bwds = []
         prev_overwritable = False
@@ -285,13 +356,31 @@ class TrainingPlan:
         self._opt_scratch = self.arena.slot("optimizer")
         if loss is not None and getattr(loss, "plan_aware", False):
             slot = self.arena.slot("loss")
-            self._loss_fwd = lambda logits, y: loss.forward(logits, y, scratch=slot)
+            self._loss_fwd = lambda logits, y, clients: loss.forward(
+                logits, y, scratch=slot, clients=clients
+            )
             self._loss_bwd = lambda: loss.backward(scratch=slot)
         elif loss is not None:
-            self._loss_fwd = loss.forward
+            self._loss_fwd = lambda logits, y, clients: loss.forward(logits, y)
             self._loss_bwd = loss.backward
         else:
             self._loss_fwd = self._loss_bwd = None
+        #: Whether G clients can share one kernel chain: every layer
+        #: stackable and a loss that reports per-client means.
+        self.stackable = getattr(loss, "plan_aware", False) and all(
+            getattr(layer, "plan_stackable", False) for layer in model.layers
+        )
+        #: (start, end, shape) of each layer's parameters in the flat vector.
+        offsets = iter(self._store.offsets)
+        self._spans = [
+            [(*next(offsets), p.data.shape) for p in layer.params] for layer in model.layers
+        ]
+        #: The stacks of a member alone in the model's own store.
+        self._own = self._stacks(self._store.data[None], self._store.grad[None])
+        #: B, clients per wave, and the one-client arena it was sized from;
+        #: both fixed by the plan's first cohort.
+        self.wave_size: int | None = None
+        self.client_bytes: int | None = None
 
     # ------------------------------------------------------------------ #
     def _cast_input(self, x: np.ndarray, key) -> np.ndarray:
@@ -314,22 +403,9 @@ class TrainingPlan:
         next :meth:`forward` call (the chunked evaluator's access pattern).
         """
         x = self._cast_input(np.asarray(x), ("in", "cast_fwd"))
-        for fwd in self._fwds:
-            x = fwd(x, training)
+        for fwd, stack in zip(self._fwds, self._own):
+            x = fwd(x, training, stack)
         return x
-
-    def _train_batch(self, xb, yb, optimizer, grad_hook) -> float:
-        x = xb
-        for fwd in self._fwds:
-            x = fwd(x, True)
-        value = self._loss_fwd(x, yb)
-        g = self._loss_bwd()
-        for bwd in self._bwds:
-            g = bwd(g)
-        if grad_hook is not None:
-            grad_hook(self._params)
-        optimizer.step(self._params, store=self._store, scratch=self._opt_scratch)
-        return value
 
     def run_epochs(
         self,
@@ -340,36 +416,215 @@ class TrainingPlan:
         epochs: int,
         optimizer: "Optimizer",
         *,
-        grad_hook=None,
+        lam: float = 0.0,
     ) -> float:
-        """Run ``epochs`` epochs of ``schedule`` batches over ``(x, y)``.
+        """Train the model's own weights for ``epochs`` epochs of
+        ``schedule`` batches over ``(x, y)``: the one-member case of
+        :meth:`run_cohort`, which leaves the result in the model's store.
 
-        Returns the mean batch loss. Caller-owned ``x``/``y`` are only ever
-        *read* (gathers copy into arena buffers), and layer forward caches
-        are released before returning so worker replicas stop pinning
-        last-batch activations between rounds.
+        Returns the mean batch loss.
+        """
+        member = CohortMember(x, y, schedule, start_epoch, epochs, lam)
+        ((_, mean_loss),) = self.run_cohort(self._store.data, [member], optimizer)
+        return mean_loss
+
+    def run_cohort(
+        self,
+        start_weights: np.ndarray,
+        members: Sequence[CohortMember],
+        optimizer: "Optimizer",
+    ) -> list[tuple[np.ndarray, float]]:
+        """Train every member from ``start_weights``; returns each member's
+        ``(weights, mean batch loss)``, in ``members`` order.
+
+        ``optimizer`` is the recipe: every member starts with fresh state
+        of its own (the paper's per-round local solver), and the instance
+        itself is not stepped. Caller-owned arrays are only ever *read*
+        (batches are copied into arena buffers); returned weights are owned
+        copies; layer forward caches are released before returning so
+        worker replicas stop pinning last-batch activations between rounds.
         """
         if self._loss_fwd is None:
             raise ValueError("plan was compiled without a loss; cannot train")
-        n = x.shape[0]
-        bs = schedule.batch_size
-        arena = self.arena
-        n_batches = epochs * schedule.batches_per_epoch()
-        losses = np.empty(n_batches, dtype=np.float64)
-        i = 0
-        for epoch in range(start_epoch, start_epoch + epochs):
-            order = schedule.epoch_order(epoch)
-            for s0 in range(0, n, bs):
-                idx = order[s0 : s0 + bs]
-                xb = arena.take(("in", "x"), (idx.size,) + x.shape[1:], x.dtype)
-                np.take(x, idx, axis=0, out=xb)
-                yb = arena.take(("in", "y"), (idx.size,) + y.shape[1:], y.dtype)
-                np.take(y, idx, axis=0, out=yb)
-                xb = self._cast_input(xb, ("in", "cast"))
-                losses[i] = self._train_batch(xb, yb, optimizer, grad_hook)
-                i += 1
-        self.release_caches()
-        return float(np.mean(losses[:i]))
+        for member in members:
+            member.check(members[0])
+        store = self._store
+        start = np.asarray(start_weights)
+        if start.shape != store.data.shape:
+            raise ValueError(
+                f"flat vector has shape {start.shape}, model expects ({store.total},)"
+            )
+        reference = start
+        if start.dtype != store.dtype or np.may_share_memory(start, store.data):
+            # Every member's start and the proximal term's w: the weights at
+            # the store's dtype (as set_flat_weights casts them), where a
+            # member training alone in the store cannot overwrite them.
+            reference = self.arena.take(("cohort", "reference"), start.shape, store.dtype)
+            np.copyto(reference, start, casting="same_kind")
+        results = [None] * len(members)
+        try:
+            for wave in self._waves(members, optimizer):
+                trained = self._run_wave([members[i] for i in wave], reference, optimizer)
+                for i, result in zip(wave, trained):
+                    results[i] = result
+        finally:
+            self.release_caches()
+        return results
+
+    def _waves(self, members: Sequence[CohortMember], optimizer: "Optimizer"):
+        """Member indices, one list per wave; train each before the next.
+
+        A model that cannot stack trains one member at a time in cohort
+        order. Otherwise members are sorted by (shard size, epochs), so
+        equal batch sequences share a wave, and split into waves of at most
+        B, as even as B allows. The plan's first cohort sets B: its largest
+        shard trains alone first, and what that leaves in the arena, plus
+        the weight and gradient rows it kept in the model's store, is one
+        client's arena.
+        """
+        if not self.stackable:
+            yield from ([i] for i in range(len(members)))
+            return
+        order = sorted(
+            range(len(members)), key=lambda i: (members[i].schedule.n, members[i].epochs)
+        )
+        if order and self.wave_size is None:
+            yield [order.pop()]
+            store = self._store
+            self.client_bytes = self.arena.nbytes + store.data.nbytes + store.grad.nbytes
+            self.wave_size = max(1, WAVE_BYTES // self.client_bytes)
+        if order:
+            count = -(-len(order) // self.wave_size)
+            cut = [len(order) * w // count for w in range(count + 1)]
+            yield from (order[a:b] for a, b in zip(cut, cut[1:]))
+
+    def _run_wave(self, wave, reference, optimizer) -> list[tuple[np.ndarray, float]]:
+        """Train ``wave``'s members in lockstep from ``reference``.
+
+        Member j's weights and optimizer state are row ``row[j]`` of the
+        wave's slabs. A group whose rows are not one contiguous range is
+        made one by swapping rows: the bytes a gather and scatter would
+        move, without a gathered copy of the group in the arena.
+        """
+        arena, store = self.arena, self._store
+        alone = len(wave) == 1
+        if alone:
+            # Alone, a member trains in the model's own store: every layer
+            # reads its weights where it always does.
+            weights, stacks = store.data[None], self._own
+        else:
+            weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
+        np.copyto(weights, reference, casting="same_kind")
+        state = [
+            arena.take(("cohort", "state", i), weights.shape, store.dtype)
+            for i in range(optimizer.state_slots)
+        ]
+        for slab in state:
+            slab.fill(0.0)
+        row = list(range(len(wave)))
+        per_epoch = [m.schedule.batches_per_epoch() for m in wave]
+        steps = [m.epochs * b for m, b in zip(wave, per_epoch)]
+        losses = np.zeros((len(wave), max(steps)))
+        orders = [None] * len(wave)
+        for k in range(max(steps)):
+            # Members at step k, grouped by batch rows (and whether they
+            # have a proximal term): each group is one kernel chain.
+            groups: dict = {}
+            for j, m in enumerate(wave):
+                if k < steps[j]:
+                    epoch, b = divmod(k, per_epoch[j])
+                    if b == 0:
+                        orders[j] = m.schedule.epoch_order(m.start_epoch + epoch)
+                    bs = m.schedule.batch_size
+                    idx = orders[j][b * bs : (b + 1) * bs]
+                    groups.setdefault((idx.size, m.lam > 0), []).append((j, idx))
+            for (rows, pulled), group in groups.items():
+                a, g = row[group[0][0]], len(group)
+                if g > 1:  # make the group's rows one contiguous range
+                    group.sort(key=lambda entry: row[entry[0]])
+                    a = row[group[0][0]]
+                    for i, (j, _) in enumerate(group):
+                        if row[j] != a + i:
+                            other = row.index(a + i)
+                            self._swap_rows([weights, *state], row[j], a + i)
+                            row[other], row[j] = row[j], a + i
+                pos = [j for j, _ in group]
+                lam = None
+                if pulled:
+                    lam = np.array([[wave[j].lam] for j in pos], dtype=store.dtype)
+                block = slice(a, a + g)
+                if alone:
+                    grads = store.grad[None]
+                else:
+                    # Gradients live for one step: sized to the group, not the wave.
+                    grads = arena.take(("cohort", "grads"), (g, store.total), store.dtype)
+                    stacks = self._stacks(weights[block], grads)
+                xb, yb = self._gather_batch(wave, group, rows)
+                losses[pos, k] = self._train_batch(
+                    xb,
+                    yb,
+                    stacks,
+                    (weights[block], grads, [slab[block] for slab in state]),
+                    lam,
+                    reference,
+                    optimizer,
+                    k + 1,
+                )
+        return [
+            (weights[row[j]].copy(), float(losses[j, : steps[j]].mean()))
+            for j in range(len(wave))
+        ]
+
+    @staticmethod
+    def _swap_rows(slabs, r1: int, r2: int) -> None:
+        for slab in slabs:
+            spare = slab[r1].copy()
+            slab[r1] = slab[r2]
+            slab[r2] = spare
+
+    def _gather_batch(self, wave, group, rows: int):
+        """The group's batches, client-major, in arena buffers."""
+        first = wave[group[0][0]]
+        n = len(group) * rows
+        xb = self.arena.take(("in", "x"), (n,) + first.x.shape[1:], first.x.dtype)
+        yb = self.arena.take(("in", "y"), (n,) + first.y.shape[1:], first.y.dtype)
+        for i, (j, idx) in enumerate(group):
+            wave[j].x.take(idx, axis=0, out=xb[i * rows : (i + 1) * rows])
+            wave[j].y.take(idx, axis=0, out=yb[i * rows : (i + 1) * rows])
+        return self._cast_input(xb, ("in", "cast")), yb
+
+    def _stacks(self, weights: np.ndarray, grads: np.ndarray) -> list:
+        """Each layer's ``stack``: its parameters as ``(G, *shape)`` views
+        of the G clients' weight and gradient rows."""
+        g = len(weights)
+        return [
+            [
+                (weights[:, a:b].reshape((g,) + shape), grads[:, a:b].reshape((g,) + shape))
+                for a, b, shape in spans
+            ]
+            for spans in self._spans
+        ]
+
+    def _train_batch(self, xb, yb, stacks, rows, lam, reference, optimizer, t):
+        """One batch step of the G clients stacked in ``xb``: forward, loss,
+        backward, proximal pull, optimizer step ``t``, and the gradient rows
+        zeroed again. ``rows`` holds their ``(G, P)`` weight, gradient and
+        optimizer-state rows, ``stacks`` the layers' views of the first two.
+        Returns the clients' batch losses."""
+        weights, grads, state = rows
+        x = xb
+        for fwd, stack in zip(self._fwds, stacks):
+            x = fwd(x, True, stack)
+        values = self._loss_fwd(x, yb, len(weights))
+        g = self._loss_bwd()
+        for bwd, stack in zip(self._bwds, reversed(stacks)):
+            g = bwd(g, stack)
+        if lam is not None:
+            pull = self.arena.take(("cohort", "pull"), weights.shape, weights.dtype)
+            add_proximal_grad(weights, grads, reference, lam, pull)
+        optimizer.apply(weights, grads, state, t, self._opt_scratch)
+        grads.fill(0.0)
+        return values
 
     def release_caches(self) -> None:
         """Drop per-layer forward caches (``self._x`` etc.) and loss state.

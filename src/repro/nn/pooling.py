@@ -17,6 +17,9 @@ class MaxPool2D(Layer):
     """
 
     plan_aware = True
+    #: Windows are per row; the tie test below is global over the batch,
+    #: but both of its branches give the same bits when nothing ties.
+    plan_stackable = True
     _cache_attrs = ("_x_shape", "_mask", "_windows_shape")
 
     def __init__(self, pool_size: int = 2):
@@ -126,6 +129,7 @@ class MaxPool2D(Layer):
 class GlobalAveragePool(Layer):
     """Average over all spatial positions: (N, H, W, C) -> (N, C)."""
 
+    plan_stackable = True
     _cache_attrs = ("_shape",)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

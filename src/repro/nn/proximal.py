@@ -3,8 +3,10 @@
 Paper §4.1: clients minimize the surrogate
 ``h_k(w_k) = F_k(w_k) + λ/2 ‖w_k − w‖²`` where ``w`` is the global model
 snapshot received at the start of the round. The gradient contribution is
-``λ (w_k − w)``, injected after backprop through the ``grad_hook`` of
-``TrainingPlan.run_epochs`` / ``Sequential.train_on_batch``. With ``λ = 0`` local training reduces exactly to FedAvg.
+``λ (w_k − w)``, added after backprop: by :func:`add_proximal_grad` over
+a cohort's weight rows in ``TrainingPlan.run_cohort``, and through the
+``grad_hook`` of ``Sequential.train_on_batch`` as a :class:`ProximalTerm`.
+With ``λ = 0`` local training reduces exactly to FedAvg.
 """
 
 from __future__ import annotations
@@ -14,7 +16,20 @@ import numpy as np
 from repro.nn.store import FlatParameterStore
 from repro.nn.tensor import Parameter
 
-__all__ = ["ProximalTerm"]
+__all__ = ["ProximalTerm", "add_proximal_grad"]
+
+
+def add_proximal_grad(data, grad, reference, lam, out) -> None:
+    """``grad += λ (data − reference)``, with ``out`` as the scratch.
+
+    One formula for one client's flat buffers and for ``(G, P)`` rows of
+    G clients in a cohort: ``reference`` broadcasts over the rows and
+    ``lam`` is a scalar or a ``(G, 1)`` column in the weights' dtype (a
+    Python float multiplies as that dtype, so both give the same bits).
+    """
+    np.subtract(data, reference, out=out)
+    np.multiply(out, lam, out=out)
+    grad += out
 
 
 class ProximalTerm:
@@ -39,23 +54,22 @@ class ProximalTerm:
         self._ref = store.data.copy()
         self._scratch = np.empty_like(self._ref)
 
-    def _difference(self, params: list[Parameter]) -> tuple[FlatParameterStore, np.ndarray]:
-        """``w − w_ref`` over the store backing ``params``, in the scratch buffer."""
+    def _store(self, params: list[Parameter]) -> FlatParameterStore:
+        """The store backing ``params``, checked against the reference."""
         store = FlatParameterStore.of(params)
         if store.total != self._ref.size:
             raise ValueError("reference weights do not match parameter list")
-        return store, np.subtract(store.data, self._ref, out=self._scratch)
+        return store
 
     def penalty(self, params: list[Parameter]) -> float:
         """Value of ``λ/2 ‖w − w_ref‖²`` (for loss reporting/tests)."""
         if self.lam == 0.0 or self._ref is None:
             return 0.0
-        _, diff = self._difference(params)
+        diff = np.subtract(self._store(params).data, self._ref, out=self._scratch)
         return 0.5 * self.lam * float(np.dot(diff, diff))
 
     def __call__(self, params: list[Parameter]) -> None:
         if self.lam == 0.0 or self._ref is None:
             return
-        store, s = self._difference(params)
-        np.multiply(s, self.lam, out=s)
-        store.grad += s
+        store = self._store(params)
+        add_proximal_grad(store.data, store.grad, self._ref, self.lam, self._scratch)

@@ -19,7 +19,7 @@ from repro.data.federated import ClientData
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer
-from repro.nn.proximal import ProximalTerm
+from repro.nn.plan import CohortMember
 from repro.sim.latency import ResponseLatencyModel
 
 __all__ = ["SimClient", "LocalTrainingResult"]
@@ -69,9 +69,9 @@ class SimClient:
         """A latency-model-free copy safe to ship to worker processes.
 
         Replicas share the immutable training data and rebuild a fresh batch
-        schedule; they can only :meth:`local_train` with an explicit
-        ``start_epoch`` + ``latency`` (the executor supplies both), never
-        sample latencies.
+        schedule; they train as cohort members (or :meth:`local_train` with
+        an explicit ``start_epoch`` + ``latency``) with everything supplied
+        by the executor, and never sample latencies.
         """
         return SimClient(self.data, None, batch_size=self.batch_size, seed=self.seed)
 
@@ -95,6 +95,14 @@ class SimClient:
     def expected_latency(self, epochs: int) -> float:
         return self.latency_model.expected_latency(self.client_id, self.n_train, epochs)
 
+    def member(self, epochs: int, lam: float = 0.0, start_epoch: int = 0) -> CohortMember:
+        """This client's round as one member of a cohort
+        (:meth:`~repro.nn.plan.TrainingPlan.run_cohort`): its training rows
+        and fixed batch schedule, ``epochs`` epochs from ``start_epoch``."""
+        return CohortMember(
+            self.data.x_train, self.data.y_train, self.schedule, start_epoch, epochs, lam
+        )
+
     def local_train(
         self,
         worker: Sequential,
@@ -117,34 +125,25 @@ class SimClient:
         the round starts at the client's own schedule cursor; either way the
         cursor ends just past the epochs trained.
 
-        The ``epochs x batches`` loop runs inside the model's compiled
-        :class:`~repro.nn.plan.TrainingPlan` (one Python frame per batch,
-        arena-reused buffers).
+        The round is a cohort of one through the model's compiled
+        :class:`~repro.nn.plan.TrainingPlan` — the loop executors hand whole
+        cohorts to, so one client trains exactly as it would among others.
 
         Returns the new flat weights; the worker model is left holding them
         (callers must not rely on worker state across clients).
         """
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
-        worker.set_flat_weights(global_flat)
-        optimizer = optimizer_factory()
-        hook = None
-        if lam > 0:
-            hook = ProximalTerm(lam)
-            hook.set_reference(worker.store)
+        if latency is None and rng is None:
+            raise ValueError("provide either latency or rng")
         first = self.schedule.epochs_consumed if start_epoch is None else start_epoch
-        x, y = self.data.x_train, self.data.y_train
-        mean_loss = worker.training_plan(loss).run_epochs(
-            x, y, self.schedule, first, epochs, optimizer, grad_hook=hook
+        ((weights, mean_loss),) = worker.training_plan(loss).run_cohort(
+            global_flat, [self.member(epochs, lam, first)], optimizer_factory()
         )
         self.schedule.advance_to(first + epochs)
         if latency is None:
-            if rng is None:
-                raise ValueError("provide either latency or rng")
             latency = self.sample_latency(epochs, rng)
         return LocalTrainingResult(
             client_id=self.client_id,
-            weights=worker.get_flat_weights(),
+            weights=weights,
             n_samples=self.n_train,
             train_loss=mean_loss,
             latency=float(latency),

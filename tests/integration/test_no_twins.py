@@ -1,8 +1,8 @@
 """Guard against reintroducing a switchable legacy twin.
 
 ``src/`` has one parameter layout (``Sequential`` always owns a
-``FlatParameterStore``), one local-training loop (``TrainingPlan.run_epochs``),
-one broadcast policy (shared memory, falling back on what the code observes)
+``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
+whose one-member case is every single client's round), one broadcast policy (shared memory, falling back on what the code observes)
 and one staleness knob (``FLConfig.staleness``). The names below selected or
 served the other side of each pair before they were deleted; a later change
 must not quietly bring one back.
@@ -102,3 +102,28 @@ def test_every_zoo_layer_has_plan_kernels():
     }
     # Flatten is a reshape: a view, no arithmetic, nothing to allocate.
     assert unplanned <= {Flatten.__name__}
+
+
+def test_one_training_loop():
+    """Local training has one batch-step function, and every way into it —
+    a whole cohort, one client's ``run_epochs``, ``SimClient.local_train``
+    — goes through ``TrainingPlan.run_cohort``: the serial executor (the
+    core of the pool and dist workers too) hands over the whole cohort
+    rather than training task by task."""
+    import inspect
+
+    from repro.nn.plan import TrainingPlan
+    from repro.sim.client import SimClient
+
+    plan_source = (SRC / "repro" / "nn" / "plan.py").read_text()
+    # One function runs a training forward, the loss and the backward chain,
+    # and one place calls it.
+    assert plan_source.count("fwd(x, True, ") == 1
+    assert plan_source.count("self._loss_bwd()") == 1
+    assert "def _train_batch(" in plan_source
+    assert plan_source.count("self._train_batch(") == 1
+    for fn in (TrainingPlan.run_epochs, SimClient.local_train):
+        assert ".run_cohort(" in inspect.getsource(fn), fn.__qualname__
+    serial = (SRC / "repro" / "exec" / "serial.py").read_text()
+    assert "local_train" not in serial
+    assert serial.count(".run_cohort(") == 1

@@ -1,11 +1,11 @@
-"""Cohort training: the NumPy/BLAS facts stacking rests on.
+"""Cohort training: stacked kernels equal per-client ones, bit for bit.
 
 A cohort plan trains G clients in lockstep by running one kernel call over
 a client-major stacked batch instead of G calls over per-client batches. It
 is bit-identical to training them one at a time only if each stacked call
-computes, slice by slice, exactly what the per-client call computes. These
-properties pin that on the NumPy/BLAS the suite runs on, at float64 and
-float32:
+computes, slice by slice, exactly what the per-client call computes. The
+first half of this file pins that on the NumPy/BLAS the suite runs on, at
+float64 and float32:
 
 - stacked ``np.matmul`` ``(G, M, K) @ (G, K, N)`` — plain, with either
   operand transposed, at M = 1, N = 1, G = 1 and any G, weights carved
@@ -18,12 +18,32 @@ float32:
 
 If one of these fails on some NumPy/BLAS, that op must keep a per-client
 call inside the stacked chain — never a tolerance.
+
+The second half checks ``TrainingPlan.run_cohort`` end to end: every
+member's weights and mean loss equal what the member gets trained alone
+(by the per-layer reference loop kept here, or one member per call at
+float32), over mixed shard sizes, epochs, start epochs, λ and optimizers;
+waves are as even as B allows; and bad member data is refused by name.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.data.batching import FixedBatchSchedule
+from repro.nn import plan as plan_module
+from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.optimizers import SGD, Adam
+from repro.nn.plan import CohortMember, TrainingPlan
+from repro.nn.proximal import ProximalTerm
+from repro.nn.zoo import (
+    build_cnn,
+    build_femnist_cnn,
+    build_logistic,
+    build_lstm_classifier,
+    build_mlp,
+)
 
 DTYPES = [np.float64, np.float32]
 _UINT = {np.dtype(np.float64): np.uint64, np.dtype(np.float32): np.uint32}
@@ -176,3 +196,312 @@ class TestStackedReductions:
             assert want.dtype == dtype
             _assert_bits(means, want)
             assert [float(v) for v in means] == [float(nll[i].copy().mean()) for i in range(g)]
+
+
+# --------------------------------------------------------------------- #
+# A cohort trains each member exactly as it would train alone
+# --------------------------------------------------------------------- #
+BUILDERS = {
+    "cnn": (
+        (8, 8, 3),
+        lambda rng: build_cnn((8, 8, 3), 5, rng=rng, filters=(3, 4, 4), dense_units=6),
+    ),
+    "femnist_cnn": (
+        (8, 8, 1),
+        lambda rng: build_femnist_cnn((8, 8, 1), 5, rng=rng, filters=(3, 4), dense_units=6),
+    ),
+    "mlp": ((16,), lambda rng: build_mlp(16, 5, rng=rng, hidden=(8,))),
+    "logistic": ((16,), lambda rng: build_logistic(16, 5, rng=rng)),
+}
+OPTIMIZERS = {
+    "adam": lambda: Adam(0.005),
+    "sgd": lambda: SGD(0.05),
+    "sgd_momentum": lambda: SGD(0.05, momentum=0.9),
+}
+#: Shard sizes around a batch size of 10: below it, multiples, ragged last
+#: batches — equal rows at a step group across different shard sizes, and
+#: the groups they form are not contiguous runs of the sorted wave.
+SHARDS = (3, 10, 14, 20, 7, 25, 15, 10, 26)
+
+
+def _members(feature_shape, shards=SHARDS, *, seed=0, classes=5, ints=None):
+    rng = np.random.default_rng(seed)
+    members = []
+    for cid, n in enumerate(shards):
+        if ints is None:
+            x = rng.normal(size=(n,) + feature_shape)
+        else:
+            x = rng.integers(0, ints, size=(n,) + feature_shape)
+        y = rng.integers(0, classes, size=n)
+        members.append(
+            CohortMember(
+                x,
+                y,
+                FixedBatchSchedule(n, 10, cid, seed=0),
+                start_epoch=cid % 4,
+                epochs=1 + cid % 3,
+                lam=(0.0, 0.4, 1.5)[cid % 3],
+            )
+        )
+    return members
+
+
+def _alone(model, member, make_optimizer, start):
+    """One client on its own through ``Sequential.train_on_batch`` — the
+    allocating per-layer reference — with the optimizer, proximal hook and
+    batches a cohort member gets. Returns (weights, mean batch loss)."""
+    model.set_flat_weights(start)
+    optimizer, hook = make_optimizer(), None
+    if member.lam > 0:
+        hook = ProximalTerm(member.lam)
+        hook.set_reference(model.store)
+    loss = SoftmaxCrossEntropy()
+    losses = [
+        model.train_on_batch(member.x[idx], member.y[idx], loss, optimizer, grad_hook=hook)
+        for idx in member.schedule.epochs(member.start_epoch, member.epochs)
+    ]
+    return model.get_flat_weights(), float(np.mean(losses))
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for (w_got, l_got), (w_want, l_want) in zip(got, want):
+        _assert_bits(w_got, w_want)
+        assert l_got == l_want
+
+
+def _counting_swaps(monkeypatch):
+    swaps = []
+    swap = TrainingPlan._swap_rows
+
+    def counted(slabs, r1, r2):
+        swaps.append((r1, r2))
+        swap(slabs, r1, r2)
+
+    monkeypatch.setattr(TrainingPlan, "_swap_rows", staticmethod(counted))
+    return swaps
+
+
+class TestCohortIsEachClientAlone:
+    @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_float64_against_the_per_layer_reference(self, kind, optimizer, monkeypatch):
+        feature_shape, build = BUILDERS[kind]
+        members = _members(feature_shape)
+        make = OPTIMIZERS[optimizer]
+        model = build(np.random.default_rng(1))
+        start = model.get_flat_weights()
+        want = [_alone(build(np.random.default_rng(1)), m, make, start) for m in members]
+        swaps = _counting_swaps(monkeypatch)
+        for wave_size in (None, 3):  # B from the arena (one wave here), and B = 3
+            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            assert plan.stackable
+            plan.wave_size = wave_size
+            _assert_same(plan.run_cohort(start, members, make()), want)
+            assert plan.wave_size is not None
+        assert swaps  # some step's group was not a contiguous run of rows
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_float32_against_one_member_at_a_time(self, kind):
+        """At float32 the per-layer reference's tie-broken max-pool promotes
+        to float64 (see tests/nn/test_plan.py), so the per-client reference
+        is the plan with one member per call: nothing stacked."""
+        feature_shape, build = BUILDERS[kind]
+        members = _members(feature_shape, seed=1)
+        model = build(np.random.default_rng(2)).astype(np.float32)
+        start = model.get_flat_weights()
+        alone = TrainingPlan(model, SoftmaxCrossEntropy())
+        want = [alone.run_cohort(start, [m], Adam(0.005))[0] for m in members]
+        assert want[0][0].dtype == np.float32
+        for wave_size in (None, 2):
+            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            plan.wave_size = wave_size
+            _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+
+    def test_float64_start_into_a_float32_model(self):
+        """The start vector is cast as ``set_flat_weights`` casts it, and the
+        proximal term pulls toward that cast."""
+        feature_shape, build = BUILDERS["mlp"]
+        members = _members(feature_shape, seed=3)
+        model = build(np.random.default_rng(2)).astype(np.float32)
+        start = np.random.default_rng(4).normal(size=model.store.total)
+        alone = TrainingPlan(model, SoftmaxCrossEntropy())
+        want = [alone.run_cohort(start, [m], Adam(0.005))[0] for m in members]
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shards=st.lists(st.integers(1, 31), min_size=1, max_size=9),
+        batch_size=st.integers(1, 12),
+        wave_size=st.sampled_from([None, 1, 2, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_cohort_of_the_logistic_model(self, shards, batch_size, wave_size, seed):
+        feature_shape, build = BUILDERS["logistic"]
+        members = [
+            m._replace(schedule=FixedBatchSchedule(m.schedule.n, batch_size, i, seed=0))
+            for i, m in enumerate(_members(feature_shape, shards, seed=seed))
+        ]
+        model = build(np.random.default_rng(seed))
+        start = model.get_flat_weights()
+        reference = build(np.random.default_rng(seed))
+        want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        plan.wave_size = wave_size
+        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+
+    def test_results_come_back_in_member_order_as_owned_copies(self):
+        feature_shape, build = BUILDERS["mlp"]
+        members = _members(feature_shape)
+        model = build(np.random.default_rng(1))
+        plan = model.training_plan(SoftmaxCrossEntropy())
+        start = model.get_flat_weights()
+        inputs = [a.copy() for m in members for a in (m.x, m.y)] + [start.copy()]
+        forward = plan.run_cohort(start, members, Adam(0.005))
+        backward = plan.run_cohort(start, members[::-1], Adam(0.005))
+        _assert_same(forward, backward[::-1])
+        for weights, _ in forward:
+            assert weights.base is None and not plan.arena.owns(weights)
+        for before, after in zip(inputs, [a for m in members for a in (m.x, m.y)] + [start]):
+            np.testing.assert_array_equal(before, after)  # only ever read
+        assert plan.run_cohort(start, [], Adam(0.005)) == []
+
+    def test_the_models_own_weights_as_the_start(self):
+        """``run_epochs`` starts from the store itself; a cohort may too."""
+        feature_shape, build = BUILDERS["cnn"]
+        model = build(np.random.default_rng(1))
+        start = model.get_flat_weights()
+        reference = build(np.random.default_rng(1))
+        for lams in ((0.0,), (0.0, 0.4)):
+            members = [
+                m._replace(lam=lams[i % len(lams)])
+                for i, m in enumerate(_members(feature_shape, seed=5))
+            ]
+            want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+            for wave_size in (1, 3):
+                model.set_flat_weights(start)
+                plan = TrainingPlan(model, SoftmaxCrossEntropy())
+                plan.wave_size = wave_size
+                _assert_same(plan.run_cohort(model.store.data, members, Adam(0.005)), want)
+
+    def test_lstm_classifier_trains_in_cohort_order_one_at_a_time(self):
+        """Dropout's mask stream and batch-norm's running statistics are
+        consumed in call order, and the recurrent layers have no stacked
+        kernels: the cohort runs groups of one, member after member, exactly
+        as the per-layer reference does on one shared model."""
+
+        def build(rng):
+            return build_lstm_classifier(24, 24, rng=rng, embed_dim=6, hidden_dim=6, dropout=0.1)
+
+        members = _members((5,), (12, 7, 17, 3), classes=24, ints=24)
+        model, reference = build(np.random.default_rng(1)), build(np.random.default_rng(1))
+        start = model.get_flat_weights()
+        want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        assert not plan.stackable
+        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+        bn, bn_ref = model.layers[3], reference.layers[3]
+        _assert_bits(bn.running_mean, bn_ref.running_mean)
+        _assert_bits(bn.running_var, bn_ref.running_var)
+        assert model.layers[2]._rng.random() == reference.layers[2]._rng.random()
+
+
+def _recording_waves(plan, monkeypatch):
+    waves = []
+    run_wave = plan._run_wave
+
+    def recorded(wave, *args):
+        waves.append(wave)
+        return run_wave(wave, *args)
+
+    monkeypatch.setattr(plan, "_run_wave", recorded)
+    return waves
+
+
+class TestWaves:
+    def test_waves_are_as_even_as_b_allows(self, monkeypatch):
+        feature_shape, build = BUILDERS["logistic"]
+        plan = TrainingPlan(build(np.random.default_rng(1)), SoftmaxCrossEntropy())
+        plan.wave_size = 6
+        waves = _recording_waves(plan, monkeypatch)
+        members = _members(feature_shape, (20,) * 10)
+        plan.run_cohort(plan.model.get_flat_weights(), members, Adam(0.005))
+        assert [len(w) for w in waves] == [5, 5]
+
+    def test_the_first_cohort_sizes_b_from_its_largest_member(self, monkeypatch):
+        feature_shape, build = BUILDERS["cnn"]
+        monkeypatch.setattr(plan_module, "WAVE_BYTES", 1)
+        plan = TrainingPlan(build(np.random.default_rng(1)), SoftmaxCrossEntropy())
+        waves = _recording_waves(plan, monkeypatch)
+        members = _members(feature_shape, (12, 30, 20, 11, 30, 15))
+        plan.run_cohort(plan.model.get_flat_weights(), members, Adam(0.005))
+        assert plan.wave_size == 1  # one client's arena is over any budget of 1 byte
+        assert waves[0][0] is members[4]  # the largest shard (the later of two 30s)
+        assert [len(w) for w in waves] == [1] * len(members)
+        # Sorted by (shard size, epochs) after the first: equal shards meet.
+        assert [m.schedule.n for (m,) in waves[1:]] == [11, 12, 15, 20, 30]
+
+
+class TestLoudFailures:
+    """A member whose data its batch schedule cannot cover is refused by
+    name before anything trains — where a mismatch used to ignore rows,
+    train on empty batches, or fail inside ``np.take``."""
+
+    def _plan_and_member(self, n_x, n_y, n_schedule=12):
+        feature_shape, build = BUILDERS["mlp"]
+        rng = np.random.default_rng(0)
+        member = CohortMember(
+            rng.normal(size=(n_x,) + feature_shape),
+            rng.integers(0, 5, size=n_y),
+            FixedBatchSchedule(n_schedule, 10, 7, seed=0),
+            start_epoch=0,
+            epochs=2,
+        )
+        return build(np.random.default_rng(1)).training_plan(SoftmaxCrossEntropy()), member
+
+    def _assert_refused(self, plan, member):
+        before = plan.model.get_flat_weights()
+        with pytest.raises(ValueError, match=r"client 7: x has \d+ rows and y \d+"):
+            plan.run_cohort(before, [member], Adam(0.005))
+        with pytest.raises(ValueError, match="client 7"):
+            plan.run_epochs(member.x, member.y, member.schedule, 0, 2, Adam(0.005))
+        np.testing.assert_array_equal(plan.model.get_flat_weights(), before)
+
+    def test_a_few_extra_rows(self):
+        """Used to be silently ignored: the schedule never indexes them."""
+        self._assert_refused(*self._plan_and_member(14, 14))
+
+    def test_many_extra_rows(self):
+        """Used to run empty batches past the schedule's end: a NaN loss,
+        then an IndexError on the loss buffer."""
+        self._assert_refused(*self._plan_and_member(40, 40))
+
+    def test_too_few_rows(self):
+        """Used to raise IndexError from inside ``np.take``."""
+        self._assert_refused(*self._plan_and_member(9, 9))
+
+    def test_labels_that_do_not_match(self):
+        self._assert_refused(*self._plan_and_member(12, 11))
+
+    def test_members_that_cannot_share_a_batch(self):
+        plan, member = self._plan_and_member(12, 12)
+        other = member._replace(
+            x=member.x.astype(np.float32),
+            schedule=FixedBatchSchedule(12, 10, 9, seed=0),
+        )
+        with pytest.raises(ValueError, match="client 9: samples of shape"):
+            plan.run_cohort(plan.model.get_flat_weights(), [member, other], Adam(0.005))
+
+    def test_zero_epochs_and_negative_lambda(self):
+        plan, member = self._plan_and_member(12, 12)
+        start = plan.model.get_flat_weights()
+        with pytest.raises(ValueError, match="client 7: epochs must be >= 1"):
+            plan.run_cohort(start, [member._replace(epochs=0)], Adam(0.005))
+        with pytest.raises(ValueError, match="client 7: lambda must be non-negative"):
+            plan.run_cohort(start, [member._replace(lam=-0.1)], Adam(0.005))
+
+    def test_start_vector_of_the_wrong_size(self):
+        plan, member = self._plan_and_member(12, 12)
+        with pytest.raises(ValueError, match="flat vector"):
+            plan.run_cohort(np.zeros(3), [member], Adam(0.005))

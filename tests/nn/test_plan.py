@@ -36,8 +36,9 @@ from repro.nn.conv import Conv2D
 from repro.nn.gru import GRU
 from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.losses import LOG_EPS, SoftmaxCrossEntropy
+from repro.nn import plan as plan_module
 from repro.nn.model import Sequential
-from repro.nn.plan import ScratchArena
+from repro.nn.plan import ScratchArena, TrainingPlan
 from repro.nn.pooling import MaxPool2D
 from repro.nn.proximal import ProximalTerm
 from repro.nn.recurrent import LSTM, Embedding
@@ -642,6 +643,36 @@ class TestArenaHygiene:
             for _ in range(3):
                 sweep()
             assert plan.arena.nbytes == nbytes_after_first_sweep, model.name
+
+    @pytest.mark.parametrize("budget", ["default", "three_clients"])
+    def test_cohort_arena_stops_growing_and_holds_b_clients(self, budget, monkeypatch):
+        """Cohorts in lockstep waves: after the first cohort the arena stops
+        growing, and it never holds more than B one-client arenas — B being
+        how many fit ``WAVE_BYTES`` (forced to 3 here), with a wave's
+        weight, state and gradient rows counted per client. (The first
+        cohort's largest member trains alone to size a client, so a cohort
+        must outnumber B for its waves to reach B.)"""
+        loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
+        ds = _image_dataset(num_clients=14, samples=20)
+        members = [
+            SimClient(c, None, batch_size=10, seed=0).member(2, 0.4) for c in ds.clients
+        ]
+        assert min(m.schedule.n for m in members) >= 10  # step 0 stacks a full wave
+        flat = _cnn().get_flat_weights()
+        if budget == "three_clients":
+            probe = TrainingPlan(_cnn(), loss)
+            probe.run_cohort(flat, members, spec.build())
+            monkeypatch.setattr(plan_module, "WAVE_BYTES", 3 * probe.client_bytes + 1)
+        plan = TrainingPlan(_cnn(), loss)
+        sizes = []
+        for _ in range(4):
+            plan.run_cohort(flat, members, spec.build())
+            sizes.append(plan.arena.nbytes)
+        assert len(set(sizes)) == 1, sizes
+        assert plan.wave_size < len(members) - 1
+        if budget == "three_clients":
+            assert plan.wave_size == 3
+        assert plan.arena.nbytes <= plan.wave_size * plan.client_bytes
 
     def test_view_cache_survives_ragged_batches(self):
         arena = ScratchArena()
