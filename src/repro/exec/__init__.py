@@ -5,8 +5,9 @@ the event loop only needs each client's result at its virtual finish time,
 not serial execution. This package owns *how* a cohort of local-training
 tasks is executed:
 
-- :class:`SerialExecutor` — one shared worker model, clients trained in
-  cohort order (the original simulator behavior, and the default);
+- :class:`SerialExecutor` — one shared worker model and one
+  :meth:`~repro.nn.plan.TrainingPlan.run_cohort` call per cohort, clients
+  with equal batch shapes trained in lockstep (the default);
 - :class:`ParallelExecutor` — a process pool with per-worker model replicas
   rebuilt via :meth:`repro.nn.model.Sequential.clone`, chunked cohort
   dispatch, and bit-identical results (enforced by ``tests/exec/``);

@@ -137,8 +137,8 @@ def _worker_main(conn, init_args: tuple, inherited: Sequence = ()) -> None:
     for other in inherited:
         other.close()
     *replica, plan = init_args
-    # One SerialExecutor per worker process: chunk execution reuses the
-    # exact task->local_train mapping of the serial backend, so the two
+    # One SerialExecutor per worker process: a chunk goes to the same
+    # TrainingPlan.run_cohort call the serial backend makes, so the two
     # paths cannot drift apart. Constructing it also compiles the worker
     # replica's fused TrainingPlan (and its scratch arena) once per
     # process, before the first cohort arrives.

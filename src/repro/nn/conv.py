@@ -160,14 +160,17 @@ class Conv2D(Layer):
         if out is None and scratch is None:
             out = cols @ self.w.data + self.b.data
             return out.reshape(n, oh, ow, self.out_channels)
-        (w, _), (b, _) = stack or self._own_stack()
+        (w, _), (b, _) = stack or self.own_stack()
         if out is None:
             out = scratch(
                 "y", (n * oh * ow, self.out_channels), np.result_type(cols.dtype, w.dtype)
             )
-        cs, ys = client_major(cols, len(w)), out.reshape(len(w), -1, self.out_channels)
+        cs, ys = cols, out.reshape(n * oh * ow, self.out_channels)
+        if w.ndim > 2:  # G clients' kernels: one GEMM each (see Dense.forward)
+            cs, ys = client_major(cols, len(w)), out.reshape(len(w), -1, self.out_channels)
+            b = per_client(b, ys.ndim)
         np.matmul(cs, w, out=ys)
-        np.add(ys, per_client(b, ys.ndim), out=ys)
+        np.add(ys, b, out=ys)
         return out.reshape(n, oh, ow, self.out_channels)
 
     def _im2col_arena(self, x, scratch):
@@ -220,23 +223,24 @@ class Conv2D(Layer):
                 return None
             dcols = gflat @ self.w.data.T
             return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.pad)
-        (kernel, w_grad), (_, b_grad) = stack or self._own_stack()
-        clients = len(kernel)
-        cs, gs = client_major(self._cols, clients), client_major(gflat, clients)
+        (kernel, w_grad), (_, b_grad) = stack or self.own_stack()
+        cs, gs = self._cols, gflat
+        if kernel.ndim > 2:  # G clients' kernels: per-client row blocks
+            cs, gs = client_major(cs, len(kernel)), client_major(gs, len(kernel))
         # "~"-named scratch is arena-wide shared across layers: everything
         # taken here is dead before any other layer's backward runs.
         gw = scratch("~gw", kernel.shape, w_grad.dtype)
-        np.matmul(cs.transpose(0, 2, 1), gs, out=gw)
+        np.matmul(cs.swapaxes(-1, -2), gs, out=gw)
         w_grad += gw
         gb = scratch("~gb", b_grad.shape, b_grad.dtype)
         # np.sum delegates to add.reduce; calling it directly skips the
         # dispatch wrapper (identical reduction, identical bits).
-        np.add.reduce(gs, axis=1, out=gb)
+        np.add.reduce(gs, axis=-2, out=gb)
         b_grad += gb
         if not input_grad:
             return None
         dcols = scratch("~dcols", self._cols.shape, grad.dtype)
-        np.matmul(gs, kernel.transpose(0, 2, 1), out=client_major(dcols, clients))
+        np.matmul(gs, kernel.swapaxes(-1, -2), out=dcols.reshape(cs.shape))
         # col2im into a reused (re-zeroed) scatter buffer. Two exact-value
         # restructurings of the legacy scatter: (a) the column block is
         # re-laid-out kernel-position-major, so each (i, j) slice is one

@@ -51,7 +51,8 @@ class Layer:
     :attr:`plan_stackable` layers can train a cohort in one call: their
     input holds G clients' equal-size batches client-major, and a layer
     with parameters takes a ``stack`` of per-client ``(data, grad)``
-    views, each ``(G, *shape)``, in :attr:`params` order.
+    views, each ``(G, *shape)``, in :attr:`params` order (or its own
+    parameters as they are, for one client).
     """
 
     #: True when forward/backward accept ``out``/``scratch`` kwargs.
@@ -85,10 +86,10 @@ class Layer:
     def params(self) -> list[Parameter]:
         return []
 
-    def _own_stack(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """This layer's own parameters as a one-client ``stack``, so the
-        planned kernels have one body whether or not a cohort stacks them."""
-        return [(p.data[None], p.grad[None]) for p in self.params]
+    def own_stack(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """This layer's own parameters in ``stack`` form: one client's,
+        without the client axis (kernels tell a cohort's by its extra axis)."""
+        return [(p.data, p.grad) for p in self.params]
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -127,14 +128,16 @@ class Dense(Layer):
         self._x = x
         if out is None and scratch is None:
             return x @ self.w.data + self.b.data
-        (w, _), (b, _) = stack or self._own_stack()
+        (w, _), (b, _) = stack or self.own_stack()
         if out is None:
             out = scratch("y", x.shape[:-1] + (w.shape[-1],), np.result_type(x.dtype, w.dtype))
-        # One (rows, in) @ (in, out) GEMM per client, the same call a client
-        # trained alone makes (tests/nn/test_cohort.py pins the bits).
-        xs, ys = client_major(x, len(w)), client_major(out, len(w))
-        np.matmul(xs, per_client(w, xs.ndim), out=ys)
-        np.add(ys, per_client(b, ys.ndim), out=ys)
+        xs, ys = x, out
+        if w.ndim > 2:  # G clients' weights: one GEMM each, the call a client
+            # trained alone makes (tests/nn/test_cohort.py pins the bits)
+            xs, ys = client_major(x, len(w)), client_major(out, len(w))
+            w, b = per_client(w, xs.ndim), per_client(b, ys.ndim)
+        np.matmul(xs, w, out=ys)
+        np.add(ys, b, out=ys)
         return out
 
     def backward(
@@ -161,27 +164,30 @@ class Dense(Layer):
                 return grad @ self.w.data.T
             np.matmul(grad, self.w.data.T, out=out)
             return out
-        (w, w_grad), (_, b_grad) = stack or self._own_stack()
-        clients = len(w)
-        # Per client, time-distributed leading axes collapse into rows.
-        flat_x = x.reshape(clients, -1, x.shape[-1])
-        flat_g = grad.reshape(clients, -1, grad.shape[-1])
+        (w, w_grad), (_, b_grad) = stack or self.own_stack()
+        # Time-distributed leading axes collapse into rows (per client).
+        lead = (len(w), -1) if w.ndim > 2 else (-1,)
+        flat_x = x.reshape(lead + x.shape[-1:])
+        flat_g = grad.reshape(lead + grad.shape[-1:])
         # "~"-named scratch is arena-wide shared (dead within this step);
         # gx stays per-layer — it is live until the next backward consumes it.
         gw = scratch("~gw", w.shape, w_grad.dtype)
-        np.matmul(flat_x.transpose(0, 2, 1), flat_g, out=gw)
+        np.matmul(flat_x.swapaxes(-1, -2), flat_g, out=gw)
         w_grad += gw
         gb = scratch("~gb", b_grad.shape, b_grad.dtype)
         # np.sum delegates to add.reduce; calling it directly skips the
         # dispatch wrapper (identical reduction, identical bits).
-        np.add.reduce(flat_g, axis=1, out=gb)
+        np.add.reduce(flat_g, axis=-2, out=gb)
         b_grad += gb
         if not input_grad:
             return None
         if out is None:
             out = scratch("gx", x.shape, grad.dtype)
-        gs = client_major(grad, clients)
-        np.matmul(gs, per_client(w, gs.ndim).swapaxes(-1, -2), out=client_major(out, clients))
+        gs, ys = grad, out
+        if w.ndim > 2:
+            gs, ys = client_major(grad, len(w)), client_major(out, len(w))
+            w = per_client(w, gs.ndim)
+        np.matmul(gs, w.swapaxes(-1, -2), out=ys)
         return out
 
     @property

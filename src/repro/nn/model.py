@@ -227,7 +227,7 @@ class Sequential:
 
         Long-lived worker replicas otherwise pin their last batch's
         activations between rounds; the fused training plan calls this at
-        the end of every :meth:`~repro.nn.plan.TrainingPlan.run_epochs`.
+        the end of every :meth:`~repro.nn.plan.TrainingPlan.run_cohort`.
         """
         for layer in self.layers:
             layer.release_caches()

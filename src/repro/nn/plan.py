@@ -240,8 +240,8 @@ def _compile_layer(
     their ``out=``-form kernels; everything else is wrapped as-is, so its
     allocation behavior is exactly the per-layer reference's. ``stack`` —
     the ``(G, *shape)`` weight and gradient views of the clients in the
-    batch (:meth:`TrainingPlan._stacks`) — reaches only stackable layers
-    with parameters.
+    batch (:meth:`TrainingPlan._stacks`), or for one client the layer's
+    own parameters — reaches only stackable layers with parameters.
 
     ``input_grad=False`` (the model's first layer) skips computing
     ``dL/d(input)`` entirely — nothing consumes it, and for a convolution
@@ -375,8 +375,9 @@ class TrainingPlan:
         self._spans = [
             [(*next(offsets), p.data.shape) for p in layer.params] for layer in model.layers
         ]
-        #: The stacks of a member alone in the model's own store.
-        self._own = self._stacks(self._store.data[None], self._store.grad[None])
+        #: The stacks of a member alone in the model's own store: each
+        #: layer's parameters as they are.
+        self._own = [layer.own_stack() for layer in model.layers]
         #: B, clients per wave, and the one-client arena it was sized from;
         #: both fixed by the plan's first cohort.
         self.wave_size: int | None = None
@@ -499,19 +500,13 @@ class TrainingPlan:
             yield from (order[a:b] for a, b in zip(cut, cut[1:]))
 
     def _run_wave(self, wave, reference, optimizer) -> list[tuple[np.ndarray, float]]:
-        """Train ``wave``'s members in lockstep from ``reference``.
-
-        Member j's weights and optimizer state are row ``row[j]`` of the
-        wave's slabs. A group whose rows are not one contiguous range is
-        made one by swapping rows: the bytes a gather and scatter would
-        move, without a gathered copy of the group in the arena.
-        """
+        """Train ``wave``'s members in lockstep from ``reference``."""
         arena, store = self.arena, self._store
+        # Alone, a member trains in the model's own store: every layer
+        # reads its weights where it always does.
         alone = len(wave) == 1
         if alone:
-            # Alone, a member trains in the model's own store: every layer
-            # reads its weights where it always does.
-            weights, stacks = store.data[None], self._own
+            weights = store.data[None]
         else:
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
         np.copyto(weights, reference, casting="same_kind")
@@ -539,41 +534,42 @@ class TrainingPlan:
                     idx = orders[j][b * bs : (b + 1) * bs]
                     groups.setdefault((idx.size, m.lam > 0), []).append((j, idx))
             for (rows, pulled), group in groups.items():
-                a, g = row[group[0][0]], len(group)
-                if g > 1:  # make the group's rows one contiguous range
-                    group.sort(key=lambda entry: row[entry[0]])
-                    a = row[group[0][0]]
-                    for i, (j, _) in enumerate(group):
-                        if row[j] != a + i:
-                            other = row.index(a + i)
-                            self._swap_rows([weights, *state], row[j], a + i)
-                            row[other], row[j] = row[j], a + i
+                if alone:
+                    slabs, stacks = (weights, store.grad[None], state), self._own
+                else:
+                    slabs = self._group_rows(group, row, weights, state)
+                    stacks = self._stacks(*slabs[:2])
                 pos = [j for j, _ in group]
                 lam = None
                 if pulled:
                     lam = np.array([[wave[j].lam] for j in pos], dtype=store.dtype)
-                block = slice(a, a + g)
-                if alone:
-                    grads = store.grad[None]
-                else:
-                    # Gradients live for one step: sized to the group, not the wave.
-                    grads = arena.take(("cohort", "grads"), (g, store.total), store.dtype)
-                    stacks = self._stacks(weights[block], grads)
                 xb, yb = self._gather_batch(wave, group, rows)
                 losses[pos, k] = self._train_batch(
-                    xb,
-                    yb,
-                    stacks,
-                    (weights[block], grads, [slab[block] for slab in state]),
-                    lam,
-                    reference,
-                    optimizer,
-                    k + 1,
+                    xb, yb, stacks, slabs, lam, reference, optimizer, k + 1
                 )
         return [
             (weights[row[j]].copy(), float(losses[j, : steps[j]].mean()))
             for j in range(len(wave))
         ]
+
+    def _group_rows(self, group, row, weights, state):
+        """The group's ``(weights, gradients, optimizer state)`` rows.
+
+        Member j's weights and state are row ``row[j]`` of the wave's
+        slabs; a group whose rows are not one contiguous range is made one
+        by swapping rows (sorting ``group`` to match) — the bytes a gather
+        and scatter would move, without a gathered copy in the arena.
+        Gradients live for one step, so their slab is sized to the group.
+        """
+        group.sort(key=lambda entry: row[entry[0]])
+        a, g = row[group[0][0]], len(group)
+        for i, (j, _) in enumerate(group):
+            if row[j] != a + i:
+                other = row.index(a + i)
+                self._swap_rows([weights, *state], row[j], a + i)
+                row[other], row[j] = row[j], a + i
+        grads = self.arena.take(("cohort", "grads"), (g, weights.shape[1]), weights.dtype)
+        return weights[a : a + g], grads, [slab[a : a + g] for slab in state]
 
     @staticmethod
     def _swap_rows(slabs, r1: int, r2: int) -> None:
@@ -605,13 +601,13 @@ class TrainingPlan:
             for spans in self._spans
         ]
 
-    def _train_batch(self, xb, yb, stacks, rows, lam, reference, optimizer, t):
+    def _train_batch(self, xb, yb, stacks, slabs, lam, reference, optimizer, t):
         """One batch step of the G clients stacked in ``xb``: forward, loss,
         backward, proximal pull, optimizer step ``t``, and the gradient rows
-        zeroed again. ``rows`` holds their ``(G, P)`` weight, gradient and
+        zeroed again. ``slabs`` holds their ``(G, P)`` weight, gradient and
         optimizer-state rows, ``stacks`` the layers' views of the first two.
         Returns the clients' batch losses."""
-        weights, grads, state = rows
+        weights, grads, state = slabs
         x = xb
         for fwd, stack in zip(self._fwds, stacks):
             x = fwd(x, True, stack)
