@@ -76,7 +76,7 @@ def col2im(
     return dx
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)  # one entry per input geometry in use
 def _scatter_pairs(h: int, w: int, oh: int, ow: int, kh: int, kw: int, stride: int, pad: int):
     """``(input index, column index)`` of each kernel position's slice of
     the col2im scatter, clipped to the unpadded interior (see

@@ -132,8 +132,9 @@ class Dense(Layer):
         if out is None:
             out = scratch("y", x.shape[:-1] + (w.shape[-1],), np.result_type(x.dtype, w.dtype))
         xs, ys = x, out
-        if w.ndim > 2:  # G clients' weights: one GEMM each, the call a client
-            # trained alone makes (tests/nn/test_cohort.py pins the bits)
+        if w.ndim > 2:
+            # G clients' weights: one GEMM each, the call each client trained
+            # alone makes (tests/nn/test_cohort.py pins the bits).
             xs, ys = client_major(x, len(w)), client_major(out, len(w))
             w, b = per_client(w, xs.ndim), per_client(b, ys.ndim)
         np.matmul(xs, w, out=ys)

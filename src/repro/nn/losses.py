@@ -18,10 +18,10 @@ class Loss:
     """Base loss: ``forward(pred, target) -> float``; ``backward() -> dpred``.
 
     Losses implementing the fused-plan kernel protocol (optional
-    ``scratch``/``out`` parameters writing into arena buffers, see
-    :mod:`repro.nn.plan`) set :attr:`plan_aware`; :attr:`_cache_attrs`
-    names state cached between forward and backward, dropped by
-    :meth:`release_caches`.
+    ``scratch``/``out`` parameters writing into arena buffers, and
+    ``clients`` for G clients' stacked batches, see :mod:`repro.nn.plan`)
+    set :attr:`plan_aware`; :attr:`_cache_attrs` names state cached
+    between forward and backward, dropped by :meth:`release_caches`.
     """
 
     plan_aware = False
@@ -56,7 +56,6 @@ class SoftmaxCrossEntropy(Loss):
     """
 
     plan_aware = True
-    plan_stackable = True
     _cache_attrs = ("_probs", "_labels", "_rows")
 
     def forward(

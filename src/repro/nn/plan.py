@@ -33,7 +33,7 @@ members active at step k are grouped by batch rows, and each group runs
 **one** chain of kernel calls over its client-major ``(G·rows, ...)``
 batch. Per-client weights, gradients and optimizer state are rows of
 ``[B, P]`` slabs, handed to the layers as ``(G, *shape)`` views; a group
-that is not a contiguous range of rows is gathered and scattered back.
+that is not a contiguous range of rows is made one by swapping rows.
 Only the kernels where weights enter change: GEMMs become stacked
 ``(G, M, K) @ (G, K, N)`` calls, bias sums reduce over the row axis, and
 the loss returns per-client means — each bit-identical to the per-client
@@ -82,8 +82,9 @@ __all__ = ["ScratchArena", "TrainingPlan", "CohortMember", "WAVE_BYTES"]
 #: Byte budget of one wave of a cohort: B = how many one-client arenas fit.
 #: Per 10-row client batch the bench CNN ran at 444 / 310 / 265 / 245 / 226
 #: / 213 / 205 / 237 µs stacked 1 / 2 / 3 / 4 / 5 / 6.4 / 8 / 10 clients
-#: deep, with arenas of 0.6 to 5.6 MB: the knee sits near 4 MiB, past which
-#: the working set leaves a 2 MiB L2 and gets slower again.
+#: deep (one BLAS thread, 2-vCPU x86-64, 2 MiB L2 per core), with arenas of
+#: 0.6 to 5.6 MB: the knee sits near 4 MiB, past which the working set
+#: leaves L2 and gets slower again.
 WAVE_BYTES = 4 << 20
 
 
