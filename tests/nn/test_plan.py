@@ -7,14 +7,15 @@ The whole contract in one file:
    the awkward cases (time-distributed Dense, 'valid' convolutions,
    cropped and tied max-pooling);
 2. loop equivalence — ``SimClient.local_train`` through
-   ``TrainingPlan.run_epochs`` reproduces a reference loop written here
+   ``TrainingPlan.run_cohort`` reproduces a reference loop written here
    over ``Sequential.train_on_batch`` byte for byte, for CNN, MLP and
    logistic models, ragged final batches, multiple epochs, stateful and
    explicit-cursor schedules (full FL histories are pinned by
    ``tests/fixtures/golden``);
 3. arena hygiene — scratch reuse never aliases or mutates caller-owned
    arrays (hypothesis-driven), buffers stop growing after the first
-   round, and layer caches are released between rounds;
+   round (and, for cohorts, never exceed B one-client arenas), and layer
+   caches are released between rounds;
 4. fallbacks — models with non-planned layers (GRU) run through the
    plan's generic steps with identical results, and plans never survive
    pickling/cloning/astype.
@@ -372,7 +373,7 @@ class TestKernelEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# 2. Loop equivalence: run_epochs == the per-layer reference loop
+# 2. Loop equivalence: a one-member run_cohort == the per-layer reference loop
 # --------------------------------------------------------------------- #
 def _reference_round(model, data, flat, *, epochs, batch_size, lam, spec, loss, start_epoch):
     """One client round over ``Sequential.train_on_batch`` — the allocating
