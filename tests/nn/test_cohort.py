@@ -96,8 +96,17 @@ def _per_slice_matmul(a, b, dtype):
 # for the bench CNN's three convolutions at 10 and 5 rows, its dense layers,
 # and the bench logistic model.
 PLAN_SHAPES = [
-    (640, 27, 6), (320, 54, 12), (80, 108, 12), (10, 48, 24), (10, 24, 10),
-    (10, 64, 2), (5, 64, 2), (6, 64, 2), (1, 64, 2), (1, 48, 24), (50, 1, 5),
+    (640, 27, 6),
+    (320, 54, 12),
+    (80, 108, 12),
+    (10, 48, 24),
+    (10, 24, 10),
+    (10, 64, 2),
+    (5, 64, 2),
+    (6, 64, 2),
+    (1, 64, 2),
+    (1, 48, 24),
+    (50, 1, 5),
 ]
 
 

@@ -655,9 +655,7 @@ class TestArenaHygiene:
         must outnumber B for its waves to reach B.)"""
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
         ds = _image_dataset(num_clients=14, samples=20)
-        members = [
-            SimClient(c, None, batch_size=10, seed=0).member(2, 0.4) for c in ds.clients
-        ]
+        members = [SimClient(c, None, batch_size=10, seed=0).member(2, 0.4) for c in ds.clients]
         assert min(m.schedule.n for m in members) >= 10  # step 0 stacks a full wave
         flat = _cnn().get_flat_weights()
         if budget == "three_clients":
