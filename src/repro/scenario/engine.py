@@ -20,8 +20,19 @@ Compilation orders the raw events by ``(time, insertion)`` — a stable sort
 on time, the order the simulator's :class:`~repro.sim.events.EventQueue`
 pops in — so simultaneous events resolve in deterministic insertion order
 (the same tie-break every system run uses), and the resulting timelines are
-pure functions of time — queries never mutate state, so out-of-order
-lookups are safe.
+pure functions of time — queries never mutate observable state, so
+out-of-order lookups are safe.
+
+Compiled events are columns (``time``, ``kind``, ``client``, ``value``,
+``episode`` arrays), not objects. Each family draws its values through one
+generator call — ``uniform`` with per-position bounds, laid out in the
+order a per-draw loop would consume them, so the values are the same bits —
+except churn, whose draw count depends on the values drawn: it walks
+blocks of doubles through the formula ``uniform`` applies to each. A
+client's timeline is built from its slice of the events the first time a
+query touches it, so set-up costs what a run touches rather than the
+population; what needs every client at once (the offline intervals behind
+``available_mask``, arrivals, founders) is array code at construction.
 
 Composition determinism: each scenario family draws its events from a
 deterministically derived RNG *substream* — the compile-time RNG yields one
@@ -40,7 +51,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +60,14 @@ from repro.scenario.spec import ComposedSpec, ScenarioSpec, TraceSpec
 
 __all__ = ["ScenarioEvent", "ScenarioEngine", "load_trace_events"]
 
-#: Event kinds understood by the engine.
+#: Event kinds understood by the engine; a kind's index is its column code.
 EVENT_KINDS = ("leave", "join", "speed", "burst_on", "burst_off", "arrive", "bandwidth")
+_LEAVE, _JOIN, _SPEED, _BURST_ON, _BURST_OFF, _ARRIVE, _BANDWIDTH = range(len(EVENT_KINDS))
+_KIND_CODES = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+#: ``episode`` column entry of an event that carries none.
+_NO_EPISODE = -1
+#: dtypes of the ``time, kind, client, value, episode`` event columns.
+_DTYPES = (np.float64, np.int64, np.int64, np.float64, np.int64)
 
 
 @dataclass(frozen=True)
@@ -83,6 +100,20 @@ class ScenarioEvent:
             raise ValueError(f"event time must be >= 0, got {self.time}")
         if self.value <= 0:
             raise ValueError(f"event value must be positive, got {self.value}")
+        if self.episode is not None and self.episode < 0:
+            raise ValueError(f"event episode must be >= 0, got {self.episode}")
+
+
+def _columns(events) -> tuple[np.ndarray, ...]:
+    """``time, kind, client, value, episode`` columns of an event list."""
+    cols = (
+        [e.time for e in events],
+        [_KIND_CODES[e.kind] for e in events],
+        [e.client_id for e in events],
+        [e.value for e in events],
+        [_NO_EPISODE if e.episode is None else e.episode for e in events],
+    )
+    return tuple(np.array(col, dtype=dtype) for col, dtype in zip(cols, _DTYPES))
 
 
 # --------------------------------------------------------------------- #
@@ -111,7 +142,7 @@ def load_trace_events(
     - ``kind`` — one of ``leave``/``join``/``speed``/``bandwidth``/
       ``arrive``/``burst_on``/``burst_off``.
     - ``value`` — event value (latency multiplier for ``speed``, link
-      fraction for ``bandwidth``); defaults to 1.0.
+      fraction for ``bandwidth``); finite and positive, defaults to 1.0.
 
     Example rows::
 
@@ -163,6 +194,12 @@ def load_trace_events(
                 f"{where}: trace times are fractions of the horizon "
                 f"in [0, 1], got {t}"
             )
+        if not math.isfinite(value):
+            # A NaN speed multiplier would poison every latency the client
+            # reports; an infinite one would stall it forever.
+            raise ValueError(f"{where}: event value must be finite, got {value}")
+        if value <= 0.0:
+            raise ValueError(f"{where}: event value must be positive, got {value}")
         if cid < 0:
             raise ValueError(f"{where}: client id must be >= 0, got {cid}")
         if cid >= num_clients:
@@ -210,6 +247,59 @@ def _family_rng(base_entropy: list[int], family: str, occurrence: int) -> np.ran
     return np.random.default_rng(np.random.SeedSequence([*base_entropy, *key]))
 
 
+def _uniform_rows(rng: np.random.Generator, k: int, bounds) -> np.ndarray:
+    """``(k, len(bounds))`` draws, row by row: entry ``[i, j]`` is the value
+    ``rng.uniform(*bounds[j])`` would return at that point of a loop over
+    ``i`` then ``j`` — one call, the same per-element C routine, C order."""
+    lows, highs = np.array(bounds, dtype=np.float64).T
+    shape = (k, len(bounds))
+    return rng.uniform(np.broadcast_to(lows, shape), np.broadcast_to(highs, shape))
+
+
+def _steps(rng: np.random.Generator, k: int, steps: int, factor, compound):
+    """Stratified step times (fractions of the horizon) and compounded
+    values for ``k`` clients.
+
+    Each client draws, per step, a jitter and then a factor — the order the
+    two are laid out in one :func:`_uniform_rows` call. Values compound one
+    step column at a time from 1.0 with ``compound`` (multiply or divide),
+    which is the order a per-client running product applies them in.
+    """
+    draws = _uniform_rows(rng, k, [(0.0, 1.0), tuple(factor)] * steps).reshape(k, steps, 2)
+    times = (np.arange(steps) + draws[:, :, 0]) / steps
+    values = np.empty((k, steps))
+    running = np.ones(k)
+    for s in range(steps):
+        running = compound(running, draws[:, s, 1])
+        values[:, s] = running
+    return times, values
+
+
+def _doubles(rng: np.random.Generator, block: int = 4096):
+    """Endless ``rng.random()`` stream, drawn a block at a time."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
+class _Timeline:
+    """One client's breakpoints: availability, multiplier and bandwidth, each
+    as parallel (times, values) lists in (time, insertion) order."""
+
+    __slots__ = ("avail_times", "avail_state", "mult_times", "mult_values", "bw_times", "bw_values")
+
+    def __init__(self):
+        self.avail_times: list[float] = []
+        self.avail_state: list[bool] = []
+        self.mult_times: list[float] = []
+        self.mult_values: list[float] = []
+        self.bw_times: list[float] = []
+        self.bw_values: list[float] = []
+
+
+#: Shared by every client no event touches (never appended to).
+_UNTOUCHED = _Timeline()
+
+
 class ScenarioEngine:
     """Per-client availability windows and latency-multiplier timelines.
 
@@ -217,111 +307,132 @@ class ScenarioEngine:
     (explicit events, mainly for tests). A client is available on
     ``[join, leave)`` intervals and starts available with multiplier 1.0;
     transitions apply *at* their timestamp.
+
+    The constructor takes the events as five equal-length columns in
+    generation (insertion) order: ``time``, ``kind`` (index into
+    ``EVENT_KINDS``), ``client``, ``value`` and ``episode`` (-1 for none).
     """
 
-    def __init__(self, num_clients: int, events: list[ScenarioEvent], *, name: str = "custom"):
+    def __init__(
+        self,
+        num_clients: int,
+        time: np.ndarray,
+        kind: np.ndarray,
+        client: np.ndarray,
+        value: np.ndarray,
+        episode: np.ndarray,
+        *,
+        name: str = "custom",
+    ):
         if num_clients < 1:
             raise ValueError("num_clients must be >= 1")
         self.num_clients = num_clients
         self.name = name
 
-        for ev in events:
-            if not 0 <= ev.client_id < num_clients:
-                raise ValueError(f"event client {ev.client_id} out of range")
-            if ev.time < 0:
-                raise ValueError(f"cannot schedule at {ev.time} < 0")
+        def refuse(bad: np.ndarray, column: np.ndarray, message: str) -> None:
+            rows = np.flatnonzero(bad)
+            if rows.size:
+                raise ValueError(message.format(column[rows[0]]))
+
+        refuse((kind < 0) | (kind >= len(EVENT_KINDS)), kind, "unknown event kind code {}")
+        refuse((client < 0) | (client >= num_clients), client, "event client {} out of range")
+        refuse(~(time >= 0), time, "cannot schedule at {} < 0")
+        refuse(~(value > 0), value, "event value must be positive, got {}")
         # Deterministic (time, insertion) ordering, exactly like system
         # events: a stable sort on time is the order an EventQueue pops in.
-        self.events: list[ScenarioEvent] = sorted(events, key=attrgetter("time"))
+        order = np.argsort(time, kind="stable")
+        self._time, self._kind, self._client, self._value, self._episode = (
+            col[order] for col in (time, kind, client, value, episode)
+        )
 
-        # Per-client timelines are sparse dicts keyed by client id — only
-        # clients an event actually touches pay storage. A million-client
-        # static (or lightly dynamic) world therefore costs O(events), not
-        # O(population); clients absent from a dict use the defaults
-        # (available, multiplier 1.0, full bandwidth, arrival at t=0).
-        avail_times: dict[int, list[float]] = {}
-        avail_state: dict[int, list[bool]] = {}
-        mult_times: dict[int, list[float]] = {}
-        mult_values: dict[int, list[float]] = {}
-        bw_times: dict[int, list[float]] = {}
-        bw_values: dict[int, list[float]] = {}
-        arrival: dict[int, float] = {}
-        drift: dict[int, float] = {}
-        #: Open burst episodes per client, as (episode id, factor) pairs in
-        #: push order — keyed pops keep overlapping same-factor episodes
-        #: from different families distinct.
-        bursts: dict[int, list[tuple[int | None, float]]] = {}
-        #: Closed ``(client, from, until)`` stretches a client spends churned
-        #: offline, and when each currently-offline client left.
-        offline: list[tuple[int, float, float]] = []
-        offline_since: dict[int, float] = {}
+        # Client-major view: a stable sort on client keeps each client's
+        # events in (time, insertion) order. Timelines are sliced from it on
+        # first query, so only clients a run asks about pay for one.
+        self._by_client = np.argsort(self._client, kind="stable")
+        self._timelines: dict[int, _Timeline] = {}
 
-        def push_mult(cid: int, t: float) -> None:
-            # Fresh product each time so a closed burst restores the drift
-            # multiplier bit-exactly (empty product is exactly 1.0).
-            mult_times.setdefault(cid, []).append(t)
-            mult_values.setdefault(cid, []).append(
-                drift.get(cid, 1.0) * math.prod(f for _, f in bursts.get(cid, ()))
-            )
+        # Arrivals: the time-ordered last ``arrive`` per client wins.
+        arrive = self._kind == _ARRIVE
+        a_ids, a_times = self._client[arrive], self._time[arrive]
+        last = a_ids.size - 1 - np.unique(a_ids[::-1], return_index=True)[1]
+        a_ids, a_times = a_ids[last], a_times[last]
+        self._arrival: dict[int, float] = dict(zip(a_ids.tolist(), a_times.tolist()))
+        late = np.flatnonzero(a_times > 0.0)
+        late = late[np.lexsort((a_ids[late], a_times[late]))]
+        self._late_ids, self._late_times = a_ids[late], a_times[late]
 
-        def pop_burst(cid: int, ev: ScenarioEvent) -> None:
-            stack = bursts.get(cid, [])
-            for i, (episode, factor) in enumerate(stack):
-                # Episode identity when the compiler stamped one; factor
-                # equality only for hand-built (episode-less) event lists.
-                if (ev.episode is not None and episode == ev.episode) or (
-                    ev.episode is None and factor == ev.value
-                ):
-                    del stack[i]
-                    return
-
-        for ev in self.events:
-            cid = ev.client_id
-            if ev.kind == "leave":
-                avail_times.setdefault(cid, []).append(ev.time)
-                avail_state.setdefault(cid, []).append(False)
-                offline_since.setdefault(cid, ev.time)
-            elif ev.kind == "join":
-                avail_times.setdefault(cid, []).append(ev.time)
-                avail_state.setdefault(cid, []).append(True)
-                if cid in offline_since:
-                    offline.append((cid, offline_since.pop(cid), ev.time))
-            elif ev.kind == "speed":
-                drift[cid] = ev.value
-                push_mult(cid, ev.time)
-            elif ev.kind == "burst_on":
-                bursts.setdefault(cid, []).append((ev.episode, ev.value))
-                push_mult(cid, ev.time)
-            elif ev.kind == "burst_off":
-                pop_burst(cid, ev)
-                push_mult(cid, ev.time)
-            elif ev.kind == "arrive":
-                arrival[cid] = ev.time  # time-ordered: the last event wins
-            elif ev.kind == "bandwidth":
-                bw_times.setdefault(cid, []).append(ev.time)
-                bw_values.setdefault(cid, []).append(ev.value)
-
-        self._avail_times = avail_times
-        self._avail_state = avail_state
-        self._mult_times = mult_times
-        self._mult_values = mult_values
-        self._bw_times = bw_times
-        self._bw_values = bw_values
-        self._arrival = arrival
-        late = [(cid, t) for cid, t in arrival.items() if t > 0.0]
-        self._late = sorted(late, key=lambda pair: (pair[1], pair[0]))
-        # The availability timelines once more as flat half-open intervals
-        # (a late client is "offline" until it arrives), so array queries
-        # test everyone against one instant without a Python call per client.
-        offline += [(cid, since, math.inf) for cid, since in offline_since.items()]
-        offline += [(cid, -math.inf, t) for cid, t in late]
-        ids, since, until = zip(*offline) if offline else ((), (), ())
-        self._offline_ids = np.array(ids, dtype=np.int64)
-        self._offline_from = np.array(since, dtype=np.float64)
-        self._offline_until = np.array(until, dtype=np.float64)
+        # Offline intervals: a run of leaves opens one at its first leave,
+        # the next join closes it (none: open to the end of time). With the
+        # late clients' [-inf, arrival) they let array queries test everyone
+        # against one instant without a Python call per client.
+        rows = self._by_client[np.isin(self._kind[self._by_client], (_LEAVE, _JOIN))]
+        c, t = self._client[rows], self._time[rows]
+        leave = self._kind[rows] == _LEAVE
+        after_leave = np.zeros_like(leave)
+        after_leave[1:] = leave[:-1] & (c[1:] == c[:-1])
+        opens = np.flatnonzero(leave & ~after_leave)
+        closes = np.flatnonzero(~leave & after_leave)
+        until = np.full(opens.size, np.inf)
+        if closes.size:
+            nxt = closes[np.minimum(np.searchsorted(closes, opens), closes.size - 1)]
+            closed = (nxt > opens) & (c[nxt] == c[opens])
+            until[closed] = t[nxt[closed]]
+        self._offline_ids = np.concatenate([c[opens], self._late_ids])
+        self._offline_from = np.concatenate([t[opens], np.full(late.size, -np.inf)])
+        self._offline_until = np.concatenate([until, self._late_times])
         #: Clients with an availability timeline or an arrival: the only ones
         #: :meth:`next_join_after` can have anything to say about.
-        self._gated_ids = np.array([*avail_times, *arrival], dtype=np.int64)
+        self._gated_ids = np.union1d(c, a_ids)
+
+    def _timeline(self, client_id: int) -> _Timeline:
+        """The client's breakpoints, built from its events on first use."""
+        timeline = self._timelines.get(client_id)
+        if timeline is None:
+            timeline = self._timelines[client_id] = self._build_timeline(client_id)
+        return timeline
+
+    def _build_timeline(self, client_id: int) -> _Timeline:
+        lo, hi = np.searchsorted(self._client, (client_id, client_id + 1), sorter=self._by_client)
+        if lo == hi:
+            return _UNTOUCHED
+        rows = self._by_client[lo:hi]
+        tl = _Timeline()
+        drift = 1.0
+        #: Open burst episodes as (episode, factor) pairs in push order —
+        #: keyed pops keep overlapping same-factor episodes from different
+        #: families distinct.
+        bursts: list[tuple[int, float]] = []
+        for t, kind, value, episode in zip(
+            self._time[rows].tolist(),
+            self._kind[rows].tolist(),
+            self._value[rows].tolist(),
+            self._episode[rows].tolist(),
+        ):
+            if kind == _LEAVE or kind == _JOIN:
+                tl.avail_times.append(t)
+                tl.avail_state.append(kind == _JOIN)
+            elif kind == _BANDWIDTH:
+                tl.bw_times.append(t)
+                tl.bw_values.append(value)
+            elif kind != _ARRIVE:
+                if kind == _SPEED:
+                    drift = value
+                elif kind == _BURST_ON:
+                    bursts.append((episode, value))
+                else:
+                    for i, (open_episode, factor) in enumerate(bursts):
+                        # Episode identity when the compiler stamped one;
+                        # factor equality only for hand-built lists.
+                        if (episode != _NO_EPISODE and open_episode == episode) or (
+                            episode == _NO_EPISODE and factor == value
+                        ):
+                            del bursts[i]
+                            break
+                # Fresh product each time so a closed burst restores the
+                # drift multiplier bit-exactly (empty product is exactly 1.0).
+                tl.mult_times.append(t)
+                tl.mult_values.append(drift * math.prod(f for _, f in bursts))
+        return tl
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -330,7 +441,8 @@ class ScenarioEngine:
     def from_events(
         cls, num_clients: int, events: list[ScenarioEvent], *, name: str = "custom"
     ) -> "ScenarioEngine":
-        return cls(num_clients, events, name=name)
+        """Engine over a hand-built event list, in insertion order."""
+        return cls(num_clients, *_columns(events), name=name)
 
     @classmethod
     def compile(
@@ -352,12 +464,13 @@ class ScenarioEngine:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         parts = spec.parts
-        events: list[ScenarioEvent] = []
         if all(part.is_static for part in parts):
-            return cls(num_clients, events, name=spec.name)
+            return cls.from_events(num_clients, [], name=spec.name)
 
         base_entropy = [int(v) for v in rng.integers(0, 2**32, size=4)]
         occurrences: dict[str, int] = {}
+        #: Event columns in generation order, one tuple per family batch.
+        chunks: list[tuple[np.ndarray, ...]] = [_columns([])]
         #: Burst episodes numbered across the whole composition, so every
         #: burst_on/off pair carries a unique identity.
         episode = 0
@@ -367,35 +480,60 @@ class ScenarioEngine:
             occurrences[family] = occ + 1
             return _family_rng(base_entropy, family, occ)
 
+        def emit(time, kind, client, value=1.0, episode=_NO_EPISODE) -> None:
+            cols = (time, kind, client, value, episode)
+            shape = np.shape(time)
+            chunks.append(
+                tuple(
+                    np.broadcast_to(np.asarray(col, dtype=dtype), shape)
+                    for col, dtype in zip(cols, _DTYPES)
+                )
+            )
+
         for part in parts:
             if part.is_static:
                 continue  # a static atom inside a composition is a no-op
             if isinstance(part, TraceSpec):
-                events.extend(load_trace_events(part.path, num_clients, horizon))
+                chunks.append(_columns(load_trace_events(part.path, num_clients, horizon)))
                 continue
 
-            # Churn: alternating offline/online stretches per churning client.
+            # Churn: alternating offline/online stretches per churning
+            # client. How many stretches a client draws depends on the
+            # values, so walk a stream of doubles: ``lo + (hi - lo) * d`` is
+            # what ``uniform(lo, hi)`` returns for the same double, and
+            # nothing else draws from this substream after the walk.
             if part.churn_fraction > 0.0:
                 frng = family_rng("churn")
-                for cid in _pick(frng, part.churn_fraction, num_clients).tolist():
-                    t = float(frng.uniform(*part.churn_first_leave)) * horizon
+                clients = _pick(frng, part.churn_fraction, num_clients).tolist()
+                doubles = _doubles(frng)
+                first_lo, first_hi = part.churn_first_leave
+                (off_lo, off_hi), (on_lo, on_hi) = part.churn_offline, part.churn_online
+                first_span, off_span, on_span = first_hi - first_lo, off_hi - off_lo, on_hi - on_lo
+                times: list[float] = []
+                kinds: list[int] = []
+                ids: list[int] = []
+                for cid in clients:
+                    t = (first_lo + first_span * next(doubles)) * horizon
                     while t < horizon:
-                        events.append(ScenarioEvent(t, "leave", cid))
-                        t += float(frng.uniform(*part.churn_offline)) * horizon
+                        times.append(t)
+                        kinds.append(_LEAVE)
+                        ids.append(cid)
+                        t += (off_lo + off_span * next(doubles)) * horizon
                         if t >= horizon:
                             break
-                        events.append(ScenarioEvent(t, "join", cid))
-                        t += float(frng.uniform(*part.churn_online)) * horizon
+                        times.append(t)
+                        kinds.append(_JOIN)
+                        ids.append(cid)
+                        t += (on_lo + on_span * next(doubles)) * horizon
+                emit(times, kinds, ids)
 
             # Drift: stratified step times, compounding slowdown factors.
             if part.drift_fraction > 0.0 and part.drift_steps > 0:
                 frng = family_rng("drift")
-                for cid in _pick(frng, part.drift_fraction, num_clients).tolist():
-                    mult = 1.0
-                    for step in range(part.drift_steps):
-                        t = (step + float(frng.uniform(0.0, 1.0))) / part.drift_steps
-                        mult *= float(frng.uniform(*part.drift_factor))
-                        events.append(ScenarioEvent(t * horizon, "speed", cid, mult))
+                clients = _pick(frng, part.drift_fraction, num_clients)
+                steps = part.drift_steps
+                t, mult = _steps(frng, clients.size, steps, part.drift_factor, np.multiply)
+                emit((t * horizon).ravel(), _SPEED, np.repeat(clients, steps), mult.ravel())
 
             # Bursts: episodes that slow a random subset for a short window.
             if part.burst_count > 0 and part.burst_fraction > 0.0:
@@ -403,21 +541,14 @@ class ScenarioEngine:
                 for _ in range(part.burst_count):
                     t0 = float(frng.uniform(0.05, 0.85)) * horizon
                     dur = float(frng.uniform(*part.burst_duration)) * horizon
-                    for cid in _pick(frng, part.burst_fraction, num_clients).tolist():
-                        events.append(
-                            ScenarioEvent(
-                                t0, "burst_on", cid, part.burst_factor, episode=episode
-                            )
-                        )
-                        events.append(
-                            ScenarioEvent(
-                                t0 + dur,
-                                "burst_off",
-                                cid,
-                                part.burst_factor,
-                                episode=episode,
-                            )
-                        )
+                    clients = _pick(frng, part.burst_fraction, num_clients)
+                    emit(
+                        np.tile([t0, t0 + dur], clients.size),
+                        np.tile([_BURST_ON, _BURST_OFF], clients.size),
+                        np.repeat(clients, 2),
+                        part.burst_factor,
+                        episode,
+                    )
                     episode += 1
 
             # Arrivals: late clients join inside the arrival window. At
@@ -429,21 +560,17 @@ class ScenarioEngine:
                 )
                 if k > 0:
                     late = np.sort(frng.choice(num_clients, size=k, replace=False))
-                    for cid in late.tolist():
-                        t = float(frng.uniform(*part.arrival_window)) * horizon
-                        events.append(ScenarioEvent(t, "arrive", cid))
+                    emit(frng.uniform(*part.arrival_window, size=k) * horizon, _ARRIVE, late)
 
             # Bandwidth drift: stratified step times, compounding link
             # divisors. The timeline carries absolute scales, so every value
             # stays strictly positive no matter how many steps compound.
             if part.bwdrift_fraction > 0.0 and part.bwdrift_steps > 0:
                 frng = family_rng("bwdrift")
-                for cid in _pick(frng, part.bwdrift_fraction, num_clients).tolist():
-                    scale = 1.0
-                    for step in range(part.bwdrift_steps):
-                        t = (step + float(frng.uniform(0.0, 1.0))) / part.bwdrift_steps
-                        scale /= float(frng.uniform(*part.bwdrift_factor))
-                        events.append(ScenarioEvent(t * horizon, "bandwidth", cid, scale))
+                clients = _pick(frng, part.bwdrift_fraction, num_clients)
+                steps = part.bwdrift_steps
+                t, scale = _steps(frng, clients.size, steps, part.bwdrift_factor, np.divide)
+                emit((t * horizon).ravel(), _BANDWIDTH, np.repeat(clients, steps), scale.ravel())
 
             # Bandwidth heal: one degrade→restore episode per affected
             # client — the first non-monotone bandwidth timeline. Values are
@@ -451,33 +578,49 @@ class ScenarioEngine:
             # last-write-wins at each breakpoint.
             if part.bwheal_fraction > 0.0 and part.bwheal_factor > 1.0:
                 frng = family_rng("bwheal")
-                for cid in _pick(frng, part.bwheal_fraction, num_clients).tolist():
-                    t0 = float(frng.uniform(*part.bwheal_start)) * horizon
-                    dur = float(frng.uniform(*part.bwheal_duration)) * horizon
-                    events.append(
-                        ScenarioEvent(t0, "bandwidth", cid, 1.0 / part.bwheal_factor)
-                    )
-                    events.append(ScenarioEvent(t0 + dur, "bandwidth", cid, 1.0))
+                clients = _pick(frng, part.bwheal_fraction, num_clients)
+                bounds = [part.bwheal_start, part.bwheal_duration]
+                t0, dur = (_uniform_rows(frng, clients.size, bounds) * horizon).T
+                emit(
+                    np.column_stack([t0, t0 + dur]).ravel(),
+                    _BANDWIDTH,
+                    np.repeat(clients, 2),
+                    np.tile([1.0 / part.bwheal_factor, 1.0], clients.size),
+                )
 
-        return cls(num_clients, events, name=spec.name)
+        columns = (np.concatenate(col) for col in zip(*chunks))
+        return cls(num_clients, *columns, name=spec.name)
 
     # ------------------------------------------------------------------ #
     # Queries (pure functions of time)
     # ------------------------------------------------------------------ #
+    @cached_property
+    def events(self) -> list[ScenarioEvent]:
+        """The compiled events in ``(time, insertion)`` order, as objects
+        (built on first use; queries never need them)."""
+        return [
+            ScenarioEvent(t, EVENT_KINDS[k], c, v, None if e == _NO_EPISODE else e)
+            for t, k, c, v, e in zip(
+                self._time.tolist(),
+                self._kind.tolist(),
+                self._client.tolist(),
+                self._value.tolist(),
+                self._episode.tolist(),
+            )
+        ]
+
     @property
     def is_static(self) -> bool:
-        return not self.events
+        return self._time.size == 0
 
     def is_available(self, client_id: int, t: float) -> bool:
         """Whether the client is online (and has arrived) at time ``t``."""
         client_id = int(client_id)
         if t < self._arrival.get(client_id, 0.0):
             return False
-        times = self._avail_times.get(client_id)
-        if not times:
-            return True
-        i = bisect_right(times, t) - 1
-        return self._avail_state[client_id][i] if i >= 0 else True
+        tl = self._timeline(client_id)
+        i = bisect_right(tl.avail_times, t) - 1
+        return tl.avail_state[i] if i >= 0 else True
 
     def available_mask(self, client_ids: np.ndarray, t: float) -> np.ndarray:
         """:meth:`is_available` over an id array, element for element (at
@@ -491,13 +634,10 @@ class ScenarioEngine:
         client_id = int(client_id)
         if not self.is_available(client_id, start):
             return False
-        times = self._avail_times.get(client_id)
-        if not times:
-            return True
-        state = self._avail_state[client_id]
-        lo = bisect_right(times, start)
-        hi = bisect_right(times, end)
-        return all(state[i] for i in range(lo, hi))
+        tl = self._timeline(client_id)
+        lo = bisect_right(tl.avail_times, start)
+        hi = bisect_right(tl.avail_times, end)
+        return all(tl.avail_state[lo:hi])
 
     def arrival_time(self, client_id: int) -> float:
         """When the client joins the population (0.0 = founding member)."""
@@ -506,40 +646,35 @@ class ScenarioEngine:
     def late_arrivals(self) -> list[tuple[int, float]]:
         """Clients that are absent at t=0, as ``(client_id, arrival_time)``
         pairs sorted by arrival time (ties by client id)."""
-        return list(self._late)
+        return list(zip(self._late_ids.tolist(), self._late_times.tolist()))
 
     def founders(self) -> list[int]:
         """Clients present at t=0 — the population a server can profile."""
         present = np.ones(self.num_clients, dtype=bool)
-        present[[cid for cid, _ in self._late]] = False
+        present[self._late_ids] = False
         return np.flatnonzero(present).tolist()
 
     @property
     def has_arrivals(self) -> bool:
         """Whether any client arrives after t=0 (population growth)."""
-        return bool(self._late)
+        return bool(self._late_ids.size)
 
     def bandwidth_scale(self, client_id: int, t: float) -> float:
         """Fraction of the client's nominal link bandwidth left at ``t``."""
-        times = self._bw_times.get(int(client_id))
-        if not times:
-            return 1.0
-        i = bisect_right(times, t) - 1
-        return self._bw_values[int(client_id)][i] if i >= 0 else 1.0
+        tl = self._timeline(int(client_id))
+        i = bisect_right(tl.bw_times, t) - 1
+        return tl.bw_values[i] if i >= 0 else 1.0
 
     @property
     def has_bandwidth_events(self) -> bool:
         """Whether any client's link bandwidth changes over the run."""
-        return bool(self._bw_times)
+        return bool(np.any(self._kind == _BANDWIDTH))
 
     def latency_multiplier(self, client_id: int, t: float) -> float:
         """Combined drift × burst slowdown factor at time ``t``."""
-        client_id = int(client_id)
-        times = self._mult_times.get(client_id)
-        if not times:
-            return 1.0
-        i = bisect_right(times, t) - 1
-        return self._mult_values[client_id][i] if i >= 0 else 1.0
+        tl = self._timeline(int(client_id))
+        i = bisect_right(tl.mult_times, t) - 1
+        return tl.mult_values[i] if i >= 0 else 1.0
 
     def next_join_after(self, client_ids, t: float) -> float | None:
         """Earliest time > ``t`` at which any listed client comes online.
@@ -548,11 +683,13 @@ class ScenarioEngine:
         currently churned away (or not yet arrived) instead of retiring it
         forever. Candidate times are churn rejoins and late arrivals; each
         counts only if the client is genuinely available at that instant.
+        ``client_ids`` is any iterable of ids; only those that ever leave or
+        arrive late are looked at, one by one.
         """
-        if not self._arrival and not self._avail_times:
+        if not self._gated_ids.size:
             return None  # nobody ever leaves or arrives late
-        if isinstance(client_ids, np.ndarray):
-            client_ids = client_ids[np.isin(client_ids, self._gated_ids)].tolist()
+        if not isinstance(client_ids, np.ndarray):
+            client_ids = np.fromiter(client_ids, dtype=np.int64)
         best: float | None = None
 
         def consider(cid: int, when: float) -> bool:
@@ -564,11 +701,10 @@ class ScenarioEngine:
                 best = when
             return True
 
-        for cid in client_ids:
-            cid = int(cid)
+        for cid in np.intersect1d(client_ids, self._gated_ids).tolist():
             consider(cid, self._arrival.get(cid, 0.0))
-            times = self._avail_times.get(cid, ())
-            state = self._avail_state.get(cid, ())
+            tl = self._timeline(cid)
+            times, state = tl.avail_times, tl.avail_state
             for i in range(bisect_right(times, t), len(times)):
                 # Stop at the first *genuine* join (later ones can't beat
                 # it); a rejoin scheduled before the client's arrival is
@@ -580,5 +716,5 @@ class ScenarioEngine:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"ScenarioEngine({self.name!r}, clients={self.num_clients}, "
-            f"events={len(self.events)})"
+            f"events={self._time.size})"
         )

@@ -532,6 +532,20 @@ def test_load_trace_errors(tmp_path):
         load_trace_events(bad_json, 4, horizon=100.0)
 
 
+@pytest.mark.parametrize(
+    "raw, problem",
+    [("nan", "finite"), ("inf", "finite"), ("0", "positive"), ("-2.5", "positive")],
+)
+def test_load_trace_refuses_bad_values_by_row(tmp_path, raw, problem):
+    # A NaN speed multiplier would poison every latency of its client.
+    p = _write(
+        tmp_path / "v.csv",
+        f"client,time,kind,value\n0,0.5,speed,2.0\n1,0.5,speed,{raw}\n",
+    )
+    with pytest.raises(ValueError, match=rf"v\.csv: trace row 2: event value must be {problem}"):
+        load_trace_events(p, 4, horizon=100.0)
+
+
 def test_committed_diurnal_fixture_compiles():
     spec = parse_scenario("trace:tests/fixtures/traces/diurnal_tiny.csv")
     eng = ScenarioEngine.compile(spec, 15, 500.0, np.random.default_rng(0))

@@ -11,6 +11,9 @@ Invariants locked down here:
   queried instant;
 - the array availability query equals scalar ``is_available`` element for
   element, and ``next_join_after`` answers an id array as it answers a list;
+- timelines are built on first query, so every answer must be the same in
+  any order clients are first asked about, and ``next_join_after`` must equal
+  a brute-force scan while building timelines only for gated clients;
 - compiled events are in the order an ``EventQueue`` would pop them, however
   many share a timestamp.
 """
@@ -242,6 +245,92 @@ def test_available_mask_equals_scalar_on_compiled_worlds(
 
 
 # --------------------------------------------------------------------- #
+# Timelines built on first query
+# --------------------------------------------------------------------- #
+def _answers(eng: ScenarioEngine, ids, times) -> dict:
+    return {
+        cid: [
+            (
+                eng.is_available(cid, t),
+                eng.available_throughout(cid, t, t + 1.5),
+                eng.latency_multiplier(cid, t),
+                eng.bandwidth_scale(cid, t),
+                eng.arrival_time(cid),
+                eng.next_join_after([cid], t),
+            )
+            for t in times
+        ]
+        for cid in ids
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    raw=st.lists(
+        st.tuples(
+            instants,
+            st.sampled_from(EVENT_KINDS),
+            st.integers(0, 5),
+            st.sampled_from([2.0, 3.0]),
+            st.one_of(st.none(), st.integers(0, 2)),
+        ),
+        max_size=30,
+    ),
+    order=st.permutations(range(6)),
+)
+def test_answers_do_not_depend_on_which_client_is_asked_first(n, raw, order):
+    """Ties, leave-leave-join, repeated arrivals, overlapping same-factor
+    bursts with and without episodes: every answer is the same whichever
+    clients' timelines were built before the client's own."""
+    events = [ScenarioEvent(t, kind, cid % n, v, ep) for t, kind, cid, v, ep in raw]
+    times = [0.0, 1.0, 2.5, 3.0, 4.0, 7.0, 9.0]
+    in_id_order = _answers(ScenarioEngine.from_events(n, events), range(n), times)
+    shuffled = [cid for cid in order if cid < n]
+    assert _answers(ScenarioEngine.from_events(n, events), shuffled, times) == in_id_order
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    raw=st.lists(
+        st.tuples(instants, st.sampled_from(EVENT_KINDS), st.integers(0, 7)), max_size=30
+    ),
+    ids=st.lists(st.integers(0, 7), max_size=12),
+    t=st.one_of(instants, st.floats(0.0, 9.0)),
+)
+def test_next_join_after_equals_a_brute_force_scan(n, raw, ids, t):
+    """Any iterable of ids gives the earliest join or arrival after ``t`` at
+    which that client is online, and only clients that ever leave or arrive
+    late get a timeline built."""
+    events = [ScenarioEvent(time, kind, cid % n) for time, kind, cid in raw]
+    ids = [c % n for c in ids]
+    eng = ScenarioEngine.from_events(n, events)
+
+    def scan(clients) -> float | None:
+        return min(
+            (
+                e.time
+                for e in events
+                if e.kind in ("join", "arrive")
+                and e.client_id in clients
+                and e.time > t
+                and eng.is_available(e.client_id, e.time)
+            ),
+            default=None,
+        )
+
+    want = scan(set(ids))
+    assert eng.next_join_after(ids, t) == want
+    assert eng.next_join_after(np.array(ids, dtype=np.int64), t) == want
+    assert eng.next_join_after(iter(ids), t) == want
+    fresh = ScenarioEngine.from_events(n, events)
+    assert fresh.next_join_after(range(n), t) == scan(set(range(n)))
+    gated = {e.client_id for e in events if e.kind in ("leave", "join", "arrive")}
+    assert set(fresh._timelines) <= gated
+
+
+# --------------------------------------------------------------------- #
 # Stable sort == EventQueue order
 # --------------------------------------------------------------------- #
 def _queue_order(events: list[ScenarioEvent]) -> list[ScenarioEvent]:
@@ -264,11 +353,16 @@ def test_events_keep_queue_order_under_equal_timestamps(raw):
 
 
 class _RecordingEngine(ScenarioEngine):
-    """Keeps the compiler's raw (generation-order) event list."""
+    """Keeps the compiler's raw (generation-order) columns as an event list."""
 
-    def __init__(self, num_clients, events, *, name="custom"):
-        self.raw = list(events)
-        super().__init__(num_clients, events, name=name)
+    def __init__(self, num_clients, time, kind, client, value, episode, *, name="custom"):
+        self.raw = [
+            ScenarioEvent(t, EVENT_KINDS[k], c, v, None if e < 0 else e)
+            for t, k, c, v, e in zip(
+                time.tolist(), kind.tolist(), client.tolist(), value.tolist(), episode.tolist()
+            )
+        ]
+        super().__init__(num_clients, time, kind, client, value, episode, name=name)
 
 
 @settings(max_examples=30, deadline=None)
