@@ -473,7 +473,7 @@ class ScenarioEngine:
         chunks: list[tuple[np.ndarray, ...]] = [_columns([])]
         #: Burst episodes numbered across the whole composition, so every
         #: burst_on/off pair carries a unique identity.
-        episode = 0
+        next_episode = 0
 
         def family_rng(family: str) -> np.random.Generator:
             occ = occurrences.get(family, 0)
@@ -547,9 +547,9 @@ class ScenarioEngine:
                         np.tile([_BURST_ON, _BURST_OFF], clients.size),
                         np.repeat(clients, 2),
                         part.burst_factor,
-                        episode,
+                        next_episode,
                     )
-                    episode += 1
+                    next_episode += 1
 
             # Arrivals: late clients join inside the arrival window. At
             # least one client always founds the federation at t=0.
