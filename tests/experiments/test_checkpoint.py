@@ -15,6 +15,7 @@ import pytest
 from repro.baselines.asofed import ASOFed
 from repro.baselines.fedasync import FedAsync
 from repro.baselines.fedavg import FedAvg
+from repro.baselines.fedprox import FedProx
 from repro.baselines.tifl import TiFL
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
@@ -41,7 +42,7 @@ class KillAfter(RunCheckpointer):
         return saved
 
 
-_BUDGETS = {FedAT: 10, FedAvg: 4, FedAsync: 20, ASOFed: 20, TiFL: 6}
+_BUDGETS = {FedAT: 10, FedAvg: 4, FedProx: 4, FedAsync: 20, ASOFed: 20, TiFL: 6}
 
 
 def _config(cls, **kw):
@@ -139,6 +140,13 @@ _GROWING_WORLD = {
     "dropout_horizon": 100.0,
 }
 
+#: Churn plus arrivals inside a ~40-update FedAsync run.
+_CHURN_ARRIVAL_WORLD = {
+    "scenario": "churn+arrival",
+    "max_rounds": 40,
+    "dropout_horizon": 100.0,
+}
+
 
 @pytest.mark.parametrize(
     "cls, world, kill_after",
@@ -148,9 +156,14 @@ _GROWING_WORLD = {
         (FedAT, {"scenario": "arrival"}, 3),  # exercises the arrival-pool replay on restore
         (FedAT, _GROWING_WORLD, 20),  # the tracker carries the tier index through the pickle
         (FedAvg, {}, 3),
+        (FedAvg, {"scenario": "churn", "dropout_horizon": 100.0}, 3),
+        (FedProx, {"local_epochs": 3}, 3),  # the epoch stream resumes mid-draw
         (TiFL, {}, 3),  # exercises the tier-evaluator rebuild on restore
+        (TiFL, {"retier_interval": 2, "tifl_interval": 2, "max_rounds": 8}, 4),
         (FedAsync, {}, 3),
+        (FedAsync, _CHURN_ARRIVAL_WORLD, 3),  # relaunch and arrival events in flight
         (ASOFed, {}, 3),
+        (ASOFed, {"scenario": "churn", "dropout_horizon": 20.0}, 3),  # relaunches
     ],
     ids=[
         "fedat",
@@ -158,9 +171,14 @@ _GROWING_WORLD = {
         "fedat-arrival",
         "fedat-arrival-retier",
         "fedavg",
+        "fedavg-churn",
+        "fedprox",
         "tifl",
+        "tifl-retier",
         "fedasync",
+        "fedasync-churn-arrival",
         "asofed",
+        "asofed-churn",
     ],
 )
 def test_killed_run_resumes_bit_identically(tmp_path, tiny_bow_dataset, cls, world, kill_after):
