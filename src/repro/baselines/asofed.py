@@ -10,27 +10,14 @@ original paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.base import FLSystem, RelaunchClient
-from repro.core.staleness import StalenessPolicy
-from repro.metrics.history import RunHistory
-from repro.sim.events import EventQueue
+from repro.core.base import AsyncFLSystem
 
 __all__ = ["ASOFed"]
 
 
-@dataclass
-class _ClientDone:
-    client_id: int
-    start_version: int
-    weights: np.ndarray
-    uplink_bytes: int
-
-
-class ASOFed(FLSystem):
+class ASOFed(AsyncFLSystem):
     name = "asofed"
 
     def __init__(self, population, model_builder, config, *, delay_model=None):
@@ -43,9 +30,12 @@ class ASOFed(FLSystem):
         self._copies: dict[int, np.ndarray] = {}
         self._copy_sum = self.initial_flat * k
         self._k = k
-        self.staleness_policy = StalenessPolicy.parse(config.staleness) or (
-            StalenessPolicy("constant")
-        )
+
+    def client_lambda(self, client_id: int) -> float:
+        return self.config.lam  # the local constraint term
+
+    def apply_update(self, result, staleness: int) -> None:
+        self._install_copy(result.client_id, result.weights, staleness)
 
     def copy_of(self, client_id: int) -> np.ndarray:
         """The server-side copy for a client (w0 until its first upload)."""
@@ -63,52 +53,3 @@ class ASOFed(FLSystem):
             self._copy_sum += weights - old
             self._copies[client_id] = weights
             self.global_weights = self._copy_sum / self._k
-
-    def _launch(self, client_id: int, queue: EventQueue) -> None:
-        self._launch_cohort([client_id], queue)
-
-    def _launch_cohort(self, client_ids: list[int], queue: EventQueue) -> None:
-        """Start cycles for clients departing from the current global model
-        (the initial mass launch; singletons at steady state). Unlike
-        FedAsync, clients regularize toward the global model (local
-        constraint λ). Churned clients are re-launched at their rejoin."""
-        cohort, deferred = self.train_departing_cohort(
-            client_ids, queue.now, lam=self.config.lam
-        )
-        self.schedule_relaunches(queue, deferred)
-        nbytes = self.uplink_roundtrip([res for res, _ in cohort])
-        for (res, finish), nb in zip(cohort, nbytes):
-            queue.schedule_at(
-                finish,
-                _ClientDone(res.client_id, self.round, res.weights, nb),
-            )
-
-    def _run(self) -> RunHistory:
-        if self._resumed:
-            # Checkpointed queue carries every in-flight client cycle.
-            queue: EventQueue = self._resume_queue
-        else:
-            queue = EventQueue()
-            self.record_eval()
-            self._launch_cohort(self.alive(range(self.num_clients), 0.0), queue)
-            # Late arrivals enter the same continuous-training loop on arrival.
-            self.schedule_arrival_launches(queue)
-        while not queue.empty and not self.budget_exhausted():
-            self._maybe_checkpoint(queue)
-            ev = queue.pop()
-            self.now = ev.time
-            if isinstance(ev.payload, RelaunchClient):
-                self._launch(ev.payload.client_id, queue)
-                continue
-            done: _ClientDone = ev.payload
-            self.meter.record_upload(done.uplink_bytes)
-            self._install_copy(
-                done.client_id, done.weights, self.round - done.start_version
-            )
-            self.round += 1
-            if self._eval_due():
-                self.record_eval()
-            self._launch(done.client_id, queue)
-        if not self.history.records or self.history.records[-1].round != self.round:
-            self.record_eval()
-        return self.history

@@ -98,7 +98,7 @@ class TiFL(SyncFLSystem):
         """
         alive = self.alive(range(self.num_clients))
         self.send_down(self.global_weights, n_receivers=len(alive))
-        if alive:
+        if len(alive):
             # Evaluation round-trip: no training, but delays still apply.
             eval_delay = max(
                 self.latency_model.round_latency(c, 0, 0, self._tier_rng)

@@ -1,9 +1,29 @@
-"""Shared FL-system scaffolding.
+"""The event loop every FL method runs on.
 
 :class:`FLSystem` wires together every substrate — dataset, NN worker
 model, latency environment, failure injection, network metering, codecs,
-and evaluation — so each algorithm (FedAT and the five baselines) only
-implements its scheduling/aggregation policy.
+and evaluation — and owns the one run loop (:meth:`FLSystem._run`):
+
+1. resume the checkpointed queue, or record the round-0 eval and run the
+   method's :meth:`~FLSystem.prologue` (its first launches);
+2. until the queue drains or the budget (``max_rounds`` / ``max_time``) is
+   spent: checkpoint, pop the earliest event, advance the clock to it and
+   hand its payload to the method's :meth:`~FLSystem.handle`;
+3. record the final eval and let the method :meth:`~FLSystem.finish`.
+
+A method answers those three hooks plus two per launched client,
+:meth:`~FLSystem.client_epochs` and :meth:`~FLSystem.client_lambda` (its
+local epochs and proximal λ), and builds on two shared steps:
+:meth:`~FLSystem.launch` sends the global model to a cohort and trains
+everyone who will report back, and :meth:`~FLSystem.schedule_join` wakes
+the method when a client (re)joins before ``max_time``. Every result is
+metered on the uplink when its event pops. Three families use the loop:
+
+- :class:`SyncFLSystem` (FedAvg, FedProx, TiFL): one round in flight, done
+  at its slowest client's finish time;
+- :class:`repro.core.fedat.FedAT`: one such round per tier in flight;
+- :class:`AsyncFLSystem` (FedAsync, ASO-Fed): one cycle per client in
+  flight, each upload one global update.
 
 Fairness-by-construction: the *environment* RNG streams (delay-band
 assignment, dropout schedule, latency draws) are named independently of the
@@ -19,6 +39,7 @@ import numpy as np
 
 from repro.compression.codec import Codec, NullCodec, make_codec
 from repro.core.config import FLConfig
+from repro.core.staleness import StalenessPolicy
 from repro.exec import CohortTask, OptimizerSpec, make_executor, roundtrip_batch
 from repro.metrics.history import EvalRecord, RunHistory
 from repro.nn.losses import SoftmaxCrossEntropy
@@ -26,6 +47,7 @@ from repro.nn.model import Sequential
 from repro.population.base import as_population
 from repro.scenario import ScenarioEngine, parse_scenario
 from repro.sim.client import LocalTrainingResult
+from repro.sim.events import EventQueue
 from repro.sim.failures import UnstableClientPolicy
 from repro.sim.latency import (
     DEFAULT_FINITE_BANDWIDTH,
@@ -37,27 +59,71 @@ from repro.sim.network import NetworkMeter
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.timing import PhaseTimers
 
-__all__ = ["FLSystem", "SyncFLSystem", "RelaunchClient"]
+__all__ = ["FLSystem", "SyncFLSystem", "AsyncFLSystem"]
 
 ModelBuilder = Callable[[np.random.Generator], Sequential]
 
 
 @dataclass
-class RelaunchClient:
-    """Event payload: retry launching a client that churned away.
+class Launch:
+    """What :meth:`FLSystem.launch` sent out."""
 
-    Shared by the async methods (FedAsync, ASO-Fed): a client lost to a
-    churn window is re-launched when its availability window reopens.
-    """
+    #: ``(result, virtual finish time, uplink bytes)`` per client that
+    #: reports back and passes the update guard, in launch order.
+    results: list
+    #: The slowest launched client's finish time: a synchronous round's end.
+    end: float
+    #: Clients lost to churn (offline at launch or leaving mid-round); they
+    #: come back, unlike permanent dropouts, who are not listed.
+    churned: list
+    #: How many reporting clients the update guard quarantined.
+    quarantined: int
+
+
+@dataclass
+class RoundDone:
+    """Event payload: a synchronous round (for FedAT, ``tier``'s) ends at
+    the event time."""
+
+    tier: int | None
+    launch: Launch
+
+
+@dataclass
+class Wake:
+    """Event payload: retry a round that found nobody to select (for FedAT,
+    the idle tier's)."""
+
+    tier: int | None = None
+
+
+@dataclass
+class ClientJoin:
+    """Event payload: a client joins at the event time — a late arrival, or
+    a churned client whose availability window reopened."""
 
     client_id: int
+
+
+@dataclass
+class ClientDone:
+    """Event payload: one async client cycle's upload reaches the server."""
+
+    result: LocalTrainingResult
+    #: Global round the client's cycle departed from.
+    start_version: int
+    uplink_bytes: int
+
+    @property
+    def client_id(self) -> int:
+        return self.result.client_id
 
 
 class FLSystem:
     """Base class for all federated-learning systems in this library.
 
     Subclasses set :attr:`name`, optionally :attr:`uses_compression`, and
-    implement :meth:`run`.
+    implement :meth:`prologue` and :meth:`handle`.
     """
 
     name = "base"
@@ -230,7 +296,6 @@ class FLSystem:
         #: runs unprotected, exactly as before checkpoints existed.
         self._checkpointer = None
         self._resume_queue = None
-        self._resumed = False
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -301,28 +366,13 @@ class FLSystem:
             self._last_payload_nbytes = payload_nbytes
             return decoded
 
-    def send_up(self, flat: np.ndarray) -> np.ndarray:
-        """Client→server transfer: returns what the server decodes."""
-        with self.timers.phase("encode"):
-            payload = self.codec.encode(flat)
-            self.meter.record_upload(payload.nbytes)
-            return self.codec.decode(payload)
-
-    def send_up_cohort(self, flats: list[np.ndarray]) -> list[np.ndarray]:
-        """Batched client→server transfers for one cohort's responses."""
-        with self.timers.phase("encode"):
-            decoded, payloads = roundtrip_batch(self.codec, flats)
-            for p in payloads:
-                self.meter.record_upload(p.nbytes)
-            return decoded
-
     def uplink_roundtrip(self, results: list[LocalTrainingResult]) -> list[int]:
         """Codec-roundtrip each result's weights **in place**, returning wire
         bytes per result.
 
-        Unlike :meth:`send_up_cohort` this does not meter: the async methods
-        charge uplink bytes at each result's virtual finish time (when its
-        completion event pops), not at training time.
+        This does not meter: every method charges uplink bytes at each
+        result's virtual finish time (when its event pops), not at training
+        time.
         """
         with self.timers.phase("encode"):
             decoded, payloads = roundtrip_batch(
@@ -333,20 +383,12 @@ class FLSystem:
             return [p.nbytes for p in payloads]
 
     def alive(self, client_ids, at_time: float | None = None):
-        """Clients participating (not dropped, not churned away) at a time.
-
-        Array in, array out (the vectorized path million-client tier pools
-        take); lists/ranges keep returning lists for compatibility.
-        """
+        """Clients participating (not dropped, not churned away) at a time,
+        as an id array (vectorized: million-client pools pass through)."""
         t = self.now if at_time is None else at_time
-        if isinstance(client_ids, np.ndarray):
-            out = self.failures.alive_array(client_ids, t)
-            if not self.scenario.is_static and out.size:
-                out = out[self.scenario.available_mask(out, t)]
-            return out
-        out = self.failures.alive_clients(client_ids, t)
-        if not self.scenario.is_static:
-            out = [c for c in out if self.scenario.is_available(c, t)]
+        out = self.failures.alive_array(client_ids, t)
+        if not self.scenario.is_static and out.size:
+            out = out[self.scenario.available_mask(out, t)]
         return out
 
     def completes(self, client_id: int, start: float, end: float) -> bool:
@@ -393,25 +435,21 @@ class FLSystem:
             latency *= self.scenario.latency_multiplier(client_id, self.now)
         return latency
 
-    def observe_latency(self, client_id: int, latency: float) -> None:
-        """Feed one *server-observable* response latency to the re-tier
-        tracker.
+    def client_epochs(self, client_id: int) -> int:
+        """Hook: local epochs of one launched client."""
+        return self.config.local_epochs
 
-        Call sites invoke this only for clients whose round actually
-        reports back — a client that drops or churns away mid-round is
-        never observed, so online re-tiering works from exactly the
-        information a real server would have.
-        """
-        if self.retier_tracker is not None:
-            self.retier_tracker.observe(client_id, latency)
+    def client_lambda(self, client_id: int) -> float:
+        """Hook: proximal λ of one launched client (0: no proximal term)."""
+        return 0.0
 
     def make_task(
         self,
         client_id: int,
         latency: float,
         *,
-        epochs: int | None = None,
-        lam: float | None = None,
+        epochs: int,
+        lam: float,
     ) -> CohortTask:
         """Allocate one client's local round (advances its schedule cursor).
 
@@ -420,14 +458,12 @@ class FLSystem:
         main process is what lets the executor run the actual training
         anywhere.
         """
-        cfg = self.config
-        epochs = cfg.local_epochs if epochs is None else epochs
         start_epoch = int(self._epoch_cursor[client_id])
         self._epoch_cursor[client_id] += epochs
         return CohortTask(
             client_id=client_id,
             epochs=epochs,
-            lam=cfg.lam if lam is None else lam,
+            lam=lam,
             latency=latency,
             start_epoch=start_epoch,
         )
@@ -445,81 +481,68 @@ class FLSystem:
         with self.timers.phase("train"):
             return self.executor.run_cohort(start_weights, tasks)
 
-    def guard_results(
-        self, results: list[LocalTrainingResult], reference: np.ndarray
-    ) -> list[LocalTrainingResult]:
-        """Quarantine-filter a cohort's results (no-op without a guard).
+    def launch(self, client_ids, start: float) -> Launch:
+        """Send the global model to ``client_ids`` at virtual time ``start``
+        and train everyone who will report back.
 
-        ``reference`` is the snapshot the cohort departed from; the
-        returned list is what aggregation may consume (clip rebinds
-        weights in place, reject omits the result, abort raises).
-        """
-        if self.guard is None or not results:
-            return list(results)
-        return self.guard.filter(
-            results, reference, round_no=self.round, time=self.now
-        )
-
-    def train_departing_cohort(
-        self, client_ids: list[int], now: float, *, lam: float | None = None
-    ) -> tuple[list[tuple[LocalTrainingResult, float]], list[int]]:
-        """Download + train clients that all depart from the current global
-        model at virtual time ``now`` (the async-method launch pattern).
-
-        Charges one downlink per client, samples latencies in launch order,
-        drops clients that die mid-round, and returns ``(result, virtual
-        finish time)`` pairs for the survivors plus the ids of clients lost
-        to *churn* (offline now, or leaving mid-round). Churned clients are
-        recoverable — callers should schedule a relaunch at their next
-        rejoin — whereas permanently dropped clients are silently gone,
-        exactly as before scenarios existed.
+        Charges one downlink per client and samples latencies in launch
+        order. A client that drops out or churns away before its finish
+        time never reports: it is not trained, metered, or observed by the
+        re-tier tracker (online re-tiering sees exactly what a real server
+        would). The rest train from the weights they received; the update
+        guard filters them *before* the uplink codec (a rejected client
+        never transmits, and an exploded update would overflow a
+        range-limited encoder like polyline), and the uplink round trip
+        decodes each kept result in place.
         """
         if not client_ids:
-            return [], []
+            return Launch([], start, [], 0)
         received = self.send_down(self.global_weights, n_receivers=len(client_ids))
-        tasks, finishes = [], []
-        deferred: list[int] = []
+        tasks, finishes, churned = [], [], []
+        end = start
         for cid in client_ids:
-            latency = self.sample_latency(cid)
-            finish = now + latency
-            if not self.completes(cid, now, finish):
-                if self.failures.will_complete(cid, now, finish):
-                    deferred.append(cid)  # churned away, will rejoin
-                continue  # permanent dropout; never comes back
-            self.observe_latency(cid, latency)
-            tasks.append(self.make_task(cid, latency, lam=lam))
+            latency = self.sample_latency(cid, self.client_epochs(cid))
+            finish = start + latency
+            end = max(end, finish)
+            if not self.completes(cid, start, finish):
+                if self.failures.will_complete(cid, start, finish):
+                    churned.append(cid)
+                continue
+            if self.retier_tracker is not None:
+                self.retier_tracker.observe(cid, latency)
+            tasks.append(
+                self.make_task(
+                    cid,
+                    latency,
+                    epochs=self.client_epochs(cid),
+                    lam=self.client_lambda(cid),
+                )
+            )
             finishes.append(finish)
-        trained = self.train_cohort(tasks, received)
-        kept = self.guard_results(trained, received)
-        if len(kept) != len(trained):
-            # Re-pair finish times with the surviving results (client ids
-            # are unique within a cohort, so identity pairing is exact).
-            keep_ids = {id(r) for r in kept}
-            return [
-                (r, f) for r, f in zip(trained, finishes) if id(r) in keep_ids
-            ], deferred
-        return list(zip(kept, finishes)), deferred
+        trained = kept = self.train_cohort(tasks, received)
+        if self.guard is not None and trained:
+            kept = self.guard.filter(trained, received, round_no=self.round, time=self.now)
+        # Client ids are unique within a cohort, so identity pairs a kept
+        # result with its finish time exactly.
+        finish_of = {id(r): f for r, f in zip(trained, finishes)}
+        results = [
+            (r, finish_of[id(r)], nbytes)
+            for r, nbytes in zip(kept, self.uplink_roundtrip(kept))
+        ]
+        return Launch(results, end, churned, len(trained) - len(kept))
 
-    def schedule_relaunches(self, queue, deferred: list[int]) -> None:
-        """Schedule :class:`RelaunchClient` events at each churned client's
-        next rejoin, so async methods pick lost clients back up."""
-        for cid in deferred:
-            wake = self.scenario.next_join_after([cid], queue.now)
-            if wake is not None and (
-                self.config.max_time is None or wake < self.config.max_time
-            ):
-                queue.schedule_at(wake, RelaunchClient(cid))
+    def schedule_join(self, queue, payload, client_ids=None, *, at=None) -> None:
+        """Schedule ``payload`` for when a client joins, if before
+        ``max_time``.
 
-    def schedule_arrival_launches(self, queue) -> None:
-        """Schedule a :class:`RelaunchClient` at each late client's arrival.
-
-        The async methods launch every client that exists at t=0 and then
-        keep each one cycling; under an arrival scenario the rest of the
-        population enters the same loop the moment it arrives.
+        ``at`` is a known join time (a late arrival); without it the join is
+        the next rejoin or arrival among ``client_ids`` after now. Nothing is
+        scheduled when none of them ever comes back.
         """
-        for cid, t in self.scenario.late_arrivals():
-            if self.config.max_time is None or t < self.config.max_time:
-                queue.schedule_at(t, RelaunchClient(cid))
+        if at is None:
+            at = self.scenario.next_join_after(client_ids, self.now)
+        if at is not None and (self.config.max_time is None or at < self.config.max_time):
+            queue.schedule_at(at, payload)
 
     def build_tiering(self):
         """Profile clients and split them into ``num_tiers`` latency tiers.
@@ -679,7 +702,6 @@ class FLSystem:
             "arrival_pool",
             "_checkpointer",
             "_resume_queue",
-            "_resumed",
         }
     )
 
@@ -711,9 +733,9 @@ class FLSystem:
         """Enable round-granular checkpointing for this run.
 
         With ``resume=True`` and an existing checkpoint, the system state
-        (and, for event-loop methods, the in-flight event queue) is
-        restored so :meth:`run` continues mid-run instead of starting
-        over. Returns True when a checkpoint was actually resumed.
+        and the in-flight event queue are restored so :meth:`run` continues
+        mid-run instead of starting over. Returns True when a checkpoint was
+        actually resumed.
         """
         self._checkpointer = checkpointer
         if not resume:
@@ -728,13 +750,7 @@ class FLSystem:
             )
         self.restore_state(payload["state"])
         self._resume_queue = payload["queue"]
-        self._resumed = True
         return True
-
-    def _maybe_checkpoint(self, queue=None) -> None:
-        """Persist at round boundaries (no-op without a checkpointer)."""
-        if self._checkpointer is not None:
-            self._checkpointer.maybe_save(self, queue)
 
     # ------------------------------------------------------------------ #
     # Evaluation / bookkeeping
@@ -821,15 +837,45 @@ class FLSystem:
                 self.history.meta["guard"] = self.guard.snapshot()
 
     def _run(self) -> RunHistory:
+        if self._resume_queue is not None:
+            # The checkpointed queue carries every in-flight event; the
+            # round-0 eval and the prologue ran before it was taken.
+            queue: EventQueue = self._resume_queue
+        else:
+            queue = EventQueue()
+            self.record_eval()
+            self.prologue(queue)
+        while not queue.empty and not self.budget_exhausted():
+            if self._checkpointer is not None:  # persists at round boundaries
+                self._checkpointer.maybe_save(self, queue)
+            ev = queue.pop()
+            self.now = ev.time
+            self.handle(ev.payload, queue)
+        if not self.history.records or self.history.records[-1].round != self.round:
+            self.record_eval()
+        self.finish()
+        return self.history
+
+    def prologue(self, queue: EventQueue) -> None:
+        """Hook: the first launches, after the round-0 eval."""
         raise NotImplementedError
+
+    def handle(self, payload, queue: EventQueue) -> None:
+        """Hook: act on one popped event's payload at ``self.now``."""
+        raise NotImplementedError
+
+    def finish(self) -> None:
+        """Hook: publish method meta after the final eval."""
 
 
 class SyncFLSystem(FLSystem):
-    """Round-based synchronous FL loop (FedAvg family).
+    """Round-based synchronous FL (FedAvg family).
 
-    Per round: choose a cohort, push the global model down, wait for the
-    slowest selected client (stragglers hurt here — that is the point),
-    drop clients that fail mid-round, aggregate the responders.
+    One round is in flight at a time: choose a cohort, launch it, and end
+    the round at the slowest selected client's finish time (stragglers hurt
+    here — that is the point); clients that fail mid-round never report.
+    When nobody is selectable the next round waits for the next client to
+    join; when nobody ever comes back the run ends.
 
     Subclass hooks: :meth:`choose_cohort`, :meth:`aggregate`,
     :meth:`client_epochs`, :meth:`client_lambda`, :meth:`on_round_end`.
@@ -841,12 +887,6 @@ class SyncFLSystem(FLSystem):
         pool = self.alive(range(self.num_clients))
         return self.select_clients(pool, self.config.clients_per_round)
 
-    def client_epochs(self, client_id: int) -> int:
-        return self.config.local_epochs
-
-    def client_lambda(self, client_id: int) -> float:
-        return 0.0  # FedAvg has no proximal term
-
     def aggregate(self, results: list[LocalTrainingResult]) -> None:
         from repro.core.aggregation import sample_weighted_average
 
@@ -857,66 +897,76 @@ class SyncFLSystem(FLSystem):
     def on_round_end(self) -> None:
         """Hook for subclasses (e.g. TiFL credit/probability refresh)."""
 
-    def _wait_for_rejoin(self) -> bool:
-        """No selectable client right now: idle until the next churn rejoin.
+    def prologue(self, queue: EventQueue) -> None:
+        self._start_round(queue)
 
-        Returns True (and advances the clock) when some client comes back
-        inside the time budget; False means the pool is permanently empty
-        and the run should end — the only possibility in a static world.
-        """
-        if self.scenario.is_static:
-            return False
-        wake = self.scenario.next_join_after(range(self.num_clients), self.now)
-        if wake is None:
-            return False
-        if self.config.max_time is not None and wake >= self.config.max_time:
-            return False
-        self.now = wake
-        return True
-
-    def _run(self) -> RunHistory:
-        if not self._resumed:
-            self.record_eval()  # round-0 baseline point
-        while not self.budget_exhausted():
-            self._maybe_checkpoint()
-            cohort = self.choose_cohort()
-            if not cohort:
-                if self._wait_for_rejoin():
-                    continue  # a churn window reopened: try selecting again
-                break  # every client dropped out for good
-            start = self.now
-            received = self.send_down(self.global_weights, n_receivers=len(cohort))
-            tasks: list[CohortTask] = []
-            round_end = start
-            for cid in cohort:
-                latency = self.sample_latency(cid, self.client_epochs(cid))
-                finish = start + latency
-                round_end = max(round_end, finish)
-                if not self.completes(cid, start, finish):
-                    continue  # client dropped mid-round; server hears nothing
-                self.observe_latency(cid, latency)
-                tasks.append(
-                    self.make_task(
-                        cid,
-                        latency,
-                        epochs=self.client_epochs(cid),
-                        lam=self.client_lambda(cid),
-                    )
-                )
-            # Quarantine before the uplink codec (rejected clients never
-            # transmit; exploded updates would overflow range-limited
-            # encoders like polyline otherwise).
-            results = self.guard_results(self.train_cohort(tasks, received), received)
-            for res, weights in zip(results, self.send_up_cohort([r.weights for r in results])):
-                res.weights = weights
-            self.now = round_end
+    def handle(self, payload, queue: EventQueue) -> None:
+        if isinstance(payload, RoundDone):
+            results = payload.launch.results
+            for _, _, nbytes in results:
+                self.meter.record_upload(nbytes)
             if results:
                 with self.timers.phase("aggregate"):
-                    self.aggregate(results)
+                    self.aggregate([res for res, _, _ in results])
             self.round += 1
             self.on_round_end()
             if self._eval_due():
                 self.record_eval()
-        if not self.history.records or self.history.records[-1].round != self.round:
-            self.record_eval()
-        return self.history
+        self._start_round(queue)
+
+    def _start_round(self, queue: EventQueue) -> None:
+        if self.budget_exhausted():
+            return
+        cohort = self.choose_cohort()
+        if not cohort:
+            self.schedule_join(queue, Wake(), range(self.num_clients))
+            return
+        launch = self.launch(cohort, self.now)
+        queue.schedule_at(launch.end, RoundDone(None, launch))
+
+
+class AsyncFLSystem(FLSystem):
+    """Fully asynchronous FL (FedAsync, ASO-Fed).
+
+    Every alive client cycles on its own — download the current global
+    model, train, upload — and each upload is one global update. At t = 0
+    the alive population departs from w0 as one cohort the executor can fan
+    out; after that each upload relaunches its client alone. A client lost
+    to churn is relaunched when it rejoins, a late client when it arrives;
+    permanent dropouts and quarantined clients are gone for good.
+
+    Subclass hooks: :meth:`apply_update` (the server's update rule) and
+    :meth:`client_lambda`.
+    """
+
+    def __init__(self, population, model_builder, config, *, delay_model=None):
+        super().__init__(population, model_builder, config, delay_model=delay_model)
+        self.staleness_policy = StalenessPolicy.parse(config.staleness) or (
+            StalenessPolicy("constant")
+        )
+
+    def apply_update(self, result: LocalTrainingResult, staleness: int) -> None:
+        """Hook: fold one upload, ``staleness`` rounds old, into the model."""
+        raise NotImplementedError
+
+    def prologue(self, queue: EventQueue) -> None:
+        self._start_cycles(self.alive(range(self.num_clients), 0.0).tolist(), queue)
+        for cid, t in self.scenario.late_arrivals():
+            self.schedule_join(queue, ClientJoin(cid), at=t)
+
+    def handle(self, payload, queue: EventQueue) -> None:
+        if isinstance(payload, ClientDone):
+            self.meter.record_upload(payload.uplink_bytes)
+            self.apply_update(payload.result, self.round - payload.start_version)
+            self.round += 1
+            if self._eval_due():
+                self.record_eval()
+        # The client begins its next cycle from the current global model.
+        self._start_cycles([payload.client_id], queue)
+
+    def _start_cycles(self, client_ids, queue: EventQueue) -> None:
+        launch = self.launch(client_ids, self.now)
+        for cid in launch.churned:
+            self.schedule_join(queue, ClientJoin(cid), [cid])
+        for res, finish, nbytes in launch.results:
+            queue.schedule_at(finish, ClientDone(res, self.round, nbytes))

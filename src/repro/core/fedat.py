@@ -1,8 +1,9 @@
 """FedAT — Algorithm 2 on the discrete-event simulator.
 
-Each tier runs its own synchronous round loop; all tiers proceed
-concurrently in virtual time and contribute to the global model
-asynchronously through :class:`repro.core.server.TieredServer`. Both link
+Each tier runs synchronous rounds, one in flight per tier, on the event
+loop of :class:`repro.core.base.FLSystem`; all tiers proceed concurrently
+in virtual time and contribute to the global model asynchronously through
+:class:`repro.core.server.TieredServer`. Both link
 directions go through the configured codec (polyline precision 4 by
 default), so compression loss genuinely flows through training.
 
@@ -17,47 +18,14 @@ off, the loop is event-for-event identical to the original simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core.aggregation import sample_weighted_average
-from repro.core.base import FLSystem
+from repro.core.base import ClientJoin, FLSystem, RoundDone, Wake
 from repro.core.server import TieredServer
 from repro.core.staleness import StalenessPolicy
-from repro.exec import CohortTask
-from repro.metrics.history import RunHistory
 from repro.sim.events import EventQueue
 from repro.tiering.tiers import Tiering
 
 __all__ = ["FedAT"]
-
-
-@dataclass
-class _TierRoundDone:
-    """Event payload: tier ``tier``'s round finished at the event time."""
-
-    tier: int
-    #: (LocalTrainingResult, uplink payload bytes) per responding client
-    #: that passed the update guard (rejected clients never transmit).
-    results: list = field(default_factory=list)
-    #: How many of the tier's results the update guard quarantined. An
-    #: all-quarantined round must still consume round budget (a null
-    #: global update), else a tier of poisoned clients would relaunch
-    #: itself forever.
-    quarantined: int = 0
-
-
-@dataclass
-class _TierWake:
-    """Event payload: retry starting a round for a currently-idle tier."""
-
-    tier: int
-
-
-@dataclass
-class _ClientArrival:
-    """Event payload: a late client joins the population at the event time."""
-
-    client_id: int
 
 
 class FedAT(FLSystem):
@@ -110,64 +78,33 @@ class FedAT(FLSystem):
         self._active: set[int] = set()
 
     # ------------------------------------------------------------------ #
-    def _start_tier_round(self, tier: int, queue: EventQueue) -> bool:
-        """Kick off one synchronous round inside ``tier``.
-
-        Local training is computed eagerly from the current global snapshot
-        (the weights clients would receive *now*); the completion event
-        carries the results to their virtual finish time. Returns False if
-        the tier has no alive clients right now (the tier idles).
-        """
-        pool = self.alive(self.tiering.clients_in(tier), queue.now)
-        cohort = self.select_clients(pool, self.config.clients_per_round)
-        if not cohort:
-            return False
-        start = queue.now
-        received = self.send_down(self.global_weights, n_receivers=len(cohort))
-        tasks: list[CohortTask] = []
-        round_end = start
-        for cid in cohort:
-            latency = self.sample_latency(cid)
-            finish = start + latency
-            round_end = max(round_end, finish)
-            if not self.completes(cid, start, finish):
-                continue  # drops out or churns away mid-round; never reports
-            self.observe_latency(cid, latency)
-            tasks.append(self.make_task(cid, latency))
-        trained = self.train_cohort(tasks, received)
-        # Quarantine before the uplink codec: an exploded update would blow
-        # past the polyline encoder's range, so a rejected client never
-        # transmits (and is never metered) — clipped updates encode fine.
-        kept = self.guard_results(trained, received)
-        results = list(zip(kept, self.uplink_roundtrip(kept)))
-        queue.schedule_at(
-            round_end, _TierRoundDone(tier, results, len(trained) - len(kept))
-        )
-        return True
+    def client_lambda(self, client_id: int) -> float:
+        return self.config.lam  # the local constraint of §4.1
 
     def _launch_or_wake(self, tier: int, queue: EventQueue) -> None:
-        """Start the tier's next round, or schedule a churn-rejoin retry."""
-        if self._start_tier_round(tier, queue):
-            self._active.add(tier)
-            return
-        self._active.discard(tier)
-        if self.scenario.is_static:
-            return  # nobody ever comes back: the tier retires for good
-        wake = self.scenario.next_join_after(
-            self.tiering.clients_in(tier), queue.now
-        )
-        if wake is not None and (
-            self.config.max_time is None or wake < self.config.max_time
-        ):
-            queue.schedule_at(wake, _TierWake(tier))
+        """Start one synchronous round inside ``tier`` from the current
+        global model, or — when none of its clients is alive — wake the
+        tier at its next rejoin (in a static world it retires for good).
 
-    def _retier(self, queue: EventQueue) -> None:
-        """Re-split tiers on observed latencies; revive idle tiers."""
-        new = self.apply_retier(queue.now)
-        self.server.set_active_tiers([size > 0 for size in new.sizes()])
-        # Membership changed under the running tiers: any tier without an
-        # outstanding round may now have clients — try to start it.
-        for m in range(new.num_tiers):
+        Local training runs eagerly from the weights clients receive *now*;
+        the round-done event carries the results to their finish time.
+        """
+        pool = self.alive(self.tiering.clients_in(tier))
+        cohort = self.select_clients(pool, self.config.clients_per_round)
+        if not cohort:
+            self._active.discard(tier)
+            self.schedule_join(queue, Wake(tier), self.tiering.clients_in(tier))
+            return
+        self._active.add(tier)
+        launch = self.launch(cohort, self.now)
+        queue.schedule_at(launch.end, RoundDone(tier, launch))
+
+    def _tiers_changed(self, queue: EventQueue) -> None:
+        """Membership changed under the running tiers: mask emptied tiers on
+        the server, and start every tier without an outstanding round — it
+        may now have clients."""
+        self.server.set_active_tiers([size > 0 for size in self.tiering.sizes()])
+        for m in range(self.tiering.num_tiers):
             if m not in self._active:
                 self._launch_or_wake(m, queue)
 
@@ -183,7 +120,6 @@ class FedAT(FLSystem):
         self.arrival_pool.release(client_id)
         self.tier_index.enroll(client_id)
         self.tiering = self.tier_index.split()
-        self.server.set_active_tiers([size > 0 for size in self.tiering.sizes()])
         self.history.meta.setdefault("arrival_trace", []).append(
             {
                 "time": float(queue.now),
@@ -191,10 +127,7 @@ class FedAT(FLSystem):
                 "sizes": self.tiering.sizes(),
             }
         )
-        # A previously-empty (or idle) tier may now hold clients: start it.
-        for m in range(self.tiering.num_tiers):
-            if m not in self._active:
-                self._launch_or_wake(m, queue)
+        self._tiers_changed(queue)
 
     def _post_restore(self) -> None:
         super()._post_restore()
@@ -206,62 +139,48 @@ class FedAT(FLSystem):
                 if cid in self.tier_index:
                     self.arrival_pool.release(cid)
 
-    def _run(self) -> RunHistory:
-        if self._resumed:
-            # Mid-run resume: the checkpointed queue carries the in-flight
-            # tier rounds and arrival events; the prologue (round-0 eval,
-            # initial launches) happened before the checkpoint was taken.
-            queue: EventQueue = self._resume_queue
-        else:
-            queue = EventQueue()
-            self.record_eval()
-            if self.arrival_pool is not None:
-                for cid, t in self.scenario.late_arrivals():
-                    if self.config.max_time is None or t < self.config.max_time:
-                        queue.schedule_at(t, _ClientArrival(cid))
-            for m in range(self.tiering.num_tiers):
-                self._launch_or_wake(m, queue)
-        while not queue.empty and not self.budget_exhausted():
-            self._maybe_checkpoint(queue)
-            ev = queue.pop()
-            self.now = ev.time
-            if isinstance(ev.payload, _ClientArrival):
-                self._on_arrival(ev.payload.client_id, queue)
-                continue
-            if isinstance(ev.payload, _TierWake):
-                if ev.payload.tier not in self._active:
-                    self._launch_or_wake(ev.payload.tier, queue)
-                continue
-            done: _TierRoundDone = ev.payload
-            if done.results:
-                for res, nbytes in done.results:
-                    self.meter.record_upload(nbytes)
-                with self.timers.phase("aggregate"):
-                    tier_model = sample_weighted_average(
-                        [r.weights for r, _ in done.results],
-                        [r.n_samples for r, _ in done.results],
-                    )
-                    self.global_weights = self.server.submit_tier_update(
-                        done.tier, tier_model
-                    )
-                self.round += 1
-                if self.retier_due():
-                    self._retier(queue)
-                if self._eval_due():
-                    self.record_eval()
-            elif done.quarantined:
-                # Every responder was quarantined: a null global update.
-                # Consuming budget here keeps a fully-poisoned tier from
-                # spinning the event loop forever.
-                self.round += 1
-                if self._eval_due():
-                    self.record_eval()
-            # The tier immediately begins its next round from the latest
-            # global model ("the server sends the latest global model to the
-            # next ready tier and starts the next round").
-            self._launch_or_wake(done.tier, queue)
-        if not self.history.records or self.history.records[-1].round != self.round:
-            self.record_eval()
+    def prologue(self, queue: EventQueue) -> None:
+        if self.arrival_pool is not None:
+            for cid, t in self.scenario.late_arrivals():
+                self.schedule_join(queue, ClientJoin(cid), at=t)
+        self._tiers_changed(queue)
+
+    def handle(self, payload, queue: EventQueue) -> None:
+        if isinstance(payload, ClientJoin):
+            self._on_arrival(payload.client_id, queue)
+            return
+        if isinstance(payload, Wake):
+            if payload.tier not in self._active:
+                self._launch_or_wake(payload.tier, queue)
+            return
+        tier, results = payload.tier, payload.launch.results
+        if results:
+            for _, _, nbytes in results:
+                self.meter.record_upload(nbytes)
+            with self.timers.phase("aggregate"):
+                tier_model = sample_weighted_average(
+                    [r.weights for r, _, _ in results],
+                    [r.n_samples for r, _, _ in results],
+                )
+                self.global_weights = self.server.submit_tier_update(tier, tier_model)
+            self.round += 1
+            if self.retier_due():  # re-split tiers on observed latencies
+                self.apply_retier(self.now)
+                self._tiers_changed(queue)
+            if self._eval_due():
+                self.record_eval()
+        elif payload.launch.quarantined:
+            # Every responder was quarantined: a null global update.
+            # Consuming budget here keeps a fully-poisoned tier from
+            # spinning the event loop forever.
+            self.round += 1
+            if self._eval_due():
+                self.record_eval()
+        # The tier immediately begins its next round from the latest
+        # global model ("the server sends the latest global model to the
+        # next ready tier and starts the next round").
+        self._launch_or_wake(tier, queue)
+
+    def finish(self) -> None:
         self.history.meta["tier_update_counts"] = self.server.update_counts.tolist()
         self.history.meta["tier_sizes"] = self.tiering.sizes()
-        return self.history

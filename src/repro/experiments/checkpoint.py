@@ -34,7 +34,10 @@ __all__ = ["RunCheckpointer", "VOLATILE_META_KEYS", "strip_volatile_meta"]
 
 #: 2: tiered systems carry a ``TierIndex`` (and ``Tiering`` a dense tier
 #: vector) where format 1 pickled an enrolled-id list and sorted-id arrays.
-CHECKPOINT_FORMAT = 2
+#: 3: every method checkpoints its event queue, and the events carry the
+#: shared payloads of ``repro.core.base`` (``RoundDone``, ``Wake``,
+#: ``ClientJoin``, ``ClientDone``) instead of per-method classes.
+CHECKPOINT_FORMAT = 3
 
 #: History meta keys that legitimately differ between an uninterrupted run
 #: and a resumed one: wall-clock phase timers reset at process start, and
@@ -117,8 +120,15 @@ class RunCheckpointer:
         """Read the persisted payload, or None when no checkpoint exists."""
         if not self.path.exists():
             return None
-        with open(self.path, "rb") as fh:
-            payload = pickle.load(fh)
+        try:
+            with open(self.path, "rb") as fh:
+                payload = pickle.load(fh)
+        except (AttributeError, ImportError) as exc:
+            # An older format may pickle classes this build no longer has.
+            raise ValueError(
+                f"checkpoint {self.path} was written by an older format, "
+                f"this build reads {CHECKPOINT_FORMAT}: {exc}"
+            ) from exc
         fmt = payload.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(

@@ -7,6 +7,7 @@ from repro.baselines.fedavg import FedAvg
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.experiments.config import build_model_builder
+from repro.sim.client import LocalTrainingResult
 
 
 def _system(dataset, cls=FedAvg, **overrides):
@@ -25,13 +26,22 @@ class TestTransfers:
         assert s.meter.downlink_messages == 7
         assert s.meter.downlink_bytes == 7 * 4 * s.worker.num_params
 
-    def test_send_up_returns_decoded(self, tiny_bow_dataset):
+    def test_uplink_roundtrip_decodes_without_metering(self, tiny_bow_dataset):
+        """Each result's weights become what the server decodes; the bytes
+        are charged later, when the result's event pops."""
         s = _system(tiny_bow_dataset)
-        out = s.send_up(s.global_weights)
-        np.testing.assert_allclose(
-            out, s.global_weights.astype(np.float32), atol=1e-7
+        res = LocalTrainingResult(
+            client_id=0,
+            weights=s.global_weights.copy(),
+            n_samples=1,
+            train_loss=0.0,
+            latency=1.0,
         )
-        assert s.meter.uplink_messages == 1
+        assert s.uplink_roundtrip([res]) == [4 * s.worker.num_params]
+        np.testing.assert_allclose(
+            res.weights, s.global_weights.astype(np.float32), atol=1e-7
+        )
+        assert s.meter.uplink_messages == 0
 
     def test_fedat_payloads_lossy_but_close(self, tiny_bow_dataset):
         s = _system(tiny_bow_dataset, cls=FedAT, compression="polyline:4")

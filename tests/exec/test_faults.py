@@ -140,7 +140,7 @@ def test_corruption_changes_checksum(tiny_bow_dataset):
         build_model_builder(tiny_bow_dataset, "tiny"),
         FLConfig(clients_per_round=3, local_epochs=1, max_rounds=1, num_unstable=0),
     )
-    tasks = [system.make_task(cid, 1.0) for cid in (0, 1, 2)]
+    tasks = [system.make_task(cid, 1.0, epochs=1, lam=0.0) for cid in (0, 1, 2)]
     results = system.train_cohort(tasks, system.global_weights)
     system.executor.close()
     before = chunk_checksum(results)

@@ -105,6 +105,29 @@ def test_checkpointer_rejects_unknown_format(tmp_path):
     ckpt.clear()  # idempotent
 
 
+def test_checkpointer_refuses_format_2(tmp_path, monkeypatch):
+    """A format-2 checkpoint is refused by its format field, and one whose
+    queue pickled a per-method payload class this build no longer has is
+    refused before that class is looked up."""
+    import repro.baselines.fedasync as fedasync_module
+
+    ckpt = RunCheckpointer(tmp_path, "t")
+    ckpt.path.write_bytes(pickle.dumps({"format": 2, "queue": None}))
+    with pytest.raises(ValueError, match="has format 2, this build reads 3"):
+        ckpt.load()
+
+    class _ClientDone:  # the format-2 FedAsync completion payload
+        pass
+
+    _ClientDone.__module__ = fedasync_module.__name__
+    _ClientDone.__qualname__ = "_ClientDone"
+    monkeypatch.setattr(fedasync_module, "_ClientDone", _ClientDone, raising=False)
+    ckpt.path.write_bytes(pickle.dumps({"format": 2, "queue": [_ClientDone()]}))
+    monkeypatch.delattr(fedasync_module, "_ClientDone")
+    with pytest.raises(ValueError, match="older format, this build reads 3"):
+        ckpt.load()
+
+
 def test_checkpointer_validates_every():
     with pytest.raises(ValueError):
         RunCheckpointer(".", "t", every=0)
