@@ -501,7 +501,8 @@ class FLSystem:
         tasks, finishes, churned = [], [], []
         end = start
         for cid in client_ids:
-            latency = self.sample_latency(cid, self.client_epochs(cid))
+            epochs = self.client_epochs(cid)  # one draw: timed and trained alike
+            latency = self.sample_latency(cid, epochs)
             finish = start + latency
             end = max(end, finish)
             if not self.completes(cid, start, finish):
@@ -511,12 +512,7 @@ class FLSystem:
             if self.retier_tracker is not None:
                 self.retier_tracker.observe(cid, latency)
             tasks.append(
-                self.make_task(
-                    cid,
-                    latency,
-                    epochs=self.client_epochs(cid),
-                    lam=self.client_lambda(cid),
-                )
+                self.make_task(cid, latency, epochs=epochs, lam=self.client_lambda(cid))
             )
             finishes.append(finish)
         trained = kept = self.train_cohort(tasks, received)

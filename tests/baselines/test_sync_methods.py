@@ -92,6 +92,30 @@ class TestFedProx:
         slow = np.mean([system.client_epochs(slow_part[0]) for _ in range(300)])
         assert slow < fast
 
+    def test_each_client_is_timed_for_the_epochs_it_trains(self, tiny_image_dataset):
+        """One epoch draw per launched client: the latency the round waits
+        for and the local work the client does come from the same count."""
+        system = FedProx(
+            tiny_image_dataset,
+            build_model_builder(tiny_image_dataset, "tiny"),
+            _config(local_epochs=3, num_unstable=0),
+        )
+        timed, pairs = {}, []  # pairs: (epochs timed, epochs trained)
+        sample_latency, make_task = system.sample_latency, system.make_task
+
+        def timing(cid, epochs=None):
+            timed[cid] = epochs
+            return sample_latency(cid, epochs)
+
+        def task(cid, latency, **kw):
+            pairs.append((timed[cid], kw["epochs"]))
+            return make_task(cid, latency, **kw)
+
+        system.sample_latency, system.make_task = timing, task
+        system.run()
+        assert pairs and all(a == b for a, b in pairs), pairs
+        assert len({b for _, b in pairs}) > 1  # some clients truncated
+
     def test_runs_and_learns(self, tiny_bow_dataset):
         _, h = _run(FedProx, tiny_bow_dataset, max_rounds=25)
         assert h.best_accuracy() > 0.45

@@ -152,13 +152,13 @@ PINNED: dict[tuple[str, str], str] = {
     ("fedavg", "guard_reject"): "d3aa8f2a07573dd4",
     ("fedavg", "max_time"): "67687ba040e2b968",
     ("fedavg", "static"): "24a453421f30c943",
-    ("fedprox", "arrival_retier"): "3c5c1d6c2175ded9",
-    ("fedprox", "churn_t0"): "bb67aeb370374eda",
-    ("fedprox", "churn_t10"): "ef8b685a19dd740d",
-    ("fedprox", "churn_t25"): "a7e5977f566f7a77",
-    ("fedprox", "guard_reject"): "969d5c8a320239d8",
-    ("fedprox", "max_time"): "da7f6adfd5049445",
-    ("fedprox", "static"): "c47c01269f558748",
+    ("fedprox", "arrival_retier"): "9306bc14f0028bb3",
+    ("fedprox", "churn_t0"): "497f50799b52b442",
+    ("fedprox", "churn_t10"): "a8714dcf50f06da8",
+    ("fedprox", "churn_t25"): "8f8758bbcca0374a",
+    ("fedprox", "guard_reject"): "420d5e6339a873de",
+    ("fedprox", "max_time"): "367868f9b9b222ae",
+    ("fedprox", "static"): "8391bb638400a26d",
     ("tifl", "arrival_retier"): "f5d88775b6fb3af1",
     ("tifl", "churn_t0"): "d3c93d506679b956",
     ("tifl", "churn_t10"): "ba74a347a98f8e5f",
