@@ -53,6 +53,8 @@ class TiFL(SyncFLSystem):
         self.tier_probs = np.full(m, 1.0 / m)
         self._tier_rng = self.factory.rng("algo/tifl/tier")
         self._current_tier = 0
+        #: Last round whose tier accuracies were refreshed (round 0 never is).
+        self._refreshed_round = 0
         self.retier_tracker = self.make_retier_tracker()
         self.tier_index = self.make_tier_index(m)
         self._tier_evaluators = self._build_tier_evaluators()
@@ -128,7 +130,9 @@ class TiFL(SyncFLSystem):
 
     def choose_cohort(self) -> list[int]:
         m = self.tiering.num_tiers
-        if self.round % self.config.tifl_interval == 0 and self.round > 0:
+        # Once per round: a selection retried after a rejoin wait reuses it.
+        if self.round % self.config.tifl_interval == 0 and self.round != self._refreshed_round:
+            self._refreshed_round = self.round
             self._refresh_probabilities()
         probs = self.tier_probs.copy()
         probs[self.credits <= 0] = 0.0

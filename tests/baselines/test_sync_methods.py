@@ -8,6 +8,7 @@ from repro.baselines.fedprox import FedProx
 from repro.baselines.tifl import TiFL
 from repro.core.config import FLConfig
 from repro.experiments.config import build_model_builder
+from repro.scenario import ScenarioEngine, ScenarioEvent
 
 
 def _config(**overrides):
@@ -141,6 +142,26 @@ class TestTiFL:
         assert "tier_prob_trace" in h.meta
         probs = h.meta["tier_prob_trace"][0]["probs"]
         np.testing.assert_allclose(sum(probs), 1.0)
+
+    def test_probabilities_refresh_once_per_round(self, tiny_bow_dataset):
+        """A round that finds everyone offline waits for the rejoin and then
+        retries its selection; the retry must not refresh (and pay for) the
+        tier accuracies a second time."""
+        system = TiFL(
+            tiny_bow_dataset,
+            build_model_builder(tiny_bow_dataset, "tiny"),
+            _config(tifl_interval=1, max_rounds=6),
+        )
+        everyone = range(tiny_bow_dataset.num_clients)
+        system.scenario = ScenarioEngine.from_events(
+            tiny_bow_dataset.num_clients,
+            [ScenarioEvent(5.0, "leave", c) for c in everyone]
+            + [ScenarioEvent(60.0, "join", c) for c in everyone],
+        )
+        h = system.run()
+        assert h.times()[-1] > 60.0  # the run did wait out the blackout
+        rounds = [entry["round"] for entry in h.meta["tier_prob_trace"]]
+        assert rounds == list(range(1, system.round))
 
     def test_fast_tier_rounds_are_shorter(self, tiny_image_dataset):
         """Structural property: rounds drawn from tier 0 finish faster on

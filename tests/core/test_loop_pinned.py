@@ -162,7 +162,7 @@ PINNED: dict[tuple[str, str], str] = {
     ("tifl", "arrival_retier"): "f5d88775b6fb3af1",
     ("tifl", "churn_t0"): "d3c93d506679b956",
     ("tifl", "churn_t10"): "ba74a347a98f8e5f",
-    ("tifl", "churn_t25"): "cbc80e336ea26817",
+    ("tifl", "churn_t25"): "cd93a7ae3a15524e",
     ("tifl", "guard_reject"): "13db0bcd5552f46a",
     ("tifl", "max_time"): "f6732cb9bb38e6fd",
     ("tifl", "static"): "e2726eeed3ed92a3",
