@@ -247,6 +247,12 @@ class FLConfig:
             StalenessPolicy.parse(self.staleness)  # raises ValueError on bad specs
         if self.eval_clients is not None and self.eval_clients < 1:
             raise ValueError("eval_clients must be >= 1 (None evaluates everyone)")
+        if not 0.0 < self.fedasync_alpha <= 1.0:
+            raise ValueError("fedasync_alpha must be in (0, 1]: above 1 diverges, 0 never mixes")
+        if self.tifl_interval < 1:
+            raise ValueError("tifl_interval must be >= 1")
+        if self.tifl_credit_slack <= 0:
+            raise ValueError("tifl_credit_slack must be positive (else every tier has 0 credits)")
         if self.compression is not None:
             kind, _, arg = self.compression.partition(":")
             if kind not in ("polyline", "quant", "topk", "subsample"):

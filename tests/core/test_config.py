@@ -41,11 +41,27 @@ def test_with_replaces_fields():
         ("heartbeat_interval", 0.0),
         ("worker_grace", 0.0),
         ("profile_sample", 0),
+        ("fedasync_alpha", 0.0),
+        ("fedasync_alpha", 1.8),
+        ("tifl_interval", 0),
+        ("tifl_credit_slack", 0.0),
+        ("tifl_credit_slack", -1.5),
     ],
 )
 def test_rejects_invalid(field, value):
     with pytest.raises(ValueError):
         FLConfig(**{field: value})
+
+
+def test_method_knobs_accept_their_boundaries():
+    """The values a sweep's fl_overrides may reach without crashing or
+    silently misbehaving: a full-step FedAsync mix, a TiFL refresh every
+    round, any positive credit slack."""
+    cfg = FLConfig(fedasync_alpha=1.0, tifl_interval=1, tifl_credit_slack=0.1)
+    assert (cfg.fedasync_alpha, cfg.tifl_interval, cfg.tifl_credit_slack) == (1.0, 1, 0.1)
+    for field, value in (("fedasync_alpha", 1.8), ("tifl_interval", 0), ("tifl_credit_slack", 0)):
+        with pytest.raises(ValueError, match=field):
+            FLConfig(**{field: value})
 
 
 def test_compression_none_allowed():
