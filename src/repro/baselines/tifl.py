@@ -152,10 +152,6 @@ class TiFL(SyncFLSystem):
     def on_round_end(self) -> None:
         trace = self.history.meta.setdefault("tier_selection_trace", [])
         trace.append(self._current_tier)
-        if self.retier_due():
-            self._retier()
-
-    def _retier(self) -> None:
-        """Re-split tiers on observed latencies and rebuild evaluators."""
-        self.apply_retier(self.now)
-        self._tier_evaluators = self._build_tier_evaluators()
+        if self.retier_due():  # re-split on observed latencies; evaluators follow
+            self.apply_retier(self.now)
+            self._tier_evaluators = self._build_tier_evaluators()

@@ -3,9 +3,9 @@
 Each tier runs synchronous rounds, one in flight per tier, on the event
 loop of :class:`repro.core.base.FLSystem`; all tiers proceed concurrently
 in virtual time and contribute to the global model asynchronously through
-:class:`repro.core.server.TieredServer`. Both link
-directions go through the configured codec (polyline precision 4 by
-default), so compression loss genuinely flows through training.
+:class:`repro.core.server.TieredServer`. Both link directions go through
+the configured codec (polyline precision 4 by default), so compression
+loss genuinely flows through training.
 
 Under a dynamic scenario (churn / drift / bursts) two extra mechanisms
 engage: a tier whose whole pool is churned offline schedules a *wake*
@@ -153,27 +153,24 @@ class FedAT(FLSystem):
             if payload.tier not in self._active:
                 self._launch_or_wake(payload.tier, queue)
             return
-        tier, results = payload.tier, payload.launch.results
-        if results:
-            for _, _, nbytes in results:
-                self.meter.record_upload(nbytes)
-            with self.timers.phase("aggregate"):
-                tier_model = sample_weighted_average(
-                    [r.weights for r, _, _ in results],
-                    [r.n_samples for r, _, _ in results],
-                )
-                self.global_weights = self.server.submit_tier_update(tier, tier_model)
+        tier, launch = payload.tier, payload.launch
+        if launch.results or launch.quarantined:
+            # A round whose every responder was quarantined is a null global
+            # update: consuming budget keeps a fully-poisoned tier from
+            # spinning the event loop forever.
+            if launch.results:
+                for _, _, nbytes in launch.results:
+                    self.meter.record_upload(nbytes)
+                with self.timers.phase("aggregate"):
+                    tier_model = sample_weighted_average(
+                        [r.weights for r, _, _ in launch.results],
+                        [r.n_samples for r, _, _ in launch.results],
+                    )
+                    self.global_weights = self.server.submit_tier_update(tier, tier_model)
             self.round += 1
-            if self.retier_due():  # re-split tiers on observed latencies
+            if launch.results and self.retier_due():  # re-split on observed latencies
                 self.apply_retier(self.now)
                 self._tiers_changed(queue)
-            if self._eval_due():
-                self.record_eval()
-        elif payload.launch.quarantined:
-            # Every responder was quarantined: a null global update.
-            # Consuming budget here keeps a fully-poisoned tier from
-            # spinning the event loop forever.
-            self.round += 1
             if self._eval_due():
                 self.record_eval()
         # The tier immediately begins its next round from the latest

@@ -2,10 +2,11 @@
 
 ``src/`` has one parameter layout (``Sequential`` always owns a
 ``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
-whose one-member case is every single client's round), one broadcast policy (shared memory, falling back on what the code observes)
-and one staleness knob (``FLConfig.staleness``). The names below selected or
-served the other side of each pair before they were deleted; a later change
-must not quietly bring one back.
+whose one-member case is every single client's round), one broadcast policy (shared memory, falling back on what the code observes),
+one staleness knob (``FLConfig.staleness``) and one run loop
+(``FLSystem._run``, with one cohort launch and one rejoin scheduler). The
+names below selected or served the other side of each pair before they
+were deleted; a later change must not quietly bring one back.
 """
 
 import re
@@ -21,6 +22,10 @@ REMOVED = re.compile(
     # split. Both transports run on repro.exec.supervision now.
     r"|_run_chunks_supervised|retry_or_fail|respawn_and_retry"
     r"|def _chunk\b|ParallelExecutor\._chunk|exec\.dist\.leases|dist/leases"
+    # Per-method run loops, cohort launches and rejoin guards: every method
+    # runs on FLSystem's queue, launch and schedule_join now.
+    r"|train_departing_cohort|_start_tier_round|_wait_for_rejoin|schedule_relaunches"
+    r"|schedule_arrival_launches|send_up_cohort|def send_up\b"
 )
 
 
@@ -39,6 +44,8 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("fedasync_a: float = 0.5")
     assert not REMOVED.search("def _chunk_results(chunk):")
     assert REMOVED.search("    def _chunk(tasks, n):")
+    assert REMOVED.search("    def send_up(self, flat):")
+    assert not REMOVED.search("    def send_down(self, flat, n_receivers=1):")
 
 
 def test_one_lease_state_machine():
@@ -127,3 +134,29 @@ def test_one_training_loop():
     serial = (SRC / "repro" / "exec" / "serial.py").read_text()
     assert "local_train" not in serial
     assert serial.count(".run_cohort(") == 1
+
+
+def test_one_event_loop():
+    """Every method runs on ``FLSystem._run``: one queue, one pop, one
+    launch and one rejoin lookup across ``core/`` and ``baselines/``, and
+    FedAsync and ASO-Fed differ only in their update rule."""
+    from repro.baselines import ASOFed, FedAsync
+    from repro.core.base import AsyncFLSystem
+
+    dirs = (SRC / "repro" / "core", SRC / "repro" / "baselines")
+    sources = {p: p.read_text() for d in dirs for p in sorted(d.glob("*.py"))}
+
+    def homes(needle):
+        return [p.name for p, text in sources.items() for _ in range(text.count(needle))]
+
+    assert homes("EventQueue()") == ["base.py"]
+    assert homes("queue.pop()") == ["base.py"]
+    assert homes("def _run(") == ["base.py"]
+    assert homes("next_join_after(") == ["base.py"]
+    assert homes("def launch(") == ["base.py"]
+    for step in (".sample_latency(", ".train_cohort(", ".uplink_roundtrip("):
+        assert homes(step) == ["base.py"], step
+    assert issubclass(FedAsync, AsyncFLSystem) and issubclass(ASOFed, AsyncFLSystem)
+    for name in ("fedasync.py", "asofed.py"):
+        text = sources[SRC / "repro" / "baselines" / name]
+        assert "@dataclass" not in text and "def handle(" not in text, name
