@@ -16,6 +16,10 @@ Usage::
 
     python scripts/chaos_resume_check.py --method fedat --dataset \
         sentiment140 --scale bench --seed 1
+
+Any other arguments are passed to all three ``repro run`` calls, e.g.
+``--rounds 3000 --max-time 100000`` so a fast synchronous run is still
+running when the kill lands.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ def _cli(method: str, args: argparse.Namespace, extra: list[str]) -> list[str]:
         "--seed",
         str(args.seed),
         *(["--rounds", str(args.rounds)] if args.rounds else []),
+        *args.run_args,
         *extra,
     ]
 
@@ -76,7 +81,7 @@ def main() -> int:
         default=1.0,
         help="seconds between the first checkpoint appearing and SIGKILL",
     )
-    args = parser.parse_args()
+    args, args.run_args = parser.parse_known_args()
 
     with tempfile.TemporaryDirectory(prefix="chaos_resume_") as tmp:
         tmp_path = Path(tmp)
