@@ -110,7 +110,7 @@ def main() -> int:
 
     print(f"[2/2] {args.executor} run, SIGKILL one of 2 workers "
           f"at dispatch {args.kill_at_dispatch}")
-    overrides = {"executor": args.executor, "num_workers": 2, "chunk_timeout": 30.0}
+    overrides = {"executor": args.executor, "num_workers": 2}
     if args.executor == "dist":
         overrides.update(heartbeat_interval=0.1, heartbeat_timeout=1.0)
     chaos, killed = _run(

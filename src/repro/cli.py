@@ -32,14 +32,12 @@ import sys
 
 import numpy as np
 
-from repro.exec.base import executor_names
+from repro.exec.base import EXECUTORS
 from repro.experiments.runner import ALGORITHMS, run_experiment
 from repro.metrics.report import format_table, time_to_accuracy
 from repro.utils.serialization import save_json
 
 __all__ = ["main", "build_parser"]
-
-_EXECUTORS = sorted(executor_names())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--lam", type=float, default=None)
     run_p.add_argument("--compression", default="default",
                        help='e.g. "polyline:4", "quant:8", "none"')
-    run_p.add_argument("--executor", default=None, choices=_EXECUTORS,
+    run_p.add_argument("--executor", default=None, choices=EXECUTORS,
                        help="client-execution backend (default: serial)")
     run_p.add_argument("--num-workers", type=int, default=None,
                        help="workers (= chunks) per cohort; 0 = a worker per "
@@ -149,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--target-fraction", type=float, default=0.9,
                        help="time-to-target threshold as a fraction of the "
                        "first method's best accuracy")
-    cmp_p.add_argument("--executor", default=None, choices=_EXECUTORS,
+    cmp_p.add_argument("--executor", default=None, choices=EXECUTORS,
                        help="client-execution backend (default: serial)")
     cmp_p.add_argument("--num-workers", type=int, default=None,
                        help="workers (= chunks) per cohort; 0 = a worker per "
@@ -192,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="online re-tier cadence for tiered methods under "
                          "dynamic scenarios (default: auto — 20, or 3 with "
                          "--smoke)")
-    sweep_p.add_argument("--executor", default="serial", choices=_EXECUTORS,
+    sweep_p.add_argument("--executor", default="serial", choices=EXECUTORS,
                          help="client-execution backend for every cell")
     sweep_p.add_argument("--num-workers", type=int, default=0,
                          help="workers (= chunks) per cohort; 0 = a worker per "

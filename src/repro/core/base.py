@@ -138,8 +138,8 @@ class FLSystem:
         *,
         delay_model: TierDelayModel | None = None,
     ):
-        # Accepts a Population, a FederatedDataset, or (deprecated) a raw
-        # client list; all internal plumbing goes through the population.
+        # Accepts a Population or a FederatedDataset; all internal plumbing
+        # goes through the population.
         population = as_population(population)
         self.population = population
         #: The eager federation behind a materialized population; None when
@@ -242,31 +242,13 @@ class FLSystem:
         # Per-client batch-schedule cursors live with the system (not the
         # executor) so every backend replays identical mini-batch orders.
         self._epoch_cursor = np.zeros(self.num_clients, dtype=np.int64)
-        # Deterministic chaos: the fault plan draws injections from seeded
-        # per-family substreams, so the executor's failure schedule is as
-        # reproducible as the simulation it stresses.
-        fault_plan = None
-        if config.faults is not None and config.executor in ("parallel", "dist"):
-            from repro.exec.faults import FaultPlan, parse_faults
-
-            fault_spec = parse_faults(config.faults)
-            if fault_spec is not None:
-                fault_plan = FaultPlan(fault_spec, seed=config.seed)
         self.executor = make_executor(
-            config.executor,
+            config.exec,
             model=self.worker,
             clients=self.clients,
             loss=self.loss,
             optimizer=self.optimizer_spec(),
-            num_workers=config.num_workers,
-            faults=fault_plan,
-            chunk_timeout=config.chunk_timeout,
-            chunk_retries=config.chunk_retries,
-            degrade=config.fault_degrade,
-            bind=config.dist_bind,
-            heartbeat_interval=config.heartbeat_interval,
-            heartbeat_timeout=config.heartbeat_timeout,
-            worker_grace=config.worker_grace,
+            seed=config.seed,
         )
         # Update quarantine: every aggregation path routes client results
         # through the guard (when configured) before they can touch the
@@ -557,7 +539,6 @@ class FLSystem:
 
         profiler = LatencyProfiler(
             epochs=self.config.local_epochs,
-            probe_rounds=self.config.profiler_probe_rounds,
             misprofile_fraction=self.config.misprofile_fraction,
         )
         k = self.config.profile_sample
@@ -818,17 +799,12 @@ class FLSystem:
             # Deterministic transfer accounting (bytes, messages, and —
             # under a finite-bandwidth link — transfer seconds).
             self.history.meta["network"] = self.meter.snapshot()
-            # Fault-tolerance telemetry, only when the run configured it:
-            # recovery counters are wall-clock-race diagnostics (like
-            # phase_seconds), the guard snapshot is deterministic.
-            if (
-                self.config.faults is not None
-                or self.config.chunk_timeout is not None
-                or self.config.executor == "dist"
-            ):
-                counters = getattr(self.executor, "fault_counters", None)
-                if counters is not None:
-                    self.history.meta["faults"] = dict(counters)
+            # Recovery counters of every supervised executor (wall-clock-race
+            # diagnostics, like phase_seconds); the guard snapshot is
+            # deterministic.
+            counters = getattr(self.executor, "fault_counters", None)
+            if counters is not None:
+                self.history.meta["faults"] = dict(counters)
             if self.guard is not None:
                 self.history.meta["guard"] = self.guard.snapshot()
 

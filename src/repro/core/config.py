@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.exec.base import ExecConfig
+
 __all__ = ["FLConfig"]
 
 
@@ -17,6 +19,9 @@ class FLConfig:
     for FedAsync/ASO-Fed each single-client update counts (the experiment
     harness scales the budget accordingly). ``max_time`` is a virtual-time
     cutoff applied uniformly across methods for time-axis figures.
+
+    Every field can change a run's history except ``exec``, which only
+    says how cohorts execute; cache and checkpoint keys leave it out.
     """
 
     # --- client-side training -------------------------------------------- #
@@ -29,7 +34,6 @@ class FLConfig:
 
     # --- tiering ----------------------------------------------------------#
     num_tiers: int = 5
-    profiler_probe_rounds: int = 1
     misprofile_fraction: float = 0.0
     # Online re-tiering: every `retier_interval` global updates, FedAT/TiFL
     # re-split tiers on EWMA'd observed response latencies (0 = off, the
@@ -66,28 +70,6 @@ class FLConfig:
     compute_base: float = 0.5
     bandwidth_bytes_per_s: float | None = None
 
-    # --- client execution -------------------------------------------------#
-    # Backend that runs cohorts of local-training tasks: "serial" trains
-    # through one shared worker model; "parallel" fans out to a process pool
-    # of model replicas; "dist" dispatches chunk leases to socket-connected
-    # workers (bit-identical histories either way, see repro.exec). Any
-    # name accepted by repro.exec.register_executor is valid.
-    executor: str = "serial"
-    # Workers per cohort and chunks cut from it; 0 = one worker per CPU, and
-    # a chunk per CPU on the pool (layout follows the host) but 4 on dist.
-    num_workers: int = 0
-    # Scheduler bind address for executor="dist". Port 0 (the default)
-    # picks an ephemeral port and self-spawns local worker processes; an
-    # explicit port listens for external `repro worker --connect` workers.
-    dist_bind: str = "127.0.0.1:0"
-    # Worker liveness (executor="dist"): workers heartbeat every
-    # `heartbeat_interval` seconds; a connection quiet for longer than
-    # `heartbeat_timeout` is declared dead and its chunk lease requeued.
-    heartbeat_interval: float = 0.2
-    heartbeat_timeout: float = 2.0
-    # How long a dist dispatch tolerates an empty worker roster (seconds)
-    # before its chunks degrade to in-process execution.
-    worker_grace: float = 30.0
     # --- startup profiling ------------------------------------------------#
     # Tier-profile only this many sampled clients at startup and assign the
     # rest by interpolation (quantile boundaries over expected latencies).
@@ -95,28 +77,8 @@ class FLConfig:
     # to all existing goldens; sampling makes million-client virtual
     # population startup sublinear in probe work.
     profile_sample: int | None = None
-    # --- fault tolerance --------------------------------------------------#
-    # Deterministic chaos injection into the executor's worker fleet:
-    # "crash:<p>", "hang:<p>", "corrupt:<p>", plus — dist only —
-    # "drop:<p>" (severed connections) and "delay:<p>" (stalled result
-    # frames); "+"-composable ("crash:0.2+corrupt:0.1"). Faults are drawn
-    # from seeded per-family substreams keyed by (dispatch, chunk,
-    # attempt), so a chaos run's fault schedule is bit-reproducible. None
-    # disables injection. Serial execution has no worker processes, so
-    # faults only apply when executor is "parallel" or "dist".
-    faults: str | None = None
-    # Per-chunk wall-clock deadline (seconds) before the supervisor declares
-    # a dispatched chunk hung, requeues its lease (the pool also replaces
-    # the holder) and redispatches. None disables deadlines (dead-worker
-    # detection still recovers crashes). Required to inject "hang" faults.
-    chunk_timeout: float | None = None
-    # Redispatch budget per chunk (attempts = 1 + chunk_retries) before
-    # the chunk degrades or the run errors out.
-    chunk_retries: int = 3
-    # After the retry budget: True finishes the chunk through the
-    # in-process serial executor (graceful degradation); False raises
-    # ExecutorFaultError with full recovery context.
-    fault_degrade: bool = True
+
+    # --- update quarantine and precision ----------------------------------#
     # Update quarantine applied before every aggregation:
     # "reject[:max_norm]" | "clip[:max_norm]" | "abort[:max_norm]"
     # (max_norm defaults to 1e6). None disables the guard.
@@ -153,7 +115,10 @@ class FLConfig:
     tifl_interval: int = 20  # rounds between tier-accuracy refreshes
     tifl_credit_slack: float = 1.5
 
-    extra: dict = field(default_factory=dict)
+    # --- client execution -------------------------------------------------#
+    # Backend, worker topology, liveness and fault injection: how cohorts
+    # run, never what they compute (see repro.exec.ExecConfig).
+    exec: ExecConfig = field(default_factory=ExecConfig)
 
     def __post_init__(self):
         if self.clients_per_round < 1:
@@ -186,55 +151,8 @@ class FLConfig:
             raise ValueError(f"unknown dtype {self.dtype!r}; options: float64, float32")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        from repro.exec.base import executor_names
-
-        if self.executor not in executor_names():
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"registered: {', '.join(executor_names())}"
-            )
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0 (0 means CPU count)")
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ValueError("chunk_timeout must be positive (None disables)")
-        if self.chunk_retries < 0:
-            raise ValueError("chunk_retries must be >= 0")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval, or every "
-                "worker misses its liveness deadline between beats"
-            )
-        if self.worker_grace <= 0:
-            raise ValueError("worker_grace must be positive")
         if self.profile_sample is not None and self.profile_sample < 1:
             raise ValueError("profile_sample must be >= 1 (None profiles everyone)")
-        if self.faults is not None:
-            from repro.exec.faults import NETWORK_FAULT_FAMILIES, parse_faults
-
-            spec = parse_faults(self.faults)  # raises ValueError on bad specs
-            if (
-                spec is not None
-                and spec.hang > 0
-                and self.executor in ("parallel", "dist")
-                and self.chunk_timeout is None
-            ):
-                raise ValueError(
-                    "hang faults need a chunk_timeout: an injected hang "
-                    "sleeps past any deadline, so without one the run "
-                    "would block forever"
-                )
-            if spec is not None and self.executor != "dist":
-                network = [
-                    f for f in NETWORK_FAULT_FAMILIES if getattr(spec, f) > 0
-                ]
-                if network:
-                    raise ValueError(
-                        f"fault families {', '.join(network)} model the "
-                        "scheduler/worker network and require executor='dist' "
-                        "(the process pool has no connection to sever)"
-                    )
         if self.guard is not None:
             from repro.core.guard import UpdateGuard
 

@@ -20,9 +20,10 @@ The two cross-process backends are transports under one supervisor,
 result verification, degrade-or-raise): a failure costs the chunk it hit
 and nothing else. Once closed, either refuses further cohorts.
 
-Backends resolve by name through :func:`register_executor` /
-:func:`make_executor`, so new execution strategies plug in without
-touching the config or CLI layers.
+:class:`ExecConfig` holds every execution setting (``FLConfig.exec``) and
+:func:`make_executor` is its only reader: it picks the backend and builds
+the fault plan. Nothing in it can change a history bit, so cache and
+checkpoint keys leave it out.
 
 Determinism contract: a :class:`CohortTask` carries everything a round
 depends on — explicit batch-schedule cursor (``start_epoch``), epoch count,
@@ -32,12 +33,12 @@ proximal λ, pre-sampled latency — so local training is a pure function of
 """
 
 from repro.exec.base import (
+    EXECUTORS,
     ClientExecutor,
     CohortTask,
+    ExecConfig,
     OptimizerSpec,
-    executor_names,
     make_executor,
-    register_executor,
 )
 from repro.exec.dist import DistExecutor
 from repro.exec.faults import (
@@ -51,6 +52,8 @@ from repro.exec.payloads import decode_batch, encode_batch, roundtrip_batch
 from repro.exec.serial import SerialExecutor
 
 __all__ = [
+    "EXECUTORS",
+    "ExecConfig",
     "ClientExecutor",
     "CohortTask",
     "OptimizerSpec",
@@ -58,8 +61,6 @@ __all__ = [
     "ParallelExecutor",
     "DistExecutor",
     "make_executor",
-    "register_executor",
-    "executor_names",
     "encode_batch",
     "decode_batch",
     "roundtrip_batch",

@@ -1,4 +1,5 @@
-"""Executor abstraction: cohort tasks, optimizer specs, backend registry."""
+"""Executor abstraction: cohort tasks, optimizer specs, the execution config
+and the one factory that reads it."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.exec.faults import NETWORK_FAULT_FAMILIES, FaultPlan, parse_faults
 from repro.nn.optimizers import SGD, Adam, Optimizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -16,9 +18,9 @@ __all__ = [
     "CohortTask",
     "OptimizerSpec",
     "ClientExecutor",
+    "EXECUTORS",
+    "ExecConfig",
     "make_executor",
-    "register_executor",
-    "executor_names",
 ]
 
 
@@ -94,86 +96,141 @@ class ClientExecutor:
         self.close()
 
 
-#: Executor backend registry: config name -> factory. Factories receive
-#: every knob :func:`make_executor` was called with and pick what they
-#: need, so new backends register without editing a central if/else chain.
-_EXECUTOR_REGISTRY: dict = {}
+#: Backend names ``ExecConfig.executor`` accepts.
+EXECUTORS = ("serial", "parallel", "dist")
 
 
-def register_executor(name: str, factory) -> None:
-    """Register (or replace) an executor backend under a config name.
+@dataclass(frozen=True)
+class ExecConfig:
+    """How a run's cohorts execute, never what they compute.
 
-    ``factory(model=..., clients=..., loss=..., optimizer=..., **knobs)``
-    must return a :class:`ClientExecutor`. Registration is what makes the
-    name valid for ``FLConfig.executor`` and the ``--executor`` flags.
+    By the executor-equivalence contract none of these fields changes a bit
+    of a run's history: cache and checkpoint keys ignore them, so a run
+    started serially resumes under ``"dist"`` and a serial history answers
+    a ``run_cached`` request for the same experiment under any backend.
+    :func:`make_executor` is the only reader.
     """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"executor name must be a non-empty string, got {name!r}")
-    _EXECUTOR_REGISTRY[name] = factory
 
+    # "serial" trains through one shared worker model; "parallel" fans out
+    # to a process pool of model replicas; "dist" dispatches chunk leases
+    # to socket-connected workers (bit-identical histories either way).
+    executor: str = "serial"
+    # Workers per cohort and chunks cut from it; 0 = one worker per CPU, and
+    # a chunk per CPU on the pool (layout follows the host) but 4 on dist.
+    num_workers: int = 0
+    # Scheduler bind address for executor="dist". Port 0 (the default)
+    # picks an ephemeral port and self-spawns local worker processes; an
+    # explicit port listens for external `repro worker --connect` workers.
+    dist_bind: str = "127.0.0.1:0"
+    # Worker liveness (executor="dist"): workers heartbeat every
+    # `heartbeat_interval` seconds; a connection quiet for longer than
+    # `heartbeat_timeout` is declared dead and its chunk lease requeued.
+    heartbeat_interval: float = 0.2
+    heartbeat_timeout: float = 2.0
+    # How long a dist dispatch tolerates an empty worker roster (seconds)
+    # before its chunks degrade to in-process execution.
+    worker_grace: float = 30.0
+    # Deterministic chaos injection into the worker fleet: "crash:<p>",
+    # "hang:<p>", "corrupt:<p>", plus — dist only — "drop:<p>" (severed
+    # connections) and "delay:<p>" (stalled result frames); "+"-composable
+    # ("crash:0.2+corrupt:0.1"). Faults are drawn from seeded per-family
+    # substreams keyed by (dispatch, chunk, attempt), so a chaos run's
+    # fault schedule is bit-reproducible. None disables injection. Serial
+    # execution has no worker processes, so it injects nothing.
+    faults: str | None = None
+    # Per-chunk wall-clock deadline (seconds) before the supervisor declares
+    # a dispatched chunk hung, requeues its lease (the pool also replaces
+    # the holder) and redispatches. None disables deadlines (dead-worker
+    # detection still recovers crashes). Required to inject "hang" faults.
+    chunk_timeout: float | None = None
+    # Redispatches a chunk may spend after its first attempt before it
+    # degrades or the run errors out.
+    chunk_retries: int = 3
+    # After the retry budget: True finishes the chunk through the
+    # in-process serial executor (graceful degradation); False raises
+    # ExecutorFaultError with full recovery context.
+    fault_degrade: bool = True
 
-def _ensure_builtins() -> None:
-    """Lazily register the built-in backends (import-cycle safe)."""
-    if "serial" in _EXECUTOR_REGISTRY:
-        return
-
-    def _serial(*, model, clients, loss, optimizer, **_ignored):
-        from repro.exec.serial import SerialExecutor
-
-        return SerialExecutor(model, clients, loss, optimizer)
-
-    # The cross-process factories pass every knob through and name only
-    # what they drop, so a default lives in ``FLConfig`` and in the
-    # executor's ``__init__`` and nowhere else.
-    def _parallel(
-        *, bind=None, heartbeat_interval=None, heartbeat_timeout=None, worker_grace=None, **knobs
-    ):
-        from repro.exec.parallel import ParallelExecutor
-
-        return ParallelExecutor(**knobs)
-
-    def _dist(**knobs):
-        from repro.exec.dist import DistExecutor
-
-        return DistExecutor(**knobs)
-
-    register_executor("serial", _serial)
-    register_executor("parallel", _parallel)
-    register_executor("dist", _dist)
-
-
-def executor_names() -> tuple[str, ...]:
-    """Sorted names of every registered executor backend."""
-    _ensure_builtins()
-    return tuple(sorted(_EXECUTOR_REGISTRY))
+    def __post_init__(self):
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {self.executor!r}; options: {', '.join(EXECUTORS)}"
+            )
+        if self.num_workers < 0:
+            raise ValueError("num_workers must be >= 0 (0 means CPU count)")
+        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
+            raise ValueError("chunk_timeout must be positive (None disables)")
+        if self.chunk_retries < 0:
+            raise ValueError("chunk_retries must be >= 0")
+        if self.heartbeat_interval <= 0:
+            raise ValueError("heartbeat_interval must be positive")
+        if self.heartbeat_timeout <= self.heartbeat_interval:
+            raise ValueError(
+                "heartbeat_timeout must exceed heartbeat_interval, or every "
+                "worker misses its liveness deadline between beats"
+            )
+        if self.worker_grace <= 0:
+            raise ValueError("worker_grace must be positive")
+        spec = parse_faults(self.faults)  # raises ValueError on bad specs
+        if spec is None:
+            return
+        if spec.hang > 0 and self.executor != "serial" and self.chunk_timeout is None:
+            raise ValueError(
+                "hang faults need a chunk_timeout: an injected hang "
+                "sleeps past any deadline, so without one the run "
+                "would block forever"
+            )
+        network = [f for f in NETWORK_FAULT_FAMILIES if getattr(spec, f) > 0]
+        if network and self.executor != "dist":
+            raise ValueError(
+                f"fault families {', '.join(network)} model the "
+                "scheduler/worker network and require executor='dist' "
+                "(the process pool has no connection to sever)"
+            )
 
 
 def make_executor(
-    spec: str,
+    config: ExecConfig,
     *,
     model,
     clients,
     loss,
     optimizer: OptimizerSpec,
-    **knobs,
+    seed: int,
 ) -> ClientExecutor:
-    """Build an executor backend from its config name.
+    """Build the backend ``config`` names.
 
-    ``"serial"`` trains through the shared worker model; ``"parallel"``
-    fans cohorts out to a process pool; ``"dist"`` dispatches
-    lease-supervised chunks to socket-connected workers (see
-    :mod:`repro.exec.dist`); ``num_workers=0`` is a worker per CPU on both,
-    a chunk per CPU on the pool and a fixed 4 on dist. Backends resolve
-    through the :func:`register_executor` registry, and every factory
-    receives the full knob set (``num_workers``, ``faults``,
-    ``chunk_timeout``, ``chunk_retries``, ``degrade``, ``bind``,
-    heartbeat/lease settings), taking what applies — serial execution, with
-    no worker processes to lose, ignores all of them.
+    ``"serial"`` trains through the shared worker model and reads nothing
+    else; ``"parallel"`` fans cohorts out to a process pool and ``"dist"``
+    dispatches lease-supervised chunks to socket-connected workers (see
+    :mod:`repro.exec.dist`), both under a :class:`FaultPlan` seeded by
+    ``seed`` when ``config.faults`` is set; ``num_workers=0`` is a worker
+    per CPU on both, a chunk per CPU on the pool and a fixed 4 on dist.
     """
-    _ensure_builtins()
-    factory = _EXECUTOR_REGISTRY.get(spec)
-    if factory is None:
-        raise ValueError(
-            f"unknown executor {spec!r}; registered: {', '.join(executor_names())}"
-        )
-    return factory(model=model, clients=clients, loss=loss, optimizer=optimizer, **knobs)
+    from repro.exec.dist import DistExecutor
+    from repro.exec.parallel import ParallelExecutor
+    from repro.exec.serial import SerialExecutor
+
+    if config.executor == "serial":
+        return SerialExecutor(model, clients, loss, optimizer)
+    spec = parse_faults(config.faults)
+    supervision = dict(
+        num_workers=config.num_workers,
+        faults=None if spec is None else FaultPlan(spec, seed=seed),
+        chunk_timeout=config.chunk_timeout,
+        chunk_retries=config.chunk_retries,
+        degrade=config.fault_degrade,
+    )
+    if config.executor == "parallel":
+        return ParallelExecutor(model, clients, loss, optimizer, **supervision)
+    return DistExecutor(
+        model,
+        clients,
+        loss,
+        optimizer,
+        bind=config.dist_bind,
+        heartbeat_interval=config.heartbeat_interval,
+        heartbeat_timeout=config.heartbeat_timeout,
+        worker_grace=config.worker_grace,
+        **supervision,
+    )

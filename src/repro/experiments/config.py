@@ -14,11 +14,12 @@ Three presets (DESIGN.md §6):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from repro.core.config import FLConfig
+from repro.exec.base import ExecConfig
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
 from repro.nn.zoo import build_cnn, build_femnist_cnn, build_logistic, build_lstm_classifier
@@ -110,7 +111,11 @@ def active_scale(default: str = "bench") -> str:
 
 
 def make_fl_config(method: str, scale: str = "bench", seed: int = 0, **overrides) -> FLConfig:
-    """FLConfig for ``method`` at ``scale`` (paper §6 hyperparameters)."""
+    """FLConfig for ``method`` at ``scale`` (paper §6 hyperparameters).
+
+    Execution settings may be passed flat (``executor="dist"``,
+    ``num_workers=2``, ...): they are routed into ``FLConfig.exec``.
+    """
     preset = SCALES[scale]
     is_async = method in ASYNC_METHODS
     if method == "fedat":
@@ -119,14 +124,11 @@ def make_fl_config(method: str, scale: str = "bench", seed: int = 0, **overrides
         budget = preset.max_rounds_async
     else:
         budget = preset.max_rounds_sync
+    execution = {f.name for f in fields(ExecConfig)} & overrides.keys()
+    if execution:
+        knobs = {k: overrides.pop(k) for k in execution}
+        overrides["exec"] = replace(overrides.get("exec", ExecConfig()), **knobs)
     defaults = dict(
-        clients_per_round=10,
-        local_epochs=3,
-        batch_size=10,
-        learning_rate=0.005,
-        optimizer="adam",
-        lam=0.4,
-        num_tiers=5,
         max_rounds=budget,
         max_time=preset.max_time,
         eval_every=preset.eval_every_async if is_async else preset.eval_every_sync,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
-
 
 from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
 from repro.core.fedat import FedAT
 from repro.data.datasets import DATASETS, make_dataset, make_sample_bank
+from repro.exec.base import ExecConfig
 from repro.experiments.config import SCALES, build_model_builder, make_fl_config
 from repro.metrics.history import RunHistory
 from repro.population.virtual import VirtualPopulation
@@ -25,7 +26,6 @@ from repro.utils.serialization import load_json, save_json
 
 __all__ = [
     "ALGORITHMS",
-    "EXECUTION_ONLY_KEYS",
     "build_federation",
     "build_virtual_population",
     "run_experiment",
@@ -48,32 +48,6 @@ ALGORITHMS = {
 
 _MEMORY_CACHE: dict[str, RunHistory] = {}
 _CACHE_DIR = Path(".bench_cache")
-
-#: FLConfig knobs that steer *how* a run executes — backend choice, process
-#: pool / distributed-worker topology, fault injection, lease budgets — but
-#: by the executor-equivalence contract never change a single bit of the
-#: resulting history. They are normalized out of cache and checkpoint keys:
-#: a history computed serially satisfies a ``run_cached`` request for the
-#: same experiment under ``executor="dist"``, and a checkpoint written by a
-#: serial run resumes under any executor (``_CHECKPOINT_EXCLUDE`` already
-#: keeps executor state out of the snapshot). ``profile_sample`` is *not*
-#: here: sampled tier profiling changes tier assignments and therefore the
-#: history bits.
-EXECUTION_ONLY_KEYS = frozenset(
-    {
-        "executor",
-        "num_workers",
-        "dist_bind",
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "worker_grace",
-        "faults",
-        "chunk_timeout",
-        "chunk_retries",
-        "fault_degrade",
-    }
-)
-
 
 def build_federation(
     dataset_name: str,
@@ -257,7 +231,14 @@ def run_experiment(
 
 
 def _cache_key(kwargs: dict) -> str:
-    keyed = {k: v for k, v in kwargs.items() if k not in EXECUTION_ONLY_KEYS}
+    """Digest of the run parameters that shape its results.
+
+    Execution settings are left out — ``exec`` and every
+    :class:`ExecConfig` field passed flat — because by the
+    executor-equivalence contract they never change a history bit.
+    """
+    execution = {f.name for f in fields(ExecConfig)} | {"exec"}
+    keyed = {k: v for k, v in kwargs.items() if k not in execution}
     blob = json.dumps(keyed, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:20]
 
@@ -267,10 +248,10 @@ def run_cached(method: str, dataset_name: str, **kwargs) -> RunHistory:
 
     Benchmarks for different tables/figures share runs through this cache;
     delete ``.bench_cache/`` (or call :func:`clear_cache`) to force re-runs.
-    Keys ignore :data:`EXECUTION_ONLY_KEYS`, so the same experiment run
-    under a different executor (or fault schedule) hits the cache — the
-    history bits are identical by contract, only volatile meta (timings,
-    fault counters) differs.
+    Keys ignore execution settings (see :func:`_cache_key`), so the same
+    experiment run under a different executor (or fault schedule) hits the
+    cache — the history bits are identical by contract, only volatile meta
+    (timings, fault counters) differs.
     """
     key = _cache_key({"method": method, "dataset": dataset_name, **kwargs})
     if key in _MEMORY_CACHE:

@@ -1,8 +1,9 @@
-"""FLConfig validation tests."""
+"""FLConfig and ExecConfig validation tests."""
 
 import pytest
 
 from repro.core.config import FLConfig
+from repro.exec import EXECUTORS, ExecConfig
 
 
 def test_defaults_are_paper_hyperparameters():
@@ -38,8 +39,6 @@ def test_with_replaces_fields():
         ("staleness", "exp"),
         ("compression", "gzip:9"),
         ("compression", "polyline:abc"),
-        ("heartbeat_interval", 0.0),
-        ("worker_grace", 0.0),
         ("profile_sample", 0),
         ("fedasync_alpha", 0.0),
         ("fedasync_alpha", 1.8),
@@ -68,17 +67,41 @@ def test_compression_none_allowed():
     assert FLConfig(compression=None).compression is None
 
 
-def test_executor_names_come_from_the_registry():
-    for name in ("serial", "parallel", "dist"):
-        assert FLConfig(executor=name).executor == name
-    with pytest.raises(ValueError, match="registered"):
-        FLConfig(executor="gpu")
+def test_execution_settings_live_in_exec():
+    cfg = FLConfig(exec=ExecConfig(executor="dist", num_workers=2))
+    assert (cfg.exec.executor, cfg.exec.num_workers) == ("dist", 2)
+    assert FLConfig().exec == ExecConfig()
+    with pytest.raises(TypeError):
+        FLConfig(executor="dist")  # flat keys route through make_fl_config only
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("num_workers", -1),
+        ("chunk_timeout", 0.0),
+        ("chunk_retries", -1),
+        ("heartbeat_interval", 0.0),
+        ("worker_grace", 0.0),
+        ("faults", "oom:0.2"),
+    ],
+)
+def test_exec_config_rejects_invalid(field, value):
+    with pytest.raises(ValueError):
+        ExecConfig(**{field: value})
+
+
+def test_executor_names_come_from_the_fixed_table():
+    for name in EXECUTORS:
+        assert ExecConfig(executor=name).executor == name
+    with pytest.raises(ValueError, match="options: serial, parallel, dist"):
+        ExecConfig(executor="gpu")
 
 
 def test_heartbeat_timeout_must_exceed_interval():
-    FLConfig(heartbeat_interval=0.1, heartbeat_timeout=1.0)
+    ExecConfig(heartbeat_interval=0.1, heartbeat_timeout=1.0)
     with pytest.raises(ValueError, match="heartbeat_timeout"):
-        FLConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5)
+        ExecConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5)
 
 
 def test_profile_sample_accepts_positive_counts():
@@ -89,3 +112,5 @@ def test_profile_sample_accepts_positive_counts():
 def test_frozen():
     with pytest.raises(Exception):
         FLConfig().lam = 1.0
+    with pytest.raises(Exception):
+        FLConfig().exec.executor = "dist"

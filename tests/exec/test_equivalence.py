@@ -29,6 +29,7 @@ from repro.baselines.fedasync import FedAsync
 from repro.baselines.fedavg import FedAvg
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
+from repro.exec import ExecConfig
 from repro.experiments.config import build_model_builder
 
 _BUDGETS = {FedAT: 12, FedAvg: 4, FedAsync: 25, ASOFed: 25}
@@ -67,9 +68,9 @@ def _config(cls, seed, executor):
         num_unstable=2,
         seed=seed,
         compression="polyline:4" if cls is FedAT else None,
-        executor=executor,
-        num_workers=0 if executor == "serial" else 2,
-        **chaos,
+        exec=ExecConfig(
+            executor=executor, num_workers=0 if executor == "serial" else 2, **chaos
+        ),
     )
 
 

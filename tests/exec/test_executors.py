@@ -5,12 +5,14 @@ import pytest
 
 from repro.exec import (
     CohortTask,
+    ExecConfig,
     OptimizerSpec,
     ParallelExecutor,
     SerialExecutor,
     decode_batch,
     encode_batch,
     make_executor,
+    parse_faults,
     roundtrip_batch,
 )
 from repro.compression.codec import PolylineCodec
@@ -62,88 +64,63 @@ class TestOptimizerSpec:
             OptimizerSpec("adam", 0.0)
 
 
+def _make(dataset, seed=0, **settings):
+    return make_executor(
+        ExecConfig(**settings),
+        model=_model(dataset),
+        clients=_clients(dataset),
+        loss=SoftmaxCrossEntropy(),
+        optimizer=OptimizerSpec("sgd", 0.1),
+        seed=seed,
+    )
+
+
 class TestFactory:
     def test_backends(self, tiny_bow_dataset):
-        kwargs = dict(
-            model=_model(tiny_bow_dataset),
-            clients=_clients(tiny_bow_dataset),
-            loss=SoftmaxCrossEntropy(),
-            optimizer=OptimizerSpec("sgd", 0.1),
-        )
-        assert isinstance(make_executor("serial", **kwargs), SerialExecutor)
-        par = make_executor("parallel", num_workers=2, **kwargs)
+        assert isinstance(_make(tiny_bow_dataset), SerialExecutor)
+        par = _make(tiny_bow_dataset, executor="parallel", num_workers=2)
         assert isinstance(par, ParallelExecutor)
         assert par.num_workers == 2
         par.close()
-        with pytest.raises(ValueError):
-            make_executor("gpu", **kwargs)
 
     def test_zero_workers_resolves_to_cpu_count(self, tiny_bow_dataset):
-        par = make_executor(
-            "parallel",
-            num_workers=0,
-            model=_model(tiny_bow_dataset),
-            clients=_clients(tiny_bow_dataset),
-            loss=SoftmaxCrossEntropy(),
-            optimizer=OptimizerSpec("sgd", 0.1),
-        )
+        par = _make(tiny_bow_dataset, executor="parallel", num_workers=0)
         assert par.num_workers >= 1
         par.close()
 
     def test_dist_backend(self, tiny_bow_dataset):
         from repro.exec.dist import DistExecutor
 
-        ex = make_executor(
-            "dist",
-            num_workers=2,
-            model=_model(tiny_bow_dataset),
-            clients=_clients(tiny_bow_dataset),
-            loss=SoftmaxCrossEntropy(),
-            optimizer=OptimizerSpec("sgd", 0.1),
-        )
+        ex = _make(tiny_bow_dataset, executor="dist", num_workers=2)
         assert isinstance(ex, DistExecutor)
         assert ex.num_chunks == 2
         ex.close()
 
-    def test_registry_lists_builtins_and_accepts_plugins(self, tiny_bow_dataset):
-        from repro.exec import executor_names, register_executor
-        from repro.exec.base import _EXECUTOR_REGISTRY
-
-        assert {"serial", "parallel", "dist"} <= set(executor_names())
-
-        made = {}
-
-        def factory(**kwargs):
-            made.update(kwargs)
-            return SerialExecutor(
-                kwargs["model"], kwargs["clients"], kwargs["loss"], kwargs["optimizer"]
-            )
-
-        register_executor("custom", factory)
-        try:
-            assert "custom" in executor_names()
-            ex = make_executor(
-                "custom",
-                model=_model(tiny_bow_dataset),
-                clients=_clients(tiny_bow_dataset),
-                loss=SoftmaxCrossEntropy(),
-                optimizer=OptimizerSpec("sgd", 0.1),
-                num_workers=3,
-            )
-            assert isinstance(ex, SerialExecutor)
-            assert made["num_workers"] == 3  # factories see every knob
-        finally:
-            _EXECUTOR_REGISTRY.pop("custom", None)
-
     def test_unknown_name_lists_registered(self, tiny_bow_dataset):
         with pytest.raises(ValueError, match="serial"):
-            make_executor(
-                "gpu",
-                model=_model(tiny_bow_dataset),
-                clients=_clients(tiny_bow_dataset),
-                loss=SoftmaxCrossEntropy(),
-                optimizer=OptimizerSpec("sgd", 0.1),
-            )
+            _make(tiny_bow_dataset, executor="gpu")
+
+    def test_fault_plan_is_built_from_the_config(self, tiny_bow_dataset):
+        """The factory is the only reader of the execution settings: it
+        seeds the fault plan with the run's seed and hands the supervision
+        knobs to the cross-process backends."""
+        par = _make(
+            tiny_bow_dataset,
+            seed=7,
+            executor="parallel",
+            num_workers=2,
+            faults="crash:0.25",
+            chunk_timeout=4.0,
+            chunk_retries=5,
+            fault_degrade=False,
+        )
+        try:
+            assert par.faults.spec == parse_faults("crash:0.25")
+            assert par.faults.seed == 7
+            assert (par.chunk_timeout, par.chunk_retries, par.degrade) == (4.0, 5, False)
+        finally:
+            par.close()
+        assert _make(tiny_bow_dataset, executor="parallel", num_workers=2).faults is None
 
 
 class TestSerialExecutor:
@@ -258,14 +235,7 @@ def test_closed_executor_refuses_cohorts(tiny_bow_dataset, backend, cohort):
     no workers and no broadcast segment, and ``run_cohort`` says so instead
     of quietly forking a fresh set nobody will close (the pool, once) or
     dying on a closed descriptor inside ``connection.wait`` (dist, once)."""
-    ex = make_executor(
-        backend,
-        num_workers=2,
-        model=_model(tiny_bow_dataset),
-        clients=_clients(tiny_bow_dataset),
-        loss=SoftmaxCrossEntropy(),
-        optimizer=OptimizerSpec("sgd", 0.1),
-    )
+    ex = _make(tiny_bow_dataset, executor=backend, num_workers=2)
     start = _model(tiny_bow_dataset).get_flat_weights()
     try:
         assert len(ex.run_cohort(start, _cohort(4))) == 4

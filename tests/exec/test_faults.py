@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.baselines.fedavg import FedAvg
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
+from repro.exec import ExecConfig
 from repro.exec.faults import (
     ExecutorFaultError,
     FaultPlan,
@@ -65,13 +66,13 @@ def test_parse_faults_rejects(bad):
 
 def test_hang_faults_require_timeout_in_config():
     with pytest.raises(ValueError, match="chunk_timeout"):
-        FLConfig(executor="parallel", faults="hang:0.5")
+        ExecConfig(executor="parallel", faults="hang:0.5")
     with pytest.raises(ValueError, match="chunk_timeout"):
-        FLConfig(executor="dist", faults="hang:0.5")
+        ExecConfig(executor="dist", faults="hang:0.5")
     # Serial runs have no worker pool: the spec parses but needs no timeout.
-    FLConfig(executor="serial", faults="hang:0.5")
-    FLConfig(executor="parallel", faults="hang:0.5", chunk_timeout=2.0)
-    FLConfig(executor="dist", faults="hang:0.5", chunk_timeout=2.0)
+    ExecConfig(executor="serial", faults="hang:0.5")
+    ExecConfig(executor="parallel", faults="hang:0.5", chunk_timeout=2.0)
+    ExecConfig(executor="dist", faults="hang:0.5", chunk_timeout=2.0)
 
 
 def test_network_faults_require_dist_executor():
@@ -79,12 +80,12 @@ def test_network_faults_require_dist_executor():
     no connection to sever, so the config rejects the combination."""
     for spec in ("drop:0.5", "delay:0.5", "crash:0.1+drop:0.2"):
         with pytest.raises(ValueError, match="dist"):
-            FLConfig(executor="parallel", faults=spec)
+            ExecConfig(executor="parallel", faults=spec)
         with pytest.raises(ValueError, match="dist"):
-            FLConfig(executor="serial", faults=spec)
-        FLConfig(executor="dist", faults=spec)  # valid
+            ExecConfig(executor="serial", faults=spec)
+        ExecConfig(executor="dist", faults=spec)  # valid
     # Zero-probability network atoms are null: any executor accepts them.
-    FLConfig(executor="parallel", faults="drop:0")
+    ExecConfig(executor="parallel", faults="drop:0")
 
 
 # --------------------------------------------------------------------- #
@@ -155,8 +156,8 @@ def test_corruption_changes_checksum(tiny_bow_dataset):
 _BUDGETS = {FedAT: 8, FedAvg: 4}
 
 
-def _config(cls, executor, **kw):
-    base = dict(
+def _config(cls, executor, **exec_kw):
+    return FLConfig(
         clients_per_round=4,
         local_epochs=1,
         max_rounds=_BUDGETS[cls],
@@ -165,11 +166,10 @@ def _config(cls, executor, **kw):
         num_unstable=2,
         seed=0,
         compression="polyline:4" if cls is FedAT else None,
-        executor=executor,
-        num_workers=2 if executor == "parallel" else 0,
+        exec=ExecConfig(
+            executor=executor, num_workers=2 if executor == "parallel" else 0, **exec_kw
+        ),
     )
-    base.update(kw)
-    return FLConfig(**base)
 
 
 def _history(dataset, cls, executor, **kw):
@@ -222,8 +222,8 @@ def test_null_fault_plan_changes_nothing(tiny_bow_dataset):
     plain = _history(tiny_bow_dataset, FedAvg, "parallel")
     nulled = _history(tiny_bow_dataset, FedAvg, "parallel", faults="crash:0")
     _assert_identical(plain, nulled)
+    assert plain.meta["faults"] == nulled.meta["faults"]
     assert all(v == 0 for v in nulled.meta["faults"].values())
-    assert "faults" not in plain.meta  # default runs don't grow new meta keys
 
 
 def test_degrade_finishes_cohort_in_process(tiny_bow_dataset):
@@ -276,13 +276,14 @@ def test_no_shm_leak_after_chaos_run_without_close():
         from repro.baselines.fedavg import FedAvg
         from repro.core.config import FLConfig
         from repro.data.datasets import make_dataset
+        from repro.exec import ExecConfig
         from repro.experiments.config import build_model_builder
 
         ds = make_dataset("sentiment140", np.random.default_rng(7),
                           num_clients=8, samples_per_client=16)
         cfg = FLConfig(clients_per_round=4, local_epochs=1, max_rounds=2,
-                       num_unstable=0, executor="parallel", num_workers=2,
-                       faults="crash:0.5")
+                       num_unstable=0, exec=ExecConfig(executor="parallel",
+                       num_workers=2, faults="crash:0.5"))
         system = FedAvg(ds, build_model_builder(ds, "tiny"), cfg)
         system._run()  # bypass run()'s finally: executor.close() never runs
         print("SEGMENT", system.executor._shm.name if system.executor._shm else "-")

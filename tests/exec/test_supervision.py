@@ -19,9 +19,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import CohortTask, OptimizerSpec, ParallelExecutor, SerialExecutor
+from repro.baselines.fedavg import FedAvg
+from repro.core.config import FLConfig
+from repro.exec import CohortTask, ExecConfig, OptimizerSpec, ParallelExecutor, SerialExecutor
 from repro.exec.faults import FaultPlan, chunk_checksum, parse_faults
 from repro.exec.supervision import Dispatch, WakeChannel, wait_budget
+from repro.experiments.config import build_model_builder
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
@@ -374,3 +377,39 @@ class TestPoolSupervisor:
         assert first["degraded_chunks"] == 0 and first["timeouts"] == 0
         assert first["retries"] == first["worker_deaths"] + first["corrupt_detected"] > 60
         assert first["respawns"] == first["worker_deaths"]
+
+
+def test_default_pool_run_records_its_recovery_counters(tiny_bow_dataset):
+    """A pool run with no fault plan and no chunk_timeout whose worker is
+    OOM-killed recovers, and ``history.meta["faults"]`` says so: the
+    counters are published because the executor keeps them, not because
+    the run asked for chaos."""
+    config = FLConfig(
+        clients_per_round=4,
+        local_epochs=1,
+        max_rounds=4,
+        num_unstable=0,
+        compression=None,
+        exec=ExecConfig(executor="parallel", num_workers=2),
+    )
+    system = FedAvg(tiny_bow_dataset, build_model_builder(tiny_bow_dataset, "tiny"), config)
+    pool = system.executor
+    run_cohort = pool.run_cohort
+    dispatches = []
+
+    def striking_run_cohort(start_weights, tasks):
+        if len(tasks) >= pool.min_dispatch:  # smaller cohorts never dispatch
+            dispatches.append(len(tasks))
+            if len(dispatches) == 2:  # the workers exist from the first dispatch on
+                victim = pool.worker_processes[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10.0)
+        return run_cohort(start_weights, tasks)
+
+    pool.run_cohort = striking_run_cohort
+    history = system.run()
+    assert len(dispatches) >= 2, "the strike never landed"
+    counters = history.meta["faults"]
+    assert counters["worker_deaths"] == 1
+    assert counters["respawns"] == 1
+    assert counters["degraded_chunks"] == 0

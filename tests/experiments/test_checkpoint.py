@@ -277,3 +277,55 @@ def test_run_experiment_checkpoints_and_cleans_up(tmp_path, monkeypatch):
         reference.to_dict()
     )
     assert not list(tmp_path.glob("run_*.ckpt")), "completed run clears its checkpoint"
+
+
+def test_serial_checkpoint_resumes_under_the_pool(tmp_path, monkeypatch):
+    """Execution settings are not part of the checkpoint key: a run killed
+    while serial resumes mid-run on the process pool and still matches the
+    uninterrupted serial history."""
+    from repro.core.base import FLSystem
+
+    kwargs = dict(
+        scale="tiny",
+        seed=1,
+        num_clients=8,
+        max_rounds=4,
+        dataset_overrides={"samples_per_client": 16},
+    )
+    reference = run_experiment("fedavg", "sentiment140", **kwargs)
+
+    orig_save = RunCheckpointer.maybe_save
+
+    def killing_save(self, system, queue=None):
+        out = orig_save(self, system, queue)
+        if self.saves >= 2:
+            raise KeyboardInterrupt("simulated kill")
+        return out
+
+    monkeypatch.setattr(RunCheckpointer, "maybe_save", killing_save)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment("fedavg", "sentiment140", checkpoint_dir=tmp_path, **kwargs)
+    monkeypatch.setattr(RunCheckpointer, "maybe_save", orig_save)
+
+    attached = []
+    orig_attach = FLSystem.attach_checkpointer
+
+    def spying_attach(self, checkpointer, *, resume=False):
+        resumed = orig_attach(self, checkpointer, resume=resume)
+        attached.append((self.executor.name, resumed, self.round))
+        return resumed
+
+    monkeypatch.setattr(FLSystem, "attach_checkpointer", spying_attach)
+    resumed = run_experiment(
+        "fedavg",
+        "sentiment140",
+        checkpoint_dir=tmp_path,
+        resume=True,
+        executor="parallel",
+        num_workers=2,
+        **kwargs,
+    )
+    [(executor, did_resume, start_round)] = attached
+    assert executor == "parallel" and did_resume and start_round > 0
+    assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
+    assert not list(tmp_path.glob("run_*.ckpt")), "completed run clears its checkpoint"

@@ -1,8 +1,12 @@
 """Experiment harness tests: presets, model wiring, runner, caching."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from repro.core.config import FLConfig
+from repro.exec import ExecConfig
 from repro.experiments.config import (
     SCALES,
     active_scale,
@@ -11,11 +15,13 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import (
     ALGORITHMS,
+    _cache_key,
     build_federation,
     clear_cache,
     run_cached,
     run_experiment,
 )
+from repro.metrics.history import RunHistory
 
 
 class TestScalePresets:
@@ -50,6 +56,12 @@ class TestScalePresets:
     def test_overrides_pass_through(self):
         cfg = make_fl_config("fedat", "tiny", lam=0.0, clients_per_round=3)
         assert cfg.lam == 0.0 and cfg.clients_per_round == 3
+
+    def test_flat_execution_keys_route_into_exec(self):
+        cfg = make_fl_config("fedat", "tiny", executor="dist", num_workers=2, lam=0.1)
+        assert cfg.exec == ExecConfig(executor="dist", num_workers=2)
+        assert cfg.lam == 0.1
+        assert make_fl_config("fedat", "tiny").exec == ExecConfig()
 
 
 class TestModelWiring:
@@ -170,3 +182,40 @@ class TestRunner:
                         max_rounds=2, eval_every=1)
         assert not np.array_equal(h1.accuracies(), h2.accuracies())
         clear_cache()
+
+
+#: One experiment's parameters and the key they had before execution
+#: settings became a type; a changed key would orphan every cached history
+#: and in-flight checkpoint written under the old one.
+_PINNED_RUN = {"method": "fedat", "dataset": "sentiment140", "scale": "tiny", "seed": 1,
+               "max_rounds": 8}
+_PINNED_KEY = "d627b7981b3024d28e6b"
+
+
+class TestCacheKey:
+    """Cache and checkpoint keys cover what shapes a run's history and
+    nothing that only says how it executes."""
+
+    @pytest.fixture
+    def cached(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(
+            runner_mod, "run_experiment", lambda method, dataset, **kw: RunHistory(method, dataset)
+        )
+        clear_cache()
+        yield lambda **kw: run_cached("fedat", "sentiment140", **{"scale": "tiny", "seed": 1, **kw})
+        clear_cache()
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExecConfig)] + ["exec"])
+    def test_execution_settings_leave_the_key_alone(self, cached, name):
+        assert cached(**{name: "changed"}) is cached()
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(FLConfig) if f.name != "exec"])
+    def test_every_other_config_field_keys_its_own_entry(self, cached, name):
+        assert cached(**{name: "changed"}) is not cached()
+
+    def test_key_is_pinned(self):
+        assert _cache_key(_PINNED_RUN) == _PINNED_KEY
+        assert _cache_key({**_PINNED_RUN, "executor": "dist", "num_workers": 2}) == _PINNED_KEY

@@ -3,10 +3,12 @@
 ``src/`` has one parameter layout (``Sequential`` always owns a
 ``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
 whose one-member case is every single client's round), one broadcast policy (shared memory, falling back on what the code observes),
-one staleness knob (``FLConfig.staleness``) and one run loop
-(``FLSystem._run``, with one cohort launch and one rejoin scheduler). The
-names below selected or served the other side of each pair before they
-were deleted; a later change must not quietly bring one back.
+one staleness knob (``FLConfig.staleness``), one run loop
+(``FLSystem._run``, with one cohort launch and one rejoin scheduler) and
+one home for execution settings (``ExecConfig``, read only by
+``make_executor``). The names below selected or served the other side of
+each pair before they were deleted; a later change must not quietly bring
+one back.
 """
 
 import re
@@ -26,6 +28,10 @@ REMOVED = re.compile(
     # runs on FLSystem's queue, launch and schedule_join now.
     r"|train_departing_cohort|_start_tier_round|_wait_for_rejoin|schedule_relaunches"
     r"|schedule_arrival_launches|send_up_cohort|def send_up\b"
+    # Execution settings are a type: no key blacklist, no backend registry,
+    # no knob funnel; and two config fields nothing read.
+    r"|EXECUTION_ONLY_KEYS|register_executor|_EXECUTOR_REGISTRY|_ensure_builtins|\*\*_ignored"
+    r"|profiler_probe_rounds|extra: dict|config\.extra\b"
 )
 
 
@@ -46,6 +52,9 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("    def _chunk(tasks, n):")
     assert REMOVED.search("    def send_up(self, flat):")
     assert not REMOVED.search("    def send_down(self, flat, n_receivers=1):")
+    assert REMOVED.search("    extra: dict = field(default_factory=dict)")
+    assert not REMOVED.search("        extra = 0")
+    assert REMOVED.search("    def _serial(*, model, clients, loss, optimizer, **_ignored):")
 
 
 def test_one_lease_state_machine():
@@ -65,6 +74,20 @@ def test_one_lease_state_machine():
     assert homes(r"min_dispatch = ") == ["supervision.py"]
     assert homes(r"= 1 \+ \w*retr\w+") == ["supervision.py"]  # the attempt budget
     assert homes(r"chunk_checksum\(results\) !=") == ["supervision.py"]
+
+
+def test_one_reader_of_execution_settings():
+    """``FLSystem`` hands ``config.exec`` whole to ``make_executor``; nothing
+    outside ``exec/`` reads an execution field or builds an executor."""
+    outside = {
+        str(path.relative_to(SRC / "repro")): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC / "repro").parts[0] != "exec"
+    }
+    assert [p for p, text in outside.items() for _ in re.finditer(r"make_executor\(", text)] == [
+        "core/base.py"
+    ]
+    assert not [p for p, text in outside.items() if re.search(r"(?<!repro)\.exec\.\w", text)]
 
 
 def test_one_sigmoid():

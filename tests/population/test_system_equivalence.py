@@ -5,6 +5,8 @@ import numpy as np
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.data.datasets import make_sample_bank
+from repro.exec import ExecConfig
+from repro.experiments.checkpoint import strip_volatile_meta
 from repro.experiments.config import build_model_builder
 from repro.population.base import MaterializedPopulation
 from repro.population.virtual import VirtualPopulation
@@ -41,9 +43,7 @@ def _config(**overrides):
 
 
 def _clean(history):
-    d = history.to_dict()
-    d["meta"].pop("phase_seconds", None)  # volatile wall-clock diagnostics
-    return d
+    return strip_volatile_meta(history.to_dict())  # timings, recovery counters
 
 
 def test_fedat_history_identical_to_materialized_run():
@@ -61,9 +61,9 @@ def test_fedat_history_identical_to_materialized_run():
 def test_fedat_parallel_executor_matches_serial_on_virtual():
     vp = _virtual()
     builder = build_model_builder(vp, "tiny")
-    serial = FedAT(vp, builder, _config(executor="serial")).run()
+    serial = FedAT(vp, builder, _config()).run()
     parallel = FedAT(
-        _virtual(), builder, _config(executor="parallel", num_workers=2)
+        _virtual(), builder, _config(exec=ExecConfig(executor="parallel", num_workers=2))
     ).run()
     assert _clean(serial) == _clean(parallel)
 
