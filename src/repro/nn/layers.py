@@ -53,14 +53,30 @@ class Layer:
     with parameters takes a ``stack`` of per-client ``(data, grad)``
     views, each ``(G, *shape)``, in :attr:`params` order (or its own
     parameters as they are, for one client).
+
+    :attr:`plan_cohort` layers carry state from one member of a cohort to
+    the next (a mask stream, running statistics). Trained one member at a
+    time, in cohort order, each batch reads or writes it in turn; stacked,
+    the plan calls :meth:`begin_cohort`, hands every training forward a
+    ``cohort`` — for each client in the batch, the sample rows the cohort
+    trains before that client's rows in that order — and calls
+    :meth:`end_cohort`, which leaves the state as that order would.
     """
 
     #: True when forward/backward accept ``out``/``scratch`` kwargs.
     plan_aware = False
     #: True when G clients' stacked batches train as if one at a time:
-    #: row-wise or elementwise work, no hidden state, and any parameters
-    #: taken from a ``stack`` (see :func:`client_major`).
+    #: row-wise or elementwise work, any parameters taken from a ``stack``
+    #: (see :func:`client_major`), and state that crosses batches kept in
+    #: cohort order through ``cohort`` (see :attr:`plan_cohort`).
     plan_stackable = False
+    #: True when a stacked cohort must bracket this layer with
+    #: :meth:`begin_cohort` / :meth:`end_cohort` and pass ``cohort``.
+    plan_cohort = False
+    #: The generator a training forward draws from, if any. Each layer
+    #: positions its own draws in cohort order, so a cohort stacks only
+    #: when no two layers share one.
+    plan_stream = None
     #: True when backward reads the layer's own *output* values (e.g.
     #: Tanh/Sigmoid cache their output for the derivative), or the output
     #: can be the layer's input handed through (Dropout at inference). The
@@ -90,6 +106,13 @@ class Layer:
         """This layer's own parameters in ``stack`` form: one client's,
         without the client axis (kernels tell a cohort's by its extra axis)."""
         return [(p.data, p.grad) for p in self.params]
+
+    def begin_cohort(self) -> None:
+        """A stacked cohort starts (see :attr:`plan_cohort`)."""
+
+    def end_cohort(self) -> None:
+        """A stacked cohort ended: bring the state to where training its
+        members one at a time, in cohort order, would have left it."""
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -210,14 +233,27 @@ class Flatten(Layer):
         return grad.reshape(self._shape)
 
 
+#: Bit generators whose ``advance(k)`` skips exactly k float64 draws (one
+#: 64-bit step each), so ``advance(k)`` then ``random(m)`` is the tail of
+#: ``random(k + m)``. Philox also has ``advance`` but counts in blocks.
+_ONE_STEP_PER_DRAW = (np.random.PCG64, np.random.PCG64DXSM)
+
+
 class Dropout(Layer):
     """Inverted dropout; identity at inference time.
 
     A dedicated RNG stream keeps the dropout mask sequence reproducible and
     independent of other stochastic components.
+
+    In a stacked cohort every client reads exactly the segment of the
+    stream it would read trained alone in cohort order: its offset is the
+    draws of the rows trained before it, reached with
+    ``bit_generator.advance``. A generator that cannot jump that way keeps
+    the model training one member at a time.
     """
 
     plan_aware = True
+    plan_cohort = True
     #: At inference (and at rate 0) the output *is* the input buffer —
     #: caller data, or a buffer the previous layer's backward reads — so
     #: the next layer must not overwrite it in place.
@@ -236,8 +272,46 @@ class Dropout(Layer):
         # copies draw different masks than one shared instance would.
         return self.rate == 0.0
 
+    @property
+    def plan_stackable(self) -> bool:
+        return self.rate == 0.0 or isinstance(self._rng.bit_generator, _ONE_STEP_PER_DRAW)
+
+    @property
+    def plan_stream(self):
+        return self._rng if self.rate else None
+
+    def begin_cohort(self) -> None:
+        # The stream's state at the cohort's start, the draw the generator
+        # stands at, and the furthest draw any client reached.
+        self._start = self._rng.bit_generator.state
+        self._at = self._end = 0
+
+    def end_cohort(self) -> None:
+        bits = self._rng.bit_generator
+        if self._end != self._at:
+            bits.advance(self._end - self._at)
+        # advance() clears the buffered half of a 32-bit draw, which
+        # float64 draws never touch.
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = self._start["has_uint32"], self._start["uinteger"]
+        bits.state = state
+        del self._start
+
+    def _draw(self, u: np.ndarray, cohort) -> None:
+        """Fill ``u`` client by client from the stream, each client's rows
+        from where the rows trained before it in cohort order end."""
+        bits, random = self._rng.bit_generator, self._rng.random
+        per_row = u[0].size
+        for rows, start in zip(client_major(u, len(cohort)), cohort):
+            at = start * per_row
+            if at != self._at:
+                bits.advance(at - self._at)  # wraps modulo the period: may step back
+            random(out=rows)
+            self._at = at + rows.size
+            self._end = max(self._end, self._at)
+
     def forward(
-        self, x: np.ndarray, training: bool = False, *, scratch=None
+        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None, cohort=None
     ) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._mask = None
@@ -255,7 +329,10 @@ class Dropout(Layer):
         # draws become the 0/1 keep flags and then, divided in float64 and
         # cast on the way out like the reference's astype, the mask.
         u = scratch("u", x.shape, np.float64)
-        self._rng.random(out=u)
+        if cohort is None:
+            self._rng.random(out=u)
+        else:
+            self._draw(u, cohort)
         np.less(u, keep, out=u)
         self._mask = u if x.dtype == u.dtype else scratch("mask", x.shape, x.dtype)
         np.divide(u, keep, out=self._mask)
@@ -264,7 +341,7 @@ class Dropout(Layer):
         return out
 
     def backward(
-        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True, stack=None
     ) -> np.ndarray | None:
         if not input_grad:
             return None
@@ -283,6 +360,11 @@ class BatchNorm(Layer):
     momentum formulation; they are *not* trainable parameters and therefore
     do not appear in the flat weight vector (matching how FL systems treat
     BN statistics as local state unless explicitly aggregated).
+
+    Stacked, each client normalizes by the statistics of its own rows.
+    Training never reads the running statistics, so a stacked cohort only
+    records each client's per-step ``(mean, var)`` and folds them in, in
+    cohort order, when it ends.
     """
 
     def __init__(
@@ -299,13 +381,15 @@ class BatchNorm(Layer):
     #: diverge from a shared instance (classic FL BN-state caveat).
     replica_safe = False
     plan_aware = True
+    plan_stackable = True
+    plan_cohort = True
     _cache_attrs = ("_std", "_xhat")
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, scratch=None
+        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None, cohort=None
     ) -> np.ndarray:
         if scratch is not None:
-            return self._forward_planned(x, training, scratch)
+            return self._forward_planned(x, training, scratch, stack, cohort)
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
@@ -318,10 +402,10 @@ class BatchNorm(Layer):
         return self.gamma.data * self._xhat + self.beta.data
 
     def backward(
-        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True, stack=None
     ) -> np.ndarray | None:
         if scratch is not None:
-            return self._backward_planned(grad, scratch, input_grad)
+            return self._backward_planned(grad, scratch, input_grad, stack)
         xhat = self._xhat
         self.gamma.grad += np.sum(grad * xhat, axis=0)
         self.beta.grad += grad.sum(axis=0)
@@ -333,67 +417,103 @@ class BatchNorm(Layer):
             dxhat - dxhat.mean(axis=0) - xhat * np.mean(dxhat * xhat, axis=0)
         ) / self._std
 
+    def begin_cohort(self) -> None:
+        # (cohort, means, variances) of every stacked training step.
+        self._pending = []
+
+    def end_cohort(self) -> None:
+        steps = sorted(
+            (
+                (start, mean, var)
+                for cohort, means, variances in self._pending
+                for start, mean, var in zip(cohort, means, variances)
+            ),
+            key=lambda step: step[0],
+        )
+        self._pending = []
+        self._update_running((mean, var) for _, mean, var in steps)
+
+    def _update_running(self, stats) -> None:
+        """Fold ``(mean, var)`` pairs into the running statistics, in
+        order. Each ``mean`` is dead afterwards: it is the step's scratch."""
+        m, running_mean, running_var = self.momentum, self.running_mean, self.running_var
+        for mean, var in stats:
+            np.multiply(running_mean, m, out=running_mean)
+            np.multiply(mean, 1 - m, out=mean)
+            np.add(running_mean, mean, out=running_mean)
+            np.multiply(running_var, m, out=running_var)
+            np.multiply(var, 1 - m, out=mean)
+            np.add(running_var, mean, out=running_var)
+
     # ------------------------------------------------------------------ #
-    # Planned kernels. ``mean``/``var`` below are the ufunc calls
-    # ``ndarray.mean``/``var`` make (``numpy/_core/_methods.py``): add.reduce,
-    # then true_divide by the row count as an ``intp``; ``var`` squares
+    # Planned kernels: G > 1 clients' rows as ``(G, rows, F)`` with
+    # statistics ``(G, 1, F)``, one client's as they are with ``(1, F)``.
+    # ``mean``/``var`` below are the ufunc calls ``ndarray.mean``/``var``
+    # make (``numpy/_core/_methods.py``): add.reduce over the rows, then
+    # true_divide by the row count as an ``intp``; ``var`` squares
     # ``x - mean`` — which normalization needs anyway — and repeats that.
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _mean0(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.add.reduce(a, axis=0, out=out)
-        return np.true_divide(out, np.intp(a.shape[0]), out=out, casting="unsafe")
+    def _mean_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.add.reduce(a, axis=-2, keepdims=True, out=out)
+        return np.true_divide(out, np.intp(a.shape[-2]), out=out, casting="unsafe")
 
-    def _forward_planned(self, x: np.ndarray, training: bool, scratch) -> np.ndarray:
-        stat_shape, dt = x.shape[1:], x.dtype
-        xhat = scratch("xhat", x.shape, dt)
-        std = scratch("std", stat_shape, dt)
+    def _forward_planned(self, x: np.ndarray, training: bool, scratch, stack, cohort):
+        (gamma, _), (beta, _) = stack or self.own_stack()
+        clients, features, dt = len(gamma) if gamma.ndim > 1 else 1, x.shape[-1], x.dtype
+        rows, stat_shape = x.shape, (1, features)
+        if clients > 1:
+            rows, stat_shape = (clients, -1, features), (clients, 1, features)
+        xs = x.reshape(rows)
+        xhat = scratch("xhat", x.shape, dt).reshape(rows)
+        std = scratch("std", (clients, features), dt).reshape(stat_shape)
         if training:
-            mean = self._mean0(x, scratch("mean", stat_shape, dt))
-            np.subtract(x, mean, out=xhat)
-            sq = scratch("~sq", x.shape, dt)
+            mean = self._mean_rows(xs, scratch("mean", (clients, features), dt).reshape(stat_shape))
+            np.subtract(xs, mean, out=xhat)
+            sq = scratch("~sq", x.shape, dt).reshape(rows)
             np.square(xhat, out=sq)
-            var = self._mean0(sq, std)
-            # Running statistics move in place; (1 - momentum) * stat may
-            # clobber the batch mean, which is dead, but not var (= std).
-            np.multiply(self.running_mean, self.momentum, out=self.running_mean)
-            np.multiply(mean, 1 - self.momentum, out=mean)
-            np.add(self.running_mean, mean, out=self.running_mean)
-            np.multiply(self.running_var, self.momentum, out=self.running_var)
-            np.multiply(var, 1 - self.momentum, out=mean)
-            np.add(self.running_var, mean, out=self.running_var)
+            var = self._mean_rows(sq, std)
+            means, variances = mean.reshape(clients, features), var.reshape(clients, features)
+            if cohort is None:
+                self._update_running(zip(means, variances))
+            else:
+                self._pending.append((cohort, means.copy(), variances.copy()))
         else:
-            np.subtract(x, self.running_mean, out=xhat)
+            np.subtract(xs, self.running_mean, out=xhat)
             var = self.running_var
         np.add(var, self.eps, out=std)
         np.sqrt(std, out=std)
         np.divide(xhat, std, out=xhat)
         self._std, self._xhat = std, xhat
         out = scratch("y", x.shape, dt)
-        np.multiply(self.gamma.data, xhat, out=out)
-        np.add(out, self.beta.data, out=out)
+        ys = out.reshape(rows)
+        np.multiply(gamma.reshape(stat_shape), xhat, out=ys)
+        np.add(ys, beta.reshape(stat_shape), out=ys)
         return out
 
-    def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool):
-        xhat = self._xhat
-        prod = scratch("~sq", grad.shape, grad.dtype)
-        stat = scratch("~gb", self.gamma.data.shape, self.gamma.grad.dtype)
-        np.multiply(grad, xhat, out=prod)
-        np.add.reduce(prod, axis=0, out=stat)
-        self.gamma.grad += stat
-        np.add.reduce(grad, axis=0, out=stat)
-        self.beta.grad += stat
+    def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool, stack):
+        (gamma, gamma_grad), (_, beta_grad) = stack or self.own_stack()
+        xhat, stat_shape = self._xhat, self._std.shape
+        gs = grad.reshape(xhat.shape)
+        prod = scratch("~sq", grad.shape, grad.dtype).reshape(xhat.shape)
+        stat = scratch("~gb", gamma_grad.shape, gamma_grad.dtype)
+        np.multiply(gs, xhat, out=prod)
+        np.add.reduce(prod, axis=-2, out=stat)
+        gamma_grad += stat
+        np.add.reduce(gs, axis=-2, out=stat)
+        beta_grad += stat
         if not input_grad:
             return None
-        dxhat = scratch("gx", grad.shape, grad.dtype)
-        np.multiply(grad, self.gamma.data, out=dxhat)
+        out = scratch("gx", grad.shape, grad.dtype)
+        dxhat, stat = out.reshape(xhat.shape), stat.reshape(stat_shape)
+        np.multiply(gs, gamma.reshape(stat_shape), out=dxhat)
         np.multiply(dxhat, xhat, out=prod)
         # dxhat - mean(dxhat) - xhat * mean(dxhat * xhat), left to right.
-        np.subtract(dxhat, self._mean0(dxhat, stat), out=dxhat)
-        np.multiply(xhat, self._mean0(prod, stat), out=prod)
+        np.subtract(dxhat, self._mean_rows(dxhat, stat), out=dxhat)
+        np.multiply(xhat, self._mean_rows(prod, stat), out=prod)
         np.subtract(dxhat, prod, out=dxhat)
         np.divide(dxhat, self._std, out=dxhat)
-        return dxhat
+        return out
 
     @property
     def params(self) -> list[Parameter]:

@@ -32,22 +32,34 @@ clients (as even as B allows), and walks each wave's step index k: the
 members active at step k are grouped by batch rows, and each group runs
 **one** chain of kernel calls over its client-major ``(G·rows, ...)``
 batch. Per-client weights, gradients and optimizer state are rows of
-``[B, P]`` slabs, handed to the layers as ``(G, *shape)`` views; a group
-that is not a contiguous range of rows is made one by swapping rows.
-Only the kernels where weights enter change: GEMMs become stacked
-``(G, M, K) @ (G, K, N)`` calls, bias sums reduce over the row axis, and
-the loss returns per-client means — each bit-identical to the per-client
-call (pinned in ``tests/nn/test_cohort.py``). Everything else (im2col,
-ReLU, max-pooling, the proximal pull, Adam/SGD with t = k + 1) is row-wise
-or elementwise and runs unchanged over the stacked batch.
+``[B, P]`` slabs, handed to the layers as ``(G, *shape)`` views (a group
+of one gets its parameters in their own shape); a group that is not a
+contiguous range of rows is made one by swapping rows. Only the kernels
+where weights enter change: GEMMs become stacked ``(G, M, K) @ (G, K, N)``
+calls, bias sums reduce over the row axis, the embedding gathers from and
+scatters into per-client tables, batch-norm takes per-client statistics,
+and the loss returns per-client means — each bit-identical to the
+per-client call (pinned in ``tests/nn/test_cohort.py``). Everything else
+(im2col, the LSTM's gates, ReLU, max-pooling, the proximal pull, Adam/SGD
+with t = k + 1) is row-wise or elementwise and runs unchanged over the
+stacked batch.
+
+State that crosses members stays in cohort order (``Layer.plan_cohort``):
+each batch's clients come with their positions in the cohort trained one
+member at a time, batch-norm records every step's statistics and folds
+them into its running statistics in that order when the cohort ends, and
+dropout reads each client's own segment of its mask stream by jumping a
+PCG64 generator there (``bit_generator.advance``), leaving it where the
+one-at-a-time loop would.
 
 B is how many one-client arenas fit :data:`WAVE_BYTES`, measured on the
 plan's first cohort; it is 1 where one client's arena already exceeds the
-budget. A model with a layer that cannot stack (dropout's mask stream and
-batch-norm's statistics are consumed in call order; the recurrent layers
-have no stacked kernels) trains its members one at a time, in cohort
-order, through the same loop — with the model's own store as the one-row
-slab, so every layer reads its weights where it always did.
+budget. The arena keeps what waves grew only while cohorts keep stacking.
+A model with a layer that cannot stack (the GRU has no stacked kernels; a
+dropout stream that cannot ``advance`` one draw at a time, or one shared
+by two layers, must be drawn in call order) trains its members one at a
+time, in cohort order, through the same loop — with the model's own store
+as the one-row slab, so every layer reads its weights where it always did.
 
 Every planned operation is the ``out=`` form of exactly the operation the
 allocating per-layer reference (``Sequential.train_on_batch``) runs — same
@@ -55,7 +67,7 @@ ufuncs, same BLAS calls, same order — so the plan is **bit-identical at
 float64** to it, checked kernel by kernel and loop by loop in
 ``tests/nn/test_plan.py`` / ``tests/nn/test_cohort.py`` and end to end by
 the golden-history fixtures. Every layer a :mod:`repro.nn.zoo` builder
-instantiates has planned kernels — the recurrent model too: the LSTM runs
+instantiates has planned kernels that stack — the recurrent model too: the LSTM runs
 BPTT over time-major slabs whose per-timestep views are bound once per
 input shape (:meth:`ScratchArena.take_bound`). Layers without them (GRU,
 Flatten, Softmax, ...) run their normal forward/backward inside the
@@ -65,6 +77,7 @@ keep allocating.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -234,15 +247,17 @@ class ScratchArena:
 def _compile_layer(
     layer, scratch, *, input_grad: bool = True, inplace: bool = False
 ) -> tuple[Callable, Callable]:
-    """Pre-bound ``fwd(x, training, stack)`` / ``bwd(grad, stack)`` closures
-    for one layer.
+    """Pre-bound ``fwd(x, training, stack, cohort)`` / ``bwd(grad, stack)``
+    closures for one layer.
 
     Plan-aware layers receive the arena-backed ``scratch`` provider and run
     their ``out=``-form kernels; everything else is wrapped as-is, so its
     allocation behavior is exactly the per-layer reference's. ``stack`` —
     the ``(G, *shape)`` weight and gradient views of the clients in the
     batch (:meth:`TrainingPlan._stacks`), or for one client the layer's
-    own parameters — reaches only stackable layers with parameters.
+    own parameters — reaches only stackable layers with parameters or
+    cohort state; ``cohort`` (each client's position in the cohort, see
+    :attr:`~repro.nn.layers.Layer.plan_cohort`) only the latter.
 
     ``input_grad=False`` (the model's first layer) skips computing
     ``dL/d(input)`` entirely — nothing consumes it, and for a convolution
@@ -257,11 +272,21 @@ def _compile_layer(
     """
     fwd_m, bwd_m = layer.forward, layer.backward
     if not getattr(layer, "plan_aware", False):
-        return (lambda x, training, stack: fwd_m(x, training)), (lambda grad, stack: bwd_m(grad))
-    if getattr(layer, "plan_stackable", False) and layer.params:
+        return (
+            (lambda x, training, stack, cohort: fwd_m(x, training)),
+            (lambda grad, stack: bwd_m(grad)),
+        )
+    stateful = getattr(layer, "plan_cohort", False)
+    if stateful or (getattr(layer, "plan_stackable", False) and layer.params):
+        if stateful:
 
-        def fwd(x, training, stack):
-            return fwd_m(x, training, scratch=scratch, stack=stack)
+            def fwd(x, training, stack, cohort):
+                return fwd_m(x, training, scratch=scratch, stack=stack, cohort=cohort)
+
+        else:
+
+            def fwd(x, training, stack, cohort):
+                return fwd_m(x, training, scratch=scratch, stack=stack)
 
         def bwd(grad, stack):
             return bwd_m(grad, scratch=scratch, input_grad=input_grad, stack=stack)
@@ -269,12 +294,12 @@ def _compile_layer(
         return fwd, bwd
     if inplace and getattr(layer, "plan_inplace", False):
 
-        def fwd(x, training, stack):
+        def fwd(x, training, stack, cohort):
             return fwd_m(x, training, scratch=scratch, out=x)
 
     else:
 
-        def fwd(x, training, stack):
+        def fwd(x, training, stack, cohort):
             return fwd_m(x, training, scratch=scratch)
 
     def bwd(grad, stack):
@@ -367,9 +392,21 @@ class TrainingPlan:
         else:
             self._loss_fwd = self._loss_bwd = None
         #: Whether G clients can share one kernel chain: every layer
-        #: stackable and a loss that reports per-client means.
-        self.stackable = getattr(loss, "plan_aware", False) and all(
-            getattr(layer, "plan_stackable", False) for layer in model.layers
+        #: stackable, no generator drawn by two layers, and a loss that
+        #: reports per-client means.
+        streams = [getattr(layer, "plan_stream", None) for layer in model.layers]
+        streams = [id(s) for s in streams if s is not None]
+        self.stackable = (
+            getattr(loss, "plan_aware", False)
+            and all(getattr(layer, "plan_stackable", False) for layer in model.layers)
+            and len(set(streams)) == len(streams)
+        )
+        #: Layers whose cross-batch state a stacked cohort keeps in cohort
+        #: order; trained one member at a time, they need nothing.
+        self._stateful = (
+            [layer for layer in model.layers if getattr(layer, "plan_cohort", False)]
+            if self.stackable
+            else []
         )
         #: (start, end, shape) of each layer's parameters in the flat vector.
         offsets = iter(self._store.offsets)
@@ -383,6 +420,9 @@ class TrainingPlan:
         #: both fixed by the plan's first cohort.
         self.wave_size: int | None = None
         self.client_bytes: int | None = None
+        #: Whether the current and the previous cohort trained clients
+        #: stacked (see :meth:`run_cohort`).
+        self._stacked = self._stacked_before = False
 
     # ------------------------------------------------------------------ #
     def _cast_input(self, x: np.ndarray, key) -> np.ndarray:
@@ -406,7 +446,7 @@ class TrainingPlan:
         """
         x = self._cast_input(np.asarray(x), ("in", "cast_fwd"))
         for fwd, stack in zip(self._fwds, self._own):
-            x = fwd(x, training, stack)
+            x = fwd(x, training, stack, None)
         return x
 
     def run_epochs(
@@ -445,6 +485,10 @@ class TrainingPlan:
         (batches are copied into arena buffers); returned weights are owned
         copies; layer forward caches are released before returning so
         worker replicas stop pinning last-batch activations between rounds.
+        The arena keeps what stacked waves grew only while cohorts keep
+        stacking: a stacked cohort after one that was not gives it back
+        when it ends (FedAsync stacks its first cohort, then trains clients
+        one by one; tier rounds stack every time).
         """
         if self._loss_fwd is None:
             raise ValueError("plan was compiled without a loss; cannot train")
@@ -464,13 +508,32 @@ class TrainingPlan:
             reference = self.arena.take(("cohort", "reference"), start.shape, store.dtype)
             np.copyto(reference, start, casting="same_kind")
         results = [None] * len(members)
+        # Where each member's rows start in the cohort trained one member
+        # at a time, in cohort order: what stateful layers position by. A
+        # lone member is that order already.
+        stateful, starts = self._stateful if len(members) > 1 else [], None
+        if stateful:
+            starts = list(accumulate((m.epochs * m.schedule.n for m in members[:-1]), initial=0))
+        self._stacked = False
         try:
+            for layer in stateful:
+                layer.begin_cohort()
             for wave in self._waves(members, optimizer):
-                trained = self._run_wave([members[i] for i in wave], reference, optimizer)
+                trained = self._run_wave(
+                    [members[i] for i in wave],
+                    None if starts is None else [starts[i] for i in wave],
+                    reference,
+                    optimizer,
+                )
                 for i, result in zip(wave, trained):
                     results[i] = result
+            for layer in stateful:
+                layer.end_cohort()
         finally:
             self.release_caches()
+        if self._stacked and not self._stacked_before:
+            self.arena.release()
+        self._stacked_before = self._stacked
         return results
 
     def _waves(self, members: Sequence[CohortMember], optimizer: "Optimizer"):
@@ -500,8 +563,10 @@ class TrainingPlan:
             cut = [len(order) * w // count for w in range(count + 1)]
             yield from (order[a:b] for a, b in zip(cut, cut[1:]))
 
-    def _run_wave(self, wave, reference, optimizer) -> list[tuple[np.ndarray, float]]:
-        """Train ``wave``'s members in lockstep from ``reference``."""
+    def _run_wave(self, wave, starts, reference, optimizer) -> list[tuple[np.ndarray, float]]:
+        """Train ``wave``'s members in lockstep from ``reference``; with
+        ``starts``, the members' cohort starts, hand each batch's positions
+        in the cohort to the stateful layers."""
         arena, store = self.arena, self._store
         # Alone, a member trains in the model's own store: every layer
         # reads its weights where it always does.
@@ -509,6 +574,7 @@ class TrainingPlan:
         if alone:
             weights = store.data[None]
         else:
+            self._stacked = True
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
         np.copyto(weights, reference, casting="same_kind")
         state = [
@@ -522,6 +588,9 @@ class TrainingPlan:
         steps = [m.epochs * b for m, b in zip(wave, per_epoch)]
         losses = np.zeros((len(wave), max(steps)))
         orders = [None] * len(wave)
+        # Member j's next batch's position: its start plus the rows it has
+        # trained.
+        at = None if starts is None else list(starts)
         for k in range(max(steps)):
             # Members at step k, grouped by batch rows (and whether they
             # have a proximal term): each group is one kernel chain.
@@ -541,12 +610,16 @@ class TrainingPlan:
                     slabs = self._group_rows(group, row, weights, state)
                     stacks = self._stacks(*slabs[:2])
                 pos = [j for j, _ in group]
-                lam = None
+                lam = cohort = None
                 if pulled:
                     lam = np.array([[wave[j].lam] for j in pos], dtype=store.dtype)
+                if at is not None:
+                    cohort = [at[j] for j in pos]
+                    for j in pos:
+                        at[j] += rows
                 xb, yb = self._gather_batch(wave, group, rows)
                 losses[pos, k] = self._train_batch(
-                    xb, yb, stacks, slabs, lam, reference, optimizer, k + 1
+                    xb, yb, stacks, slabs, lam, reference, optimizer, k + 1, cohort
                 )
         return [
             (weights[row[j]].copy(), float(losses[j, : steps[j]].mean()))
@@ -592,26 +665,29 @@ class TrainingPlan:
 
     def _stacks(self, weights: np.ndarray, grads: np.ndarray) -> list:
         """Each layer's ``stack``: its parameters as ``(G, *shape)`` views
-        of the G clients' weight and gradient rows."""
-        g = len(weights)
+        of the G clients' weight and gradient rows — for a group of one,
+        that client's parameters in their own shape, so every layer runs
+        its one-client kernels."""
+        lead = (len(weights),) if len(weights) > 1 else ()
         return [
             [
-                (weights[:, a:b].reshape((g,) + shape), grads[:, a:b].reshape((g,) + shape))
+                (weights[:, a:b].reshape(lead + shape), grads[:, a:b].reshape(lead + shape))
                 for a, b, shape in spans
             ]
             for spans in self._spans
         ]
 
-    def _train_batch(self, xb, yb, stacks, slabs, lam, reference, optimizer, t):
+    def _train_batch(self, xb, yb, stacks, slabs, lam, reference, optimizer, t, cohort):
         """One batch step of the G clients stacked in ``xb``: forward, loss,
         backward, proximal pull, optimizer step ``t``, and the gradient rows
         zeroed again. ``slabs`` holds their ``(G, P)`` weight, gradient and
-        optimizer-state rows, ``stacks`` the layers' views of the first two.
-        Returns the clients' batch losses."""
+        optimizer-state rows, ``stacks`` the layers' views of the first two,
+        ``cohort`` their positions in the cohort (or None). Returns the
+        clients' batch losses."""
         weights, grads, state = slabs
         x = xb
         for fwd, stack in zip(self._fwds, stacks):
-            x = fwd(x, True, stack)
+            x = fwd(x, True, stack, cohort)
         values = self._loss_fwd(x, yb, len(weights))
         g = self._loss_bwd()
         for bwd, stack in zip(self._bwds, reversed(stacks)):

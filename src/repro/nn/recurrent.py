@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn import initializers
 from repro.nn.activations import sigmoid
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, client_major
 from repro.nn.model import WeightSpec
 from repro.nn.tensor import Parameter
 
@@ -21,9 +21,16 @@ __all__ = ["Embedding", "LSTM"]
 
 
 class Embedding(Layer):
-    """Token-id lookup table: (N, T) int -> (N, T, D) float."""
+    """Token-id lookup table: (N, T) int -> (N, T, D) float.
+
+    Stacked, G clients' tables are a ``(G, vocab, D)`` view: each client's
+    rows gather from its own table, and the gradient scatter is one
+    ``np.add.at`` indexed by ``(client, id)``, which adds each client's
+    rows in the order its own scatter would.
+    """
 
     plan_aware = True
+    plan_stackable = True
     _cache_attrs = ("_ids",)
 
     def __init__(
@@ -40,24 +47,43 @@ class Embedding(Layer):
         self.w = Parameter(initializers.normal(rng, (vocab_size, embed_dim)), f"{name}.w")
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, scratch=None
+        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None
     ) -> np.ndarray:
         ids = np.asarray(x)
-        if ids.min() < 0 or ids.max() >= self.vocab_size:
-            raise ValueError("token id out of range for embedding table")
+        low, high = ids.min(), ids.max()
+        if low < 0 or high >= self.vocab_size:
+            raise ValueError(
+                f"token id {low if low < 0 else high} out of range for an embedding "
+                f"table of vocab_size {self.vocab_size}"
+            )
         self._ids = ids
         if scratch is None:
             return self.w.data[ids]
-        out = scratch("y", ids.shape + self.w.data.shape[1:], self.w.data.dtype)
+        ((w, _),) = stack or self.own_stack()
+        tables = w if w.ndim == 3 else w[None]  # one client is G = 1
+        out = scratch("y", ids.shape + w.shape[-1:], w.dtype)
         # Ids are in range (checked above), so "clip" never clips; the
         # default mode would gather into a temporary and copy it to ``out``.
-        return np.take(self.w.data, ids, axis=0, out=out, mode="clip")
+        g = len(tables)
+        for table, rows, dest in zip(tables, client_major(ids, g), client_major(out, g)):
+            np.take(table, rows, axis=0, out=dest, mode="clip")
+        return out
 
     def backward(
-        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True, stack=None
     ) -> np.ndarray | None:
         # Scatter-add gradients for repeated token ids.
-        np.add.at(self.w.grad, self._ids.reshape(-1), grad.reshape(-1, grad.shape[-1]))
+        if scratch is None:
+            np.add.at(self.w.grad, self._ids.reshape(-1), grad.reshape(-1, grad.shape[-1]))
+        else:
+            ((_, w_grad),) = stack or self.own_stack()
+            tables = w_grad if w_grad.ndim == 3 else w_grad[None]  # one client is G = 1
+            g = len(tables)
+            np.add.at(
+                tables,
+                (np.arange(g)[:, None], self._ids.reshape(g, -1)),
+                grad.reshape(g, -1, grad.shape[-1]),
+            )
         if not input_grad:
             return None
         return np.zeros(self._ids.shape)  # no gradient w.r.t. integer ids
@@ -129,9 +155,16 @@ class LSTM(Layer):
     bound once per input shape: the same ufuncs and BLAS calls on the same
     operands in the same order as the allocating bodies below, which stay
     as the reference the planned kernels are tested against.
+
+    The planned kernels take G clients' batches client-major (one client
+    is G = 1): the slab's rows are theirs, the GEMMs against ``Wx`` and
+    ``Wh`` are stacked ``(G, ·, ·)`` matmuls, the parameter GEMMs and the
+    bias sum run per client over ``(G, rows·T, ·)``, and every other step
+    is elementwise over all G·rows rows.
     """
 
     plan_aware = True
+    plan_stackable = True
     #: The output is a view of the slab backward reads its hidden states
     #: from, so the next layer must not overwrite it in place.
     plan_backward_needs_output = True
@@ -164,12 +197,12 @@ class LSTM(Layer):
         self.b = Parameter(b, f"{name}.b")
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, scratch=None
+        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None
     ) -> np.ndarray:
         # The slab has one dtype; mixed dtypes promote mid-sequence, which
         # only the allocating body reproduces.
         if scratch is not None and x.dtype == self.wx.data.dtype:
-            return self._forward_planned(x, training, scratch)
+            return self._forward_planned(x, training, scratch, stack)
         n, t, d = x.shape
         h = self.hidden_dim
         self._x = x
@@ -197,10 +230,10 @@ class LSTM(Layer):
         return hs[-1]
 
     def backward(
-        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True, stack=None
     ) -> np.ndarray | None:
         if self._bound is not None:
-            return self._backward_planned(grad, scratch, input_grad)
+            return self._backward_planned(grad, scratch, input_grad, stack)
         x, hs, cs, gates = self._x, self._hs, self._cs, self._gates
         n, t, d = x.shape
         h = self.hidden_dim
@@ -271,10 +304,11 @@ class LSTM(Layer):
             states = [(h0, c)] + [(hk, c) for hk in (hs if seq else [h0] * t)]
             gates = [s] * t
             b.out = hs.transpose(1, 0, 2) if seq else h0
+        #: h_{t-1} per step: the recurrent GEMM's input.
+        b.h_prev = [states[k][0] for k in range(t)]
         #: Per step, in the order the forward loop uses them.
         b.fwd = [
             (
-                states[k][0],  # h_{t-1}
                 xp[:, k],  # this step's input projection, (n, 4, h)
                 gk[:4].transpose(1, 0, 2),  # the gate planes seen row-major
                 gk[:4],
@@ -298,6 +332,8 @@ class LSTM(Layer):
         b.hp_from = (b.hp.reshape(n, t, h), hc[:-1, 0].transpose(1, 0, 2))
         b.dx2d, b.dx = dx, dx.reshape(n, t, d)
         b.dzg_rows = b.dzg.transpose(1, 0, 2)
+        #: dz per step, last step first: the input of dz @ Wh.T.
+        b.dz_rows = [b.dz[k] for k in range(t - 1, -1, -1)]
         #: Per step, last step first.
         b.bwd = [
             (
@@ -311,14 +347,14 @@ class LSTM(Layer):
                 s[k, :3],
                 b.om[k, :3],
                 b.dz[k].reshape(n, 4, h),
-                b.dz[k],
                 s[k, 1],  # f
             )
             for k in range(t - 1, -1, -1)
         ]
         return b
 
-    def _forward_planned(self, x: np.ndarray, training: bool, scratch) -> np.ndarray:
+    def _forward_planned(self, x: np.ndarray, training: bool, scratch, stack) -> np.ndarray:
+        (wx, _), (wh, _), (bias, _) = stack or self.own_stack()
         n, t, d = x.shape
         h = self.hidden_dim
         b = scratch(
@@ -332,12 +368,19 @@ class LSTM(Layer):
         # Input shapes share the slab's memory, so h_0 = c_0 = 0 is
         # re-established on every call.
         b.hc0.fill(0.0)
-        np.matmul(x.reshape(n * t, d), self.wx.data, out=b.xp)
-        np.copyto(b.bias, self.b.data.reshape(4, 1, h))
-        wh = self.wh.data
+        # G > 1 clients' GEMMs take (G, rows, ·) views, one client's its rows.
+        lead, h_prevs = wx.shape[:-2], b.h_prev
+        if lead:
+            h_prevs = [h_prev.reshape(lead + (-1, h)) for h_prev in h_prevs]
+        np.matmul(x.reshape(lead + (-1, d)), wx, out=b.xp.reshape(lead + (-1, 4 * h)))
+        np.copyto(
+            b.bias.reshape((4,) + lead + (-1, h)), bias.reshape(lead + (4, 1, h)).swapaxes(0, -3)
+        )
         work = (b.e, scratch("nonneg", (n, 3 * h), np.bool_).reshape(3, n, h))
-        z, z4, tmp, bias = b.z, b.z4, b.tmp, b.bias
-        for h_prev, xp, rows, gates, ifo, g, f, c_prev, c, i, tanh_c, o, h_out in b.fwd:
+        z, z4, tmp, bias = b.z.reshape(lead + (-1, 4 * h)), b.z4, b.tmp, b.bias
+        for h_prev, (xp, rows, gates, ifo, g, f, c_prev, c, i, tanh_c, o, h_out) in zip(
+            h_prevs, b.fwd
+        ):
             # z = (xproj[t] + h @ Wh) + b, landing gate-major.
             np.matmul(h_prev, wh, out=z)
             np.add(xp, z4, out=rows)
@@ -351,14 +394,15 @@ class LSTM(Layer):
             np.multiply(o, tanh_c, out=h_out)
         return b.out
 
-    def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool):
+    def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool, stack):
         b, x = self._bound, self._x
         if not hasattr(b, "bwd"):
             raise RuntimeError(
                 "planned LSTM backward needs a training=True forward: the "
                 "inference kernel keeps no BPTT history"
             )
-        n, t, d = x.shape
+        (wx, wx_grad), (wh, wh_grad), (_, b_grad) = stack or self.own_stack()
+        t, d, h = x.shape[1], x.shape[2], self.hidden_dim
         # Everything the recurrence does not feed: one whole-slab op each.
         np.subtract(1, b.s3, out=b.om3)
         np.square(b.s2, out=b.om2)
@@ -369,12 +413,17 @@ class LSTM(Layer):
             dh_seq = [grad[:, k] for k in range(t - 1, -1, -1)]
         else:
             dh_seq = [grad] + [no_dh] * (t - 1)
-        wh_t = self.wh.data.T
+        # G > 1 clients' GEMMs take (G, rows, ·) views, one client's its rows.
+        lead, dzs, dh_next_c = wx.shape[:-2], b.dz_rows, dh_next
+        if lead:
+            dzs = [dz.reshape(lead + (-1, 4 * h)) for dz in dzs]
+            dh_next_c = dh_next.reshape(lead + (-1, h))
+        wh_t = wh.swapaxes(-1, -2)
         dh, dc, dg, dzg, dzg_rows = b.dh, b.dc, b.dg, b.dzg, b.dzg_rows
         d_i, d_f, d_o = dg
         dz_ifo, dz_g = dzg[:3], dzg[3]
-        for dh_out, (tanh_c, o, om_tanh_c, g, c_prev, i, om_g, ifo, om_ifo, dz4, dz, f) in zip(
-            dh_seq, b.bwd
+        for dh_out, dz, (tanh_c, o, om_tanh_c, g, c_prev, i, om_g, ifo, om_ifo, dz4, f) in zip(
+            dh_seq, dzs, b.bwd
         ):
             np.add(dh_out, dh_next, out=dh)
             np.multiply(dh, tanh_c, out=d_o)
@@ -388,24 +437,25 @@ class LSTM(Layer):
             np.multiply(dg, ifo, out=dg)
             np.multiply(dg, om_ifo, out=dz_ifo)
             np.copyto(dz4, dzg_rows)
-            np.matmul(dz, wh_t, out=dh_next)
+            np.matmul(dz, wh_t, out=dh_next_c)
             np.multiply(dc, f, out=dc_next)
-        # Parameter gradients in two fused GEMMs, batch-major like the
-        # reference's.
+        # Parameter gradients in two fused GEMMs per client, batch-major
+        # like the reference's.
         np.copyto(*b.dzf_from)
         np.copyto(*b.hp_from)
-        gw = scratch("~gw", self.wx.data.shape, self.wx.grad.dtype)
-        np.matmul(x.reshape(n * t, d).T, b.dzf, out=gw)
-        self.wx.grad += gw
-        gw = scratch("~gw", self.wh.data.shape, self.wh.grad.dtype)
-        np.matmul(b.hp.T, b.dzf, out=gw)
-        self.wh.grad += gw
-        gb = scratch("~gb", self.b.data.shape, self.b.grad.dtype)
-        np.add.reduce(b.dzf, axis=0, out=gb)
-        self.b.grad += gb
+        dzf = b.dzf.reshape(lead + (-1, 4 * h))
+        gw = scratch("~gw", wx_grad.shape, wx_grad.dtype)
+        np.matmul(x.reshape(lead + (-1, d)).swapaxes(-1, -2), dzf, out=gw)
+        wx_grad += gw
+        gw = scratch("~gw", wh_grad.shape, wh_grad.dtype)
+        np.matmul(b.hp.reshape(lead + (-1, h)).swapaxes(-1, -2), dzf, out=gw)
+        wh_grad += gw
+        gb = scratch("~gb", b_grad.shape, b_grad.dtype)
+        np.add.reduce(dzf, axis=-2, out=gb)
+        b_grad += gb
         if not input_grad:
             return None
-        np.matmul(b.dzf, self.wx.data.T, out=b.dx2d)
+        np.matmul(dzf, wx.swapaxes(-1, -2), out=b.dx2d.reshape(lead + (-1, d)))
         return b.dx
 
     @property

@@ -105,11 +105,14 @@ def test_one_sigmoid():
 def test_every_zoo_layer_has_plan_kernels():
     """A model the experiments build never trains through the allocating
     per-layer fallback: whatever layer a ``repro.nn.zoo`` builder starts
-    using needs ``out=``-form kernels first (or a reason here why not)."""
+    using needs ``out=``-form kernels first (or a reason here why not).
+    And every such model stacks its cohorts, the reddit model included."""
     import numpy as np
 
     from repro.nn import zoo
     from repro.nn.layers import Flatten
+    from repro.nn.losses import SoftmaxCrossEntropy
+    from repro.nn.plan import TrainingPlan
 
     rng = np.random.default_rng(0)
     built = {
@@ -132,6 +135,31 @@ def test_every_zoo_layer_has_plan_kernels():
     }
     # Flatten is a reshape: a view, no arithmetic, nothing to allocate.
     assert unplanned <= {Flatten.__name__}
+    unstacked = [
+        name
+        for name, model in built.items()
+        if not TrainingPlan(model, SoftmaxCrossEntropy()).stackable
+    ]
+    assert not unstacked, f"these zoo models train their cohorts one member at a time: {unstacked}"
+
+
+def test_one_recurrent_kernel_per_class():
+    """Each class in ``recurrent.py`` has at most one planned forward and
+    one planned backward: one client is the G = 1 case of the stacked
+    kernels, not an unstacked twin beside them."""
+    import ast
+
+    tree = ast.parse((SRC / "repro" / "nn" / "recurrent.py").read_text())
+    kernels = {
+        node.name: sorted(
+            f.name
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and re.match(r"_(forward|backward)_", f.name)
+        )
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    assert kernels == {"Embedding": [], "LSTM": ["_backward_planned", "_forward_planned"]}
 
 
 def test_one_training_loop():

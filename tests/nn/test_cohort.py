@@ -14,7 +14,15 @@ float64 and float32:
   axis-0 reduces (the bias gradient);
 - ``add.reduce(axis=1)`` + ``true_divide(n)`` equals ``ndarray.mean`` of
   each row for n = 1…300, across NumPy's pairwise-sum blocks at 8 and 128
-  (the per-client loss).
+  (the per-client loss);
+- the stacked LSTM's GEMMs at its shapes — ``x @ Wx``, ``h @ Wh``,
+  ``dz @ Wh.T`` over the transposed view of each client's slab block, and
+  the per-client parameter GEMMs — equal the per-client 2-D calls;
+- one ``np.add.at`` over a ``(G, vocab, d)`` view indexed by
+  ``(client, id)`` equals each client's own ``add.at`` (the embedding
+  gradient);
+- PCG64 ``advance(k)`` then ``random(out=)`` is the matching slice of one
+  sequential draw, stepping back included (dropout's positioned masks).
 
 If one of these fails on some NumPy/BLAS, that op must keep a per-client
 call inside the stacked chain — never a tolerance.
@@ -23,8 +31,13 @@ The second half checks ``TrainingPlan.run_cohort`` end to end: every
 member's weights and mean loss equal what the member gets trained alone
 (by the per-layer reference loop kept here, or one member per call at
 float32), over mixed shard sizes, epochs, start epochs, λ and optimizers;
-waves are as even as B allows; and bad member data is refused by name.
+the reddit model's batch-norm statistics and dropout stream end where
+training the members one at a time in cohort order leaves them; models
+that cannot stack train that way; waves are as even as B allows; and bad
+member data is refused by name.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -32,11 +45,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.batching import FixedBatchSchedule
+from repro.nn import layers as layers_module
 from repro.nn import plan as plan_module
+from repro.nn.gru import GRU
+from repro.nn.layers import BatchNorm, Dense, Dropout
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.plan import CohortMember, TrainingPlan
 from repro.nn.proximal import ProximalTerm
+from repro.nn.recurrent import LSTM, Embedding
 from repro.nn.zoo import (
     build_cnn,
     build_femnist_cnn,
@@ -207,6 +225,86 @@ class TestStackedReductions:
             assert [float(v) for v in means] == [float(nll[i].copy().mean()) for i in range(g)]
 
 
+class TestStackedRecurrentKernels:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "rows,t,d,h", [(10, 10, 12, 12), (1, 10, 12, 12), (7, 5, 4, 6), (3, 1, 5, 3)]
+    )
+    def test_lstm_matmuls_equal_per_client_calls(self, rows, t, d, h, dtype):
+        """The input projection ``x @ Wx`` over ``(G, rows·T, d)``, each
+        step's ``h @ Wh`` and ``dz @ Wh.T`` (the transposed view of every
+        client's slab block), and the parameter GEMMs ``x.T @ dz``,
+        ``h.T @ dz`` and ``dz @ Wx.T``, G = 2…9."""
+        rng = np.random.default_rng(rows * 1000 + t * 100 + d * 10 + h)
+        for g in (2, 5, 9):
+            wx = _slab_weights(rng, g, d, 4 * h, dtype, False, 3)
+            wh = _slab_weights(rng, g, h, 4 * h, dtype, False, 5)
+            x = _normal(rng, (g, rows * t, d), dtype)
+            hs = _normal(rng, (g, rows * t, h), dtype)
+            dzf = _normal(rng, (g, rows * t, 4 * h), dtype)
+            step = (_normal(rng, (g, rows, h), dtype), _normal(rng, (g, rows, 4 * h), dtype))
+            for a, b in (
+                (x, wx),
+                (step[0], wh),
+                (step[1], wh.swapaxes(1, 2)),
+                (x.swapaxes(1, 2), dzf),
+                (hs.swapaxes(1, 2), dzf),
+                (dzf, wx.swapaxes(1, 2)),
+            ):
+                out = np.empty((g, a.shape[1], b.shape[2]), dtype=dtype)
+                np.matmul(a, b, out=out)
+                _assert_bits(out, _per_slice_matmul(a, b, dtype))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.integers(1, 9),
+        vocab=st.integers(1, 20),
+        d=st.integers(1, 8),
+        n=st.integers(1, 60),
+        offset=st.integers(0, 9),
+        dtype=st.sampled_from(DTYPES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_add_at_by_client_and_id(self, g, vocab, d, n, offset, dtype, seed):
+        """The embedding gradient: one ``np.add.at`` into a ``(G, vocab, d)``
+        view of slab rows, indexed by ``(client, id)``, equals each client
+        scattering its own ``n`` rows — repeated ids included."""
+        rng = np.random.default_rng(seed)
+        slab = _normal(rng, (g + 1, offset + vocab * d + 3), dtype)
+        table = slab[1:, offset : offset + vocab * d].reshape(g, vocab, d)
+        ids = rng.integers(0, vocab, size=(g, n))
+        grad = _normal(rng, (g, n, d), dtype)
+        want = table.copy()
+        for i in range(g):
+            np.add.at(want[i], ids[i], grad[i])
+        np.add.at(table, (np.arange(g)[:, None], ids), grad)
+        _assert_bits(table, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bits=st.sampled_from(layers_module._ONE_STEP_PER_DRAW),
+        segments=st.lists(
+            st.tuples(st.integers(0, 300), st.integers(1, 6), st.integers(1, 7)),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_advance_then_random_is_a_slice_of_one_draw(self, bits, segments, seed):
+        """Dropout's positioned masks: moving a generator by ``advance`` —
+        forward or back — then ``random(out=)`` into a ``(rows, cols)``
+        block equals the matching slice of one sequential ``random``."""
+        stream = np.random.Generator(bits(seed)).random(400)
+        gen = np.random.Generator(bits(seed))
+        at = 0
+        for start, rows, cols in segments:
+            block = np.empty((rows, cols))
+            gen.bit_generator.advance(start - at)
+            gen.random(out=block)
+            at = start + block.size
+            _assert_bits(block.reshape(-1), stream[start:at])
+
+
 # --------------------------------------------------------------------- #
 # A cohort trains each member exactly as it would train alone
 # --------------------------------------------------------------------- #
@@ -277,6 +375,26 @@ def _assert_same(got, want):
     for (w_got, l_got), (w_want, l_want) in zip(got, want):
         _assert_bits(w_got, w_want)
         assert l_got == l_want
+
+
+def _lstm_classifier(dropout=0.1, batch_norm=True):
+    def build(rng):
+        return build_lstm_classifier(
+            24, 24, rng=rng, embed_dim=6, hidden_dim=6, dropout=dropout, batch_norm=batch_norm
+        )
+
+    return build
+
+
+def _assert_same_state(model, reference):
+    """What a model carries between its members besides weights: batch-norm
+    running statistics (bit for bit) and each dropout stream's position."""
+    for layer, ref in zip(model.layers, reference.layers):
+        if isinstance(layer, BatchNorm):
+            _assert_bits(layer.running_mean, ref.running_mean)
+            _assert_bits(layer.running_var, ref.running_var)
+        if isinstance(layer, Dropout):
+            _assert_bits(copy.deepcopy(layer._rng).random(4), copy.deepcopy(ref._rng).random(4))
 
 
 def _counting_swaps(monkeypatch):
@@ -394,26 +512,141 @@ class TestCohortIsEachClientAlone:
                 plan.wave_size = wave_size
                 _assert_same(plan.run_cohort(model.store.data, members, Adam(0.005)), want)
 
-    def test_lstm_classifier_trains_in_cohort_order_one_at_a_time(self):
-        """Dropout's mask stream and batch-norm's running statistics are
-        consumed in call order, and the recurrent layers have no stacked
-        kernels: the cohort runs groups of one, member after member, exactly
-        as the per-layer reference does on one shared model."""
+    def test_lstm_classifier_stacks_as_if_one_at_a_time_in_cohort_order(self):
+        """Embedding, LSTM, Dropout and BatchNorm stack. For any B the
+        cohort equals one shared reference model training its members one
+        after another in cohort order: weights, losses, the batch-norm
+        running statistics and the dropout stream's next draw."""
+        build = _lstm_classifier()
+        members = _members((5,), classes=24, ints=24)
+
+        def built(seed):
+            # A buffered half of a 32-bit draw, which float64 draws never
+            # touch and advance() clears: it must survive the cohort.
+            model = build(np.random.default_rng(seed))
+            bits = model.layers[2]._rng.bit_generator
+            bits.state = {**bits.state, "has_uint32": 1, "uinteger": 12345}
+            return model
+
+        reference = built(1)
+        start = reference.get_flat_weights()
+        want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+        for wave_size in (None, 1, 2, 3):
+            model = built(1)
+            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            assert plan.stackable
+            plan.wave_size = wave_size
+            _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+            _assert_same_state(model, reference)
+            stream, ref_stream = (m.layers[2]._rng.bit_generator for m in (model, reference))
+            assert stream.state == ref_stream.state
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shards=st.lists(st.integers(1, 25), min_size=1, max_size=7),
+        batch_size=st.integers(1, 12),
+        wave_size=st.sampled_from([None, 1, 2, 4]),
+        dropout=st.sampled_from([0.0, 0.1]),
+        batch_norm=st.booleans(),
+        lam=st.sampled_from([0.0, 0.4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_cohort_of_the_lstm_classifier(
+        self, shards, batch_size, wave_size, dropout, batch_norm, lam, seed
+    ):
+        build = _lstm_classifier(dropout=dropout, batch_norm=batch_norm)
+        members = [
+            m._replace(schedule=FixedBatchSchedule(m.schedule.n, batch_size, i, seed=0), lam=lam)
+            for i, m in enumerate(_members((5,), shards, seed=seed, classes=24, ints=24))
+        ]
+        reference = build(np.random.default_rng(seed))
+        start = reference.get_flat_weights()
+        want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+        model = build(np.random.default_rng(seed))
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        plan.wave_size = wave_size
+        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+        _assert_same_state(model, reference)
+
+    def test_lstm_classifier_float32_against_one_member_at_a_time(self):
+        """At float32 the per-client reference is the plan with one member
+        per call, in cohort order: nothing stacked, every batch-norm update
+        and mask draw made in turn."""
 
         def build(rng):
-            return build_lstm_classifier(24, 24, rng=rng, embed_dim=6, hidden_dim=6, dropout=0.1)
+            return _lstm_classifier()(rng).astype(np.float32)
 
-        members = _members((5,), (12, 7, 17, 3), classes=24, ints=24)
-        model, reference = build(np.random.default_rng(1)), build(np.random.default_rng(1))
-        start = model.get_flat_weights()
+        members = _members((5,), seed=1, classes=24, ints=24)
+        one_by_one = build(np.random.default_rng(2))
+        alone = TrainingPlan(one_by_one, SoftmaxCrossEntropy())
+        start = one_by_one.get_flat_weights()
+        want = [alone.run_cohort(start, [m], Adam(0.005))[0] for m in members]
+        assert want[0][0].dtype == np.float32
+        for wave_size in (None, 2):
+            model = build(np.random.default_rng(2))
+            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            plan.wave_size = wave_size
+            _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+            _assert_same_state(model, one_by_one)
+
+
+class TestModelsThatCannotStack:
+    """A layer without stacked kernels, or a mask stream that cannot jump,
+    keeps the model training one member at a time, in cohort order, through
+    the same loop — and equal to the per-layer reference."""
+
+    def _check(self, build, monkeypatch):
+        members = _members((5,), (12, 7, 17, 3, 10), classes=24, ints=24)
+        reference = build(np.random.default_rng(1))
+        start = reference.get_flat_weights()
         want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+        model = build(np.random.default_rng(1))
         plan = TrainingPlan(model, SoftmaxCrossEntropy())
         assert not plan.stackable
+        waves = _recording_waves(plan, monkeypatch)
         _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
-        bn, bn_ref = model.layers[3], reference.layers[3]
-        _assert_bits(bn.running_mean, bn_ref.running_mean)
-        _assert_bits(bn.running_var, bn_ref.running_var)
-        assert model.layers[2]._rng.random() == reference.layers[2]._rng.random()
+        assert [id(m) for (m,) in waves] == [id(m) for m in members]
+        _assert_same_state(model, reference)
+
+    def test_a_gru(self, monkeypatch):
+        def build(rng):
+            return Sequential(
+                [
+                    Embedding(24, 6, rng=rng),
+                    GRU(6, 6, rng=rng),
+                    Dropout(0.1, rng=rng),
+                    BatchNorm(6),
+                    Dense(6, 24, rng=rng, name="head"),
+                ]
+            )
+
+        self._check(build, monkeypatch)
+
+    def test_a_dropout_stream_without_advance(self, monkeypatch):
+        def build(rng):
+            stream = np.random.Generator(np.random.MT19937(int(rng.integers(2**32))))
+            return _lstm_classifier()(stream)
+
+        assert not hasattr(np.random.MT19937(0), "advance")
+        self._check(build, monkeypatch)
+
+    def test_two_dropouts_drawing_one_stream(self, monkeypatch):
+        """Each dropout positions its own draws, so two drawing from one
+        generator interleave per step: the model does not stack."""
+
+        def build(rng):
+            return Sequential(
+                [
+                    Embedding(24, 6, rng=rng),
+                    LSTM(6, 6, rng=rng),
+                    Dropout(0.1, rng=rng),
+                    Dense(6, 6, rng=rng, name="fc"),
+                    Dropout(0.2, rng=rng),
+                    Dense(6, 24, rng=rng, name="head"),
+                ]
+            )
+
+        self._check(build, monkeypatch)
 
 
 def _recording_waves(plan, monkeypatch):

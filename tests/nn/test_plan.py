@@ -5,7 +5,9 @@ The whole contract in one file:
 1. kernel equivalence — every planned (``out=``/``scratch=``) layer and
    loss kernel produces bitwise the allocating (``scratch=None``) result, including
    the awkward cases (time-distributed Dense, 'valid' convolutions,
-   cropped and tied max-pooling);
+   cropped and tied max-pooling); the recurrent model's kernels do so
+   stacked too, G clients against G references, and leave batch-norm's
+   statistics and dropout's stream where cohort order puts them;
 2. loop equivalence — ``SimClient.local_train`` through
    ``TrainingPlan.run_cohort`` reproduces a reference loop written here
    over ``Sequential.train_on_batch`` byte for byte, for CNN, MLP and
@@ -274,8 +276,10 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(a.w.grad, b.w.grad)
         # As the model's first layer nothing reads dL/d(ids).
         assert b.backward(grad, scratch=slot, input_grad=False) is None
-        with pytest.raises(ValueError, match="out of range"):
-            b.forward(np.array([[9]]), scratch=slot)
+        with pytest.raises(ValueError, match="token id 9 out of range .* vocab_size 9"):
+            b.forward(np.array([[2, 9]]), scratch=slot)
+        with pytest.raises(ValueError, match="token id -1 out of range .* vocab_size 9"):
+            a.forward(np.array([[-1, 9]]))
 
     def test_dropout_draws_the_reference_masks(self):
         """``rng.random(out=...)`` must consume the stream exactly as
@@ -370,6 +374,131 @@ class TestKernelEquivalence:
         assert b.backward(g, scratch=arena.slot(0), input_grad=False) is None
         np.testing.assert_array_equal(a.w.grad, b.w.grad)
         np.testing.assert_array_equal(a.b.grad, b.b.grad)
+
+
+def _cohort_stack(layers):
+    """G layers' parameters as one cohort group's ``stack``: views of the
+    rows of a weight and a zeroed gradient slab, shaped the way
+    ``TrainingPlan._stacks`` hands them over (no client axis for G = 1)."""
+    weights = np.stack([np.concatenate([p.data.ravel() for p in layer.params]) for layer in layers])
+    grads = np.zeros_like(weights)
+    lead = (len(layers),) if len(layers) > 1 else ()
+    stack, a = [], 0
+    for p in layers[0].params:
+        b = a + p.data.size
+        shape = lead + p.shape
+        stack.append((weights[:, a:b].reshape(shape), grads[:, a:b].reshape(shape)))
+        a = b
+    return stack
+
+
+#: (clients, rows) of successive stacked calls through one arena: totals
+#: that shrink, grow and repeat with a different G.
+_COHORT_SHAPES = [(3, 4), (1, 7), (2, 6), (4, 3), (3, 4)]
+
+
+class TestStackedKernelEquivalence:
+    """A stacked kernel over G clients' client-major batch and their
+    ``(G, *shape)`` stack equals G allocating per-layer references, each on
+    its own client's rows: outputs, input and parameter gradients, and the
+    state the cohort leaves behind — every shape through one arena."""
+
+    def _roundtrip(self, make, x_of, grad_of, *, input_grad=True):
+        rng = np.random.default_rng(0)
+        planned, slot = make(0), ScratchArena().slot(0)
+        for g, rows in _COHORT_SHAPES:
+            refs = [make(10 + i) for i in range(g)]
+            stack = _cohort_stack(refs)
+            xs = [x_of(rng, rows) for _ in range(g)]
+            grads = [grad_of(rng, rows) for _ in range(g)]
+            y = planned.forward(np.concatenate(xs), training=True, scratch=slot, stack=stack)
+            want = [r.forward(x, training=True) for r, x in zip(refs, xs)]
+            _assert_same_bits(y, np.concatenate(want))
+            gx = planned.backward(
+                np.concatenate(grads), scratch=slot, input_grad=input_grad, stack=stack
+            )
+            gx_want = [r.backward(grad) for r, grad in zip(refs, grads)]
+            if input_grad:
+                _assert_same_bits(gx, np.concatenate(gx_want))
+            for (_, grad), params in zip(stack, zip(*(r.params for r in refs))):
+                want = np.stack([p.grad for p in params])
+                _assert_same_bits(grad.reshape(want.shape), want)
+
+    @pytest.mark.parametrize("seq", [False, True], ids=["last", "sequences"])
+    def test_lstm(self, seq):
+        t, d, h = 4, 5, 6
+        self._roundtrip(
+            lambda seed: LSTM(d, h, rng=np.random.default_rng(seed), return_sequences=seq),
+            lambda rng, rows: rng.normal(size=(rows, t, d)),
+            lambda rng, rows: rng.normal(size=(rows, t, h) if seq else (rows, h)),
+        )
+
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_embedding(self, input_grad):
+        self._roundtrip(
+            lambda seed: Embedding(9, 5, rng=np.random.default_rng(seed)),
+            lambda rng, rows: rng.integers(0, 9, size=(rows, 4)),
+            lambda rng, rows: rng.normal(size=(rows, 4, 5)),
+            input_grad=input_grad,
+        )
+
+    def test_batchnorm_replays_its_statistics_in_cohort_order(self):
+        """Per-client statistics for the output; the running statistics
+        only when the cohort ends, folded in by position (here each group's
+        clients in reverse) — as one layer seeing the batches in that order
+        leaves them."""
+        rng = np.random.default_rng(0)
+
+        def make(seed):
+            layer = BatchNorm(7)
+            r = np.random.default_rng(seed)
+            layer.gamma.data[...] = r.uniform(0.5, 1.5, 7)
+            layer.beta.data[...] = r.normal(size=7)
+            return layer
+
+        planned, slot, order, seen = make(0), ScratchArena().slot(0), BatchNorm(7), []
+        planned.begin_cohort()
+        for g, rows in _COHORT_SHAPES:
+            refs = [make(10 + i) for i in range(g)]
+            stack = _cohort_stack(refs)
+            xs = [rng.normal(2.0, 3.0, size=(rows, 7)) for _ in range(g)]
+            cohort = [len(seen) * 100 + (g - i) for i in range(g)]
+            seen += zip(cohort, xs)
+            y = planned.forward(
+                np.concatenate(xs), training=True, scratch=slot, stack=stack, cohort=cohort
+            )
+            want = [r.forward(x, training=True) for r, x in zip(refs, xs)]
+            _assert_same_bits(y, np.concatenate(want))
+            grads = [rng.normal(size=(rows, 7)) for _ in range(g)]
+            gx = planned.backward(np.concatenate(grads), scratch=slot, stack=stack)
+            _assert_same_bits(gx, np.concatenate([r.backward(gr) for r, gr in zip(refs, grads)]))
+            assert not planned.running_mean.any()  # untouched until the cohort ends
+        planned.end_cohort()
+        for _, x in sorted(seen, key=lambda entry: entry[0]):
+            order.forward(x, training=True)
+        _assert_same_bits(planned.running_mean, order.running_mean)
+        _assert_same_bits(planned.running_var, order.running_var)
+
+    def test_dropout_draws_each_clients_segment_of_the_stream(self):
+        """Client i's rows at position p read the stream from draw
+        p · (floats per row): the masks one generator gives the batches in
+        position order, and it ends where that generator does."""
+        rng = np.random.default_rng(0)
+        planned, slot = Dropout(0.3, rng=np.random.default_rng(5)), ScratchArena().slot(0)
+        planned.begin_cohort()
+        seen, total = [], 0
+        for g, rows in _COHORT_SHAPES:
+            xs = [rng.normal(size=(rows, 6)) for _ in range(g)]
+            # Each group's clients in reverse stream order.
+            cohort = [total + (g - 1 - i) * rows for i in range(g)]
+            total += g * rows
+            y = planned.forward(np.concatenate(xs), training=True, scratch=slot, cohort=cohort)
+            seen += zip(cohort, xs, np.split(y.copy(), g))
+        planned.end_cohort()
+        reference = Dropout(0.3, rng=np.random.default_rng(5))
+        for _, x, y in sorted(seen, key=lambda entry: entry[0]):
+            _assert_same_bits(y, reference.forward(x, training=True))
+        assert planned._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
 # --------------------------------------------------------------------- #
@@ -647,12 +776,13 @@ class TestArenaHygiene:
 
     @pytest.mark.parametrize("budget", ["default", "three_clients"])
     def test_cohort_arena_stops_growing_and_holds_b_clients(self, budget, monkeypatch):
-        """Cohorts in lockstep waves: after the first cohort the arena stops
-        growing, and it never holds more than B one-client arenas — B being
-        how many fit ``WAVE_BYTES`` (forced to 3 here), with a wave's
-        weight, state and gradient rows counted per client. (The first
-        cohort's largest member trains alone to size a client, so a cohort
-        must outnumber B for its waves to reach B.)"""
+        """Cohorts in lockstep waves: the first stacked cohort gives its
+        arena back (nothing had stacked before it); from the second on the
+        arena stops growing, and it never holds more than B one-client
+        arenas — B being how many fit ``WAVE_BYTES`` (forced to 3 here),
+        with a wave's weight, state and gradient rows counted per client.
+        (The first cohort's largest member trains alone to size a client,
+        so a cohort must outnumber B for its waves to reach B.)"""
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
         ds = _image_dataset(num_clients=14, samples=20)
         members = [SimClient(c, None, batch_size=10, seed=0).member(2, 0.4) for c in ds.clients]
@@ -667,11 +797,29 @@ class TestArenaHygiene:
         for _ in range(4):
             plan.run_cohort(flat, members, spec.build())
             sizes.append(plan.arena.nbytes)
-        assert len(set(sizes)) == 1, sizes
+        assert sizes[0] == 0
+        assert len(set(sizes[1:])) == 1, sizes
         assert plan.wave_size < len(members) - 1
         if budget == "three_clients":
             assert plan.wave_size == 3
         assert plan.arena.nbytes <= plan.wave_size * plan.client_bytes
+
+    def test_waves_keep_their_arena_only_while_cohorts_stack(self):
+        """FedAsync stacks one cohort, then trains clients one by one: a
+        stacked cohort after one that was not gives its wave arena back as
+        it ends. Tier rounds stack every time: from the second on, the
+        arena is kept."""
+        loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
+        ds = _image_dataset(num_clients=6, samples=20)
+        members = [SimClient(c, None, batch_size=10, seed=0).member(1, 0.0) for c in ds.clients]
+        plan = TrainingPlan(_cnn(), loss)
+        flat = plan.model.get_flat_weights()
+        sizes = []
+        for cohort in (members[:1], members, members, members[:1], members):
+            plan.run_cohort(flat, cohort, spec.build())
+            sizes.append(plan.arena.nbytes)
+        one, given_back, kept, still_kept, again = sizes
+        assert 0 < one < kept and given_back == again == 0 and still_kept == kept
 
     def test_view_cache_survives_ragged_batches(self):
         arena = ScratchArena()
