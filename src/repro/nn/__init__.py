@@ -6,26 +6,23 @@ optimizers, and a ``Sequential`` container whose weights can be flattened to
 a single vector — the representation every FL aggregation and compression
 component in this library operates on.
 
+Every layer here has the planned kernels a :class:`TrainingPlan` runs
+(``scratch=`` forms of its forward and backward, stacked over a cohort),
+so every model built from them trains its cohorts in lockstep; the plan
+refuses a layer without them by name.
+
 Shapes follow the NHWC convention for images: ``(batch, height, width,
 channels)``. Token inputs are integer arrays ``(batch, time)``.
 """
 
-from repro.nn.activations import ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.activations import ReLU, Sigmoid, Tanh
 from repro.nn.conv import Conv2D
-from repro.nn.gru import GRU
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential, WeightSpec
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.plan import ScratchArena, TrainingPlan
-from repro.nn.pooling import GlobalAveragePool, MaxPool2D
-from repro.nn.schedules import (
-    ClippedOptimizer,
-    constant_lr,
-    exponential_decay,
-    inverse_time_decay,
-    step_decay,
-)
+from repro.nn.pooling import MaxPool2D
 from repro.nn.proximal import ProximalTerm
 from repro.nn.recurrent import LSTM, Embedding
 from repro.nn.tensor import Parameter
@@ -45,21 +42,12 @@ __all__ = [
     "BatchNorm",
     "Conv2D",
     "MaxPool2D",
-    "GlobalAveragePool",
     "Embedding",
     "LSTM",
-    "GRU",
-    "ClippedOptimizer",
-    "constant_lr",
-    "step_decay",
-    "exponential_decay",
-    "inverse_time_decay",
     "ReLU",
     "Tanh",
     "Sigmoid",
-    "Softmax",
     "SoftmaxCrossEntropy",
-    "MSELoss",
     "Optimizer",
     "SGD",
     "Adam",

@@ -3,8 +3,9 @@
 ReLU/Tanh/Sigmoid implement the fused-plan kernel protocol (optional
 ``out``/``scratch`` parameters, see :mod:`repro.nn.plan`): every planned
 operation is the ``out=`` form of exactly the legacy expression, so the
-two paths are bit-identical. Every activation here is elementwise or
-row-wise, so a cohort's stacked batch runs through it unchanged.
+two paths are bit-identical. Every activation here is elementwise, so a
+cohort's stacked batch runs through it unchanged. :func:`softmax` is the
+function the fused loss and the evaluator share, not a layer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["ReLU", "Tanh", "Sigmoid", "Softmax", "sigmoid", "softmax"]
+__all__ = ["ReLU", "Tanh", "Sigmoid", "sigmoid", "softmax"]
 
 
 def sigmoid(
@@ -58,8 +59,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 class ReLU(Layer):
     """Rectified linear unit."""
 
-    plan_aware = True
-    plan_stackable = True
     plan_inplace = True
     _cache_attrs = ("_mask",)
 
@@ -96,8 +95,6 @@ class ReLU(Layer):
 class Tanh(Layer):
     """Hyperbolic tangent."""
 
-    plan_aware = True
-    plan_stackable = True
     plan_inplace = True
     #: backward differentiates through the cached output, so the next
     #: layer must not overwrite this layer's output buffer in place.
@@ -138,8 +135,6 @@ class Tanh(Layer):
 class Sigmoid(Layer):
     """Logistic sigmoid."""
 
-    plan_aware = True
-    plan_stackable = True
     plan_inplace = True
     #: backward differentiates through the cached output, so the next
     #: layer must not overwrite this layer's output buffer in place.
@@ -175,25 +170,3 @@ class Sigmoid(Layer):
             out = grad  # planned backward: the upstream grad buffer is dead
         np.multiply(a, b, out=out)
         return out
-
-
-class Softmax(Layer):
-    """Softmax over the last axis.
-
-    Prefer the fused :class:`repro.nn.losses.SoftmaxCrossEntropy` for
-    training; this standalone layer exists for inference-time probability
-    outputs and for models whose loss is not cross-entropy.
-    """
-
-    plan_stackable = True
-    _cache_attrs = ("_out",)
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._out = softmax(x)
-        return self._out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        # Jacobian-vector product: s * (g - sum(g * s))
-        s = self._out
-        dot = np.sum(grad * s, axis=-1, keepdims=True)
-        return s * (grad - dot)

@@ -115,8 +115,6 @@ class Conv2D(Layer):
     bias sum.
     """
 
-    plan_aware = True
-    plan_stackable = True
     _cache_attrs = ("_x_shape", "_cols")
 
     def __init__(

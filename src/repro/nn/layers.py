@@ -39,20 +39,25 @@ class Layer:
       defines the layout of the model's flat weight vector, so it must be
       stable across calls.
 
-    Layers that additionally implement the fused-plan kernel protocol
-    (optional ``out=``/``scratch=`` keyword parameters writing results into
-    arena-provided buffers, see :mod:`repro.nn.plan`) set
-    :attr:`plan_aware` to True; every planned operation must be the
-    ``out=`` form of exactly the legacy operation so both paths stay
-    bit-identical. :attr:`_cache_attrs` names the attributes forward caches
-    for backward; :meth:`release_caches` drops them so long-lived replicas
-    stop pinning last-batch activations between rounds.
+    A layer a :class:`~repro.nn.plan.TrainingPlan` runs also implements the
+    fused-plan kernel protocol (see :mod:`repro.nn.plan`):
+    ``forward(x, training, *, scratch=None)`` and
+    ``backward(grad, *, scratch=None, input_grad=True)``, writing results
+    into the arena buffers ``scratch`` provides. Every planned operation
+    must be the ``out=`` form of exactly the ``scratch=None`` operation, so
+    both stay bit-identical. The signature is the protocol: the plan
+    refuses, by class name, a layer whose forward takes no ``scratch``.
+    :attr:`_cache_attrs` names the attributes forward caches for backward;
+    :meth:`release_caches` drops them so long-lived replicas stop pinning
+    last-batch activations between rounds.
 
-    :attr:`plan_stackable` layers can train a cohort in one call: their
-    input holds G clients' equal-size batches client-major, and a layer
-    with parameters takes a ``stack`` of per-client ``(data, grad)``
-    views, each ``(G, *shape)``, in :attr:`params` order (or its own
-    parameters as they are, for one client).
+    Planned kernels train a cohort in one call, as if its clients trained
+    one at a time: their input holds G clients' equal-size batches
+    client-major (see :func:`client_major`), the work is row-wise or
+    elementwise, and a layer with parameters takes a ``stack`` of
+    per-client ``(data, grad)`` views, each ``(G, *shape)``, in
+    :attr:`params` order (or its own parameters as they are, for one
+    client).
 
     :attr:`plan_cohort` layers carry state from one member of a cohort to
     the next (a mask stream, running statistics). Trained one member at a
@@ -63,25 +68,18 @@ class Layer:
     :meth:`end_cohort`, which leaves the state as that order would.
     """
 
-    #: True when forward/backward accept ``out``/``scratch`` kwargs.
-    plan_aware = False
-    #: True when G clients' stacked batches train as if one at a time:
-    #: row-wise or elementwise work, any parameters taken from a ``stack``
-    #: (see :func:`client_major`), and state that crosses batches kept in
-    #: cohort order through ``cohort`` (see :attr:`plan_cohort`).
-    plan_stackable = False
     #: True when a stacked cohort must bracket this layer with
     #: :meth:`begin_cohort` / :meth:`end_cohort` and pass ``cohort``.
     plan_cohort = False
     #: The generator a training forward draws from, if any. Each layer
-    #: positions its own draws in cohort order, so a cohort stacks only
-    #: when no two layers share one.
+    #: positions its own draws in cohort order, so a training plan refuses
+    #: two layers that share one.
     plan_stream = None
     #: True when backward reads the layer's own *output* values (e.g.
     #: Tanh/Sigmoid cache their output for the derivative), or the output
-    #: can be the layer's input handed through (Dropout at inference). The
-    #: plan must not let the next layer overwrite such a layer's output
-    #: buffer.
+    #: can be the layer's input handed through (Flatten's view; Dropout at
+    #: inference). The plan must not let the next layer overwrite such a
+    #: layer's output buffer.
     plan_backward_needs_output = False
     #: Attributes set by forward and consumed by backward.
     _cache_attrs: tuple[str, ...] = ()
@@ -125,8 +123,6 @@ class Dense(Layer):
     (the time-distributed case used by the language model head).
     """
 
-    plan_aware = True
-    plan_stackable = True
     _cache_attrs = ("_x",)
 
     def __init__(
@@ -220,17 +216,22 @@ class Dense(Layer):
 
 
 class Flatten(Layer):
-    """Collapse all axes after the batch axis."""
+    """Collapse all axes after the batch axis: a reshape view, planned or not."""
 
-    plan_stackable = True
+    #: The output is a view of the input, which the layer before may read
+    #: in its backward (Tanh's cached output), so the next layer must not
+    #: overwrite it in place.
+    plan_backward_needs_output = True
     _cache_attrs = ("_shape",)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False, *, scratch=None) -> np.ndarray:
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
+    def backward(
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
+    ) -> np.ndarray | None:
+        return grad.reshape(self._shape) if input_grad else None
 
 
 #: Bit generators whose ``advance(k)`` skips exactly k float64 draws (one
@@ -248,11 +249,10 @@ class Dropout(Layer):
     In a stacked cohort every client reads exactly the segment of the
     stream it would read trained alone in cohort order: its offset is the
     draws of the rows trained before it, reached with
-    ``bit_generator.advance``. A generator that cannot jump that way keeps
-    the model training one member at a time.
+    ``bit_generator.advance``. A generator that cannot jump that way is
+    refused at any rate above 0.
     """
 
-    plan_aware = True
     plan_cohort = True
     #: At inference (and at rate 0) the output *is* the input buffer —
     #: caller data, or a buffer the previous layer's backward reads — so
@@ -263,6 +263,12 @@ class Dropout(Layer):
     def __init__(self, rate: float, *, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+        if rate and not isinstance(rng.bit_generator, _ONE_STEP_PER_DRAW):
+            raise ValueError(
+                f"dropout at rate {rate} needs a generator that advances one draw at a "
+                f"time (PCG64 or PCG64DXSM, as np.random.default_rng gives), got "
+                f"{type(rng.bit_generator).__name__}"
+            )
         self.rate = rate
         self._rng = rng
 
@@ -271,10 +277,6 @@ class Dropout(Layer):
         # The mask RNG is consumed in training-call order, so independent
         # copies draw different masks than one shared instance would.
         return self.rate == 0.0
-
-    @property
-    def plan_stackable(self) -> bool:
-        return self.rate == 0.0 or isinstance(self._rng.bit_generator, _ONE_STEP_PER_DRAW)
 
     @property
     def plan_stream(self):
@@ -380,8 +382,6 @@ class BatchNorm(Layer):
     #: Running statistics accumulate across training calls, so replicas
     #: diverge from a shared instance (classic FL BN-state caveat).
     replica_safe = False
-    plan_aware = True
-    plan_stackable = True
     plan_cohort = True
     _cache_attrs = ("_std", "_xhat")
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.activations import softmax
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MSELoss", "LOG_EPS"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "LOG_EPS"]
 
 #: Clamp added inside log() to avoid -inf on zero probabilities. The chunked
 #: evaluator (repro.metrics.evaluation) reproduces the fused loss per sample
@@ -17,14 +17,14 @@ LOG_EPS = 1e-12
 class Loss:
     """Base loss: ``forward(pred, target) -> float``; ``backward() -> dpred``.
 
-    Losses implementing the fused-plan kernel protocol (optional
-    ``scratch``/``out`` parameters writing into arena buffers, and
-    ``clients`` for G clients' stacked batches, see :mod:`repro.nn.plan`)
-    set :attr:`plan_aware`; :attr:`_cache_attrs` names state cached
-    between forward and backward, dropped by :meth:`release_caches`.
+    A loss a :class:`~repro.nn.plan.TrainingPlan` trains with also takes
+    the fused-plan kernel protocol (see :mod:`repro.nn.plan`): optional
+    ``scratch`` parameters writing into arena buffers, and ``clients`` for
+    G clients' stacked batches, on which forward returns the G per-client
+    means. :attr:`_cache_attrs` names state cached between forward and
+    backward, dropped by :meth:`release_caches`.
     """
 
-    plan_aware = False
     _cache_attrs: tuple[str, ...] = ()
 
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
@@ -55,7 +55,6 @@ class SoftmaxCrossEntropy(Loss):
     backward divides each client's gradient by its own row count.
     """
 
-    plan_aware = True
     _cache_attrs = ("_probs", "_labels", "_rows")
 
     def forward(
@@ -120,16 +119,3 @@ class SoftmaxCrossEntropy(Loss):
         out[rows, self._labels] -= 1.0
         np.divide(out, self._rows, out=out)
         return out
-
-
-class MSELoss(Loss):
-    """Mean squared error (used by theory checks on quadratic objectives)."""
-
-    _cache_attrs = ("_diff",)
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        self._diff = pred - target
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        return 2.0 * self._diff / self._diff.size

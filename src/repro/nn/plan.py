@@ -55,28 +55,29 @@ one-at-a-time loop would.
 B is how many one-client arenas fit :data:`WAVE_BYTES`, measured on the
 plan's first cohort; it is 1 where one client's arena already exceeds the
 budget. The arena keeps what waves grew only while cohorts keep stacking.
-A model with a layer that cannot stack (the GRU has no stacked kernels; a
-dropout stream that cannot ``advance`` one draw at a time, or one shared
-by two layers, must be drawn in call order) trains its members one at a
-time, in cohort order, through the same loop — with the model's own store
-as the one-row slab, so every layer reads its weights where it always did.
+
+**Stacking is the rule.** There is one path through the plan, so it
+compiles only models that can take it, and refuses the rest by name
+with a ``ValueError``: a layer without planned kernels (its ``forward``
+takes no ``scratch``), and in a training plan two layers drawing from one
+generator (each positions its own draws in cohort order). A dropout
+refuses a mask generator that cannot ``advance`` one draw at a time.
 
 Every planned operation is the ``out=`` form of exactly the operation the
 allocating per-layer reference (``Sequential.train_on_batch``) runs — same
 ufuncs, same BLAS calls, same order — so the plan is **bit-identical at
 float64** to it, checked kernel by kernel and loop by loop in
 ``tests/nn/test_plan.py`` / ``tests/nn/test_cohort.py`` and end to end by
-the golden-history fixtures. Every layer a :mod:`repro.nn.zoo` builder
-instantiates has planned kernels that stack — the recurrent model too: the LSTM runs
-BPTT over time-major slabs whose per-timestep views are bound once per
-input shape (:meth:`ScratchArena.take_bound`). Layers without them (GRU,
-Flatten, Softmax, ...) run their normal forward/backward inside the
-compiled step list, so any model gets a plan and unsupported layers simply
-keep allocating.
+the golden-history fixtures. Every layer in :mod:`repro.nn` has planned
+kernels that stack — the recurrent model too: the LSTM runs BPTT over
+time-major slabs whose per-timestep views are bound once per input shape
+(:meth:`ScratchArena.take_bound`), and Flatten's are a reshape view.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -244,19 +245,25 @@ class ScratchArena:
         self._views.clear()
 
 
+@functools.cache
+def _takes_scratch(cls) -> bool:
+    """Whether ``cls.forward`` has planned kernels: a ``scratch`` parameter."""
+    return "scratch" in inspect.signature(cls.forward).parameters
+
+
 def _compile_layer(
     layer, scratch, *, input_grad: bool = True, inplace: bool = False
 ) -> tuple[Callable, Callable]:
     """Pre-bound ``fwd(x, training, stack, cohort)`` / ``bwd(grad, stack)``
-    closures for one layer.
+    closures that run one layer's ``out=``-form kernels over the
+    arena-backed ``scratch`` provider.
 
-    Plan-aware layers receive the arena-backed ``scratch`` provider and run
-    their ``out=``-form kernels; everything else is wrapped as-is, so its
-    allocation behavior is exactly the per-layer reference's. ``stack`` —
-    the ``(G, *shape)`` weight and gradient views of the clients in the
-    batch (:meth:`TrainingPlan._stacks`), or for one client the layer's
-    own parameters — reaches only stackable layers with parameters or
-    cohort state; ``cohort`` (each client's position in the cohort, see
+    A layer whose ``forward`` takes no ``scratch`` has no such kernels: it
+    is refused with a ``ValueError`` naming its class. ``stack`` — the
+    ``(G, *shape)`` weight and gradient views of the clients in the batch
+    (:meth:`TrainingPlan._stacks`), or for one client the layer's own
+    parameters — reaches only layers with parameters or cohort state;
+    ``cohort`` (each client's position in the cohort, see
     :attr:`~repro.nn.layers.Layer.plan_cohort`) only the latter.
 
     ``input_grad=False`` (the model's first layer) skips computing
@@ -266,18 +273,18 @@ def _compile_layer(
     a compiled whole-graph plan has over layer-local execution.
 
     ``inplace=True`` lets an activation overwrite its input buffer (legal
-    only when the plan knows the producer was another planned layer, so
-    the buffer is arena-owned and dead after this step — never caller
-    data). Elementwise, so values are unchanged.
+    only when the producer was an earlier layer whose output is its own
+    arena buffer and dead after this step — never caller data, never a
+    view handed through). Elementwise, so values are unchanged.
     """
     fwd_m, bwd_m = layer.forward, layer.backward
-    if not getattr(layer, "plan_aware", False):
-        return (
-            (lambda x, training, stack, cohort: fwd_m(x, training)),
-            (lambda grad, stack: bwd_m(grad)),
+    if not _takes_scratch(type(layer)):
+        raise ValueError(
+            f"{type(layer).__name__} has no planned kernels (its forward takes no "
+            "scratch=), so no training plan can run it"
         )
-    stateful = getattr(layer, "plan_cohort", False)
-    if stateful or (getattr(layer, "plan_stackable", False) and layer.params):
+    stateful = layer.plan_cohort
+    if stateful or layer.params:
         if stateful:
 
             def fwd(x, training, stack, cohort):
@@ -355,6 +362,18 @@ class TrainingPlan:
     """
 
     def __init__(self, model: "Sequential", loss: "Loss | None" = None):
+        # Each layer positions its own draws in cohort order, so two drawing
+        # from one generator cannot train; a forward-only plan never draws.
+        first: dict = {}
+        for i, layer in enumerate(model.layers if loss is not None else ()):
+            if layer.plan_stream is None:
+                continue
+            j = first.setdefault(id(layer.plan_stream), i)
+            if j != i:
+                raise ValueError(
+                    f"layers {j} and {i} ({type(layer).__name__}) draw from one "
+                    "generator; a training plan needs each to have its own"
+                )
         self.model = model
         self.loss = loss
         self.arena = ScratchArena()
@@ -367,47 +386,28 @@ class TrainingPlan:
                 layer,
                 self.arena.slot(i),
                 input_grad=i > 0,
-                # In-place activation: only over a buffer another planned
-                # layer just produced (arena-owned) whose backward does not
-                # read its own output values (Tanh/Sigmoid cache theirs for
-                # the derivative — overwriting would corrupt gradients).
+                # In-place activation: only over a buffer the previous layer
+                # just produced (arena-owned) whose backward does not read
+                # its own output values (Tanh/Sigmoid cache theirs for the
+                # derivative — overwriting would corrupt gradients).
                 inplace=i > 0 and prev_overwritable,
             )
             self._fwds.append(fwd)
             self._bwds.append(bwd)
-            prev_overwritable = getattr(layer, "plan_aware", False) and not getattr(
-                layer, "plan_backward_needs_output", False
-            )
+            prev_overwritable = not layer.plan_backward_needs_output
         self._bwds.reverse()
         self._opt_scratch = self.arena.slot("optimizer")
-        if loss is not None and getattr(loss, "plan_aware", False):
+        if loss is None:
+            self._loss_fwd = self._loss_bwd = None
+        else:
             slot = self.arena.slot("loss")
             self._loss_fwd = lambda logits, y, clients: loss.forward(
                 logits, y, scratch=slot, clients=clients
             )
             self._loss_bwd = lambda: loss.backward(scratch=slot)
-        elif loss is not None:
-            self._loss_fwd = lambda logits, y, clients: loss.forward(logits, y)
-            self._loss_bwd = loss.backward
-        else:
-            self._loss_fwd = self._loss_bwd = None
-        #: Whether G clients can share one kernel chain: every layer
-        #: stackable, no generator drawn by two layers, and a loss that
-        #: reports per-client means.
-        streams = [getattr(layer, "plan_stream", None) for layer in model.layers]
-        streams = [id(s) for s in streams if s is not None]
-        self.stackable = (
-            getattr(loss, "plan_aware", False)
-            and all(getattr(layer, "plan_stackable", False) for layer in model.layers)
-            and len(set(streams)) == len(streams)
-        )
         #: Layers whose cross-batch state a stacked cohort keeps in cohort
-        #: order; trained one member at a time, they need nothing.
-        self._stateful = (
-            [layer for layer in model.layers if getattr(layer, "plan_cohort", False)]
-            if self.stackable
-            else []
-        )
+        #: order.
+        self._stateful = [layer for layer in model.layers if layer.plan_cohort]
         #: (start, end, shape) of each layer's parameters in the flat vector.
         offsets = iter(self._store.offsets)
         self._spans = [
@@ -539,17 +539,13 @@ class TrainingPlan:
     def _waves(self, members: Sequence[CohortMember], optimizer: "Optimizer"):
         """Member indices, one list per wave; train each before the next.
 
-        A model that cannot stack trains one member at a time in cohort
-        order. Otherwise members are sorted by (shard size, epochs), so
-        equal batch sequences share a wave, and split into waves of at most
-        B, as even as B allows. The plan's first cohort sets B: its largest
-        shard trains alone first, and what that leaves in the arena, plus
-        the weight and gradient rows it kept in the model's store, is one
+        Members are sorted by (shard size, epochs), so equal batch
+        sequences share a wave, and split into waves of at most B, as even
+        as B allows. The plan's first cohort sets B: its largest shard
+        trains alone first, and what that leaves in the arena, plus the
+        weight and gradient rows it kept in the model's store, is one
         client's arena.
         """
-        if not self.stackable:
-            yield from ([i] for i in range(len(members)))
-            return
         order = sorted(
             range(len(members)), key=lambda i: (members[i].schedule.n, members[i].epochs)
         )

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["MaxPool2D", "GlobalAveragePool"]
+__all__ = ["MaxPool2D"]
 
 
 class MaxPool2D(Layer):
@@ -14,12 +14,12 @@ class MaxPool2D(Layer):
 
     Inputs whose spatial size is not a multiple of the window are cropped at
     the bottom/right edge, matching TensorFlow's 'valid' pooling.
+
+    Windows are per row, so a cohort's stacked batch pools as its clients'
+    batches would; the tie test in backward is global over the batch, but
+    both of its branches give the same bits when nothing ties.
     """
 
-    plan_aware = True
-    #: Windows are per row; the tie test below is global over the batch,
-    #: but both of its branches give the same bits when nothing ties.
-    plan_stackable = True
     _cache_attrs = ("_x_shape", "_mask", "_windows_shape")
 
     def __init__(self, pool_size: int = 2):
@@ -124,18 +124,3 @@ class MaxPool2D(Layer):
             dx.fill(0.0)
         dx[:, : oh * k, : ow * k, :] = dx_cropped
         return dx
-
-
-class GlobalAveragePool(Layer):
-    """Average over all spatial positions: (N, H, W, C) -> (N, C)."""
-
-    plan_stackable = True
-    _cache_attrs = ("_shape",)
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
-        return x.mean(axis=(1, 2))
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, h, w, c = self._shape
-        return np.broadcast_to(grad[:, None, None, :], self._shape) / (h * w)

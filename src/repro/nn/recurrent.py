@@ -29,8 +29,6 @@ class Embedding(Layer):
     rows in the order its own scatter would.
     """
 
-    plan_aware = True
-    plan_stackable = True
     _cache_attrs = ("_ids",)
 
     def __init__(
@@ -163,8 +161,6 @@ class LSTM(Layer):
     is elementwise over all G·rows rows.
     """
 
-    plan_aware = True
-    plan_stackable = True
     #: The output is a view of the slab backward reads its hidden states
     #: from, so the next layer must not overwrite it in place.
     plan_backward_needs_output = True

@@ -1,19 +1,11 @@
-"""Shared utilities: deterministic RNG management, serialization, validation."""
+"""Shared utilities: deterministic RNG management and JSON serialization."""
 
 from repro.utils.rng import SeedSequenceFactory, spawn_rngs
 from repro.utils.serialization import load_json, save_json
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-)
 
 __all__ = [
     "SeedSequenceFactory",
     "spawn_rngs",
     "save_json",
     "load_json",
-    "check_positive",
-    "check_fraction",
-    "check_probability_vector",
 ]

@@ -9,16 +9,9 @@ statistically uncorrelated (via ``numpy.random.SeedSequence`` spawning).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-__all__ = ["SeedSequenceFactory", "spawn_rngs", "rng_from_seed"]
-
-
-def rng_from_seed(seed: int | None) -> np.random.Generator:
-    """Create a ``Generator`` from an integer seed (or entropy if ``None``)."""
-    return np.random.default_rng(seed)
+__all__ = ["SeedSequenceFactory", "spawn_rngs"]
 
 
 def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
@@ -90,25 +83,3 @@ class SeedSequenceFactory:
     def integers(self, name: str, n: int, high: int = 2**31 - 1) -> np.ndarray:
         """Draw ``n`` reproducible integers in ``[0, high)`` for stream ``name``."""
         return self.rng(name).integers(0, high, size=n)
-
-
-def interleave_choice(
-    rng: np.random.Generator, pools: Iterable[np.ndarray], k: int
-) -> np.ndarray:
-    """Sample ``k`` items round-robin across ``pools`` without replacement.
-
-    Used by tests to build mixed client cohorts; kept here because it needs a
-    Generator and is shared between sim and experiments.
-    """
-    pools = [np.asarray(p) for p in pools]
-    chosen: list[int] = []
-    cursors = [rng.permutation(len(p)) for p in pools]
-    offsets = [0] * len(pools)
-    i = 0
-    while len(chosen) < k and any(o < len(c) for o, c in zip(offsets, cursors)):
-        p = i % len(pools)
-        if offsets[p] < len(cursors[p]):
-            chosen.append(int(pools[p][cursors[p][offsets[p]]]))
-            offsets[p] += 1
-        i += 1
-    return np.asarray(chosen[:k])

@@ -9,6 +9,7 @@ from repro.compression.codec import (
     NullCodec,
     PolylineCodec,
     QuantizationCodec,
+    SubsampleCodec,
     TopKCodec,
     compression_ratio,
     make_codec,
@@ -101,6 +102,31 @@ class TestTopKCodec:
             TopKCodec(0.0)
         with pytest.raises(ValueError):
             TopKCodec(1.5)
+
+
+class TestSubsampleCodec:
+    def test_roundtrip_keeps_sampled_coords(self, rng):
+        flat = rng.normal(size=100)
+        codec = SubsampleCodec(0.3, seed=1)
+        out, payload = codec.roundtrip(flat)
+        nonzero = np.flatnonzero(out)
+        assert nonzero.size == 30
+        np.testing.assert_allclose(out[nonzero], flat[nonzero], atol=1e-6)
+        assert payload.nbytes == 30 * 4 + 8
+
+    def test_fraction_one_is_lossless_float32(self, rng):
+        flat = rng.normal(size=50)
+        out, _ = SubsampleCodec(1.0).roundtrip(flat)
+        np.testing.assert_allclose(out, flat, atol=1e-6)
+
+    def test_factory(self):
+        codec = make_codec("subsample:0.5")
+        assert isinstance(codec, SubsampleCodec)
+        assert codec.fraction == 0.5
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SubsampleCodec(0.0)
 
 
 #: Values that historically break codecs: signed zeros, subnormals, huge

@@ -2,8 +2,10 @@
 
 ``src/`` has one parameter layout (``Sequential`` always owns a
 ``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
-whose one-member case is every single client's round), one broadcast policy (shared memory, falling back on what the code observes),
-one staleness knob (``FLConfig.staleness``), one run loop
+whose one-member case is every single client's round) with one path through
+it (every model it compiles stacks; the rest is refused), one broadcast
+policy (shared memory, falling back on what the code observes), one
+staleness knob (``FLConfig.staleness``), one run loop
 (``FLSystem._run``, with one cohort launch and one rejoin scheduler) and
 one home for execution settings (``ExecConfig``, read only by
 ``make_executor``). The names below selected or served the other side of
@@ -32,6 +34,10 @@ REMOVED = re.compile(
     # no knob funnel; and two config fields nothing read.
     r"|EXECUTION_ONLY_KEYS|register_executor|_EXECUTOR_REGISTRY|_ensure_builtins|\*\*_ignored"
     r"|profiler_probe_rounds|extra: dict|config\.extra\b"
+    # One cohort path: no flag picks a layer's or a plan's other path, and
+    # the layers, schedules and helpers that kept that path covered are gone.
+    r"|class GRU|nn\.gru|nn\.schedules|ClippedOptimizer|utils\.validation|MSELoss"
+    r"|GlobalAveragePool|class Softmax\b|plan_aware|plan_stackable|\.stackable\b"
 )
 
 
@@ -55,6 +61,16 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("    extra: dict = field(default_factory=dict)")
     assert not REMOVED.search("        extra = 0")
     assert REMOVED.search("    def _serial(*, model, clients, loss, optimizer, **_ignored):")
+    assert REMOVED.search("class GRU(Layer):")
+    assert REMOVED.search("from repro.nn.schedules import ClippedOptimizer")
+    assert REMOVED.search("class Softmax(Layer):")
+    assert not REMOVED.search("class SoftmaxCrossEntropy(Loss):")
+    assert not REMOVED.search("from repro.nn.activations import softmax")
+    assert REMOVED.search("    plan_aware = True")
+    assert REMOVED.search("    def plan_stackable(self) -> bool:")
+    assert REMOVED.search("        if not self.stackable:")
+    assert not REMOVED.search("    plan_stream = None")
+    assert not REMOVED.search("    plan_cohort = True")
 
 
 def test_one_lease_state_machine():
@@ -103,14 +119,12 @@ def test_one_sigmoid():
 
 
 def test_every_zoo_layer_has_plan_kernels():
-    """A model the experiments build never trains through the allocating
-    per-layer fallback: whatever layer a ``repro.nn.zoo`` builder starts
-    using needs ``out=``-form kernels first (or a reason here why not).
-    And every such model stacks its cohorts, the reddit model included."""
+    """A model the experiments build stacks its cohorts, the reddit model
+    included: its training plan compiles, and a plan refuses any layer
+    without planned kernels and any generator two layers share."""
     import numpy as np
 
     from repro.nn import zoo
-    from repro.nn.layers import Flatten
     from repro.nn.losses import SoftmaxCrossEntropy
     from repro.nn.plan import TrainingPlan
 
@@ -127,20 +141,47 @@ def test_every_zoo_layer_has_plan_kernels():
         ),
     }
     assert sorted(built) == sorted(zoo.__all__)
-    unplanned = {
-        type(layer).__name__
-        for model in built.values()
-        for layer in model.layers
-        if not layer.plan_aware
-    }
-    # Flatten is a reshape: a view, no arithmetic, nothing to allocate.
-    assert unplanned <= {Flatten.__name__}
-    unstacked = [
-        name
-        for name, model in built.items()
-        if not TrainingPlan(model, SoftmaxCrossEntropy()).stackable
-    ]
-    assert not unstacked, f"these zoo models train their cohorts one member at a time: {unstacked}"
+    for model in built.values():
+        TrainingPlan(model, SoftmaxCrossEntropy())
+
+
+#: Exports no code outside their own module uses, each kept for a reason.
+EXPORTS_WITHOUT_CALLERS = {
+    "ProximalTerm": "the oracle for the proximal hook of Sequential.train_on_batch",
+    "Tanh": "a planned activation, pinned by the in-place hazard test",
+    "Sigmoid": "a planned activation, pinned by the in-place hazard test",
+    "ScratchArena": "the plan's arena type",
+    "build_mlp": "the test model",
+}
+
+
+def test_every_export_has_a_caller():
+    """Every name ``repro.nn`` and ``repro.utils`` export is used, as a name
+    or an attribute (found with ``ast``, not by string search), by code
+    under ``src/``, ``scripts/``, ``benchmarks/`` or ``examples/`` outside
+    the module that defines it, or is on the allowlist above. A public name
+    nothing runs is dead code kept alive by its own tests."""
+    import ast
+    import importlib
+
+    used = {}
+    for folder in ("src", "scripts", "benchmarks", "examples"):
+        for path in sorted((SRC.parent / folder).rglob("*.py")):
+            used[path] = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    uncalled = []
+    for package in ("repro.nn", "repro.utils"):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            home = SRC / (getattr(module, name).__module__.replace(".", "/") + ".py")
+            if not any(name in names for path, names in used.items() if path != home):
+                uncalled.append(name)
+    assert sorted(uncalled) == sorted(EXPORTS_WITHOUT_CALLERS), (
+        "an export with no caller is dead code: delete it, or allowlist it with a reason"
+    )
 
 
 def test_one_recurrent_kernel_per_class():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.nn.activations import ReLU, Sigmoid, Softmax, Tanh, sigmoid, softmax
+from repro.nn.activations import ReLU, Sigmoid, Tanh, sigmoid, softmax
 from tests.helpers import check_layer_gradients
 
 
@@ -55,14 +55,3 @@ def test_tanh_gradients(rng):
 def test_sigmoid_layer_gradients(rng):
     check_layer_gradients(Sigmoid(), rng.normal(size=(4, 6)), rng=rng)
 
-
-def test_softmax_layer_gradients(rng):
-    check_layer_gradients(Softmax(), rng.normal(size=(4, 6)), rng=rng)
-
-
-def test_softmax_backward_orthogonal_to_ones(rng):
-    """dSoftmax maps any upstream grad into the tangent of the simplex."""
-    layer = Softmax()
-    layer.forward(rng.normal(size=(3, 5)))
-    dx = layer.backward(rng.normal(size=(3, 5)))
-    np.testing.assert_allclose(dx.sum(axis=1), 0.0, atol=1e-10)

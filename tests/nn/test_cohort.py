@@ -32,9 +32,9 @@ member's weights and mean loss equal what the member gets trained alone
 (by the per-layer reference loop kept here, or one member per call at
 float32), over mixed shard sizes, epochs, start epochs, λ and optimizers;
 the reddit model's batch-norm statistics and dropout stream end where
-training the members one at a time in cohort order leaves them; models
-that cannot stack train that way; waves are as even as B allows; and bad
-member data is refused by name.
+training the members one at a time in cohort order leaves them; waves
+are as even as B allows; and what cannot stack, like bad member data, is
+refused by name.
 """
 
 import copy
@@ -47,8 +47,7 @@ from hypothesis import strategies as st
 from repro.data.batching import FixedBatchSchedule
 from repro.nn import layers as layers_module
 from repro.nn import plan as plan_module
-from repro.nn.gru import GRU
-from repro.nn.layers import BatchNorm, Dense, Dropout
+from repro.nn.layers import BatchNorm, Dense, Dropout, Layer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam
@@ -422,7 +421,6 @@ class TestCohortIsEachClientAlone:
         swaps = _counting_swaps(monkeypatch)
         for wave_size in (None, 3):  # B from the arena (one wave here), and B = 3
             plan = TrainingPlan(model, SoftmaxCrossEntropy())
-            assert plan.stackable
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(start, members, make()), want)
             assert plan.wave_size is not None
@@ -534,7 +532,6 @@ class TestCohortIsEachClientAlone:
         for wave_size in (None, 1, 2, 3):
             model = built(1)
             plan = TrainingPlan(model, SoftmaxCrossEntropy())
-            assert plan.stackable
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
             _assert_same_state(model, reference)
@@ -590,63 +587,52 @@ class TestCohortIsEachClientAlone:
             _assert_same_state(model, one_by_one)
 
 
-class TestModelsThatCannotStack:
-    """A layer without stacked kernels, or a mask stream that cannot jump,
-    keeps the model training one member at a time, in cohort order, through
-    the same loop — and equal to the per-layer reference."""
+class TestWhatCannotStackIsRefused:
+    """Stacking is the only path through the plan: what cannot take it is
+    refused by name when the layer or the plan is built, never trained
+    some other way."""
 
-    def _check(self, build, monkeypatch):
-        members = _members((5,), (12, 7, 17, 3, 10), classes=24, ints=24)
-        reference = build(np.random.default_rng(1))
-        start = reference.get_flat_weights()
-        want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
-        model = build(np.random.default_rng(1))
-        plan = TrainingPlan(model, SoftmaxCrossEntropy())
-        assert not plan.stackable
-        waves = _recording_waves(plan, monkeypatch)
-        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
-        assert [id(m) for (m,) in waves] == [id(m) for m in members]
-        _assert_same_state(model, reference)
+    def test_a_dropout_stream_without_advance(self):
+        stream = np.random.Generator(np.random.MT19937(0))
+        assert not hasattr(stream.bit_generator, "advance")
+        with pytest.raises(ValueError, match="got MT19937"):
+            Dropout(0.1, rng=stream)
+        assert Dropout(0.0, rng=stream).plan_stream is None  # never draws
 
-    def test_a_gru(self, monkeypatch):
-        def build(rng):
-            return Sequential(
-                [
-                    Embedding(24, 6, rng=rng),
-                    GRU(6, 6, rng=rng),
-                    Dropout(0.1, rng=rng),
-                    BatchNorm(6),
-                    Dense(6, 24, rng=rng, name="head"),
-                ]
-            )
-
-        self._check(build, monkeypatch)
-
-    def test_a_dropout_stream_without_advance(self, monkeypatch):
-        def build(rng):
-            stream = np.random.Generator(np.random.MT19937(int(rng.integers(2**32))))
-            return _lstm_classifier()(stream)
-
-        assert not hasattr(np.random.MT19937(0), "advance")
-        self._check(build, monkeypatch)
-
-    def test_two_dropouts_drawing_one_stream(self, monkeypatch):
+    def test_two_dropouts_drawing_one_stream(self):
         """Each dropout positions its own draws, so two drawing from one
-        generator interleave per step: the model does not stack."""
+        generator would interleave per step; the forward-only plan the
+        evaluator builds never draws, and compiles."""
+        rng = np.random.default_rng(1)
+        model = Sequential(
+            [
+                Embedding(24, 6, rng=rng),
+                LSTM(6, 6, rng=rng),
+                Dropout(0.1, rng=rng),
+                Dense(6, 6, rng=rng, name="fc"),
+                Dropout(0.2, rng=rng),
+                Dense(6, 24, rng=rng, name="head"),
+            ]
+        )
+        with pytest.raises(ValueError, match=r"layers 2 and 4 \(Dropout\) draw from one generator"):
+            TrainingPlan(model, SoftmaxCrossEntropy())
+        x = np.random.default_rng(2).integers(0, 24, size=(3, 5))
+        np.testing.assert_array_equal(TrainingPlan(model).forward(x), model.forward(x))
 
-        def build(rng):
-            return Sequential(
-                [
-                    Embedding(24, 6, rng=rng),
-                    LSTM(6, 6, rng=rng),
-                    Dropout(0.1, rng=rng),
-                    Dense(6, 6, rng=rng, name="fc"),
-                    Dropout(0.2, rng=rng),
-                    Dense(6, 24, rng=rng, name="head"),
-                ]
-            )
+    def test_a_layer_without_planned_kernels(self):
+        class Square(Layer):
+            def forward(self, x, training=False):
+                self._x = x
+                return x * x
 
-        self._check(build, monkeypatch)
+            def backward(self, grad):
+                return 2.0 * self._x * grad
+
+        rng = np.random.default_rng(1)
+        model = Sequential([Dense(4, 4, rng=rng), Square(), Dense(4, 3, rng=rng)])
+        for loss in (SoftmaxCrossEntropy(), None):
+            with pytest.raises(ValueError, match="Square has no planned kernels"):
+                TrainingPlan(model, loss)
 
 
 def _recording_waves(plan, monkeypatch):

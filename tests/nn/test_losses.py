@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.activations import softmax
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from tests.helpers import numeric_grad
 
 
@@ -56,20 +56,3 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             loss.forward(rng.normal(size=(3, 4)), np.zeros(5, dtype=int))
 
-
-class TestMSE:
-    def test_value(self):
-        loss = MSELoss()
-        assert loss.forward(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == 2.5
-
-    def test_gradient_numeric(self, rng):
-        loss = MSELoss()
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-
-        def objective():
-            return loss.forward(pred, target)
-
-        objective()
-        grad = loss.backward()
-        np.testing.assert_allclose(grad, numeric_grad(objective, pred), atol=1e-6)

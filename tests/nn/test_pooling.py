@@ -1,9 +1,9 @@
-"""MaxPool2D / GlobalAveragePool tests."""
+"""MaxPool2D tests."""
 
 import numpy as np
 import pytest
 
-from repro.nn.pooling import GlobalAveragePool, MaxPool2D
+from repro.nn.pooling import MaxPool2D
 from tests.helpers import check_layer_gradients
 
 
@@ -49,12 +49,3 @@ class TestMaxPool2D:
         with pytest.raises(ValueError):
             MaxPool2D(4).forward(np.zeros((1, 2, 2, 1)))
 
-
-class TestGlobalAveragePool:
-    def test_forward(self, rng):
-        x = rng.normal(size=(3, 4, 5, 2))
-        out = GlobalAveragePool().forward(x)
-        np.testing.assert_allclose(out, x.mean(axis=(1, 2)))
-
-    def test_gradients(self, rng):
-        check_layer_gradients(GlobalAveragePool(), rng.normal(size=(2, 3, 3, 2)), rng=rng)
