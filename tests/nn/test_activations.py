@@ -35,6 +35,19 @@ def test_softmax_stable_with_large_logits():
     np.testing.assert_allclose(p[0, 0], 1.0, atol=1e-12)
 
 
+def test_softmax_is_normalised_exp(rng):
+    x = rng.normal(size=(6, 4))
+    e = np.exp(x)
+    np.testing.assert_allclose(softmax(x), e / e.sum(axis=1, keepdims=True), rtol=1e-12)
+
+
+def test_softmax_axis(rng):
+    x = rng.normal(size=(3, 5, 4))
+    np.testing.assert_allclose(
+        softmax(x, axis=1), softmax(x.swapaxes(1, -1)).swapaxes(1, -1), rtol=1e-12
+    )
+
+
 def test_relu_forward(rng):
     x = rng.normal(size=(5, 5))
     out = ReLU().forward(x)

@@ -634,6 +634,58 @@ class TestWhatCannotStackIsRefused:
             with pytest.raises(ValueError, match="Square has no planned kernels"):
                 TrainingPlan(model, loss)
 
+    def test_a_subclass_whose_forward_drops_scratch(self):
+        """The signature is read off the class that runs, so overriding a
+        planned layer's forward without ``scratch`` gives up its kernels."""
+
+        class LoggedDense(Dense):
+            def forward(self, x, training=False):
+                return super().forward(x, training)
+
+        rng = np.random.default_rng(1)
+        model = Sequential([Dense(4, 4, rng=rng), LoggedDense(4, 3, rng=rng)])
+        with pytest.raises(ValueError, match="LoggedDense has no planned kernels"):
+            TrainingPlan(model, SoftmaxCrossEntropy())
+
+    def test_the_first_pair_on_one_generator_is_named(self):
+        rng = np.random.default_rng(1)
+        shared = np.random.default_rng(2)
+        model = Sequential(
+            [
+                Dense(4, 4, rng=rng, name="a"),
+                Dropout(0.1, rng=shared),
+                Dense(4, 4, rng=rng, name="b"),
+                Dropout(0.2, rng=np.random.default_rng(3)),
+                Dense(4, 4, rng=rng, name="c"),
+                Dropout(0.3, rng=shared),
+                Dropout(0.4, rng=shared),
+            ]
+        )
+        with pytest.raises(ValueError, match=r"layers 1 and 5 \(Dropout\)"):
+            TrainingPlan(model, SoftmaxCrossEntropy())
+
+    def test_dropouts_that_never_draw_may_share_a_generator(self):
+        """At rate 0 a dropout has no stream to position, so sharing one
+        generator with a drawing dropout leaves nothing to interleave."""
+        rng = np.random.default_rng(1)
+        shared = np.random.default_rng(2)
+        model = Sequential(
+            [
+                Dense(4, 4, rng=rng, name="a"),
+                Dropout(0.0, rng=shared),
+                Dense(4, 4, rng=rng, name="b"),
+                Dropout(0.2, rng=shared),
+                Dense(4, 3, rng=rng, name="c"),
+            ]
+        )
+        members = _members((4,), (6, 9), classes=3)
+        start = model.get_flat_weights()
+        want = [_alone(model, m, OPTIMIZERS["adam"], start) for m in members]
+        model.set_flat_weights(start)
+        shared.bit_generator.state = np.random.default_rng(2).bit_generator.state
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
+
 
 def _recording_waves(plan, monkeypatch):
     waves = []

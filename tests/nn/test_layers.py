@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
+from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.model import Sequential
+from repro.nn.plan import ScratchArena, TrainingPlan
 from tests.helpers import check_layer_gradients, numeric_grad
 
 
@@ -63,8 +67,57 @@ class TestFlatten:
     def test_gradients(self, rng):
         check_layer_gradients(Flatten(), rng.normal(size=(2, 3, 4)), rng=rng)
 
+    def test_planned_forward_is_a_view_of_its_input(self, rng):
+        x = rng.normal(size=(3, 4, 5, 2))
+        out = Flatten().forward(x, True, scratch=ScratchArena().slot(0))
+        assert out.shape == (3, 40) and np.shares_memory(out, x)
+        np.testing.assert_array_equal(out, x.reshape(3, -1))
+
+    def test_planned_backward_is_a_view_of_the_grad(self, rng):
+        layer, scratch = Flatten(), ScratchArena().slot(0)
+        layer.forward(rng.normal(size=(3, 4, 5)), True, scratch=scratch)
+        grad = rng.normal(size=(3, 20))
+        back = layer.backward(grad, scratch=scratch)
+        assert back.shape == (3, 4, 5) and np.shares_memory(back, grad)
+        assert layer.backward(grad, scratch=scratch, input_grad=False) is None
+
+    def test_the_next_layer_never_overwrites_what_it_hands_through(self, rng):
+        """Flatten's output is Tanh's cached output, reshaped: a ReLU after
+        it must write its own buffer, or Tanh's backward reads ReLU's."""
+        dense = Dense(4, 6, rng=rng)
+        tanh = Tanh()
+        model = Sequential([dense, tanh, Flatten(), ReLU(), Dense(6, 3, rng=rng)])
+        x = rng.normal(size=(16, 4))
+        TrainingPlan(model, SoftmaxCrossEntropy()).forward(x, training=True)
+        np.testing.assert_array_equal(tanh._out, np.tanh(x @ dense.w.data + dense.b.data))
+        assert (tanh._out < 0).any()
+
+
+#: Every bit generator NumPy ships, by whether a drawing dropout takes it.
+_ONE_STEP = [np.random.PCG64, np.random.PCG64DXSM]
+_NO_ONE_STEP = [np.random.MT19937, np.random.Philox, np.random.SFC64]
+
 
 class TestDropout:
+    @pytest.mark.parametrize("bits", _ONE_STEP, ids=lambda b: b.__name__)
+    def test_draws_from_a_generator_that_advances_one_draw_at_a_time(self, bits):
+        stream = np.random.Generator(bits(0))
+        assert Dropout(0.1, rng=stream).plan_stream is stream
+
+    @pytest.mark.parametrize("bits", _NO_ONE_STEP, ids=lambda b: b.__name__)
+    def test_refuses_any_other_generator_by_name(self, bits):
+        with pytest.raises(ValueError, match=f"rate 0.1 .* got {bits.__name__}$"):
+            Dropout(0.1, rng=np.random.Generator(bits(0)))
+
+    @pytest.mark.parametrize("bits", _ONE_STEP + _NO_ONE_STEP, ids=lambda b: b.__name__)
+    def test_zero_rate_takes_any_generator_and_never_draws(self, bits, rng):
+        stream = np.random.Generator(bits(0))
+        layer = Dropout(0.0, rng=stream)
+        assert layer.plan_stream is None
+        x = rng.normal(size=(4, 3))
+        assert layer.forward(x, training=True) is x
+        np.testing.assert_array_equal(stream.random(4), np.random.Generator(bits(0)).random(4))
+
     def test_identity_at_inference(self, rng):
         layer = Dropout(0.5, rng=rng)
         x = rng.normal(size=(10, 10))

@@ -842,6 +842,58 @@ class TestArenaHygiene:
 # --------------------------------------------------------------------- #
 # 4. Plan lifecycle
 # --------------------------------------------------------------------- #
+#: One instance of every layer :mod:`repro.nn` exports.
+_EVERY_LAYER = {
+    "Dense": lambda rng: Dense(3, 2, rng=rng),
+    "Flatten": lambda rng: Flatten(),
+    "Dropout": lambda rng: Dropout(0.5, rng=rng),
+    "BatchNorm": lambda rng: BatchNorm(3),
+    "Conv2D": lambda rng: Conv2D(1, 2, rng=rng),
+    "MaxPool2D": lambda rng: MaxPool2D(2),
+    "Embedding": lambda rng: Embedding(8, 3, rng=rng),
+    "LSTM": lambda rng: LSTM(3, 3, rng=rng),
+    "ReLU": lambda rng: ReLU(),
+    "Tanh": lambda rng: Tanh(),
+    "Sigmoid": lambda rng: Sigmoid(),
+}
+
+
+class TestKernelProtocol:
+    """The signature is the protocol: every exported layer's kernels take
+    exactly the keywords the plan's compiled closures pass it, so every
+    one compiles — there is no other path a layer could take."""
+
+    def test_every_exported_layer_is_listed(self):
+        import repro.nn
+        from repro.nn.layers import Layer
+
+        exported = {
+            name
+            for name in repro.nn.__all__
+            if isinstance(getattr(repro.nn, name), type)
+            and issubclass(getattr(repro.nn, name), Layer)
+        }
+        assert exported == set(_EVERY_LAYER)
+
+    @pytest.mark.parametrize("name", sorted(_EVERY_LAYER))
+    def test_kernels_take_what_the_plan_passes(self, name):
+        import inspect
+
+        layer = _EVERY_LAYER[name](np.random.default_rng(0))
+        fwd = set(inspect.signature(layer.forward).parameters)
+        bwd = set(inspect.signature(layer.backward).parameters)
+        assert "scratch" in fwd
+        assert {"scratch", "input_grad"} <= bwd
+        if layer.params or layer.plan_cohort:
+            assert "stack" in fwd and "stack" in bwd
+        if layer.plan_cohort:
+            assert "cohort" in fwd
+        if getattr(layer, "plan_inplace", False):
+            assert "out" in fwd
+        fwd_step, bwd_step = plan_module._compile_layer(layer, ScratchArena().slot(0))
+        assert callable(fwd_step) and callable(bwd_step)
+
+
 class TestPlanLifecycle:
     def test_plan_cached_per_loss(self):
         model = _cnn()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.layers import Dropout
 from repro.utils.rng import SeedSequenceFactory, spawn_rngs
 
 
@@ -64,3 +65,27 @@ class TestFactory:
         v = f.integers("ints", 10, high=100)
         assert v.shape == (10,)
         assert np.all((0 <= v) & (v < 100))
+
+    def test_seed_property(self):
+        assert SeedSequenceFactory(11).seed == 11
+        assert SeedSequenceFactory(None).seed == 0
+
+    def test_rng_is_the_named_seed_sequence(self):
+        f = SeedSequenceFactory(4)
+        np.testing.assert_array_equal(
+            f.rng("client/3").random(5),
+            np.random.default_rng(f.seed_sequence("client/3")).random(5),
+        )
+
+
+class TestStreamsADropoutCanTake:
+    """A drawing dropout needs a generator that advances one draw at a
+    time; every stream the library hands out is one."""
+
+    def test_spawned(self):
+        for stream in spawn_rngs(0, 3):
+            assert Dropout(0.5, rng=stream).plan_stream is stream
+
+    def test_named(self):
+        stream = SeedSequenceFactory(0).child("model").rng("dropout")
+        assert Dropout(0.5, rng=stream).plan_stream is stream
