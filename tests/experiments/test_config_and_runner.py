@@ -190,6 +190,15 @@ class TestRunner:
 _PINNED_RUN = {"method": "fedat", "dataset": "sentiment140", "scale": "tiny", "seed": 1,
                "max_rounds": 8}
 _PINNED_KEY = "d627b7981b3024d28e6b"
+#: Two more, whose method knobs each only one or two methods read: a key
+#: hashes the flat names, wherever a knob is declared.
+_PINNED_METHOD_RUNS = [
+    ({"method": "fedasync", "dataset": "sentiment140", "scale": "tiny", "seed": 1,
+      "max_rounds": 8, "fedasync_alpha": 0.5, "staleness": "poly:0.5"}, "ea8716bad4b59aff6d53"),
+    ({"method": "tifl", "dataset": "sentiment140", "scale": "tiny", "seed": 1,
+      "max_rounds": 8, "num_tiers": 3, "tifl_interval": 4, "retier_interval": 2},
+     "6ad2c5146c8974c34ebd"),
+]
 
 
 class TestCacheKey:
@@ -219,3 +228,7 @@ class TestCacheKey:
     def test_key_is_pinned(self):
         assert _cache_key(_PINNED_RUN) == _PINNED_KEY
         assert _cache_key({**_PINNED_RUN, "executor": "dist", "num_workers": 2}) == _PINNED_KEY
+
+    @pytest.mark.parametrize("run,key", _PINNED_METHOD_RUNS, ids=["fedasync", "tifl"])
+    def test_method_knob_keys_are_pinned(self, run, key):
+        assert _cache_key(run) == key
