@@ -63,14 +63,15 @@ def main() -> None:
         local_epochs=2,
         batch_size=16,
         learning_rate=0.01,
-        lam=0.2,
-        num_tiers=3,
         max_rounds=60,
         max_time=400.0,
         eval_every=6,
         num_unstable=1,
         seed=0,
         compression="polyline:5",
+        # FedAT's own knobs (FedAT.Params); a flat lam=... only works through
+        # make_fl_config / run_experiment / the CLI.
+        algo=FedAT.Params(lam=0.2, num_tiers=3),
     )
     system = FedAT(dataset, model_builder, config)
 

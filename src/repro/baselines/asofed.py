@@ -10,15 +10,22 @@ original paper.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.base import AsyncFLSystem
+from repro.core.params import ProximalParams
 
 __all__ = ["ASOFed"]
 
 
 class ASOFed(AsyncFLSystem):
     name = "asofed"
+
+    @dataclass(frozen=True)
+    class Params(AsyncFLSystem.Params, ProximalParams):
+        pass
 
     def __init__(self, population, model_builder, config, *, delay_model=None):
         super().__init__(population, model_builder, config, delay_model=delay_model)
@@ -30,9 +37,6 @@ class ASOFed(AsyncFLSystem):
         self._copies: dict[int, np.ndarray] = {}
         self._copy_sum = self.initial_flat * k
         self._k = k
-
-    def client_lambda(self, client_id: int) -> float:
-        return self.config.lam  # the local constraint term
 
     def apply_update(self, result, staleness: int) -> None:
         self._install_copy(result.client_id, result.weights, staleness)

@@ -10,19 +10,18 @@ numbers for clients"). Epoch counts are drawn per (client, round) from
 from __future__ import annotations
 
 from repro.core.base import SyncFLSystem
+from repro.core.params import ProximalParams
 
 __all__ = ["FedProx"]
 
 
 class FedProx(SyncFLSystem):
     name = "fedprox"
+    Params = ProximalParams
 
     def __init__(self, dataset, model_builder, config, *, delay_model=None):
         super().__init__(dataset, model_builder, config, delay_model=delay_model)
         self._epoch_rng = self.factory.rng("algo/fedprox/epochs")
-
-    def client_lambda(self, client_id: int) -> float:
-        return self.config.lam
 
     def client_epochs(self, client_id: int) -> int:
         """γ-inexact local work: slow-part clients do fewer epochs."""

@@ -24,9 +24,12 @@ selection probability and are skipped safely.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.base import SyncFLSystem
+from repro.core.params import TieringParams
 from repro.metrics.evaluation import Evaluator
 
 __all__ = ["TiFL"]
@@ -34,6 +37,20 @@ __all__ = ["TiFL"]
 
 class TiFL(SyncFLSystem):
     name = "tifl"
+
+    @dataclass(frozen=True)
+    class Params(TieringParams):
+        tifl_interval: int = 20  # rounds between tier-accuracy refreshes
+        tifl_credit_slack: float = 1.5
+
+        def __post_init__(self):
+            super().__post_init__()
+            if self.tifl_interval < 1:
+                raise ValueError("tifl_interval must be >= 1")
+            if self.tifl_credit_slack <= 0:
+                raise ValueError(
+                    "tifl_credit_slack must be positive (else every tier has 0 credits)"
+                )
 
     def __init__(
         self,
@@ -48,7 +65,7 @@ class TiFL(SyncFLSystem):
         self.tiering = tiering if tiering is not None else self.build_tiering()
         m = self.tiering.num_tiers
         # Credits: how many times each tier may be selected in total.
-        per_tier = int(np.ceil(config.max_rounds / m * config.tifl_credit_slack))
+        per_tier = int(np.ceil(config.max_rounds / m * self.params.tifl_credit_slack))
         self.credits = np.full(m, per_tier, dtype=np.int64)
         self.tier_probs = np.full(m, 1.0 / m)
         self._tier_rng = self.factory.rng("algo/tifl/tier")
@@ -131,7 +148,7 @@ class TiFL(SyncFLSystem):
     def choose_cohort(self) -> list[int]:
         m = self.tiering.num_tiers
         # Once per round: a selection retried after a rejoin wait reuses it.
-        if self.round % self.config.tifl_interval == 0 and self.round != self._refreshed_round:
+        if self.round % self.params.tifl_interval == 0 and self.round != self._refreshed_round:
             self._refreshed_round = self.round
             self._refresh_probabilities()
         probs = self.tier_probs.copy()

@@ -33,11 +33,16 @@ import sys
 import numpy as np
 
 from repro.exec.base import EXECUTORS
-from repro.experiments.runner import ALGORITHMS, run_experiment
+from repro.experiments.config import ALGORITHMS, knobs_read_by, make_fl_config, methods_taking
+from repro.experiments.runner import run_experiment
 from repro.metrics.report import format_table, time_to_accuracy
 from repro.utils.serialization import save_json
 
 __all__ = ["main", "build_parser"]
+
+
+def _read_by(knob: str) -> str:
+    return f"; read by {', '.join(methods_taking(knob))}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,14 +53,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one (method, dataset) experiment")
+    # Flags run and compare share; compare runs every method under them,
+    # passing a method knob only to the methods that read it.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--dataset", required=True)
+    shared.add_argument("--scale", default="tiny", choices=["tiny", "bench", "paper"])
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--classes-per-client", type=int, default=None,
+                        help="k-class non-IID level (omit for dataset default)")
+    shared.add_argument("--executor", default=None, choices=EXECUTORS,
+                        help="client-execution backend (default: serial)")
+    shared.add_argument("--num-workers", type=int, default=None,
+                        help="workers (= chunks) per cohort; 0 = a worker per "
+                        "CPU, chunks: per CPU on parallel, always 4 on dist")
+    shared.add_argument("--scenario", default=None,
+                        help='dynamic-world scenario, e.g. "static", "churn", '
+                        '"drift:0.5", "burst", "chaos", "bwheal:4", a "+"-'
+                        'composition like "churn:0.2+bwdrift:2", or a trace '
+                        'replay "trace:<csv-or-json-path>"')
+    shared.add_argument("--retier-interval", type=int, default=None,
+                        help="rounds between online re-tiers (0 = static "
+                        "tiers" + _read_by("retier_interval") + ")")
+
+    run_p = sub.add_parser("run", parents=[shared], help="run one (method, dataset) experiment")
     run_p.add_argument("--method", required=True, choices=sorted(ALGORITHMS))
-    run_p.add_argument("--dataset", required=True)
-    run_p.add_argument("--scale", default="tiny", choices=["tiny", "bench", "paper"])
-    run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--classes-per-client", type=int, default=None,
-                       help="k-class non-IID level (omit for dataset default)")
-    run_p.add_argument("--clients", type=int, default=None)
+    run_p.add_argument("--clients", type=int, default=None, dest="num_clients",
+                       metavar="CLIENTS")
     run_p.add_argument("--population", type=int, default=None,
                        help="run on a VirtualPopulation of N lazily derived "
                        "clients (memory stays O(active cohort); overrides "
@@ -64,20 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate on a fixed random subset of N clients "
                        "(default for --population runs: min(N, 200))")
     run_p.add_argument("--staleness", default=None,
-                       help='cross-method staleness policy, "constant", '
-                       '"poly[:a]" or "hinge[:a[:b]]" (default: no '
-                       "staleness weighting)")
-    run_p.add_argument("--rounds", type=int, default=None)
+                       help='staleness policy, "constant", "poly[:a]" or '
+                       '"hinge[:a[:b]]" (default: no staleness weighting'
+                       + _read_by("staleness") + ")")
+    run_p.add_argument("--rounds", type=int, default=None, dest="max_rounds",
+                       metavar="ROUNDS")
     run_p.add_argument("--max-time", type=float, default=None)
-    run_p.add_argument("--lam", type=float, default=None)
+    run_p.add_argument("--lam", type=float, default=None,
+                       help="proximal constraint λ (default: 0.4"
+                       + _read_by("lam") + ")")
     run_p.add_argument("--compression", default="default",
                        help='e.g. "polyline:4", "quant:8", "none"')
-    run_p.add_argument("--executor", default=None, choices=EXECUTORS,
-                       help="client-execution backend (default: serial)")
-    run_p.add_argument("--num-workers", type=int, default=None,
-                       help="workers (= chunks) per cohort; 0 = a worker per "
-                       "CPU, chunks: per CPU on parallel, always 4 on dist")
-    run_p.add_argument("--workers", default=None, metavar="HOST:PORT",
+    run_p.add_argument("--workers", default=None, metavar="HOST:PORT", dest="dist_bind",
                        help="scheduler bind address for --executor dist; "
                        "an explicit port waits for external `repro worker "
                        "--connect HOST:PORT` processes, port 0 (default) "
@@ -94,18 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--profile-sample", type=int, default=None,
                        help="tier-profile only N sampled clients at startup "
                        "and assign the rest by interpolation (default: "
-                       "profile everyone)")
+                       "profile everyone" + _read_by("profile_sample") + ")")
     run_p.add_argument("--dtype", default=None, choices=["float64", "float32"],
                        help="model parameter dtype (float32 halves memory "
                        "bandwidth; float64 keeps bit-identical histories)")
-    run_p.add_argument("--scenario", default=None,
-                       help='dynamic-world scenario, e.g. "static", "churn", '
-                       '"drift:0.5", "burst", "chaos", "bwheal:4", a "+"-'
-                       'composition like "churn:0.2+bwdrift:2", or a trace '
-                       'replay "trace:<csv-or-json-path>"')
-    run_p.add_argument("--retier-interval", type=int, default=None,
-                       help="rounds between online re-tiers for fedat/tifl "
-                       "(0 = static tiers)")
     run_p.add_argument("--faults", default=None,
                        help='deterministic chaos injection into the executor '
                        'workers, e.g. "crash:0.2", "hang:0.1", "corrupt:0.1", '
@@ -118,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "lease is requeued (required for hang faults)")
     run_p.add_argument("--chunk-retries", type=int, default=None,
                        help="redispatch budget per chunk (default: 3)")
-    run_p.add_argument("--no-fault-degrade", action="store_true",
+    run_p.add_argument("--no-fault-degrade", action="store_false", default=None,
+                       dest="fault_degrade",
                        help="raise ExecutorFaultError after the retry budget "
                        "instead of degrading the chunk to in-process serial "
                        "execution")
@@ -137,25 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "(fresh start when none exists)")
     run_p.add_argument("--out", default=None, help="write history JSON here")
 
-    cmp_p = sub.add_parser("compare", help="run several methods side by side")
-    cmp_p.add_argument("--dataset", required=True)
+    cmp_p = sub.add_parser("compare", parents=[shared], help="run several methods side by side")
     cmp_p.add_argument("--methods", default="fedat,fedavg,fedasync",
                        help="comma-separated method names")
-    cmp_p.add_argument("--scale", default="tiny", choices=["tiny", "bench", "paper"])
-    cmp_p.add_argument("--seed", type=int, default=0)
-    cmp_p.add_argument("--classes-per-client", type=int, default=None)
     cmp_p.add_argument("--target-fraction", type=float, default=0.9,
                        help="time-to-target threshold as a fraction of the "
                        "first method's best accuracy")
-    cmp_p.add_argument("--executor", default=None, choices=EXECUTORS,
-                       help="client-execution backend (default: serial)")
-    cmp_p.add_argument("--num-workers", type=int, default=None,
-                       help="workers (= chunks) per cohort; 0 = a worker per "
-                       "CPU, chunks: per CPU on parallel, always 4 on dist")
-    cmp_p.add_argument("--scenario", default=None,
-                       help="dynamic-world scenario applied to every method")
-    cmp_p.add_argument("--retier-interval", type=int, default=None,
-                       help="rounds between online re-tiers for fedat/tifl")
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -187,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--out-dir", default=None,
                          help="checkpoint directory (default: sweeps/<spec key>)")
     sweep_p.add_argument("--retier-interval", type=int, default=None,
-                         help="online re-tier cadence for tiered methods under "
-                         "dynamic scenarios (default: auto — 20, or 3 with "
-                         "--smoke)")
+                         help="online re-tier cadence under dynamic scenarios "
+                         "(default: auto — 20, or 3 with --smoke"
+                         + _read_by("retier_interval") + ")")
     sweep_p.add_argument("--executor", default="serial", choices=EXECUTORS,
                          help="client-execution backend for every cell")
     sweep_p.add_argument("--num-workers", type=int, default=0,
@@ -229,57 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags ``run`` / ``compare`` pass on to run_experiment, by dest (the
+#: config key); one left unset (None) keeps the preset.
+_PASSED = (
+    "classes_per_client", "num_clients", "population", "eval_clients", "staleness",
+    "max_rounds", "max_time", "lam", "executor", "num_workers", "dist_bind",
+    "heartbeat_interval", "heartbeat_timeout", "worker_grace", "profile_sample", "dtype",
+    "scenario", "retier_interval", "faults", "chunk_timeout", "chunk_retries",
+    "fault_degrade", "guard",
+)
+
+
 def _run_kwargs(args: argparse.Namespace) -> dict:
-    kwargs: dict = {}
-    if args.classes_per_client is not None:
-        kwargs["classes_per_client"] = args.classes_per_client
-    if getattr(args, "clients", None) is not None:
-        kwargs["num_clients"] = args.clients
-    if getattr(args, "population", None) is not None:
-        kwargs["population"] = args.population
-    if getattr(args, "eval_clients", None) is not None:
-        kwargs["eval_clients"] = args.eval_clients
-    if getattr(args, "staleness", None) is not None:
-        kwargs["staleness"] = args.staleness
-    if getattr(args, "rounds", None) is not None:
-        kwargs["max_rounds"] = args.rounds
-    if getattr(args, "max_time", None) is not None:
-        kwargs["max_time"] = args.max_time
-    if getattr(args, "lam", None) is not None:
-        kwargs["lam"] = args.lam
+    kwargs = {k: getattr(args, k) for k in _PASSED if getattr(args, k, None) is not None}
     compression = getattr(args, "compression", "default")
     if compression != "default":
         kwargs["compression"] = None if compression == "none" else compression
-    if getattr(args, "executor", None) is not None:
-        kwargs["executor"] = args.executor
-    if getattr(args, "num_workers", None) is not None:
-        kwargs["num_workers"] = args.num_workers
-    if getattr(args, "workers", None) is not None:
-        kwargs["dist_bind"] = args.workers
-    if getattr(args, "heartbeat_interval", None) is not None:
-        kwargs["heartbeat_interval"] = args.heartbeat_interval
-    if getattr(args, "heartbeat_timeout", None) is not None:
-        kwargs["heartbeat_timeout"] = args.heartbeat_timeout
-    if getattr(args, "worker_grace", None) is not None:
-        kwargs["worker_grace"] = args.worker_grace
-    if getattr(args, "profile_sample", None) is not None:
-        kwargs["profile_sample"] = args.profile_sample
-    if getattr(args, "dtype", None) is not None:
-        kwargs["dtype"] = args.dtype
-    if getattr(args, "scenario", None) is not None:
-        kwargs["scenario"] = args.scenario
-    if getattr(args, "retier_interval", None) is not None:
-        kwargs["retier_interval"] = args.retier_interval
-    if getattr(args, "faults", None) is not None:
-        kwargs["faults"] = args.faults
-    if getattr(args, "chunk_timeout", None) is not None:
-        kwargs["chunk_timeout"] = args.chunk_timeout
-    if getattr(args, "chunk_retries", None) is not None:
-        kwargs["chunk_retries"] = args.chunk_retries
-    if getattr(args, "no_fault_degrade", False):
-        kwargs["fault_degrade"] = False
-    if getattr(args, "guard", None) is not None:
-        kwargs["guard"] = args.guard
     return kwargs
 
 
@@ -311,6 +277,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     kwargs = _run_kwargs(args)
     if args.resume and args.checkpoint_dir is None:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
+        return 2
+    # Refuse a bad flag, or one the method does not read, before building
+    # anything; the three keys left out are run_experiment's own.
+    runner = ("classes_per_client", "num_clients", "population")
+    flat = {k: v for k, v in kwargs.items() if k not in runner}
+    try:
+        make_fl_config(args.method, args.scale, args.seed, **flat)
+    except ValueError as exc:
+        print(f"repro run: {exc}", file=sys.stderr)
         return 2
     if args.checkpoint_dir is not None:
         kwargs["checkpoint_dir"] = args.checkpoint_dir
@@ -348,7 +323,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 2
     kwargs = _run_kwargs(args)
     histories = {
-        m: run_experiment(m, args.dataset, scale=args.scale, seed=args.seed, **kwargs)
+        m: run_experiment(
+            m, args.dataset, scale=args.scale, seed=args.seed, **knobs_read_by(m, kwargs)
+        )
         for m in methods
     }
     target = args.target_fraction * histories[methods[0]].best_accuracy()

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.compression.codec import Codec, NullCodec, make_codec
 from repro.core.config import FLConfig
+from repro.core.params import MethodParams, StalenessParams
 from repro.core.staleness import StalenessPolicy
 from repro.exec import CohortTask, OptimizerSpec, make_executor, roundtrip_batch
 from repro.metrics.history import EvalRecord, RunHistory
@@ -122,11 +123,13 @@ class ClientDone:
 class FLSystem:
     """Base class for all federated-learning systems in this library.
 
-    Subclasses set :attr:`name`, optionally :attr:`uses_compression`, and
-    implement :meth:`prologue` and :meth:`handle`.
+    Subclasses set :attr:`name`, optionally :attr:`uses_compression` and
+    :attr:`Params`, and implement :meth:`prologue` and :meth:`handle`.
     """
 
     name = "base"
+    #: The knobs the method reads beyond FLConfig (see repro.core.params).
+    Params = MethodParams
     #: Only FedAT compresses traffic by default; baselines ship raw float32.
     uses_compression = False
 
@@ -147,6 +150,13 @@ class FLSystem:
         self.dataset = population.dataset
         self.num_clients = population.num_clients
         self.config = config
+        #: ``config.algo``, or the method's defaults when it is None.
+        self.params = self.Params() if config.algo is None else config.algo
+        if type(self.params) is not self.Params:
+            raise TypeError(
+                f"{self.name} takes {self.Params.__qualname__}, "
+                f"not {type(self.params).__qualname__}"
+            )
         self.factory = SeedSequenceFactory(config.seed)
 
         # Worker model: the serial executor trains every client through this
@@ -422,8 +432,9 @@ class FLSystem:
         return self.config.local_epochs
 
     def client_lambda(self, client_id: int) -> float:
-        """Hook: proximal λ of one launched client (0: no proximal term)."""
-        return 0.0
+        """Hook: proximal λ of one launched client — the method's ``lam``,
+        or 0 (no proximal term) when its Params declare none."""
+        return getattr(self.params, "lam", 0.0)
 
     def make_task(
         self,
@@ -539,9 +550,9 @@ class FLSystem:
 
         profiler = LatencyProfiler(
             epochs=self.config.local_epochs,
-            misprofile_fraction=self.config.misprofile_fraction,
+            misprofile_fraction=self.params.misprofile_fraction,
         )
-        k = self.config.profile_sample
+        k = self.params.profile_sample
         if k is not None and k < self.num_clients:
             return self._build_tiering_sampled(profiler, k)
         latencies = self.population.profile_latencies(
@@ -549,7 +560,7 @@ class FLSystem:
         )
         #: Kept as the prior for online re-tiering (see make_retier_tracker).
         self.profiled_latencies = latencies
-        return Tiering.from_latencies(latencies, self.config.num_tiers)
+        return Tiering.from_latencies(latencies, self.params.num_tiers)
 
     def _build_tiering_sampled(self, profiler, k: int):
         """Tier a large population from ``k`` probed clients.
@@ -567,7 +578,7 @@ class FLSystem:
         from repro.tiering.tiers import Tiering
 
         rng = self.factory.rng("env/profile")
-        num_tiers = self.config.num_tiers
+        num_tiers = self.params.num_tiers
         ids = np.sort(rng.choice(self.num_clients, size=int(k), replace=False))
         sampled = self.population.profile_latencies_subset(profiler, ids, rng)
         expected = self.population.expected_latencies(self.config.local_epochs)
@@ -591,14 +602,14 @@ class FLSystem:
         path), else from expected latencies — either way a deterministic
         prior the EWMA refines from real observations.
         """
-        if self.config.retier_interval <= 0:
+        if self.params.retier_interval <= 0:
             return None
         from repro.tiering.online import LatencyTracker
 
         prior = getattr(self, "profiled_latencies", None)
         if prior is None:
             prior = self.population.expected_latencies(self.config.local_epochs)
-        return LatencyTracker(prior, alpha=self.config.retier_ewma)
+        return LatencyTracker(prior, alpha=self.params.retier_ewma)
 
     def make_tier_index(self, num_tiers: int, *, client_ids=None):
         """Ordered index every later re-split goes through, or None when
@@ -622,7 +633,7 @@ class FLSystem:
         return (
             self.retier_tracker is not None
             and self.round > 0
-            and self.round % self.config.retier_interval == 0
+            and self.round % self.params.retier_interval == 0
         )
 
     def apply_retier(self, at_time: float):
@@ -663,6 +674,7 @@ class FLSystem:
             "dataset",
             "num_clients",
             "config",
+            "params",
             "factory",
             "worker",
             "initial_flat",
@@ -911,9 +923,11 @@ class AsyncFLSystem(FLSystem):
     :meth:`client_lambda`.
     """
 
+    Params = StalenessParams
+
     def __init__(self, population, model_builder, config, *, delay_model=None):
         super().__init__(population, model_builder, config, delay_model=delay_model)
-        self.staleness_policy = StalenessPolicy.parse(config.staleness) or (
+        self.staleness_policy = StalenessPolicy.parse(self.params.staleness) or (
             StalenessPolicy("constant")
         )
 

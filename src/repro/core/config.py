@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.params import MethodParams
 from repro.exec.base import ExecConfig
 
 __all__ = ["FLConfig"]
@@ -20,8 +21,10 @@ class FLConfig:
     harness scales the budget accordingly). ``max_time`` is a virtual-time
     cutoff applied uniformly across methods for time-axis figures.
 
-    Every field can change a run's history except ``exec``, which only
-    says how cohorts execute; cache and checkpoint keys leave it out.
+    Every method reads every field; ``algo`` carries the knobs only some
+    read (see :mod:`repro.core.params`). Every field can change a run's
+    history except ``exec``, which only says how cohorts execute; cache and
+    checkpoint keys leave it out.
     """
 
     # --- client-side training -------------------------------------------- #
@@ -30,16 +33,6 @@ class FLConfig:
     batch_size: int = 10
     learning_rate: float = 0.005
     optimizer: str = "adam"  # "adam" | "sgd"
-    lam: float = 0.4  # proximal constraint λ (FedAT §4.1, FedProx)
-
-    # --- tiering ----------------------------------------------------------#
-    num_tiers: int = 5
-    misprofile_fraction: float = 0.0
-    # Online re-tiering: every `retier_interval` global updates, FedAT/TiFL
-    # re-split tiers on EWMA'd observed response latencies (0 = off, the
-    # paper's static-profile behavior). `retier_ewma` is the blend weight.
-    retier_interval: int = 0
-    retier_ewma: float = 0.3
 
     # --- run budget -------------------------------------------------------#
     max_rounds: int = 200
@@ -70,14 +63,6 @@ class FLConfig:
     compute_base: float = 0.5
     bandwidth_bytes_per_s: float | None = None
 
-    # --- startup profiling ------------------------------------------------#
-    # Tier-profile only this many sampled clients at startup and assign the
-    # rest by interpolation (quantile boundaries over expected latencies).
-    # None profiles every client — the paper's behavior and bit-identical
-    # to all existing goldens; sampling makes million-client virtual
-    # population startup sublinear in probe work.
-    profile_sample: int | None = None
-
     # --- update quarantine and precision ----------------------------------#
     # Update quarantine applied before every aggregation:
     # "reject[:max_norm]" | "clip[:max_norm]" | "abort[:max_norm]"
@@ -92,28 +77,9 @@ class FLConfig:
     # --- communication ----------------------------------------------------#
     compression: str | None = "polyline:4"  # FedAT default; None => float32
 
-    # --- FedAT server -----------------------------------------------------#
-    server_weighting: str = "dynamic"  # "dynamic" (§4.2) | "uniform" (Fig 6)
-
-    # --- staleness weighting ----------------------------------------------#
-    # Shared StalenessPolicy spec ("constant", "poly[:a]", "hinge[:a[:b]]")
-    # applied by FedAsync's mixing rate, ASO-Fed's copy installs, and
-    # FedAT's cross-tier weight modulation. None keeps each method's
-    # paper behavior (FedAsync/ASO-Fed weight every update equally, i.e.
-    # "constant"; FedAT applies no staleness modulation).
-    staleness: str | None = None
-
-    # --- FedAsync ---------------------------------------------------------#
-    # The paper describes its FedAsync baseline as plain weighted averaging
-    # of the incoming client model with the current global model — i.e. no
-    # staleness adaptation — and observes the resulting oscillation under
-    # non-IID data. The FedAsync paper's adaptive variants are selected
-    # with `staleness="poly:a"` / `"hinge:a:b"` above.
-    fedasync_alpha: float = 0.6
-
-    # --- TiFL --------------------------------------------------------------#
-    tifl_interval: int = 20  # rounds between tier-accuracy refreshes
-    tifl_credit_slack: float = 1.5
+    # --- method knobs -----------------------------------------------------#
+    # The method's Params (None: its defaults, the paper's setting).
+    algo: MethodParams | None = None
 
     # --- client execution -------------------------------------------------#
     # Backend, worker topology, liveness and fault injection: how cohorts
@@ -129,14 +95,6 @@ class FLConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.num_tiers < 1:
-            raise ValueError("num_tiers must be >= 1")
-        if self.retier_interval < 0:
-            raise ValueError("retier_interval must be >= 0 (0 disables)")
-        if not 0.0 < self.retier_ewma <= 1.0:
-            raise ValueError("retier_ewma must be in (0, 1]")
         if self.scenario is not None:
             from repro.scenario.spec import parse_scenario
 
@@ -151,26 +109,12 @@ class FLConfig:
             raise ValueError(f"unknown dtype {self.dtype!r}; options: float64, float32")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.profile_sample is not None and self.profile_sample < 1:
-            raise ValueError("profile_sample must be >= 1 (None profiles everyone)")
         if self.guard is not None:
             from repro.core.guard import UpdateGuard
 
             UpdateGuard.parse(self.guard)  # raises ValueError on bad specs
-        if self.server_weighting not in ("dynamic", "uniform"):
-            raise ValueError(f"unknown server_weighting {self.server_weighting!r}")
-        if self.staleness is not None:
-            from repro.core.staleness import StalenessPolicy
-
-            StalenessPolicy.parse(self.staleness)  # raises ValueError on bad specs
         if self.eval_clients is not None and self.eval_clients < 1:
             raise ValueError("eval_clients must be >= 1 (None evaluates everyone)")
-        if not 0.0 < self.fedasync_alpha <= 1.0:
-            raise ValueError("fedasync_alpha must be in (0, 1]: above 1 diverges, 0 never mixes")
-        if self.tifl_interval < 1:
-            raise ValueError("tifl_interval must be >= 1")
-        if self.tifl_credit_slack <= 0:
-            raise ValueError("tifl_credit_slack must be positive (else every tier has 0 credits)")
         if self.compression is not None:
             kind, _, arg = self.compression.partition(":")
             if kind not in ("polyline", "quant", "topk", "subsample"):

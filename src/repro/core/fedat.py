@@ -18,8 +18,11 @@ off, the loop is event-for-event identical to the original simulator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.aggregation import sample_weighted_average
 from repro.core.base import ClientJoin, FLSystem, RoundDone, Wake
+from repro.core.params import ProximalParams, StalenessParams, TieringParams
 from repro.core.server import TieredServer
 from repro.core.staleness import StalenessPolicy
 from repro.sim.events import EventQueue
@@ -33,6 +36,15 @@ class FedAT(FLSystem):
 
     name = "fedat"
     uses_compression = True
+
+    @dataclass(frozen=True)
+    class Params(TieringParams, ProximalParams, StalenessParams):
+        server_weighting: str = "dynamic"  # "dynamic" (§4.2) | "uniform" (Fig 6)
+
+        def __post_init__(self):
+            super().__post_init__()
+            if self.server_weighting not in ("dynamic", "uniform"):
+                raise ValueError(f"unknown server_weighting {self.server_weighting!r}")
 
     def __init__(
         self,
@@ -70,17 +82,14 @@ class FedAT(FLSystem):
         self.server = TieredServer(
             self.initial_flat,
             tiering.num_tiers,
-            weighting=config.server_weighting,
-            staleness=StalenessPolicy.parse(config.staleness),
+            weighting=self.params.server_weighting,
+            staleness=StalenessPolicy.parse(self.params.staleness),
         )
         self.server.set_active_tiers([size > 0 for size in tiering.sizes()])
         self.global_weights = self.server.global_weights
         self._active: set[int] = set()
 
     # ------------------------------------------------------------------ #
-    def client_lambda(self, client_id: int) -> float:
-        return self.config.lam  # the local constraint of §4.1
-
     def _launch_or_wake(self, tier: int, queue: EventQueue) -> None:
         """Start one synchronous round inside ``tier`` from the current
         global model, or — when none of its clients is alive — wake the

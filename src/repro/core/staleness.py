@@ -4,7 +4,8 @@ The FedAsync paper's three staleness functions, shared by every consumer
 that down-weights stale contributions: FedAsync's mixing rate, ASO-Fed's
 per-client copy installs, and FedAT's cross-tier weight modulation. One
 policy object replaces the hard-coded forms so an experiment can sweep the
-axis with a single ``FLConfig.staleness`` (CLI ``--staleness``) knob.
+axis with a single ``staleness`` knob (CLI ``--staleness``), which those
+three methods' ``Params`` declare (see :mod:`repro.core.params`).
 
 Spec syntax: ``"constant"``, ``"poly[:a]"``, ``"hinge[:a[:b]]"`` — e.g.
 ``"poly:0.5"`` or ``"hinge:0.5:4"``.
@@ -12,6 +13,7 @@ Spec syntax: ``"constant"``, ``"poly[:a]"``, ``"hinge[:a[:b]]"`` — e.g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["StalenessPolicy"]
@@ -22,7 +24,8 @@ _KINDS = ("constant", "poly", "hinge")
 @dataclass(frozen=True)
 class StalenessPolicy:
     """``s(Δτ)``: constant 1; poly ``(1+Δτ)^(−a)``; hinge 1 up to ``b``
-    versions of staleness, then ``1 / (a·(Δτ−b) + 1)``."""
+    versions of staleness, then ``1 / (a·(Δτ−b) + 1)``. ``a`` and ``b``
+    must be finite and non-negative, which keeps ``s`` in (0, 1]."""
 
     kind: str = "constant"
     a: float = 0.5
@@ -33,6 +36,10 @@ class StalenessPolicy:
             raise ValueError(
                 f"unknown staleness function {self.kind!r}; options: {_KINDS}"
             )
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails every comparison
+                raise ValueError(f"staleness {name} must be finite and >= 0, got {value}")
 
     @property
     def is_constant(self) -> bool:

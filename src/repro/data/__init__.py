@@ -4,7 +4,7 @@ The paper evaluates on CIFAR-10, Fashion-MNIST, Sentiment140, FEMNIST and
 Reddit (via LEAF). Offline we generate class-conditional synthetic analogues
 with the same *heterogeneity structure*: shard-based "k classes per client"
 non-IID splits, LEAF-style power-law client sizes, and per-user feature
-shift. See DESIGN.md §2 for the substitution rationale.
+shift.
 """
 
 from repro.data.batching import FixedBatchSchedule

@@ -1,8 +1,8 @@
 """Experiment harness: scale presets, runners, and table/figure generators.
 
-Every table and figure in the paper's evaluation maps to a function here
-(see DESIGN.md §4); the ``benchmarks/`` directory wraps these in
-pytest-benchmark entry points that print paper-vs-measured artifacts.
+Every table and figure in the paper's evaluation maps to a function here;
+the ``benchmarks/`` directory wraps these in pytest-benchmark entry points
+that print paper-vs-measured artifacts (README "Benchmarks").
 """
 
 from repro.experiments.config import (

@@ -1,6 +1,6 @@
-"""Scale presets and model wiring for experiments.
+"""Scale presets, the method table, flat-key routing and model wiring.
 
-Three presets (DESIGN.md §6):
+Three presets:
 
 - ``tiny`` — unit/integration tests: 20 clients, minutes of virtual time,
   4-filter CNNs. Seconds of wall time.
@@ -18,13 +18,27 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
 from repro.core.config import FLConfig
+from repro.core.fedat import FedAT
 from repro.exec.base import ExecConfig
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
 from repro.nn.zoo import build_cnn, build_femnist_cnn, build_logistic, build_lstm_classifier
 
-__all__ = ["ScalePreset", "SCALES", "active_scale", "make_fl_config", "build_model_builder"]
+__all__ = [
+    "ALGORITHMS", "ScalePreset", "SCALES", "active_scale", "make_fl_config", "route_config",
+    "methods_taking", "knobs_read_by", "build_model_builder",
+]
+
+ALGORITHMS = {
+    "fedat": FedAT,
+    "fedavg": FedAvg,
+    "fedprox": FedProx,
+    "tifl": TiFL,
+    "fedasync": FedAsync,
+    "asofed": ASOFed,
+}
 
 
 @dataclass(frozen=True)
@@ -110,11 +124,10 @@ def active_scale(default: str = "bench") -> str:
     return scale
 
 
-def make_fl_config(method: str, scale: str = "bench", seed: int = 0, **overrides) -> FLConfig:
+def make_fl_config(method: str, scale: str = "bench", seed: int = 0, **flat) -> FLConfig:
     """FLConfig for ``method`` at ``scale`` (paper §6 hyperparameters).
 
-    Execution settings may be passed flat (``executor="dist"``,
-    ``num_workers=2``, ...): they are routed into ``FLConfig.exec``.
+    ``flat`` keys override the presets and are routed by :func:`route_config`.
     """
     preset = SCALES[scale]
     is_async = method in ASYNC_METHODS
@@ -124,10 +137,6 @@ def make_fl_config(method: str, scale: str = "bench", seed: int = 0, **overrides
         budget = preset.max_rounds_async
     else:
         budget = preset.max_rounds_sync
-    execution = {f.name for f in fields(ExecConfig)} & overrides.keys()
-    if execution:
-        knobs = {k: overrides.pop(k) for k in execution}
-        overrides["exec"] = replace(overrides.get("exec", ExecConfig()), **knobs)
     defaults = dict(
         max_rounds=budget,
         max_time=preset.max_time,
@@ -137,8 +146,42 @@ def make_fl_config(method: str, scale: str = "bench", seed: int = 0, **overrides
         dropout_horizon=preset.max_time * 2.0,
         compression="polyline:4" if method == "fedat" else None,
     )
-    defaults.update(overrides)
-    return FLConfig(**defaults)
+    return route_config(method, **{**defaults, **flat})
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def methods_taking(knob: str) -> list[str]:
+    """The methods whose ``Params`` declare ``knob``, in table order."""
+    return [m for m, cls in ALGORITHMS.items() if knob in _names(cls.Params)]
+
+
+def route_config(method: str, **flat) -> FLConfig:
+    """``FLConfig`` for ``method`` from flat keys: ``ExecConfig`` fields go
+    to ``exec``, the method's ``Params`` fields to ``algo``, the rest to
+    ``FLConfig``. A key left over (a knob the method does not read, a typo)
+    is refused, naming the methods that do take it."""
+    for name, cls in (("exec", ExecConfig), ("algo", ALGORITHMS[method].Params)):
+        mine = {k: flat.pop(k) for k in _names(cls) & flat.keys()}
+        if mine:
+            flat[name] = replace(flat.get(name) or cls(), **mine)
+    stray = sorted(flat.keys() - _names(FLConfig))
+    if stray:
+        takers = methods_taking(stray[0])
+        raise ValueError(
+            f"{method} does not take {stray[0]!r}; "
+            + (f"{', '.join(takers)} do" if takers else "no method does")
+        )
+    return FLConfig(**flat)
+
+
+def knobs_read_by(method: str, flat: dict) -> dict:
+    """``flat`` less the knobs ``method`` does not read, for grids that set
+    one knob for every method; a key no method declares stays, to be refused."""
+    own = _names(ALGORITHMS[method].Params)
+    return {k: v for k, v in flat.items() if k in own or not methods_taking(k)}
 
 
 def build_model_builder(dataset: FederatedDataset, scale: str = "bench"):

@@ -2,8 +2,7 @@
 
 Each paper-figure function returns plain dicts of series (lists of floats)
 — the exact data a plotting script would draw — so benchmarks can assert
-on shapes and EXPERIMENTS.md can record paper-vs-measured values without
-matplotlib. The sweep-figure functions additionally render standalone SVG
+on shapes and print paper-vs-measured values without matplotlib. The sweep-figure functions additionally render standalone SVG
 files (no plotting dependency) from sweep checkpoint directories, so the
 nightly workflow can publish method×scenario comparisons as artifacts.
 """

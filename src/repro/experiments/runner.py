@@ -13,11 +13,9 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
-from repro.core.fedat import FedAT
 from repro.data.datasets import DATASETS, make_dataset, make_sample_bank
 from repro.exec.base import ExecConfig
-from repro.experiments.config import SCALES, build_model_builder, make_fl_config
+from repro.experiments.config import ALGORITHMS, SCALES, build_model_builder, make_fl_config
 from repro.metrics.history import RunHistory
 from repro.population.virtual import VirtualPopulation
 from repro.sim.latency import PAPER_DELAY_BANDS, TierDelayModel
@@ -36,15 +34,6 @@ __all__ = [
 #: Default evaluation-subset size for virtual-population runs (evaluating a
 #: million clients' shards is neither feasible nor what the paper reports).
 DEFAULT_VIRTUAL_EVAL_CLIENTS = 200
-
-ALGORITHMS = {
-    "fedat": FedAT,
-    "fedavg": FedAvg,
-    "fedprox": FedProx,
-    "tifl": TiFL,
-    "fedasync": FedAsync,
-    "asofed": ASOFed,
-}
 
 _MEMORY_CACHE: dict[str, RunHistory] = {}
 _CACHE_DIR = Path(".bench_cache")

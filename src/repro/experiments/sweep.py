@@ -26,7 +26,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.experiments.runner import ALGORITHMS, run_experiment
+from repro.experiments.config import ALGORITHMS, knobs_read_by
+from repro.experiments.runner import run_experiment
 from repro.metrics.history import RunHistory
 from repro.metrics.report import format_table
 from repro.scenario.spec import parse_scenario
@@ -53,9 +54,6 @@ def read_cell_checkpoint(path: Path, spec_key: str | None = None) -> dict | None
     if spec_key is not None and payload.get("spec_key") != spec_key:
         return None  # stale: written by a different grid in this out-dir
     return payload
-
-#: Methods that maintain a tiering and support online re-tiering.
-TIERED_METHODS = ("fedat", "tifl")
 
 #: Budget overrides applied to every cell when ``smoke`` is on: the whole
 #: acceptance grid (2 methods × 3 scenarios × 2 seeds) finishes in seconds.
@@ -111,7 +109,8 @@ class SweepSpec:
     executor: str = "serial"
     num_workers: int = 0
     smoke: bool = False
-    #: Extra FLConfig overrides applied to every cell, as sorted (k, v).
+    #: Extra flat overrides, as sorted (k, v): each cell's method gets the
+    #: ones it reads (see knobs_read_by).
     fl_overrides: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -243,7 +242,7 @@ class SweepRunner:
             for k, v in SMOKE_OVERRIDES.items():
                 fl.setdefault(k, v)
         fl["scenario"] = cell.scenario
-        if cell.method in TIERED_METHODS and not parse_scenario(cell.scenario).is_static:
+        if not parse_scenario(cell.scenario).is_static:
             # Online re-tiering engages only in dynamic worlds; static cells
             # stay bit-identical to the scenario-free simulator.
             interval = self.spec.retier_interval
@@ -252,7 +251,7 @@ class SweepRunner:
             fl.setdefault("retier_interval", interval)
         fl["executor"] = self.spec.executor
         fl["num_workers"] = self.spec.num_workers
-        return fl
+        return knobs_read_by(cell.method, fl)
 
     def run_cell(self, cell: SweepCell) -> RunHistory:
         """Run one grid point and checkpoint it."""

@@ -38,7 +38,7 @@ TABLE1_SCENARIOS: list[tuple[str, int | None]] = [
 
 TABLE_METHODS = ["tifl", "fedavg", "fedprox", "fedasync", "fedat"]
 
-#: Paper Table 1 accuracies, for side-by-side printing in EXPERIMENTS.md.
+#: Paper Table 1 accuracies, printed beside the measured ones.
 PAPER_TABLE1 = {
     ("cifar10", 2): {
         "tifl": 0.527,

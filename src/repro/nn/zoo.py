@@ -8,8 +8,9 @@ Paper architectures:
 - Reddit: embedding (10000 → 128) → LSTM (dropout 0.1) → batch-norm →
   dense softmax head.
 
-Builders accept a ``filters``/``hidden`` scale knob so the benchmark presets
-can shrink capacity without changing the topology (see DESIGN.md §6).
+Builders accept a ``filters``/``hidden`` scale knob so the scale presets
+(``repro.experiments.config.SCALES``) can shrink capacity without changing
+the topology.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """JSON persistence helpers for experiment results.
 
-Results are plain dicts of floats/lists so they can be diffed, plotted, and
-checked into EXPERIMENTS.md. NumPy scalars/arrays are converted transparently.
+Results are plain dicts of floats/lists so they can be diffed, plotted and
+committed. NumPy scalars/arrays are converted transparently.
 """
 
 from __future__ import annotations

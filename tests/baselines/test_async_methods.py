@@ -5,12 +5,11 @@ import pytest
 
 from repro.baselines.asofed import ASOFed
 from repro.baselines.fedasync import FedAsync
-from repro.core.config import FLConfig
 from repro.core.staleness import StalenessPolicy
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, route_config
 
 
-def _config(**overrides):
+def _config(cls, **overrides):
     defaults = dict(
         clients_per_round=4,
         local_epochs=1,
@@ -24,11 +23,11 @@ def _config(**overrides):
         compression=None,
     )
     defaults.update(overrides)
-    return FLConfig(**defaults)
+    return route_config(cls.name, **defaults)
 
 
 def _run(cls, dataset, **overrides):
-    system = cls(dataset, build_model_builder(dataset, "tiny"), _config(**overrides))
+    system = cls(dataset, build_model_builder(dataset, "tiny"), _config(cls, **overrides))
     return system, system.run()
 
 
@@ -125,9 +124,11 @@ class TestASOFed:
         np.testing.assert_allclose(system.global_weights - g0, delta / k, atol=1e-10)
 
     def test_uses_local_constraint(self, tiny_image_dataset):
-        # ASO-Fed trains with lam > 0 (unlike FedAsync); verify via config.
+        # ASO-Fed trains with lam > 0 (unlike FedAsync, which has no lam).
         system, _ = _run(ASOFed, tiny_image_dataset, max_rounds=2)
-        assert system.config.lam > 0
+        assert system.client_lambda(0) == system.params.lam > 0
+        fedasync, _ = _run(FedAsync, tiny_image_dataset, max_rounds=2)
+        assert fedasync.client_lambda(0) == 0.0
 
     def test_learns(self, tiny_bow_dataset):
         _, h = _run(ASOFed, tiny_bow_dataset, max_rounds=120, max_time=400.0)

@@ -6,12 +6,11 @@ import pytest
 from repro.baselines.fedavg import FedAvg
 from repro.baselines.fedprox import FedProx
 from repro.baselines.tifl import TiFL
-from repro.core.config import FLConfig
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 from repro.scenario import ScenarioEngine, ScenarioEvent
 
 
-def _config(**overrides):
+def _config(cls, **overrides):
     defaults = dict(
         clients_per_round=4,
         local_epochs=1,
@@ -26,11 +25,11 @@ def _config(**overrides):
         compression=None,
     )
     defaults.update(overrides)
-    return FLConfig(**defaults)
+    return route_config(cls.name, **knobs_read_by(cls.name, defaults))
 
 
 def _run(cls, dataset, **overrides):
-    system = cls(dataset, build_model_builder(dataset, "tiny"), _config(**overrides))
+    system = cls(dataset, build_model_builder(dataset, "tiny"), _config(cls, **overrides))
     return system, system.run()
 
 
@@ -75,7 +74,7 @@ class TestFedAvg:
 class TestFedProx:
     def test_uses_proximal_lambda(self, tiny_image_dataset):
         system, _ = _run(FedProx, tiny_image_dataset, max_rounds=2)
-        assert system.client_lambda(0) == system.config.lam > 0
+        assert system.client_lambda(0) == system.params.lam > 0
 
     def test_variable_epochs_within_bounds(self, tiny_image_dataset):
         system, _ = _run(FedProx, tiny_image_dataset, max_rounds=2, local_epochs=3)
@@ -99,7 +98,7 @@ class TestFedProx:
         system = FedProx(
             tiny_image_dataset,
             build_model_builder(tiny_image_dataset, "tiny"),
-            _config(local_epochs=3, num_unstable=0),
+            _config(FedProx, local_epochs=3, num_unstable=0),
         )
         timed, pairs = {}, []  # pairs: (epochs timed, epochs trained)
         sample_latency, make_task = system.sample_latency, system.make_task
@@ -131,7 +130,7 @@ class TestTiFL:
 
     def test_credits_decrease(self, tiny_image_dataset):
         system, _ = _run(TiFL, tiny_image_dataset, max_rounds=10)
-        per_tier = int(np.ceil(10 / 3 * system.config.tifl_credit_slack))
+        per_tier = int(np.ceil(10 / 3 * system.params.tifl_credit_slack))
         assert np.all(system.credits <= per_tier)
         assert system.credits.sum() == 3 * per_tier - system.round
 
@@ -150,7 +149,7 @@ class TestTiFL:
         system = TiFL(
             tiny_bow_dataset,
             build_model_builder(tiny_bow_dataset, "tiny"),
-            _config(tifl_interval=1, max_rounds=6),
+            _config(TiFL, tifl_interval=1, max_rounds=6),
         )
         everyone = range(tiny_bow_dataset.num_clients)
         system.scenario = ScenarioEngine.from_events(

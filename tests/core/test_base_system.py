@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvg
+from repro.baselines.tifl import TiFL
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 from repro.sim.client import LocalTrainingResult
 
 
@@ -16,7 +17,8 @@ def _system(dataset, cls=FedAvg, **overrides):
         num_tiers=3, num_unstable=2, seed=0, compression=None,
     )
     defaults.update(overrides)
-    return cls(dataset, build_model_builder(dataset, "tiny"), FLConfig(**defaults))
+    config = route_config(cls.name, **knobs_read_by(cls.name, defaults))
+    return cls(dataset, build_model_builder(dataset, "tiny"), config)
 
 
 class TestTransfers:
@@ -148,7 +150,7 @@ class TestEnvironment:
         assert 0.0 <= rec.accuracy <= 1.0
 
     def test_build_tiering_matches_num_tiers(self, tiny_bow_dataset):
-        s = _system(tiny_bow_dataset, num_tiers=4)
+        s = _system(tiny_bow_dataset, cls=TiFL, num_tiers=4)
         tiering = s.build_tiering()
         assert tiering.num_tiers == 4
         assert tiering.num_clients == tiny_bow_dataset.num_clients

@@ -1,9 +1,14 @@
-"""FLConfig and ExecConfig validation tests."""
+"""FLConfig, method Params and ExecConfig validation tests."""
+
+from dataclasses import fields
 
 import pytest
 
+from repro.baselines import FedAsync, TiFL
 from repro.core.config import FLConfig
+from repro.core.fedat import FedAT
 from repro.exec import EXECUTORS, ExecConfig
+from repro.experiments.config import ALGORITHMS
 
 
 def test_defaults_are_paper_hyperparameters():
@@ -11,16 +16,27 @@ def test_defaults_are_paper_hyperparameters():
     assert cfg.clients_per_round == 10
     assert cfg.local_epochs == 3
     assert cfg.batch_size == 10
-    assert cfg.lam == 0.4
-    assert cfg.num_tiers == 5
     assert cfg.optimizer == "adam"
     assert cfg.compression == "polyline:4"
+    assert cfg.algo is None  # each method's own defaults
+    fedat = FedAT.Params()
+    assert (fedat.lam, fedat.num_tiers, fedat.server_weighting) == (0.4, 5, "dynamic")
 
 
 def test_with_replaces_fields():
-    cfg = FLConfig().with_(lam=0.0, max_rounds=7)
-    assert cfg.lam == 0.0 and cfg.max_rounds == 7
-    assert FLConfig().lam == 0.4  # original untouched
+    cfg = FLConfig().with_(max_rounds=7, algo=FedAT.Params(lam=0.0))
+    assert cfg.algo.lam == 0.0 and cfg.max_rounds == 7
+    assert FLConfig().algo is None  # original untouched
+
+
+def test_config_holds_what_every_method_reads():
+    """22 fields: the 20 every method reads, ``algo`` and ``exec``. Each
+    method's settable values are those 20 plus its own knobs."""
+    assert len(fields(FLConfig)) == 22
+    own = {name: len(fields(cls.Params)) for name, cls in ALGORITHMS.items()}
+    assert {name: 20 + n for name, n in own.items()} == {
+        "fedat": 28, "fedavg": 20, "fedprox": 21, "tifl": 27, "fedasync": 22, "asofed": 22
+    }
 
 
 @pytest.mark.parametrize(
@@ -30,15 +46,25 @@ def test_with_replaces_fields():
         ("local_epochs", 0),
         ("batch_size", 0),
         ("learning_rate", 0.0),
-        ("lam", -0.1),
-        ("num_tiers", 0),
         ("max_rounds", 0),
         ("eval_every", 0),
         ("optimizer", "lbfgs"),
-        ("server_weighting", "random"),
-        ("staleness", "exp"),
         ("compression", "gzip:9"),
         ("compression", "polyline:abc"),
+    ],
+)
+def test_rejects_invalid(field, value):
+    with pytest.raises(ValueError):
+        FLConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("lam", -0.1),
+        ("num_tiers", 0),
+        ("server_weighting", "random"),
+        ("staleness", "exp"),
         ("profile_sample", 0),
         ("fedasync_alpha", 0.0),
         ("fedasync_alpha", 1.8),
@@ -47,20 +73,29 @@ def test_with_replaces_fields():
         ("tifl_credit_slack", -1.5),
     ],
 )
-def test_rejects_invalid(field, value):
-    with pytest.raises(ValueError):
-        FLConfig(**{field: value})
+def test_method_params_reject_invalid(field, value):
+    """Every method whose Params declare the knob refuses the bad value."""
+    takers = [cls for cls in ALGORITHMS.values() if field in cls.Params.__dataclass_fields__]
+    assert takers
+    for cls in takers:
+        with pytest.raises(ValueError):
+            cls.Params(**{field: value})
 
 
 def test_method_knobs_accept_their_boundaries():
     """The values a sweep's fl_overrides may reach without crashing or
     silently misbehaving: a full-step FedAsync mix, a TiFL refresh every
     round, any positive credit slack."""
-    cfg = FLConfig(fedasync_alpha=1.0, tifl_interval=1, tifl_credit_slack=0.1)
-    assert (cfg.fedasync_alpha, cfg.tifl_interval, cfg.tifl_credit_slack) == (1.0, 1, 0.1)
-    for field, value in (("fedasync_alpha", 1.8), ("tifl_interval", 0), ("tifl_credit_slack", 0)):
+    assert FedAsync.Params(fedasync_alpha=1.0).fedasync_alpha == 1.0
+    tifl = TiFL.Params(tifl_interval=1, tifl_credit_slack=0.1)
+    assert (tifl.tifl_interval, tifl.tifl_credit_slack) == (1, 0.1)
+    for cls, field, value in (
+        (FedAsync, "fedasync_alpha", 1.8),
+        (TiFL, "tifl_interval", 0),
+        (TiFL, "tifl_credit_slack", 0),
+    ):
         with pytest.raises(ValueError, match=field):
-            FLConfig(**{field: value})
+            cls.Params(**{field: value})
 
 
 def test_compression_none_allowed():
@@ -105,12 +140,15 @@ def test_heartbeat_timeout_must_exceed_interval():
 
 
 def test_profile_sample_accepts_positive_counts():
-    assert FLConfig(profile_sample=None).profile_sample is None
-    assert FLConfig(profile_sample=100).profile_sample == 100
+    for cls in (FedAT, TiFL):
+        assert cls.Params(profile_sample=None).profile_sample is None
+        assert cls.Params(profile_sample=100).profile_sample == 100
 
 
 def test_frozen():
     with pytest.raises(Exception):
-        FLConfig().lam = 1.0
+        FLConfig().max_rounds = 1
     with pytest.raises(Exception):
         FLConfig().exec.executor = "dist"
+    with pytest.raises(Exception):
+        FedAT.Params().lam = 1.0

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 
 ALL_METHODS = [FedAT, FedAvg, FedProx, TiFL, FedAsync, ASOFed]
 
@@ -22,12 +21,15 @@ ALL_METHODS = [FedAT, FedAvg, FedProx, TiFL, FedAsync, ASOFed]
 @pytest.fixture(scope="module")
 def systems(tiny_bow_dataset_module):
     dataset = tiny_bow_dataset_module
-    config = FLConfig(
+    flat = dict(
         clients_per_round=4, local_epochs=1, max_rounds=4, eval_every=2,
         num_tiers=3, num_unstable=3, seed=7, compression=None,
     )
     builder = build_model_builder(dataset, "tiny")
-    return [cls(dataset, builder, config) for cls in ALL_METHODS]
+    return [
+        cls(dataset, builder, route_config(cls.name, **knobs_read_by(cls.name, flat)))
+        for cls in ALL_METHODS
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -80,17 +82,19 @@ def test_same_latency_draws(systems):
 
 def test_same_tier_assignment(systems):
     """Profiling uses the env/profile stream: every method that tiers the
-    population (FedAT, TiFL — and any other method asked to) recovers the
+    population (those whose Params declare the tiering knobs) recovers the
     same tiers under one seed."""
     n = systems[0].dataset.num_clients
 
     def assignment(tiering):
         return [tiering.tier_of(c) for c in range(n)]
 
-    tierings = [s.build_tiering() for s in systems]
-    for t, s in zip(tierings[1:], systems[1:]):
+    tiered = [s for s in systems if hasattr(s.params, "num_tiers")]
+    assert [s.name for s in tiered] == ["fedat", "tifl"]
+    tierings = [s.build_tiering() for s in tiered]
+    for t, s in zip(tierings[1:], tiered[1:]):
         assert assignment(tierings[0]) == assignment(t), (
-            f"{systems[0].name} vs {s.name}"
+            f"{tiered[0].name} vs {s.name}"
         )
     # The constructed FedAT/TiFL instances already hold that same tiering.
     fedat = systems[0]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, route_config
 from repro.tiering.tiers import Tiering
 
 
@@ -23,7 +23,7 @@ def _make_fedat(dataset, **cfg_overrides):
         compute_base=0.2,
     )
     defaults.update(cfg_overrides)
-    config = FLConfig(**defaults)
+    config = route_config("fedat", **defaults)
     builder = build_model_builder(dataset, "tiny")
     return FedAT(dataset, builder, config)
 
@@ -86,8 +86,8 @@ def test_explicit_tiering_respected(tiny_image_dataset):
     n = tiny_image_dataset.num_clients
     tiers = Tiering([np.arange(0, 5), np.arange(5, 10), np.arange(10, n)])
     config = FLConfig(
-        clients_per_round=3, local_epochs=1, max_rounds=9, num_tiers=3,
-        eval_every=3, num_unstable=0, seed=0,
+        clients_per_round=3, local_epochs=1, max_rounds=9,
+        eval_every=3, num_unstable=0, seed=0, algo=FedAT.Params(num_tiers=3),
     )
     builder = build_model_builder(tiny_image_dataset, "tiny")
     system = FedAT(tiny_image_dataset, builder, config, tiering=tiers)
@@ -97,7 +97,7 @@ def test_explicit_tiering_respected(tiny_image_dataset):
 
 def test_tiering_must_cover_population(tiny_image_dataset):
     tiers = Tiering([np.arange(0, 3)])  # too few clients
-    config = FLConfig(max_rounds=5, num_tiers=1, seed=0)
+    config = FLConfig(max_rounds=5, seed=0, algo=FedAT.Params(num_tiers=1))
     builder = build_model_builder(tiny_image_dataset, "tiny")
     with pytest.raises(ValueError):
         FedAT(tiny_image_dataset, builder, config, tiering=tiers)

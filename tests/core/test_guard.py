@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.fedavg import FedAvg
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.core.guard import GuardAbort, UpdateGuard
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 from repro.sim.client import LocalTrainingResult
 
 
@@ -109,7 +108,7 @@ def _config(cls, **kw):
         compression="polyline:4" if cls is FedAT else None,
     )
     base.update(kw)
-    return FLConfig(**base)
+    return route_config(cls.name, **knobs_read_by(cls.name, base))
 
 
 @pytest.mark.parametrize("cls", [FedAvg, FedAT], ids=["fedavg", "fedat"])

@@ -32,11 +32,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.data.datasets import make_dataset
 from repro.experiments.checkpoint import strip_volatile_meta
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 from repro.scenario import ScenarioEngine, ScenarioEvent
 from repro.utils.serialization import to_jsonable
 
@@ -97,19 +96,23 @@ def dataset():
 
 def run_world(dataset, method: str, world: str):
     overrides, scenario = WORLDS[world]
-    config = FLConfig(
-        **{
-            "clients_per_round": 4,
-            "local_epochs": 2,
-            "batch_size": 8,
-            "max_rounds": BUDGETS[method],
-            "eval_every": 2,
-            "num_tiers": 3,
-            "num_unstable": 2,
-            "tifl_interval": 1,
-            "seed": 3,
-            **overrides,
-        }
+    config = route_config(
+        method,
+        **knobs_read_by(
+            method,
+            {
+                "clients_per_round": 4,
+                "local_epochs": 2,
+                "batch_size": 8,
+                "max_rounds": BUDGETS[method],
+                "eval_every": 2,
+                "num_tiers": 3,
+                "num_unstable": 2,
+                "tifl_interval": 1,
+                "seed": 3,
+                **overrides,
+            },
+        ),
     )
     system = METHODS[method](dataset, build_model_builder(dataset, "tiny"), config)
     if scenario is not None:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.config import FLConfig
+from repro.baselines import ASOFed, FedAsync
 from repro.core.fedat import FedAT
 from repro.core.server import TieredServer
 from repro.core.staleness import StalenessPolicy
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, route_config
 
 
 class TestParse:
@@ -30,6 +30,24 @@ class TestParse:
         for spec in ("exp", "poly:x", "poly:0.5:4", "constant:1:2:3"):
             with pytest.raises(ValueError):
                 StalenessPolicy.parse(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["hinge:-0.5:4", "poly:-1", "poly:nan", "poly:inf", "hinge:0.5:-1", "hinge:0.5:nan"]
+    )
+    def test_rejects_arguments_that_break_a_run(self, spec):
+        """A negative or non-finite ``a`` or ``b`` would divide by zero
+        (hinge:-0.5:4 at six versions stale), grow a stale update's weight
+        past 1 (poly:-1 turns FedAsync's α = 0.6 into 3.6 at staleness 5) or
+        return NaN into the model; it is refused whether parsed or built."""
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            StalenessPolicy.parse(spec)
+        kind, *args = spec.split(":")
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            StalenessPolicy(kind, *map(float, args))
+
+    def test_zero_arguments_are_allowed(self):
+        assert StalenessPolicy.parse("poly:0").factor(9) == 1.0
+        assert StalenessPolicy.parse("hinge:0:0").factor(9) == 1.0
 
 
 class TestFactor:
@@ -93,8 +111,8 @@ class TestSystemIntegration:
         """`staleness="constant"` must not perturb the paper's §4.2
         weighting — histories stay bit-identical to the default."""
         def run(**over):
-            config = FLConfig(
-                clients_per_round=4, local_epochs=1, num_tiers=3,
+            config = route_config(
+                "fedat", clients_per_round=4, local_epochs=1, num_tiers=3,
                 max_rounds=8, max_time=300.0, eval_every=4, num_unstable=2,
                 seed=0, compression=None, **over,
             )
@@ -108,8 +126,8 @@ class TestSystemIntegration:
 
     def test_fedat_poly_staleness_changes_weighting(self, tiny_bow_dataset):
         def run(**over):
-            config = FLConfig(
-                clients_per_round=4, local_epochs=1, num_tiers=3,
+            config = route_config(
+                "fedat", clients_per_round=4, local_epochs=1, num_tiers=3,
                 max_rounds=12, max_time=300.0, eval_every=4, num_unstable=2,
                 seed=0, compression=None, **over,
             )
@@ -122,6 +140,7 @@ class TestSystemIntegration:
             r.accuracy for r in damped.records
         ]
 
-    def test_config_validates_staleness_spec(self):
+    @pytest.mark.parametrize("cls", [FedAT, FedAsync, ASOFed])
+    def test_params_validate_staleness_spec(self, cls):
         with pytest.raises(ValueError):
-            FLConfig(staleness="exponential")
+            cls.Params(staleness="exponential")

@@ -27,10 +27,9 @@ import pytest
 from repro.baselines.asofed import ASOFed
 from repro.baselines.fedasync import FedAsync
 from repro.baselines.fedavg import FedAvg
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.exec import ExecConfig
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 
 _BUDGETS = {FedAT: 12, FedAvg: 4, FedAsync: 25, ASOFed: 25}
 
@@ -59,7 +58,7 @@ def _config(cls, seed, executor):
         # spurious timeout redispatches a deterministic chunk, which cannot
         # change the history — only the wall clock.
         chaos = {"faults": spec, "chunk_timeout": 5.0, "chunk_retries": 8}
-    return FLConfig(
+    flat = dict(
         clients_per_round=4,
         local_epochs=2,
         max_rounds=_BUDGETS[cls],
@@ -72,6 +71,7 @@ def _config(cls, seed, executor):
             executor=executor, num_workers=0 if executor == "serial" else 2, **chaos
         ),
     )
+    return route_config(cls.name, **knobs_read_by(cls.name, flat))
 
 
 def _history(dataset, cls, seed, executor):

@@ -30,7 +30,7 @@ from repro.exec.faults import (
     corrupt_results,
     parse_faults,
 )
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 
 # --------------------------------------------------------------------- #
 # Spec grammar
@@ -157,7 +157,7 @@ _BUDGETS = {FedAT: 8, FedAvg: 4}
 
 
 def _config(cls, executor, **exec_kw):
-    return FLConfig(
+    flat = dict(
         clients_per_round=4,
         local_epochs=1,
         max_rounds=_BUDGETS[cls],
@@ -170,6 +170,7 @@ def _config(cls, executor, **exec_kw):
             executor=executor, num_workers=2 if executor == "parallel" else 0, **exec_kw
         ),
     )
+    return route_config(cls.name, **knobs_read_by(cls.name, flat))
 
 
 def _history(dataset, cls, executor, **kw):

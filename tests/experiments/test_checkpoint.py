@@ -17,14 +17,13 @@ from repro.baselines.fedasync import FedAsync
 from repro.baselines.fedavg import FedAvg
 from repro.baselines.fedprox import FedProx
 from repro.baselines.tifl import TiFL
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.experiments.checkpoint import (
     RunCheckpointer,
     strip_volatile_meta,
     VOLATILE_META_KEYS,
 )
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 from repro.experiments.runner import run_experiment
 
 
@@ -58,7 +57,7 @@ def _config(cls, **kw):
         compression="polyline:4" if cls is FedAT else None,
     )
     base.update(kw)
-    return FLConfig(**base)
+    return route_config(cls.name, **knobs_read_by(cls.name, base))
 
 
 def _system(dataset, cls, **kw):

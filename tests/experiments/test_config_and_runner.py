@@ -5,13 +5,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.baselines import FedAvg, TiFL
 from repro.core.config import FLConfig
+from repro.core.fedat import FedAT
 from repro.exec import ExecConfig
 from repro.experiments.config import (
     SCALES,
     active_scale,
     build_model_builder,
+    knobs_read_by,
     make_fl_config,
+    methods_taking,
+    route_config,
 )
 from repro.experiments.runner import (
     ALGORITHMS,
@@ -55,13 +60,49 @@ class TestScalePresets:
 
     def test_overrides_pass_through(self):
         cfg = make_fl_config("fedat", "tiny", lam=0.0, clients_per_round=3)
-        assert cfg.lam == 0.0 and cfg.clients_per_round == 3
+        assert cfg.algo.lam == 0.0 and cfg.clients_per_round == 3
 
     def test_flat_execution_keys_route_into_exec(self):
         cfg = make_fl_config("fedat", "tiny", executor="dist", num_workers=2, lam=0.1)
         assert cfg.exec == ExecConfig(executor="dist", num_workers=2)
-        assert cfg.lam == 0.1
+        assert cfg.algo == FedAT.Params(lam=0.1)
         assert make_fl_config("fedat", "tiny").exec == ExecConfig()
+
+
+class TestRouting:
+    """Flat keys go to ``exec``, to the method's ``Params`` or to
+    ``FLConfig``; a method receives only the knobs it reads."""
+
+    def test_method_knobs_route_into_algo(self):
+        cfg = route_config("tifl", num_tiers=3, tifl_interval=4, max_rounds=8)
+        assert cfg.algo == TiFL.Params(num_tiers=3, tifl_interval=4)
+        assert cfg.max_rounds == 8
+        assert route_config("tifl").algo is None  # no knob: the method's defaults
+
+    def test_a_knob_the_method_does_not_read_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            make_fl_config("fedavg", "tiny", lam=0.3)
+        assert str(err.value) == "fedavg does not take 'lam'; fedat, fedprox, asofed do"
+
+    def test_a_misspelt_key_names_the_method(self):
+        with pytest.raises(ValueError, match="fedat does not take 'lamda'; no method does"):
+            make_fl_config("fedat", "tiny", lamda=0.3)
+
+    def test_another_methods_params_are_refused(self, tiny_bow_dataset):
+        config = FLConfig(algo=TiFL.Params())
+        for cls in (FedAT, FedAvg):
+            with pytest.raises(TypeError, match=rf"{cls.name} takes .*, not TiFL\.Params"):
+                cls(tiny_bow_dataset, build_model_builder(tiny_bow_dataset, "tiny"), config)
+
+    def test_methods_taking_reads_the_params(self):
+        assert methods_taking("lam") == ["fedat", "fedprox", "asofed"]
+        assert methods_taking("retier_interval") == ["fedat", "tifl"]
+        assert methods_taking("clients_per_round") == []
+
+    def test_grids_pass_a_knob_only_where_it_is_read(self):
+        flat = {"retier_interval": 2, "fedasync_alpha": 0.5, "max_rounds": 8, "lamda": 1}
+        assert knobs_read_by("fedavg", flat) == {"max_rounds": 8, "lamda": 1}
+        assert knobs_read_by("tifl", flat) == {"retier_interval": 2, "max_rounds": 8, "lamda": 1}
 
 
 class TestModelWiring:
@@ -142,7 +183,7 @@ class TestRunner:
                         num_workers=2, chunk_retries=5, **kwargs)
         assert h1 is h2
         # Result-shaping knobs still key separate entries.
-        h3 = run_cached("fedavg", "sentiment140", profile_sample=6, **kwargs)
+        h3 = run_cached("fedavg", "sentiment140", num_unstable=0, **kwargs)
         assert h3 is not h1
         clear_cache()
 
@@ -221,7 +262,13 @@ class TestCacheKey:
     def test_execution_settings_leave_the_key_alone(self, cached, name):
         assert cached(**{name: "changed"}) is cached()
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(FLConfig) if f.name != "exec"])
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            {f.name for f in fields(FLConfig) if f.name != "exec"}
+            | {f.name for cls in ALGORITHMS.values() for f in fields(cls.Params)}
+        ),
+    )
     def test_every_other_config_field_keys_its_own_entry(self, cached, name):
         assert cached(**{name: "changed"}) is not cached()
 

@@ -151,6 +151,24 @@ def test_explicit_retier_interval_wins_even_under_smoke(spec):
     assert fl["retier_interval"] == 7
 
 
+def test_fl_overrides_reach_only_the_methods_that_read_them(spec):
+    """One override dict serves the whole grid: a method knob goes to the
+    cells whose method declares it, a shared config key to every cell."""
+    from dataclasses import replace
+
+    runner_overrides = SweepRunner.__new__(SweepRunner)
+    runner_overrides.spec = replace(
+        spec, fl_overrides=(("lam", 0.1), ("max_rounds", 9), ("retier_interval", 5))
+    )
+    fedavg = runner_overrides._cell_fl_overrides(SweepCell("fedavg", "static", 0))
+    assert "lam" not in fedavg and "retier_interval" not in fedavg
+    assert fedavg["max_rounds"] == 9
+    fedat = runner_overrides._cell_fl_overrides(SweepCell("fedat", "static", 0))
+    assert (fedat["lam"], fedat["retier_interval"], fedat["max_rounds"]) == (0.1, 5, 9)
+    tifl = runner_overrides._cell_fl_overrides(SweepCell("tifl", "static", 0))
+    assert "lam" not in tifl and tifl["retier_interval"] == 5
+
+
 def test_spec_from_dict_and_file_round_trip(spec, tmp_path):
     payload = {
         "methods": ["fedavg", "tifl"],

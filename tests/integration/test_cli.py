@@ -60,6 +60,45 @@ def test_compare_command(capsys):
     assert "t-to-target" in out
 
 
+def test_run_refuses_a_flag_the_method_does_not_read(capsys):
+    rc = main(
+        [
+            "run", "--method", "fedavg", "--dataset", "sentiment140",
+            "--scale", "tiny", "--lam", "0.3",
+        ]
+    )
+    assert rc != 0
+    assert "fedavg does not take 'lam'; fedat, fedprox, asofed do" in capsys.readouterr().err
+
+
+def test_compare_passes_a_method_knob_only_where_it_is_read(capsys, monkeypatch):
+    """``--retier-interval`` reaches FedAT, which re-tiers; FedAvg, which
+    reads no tiering knob, runs exactly as it does without the flag."""
+    import repro.cli as cli
+    from repro.experiments.checkpoint import strip_volatile_meta
+    from repro.experiments.runner import run_experiment
+
+    histories = {}
+
+    def recording(method, dataset, **kwargs):
+        histories[method] = run_experiment(method, dataset, **kwargs)
+        return histories[method]
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    rc = main(
+        [
+            "compare", "--dataset", "sentiment140", "--scale", "tiny",
+            "--methods", "fedat,fedavg", "--retier-interval", "2",
+        ]
+    )
+    assert rc == 0
+    assert histories["fedat"].meta["retier_trace"]
+    plain = run_experiment("fedavg", "sentiment140", scale="tiny", seed=0)
+    assert strip_volatile_meta(histories["fedavg"].to_dict()) == strip_volatile_meta(
+        plain.to_dict()
+    )
+
+
 def test_run_with_parallel_executor(capsys):
     rc = main(
         [

@@ -5,10 +5,11 @@
 whose one-member case is every single client's round) with one path through
 it (every model it compiles stacks; the rest is refused), one broadcast
 policy (shared memory, falling back on what the code observes), one
-staleness knob (``FLConfig.staleness``), one run loop
-(``FLSystem._run``, with one cohort launch and one rejoin scheduler) and
-one home for execution settings (``ExecConfig``, read only by
-``make_executor``). The names below selected or served the other side of
+staleness knob (declared once, on ``StalenessParams``), one run loop
+(``FLSystem._run``, with one cohort launch and one rejoin scheduler), one
+home for execution settings (``ExecConfig``, read only by
+``make_executor``) and one home per method knob (the ``Params`` of the
+methods that read it). The names below selected or served the other side of
 each pair before they were deleted; a later change must not quietly bring
 one back.
 """
@@ -38,6 +39,8 @@ REMOVED = re.compile(
     # the layers, schedules and helpers that kept that path covered are gone.
     r"|class GRU|nn\.gru|nn\.schedules|ClippedOptimizer|utils\.validation|MSELoss"
     r"|GlobalAveragePool|class Softmax\b|plan_aware|plan_stackable|\.stackable\b"
+    # A method's knobs live on its Params: no list says which method tiers.
+    r"|TIERED_METHODS"
 )
 
 
@@ -52,6 +55,7 @@ def test_removed_switches_stay_removed():
 
 
 def test_pattern_does_not_flag_the_surviving_knob():
+    assert REMOVED.search('TIERED_METHODS = ("fedat", "tifl")')
     assert not REMOVED.search("fedasync_alpha: float = 0.6")
     assert REMOVED.search("fedasync_a: float = 0.5")
     assert not REMOVED.search("def _chunk_results(chunk):")
@@ -246,9 +250,61 @@ def test_one_event_loop():
     assert homes("def _run(") == ["base.py"]
     assert homes("next_join_after(") == ["base.py"]
     assert homes("def launch(") == ["base.py"]
+    assert homes("def client_lambda(") == ["base.py"]  # λ is read off Params
     for step in (".sample_latency(", ".train_cohort(", ".uplink_roundtrip("):
         assert homes(step) == ["base.py"], step
     assert issubclass(FedAsync, AsyncFLSystem) and issubclass(ASOFed, AsyncFLSystem)
     for name in ("fedasync.py", "asofed.py"):
         text = sources[SRC / "repro" / "baselines" / name]
-        assert "@dataclass" not in text and "def handle(" not in text, name
+        # Their one dataclass is the knobs they read.
+        assert text.count("@dataclass") == text.count("class Params(") == 1, name
+        assert "def handle(" not in text, name
+
+
+#: The knobs only some methods read: each lives on the Params of the
+#: methods that read it, never on FLConfig.
+METHOD_KNOBS = (
+    "lam", "num_tiers", "misprofile_fraction", "profile_sample", "retier_interval",
+    "retier_ewma", "server_weighting", "staleness", "fedasync_alpha", "tifl_interval",
+    "tifl_credit_slack",
+)
+
+
+def test_method_knobs_stay_off_the_config():
+    """``FLConfig`` declares none of the method knobs, and nothing in
+    ``src/`` reads one off a config (``config.lam``, ``cfg.tifl_interval``):
+    a method reads ``self.params``."""
+    from dataclasses import fields
+
+    from repro.core.config import FLConfig
+
+    assert not {f.name for f in fields(FLConfig)} & set(METHOD_KNOBS)
+    read = re.compile(r"\b(?:config|cfg)\.(?:" + "|".join(METHOD_KNOBS) + r")\b")
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if read.search(line)
+    ]
+    assert not hits, "a method knob is read off a config:\n" + "\n".join(hits)
+    assert read.search("        k = self.config.profile_sample")
+    assert not read.search("        k = self.params.profile_sample")
+
+
+def test_every_method_declares_its_knobs():
+    """Each method in the table has a frozen ``Params`` dataclass whose
+    fields all have defaults, so ``Cls.Params()`` is its paper setting, and
+    together they declare exactly the method knobs."""
+    from dataclasses import MISSING, fields, is_dataclass
+
+    from repro.experiments.config import ALGORITHMS
+
+    declared = set()
+    for name, cls in ALGORITHMS.items():
+        params = cls.Params
+        assert is_dataclass(params) and params.__dataclass_params__.frozen, name
+        for f in fields(params):
+            assert f.default is not MISSING or f.default_factory is not MISSING, (name, f.name)
+            declared.add(f.name)
+        cls.Params()  # the defaults pass the checks
+    assert declared == set(METHOD_KNOBS)

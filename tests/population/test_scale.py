@@ -77,7 +77,7 @@ class TestMillionClients:
             config = FLConfig(
                 clients_per_round=3,
                 local_epochs=1,
-                num_tiers=3,
+                algo=FedAT.Params(num_tiers=3),
                 max_rounds=3,
                 max_time=300.0,
                 eval_every=1,

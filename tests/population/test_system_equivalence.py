@@ -2,12 +2,11 @@
 
 import numpy as np
 
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.data.datasets import make_sample_bank
 from repro.exec import ExecConfig
 from repro.experiments.checkpoint import strip_volatile_meta
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, route_config
 from repro.population.base import MaterializedPopulation
 from repro.population.virtual import VirtualPopulation
 
@@ -39,7 +38,7 @@ def _config(**overrides):
         compression=None,
     )
     defaults.update(overrides)
-    return FLConfig(**defaults)
+    return route_config("fedat", **defaults)
 
 
 def _clean(history):

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import FedAsync, FedAvg, TiFL
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.core.server import TieredServer
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, knobs_read_by, route_config
 from repro.experiments.runner import run_experiment
 from repro.scenario import ScenarioEngine, ScenarioEvent
 from repro.tiering.online import LatencyTracker
@@ -35,17 +34,17 @@ def dataset():
     )
 
 
-def _config(**overrides):
+def _config(cls, **overrides):
     base = dict(
         clients_per_round=4, local_epochs=1, max_rounds=6, eval_every=2,
         num_tiers=3, num_unstable=0, seed=7, compression=None, max_time=400.0,
     )
     base.update(overrides)
-    return FLConfig(**base)
+    return route_config(cls.name, **knobs_read_by(cls.name, base))
 
 
 def _build(cls, dataset, **overrides):
-    return cls(dataset, build_model_builder(dataset, "tiny"), _config(**overrides))
+    return cls(dataset, build_model_builder(dataset, "tiny"), _config(cls, **overrides))
 
 
 # --------------------------------------------------------------------- #

@@ -11,21 +11,20 @@ the historical full-profile path (pinned by the golden-history suite).
 import numpy as np
 import pytest
 
-from repro.baselines.fedavg import FedAvg
-from repro.core.config import FLConfig
+from repro.baselines.tifl import TiFL
 from repro.core.fedat import FedAT
-from repro.experiments.config import build_model_builder
+from repro.experiments.config import build_model_builder, route_config
 from repro.population.base import MaterializedPopulation
 from repro.tiering.profiler import LatencyProfiler
 
 
-def _system(dataset, cls=FedAvg, **overrides):
+def _system(dataset, cls=TiFL, **overrides):
     defaults = dict(
         clients_per_round=4, local_epochs=1, max_rounds=4, eval_every=2,
         num_tiers=3, num_unstable=2, seed=0, compression=None,
     )
     defaults.update(overrides)
-    return cls(dataset, build_model_builder(dataset, "tiny"), FLConfig(**defaults))
+    return cls(dataset, build_model_builder(dataset, "tiny"), route_config(cls.name, **defaults))
 
 
 class TestSampledTiering:
