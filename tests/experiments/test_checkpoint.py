@@ -9,6 +9,8 @@ byte-identical to the uninterrupted run.
 """
 
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,48 @@ def test_killed_run_resumes_bit_identically(tmp_path, tiny_bow_dataset, cls, wor
         reference.to_dict()
     )
     ckpt.clear()
+
+
+#: Mid-run checkpoints committed under ``tests/fixtures/checkpoints/``,
+#: written by the tree that still trained every cohort at departure:
+#: name -> (method, the event payload class they hold in flight). Never
+#: regenerate them: they prove a format-3 checkpoint from before deferred
+#: training still resumes to the uninterrupted history.
+PRE_DEFERRAL_CHECKPOINTS = {
+    "fedat_tiers_in_flight": (FedAT, "RoundDone"),
+    "fedasync_clients_in_flight": (FedAsync, "ClientDone"),
+}
+
+CHECKPOINT_FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "checkpoints"
+
+
+def write_pre_deferral_checkpoints(directory: Path, dataset) -> None:
+    """How the committed fixtures were written: each run killed after its
+    third save, with ``guard="reject"`` so the guard's state rides along."""
+    for name, (cls, _) in PRE_DEFERRAL_CHECKPOINTS.items():
+        system = _system(dataset, cls, guard="reject")
+        system.attach_checkpointer(KillAfter(directory, name, kill_after=3))
+        try:
+            system.run()
+        except KeyboardInterrupt:
+            pass
+        (directory / f"run_{name}.ckpt").rename(directory / f"{name}.ckpt")
+
+
+@pytest.mark.parametrize("name", sorted(PRE_DEFERRAL_CHECKPOINTS))
+def test_checkpoint_from_before_deferral_resumes(tmp_path, tiny_bow_dataset, name):
+    cls, in_flight = PRE_DEFERRAL_CHECKPOINTS[name]
+    shutil.copy(CHECKPOINT_FIXTURES / f"{name}.ckpt", tmp_path / f"run_{name}.ckpt")
+    ckpt = RunCheckpointer(tmp_path, name)
+    queue = ckpt.load()["queue"]
+    assert sum(type(ev.payload).__name__ == in_flight for ev in queue._heap) >= 2
+
+    resumed_system = _system(tiny_bow_dataset, cls, guard="reject")
+    assert resumed_system.attach_checkpointer(ckpt, resume=True)
+    assert resumed_system.round > 0
+    resumed = resumed_system.run()
+    reference = _system(tiny_bow_dataset, cls, guard="reject").run()
+    assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
 
 
 def test_resume_without_checkpoint_is_fresh_start(tmp_path, tiny_bow_dataset):
