@@ -14,10 +14,14 @@ and evaluation — and owns the one run loop (:meth:`FLSystem._run`):
 A method answers those three hooks plus two per launched client,
 :meth:`~FLSystem.client_epochs` and :meth:`~FLSystem.client_lambda` (its
 local epochs and proximal λ), and builds on two shared steps:
-:meth:`~FLSystem.launch` sends the global model to a cohort and trains
-everyone who will report back, and :meth:`~FLSystem.schedule_join` wakes
-the method when a client (re)joins before ``max_time``. Every result is
-metered on the uplink when its event pops. Three families use the loop:
+:meth:`~FLSystem.launch` sends the global model to a cohort and queues
+everyone who will report back for training, and
+:meth:`~FLSystem.schedule_join` wakes the method when a client (re)joins
+before ``max_time``. Training waits until a result is needed
+(:meth:`~FLSystem.flush`): every launch still pending then trains as one
+cohort, so tiers in flight together share stacked waves and dispatches.
+Every result is metered on the uplink when its event pops. Three families
+use the loop:
 
 - :class:`SyncFLSystem` (FedAvg, FedProx, TiFL): one round in flight, done
   at its slowest client's finish time;
@@ -32,8 +36,8 @@ algorithm, so every method compared under one seed faces the same cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from repro.compression.codec import Codec, NullCodec, make_codec
 from repro.core.config import FLConfig
 from repro.core.params import MethodParams, StalenessParams
 from repro.core.staleness import StalenessPolicy
-from repro.exec import CohortTask, OptimizerSpec, make_executor, roundtrip_batch
+from repro.exec import CohortTask, OptimizerSpec, make_executor
 from repro.metrics.history import EvalRecord, RunHistory
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
@@ -65,20 +69,48 @@ __all__ = ["FLSystem", "SyncFLSystem", "AsyncFLSystem"]
 ModelBuilder = Callable[[np.random.Generator], Sequential]
 
 
-@dataclass
 class Launch:
-    """What :meth:`FLSystem.launch` sent out."""
+    """What :meth:`FLSystem.launch` sent out.
 
-    #: ``(result, virtual finish time, uplink bytes)`` per client that
-    #: reports back and passes the update guard, in launch order.
-    results: list
-    #: The slowest launched client's finish time: a synchronous round's end.
-    end: float
-    #: Clients lost to churn (offline at launch or leaving mid-round); they
-    #: come back, unlike permanent dropouts, who are not listed.
-    churned: list
-    #: How many reporting clients the update guard quarantined.
-    quarantined: int
+    ``end``, ``churned`` and ``finishes`` are known at departure.
+    ``results`` and ``quarantined`` exist once the launch has trained: the
+    first read of either while it is pending flushes every pending launch
+    (:meth:`FLSystem.flush`). A trained launch holds exactly the
+    attributes it held when training ran at departure, ``finishes`` aside,
+    so checkpoints written either way load alike.
+    """
+
+    def __init__(self, end: float, churned: list, finishes: dict, flush=None):
+        #: The slowest launched client's finish time: a synchronous round's end.
+        self.end = end
+        #: Clients lost to churn (offline at launch or leaving mid-round); they
+        #: come back, unlike permanent dropouts, who are not listed.
+        self.churned = churned
+        #: Virtual finish time of every client that reports back, by id, in
+        #: launch order.
+        self.finishes = finishes
+        if flush is None:
+            self.resolve([], 0)
+        else:
+            self._flush = flush
+
+    def resolve(self, results: list, quarantined: int) -> None:
+        """Install the trained outcome; the launch is pending no more."""
+        #: ``(result, virtual finish time, uplink bytes)`` per client that
+        #: reports back and passes the update guard, in launch order.
+        self.results = results
+        #: How many reporting clients the update guard quarantined.
+        self.quarantined = quarantined
+        self.__dict__.pop("_flush", None)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: ``results`` and
+        # ``quarantined`` of a pending launch are trained into existence.
+        flush = self.__dict__.get("_flush")
+        if flush is None or name not in ("results", "quarantined"):
+            raise AttributeError(name)
+        flush()
+        return self.__dict__[name]
 
 
 @dataclass
@@ -108,16 +140,50 @@ class ClientJoin:
 
 @dataclass
 class ClientDone:
-    """Event payload: one async client cycle's upload reaches the server."""
+    """Event payload: one async client cycle's upload reaches the server —
+    or, when the update guard quarantined the client's result, nothing
+    does and the event pops as a no-op."""
 
-    result: LocalTrainingResult
+    client_id: int
     #: Global round the client's cycle departed from.
     start_version: int
-    uplink_bytes: int
+    launch: Launch
+
+    def upload(self) -> tuple[LocalTrainingResult | None, int]:
+        """The client's trained result and its uplink bytes; ``(None, 0)``
+        when the guard quarantined it. Reading it trains a pending launch."""
+        for result, _, nbytes in self.launch.results:
+            if result.client_id == self.client_id:
+                return result, nbytes
+        return None, 0
 
     @property
-    def client_id(self) -> int:
-        return self.result.client_id
+    def result(self) -> LocalTrainingResult | None:
+        return self.upload()[0]
+
+    def __setstate__(self, state: dict) -> None:
+        if "result" in state:
+            # Pickled when the result rode on the event itself.
+            result = state["result"]
+            launch = Launch(None, [], {result.client_id: None})
+            launch.resolve([(result, None, state["uplink_bytes"])], 0)
+            state = {
+                "client_id": result.client_id,
+                "start_version": state["start_version"],
+                "launch": launch,
+            }
+        self.__dict__.update(state)
+
+
+class _Pending(NamedTuple):
+    """A launch waiting to train: its tasks, the weights they departed
+    from, and the round and time the update guard records them under."""
+
+    launch: Launch
+    tasks: list
+    received: np.ndarray
+    round: int
+    time: float
 
 
 class FLSystem:
@@ -288,6 +354,8 @@ class FLSystem:
         #: runs unprotected, exactly as before checkpoints existed.
         self._checkpointer = None
         self._resume_queue = None
+        #: Launches waiting to train, in launch order (see :meth:`flush`).
+        self._pending: list[_Pending] = []
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -367,11 +435,9 @@ class FLSystem:
         time.
         """
         with self.timers.phase("encode"):
-            decoded, payloads = roundtrip_batch(
-                self.codec, [r.weights for r in results]
-            )
-            for res, weights in zip(results, decoded):
-                res.weights = weights
+            payloads = [self.codec.encode(r.weights) for r in results]
+            for res, payload in zip(results, payloads):
+                res.weights = self.codec.decode(payload)
             return [p.nbytes for p in payloads]
 
     def alive(self, client_ids, at_time: float | None = None):
@@ -462,9 +528,10 @@ class FLSystem:
         )
 
     def train_cohort(
-        self, tasks: list[CohortTask], start_weights: np.ndarray
+        self, tasks: list[CohortTask], starts: np.ndarray
     ) -> list[LocalTrainingResult]:
-        """Run a cohort of local rounds from ``start_weights``.
+        """Run a cohort of local rounds, each task from its row of
+        ``starts`` (an ``(S, P)`` stack, or one ``(P,)`` vector).
 
         Results come back in task order and are bit-identical across
         executor backends (see ``tests/exec/test_equivalence.py``).
@@ -472,26 +539,26 @@ class FLSystem:
         if not tasks:
             return []
         with self.timers.phase("train"):
-            return self.executor.run_cohort(start_weights, tasks)
+            return self.executor.run_cohort(starts, tasks)
 
     def launch(self, client_ids, start: float) -> Launch:
         """Send the global model to ``client_ids`` at virtual time ``start``
-        and train everyone who will report back.
+        and queue everyone who will report back for training.
 
         Charges one downlink per client and samples latencies in launch
         order. A client that drops out or churns away before its finish
         time never reports: it is not trained, metered, or observed by the
         re-tier tracker (online re-tiering sees exactly what a real server
-        would). The rest train from the weights they received; the update
-        guard filters them *before* the uplink codec (a rejected client
-        never transmits, and an exploded update would overflow a
-        range-limited encoder like polyline), and the uplink round trip
-        decodes each kept result in place.
+        would). The rest train from the weights they received at the next
+        :meth:`flush` — when the launch's results are first read, at the
+        latest — except under a stateful codec, whose uplink draws must
+        follow this launch's downlink draws before the next launch's, so
+        the launch flushes at once.
         """
         if not client_ids:
-            return Launch([], start, [], 0)
+            return Launch(start, [], {})
         received = self.send_down(self.global_weights, n_receivers=len(client_ids))
-        tasks, finishes, churned = [], [], []
+        tasks, finishes, churned = [], {}, []
         end = start
         for cid in client_ids:
             epochs = self.client_epochs(cid)  # one draw: timed and trained alike
@@ -507,18 +574,61 @@ class FLSystem:
             tasks.append(
                 self.make_task(cid, latency, epochs=epochs, lam=self.client_lambda(cid))
             )
-            finishes.append(finish)
-        trained = kept = self.train_cohort(tasks, received)
-        if self.guard is not None and trained:
-            kept = self.guard.filter(trained, received, round_no=self.round, time=self.now)
-        # Client ids are unique within a cohort, so identity pairs a kept
-        # result with its finish time exactly.
-        finish_of = {id(r): f for r, f in zip(trained, finishes)}
-        results = [
-            (r, finish_of[id(r)], nbytes)
-            for r, nbytes in zip(kept, self.uplink_roundtrip(kept))
-        ]
-        return Launch(results, end, churned, len(trained) - len(kept))
+            finishes[cid] = finish
+        if not tasks:
+            return Launch(end, churned, finishes)
+        launch = Launch(end, churned, finishes, flush=self.flush)
+        self._pending.append(_Pending(launch, tasks, received, self.round, self.now))
+        if not self.codec.deterministic:
+            self.flush()
+        return launch
+
+    def flush(self) -> None:
+        """Train every pending launch and resolve each one's results.
+
+        All pending clients train as one cohort, in launch order — one
+        stacked cohort serially, one dispatch on the pool or dist — each
+        from the weights its launch received: launches that received the
+        same decoded downlink share one row of the start stack. Then, per
+        launch in launch order, the update guard filters its results
+        against those weights under the launch's round and time, *before*
+        the uplink codec (a rejected client never transmits, and an
+        exploded update would overflow a range-limited encoder like
+        polyline), and the uplink round trip decodes each kept result in
+        place.
+
+        Flushing is free to happen early: no draw that shapes the run
+        waits for training, and training order is launch order whenever it
+        runs. It must happen before anything reads what training changes —
+        a launch's results, the worker model the evaluator may share (its
+        batch-norm statistics), the guard's state in a checkpoint — so
+        :meth:`record_eval`, :meth:`state_dict` and the end of the run
+        flush first.
+        """
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        rows: dict[int, int] = {}
+        starts, tasks = [], []
+        for p in pending:
+            row = rows.setdefault(id(p.received), len(starts))
+            if row == len(starts):
+                starts.append(p.received)
+            tasks += [replace(t, row=row) for t in p.tasks] if row else p.tasks
+        trained = self.train_cohort(tasks, starts[0] if len(starts) == 1 else np.stack(starts))
+        at = 0
+        for p in pending:
+            mine = trained[at : at + len(p.tasks)]
+            at += len(p.tasks)
+            kept = mine
+            if self.guard is not None:
+                kept = self.guard.filter(mine, p.received, round_no=p.round, time=p.time)
+            finishes = p.launch.finishes
+            results = [
+                (r, finishes[r.client_id], nbytes)
+                for r, nbytes in zip(kept, self.uplink_roundtrip(kept))
+            ]
+            p.launch.resolve(results, len(mine) - len(kept))
 
     def schedule_join(self, queue, payload, client_ids=None, *, at=None) -> None:
         """Schedule ``payload`` for when a client joins, if before
@@ -691,11 +801,17 @@ class FLSystem:
             "arrival_pool",
             "_checkpointer",
             "_resume_queue",
+            "_pending",
         }
     )
 
     def state_dict(self) -> dict:
-        """Picklable snapshot of every mutable simulation attribute."""
+        """Picklable snapshot of every mutable simulation attribute.
+
+        Flushes first, so every launch in the checkpointed queue carries
+        its trained results and nothing is pending.
+        """
+        self.flush()
         return {
             k: v for k, v in vars(self).items() if k not in self._CHECKPOINT_EXCLUDE
         }
@@ -751,7 +867,11 @@ class FLSystem:
         the *enrolled-so-far* view — accuracy over clients that have joined
         by now, vs. the headline accuracy over the full eventual population
         — appended to ``history.meta["arrival_eval"]``.
+
+        Flushes first: the evaluator may share the worker model, whose
+        batch-norm statistics must include every launched client.
         """
+        self.flush()
         views = None
         if self.scenario.has_arrivals:
             views = {
@@ -830,15 +950,28 @@ class FLSystem:
             self.record_eval()
             self.prologue(queue)
         while not queue.empty and not self.budget_exhausted():
-            if self._checkpointer is not None:  # persists at round boundaries
+            # Persists at round boundaries. An upload the guard quarantined
+            # is a no-op: its client never reported, so it pops without
+            # moving the clock or being a place to checkpoint.
+            reported = self._reported(queue.peek().payload)
+            if reported and self._checkpointer is not None:
                 self._checkpointer.maybe_save(self, queue)
             ev = queue.pop()
+            if not reported:
+                continue
             self.now = ev.time
             self.handle(ev.payload, queue)
+        # Every client that reports back trains, read or not (the guard's
+        # counters count them all).
+        self.flush()
         if not self.history.records or self.history.records[-1].round != self.round:
             self.record_eval()
         self.finish()
         return self.history
+
+    @staticmethod
+    def _reported(payload) -> bool:
+        return not isinstance(payload, ClientDone) or payload.result is not None
 
     def prologue(self, queue: EventQueue) -> None:
         """Hook: the first launches, after the round-0 eval."""
@@ -914,10 +1047,13 @@ class AsyncFLSystem(FLSystem):
 
     Every alive client cycles on its own — download the current global
     model, train, upload — and each upload is one global update. At t = 0
-    the alive population departs from w0 as one cohort the executor can fan
-    out; after that each upload relaunches its client alone. A client lost
-    to churn is relaunched when it rejoins, a late client when it arrives;
-    permanent dropouts and quarantined clients are gone for good.
+    the alive population departs from w0 as one launch; after that each
+    upload relaunches its client alone, from the global model it just
+    moved. Relaunches wait to train until one of their uploads pops or an
+    eval is due, and then train together as one cohort, each from its own
+    global version. A client lost to churn is relaunched when it rejoins, a
+    late client when it arrives; permanent dropouts and quarantined clients
+    are gone for good (a quarantined client's upload pops as a no-op).
 
     Subclass hooks: :meth:`apply_update` (the server's update rule) and
     :meth:`client_lambda`.
@@ -942,8 +1078,9 @@ class AsyncFLSystem(FLSystem):
 
     def handle(self, payload, queue: EventQueue) -> None:
         if isinstance(payload, ClientDone):
-            self.meter.record_upload(payload.uplink_bytes)
-            self.apply_update(payload.result, self.round - payload.start_version)
+            result, nbytes = payload.upload()
+            self.meter.record_upload(nbytes)
+            self.apply_update(result, self.round - payload.start_version)
             self.round += 1
             if self._eval_due():
                 self.record_eval()
@@ -954,5 +1091,5 @@ class AsyncFLSystem(FLSystem):
         launch = self.launch(client_ids, self.now)
         for cid in launch.churned:
             self.schedule_join(queue, ClientJoin(cid), [cid])
-        for res, finish, nbytes in launch.results:
-            queue.schedule_at(finish, ClientDone(res, self.round, nbytes))
+        for cid, finish in launch.finishes.items():
+            queue.schedule_at(finish, ClientDone(cid, self.round, launch))

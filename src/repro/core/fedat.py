@@ -95,8 +95,10 @@ class FedAT(FLSystem):
         global model, or — when none of its clients is alive — wake the
         tier at its next rejoin (in a static world it retires for good).
 
-        Local training runs eagerly from the weights clients receive *now*;
-        the round-done event carries the results to their finish time.
+        Clients train from the weights they receive *now*, but only when
+        the round's results are first read — by then every tier launched
+        meanwhile is pending too, and they all train as one cohort; the
+        round-done event carries the launch to its finish time.
         """
         pool = self.alive(self.tiering.clients_in(tier))
         cohort = self.select_clients(pool, self.config.clients_per_round)

@@ -1,9 +1,9 @@
 """Client-execution engine.
 
-Within a round (or tier cohort) client training is embarrassingly parallel:
-the event loop only needs each client's result at its virtual finish time,
-not serial execution. This package owns *how* a cohort of local-training
-tasks is executed:
+Client training is embarrassingly parallel: the event loop only needs each
+client's result when it reads it, not serial execution, so the system
+hands over every launch still pending as one cohort. This package owns
+*how* a cohort of local-training tasks is executed:
 
 - :class:`SerialExecutor` — one shared worker model and one
   :meth:`~repro.nn.plan.TrainingPlan.run_cohort` call per cohort, clients
@@ -27,8 +27,9 @@ checkpoint keys leave it out.
 
 Determinism contract: a :class:`CohortTask` carries everything a round
 depends on — explicit batch-schedule cursor (``start_epoch``), epoch count,
-proximal λ, pre-sampled latency — so local training is a pure function of
-``(task, start_weights)`` and every backend produces identical
+proximal λ, pre-sampled latency, the row of the start-weight stack it
+departs from — so local training is a pure function of ``(task, starts)``
+and every backend produces identical
 :class:`~repro.sim.client.LocalTrainingResult` records.
 """
 
@@ -48,7 +49,6 @@ from repro.exec.faults import (
     parse_faults,
 )
 from repro.exec.parallel import ParallelExecutor
-from repro.exec.payloads import decode_batch, encode_batch, roundtrip_batch
 from repro.exec.serial import SerialExecutor
 
 __all__ = [
@@ -61,9 +61,6 @@ __all__ = [
     "ParallelExecutor",
     "DistExecutor",
     "make_executor",
-    "encode_batch",
-    "decode_batch",
-    "roundtrip_batch",
     "FaultSpec",
     "FaultPlan",
     "parse_faults",

@@ -39,12 +39,15 @@ class CohortTask:
     lam: float  # proximal constraint λ toward the start weights
     latency: float  # pre-sampled response latency (virtual seconds)
     start_epoch: int  # batch-schedule cursor at round start
+    row: int = 0  # the row of the dispatch's start-weight stack it departs from
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.start_epoch < 0:
             raise ValueError(f"start_epoch must be >= 0, got {self.start_epoch}")
+        if self.row < 0:
+            raise ValueError(f"row must be >= 0, got {self.row}")
 
 
 @dataclass(frozen=True)
@@ -74,15 +77,17 @@ class OptimizerSpec:
 class ClientExecutor:
     """Executes cohorts of local-training tasks.
 
-    Backends must return results **in task order** and produce bit-identical
-    :class:`LocalTrainingResult` records for the same ``(start_weights,
-    tasks)`` regardless of how execution is scheduled.
+    ``starts`` is an ``(S, P)`` stack of start weights, each task training
+    from its ``row`` of it, or one ``(P,)`` vector (``S = 1``). Backends
+    must return results **in task order** and produce bit-identical
+    :class:`LocalTrainingResult` records for the same ``(starts, tasks)``
+    regardless of how execution is scheduled.
     """
 
     name = "base"
 
     def run_cohort(
-        self, start_weights: np.ndarray, tasks: Sequence[CohortTask]
+        self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> "list[LocalTrainingResult]":
         raise NotImplementedError
 

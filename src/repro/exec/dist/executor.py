@@ -2,7 +2,7 @@
 
 :class:`DistExecutor` implements the :class:`~repro.exec.base.ClientExecutor`
 protocol over a scheduler/worker topology instead of an ``mp.Pool``: the
-executor owns a :class:`~repro.exec.dist.scheduler.Scheduler` (global
+executor owns a :class:`~repro.exec.dist.scheduler.Scheduler` (start
 weights + chunk lease queue) and workers — local child processes or
 external ``repro worker`` processes on other machines — dial in, register,
 heartbeat, and execute leases.
@@ -190,18 +190,18 @@ class DistExecutor(SupervisedExecutor):
 
     # ------------------------------------------------------------------ #
     def run_cohort(
-        self, start_weights: np.ndarray, tasks: Sequence[CohortTask]
+        self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
-        results = self._in_parent(start_weights, tasks)
+        results = self._in_parent(starts, tasks)
         if results is not None:
             return results
-        start_weights = np.ascontiguousarray(start_weights)
+        starts = np.ascontiguousarray(starts)
         # Repair the local roster before dispatching, not just while
         # waiting: a worker killed between dispatches dies while nobody is
         # watching its sentinel.
         self._reap_and_respawn()
         dispatch = self._begin(tasks, self.num_chunks)
-        done = self._scheduler.submit(dispatch, self._scheduler.publish_weights(start_weights))
+        done = self._scheduler.submit(dispatch, self._scheduler.publish_weights(starts))
         while not done.is_set():
             # Sleep until the job resolves or a local worker process dies —
             # the lease layer recovers the chunk, this loop the roster.
@@ -212,7 +212,7 @@ class DistExecutor(SupervisedExecutor):
                 self._scheduler.done_channel.drain()
             else:
                 self._reap_and_respawn()
-        return self._finish(dispatch, start_weights, self._scheduler.live_workers)
+        return self._finish(dispatch, starts, self._scheduler.live_workers)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

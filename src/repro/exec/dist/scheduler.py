@@ -1,10 +1,10 @@
-"""Scheduler: global weights, chunk leases, and worker supervision.
+"""Scheduler: start weights, chunk leases, and worker supervision.
 
 One background thread runs a ``selectors`` event loop over the listening
 socket, every worker connection and a wake channel. All connection and
 lease state is owned by that thread; the executor talks to it through
-narrow, thread-safe seams — :meth:`Scheduler.publish_weights` (version +
-cached wire frame under a lock), :meth:`Scheduler.submit` (a :class:`_Job`
+narrow, thread-safe seams — :meth:`Scheduler.publish_weights` (a
+dispatch's start weights: version + cached wire frame under a lock), :meth:`Scheduler.submit` (a :class:`_Job`
 dropped on a deque, then one byte down the wake channel) and
 :meth:`Scheduler.wait_for_workers` (a condition the loop notifies when the
 roster changes). A resolved job sets ``job.done`` and writes one byte to
@@ -171,10 +171,11 @@ class Scheduler:
         self._thread.start()
 
     def publish_weights(self, weights: np.ndarray) -> int:
-        """Install the round's global weights; returns their version.
+        """Install a dispatch's start weights — one ``(P,)`` vector or an
+        ``(S, P)`` stack — and return their version.
 
         Identical weights reuse the previous version (and its cached wire
-        frame), so an unchanged global between dispatches costs no
+        frame), so unchanged start weights between dispatches cost no
         re-broadcast — the same idea as the system's downlink cache.
         """
         with self._weights_lock:

@@ -13,13 +13,14 @@ stranding anything the others or the parent will later wait on; that is
 not true of ``multiprocessing.Pool``, whose ``terminate()`` blocks forever
 on a queue lock a killed worker was holding.
 
-Broadcast path: the round's start-weight vector is written **once** into a
-POSIX shared-memory segment and workers attach read-only, so dispatching a
-cohort ships only the segment name per chunk instead of re-pickling the
-full float vector into every pool message. The segment is allocated lazily
-at the model's flat size, reused round after round (``run_cohort`` returns
-only once every chunk is resolved, so rounds never race on it), and
-unlinked at :meth:`close`.
+Broadcast path: a dispatch's ``(S, P)`` stack of start weights is written
+**once** into a POSIX shared-memory segment and workers attach read-only,
+so dispatching a cohort ships only the segment name per chunk instead of
+re-pickling the stack into every pool message. The segment is allocated
+lazily, replaced by a larger one when a dispatch brings more start rows
+than it holds, reused otherwise (``run_cohort`` returns only once every
+chunk is resolved, so dispatches never race on it), and unlinked at
+:meth:`close`.
 When the segment cannot be created — platform without ``/dev/shm``,
 permissions, quota — dispatch falls back to pickling the weights into every
 chunk message; both paths hand workers the same bytes, so results are
@@ -92,7 +93,7 @@ def _unregister_shm(shm) -> None:
     _SHM_REGISTRY.pop(shm.name, None)
 
 
-def _attach_shared(cache: dict, name: str, dtype: str, size: int) -> np.ndarray:
+def _attach_shared(cache: dict, name: str, dtype: str, shape: tuple) -> np.ndarray:
     """Map the broadcast segment read-only, caching the attachment.
 
     The parent owns the segment's lifetime; the worker must neither unlink
@@ -107,6 +108,15 @@ def _attach_shared(cache: dict, name: str, dtype: str, size: int) -> np.ndarray:
     if shm is None:
         from multiprocessing import resource_tracker, shared_memory
 
+        # A new name means the parent replaced (and unlinked) the segment:
+        # unmap the old one rather than pin it for the worker's lifetime.
+        for old in cache.values():
+            try:
+                old.close()
+            except BufferError:  # pragma: no cover - a view of it is still alive
+                pass
+        cache.clear()
+
         orig_register = resource_tracker.register
 
         def _no_register(rname, rtype):  # pragma: no cover - CPython detail
@@ -119,7 +129,7 @@ def _attach_shared(cache: dict, name: str, dtype: str, size: int) -> np.ndarray:
         finally:
             resource_tracker.register = orig_register
         cache[name] = shm
-    arr = np.ndarray((size,), dtype=np.dtype(dtype), buffer=shm.buf)
+    arr = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
     arr.flags.writeable = False
     return arr
 
@@ -151,12 +161,14 @@ def _worker_main(conn, init_args: tuple, inherited: Sequence = ()) -> None:
             return
         try:
             if header[0] == "shm":
-                start_weights = _attach_shared(segments, *header[1:])
+                starts = _attach_shared(segments, *header[1:])
             else:
-                start_weights = header[1]
-            reply = (run_attempt(executor, plan, key, start_weights, tasks), None)
+                starts = header[1]
+            reply = (run_attempt(executor, plan, key, starts, tasks), None)
         except Exception as exc:  # deterministic task bug — report, don't die
             reply = (None, f"{type(exc).__name__}: {exc}")
+        # No view of a segment outlives its chunk, so a replaced one unmaps.
+        starts = None
         try:
             conn.send(reply)
         except OSError:
@@ -252,21 +264,21 @@ class ParallelExecutor(SupervisedExecutor):
         for worker in pool:
             worker.proc.join()
 
-    def _broadcast_header(self, start_weights: np.ndarray) -> tuple:
-        """Publish the round's start weights; return the per-chunk header.
+    def _broadcast_header(self, starts: np.ndarray) -> tuple:
+        """Publish the dispatch's start weights; return the per-chunk header.
 
         Shared-memory path: one ``copyto`` into the (lazily created,
-        reused) segment, header carries only ``(name, dtype, size)``.
-        Fallback: the weights themselves travel in the header and get
-        pickled once per chunk.
+        reused, grown when too small) segment, header carries only
+        ``(name, dtype, shape)``. Fallback: the weights themselves travel
+        in the header and get pickled once per chunk.
         """
+        if self._shm is not None and self._shm.size < starts.nbytes:
+            self._release_shm()
         if self._shm is None and self.shm_fallback_reason is None:
             try:
                 from multiprocessing import shared_memory
 
-                self._shm = shared_memory.SharedMemory(
-                    create=True, size=start_weights.nbytes
-                )
+                self._shm = shared_memory.SharedMemory(create=True, size=starts.nbytes)
                 _register_shm(self._shm)
             except Exception as exc:  # no /dev/shm, permissions, quota ...
                 self.shm_fallback_reason = (
@@ -274,15 +286,10 @@ class ParallelExecutor(SupervisedExecutor):
                     "falling back to pickled start-weight dispatch"
                 )
         if self._shm is not None:
-            if self._shm.size < start_weights.nbytes:  # pragma: no cover - fixed model size
-                self._release_shm()
-                return self._broadcast_header(start_weights)
-            view = np.ndarray(
-                (start_weights.size,), dtype=start_weights.dtype, buffer=self._shm.buf
-            )
-            np.copyto(view, start_weights)
-            return ("shm", self._shm.name, start_weights.dtype.str, start_weights.size)
-        return ("pickle", start_weights)
+            view = np.ndarray(starts.shape, dtype=starts.dtype, buffer=self._shm.buf)
+            np.copyto(view, starts)
+            return ("shm", self._shm.name, starts.dtype.str, starts.shape)
+        return ("pickle", starts)
 
     def _release_shm(self) -> None:
         if self._shm is not None:
@@ -295,15 +302,15 @@ class ParallelExecutor(SupervisedExecutor):
             self._shm = None
 
     def run_cohort(
-        self, start_weights: np.ndarray, tasks: Sequence[CohortTask]
+        self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
-        results = self._in_parent(start_weights, tasks)
+        results = self._in_parent(starts, tasks)
         if results is not None:
             return results
-        start_weights = np.ascontiguousarray(start_weights)
+        starts = np.ascontiguousarray(starts)
         dispatch = self._begin(tasks, self.num_workers)
-        self._supervise(dispatch, self._broadcast_header(start_weights))
-        return self._finish(dispatch, start_weights, self.num_workers)
+        self._supervise(dispatch, self._broadcast_header(starts))
+        return self._finish(dispatch, starts, self.num_workers)
 
     def _supervise(self, dispatch: Dispatch, header: tuple) -> None:
         """Drive ``dispatch`` to the end over the pool's pipes.

@@ -21,10 +21,9 @@ class SerialExecutor(ClientExecutor):
     :class:`~repro.nn.plan.TrainingPlan` at once
     (:meth:`~repro.nn.plan.TrainingPlan.run_cohort`), which trains clients
     that share batch shapes in lockstep — one chain of kernel calls per
-    group of clients — where the model allows it, and one at a time in
-    cohort order where it does not. Either way no per-client model
-    instance exists, which keeps 100–500-client simulations cheap; the
-    ceiling left is one process, which
+    group of clients, each client from its own row of the start stack.
+    No per-client model instance exists, which keeps 100–500-client
+    simulations cheap; the ceiling left is one process, which
     :class:`~repro.exec.parallel.ParallelExecutor` lifts.
 
     The plan for ``(model, loss)`` is compiled eagerly at construction, so
@@ -49,12 +48,12 @@ class SerialExecutor(ClientExecutor):
         model.training_plan(loss)  # cached; run_cohort reuses it
 
     def run_cohort(
-        self, start_weights: np.ndarray, tasks: Sequence[CohortTask]
+        self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
         clients = [self.clients[t.client_id] for t in tasks]
         trained = self.model.training_plan(self.loss).run_cohort(
-            start_weights,
-            [c.member(t.epochs, t.lam, t.start_epoch) for c, t in zip(clients, tasks)],
+            starts,
+            [c.member(t.epochs, t.lam, t.start_epoch, t.row) for c, t in zip(clients, tasks)],
             self.optimizer.build(),
         )
         return [

@@ -440,10 +440,11 @@ class SupervisedExecutor(ClientExecutor):
             "worker_errors": 0,
             "degraded_chunks": 0,
         }
-        # Cohorts below this size skip dispatch and run in-process (the
-        # async baselines' steady-state singletons pay a full IPC round-trip
-        # for zero parallelism otherwise). Bit-identical either way by the
-        # replica-safety contract, so the path choice is unobservable.
+        # Cohorts below this size skip dispatch and run in-process (a lone
+        # client — a sync round of one, an async relaunch its flush caught
+        # alone — pays a full IPC round-trip for zero parallelism
+        # otherwise). Bit-identical either way by the replica-safety
+        # contract, so the path choice is unobservable.
         self.min_dispatch = 2
         self.fallback_reason: str | None = None
         self._fallback: SerialExecutor | None = None
@@ -469,16 +470,16 @@ class SupervisedExecutor(ClientExecutor):
         # (SerialExecutor indexes clients by id; the dict satisfies that.)
         self._local = SerialExecutor(model.clone(), replicas, loss, optimizer)
 
-    def _in_parent(self, start_weights, tasks) -> list | None:
+    def _in_parent(self, starts, tasks) -> list | None:
         """Run a cohort that needs no worker (None: it must be dispatched).
         Outside the fault domain — injections model worker and network
         infrastructure, and there is none here."""
         if self._closed:
             raise RuntimeError(f"executor {self.name!r} is closed")
         if self._fallback is not None:
-            return self._fallback.run_cohort(start_weights, tasks)
+            return self._fallback.run_cohort(starts, tasks)
         if len(tasks) < max(self.min_dispatch, 1):
-            return self._local.run_cohort(start_weights, tasks)
+            return self._local.run_cohort(starts, tasks)
         return None
 
     def _begin(self, tasks: Sequence[CohortTask], num_chunks: int) -> Dispatch:
@@ -492,7 +493,7 @@ class SupervisedExecutor(ClientExecutor):
             counters=self.fault_counters,
         )
 
-    def _finish(self, dispatch: Dispatch, start_weights: np.ndarray, live_workers: int) -> list:
+    def _finish(self, dispatch: Dispatch, starts: np.ndarray, live_workers: int) -> list:
         """Flatten a finished dispatch; degrade or raise on failed chunks."""
         out: list = []
         for lease, chunk, results in zip(dispatch.leases, dispatch.chunks, dispatch.results):
@@ -520,7 +521,7 @@ class SupervisedExecutor(ClientExecutor):
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                results = self._local.run_cohort(start_weights, chunk)
+                results = self._local.run_cohort(starts, chunk)
             out.extend(results)
         return out
 

@@ -24,9 +24,13 @@ store removed marshalling:
   and so does one client's (:meth:`TrainingPlan.run_epochs`,
   ``SimClient.local_train``): the one-member case of the same loop.
 
-**Cohorts in lockstep.** FedAT's intra-tier round is synchronous — every
-client starts from the same weights — so a cohort does not have to train
-one client after another. :meth:`TrainingPlan.run_cohort` sorts the
+**Cohorts in lockstep.** Local rounds are independent of each other — a
+client's round is a function of its start weights, its data and its
+schedule — so a cohort does not have to train one client after another,
+nor start every client from the same weights: each member names its row
+of an ``(S, P)`` stack of start weights (a tier round's clients share
+one; clients launched from different global versions do not).
+:meth:`TrainingPlan.run_cohort` sorts the
 members by (shard size, epochs), splits them into *waves* of at most B
 clients (as even as B allows), and walks each wave's step index k: the
 members active at step k are grouped by batch rows, and each group runs
@@ -40,9 +44,9 @@ calls, bias sums reduce over the row axis, the embedding gathers from and
 scatters into per-client tables, batch-norm takes per-client statistics,
 and the loss returns per-client means — each bit-identical to the
 per-client call (pinned in ``tests/nn/test_cohort.py``). Everything else
-(im2col, the LSTM's gates, ReLU, max-pooling, the proximal pull, Adam/SGD
-with t = k + 1) is row-wise or elementwise and runs unchanged over the
-stacked batch.
+(im2col, the LSTM's gates, ReLU, max-pooling, the proximal pull toward
+each member's own start row, Adam/SGD with t = k + 1) is row-wise or
+elementwise and runs unchanged over the stacked batch.
 
 State that crosses members stays in cohort order (``Layer.plan_cohort``):
 each batch's clients come with their positions in the cohort trained one
@@ -317,8 +321,9 @@ def _compile_layer(
 
 class CohortMember(NamedTuple):
     """One client's round inside a cohort: its training rows, its fixed
-    batch schedule from ``start_epoch`` for ``epochs`` epochs, and its
-    proximal λ (0 = no proximal term at all, as in FedAvg)."""
+    batch schedule from ``start_epoch`` for ``epochs`` epochs, its proximal
+    λ (0 = no proximal term at all, as in FedAvg), and the row of the
+    cohort's start weights it departs from (and is pulled toward)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -326,6 +331,7 @@ class CohortMember(NamedTuple):
     start_epoch: int
     epochs: int
     lam: float = 0.0
+    row: int = 0
 
     def check(self, first: "CohortMember") -> None:
         """Raise ``ValueError`` naming the client when its data cannot be
@@ -476,30 +482,39 @@ class TrainingPlan:
         members: Sequence[CohortMember],
         optimizer: "Optimizer",
     ) -> list[tuple[np.ndarray, float]]:
-        """Train every member from ``start_weights``; returns each member's
-        ``(weights, mean batch loss)``, in ``members`` order.
+        """Train every member from its row of ``start_weights``; returns
+        each member's ``(weights, mean batch loss)``, in ``members`` order.
 
-        ``optimizer`` is the recipe: every member starts with fresh state
-        of its own (the paper's per-round local solver), and the instance
-        itself is not stepped. Caller-owned arrays are only ever *read*
-        (batches are copied into arena buffers); returned weights are owned
-        copies; layer forward caches are released before returning so
-        worker replicas stop pinning last-batch activations between rounds.
-        The arena keeps what stacked waves grew only while cohorts keep
-        stacking: a stacked cohort after one that was not gives it back
-        when it ends (FedAsync stacks its first cohort, then trains clients
-        one by one; tier rounds stack every time).
+        ``start_weights`` is ``(S, P)``, one flat vector per row a member
+        can name (``CohortMember.row``), or one ``(P,)`` vector: the
+        ``S = 1`` case. ``optimizer`` is the recipe: every member starts
+        with fresh state of its own (the paper's per-round local solver),
+        and the instance itself is not stepped. Caller-owned arrays are only
+        ever *read* (batches are copied into arena buffers); returned
+        weights are owned copies; layer forward caches are released before
+        returning so worker replicas stop pinning last-batch activations
+        between rounds. The arena keeps what stacked waves grew only while
+        cohorts keep stacking: a stacked cohort after one that was not
+        gives it back when it ends.
         """
         if self._loss_fwd is None:
             raise ValueError("plan was compiled without a loss; cannot train")
-        for member in members:
-            member.check(members[0])
         store = self._store
         start = np.asarray(start_weights)
-        if start.shape != store.data.shape:
+        if start.ndim == 1:
+            start = start[None]
+        if start.shape[1:] != store.data.shape:
             raise ValueError(
-                f"flat vector has shape {start.shape}, model expects ({store.total},)"
+                f"flat vector has shape {np.shape(start_weights)}, model expects "
+                f"({store.total},) or a stack of them, (S, {store.total})"
             )
+        for member in members:
+            member.check(members[0])
+            if not 0 <= member.row < len(start):
+                raise ValueError(
+                    f"client {member.schedule.client_id}: start row {member.row} "
+                    f"of {len(start)}"
+                )
         reference = start
         if start.dtype != store.dtype or np.may_share_memory(start, store.data):
             # Every member's start and the proximal term's w: the weights at
@@ -560,9 +575,9 @@ class TrainingPlan:
             yield from (order[a:b] for a, b in zip(cut, cut[1:]))
 
     def _run_wave(self, wave, starts, reference, optimizer) -> list[tuple[np.ndarray, float]]:
-        """Train ``wave``'s members in lockstep from ``reference``; with
-        ``starts``, the members' cohort starts, hand each batch's positions
-        in the cohort to the stateful layers."""
+        """Train ``wave``'s members in lockstep, each from its row of
+        ``reference``; with ``starts``, the members' cohort starts, hand
+        each batch's positions in the cohort to the stateful layers."""
         arena, store = self.arena, self._store
         # Alone, a member trains in the model's own store: every layer
         # reads its weights where it always does.
@@ -572,13 +587,20 @@ class TrainingPlan:
         else:
             self._stacked = True
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
-        np.copyto(weights, reference, casting="same_kind")
+        rows = [m.row for m in wave]
+        reference.take(rows, axis=0, out=weights, mode="clip")
         state = [
             arena.take(("cohort", "state", i), weights.shape, store.dtype)
             for i in range(optimizer.state_slots)
         ]
         for slab in state:
             slab.fill(0.0)
+        # The proximal pull's w: the members' one shared row, broadcast over
+        # theirs, or a slab of each member's own row that moves with it.
+        pull_ref = reference[rows[0]]
+        if len(set(rows)) > 1:
+            pull_ref = arena.take(("cohort", "pull_ref"), weights.shape, store.dtype)
+            np.copyto(pull_ref, weights)
         row = list(range(len(wave)))
         per_epoch = [m.schedule.batches_per_epoch() for m in wave]
         steps = [m.epochs * b for m, b in zip(wave, per_epoch)]
@@ -601,9 +623,9 @@ class TrainingPlan:
                     groups.setdefault((idx.size, m.lam > 0), []).append((j, idx))
             for (rows, pulled), group in groups.items():
                 if alone:
-                    slabs, stacks = (weights, store.grad[None], state), self._own
+                    slabs, stacks, ref = (weights, store.grad[None], state), self._own, pull_ref
                 else:
-                    slabs = self._group_rows(group, row, weights, state)
+                    slabs, ref = self._group_rows(group, row, weights, state, pull_ref)
                     stacks = self._stacks(*slabs[:2])
                 pos = [j for j, _ in group]
                 lam = cohort = None
@@ -615,31 +637,37 @@ class TrainingPlan:
                         at[j] += rows
                 xb, yb = self._gather_batch(wave, group, rows)
                 losses[pos, k] = self._train_batch(
-                    xb, yb, stacks, slabs, lam, reference, optimizer, k + 1, cohort
+                    xb, yb, stacks, slabs, lam, ref, optimizer, k + 1, cohort
                 )
         return [
             (weights[row[j]].copy(), float(losses[j, : steps[j]].mean()))
             for j in range(len(wave))
         ]
 
-    def _group_rows(self, group, row, weights, state):
-        """The group's ``(weights, gradients, optimizer state)`` rows.
+    def _group_rows(self, group, row, weights, state, pull_ref):
+        """The group's ``(weights, gradients, optimizer state)`` rows, and
+        its proximal reference.
 
-        Member j's weights and state are row ``row[j]`` of the wave's
-        slabs; a group whose rows are not one contiguous range is made one
-        by swapping rows (sorting ``group`` to match) — the bytes a gather
-        and scatter would move, without a gathered copy in the arena.
-        Gradients live for one step, so their slab is sized to the group.
+        Member j's weights and state — and its own proximal reference, when
+        ``pull_ref`` is a slab rather than one shared row — are row
+        ``row[j]`` of the wave's slabs; a group whose rows are not one
+        contiguous range is made one by swapping rows (sorting ``group`` to
+        match) — the bytes a gather and scatter would move, without a
+        gathered copy in the arena. Gradients live for one step, so their
+        slab is sized to the group.
         """
+        own_refs = pull_ref.ndim == 2
+        moving = [weights, *state, pull_ref] if own_refs else [weights, *state]
         group.sort(key=lambda entry: row[entry[0]])
         a, g = row[group[0][0]], len(group)
         for i, (j, _) in enumerate(group):
             if row[j] != a + i:
                 other = row.index(a + i)
-                self._swap_rows([weights, *state], row[j], a + i)
+                self._swap_rows(moving, row[j], a + i)
                 row[other], row[j] = row[j], a + i
         grads = self.arena.take(("cohort", "grads"), (g, weights.shape[1]), weights.dtype)
-        return weights[a : a + g], grads, [slab[a : a + g] for slab in state]
+        slabs = weights[a : a + g], grads, [slab[a : a + g] for slab in state]
+        return slabs, pull_ref[a : a + g] if own_refs else pull_ref
 
     @staticmethod
     def _swap_rows(slabs, r1: int, r2: int) -> None:

@@ -95,12 +95,15 @@ class SimClient:
     def expected_latency(self, epochs: int) -> float:
         return self.latency_model.expected_latency(self.client_id, self.n_train, epochs)
 
-    def member(self, epochs: int, lam: float = 0.0, start_epoch: int = 0) -> CohortMember:
+    def member(
+        self, epochs: int, lam: float = 0.0, start_epoch: int = 0, row: int = 0
+    ) -> CohortMember:
         """This client's round as one member of a cohort
         (:meth:`~repro.nn.plan.TrainingPlan.run_cohort`): its training rows
-        and fixed batch schedule, ``epochs`` epochs from ``start_epoch``."""
+        and fixed batch schedule, ``epochs`` epochs from ``start_epoch``,
+        departing from row ``row`` of the cohort's start weights."""
         return CohortMember(
-            self.data.x_train, self.data.y_train, self.schedule, start_epoch, epochs, lam
+            self.data.x_train, self.data.y_train, self.schedule, start_epoch, epochs, lam, row
         )
 
     def local_train(

@@ -76,7 +76,8 @@ class EventQueue:
         self.now = ev.time
         return ev
 
-    def peek_time(self) -> float:
+    def peek(self) -> Event:
+        """The earliest event, left in the queue."""
         if not self._heap:
             raise IndexError("peek on empty EventQueue")
-        return self._heap[0].time
+        return self._heap[0]

@@ -45,6 +45,23 @@ class TestTransfers:
         )
         assert s.meter.uplink_messages == 0
 
+    def test_uplink_roundtrip_matches_single_round_trips(self, tiny_bow_dataset, rng):
+        """Each result goes through exactly one encode and one decode of
+        the system's codec: its wire bytes and decoded weights are what a
+        lone round trip gives."""
+        s = _system(tiny_bow_dataset, cls=FedAT, compression="polyline:4")
+        arrays = [rng.normal(0, 0.1, size=s.worker.num_params) for _ in range(4)]
+        results = [LocalTrainingResult(i, a.copy(), 1, 0.0, 1.0) for i, a in enumerate(arrays)]
+        nbytes = s.uplink_roundtrip(results)
+        for arr, res, n in zip(arrays, results, nbytes):
+            one = s.codec.encode(arr)
+            assert one.nbytes == n
+            np.testing.assert_array_equal(s.codec.decode(one), res.weights)
+
+    def test_uplink_roundtrip_of_no_results(self, tiny_bow_dataset):
+        s = _system(tiny_bow_dataset, cls=FedAT, compression="polyline:4")
+        assert s.uplink_roundtrip([]) == []
+
     def test_fedat_payloads_lossy_but_close(self, tiny_bow_dataset):
         s = _system(tiny_bow_dataset, cls=FedAT, compression="polyline:4")
         received = s.send_down(s.global_weights, n_receivers=1)

@@ -94,8 +94,9 @@ def dataset():
     )
 
 
-def run_world(dataset, method: str, world: str):
-    overrides, scenario = WORLDS[world]
+def build_world(dataset, method: str, world: str, worlds=WORLDS, **settings):
+    """The system of one pinned case; ``settings`` adds execution settings."""
+    overrides, scenario = worlds[world]
     config = route_config(
         method,
         **knobs_read_by(
@@ -113,11 +114,16 @@ def run_world(dataset, method: str, world: str):
                 **overrides,
             },
         ),
+        **settings,
     )
     system = METHODS[method](dataset, build_model_builder(dataset, "tiny"), config)
     if scenario is not None:
         system.scenario = scenario(dataset.num_clients)
-    return system.run()
+    return system
+
+
+def run_world(dataset, method: str, world: str):
+    return build_world(dataset, method, world).run()
 
 
 def history_digest(history) -> str:

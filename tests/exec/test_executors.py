@@ -9,13 +9,9 @@ from repro.exec import (
     OptimizerSpec,
     ParallelExecutor,
     SerialExecutor,
-    decode_batch,
-    encode_batch,
     make_executor,
     parse_faults,
-    roundtrip_batch,
 )
-from repro.compression.codec import PolylineCodec
 from repro.exec.supervision import chunk_tasks
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD, Adam
@@ -284,26 +280,3 @@ class TestReplicas:
         )
         assert plain.replica_safe
 
-
-class TestPayloadBatching:
-    def test_roundtrip_batch_matches_singles(self, rng):
-        codec = PolylineCodec(4)
-        arrays = [rng.normal(0, 0.1, size=50) for _ in range(4)]
-        decoded, payloads = roundtrip_batch(codec, arrays)
-        assert len(decoded) == len(payloads) == 4
-        for arr, dec, pay in zip(arrays, decoded, payloads):
-            one = codec.encode(arr)
-            assert one.nbytes == pay.nbytes
-            np.testing.assert_array_equal(codec.decode(one), dec)
-
-    def test_encode_decode_batch_roundtrip(self, rng):
-        codec = PolylineCodec(4)
-        arrays = [rng.normal(size=10), rng.normal(size=20)]
-        payloads = encode_batch(codec, arrays)
-        decoded = decode_batch(codec, payloads)
-        assert [d.size for d in decoded] == [10, 20]
-
-    def test_empty_batch(self):
-        codec = PolylineCodec(4)
-        decoded, payloads = roundtrip_batch(codec, [])
-        assert decoded == [] and payloads == []

@@ -37,7 +37,7 @@ def test_schedule_relative_to_now():
     q.schedule(2.0, "first")
     q.pop()
     q.schedule(3.0, "second")
-    assert q.peek_time() == 5.0
+    assert q.peek().time == 5.0 and q.peek().payload == "second"
 
 
 def test_schedule_at_absolute():
@@ -61,7 +61,7 @@ def test_pop_empty_raises():
     with pytest.raises(IndexError):
         EventQueue().pop()
     with pytest.raises(IndexError):
-        EventQueue().peek_time()
+        EventQueue().peek()
 
 
 def test_len_and_empty():
