@@ -165,7 +165,7 @@ class ClientDone:
         if "result" in state:
             # Pickled when the result rode on the event itself.
             result = state["result"]
-            launch = Launch(None, [], {result.client_id: None})
+            launch = Launch(None, [], {})
             launch.resolve([(result, None, state["uplink_bytes"])], 0)
             state = {
                 "client_id": result.client_id,

@@ -109,12 +109,10 @@ def _attach_shared(cache: dict, name: str, dtype: str, shape: tuple) -> np.ndarr
         from multiprocessing import resource_tracker, shared_memory
 
         # A new name means the parent replaced (and unlinked) the segment:
-        # unmap the old one rather than pin it for the worker's lifetime.
+        # unmap the old one rather than pin it for the worker's lifetime
+        # (no view of it outlives the chunk that took it).
         for old in cache.values():
-            try:
-                old.close()
-            except BufferError:  # pragma: no cover - a view of it is still alive
-                pass
+            old.close()
         cache.clear()
 
         orig_register = resource_tracker.register

@@ -58,7 +58,7 @@ one-at-a-time loop would.
 
 B is how many one-client arenas fit :data:`WAVE_BYTES`, measured on the
 plan's first cohort; it is 1 where one client's arena already exceeds the
-budget. The arena keeps what waves grew only while cohorts keep stacking.
+budget.
 
 **Stacking is the rule.** There is one path through the plan, so it
 compiles only models that can take it, and refuses the rest by name
@@ -426,9 +426,6 @@ class TrainingPlan:
         #: both fixed by the plan's first cohort.
         self.wave_size: int | None = None
         self.client_bytes: int | None = None
-        #: Whether the current and the previous cohort trained clients
-        #: stacked (see :meth:`run_cohort`).
-        self._stacked = self._stacked_before = False
 
     # ------------------------------------------------------------------ #
     def _cast_input(self, x: np.ndarray, key) -> np.ndarray:
@@ -493,9 +490,8 @@ class TrainingPlan:
         ever *read* (batches are copied into arena buffers); returned
         weights are owned copies; layer forward caches are released before
         returning so worker replicas stop pinning last-batch activations
-        between rounds. The arena keeps what stacked waves grew only while
-        cohorts keep stacking: a stacked cohort after one that was not
-        gives it back when it ends.
+        between rounds; the arena keeps what the waves grew for the next
+        cohort.
         """
         if self._loss_fwd is None:
             raise ValueError("plan was compiled without a loss; cannot train")
@@ -529,7 +525,6 @@ class TrainingPlan:
         stateful, starts = self._stateful if len(members) > 1 else [], None
         if stateful:
             starts = list(accumulate((m.epochs * m.schedule.n for m in members[:-1]), initial=0))
-        self._stacked = False
         try:
             for layer in stateful:
                 layer.begin_cohort()
@@ -546,9 +541,6 @@ class TrainingPlan:
                 layer.end_cohort()
         finally:
             self.release_caches()
-        if self._stacked and not self._stacked_before:
-            self.arena.release()
-        self._stacked_before = self._stacked
         return results
 
     def _waves(self, members: Sequence[CohortMember], optimizer: "Optimizer"):
@@ -585,7 +577,6 @@ class TrainingPlan:
         if alone:
             weights = store.data[None]
         else:
-            self._stacked = True
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
         rows = [m.row for m in wave]
         reference.take(rows, axis=0, out=weights, mode="clip")

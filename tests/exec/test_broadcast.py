@@ -7,6 +7,8 @@ broadcast mechanism must be *unobservable*: shared-memory dispatch,
 pickled dispatch, and serial execution all produce bit-identical results.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,26 @@ def test_creation_failure_falls_back_to_pickle(setup, monkeypatch):
         assert ex._shm is None
         assert ex._broadcast_header(start)[0] == "pickle"
     assert _fingerprint(results) == reference
+
+
+def test_segment_grows_for_a_taller_stack_of_start_rows(setup):
+    """A dispatch whose stack outgrows the segment gets a new one, which
+    later, shorter stacks reuse; each task trains from its own row."""
+    model, clients, tasks = setup
+    loss, opt = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
+    start = model.get_flat_weights()
+    starts = start + np.random.default_rng(2).normal(0, 0.1, size=(3, start.size))
+    rows = [dataclasses.replace(t, row=t.client_id % 3) for t in tasks]
+    serial = SerialExecutor(model.clone(), clients, loss, opt)
+    with ParallelExecutor(model, clients, loss, opt, num_workers=2) as ex:
+        ex.run_cohort(start, tasks)
+        one_row = ex._shm.name
+        tall = ex.run_cohort(starts, rows)
+        assert ex._shm.name != one_row and ex._shm.size >= starts.nbytes
+        grown = ex._shm.name
+        short = ex.run_cohort(starts[:2], [dataclasses.replace(t, row=t.row % 2) for t in rows])
+        assert ex._shm.name == grown
+    assert _fingerprint(tall) == _fingerprint(serial.run_cohort(starts, rows))
+    assert _fingerprint(short) == _fingerprint(
+        serial.run_cohort(starts[:2], [dataclasses.replace(t, row=t.row % 2) for t in rows])
+    )

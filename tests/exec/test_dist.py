@@ -6,6 +6,7 @@ must hand back results bit-identical to ``SerialExecutor`` — faults cost
 wall clock and recovery counters, never history bits.
 """
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -267,6 +268,21 @@ class TestDistExecutor:
                 _assert_results_equal(
                     serial.run_cohort(start, tasks), dist.run_cohort(start, tasks)
                 )
+        finally:
+            dist.close()
+            serial.close()
+
+    def test_a_stack_of_start_rows_is_bit_identical_to_serial(self, tiny_bow_dataset):
+        """Tasks from several rows of an ``(S, P)`` stack, rows spanning
+        chunks: the stack ships once, each task trains from its row."""
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            start = serial.model.get_flat_weights()
+            starts = start + np.random.default_rng(1).normal(0, 0.1, size=(3, start.size))
+            one_row = _cohort(8, lam=0.4)
+            rows = [dataclasses.replace(t, row=(2, 0, 1)[t.client_id % 3]) for t in one_row]
+            for stack, tasks in ((starts, rows), (starts[:1], one_row), (starts, rows)):
+                _assert_results_equal(serial.run_cohort(stack, tasks), dist.run_cohort(stack, tasks))
         finally:
             dist.close()
             serial.close()

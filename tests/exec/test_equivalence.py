@@ -99,8 +99,9 @@ def test_parallel_history_bit_identical(tiny_bow_dataset, cls, seed):
 
 @pytest.mark.parametrize("cls", [FedAsync, ASOFed], ids=["fedasync", "asofed"])
 def test_parallel_history_bit_identical_async(tiny_bow_dataset, cls):
-    """The async methods' launch path (batched initial cohort, singleton
-    steady-state cohorts through the in-process fast path) must also be
+    """The async methods' launch path (the initial cohort, then relaunches
+    from several global versions flushed together as one multi-row
+    dispatch, a lone one through the in-process fast path) must also be
     bit-identical across executors."""
     serial = _history(tiny_bow_dataset, cls, 0, "serial")
     parallel = _history(tiny_bow_dataset, cls, 0, "parallel")
@@ -150,8 +151,9 @@ def test_dist_history_bit_identical(tiny_bow_dataset, cls):
 
 
 def test_dist_history_bit_identical_async(tiny_bow_dataset):
-    """Async steady state: singleton cohorts ride the in-process fast path,
-    the batched launch cohort goes over the wire."""
+    """Async steady state: flushed relaunches go over the wire as one
+    dispatch with a stack of start rows; a lone one rides the in-process
+    fast path."""
     serial = _history(tiny_bow_dataset, FedAsync, 0, "serial")
     dist = _history(tiny_bow_dataset, FedAsync, 0, "dist")
     _assert_identical(serial, dist)

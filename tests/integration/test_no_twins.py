@@ -6,7 +6,8 @@ whose one-member case is every single client's round) with one path through
 it (every model it compiles stacks; the rest is refused), one broadcast
 policy (shared memory, falling back on what the code observes), one
 staleness knob (declared once, on ``StalenessParams``), one run loop
-(``FLSystem._run``, with one cohort launch and one rejoin scheduler), one
+(``FLSystem._run``, with one cohort launch, one flush that trains what
+launches queue, and one rejoin scheduler), one
 home for execution settings (``ExecConfig``, read only by
 ``make_executor``) and one home per method knob (the ``Params`` of the
 methods that read it). The names below selected or served the other side of
@@ -41,6 +42,9 @@ REMOVED = re.compile(
     r"|GlobalAveragePool|class Softmax\b|plan_aware|plan_stackable|\.stackable\b"
     # A method's knobs live on its Params: no list says which method tiers.
     r"|TIERED_METHODS"
+    # A flush's uplink round trip encodes and decodes inline; and the arena
+    # stays with the plan whether or not the last cohort stacked.
+    r"|encode_batch|decode_batch|roundtrip_batch|exec\.payloads|_stacked_before"
 )
 
 
@@ -75,6 +79,8 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("        if not self.stackable:")
     assert not REMOVED.search("    plan_stream = None")
     assert not REMOVED.search("    plan_cohort = True")
+    assert REMOVED.search("from repro.exec.payloads import roundtrip_batch")
+    assert not REMOVED.search("    def uplink_roundtrip(self, results):")
 
 
 def test_one_lease_state_machine():
@@ -250,6 +256,7 @@ def test_one_event_loop():
     assert homes("def _run(") == ["base.py"]
     assert homes("next_join_after(") == ["base.py"]
     assert homes("def launch(") == ["base.py"]
+    assert homes("def flush(") == ["base.py"]
     assert homes("def client_lambda(") == ["base.py"]  # λ is read off Params
     for step in (".sample_latency(", ".train_cohort(", ".uplink_roundtrip("):
         assert homes(step) == ["base.py"], step

@@ -587,6 +587,72 @@ class TestCohortIsEachClientAlone:
             _assert_same_state(model, one_by_one)
 
 
+def _with_rows(members, rows):
+    """``members`` departing from rows ``rows[i % len(rows)]`` of a stack."""
+    return [m._replace(row=rows[i % len(rows)]) for i, m in enumerate(members)]
+
+
+class TestEachMemberFromItsOwnStartRow:
+    """A cohort may mix members launched from different global versions:
+    ``start_weights`` is an ``(S, P)`` stack and each member starts from,
+    and is pulled toward, the row it names. Rows interleave across the
+    sorted waves, so the proximal references move with swapped rows."""
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_float64_against_the_per_layer_reference(self, kind, monkeypatch):
+        feature_shape, build = BUILDERS[kind]
+        members = _with_rows(_members(feature_shape, seed=6), (2, 0, 1, 1, 0))
+        model = build(np.random.default_rng(1))
+        rng = np.random.default_rng(9)
+        starts = model.get_flat_weights() + rng.normal(0, 0.05, size=(3, model.store.total))
+        reference = build(np.random.default_rng(1))
+        want = [_alone(reference, m, OPTIMIZERS["adam"], starts[m.row]) for m in members]
+        swaps = _counting_swaps(monkeypatch)
+        for wave_size in (None, 1, 3):
+            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            plan.wave_size = wave_size
+            _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
+        assert swaps
+
+    def test_one_row_is_the_vector(self):
+        feature_shape, build = BUILDERS["mlp"]
+        members = _members(feature_shape, seed=7)
+        model = build(np.random.default_rng(1))
+        start = model.get_flat_weights()
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        _assert_same(
+            plan.run_cohort(start[None], members, Adam(0.005)),
+            plan.run_cohort(start, members, Adam(0.005)),
+        )
+
+    def test_a_float64_stack_into_a_float32_model(self):
+        feature_shape, build = BUILDERS["cnn"]
+        members = _with_rows(_members(feature_shape, seed=8), (1, 0))
+        model = build(np.random.default_rng(2)).astype(np.float32)
+        starts = np.random.default_rng(4).normal(0, 0.1, size=(2, model.store.total))
+        alone = TrainingPlan(model, SoftmaxCrossEntropy())
+        want = [alone.run_cohort(starts[m.row], [m._replace(row=0)], Adam(0.005))[0] for m in members]
+        plan = TrainingPlan(model, SoftmaxCrossEntropy())
+        _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
+
+    def test_lstm_classifier_from_several_rows_in_cohort_order(self):
+        """Batch-norm statistics and the dropout stream still end where one
+        model training the members in turn, each from its row, leaves them."""
+        build = _lstm_classifier()
+        members = _with_rows(_members((5,), seed=2, classes=24, ints=24), (0, 1, 1, 2))
+        reference = build(np.random.default_rng(1))
+        starts = reference.get_flat_weights() + np.random.default_rng(3).normal(
+            0, 0.05, size=(3, reference.store.total)
+        )
+        want = [_alone(reference, m, OPTIMIZERS["adam"], starts[m.row]) for m in members]
+        for wave_size in (None, 2):
+            model = build(np.random.default_rng(1))
+            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            plan.wave_size = wave_size
+            _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
+            _assert_same_state(model, reference)
+
+
 class TestWhatCannotStackIsRefused:
     """Stacking is the only path through the plan: what cannot take it is
     refused by name when the layer or the plan is built, never trained
@@ -785,3 +851,11 @@ class TestLoudFailures:
         plan, member = self._plan_and_member(12, 12)
         with pytest.raises(ValueError, match="flat vector"):
             plan.run_cohort(np.zeros(3), [member], Adam(0.005))
+
+    def test_a_start_row_outside_the_stack(self):
+        plan, member = self._plan_and_member(12, 12)
+        starts = np.stack([plan.model.get_flat_weights()] * 2)
+        with pytest.raises(ValueError, match="client 7: start row 2 of 2"):
+            plan.run_cohort(starts, [member._replace(row=2)], Adam(0.005))
+        with pytest.raises(ValueError, match="client 7: start row -1 of 2"):
+            plan.run_cohort(starts, [member._replace(row=-1)], Adam(0.005))
