@@ -120,7 +120,7 @@ CONFIGS: dict[str, dict] = {
         "fl_overrides": {"max_rounds": 12, "eval_every": 2},
     },
     # Embedding + LSTM + Dropout + BatchNorm: the recurrent plan kernels,
-    # under cohorts of one and raw payloads.
+    # over relaunches from several global versions and raw payloads.
     "fedasync_lstm": {
         "method": "fedasync",
         "dataset": "reddit",

@@ -4,8 +4,9 @@ One background thread runs a ``selectors`` event loop over the listening
 socket, every worker connection and a wake channel. All connection and
 lease state is owned by that thread; the executor talks to it through
 narrow, thread-safe seams — :meth:`Scheduler.publish_weights` (a
-dispatch's start weights: version + cached wire frame under a lock), :meth:`Scheduler.submit` (a :class:`_Job`
-dropped on a deque, then one byte down the wake channel) and
+dispatch's start weights: version + cached wire frame under a lock),
+:meth:`Scheduler.submit` (a :class:`_Job` dropped on a deque, then one
+byte down the wake channel) and
 :meth:`Scheduler.wait_for_workers` (a condition the loop notifies when the
 roster changes). A resolved job sets ``job.done`` and writes one byte to
 ``done_channel``, so the executor can wait for it next to its worker

@@ -589,7 +589,7 @@ class TrainingPlan:
         # The proximal pull's w: the members' one shared row, broadcast over
         # theirs, or a slab of each member's own row that moves with it.
         pull_ref = reference[rows[0]]
-        if len(set(rows)) > 1:
+        if len(set(rows)) > 1 and any(m.lam > 0 for m in wave):
             pull_ref = arena.take(("cohort", "pull_ref"), weights.shape, store.dtype)
             np.copyto(pull_ref, weights)
         row = list(range(len(wave)))

@@ -23,9 +23,10 @@ def add_proximal_grad(data, grad, reference, lam, out) -> None:
     """``grad += λ (data − reference)``, with ``out`` as the scratch.
 
     One formula for one client's flat buffers and for ``(G, P)`` rows of
-    G clients in a cohort: ``reference`` broadcasts over the rows and
-    ``lam`` is a scalar or a ``(G, 1)`` column in the weights' dtype (a
-    Python float multiplies as that dtype, so both give the same bits).
+    G clients in a cohort: ``reference`` is one row broadcast over the
+    rows or a ``(G, P)`` row per client, and ``lam`` is a scalar or a
+    ``(G, 1)`` column in the weights' dtype (a Python float multiplies as
+    that dtype, so both give the same bits).
     """
     np.subtract(data, reference, out=out)
     np.multiply(out, lam, out=out)

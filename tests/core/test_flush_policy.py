@@ -113,8 +113,6 @@ def test_training_at_departure_gives_the_same_history(dataset, method, world, mo
     assert max(rows for _, rows in sizes) <= EVAL_EVERY + 1
     if method == "fedat":
         assert max(launches for launches, _ in sizes) <= NUM_TIERS
-    if (method, world) in PINNED:
-        assert history_digest(shipped) == PINNED[method, world]
     train_at_departure(monkeypatch)
     eager = build_world(dataset, method, world, FLUSH_WORLDS).run()
     assert _canonical(eager) == _canonical(shipped)

@@ -282,7 +282,9 @@ class TestDistExecutor:
             one_row = _cohort(8, lam=0.4)
             rows = [dataclasses.replace(t, row=(2, 0, 1)[t.client_id % 3]) for t in one_row]
             for stack, tasks in ((starts, rows), (starts[:1], one_row), (starts, rows)):
-                _assert_results_equal(serial.run_cohort(stack, tasks), dist.run_cohort(stack, tasks))
+                _assert_results_equal(
+                    serial.run_cohort(stack, tasks), dist.run_cohort(stack, tasks)
+                )
         finally:
             dist.close()
             serial.close()

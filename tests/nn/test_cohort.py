@@ -631,7 +631,9 @@ class TestEachMemberFromItsOwnStartRow:
         model = build(np.random.default_rng(2)).astype(np.float32)
         starts = np.random.default_rng(4).normal(0, 0.1, size=(2, model.store.total))
         alone = TrainingPlan(model, SoftmaxCrossEntropy())
-        want = [alone.run_cohort(starts[m.row], [m._replace(row=0)], Adam(0.005))[0] for m in members]
+        want = [
+            alone.run_cohort(starts[m.row], [m._replace(row=0)], Adam(0.005))[0] for m in members
+        ]
         plan = TrainingPlan(model, SoftmaxCrossEntropy())
         _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
 
