@@ -953,7 +953,8 @@ class FLSystem:
             # Persists at round boundaries. An upload the guard quarantined
             # is a no-op: its client never reported, so it pops without
             # moving the clock or being a place to checkpoint.
-            reported = self._reported(queue.peek().payload)
+            head = queue.peek().payload
+            reported = not isinstance(head, ClientDone) or head.result is not None
             if reported and self._checkpointer is not None:
                 self._checkpointer.maybe_save(self, queue)
             ev = queue.pop()
@@ -968,10 +969,6 @@ class FLSystem:
             self.record_eval()
         self.finish()
         return self.history
-
-    @staticmethod
-    def _reported(payload) -> bool:
-        return not isinstance(payload, ClientDone) or payload.result is not None
 
     def prologue(self, queue: EventQueue) -> None:
         """Hook: the first launches, after the round-0 eval."""
