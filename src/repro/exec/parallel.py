@@ -109,8 +109,7 @@ def _attach_shared(cache: dict, name: str, dtype: str, shape: tuple) -> np.ndarr
         from multiprocessing import resource_tracker, shared_memory
 
         # A new name means the parent replaced (and unlinked) the segment:
-        # unmap the old one rather than pin it for the worker's lifetime
-        # (no view of it outlives the chunk that took it).
+        # unmap the old one rather than pin it for the worker's lifetime.
         for old in cache.values():
             old.close()
         cache.clear()
