@@ -4,7 +4,7 @@ Four cells over the same cohort, all asserted bit-identical to the serial
 baseline:
 
 - ``serial``      — in-process reference.
-- ``pool``        — ``ParallelExecutor`` over shared-memory workers.
+- ``pool``        — ``ParallelExecutor``: forked workers on private pipes.
 - ``dist``        — ``DistExecutor``: lease scheduling, pickled frames,
   heartbeats — the price of surviving worker loss and network faults.
 - ``dist-chaos``  — live network faults (``drop:0.2+delay:0.2``): dropped

@@ -245,12 +245,15 @@ def make_codec(spec: str | None) -> Codec:
     if spec is None:
         return NullCodec()
     kind, _, arg = spec.partition(":")
-    if kind == "polyline":
-        return PolylineCodec(int(arg) if arg else 4)
-    if kind == "quant":
-        return QuantizationCodec(int(arg) if arg else 8)
-    if kind == "topk":
-        return TopKCodec(float(arg) if arg else 0.1)
-    if kind == "subsample":
-        return SubsampleCodec(float(arg) if arg else 0.25)
+    try:
+        if kind == "polyline":
+            return PolylineCodec(int(arg) if arg else 4)
+        if kind == "quant":
+            return QuantizationCodec(int(arg) if arg else 8)
+        if kind == "topk":
+            return TopKCodec(float(arg) if arg else 0.1)
+        if kind == "subsample":
+            return SubsampleCodec(float(arg) if arg else 0.25)
+    except ValueError as exc:  # an argument that does not parse, or is out of range
+        raise ValueError(f"codec spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown codec spec {spec!r}")

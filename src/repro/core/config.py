@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.params import MethodParams
-from repro.exec.base import ExecConfig
+from repro.exec.base import ExecConfig, OptimizerSpec
 
 __all__ = ["FLConfig"]
 
@@ -93,8 +93,7 @@ class FLConfig:
             raise ValueError("local_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        OptimizerSpec(self.optimizer, self.learning_rate)  # raises ValueError
         if self.scenario is not None:
             from repro.scenario.spec import parse_scenario
 
@@ -107,8 +106,6 @@ class FLConfig:
             raise ValueError("eval_batch_size must be >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"unknown dtype {self.dtype!r}; options: float64, float32")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.guard is not None:
             from repro.core.guard import UpdateGuard
 
@@ -116,11 +113,9 @@ class FLConfig:
         if self.eval_clients is not None and self.eval_clients < 1:
             raise ValueError("eval_clients must be >= 1 (None evaluates everyone)")
         if self.compression is not None:
-            kind, _, arg = self.compression.partition(":")
-            if kind not in ("polyline", "quant", "topk", "subsample"):
-                raise ValueError(f"unknown compression {self.compression!r}")
-            if kind == "polyline" and arg and not arg.isdigit():
-                raise ValueError(f"bad polyline precision {arg!r}")
+            from repro.compression.codec import make_codec
+
+            make_codec(self.compression)  # raises ValueError on bad specs
 
     def with_(self, **kwargs) -> "FLConfig":
         """Return a copy with fields replaced."""

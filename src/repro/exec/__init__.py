@@ -20,9 +20,9 @@ The two cross-process backends are transports under one supervisor,
 result verification, degrade-or-raise): a failure costs the chunk it hit
 and nothing else. Once closed, either refuses further cohorts.
 
-:class:`ExecConfig` holds every execution setting (``FLConfig.exec``) and
-:func:`make_executor` is its only reader: it picks the backend and builds
-the fault plan. Nothing in it can change a history bit, so cache and
+:class:`ExecConfig` declares and checks every execution setting
+(``FLConfig.exec``); :func:`make_executor` picks the backend and builds the
+fault plan from it. Nothing in it can change a history bit, so cache and
 checkpoint keys leave it out.
 
 Determinism contract: a :class:`CohortTask` carries everything a round

@@ -3,7 +3,7 @@ and the one factory that reads it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -113,7 +113,10 @@ class ExecConfig:
     of a run's history: cache and checkpoint keys ignore them, so a run
     started serially resumes under ``"dist"`` and a serial history answers
     a ``run_cached`` request for the same experiment under any backend.
-    :func:`make_executor` is the only reader.
+    :func:`make_executor` picks the backend and the fault plan from it and
+    passes the other fields through; the cross-process backends rebuild it
+    from those keyword arguments, so each setting is declared and checked
+    here only.
     """
 
     # "serial" trains through one shared worker model; "parallel" fans out
@@ -219,23 +222,14 @@ def make_executor(
     if config.executor == "serial":
         return SerialExecutor(model, clients, loss, optimizer)
     spec = parse_faults(config.faults)
-    supervision = dict(
-        num_workers=config.num_workers,
-        faults=None if spec is None else FaultPlan(spec, seed=seed),
-        chunk_timeout=config.chunk_timeout,
-        chunk_retries=config.chunk_retries,
-        degrade=config.fault_degrade,
-    )
-    if config.executor == "parallel":
-        return ParallelExecutor(model, clients, loss, optimizer, **supervision)
-    return DistExecutor(
+    settings = asdict(config)
+    del settings["executor"], settings["faults"]
+    backend = ParallelExecutor if config.executor == "parallel" else DistExecutor
+    return backend(
         model,
         clients,
         loss,
         optimizer,
-        bind=config.dist_bind,
-        heartbeat_interval=config.heartbeat_interval,
-        heartbeat_timeout=config.heartbeat_timeout,
-        worker_grace=config.worker_grace,
-        **supervision,
+        faults=None if spec is None else FaultPlan(spec, seed=seed),
+        **settings,
     )

@@ -62,10 +62,9 @@ def _local_worker_entry(
 class DistExecutor(SupervisedExecutor):
     """Lease-supervised dispatch to socket-connected workers.
 
-    The supervision knobs (``faults``, ``chunk_timeout``, ``chunk_retries``,
-    ``degrade``) are :class:`~repro.exec.supervision.SupervisedExecutor` 's;
-    the network layer adds its own: ``bind`` (scheduler address),
-    ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness), and
+    Takes :class:`~repro.exec.supervision.SupervisedExecutor` 's arguments;
+    of the settings, the network layer reads ``dist_bind`` (scheduler
+    address), ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness), and
     ``worker_grace`` (how long a dispatch tolerates an empty worker pool
     before degrading). ``num_workers`` is the chunk count and the number of
     local workers forked; 0 cuts ``DEFAULT_CHUNKS`` chunks and forks one
@@ -80,30 +79,14 @@ class DistExecutor(SupervisedExecutor):
         clients: Sequence[SimClient],
         loss: Loss,
         optimizer: OptimizerSpec,
-        *,
-        bind: str = "127.0.0.1:0",
-        heartbeat_interval: float = 0.2,
-        heartbeat_timeout: float = 2.0,
-        worker_grace: float = 30.0,
-        **supervision,
+        **settings,
     ):
-        if heartbeat_interval <= 0:
-            raise ValueError(f"heartbeat_interval must be positive, got {heartbeat_interval}")
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_interval "
-                f"({heartbeat_timeout} <= {heartbeat_interval})"
-            )
-        if worker_grace <= 0:
-            raise ValueError(f"worker_grace must be positive, got {worker_grace}")
         #: Locally spawned worker processes (self-contained mode); chaos
         #: tests reach in here for pids to SIGKILL/SIGSTOP.
         self.worker_processes: list = []
         self._scheduler = None
-        super().__init__(model, clients, loss, optimizer, **supervision)
+        super().__init__(model, clients, loss, optimizer, **settings)
         self.num_chunks = self.num_workers or DEFAULT_CHUNKS
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.worker_grace = float(worker_grace)
         # The network layer's own events (remote workers respawn themselves
         # by reconnecting, so ``respawns`` stays a count of local processes).
         self.fault_counters.update(heartbeat_misses=0, reconnects=0, steals=0)
@@ -115,13 +98,13 @@ class DistExecutor(SupervisedExecutor):
             "loss": loss,
             "optimizer": optimizer,
             "faults": self.faults,
-            "heartbeat_interval": self.heartbeat_interval,
+            "heartbeat_interval": self.config.heartbeat_interval,
         }
-        host, port = parse_address(bind)
+        host, port = parse_address(self.config.dist_bind)
         self._scheduler = Scheduler(
             bind=(host, port),
-            heartbeat_timeout=heartbeat_timeout,
-            worker_grace=worker_grace,
+            heartbeat_timeout=self.config.heartbeat_timeout,
+            worker_grace=self.config.worker_grace,
             counters=self.fault_counters,
         )
         self._scheduler.start(init_payload)
@@ -139,7 +122,7 @@ class DistExecutor(SupervisedExecutor):
         for _ in range(count):
             proc = ctx.Process(
                 target=_local_worker_entry,
-                args=(host, port, self.worker_grace, inherited),
+                args=(host, port, self.config.worker_grace, inherited),
                 daemon=True,
                 name="repro-dist-worker",
             )

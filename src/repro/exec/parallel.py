@@ -13,18 +13,8 @@ stranding anything the others or the parent will later wait on; that is
 not true of ``multiprocessing.Pool``, whose ``terminate()`` blocks forever
 on a queue lock a killed worker was holding.
 
-Broadcast path: a dispatch's ``(S, P)`` stack of start weights is written
-**once** into a POSIX shared-memory segment and workers attach read-only,
-so dispatching a cohort ships only the segment name per chunk instead of
-re-pickling the stack into every pool message. The segment is allocated
-lazily, replaced by a larger one when a dispatch brings more start rows
-than it holds, reused otherwise (``run_cohort`` returns only once every
-chunk is resolved, so dispatches never race on it), and unlinked at
-:meth:`close`.
-When the segment cannot be created — platform without ``/dev/shm``,
-permissions, quota — dispatch falls back to pickling the weights into every
-chunk message; both paths hand workers the same bytes, so results are
-bit-identical either way.
+A dispatch's ``(S, P)`` stack of start weights travels in every chunk
+message, beside the chunk's tasks: the pipe pickles it once per chunk.
 
 Results are bit-identical to the serial backend's (the package contract,
 :mod:`repro.exec`; enforced by ``tests/exec/test_equivalence.py``). Models
@@ -38,7 +28,6 @@ of :mod:`repro.exec.supervision` — the one the socket scheduler runs on; see
 
 from __future__ import annotations
 
-import atexit
 import os
 import time
 from typing import Sequence
@@ -61,80 +50,11 @@ from repro.sim.client import LocalTrainingResult, SimClient
 
 __all__ = ["ParallelExecutor"]
 
-#: Broadcast segments owned by this (parent) process. ``close()`` unlinks
-#: its executor's segment, but an abnormal exit — unhandled exception, a
-#: driver that never calls close — used to leave the segment dangling in
-#: /dev/shm until reboot. The atexit guard sweeps whatever is still
-#: registered; `_release_shm` unregisters on the normal path so the sweep
-#: is a no-op there.
-_SHM_REGISTRY: dict[str, object] = {}
-_SHM_GUARD_INSTALLED = False
-
-
-def _sweep_shm_registry() -> None:
-    for shm in list(_SHM_REGISTRY.values()):
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:  # pragma: no cover - best-effort at interpreter exit
-            pass
-    _SHM_REGISTRY.clear()
-
-
-def _register_shm(shm) -> None:
-    global _SHM_GUARD_INSTALLED
-    if not _SHM_GUARD_INSTALLED:
-        atexit.register(_sweep_shm_registry)
-        _SHM_GUARD_INSTALLED = True
-    _SHM_REGISTRY[shm.name] = shm
-
-
-def _unregister_shm(shm) -> None:
-    _SHM_REGISTRY.pop(shm.name, None)
-
-
-def _attach_shared(cache: dict, name: str, dtype: str, shape: tuple) -> np.ndarray:
-    """Map the broadcast segment read-only, caching the attachment.
-
-    The parent owns the segment's lifetime; the worker must neither unlink
-    it nor let its resource tracker claim it (attaching registers with the
-    tracker on CPython <= 3.12, which would spew spurious leak warnings at
-    worker exit). Registration is suppressed *during* attach rather than
-    undone after: with fork all workers share the parent's tracker, and
-    register/unregister pairs from concurrent worker generations interleave
-    into spurious KeyError noise in the tracker process otherwise.
-    """
-    shm = cache.get(name)
-    if shm is None:
-        from multiprocessing import resource_tracker, shared_memory
-
-        # A new name means the parent replaced (and unlinked) the segment:
-        # unmap the old one rather than pin it for the worker's lifetime.
-        for old in cache.values():
-            old.close()
-        cache.clear()
-
-        orig_register = resource_tracker.register
-
-        def _no_register(rname, rtype):  # pragma: no cover - CPython detail
-            if rtype != "shared_memory":
-                orig_register(rname, rtype)
-
-        resource_tracker.register = _no_register
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = orig_register
-        cache[name] = shm
-    arr = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-    arr.flags.writeable = False
-    return arr
-
 
 def _worker_main(conn, init_args: tuple, inherited: Sequence = ()) -> None:
     """Pool worker process: serve chunks over its private pipe until EOF.
 
-    Each message is ``(header, tasks, key)`` and is answered with
+    Each message is ``(starts, tasks, key)`` and is answered with
     ``((results, checksum), None)`` or ``(None, error)``.
     ``inherited`` are the parent's ends of the pipes that existed when this
     process was forked (its own among them). They are closed first: while a
@@ -150,22 +70,15 @@ def _worker_main(conn, init_args: tuple, inherited: Sequence = ()) -> None:
     # replica's fused TrainingPlan (and its scratch arena) once per
     # process, before the first cohort arrives.
     executor = SerialExecutor(*replica)
-    segments: dict = {}
     while True:
         try:
-            header, tasks, key = conn.recv()
+            starts, tasks, key = conn.recv()
         except (EOFError, OSError):
             return
         try:
-            if header[0] == "shm":
-                starts = _attach_shared(segments, *header[1:])
-            else:
-                starts = header[1]
             reply = (run_attempt(executor, plan, key, starts, tasks), None)
         except Exception as exc:  # deterministic task bug — report, don't die
             reply = (None, f"{type(exc).__name__}: {exc}")
-        # No view of a segment outlives its chunk, so a replaced one unmaps.
-        starts = None
         try:
             conn.send(reply)
         except OSError:
@@ -185,16 +98,11 @@ class _PoolWorker:
 class ParallelExecutor(SupervisedExecutor):
     """Fan cohorts out to ``num_workers`` processes (0 → CPU count).
 
-    Takes :class:`~repro.exec.supervision.SupervisedExecutor` 's knobs
-    (``num_workers``, ``faults``, ``chunk_timeout``, ``chunk_retries``,
-    ``degrade``) plus ``start_method``. The worker processes are started
-    lazily on the first cohort and torn down by :meth:`close` (systems
-    close their executor when ``run()`` returns); a closed executor refuses
-    further cohorts. Every dispatch goes through :meth:`_supervise`, fault
-    plan or not.
-    Start weights travel through a shared-memory segment, degrading to
-    pickled dispatch when the platform cannot provide one
-    (``shm_fallback_reason`` records why).
+    Takes :class:`~repro.exec.supervision.SupervisedExecutor` 's
+    arguments. The worker processes are started lazily on the first cohort
+    and torn down by :meth:`close` (systems close their executor when
+    ``run()`` returns); a closed executor refuses further cohorts. Every
+    dispatch goes through :meth:`_supervise`, fault plan or not.
     """
 
     name = "parallel"
@@ -205,16 +113,12 @@ class ParallelExecutor(SupervisedExecutor):
         clients: Sequence[SimClient],
         loss: Loss,
         optimizer: OptimizerSpec,
-        *,
-        start_method: str | None = None,
-        **supervision,
+        **settings,
     ):
         self._pool: list[_PoolWorker] = []
-        self._shm = None
-        self.shm_fallback_reason: str | None = None
-        super().__init__(model, clients, loss, optimizer, **supervision)
+        super().__init__(model, clients, loss, optimizer, **settings)
         self.num_workers = self.num_workers or os.cpu_count() or 1
-        self._ctx = worker_context(start_method)
+        self._ctx = worker_context()
 
     @property
     def worker_processes(self) -> list:
@@ -243,8 +147,7 @@ class ParallelExecutor(SupervisedExecutor):
         """Kill one worker (if it is not dead already) and fill its slot.
 
         Safe at any instant: a worker shares nothing with its siblings, so
-        whatever it was doing, nobody waits on it. (The broadcast segment is
-        parent-owned and survives; the fresh worker re-attaches to it.)
+        whatever it was doing, nobody waits on it.
         """
         self.fault_counters["respawns"] += 1
         worker.conn.close()
@@ -261,43 +164,6 @@ class ParallelExecutor(SupervisedExecutor):
         for worker in pool:
             worker.proc.join()
 
-    def _broadcast_header(self, starts: np.ndarray) -> tuple:
-        """Publish the dispatch's start weights; return the per-chunk header.
-
-        Shared-memory path: one ``copyto`` into the (lazily created,
-        reused, grown when too small) segment, header carries only
-        ``(name, dtype, shape)``. Fallback: the weights themselves travel
-        in the header and get pickled once per chunk.
-        """
-        if self._shm is not None and self._shm.size < starts.nbytes:
-            self._release_shm()
-        if self._shm is None and self.shm_fallback_reason is None:
-            try:
-                from multiprocessing import shared_memory
-
-                self._shm = shared_memory.SharedMemory(create=True, size=starts.nbytes)
-                _register_shm(self._shm)
-            except Exception as exc:  # no /dev/shm, permissions, quota ...
-                self.shm_fallback_reason = (
-                    f"shared-memory broadcast unavailable ({exc!r}); "
-                    "falling back to pickled start-weight dispatch"
-                )
-        if self._shm is not None:
-            view = np.ndarray(starts.shape, dtype=starts.dtype, buffer=self._shm.buf)
-            np.copyto(view, starts)
-            return ("shm", self._shm.name, starts.dtype.str, starts.shape)
-        return ("pickle", starts)
-
-    def _release_shm(self) -> None:
-        if self._shm is not None:
-            _unregister_shm(self._shm)
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-            self._shm = None
-
     def run_cohort(
         self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
@@ -306,10 +172,10 @@ class ParallelExecutor(SupervisedExecutor):
             return results
         starts = np.ascontiguousarray(starts)
         dispatch = self._begin(tasks, self.num_workers)
-        self._supervise(dispatch, self._broadcast_header(starts))
+        self._supervise(dispatch, starts)
         return self._finish(dispatch, starts, self.num_workers)
 
-    def _supervise(self, dispatch: Dispatch, header: tuple) -> None:
+    def _supervise(self, dispatch: Dispatch, starts: np.ndarray) -> None:
         """Drive ``dispatch`` to the end over the pool's pipes.
 
         Each pass: lease pending chunks to idle workers, sleep until a reply
@@ -334,7 +200,7 @@ class ParallelExecutor(SupervisedExecutor):
                         worker.chunk = lease.chunk
                         key = (dispatch.seq, lease.chunk, lease.attempts - 1)
                         try:
-                            worker.conn.send((header, dispatch.chunks[lease.chunk], key))
+                            worker.conn.send((starts, dispatch.chunks[lease.chunk], key))
                         except OSError:
                             pass  # it died idle; its sentinel says so below
                 busy = [w.conn for w in self._pool if w.chunk is not None]
@@ -372,4 +238,3 @@ class ParallelExecutor(SupervisedExecutor):
     def close(self) -> None:
         self._closed = True
         self._discard_pool()
-        self._release_shm()

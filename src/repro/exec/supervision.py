@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.exec.base import ClientExecutor, CohortTask
+from repro.exec.base import ClientExecutor, CohortTask, ExecConfig
 from repro.exec.faults import ExecutorFaultError, FaultPlan, chunk_checksum
 from repro.exec.serial import SerialExecutor
 
@@ -133,7 +133,7 @@ class WakeChannel:
         self._w.close()
 
 
-def worker_context(start_method: str | None = None):
+def worker_context():
     """The ``multiprocessing`` context worker processes are started from.
 
     fork shares the parent's address space (cheap replica setup) but is only
@@ -142,9 +142,7 @@ def worker_context(start_method: str | None = None):
     why its platform default is spawn). Elsewhere use the platform default;
     results are identical either way since workers get the same init state.
     """
-    if start_method is None and sys.platform == "linux":
-        start_method = "fork"
-    return multiprocessing.get_context(start_method)
+    return multiprocessing.get_context("fork" if sys.platform == "linux" else None)
 
 
 # --------------------------------------------------------------------- #
@@ -395,37 +393,20 @@ class Dispatch(LeaseTable):
 class SupervisedExecutor(ClientExecutor):
     """What :class:`ParallelExecutor` and :class:`DistExecutor` share.
 
-    The supervision knobs and their defaults (the subclasses pass them
-    through, so each default is written here and in ``FLConfig`` only),
-    recovery counters, the replica-safety fallback, the in-parent executor,
-    and both ends of a dispatch; a subclass's ``run_cohort`` is
-    :meth:`_in_parent`, :meth:`_begin`, its transport, :meth:`_finish`.
+    The execution settings, as ``config``: ``**settings`` are
+    :class:`ExecConfig` fields, each declared, defaulted and checked there
+    only. Then the fault plan, recovery counters, the replica-safety
+    fallback, the in-parent executor, and both ends of a dispatch; a
+    subclass's ``run_cohort`` is :meth:`_in_parent`, :meth:`_begin`, its
+    transport, :meth:`_finish`.
     """
 
     def __init__(
-        self,
-        model,
-        clients,
-        loss,
-        optimizer,
-        *,
-        num_workers: int = 0,
-        faults: FaultPlan | None = None,
-        chunk_timeout: float | None = None,
-        chunk_retries: int = 3,
-        degrade: bool = True,
+        self, model, clients, loss, optimizer, *, faults: FaultPlan | None = None, **settings
     ):
-        if num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {num_workers}")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise ValueError(f"chunk_timeout must be positive, got {chunk_timeout}")
-        if chunk_retries < 0:
-            raise ValueError(f"chunk_retries must be >= 0, got {chunk_retries}")
-        self.num_workers = num_workers
+        self.config = ExecConfig(executor=self.name, **settings)
+        self.num_workers = self.config.num_workers
         self.faults = faults
-        self.chunk_timeout = chunk_timeout
-        self.chunk_retries = chunk_retries
-        self.degrade = degrade
         self._dispatch_seq = 0
         self._closed = False
         #: Recovery telemetry, cumulative across the run; the system layer
@@ -488,8 +469,8 @@ class SupervisedExecutor(ClientExecutor):
         return Dispatch(
             seq,
             chunk_tasks(tasks, num_chunks),
-            retry_budget=self.chunk_retries,
-            timeout=self.chunk_timeout,
+            retry_budget=self.config.chunk_retries,
+            timeout=self.config.chunk_timeout,
             counters=self.fault_counters,
         )
 
@@ -502,14 +483,14 @@ class SupervisedExecutor(ClientExecutor):
                     f"attempt {n} on {who or 'no worker'}: {what}" for n, who, what in lease.history
                 )
                 reason = lease.failed_reason + (f" [{tries}]" if tries else "")
-                if not self.degrade:
+                if not self.config.fault_degrade:
                     raise ExecutorFaultError(
                         executor=self.name,
                         chunk=lease.chunk,
                         chunk_size=len(chunk),
                         num_workers=live_workers,
                         attempts=lease.attempts,
-                        retry_budget=self.chunk_retries,
+                        retry_budget=self.config.chunk_retries,
                         counters=self.fault_counters,
                         reason=reason,
                     )

@@ -10,8 +10,8 @@ with bit-identical merged results (every cell is a deterministic function
 of its spec).
 
 Cells run through the configured client-execution backend, so a sweep can
-fan client training out to the PR-1 process pool (``executor="parallel"``)
-without changing any result.
+fan client training out to the process pool (``executor="parallel"``) or to
+socket workers (``executor="dist"``) without changing a cell file's bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.experiments.checkpoint import VOLATILE_META_KEYS
 from repro.experiments.config import ALGORITHMS, knobs_read_by
 from repro.experiments.runner import run_experiment
 from repro.metrics.history import RunHistory
@@ -266,9 +267,10 @@ class SweepRunner:
             **self._cell_fl_overrides(cell),
         )
         history.meta["scenario"] = cell.scenario
-        # Checkpoints must be byte-identical across resumed executions;
-        # wall-clock phase timers are volatile diagnostics, so strip them.
-        history.meta.pop("phase_seconds", None)
+        # Checkpoints must be byte-identical across resumed executions and
+        # backends; phase timers and fault counters are volatile, so strip them.
+        for key in VOLATILE_META_KEYS:
+            history.meta.pop(key, None)
         self._atomic_write(
             self._cell_path(cell),
             {

@@ -323,9 +323,9 @@ class Sequential:
         """Deep-copy the model, optionally rebuilding weights from a flat
         vector (validated against this model's :class:`WeightSpec`).
 
-        This is the replica path the parallel executor uses: one structural
-        clone per worker process, then per-cohort ``set_flat_weights`` from
-        the broadcast start vector.
+        This is the replica path the cross-process executors use: one
+        structural clone per worker process, which then trains each cohort
+        from the start weights its chunk message carries.
         """
         replica = copy.deepcopy(self)
         if weights is not None:

@@ -1,5 +1,6 @@
 """FLConfig, method Params and ExecConfig validation tests."""
 
+import re
 from dataclasses import fields
 
 import pytest
@@ -96,6 +97,15 @@ def test_method_knobs_accept_their_boundaries():
     ):
         with pytest.raises(ValueError, match=field):
             cls.Params(**{field: value})
+
+
+@pytest.mark.parametrize("spec", ["quant:x", "polyline:13", "topk:2", "subsample:0"])
+def test_rejects_a_codec_spec_its_codec_refuses(spec):
+    """FLConfig asks the codec factory, so every method refuses the spec at
+    config time, FedAvg included (it never builds a codec), and the error
+    names the spec."""
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        FLConfig(compression=spec)
 
 
 def test_compression_none_allowed():

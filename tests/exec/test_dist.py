@@ -6,7 +6,6 @@ must hand back results bit-identical to ``SerialExecutor`` — faults cost
 wall clock and recovery counters, never history bits.
 """
 
-import dataclasses
 import os
 import pickle
 import signal
@@ -272,23 +271,6 @@ class TestDistExecutor:
             dist.close()
             serial.close()
 
-    def test_a_stack_of_start_rows_is_bit_identical_to_serial(self, tiny_bow_dataset):
-        """Tasks from several rows of an ``(S, P)`` stack, rows spanning
-        chunks: the stack ships once, each task trains from its row."""
-        serial, dist = _executors(tiny_bow_dataset)
-        try:
-            start = serial.model.get_flat_weights()
-            starts = start + np.random.default_rng(1).normal(0, 0.1, size=(3, start.size))
-            one_row = _cohort(8, lam=0.4)
-            rows = [dataclasses.replace(t, row=(2, 0, 1)[t.client_id % 3]) for t in one_row]
-            for stack, tasks in ((starts, rows), (starts[:1], one_row), (starts, rows)):
-                _assert_results_equal(
-                    serial.run_cohort(stack, tasks), dist.run_cohort(stack, tasks)
-                )
-        finally:
-            dist.close()
-            serial.close()
-
     def test_singleton_and_empty_cohorts_use_fast_path(self, tiny_bow_dataset):
         serial, dist = _executors(tiny_bow_dataset)
         try:
@@ -383,9 +365,7 @@ class TestDistExecutor:
         """With degradation off, budget exhaustion must surface the full
         diagnosis: backend, chunk, attempts, live workers, counters."""
         plan = FaultPlan(parse_faults("corrupt:1.0"), seed=0)
-        _, dist = _executors(
-            tiny_bow_dataset, faults=plan, chunk_retries=1, degrade=False
-        )
+        _, dist = _executors(tiny_bow_dataset, faults=plan, chunk_retries=1, fault_degrade=False)
         try:
             start = dist._local.model.get_flat_weights()
             with pytest.raises(ExecutorFaultError) as excinfo:
@@ -604,7 +584,7 @@ class TestSchedulerTimers:
         """External mode with nobody dialling in: after ``worker_grace`` the
         dispatch hands every chunk back and the executor degrades them."""
         serial, dist = _executors(
-            tiny_bow_dataset, bind=f"127.0.0.1:{_free_port()}", worker_grace=0.3
+            tiny_bow_dataset, dist_bind=f"127.0.0.1:{_free_port()}", worker_grace=0.3
         )
         try:
             assert dist.worker_processes == []
@@ -655,7 +635,7 @@ def test_external_worker_via_cli(tiny_bow_dataset, tmp_path):
     # (external workers are expected).
     port = _free_port()
 
-    serial, dist = _executors(tiny_bow_dataset, bind=f"127.0.0.1:{port}")
+    serial, dist = _executors(tiny_bow_dataset, dist_bind=f"127.0.0.1:{port}")
     worker = None
     try:
         assert dist.worker_processes == []  # external mode spawns none
@@ -700,7 +680,7 @@ def test_init_payload_survives_pickle(tiny_bow_dataset):
 
 
 def test_wait_for_workers_times_out_cleanly(tiny_bow_dataset):
-    _, dist = _executors(tiny_bow_dataset, bind=f"127.0.0.1:{_free_port()}")
+    _, dist = _executors(tiny_bow_dataset, dist_bind=f"127.0.0.1:{_free_port()}")
     try:
         t0 = time.monotonic()
         assert dist.wait_for_workers(1, timeout=0.3) == 0

@@ -1,5 +1,7 @@
 """Unit tests for the client-execution engine (repro.exec)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,13 @@ class TestFactory:
         try:
             assert par.faults.spec == parse_faults("crash:0.25")
             assert par.faults.seed == 7
-            assert (par.chunk_timeout, par.chunk_retries, par.degrade) == (4.0, 5, False)
+            assert par.config == ExecConfig(
+                executor="parallel",
+                num_workers=2,
+                chunk_timeout=4.0,
+                chunk_retries=5,
+                fault_degrade=False,
+            )
         finally:
             par.close()
         assert _make(tiny_bow_dataset, executor="parallel", num_workers=2).faults is None
@@ -228,7 +236,7 @@ class TestParallelExecutor:
 @pytest.mark.parametrize("cohort", [0, 1, 4], ids=["empty", "singleton", "dispatched"])
 def test_closed_executor_refuses_cohorts(tiny_bow_dataset, backend, cohort):
     """One rule for both cross-process backends: after ``close()`` there are
-    no workers and no broadcast segment, and ``run_cohort`` says so instead
+    no workers, and ``run_cohort`` says so instead
     of quietly forking a fresh set nobody will close (the pool, once) or
     dying on a closed descriptor inside ``connection.wait`` (dist, once)."""
     ex = _make(tiny_bow_dataset, executor=backend, num_workers=2)
@@ -241,6 +249,32 @@ def test_closed_executor_refuses_cohorts(tiny_bow_dataset, backend, cohort):
         ex.run_cohort(start, _cohort(cohort))
     ex.close()  # still idempotent
     assert ex.worker_processes == []
+
+
+def _fingerprint(results):
+    return [
+        (r.client_id, r.train_loss, r.n_samples, r.latency, r.weights.tobytes()) for r in results
+    ]
+
+
+@pytest.mark.parametrize("backend", ["parallel", "dist"])
+def test_a_stack_of_start_rows_is_bit_identical_to_serial(tiny_bow_dataset, backend):
+    """Tasks from several rows of an ``(S, P)`` stack, rows spanning chunks,
+    over three dispatches whose stacks differ in height: every chunk message
+    carries its dispatch's stack, and each task trains from its row."""
+    serial = _make(tiny_bow_dataset)
+    ex = _make(tiny_bow_dataset, executor=backend, num_workers=2)
+    start = _model(tiny_bow_dataset).get_flat_weights()
+    starts = start + np.random.default_rng(1).normal(0, 0.1, size=(3, start.size))
+    one_row = _cohort(8, lam=0.4)
+    rows = [dataclasses.replace(t, row=(2, 0, 1)[t.client_id % 3]) for t in one_row]
+    try:
+        for stack, tasks in ((starts, rows), (starts[:1], one_row), (starts, rows)):
+            assert _fingerprint(ex.run_cohort(stack, tasks)) == _fingerprint(
+                serial.run_cohort(stack, tasks)
+            )
+    finally:
+        ex.close()
 
 
 class TestReplicas:

@@ -8,10 +8,6 @@ to the simulation.
 """
 
 import dataclasses
-import os
-import subprocess
-import sys
-import textwrap
 import warnings
 
 import pytest
@@ -262,45 +258,3 @@ def test_exhausted_budget_raises_actionable_error(tiny_bow_dataset):
     assert err.num_workers == 2
     assert err.attempts == 2  # 1 + chunk_retries
     assert "chunk_retries" in str(err) and "fault_degrade" in str(err)
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory hygiene on abnormal exit
-# --------------------------------------------------------------------- #
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/dev/shm")
-def test_no_shm_leak_after_chaos_run_without_close():
-    """A chaos run whose pool was killed/respawned, and whose driver never
-    calls ``close()``, must still leave /dev/shm clean (atexit sweep)."""
-    script = textwrap.dedent(
-        """
-        import numpy as np
-        from repro.baselines.fedavg import FedAvg
-        from repro.core.config import FLConfig
-        from repro.data.datasets import make_dataset
-        from repro.exec import ExecConfig
-        from repro.experiments.config import build_model_builder
-
-        ds = make_dataset("sentiment140", np.random.default_rng(7),
-                          num_clients=8, samples_per_client=16)
-        cfg = FLConfig(clients_per_round=4, local_epochs=1, max_rounds=2,
-                       num_unstable=0, exec=ExecConfig(executor="parallel",
-                       num_workers=2, faults="crash:0.5"))
-        system = FedAvg(ds, build_model_builder(ds, "tiny"), cfg)
-        system._run()  # bypass run()'s finally: executor.close() never runs
-        print("SEGMENT", system.executor._shm.name if system.executor._shm else "-")
-        """
-    )
-    before = set(os.listdir("/dev/shm"))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=180,
-        env={**os.environ, "PYTHONPATH": "src"},
-        cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-    )
-    assert proc.returncode == 0, proc.stderr
-    segment = proc.stdout.split("SEGMENT", 1)[1].strip()
-    assert segment != "-", "run never allocated a broadcast segment"
-    leaked = set(os.listdir("/dev/shm")) - before
-    assert not leaked, f"dangling shared memory after abnormal exit: {leaked}"

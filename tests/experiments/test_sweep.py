@@ -7,6 +7,7 @@ import pytest
 
 import repro.experiments.sweep as sweep_mod
 from repro.cli import main
+from repro.experiments.checkpoint import VOLATILE_META_KEYS
 from repro.experiments.sweep import SweepCell, SweepRunner, SweepSpec
 
 
@@ -106,6 +107,21 @@ def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, monkeypatch
         a = json.loads((tmp_path / "full" / f"{cell.cell_id}.json").read_text())
         b = json.loads((tmp_path / "part" / f"{cell.cell_id}.json").read_text())
         assert a == b, cell.cell_id
+
+
+def test_pool_cell_file_holds_no_volatile_meta(tmp_path):
+    """A pool run always records fault counters, and their values depend on
+    OS races: the cell file keeps none of the volatile keys, so its history
+    is the serial run's, byte for byte."""
+    histories = {}
+    for executor in ("serial", "parallel"):
+        cell_spec = SweepSpec(methods=("fedavg",), executor=executor, num_workers=2, smoke=True)
+        runner = SweepRunner(cell_spec, tmp_path / executor)
+        (cell,) = cell_spec.cells()
+        runner.run_cell(cell)
+        histories[executor] = json.loads(runner._cell_path(cell).read_text())["history"]
+    assert not set(VOLATILE_META_KEYS) & set(histories["parallel"]["meta"])
+    assert histories["parallel"] == histories["serial"]
 
 
 def test_sweep_reruns_corrupt_and_stale_checkpoints(spec, tmp_path):

@@ -3,16 +3,15 @@
 ``src/`` has one parameter layout (``Sequential`` always owns a
 ``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
 whose one-member case is every single client's round) with one path through
-it (every model it compiles stacks; the rest is refused), one broadcast
-policy (shared memory, falling back on what the code observes), one
-staleness knob (declared once, on ``StalenessParams``), one run loop
-(``FLSystem._run``, with one cohort launch, one flush that trains what
-launches queue, and one rejoin scheduler), one
-home for execution settings (``ExecConfig``, read only by
-``make_executor``) and one home per method knob (the ``Params`` of the
-methods that read it). The names below selected or served the other side of
-each pair before they were deleted; a later change must not quietly bring
-one back.
+it (every model it compiles stacks; the rest is refused), one way start
+weights reach a pool worker (in the chunk message), one staleness knob
+(declared once, on ``StalenessParams``), one run loop (``FLSystem._run``,
+with one cohort launch, one flush that trains what launches queue, and one
+rejoin scheduler), one home for execution settings (``ExecConfig``, which
+declares and checks each one; ``make_executor`` reads it) and one home per
+method knob (the ``Params`` of the methods that read it). The names below
+selected or served the other side of each pair before they were deleted; a
+later change must not quietly bring one back.
 """
 
 import re
@@ -45,6 +44,9 @@ REMOVED = re.compile(
     # A flush's uplink round trip encodes and decodes inline; and the arena
     # stays with the plan whether or not the last cohort stacked.
     r"|encode_batch|decode_batch|roundtrip_batch|exec\.payloads|_stacked_before"
+    # Start weights ride in the pool's chunk message: no shared-memory
+    # segment, no fallback from it, and no knob for how workers start.
+    r"|shared_memory|shm_fallback_reason|_attach_shared|_broadcast_header|\bstart_method\b"
 )
 
 
@@ -81,6 +83,8 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("    plan_cohort = True")
     assert REMOVED.search("from repro.exec.payloads import roundtrip_batch")
     assert not REMOVED.search("    def uplink_roundtrip(self, results):")
+    assert REMOVED.search("        start_method: str | None = None,")
+    assert not REMOVED.search('        forked = self._ctx.get_start_method() == "fork"')
 
 
 def test_one_lease_state_machine():
@@ -100,6 +104,10 @@ def test_one_lease_state_machine():
     assert homes(r"min_dispatch = ") == ["supervision.py"]
     assert homes(r"= 1 \+ \w*retr\w+") == ["supervision.py"]  # the attempt budget
     assert homes(r"chunk_checksum\(results\) !=") == ["supervision.py"]
+    # Each execution setting is declared and checked once, on ExecConfig.
+    setting = r"(?:num_workers|chunk_timeout|chunk_retries|heartbeat_\w+|worker_grace)"
+    assert homes(rf"\b{setting}: [\w |]+ = ") == ["base.py"] * 6
+    assert homes(rf"raise ValueError\(\s*f?\"{setting}\b") == ["base.py"] * 6
 
 
 def test_one_reader_of_execution_settings():
@@ -162,15 +170,17 @@ EXPORTS_WITHOUT_CALLERS = {
     "Sigmoid": "a planned activation, pinned by the in-place hazard test",
     "ScratchArena": "the plan's arena type",
     "build_mlp": "the test model",
+    "FaultSpec": "the type parse_faults returns",
 }
 
 
 def test_every_export_has_a_caller():
-    """Every name ``repro.nn`` and ``repro.utils`` export is used, as a name
-    or an attribute (found with ``ast``, not by string search), by code
-    under ``src/``, ``scripts/``, ``benchmarks/`` or ``examples/`` outside
-    the module that defines it, or is on the allowlist above. A public name
-    nothing runs is dead code kept alive by its own tests."""
+    """Every name ``repro.nn``, ``repro.utils`` and ``repro.exec`` export is
+    used, as a name or an attribute (found with ``ast``, not by string
+    search), by code under ``src/``, ``scripts/``, ``benchmarks/`` or
+    ``examples/`` outside the module that defines it, or is on the allowlist
+    above. A public name nothing runs is dead code kept alive by its own
+    tests."""
     import ast
     import importlib
 
@@ -183,10 +193,14 @@ def test_every_export_has_a_caller():
                 if isinstance(node, (ast.Name, ast.Attribute))
             }
     uncalled = []
-    for package in ("repro.nn", "repro.utils"):
+    for package in ("repro.nn", "repro.utils", "repro.exec"):
         module = importlib.import_module(package)
         for name in module.__all__:
-            home = SRC / (getattr(module, name).__module__.replace(".", "/") + ".py")
+            value = getattr(module, name)
+            if hasattr(value, "__module__"):
+                home = SRC / (value.__module__.replace(".", "/") + ".py")
+            else:  # a constant: the module that assigns it
+                home = next(p for p in used if re.search(rf"^{name} = ", p.read_text(), re.M))
             if not any(name in names for path, names in used.items() if path != home):
                 uncalled.append(name)
     assert sorted(uncalled) == sorted(EXPORTS_WITHOUT_CALLERS), (
