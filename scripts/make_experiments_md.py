@@ -291,10 +291,12 @@ def main() -> None:
     section_ablations(out)
     out.append(
         "\n## Theory (§5)\n\n"
-        "Theorem 5.1's geometric-decay-to-plateau shape is verified by "
-        "`tests/theory/test_convergence_theorem.py` on strongly convex "
-        "quadratics: fitted ρ < 1; plateau vanishes for homogeneous clients "
-        "and grows with heterogeneity, matching the O(η²γ²B²G²c²) term.\n"
+        "Theorem 5.1's geometric-decay-to-plateau shape is checked by "
+        "`tests/theory/test_convergence_theorem.py`, which runs FedAT itself "
+        "on a convex two-class logistic federation whose three tiers report "
+        "at a fixed 1:2:3 cadence: fitted ρ < 1; the plateau vanishes for "
+        "homogeneous clients and grows with heterogeneity, matching the "
+        "O(η²γ²B²G²c²) term; λ = 0 converges too.\n"
     )
     out.append(
         "\n## Reproduced claims and documented deviations\n\n"

@@ -1,8 +1,7 @@
 """First-order optimizers operating on lists of Parameters.
 
-The paper uses Adam as the local solver (§6 Hyperparameters); SGD (with
-optional momentum) is provided for the convergence-theory checks, which
-assume plain gradient steps.
+The paper uses Adam as the local solver (§6 Hyperparameters); plain SGD is
+the gradient step of the paper's convergence analysis (§5).
 
 Parameters are always backed by a :class:`~repro.nn.store.FlatParameterStore`
 (every :class:`~repro.nn.model.Sequential` owns one), so
@@ -84,46 +83,21 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """SGD with optional classical momentum."""
+    """Plain gradient descent: ``w -= lr · g``."""
 
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0):
+    def __init__(self, lr: float = 0.01):
         super().__init__(lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: np.ndarray | None = None
-
-    @property
-    def state_slots(self) -> int:
-        return 1 if self.momentum else 0
 
     def _update(self, store: FlatParameterStore, scratch=None) -> None:
-        if self.momentum and self._velocity is None:
-            self._velocity = np.zeros_like(store.data)
-        state = (self._velocity,) if self.momentum else ()
         if scratch is not None:
-            self.apply(store.data, store.grad, state, 0, scratch)
-        elif state:
-            v = self._velocity
-            v *= self.momentum
-            v -= self.lr * store.grad
-            store.data += v
+            self.apply(store.data, store.grad, (), 0, scratch)
         else:
             store.data -= self.lr * store.grad
 
     def apply(self, data, grad, state, t, scratch) -> None:
         s = scratch("sgd_s", grad.shape, grad.dtype)
         np.multiply(grad, self.lr, out=s)
-        if state:
-            (v,) = state
-            v *= self.momentum
-            v -= s
-            data += v
-        else:
-            data -= s
-
-    def reset_state(self) -> None:
-        self._velocity = None
+        data -= s
 
 
 class Adam(Optimizer):

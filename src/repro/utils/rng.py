@@ -11,20 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SeedSequenceFactory", "spawn_rngs"]
-
-
-def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators from a single root seed.
-
-    The streams are independent in the cryptographic-hash sense used by
-    ``SeedSequence``: no correlation between child streams even for adjacent
-    seeds.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(n)]
+__all__ = ["SeedSequenceFactory"]
 
 
 class SeedSequenceFactory:

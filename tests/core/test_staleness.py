@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import ASOFed, FedAsync
 from repro.core.fedat import FedAT
@@ -71,6 +73,57 @@ class TestFactor:
     def test_negative_staleness_rejected(self):
         with pytest.raises(ValueError):
             StalenessPolicy("poly").factor(-1)
+
+
+ARGS = st.floats(0.0, 50.0)
+STALENESS = st.floats(0.0, 1e4)
+
+
+class TestFactorProperties:
+    """``s(Δτ)`` over a, b ∈ [0, 50] and Δτ ∈ [0, 1e4]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["constant", "poly", "hinge"]), ARGS, ARGS, STALENESS, STALENESS)
+    def test_in_unit_interval_and_non_increasing(self, kind, a, b, s1, s2):
+        p = StalenessPolicy(kind, a=a, b=b)
+        lo, hi = sorted((s1, s2))
+        assert 0.0 < p.factor(hi) <= p.factor(lo) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(ARGS, ARGS, STALENESS)
+    def test_hinge_is_one_through_b_then_continuous(self, a, b, s):
+        p = StalenessPolicy("hinge", a=a, b=b)
+        if s <= b:
+            assert p.factor(s) == 1.0
+        else:
+            assert p.factor(s) == 1.0 / (a * (s - b) + 1.0)
+        # Just above b the factor tends to 1: no jump where the hinge bends.
+        assert p.factor(b + 1e-9) == pytest.approx(1.0, abs=1e-7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ARGS, STALENESS)
+    def test_poly_is_the_power_law(self, a, s):
+        assert StalenessPolicy("poly", a=a).factor(s) == (s + 1.0) ** -a
+
+    def test_hinge_is_ours_not_the_unshifted_form(self):
+        """``1 / (a·(Δτ − b) + 1)``: at a = 0.5, b = 4, Δτ = 5 that is 2/3.
+        The unshifted ``1 / (a·(Δτ − b))`` gives 2 there, above 1."""
+        assert StalenessPolicy("hinge", a=0.5, b=4.0).factor(5) == pytest.approx(2 / 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["poly", "hinge"]),
+        ARGS,
+        st.floats(0.0, 5.0),
+        st.lists(st.integers(0, 2), min_size=1, max_size=30),
+    )
+    def test_modulated_tier_weights_stay_a_distribution(self, kind, a, b, tiers):
+        server = TieredServer(np.zeros(2), 3, staleness=StalenessPolicy(kind, a=a, b=b))
+        for tier in tiers:
+            server.submit_tier_update(tier, np.full(2, float(tier)))
+            weights = server.tier_weight_vector()
+            assert np.all(weights >= 0.0)
+            assert weights.sum() == pytest.approx(1.0)
 
 
 class TestTieredServerModulation:

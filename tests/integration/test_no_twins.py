@@ -5,7 +5,9 @@
 whose one-member case is every single client's round) with one path through
 it (every model it compiles stacks; the rest is refused), one way start
 weights reach a pool worker (in the chunk message), one staleness knob
-(declared once, on ``StalenessParams``), one run loop (``FLSystem._run``,
+(declared once, on ``StalenessParams``), one FedAT (Theorem 5.1 is checked
+on the one that runs, so neither a second FedAT loop on quadratics nor the
+SGD momentum kept for it survives), one run loop (``FLSystem._run``,
 with one cohort launch, one flush that trains what launches queue, and one
 rejoin scheduler), one home for execution settings (``ExecConfig``, which
 declares and checks each one; ``make_executor`` reads it) and one home per
@@ -47,6 +49,9 @@ REMOVED = re.compile(
     # Start weights ride in the pool's chunk message: no shared-memory
     # segment, no fallback from it, and no knob for how workers start.
     r"|shared_memory|shm_fallback_reason|_attach_shared|_broadcast_header|\bstart_method\b"
+    # Theorem 5.1 is checked on FedAT itself: no second FedAT loop on
+    # quadratics, and no SGD momentum kept for it.
+    r"|repro\.theory|run_fedat_on_quadratic|QuadraticProblem|SGD\([^)]*momentum|_velocity\b"
 )
 
 
@@ -85,6 +90,13 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("    def uplink_roundtrip(self, results):")
     assert REMOVED.search("        start_method: str | None = None,")
     assert not REMOVED.search('        forked = self._ctx.get_start_method() == "fork"')
+    assert REMOVED.search("from repro.theory.convergence import QuadraticProblem")
+    assert REMOVED.search("    res = run_fedat_on_quadratic(problem, rounds=200)")
+    assert REMOVED.search("        return SGD(self.learning_rate, momentum=0.9)")
+    assert REMOVED.search("        self._velocity: np.ndarray | None = None")
+    assert not REMOVED.search("        return SGD(self.learning_rate)")
+    assert not REMOVED.search("    def __init__(self, num_features, *, momentum=0.9):")
+    assert not REMOVED.search("from repro.core.fedat import FedAT")
 
 
 def test_one_lease_state_machine():
@@ -122,6 +134,23 @@ def test_one_reader_of_execution_settings():
         "core/base.py"
     ]
     assert not [p for p, text in outside.items() if re.search(r"(?<!repro)\.exec\.\w", text)]
+
+
+def test_one_fedat():
+    """The cross-tier mix runs in one place, ``TieredServer``: no second
+    tier loop beside ``FedAT`` calls the weighting rules, and the package
+    that held one stays deleted."""
+    assert not (SRC / "repro" / "theory").exists()
+    calls = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in re.findall(r"\b(cross_tier_weights|uniform_tier_weights)\(", path.read_text())
+        if not re.search(rf"^def {name}\(", path.read_text(), re.M)
+    ]
+    assert calls == [
+        "repro/core/server.py: uniform_tier_weights",
+        "repro/core/server.py: cross_tier_weights",
+    ]
 
 
 def test_one_sigmoid():

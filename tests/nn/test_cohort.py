@@ -322,7 +322,6 @@ BUILDERS = {
 OPTIMIZERS = {
     "adam": lambda: Adam(0.005),
     "sgd": lambda: SGD(0.05),
-    "sgd_momentum": lambda: SGD(0.05, momentum=0.9),
 }
 #: Shard sizes around a batch size of 10: below it, multiples, ragged last
 #: batches — equal rows at a step group across different shard sizes, and

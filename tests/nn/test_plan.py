@@ -583,7 +583,7 @@ class TestLoopEquivalence:
             _train_once(False, builder, ds, batch_size=batch_size),
         )
 
-    def test_sgd_momentum_and_explicit_cursor(self):
+    def test_sgd_and_explicit_cursor(self):
         ds = _image_dataset(num_clients=2)
         kwargs = dict(optimizer=("sgd", 0.05), start_epoch=3, epochs=2)
         _assert_rounds_identical(

@@ -1,29 +1,9 @@
 """RNG factory tests."""
 
 import numpy as np
-import pytest
 
 from repro.nn.layers import Dropout
-from repro.utils.rng import SeedSequenceFactory, spawn_rngs
-
-
-class TestSpawn:
-    def test_independent_streams(self):
-        r1, r2 = spawn_rngs(0, 2)
-        assert not np.allclose(r1.random(100), r2.random(100))
-
-    def test_reproducible(self):
-        a = spawn_rngs(7, 3)
-        b = spawn_rngs(7, 3)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.random(10), y.random(10))
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_zero_ok(self):
-        assert spawn_rngs(0, 0) == []
+from repro.utils.rng import SeedSequenceFactory
 
 
 class TestFactory:
@@ -81,10 +61,6 @@ class TestFactory:
 class TestStreamsADropoutCanTake:
     """A drawing dropout needs a generator that advances one draw at a
     time; every stream the library hands out is one."""
-
-    def test_spawned(self):
-        for stream in spawn_rngs(0, 3):
-            assert Dropout(0.5, rng=stream).plan_stream is stream
 
     def test_named(self):
         stream = SeedSequenceFactory(0).child("model").rng("dropout")
