@@ -226,7 +226,8 @@ class FLSystem:
         self.factory = SeedSequenceFactory(config.seed)
 
         # Worker model: the serial executor trains every client through this
-        # shared instance; the parallel executor clones it per pool worker.
+        # instance, the pool and dist clone it per worker. It carries nothing
+        # from one client round to the next: each starts from its start row.
         self.worker = model_builder(self.factory.rng("model/init"))
         if config.dtype != "float64":
             # Initialize in float64 first (identical draws to the reference
@@ -281,8 +282,8 @@ class FLSystem:
         self.clients = population.bind(
             latency_model, batch_size=config.batch_size, seed=config.seed
         )
-        # The evaluator owns a model replica (when faithful): evaluation
-        # must never write into the worker's shared flat buffer mid-run.
+        # The evaluator owns a model replica: evaluation must never write
+        # into the worker's flat buffer mid-run.
         # ``eval_clients`` pins evaluation to a fixed random client subset
         # (mandatory for large virtual populations).
         eval_ids = None
@@ -600,10 +601,8 @@ class FLSystem:
         Flushing is free to happen early: no draw that shapes the run
         waits for training, and training order is launch order whenever it
         runs. It must happen before anything reads what training changes —
-        a launch's results, the worker model the evaluator may share (its
-        batch-norm statistics), the guard's state in a checkpoint — so
-        :meth:`record_eval`, :meth:`state_dict` and the end of the run
-        flush first.
+        a launch's results, the guard's state in a checkpoint — so
+        :meth:`state_dict` and the end of the run flush first.
         """
         pending, self._pending = self._pending, []
         if not pending:
@@ -867,11 +866,7 @@ class FLSystem:
         the *enrolled-so-far* view — accuracy over clients that have joined
         by now, vs. the headline accuracy over the full eventual population
         — appended to ``history.meta["arrival_eval"]``.
-
-        Flushes first: the evaluator may share the worker model, whose
-        batch-norm statistics must include every launched client.
         """
-        self.flush()
         views = None
         if self.scenario.has_arrivals:
             views = {

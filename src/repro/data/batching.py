@@ -66,5 +66,12 @@ class FixedBatchSchedule:
         rng = self._factory.rng(f"client/{self.client_id}/epoch/{epoch}")
         return rng.permutation(self.n)
 
+    def mask_rng(self, start_epoch: int) -> np.random.Generator:
+        """The dropout-mask generator of the round that starts at
+        ``start_epoch``: like the batches, a pure function of ``(seed,
+        client_id, epoch_index)``, so a round draws the same masks on any
+        executor, in any cohort, before or after a resume."""
+        return self._factory.rng(f"client/{self.client_id}/masks/{start_epoch}")
+
     def batches_per_epoch(self) -> int:
         return -(-self.n // self.batch_size)

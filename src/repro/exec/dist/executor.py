@@ -90,8 +90,6 @@ class DistExecutor(SupervisedExecutor):
         # The network layer's own events (remote workers respawn themselves
         # by reconnecting, so ``respawns`` stays a count of local processes).
         self.fault_counters.update(heartbeat_misses=0, reconnects=0, steals=0)
-        if self._fallback is not None:
-            return
         init_payload = {
             "model": self._local.model,
             "clients": self._local.clients,
@@ -167,8 +165,6 @@ class DistExecutor(SupervisedExecutor):
         scheduler queues leases until workers appear — but scripts that
         kill specific workers want a deterministic starting roster.
         """
-        if self._scheduler is None:
-            return 0
         return self._scheduler.wait_for_workers(count, timeout)
 
     # ------------------------------------------------------------------ #

@@ -17,9 +17,7 @@ A dispatch's ``(S, P)`` stack of start weights travels in every chunk
 message, beside the chunk's tasks: the pipe pickles it once per chunk.
 
 Results are bit-identical to the serial backend's (the package contract,
-:mod:`repro.exec`; enforced by ``tests/exec/test_equivalence.py``). Models
-whose layers carry hidden cross-call state cannot satisfy it; for those the
-executor degrades to the serial path and records why.
+:mod:`repro.exec`; enforced by ``tests/exec/test_equivalence.py``).
 
 Every dispatch is supervised, fault plan or not, by the lease state machine
 of :mod:`repro.exec.supervision` — the one the socket scheduler runs on; see

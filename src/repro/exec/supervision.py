@@ -395,8 +395,8 @@ class SupervisedExecutor(ClientExecutor):
 
     The execution settings, as ``config``: ``**settings`` are
     :class:`ExecConfig` fields, each declared, defaulted and checked there
-    only. Then the fault plan, recovery counters, the replica-safety
-    fallback, the in-parent executor, and both ends of a dispatch; a
+    only. Then the fault plan, recovery counters, the in-parent executor,
+    and both ends of a dispatch; a
     subclass's ``run_cohort`` is :meth:`_in_parent`, :meth:`_begin`, its
     transport, :meth:`_finish`.
     """
@@ -424,20 +424,10 @@ class SupervisedExecutor(ClientExecutor):
         # Cohorts below this size skip dispatch and run in-process (a lone
         # client — a sync round of one, an async relaunch its flush caught
         # alone — pays a full IPC round-trip for zero parallelism
-        # otherwise). Bit-identical either way by the replica-safety
-        # contract, so the path choice is unobservable.
+        # otherwise). Bit-identical either way — a client round is a
+        # function of its start row and task alone — so the path choice is
+        # unobservable.
         self.min_dispatch = 2
-        self.fallback_reason: str | None = None
-        self._fallback: SerialExecutor | None = None
-        if not model.replica_safe:
-            self.fallback_reason = (
-                f"model {model.name!r} has layers with cross-call state "
-                "(dropout RNG / batch-norm statistics); falling back to "
-                "serial execution to preserve bit-identical histories"
-            )
-            warnings.warn(self.fallback_reason, RuntimeWarning, stacklevel=3)
-            self._fallback = SerialExecutor(model, clients, loss, optimizer)
-            return
         # Client collections that know how to build their own replica
         # mapping (virtual populations ship a lazy, picklable store instead
         # of materializing every client) provide ``replicas()``; plain
@@ -457,8 +447,6 @@ class SupervisedExecutor(ClientExecutor):
         infrastructure, and there is none here."""
         if self._closed:
             raise RuntimeError(f"executor {self.name!r} is closed")
-        if self._fallback is not None:
-            return self._fallback.run_cohort(starts, tasks)
         if len(tasks) < max(self.min_dispatch, 1):
             return self._local.run_cohort(starts, tasks)
         return None

@@ -8,13 +8,12 @@ construction and split by cached boundaries afterwards.
 Two operational properties matter here:
 
 - **Isolation.** The evaluator owns a structural replica of the model it
-  was given (when one can be replicated faithfully), so mid-run evaluation
-  never clobbers in-flight worker weights — with the flat parameter store
-  the worker's weights are one shared buffer, and writing evaluation
-  weights into it from another code path would be a genuine hazard. Models
-  with cross-call layer state (batch-norm running statistics, dropout RNG
-  streams) cannot be replicated without changing their evaluation-time
-  behavior, so those keep sharing the caller's instance exactly as before.
+  was given, so mid-run evaluation never clobbers in-flight worker
+  weights — with the flat parameter store the worker's weights are one
+  shared buffer, and writing evaluation weights into it from another code
+  path would be a genuine hazard. The flat vector it evaluates is the
+  whole model, batch-norm's running statistics included, so the replica
+  scores exactly what the weights say.
 - **Bounded memory.** The forward pass runs in ``eval_batch_size`` chunks
   and per-sample losses are accumulated, so peak memory no longer scales
   with the full concatenated federation test set. Chunking is bit-identical
@@ -80,9 +79,7 @@ class Evaluator:
     ) -> None:
         if eval_batch_size < 1:
             raise ValueError("eval_batch_size must be >= 1")
-        # Own replica when replication is faithful; share otherwise (see
-        # module docstring).
-        self._model = model.clone() if model.replica_safe else model
+        self._model = model.clone()  # see "Isolation" in the module docstring
         self._batch_size = eval_batch_size
         self._plan = self._model.training_plan(None)  # forward-only
         if not clients:

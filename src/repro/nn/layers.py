@@ -35,9 +35,11 @@ class Layer:
       returns the output.
     - ``backward(grad)`` receives ``dL/d(output)``, **accumulates** parameter
       gradients into ``param.grad``, and returns ``dL/d(input)``.
-    - :attr:`params` lists trainable parameters in a fixed order; this order
-      defines the layout of the model's flat weight vector, so it must be
-      stable across calls.
+    - :attr:`params` lists the layer's entries of the model's flat weight
+      vector in a fixed order, which must be stable across calls: the
+      trainable ones in this order, then any ``trainable=False`` ones (see
+      :class:`~repro.nn.tensor.Parameter`), which the flat vector keeps
+      after every trainable entry of the model.
 
     A layer a :class:`~repro.nn.plan.TrainingPlan` runs also implements the
     fused-plan kernel protocol (see :mod:`repro.nn.plan`):
@@ -57,24 +59,15 @@ class Layer:
     elementwise, and a layer with parameters takes a ``stack`` of
     per-client ``(data, grad)`` views, each ``(G, *shape)``, in
     :attr:`params` order (or its own parameters as they are, for one
-    client).
-
-    :attr:`plan_cohort` layers carry state from one member of a cohort to
-    the next (a mask stream, running statistics). Trained one member at a
-    time, in cohort order, each batch reads or writes it in turn; stacked,
-    the plan calls :meth:`begin_cohort`, hands every training forward a
-    ``cohort`` — for each client in the batch, the sample rows the cohort
-    trains before that client's rows in that order — and calls
-    :meth:`end_cohort`, which leaves the state as that order would.
+    client). Nothing carries over from one client to the next: what a
+    layer updates besides weights lives in its non-trainable entries, and
+    what it draws comes from each client's own generator (:attr:`draws`).
     """
 
-    #: True when a stacked cohort must bracket this layer with
-    #: :meth:`begin_cohort` / :meth:`end_cohort` and pass ``cohort``.
-    plan_cohort = False
-    #: The generator a training forward draws from, if any. Each layer
-    #: positions its own draws in cohort order, so a training plan refuses
-    #: two layers that share one.
-    plan_stream = None
+    #: True when a training forward draws at random: it takes ``rngs``, one
+    #: generator per client of the batch, in client-major order — each
+    #: client round's own (``FixedBatchSchedule.mask_rng``).
+    draws = False
     #: True when backward reads the layer's own *output* values (e.g.
     #: Tanh/Sigmoid cache their output for the derivative), or the output
     #: can be the layer's input handed through (Flatten's view; Dropout at
@@ -104,13 +97,6 @@ class Layer:
         """This layer's own parameters in ``stack`` form: one client's,
         without the client axis (kernels tell a cohort's by its extra axis)."""
         return [(p.data, p.grad) for p in self.params]
-
-    def begin_cohort(self) -> None:
-        """A stacked cohort starts (see :attr:`plan_cohort`)."""
-
-    def end_cohort(self) -> None:
-        """A stacked cohort ended: bring the state to where training its
-        members one at a time, in cohort order, would have left it."""
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -234,107 +220,49 @@ class Flatten(Layer):
         return grad.reshape(self._shape) if input_grad else None
 
 
-#: Bit generators whose ``advance(k)`` skips exactly k float64 draws (one
-#: 64-bit step each), so ``advance(k)`` then ``random(m)`` is the tail of
-#: ``random(k + m)``. Philox also has ``advance`` but counts in blocks.
-_ONE_STEP_PER_DRAW = (np.random.PCG64, np.random.PCG64DXSM)
-
-
 class Dropout(Layer):
     """Inverted dropout; identity at inference time.
 
-    A dedicated RNG stream keeps the dropout mask sequence reproducible and
-    independent of other stochastic components.
-
-    In a stacked cohort every client reads exactly the segment of the
-    stream it would read trained alone in cohort order: its offset is the
-    draws of the rows trained before it, reached with
-    ``bit_generator.advance``. A generator that cannot jump that way is
-    refused at any rate above 0.
+    A training forward draws its masks from the generator of the client
+    round it trains (``rngs``, one per client of the batch; see
+    :attr:`Layer.draws`), so a round's masks depend on that round alone,
+    however the cohort around it is stacked. Without ``rngs`` — a lone
+    ``Sequential.forward`` — they come from a generator seeded 0.
     """
 
-    plan_cohort = True
+    draws = True
     #: At inference (and at rate 0) the output *is* the input buffer —
     #: caller data, or a buffer the previous layer's backward reads — so
     #: the next layer must not overwrite it in place.
     plan_backward_needs_output = True
     _cache_attrs = ("_mask",)
 
-    def __init__(self, rate: float, *, rng: np.random.Generator):
+    def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        if rate and not isinstance(rng.bit_generator, _ONE_STEP_PER_DRAW):
-            raise ValueError(
-                f"dropout at rate {rate} needs a generator that advances one draw at a "
-                f"time (PCG64 or PCG64DXSM, as np.random.default_rng gives), got "
-                f"{type(rng.bit_generator).__name__}"
-            )
         self.rate = rate
-        self._rng = rng
-
-    @property
-    def replica_safe(self) -> bool:
-        # The mask RNG is consumed in training-call order, so independent
-        # copies draw different masks than one shared instance would.
-        return self.rate == 0.0
-
-    @property
-    def plan_stream(self):
-        return self._rng if self.rate else None
-
-    def begin_cohort(self) -> None:
-        # The stream's state at the cohort's start, the draw the generator
-        # stands at, and the furthest draw any client reached.
-        self._start = self._rng.bit_generator.state
-        self._at = self._end = 0
-
-    def end_cohort(self) -> None:
-        bits = self._rng.bit_generator
-        if self._end != self._at:
-            bits.advance(self._end - self._at)
-        # advance() clears the buffered half of a 32-bit draw, which
-        # float64 draws never touch.
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = self._start["has_uint32"], self._start["uinteger"]
-        bits.state = state
-        del self._start
-
-    def _draw(self, u: np.ndarray, cohort) -> None:
-        """Fill ``u`` client by client from the stream, each client's rows
-        from where the rows trained before it in cohort order end."""
-        bits, random = self._rng.bit_generator, self._rng.random
-        per_row = u[0].size
-        for rows, start in zip(client_major(u, len(cohort)), cohort):
-            at = start * per_row
-            if at != self._at:
-                bits.advance(at - self._at)  # wraps modulo the period: may step back
-            random(out=rows)
-            self._at = at + rows.size
-            self._end = max(self._end, self._at)
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None, cohort=None
+        self, x: np.ndarray, training: bool = False, *, scratch=None, rngs=None
     ) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._mask = None
             return x
+        rngs = rngs or (np.random.default_rng(0),)
         keep = 1.0 - self.rate
         if scratch is None:
+            (rng,) = rngs
             # Mask in the input dtype so reduced-precision stores stay put
             # (a no-op cast at the float64 default).
-            self._mask = ((self._rng.random(x.shape) < keep) / keep).astype(
-                x.dtype, copy=False
-            )
+            self._mask = ((rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
             return x * self._mask
-        # random(out=) fills the buffer from the stream exactly as
-        # random(shape) fills a fresh one: same draws, same order. The
+        # random(out=) fills each client's rows from its stream exactly as
+        # random(shape) fills a fresh array: same draws, same order. The
         # draws become the 0/1 keep flags and then, divided in float64 and
         # cast on the way out like the reference's astype, the mask.
         u = scratch("u", x.shape, np.float64)
-        if cohort is None:
-            self._rng.random(out=u)
-        else:
-            self._draw(u, cohort)
+        for rows, rng in zip(client_major(u, len(rngs)), rngs):
+            rng.random(out=rows)
         np.less(u, keep, out=u)
         self._mask = u if x.dtype == u.dtype else scratch("mask", x.shape, x.dtype)
         np.divide(u, keep, out=self._mask)
@@ -343,7 +271,7 @@ class Dropout(Layer):
         return out
 
     def backward(
-        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True, stack=None
+        self, grad: np.ndarray, *, scratch=None, input_grad: bool = True
     ) -> np.ndarray | None:
         if not input_grad:
             return None
@@ -359,14 +287,13 @@ class BatchNorm(Layer):
     """Batch normalization over the feature (last) axis for 2-D inputs.
 
     Running statistics use exponential moving averages with the conventional
-    momentum formulation; they are *not* trainable parameters and therefore
-    do not appear in the flat weight vector (matching how FL systems treat
-    BN statistics as local state unless explicitly aggregated).
+    momentum formulation. They are non-trainable entries of the flat weight
+    vector (``running_mean`` / ``running_var``, after every trainable
+    entry): they travel with the model, each client's training batches
+    update its own copy, and the server aggregates them like any weight.
 
-    Stacked, each client normalizes by the statistics of its own rows.
-    Training never reads the running statistics, so a stacked cohort only
-    records each client's per-step ``(mean, var)`` and folds them in, in
-    cohort order, when it ends.
+    Stacked, each client normalizes by the statistics of its own rows and
+    folds them into its own ``(G, F)`` rows of the running statistics.
     """
 
     def __init__(
@@ -376,27 +303,26 @@ class BatchNorm(Layer):
         self.beta = Parameter(np.zeros(num_features), f"{name}.beta")
         self.momentum = momentum
         self.eps = eps
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        self.running_mean = Parameter(
+            np.zeros(num_features), f"{name}.running_mean", trainable=False
+        )
+        self.running_var = Parameter(np.ones(num_features), f"{name}.running_var", trainable=False)
 
-    #: Running statistics accumulate across training calls, so replicas
-    #: diverge from a shared instance (classic FL BN-state caveat).
-    replica_safe = False
-    plan_cohort = True
     _cache_attrs = ("_std", "_xhat")
 
     def forward(
-        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None, cohort=None
+        self, x: np.ndarray, training: bool = False, *, scratch=None, stack=None
     ) -> np.ndarray:
         if scratch is not None:
-            return self._forward_planned(x, training, scratch, stack, cohort)
+            return self._forward_planned(x, training, scratch, stack)
+        running_mean, running_var = self.running_mean.data, self.running_var.data
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            running_mean[...] = self.momentum * running_mean + (1 - self.momentum) * mean
+            running_var[...] = self.momentum * running_var + (1 - self.momentum) * var
         else:
-            mean, var = self.running_mean, self.running_var
+            mean, var = running_mean, running_var
         self._std = np.sqrt(var + self.eps)
         self._xhat = (x - mean) / self._std
         return self.gamma.data * self._xhat + self.beta.data
@@ -417,34 +343,6 @@ class BatchNorm(Layer):
             dxhat - dxhat.mean(axis=0) - xhat * np.mean(dxhat * xhat, axis=0)
         ) / self._std
 
-    def begin_cohort(self) -> None:
-        # (cohort, means, variances) of every stacked training step.
-        self._pending = []
-
-    def end_cohort(self) -> None:
-        steps = sorted(
-            (
-                (start, mean, var)
-                for cohort, means, variances in self._pending
-                for start, mean, var in zip(cohort, means, variances)
-            ),
-            key=lambda step: step[0],
-        )
-        self._pending = []
-        self._update_running((mean, var) for _, mean, var in steps)
-
-    def _update_running(self, stats) -> None:
-        """Fold ``(mean, var)`` pairs into the running statistics, in
-        order. Each ``mean`` is dead afterwards: it is the step's scratch."""
-        m, running_mean, running_var = self.momentum, self.running_mean, self.running_var
-        for mean, var in stats:
-            np.multiply(running_mean, m, out=running_mean)
-            np.multiply(mean, 1 - m, out=mean)
-            np.add(running_mean, mean, out=running_mean)
-            np.multiply(running_var, m, out=running_var)
-            np.multiply(var, 1 - m, out=mean)
-            np.add(running_var, mean, out=running_var)
-
     # ------------------------------------------------------------------ #
     # Planned kernels: G > 1 clients' rows as ``(G, rows, F)`` with
     # statistics ``(G, 1, F)``, one client's as they are with ``(1, F)``.
@@ -458,8 +356,8 @@ class BatchNorm(Layer):
         np.add.reduce(a, axis=-2, keepdims=True, out=out)
         return np.true_divide(out, np.intp(a.shape[-2]), out=out, casting="unsafe")
 
-    def _forward_planned(self, x: np.ndarray, training: bool, scratch, stack, cohort):
-        (gamma, _), (beta, _) = stack or self.own_stack()
+    def _forward_planned(self, x: np.ndarray, training: bool, scratch, stack):
+        (gamma, _), (beta, _), (running_mean, _), (running_var, _) = stack or self.own_stack()
         clients, features, dt = len(gamma) if gamma.ndim > 1 else 1, x.shape[-1], x.dtype
         rows, stat_shape = x.shape, (1, features)
         if clients > 1:
@@ -473,14 +371,18 @@ class BatchNorm(Layer):
             sq = scratch("~sq", x.shape, dt).reshape(rows)
             np.square(xhat, out=sq)
             var = self._mean_rows(sq, std)
-            means, variances = mean.reshape(clients, features), var.reshape(clients, features)
-            if cohort is None:
-                self._update_running(zip(means, variances))
-            else:
-                self._pending.append((cohort, means.copy(), variances.copy()))
+            # Each client's own running statistics, elementwise; ``mean``
+            # is dead now, so it takes the products.
+            m, mean = self.momentum, mean.reshape(running_mean.shape)
+            np.multiply(running_mean, m, out=running_mean)
+            np.multiply(mean, 1 - m, out=mean)
+            np.add(running_mean, mean, out=running_mean)
+            np.multiply(running_var, m, out=running_var)
+            np.multiply(var.reshape(running_var.shape), 1 - m, out=mean)
+            np.add(running_var, mean, out=running_var)
         else:
-            np.subtract(xs, self.running_mean, out=xhat)
-            var = self.running_var
+            np.subtract(xs, running_mean, out=xhat)
+            var = running_var
         np.add(var, self.eps, out=std)
         np.sqrt(std, out=std)
         np.divide(xhat, std, out=xhat)
@@ -492,7 +394,7 @@ class BatchNorm(Layer):
         return out
 
     def _backward_planned(self, grad: np.ndarray, scratch, input_grad: bool, stack):
-        (gamma, gamma_grad), (_, beta_grad) = stack or self.own_stack()
+        (gamma, gamma_grad), (_, beta_grad), *_ = stack or self.own_stack()
         xhat, stat_shape = self._xhat, self._std.shape
         gs = grad.reshape(xhat.shape)
         prod = scratch("~sq", grad.shape, grad.dtype).reshape(xhat.shape)
@@ -517,4 +419,4 @@ class BatchNorm(Layer):
 
     @property
     def params(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
+        return [self.gamma, self.beta, self.running_mean, self.running_var]

@@ -4,7 +4,10 @@ Every FL component in this library — aggregation, compression, the event
 simulator — exchanges models as **flat 1-D float vectors**. ``Sequential``
 owns the mapping between that vector and the per-layer parameter arrays via
 :class:`WeightSpec`, which records shapes and offsets (the "marshalling"
-metadata the paper transmits alongside compressed weights, §4.3).
+metadata the paper transmits alongside compressed weights, §4.3). The
+vector is the whole model a client round returns: batch-norm's running
+statistics are entries of it too, non-trainable ones after every
+trainable entry.
 
 Every model adopts its parameters into a
 :class:`~repro.nn.store.FlatParameterStore`: one contiguous buffer per
@@ -31,7 +34,8 @@ __all__ = ["Sequential", "WeightSpec"]
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Shapes of each parameter tensor, in flat-vector order.
+    """Shapes of each tensor of the flat vector, in its order (trainable
+    ones first, then batch-norm's running statistics).
 
     This is the 'dimension information' the paper sends with each compressed
     payload so the receiver can unmarshal (reshape) the decoded value list.
@@ -199,7 +203,11 @@ class Sequential:
     # ------------------------------------------------------------------ #
     # Forward / backward
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = False, *, rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """The model's output; in training, layers that draw (dropout) draw
+        from ``rng``, the client round's generator."""
         # In a reduced-precision store the activations must enter at the
         # store dtype, or NumPy promotes every matmul back to float64 and
         # the bandwidth win evaporates. Integer inputs (token ids) pass
@@ -210,8 +218,12 @@ class Sequential:
             and x.dtype != self._dtype
         ):
             x = x.astype(self._dtype)
+        rngs = None if rng is None else (rng,)
         for layer in self.layers:
-            x = layer.forward(x, training=training)
+            if layer.draws:
+                x = layer.forward(x, training=training, rngs=rngs)
+            else:
+                x = layer.forward(x, training=training)
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -263,14 +275,17 @@ class Sequential:
         optimizer: Optimizer,
         *,
         grad_hook=None,
+        rng: np.random.Generator | None = None,
     ) -> float:
         """One forward/backward/update step. Returns the batch loss.
 
         ``grad_hook(params)`` runs after backward and before the optimizer
         step — the seam where the FedProx/FedAT proximal term injects
-        ``λ (w − w_global)`` into the gradients.
+        ``λ (w − w_global)`` into the gradients. ``rng`` is the client
+        round's dropout generator (``FixedBatchSchedule.mask_rng``), drawn
+        from batch after batch as a training plan draws it.
         """
-        logits = self.forward(x, training=True)
+        logits = self.forward(x, training=True, rng=rng)
         value = loss.forward(logits, y)
         self.backward(loss.backward())
         # The store's own list, not a fresh copy: coverage checks on it are
@@ -307,18 +322,6 @@ class Sequential:
     # ------------------------------------------------------------------ #
     # Replication (executor support)
     # ------------------------------------------------------------------ #
-    @property
-    def replica_safe(self) -> bool:
-        """True when independent copies train identically to this instance.
-
-        Layers that carry hidden state across training calls — dropout's RNG
-        stream, batch-norm's running statistics — make a shared serial model
-        and per-worker replicas diverge, so models containing them cannot be
-        parallelized bit-identically. Layers opt out via a ``replica_safe``
-        attribute; everything weight-only is safe by default.
-        """
-        return all(getattr(layer, "replica_safe", True) for layer in self.layers)
-
     def clone(self, weights: np.ndarray | None = None) -> "Sequential":
         """Deep-copy the model, optionally rebuilding weights from a flat
         vector (validated against this model's :class:`WeightSpec`).

@@ -8,7 +8,9 @@ Parameters are always backed by a :class:`~repro.nn.store.FlatParameterStore`
 :meth:`Optimizer.step` applies the update as whole-buffer operations on the
 store's flat data/grad arrays: O(1) large NumPy calls per step however many
 parameter tensors the model has. Every update rule here is elementwise, so
-the result equals updating each parameter on its own.
+the result equals updating each parameter on its own. A step covers the
+store's trainable prefix only (``store.trainable``): non-trainable entries
+never move.
 """
 
 from __future__ import annotations
@@ -62,10 +64,11 @@ class Optimizer:
                 "store does not cover exactly the given parameters (a subset, "
                 "a reordering, or parameters of another model)"
             )
-        self._update(store, scratch=scratch)
+        t = store.trainable
+        self._update(store.data[:t], store.grad[:t], scratch=scratch)
         store.zero_grad()
 
-    def _update(self, store: FlatParameterStore, scratch=None) -> None:
+    def _update(self, data: np.ndarray, grad: np.ndarray, scratch=None) -> None:
         raise NotImplementedError
 
     def apply(self, data: np.ndarray, grad: np.ndarray, state: tuple, t: int, scratch) -> None:
@@ -88,11 +91,11 @@ class SGD(Optimizer):
     def __init__(self, lr: float = 0.01):
         super().__init__(lr)
 
-    def _update(self, store: FlatParameterStore, scratch=None) -> None:
+    def _update(self, data, grad, scratch=None) -> None:
         if scratch is not None:
-            self.apply(store.data, store.grad, (), 0, scratch)
+            self.apply(data, grad, (), 0, scratch)
         else:
-            store.data -= self.lr * store.grad
+            data -= self.lr * grad
 
     def apply(self, data, grad, state, t, scratch) -> None:
         s = scratch("sgd_s", grad.shape, grad.dtype)
@@ -130,14 +133,14 @@ class Adam(Optimizer):
         self._t += 1
         super().step(params, store=store, scratch=scratch)
 
-    def _update(self, store: FlatParameterStore, scratch=None) -> None:
+    def _update(self, data, grad, scratch=None) -> None:
         if self._m is None:
-            self._m = np.zeros_like(store.data)
-            self._v = np.zeros_like(store.data)
+            self._m = np.zeros_like(data)
+            self._v = np.zeros_like(data)
         if scratch is None:
-            self._adam_step(store.data, store.grad, self._m, self._v)
+            self._adam_step(data, grad, self._m, self._v)
             return
-        self.apply(store.data, store.grad, (self._m, self._v), self._t, scratch)
+        self.apply(data, grad, (self._m, self._v), self._t, scratch)
 
     def apply(self, data, grad, state, t, scratch) -> None:
         # The allocation-free form of _adam_step: the identical elementwise

@@ -48,13 +48,13 @@ per-client call (pinned in ``tests/nn/test_cohort.py``). Everything else
 each member's own start row, Adam/SGD with t = k + 1) is row-wise or
 elementwise and runs unchanged over the stacked batch.
 
-State that crosses members stays in cohort order (``Layer.plan_cohort``):
-each batch's clients come with their positions in the cohort trained one
-member at a time, batch-norm records every step's statistics and folds
-them into its running statistics in that order when the cohort ends, and
-dropout reads each client's own segment of its mask stream by jumping a
-PCG64 generator there (``bit_generator.advance``), leaving it where the
-one-at-a-time loop would.
+Nothing crosses members. Batch-norm's running statistics are
+non-trainable entries of each member's weight row, which its own batches
+update (the optimizer and the proximal pull act on the trainable prefix,
+``FlatParameterStore.trainable``, only), and dropout draws each member's
+masks from that round's own generator (``FixedBatchSchedule.mask_rng``,
+derived like its batches from the seed, the client and the start epoch).
+So a member trains the same bits stacked, alone, or in another process.
 
 B is how many one-client arenas fit :data:`WAVE_BYTES`, measured on the
 plan's first cohort; it is 1 where one client's arena already exceeds the
@@ -63,9 +63,7 @@ budget.
 **Stacking is the rule.** There is one path through the plan, so it
 compiles only models that can take it, and refuses the rest by name
 with a ``ValueError``: a layer without planned kernels (its ``forward``
-takes no ``scratch``), and in a training plan two layers drawing from one
-generator (each positions its own draws in cohort order). A dropout
-refuses a mask generator that cannot ``advance`` one draw at a time.
+takes no ``scratch``).
 
 Every planned operation is the ``out=`` form of exactly the operation the
 allocating per-layer reference (``Sequential.train_on_batch``) runs — same
@@ -82,7 +80,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -258,7 +255,7 @@ def _takes_scratch(cls) -> bool:
 def _compile_layer(
     layer, scratch, *, input_grad: bool = True, inplace: bool = False
 ) -> tuple[Callable, Callable]:
-    """Pre-bound ``fwd(x, training, stack, cohort)`` / ``bwd(grad, stack)``
+    """Pre-bound ``fwd(x, training, stack, rngs)`` / ``bwd(grad, stack)``
     closures that run one layer's ``out=``-form kernels over the
     arena-backed ``scratch`` provider.
 
@@ -266,9 +263,9 @@ def _compile_layer(
     is refused with a ``ValueError`` naming its class. ``stack`` — the
     ``(G, *shape)`` weight and gradient views of the clients in the batch
     (:meth:`TrainingPlan._stacks`), or for one client the layer's own
-    parameters — reaches only layers with parameters or cohort state;
-    ``cohort`` (each client's position in the cohort, see
-    :attr:`~repro.nn.layers.Layer.plan_cohort`) only the latter.
+    parameters — reaches only layers with parameters; ``rngs`` (each
+    client's generator, see :attr:`~repro.nn.layers.Layer.draws`) only
+    layers that draw.
 
     ``input_grad=False`` (the model's first layer) skips computing
     ``dL/d(input)`` entirely — nothing consumes it, and for a convolution
@@ -287,30 +284,28 @@ def _compile_layer(
             f"{type(layer).__name__} has no planned kernels (its forward takes no "
             "scratch=), so no training plan can run it"
         )
-    stateful = layer.plan_cohort
-    if stateful or layer.params:
-        if stateful:
+    if layer.params:
 
-            def fwd(x, training, stack, cohort):
-                return fwd_m(x, training, scratch=scratch, stack=stack, cohort=cohort)
-
-        else:
-
-            def fwd(x, training, stack, cohort):
-                return fwd_m(x, training, scratch=scratch, stack=stack)
+        def fwd(x, training, stack, rngs):
+            return fwd_m(x, training, scratch=scratch, stack=stack)
 
         def bwd(grad, stack):
             return bwd_m(grad, scratch=scratch, input_grad=input_grad, stack=stack)
 
         return fwd, bwd
-    if inplace and getattr(layer, "plan_inplace", False):
+    if layer.draws:
 
-        def fwd(x, training, stack, cohort):
+        def fwd(x, training, stack, rngs):
+            return fwd_m(x, training, scratch=scratch, rngs=rngs)
+
+    elif inplace and getattr(layer, "plan_inplace", False):
+
+        def fwd(x, training, stack, rngs):
             return fwd_m(x, training, scratch=scratch, out=x)
 
     else:
 
-        def fwd(x, training, stack, cohort):
+        def fwd(x, training, stack, rngs):
             return fwd_m(x, training, scratch=scratch)
 
     def bwd(grad, stack):
@@ -368,18 +363,6 @@ class TrainingPlan:
     """
 
     def __init__(self, model: "Sequential", loss: "Loss | None" = None):
-        # Each layer positions its own draws in cohort order, so two drawing
-        # from one generator cannot train; a forward-only plan never draws.
-        first: dict = {}
-        for i, layer in enumerate(model.layers if loss is not None else ()):
-            if layer.plan_stream is None:
-                continue
-            j = first.setdefault(id(layer.plan_stream), i)
-            if j != i:
-                raise ValueError(
-                    f"layers {j} and {i} ({type(layer).__name__}) draw from one "
-                    "generator; a training plan needs each to have its own"
-                )
         self.model = model
         self.loss = loss
         self.arena = ScratchArena()
@@ -411,13 +394,12 @@ class TrainingPlan:
                 logits, y, scratch=slot, clients=clients
             )
             self._loss_bwd = lambda: loss.backward(scratch=slot)
-        #: Layers whose cross-batch state a stacked cohort keeps in cohort
-        #: order.
-        self._stateful = [layer for layer in model.layers if layer.plan_cohort]
+        #: Whether any layer draws: then each member gets its generator.
+        self._draws = any(layer.draws for layer in model.layers)
         #: (start, end, shape) of each layer's parameters in the flat vector.
-        offsets = iter(self._store.offsets)
+        offsets = {id(p): span for p, span in zip(self._store.params, self._store.offsets)}
         self._spans = [
-            [(*next(offsets), p.data.shape) for p in layer.params] for layer in model.layers
+            [(*offsets[id(p)], p.data.shape) for p in layer.params] for layer in model.layers
         ]
         #: The stacks of a member alone in the model's own store: each
         #: layer's parameters as they are.
@@ -519,26 +501,11 @@ class TrainingPlan:
             reference = self.arena.take(("cohort", "reference"), start.shape, store.dtype)
             np.copyto(reference, start, casting="same_kind")
         results = [None] * len(members)
-        # Where each member's rows start in the cohort trained one member
-        # at a time, in cohort order: what stateful layers position by. A
-        # lone member is that order already.
-        stateful, starts = self._stateful if len(members) > 1 else [], None
-        if stateful:
-            starts = list(accumulate((m.epochs * m.schedule.n for m in members[:-1]), initial=0))
         try:
-            for layer in stateful:
-                layer.begin_cohort()
             for wave in self._waves(members, optimizer):
-                trained = self._run_wave(
-                    [members[i] for i in wave],
-                    None if starts is None else [starts[i] for i in wave],
-                    reference,
-                    optimizer,
-                )
+                trained = self._run_wave([members[i] for i in wave], reference, optimizer)
                 for i, result in zip(wave, trained):
                     results[i] = result
-            for layer in stateful:
-                layer.end_cohort()
         finally:
             self.release_caches()
         return results
@@ -566,10 +533,9 @@ class TrainingPlan:
             cut = [len(order) * w // count for w in range(count + 1)]
             yield from (order[a:b] for a, b in zip(cut, cut[1:]))
 
-    def _run_wave(self, wave, starts, reference, optimizer) -> list[tuple[np.ndarray, float]]:
+    def _run_wave(self, wave, reference, optimizer) -> list[tuple[np.ndarray, float]]:
         """Train ``wave``'s members in lockstep, each from its row of
-        ``reference``; with ``starts``, the members' cohort starts, hand
-        each batch's positions in the cohort to the stateful layers."""
+        ``reference`` and, if the model draws, with its round's generator."""
         arena, store = self.arena, self._store
         # Alone, a member trains in the model's own store: every layer
         # reads its weights where it always does.
@@ -580,26 +546,27 @@ class TrainingPlan:
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
         rows = [m.row for m in wave]
         reference.take(rows, axis=0, out=weights, mode="clip")
+        # Optimizer state and the proximal pull's w cover the trainable
+        # prefix only: what the optimizer steps.
+        trainable = (len(wave), store.trainable)
         state = [
-            arena.take(("cohort", "state", i), weights.shape, store.dtype)
+            arena.take(("cohort", "state", i), trainable, store.dtype)
             for i in range(optimizer.state_slots)
         ]
         for slab in state:
             slab.fill(0.0)
         # The proximal pull's w: the members' one shared row, broadcast over
         # theirs, or a slab of each member's own row that moves with it.
-        pull_ref = reference[rows[0]]
+        pull_ref = reference[rows[0], : store.trainable]
         if len(set(rows)) > 1 and any(m.lam > 0 for m in wave):
-            pull_ref = arena.take(("cohort", "pull_ref"), weights.shape, store.dtype)
-            np.copyto(pull_ref, weights)
+            pull_ref = arena.take(("cohort", "pull_ref"), trainable, store.dtype)
+            np.copyto(pull_ref, weights[:, : store.trainable])
+        masks = [m.schedule.mask_rng(m.start_epoch) for m in wave] if self._draws else None
         row = list(range(len(wave)))
         per_epoch = [m.schedule.batches_per_epoch() for m in wave]
         steps = [m.epochs * b for m, b in zip(wave, per_epoch)]
         losses = np.zeros((len(wave), max(steps)))
         orders = [None] * len(wave)
-        # Member j's next batch's position: its start plus the rows it has
-        # trained.
-        at = None if starts is None else list(starts)
         for k in range(max(steps)):
             # Members at step k, grouped by batch rows (and whether they
             # have a proximal term): each group is one kernel chain.
@@ -619,16 +586,14 @@ class TrainingPlan:
                     slabs, ref = self._group_rows(group, row, weights, state, pull_ref)
                     stacks = self._stacks(*slabs[:2])
                 pos = [j for j, _ in group]
-                lam = cohort = None
+                lam = rngs = None
                 if pulled:
                     lam = np.array([[wave[j].lam] for j in pos], dtype=store.dtype)
-                if at is not None:
-                    cohort = [at[j] for j in pos]
-                    for j in pos:
-                        at[j] += rows
+                if masks is not None:
+                    rngs = [masks[j] for j in pos]
                 xb, yb = self._gather_batch(wave, group, rows)
                 losses[pos, k] = self._train_batch(
-                    xb, yb, stacks, slabs, lam, ref, optimizer, k + 1, cohort
+                    xb, yb, stacks, slabs, lam, ref, optimizer, k + 1, rngs
                 )
         return [
             (weights[row[j]].copy(), float(losses[j, : steps[j]].mean()))
@@ -692,21 +657,23 @@ class TrainingPlan:
             for spans in self._spans
         ]
 
-    def _train_batch(self, xb, yb, stacks, slabs, lam, reference, optimizer, t, cohort):
+    def _train_batch(self, xb, yb, stacks, slabs, lam, reference, optimizer, t, rngs):
         """One batch step of the G clients stacked in ``xb``: forward, loss,
         backward, proximal pull, optimizer step ``t``, and the gradient rows
-        zeroed again. ``slabs`` holds their ``(G, P)`` weight, gradient and
-        optimizer-state rows, ``stacks`` the layers' views of the first two,
-        ``cohort`` their positions in the cohort (or None). Returns the
-        clients' batch losses."""
+        zeroed again. ``slabs`` holds their ``(G, P)`` weight and gradient
+        rows and their optimizer state over the trainable prefix,
+        ``stacks`` the layers' views of the first two, ``rngs`` their
+        generators (or None). Returns the clients' batch losses."""
         weights, grads, state = slabs
         x = xb
         for fwd, stack in zip(self._fwds, stacks):
-            x = fwd(x, True, stack, cohort)
+            x = fwd(x, True, stack, rngs)
         values = self._loss_fwd(x, yb, len(weights))
         g = self._loss_bwd()
         for bwd, stack in zip(self._bwds, reversed(stacks)):
             g = bwd(g, stack)
+        trainable = self._store.trainable
+        weights, grads = weights[:, :trainable], grads[:, :trainable]
         if lam is not None:
             pull = self.arena.take(("cohort", "pull"), weights.shape, weights.dtype)
             add_proximal_grad(weights, grads, reference, lam, pull)

@@ -6,7 +6,9 @@ snapshot received at the start of the round. The gradient contribution is
 ``λ (w_k − w)``, added after backprop: by :func:`add_proximal_grad` over
 a cohort's weight rows in ``TrainingPlan.run_cohort``, and through the
 ``grad_hook`` of ``Sequential.train_on_batch`` as a :class:`ProximalTerm`.
-With ``λ = 0`` local training reduces exactly to FedAvg.
+With ``λ = 0`` local training reduces exactly to FedAvg. The pull covers
+the trainable entries only (``FlatParameterStore.trainable``, the prefix of
+the flat vector): batch-norm's running statistics are not pulled.
 """
 
 from __future__ import annotations
@@ -66,11 +68,16 @@ class ProximalTerm:
         """Value of ``λ/2 ‖w − w_ref‖²`` (for loss reporting/tests)."""
         if self.lam == 0.0 or self._ref is None:
             return 0.0
-        diff = np.subtract(self._store(params).data, self._ref, out=self._scratch)
+        store = self._store(params)
+        t = store.trainable
+        diff = np.subtract(store.data[:t], self._ref[:t], out=self._scratch[:t])
         return 0.5 * self.lam * float(np.dot(diff, diff))
 
     def __call__(self, params: list[Parameter]) -> None:
         if self.lam == 0.0 or self._ref is None:
             return
         store = self._store(params)
-        add_proximal_grad(store.data, store.grad, self._ref, self.lam, self._scratch)
+        t = store.trainable
+        add_proximal_grad(
+            store.data[:t], store.grad[:t], self._ref[:t], self.lam, self._scratch[:t]
+        )

@@ -22,6 +22,11 @@ its slice. Consequences:
 Views from contiguous 1-D slices are themselves C-contiguous, so BLAS
 kernels see exactly the memory layout they saw with standalone arrays —
 which is what keeps the refactor bit-identical at float64.
+
+Non-trainable entries (``Parameter.trainable`` False: batch-norm's running
+statistics) sit after every trainable one, so the trainable entries are
+the prefix ``data[:trainable]``: the only part an optimizer step or a
+proximal pull ever touches.
 """
 
 from __future__ import annotations
@@ -38,15 +43,18 @@ __all__ = ["FlatParameterStore"]
 class FlatParameterStore:
     """Contiguous data/grad buffers backing a model's parameters as views."""
 
-    __slots__ = ("data", "grad", "params", "offsets", "dtype")
+    __slots__ = ("data", "grad", "params", "offsets", "dtype", "trainable")
 
     def __init__(self, params: Sequence[Parameter], dtype=np.float64):
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"unsupported store dtype {dtype!r}")
-        self.params = list(params)
+        # Trainable entries first, each group in the given order.
+        self.params = sorted(params, key=lambda p: not p.trainable)
         sizes = [p.data.size for p in self.params]
         total = int(sum(sizes))
+        #: Length of the trainable prefix of the flat buffers.
+        self.trainable = int(sum(s for p, s in zip(self.params, sizes) if p.trainable))
         self.data = np.empty(total, dtype=self.dtype)
         self.grad = np.zeros(total, dtype=self.dtype)
         self.offsets: list[tuple[int, int]] = []

@@ -1,4 +1,4 @@
-"""Trainable parameter container."""
+"""Parameter container: one named entry of a model's flat weight vector."""
 
 from __future__ import annotations
 
@@ -8,9 +8,13 @@ __all__ = ["Parameter"]
 
 
 class Parameter:
-    """A named trainable array with an accumulated gradient.
+    """A named array of a model's flat weight vector, with an accumulated
+    gradient.
 
-    Gradients are *accumulated* into :attr:`grad` by layer backward passes and
+    A ``trainable=False`` entry (batch-norm's running statistics) travels
+    and is aggregated like every other, but only its layer's forward writes
+    it: no optimizer step or proximal pull moves it, and its gradient stays
+    zero. Gradients are *accumulated* into :attr:`grad` by layer backward passes and
     cleared by :meth:`zero_grad` (the optimizer calls it after each step), so
     multiple backward passes (e.g. BPTT time steps) compose additively.
 
@@ -23,13 +27,14 @@ class Parameter:
     resets to None); the enclosing model re-attaches a fresh store on restore.
     """
 
-    __slots__ = ("name", "data", "grad", "store")
+    __slots__ = ("name", "data", "grad", "store", "trainable")
 
-    def __init__(self, data: np.ndarray, name: str = "param"):
+    def __init__(self, data: np.ndarray, name: str = "param", *, trainable: bool = True):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
         self.store = None
+        self.trainable = trainable
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -53,12 +58,14 @@ class Parameter:
             "name": self.name,
             "data": np.array(self.data, copy=True),
             "grad": np.array(self.grad, copy=True),
+            "trainable": self.trainable,
         }
 
     def __setstate__(self, state):
         self.name = state["name"]
         self.data = state["data"]
         self.grad = state["grad"]
+        self.trainable = state["trainable"]
         self.store = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -131,7 +131,7 @@ def build_lstm_classifier(
         LSTM(embed_dim, hidden_dim, rng=rng),
     ]
     if dropout > 0:
-        layers.append(Dropout(dropout, rng=rng))
+        layers.append(Dropout(dropout))
     if batch_norm:
         layers.append(BatchNorm(hidden_dim))
     layers.append(Dense(hidden_dim, num_classes, rng=rng, name="head"))

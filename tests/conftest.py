@@ -43,3 +43,10 @@ def tiny_bow_dataset():
         noise=0.7,
         writer_shift=0.3,
     )
+
+
+@pytest.fixture
+def tiny_reddit_dataset():
+    """12-client next-token federation: the LSTM model with dropout and
+    batch-norm (fast)."""
+    return make_dataset("reddit", np.random.default_rng(7), num_clients=12, samples_per_client=24)

@@ -2,7 +2,7 @@
 
 ``FLSystem.launch`` queues its clients and :meth:`FLSystem.flush` trains
 every pending launch as one cohort when a result is first read (and before
-an eval, a checkpoint and the end of the run). The tests below hold that
+a checkpoint and at the end of the run). The tests below hold that
 policy against the eager one the loop had before — every launch trained at
 departure, and an async client's upload scheduled only when the guard kept
 it — rebuilt here by monkeypatching, never by an option:
@@ -11,8 +11,11 @@ it — rebuilt here by monkeypatching, never by an option:
   pins' worlds and a churn + arrival world;
 - a quarantined async upload, which now pops as a no-op, moves neither the
   clock nor the checkpoint cadence;
-- a flush holds at most ``eval_every + 1`` start rows (FedAT at most one
-  launch per tier), which is why it needs no size cap;
+- every launch a flush trains is still in flight — an event still refers
+  to it, or it is the launch whose event is being handled — because the
+  first read of any pending launch's result flushes them all; so a
+  flush's start rows never exceed the launches in flight (FedAT's at most
+  one per tier), which is why it needs no size cap;
 - on the pool and dist, one FedAsync flush is one dispatch.
 """
 
@@ -30,7 +33,6 @@ FLUSH_WORLDS = {
     **WORLDS,
     "churn_arrival": ({"scenario": "churn+arrival", "dropout_horizon": 100.0}, None),
 }
-EVAL_EVERY = 2  # the loop pins' eval cadence
 NUM_TIERS = 3
 
 
@@ -68,15 +70,32 @@ def train_at_departure(monkeypatch) -> None:
 
 
 def record_flushes(monkeypatch) -> list:
-    """``(pending launches, distinct start rows)`` of every flush that
-    trains something."""
+    """``(pending launches, distinct start rows, pending launches not in
+    flight)`` of every flush that trains something. In flight: a queued
+    event refers to the launch, or the event last popped does."""
     flush, sizes = FLSystem.flush, []
+    init, pop, queues = EventQueue.__init__, EventQueue.pop, []
+
+    def tracked_init(queue):
+        init(queue)
+        queue.popped = None
+        queues.append(queue)
+
+    def tracked_pop(queue):
+        queue.popped = pop(queue)
+        return queue.popped
 
     def recording_flush(self):
         if self._pending:
-            sizes.append((len(self._pending), len({id(p.received) for p in self._pending})))
+            events = [ev for q in queues for ev in (*q._heap, q.popped) if ev is not None]
+            in_flight = {id(getattr(ev.payload, "launch", None)) for ev in events}
+            strays = sum(id(p.launch) not in in_flight for p in self._pending)
+            rows = len({id(p.received) for p in self._pending})
+            sizes.append((len(self._pending), rows, strays))
         flush(self)
 
+    monkeypatch.setattr(EventQueue, "__init__", tracked_init)
+    monkeypatch.setattr(EventQueue, "pop", tracked_pop)
     monkeypatch.setattr(FLSystem, "flush", recording_flush)
     return sizes
 
@@ -110,9 +129,9 @@ def test_training_at_departure_gives_the_same_history(dataset, method, world, mo
         sizes = record_flushes(patch)
         shipped = build_world(dataset, method, world, FLUSH_WORLDS).run()
     assert sizes, "every world trains someone"
-    assert max(rows for _, rows in sizes) <= EVAL_EVERY + 1
+    assert all(rows <= launches and not strays for launches, rows, strays in sizes)
     if method == "fedat":
-        assert max(launches for launches, _ in sizes) <= NUM_TIERS
+        assert max(launches for launches, _, _ in sizes) <= NUM_TIERS
     train_at_departure(monkeypatch)
     eager = build_world(dataset, method, world, FLUSH_WORLDS).run()
     assert _canonical(eager) == _canonical(shipped)

@@ -56,6 +56,22 @@ def test_epoch_order_is_pure_function():
     np.testing.assert_array_equal(s.epoch_order(4), s.epoch_order(4))
 
 
+def test_mask_rng_is_a_pure_function_of_seed_client_and_start_epoch():
+    """A round's dropout masks, like its batches, depend on nothing else:
+    not on other rounds, the cursor, or which instance draws them."""
+    a = FixedBatchSchedule(15, 5, client_id=2, seed=9)
+    b = FixedBatchSchedule(15, 5, client_id=2, seed=9)
+    b.advance_to(7)
+    draws = a.mask_rng(3).random(6)
+    np.testing.assert_array_equal(b.mask_rng(3).random(6), draws)
+    for other in (
+        a.mask_rng(4),
+        FixedBatchSchedule(15, 5, client_id=3, seed=9).mask_rng(3),
+        FixedBatchSchedule(15, 5, client_id=2, seed=10).mask_rng(3),
+    ):
+        assert not np.array_equal(other.random(6), draws)
+
+
 def test_batch_size_clamped_to_n():
     s = FixedBatchSchedule(4, 100, client_id=0, seed=0)
     assert s.batch_size == 4

@@ -163,3 +163,14 @@ def test_dist_matches_on_image_cnn(tiny_image_dataset):
     serial = _history(tiny_image_dataset, FedAT, 0, "serial")
     dist = _history(tiny_image_dataset, FedAT, 0, "dist")
     _assert_identical(serial, dist)
+
+
+@pytest.mark.parametrize("executor", ["parallel", "dist"])
+@pytest.mark.parametrize("cls", [FedAT, FedAsync], ids=["fedat", "fedasync"])
+def test_reddit_model_bit_identical(tiny_reddit_dataset, cls, executor):
+    """Dropout and batch-norm carry nothing from one client round to the
+    next, so the reddit model trains on the workers — no serial fallback
+    and no warning, which this suite would raise — bit-identical to serial."""
+    serial = _history(tiny_reddit_dataset, cls, 0, "serial")
+    other = _history(tiny_reddit_dataset, cls, 0, executor)
+    _assert_identical(serial, other)

@@ -17,7 +17,7 @@ from repro.exec import (
 from repro.exec.supervision import chunk_tasks
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD, Adam
-from repro.nn.zoo import build_logistic, build_lstm_classifier
+from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
 
 
@@ -201,23 +201,6 @@ class TestParallelExecutor:
         # More workers than tasks: no empty chunks.
         assert all(chunk_tasks(tasks[:2], 5))
 
-    def test_stateful_model_falls_back_to_serial(self, tiny_bow_dataset):
-        lstm = build_lstm_classifier(
-            20, 4, rng=np.random.default_rng(0), embed_dim=4, hidden_dim=4
-        )
-        assert not lstm.replica_safe
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            par = ParallelExecutor(
-                lstm,
-                _clients(tiny_bow_dataset),
-                SoftmaxCrossEntropy(),
-                OptimizerSpec("sgd", 0.1),
-                num_workers=2,
-            )
-        assert par.fallback_reason is not None
-        assert par.min_dispatch >= 1  # public attrs exist on fallback instances
-        par.close()
-
     def test_close_idempotent(self, tiny_bow_dataset):
         par = ParallelExecutor(
             _model(tiny_bow_dataset),
@@ -300,17 +283,3 @@ class TestReplicas:
         np.testing.assert_array_equal(clone.get_flat_weights(), target)
         with pytest.raises(ValueError):
             model.clone(np.zeros(3))
-
-    def test_replica_safety_flags(self, tiny_bow_dataset):
-        assert _model(tiny_bow_dataset).replica_safe
-        lstm = build_lstm_classifier(
-            20, 4, rng=np.random.default_rng(0), embed_dim=4, hidden_dim=4
-        )
-        assert not lstm.replica_safe
-        # Without dropout and batch-norm the recurrent stack is fine.
-        plain = build_lstm_classifier(
-            20, 4, rng=np.random.default_rng(0), embed_dim=4, hidden_dim=4,
-            dropout=0.0, batch_norm=False,
-        )
-        assert plain.replica_safe
-

@@ -173,21 +173,25 @@ _CHURN_ARRIVAL_WORLD = {
 
 
 @pytest.mark.parametrize(
-    "cls, world, kill_after",
+    "cls, world, kill_after, data",
     [
-        (FedAT, {}, 3),
-        (FedAT, {"scenario": "churn"}, 3),
-        (FedAT, {"scenario": "arrival"}, 3),  # exercises the arrival-pool replay on restore
-        (FedAT, _GROWING_WORLD, 20),  # the tracker carries the tier index through the pickle
-        (FedAvg, {}, 3),
-        (FedAvg, {"scenario": "churn", "dropout_horizon": 100.0}, 3),
-        (FedProx, {"local_epochs": 3}, 3),  # the epoch stream resumes mid-draw
-        (TiFL, {}, 3),  # exercises the tier-evaluator rebuild on restore
-        (TiFL, {"retier_interval": 2, "tifl_interval": 2, "max_rounds": 8}, 4),
-        (FedAsync, {}, 3),
-        (FedAsync, _CHURN_ARRIVAL_WORLD, 3),  # relaunch and arrival events in flight
-        (ASOFed, {}, 3),
-        (ASOFed, {"scenario": "churn", "dropout_horizon": 20.0}, 3),  # relaunches
+        (FedAT, {}, 3, "bow"),
+        (FedAT, {"scenario": "churn"}, 3, "bow"),
+        (FedAT, {"scenario": "arrival"}, 3, "bow"),  # the arrival-pool replay on restore
+        (FedAT, _GROWING_WORLD, 20, "bow"),  # the tracker carries the tier index
+        (FedAvg, {}, 3, "bow"),
+        (FedAvg, {"scenario": "churn", "dropout_horizon": 100.0}, 3, "bow"),
+        (FedProx, {"local_epochs": 3}, 3, "bow"),  # the epoch stream resumes mid-draw
+        (TiFL, {}, 3, "bow"),  # exercises the tier-evaluator rebuild on restore
+        (TiFL, {"retier_interval": 2, "tifl_interval": 2, "max_rounds": 8}, 4, "bow"),
+        (FedAsync, {}, 3, "bow"),
+        (FedAsync, _CHURN_ARRIVAL_WORLD, 3, "bow"),  # relaunch and arrival events in flight
+        (ASOFed, {}, 3, "bow"),
+        (ASOFed, {"scenario": "churn", "dropout_horizon": 20.0}, 3, "bow"),  # relaunches
+        # Batch-norm statistics and dropout masks: the reddit model's whole
+        # round state lives in the weights and the task, so it resumes too.
+        (FedAT, {}, 3, "reddit"),
+        (FedAsync, {}, 6, "reddit"),
     ],
     ids=[
         "fedat",
@@ -203,20 +207,23 @@ _CHURN_ARRIVAL_WORLD = {
         "fedasync-churn-arrival",
         "asofed",
         "asofed-churn",
+        "fedat-reddit",
+        "fedasync-reddit",
     ],
 )
-def test_killed_run_resumes_bit_identically(tmp_path, tiny_bow_dataset, cls, world, kill_after):
+def test_killed_run_resumes_bit_identically(tmp_path, request, cls, world, kill_after, data):
+    dataset = request.getfixturevalue(f"tiny_{data}_dataset")
     kw = {**world, "guard": "reject"}
-    reference = _system(tiny_bow_dataset, cls, **kw).run()
+    reference = _system(dataset, cls, **kw).run()
 
-    killed = _system(tiny_bow_dataset, cls, **kw)
+    killed = _system(dataset, cls, **kw)
     killed.attach_checkpointer(KillAfter(tmp_path, "kr", kill_after=kill_after))
     with pytest.raises(KeyboardInterrupt):
         killed.run()
 
     ckpt = RunCheckpointer(tmp_path, "kr")
     assert ckpt.exists()
-    resumed_system = _system(tiny_bow_dataset, cls, **kw)
+    resumed_system = _system(dataset, cls, **kw)
     assert resumed_system.attach_checkpointer(ckpt, resume=True)
     assert resumed_system.round > 0, "resume must start mid-run, not from scratch"
     resumed = resumed_system.run()

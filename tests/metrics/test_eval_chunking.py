@@ -31,15 +31,13 @@ def test_evaluator_owns_a_replica(tiny_bow_dataset):
     np.testing.assert_array_equal(model.get_flat_weights(), before)
 
 
-def test_evaluator_shares_model_with_crosscall_state(tiny_bow_dataset):
-    """Batch-norm running statistics make replicas evaluate differently, so
-    those models keep the legacy shared-instance behavior."""
+def test_the_reddit_model_is_replicated_and_scored_by_its_weights(tiny_bow_dataset):
+    """Batch-norm's running statistics are entries of the flat vector, so
+    the evaluator owns a replica of the reddit model too and scores exactly
+    the statistics the vector holds."""
     from repro.nn.zoo import build_lstm_classifier
 
-    model = build_lstm_classifier(
-        vocab_size=20, num_classes=2, rng=np.random.default_rng(0)
-    )
-    assert not model.replica_safe
+    model = build_lstm_classifier(vocab_size=20, num_classes=2, rng=np.random.default_rng(0))
 
     class _TokenClient:
         def __init__(self, c):
@@ -47,11 +45,13 @@ def test_evaluator_shares_model_with_crosscall_state(tiny_bow_dataset):
             self.x_test = rng.integers(0, 20, size=(4, 5))
             self.y_test = rng.integers(0, 2, size=4)
 
-    class _TokenDataset:
-        clients = [_TokenClient(c) for c in tiny_bow_dataset.clients[:3]]
-
-    ev = Evaluator(_TokenDataset(), model)
-    assert ev._model is model
+    ev = Evaluator.from_clients([_TokenClient(c) for c in tiny_bow_dataset.clients[:3]], model)
+    assert ev._model is not model
+    before = model.get_flat_weights()
+    shifted = before.copy()
+    shifted[model.store.trainable :] += 0.5  # running mean and variance
+    assert ev.evaluate_flat(shifted)["loss"] != ev.evaluate_flat(before)["loss"]
+    np.testing.assert_array_equal(model.get_flat_weights(), before)
 
 
 def test_rejects_bad_batch_size(tiny_bow_dataset):

@@ -20,9 +20,7 @@ float64 and float32:
   the per-client parameter GEMMs — equal the per-client 2-D calls;
 - one ``np.add.at`` over a ``(G, vocab, d)`` view indexed by
   ``(client, id)`` equals each client's own ``add.at`` (the embedding
-  gradient);
-- PCG64 ``advance(k)`` then ``random(out=)`` is the matching slice of one
-  sequential draw, stepping back included (dropout's positioned masks).
+  gradient).
 
 If one of these fails on some NumPy/BLAS, that op must keep a per-client
 call inside the stacked chain — never a tolerance.
@@ -31,13 +29,11 @@ The second half checks ``TrainingPlan.run_cohort`` end to end: every
 member's weights and mean loss equal what the member gets trained alone
 (by the per-layer reference loop kept here, or one member per call at
 float32), over mixed shard sizes, epochs, start epochs, λ and optimizers;
-the reddit model's batch-norm statistics and dropout stream end where
-training the members one at a time in cohort order leaves them; waves
-are as even as B allows; and what cannot stack, like bad member data, is
-refused by name.
+the reddit model's members too, each with its batch-norm statistics in
+its own weight row and its dropout masks from its own round's generator;
+waves are as even as B allows; and what cannot stack, like bad member
+data, is refused by name.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -45,15 +41,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.batching import FixedBatchSchedule
-from repro.nn import layers as layers_module
 from repro.nn import plan as plan_module
-from repro.nn.layers import BatchNorm, Dense, Dropout, Layer
+from repro.nn.layers import Dense, Dropout, Layer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.plan import CohortMember, TrainingPlan
 from repro.nn.proximal import ProximalTerm
-from repro.nn.recurrent import LSTM, Embedding
 from repro.nn.zoo import (
     build_cnn,
     build_femnist_cnn,
@@ -279,30 +273,6 @@ class TestStackedRecurrentKernels:
         np.add.at(table, (np.arange(g)[:, None], ids), grad)
         _assert_bits(table, want)
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        bits=st.sampled_from(layers_module._ONE_STEP_PER_DRAW),
-        segments=st.lists(
-            st.tuples(st.integers(0, 300), st.integers(1, 6), st.integers(1, 7)),
-            min_size=1,
-            max_size=8,
-        ),
-        seed=st.integers(0, 2**16),
-    )
-    def test_advance_then_random_is_a_slice_of_one_draw(self, bits, segments, seed):
-        """Dropout's positioned masks: moving a generator by ``advance`` —
-        forward or back — then ``random(out=)`` into a ``(rows, cols)``
-        block equals the matching slice of one sequential ``random``."""
-        stream = np.random.Generator(bits(seed)).random(400)
-        gen = np.random.Generator(bits(seed))
-        at = 0
-        for start, rows, cols in segments:
-            block = np.empty((rows, cols))
-            gen.bit_generator.advance(start - at)
-            gen.random(out=block)
-            at = start + block.size
-            _assert_bits(block.reshape(-1), stream[start:at])
-
 
 # --------------------------------------------------------------------- #
 # A cohort trains each member exactly as it would train alone
@@ -353,16 +323,19 @@ def _members(feature_shape, shards=SHARDS, *, seed=0, classes=5, ints=None):
 
 def _alone(model, member, make_optimizer, start):
     """One client on its own through ``Sequential.train_on_batch`` — the
-    allocating per-layer reference — with the optimizer, proximal hook and
-    batches a cohort member gets. Returns (weights, mean batch loss)."""
+    allocating per-layer reference — with the optimizer, proximal hook,
+    batches and dropout generator a cohort member gets. Returns (weights,
+    mean batch loss)."""
     model.set_flat_weights(start)
     optimizer, hook = make_optimizer(), None
     if member.lam > 0:
         hook = ProximalTerm(member.lam)
         hook.set_reference(model.store)
-    loss = SoftmaxCrossEntropy()
+    loss, rng = SoftmaxCrossEntropy(), member.schedule.mask_rng(member.start_epoch)
     losses = [
-        model.train_on_batch(member.x[idx], member.y[idx], loss, optimizer, grad_hook=hook)
+        model.train_on_batch(
+            member.x[idx], member.y[idx], loss, optimizer, grad_hook=hook, rng=rng
+        )
         for idx in member.schedule.epochs(member.start_epoch, member.epochs)
     ]
     return model.get_flat_weights(), float(np.mean(losses))
@@ -382,17 +355,6 @@ def _lstm_classifier(dropout=0.1, batch_norm=True):
         )
 
     return build
-
-
-def _assert_same_state(model, reference):
-    """What a model carries between its members besides weights: batch-norm
-    running statistics (bit for bit) and each dropout stream's position."""
-    for layer, ref in zip(model.layers, reference.layers):
-        if isinstance(layer, BatchNorm):
-            _assert_bits(layer.running_mean, ref.running_mean)
-            _assert_bits(layer.running_var, ref.running_var)
-        if isinstance(layer, Dropout):
-            _assert_bits(copy.deepcopy(layer._rng).random(4), copy.deepcopy(ref._rng).random(4))
 
 
 def _counting_swaps(monkeypatch):
@@ -509,33 +471,45 @@ class TestCohortIsEachClientAlone:
                 plan.wave_size = wave_size
                 _assert_same(plan.run_cohort(model.store.data, members, Adam(0.005)), want)
 
-    def test_lstm_classifier_stacks_as_if_one_at_a_time_in_cohort_order(self):
-        """Embedding, LSTM, Dropout and BatchNorm stack. For any B the
-        cohort equals one shared reference model training its members one
-        after another in cohort order: weights, losses, the batch-norm
-        running statistics and the dropout stream's next draw."""
+    def test_lstm_classifier_stacks_as_if_each_member_trained_alone(self):
+        """Embedding, LSTM, Dropout and BatchNorm stack. For any B each
+        member's weights — its batch-norm running statistics among them —
+        and loss equal the reference training it alone with its round's
+        dropout generator; in any member order."""
         build = _lstm_classifier()
         members = _members((5,), classes=24, ints=24)
-
-        def built(seed):
-            # A buffered half of a 32-bit draw, which float64 draws never
-            # touch and advance() clears: it must survive the cohort.
-            model = build(np.random.default_rng(seed))
-            bits = model.layers[2]._rng.bit_generator
-            bits.state = {**bits.state, "has_uint32": 1, "uinteger": 12345}
-            return model
-
-        reference = built(1)
+        reference = build(np.random.default_rng(1))
         start = reference.get_flat_weights()
         want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
         for wave_size in (None, 1, 2, 3):
-            model = built(1)
-            plan = TrainingPlan(model, SoftmaxCrossEntropy())
+            plan = TrainingPlan(build(np.random.default_rng(1)), SoftmaxCrossEntropy())
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
-            _assert_same_state(model, reference)
-            stream, ref_stream = (m.layers[2]._rng.bit_generator for m in (model, reference))
-            assert stream.state == ref_stream.state
+            _assert_same(plan.run_cohort(start, members[::-1], Adam(0.005)), want[::-1])
+        bn = build(np.random.default_rng(1)).store.trainable
+        assert all(not np.array_equal(w[bn:], start[bn:]) for w, _ in want)  # statistics moved
+
+    def test_two_dropouts_draw_one_generator_in_layer_order(self):
+        """Every dropout of a member draws from that member's one generator,
+        layer after layer within a step, stacked or alone."""
+
+        def build(rng):
+            return Sequential(
+                [
+                    Dense(4, 4, rng=rng, name="a"),
+                    Dropout(0.1),
+                    Dense(4, 4, rng=rng, name="b"),
+                    Dropout(0.3),
+                    Dense(4, 3, rng=rng, name="c"),
+                ]
+            )
+
+        members = _members((4,), classes=3)
+        start = build(np.random.default_rng(1)).get_flat_weights()
+        reference = build(np.random.default_rng(1))
+        want = [_alone(reference, m, OPTIMIZERS["adam"], start) for m in members]
+        plan = TrainingPlan(build(np.random.default_rng(1)), SoftmaxCrossEntropy())
+        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -562,12 +536,10 @@ class TestCohortIsEachClientAlone:
         plan = TrainingPlan(model, SoftmaxCrossEntropy())
         plan.wave_size = wave_size
         _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
-        _assert_same_state(model, reference)
 
     def test_lstm_classifier_float32_against_one_member_at_a_time(self):
         """At float32 the per-client reference is the plan with one member
-        per call, in cohort order: nothing stacked, every batch-norm update
-        and mask draw made in turn."""
+        per call: nothing stacked."""
 
         def build(rng):
             return _lstm_classifier()(rng).astype(np.float32)
@@ -583,7 +555,6 @@ class TestCohortIsEachClientAlone:
             plan = TrainingPlan(model, SoftmaxCrossEntropy())
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
-            _assert_same_state(model, one_by_one)
 
 
 def _with_rows(members, rows):
@@ -636,9 +607,8 @@ class TestEachMemberFromItsOwnStartRow:
         plan = TrainingPlan(model, SoftmaxCrossEntropy())
         _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
 
-    def test_lstm_classifier_from_several_rows_in_cohort_order(self):
-        """Batch-norm statistics and the dropout stream still end where one
-        model training the members in turn, each from its row, leaves them."""
+    def test_lstm_classifier_from_several_rows(self):
+        """Each member's batch-norm statistics start from its own row too."""
         build = _lstm_classifier()
         members = _with_rows(_members((5,), seed=2, classes=24, ints=24), (0, 1, 1, 2))
         reference = build(np.random.default_rng(1))
@@ -651,40 +621,12 @@ class TestEachMemberFromItsOwnStartRow:
             plan = TrainingPlan(model, SoftmaxCrossEntropy())
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
-            _assert_same_state(model, reference)
 
 
 class TestWhatCannotStackIsRefused:
     """Stacking is the only path through the plan: what cannot take it is
     refused by name when the layer or the plan is built, never trained
     some other way."""
-
-    def test_a_dropout_stream_without_advance(self):
-        stream = np.random.Generator(np.random.MT19937(0))
-        assert not hasattr(stream.bit_generator, "advance")
-        with pytest.raises(ValueError, match="got MT19937"):
-            Dropout(0.1, rng=stream)
-        assert Dropout(0.0, rng=stream).plan_stream is None  # never draws
-
-    def test_two_dropouts_drawing_one_stream(self):
-        """Each dropout positions its own draws, so two drawing from one
-        generator would interleave per step; the forward-only plan the
-        evaluator builds never draws, and compiles."""
-        rng = np.random.default_rng(1)
-        model = Sequential(
-            [
-                Embedding(24, 6, rng=rng),
-                LSTM(6, 6, rng=rng),
-                Dropout(0.1, rng=rng),
-                Dense(6, 6, rng=rng, name="fc"),
-                Dropout(0.2, rng=rng),
-                Dense(6, 24, rng=rng, name="head"),
-            ]
-        )
-        with pytest.raises(ValueError, match=r"layers 2 and 4 \(Dropout\) draw from one generator"):
-            TrainingPlan(model, SoftmaxCrossEntropy())
-        x = np.random.default_rng(2).integers(0, 24, size=(3, 5))
-        np.testing.assert_array_equal(TrainingPlan(model).forward(x), model.forward(x))
 
     def test_a_layer_without_planned_kernels(self):
         class Square(Layer):
@@ -713,45 +655,6 @@ class TestWhatCannotStackIsRefused:
         model = Sequential([Dense(4, 4, rng=rng), LoggedDense(4, 3, rng=rng)])
         with pytest.raises(ValueError, match="LoggedDense has no planned kernels"):
             TrainingPlan(model, SoftmaxCrossEntropy())
-
-    def test_the_first_pair_on_one_generator_is_named(self):
-        rng = np.random.default_rng(1)
-        shared = np.random.default_rng(2)
-        model = Sequential(
-            [
-                Dense(4, 4, rng=rng, name="a"),
-                Dropout(0.1, rng=shared),
-                Dense(4, 4, rng=rng, name="b"),
-                Dropout(0.2, rng=np.random.default_rng(3)),
-                Dense(4, 4, rng=rng, name="c"),
-                Dropout(0.3, rng=shared),
-                Dropout(0.4, rng=shared),
-            ]
-        )
-        with pytest.raises(ValueError, match=r"layers 1 and 5 \(Dropout\)"):
-            TrainingPlan(model, SoftmaxCrossEntropy())
-
-    def test_dropouts_that_never_draw_may_share_a_generator(self):
-        """At rate 0 a dropout has no stream to position, so sharing one
-        generator with a drawing dropout leaves nothing to interleave."""
-        rng = np.random.default_rng(1)
-        shared = np.random.default_rng(2)
-        model = Sequential(
-            [
-                Dense(4, 4, rng=rng, name="a"),
-                Dropout(0.0, rng=shared),
-                Dense(4, 4, rng=rng, name="b"),
-                Dropout(0.2, rng=shared),
-                Dense(4, 3, rng=rng, name="c"),
-            ]
-        )
-        members = _members((4,), (6, 9), classes=3)
-        start = model.get_flat_weights()
-        want = [_alone(model, m, OPTIMIZERS["adam"], start) for m in members]
-        model.set_flat_weights(start)
-        shared.bit_generator.state = np.random.default_rng(2).bit_generator.state
-        plan = TrainingPlan(model, SoftmaxCrossEntropy())
-        _assert_same(plan.run_cohort(start, members, Adam(0.005)), want)
 
 
 def _recording_waves(plan, monkeypatch):

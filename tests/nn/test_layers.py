@@ -7,6 +7,7 @@ from repro.nn.activations import ReLU, Tanh
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
+from repro.nn.optimizers import SGD
 from repro.nn.plan import ScratchArena, TrainingPlan
 from tests.helpers import check_layer_gradients, numeric_grad
 
@@ -93,60 +94,66 @@ class TestFlatten:
         assert (tanh._out < 0).any()
 
 
-#: Every bit generator NumPy ships, by whether a drawing dropout takes it.
-_ONE_STEP = [np.random.PCG64, np.random.PCG64DXSM]
-_NO_ONE_STEP = [np.random.MT19937, np.random.Philox, np.random.SFC64]
+#: Every bit generator NumPy ships.
+_BIT_GENERATORS = [
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+]
 
 
 class TestDropout:
-    @pytest.mark.parametrize("bits", _ONE_STEP, ids=lambda b: b.__name__)
-    def test_draws_from_a_generator_that_advances_one_draw_at_a_time(self, bits):
-        stream = np.random.Generator(bits(0))
-        assert Dropout(0.1, rng=stream).plan_stream is stream
+    @pytest.mark.parametrize("bits", _BIT_GENERATORS, ids=lambda b: b.__name__)
+    def test_masks_come_from_the_generator_it_is_handed(self, bits, rng):
+        x = rng.normal(size=(6, 5))
+        out = Dropout(0.3).forward(x, training=True, rngs=[np.random.Generator(bits(0))])
+        keep = np.random.Generator(bits(0)).random(x.shape) < 0.7
+        np.testing.assert_array_equal(out, x * (keep / 0.7))
 
-    @pytest.mark.parametrize("bits", _NO_ONE_STEP, ids=lambda b: b.__name__)
-    def test_refuses_any_other_generator_by_name(self, bits):
-        with pytest.raises(ValueError, match=f"rate 0.1 .* got {bits.__name__}$"):
-            Dropout(0.1, rng=np.random.Generator(bits(0)))
+    def test_without_a_generator_masks_come_from_seed_0(self, rng):
+        x = rng.normal(size=(6, 5))
+        np.testing.assert_array_equal(
+            Dropout(0.3).forward(x, training=True),
+            Dropout(0.3).forward(x, training=True, rngs=[np.random.default_rng(0)]),
+        )
 
-    @pytest.mark.parametrize("bits", _ONE_STEP + _NO_ONE_STEP, ids=lambda b: b.__name__)
-    def test_zero_rate_takes_any_generator_and_never_draws(self, bits, rng):
-        stream = np.random.Generator(bits(0))
-        layer = Dropout(0.0, rng=stream)
-        assert layer.plan_stream is None
+    def test_zero_rate_never_draws(self, rng):
+        stream = np.random.default_rng(3)
         x = rng.normal(size=(4, 3))
-        assert layer.forward(x, training=True) is x
-        np.testing.assert_array_equal(stream.random(4), np.random.Generator(bits(0)).random(4))
+        assert Dropout(0.0).forward(x, training=True, rngs=[stream]) is x
+        assert stream.random() == np.random.default_rng(3).random()
 
     def test_identity_at_inference(self, rng):
-        layer = Dropout(0.5, rng=rng)
+        layer = Dropout(0.5)
         x = rng.normal(size=(10, 10))
         np.testing.assert_array_equal(layer.forward(x, training=False), x)
 
     def test_inverted_scaling_preserves_mean(self, rng):
-        layer = Dropout(0.3, rng=rng)
+        layer = Dropout(0.3)
         x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
+        out = layer.forward(x, training=True, rngs=[rng])
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_mask_applied_in_backward(self, rng):
-        layer = Dropout(0.5, rng=rng)
+        layer = Dropout(0.5)
         x = rng.normal(size=(20, 20))
-        out = layer.forward(x, training=True)
+        out = layer.forward(x, training=True, rngs=[rng])
         grad = layer.backward(np.ones_like(out))
         # Gradient must be zero exactly where the output was zeroed.
         np.testing.assert_array_equal(grad == 0, out == 0)
 
     def test_zero_rate_is_identity(self, rng):
-        layer = Dropout(0.0, rng=rng)
+        layer = Dropout(0.0)
         x = rng.normal(size=(5, 5))
         np.testing.assert_array_equal(layer.forward(x, training=True), x)
 
-    def test_rejects_bad_rate(self, rng):
+    def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            Dropout(1.0, rng=rng)
+            Dropout(1.0)
         with pytest.raises(ValueError):
-            Dropout(-0.1, rng=rng)
+            Dropout(-0.1)
 
 
 class TestBatchNorm:
@@ -162,7 +169,7 @@ class TestBatchNorm:
         x = rng.normal(2.0, 1.0, size=(128, 4))
         for _ in range(30):
             layer.forward(x, training=True)
-        np.testing.assert_allclose(layer.running_mean, x.mean(axis=0), atol=1e-3)
+        np.testing.assert_allclose(layer.running_mean.data, x.mean(axis=0), atol=1e-3)
 
     def test_inference_uses_running_stats(self, rng):
         layer = BatchNorm(4)
@@ -178,9 +185,32 @@ class TestBatchNorm:
             layer, rng.normal(size=(8, 3)), rng=rng, atol=1e-5, rtol=1e-3
         )
 
-    def test_gamma_beta_trainable(self, rng):
+    def test_gamma_beta_trainable_running_statistics_not(self):
         layer = BatchNorm(3)
-        assert {p.name for p in layer.params} == {"bn.gamma", "bn.beta"}
+        assert [(p.name, p.trainable) for p in layer.params] == [
+            ("bn.gamma", True),
+            ("bn.beta", True),
+            ("bn.running_mean", False),
+            ("bn.running_var", False),
+        ]
+
+    def test_running_statistics_follow_every_trainable_entry(self, rng):
+        """In a model's flat vector the statistics sit after every trainable
+        entry, the prefix an optimizer step moves: a step never moves them,
+        whatever their gradient holds."""
+        bn = BatchNorm(4)
+        model = Sequential([Dense(3, 4, rng=rng), bn, Dense(4, 2, rng=rng, name="head")])
+        store = model.store
+        assert [p.name for p in model.params][-2:] == ["bn.running_mean", "bn.running_var"]
+        assert store.trainable == store.total - 8
+        model.train_on_batch(
+            rng.normal(size=(5, 3)), rng.integers(0, 2, 5), SoftmaxCrossEntropy(), SGD(0.1)
+        )
+        before = model.get_flat_weights()
+        store.grad.fill(1.0)
+        SGD(0.1).step(store.params, store=store)
+        np.testing.assert_array_equal(store.data[store.trainable :], before[store.trainable :])
+        assert not np.array_equal(store.data[: store.trainable], before[: store.trainable])
 
 
 def test_numeric_grad_self_check():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.optimizers import SGD, Adam
+from repro.nn.store import FlatParameterStore
 from repro.nn.tensor import Parameter
 from tests.helpers import adopted
 
@@ -97,3 +98,18 @@ class TestAdam:
             Adam(beta1=1.0)
         with pytest.raises(ValueError):
             Adam(beta2=-0.1)
+
+
+@pytest.mark.parametrize("make", [lambda: SGD(0.1), lambda: Adam(0.1)], ids=["sgd", "adam"])
+def test_a_step_moves_only_the_trainable_prefix(make):
+    """Non-trainable entries sit after every trainable one, wherever they
+    were listed, and no step moves them, whatever their gradient holds."""
+    frozen = Parameter(np.array([5.0, 6.0]), "stat", trainable=False)
+    p, q = Parameter(np.array([1.0]), "p"), Parameter(np.array([2.0]), "q")
+    store = FlatParameterStore([p, frozen, q])
+    assert store.params == [p, q, frozen] and store.trainable == 2
+    store.grad[:] = 1.0
+    make().step(store.params, store=store)
+    np.testing.assert_array_equal(frozen.data, [5.0, 6.0])
+    assert p.data[0] < 1.0 and q.data[0] < 2.0
+    np.testing.assert_array_equal(store.grad, 0.0)

@@ -280,18 +280,25 @@ class TestKernelEquivalence:
             a.forward(np.array([[-1, 9]]))
 
     def test_dropout_draws_the_reference_masks(self):
-        """``rng.random(out=...)`` must consume the stream exactly as
+        """``rng.random(out=...)`` must consume a generator exactly as
         ``rng.random(shape)`` does, call after call and shape after shape."""
         rng = np.random.default_rng(0)
-        a = Dropout(0.3, rng=np.random.default_rng(5))
-        b = Dropout(0.3, rng=np.random.default_rng(5))
+        a, b = Dropout(0.3), Dropout(0.3)
+        streams = [np.random.default_rng(5)], [np.random.default_rng(5)]
         slot = ScratchArena().slot(0)
         for shape in [(6, 9), (4, 9), (6, 9)]:
-            self._roundtrip(a, b, rng.normal(size=shape), rng.normal(size=shape), slot=slot)
+            x, grad = rng.normal(size=shape), rng.normal(size=shape)
+            np.testing.assert_array_equal(
+                a.forward(x, training=True, rngs=streams[0]),
+                b.forward(x, training=True, scratch=slot, rngs=streams[1]),
+            )
+            np.testing.assert_array_equal(
+                a.backward(grad.copy()), b.backward(grad.copy(), scratch=slot)
+            )
             np.testing.assert_array_equal(a._mask, b._mask)
         x = rng.normal(size=(6, 9))
         assert b.forward(x, training=False, scratch=slot) is x  # identity at inference
-        assert a._rng.random() == b._rng.random()  # streams still in step
+        assert streams[0][0].random() == streams[1][0].random()  # streams still in step
 
     @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
     def test_batchnorm(self, training):
@@ -312,8 +319,8 @@ class TestKernelEquivalence:
                     a, b, rng.normal(size=(n, 7)), rng.normal(size=(n, 7)),
                     training=False, slot=slot,
                 )
-            np.testing.assert_array_equal(a.running_mean, b.running_mean)
-            np.testing.assert_array_equal(a.running_var, b.running_var)
+            np.testing.assert_array_equal(a.running_mean.data, b.running_mean.data)
+            np.testing.assert_array_equal(a.running_var.data, b.running_var.data)
             np.testing.assert_array_equal(a.gamma.grad, b.gamma.grad)
             np.testing.assert_array_equal(a.beta.grad, b.beta.grad)
 
@@ -398,8 +405,9 @@ _COHORT_SHAPES = [(3, 4), (1, 7), (2, 6), (4, 3), (3, 4)]
 class TestStackedKernelEquivalence:
     """A stacked kernel over G clients' client-major batch and their
     ``(G, *shape)`` stack equals G allocating per-layer references, each on
-    its own client's rows: outputs, input and parameter gradients, and the
-    state the cohort leaves behind — every shape through one arena."""
+    its own client's rows: outputs, input and parameter gradients, and
+    what forward writes into the stack (batch-norm's running statistics) —
+    every shape through one arena."""
 
     def _roundtrip(self, make, x_of, grad_of, *, input_grad=True):
         rng = np.random.default_rng(0)
@@ -418,7 +426,9 @@ class TestStackedKernelEquivalence:
             gx_want = [r.backward(grad) for r, grad in zip(refs, grads)]
             if input_grad:
                 _assert_same_bits(gx, np.concatenate(gx_want))
-            for (_, grad), params in zip(stack, zip(*(r.params for r in refs))):
+            for (data, grad), params in zip(stack, zip(*(r.params for r in refs))):
+                want = np.stack([p.data for p in params])
+                _assert_same_bits(data.reshape(want.shape), want)
                 want = np.stack([p.grad for p in params])
                 _assert_same_bits(grad.reshape(want.shape), want)
 
@@ -440,63 +450,45 @@ class TestStackedKernelEquivalence:
             input_grad=input_grad,
         )
 
-    def test_batchnorm_replays_its_statistics_in_cohort_order(self):
-        """Per-client statistics for the output; the running statistics
-        only when the cohort ends, folded in by position (here each group's
-        clients in reverse) — as one layer seeing the batches in that order
-        leaves them."""
-        rng = np.random.default_rng(0)
+    def test_batchnorm(self):
+        """Per-client statistics for the output, each client's running
+        statistics updated in its own rows of the stack."""
 
         def make(seed):
             layer = BatchNorm(7)
             r = np.random.default_rng(seed)
             layer.gamma.data[...] = r.uniform(0.5, 1.5, 7)
             layer.beta.data[...] = r.normal(size=7)
+            layer.running_mean.data[...] = r.normal(size=7)
+            layer.running_var.data[...] = r.uniform(0.5, 1.5, 7)
             return layer
 
-        planned, slot, order, seen = make(0), ScratchArena().slot(0), BatchNorm(7), []
-        planned.begin_cohort()
-        for g, rows in _COHORT_SHAPES:
-            refs = [make(10 + i) for i in range(g)]
-            stack = _cohort_stack(refs)
-            xs = [rng.normal(2.0, 3.0, size=(rows, 7)) for _ in range(g)]
-            cohort = [len(seen) * 100 + (g - i) for i in range(g)]
-            seen += zip(cohort, xs)
-            y = planned.forward(
-                np.concatenate(xs), training=True, scratch=slot, stack=stack, cohort=cohort
-            )
-            want = [r.forward(x, training=True) for r, x in zip(refs, xs)]
-            _assert_same_bits(y, np.concatenate(want))
-            grads = [rng.normal(size=(rows, 7)) for _ in range(g)]
-            gx = planned.backward(np.concatenate(grads), scratch=slot, stack=stack)
-            _assert_same_bits(gx, np.concatenate([r.backward(gr) for r, gr in zip(refs, grads)]))
-            assert not planned.running_mean.any()  # untouched until the cohort ends
-        planned.end_cohort()
-        for _, x in sorted(seen, key=lambda entry: entry[0]):
-            order.forward(x, training=True)
-        _assert_same_bits(planned.running_mean, order.running_mean)
-        _assert_same_bits(planned.running_var, order.running_var)
+        self._roundtrip(
+            make,
+            lambda rng, rows: rng.normal(2.0, 3.0, size=(rows, 7)),
+            lambda rng, rows: rng.normal(size=(rows, 7)),
+        )
 
-    def test_dropout_draws_each_clients_segment_of_the_stream(self):
-        """Client i's rows at position p read the stream from draw
-        p · (floats per row): the masks one generator gives the batches in
-        position order, and it ends where that generator does."""
+    def test_dropout_draws_each_clients_rows_from_its_own_generator(self):
+        """Client i's rows come from the generator it is handed, as its own
+        reference draws them; each generator ends where its reference's
+        does."""
         rng = np.random.default_rng(0)
-        planned, slot = Dropout(0.3, rng=np.random.default_rng(5)), ScratchArena().slot(0)
-        planned.begin_cohort()
-        seen, total = [], 0
+        planned, slot, reference = Dropout(0.3), ScratchArena().slot(0), Dropout(0.3)
+        streams = [np.random.default_rng(s) for s in range(4)]
+        twins = [np.random.default_rng(s) for s in range(4)]
         for g, rows in _COHORT_SHAPES:
             xs = [rng.normal(size=(rows, 6)) for _ in range(g)]
-            # Each group's clients in reverse stream order.
-            cohort = [total + (g - 1 - i) * rows for i in range(g)]
-            total += g * rows
-            y = planned.forward(np.concatenate(xs), training=True, scratch=slot, cohort=cohort)
-            seen += zip(cohort, xs, np.split(y.copy(), g))
-        planned.end_cohort()
-        reference = Dropout(0.3, rng=np.random.default_rng(5))
-        for _, x, y in sorted(seen, key=lambda entry: entry[0]):
-            _assert_same_bits(y, reference.forward(x, training=True))
-        assert planned._rng.bit_generator.state == reference._rng.bit_generator.state
+            # Each group's clients in reverse generator order.
+            y = planned.forward(
+                np.concatenate(xs), training=True, scratch=slot, rngs=streams[:g][::-1]
+            )
+            want = [
+                reference.forward(x, training=True, rngs=[twin])
+                for x, twin in zip(xs, twins[:g][::-1])
+            ]
+            _assert_same_bits(y, np.concatenate(want))
+        assert [s.random() for s in streams] == [t.random() for t in twins]
 
 
 # --------------------------------------------------------------------- #
@@ -513,9 +505,9 @@ def _reference_round(model, data, flat, *, epochs, batch_size, lam, spec, loss, 
         hook = ProximalTerm(lam)
         hook.set_reference(model.store)
     schedule = FixedBatchSchedule(data.num_train, batch_size, data.client_id, seed=0)
-    x, y = data.x_train, data.y_train
+    x, y, rng = data.x_train, data.y_train, schedule.mask_rng(start_epoch)
     losses = [
-        model.train_on_batch(x[idx], y[idx], loss, optimizer, grad_hook=hook)
+        model.train_on_batch(x[idx], y[idx], loss, optimizer, grad_hook=hook, rng=rng)
         for idx in schedule.epochs(start_epoch, epochs)
     ]
     return model.get_flat_weights(), float(np.mean(losses))
@@ -642,9 +634,10 @@ class TestLoopEquivalence:
     )
     def test_recurrent_model_bit_identical(self, kwargs):
         """Embedding -> LSTM -> Dropout -> BatchNorm -> Dense, every layer on
-        its planned kernels: dropout's mask stream, batch-norm's running
-        statistics and the LSTM's shared slab (a ragged final batch
-        alternates two shapes through it) all have to stay in step."""
+        its planned kernels: dropout's masks from the round's generator,
+        batch-norm's running statistics in the weights and the LSTM's shared
+        slab (a ragged final batch alternates two shapes through it) all
+        have to stay in step."""
         ds = _reddit_dataset(samples=24)
         _assert_rounds_identical(
             _train_once(True, _lstm_classifier, ds, **kwargs),
@@ -843,7 +836,7 @@ class TestArenaHygiene:
 _EVERY_LAYER = {
     "Dense": lambda rng: Dense(3, 2, rng=rng),
     "Flatten": lambda rng: Flatten(),
-    "Dropout": lambda rng: Dropout(0.5, rng=rng),
+    "Dropout": lambda rng: Dropout(0.5),
     "BatchNorm": lambda rng: BatchNorm(3),
     "Conv2D": lambda rng: Conv2D(1, 2, rng=rng),
     "MaxPool2D": lambda rng: MaxPool2D(2),
@@ -881,10 +874,10 @@ class TestKernelProtocol:
         bwd = set(inspect.signature(layer.backward).parameters)
         assert "scratch" in fwd
         assert {"scratch", "input_grad"} <= bwd
-        if layer.params or layer.plan_cohort:
+        if layer.params:
             assert "stack" in fwd and "stack" in bwd
-        if layer.plan_cohort:
-            assert "cohort" in fwd
+        if layer.draws:
+            assert "rngs" in fwd
         if getattr(layer, "plan_inplace", False):
             assert "out" in fwd
         fwd_step, bwd_step = plan_module._compile_layer(layer, ScratchArena().slot(0))

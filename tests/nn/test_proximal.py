@@ -95,3 +95,18 @@ def test_constraint_keeps_weights_near_global(rng):
         return float(np.linalg.norm(m.get_flat_weights() - ref_flat))
 
     assert distance_after_training(5.0) < distance_after_training(0.0) * 0.7
+
+
+def test_batch_norm_statistics_are_not_pulled(rng):
+    """The pull covers the trainable prefix of the flat vector only."""
+    from repro.nn.zoo import build_lstm_classifier
+
+    m = build_lstm_classifier(8, 4, rng=rng, embed_dim=4, hidden_dim=4)
+    prox = ProximalTerm(2.0)
+    prox.set_reference(m.store)
+    m.store.data -= 1.0
+    prox(m.params)
+    t = m.store.trainable
+    np.testing.assert_allclose(m.store.grad[:t], -2.0)
+    np.testing.assert_array_equal(m.store.grad[t:], 0.0)
+    assert prox.penalty(m.params) == pytest.approx(0.5 * 2.0 * t)

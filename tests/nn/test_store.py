@@ -110,6 +110,18 @@ class TestReplication:
         replica.store.data[:] = -9.0
         assert not (m.store.data == -9.0).any()
 
+    def test_replicas_keep_the_batch_norm_statistics(self):
+        """Running statistics are entries of the flat vector: a clone or a
+        pickled replica carries them, still after every trainable entry."""
+        from repro.nn.zoo import build_lstm_classifier
+
+        m = build_lstm_classifier(8, 4, rng=np.random.default_rng(0), embed_dim=4, hidden_dim=4)
+        m.store.data[m.store.trainable :] = np.arange(8.0)
+        for replica in (m.clone(), pickle.loads(pickle.dumps(m))):
+            np.testing.assert_array_equal(replica.get_flat_weights(), m.get_flat_weights())
+            assert replica.store.trainable == m.store.trainable == m.store.total - 8
+            assert [p.trainable for p in replica.params][-3:] == [True, False, False]
+
     def test_clone_with_weights_installs_them(self):
         m = _mlp()
         w = np.linspace(-1, 1, m.num_params)

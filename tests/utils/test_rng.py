@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.nn.layers import Dropout
 from repro.utils.rng import SeedSequenceFactory
 
 
@@ -56,12 +55,3 @@ class TestFactory:
             f.rng("client/3").random(5),
             np.random.default_rng(f.seed_sequence("client/3")).random(5),
         )
-
-
-class TestStreamsADropoutCanTake:
-    """A drawing dropout needs a generator that advances one draw at a
-    time; every stream the library hands out is one."""
-
-    def test_named(self):
-        stream = SeedSequenceFactory(0).child("model").rng("dropout")
-        assert Dropout(0.5, rng=stream).plan_stream is stream
