@@ -546,11 +546,11 @@ class TrainingPlan:
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
         rows = [m.row for m in wave]
         reference.take(rows, axis=0, out=weights, mode="clip")
-        # Optimizer state and the proximal pull's w cover the trainable
-        # prefix only: what the optimizer steps.
-        trainable = (len(wave), store.trainable)
+        # Optimizer state and the proximal pull's w cover what they move:
+        # the trainable prefix of each row.
+        prefix = (len(wave), store.trainable)
         state = [
-            arena.take(("cohort", "state", i), trainable, store.dtype)
+            arena.take(("cohort", "state", i), prefix, store.dtype)
             for i in range(optimizer.state_slots)
         ]
         for slab in state:
@@ -559,7 +559,7 @@ class TrainingPlan:
         # theirs, or a slab of each member's own row that moves with it.
         pull_ref = reference[rows[0], : store.trainable]
         if len(set(rows)) > 1 and any(m.lam > 0 for m in wave):
-            pull_ref = arena.take(("cohort", "pull_ref"), trainable, store.dtype)
+            pull_ref = arena.take(("cohort", "pull_ref"), prefix, store.dtype)
             np.copyto(pull_ref, weights[:, : store.trainable])
         masks = [m.schedule.mask_rng(m.start_epoch) for m in wave] if self._draws else None
         row = list(range(len(wave)))
@@ -672,6 +672,8 @@ class TrainingPlan:
         g = self._loss_bwd()
         for bwd, stack in zip(self._bwds, reversed(stacks)):
             g = bwd(g, stack)
+        # The pull and the step move the trainable prefix only; batch-norm's
+        # running statistics behind it are the forward's to update.
         trainable = self._store.trainable
         weights, grads = weights[:, :trainable], grads[:, :trainable]
         if lam is not None:
