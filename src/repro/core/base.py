@@ -225,9 +225,8 @@ class FLSystem:
             )
         self.factory = SeedSequenceFactory(config.seed)
 
-        # Worker model: the serial executor trains every client through this
-        # instance, the pool and dist clone it per worker. It carries nothing
-        # from one client round to the next: each starts from its start row.
+        # Worker model: the serial executor trains every client round through
+        # this instance, each from its start row; the pool and dist clone it.
         self.worker = model_builder(self.factory.rng("model/init"))
         if config.dtype != "float64":
             # Initialize in float64 first (identical draws to the reference

@@ -396,9 +396,8 @@ class SupervisedExecutor(ClientExecutor):
     The execution settings, as ``config``: ``**settings`` are
     :class:`ExecConfig` fields, each declared, defaulted and checked there
     only. Then the fault plan, recovery counters, the in-parent executor,
-    and both ends of a dispatch; a
-    subclass's ``run_cohort`` is :meth:`_in_parent`, :meth:`_begin`, its
-    transport, :meth:`_finish`.
+    and both ends of a dispatch; a subclass's ``run_cohort`` is
+    :meth:`_in_parent`, :meth:`_begin`, its transport, :meth:`_finish`.
     """
 
     def __init__(
@@ -424,9 +423,8 @@ class SupervisedExecutor(ClientExecutor):
         # Cohorts below this size skip dispatch and run in-process (a lone
         # client — a sync round of one, an async relaunch its flush caught
         # alone — pays a full IPC round-trip for zero parallelism
-        # otherwise). Bit-identical either way — a client round is a
-        # function of its start row and task alone — so the path choice is
-        # unobservable.
+        # otherwise). Bit-identical either way, since a round is a function of
+        # its start row and task alone, so the path choice is unobservable.
         self.min_dispatch = 2
         # Client collections that know how to build their own replica
         # mapping (virtual populations ship a lazy, picklable store instead

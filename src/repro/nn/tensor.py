@@ -11,12 +11,12 @@ class Parameter:
     """A named array of a model's flat weight vector, with an accumulated
     gradient.
 
-    A ``trainable=False`` entry (batch-norm's running statistics) travels
-    and is aggregated like every other, but only its layer's forward writes
-    it: no optimizer step or proximal pull moves it, and its gradient stays
-    zero. Gradients are *accumulated* into :attr:`grad` by layer backward passes and
+    Gradients are *accumulated* into :attr:`grad` by layer backward passes and
     cleared by :meth:`zero_grad` (the optimizer calls it after each step), so
-    multiple backward passes (e.g. BPTT time steps) compose additively.
+    multiple backward passes (e.g. BPTT time steps) compose additively. A
+    ``trainable=False`` entry (batch-norm's running statistics) travels and
+    is aggregated like any other, but only its layer's forward writes it:
+    no optimizer step or proximal pull moves it, and its gradient stays 0.
 
     A parameter starts out owning its arrays. When a model adopts it into a
     :class:`~repro.nn.store.FlatParameterStore`, :attr:`data` and :attr:`grad`
