@@ -1,21 +1,18 @@
 """Fault-tolerance overhead: what the fault layer costs on top of dispatch.
 
-Every pool dispatch is supervised (worker pipes, worker sentinels, chunk
-deadlines — one path, see ``ParallelExecutor``). Three
-parallel-executor cells over the same cohort, all asserted bit-identical
-to the serial baseline:
+Every cross-process dispatch is supervised (worker sockets, worker
+sentinels, chunk deadlines — one path; ``ParallelExecutor`` is another
+name for ``DistExecutor``). Three ``ParallelExecutor`` cells over the same
+cohort, all asserted bit-identical to the serial baseline:
 
 - ``plain``      — no fault plan, no timeout: supervision alone.
 - ``checksums``  — fault layer engaged with null probabilities: adds the
   per-chunk fault draws and crc32 checksums, and nothing ever fires.
-- ``chaos``      — ``crash:0.2+corrupt:0.2``: real recovery work (pool
+- ``chaos``      — ``crash:0.2+corrupt:0.2``: real recovery work (worker
   respawns, redispatch) on top.
 
-plus one distributed cell:
-
-- ``dist-chaos`` — the same crash/corrupt schedule through
-  :class:`DistExecutor`'s scheduler/worker sockets, with lease redispatch
-  and reconnecting workers doing the recovering.
+plus ``dist-chaos``, the same crash/corrupt schedule built as
+:class:`DistExecutor` — the same code under its own name.
 
 Run with ``python -m pytest benchmarks/bench_faults.py -q -s``;
 ``REPRO_SMOKE=1`` shrinks the federation for CI.

@@ -1,15 +1,16 @@
 #!/usr/bin/env python
-"""Kill-a-worker equivalence check for both worker transports (CI chaos smoke).
+"""Kill-a-worker equivalence check for the cross-process executor (CI chaos smoke).
 
 Two runs of the same experiment:
 
 1. Serial reference.
-2. A run on ``--executor dist`` (2 local socket workers, the default) or
-   ``--executor parallel`` (2 pool workers); one worker process is
-   SIGKILLed as the Nth dispatch goes out (``--kill-at-dispatch``), so the
-   strike lands however fast the run is — a wall-clock delay would miss a
-   run that finishes in milliseconds. Both executors list their local
-   processes as ``worker_processes``, which is all the strike needs.
+2. A run on ``--executor dist`` (the default) or ``--executor parallel``
+   (the same executor under its other name) with 2 local socket workers;
+   one worker process is SIGKILLed as the Nth dispatch goes out
+   (``--kill-at-dispatch``), so the strike lands however fast the run is —
+   a wall-clock delay would miss a run that finishes in milliseconds. The
+   executor lists its local processes as ``worker_processes``, which is
+   all the strike needs.
 
 Passes iff the kill landed, the history is byte-identical to the serial
 one after stripping the wall-clock-only meta keys (``phase_seconds``,
@@ -56,11 +57,9 @@ def _arm_kill(executor, at_dispatch: int, killed: dict) -> None:
         if len(tasks) >= executor.min_dispatch:  # smaller cohorts never dispatch
             dispatches += 1
             if dispatches == at_dispatch:
-                if executor.name == "dist":
-                    # Forked workers dial in on their own time; the pool has
-                    # no roster to wait for — its workers exist from the
-                    # first dispatch on (and not before it).
-                    executor.wait_for_workers(2, timeout=60.0)
+                # Forked workers dial in on their own time; a worker that
+                # never registered is nobody's loss when it dies.
+                executor.wait_for_workers(2, timeout=60.0)
                 if executor.worker_processes:
                     victim = executor.worker_processes[0]
                     os.kill(victim.pid, signal.SIGKILL)
@@ -95,7 +94,7 @@ def main() -> int:
         "--executor",
         choices=("dist", "parallel"),
         default="dist",
-        help="worker transport to strike (default: dist)",
+        help="executor name to strike under (default: dist)",
     )
     parser.add_argument(
         "--kill-at-dispatch",
@@ -110,9 +109,12 @@ def main() -> int:
 
     print(f"[2/2] {args.executor} run, SIGKILL one of 2 workers "
           f"at dispatch {args.kill_at_dispatch}")
-    overrides = {"executor": args.executor, "num_workers": 2}
-    if args.executor == "dist":
-        overrides.update(heartbeat_interval=0.1, heartbeat_timeout=1.0)
+    overrides = {
+        "executor": args.executor,
+        "num_workers": 2,
+        "heartbeat_interval": 0.1,
+        "heartbeat_timeout": 1.0,
+    }
     chaos, killed = _run(
         args.method, args, executor_overrides=overrides, kill_at_dispatch=args.kill_at_dispatch
     )

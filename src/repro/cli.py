@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="client-execution backend (default: serial)")
     shared.add_argument("--num-workers", type=int, default=None,
                         help="workers (= chunks) per cohort; 0 = a worker per "
-                        "CPU, chunks: per CPU on parallel, always 4 on dist")
+                        "CPU, and 4 chunks")
     shared.add_argument("--scenario", default=None,
                         help='dynamic-world scenario, e.g. "static", "churn", '
                         '"drift:0.5", "burst", "chaos", "bwheal:4", a "+"-'
@@ -99,18 +99,18 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--compression", default="default",
                        help='e.g. "polyline:4", "quant:8", "none"')
     run_p.add_argument("--workers", default=None, metavar="HOST:PORT", dest="dist_bind",
-                       help="scheduler bind address for --executor dist; "
+                       help="scheduler bind address for --executor parallel/dist; "
                        "an explicit port waits for external `repro worker "
                        "--connect HOST:PORT` processes, port 0 (default) "
                        "self-spawns local workers")
     run_p.add_argument("--heartbeat-interval", type=float, default=None,
-                       help="dist worker heartbeat cadence in seconds "
+                       help="worker heartbeat cadence in seconds "
                        "(default: 0.2)")
     run_p.add_argument("--heartbeat-timeout", type=float, default=None,
-                       help="seconds of silence before a dist worker is "
+                       help="seconds of silence before a worker is "
                        "declared dead and its lease requeued (default: 2)")
     run_p.add_argument("--worker-grace", type=float, default=None,
-                       help="seconds a dist dispatch tolerates an empty "
+                       help="seconds a dispatch tolerates an empty "
                        "worker roster before degrading (default: 30)")
     run_p.add_argument("--profile-sample", type=int, default=None,
                        help="tier-profile only N sampled clients at startup "
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--faults", default=None,
                        help='deterministic chaos injection into the executor '
                        'workers, e.g. "crash:0.2", "hang:0.1", "corrupt:0.1", '
-                       'plus "drop:0.2" / "delay:0.3" network faults under '
-                       '--executor dist, or a "+"-composition '
+                       '"drop:0.2" (severed connection), "delay:0.3" '
+                       '(stalled result), or a "+"-composition '
                        '("crash:0.2+corrupt:0.1"); requires --executor '
                        "parallel or dist")
     run_p.add_argument("--chunk-timeout", type=float, default=None,
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="client-execution backend for every cell")
     sweep_p.add_argument("--num-workers", type=int, default=0,
                          help="workers (= chunks) per cohort; 0 = a worker per "
-                         "CPU, chunks: per CPU on parallel, always 4 on dist")
+                         "CPU, and 4 chunks")
     sweep_p.add_argument("--max-runs", type=int, default=None,
                          help="stop after N new cells (sweep stays resumable)")
 

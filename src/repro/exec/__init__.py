@@ -8,17 +8,18 @@ hands over every launch still pending as one cohort. This package owns
 - :class:`SerialExecutor` — one shared worker model and one
   :meth:`~repro.nn.plan.TrainingPlan.run_cohort` call per cohort, clients
   with equal batch shapes trained in lockstep (the default);
-- :class:`ParallelExecutor` — a process pool with per-worker model replicas
-  rebuilt via :meth:`repro.nn.model.Sequential.clone`, chunked cohort
-  dispatch, and bit-identical results (enforced by ``tests/exec/``);
 - :class:`DistExecutor` — a socket scheduler with heartbeating workers
-  (local child processes or remote ``repro worker`` processes) and the
-  same bit-identical guarantee (see :mod:`repro.exec.dist`).
+  (local child processes or remote ``repro worker`` processes), each
+  holding model replicas rebuilt via
+  :meth:`repro.nn.model.Sequential.clone`, chunked cohort dispatch, and
+  bit-identical results (enforced by ``tests/exec/``; see
+  :mod:`repro.exec.dist`). ``executor="parallel"`` is this executor with
+  its default bind, and :class:`ParallelExecutor` another name for it.
 
-The two cross-process backends are transports under one supervisor,
-:mod:`repro.exec.supervision` (chunk split, leases, retry budget, deadlines,
-result verification, degrade-or-raise): a failure costs the chunk it hit
-and nothing else. Once closed, either refuses further cohorts.
+It runs on one supervisor, :mod:`repro.exec.supervision` (chunk split,
+leases, retry budget, deadlines, result verification, degrade-or-raise): a
+failure costs the chunk it hit and nothing else. Once closed, it refuses
+further cohorts.
 
 :class:`ExecConfig` declares and checks every execution setting
 (``FLConfig.exec``); :func:`make_executor` picks the backend and builds the

@@ -114,42 +114,44 @@ class ExecConfig:
     started serially resumes under ``"dist"`` and a serial history answers
     a ``run_cached`` request for the same experiment under any backend.
     :func:`make_executor` picks the backend and the fault plan from it and
-    passes the other fields through; the cross-process backends rebuild it
+    passes the other fields through; the cross-process executor rebuilds it
     from those keyword arguments, so each setting is declared and checked
     here only.
     """
 
-    # "serial" trains through one shared worker model; "parallel" fans out
-    # to a process pool of model replicas; "dist" dispatches chunk leases
-    # to socket-connected workers (bit-identical histories either way).
+    # "serial" trains through one shared worker model; "dist" dispatches
+    # chunk leases to socket-connected workers, and "parallel" is "dist" with
+    # its default bind (bit-identical histories either way).
     executor: str = "serial"
-    # Workers per cohort and chunks cut from it; 0 = one worker per CPU, and
-    # a chunk per CPU on the pool (layout follows the host) but 4 on dist.
+    # Workers per cohort and chunks cut from it; 0 = one local worker per
+    # CPU and 4 chunks, so the chunk layout never follows the host.
     num_workers: int = 0
-    # Scheduler bind address for executor="dist". Port 0 (the default)
-    # picks an ephemeral port and self-spawns local worker processes; an
-    # explicit port listens for external `repro worker --connect` workers.
+    # Scheduler bind address. Port 0 (the default) picks an ephemeral port
+    # and self-spawns local worker processes; an explicit port listens for
+    # external `repro worker --connect` workers.
     dist_bind: str = "127.0.0.1:0"
-    # Worker liveness (executor="dist"): workers heartbeat every
-    # `heartbeat_interval` seconds; a connection quiet for longer than
-    # `heartbeat_timeout` is declared dead and its chunk lease requeued.
+    # Worker liveness: workers heartbeat every `heartbeat_interval`
+    # seconds; a connection quiet for longer than `heartbeat_timeout` is
+    # declared dead and its chunk lease requeued.
     heartbeat_interval: float = 0.2
     heartbeat_timeout: float = 2.0
-    # How long a dist dispatch tolerates an empty worker roster (seconds)
+    # How long a dispatch tolerates an empty worker roster (seconds)
     # before its chunks degrade to in-process execution.
     worker_grace: float = 30.0
     # Deterministic chaos injection into the worker fleet: "crash:<p>",
-    # "hang:<p>", "corrupt:<p>", plus — dist only — "drop:<p>" (severed
-    # connections) and "delay:<p>" (stalled result frames); "+"-composable
+    # "hang:<p>", "corrupt:<p>", "drop:<p>" (severed connections) and
+    # "delay:<p>" (stalled result frames); "+"-composable
     # ("crash:0.2+corrupt:0.1"). Faults are drawn from seeded per-family
     # substreams keyed by (dispatch, chunk, attempt), so a chaos run's
     # fault schedule is bit-reproducible. None disables injection. Serial
-    # execution has no worker processes, so it injects nothing.
+    # execution has no worker processes, so it injects nothing, and no
+    # connection, so it refuses drop and delay.
     faults: str | None = None
     # Per-chunk wall-clock deadline (seconds) before the supervisor declares
-    # a dispatched chunk hung, requeues its lease (the pool also replaces
-    # the holder) and redispatches. None disables deadlines (dead-worker
-    # detection still recovers crashes). Required to inject "hang" faults.
+    # a dispatched chunk hung, requeues its lease (a local holder is also
+    # killed and replaced) and redispatches. None disables deadlines
+    # (dead-worker detection still recovers crashes). Required to inject
+    # "hang" faults.
     chunk_timeout: float | None = None
     # Redispatches a chunk may spend after its first attempt before it
     # degrades or the run errors out.
@@ -189,11 +191,12 @@ class ExecConfig:
                 "would block forever"
             )
         network = [f for f in NETWORK_FAULT_FAMILIES if getattr(spec, f) > 0]
-        if network and self.executor != "dist":
+        if network and self.executor == "serial":
             raise ValueError(
                 f"fault families {', '.join(network)} model the "
-                "scheduler/worker network and require executor='dist' "
-                "(the process pool has no connection to sever)"
+                "scheduler/worker network and require a cross-process "
+                "executor ('parallel' or 'dist'); serial has no connection "
+                "to sever"
             )
 
 
@@ -209,23 +212,21 @@ def make_executor(
     """Build the backend ``config`` names.
 
     ``"serial"`` trains through the shared worker model and reads nothing
-    else; ``"parallel"`` fans cohorts out to a process pool and ``"dist"``
-    dispatches lease-supervised chunks to socket-connected workers (see
-    :mod:`repro.exec.dist`), both under a :class:`FaultPlan` seeded by
-    ``seed`` when ``config.faults`` is set; ``num_workers=0`` is a worker
-    per CPU on both, a chunk per CPU on the pool and a fixed 4 on dist.
+    else. ``"parallel"`` and ``"dist"`` both build the one cross-process
+    executor, which dispatches lease-supervised chunks to socket-connected
+    workers (see :mod:`repro.exec.dist`) under a :class:`FaultPlan` seeded
+    by ``seed`` when ``config.faults`` is set, and answers to the name it
+    was asked for; ``num_workers=0`` is a local worker per CPU and 4 chunks.
     """
     from repro.exec.dist import DistExecutor
-    from repro.exec.parallel import ParallelExecutor
     from repro.exec.serial import SerialExecutor
 
     if config.executor == "serial":
         return SerialExecutor(model, clients, loss, optimizer)
     spec = parse_faults(config.faults)
     settings = asdict(config)
-    del settings["executor"], settings["faults"]
-    backend = ParallelExecutor if config.executor == "parallel" else DistExecutor
-    return backend(
+    del settings["faults"]
+    return DistExecutor(
         model,
         clients,
         loss,

@@ -5,13 +5,12 @@ Layout:
 - :mod:`~repro.exec.dist.wire` — length-prefixed pickled frames with crc32;
 - :mod:`~repro.exec.dist.scheduler` — selector-loop scheduler thread
   (registration, heartbeats, lease assignment): frames, EOFs and timers in,
-  transitions of the shared lease state machine out;
+  transitions of the lease state machine out;
 - :mod:`~repro.exec.dist.worker` — the worker process (``repro worker``);
 - :mod:`~repro.exec.dist.executor` — :class:`DistExecutor`, the
-  ``ClientExecutor`` facade registered as ``executor="dist"``.
+  ``ClientExecutor`` facade behind ``executor="dist"`` and ``"parallel"``.
 
-The per-dispatch lease state machine is :mod:`repro.exec.supervision`, the
-one the process pool runs on too.
+The per-dispatch lease state machine is :mod:`repro.exec.supervision`.
 """
 
 from repro.exec.dist.executor import DistExecutor

@@ -1,11 +1,11 @@
-"""Distributed executor: socket scheduler + worker processes.
+"""The cross-process executor: socket scheduler + worker processes.
 
 :class:`DistExecutor` implements the :class:`~repro.exec.base.ClientExecutor`
-protocol over a scheduler/worker topology instead of an ``mp.Pool``: the
-executor owns a :class:`~repro.exec.dist.scheduler.Scheduler` (start
-weights + chunk lease queue) and workers — local child processes or
-external ``repro worker`` processes on other machines — dial in, register,
-heartbeat, and execute leases.
+protocol over a scheduler/worker topology: the executor owns a
+:class:`~repro.exec.dist.scheduler.Scheduler` (start weights + chunk lease
+queue) and workers — local child processes or external ``repro worker``
+processes on other machines — dial in, register, heartbeat, and execute
+leases. It serves both ``executor="dist"`` and ``executor="parallel"``.
 
 The bit-identity contract is the package's (:mod:`repro.exec`) and holds
 across any worker count, arrival order, mid-round kill, or injected fault
@@ -16,9 +16,9 @@ faults cost wall-clock and recovery counters, never history bits.
 Deployment modes, chosen by the bind address:
 
 - **self-contained** (``bind`` port 0, the default): the executor picks an
-  ephemeral port and forks its own local worker processes — drop-in for
-  ``executor="parallel"``, plus the spawned ``Process`` handles are exposed
-  for chaos tests to SIGKILL/SIGSTOP;
+  ephemeral port and forks its own local worker processes, kills any of
+  them found sitting on an expired lease, and replaces every one that dies;
+  the ``Process`` handles are exposed for chaos tests to SIGKILL/SIGSTOP;
 - **external** (explicit port): the executor only listens; start workers
   with ``repro worker --connect HOST:PORT`` wherever you like.
 """
@@ -65,7 +65,7 @@ class DistExecutor(SupervisedExecutor):
     Takes :class:`~repro.exec.supervision.SupervisedExecutor` 's arguments;
     of the settings, the network layer reads ``dist_bind`` (scheduler
     address), ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness), and
-    ``worker_grace`` (how long a dispatch tolerates an empty worker pool
+    ``worker_grace`` (how long a dispatch tolerates an empty worker roster
     before degrading). ``num_workers`` is the chunk count and the number of
     local workers forked; 0 cuts ``DEFAULT_CHUNKS`` chunks and forks one
     worker per CPU.
@@ -126,16 +126,20 @@ class DistExecutor(SupervisedExecutor):
             )
             proc.start()
             self.worker_processes.append(proc)
+            self._scheduler.owned.add(proc.pid)
 
     def _reap_and_respawn(self) -> None:
-        """Replace dead local worker processes (self-contained mode only).
+        """Kill wedged local workers; replace dead ones (self-contained mode).
 
-        The pool supervisor respawns a crashed worker as part of recovering
-        its chunk; here the scheduler recovers the *chunk* on its own (the
-        lease requeues), but a crashed local *process* would otherwise be
-        gone for the rest of the run — shrinking the roster until every
-        dispatch pays the no-worker grace. External workers are their own
-        problem: their host restarts them and they reconnect.
+        The scheduler recovers a *chunk* on its own (the lease requeues),
+        but a crashed local *process* would otherwise be gone for the rest
+        of the run — shrinking the roster until every dispatch pays the
+        no-worker grace — and a hung one would sleep on, heartbeating,
+        while holding a slot. Workers the scheduler dropped on an expired
+        lease are killed and joined first, so their replacements are
+        counted here, within the dispatch that expired them. External
+        workers are their own problem: their host restarts them and they
+        reconnect.
 
         Death is read off the process sentinels, not ``is_alive()``: a
         sentinel is readable from the moment the dying process's
@@ -143,6 +147,13 @@ class DistExecutor(SupervisedExecutor):
         while ``waitpid`` can still report a SIGKILLed process as running
         for as long as the kernel takes to finish it off.
         """
+        wedged = self._scheduler.wedged
+        while wedged:
+            pid = wedged.popleft()
+            for proc in self.worker_processes:
+                if proc.pid == pid:
+                    proc.kill()
+                    proc.join()
         if not self.worker_processes:
             return
         gone = wait_any([p.sentinel for p in self.worker_processes], timeout=0)
@@ -152,6 +163,7 @@ class DistExecutor(SupervisedExecutor):
         for proc in self.worker_processes:
             if proc.sentinel in gone:
                 proc.join()  # a closed sentinel means exit is under way: reap it
+                self._scheduler.owned.discard(proc.pid)
             else:
                 alive.append(proc)
         self.worker_processes = alive
@@ -175,23 +187,23 @@ class DistExecutor(SupervisedExecutor):
         if results is not None:
             return results
         starts = np.ascontiguousarray(starts)
-        # Repair the local roster before dispatching, not just while
-        # waiting: a worker killed between dispatches dies while nobody is
-        # watching its sentinel.
-        self._reap_and_respawn()
         dispatch = self._begin(tasks, self.num_chunks)
         done = self._scheduler.submit(dispatch, self._scheduler.publish_weights(starts))
+        channel = self._scheduler.done_channel
         while not done.is_set():
-            # Sleep until the job resolves or a local worker process dies —
-            # the lease layer recovers the chunk, this loop the roster.
-            ready = wait_any(
-                [self._scheduler.done_channel, *(p.sentinel for p in self.worker_processes)]
-            )
-            if self._scheduler.done_channel in ready:
-                self._scheduler.done_channel.drain()
-            else:
-                self._reap_and_respawn()
-        return self._finish(dispatch, starts, self._scheduler.live_workers)
+            # Sleep until the job resolves, a local worker process dies (or
+            # died between dispatches, unwatched) or the scheduler drops a
+            # wedged one — the lease layer recovers the chunk, this loop
+            # the roster.
+            ready = wait_any([channel, *(p.sentinel for p in self.worker_processes)])
+            if channel in ready:
+                channel.drain()
+            self._reap_and_respawn()
+        # A worker dropped or dead as the job resolved is replaced now, so
+        # what this dispatch cost is counted before it returns.
+        self._reap_and_respawn()
+        roster = len(self.worker_processes) or self._scheduler.live_workers
+        return self._finish(dispatch, starts, roster)
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

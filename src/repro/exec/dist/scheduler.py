@@ -30,16 +30,18 @@ on what is due, hands pending chunks to idle workers and resolves a
 finished job — so a dispatch costs the round trip, not a poll interval.
 
 Lease transitions — verify a result, requeue on error / loss / expiry,
-spend retry budget — are :class:`~repro.exec.supervision.Dispatch` 's, the
-same object the process pool drives; this module turns frames, EOFs and
-timers into those transitions and adds what only a network has:
+spend retry budget — are :class:`~repro.exec.supervision.Dispatch` 's;
+this module turns frames, EOFs and timers into those transitions and adds
+what only a network has:
 
 - workers register and heartbeat; a quiet connection past
   ``heartbeat_timeout`` is declared dead, which (like an EOF from a crashed
   or dropped worker) loses the lease it held;
 - a worker past its lease deadline (``chunk_timeout``) but still
-  heartbeating is presumed wedged — the connection stays open but earns no
-  new leases until it proves liveness with a result or error frame;
+  heartbeating is presumed wedged. One the executor forked (its pid is in
+  ``owned``) is dropped at once and queued on ``wedged`` for the executor
+  to kill and replace; any other keeps its connection but earns no new
+  leases until it proves liveness with a result or error frame;
 - idle workers steal requeued leases off the shared queue;
 - zero live workers for ``worker_grace`` seconds — or every worker wedged
   with nothing in flight — fails the remaining chunks, which the executor
@@ -159,6 +161,11 @@ class Scheduler:
         self._stop = False
         self._thread: threading.Thread | None = None
         self._told_to_exit: set[int] = set()
+        #: Pids of the workers the executor forked (it keeps this current).
+        self.owned: set[int] = set()
+        #: Pids of owned workers dropped on an expired lease, for the
+        #: executor to kill; each one also signals ``done_channel``.
+        self.wedged: deque[int] = deque()
 
     # ------------------------------------------------------------------ #
     # Executor-facing API (called from the executor's thread)
@@ -462,9 +469,16 @@ class Scheduler:
     def _supervise(self, job: _Job, live: list[_Conn], now: float) -> None:
         dispatch = job.dispatch
         # An expired lease's holder keeps heartbeating but is presumed
-        # wedged; it earns no new leases (inflight stays set) until it
-        # proves liveness.
-        dispatch.expire(now)
+        # wedged. A forked one is dropped here (a death, counted now, not
+        # whenever its EOF would arrive) and killed by the executor; any
+        # other earns no new leases (inflight stays set) until it proves
+        # liveness.
+        for lease in dispatch.expire(now):
+            for conn in list(self._conns):
+                if conn.inflight == (dispatch.seq, lease.chunk) and conn.pid in self.owned:
+                    self._dead(conn, "wedged on an expired lease")
+                    self.wedged.append(conn.pid)
+                    self.done_channel.signal()
         if not live:
             self._stall_since = None
             if self._no_worker_since is None:

@@ -16,7 +16,7 @@ Grammar (mirrors the scenario grammar)::
 
 - ``crash:<p>`` — with probability ``p`` per dispatched chunk, the worker
   process dies mid-chunk (``os._exit``), simulating an OOM-kill or
-  segfault. The pool loses the chunk *and* a worker.
+  segfault. The executor loses the chunk *and* a worker.
 - ``hang:<p>`` — the worker sleeps past any reasonable deadline,
   simulating a wedged process; only a per-chunk timeout recovers this.
 - ``corrupt:<p>`` — the chunk's result weights are corrupted after the
@@ -25,11 +25,9 @@ Grammar (mirrors the scenario grammar)::
 - ``drop:<p>`` — the worker abruptly severs its scheduler connection on
   receipt of the lease (a network partition / dropped TCP session), then
   reconnects and re-registers; the scheduler requeues the lease.
-  Distributed executor only.
 - ``delay:<p>`` — the worker stalls for ``delay_seconds`` before sending
   its result frame (a congested or flapping link); recovery is either
-  patience or, past the lease deadline, a redispatch. Distributed
-  executor only.
+  patience or, past the lease deadline, a redispatch.
 
 Decisions are keyed by ``(dispatch, chunk, attempt)``: the first attempt
 of a chunk may draw a fault while its redispatch draws fresh — so capped
@@ -65,9 +63,8 @@ __all__ = [
 
 FAULT_FAMILIES = ("crash", "hang", "corrupt", "drop", "delay")
 
-#: Families that model the *network* between scheduler and worker; they
-#: only make sense for the distributed executor (the process pool has no
-#: connection to sever or frame to stall).
+#: Families that model the *network* between scheduler and worker; serial
+#: execution has no connection to sever or frame to stall.
 NETWORK_FAULT_FAMILIES = ("drop", "delay")
 
 
@@ -137,8 +134,8 @@ def parse_faults(text: str | None) -> FaultSpec | None:
 class FaultPlan:
     """Seeded, order-independent fault schedule over dispatched chunks.
 
-    Picklable pure data: the plan travels to pool workers in the
-    initializer, and both sides (worker executing a fault, parent metering
+    Picklable pure data: the plan travels to workers in the init
+    payload, and both sides (worker executing a fault, parent metering
     it) derive identical decisions from the same key.
     """
 

@@ -24,12 +24,12 @@ class SerialExecutor(ClientExecutor):
     group of clients, each client from its own row of the start stack.
     No per-client model instance exists, which keeps 100–500-client
     simulations cheap; the ceiling left is one process, which
-    :class:`~repro.exec.parallel.ParallelExecutor` lifts.
+    :class:`~repro.exec.dist.DistExecutor` lifts.
 
     The plan for ``(model, loss)`` is compiled eagerly at construction, so
-    every backend replica — this executor is also the per-process worker
-    core of the pool and dist backends, each handing it its chunk — pays
-    compilation once, not on its first cohort.
+    every worker replica — this executor is also the core of each worker
+    process, which hands it its chunk — pays compilation once, not on its
+    first cohort.
     """
 
     name = "serial"

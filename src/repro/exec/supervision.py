@@ -1,4 +1,4 @@
-"""The one supervision state machine both cross-process executors run on.
+"""The supervision state machine the cross-process executor runs on.
 
 A cohort is cut into contiguous chunks (:func:`chunk_tasks`) and a chunk is
 never *given* to a worker — it is **leased**: ``(dispatch, chunk, attempt)``
@@ -16,14 +16,12 @@ degrades it in-process or raises
 :class:`~repro.exec.faults.ExecutorFaultError`. Chunk work is deterministic,
 so duplicate attempts are harmless and the first verified result wins.
 
-The transports differ only in how events reach the transitions: the process
-pool (:mod:`repro.exec.parallel`) reads them off pipes and process
-sentinels, the socket scheduler (:mod:`repro.exec.dist.scheduler`) off
-frames, EOFs and heartbeat timers. Neither ticks: both sleep until an event
-or the earliest armed deadline (:func:`wait_budget`), sentinel watchers
-block in :func:`wait_any`, and :class:`WakeChannel` carries the events that
-are not file descriptors to begin with — one thread handing work to, or
-taking a result from, another.
+The socket scheduler (:mod:`repro.exec.dist.scheduler`) turns frames, EOFs
+and heartbeat timers into those transitions. Nothing ticks: the scheduler
+sleeps until an event or the earliest armed deadline (:func:`wait_budget`),
+the executor watches its workers' process sentinels in :func:`wait_any`, and
+:class:`WakeChannel` carries the events that are not file descriptors to
+begin with — one thread handing work to, or taking a result from, another.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ __all__ = [
 ]
 
 #: Shortest sleep :func:`wait_budget` grants for an armed deadline. The
-#: supervisors fire a deadline on a strict ``now > deadline``, so a wake-up
+#: scheduler fires a deadline on a strict ``now > deadline``, so a wake-up
 #: that lands exactly on it fires nothing; one millisecond later (the
 #: granularity of ``poll``/``epoll`` timeouts anyway) it does, without a
 #: zero-timeout spin in between.
@@ -151,8 +149,8 @@ def worker_context():
 def chunk_tasks(tasks: Sequence, n: int) -> list[list]:
     """Contiguous near-even split preserving task order.
 
-    Chunk boundaries are part of the deterministic fault-key space, so
-    every transport cuts a cohort here and nowhere else.
+    Chunk boundaries are part of the deterministic fault-key space, so a
+    cohort is cut here and nowhere else.
     """
     n = min(n, len(tasks))
     bounds = np.linspace(0, len(tasks), n + 1).astype(int)
@@ -373,7 +371,7 @@ class Dispatch(LeaseTable):
 
     def expire(self, now: float) -> list[Lease]:
         """Requeue every lease past its deadline; returns them. Each holder
-        is presumed wedged, and what becomes of it is the transport's call."""
+        is presumed wedged, and what becomes of it is the scheduler's call."""
         expired = self.expired(now)
         for lease in expired:
             self.counters["timeouts"] += 1
@@ -381,7 +379,7 @@ class Dispatch(LeaseTable):
         return expired
 
     def abandon(self, reason: str) -> None:
-        """Fail whatever is unresolved: the transport is going away."""
+        """Fail whatever is unresolved: the scheduler is going away."""
         for lease in self.leases:
             if not lease.resolved:
                 lease.failed_reason = reason
@@ -391,19 +389,22 @@ class Dispatch(LeaseTable):
 # The parent-side front
 # --------------------------------------------------------------------- #
 class SupervisedExecutor(ClientExecutor):
-    """What :class:`ParallelExecutor` and :class:`DistExecutor` share.
+    """The parent-side half of :class:`~repro.exec.dist.DistExecutor`.
 
     The execution settings, as ``config``: ``**settings`` are
     :class:`ExecConfig` fields, each declared, defaulted and checked there
-    only. Then the fault plan, recovery counters, the in-parent executor,
-    and both ends of a dispatch; a subclass's ``run_cohort`` is
-    :meth:`_in_parent`, :meth:`_begin`, its transport, :meth:`_finish`.
+    only; ``executor`` (the class's ``name`` unless given) is what errors
+    and warnings call this executor. Then the fault plan, recovery
+    counters, the in-parent executor, and both ends of a dispatch; a
+    subclass's ``run_cohort`` is :meth:`_in_parent`, :meth:`_begin`, its
+    transport, :meth:`_finish`.
     """
 
     def __init__(
         self, model, clients, loss, optimizer, *, faults: FaultPlan | None = None, **settings
     ):
-        self.config = ExecConfig(executor=self.name, **settings)
+        self.config = ExecConfig(**{"executor": self.name, **settings})
+        self.name = self.config.executor
         self.num_workers = self.config.num_workers
         self.faults = faults
         self._dispatch_seq = 0

@@ -10,8 +10,8 @@ with bit-identical merged results (every cell is a deterministic function
 of its spec).
 
 Cells run through the configured client-execution backend, so a sweep can
-fan client training out to the process pool (``executor="parallel"``) or to
-socket workers (``executor="dist"``) without changing a cell file's bytes.
+fan client training out to worker processes (``executor="parallel"`` or
+``"dist"``) without changing a cell file's bytes.
 """
 
 from __future__ import annotations

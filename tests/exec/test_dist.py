@@ -1,9 +1,9 @@
 """Distributed executor: wire protocol, lease bookkeeping, and recovery.
 
-The e2e contract matches the pool's: whatever the worker count, arrival
-order, kills, disconnects, or injected network faults, ``DistExecutor``
-must hand back results bit-identical to ``SerialExecutor`` — faults cost
-wall clock and recovery counters, never history bits.
+The e2e contract: whatever the worker count, arrival order, kills,
+disconnects, or injected network faults, ``DistExecutor`` must hand back
+results bit-identical to ``SerialExecutor`` — faults cost wall clock and
+recovery counters, never history bits.
 """
 
 import os
@@ -26,11 +26,12 @@ from repro.exec.dist import (
     FrameError,
     parse_address,
     recv_frame,
+    run_worker,
     send_frame,
 )
 from repro.exec.dist.wire import encode_frame
 from repro.exec.faults import ExecutorFaultError, FaultPlan, parse_faults
-from repro.exec.supervision import LeaseTable
+from repro.exec.supervision import LeaseTable, worker_context
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
@@ -557,13 +558,16 @@ class TestSchedulerTimers:
     def test_lease_deadline_recovers_hung_worker(self, tiny_bow_dataset):
         """A worker that hangs mid-lease keeps heartbeating, so neither EOF
         nor the heartbeat timeout fires: only the lease deadline frees the
-        chunk, and the idle survivor steals it."""
+        chunk, and the idle survivor steals it. The executor forked the
+        hung worker, so it is dropped, killed and replaced at once — a
+        death and a respawn, counted before the dispatch returns."""
         plan = _hang_plan(
             hung=[(0, 0, 0)], clear=[(0, 1, 0), (0, 0, 1), (0, 1, 1)], hang_seconds=30.0
         )
         serial, dist = _executors(tiny_bow_dataset, faults=plan, chunk_timeout=0.4)
         try:
             assert dist.wait_for_workers(2) == 2
+            before = list(dist.worker_processes)
             start = serial.model.get_flat_weights()
             tasks = _cohort(8)
             t0 = time.monotonic()
@@ -574,8 +578,12 @@ class TestSchedulerTimers:
             assert counters["timeouts"] >= 1
             assert counters["steals"] >= 1
             assert counters["heartbeat_misses"] == 0
+            assert counters["worker_deaths"] == counters["respawns"] == 1
             assert counters["degraded_chunks"] == 0
             assert 0.4 <= elapsed < 5.0
+            hung = [p for p in before if p not in dist.worker_processes]
+            assert len(hung) == 1 and hung[0].exitcode == -signal.SIGKILL
+            assert len(dist.worker_processes) == 2
         finally:
             dist.close()
             serial.close()
@@ -605,10 +613,24 @@ class TestSchedulerTimers:
     def test_all_workers_wedged_fails_pending(self, tiny_bow_dataset):
         """Every worker hung on an expired lease, nothing in flight: after
         one more ``chunk_timeout`` the stall window hands the requeued
-        chunks back instead of deadlocking."""
+        chunks back instead of deadlocking. Only workers the executor did
+        not fork can wedge like this (it kills its own), so two are
+        started here and dial in to an explicit port."""
         plan = _hang_plan(hung=[(0, 0, 0), (0, 1, 0)], hang_seconds=30.0)
-        serial, dist = _executors(tiny_bow_dataset, faults=plan, chunk_timeout=0.3)
+        port = _free_port()
+        # Forked before the scheduler exists, so they hold none of its
+        # sockets; they retry until it listens.
+        external = [
+            worker_context().Process(target=run_worker, args=("127.0.0.1", port), daemon=True)
+            for _ in range(2)
+        ]
+        for proc in external:
+            proc.start()
+        serial, dist = _executors(
+            tiny_bow_dataset, faults=plan, chunk_timeout=0.3, dist_bind=f"127.0.0.1:{port}"
+        )
         try:
+            assert dist.worker_processes == []
             assert dist.wait_for_workers(2) == 2
             start = serial.model.get_flat_weights()
             tasks = _cohort(8)
@@ -621,10 +643,15 @@ class TestSchedulerTimers:
             assert counters["timeouts"] == 2
             assert counters["degraded_chunks"] == 2
             assert counters["heartbeat_misses"] == counters["worker_deaths"] == 0
+            assert counters["respawns"] == 0
+            assert all(proc.is_alive() for proc in external)  # wedged, not killed
             assert 0.6 <= elapsed < 5.0
         finally:
             dist.close()
             serial.close()
+            for proc in external:
+                proc.kill()
+                proc.join()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork workers")

@@ -1,7 +1,8 @@
 """Serial/parallel equivalence regression harness.
 
 The hard requirement that makes parallel client execution safe: for any
-method, seed, and model, :class:`ParallelExecutor` must produce
+method, seed, and model, the cross-process executor — under either of its
+names, ``parallel`` and ``dist`` — must produce
 **bit-identical** :class:`RunHistory` records to :class:`SerialExecutor` —
 same accuracies, same losses, same byte meters, same virtual times. Tasks
 carry explicit batch-schedule cursors and pre-sampled latencies, so local
@@ -13,9 +14,8 @@ Chaos mode: setting ``REPRO_FAULTS`` (e.g. ``crash:0.2+corrupt:0.1`` or
 deterministic fault injection — workers crash, hang, drop their
 connection, delay, or corrupt results in flight, the supervisor retries
 and redispatches, and the histories must **still** be bit-identical to the
-fault-free serial runs. CI's chaos matrix sets exactly this. Network
-families (``drop``/``delay``) only exist for the dist executor, so they
-are filtered out of the pool runs automatically.
+fault-free serial runs. CI's chaos matrix sets exactly this, once with
+crash/corrupt and once with the network families (``drop``/``delay``).
 """
 
 import dataclasses
@@ -36,18 +36,9 @@ _BUDGETS = {FedAT: 12, FedAvg: 4, FedAsync: 25, ASOFed: 25}
 #: Fault spec injected into every non-serial run of this suite (chaos mode).
 _FAULTS = os.environ.get("REPRO_FAULTS") or None
 
-#: Fault families that model the scheduler/worker network; only the dist
-#: executor has connections to sever, so the pool runs strip them.
-_NETWORK_FAMILIES = ("drop", "delay")
-
 
 def _chaos_spec(executor):
-    if not _FAULTS or executor == "serial":
-        return None
-    atoms = _FAULTS.split("+")
-    if executor == "parallel":
-        atoms = [a for a in atoms if a.split(":")[0] not in _NETWORK_FAMILIES]
-    return "+".join(atoms) or None
+    return None if executor == "serial" else _FAULTS
 
 
 def _config(cls, seed, executor):

@@ -1,6 +1,7 @@
 """Unit tests for the client-execution engine (repro.exec)."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.exec import (
     make_executor,
     parse_faults,
 )
+from repro.exec.dist.executor import DEFAULT_CHUNKS
 from repro.exec.supervision import chunk_tasks
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD, Adam
@@ -81,10 +83,30 @@ class TestFactory:
         assert par.num_workers == 2
         par.close()
 
-    def test_zero_workers_resolves_to_cpu_count(self, tiny_bow_dataset):
-        par = _make(tiny_bow_dataset, executor="parallel", num_workers=0)
-        assert par.num_workers >= 1
-        par.close()
+    @pytest.mark.parametrize("backend", ["parallel", "dist"])
+    def test_zero_workers_resolves_to_cpu_count(self, tiny_bow_dataset, backend):
+        """One meaning under either name: a local worker per CPU, and a
+        fixed chunk count, so the chunk layout (which keys the fault
+        schedule) never follows the host."""
+        par = _make(tiny_bow_dataset, executor=backend, num_workers=0)
+        try:
+            assert len(par.worker_processes) == (os.cpu_count() or 1)
+            assert par.num_chunks == DEFAULT_CHUNKS == 4
+        finally:
+            par.close()
+
+    def test_parallel_is_dist_under_its_own_name(self, tiny_bow_dataset):
+        """``parallel`` builds the one cross-process executor; errors,
+        warnings and the config still call it what the run asked for."""
+        from repro.exec.dist import DistExecutor
+
+        par = _make(tiny_bow_dataset, executor="parallel", num_workers=2)
+        try:
+            assert ParallelExecutor is DistExecutor and type(par) is DistExecutor
+            assert par.name == "parallel"
+            assert par.config == ExecConfig(executor="parallel", num_workers=2)
+        finally:
+            par.close()
 
     def test_dist_backend(self, tiny_bow_dataset):
         from repro.exec.dist import DistExecutor
@@ -176,7 +198,7 @@ class TestParallelExecutor:
             np.testing.assert_array_equal(s.weights, p.weights)
 
     def test_singleton_cohort_runs_in_process_and_matches(self, tiny_bow_dataset):
-        """Cohorts below min_dispatch skip the pool but stay bit-identical."""
+        """Cohorts below min_dispatch skip the workers but stay bit-identical."""
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
         model = _model(tiny_bow_dataset)
         start = model.get_flat_weights()
@@ -189,7 +211,7 @@ class TestParallelExecutor:
             num_workers=2,
         ) as par:
             local = par.run_cohort(start, task)
-            assert par.worker_processes == []  # never dispatched to the pool
+            assert par._dispatch_seq == 0  # never dispatched to a worker
         np.testing.assert_array_equal(serial[0].weights, local[0].weights)
         assert serial[0].train_loss == local[0].train_loss
 
@@ -218,10 +240,10 @@ class TestParallelExecutor:
 @pytest.mark.parametrize("backend", ["parallel", "dist"])
 @pytest.mark.parametrize("cohort", [0, 1, 4], ids=["empty", "singleton", "dispatched"])
 def test_closed_executor_refuses_cohorts(tiny_bow_dataset, backend, cohort):
-    """One rule for both cross-process backends: after ``close()`` there are
-    no workers, and ``run_cohort`` says so instead
-    of quietly forking a fresh set nobody will close (the pool, once) or
-    dying on a closed descriptor inside ``connection.wait`` (dist, once)."""
+    """One rule under either name: after ``close()`` there are no workers,
+    and ``run_cohort`` says so, by the name the run asked for, instead of
+    quietly forking a fresh set nobody will close or dying on a closed
+    descriptor inside ``connection.wait`` (each happened once)."""
     ex = _make(tiny_bow_dataset, executor=backend, num_workers=2)
     start = _model(tiny_bow_dataset).get_flat_weights()
     try:

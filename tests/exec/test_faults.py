@@ -71,17 +71,17 @@ def test_hang_faults_require_timeout_in_config():
     ExecConfig(executor="dist", faults="hang:0.5", chunk_timeout=2.0)
 
 
-def test_network_faults_require_dist_executor():
-    """drop/delay model the scheduler/worker network; the process pool has
-    no connection to sever, so the config rejects the combination."""
+def test_network_faults_require_a_cross_process_executor():
+    """drop/delay model the scheduler/worker network; serial execution has
+    no connection to sever, so the config rejects the combination there,
+    and only there."""
     for spec in ("drop:0.5", "delay:0.5", "crash:0.1+drop:0.2"):
-        with pytest.raises(ValueError, match="dist"):
-            ExecConfig(executor="parallel", faults=spec)
-        with pytest.raises(ValueError, match="dist"):
+        with pytest.raises(ValueError, match="cross-process"):
             ExecConfig(executor="serial", faults=spec)
+        ExecConfig(executor="parallel", faults=spec)  # valid
         ExecConfig(executor="dist", faults=spec)  # valid
     # Zero-probability network atoms are null: any executor accepts them.
-    ExecConfig(executor="parallel", faults="drop:0")
+    ExecConfig(executor="serial", faults="drop:0")
 
 
 # --------------------------------------------------------------------- #

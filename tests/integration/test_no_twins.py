@@ -3,8 +3,9 @@
 ``src/`` has one parameter layout (``Sequential`` always owns a
 ``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
 whose one-member case is every single client's round) with one path through
-it (every model it compiles stacks; the rest is refused), one way start
-weights reach a pool worker (in the chunk message), one staleness knob
+it (every model it compiles stacks; the rest is refused), one
+cross-process transport (``parallel`` is the socket executor's
+self-contained mode, so no process pool of its own), one staleness knob
 (declared once, on ``StalenessParams``), one FedAT (Theorem 5.1 is checked
 on the one that runs, so neither a second FedAT loop on quadratics nor the
 SGD momentum kept for it survives), one run loop (``FLSystem._run``,
@@ -60,6 +61,9 @@ REMOVED = re.compile(
     # replayed in cohort order, and no model too stateful for the pool.
     r"|replica_safe|plan_cohort|plan_stream|begin_cohort|end_cohort|_ONE_STEP_PER_DRAW"
     r"|fallback_reason"
+    # One cross-process transport: "parallel" is the socket executor's
+    # self-contained mode, so the process pool and its pipe supervisor go.
+    r"|_PoolWorker|_worker_main|_discard_pool"
 )
 
 
@@ -118,6 +122,8 @@ def test_one_lease_state_machine():
     exec_dir = SRC / "repro" / "exec"
     assert not (exec_dir / "dist" / "leases.py").exists()
     sources = {p: p.read_text() for p in sorted(exec_dir.rglob("*.py"))}
+    # The pool's module is a name and nothing else: one transport.
+    assert not re.search(r"^\s*(def|class) ", sources[exec_dir / "parallel.py"], re.M)
 
     def homes(pattern):
         return [p.name for p, text in sources.items() for _ in re.finditer(pattern, text)]
