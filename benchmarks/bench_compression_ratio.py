@@ -4,7 +4,9 @@ Paper claim reproduced: polyline encoding achieves a compression ratio of
 up to ≈3.5× on model weights (the paper's TF float serialization is an
 8-byte reference; against float32 the ratio is correspondingly smaller).
 Also times the codec itself — compression must be cheap relative to
-training for the system to make sense.
+training for the system to make sense — and checks that
+``PolylineCodec.transmit``, which the run loop calls instead of the
+string path, gives the string's decoded bits and its length.
 """
 
 import numpy as np
@@ -43,6 +45,11 @@ def test_compression_ratio(benchmark, trained_like_weights, precision):
     np.testing.assert_allclose(
         out, np.round(trained_like_weights, precision), atol=10.0**-precision
     )
+    # The run loop never spells the string: transmit must give the bits
+    # the string decodes to and the bytes it takes.
+    received, nbytes = codec.transmit(trained_like_weights[None])
+    np.testing.assert_array_equal(received[0].view(np.int64), out.view(np.int64))
+    assert nbytes.tolist() == [len(payload.data)]
 
 
 def test_decode_speed(benchmark, trained_like_weights):

@@ -4,6 +4,12 @@ Every codec maps a flat float weight vector to a :class:`Payload` whose
 ``nbytes`` is what the network meter charges. Baselines that do not compress
 ship raw float32 (4 bytes/weight — the TensorFlow wire format the paper's
 baselines use); FedAT ships polyline ASCII (1 byte/char).
+
+``encode`` / ``decode`` are the wire format. A simulated transfer needs
+only its two outcomes — what the receiver decodes and how many bytes went
+over the wire — so the run loop calls :meth:`Codec.transmit` once per
+stack of messages instead: bit for bit and byte for byte the per-row round
+trip, in one vectorised pass where a codec has one (null, polyline).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.polyline import polyline_decode, polyline_encode
+from repro.compression.polyline import polyline_decode, polyline_encode, polyline_transmit
 
 __all__ = [
     "Payload",
@@ -63,6 +69,25 @@ class Codec:
         payload = self.encode(flat)
         return self.decode(payload), payload
 
+    def transmit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Send each row of an ``(n, P)`` float64 stack as one message.
+
+        Returns the ``(n, P)`` float64 weights the receiver decodes and the
+        wire bytes of each message (int64): ``decode(encode(row))`` and
+        ``encode(row).nbytes``, row by row in row order, bit for bit — a
+        stateful codec draws once per row, as per-row encodes would. The
+        stack is handed over: a codec may write the received weights into
+        it. This default runs that loop; a codec with a vectorised form
+        overrides it.
+        """
+        received = np.empty(rows.shape)
+        nbytes = np.empty(len(rows), dtype=np.int64)
+        for i, row in enumerate(rows):
+            payload = self.encode(row)
+            received[i] = self.decode(payload)
+            nbytes[i] = payload.nbytes
+        return received, nbytes
+
 
 class NullCodec(Codec):
     """No compression: raw float32, 4 bytes per weight."""
@@ -75,6 +100,14 @@ class NullCodec(Codec):
 
     def decode(self, payload: Payload) -> np.ndarray:
         return np.asarray(payload.data, dtype=np.float64)
+
+    def transmit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        received = np.asarray(rows, dtype=np.float64)
+        # The float32 round trip, cast in place: the float32 loop of a
+        # ufunc writing back into its float64 input rounds exactly as
+        # astype(float32) does, without a copy of the stack.
+        np.positive(received, out=received, dtype=np.float32)
+        return received, np.full(len(received), received.shape[1] * RAW_BYTES_PER_WEIGHT)
 
 
 class PolylineCodec(Codec):
@@ -102,6 +135,9 @@ class PolylineCodec(Codec):
                 f"decoded {out.size} values, payload declared {payload.n_values}"
             )
         return out
+
+    def transmit(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return polyline_transmit(rows, self.precision)
 
 
 class QuantizationCodec(Codec):

@@ -15,13 +15,21 @@ Both directions are vectorized — no Python-level loop over values. The
 encoder processes ~1e6 weights in tens of milliseconds, which keeps the
 communication-cost benchmarks honest about *measuring* rather than
 simulating compression.
+
+A simulated run needs only what a message carries: the rounded values and
+its length. :func:`polyline_transmit` computes both for a whole stack of
+messages from steps 1-3 alone — the decoded values are the scaled integers
+over ``10**precision`` and the length counts each value's 5-bit chunks
+exactly — so the run loop never spells a string to measure it. The tests
+pin both to ``polyline_decode(polyline_encode(row))`` and
+``len(polyline_encode(row))``, bit for bit and byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["polyline_encode", "polyline_decode", "MAX_ABS_VALUE"]
+__all__ = ["polyline_encode", "polyline_decode", "polyline_transmit", "MAX_ABS_VALUE"]
 
 # 5-bit chunks: zigzagged deltas must fit in _MAX_CHUNKS * 5 = 60 bits.
 _MAX_CHUNKS = 12
@@ -33,22 +41,22 @@ _MAX_CHUNKS = 12
 MAX_ABS_VALUE = float(2**58)
 
 
-def polyline_encode(values: np.ndarray, precision: int = 5) -> str:
-    """Encode a 1-D float array into a polyline ASCII string.
+def _scaled_zigzag(values: np.ndarray, precision: int) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3 for each row of an ``(n, P)`` stack, one message per row.
 
-    Raises ``ValueError`` for non-finite input or values too large for the
-    chosen precision (|v| * 10^p must stay below ``MAX_ABS_VALUE`` = 2^58,
-    so that worst-case zigzagged *deltas* fit the 60-bit chunk budget).
+    Returns the scaled integers (int64) and the zigzagged deltas along each
+    row (uint64). Raises ``ValueError`` for a precision outside [0, 12],
+    non-finite input, or a value too large for the precision (|v| * 10^p
+    must stay below ``MAX_ABS_VALUE`` = 2^58, so that worst-case zigzagged
+    *deltas* fit the 60-bit chunk budget).
     """
     if not 0 <= precision <= 12:
         raise ValueError(f"precision must be in [0, 12], got {precision}")
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        return ""
     if not np.all(np.isfinite(values)):
         raise ValueError("polyline_encode requires finite values")
     scale = 10.0**precision
-    scaled = np.rint(values * scale)
+    scaled = values * scale
+    np.rint(scaled, out=scaled)  # in place: fewer (n, P) temporaries, same bits
     if np.any(np.abs(scaled) >= MAX_ABS_VALUE):
         raise ValueError(
             f"value too large for precision {precision}: max |v| is "
@@ -56,12 +64,27 @@ def polyline_encode(values: np.ndarray, precision: int = 5) -> str:
         )
     ints = scaled.astype(np.int64)
     deltas = np.empty_like(ints)
-    deltas[0] = ints[0]
-    np.subtract(ints[1:], ints[:-1], out=deltas[1:])
+    deltas[:, :1] = ints[:, :1]
+    np.subtract(ints[:, 1:], ints[:, :-1], out=deltas[:, 1:])
     # Zigzag: (v << 1) ^ (v >> 63) maps sign into the low bit.
-    zz = (deltas << 1) ^ (deltas >> 63)
-    zz = zz.astype(np.uint64)
+    sign = deltas >> 63
+    deltas <<= 1
+    deltas ^= sign
+    return ints, deltas.view(np.uint64)
 
+
+def polyline_encode(values: np.ndarray, precision: int = 5) -> str:
+    """Encode a 1-D float array into a polyline ASCII string.
+
+    Raises ``ValueError`` for non-finite input or values too large for the
+    chosen precision (|v| * 10^p must stay below ``MAX_ABS_VALUE`` = 2^58,
+    so that worst-case zigzagged *deltas* fit the 60-bit chunk budget).
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    _, zz = _scaled_zigzag(values, precision)
+    if zz.size == 0:
+        return ""
+    zz = zz[0]
     n = zz.size
     # Size the chunk matrix to the widest value actually present (typical
     # trained weights need 2-3 chunks, not the 12-chunk worst case).
@@ -77,6 +100,25 @@ def polyline_encode(values: np.ndarray, precision: int = 5) -> str:
     chars = chars + 63
     # Row-major flatten keeps per-value chunk order.
     return chars[valid].tobytes().decode("ascii")
+
+
+def polyline_transmit(rows: np.ndarray, precision: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """Send each row of an ``(n, P)`` stack as its own polyline string,
+    without spelling the strings: returns the ``(n, P)`` float64 values the
+    receiver decodes and each string's length in bytes.
+
+    Row ``i`` equals ``polyline_decode(polyline_encode(rows[i]))`` bit for
+    bit — the scaled integers over ``10**precision``, so a value that rounds
+    to -0 arrives as +0, as it does through the string — and ``nbytes[i]``
+    is ``len(polyline_encode(rows[i]))``: one byte per 5-bit chunk, at least
+    one per value. Raises the same ``ValueError``s as the encoder.
+    """
+    ints, zz = _scaled_zigzag(np.asarray(rows, dtype=np.float64), precision)
+    nbytes = np.full(len(zz), zz.shape[1], dtype=np.int64)  # chunk 0 of every value
+    top = int(zz.max()).bit_length() if zz.size else 0
+    for shift in range(5, top, 5):  # chunk j is sent when zz >= 2**(5j)
+        nbytes += np.count_nonzero(zz >= 1 << shift, axis=1)
+    return ints / 10.0**precision, nbytes
 
 
 def polyline_decode(encoded: str, precision: int = 5) -> np.ndarray:

@@ -302,8 +302,8 @@ class FLSystem:
             horizon=config.dropout_horizon,
         )
         self.meter = NetworkMeter()
-        #: Downlink encode cache: (global version, source array, payload
-        #: bytes, decoded weights). See :meth:`send_down`.
+        #: Downlink cache: (global version, source array, wire bytes,
+        #: received weights). See :meth:`send_down`.
         self._downlink_cache = None
         #: Set by tiered methods when online re-tiering is enabled.
         self.retier_tracker = None
@@ -377,18 +377,19 @@ class FLSystem:
         return OptimizerSpec(self.config.optimizer, self.config.learning_rate)
 
     def send_down(self, flat: np.ndarray, n_receivers: int = 1) -> np.ndarray:
-        """Server→client transfer: encode once, charge each receiver, return
-        the (possibly lossy) weights the clients actually start from.
+        """Server→client transfer: transmit once, charge each receiver,
+        return the (possibly lossy) weights the clients actually start from.
 
-        The encode/decode pair is cached against the global-model version
+        One ``codec.transmit`` of one row gives the received weights and the
+        wire bytes; both are cached against the global-model version
         counter: the async methods (FedAT tier launches, FedAsync/ASO-Fed
         per-client relaunches) repeatedly send an *unchanged* global model,
         and re-encoding it per launch was pure waste. Metering is per
         receiver exactly as before, and for a deterministic codec the
-        cached decode is byte-for-byte the fresh one, so histories are
-        bit-identical. Stateful codecs (``Codec.deterministic`` False —
+        cached weights are byte-for-byte a fresh transmit's, so histories
+        are bit-identical. Stateful codecs (``Codec.deterministic`` False —
         the random-mask subsample sketch) bypass the cache entirely: their
-        per-send RNG draws are part of the simulation. The cached decoded
+        per-send RNG draws are part of the simulation. The cached received
         array is returned read-only (it is shared across launches; every
         consumer copies).
         """
@@ -401,9 +402,9 @@ class FLSystem:
             ):
                 payload_nbytes, decoded = cache[2], cache[3]
             else:
-                payload = self.codec.encode(flat)
-                decoded = self.codec.decode(payload)
-                payload_nbytes = payload.nbytes
+                # A copy: transmit may write the received weights into it.
+                received, nbytes = self.codec.transmit(np.array(flat, dtype=np.float64, ndmin=2))
+                decoded, payload_nbytes = received[0], int(nbytes[0])
                 if self.codec.deterministic:
                     decoded.flags.writeable = False
                     # Freeze the cached *source* too: the cache key is
@@ -427,18 +428,27 @@ class FLSystem:
             return decoded
 
     def uplink_roundtrip(self, results: list[LocalTrainingResult]) -> list[int]:
-        """Codec-roundtrip each result's weights **in place**, returning wire
-        bytes per result.
+        """Send every result's weights through the codec as one
+        ``codec.transmit`` call, replacing each result's weights **in place**
+        with what the server receives; returns the wire bytes per result.
 
-        This does not meter: every method charges uplink bytes at each
+        The trained weights are copied into one stack, each result letting
+        its own copy go as its row is filled, so the stack is the only copy
+        held. This does not meter: every method charges uplink bytes at each
         result's virtual finish time (when its event pops), not at training
         time.
         """
+        if not results:
+            return []
         with self.timers.phase("encode"):
-            payloads = [self.codec.encode(r.weights) for r in results]
-            for res, payload in zip(results, payloads):
-                res.weights = self.codec.decode(payload)
-            return [p.nbytes for p in payloads]
+            rows = np.empty((len(results), results[0].weights.size))
+            for row, res in zip(rows, results):
+                row[...] = res.weights
+                res.weights = row
+            received, nbytes = self.codec.transmit(rows)
+            for res, row in zip(results, received):
+                res.weights = row
+            return nbytes.tolist()
 
     def alive(self, client_ids, at_time: float | None = None):
         """Clients participating (not dropped, not churned away) at a time,
@@ -594,7 +604,8 @@ class FLSystem:
         against those weights under the launch's round and time, *before*
         the uplink codec (a rejected client never transmits, and an
         exploded update would overflow a range-limited encoder like
-        polyline), and the uplink round trip decodes each kept result in
+        polyline), and the uplink round trip sends the kept results
+        through one ``codec.transmit`` call, replacing their weights in
         place.
 
         Flushing is free to happen early: no draw that shapes the run

@@ -1,9 +1,12 @@
-"""Codec interface tests: payload accounting, ratios, factory."""
+"""Codec interface tests: payload accounting, ratios, factory, transmit."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.compression.codec import (
     NullCodec,
@@ -240,6 +243,148 @@ class TestEdgeInputProperties:
             assert out.size == 0
             assert payload.nbytes == 0
             assert payload.n_values == 0
+
+
+#: Every kind of spec ``make_codec`` builds, at its default, its edges and
+#: every polyline precision.
+_SPECS = [
+    None,
+    *(f"polyline:{p}" for p in range(1, 13)),
+    "quant:1",
+    "quant:8",
+    "quant:16",
+    "topk:0.1",
+    "topk:1",
+    "subsample:0.25",
+    "subsample:1",
+]
+
+_edge_stacks = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(0, 4), st.integers(0, 16)),
+    elements=_edge_floats,
+)
+
+
+def _assert_transmit_is_the_string_path(spec, rows):
+    """``transmit(rows)`` of a fresh codec against a twin that encodes and
+    decodes row by row: the same bits (signed zeros included), the same
+    bytes per row, the same ``ValueError`` text, and — for a stateful codec
+    — the same draws after."""
+    sender, twin = make_codec(spec), make_codec(spec)
+    try:
+        expected = [twin.roundtrip(row) for row in rows]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            sender.transmit(rows.copy())
+        return
+    received, nbytes = sender.transmit(rows.copy())
+    assert received.dtype == np.float64 and received.shape == rows.shape
+    want = np.array([out for out, _ in expected], dtype=np.float64).reshape(rows.shape)
+    np.testing.assert_array_equal(received.view(np.int64), want.view(np.int64))
+    assert nbytes.tolist() == [payload.nbytes for _, payload in expected]
+    probe = np.linspace(-1.0, 1.0, 9)
+    np.testing.assert_array_equal(sender.roundtrip(probe)[0], twin.roundtrip(probe)[0])
+
+
+class TestTransmit:
+    """``Codec.transmit`` is the string path's outcome, one stack at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_edge_stacks)
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_every_codec_transmits_its_round_trip(self, spec, rows):
+        _assert_transmit_is_the_string_path(spec, rows)
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_degenerate_shapes(self, spec, rng):
+        for shape in [(1, 0), (3, 0), (0, 5), (1, 1), (4, 1), (1, 7)]:
+            _assert_transmit_is_the_string_path(spec, rng.normal(0, 0.1, size=shape))
+
+    @pytest.mark.parametrize("j", range(1, 12))
+    def test_polyline_counts_every_chunk_boundary(self, j):
+        """At precision 0 a one-value row's zigzag is exact: -half and half
+        zigzag to 2**(5j) - 1 (j chunks) and 2**(5j) (j + 1 chunks), and
+        their neighbours, where float64 holds them, fall either side."""
+        from repro.compression.polyline import (
+            polyline_decode,
+            polyline_encode,
+            polyline_transmit,
+        )
+
+        half = 2 ** (5 * j - 1)
+        ints, chunks = [-half, half], [j, j + 1]
+        if half < 2**52:
+            ints, chunks = ints + [-half - 1, half - 1], chunks + [j + 1, j]
+        rows = np.array(ints, dtype=np.float64)[:, None]
+        assert rows[:, 0].astype(np.int64).tolist() == ints
+        received, nbytes = polyline_transmit(rows, 0)
+        assert nbytes.tolist() == chunks
+        assert nbytes.tolist() == [len(polyline_encode(row, 0)) for row in rows]
+        for row, got in zip(rows, received):
+            np.testing.assert_array_equal(got, polyline_decode(polyline_encode(row, 0), 0))
+        # The same values as deltas inside one row, and at every precision.
+        inside = np.array([[0.0] + ints])
+        for p in range(1, 13):
+            _assert_transmit_is_the_string_path(f"polyline:{p}", rows / 10.0**p)
+            _assert_transmit_is_the_string_path(f"polyline:{p}", inside / 10.0**p)
+
+    @pytest.mark.parametrize("precision", range(1, 13))
+    def test_polyline_negative_zeros_arrive_positive(self, precision):
+        tiny = 0.4 * 10.0**-precision
+        rows = np.array([[-tiny, -0.0, 0.0, tiny], [-0.0, -tiny, -tiny, -0.0]])
+        received, _ = make_codec(f"polyline:{precision}").transmit(rows.copy())
+        assert not received.view(np.int64).any()  # every entry is +0.0
+        _assert_transmit_is_the_string_path(f"polyline:{precision}", rows)
+
+    @pytest.mark.parametrize("precision", range(1, 13))
+    def test_polyline_just_under_the_range_limit(self, precision):
+        from repro.compression.polyline import MAX_ABS_VALUE
+
+        v = np.nextafter(MAX_ABS_VALUE / 10.0**precision, 0.0)
+        for rows in ([[v]], [[-v]], [[v, -v, v]], [[0.0, v], [-v, 0.0]]):
+            _assert_transmit_is_the_string_path(f"polyline:{precision}", np.array(rows))
+
+    def test_polyline_widest_legal_delta_takes_twelve_chunks(self):
+        """At precision 0 the scaled value is exact: v just under the limit
+        zigzags to 2v and the delta -2v to 4v - 1 < 2**60, twelve chunks
+        each."""
+        from repro.compression.polyline import MAX_ABS_VALUE, polyline_encode, polyline_transmit
+
+        row = np.array([np.nextafter(MAX_ABS_VALUE, 0.0), -np.nextafter(MAX_ABS_VALUE, 0.0)])
+        _, nbytes = polyline_transmit(row[None], 0)
+        assert nbytes.tolist() == [12 + 12] == [len(polyline_encode(row, 0))]
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 1e30, -1e30], ids=["nan", "inf", "-inf", "big", "-big"]
+    )
+    @pytest.mark.parametrize("precision", [1, 4, 12])
+    def test_polyline_errors_read_the_same(self, bad, precision):
+        codec = PolylineCodec(precision)
+        row = np.array([0.5, bad, -0.25])
+        with pytest.raises(ValueError) as by_string:
+            codec.encode(row)
+        with pytest.raises(ValueError) as by_transmit:
+            codec.transmit(np.stack([np.zeros(3), row]))
+        assert str(by_transmit.value) == str(by_string.value)
+
+    def test_subsample_draws_as_per_row_encodes_do(self, rng):
+        rows = rng.normal(size=(5, 40))
+        sender, twin = SubsampleCodec(0.3, seed=7), SubsampleCodec(0.3, seed=7)
+        received, nbytes = sender.transmit(rows.copy())
+        for row, got, n in zip(rows, received, nbytes):
+            payload = twin.encode(row)
+            np.testing.assert_array_equal(got, twin.decode(payload))
+            assert n == payload.nbytes
+        np.testing.assert_array_equal(sender.encode(rows[0]).data[0], twin.encode(rows[0]).data[0])
+
+    def test_null_codec_casts_the_stack_in_place(self, rng):
+        rows = rng.normal(size=(6, 50))
+        expected = rows.astype(np.float32).astype(np.float64)
+        received, nbytes = NullCodec().transmit(rows)
+        assert received is rows  # no second (n, P) copy
+        np.testing.assert_array_equal(received, expected)
+        assert nbytes.tolist() == [4 * 50] * 6
 
 
 class TestFactory:

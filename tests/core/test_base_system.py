@@ -28,6 +28,17 @@ class TestTransfers:
         assert s.meter.downlink_messages == 7
         assert s.meter.downlink_bytes == 7 * 4 * s.worker.num_params
 
+    def test_send_down_leaves_the_global_model_alone(self, tiny_bow_dataset, rng):
+        """The null codec casts a stack through float32 in place: what it is
+        handed must be a copy, never the global model itself."""
+        s = _system(tiny_bow_dataset)
+        s.global_weights = rng.normal(0, 0.1, size=s.worker.num_params)
+        before = s.global_weights.copy()
+        received = s.send_down(s.global_weights)
+        np.testing.assert_array_equal(s.global_weights, before)
+        np.testing.assert_array_equal(received, before.astype(np.float32))
+        assert not np.shares_memory(received, s.global_weights)
+
     def test_uplink_roundtrip_decodes_without_metering(self, tiny_bow_dataset):
         """Each result's weights become what the server decodes; the bytes
         are charged later, when the result's event pops."""
@@ -68,14 +79,14 @@ class TestTransfers:
         assert not np.array_equal(received, s.global_weights)
         np.testing.assert_allclose(received, s.global_weights, atol=5.1e-5)
 
-    def test_send_down_encodes_once_per_global_version(self, tiny_bow_dataset):
-        """Repeated launches of an unchanged global model reuse the encoded
-        payload; a new global model (rebinding the attribute) re-encodes.
-        Metering stays per receiver throughout."""
+    def test_send_down_transmits_once_per_global_version(self, tiny_bow_dataset):
+        """Repeated launches of an unchanged global model reuse the
+        transmitted weights and bytes; a new global model (rebinding the
+        attribute) transmits again. Metering stays per receiver throughout."""
         s = _system(tiny_bow_dataset, cls=FedAT, compression="polyline:4")
         calls = []
-        original = s.codec.encode
-        s.codec.encode = lambda flat: calls.append(1) or original(flat)
+        original = s.codec.transmit
+        s.codec.transmit = lambda rows: calls.append(1) or original(rows)
 
         first = s.send_down(s.global_weights, n_receivers=2)
         second = s.send_down(s.global_weights, n_receivers=3)
@@ -88,6 +99,22 @@ class TestTransfers:
         third = s.send_down(s.global_weights, n_receivers=1)
         assert len(calls) == 2
         np.testing.assert_array_equal(third, first)  # same weights, same bytes
+
+    def test_one_transmit_per_launch(self, tiny_bow_dataset):
+        """A launch of k clients sends the global model down as one
+        one-row transmit, and its flush sends all k trained results up as
+        one k-row transmit: no per-result encode on either side."""
+        s = _system(tiny_bow_dataset, cls=FedAT, compression="polyline:4", num_unstable=0)
+        shapes = []
+        original = s.codec.transmit
+        s.codec.transmit = lambda rows: shapes.append(rows.shape) or original(rows)
+        s.codec.encode = s.codec.decode = None  # the string path is never taken
+
+        launch = s.launch([0, 1, 2, 3], start=0.0)
+        assert shapes == [(1, s.worker.num_params)]
+        k = len(launch.results)  # the first read flushes
+        assert k == 4
+        assert shapes == [(1, s.worker.num_params), (k, s.worker.num_params)]
 
     def test_send_down_cache_ignores_foreign_arrays(self, tiny_bow_dataset):
         """Only the global-weights object is cached: an unrelated vector

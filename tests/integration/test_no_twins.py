@@ -12,13 +12,14 @@ SGD momentum kept for it survives), one run loop (``FLSystem._run``,
 with one cohort launch, one flush that trains what launches queue, and one
 rejoin scheduler), one home for execution settings (``ExecConfig``, which
 declares and checks each one; ``make_executor`` reads it), one home per
-method knob (the ``Params`` of the methods that read it) and one source of
+method knob (the ``Params`` of the methods that read it), one source of
 a client round's state, its start row and task (batch-norm statistics are
 weights and dropout draws from the round's own generator, so neither a
 cohort-order replay nor a replica-safety flag with its serial fallback
-survives). The names below
-selected or served the other side of each pair before they were deleted; a
-later change must not quietly bring one back.
+survives), and one way weights cross the simulated wire (``Codec.transmit``
+of a whole stack; the string path is the wire format, not the run loop's).
+The names below selected or served the other side of each pair before they
+were deleted; a later change must not quietly bring one back.
 """
 
 import re
@@ -48,8 +49,8 @@ REMOVED = re.compile(
     r"|GlobalAveragePool|class Softmax\b|plan_aware|plan_stackable|\.stackable\b"
     # A method's knobs live on its Params: no list says which method tiers.
     r"|TIERED_METHODS"
-    # A flush's uplink round trip encodes and decodes inline; and the arena
-    # stays with the plan whether or not the last cohort stacked.
+    # A flush's uplink round trip is one Codec.transmit of the kept results;
+    # and the arena stays with the plan whether or not the last cohort stacked.
     r"|encode_batch|decode_batch|roundtrip_batch|exec\.payloads|_stacked_before"
     # Start weights ride in the pool's chunk message: no shared-memory
     # segment, no fallback from it, and no knob for how workers start.
@@ -152,6 +153,51 @@ def test_one_reader_of_execution_settings():
         "core/base.py"
     ]
     assert not [p for p, text in outside.items() if re.search(r"(?<!repro)\.exec\.\w", text)]
+
+
+def test_the_run_loop_never_spells_a_message():
+    """``core/`` and ``baselines/`` send weights through ``Codec.transmit``
+    only: no ``.encode(`` or ``.decode(`` call on a codec (a string's
+    ``.encode("utf-8")`` is not one), and ``send_down`` and
+    ``uplink_roundtrip`` each make one ``transmit`` call."""
+    dirs = (SRC / "repro" / "core", SRC / "repro" / "baselines")
+    call = re.compile(r"\.(?:en|de)code\((?!\s*[\"'])")
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for d in dirs
+        for path in sorted(d.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if call.search(line)
+    ]
+    assert not hits, "the run loop calls the string path:\n" + "\n".join(hits)
+    assert call.search("payload = self.codec.encode(flat)")
+    assert call.search("            res.weights = codec.decode(")
+    assert not call.search('digest = hashlib.sha256(name.encode("utf-8")).digest()')
+    import inspect
+
+    from repro.core.base import FLSystem
+
+    for method in (FLSystem.send_down, FLSystem.uplink_roundtrip):
+        assert inspect.getsource(method).count(".transmit(") == 1, method.__name__
+
+
+def test_one_polyline_validation():
+    """``polyline.py`` rounds, validates and zigzags in one helper: its
+    finite and range errors are raised there and nowhere else, and both the
+    string encoder and ``polyline_transmit`` go through it."""
+    import ast
+
+    tree = ast.parse((SRC / "repro" / "compression" / "polyline.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def raised(node, needle):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Raise) and needle in ast.unparse(n)]
+
+    for needle in ("requires finite", "too large for precision"):
+        homes = [name for name, node in functions.items() if raised(node, needle)]
+        assert homes == ["_scaled_zigzag"], needle
+    for name in ("polyline_encode", "polyline_transmit"):
+        assert "_scaled_zigzag(" in ast.unparse(functions[name]), name
 
 
 def test_one_fedat():
