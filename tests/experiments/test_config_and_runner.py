@@ -240,6 +240,8 @@ _PINNED_METHOD_RUNS = [
       "max_rounds": 8, "num_tiers": 3, "tifl_interval": 4, "retier_interval": 2},
      "6ad2c5146c8974c34ebd"),
 ]
+#: The checkpoint file ``run_experiment`` writes for ``_PINNED_RUN``.
+_PINNED_CHECKPOINT = "run_38c739034e6581630f6c.ckpt"
 
 
 class TestCacheKey:
@@ -279,3 +281,11 @@ class TestCacheKey:
     @pytest.mark.parametrize("run,key", _PINNED_METHOD_RUNS, ids=["fedasync", "tifl"])
     def test_method_knob_keys_are_pinned(self, run, key):
         assert _cache_key(run) == key
+
+    def test_checkpoint_key_is_pinned(self, tmp_path, monkeypatch):
+        from repro.experiments.checkpoint import RunCheckpointer
+
+        monkeypatch.setattr(RunCheckpointer, "clear", lambda self: None)
+        run = dict(_PINNED_RUN)
+        run_experiment(run.pop("method"), run.pop("dataset"), checkpoint_dir=tmp_path, **run)
+        assert [p.name for p in tmp_path.iterdir()] == [_PINNED_CHECKPOINT]

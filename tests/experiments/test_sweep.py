@@ -10,6 +10,8 @@ from repro.cli import main
 from repro.experiments.checkpoint import VOLATILE_META_KEYS
 from repro.experiments.sweep import SweepCell, SweepRunner, SweepSpec
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
 
 @pytest.fixture()
 def spec():
@@ -77,6 +79,13 @@ def test_sweep_completes_and_summarizes(spec, tmp_path):
     table = runner.format_summary(summary)
     assert "fedavg" in table and "churn" in table and "complete" in table
     assert (tmp_path / "out" / "summary.json").exists()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "fedavg__churn__s0.json", "fedavg__churn__s1.json",
+        "fedavg__static__s0.json", "fedavg__static__s1.json",
+        "spec.json", "summary.json",
+        "tifl__churn__s0.json", "tifl__churn__s1.json",
+        "tifl__static__s0.json", "tifl__static__s1.json",
+    ]
 
 
 def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, monkeypatch):
@@ -221,6 +230,30 @@ def test_committed_sweep_configs_parse():
     # The committed grids exercise the arrival and bandwidth-drift axes.
     assert any(s.startswith("arrival") for s in scenarios)
     assert any(s.startswith("bwdrift") for s in scenarios)
+
+
+#: The committed configs' keys: a moved key makes every checkpointed cell
+#: of that grid stale.
+_PINNED_SWEEP_KEYS = {
+    "sweep_nightly.json": "107fb409d69d468a",
+    "sweep_paper.json": "994af864bfba7dfe",
+}
+
+
+@pytest.mark.parametrize("name,key", sorted(_PINNED_SWEEP_KEYS.items()))
+def test_committed_sweep_keys_are_pinned(name, key):
+    assert SweepSpec.from_file(EXAMPLES / name).key() == key
+
+
+def test_cell_file_names_are_pinned():
+    """A cell's file is named by its grid coordinate: a moved name orphans
+    every checkpoint written under the old one."""
+    import hashlib
+
+    ids = [c.cell_id for c in SweepSpec.from_file(EXAMPLES / "sweep_paper.json").cells()]
+    assert ids[:2] == ["fedat__static__s0", "fedat__static__s0__p1000000"]
+    assert ids[-1] == "asofed__bwheal-4__s2__p1000000"
+    assert hashlib.sha256("\n".join(ids).encode()).hexdigest()[:16] == "e2dada0e227e9467"
 
 
 def test_cli_sweep_smoke(tmp_path, capsys):
