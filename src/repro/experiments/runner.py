@@ -149,6 +149,7 @@ def run_experiment(
     """
     if method not in ALGORITHMS:
         raise KeyError(f"unknown method {method!r}; options: {sorted(ALGORITHMS)}")
+    given = dict(fl_overrides)
     if population is not None:
         dataset = build_virtual_population(
             dataset_name,
@@ -183,22 +184,25 @@ def run_experiment(
     if checkpoint_dir is not None:
         from repro.experiments.checkpoint import RunCheckpointer
 
-        # Key the checkpoint by every parameter that shapes the run's
-        # *results*, so a resume can never continue a different
-        # experiment's state — but not by execution-only knobs, so a run
-        # started serially can resume distributed (and vice versa).
+        # Key the checkpoint as run_cached keys the same run: the settings
+        # that differ from their defaults and the FL overrides as given,
+        # less the execution-only knobs, so a run started serially can
+        # resume distributed (and vice versa).
+        settings = {
+            "scale": (scale, "bench"),
+            "seed": (seed, 0),
+            "classes_per_client": (classes_per_client, "default"),
+            "num_clients": (num_clients, None),
+            "population": (population, None),
+            "delay_counts": (delay_counts, None),
+            "dataset_overrides": (dataset_overrides or None, None),
+        }
         key = _cache_key(
             {
                 "method": method,
                 "dataset": dataset_name,
-                "scale": scale,
-                "seed": seed,
-                "classes_per_client": classes_per_client,
-                "num_clients": num_clients,
-                "population": population,
-                "delay_counts": delay_counts,
-                "dataset_overrides": dataset_overrides,
-                **fl_overrides,
+                **{k: v for k, (v, default) in settings.items() if v != default},
+                **given,
             }
         )
         checkpointer = RunCheckpointer(checkpoint_dir, key, every=checkpoint_every)

@@ -240,8 +240,9 @@ _PINNED_METHOD_RUNS = [
       "max_rounds": 8, "num_tiers": 3, "tifl_interval": 4, "retier_interval": 2},
      "6ad2c5146c8974c34ebd"),
 ]
-#: The checkpoint file ``run_experiment`` writes for ``_PINNED_RUN``.
-_PINNED_CHECKPOINT = "run_38c739034e6581630f6c.ckpt"
+#: The checkpoint file ``run_experiment`` writes for ``_PINNED_RUN``: a
+#: checkpoint is keyed as the cache is.
+_PINNED_CHECKPOINT = f"run_{_PINNED_KEY}.ckpt"
 
 
 class TestCacheKey:
