@@ -33,8 +33,8 @@ import sys
 import numpy as np
 
 from repro.exec.base import EXECUTORS
-from repro.experiments.config import ALGORITHMS, knobs_read_by, make_fl_config, methods_taking
-from repro.experiments.runner import run_experiment
+from repro.experiments.config import ALGORITHMS, knobs_read_by, methods_taking
+from repro.experiments.runner import RunSpec
 from repro.metrics.report import format_table, time_to_accuracy
 from repro.utils.serialization import save_json
 
@@ -230,23 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Flags ``run`` / ``compare`` pass on to run_experiment, by dest (the
-#: config key); one left unset (None) keeps the preset.
-_PASSED = (
-    "classes_per_client", "num_clients", "population", "eval_clients", "staleness",
-    "max_rounds", "max_time", "lam", "executor", "num_workers", "dist_bind",
-    "heartbeat_interval", "heartbeat_timeout", "worker_grace", "profile_sample", "dtype",
-    "scenario", "retier_interval", "faults", "chunk_timeout", "chunk_retries",
-    "fault_degrade", "guard",
-)
-
-
-def _run_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {k: getattr(args, k) for k in _PASSED if getattr(args, k, None) is not None}
-    compression = getattr(args, "compression", "default")
+def _run_spec(args: argparse.Namespace, method: str) -> tuple[RunSpec, dict]:
+    """The run a ``run`` / ``compare`` command line describes for ``method``:
+    every flag set, less the command's own (an unset flag keeps the preset).
+    A method knob reaches only the methods that read it under ``compare``."""
+    own = ("command", "method", "methods", "dataset", "target_fraction", "out")
+    flat = {k: v for k, v in vars(args).items() if v is not None and k not in own}
+    compression = flat.pop("compression", "default")
     if compression != "default":
-        kwargs["compression"] = None if compression == "none" else compression
-    return kwargs
+        flat["compression"] = None if compression == "none" else compression
+    if args.command == "compare":
+        flat = knobs_read_by(method, flat)
+    return RunSpec.of(method, args.dataset, **flat)
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -274,28 +269,15 @@ def _parse_populations(text: str) -> tuple[int | None, ...]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    kwargs = _run_kwargs(args)
     if args.resume and args.checkpoint_dir is None:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
         return 2
-    # Refuse a bad flag, or one the method does not read, before building
-    # anything; the three keys left out are run_experiment's own.
-    runner = ("classes_per_client", "num_clients", "population")
-    flat = {k: v for k, v in kwargs.items() if k not in runner}
     try:
-        make_fl_config(args.method, args.scale, args.seed, **flat)
+        spec, execution = _run_spec(args, args.method)
     except ValueError as exc:
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
-    if args.checkpoint_dir is not None:
-        kwargs["checkpoint_dir"] = args.checkpoint_dir
-        kwargs["resume"] = args.resume
-        if args.checkpoint_every is not None:
-            kwargs["checkpoint_every"] = args.checkpoint_every
-    history = run_experiment(
-        args.method, args.dataset, scale=args.scale, seed=args.seed,
-        **kwargs,
-    )
+    history = spec.run(**execution)
     print(f"method         : {history.method}")
     print(f"dataset        : {history.dataset}")
     print(f"global updates : {history.rounds()[-1]}")
@@ -317,17 +299,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in ALGORITHMS]
-    if unknown:
-        print(f"unknown methods: {unknown}", file=sys.stderr)
+    try:
+        runs = {m: _run_spec(args, m) for m in methods}
+    except ValueError as exc:
+        print(f"repro compare: {exc}", file=sys.stderr)
         return 2
-    kwargs = _run_kwargs(args)
-    histories = {
-        m: run_experiment(
-            m, args.dataset, scale=args.scale, seed=args.seed, **knobs_read_by(m, kwargs)
-        )
-        for m in methods
-    }
+    histories = {m: spec.run(**execution) for m, (spec, execution) in runs.items()}
     target = args.target_fraction * histories[methods[0]].best_accuracy()
     rows = []
     for m, h in histories.items():

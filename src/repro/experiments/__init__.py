@@ -13,6 +13,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import (
     ALGORITHMS,
+    RunSpec,
     build_federation,
     clear_cache,
     run_cached,
@@ -26,6 +27,7 @@ __all__ = [
     "make_fl_config",
     "build_model_builder",
     "ALGORITHMS",
+    "RunSpec",
     "build_federation",
     "run_experiment",
     "run_cached",

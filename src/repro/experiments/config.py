@@ -180,7 +180,7 @@ def route_config(method: str, **flat) -> FLConfig:
 def knobs_read_by(method: str, flat: dict) -> dict:
     """``flat`` less the knobs ``method`` does not read, for grids that set
     one knob for every method; a key no method declares stays, to be refused."""
-    own = _names(ALGORITHMS[method].Params)
+    own = _names(ALGORITHMS[method].Params) if method in ALGORITHMS else set()
     return {k: v for k, v in flat.items() if k in own or not methods_taking(k)}
 
 

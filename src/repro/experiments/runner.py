@@ -1,18 +1,26 @@
-"""Experiment runner: builds a federation, runs one method, caches results.
+"""Experiment runner: describes a run, builds its federation, runs it, caches it.
+
+A :class:`RunSpec` is one experiment — method, dataset, scale, seed,
+partition, population, delay counts and overrides — and is the one place
+that splits execution settings off a run's flat keywords, checks the rest
+and keys it: the ``run_cached`` entry, the in-run checkpoint and every
+sweep cell are named by :meth:`RunSpec.key`.
 
 Several figures/tables derive from the *same* runs (Table 1, Table 2,
 Figs 2–4 all read the per-method training histories on the 2-class
 non-IID datasets), so the runner memoizes histories in-process and on disk
-under ``.bench_cache/`` keyed by a hash of all run parameters.
+under ``.bench_cache/``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any
 
+from repro.core.config import FLConfig
 from repro.data.datasets import DATASETS, make_dataset, make_sample_bank
 from repro.exec.base import ExecConfig
 from repro.experiments.config import ALGORITHMS, SCALES, build_model_builder, make_fl_config
@@ -24,6 +32,7 @@ from repro.utils.serialization import load_json, save_json
 
 __all__ = [
     "ALGORITHMS",
+    "RunSpec",
     "build_federation",
     "build_virtual_population",
     "run_experiment",
@@ -119,6 +128,147 @@ def build_virtual_population(
     )
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One experiment: every setting that shapes its history, and no other.
+
+    Build it from the flat keywords :func:`run_experiment` takes with
+    :meth:`of`, which splits the execution settings off and checks the
+    rest. ``fl_overrides`` are the flat FL knobs as sorted ``(key, value)``
+    pairs; ``dataset_overrides`` likewise.
+    """
+
+    method: str
+    dataset: str
+    scale: str = "bench"
+    seed: int = 0
+    classes_per_client: int | None | str = "default"
+    num_clients: int | None = None
+    #: None = the eager pre-partitioned federation; an int runs the
+    #: experiment on a VirtualPopulation of that many lazily derived clients.
+    population: int | None = None
+    delay_counts: tuple[int, ...] | None = None
+    dataset_overrides: tuple[tuple[str, Any], ...] = ()
+    fl_overrides: tuple[tuple[str, Any], ...] = ()
+
+    @classmethod
+    def of(cls, method: str, dataset: str, **flat) -> tuple[RunSpec, dict]:
+        """The spec ``flat`` describes, and its execution settings.
+
+        Execution settings are every :class:`ExecConfig` field, a whole
+        ``exec``, and the in-run checkpoint settings: by the
+        executor-equivalence contract none changes a history bit, so none
+        keys the run. Refuses an unknown method, dataset or scale, and any
+        knob ``make_fl_config`` refuses, before anything is built.
+        """
+        checkpoint = {"checkpoint_dir", "resume", "checkpoint_every"}
+        execution_keys = {f.name for f in fields(ExecConfig)} | {"exec"} | checkpoint
+        execution = {k: flat.pop(k) for k in execution_keys & flat.keys()}
+        settings = {f.name for f in fields(cls)} - {"method", "dataset", "fl_overrides"}
+        own = {k: flat.pop(k) for k in settings & flat.keys()}
+        if own.get("delay_counts") is not None:
+            own["delay_counts"] = tuple(own["delay_counts"])
+        own["dataset_overrides"] = tuple(sorted((own.get("dataset_overrides") or {}).items()))
+        spec = cls(method, dataset, **own, fl_overrides=tuple(sorted(flat.items())))
+        for name, table in (("method", ALGORITHMS), ("dataset", DATASETS), ("scale", SCALES)):
+            if getattr(spec, name) not in table:
+                raise ValueError(
+                    f"unknown {name} {getattr(spec, name)!r}; options: {sorted(table)}"
+                )
+        if spec.population is not None and not (
+            isinstance(spec.population, int) and spec.population >= 1
+        ):
+            raise ValueError(f"population must be None or a positive int, got {spec.population!r}")
+        spec.config(**{k: v for k, v in execution.items() if k not in checkpoint})
+        return spec, execution
+
+    def key(self) -> str:
+        """Digest of the run: its method and dataset, each setting away
+        from its default, and its FL overrides (so an experiment keeps its
+        key when a setting with a default is added)."""
+        keyed = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) != f.default
+        }
+        keyed.update(keyed.pop("fl_overrides", ()))
+        if "dataset_overrides" in keyed:
+            keyed["dataset_overrides"] = dict(keyed["dataset_overrides"])
+        blob = json.dumps(keyed, sort_keys=True, default=str)
+        return hashlib.sha256(blob.encode()).hexdigest()[:20]
+
+    def config(self, **execution) -> FLConfig:
+        """The run's :class:`FLConfig`, with ``execution`` routed to ``exec``."""
+        flat = dict(self.fl_overrides)
+        if self.population is not None:
+            flat.setdefault("eval_clients", min(self.population, DEFAULT_VIRTUAL_EVAL_CLIENTS))
+        return make_fl_config(self.method, self.scale, self.seed, **flat, **execution)
+
+    def run(
+        self,
+        *,
+        checkpoint_dir: str | None = None,
+        resume: bool = False,
+        checkpoint_every: int = 1,
+        **execution,
+    ) -> RunHistory:
+        """Build the federation and the system, run it, return its history.
+
+        ``checkpoint_dir`` enables round-granular in-run checkpointing
+        (every ``checkpoint_every`` global updates, keyed by :meth:`key`);
+        with ``resume=True`` a killed run picks up from its last checkpoint
+        and finishes with a history bit-identical to the uninterrupted run.
+        The checkpoint is removed once the run completes.
+        """
+        if self.population is not None:
+            dataset = build_virtual_population(
+                self.dataset,
+                self.population,
+                self.scale,
+                self.seed,
+                classes_per_client=self.classes_per_client,
+                **dict(self.dataset_overrides),
+            )
+        else:
+            dataset = build_federation(
+                self.dataset,
+                self.scale,
+                self.seed,
+                num_clients=self.num_clients,
+                classes_per_client=self.classes_per_client,
+                **dict(self.dataset_overrides),
+            )
+        config = self.config(**execution)
+        builder = build_model_builder(dataset, self.scale)
+        delay_model = None
+        if self.delay_counts is not None:
+            env_rng = SeedSequenceFactory(self.seed).rng("env/delays")
+            delay_model = TierDelayModel.from_counts(
+                self.delay_counts, env_rng, PAPER_DELAY_BANDS
+            )
+        system = ALGORITHMS[self.method](dataset, builder, config, delay_model=delay_model)
+        checkpointer = None
+        if checkpoint_dir is not None:
+            from repro.experiments.checkpoint import RunCheckpointer
+
+            checkpointer = RunCheckpointer(checkpoint_dir, self.key(), every=checkpoint_every)
+            system.attach_checkpointer(checkpointer, resume=resume)
+        history = system.run()
+        if checkpointer is not None:
+            checkpointer.clear()  # the run completed; keep the directory clean
+        history.meta.update(
+            {
+                "scale": self.scale,
+                "classes_per_client": (
+                    None if self.classes_per_client == "default" else self.classes_per_client
+                ),
+            }
+        )
+        if self.population is not None:
+            history.meta["population"] = int(self.population)
+        return history
+
+
 def run_experiment(
     method: str,
     dataset_name: str,
@@ -135,105 +285,24 @@ def run_experiment(
     checkpoint_every: int = 1,
     **fl_overrides,
 ) -> RunHistory:
-    """Run one (method, dataset) experiment and return its history.
-
-    ``population`` switches the run onto a :class:`VirtualPopulation` of
-    that many lazily derived clients (memory bounded by the active cohort);
-    ``None`` keeps the eager pre-partitioned federation.
-
-    ``checkpoint_dir`` enables round-granular in-run checkpointing (every
-    ``checkpoint_every`` global updates, keyed by the full run parameters);
-    with ``resume=True`` a killed run picks up from its last checkpoint and
-    finishes with a history bit-identical to the uninterrupted run. The
-    checkpoint is removed once the run completes.
-    """
-    if method not in ALGORITHMS:
-        raise KeyError(f"unknown method {method!r}; options: {sorted(ALGORITHMS)}")
-    given = dict(fl_overrides)
-    if population is not None:
-        dataset = build_virtual_population(
-            dataset_name,
-            population,
-            scale,
-            seed,
-            classes_per_client=classes_per_client,
-            **(dataset_overrides or {}),
-        )
-        fl_overrides.setdefault(
-            "eval_clients", min(population, DEFAULT_VIRTUAL_EVAL_CLIENTS)
-        )
-    else:
-        dataset = build_federation(
-            dataset_name,
-            scale,
-            seed,
-            num_clients=num_clients,
-            classes_per_client=classes_per_client,
-            **(dataset_overrides or {}),
-        )
-    config = make_fl_config(method, scale, seed, **fl_overrides)
-    builder = build_model_builder(dataset, scale)
-    delay_model = None
-    if delay_counts is not None:
-        env_rng = SeedSequenceFactory(seed).rng("env/delays")
-        delay_model = TierDelayModel.from_counts(
-            delay_counts, env_rng, PAPER_DELAY_BANDS
-        )
-    system = ALGORITHMS[method](dataset, builder, config, delay_model=delay_model)
-    checkpointer = None
-    if checkpoint_dir is not None:
-        from repro.experiments.checkpoint import RunCheckpointer
-
-        # Key the checkpoint as run_cached keys the same run: the settings
-        # that differ from their defaults and the FL overrides as given,
-        # less the execution-only knobs, so a run started serially can
-        # resume distributed (and vice versa).
-        settings = {
-            "scale": (scale, "bench"),
-            "seed": (seed, 0),
-            "classes_per_client": (classes_per_client, "default"),
-            "num_clients": (num_clients, None),
-            "population": (population, None),
-            "delay_counts": (delay_counts, None),
-            "dataset_overrides": (dataset_overrides or None, None),
-        }
-        key = _cache_key(
-            {
-                "method": method,
-                "dataset": dataset_name,
-                **{k: v for k, (v, default) in settings.items() if v != default},
-                **given,
-            }
-        )
-        checkpointer = RunCheckpointer(checkpoint_dir, key, every=checkpoint_every)
-        system.attach_checkpointer(checkpointer, resume=resume)
-    history = system.run()
-    if checkpointer is not None:
-        checkpointer.clear()  # the run completed; keep the directory clean
-    history.meta.update(
-        {
-            "scale": scale,
-            "classes_per_client": (
-                None if classes_per_client == "default" else classes_per_client
-            ),
-        }
+    """Run one (method, dataset) experiment and return its history: the
+    :class:`RunSpec` these keywords describe, run (see :meth:`RunSpec.run`)."""
+    spec, execution = RunSpec.of(
+        method,
+        dataset_name,
+        scale=scale,
+        seed=seed,
+        classes_per_client=classes_per_client,
+        num_clients=num_clients,
+        population=population,
+        delay_counts=delay_counts,
+        dataset_overrides=dataset_overrides,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        checkpoint_every=checkpoint_every,
+        **fl_overrides,
     )
-    if population is not None:
-        history.meta["population"] = int(population)
-    return history
-
-
-def _cache_key(kwargs: dict) -> str:
-    """Digest of the run parameters that shape its results.
-
-    Execution settings are left out — ``exec`` and every
-    :class:`ExecConfig` field passed flat — because by the
-    executor-equivalence contract they never change a history bit.
-    """
-    execution = {f.name for f in fields(ExecConfig)} | {"exec"}
-    keyed = {k: v for k, v in kwargs.items() if k not in execution}
-    blob = json.dumps(keyed, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:20]
+    return spec.run(**execution)
 
 
 def run_cached(method: str, dataset_name: str, **kwargs) -> RunHistory:
@@ -241,12 +310,13 @@ def run_cached(method: str, dataset_name: str, **kwargs) -> RunHistory:
 
     Benchmarks for different tables/figures share runs through this cache;
     delete ``.bench_cache/`` (or call :func:`clear_cache`) to force re-runs.
-    Keys ignore execution settings (see :func:`_cache_key`), so the same
-    experiment run under a different executor (or fault schedule) hits the
-    cache — the history bits are identical by contract, only volatile meta
-    (timings, fault counters) differs.
+    Entries are keyed by :meth:`RunSpec.key`, which leaves execution
+    settings out, so the same experiment run under a different executor
+    (or fault schedule) hits the cache — the history bits are identical by
+    contract, only volatile meta (timings, fault counters) differs.
     """
-    key = _cache_key({"method": method, "dataset": dataset_name, **kwargs})
+    spec, execution = RunSpec.of(method, dataset_name, **kwargs)
+    key = spec.key()
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
     path = _CACHE_DIR / f"{key}.json"
@@ -254,7 +324,7 @@ def run_cached(method: str, dataset_name: str, **kwargs) -> RunHistory:
         history = RunHistory.from_dict(load_json(path))
         _MEMORY_CACHE[key] = history
         return history
-    history = run_experiment(method, dataset_name, **kwargs)
+    history = spec.run(**execution)
     _MEMORY_CACHE[key] = history
     try:
         save_json(path, history.to_dict())

@@ -27,8 +27,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.experiments.checkpoint import VOLATILE_META_KEYS
-from repro.experiments.config import ALGORITHMS, knobs_read_by
-from repro.experiments.runner import run_experiment
+from repro.experiments.config import knobs_read_by
+from repro.experiments.runner import RunSpec
 from repro.metrics.history import RunHistory
 from repro.metrics.report import format_table
 from repro.scenario.spec import parse_scenario
@@ -115,22 +115,11 @@ class SweepSpec:
     fl_overrides: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("need at least one method")
-        unknown = [m for m in self.methods if m not in ALGORITHMS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; options: {sorted(ALGORITHMS)}")
-        if not self.scenarios:
-            raise ValueError("need at least one scenario")
-        for s in self.scenarios:
-            parse_scenario(s)  # raises ValueError on bad scenario strings
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if not self.populations:
-            raise ValueError("need at least one population (None = eager federation)")
-        for p in self.populations:
-            if p is not None and (not isinstance(p, int) or p < 1):
-                raise ValueError(f"populations must be None or positive ints, got {p!r}")
+        for axis in ("methods", "scenarios", "seeds", "populations"):
+            if not getattr(self, axis):
+                raise ValueError(f"need at least one of {axis}")
+        for cell in self.cells():
+            self.run_spec(cell)  # refuses a bad method, scenario, dataset or override
 
     def cells(self) -> list[SweepCell]:
         """The grid in deterministic execution order."""
@@ -167,6 +156,31 @@ class SweepSpec:
     def from_file(path: str | Path) -> "SweepSpec":
         """Load a sweep config JSON file (see ``examples/sweep_*.json``)."""
         return SweepSpec.from_dict(json.loads(Path(path).read_text()))
+
+    def run_spec(self, cell: SweepCell) -> tuple[RunSpec, dict]:
+        """The run one grid point is, and its execution settings."""
+        fl: dict[str, Any] = dict(self.fl_overrides)
+        if self.smoke:
+            fl = {**SMOKE_OVERRIDES, **fl}
+        fl["scenario"] = cell.scenario
+        if not parse_scenario(cell.scenario).is_static:
+            # Online re-tiering engages only in dynamic worlds; static cells
+            # stay bit-identical to the scenario-free simulator.
+            interval = self.retier_interval
+            if interval is None:
+                interval = SMOKE_RETIER_INTERVAL if self.smoke else DEFAULT_RETIER_INTERVAL
+            fl.setdefault("retier_interval", interval)
+        return RunSpec.of(
+            cell.method,
+            self.dataset,
+            scale="tiny" if self.smoke else self.scale,
+            seed=cell.seed,
+            classes_per_client=self.classes_per_client,
+            population=cell.population,
+            executor=self.executor,
+            num_workers=self.num_workers,
+            **knobs_read_by(cell.method, fl),
+        )
 
     def key(self) -> str:
         """Stable digest of everything that affects cell results."""
@@ -237,35 +251,10 @@ class SweepRunner:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _cell_fl_overrides(self, cell: SweepCell) -> dict[str, Any]:
-        fl: dict[str, Any] = dict(self.spec.fl_overrides)
-        if self.spec.smoke:
-            for k, v in SMOKE_OVERRIDES.items():
-                fl.setdefault(k, v)
-        fl["scenario"] = cell.scenario
-        if not parse_scenario(cell.scenario).is_static:
-            # Online re-tiering engages only in dynamic worlds; static cells
-            # stay bit-identical to the scenario-free simulator.
-            interval = self.spec.retier_interval
-            if interval is None:
-                interval = SMOKE_RETIER_INTERVAL if self.spec.smoke else DEFAULT_RETIER_INTERVAL
-            fl.setdefault("retier_interval", interval)
-        fl["executor"] = self.spec.executor
-        fl["num_workers"] = self.spec.num_workers
-        return knobs_read_by(cell.method, fl)
-
     def run_cell(self, cell: SweepCell) -> RunHistory:
         """Run one grid point and checkpoint it."""
-        scale = "tiny" if self.spec.smoke else self.spec.scale
-        history = run_experiment(
-            cell.method,
-            self.spec.dataset,
-            scale=scale,
-            seed=cell.seed,
-            classes_per_client=self.spec.classes_per_client,
-            population=cell.population,
-            **self._cell_fl_overrides(cell),
-        )
+        run, execution = self.spec.run_spec(cell)
+        history = run.run(**execution)
         history.meta["scenario"] = cell.scenario
         # Checkpoints must be byte-identical across resumed executions and
         # backends; phase timers and fault counters are volatile, so strip them.

@@ -20,7 +20,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import (
     ALGORITHMS,
-    _cache_key,
+    RunSpec,
     build_federation,
     clear_cache,
     run_cached,
@@ -143,7 +143,7 @@ class TestBuildFederation:
 
 class TestRunner:
     def test_unknown_method_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown method 'sgdboost'"):
             run_experiment("sgdboost", "cifar10")
 
     def test_all_methods_registered(self):
@@ -226,8 +226,8 @@ class TestRunner:
 
 
 #: One experiment's parameters and the key they had before execution
-#: settings became a type; a changed key would orphan every cached history
-#: and in-flight checkpoint written under the old one.
+#: settings became a type and a run became a ``RunSpec``; a changed key
+#: would orphan every cached history written under the old one.
 _PINNED_RUN = {"method": "fedat", "dataset": "sentiment140", "scale": "tiny", "seed": 1,
                "max_rounds": 8}
 _PINNED_KEY = "d627b7981b3024d28e6b"
@@ -254,14 +254,18 @@ class TestCacheKey:
         import repro.experiments.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "_CACHE_DIR", tmp_path / "cache")
-        monkeypatch.setattr(
-            runner_mod, "run_experiment", lambda method, dataset, **kw: RunHistory(method, dataset)
-        )
+        # Observe keys only: neither build a config nor run.
+        monkeypatch.setattr(runner_mod, "make_fl_config", lambda *a, **kw: None)
+        monkeypatch.setattr(RunSpec, "run", lambda self, **kw: RunHistory(self.method, self.dataset))
         clear_cache()
         yield lambda **kw: run_cached("fedat", "sentiment140", **{"scale": "tiny", "seed": 1, **kw})
         clear_cache()
 
-    @pytest.mark.parametrize("name", [f.name for f in fields(ExecConfig)] + ["exec"])
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(ExecConfig)]
+        + ["exec", "checkpoint_dir", "resume", "checkpoint_every"],
+    )
     def test_execution_settings_leave_the_key_alone(self, cached, name):
         assert cached(**{name: "changed"}) is cached()
 
@@ -276,12 +280,13 @@ class TestCacheKey:
         assert cached(**{name: "changed"}) is not cached()
 
     def test_key_is_pinned(self):
-        assert _cache_key(_PINNED_RUN) == _PINNED_KEY
-        assert _cache_key({**_PINNED_RUN, "executor": "dist", "num_workers": 2}) == _PINNED_KEY
+        assert RunSpec.of(**_PINNED_RUN)[0].key() == _PINNED_KEY
+        parallel = {**_PINNED_RUN, "executor": "dist", "num_workers": 2}
+        assert RunSpec.of(**parallel)[0].key() == _PINNED_KEY
 
     @pytest.mark.parametrize("run,key", _PINNED_METHOD_RUNS, ids=["fedasync", "tifl"])
     def test_method_knob_keys_are_pinned(self, run, key):
-        assert _cache_key(run) == key
+        assert RunSpec.of(**run)[0].key() == key
 
     def test_checkpoint_key_is_pinned(self, tmp_path, monkeypatch):
         from repro.experiments.checkpoint import RunCheckpointer

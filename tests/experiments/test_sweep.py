@@ -8,6 +8,7 @@ import pytest
 import repro.experiments.sweep as sweep_mod
 from repro.cli import main
 from repro.experiments.checkpoint import VOLATILE_META_KEYS
+from repro.experiments.runner import RunSpec
 from repro.experiments.sweep import SweepCell, SweepRunner, SweepSpec
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -37,6 +38,9 @@ def test_spec_validates_and_enumerates(spec):
         SweepSpec(methods=("fedavg",), scenarios=("earthquake",))
     with pytest.raises(ValueError):
         SweepSpec(methods=("fedavg",), seeds=())
+    for bad in ({"dataset": "nosuch"}, {"scale": "huge"}, {"fl_overrides": (("bogus", 1),)}):
+        with pytest.raises(ValueError):
+            SweepSpec(methods=("fedavg",), **bad)
 
 
 def test_cell_id_is_filename_safe_for_composed_and_trace_scenarios():
@@ -101,11 +105,8 @@ def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, monkeypatch
     assert not (tmp_path / "part" / "summary.json").exists()
 
     calls = []
-    real_run = sweep_mod.run_experiment
-    monkeypatch.setattr(
-        sweep_mod, "run_experiment",
-        lambda *a, **k: calls.append(a) or real_run(*a, **k),
-    )
+    real_run = RunSpec.run
+    monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(self) or real_run(self, **k))
     resumed_summary = SweepRunner(spec, tmp_path / "part").run()
     assert len(calls) == 5  # only the pending cells re-ran
     assert resumed_summary["complete"]
@@ -156,24 +157,21 @@ def test_sweep_reruns_corrupt_and_stale_checkpoints(spec, tmp_path):
     assert all(runner.load_cell(c) is not None for c in cells)
 
 
+def _fl(spec, *cell):
+    """The FL overrides of one grid point's run."""
+    return dict(spec.run_spec(SweepCell(*cell))[0].fl_overrides)
+
+
 def test_smoke_enables_retiering_only_for_dynamic_tiered_cells(spec):
-    runner_overrides = SweepRunner.__new__(SweepRunner)
-    runner_overrides.spec = spec
-    fl = runner_overrides._cell_fl_overrides(SweepCell("tifl", "churn", 0))
-    assert fl["retier_interval"] == sweep_mod.SMOKE_RETIER_INTERVAL
-    fl = runner_overrides._cell_fl_overrides(SweepCell("tifl", "static", 0))
-    assert "retier_interval" not in fl
-    fl = runner_overrides._cell_fl_overrides(SweepCell("fedavg", "churn", 0))
-    assert "retier_interval" not in fl
+    assert _fl(spec, "tifl", "churn", 0)["retier_interval"] == sweep_mod.SMOKE_RETIER_INTERVAL
+    assert "retier_interval" not in _fl(spec, "tifl", "static", 0)
+    assert "retier_interval" not in _fl(spec, "fedavg", "churn", 0)
 
 
 def test_explicit_retier_interval_wins_even_under_smoke(spec):
     from dataclasses import replace
 
-    runner_overrides = SweepRunner.__new__(SweepRunner)
-    runner_overrides.spec = replace(spec, retier_interval=7)
-    fl = runner_overrides._cell_fl_overrides(SweepCell("tifl", "churn", 0))
-    assert fl["retier_interval"] == 7
+    assert _fl(replace(spec, retier_interval=7), "tifl", "churn", 0)["retier_interval"] == 7
 
 
 def test_fl_overrides_reach_only_the_methods_that_read_them(spec):
@@ -181,16 +179,13 @@ def test_fl_overrides_reach_only_the_methods_that_read_them(spec):
     cells whose method declares it, a shared config key to every cell."""
     from dataclasses import replace
 
-    runner_overrides = SweepRunner.__new__(SweepRunner)
-    runner_overrides.spec = replace(
-        spec, fl_overrides=(("lam", 0.1), ("max_rounds", 9), ("retier_interval", 5))
-    )
-    fedavg = runner_overrides._cell_fl_overrides(SweepCell("fedavg", "static", 0))
+    spec = replace(spec, fl_overrides=(("lam", 0.1), ("max_rounds", 9), ("retier_interval", 5)))
+    fedavg = _fl(spec, "fedavg", "static", 0)
     assert "lam" not in fedavg and "retier_interval" not in fedavg
     assert fedavg["max_rounds"] == 9
-    fedat = runner_overrides._cell_fl_overrides(SweepCell("fedat", "static", 0))
+    fedat = _fl(spec, "fedat", "static", 0)
     assert (fedat["lam"], fedat["retier_interval"], fedat["max_rounds"]) == (0.1, 5, 9)
-    tifl = runner_overrides._cell_fl_overrides(SweepCell("tifl", "static", 0))
+    tifl = _fl(spec, "tifl", "static", 0)
     assert "lam" not in tifl and tifl["retier_interval"] == 5
 
 
@@ -301,10 +296,23 @@ def test_cli_sweep_config_file(tmp_path, capsys):
     assert "bwdrift:2.0" in out and "complete" in out
 
 
-def test_cli_sweep_rejects_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"methods": ["sgdboost"]},
+        {"methods": ["fedavg"], "dataset": "nosuch"},
+        {"methods": ["fedavg"], "scale": "huge"},
+        {"methods": ["fedavg"], "fl_overrides": {"bogus": 1}},
+    ],
+    ids=["method", "dataset", "scale", "override"],
+)
+def test_cli_sweep_rejects_bad_config(tmp_path, capsys, bad):
+    """A bad grid fails before any cell runs, and writes nothing."""
     config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"methods": ["sgdboost"]}))
-    assert main(["sweep", "--config", str(config)]) == 2
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(out)]) == 2
+    assert not out.exists()
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
 
 

@@ -74,17 +74,17 @@ def test_run_refuses_a_flag_the_method_does_not_read(capsys):
 def test_compare_passes_a_method_knob_only_where_it_is_read(capsys, monkeypatch):
     """``--retier-interval`` reaches FedAT, which re-tiers; FedAvg, which
     reads no tiering knob, runs exactly as it does without the flag."""
-    import repro.cli as cli
     from repro.experiments.checkpoint import strip_volatile_meta
-    from repro.experiments.runner import run_experiment
+    from repro.experiments.runner import RunSpec, run_experiment
 
     histories = {}
+    real_run = RunSpec.run
 
-    def recording(method, dataset, **kwargs):
-        histories[method] = run_experiment(method, dataset, **kwargs)
-        return histories[method]
+    def recording(spec, **execution):
+        histories[spec.method] = real_run(spec, **execution)
+        return histories[spec.method]
 
-    monkeypatch.setattr(cli, "run_experiment", recording)
+    monkeypatch.setattr(RunSpec, "run", recording)
     rc = main(
         [
             "compare", "--dataset", "sentiment140", "--scale", "tiny",
@@ -117,9 +117,21 @@ def test_parser_rejects_unknown_executor():
                                    "--dataset", "cifar10", "--executor", "gpu"])
 
 
-def test_compare_rejects_unknown_method(capsys):
-    rc = main(["compare", "--dataset", "sentiment140", "--methods", "sgdboost"])
-    assert rc == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--dataset", "sentiment140", "--methods", "sgdboost"],
+        ["compare", "--dataset", "sentiment140", "--methods", "fedat,fedavg", "--scenario", "bogus"],
+        ["compare", "--dataset", "nosuch", "--methods", "fedat,fedavg"],
+        ["run", "--method", "fedat", "--dataset", "nosuch"],
+        ["run", "--method", "fedat", "--dataset", "sentiment140", "--scenario", "bogus"],
+    ],
+    ids=["method", "compare-scenario", "compare-dataset", "run-dataset", "run-scenario"],
+)
+def test_compare_rejects_unknown_method(capsys, argv):
+    """A bad run description fails before anything runs: one line, exit 2."""
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 def test_parser_rejects_unknown_scale():

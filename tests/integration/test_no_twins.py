@@ -12,7 +12,9 @@ SGD momentum kept for it survives), one run loop (``FLSystem._run``,
 with one cohort launch, one flush that trains what launches queue, and one
 rejoin scheduler), one home for execution settings (``ExecConfig``, which
 declares and checks each one; ``make_executor`` reads it), one home per
-method knob (the ``Params`` of the methods that read it), one source of
+method knob (the ``Params`` of the methods that read it), one description
+of a run (``RunSpec``, which splits off execution settings, checks the rest
+and keys the cache entry, the checkpoint and the sweep cell), one source of
 a client round's state, its start row and task (batch-norm statistics are
 weights and dropout draws from the round's own generator, so neither a
 cohort-order replay nor a replica-safety flag with its serial fallback
@@ -65,6 +67,11 @@ REMOVED = re.compile(
     # One cross-process transport: "parallel" is the socket executor's
     # self-contained mode, so the process pool and its pipe supervisor go.
     r"|_PoolWorker|_worker_main|_discard_pool"
+    # A run is described, checked and keyed once, by RunSpec: no second key
+    # helper or checkpoint key dict, no CLI flag table or config pre-check,
+    # and no sweep-side override assembly beside SweepSpec.run_spec.
+    r"|_cache_key\b|RunCheckpointer\(checkpoint_dir, key\b|\b_PASSED\b|_run_kwargs\b"
+    r"|make_fl_config\(args\.|_cell_fl_overrides\b"
 )
 
 
@@ -115,6 +122,20 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("        return SGD(self.learning_rate)")
     assert not REMOVED.search("    def __init__(self, num_features, *, momentum=0.9):")
     assert not REMOVED.search("from repro.core.fedat import FedAT")
+    assert REMOVED.search('    key = _cache_key({"method": method, "dataset": dataset_name, **kwargs})')
+    assert not REMOVED.search('    path = _CACHE_DIR / f"{key}.json"')
+    assert REMOVED.search("        checkpointer = RunCheckpointer(checkpoint_dir, key, every=every)")
+    assert not REMOVED.search(
+        "            checkpointer = RunCheckpointer(checkpoint_dir, self.key(), every=every)"
+    )
+    assert REMOVED.search("_PASSED = (")
+    assert not REMOVED.search("        return TESTS_PASSED")
+    assert REMOVED.search("    kwargs = _run_kwargs(args)")
+    assert not REMOVED.search("        spec, execution = _run_spec(args, args.method)")
+    assert REMOVED.search("        make_fl_config(args.method, args.scale, args.seed, **flat)")
+    assert not REMOVED.search("    return make_fl_config(self.method, self.scale, self.seed, **flat)")
+    assert REMOVED.search("            **self._cell_fl_overrides(cell),")
+    assert not REMOVED.search("        run, execution = self.spec.run_spec(cell)")
 
 
 def test_one_lease_state_machine():
