@@ -11,7 +11,9 @@ of its spec).
 
 Cells run through the configured client-execution backend, so a sweep can
 fan client training out to worker processes (``executor="parallel"`` or
-``"dist"``) without changing a cell file's bytes.
+``"dist"``) without changing a cell file's bytes: the sweep key every cell
+file holds digests the cells' runs, which leave execution settings out, so
+a sweep resumed under another executor finds its cells done.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ class SweepSpec:
         for axis in ("methods", "scenarios", "seeds", "populations"):
             if not getattr(self, axis):
                 raise ValueError(f"need at least one of {axis}")
-        for cell in self.cells():
-            self.run_spec(cell)  # refuses a bad method, scenario, dataset or override
+        self.key()  # checks every cell's run: method, scenario, dataset, overrides
 
     def cells(self) -> list[SweepCell]:
         """The grid in deterministic execution order."""
@@ -183,15 +184,10 @@ class SweepSpec:
         )
 
     def key(self) -> str:
-        """Stable digest of everything that affects cell results."""
-        payload = to_jsonable(asdict(self))
-        if self.smoke:
-            # The smoke budget lives in module constants; bake it into the
-            # key so retuning it invalidates old smoke checkpoints.
-            payload["smoke_overrides"] = to_jsonable(SMOKE_OVERRIDES)
-            payload["smoke_retier_interval"] = SMOKE_RETIER_INTERVAL
-        blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Digest of the grid's runs in order (see :meth:`RunSpec.key`):
+        what every cell computes, never how it executes."""
+        runs = [self.run_spec(cell)[0].key() for cell in self.cells()]
+        return hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
 
 
 class SweepRunner:

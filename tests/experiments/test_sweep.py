@@ -119,19 +119,29 @@ def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, monkeypatch
         assert a == b, cell.cell_id
 
 
-def test_pool_cell_file_holds_no_volatile_meta(tmp_path):
+def test_pool_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch):
     """A pool run always records fault counters, and their values depend on
-    OS races: the cell file keeps none of the volatile keys, so its history
-    is the serial run's, byte for byte."""
-    histories = {}
-    for executor in ("serial", "parallel"):
-        cell_spec = SweepSpec(methods=("fedavg",), executor=executor, num_workers=2, smoke=True)
+    OS races: the cell file keeps none of the volatile keys, and the sweep
+    key leaves the executor out, so the file is the serial run's, byte for
+    byte, and a sweep resumed under the other executor runs no cell."""
+    specs = {
+        executor: SweepSpec(methods=("fedavg",), executor=executor, num_workers=2, smoke=True)
+        for executor in ("serial", "parallel")
+    }
+    files = {}
+    for executor, cell_spec in specs.items():
         runner = SweepRunner(cell_spec, tmp_path / executor)
         (cell,) = cell_spec.cells()
         runner.run_cell(cell)
-        histories[executor] = json.loads(runner._cell_path(cell).read_text())["history"]
-    assert not set(VOLATILE_META_KEYS) & set(histories["parallel"]["meta"])
-    assert histories["parallel"] == histories["serial"]
+        files[executor] = runner._cell_path(cell).read_bytes()
+    assert not set(VOLATILE_META_KEYS) & set(json.loads(files["parallel"])["history"]["meta"])
+    assert files["parallel"] == files["serial"]
+
+    calls = []
+    monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(self))
+    SweepRunner(specs["parallel"], tmp_path / "serial").run()
+    SweepRunner(specs["serial"], tmp_path / "parallel").run()
+    assert calls == []
 
 
 def test_sweep_reruns_corrupt_and_stale_checkpoints(spec, tmp_path):
@@ -230,8 +240,8 @@ def test_committed_sweep_configs_parse():
 #: The committed configs' keys: a moved key makes every checkpointed cell
 #: of that grid stale.
 _PINNED_SWEEP_KEYS = {
-    "sweep_nightly.json": "107fb409d69d468a",
-    "sweep_paper.json": "994af864bfba7dfe",
+    "sweep_nightly.json": "fae55c4acac3a116",
+    "sweep_paper.json": "f10dfa1192d652f7",
 }
 
 
