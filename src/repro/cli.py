@@ -335,24 +335,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec = SweepSpec.from_file(args.config)
         else:
             spec = SweepSpec(
-                methods=tuple(
-                    m.strip() for m in args.methods.split(",") if m.strip()
-                ),
-                scenarios=tuple(
-                    s.strip() for s in args.scenarios.split(",") if s.strip()
-                ),
+                methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
+                scenarios=tuple(s.strip() for s in args.scenarios.split(",") if s.strip()),
                 seeds=_parse_seeds(args.seeds),
-                populations=(
-                    (None,)
-                    if args.populations is None
-                    else _parse_populations(args.populations)
-                ),
+                populations=_parse_populations(args.populations or "none"),
                 dataset=args.dataset,
                 scale=args.scale,
                 classes_per_client=(
-                    "default"
-                    if args.classes_per_client is None
-                    else args.classes_per_client
+                    "default" if args.classes_per_client is None else args.classes_per_client
                 ),
                 retier_interval=args.retier_interval,
                 executor=args.executor,

@@ -47,6 +47,7 @@ DEFAULT_VIRTUAL_EVAL_CLIENTS = 200
 _MEMORY_CACHE: dict[str, RunHistory] = {}
 _CACHE_DIR = Path(".bench_cache")
 
+
 def build_federation(
     dataset_name: str,
     scale: str = "bench",
@@ -65,16 +66,10 @@ def build_federation(
     factory = SeedSequenceFactory(seed)
     rng = factory.rng(f"data/{dataset_name}")
     overrides = dict(dataset_overrides)
-    overrides.setdefault(
-        "num_clients",
-        num_clients
-        if num_clients is not None
-        else (
-            preset.large_num_clients
-            if dataset_name in ("femnist", "reddit")
-            else preset.num_clients
-        ),
-    )
+    if num_clients is None:
+        large = dataset_name in ("femnist", "reddit")
+        num_clients = preset.large_num_clients if large else preset.num_clients
+    overrides.setdefault("num_clients", num_clients)
     overrides.setdefault("samples_per_client", preset.samples_per_client)
     if dataset_name in ("cifar10", "fashion_mnist", "femnist"):
         c = 3 if dataset_name == "cifar10" else 1
@@ -186,11 +181,7 @@ class RunSpec:
         """Digest of the run: its method and dataset, each setting away
         from its default, and its FL overrides (so an experiment keeps its
         key when a setting with a default is added)."""
-        keyed = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if getattr(self, f.name) != f.default
-        }
+        keyed = {f.name: v for f in fields(self) if (v := getattr(self, f.name)) != f.default}
         keyed.update(keyed.pop("fl_overrides", ()))
         if "dataset_overrides" in keyed:
             keyed["dataset_overrides"] = dict(keyed["dataset_overrides"])
@@ -220,32 +211,21 @@ class RunSpec:
         and finishes with a history bit-identical to the uninterrupted run.
         The checkpoint is removed once the run completes.
         """
+        partition = {"classes_per_client": self.classes_per_client, **dict(self.dataset_overrides)}
         if self.population is not None:
             dataset = build_virtual_population(
-                self.dataset,
-                self.population,
-                self.scale,
-                self.seed,
-                classes_per_client=self.classes_per_client,
-                **dict(self.dataset_overrides),
+                self.dataset, self.population, self.scale, self.seed, **partition
             )
         else:
             dataset = build_federation(
-                self.dataset,
-                self.scale,
-                self.seed,
-                num_clients=self.num_clients,
-                classes_per_client=self.classes_per_client,
-                **dict(self.dataset_overrides),
+                self.dataset, self.scale, self.seed, num_clients=self.num_clients, **partition
             )
         config = self.config(**execution)
         builder = build_model_builder(dataset, self.scale)
         delay_model = None
         if self.delay_counts is not None:
             env_rng = SeedSequenceFactory(self.seed).rng("env/delays")
-            delay_model = TierDelayModel.from_counts(
-                self.delay_counts, env_rng, PAPER_DELAY_BANDS
-            )
+            delay_model = TierDelayModel.from_counts(self.delay_counts, env_rng, PAPER_DELAY_BANDS)
         system = ALGORITHMS[self.method](dataset, builder, config, delay_model=delay_model)
         checkpointer = None
         if checkpoint_dir is not None:
@@ -256,14 +236,8 @@ class RunSpec:
         history = system.run()
         if checkpointer is not None:
             checkpointer.clear()  # the run completed; keep the directory clean
-        history.meta.update(
-            {
-                "scale": self.scale,
-                "classes_per_client": (
-                    None if self.classes_per_client == "default" else self.classes_per_client
-                ),
-            }
-        )
+        cpc = None if self.classes_per_client == "default" else self.classes_per_client
+        history.meta.update({"scale": self.scale, "classes_per_client": cpc})
         if self.population is not None:
             history.meta["population"] = int(self.population)
         return history
@@ -287,21 +261,8 @@ def run_experiment(
 ) -> RunHistory:
     """Run one (method, dataset) experiment and return its history: the
     :class:`RunSpec` these keywords describe, run (see :meth:`RunSpec.run`)."""
-    spec, execution = RunSpec.of(
-        method,
-        dataset_name,
-        scale=scale,
-        seed=seed,
-        classes_per_client=classes_per_client,
-        num_clients=num_clients,
-        population=population,
-        delay_counts=delay_counts,
-        dataset_overrides=dataset_overrides,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        checkpoint_every=checkpoint_every,
-        **fl_overrides,
-    )
+    named = {k: v for k, v in locals().items() if k not in ("method", "dataset_name")}
+    spec, execution = RunSpec.of(method, dataset_name, **named.pop("fl_overrides"), **named)
     return spec.run(**execution)
 
 

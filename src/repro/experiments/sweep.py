@@ -227,22 +227,13 @@ class SweepRunner:
 
     def load_cell(self, cell: SweepCell) -> RunHistory | None:
         """A completed cell's history, or None (missing/corrupt/stale spec)."""
-        path = self._cell_path(cell)
-        if not path.exists():
-            return None
-        payload = read_cell_checkpoint(path, self._spec_key)
+        payload = read_cell_checkpoint(self._cell_path(cell), self._spec_key)
         if payload is None:
             return None
         try:
             return RunHistory.from_dict(payload["history"])
         except (KeyError, TypeError, ValueError):
             return None  # malformed history payload: the cell re-runs
-
-    def completed_cells(self) -> list[SweepCell]:
-        return [c for c in self.spec.cells() if self.load_cell(c) is not None]
-
-    def pending_cells(self) -> list[SweepCell]:
-        return [c for c in self.spec.cells() if self.load_cell(c) is None]
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -315,23 +306,16 @@ class SweepRunner:
             if history is None:
                 missing += 1
                 continue
-            entry = groups.setdefault(
-                (cell.method, cell.scenario, cell.population),
-                {
-                    "best_accuracy": [],
-                    "final_accuracy": [],
-                    "accuracy_variance": [],
-                    "megabytes": [],
-                    "updates": [],
-                    "seeds": [],
-                },
-            )
-            entry["best_accuracy"].append(history.best_accuracy())
-            entry["final_accuracy"].append(history.final_accuracy())
-            entry["accuracy_variance"].append(history.mean_accuracy_variance())
-            entry["megabytes"].append(float(history.total_bytes()[-1]) / 1e6)
-            entry["updates"].append(int(history.rounds()[-1]))
-            entry["seeds"].append(cell.seed)
+            entry = groups.setdefault((cell.method, cell.scenario, cell.population), {})
+            for k, v in {
+                "best_accuracy": history.best_accuracy(),
+                "final_accuracy": history.final_accuracy(),
+                "accuracy_variance": history.mean_accuracy_variance(),
+                "megabytes": float(history.total_bytes()[-1]) / 1e6,
+                "updates": int(history.rounds()[-1]),
+                "seeds": cell.seed,
+            }.items():
+                entry.setdefault(k, []).append(v)
         rows = {
             f"{method}@{scenario}" + ("" if pop is None else f"#p{pop}"): {
                 k: (v if k == "seeds" else float(np.mean(v)))
@@ -353,31 +337,15 @@ class SweepRunner:
     def format_summary(self, summary: dict | None = None) -> str:
         """Aggregate comparison table, one row per (method, scenario)."""
         summary = summary or self.summarize()
-        headers = [
-            "method",
-            "scenario",
-            "seeds",
-            "best acc",
-            "final acc",
-            "acc var",
-            "MB",
-            "updates",
-        ]
+        headers = ["method", "scenario", "seeds", "best acc", "final acc", "acc var", "MB", "updates"]
         rows = []
         for key in sorted(summary["rows"]):
             method, _, scenario = key.partition("@")
             r = summary["rows"][key]
             rows.append(
-                [
-                    method,
-                    scenario,
-                    len(r["seeds"]),
-                    f"{r['best_accuracy']:.4f}",
-                    f"{r['final_accuracy']:.4f}",
-                    f"{r['accuracy_variance']:.5f}",
-                    f"{r['megabytes']:.2f}",
-                    f"{r['updates']:.0f}",
-                ]
+                [method, scenario, len(r["seeds"]), f"{r['best_accuracy']:.4f}"]
+                + [f"{r['final_accuracy']:.4f}", f"{r['accuracy_variance']:.5f}"]
+                + [f"{r['megabytes']:.2f}", f"{r['updates']:.0f}"]
             )
         status = "complete" if summary["complete"] else (
             f"PARTIAL ({summary['cells_done']}/{summary['cells_total']} cells)"

@@ -69,9 +69,10 @@ REMOVED = re.compile(
     r"|_PoolWorker|_worker_main|_discard_pool"
     # A run is described, checked and keyed once, by RunSpec: no second key
     # helper or checkpoint key dict, no CLI flag table or config pre-check,
-    # and no sweep-side override assembly beside SweepSpec.run_spec.
+    # no sweep-side override assembly beside SweepSpec.run_spec, and not the
+    # two cell listings nothing called.
     r"|_cache_key\b|RunCheckpointer\(checkpoint_dir, key\b|\b_PASSED\b|_run_kwargs\b"
-    r"|make_fl_config\(args\.|_cell_fl_overrides\b"
+    r"|make_fl_config\(args\.|_cell_fl_overrides\b|def (?:completed|pending)_cells\b"
 )
 
 
@@ -136,6 +137,8 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("    return make_fl_config(self.method, self.scale, self.seed, **flat)")
     assert REMOVED.search("            **self._cell_fl_overrides(cell),")
     assert not REMOVED.search("        run, execution = self.spec.run_spec(cell)")
+    assert REMOVED.search("    def pending_cells(self) -> list[SweepCell]:")
+    assert not REMOVED.search('            "cells_done": len(self.spec.cells()) - missing,')
 
 
 def test_one_lease_state_machine():
