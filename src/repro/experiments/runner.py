@@ -166,14 +166,11 @@ class RunSpec:
         own["dataset_overrides"] = tuple(sorted((own.get("dataset_overrides") or {}).items()))
         spec = cls(method, dataset, **own, fl_overrides=tuple(sorted(flat.items())))
         for name, table in (("method", ALGORITHMS), ("dataset", DATASETS), ("scale", SCALES)):
-            if getattr(spec, name) not in table:
-                raise ValueError(
-                    f"unknown {name} {getattr(spec, name)!r}; options: {sorted(table)}"
-                )
-        if spec.population is not None and not (
-            isinstance(spec.population, int) and spec.population >= 1
-        ):
-            raise ValueError(f"population must be None or a positive int, got {spec.population!r}")
+            if (value := getattr(spec, name)) not in table:
+                raise ValueError(f"unknown {name} {value!r}; options: {sorted(table)}")
+        pop = spec.population
+        if pop is not None and not (isinstance(pop, int) and pop >= 1):
+            raise ValueError(f"population must be None or a positive int, got {pop!r}")
         spec.config(**{k: v for k, v in execution.items() if k not in checkpoint})
         return spec, execution
 

@@ -226,8 +226,9 @@ class TestRunner:
 
 
 #: One experiment's parameters and the key they had before execution
-#: settings became a type and a run became a ``RunSpec``; a changed key
-#: would orphan every cached history written under the old one.
+#: settings became a type and a run became a ``RunSpec``. The key names the
+#: run's cache entry and its checkpoint file: a changed key would orphan
+#: every cached history and in-flight checkpoint written under the old one.
 _PINNED_RUN = {"method": "fedat", "dataset": "sentiment140", "scale": "tiny", "seed": 1,
                "max_rounds": 8}
 _PINNED_KEY = "d627b7981b3024d28e6b"
