@@ -66,10 +66,16 @@ def build_federation(
     factory = SeedSequenceFactory(seed)
     rng = factory.rng(f"data/{dataset_name}")
     overrides = dict(dataset_overrides)
-    if num_clients is None:
-        large = dataset_name in ("femnist", "reddit")
-        num_clients = preset.large_num_clients if large else preset.num_clients
-    overrides.setdefault("num_clients", num_clients)
+    overrides.setdefault(
+        "num_clients",
+        num_clients
+        if num_clients is not None
+        else (
+            preset.large_num_clients
+            if dataset_name in ("femnist", "reddit")
+            else preset.num_clients
+        ),
+    )
     overrides.setdefault("samples_per_client", preset.samples_per_client)
     if dataset_name in ("cifar10", "fashion_mnist", "femnist"):
         c = 3 if dataset_name == "cifar10" else 1

@@ -198,19 +198,11 @@ class SweepRunner:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._spec_key = spec.key()
-        spec_path = self.out_dir / "spec.json"
-        # (Re)write whenever the stored key differs: a reused out-dir must
-        # describe the grid currently running, not the one that first
-        # created it — downstream readers (repro figures) use this key to
-        # skip stale cells.
-        try:
-            stored_key = json.loads(spec_path.read_text()).get("key")
-        except (OSError, json.JSONDecodeError):
-            stored_key = None
-        if stored_key != self._spec_key:
-            self._atomic_write(
-                spec_path, {"spec": to_jsonable(asdict(spec)), "key": self._spec_key}
-            )
+        # A reused out-dir describes the grid currently running, executor
+        # included: repro figures reads this key to skip stale cells.
+        self._atomic_write(
+            self.out_dir / "spec.json", {"spec": asdict(spec), "key": self._spec_key}
+        )
 
     # ------------------------------------------------------------------ #
     # Checkpoints
