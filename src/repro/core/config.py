@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.params import MethodParams
 from repro.exec.base import ExecConfig, OptimizerSpec
+from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["FLConfig"]
 
@@ -87,6 +88,7 @@ class FLConfig:
     exec: ExecConfig = field(default_factory=ExecConfig)
 
     def __post_init__(self):
+        SeedSequenceFactory(self.seed)  # raises ValueError on a seed no stream takes
         if self.clients_per_round < 1:
             raise ValueError("clients_per_round must be >= 1")
         if self.local_epochs < 1:

@@ -73,6 +73,10 @@ REMOVED = re.compile(
     # two cell listings nothing called.
     r"|_cache_key\b|RunCheckpointer\(checkpoint_dir, key\b|\b_PASSED\b|_run_kwargs\b"
     r"|make_fl_config\(args\.|_cell_fl_overrides\b|def (?:completed|pending)_cells\b"
+    # Named streams come from rng() or, a cohort's, from one rngs() pass: no
+    # namespaced sub-factory (a class per call), no integer-draw shortcut,
+    # and no schedule rewind nothing called.
+    r"|def child\(|_Namespaced\b|def integers\(|def reset\(self\)"
 )
 
 
@@ -139,6 +143,15 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("        run, execution = self.spec.run_spec(cell)")
     assert REMOVED.search("    def pending_cells(self) -> list[SweepCell]:")
     assert not REMOVED.search('            "cells_done": len(self.spec.cells()) - missing,')
+    assert REMOVED.search('    def child(self, name: str) -> "SeedSequenceFactory":')
+    assert REMOVED.search("        class _Namespaced(SeedSequenceFactory):")
+    assert not REMOVED.search("    def rngs(self, names: Sequence[str]) -> list[np.random.Generator]:")
+    assert REMOVED.search("    def integers(self, name: str, n: int, high: int = 2**31 - 1) -> np.ndarray:")
+    assert not REMOVED.search("    rng = SeedSequenceFactory(seed).rng(\"population/sizes\")")
+    assert not REMOVED.search("    return rng.integers(lo, hi + 1, size=num_clients)")
+    assert REMOVED.search("    def reset(self) -> None:")
+    assert not REMOVED.search("    def reset_state(self) -> None:")
+    assert not REMOVED.search("    def advance_to(self, epoch: int) -> None:")
 
 
 def test_one_lease_state_machine():

@@ -52,7 +52,7 @@ def test_local_train_deterministic(client):
         optimizer_factory=lambda: Adam(0.01), latency=0.5,
     )
     r1 = client.local_train(worker, start.copy(), **kwargs)
-    client.schedule.reset()
+    client.schedule.advance_to(0)
     r2 = client.local_train(worker, start.copy(), **kwargs)
     np.testing.assert_array_equal(r1.weights, r2.weights)
 
@@ -62,9 +62,9 @@ def test_proximal_constrains_update(client):
     start = worker.get_flat_weights()
     kwargs = dict(epochs=3, loss=SoftmaxCrossEntropy(),
                   optimizer_factory=lambda: Adam(0.01), latency=0.5)
-    client.schedule.reset()
+    client.schedule.advance_to(0)
     free = client.local_train(worker, start.copy(), lam=0.0, **kwargs)
-    client.schedule.reset()
+    client.schedule.advance_to(0)
     tied = client.local_train(worker, start.copy(), lam=50.0, **kwargs)
     d_free = np.linalg.norm(free.weights - start)
     d_tied = np.linalg.norm(tied.weights - start)

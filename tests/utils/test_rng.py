@@ -1,6 +1,11 @@
 """RNG factory tests."""
 
+import re
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.rng import SeedSequenceFactory
 
@@ -33,18 +38,6 @@ class TestFactory:
         b = SeedSequenceFactory(0).rng("x").random(5)
         np.testing.assert_array_equal(a, b)
 
-    def test_child_namespacing(self):
-        f = SeedSequenceFactory(9)
-        direct = f.rng("sub/leaf").random(5)
-        via_child = f.child("sub").rng("leaf").random(5)
-        np.testing.assert_array_equal(direct, via_child)
-
-    def test_integers_helper(self):
-        f = SeedSequenceFactory(0)
-        v = f.integers("ints", 10, high=100)
-        assert v.shape == (10,)
-        assert np.all((0 <= v) & (v < 100))
-
     def test_seed_property(self):
         assert SeedSequenceFactory(11).seed == 11
         assert SeedSequenceFactory(None).seed == 0
@@ -55,3 +48,33 @@ class TestFactory:
             f.rng("client/3").random(5),
             np.random.default_rng(f.seed_sequence("client/3")).random(5),
         )
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_a_seed_no_stream_takes_is_refused_by_value(self, seed):
+        with pytest.raises(ValueError, match=re.escape(repr(seed))):
+            SeedSequenceFactory(seed)
+
+
+#: Seeds of every entropy width: None (0), 0, one uint32 word, two words
+#: (at and above 2**32), and three or more (at and above 2**64).
+SEEDS = st.one_of(
+    st.none(),
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**130),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, names=st.lists(st.text(max_size=12), min_size=1, max_size=200))
+def test_batched_streams_are_numpys_seed_sequence_streams(seed, names):
+    """Every generator ``rngs`` derives — any batch size, any name, ASCII or
+    not — is in exactly the state NumPy's own ``SeedSequence`` path gives
+    the named stream."""
+    factory = SeedSequenceFactory(seed)
+    generators = factory.rngs(names)
+    assert len(generators) == len(names)
+    for generator, name in zip(generators, names):
+        want = np.random.default_rng(factory.seed_sequence(name))
+        assert generator.bit_generator.state == want.bit_generator.state
