@@ -112,8 +112,9 @@ def cohort_streams(
     }
     # Each epoch's permutation is its generator's shuffle of arange(n), the
     # way Generator.permutation(n) makes it, in place in one array.
-    sizes = np.array([schedule.n for schedule, _, epochs in rounds for _ in range(epochs)], int)
-    flat = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    sizes = [schedule.n for schedule, _, epochs in rounds for _ in range(epochs)]
+    aranges = {n: np.arange(n) for n in set(sizes)}
+    flat = np.concatenate([aranges[n] for n in sizes]) if sizes else np.arange(0)
     orders, generators, o = [], [] if masks else None, 0
     for schedule, _, epochs in rounds:
         stream, first = streams[schedule._factory.seed], o

@@ -38,7 +38,13 @@ members active at step k are grouped by batch rows, and each group runs
 batch. Per-client weights, gradients and optimizer state are rows of
 ``[B, P]`` slabs, handed to the layers as ``(G, *shape)`` views (a group
 of one gets its parameters in their own shape); a group that is not a
-contiguous range of rows is made one by swapping rows. Only the kernels
+contiguous range of rows is made one by moving rows. Nothing of this is
+worked out per member per step: a cohort's batch orders and dropout
+generators come from one batched stream derivation
+(:func:`~repro.data.batching.cohort_streams`), and a wave's groups, row
+moves and gather indices are planned as arrays before its first step
+(:meth:`TrainingPlan._schedule`), so a step is its kernel chains plus one
+``take`` per group for ``x`` and one for ``y``. Only the kernels
 where weights enter change: GEMMs become stacked ``(G, M, K) @ (G, K, N)``
 calls, bias sums reduce over the row axis, the embedding gathers from and
 scatters into per-client tables, batch-norm takes per-client statistics,
@@ -80,10 +86,12 @@ from __future__ import annotations
 
 import functools
 import inspect
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.data.batching import cohort_streams
 from repro.nn.proximal import add_proximal_grad
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -353,6 +361,37 @@ class CohortMember(NamedTuple):
             )
 
 
+#: The member positions of a one-member wave's groups.
+_ONLY_MEMBER = np.zeros(1, dtype=np.intp)
+_ONLY_MEMBER.flags.writeable = False
+
+
+@dataclass(eq=False, slots=True)
+class _Group:
+    """One kernel chain of a wave's step, planned before the wave's first.
+
+    ``members`` (wave positions, in row order) share the chain's batch
+    rows and proximal term; once ``moves`` (``slab[dst] = slab[src]``, or
+    None) has run they sit on rows ``a .. a + g - 1`` of the wave's slabs.
+    The rest is what the chain trains with: those rows' slabs and the
+    layers' stacks of them, the proximal reference, the λ column (None
+    without a pull) and the members' generators (None unless the model
+    draws).
+    """
+
+    members: np.ndarray
+    rows: int
+    pulled: bool
+    a: int
+    g: int
+    moves: tuple[np.ndarray, np.ndarray] | None
+    slabs: tuple = ()
+    stacks: list = field(default_factory=list)
+    ref: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    rngs: list | None = None
+
+
 class TrainingPlan:
     """A ``Sequential``'s layer loop, compiled once and replayed per batch.
 
@@ -500,10 +539,19 @@ class TrainingPlan:
             # member training alone in the store cannot overwrite them.
             reference = self.arena.take(("cohort", "reference"), start.shape, store.dtype)
             np.copyto(reference, start, casting="same_kind")
+        orders, masks = cohort_streams(
+            [(m.schedule, m.start_epoch, m.epochs) for m in members], masks=self._draws
+        )
         results = [None] * len(members)
         try:
             for wave in self._waves(members, optimizer):
-                trained = self._run_wave([members[i] for i in wave], reference, optimizer)
+                trained = self._run_wave(
+                    [members[i] for i in wave],
+                    [orders[i] for i in wave],
+                    None if masks is None else [masks[i] for i in wave],
+                    reference,
+                    optimizer,
+                )
                 for i, result in zip(wave, trained):
                     results[i] = result
         finally:
@@ -533,17 +581,22 @@ class TrainingPlan:
             cut = [len(order) * w // count for w in range(count + 1)]
             yield from (order[a:b] for a, b in zip(cut, cut[1:]))
 
-    def _run_wave(self, wave, reference, optimizer) -> list[tuple[np.ndarray, float]]:
+    def _run_wave(
+        self, wave, orders, masks, reference, optimizer
+    ) -> list[tuple[np.ndarray, float]]:
         """Train ``wave``'s members in lockstep, each from its row of
-        ``reference`` and, if the model draws, with its round's generator."""
+        ``reference`` over its batch order and, if the model draws, with
+        its round's generator (``masks``)."""
         arena, store = self.arena, self._store
         # Alone, a member trains in the model's own store: every layer
         # reads its weights where it always does.
         alone = len(wave) == 1
         if alone:
             weights = store.data[None]
+            x, y, order = wave[0].x, wave[0].y, orders[0]
         else:
             weights = arena.take(("cohort", "weights"), (len(wave), store.total), store.dtype)
+            x, y, order = self._wave_data(wave, orders)
         rows = [m.row for m in wave]
         reference.take(rows, axis=0, out=weights, mode="clip")
         # Optimizer state and the proximal pull's w cover what they move:
@@ -561,87 +614,176 @@ class TrainingPlan:
         if len(set(rows)) > 1 and any(m.lam > 0 for m in wave):
             pull_ref = arena.take(("cohort", "pull_ref"), prefix, store.dtype)
             np.copyto(pull_ref, weights[:, : store.trainable])
-        masks = [m.schedule.mask_rng(m.start_epoch) for m in wave] if self._draws else None
-        row = list(range(len(wave)))
-        per_epoch = [m.schedule.batches_per_epoch() for m in wave]
-        steps = [m.epochs * b for m, b in zip(wave, per_epoch)]
-        losses = np.zeros((len(wave), max(steps)))
-        orders = [None] * len(wave)
-        for k in range(max(steps)):
-            # Members at step k, grouped by batch rows (and whether they
-            # have a proximal term): each group is one kernel chain.
-            groups: dict = {}
-            for j, m in enumerate(wave):
-                if k < steps[j]:
-                    epoch, b = divmod(k, per_epoch[j])
-                    if b == 0:
-                        orders[j] = m.schedule.epoch_order(m.start_epoch + epoch)
-                    bs = m.schedule.batch_size
-                    idx = orders[j][b * bs : (b + 1) * bs]
-                    groups.setdefault((idx.size, m.lam > 0), []).append((j, idx))
-            for (rows, pulled), group in groups.items():
-                if alone:
-                    slabs, stacks, ref = (weights, store.grad[None], state), self._own, pull_ref
-                else:
-                    slabs, ref = self._group_rows(group, row, weights, state, pull_ref)
-                    stacks = self._stacks(*slabs[:2])
-                pos = [j for j, _ in group]
-                lam = rngs = None
-                if pulled:
-                    lam = np.array([[wave[j].lam] for j in pos], dtype=store.dtype)
-                if masks is not None:
-                    rngs = [masks[j] for j in pos]
-                xb, yb = self._gather_batch(wave, group, rows)
-                losses[pos, k] = self._train_batch(
-                    xb, yb, stacks, slabs, lam, ref, optimizer, k + 1, rngs
+        own_refs = pull_ref.ndim == 2
+        plan, groups, steps, row_of = self._schedule(wave, order)
+        # Each group's slabs: views of the rows it occupies. Gradients live
+        # for one step, so their slab is sized to the widest group.
+        if alone:
+            grads = store.grad[None]
+        else:
+            widest = max(grp.g for grp in groups)
+            grads = arena.take(("cohort", "grads"), (widest, store.total), store.dtype)
+        views: dict = {}
+        for grp in groups:
+            a, g = grp.a, grp.g
+            if (a, g) not in views:
+                slabs = weights[a : a + g], grads[:g], [slab[a : a + g] for slab in state]
+                stacks = self._own if alone else self._stacks(*slabs[:2])
+                views[a, g] = slabs, stacks, pull_ref[a : a + g] if own_refs else pull_ref
+            grp.slabs, grp.stacks, grp.ref = views[a, g]
+            if grp.pulled:
+                grp.lam = np.array([[wave[j].lam] for j in grp.members], dtype=store.dtype)
+            if masks is not None:
+                grp.rngs = [masks[j] for j in grp.members]
+        moving = [weights, *state, pull_ref] if own_refs else [weights, *state]
+        batch = max(len(index) for step in plan for _, index in step)
+        xs = arena.take(("in", "x"), (batch,) + x.shape[1:], x.dtype)
+        ys = arena.take(("in", "y"), (batch,) + y.shape[1:], y.dtype)
+        losses = np.zeros((len(wave), len(plan)))
+        for k, step in enumerate(plan):
+            for grp, index in step:
+                if grp.moves is not None:
+                    self._move_rows(moving, *grp.moves)
+                xb, yb = self._gather_batch(x, y, index, xs, ys)
+                losses[grp.members, k] = self._train_batch(
+                    xb, yb, grp.stacks, grp.slabs, grp.lam, grp.ref, optimizer, k + 1, grp.rngs
                 )
+        # Each member's mean batch loss, as ndarray.mean computes it.
         return [
-            (weights[row[j]].copy(), float(losses[j, : steps[j]].mean()))
-            for j in range(len(wave))
+            (weights[r].copy(), float(np.add.reduce(losses[j, :count]) / count))
+            for j, (r, count) in enumerate(zip(row_of, steps))
         ]
 
-    def _group_rows(self, group, row, weights, state, pull_ref):
-        """The group's ``(weights, gradients, optimizer state)`` rows, and
-        its proximal reference.
-
-        Member j's weights and state — and its own proximal reference, when
-        ``pull_ref`` is a slab rather than one shared row — are row
-        ``row[j]`` of the wave's slabs; a group whose rows are not one
-        contiguous range is made one by swapping rows (sorting ``group`` to
-        match) — the bytes a gather and scatter would move, without a
-        gathered copy in the arena. Gradients live for one step, so their
-        slab is sized to the group.
-        """
-        own_refs = pull_ref.ndim == 2
-        moving = [weights, *state, pull_ref] if own_refs else [weights, *state]
-        group.sort(key=lambda entry: row[entry[0]])
-        a, g = row[group[0][0]], len(group)
-        for i, (j, _) in enumerate(group):
-            if row[j] != a + i:
-                other = row.index(a + i)
-                self._swap_rows(moving, row[j], a + i)
-                row[other], row[j] = row[j], a + i
-        grads = self.arena.take(("cohort", "grads"), (g, weights.shape[1]), weights.dtype)
-        slabs = weights[a : a + g], grads, [slab[a : a + g] for slab in state]
-        return slabs, pull_ref[a : a + g] if own_refs else pull_ref
+    def _gather_batch(self, x, y, index, xs, ys):
+        """A group's batch, client-major, in the arena: one ``take`` each."""
+        xb = x.take(index, axis=0, out=xs[: len(index)])
+        return self._cast_input(xb, ("in", "cast")), y.take(index, axis=0, out=ys[: len(index)])
 
     @staticmethod
-    def _swap_rows(slabs, r1: int, r2: int) -> None:
-        for slab in slabs:
-            spare = slab[r1].copy()
-            slab[r1] = slab[r2]
-            slab[r2] = spare
+    def _wave_data(wave, orders):
+        """The wave's samples and labels end to end, and its members' batch
+        orders end to end as indices into them. Copies for one wave, not
+        arena buffers: their size follows the members' shards, which the
+        arena's one-client budget does not count."""
+        n = np.array([m.schedule.n for m in wave])
+        order = np.concatenate(orders)
+        order += np.repeat(np.cumsum(n) - n, [len(o) for o in orders])
+        return np.concatenate([m.x for m in wave]), np.concatenate([m.y for m in wave]), order
 
-    def _gather_batch(self, wave, group, rows: int):
-        """The group's batches, client-major, in arena buffers."""
-        first = wave[group[0][0]]
-        n = len(group) * rows
-        xb = self.arena.take(("in", "x"), (n,) + first.x.shape[1:], first.x.dtype)
-        yb = self.arena.take(("in", "y"), (n,) + first.y.shape[1:], first.y.dtype)
-        for i, (j, idx) in enumerate(group):
-            wave[j].x.take(idx, axis=0, out=xb[i * rows : (i + 1) * rows])
-            wave[j].y.take(idx, axis=0, out=yb[i * rows : (i + 1) * rows])
-        return self._cast_input(xb, ("in", "cast")), yb
+    def _schedule(self, wave, order):
+        """Every step of ``wave``, planned before the first.
+
+        Returns the steps — each a list of ``(group, gather indices)`` in
+        the order they train — the distinct :class:`_Group` objects, each
+        member's step count, and the row each member ends on.
+
+        A member's batches are consecutive slices of its order (``order``
+        holds the wave's end to end), one per step. At step k the members
+        are grouped by (batch rows, proximal term or not), in order of
+        first appearance; a group runs on contiguous rows of the wave's
+        slabs, in row order (:meth:`_group_rows`). Steps whose members fall
+        into the same groups share one grouping until a row moves.
+        """
+        if len(wave) == 1:
+            return self._schedule_alone(wave[0], order)
+        n = np.array([m.schedule.n for m in wave])
+        bs = np.array([m.schedule.batch_size for m in wave])
+        per_epoch = -(-n // bs)
+        steps = per_epoch * np.array([m.epochs for m in wave])
+        k = np.arange(steps.max())
+        # (member, step) batch rows, 0 once the member is done.
+        size = np.minimum(bs[:, None], n[:, None] - k % per_epoch[:, None] * bs[:, None])
+        size[k >= steps[:, None]] = 0
+        pulled = np.array([m.lam > 0 for m in wave])
+        keys = np.where(size > 0, 2 * size + pulled[:, None], 0).T.copy()
+        row_of, at_row = list(range(len(wave))), list(range(len(wave)))
+        stepped, groups, settled = [], [], {}
+        for key in keys:
+            sig = key.tobytes()
+            step = settled.get(sig)
+            if step is None:
+                step, moved = self._group_rows(key, row_of, at_row)
+                groups.extend(step)
+                if moved:
+                    settled.clear()  # the rows other groupings counted on moved
+                else:
+                    settled[sig] = step
+            stepped.append(step)
+        # Gather indices: each group's members' next batch, in row order.
+        # A member's batch at step k starts where its earlier batches end.
+        members = np.concatenate([grp.members for step in stepped for grp in step])
+        at = np.repeat(k, [sum(grp.g for grp in step) for step in stepped])
+        rows = size[members, at]
+        starts = (np.cumsum(size) - size.ravel()).reshape(size.shape)[members, at]
+        ends = np.cumsum(rows)
+        index = order[np.repeat(starts - ends + rows, rows) + np.arange(ends[-1])]
+        plan, o = [], 0
+        for step in stepped:
+            planned = []
+            for grp in step:
+                planned.append((grp, index[o : o + grp.g * grp.rows]))
+                o += grp.g * grp.rows
+            plan.append(planned)
+        return plan, groups, steps, row_of
+
+    @staticmethod
+    def _schedule_alone(member, order):
+        """:meth:`_schedule` for a wave of one: its batches in turn, one
+        group per batch size."""
+        n, bs = member.schedule.n, member.schedule.batch_size
+        groups: dict = {}
+        plan = []
+        for o in range(0, member.epochs * n, n):
+            for b in range(0, n, bs):
+                rows = min(bs, n - b)
+                if rows not in groups:
+                    groups[rows] = _Group(_ONLY_MEMBER, rows, member.lam > 0, 0, 1, None)
+                plan.append([(groups[rows], order[o + b : o + b + rows])])
+        return plan, list(groups.values()), [len(plan)], [0]
+
+    @staticmethod
+    def _group_rows(key, row_of, at_row):
+        """One step's groups, given each member's group ``key`` (0 once it
+        is done), and whether any row moved.
+
+        Member j's weights and state — and its own proximal reference, when
+        the wave has a slab of them — are row ``row_of[j]`` of the wave's
+        slabs (``at_row`` is the inverse). A group whose rows are not one
+        contiguous range is made one by swapping rows: each member, in row
+        order, moves to the next row of the range starting at the group's
+        first. The group carries the swaps' net effect as one row move —
+        the bytes a gather and scatter would move, without a gathered copy
+        in the arena.
+        """
+        by_key: dict = {}
+        for j, code in enumerate(key.tolist()):
+            if code:
+                by_key.setdefault(code, []).append(j)
+        groups, moved = [], False
+        for code, members in by_key.items():
+            members.sort(key=row_of.__getitem__)
+            a, g = row_of[members[0]], len(members)
+            moves = None
+            if row_of[members[-1]] != a + g - 1:
+                came_from: dict = {}  # row -> the row whose bytes it now holds
+                for i, j in enumerate(members):
+                    r, old = a + i, row_of[j]
+                    if old != r:
+                        other = at_row[r]
+                        row_of[j], row_of[other] = r, old
+                        at_row[r], at_row[old] = j, other
+                        came_from[r], came_from[old] = came_from.get(old, old), came_from.get(r, r)
+                dst = [r for r, src in came_from.items() if r != src]
+                moves = np.array(dst), np.array([came_from[r] for r in dst])
+                moved = True
+            groups.append(_Group(np.array(members), code >> 1, bool(code & 1), a, g, moves))
+        return groups, moved
+
+    @staticmethod
+    def _move_rows(slabs, dst: np.ndarray, src: np.ndarray) -> None:
+        """Row ``dst[i]`` of every slab takes what row ``src[i]`` held."""
+        for slab in slabs:
+            slab[dst] = slab[src]
 
     def _stacks(self, weights: np.ndarray, grads: np.ndarray) -> list:
         """Each layer's ``stack``: its parameters as ``(G, *shape)`` views

@@ -357,16 +357,16 @@ def _lstm_classifier(dropout=0.1, batch_norm=True):
     return build
 
 
-def _counting_swaps(monkeypatch):
-    swaps = []
-    swap = TrainingPlan._swap_rows
+def _counting_moves(monkeypatch):
+    moves = []
+    move = TrainingPlan._move_rows
 
-    def counted(slabs, r1, r2):
-        swaps.append((r1, r2))
-        swap(slabs, r1, r2)
+    def counted(slabs, dst, src):
+        moves.append((dst.tolist(), src.tolist()))
+        move(slabs, dst, src)
 
-    monkeypatch.setattr(TrainingPlan, "_swap_rows", staticmethod(counted))
-    return swaps
+    monkeypatch.setattr(TrainingPlan, "_move_rows", staticmethod(counted))
+    return moves
 
 
 class TestCohortIsEachClientAlone:
@@ -379,13 +379,13 @@ class TestCohortIsEachClientAlone:
         model = build(np.random.default_rng(1))
         start = model.get_flat_weights()
         want = [_alone(build(np.random.default_rng(1)), m, make, start) for m in members]
-        swaps = _counting_swaps(monkeypatch)
+        moves = _counting_moves(monkeypatch)
         for wave_size in (None, 3):  # B from the arena (one wave here), and B = 3
             plan = TrainingPlan(model, SoftmaxCrossEntropy())
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(start, members, make()), want)
             assert plan.wave_size is not None
-        assert swaps  # some step's group was not a contiguous run of rows
+        assert moves  # some step's group was not a contiguous run of rows
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
     def test_float32_against_one_member_at_a_time(self, kind):
@@ -577,12 +577,12 @@ class TestEachMemberFromItsOwnStartRow:
         starts = model.get_flat_weights() + rng.normal(0, 0.05, size=(3, model.store.total))
         reference = build(np.random.default_rng(1))
         want = [_alone(reference, m, OPTIMIZERS["adam"], starts[m.row]) for m in members]
-        swaps = _counting_swaps(monkeypatch)
+        moves = _counting_moves(monkeypatch)
         for wave_size in (None, 1, 3):
             plan = TrainingPlan(model, SoftmaxCrossEntropy())
             plan.wave_size = wave_size
             _assert_same(plan.run_cohort(starts, members, Adam(0.005)), want)
-        assert swaps
+        assert moves
 
     def test_one_row_is_the_vector(self):
         feature_shape, build = BUILDERS["mlp"]
