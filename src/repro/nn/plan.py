@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -385,8 +385,8 @@ class _Group:
     a: int
     g: int
     moves: tuple[np.ndarray, np.ndarray] | None
-    slabs: tuple = ()
-    stacks: list = field(default_factory=list)
+    slabs: tuple | None = None
+    stacks: list | None = None
     ref: np.ndarray | None = None
     lam: np.ndarray | None = None
     rngs: list | None = None

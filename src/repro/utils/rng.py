@@ -40,6 +40,13 @@ _XSHIFT = np.array(16, dtype=np.uint32)
 _BATCH_MIN = 3
 
 
+def _key_bytes(name: str) -> bytes:
+    """A stream's 128-bit key, four little-endian uint32 words: the head of
+    the name's sha256, not Python's salted hash(), so keys are reproducible
+    across processes."""
+    return hashlib.sha256(name.encode("utf-8")).digest()[:16]
+
+
 def _hash_calls(init: int, mult: int, count: int) -> list[tuple[int, int]]:
     """The ``(xor, multiply)`` constants of ``count`` successive hashmix
     calls: each xors with the running constant, then multiplies by it
@@ -135,10 +142,8 @@ class SeedSequenceFactory:
         return self._seed
 
     def _key(self, name: str) -> list[int]:
-        # Stable 128-bit key from the stream name; avoids Python's salted
-        # hash() so keys are reproducible across processes.
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+        key = _key_bytes(name)
+        return [int.from_bytes(key[i : i + 4], "little") for i in range(0, 16, 4)]
 
     def seed_sequence(self, name: str) -> np.random.SeedSequence:
         """Return the ``SeedSequence`` for a named stream."""
@@ -164,7 +169,7 @@ class SeedSequenceFactory:
             if not seed:
                 break
         fill, pairs, extra, output = _constants(len(words))
-        digests = b"".join(hashlib.sha256(n.encode("utf-8")).digest()[:16] for n in names)
+        digests = b"".join(_key_bytes(name) for name in names)
         entropy = np.empty((len(words) + 4, len(names)), dtype=np.uint32)
         entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
         entropy[len(words) :] = np.frombuffer(digests, dtype="<u4").reshape(len(names), 4).T
