@@ -107,9 +107,7 @@ def cohort_streams(
         batch.extend(schedule._order_stream(e) for e in range(start, start + epochs))
         if masks:
             batch.append(schedule._mask_stream(start))
-    streams = {
-        seed: iter(SeedSequenceFactory(seed).rngs(batch)) for seed, batch in names.items()
-    }
+    streams = {seed: iter(SeedSequenceFactory(seed).rngs(batch)) for seed, batch in names.items()}
     # Each epoch's permutation is its generator's shuffle of arange(n), the
     # way Generator.permutation(n) makes it, in place in one array.
     sizes = [schedule.n for schedule, _, epochs in rounds for _ in range(epochs)]

@@ -125,9 +125,16 @@ def test_parser_rejects_unknown_executor():
         ["compare", "--dataset", "nosuch", "--methods", "fedat,fedavg"],
         ["run", "--method", "fedat", "--dataset", "nosuch"],
         ["run", "--method", "fedat", "--dataset", "sentiment140", "--scenario", "bogus"],
-        ["run", "--method", "fedat", "--dataset", "sentiment140", "--scale", "tiny", "--seed", "-1"],
+        ["run", "--method", "fedat", "--dataset", "sentiment140", "--seed", "-1"],
     ],
-    ids=["method", "compare-scenario", "compare-dataset", "run-dataset", "run-scenario", "run-seed"],
+    ids=[
+        "method",
+        "compare-scenario",
+        "compare-dataset",
+        "run-dataset",
+        "run-scenario",
+        "run-seed",
+    ],
 )
 def test_compare_rejects_unknown_method(capsys, argv):
     """A bad run description fails before anything runs: one line, exit 2."""

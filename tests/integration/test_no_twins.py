@@ -145,9 +145,13 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search('            "cells_done": len(self.spec.cells()) - missing,')
     assert REMOVED.search('    def child(self, name: str) -> "SeedSequenceFactory":')
     assert REMOVED.search("        class _Namespaced(SeedSequenceFactory):")
-    assert not REMOVED.search("    def rngs(self, names: Sequence[str]) -> list[np.random.Generator]:")
-    assert REMOVED.search("    def integers(self, name: str, n: int, high: int = 2**31 - 1) -> np.ndarray:")
-    assert not REMOVED.search("    rng = SeedSequenceFactory(seed).rng(\"population/sizes\")")
+    assert not REMOVED.search(
+        "    def rngs(self, names: Sequence[str]) -> list[np.random.Generator]:"
+    )
+    assert REMOVED.search(
+        "    def integers(self, name: str, n: int, high: int = 2**31 - 1) -> np.ndarray:"
+    )
+    assert not REMOVED.search('    rng = SeedSequenceFactory(seed).rng("population/sizes")')
     assert not REMOVED.search("    return rng.integers(lo, hi + 1, size=num_clients)")
     assert REMOVED.search("    def reset(self) -> None:")
     assert not REMOVED.search("    def reset_state(self) -> None:")
