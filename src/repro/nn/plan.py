@@ -361,11 +361,6 @@ class CohortMember(NamedTuple):
             )
 
 
-#: The member positions of a one-member wave's groups.
-_ONLY_MEMBER = np.zeros(1, dtype=np.intp)
-_ONLY_MEMBER.flags.writeable = False
-
-
 @dataclass(eq=False, slots=True)
 class _Group:
     """One kernel chain of a wave's step, planned before the wave's first.
@@ -648,9 +643,8 @@ class TrainingPlan:
                 losses[grp.members, k] = self._train_batch(
                     xb, yb, grp.stacks, grp.slabs, grp.lam, grp.ref, optimizer, k + 1, grp.rngs
                 )
-        # Each member's mean batch loss, as ndarray.mean computes it.
         return [
-            (weights[r].copy(), float(np.add.reduce(losses[j, :count]) / count))
+            (weights[r].copy(), float(losses[j, :count].mean()))
             for j, (r, count) in enumerate(zip(row_of, steps))
         ]
 
@@ -737,7 +731,7 @@ class TrainingPlan:
             for b in range(0, n, bs):
                 rows = min(bs, n - b)
                 if rows not in groups:
-                    groups[rows] = _Group(_ONLY_MEMBER, rows, member.lam > 0, 0, 1, None)
+                    groups[rows] = _Group(np.zeros(1, np.intp), rows, member.lam > 0, 0, 1, None)
                 plan.append([(groups[rows], order[o + b : o + b + rows])])
         return plan, list(groups.values()), [len(plan)], [0]
 
