@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.utils.rng import SeedSequenceFactory
@@ -68,6 +68,7 @@ SEEDS = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, names=st.lists(st.text(max_size=12), min_size=1, max_size=200))
+@example(seed=2**64 + 5, names=["client/0/epoch/0", "ünï/名前", "", "client/0/epoch/0"])
 def test_batched_streams_are_numpys_seed_sequence_streams(seed, names):
     """Every generator ``rngs`` derives — any batch size, any name, ASCII or
     not — is in exactly the state NumPy's own ``SeedSequence`` path gives
