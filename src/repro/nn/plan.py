@@ -678,11 +678,9 @@ class TrainingPlan:
         slabs, in row order (:meth:`_group_rows`). Steps whose members fall
         into the same groups share one grouping until a row moves.
         """
-        if len(wave) == 1:
-            return self._schedule_alone(wave[0], order)
         n = np.array([m.schedule.n for m in wave])
         bs = np.array([m.schedule.batch_size for m in wave])
-        per_epoch = -(-n // bs)
+        per_epoch = np.array([m.schedule.batches_per_epoch() for m in wave])
         steps = per_epoch * np.array([m.epochs for m in wave])
         k = np.arange(steps.max())
         # (member, step) batch rows, 0 once the member is done.
@@ -719,21 +717,6 @@ class TrainingPlan:
                 o += grp.g * grp.rows
             plan.append(planned)
         return plan, groups, steps, row_of
-
-    @staticmethod
-    def _schedule_alone(member, order):
-        """:meth:`_schedule` for a wave of one: its batches in turn, one
-        group per batch size."""
-        n, bs = member.schedule.n, member.schedule.batch_size
-        groups: dict = {}
-        plan = []
-        for o in range(0, member.epochs * n, n):
-            for b in range(0, n, bs):
-                rows = min(bs, n - b)
-                if rows not in groups:
-                    groups[rows] = _Group(np.zeros(1, np.intp), rows, member.lam > 0, 0, 1, None)
-                plan.append([(groups[rows], order[o + b : o + b + rows])])
-        return plan, list(groups.values()), [len(plan)], [0]
 
     @staticmethod
     def _group_rows(key, row_of, at_row):

@@ -36,8 +36,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 # with less work than Python ints on the small arrays the pool mixes.
 _MIX_L, _MIX_R = np.array(0xCA01F9DD, dtype=np.uint32), np.array(0x4973F715, dtype=np.uint32)
 _XSHIFT = np.array(16, dtype=np.uint32)
-#: Below this many streams NumPy's own per-stream path is the faster one.
-_BATCH_MIN = 3
 
 
 def _key_bytes(name: str) -> bytes:
@@ -160,8 +158,6 @@ class SeedSequenceFactory:
         four key words, so every stream's pool mixes the same way: the
         ``SeedSequence`` rounds run once over a ``(4, len(names))`` pool.
         """
-        if len(names) < _BATCH_MIN:
-            return [self.rng(name) for name in names]
         seed, words = self._seed, []
         while True:  # the seed's uint32 words, as SeedSequence splits it
             words.append(seed & 0xFFFFFFFF)
