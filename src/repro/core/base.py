@@ -19,7 +19,8 @@ everyone who will report back for training, and
 :meth:`~FLSystem.schedule_join` wakes the method when a client (re)joins
 before ``max_time``. Training waits until a result is needed
 (:meth:`~FLSystem.flush`): every launch still pending then trains as one
-cohort, so tiers in flight together share stacked waves and dispatches.
+cohort, so tiers in flight together share stacked waves and dispatches,
+and a client no event can read before the budget ends does not train.
 Every result is metered on the uplink when its event pops. Three families
 use the loop:
 
@@ -75,10 +76,18 @@ class Launch:
     ``end``, ``churned`` and ``finishes`` are known at departure.
     ``results`` and ``quarantined`` exist once the launch has trained: the
     first read of either while it is pending flushes every pending launch
-    (:meth:`FLSystem.flush`). A trained launch holds exactly the
-    attributes it held when training ran at departure, ``finishes`` aside,
-    so checkpoints written either way load alike.
+    (:meth:`FLSystem.flush`). A flush may resolve reporting clients as
+    :attr:`skipped` instead — no event can read them before the budget
+    ends — and then reading ``results`` or ``quarantined``, or a skipped
+    client's upload, raises ``RuntimeError``. A trained launch holds
+    exactly the attributes it held when training ran at departure,
+    ``finishes`` aside, so checkpoints written either way load alike.
     """
+
+    #: Reporting clients a flush resolved without training them; empty
+    #: when every one trained (the default of launches pickled before
+    #: clients could be skipped).
+    skipped: frozenset = frozenset()
 
     def __init__(self, end: float, churned: list, finishes: dict, flush=None):
         #: The slowest launched client's finish time: a synchronous round's end.
@@ -94,23 +103,57 @@ class Launch:
         else:
             self._flush = flush
 
-    def resolve(self, results: list, quarantined: int) -> None:
-        """Install the trained outcome; the launch is pending no more."""
+    def resolve(self, results: list, quarantined: int, skipped=(), at=None) -> None:
+        """Install the trained outcome; the launch is pending no more.
+
+        ``skipped`` names reporting clients left untrained, and ``at`` the
+        ``(round, max_rounds)`` the flush that skipped them ran under.
+        """
+        self.__dict__.pop("_flush", None)
+        if skipped:
+            self.skipped = frozenset(skipped)
+            self._trained = results
+            self._skipped_at = at
+            return
         #: ``(result, virtual finish time, uplink bytes)`` per client that
         #: reports back and passes the update guard, in launch order.
         self.results = results
         #: How many reporting clients the update guard quarantined.
         self.quarantined = quarantined
-        self.__dict__.pop("_flush", None)
+
+    def upload(self, client_id: int) -> tuple[LocalTrainingResult | None, int]:
+        """One reporting client's trained result and uplink bytes; ``(None,
+        0)`` when the guard quarantined it. Reading it trains a pending
+        launch; reading a skipped client raises."""
+        if "_flush" in self.__dict__:
+            self._flush()
+        if client_id in self.skipped:
+            self._refuse(client_id)
+        for result, _, nbytes in self._trained if self.skipped else self.results:
+            if result.client_id == client_id:
+                return result, nbytes
+        return None, 0
+
+    def _refuse(self, client_id: int):
+        round_no, max_rounds = self._skipped_at
+        raise RuntimeError(
+            f"client {client_id}'s result was never trained: at round {round_no} "
+            f"no event could read it before max_rounds={max_rounds}"
+        )
 
     def __getattr__(self, name):
         # Reached only for an attribute the instance lacks: ``results`` and
-        # ``quarantined`` of a pending launch are trained into existence.
-        flush = self.__dict__.get("_flush")
-        if flush is None or name not in ("results", "quarantined"):
+        # ``quarantined`` of a pending launch are trained into existence;
+        # those of a launch with skipped clients never exist.
+        if name not in ("results", "quarantined"):
             raise AttributeError(name)
-        flush()
-        return self.__dict__[name]
+        flush = self.__dict__.get("_flush")
+        if flush is not None:
+            flush()
+            return getattr(self, name)
+        if self.skipped:
+            self._refuse(min(self.skipped))
+        raise AttributeError(name)
 
 
 @dataclass
@@ -120,6 +163,11 @@ class RoundDone:
 
     tier: int | None
     launch: Launch
+
+    @property
+    def reads(self) -> bool:
+        """Handling it reads the launch's results (see ``EventQueue``)."""
+        return bool(self.launch.finishes)
 
 
 @dataclass
@@ -148,14 +196,13 @@ class ClientDone:
     #: Global round the client's cycle departed from.
     start_version: int
     launch: Launch
+    #: Handling it reads the client's result (see ``EventQueue``).
+    reads = True
 
     def upload(self) -> tuple[LocalTrainingResult | None, int]:
-        """The client's trained result and its uplink bytes; ``(None, 0)``
-        when the guard quarantined it. Reading it trains a pending launch."""
-        for result, _, nbytes in self.launch.results:
-            if result.client_id == self.client_id:
-                return result, nbytes
-        return None, 0
+        """The client's trained result and its uplink bytes (see
+        :meth:`Launch.upload`)."""
+        return self.launch.upload(self.client_id)
 
     @property
     def result(self) -> LocalTrainingResult | None:
@@ -356,6 +403,9 @@ class FLSystem:
         self._resume_queue = None
         #: Launches waiting to train, in launch order (see :meth:`flush`).
         self._pending: list[_Pending] = []
+        #: The queue :meth:`_run` pops, whose read events tell a flush what
+        #: the budget can still read; None until the loop starts.
+        self._queue: EventQueue | None = None
 
     # ------------------------------------------------------------------ #
     # Building blocks
@@ -561,9 +611,10 @@ class FLSystem:
         re-tier tracker (online re-tiering sees exactly what a real server
         would). The rest train from the weights they received at the next
         :meth:`flush` — when the launch's results are first read, at the
-        latest — except under a stateful codec, whose uplink draws must
-        follow this launch's downlink draws before the next launch's, so
-        the launch flushes at once.
+        latest — unless no event can read them before the budget ends,
+        and except under a stateful codec, whose uplink draws must follow
+        this launch's downlink draws before the next launch's, so the
+        launch flushes at once.
         """
         if not client_ids:
             return Launch(start, [], {})
@@ -594,12 +645,13 @@ class FLSystem:
         return launch
 
     def flush(self) -> None:
-        """Train every pending launch and resolve each one's results.
+        """Train every pending launch the budget can still read and resolve
+        each one's results.
 
-        All pending clients train as one cohort, in launch order — one
-        stacked cohort serially, one dispatch on the pool or dist — each
-        from the weights its launch received: launches that received the
-        same decoded downlink share one row of the start stack. Then, per
+        Pending clients train as one cohort, in launch order — one stacked
+        cohort serially, one dispatch on the pool or dist — each from the
+        weights its launch received: launches that received the same
+        decoded downlink share one row of the start stack. Then, per
         launch in launch order, the update guard filters its results
         against those weights under the launch's round and time, *before*
         the uplink codec (a rejected client never transmits, and an
@@ -607,6 +659,10 @@ class FLSystem:
         polyline), and the uplink round trip sends the kept results
         through one ``codec.transmit`` call, replacing their weights in
         place.
+
+        A client whose read event no event can reach before the budget
+        ends (:meth:`_unread`) is neither trained, encoded nor dispatched:
+        its launch resolves it as skipped, and reading it raises.
 
         Flushing is free to happen early: no draw that shapes the run
         waits for training, and training order is launch order whenever it
@@ -617,18 +673,26 @@ class FLSystem:
         pending, self._pending = self._pending, []
         if not pending:
             return
+        unread = self._unread()
         rows: dict[int, int] = {}
-        starts, tasks = [], []
+        starts, tasks, plans = [], [], []
         for p in pending:
+            skipped = unread.get(id(p.launch), ())
+            mine = [t for t in p.tasks if t.client_id not in skipped] if skipped else p.tasks
+            plans.append((p, len(mine), skipped))
+            if not mine:
+                continue
             row = rows.setdefault(id(p.received), len(starts))
             if row == len(starts):
                 starts.append(p.received)
-            tasks += [replace(t, row=row) for t in p.tasks] if row else p.tasks
-        trained = self.train_cohort(tasks, starts[0] if len(starts) == 1 else np.stack(starts))
+            tasks += [replace(t, row=row) for t in mine] if row else mine
+        trained = []
+        if tasks:
+            trained = self.train_cohort(tasks, starts[0] if len(starts) == 1 else np.stack(starts))
         at = 0
-        for p in pending:
-            mine = trained[at : at + len(p.tasks)]
-            at += len(p.tasks)
+        for p, count, skipped in plans:
+            mine = trained[at : at + count]
+            at += count
             kept = mine
             if self.guard is not None:
                 kept = self.guard.filter(mine, p.received, round_no=p.round, time=p.time)
@@ -637,7 +701,39 @@ class FLSystem:
                 (r, finishes[r.client_id], nbytes)
                 for r, nbytes in zip(kept, self.uplink_roundtrip(kept))
             ]
-            p.launch.resolve(results, len(mine) - len(kept))
+            p.launch.resolve(
+                results,
+                len(mine) - len(kept),
+                skipped,
+                at=(self.round, self.config.max_rounds),
+            )
+
+    def _unread(self) -> dict[int, set]:
+        """Reporting clients no event will read, by ``id`` of their launch.
+
+        With no guard, handling a queued read event (a ``RoundDone`` or
+        ``ClientDone`` of a launch with a reporting client) ends exactly one
+        global update, and events leave the queue only by popping. So one
+        with at least R = ``max_rounds - round`` read events ahead of it is
+        never handled, and once the budget is spent nothing is. A launch
+        whose read event is not queued yet (the one being handled, or one
+        still departing) is not listed. Nothing is listed under a guard (a
+        quarantined async upload consumes no round, and the guard's trace
+        counts every reporting client) or a stateful codec (it draws per
+        uplink row).
+        """
+        queue = self._queue
+        if queue is None or self.guard is not None or not self.codec.deterministic:
+            return {}
+        reads_left = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
+        unread: dict[int, set] = {}
+        for payload in queue.reads_after(reads_left):
+            ids = unread.setdefault(id(payload.launch), set())
+            if isinstance(payload, ClientDone):
+                ids.add(payload.client_id)
+            else:
+                ids.update(payload.launch.finishes)
+        return unread
 
     def schedule_join(self, queue, payload, client_ids=None, *, at=None) -> None:
         """Schedule ``payload`` for when a client joins, if before
@@ -811,6 +907,7 @@ class FLSystem:
             "_checkpointer",
             "_resume_queue",
             "_pending",
+            "_queue",
         }
     )
 
@@ -861,6 +958,16 @@ class FLSystem:
             raise ValueError(
                 f"checkpoint {checkpointer.path} belongs to method "
                 f"{payload['method']!r}, not {self.name!r}"
+            )
+        # Its launches may hold clients skipped because no event could read
+        # them under the budget it ran with; another budget could.
+        budget = {"max_rounds": self.config.max_rounds, "max_time": self.config.max_time}
+        saved = {key: payload.get(key, value) for key, value in budget.items()}
+        if saved != budget:
+            raise ValueError(
+                f"checkpoint {checkpointer.path} ran under max_rounds="
+                f"{saved['max_rounds']}, max_time={saved['max_time']}, not max_rounds="
+                f"{budget['max_rounds']}, max_time={budget['max_time']}"
             )
         self.restore_state(payload["state"])
         self._resume_queue = payload["queue"]
@@ -954,6 +1061,7 @@ class FLSystem:
             queue = EventQueue()
             self.record_eval()
             self.prologue(queue)
+        self._queue = queue
         while not queue.empty and not self.budget_exhausted():
             # Persists at round boundaries. An upload the guard quarantined
             # is a no-op: its client never reported, so it pops without
@@ -967,8 +1075,9 @@ class FLSystem:
                 continue
             self.now = ev.time
             self.handle(ev.payload, queue)
-        # Every client that reports back trains, read or not (the guard's
-        # counters count them all).
+        # Nothing reads after the loop: what is still pending resolves as
+        # skipped, or trains under a guard (its counters count every
+        # reporting client) or a stateful codec.
         self.flush()
         if not self.history.records or self.history.records[-1].round != self.round:
             self.record_eval()

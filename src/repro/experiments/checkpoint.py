@@ -86,6 +86,9 @@ class RunCheckpointer:
             "format": CHECKPOINT_FORMAT,
             "method": system.name,
             "round": system.round,
+            # The budget its skipped launches were skipped under.
+            "max_rounds": system.config.max_rounds,
+            "max_time": system.config.max_time,
             "state": system.state_dict(),
             "queue": queue,
         }

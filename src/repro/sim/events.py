@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from typing import Any
@@ -38,12 +39,25 @@ class EventQueue:
     popped event's timestamp and never runs backwards. Scheduling an event
     in the past raises — a real causality bug would otherwise silently
     reorder history.
+
+    Events whose payload has a true ``reads`` attribute (they read a
+    result when handled) are also kept in pop order in a side index, so
+    :meth:`reads_after` costs O(read events queued), however many other
+    events wait. The index is rebuilt on unpickling, not stored.
     """
 
     def __init__(self):
         self._heap: list[Event] = []
         self._counter = itertools.count()
         self.now = 0.0
+        self._reads: list[Event] = []
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_reads"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reads = sorted(ev for ev in self._heap if getattr(ev.payload, "reads", False))
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -56,9 +70,7 @@ class EventQueue:
         """Schedule ``payload`` at ``now + delay`` (delay must be ≥ 0)."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        ev = Event(self.now + delay, next(self._counter), payload)
-        heapq.heappush(self._heap, ev)
-        return ev
+        return self.schedule_at(self.now + delay, payload)
 
     def schedule_at(self, time: float, payload: Any) -> Event:
         """Schedule ``payload`` at absolute virtual time ``time`` ≥ now."""
@@ -66,6 +78,8 @@ class EventQueue:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         ev = Event(time, next(self._counter), payload)
         heapq.heappush(self._heap, ev)
+        if getattr(payload, "reads", False):
+            bisect.insort(self._reads, ev)
         return ev
 
     def pop(self) -> Event:
@@ -73,6 +87,8 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
         ev = heapq.heappop(self._heap)
+        if self._reads and self._reads[0] is ev:
+            del self._reads[0]
         self.now = ev.time
         return ev
 
@@ -81,3 +97,8 @@ class EventQueue:
         if not self._heap:
             raise IndexError("peek on empty EventQueue")
         return self._heap[0]
+
+    def reads_after(self, n: int) -> list:
+        """Payloads of the queued read events with at least ``n`` read
+        events ahead of them, in pop order."""
+        return [ev.payload for ev in self._reads[n:]]

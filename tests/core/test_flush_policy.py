@@ -16,13 +16,18 @@ it — rebuilt here by monkeypatching, never by an option:
   first read of any pending launch's result flushes them all; so a
   flush's start rows never exceed the launches in flight (FedAT's at most
   one per tier), which is why it needs no size cap;
+- a flush trains only what the budget can read: with no guard and a
+  deterministic codec, a client whose read event has at least
+  ``max_rounds - round`` read events ahead of it is skipped, and reading
+  it raises; under a guard or a stateful codec every reporting client
+  trains;
 - on the pool and dist, one FedAsync flush is one dispatch.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.base import AsyncFLSystem, ClientDone, ClientJoin, FLSystem
+from repro.core.base import AsyncFLSystem, ClientDone, ClientJoin, FLSystem, RoundDone
 from repro.data.datasets import make_dataset
 from repro.experiments.checkpoint import RunCheckpointer, strip_volatile_meta
 from repro.sim.events import EventQueue
@@ -69,10 +74,28 @@ def train_at_departure(monkeypatch) -> None:
     monkeypatch.setattr(AsyncFLSystem, "_start_cycles", kept_cycles)
 
 
+def reads(payload) -> bool:
+    """Whether handling ``payload`` reads a reporting client's result."""
+    if isinstance(payload, RoundDone):
+        return bool(payload.launch.finishes)
+    return isinstance(payload, ClientDone)
+
+
+def read_events(queues) -> list:
+    """Every queued read event, in pop order, found by scanning the heaps."""
+    return sorted(ev for q in queues for ev in q._heap if reads(ev.payload))
+
+
 def record_flushes(monkeypatch) -> list:
     """``(pending launches, distinct start rows, pending launches not in
     flight)`` of every flush that trains something. In flight: a queued
-    event refers to the launch, or the event last popped does."""
+    event refers to the launch, or the event last popped does.
+
+    Each flush also checks whom it trained. With no guard and a
+    deterministic codec, a trained client's read event is not queued yet,
+    or has fewer than R = ``max_rounds - round`` read events ahead of it
+    (none once the budget is spent), and nobody else trains. Otherwise
+    every pending client trains."""
     flush, sizes = FLSystem.flush, []
     init, pop, queues = EventQueue.__init__, EventQueue.pop, []
 
@@ -86,13 +109,26 @@ def record_flushes(monkeypatch) -> list:
         return queue.popped
 
     def recording_flush(self):
-        if self._pending:
-            events = [ev for q in queues for ev in (*q._heap, q.popped) if ev is not None]
-            in_flight = {id(getattr(ev.payload, "launch", None)) for ev in events}
-            strays = sum(id(p.launch) not in in_flight for p in self._pending)
-            rows = len({id(p.received) for p in self._pending})
-            sizes.append((len(self._pending), rows, strays))
+        pending = list(self._pending)
+        if not pending:
+            return flush(self)
+        events = [ev for q in queues for ev in (*q._heap, q.popped) if ev is not None]
+        in_flight = {id(getattr(ev.payload, "launch", None)) for ev in events}
+        strays = sum(id(p.launch) not in in_flight for p in pending)
+        rows = len({id(p.received) for p in pending})
+        sizes.append((len(pending), rows, strays))
+        ahead = {
+            (id(ev.payload.launch), getattr(ev.payload, "client_id", None)): n
+            for n, ev in enumerate(read_events(queues))
+        }
+        readable = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
         flush(self)
+        prunes = self.guard is None and self.codec.deterministic
+        for p in pending:
+            for cid in p.launch.finishes:
+                n = ahead.get((id(p.launch), cid), ahead.get((id(p.launch), None)))
+                trains = not prunes or n is None or n < readable
+                assert (cid not in p.launch.skipped) == trains, (cid, n, readable)
 
     monkeypatch.setattr(EventQueue, "__init__", tracked_init)
     monkeypatch.setattr(EventQueue, "pop", tracked_pop)
@@ -187,3 +223,91 @@ def test_a_fedasync_flush_is_one_dispatch(dataset, executor, monkeypatch):
     dispatched = [rows for tasks, rows in flushed if tasks >= system.executor.min_dispatch]
     assert system.executor._dispatch_seq == len(dispatched)
     assert max(dispatched) > 1  # a dispatch carried relaunches from several versions
+
+
+def count_training(monkeypatch) -> dict:
+    """Client rounds trained, and clients that report back, in one run."""
+    counts = {"trained": 0, "reporting": 0}
+    train_cohort, launch = FLSystem.train_cohort, FLSystem.launch
+
+    def counting_train_cohort(self, tasks, starts):
+        counts["trained"] += len(tasks)
+        return train_cohort(self, tasks, starts)
+
+    def counting_launch(self, client_ids, start):
+        out = launch(self, client_ids, start)
+        counts["reporting"] += len(out.finishes)
+        return out
+
+    monkeypatch.setattr(FLSystem, "train_cohort", counting_train_cohort)
+    monkeypatch.setattr(FLSystem, "launch", counting_launch)
+    return counts
+
+
+#: (method, world) -> (client rounds trained, uploads metered). Training
+#: every reporting client trained 42, 37, 60 and 39.
+TRAINED = {
+    ("fedasync", "static"): (38, 30),
+    ("fedasync", "churn_arrival"): (34, 30),
+    ("fedat", "static"): (52, 48),
+    ("fedat", "churn_arrival"): (36, 33),
+}
+
+
+@pytest.mark.parametrize("method, world", sorted(TRAINED))
+def test_clients_no_event_reads_do_not_train(dataset, method, world, monkeypatch):
+    counts = count_training(monkeypatch)
+    history = build_world(dataset, method, world, FLUSH_WORLDS).run()
+    assert (counts["trained"], history.meta["network"]["uplink_messages"]) == TRAINED[method, world]
+    assert counts["trained"] < counts["reporting"]
+
+
+@pytest.mark.parametrize(
+    "method, world",
+    [("fedasync", "guard_reject"), ("fedat", "guard_reject"), ("fedat", "subsample")],
+)
+def test_a_guard_or_a_stateful_codec_trains_every_reporting_client(
+    dataset, method, world, monkeypatch
+):
+    """The guard's trace counts every reporting client, and a stateful
+    codec draws per uplink row: both train them all, as before skipping."""
+    worlds = {**FLUSH_WORLDS, "subsample": ({"compression": "subsample:0.5"}, None)}
+    counts = count_training(monkeypatch)
+    with monkeypatch.context() as patch:
+        record_flushes(patch)
+        build_world(dataset, method, world, worlds).run()
+    assert counts["trained"] == counts["reporting"] > 0
+
+
+@pytest.mark.parametrize("method, max_rounds", [("fedasync", 5), ("fedat", 12)])
+def test_reading_a_skipped_result_raises(dataset, method, max_rounds, monkeypatch):
+    """A skipped client never reads as empty or quarantined: its launch's
+    ``results`` and ``quarantined`` and its upload raise, naming it, the
+    round and the budget; the launch's trained clients still upload."""
+    launches, launch = [], FLSystem.launch
+
+    def recording_launch(self, client_ids, start):
+        launches.append(launch(self, client_ids, start))
+        return launches[-1]
+
+    monkeypatch.setattr(FLSystem, "launch", recording_launch)
+    worlds = {"budget": ({"max_rounds": max_rounds}, None)}
+    build_world(dataset, method, "budget", worlds).run()
+    skipped = [out for out in launches if out.skipped]
+    assert skipped
+    out = max(skipped, key=lambda out: len(out.finishes) - len(out.skipped))
+    cid = min(out.skipped)
+    message = (
+        rf"^client {cid}'s result was never trained: at round \d+ no event could "
+        rf"read it before max_rounds={max_rounds}$"
+    )
+    for read in (
+        lambda: out.results,
+        lambda: out.quarantined,
+        ClientDone(cid, 0, out).upload,
+    ):
+        with pytest.raises(RuntimeError, match=message):
+            read()
+    if method == "fedasync":  # the t = 0 launch: a few trained, the rest skipped
+        trained = [c for c in out.finishes if c not in out.skipped]
+        assert trained and all(ClientDone(c, 0, out).result.client_id == c for c in trained)

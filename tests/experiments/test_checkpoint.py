@@ -144,6 +144,33 @@ def test_resume_rejects_method_mismatch(tmp_path, tiny_bow_dataset):
     other.executor.close()
 
 
+def test_resume_refuses_another_budget(tmp_path, tiny_bow_dataset):
+    """Launches in a checkpoint may hold clients skipped because no event
+    could read them under its budget; another budget could read them."""
+    donor = _system(tiny_bow_dataset, FedAsync, max_rounds=8)
+    ckpt = RunCheckpointer(tmp_path, "t")
+    ckpt.save(donor, queue=None)
+    donor.executor.close()
+    for budget, line in (
+        ({"max_rounds": 9}, "max_rounds=9, max_time=None"),
+        ({"max_time": 500.0}, "max_rounds=8, max_time=500.0"),
+    ):
+        other = _system(tiny_bow_dataset, FedAsync, **{"max_rounds": 8, **budget})
+        with pytest.raises(ValueError) as refused:
+            other.attach_checkpointer(ckpt, resume=True)
+        assert str(refused.value) == (
+            f"checkpoint {ckpt.path} ran under max_rounds=8, max_time=None, not {line}"
+        )
+        other.executor.close()
+    # A payload from before the budget was recorded is taken as it is.
+    payload = ckpt.load()
+    del payload["max_rounds"], payload["max_time"]
+    ckpt.path.write_bytes(pickle.dumps(payload))
+    other = _system(tiny_bow_dataset, FedAsync, max_rounds=9)
+    assert other.attach_checkpointer(ckpt, resume=True)
+    other.executor.close()
+
+
 def test_strip_volatile_meta_keeps_everything_else():
     hist = {"records": [1], "meta": {"seed": 0, "phase_seconds": {"a": 1}, "faults": {}}}
     out = strip_volatile_meta(hist)
@@ -232,6 +259,30 @@ def test_killed_run_resumes_bit_identically(tmp_path, request, cls, world, kill_
         reference.to_dict()
     )
     ckpt.clear()
+
+
+def test_checkpoint_holding_skipped_clients_resumes_bit_identically(tmp_path, tiny_bow_dataset):
+    """Six updates for the twelve clients launched at t = 0: the first
+    flush trains only the clients whose uploads the budget reads, and
+    checkpoints taken every round hold that launch with the rest skipped.
+    The resumed run reads none of them."""
+    from repro.core.base import ClientDone
+
+    reference = _system(tiny_bow_dataset, FedAsync, max_rounds=6).run()
+
+    killed = _system(tiny_bow_dataset, FedAsync, max_rounds=6)
+    killed.attach_checkpointer(KillAfter(tmp_path, "sk", kill_after=3))
+    with pytest.raises(KeyboardInterrupt):
+        killed.run()
+
+    ckpt = RunCheckpointer(tmp_path, "sk")
+    heap = ckpt.load()["queue"]._heap
+    assert any(isinstance(ev.payload, ClientDone) and ev.payload.launch.skipped for ev in heap)
+    resumed_system = _system(tiny_bow_dataset, FedAsync, max_rounds=6)
+    assert resumed_system.attach_checkpointer(ckpt, resume=True)
+    assert resumed_system.round > 0
+    resumed = resumed_system.run()
+    assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
 
 
 #: Mid-run checkpoints committed under ``tests/fixtures/checkpoints/``,

@@ -94,3 +94,35 @@ def test_interleaved_schedule_pop():
         if ev.payload == "a":
             q.schedule(2.0, "a2")  # at t=3, before z
     assert [p for _, p in log] == ["a", "a2", "z"]
+
+
+class _Read:
+    reads = True
+
+    def __init__(self, name):
+        self.name = name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0, 50, allow_nan=False), st.booleans(), st.booleans()),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(0, 12),
+)
+def test_reads_after_matches_a_scan_of_the_heap(steps, n):
+    """The read-event index answers what sorting the heap's read events
+    would, through interleaved pops and a pickle round trip."""
+    import pickle
+
+    q = EventQueue()
+    for i, (delay, reads, pop) in enumerate(steps):
+        q.schedule(delay, _Read(i) if reads else i)
+        if pop:
+            q.pop()
+        if i == len(steps) // 2:
+            q = pickle.loads(pickle.dumps(q))
+        scan = sorted(ev for ev in q._heap if isinstance(ev.payload, _Read))
+        assert [p.name for p in q.reads_after(n)] == [ev.payload.name for ev in scan[n:]]
