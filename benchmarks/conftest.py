@@ -1,37 +1,18 @@
 """Shared benchmark fixtures.
 
-Every bench runs its experiment suite exactly once (pedantic mode) and
-prints a paper-vs-measured artifact. The heavy lifting is cached across
-bench files via ``repro.experiments.runner.run_cached``, so e.g. Table 1,
-Table 2 and Figs 2–4 share the same underlying training runs.
-
-Scale selection: ``REPRO_SCALE`` env var (tiny / bench / paper); default
-``bench``.
+``artifact`` persists a bench's paper-vs-measured or timing payload to
+``bench_results/<name>.json`` beside what the bench prints.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from repro.experiments.config import active_scale
 from repro.utils.serialization import save_json
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "bench_results"
-
-
-@pytest.fixture(scope="session")
-def scale() -> str:
-    return active_scale()
-
-
-@pytest.fixture(scope="session")
-def seed() -> int:
-    return 0
 
 
 @pytest.fixture
@@ -45,8 +26,3 @@ def artifact():
             pass  # read-only checkout; stdout still carries the artifact
 
     return _save
-
-
-def once(benchmark, fn, *args, **kwargs):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -12,7 +12,7 @@ full system on a from-scratch NumPy substrate:
 - :mod:`repro.core` — FedAT (Algorithm 2) and the tiered server;
 - :mod:`repro.baselines` — FedAvg, FedProx, TiFL, FedAsync, ASO-Fed;
 - :mod:`repro.population` — eager and lazily derived client populations;
-- :mod:`repro.experiments` — every table/figure of the paper's evaluation.
+- :mod:`repro.experiments` — runs, sweeps, and the paper's claims as data.
 
 Quickstart::
 

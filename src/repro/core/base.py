@@ -273,7 +273,8 @@ class FLSystem:
         self.factory = SeedSequenceFactory(config.seed)
 
         # Worker model: the serial executor trains every client round through
-        # this instance, each from its start row; the pool and dist clone it.
+        # this instance, each from its start row; dist workers (``parallel``
+        # forks them locally) clone it.
         self.worker = model_builder(self.factory.rng("model/init"))
         if config.dtype != "float64":
             # Initialize in float64 first (identical draws to the reference
@@ -649,7 +650,7 @@ class FLSystem:
         each one's results.
 
         Pending clients train as one cohort, in launch order — one stacked
-        cohort serially, one dispatch on the pool or dist — each from the
+        cohort serially, one dispatch on parallel or dist — each from the
         weights its launch received: launches that received the same
         decoded downlink share one row of the start stack. Then, per
         launch in launch order, the update guard filters its results
@@ -877,7 +878,7 @@ class FLSystem:
     # ------------------------------------------------------------------ #
     #: Attributes NOT captured in a checkpoint: everything ``__init__``
     #: deterministically reconstructs from the config (dataset, worker
-    #: model, environment models, executor pools), plus the checkpoint
+    #: model, environment models, the executor), plus the checkpoint
     #: plumbing itself. Capturing the rest of ``vars(self)`` — RNG
     #: generators with their stream positions, meters, histories, epoch
     #: cursors, server state — is exactly what resuming mid-run needs.

@@ -1,8 +1,8 @@
-"""Experiment harness: scale presets, runners, and table/figure generators.
+"""Experiment harness: scale presets, the run description and its cache, sweeps.
 
-Every table and figure in the paper's evaluation maps to a function here;
-the ``benchmarks/`` directory wraps these in pytest-benchmark entry points
-that print paper-vs-measured artifacts (README "Benchmarks").
+The paper's evaluation is a list of claims in :mod:`repro.experiments.claims`
+(imported on demand, not here): ``benchmarks/bench_claims.py`` checks them
+and ``scripts/make_experiments_md.py`` renders them as ``EXPERIMENTS.md``.
 """
 
 from repro.experiments.config import (

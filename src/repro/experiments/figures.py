@@ -1,10 +1,6 @@
-"""Figure-series generators (Figs 2–10) and cross-scenario sweep figures.
-
-Each paper-figure function returns plain dicts of series (lists of floats)
-— the exact data a plotting script would draw — so benchmarks can assert
-on shapes and print paper-vs-measured values without matplotlib. The sweep-figure functions additionally render standalone SVG
-files (no plotting dependency) from sweep checkpoint directories, so the
-nightly workflow can publish method×scenario comparisons as artifacts.
+"""Method×scenario figures from sweep checkpoints (``repro figures``): the
+data as JSON, and standalone SVG bars with no plotting dependency. The
+paper's own tables and figures are claims in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -12,259 +8,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments.runner import run_cached
 from repro.metrics.history import RunHistory
-from repro.metrics.report import smooth_series, time_to_accuracy
 
 __all__ = [
-    "fig2_convergence",
-    "fig3_noniid_sweep",
-    "fig4_upload_bytes",
-    "fig5_precision_tradeoff",
-    "fig6_weighted_vs_uniform",
-    "fig7_femnist_scale",
-    "fig8_reddit",
-    "fig9_participation",
-    "fig10_tier_sizes",
     "load_sweep_cells",
     "scenario_matrix",
     "render_grouped_bars_svg",
     "write_scenario_figures",
 ]
-
-FIG2_METHODS = ["fedat", "tifl", "fedavg", "fedprox", "fedasync"]
-
-
-def _curve(h: RunHistory, smooth: int = 3) -> dict:
-    return {
-        "times": h.times().tolist(),
-        "rounds": h.rounds().tolist(),
-        "accuracies": smooth_series(h.accuracies(), smooth).tolist(),
-        "raw_accuracies": h.accuracies().tolist(),
-        "losses": h.losses().tolist(),
-        "upload_bytes": h.uplink().tolist(),
-        "total_bytes": h.total_bytes().tolist(),
-    }
-
-
-def fig2_convergence(
-    dataset: str = "cifar10",
-    scale: str = "bench",
-    seed: int = 0,
-    *,
-    target_fraction: float = 0.85,
-    methods: list[str] | None = None,
-) -> dict:
-    """Fig 2: accuracy-vs-time curves + time-to-target bar chart.
-
-    The paper's bar targets (0.47 CIFAR / 0.76 FMNIST / 0.735 Sent140) sit
-    below FedAvg's converged accuracy; here the target is
-    ``target_fraction × FedAvg best`` on the same runs.
-    """
-    methods = methods or FIG2_METHODS
-    runs = {
-        m: run_cached(m, dataset, scale=scale, seed=seed, classes_per_client=2)
-        for m in methods
-    }
-    target = target_fraction * runs["fedavg"].best_accuracy()
-    return {
-        "dataset": dataset,
-        "target_accuracy": target,
-        "series": {m: _curve(h) for m, h in runs.items()},
-        "time_to_target": {m: time_to_accuracy(h, target) for m, h in runs.items()},
-    }
-
-
-def fig3_noniid_sweep(
-    scale: str = "bench",
-    seed: int = 0,
-    *,
-    levels: tuple[int | None, ...] = (4, 6, 8, None),
-    methods: list[str] | None = None,
-) -> dict:
-    """Fig 3: CIFAR convergence across non-IID levels (4/6/8/iid)."""
-    methods = methods or FIG2_METHODS
-    out: dict = {"levels": {}}
-    for k in levels:
-        key = "iid" if k is None else str(k)
-        runs = {
-            m: run_cached(m, "cifar10", scale=scale, seed=seed, classes_per_client=k)
-            for m in methods
-        }
-        out["levels"][key] = {
-            "series": {m: _curve(h) for m, h in runs.items()},
-            "best": {m: h.best_accuracy() for m, h in runs.items()},
-        }
-    return out
-
-
-def fig4_upload_bytes(
-    scale: str = "bench", seed: int = 0, *, methods: list[str] | None = None
-) -> dict:
-    """Fig 4: accuracy as a function of cumulative uploaded bytes."""
-    methods = methods or FIG2_METHODS
-    out: dict = {"datasets": {}}
-    for dataset in ("cifar10", "fashion_mnist", "sentiment140"):
-        runs = {
-            m: run_cached(m, dataset, scale=scale, seed=seed, classes_per_client=2)
-            for m in methods
-        }
-        out["datasets"][dataset] = {
-            m: {"upload_bytes": h.uplink().tolist(), "accuracies": h.accuracies().tolist()}
-            for m, h in runs.items()
-        }
-    return out
-
-
-def fig5_precision_tradeoff(
-    scale: str = "bench",
-    seed: int = 0,
-    *,
-    precisions: tuple[int | None, ...] = (3, 4, 5, 6, None),
-) -> dict:
-    """Fig 5: FedAT accuracy/bytes across compression precisions.
-
-    ``None`` is the no-compression configuration.
-    """
-    out: dict = {"precisions": {}}
-    for p in precisions:
-        compression = None if p is None else f"polyline:{p}"
-        h = run_cached(
-            "fedat",
-            "cifar10",
-            scale=scale,
-            seed=seed,
-            classes_per_client=2,
-            compression=compression,
-        )
-        out["precisions"]["none" if p is None else str(p)] = _curve(h)
-    return out
-
-
-def fig6_weighted_vs_uniform(scale: str = "bench", seed: int = 0) -> dict:
-    """Fig 6: the §4.2 heuristic vs uniform cross-tier weights.
-
-    Paper: weighted wins by +1.39% (Fashion-MNIST) to +4.05% (CIFAR /
-    Sentiment140 range).
-    """
-    paper = {
-        "cifar10": {"weighted": 0.591, "uniform": 0.568},
-        "fashion_mnist": {"weighted": 0.873, "uniform": 0.861},
-        "sentiment140": {"weighted": 0.748, "uniform": 0.724},
-    }
-    out: dict = {"datasets": {}}
-    for dataset in ("cifar10", "fashion_mnist", "sentiment140"):
-        runs = {
-            mode: run_cached(
-                "fedat",
-                dataset,
-                scale=scale,
-                seed=seed,
-                classes_per_client=2,
-                server_weighting=mode,
-            )
-            for mode in ("dynamic", "uniform")
-        }
-        out["datasets"][dataset] = {
-            "weighted": runs["dynamic"].best_accuracy(),
-            "uniform": runs["uniform"].best_accuracy(),
-            "paper": paper[dataset],
-        }
-    return out
-
-
-def fig7_femnist_scale(
-    scale: str = "bench", seed: int = 0, *, methods: list[str] | None = None
-) -> dict:
-    """Fig 7: large-scale FEMNIST — accuracy vs time and vs uploaded bytes."""
-    methods = methods or [*FIG2_METHODS, "asofed"]
-    runs = {m: run_cached(m, "femnist", scale=scale, seed=seed) for m in methods}
-    return {
-        "series": {m: _curve(h) for m, h in runs.items()},
-        "best": {m: h.best_accuracy() for m, h in runs.items()},
-    }
-
-
-def fig8_reddit(
-    scale: str = "bench",
-    seed: int = 0,
-    *,
-    methods: tuple[str, ...] = ("fedat", "tifl", "fedprox"),
-) -> dict:
-    """Fig 8: Reddit LSTM — accuracy and loss over time.
-
-    The paper omits FedAsync/ASO-Fed here (no convergence trend on Reddit);
-    we run the same three methods it plots.
-    """
-    runs = {m: run_cached(m, "reddit", scale=scale, seed=seed) for m in methods}
-    return {
-        "series": {m: _curve(h) for m, h in runs.items()},
-        "final_loss": {m: float(h.losses()[-1]) for m, h in runs.items()},
-        "best": {m: h.best_accuracy() for m, h in runs.items()},
-    }
-
-
-def fig9_participation(
-    scale: str = "bench",
-    seed: int = 0,
-    *,
-    participation: tuple[int, ...] = (2, 5, 10, 15),
-    datasets: tuple[str, ...] = ("cifar10", "sentiment140"),
-    methods: tuple[str, ...] = ("fedat", "tifl", "fedavg", "fedprox"),
-) -> dict:
-    """Fig 9: best accuracy vs clients-per-round (2/5/10/15)."""
-    out: dict = {"datasets": {}}
-    for dataset in datasets:
-        grid: dict = {}
-        for k in participation:
-            grid[str(k)] = {
-                m: run_cached(
-                    m,
-                    dataset,
-                    scale=scale,
-                    seed=seed,
-                    classes_per_client=2,
-                    clients_per_round=k,
-                ).best_accuracy()
-                for m in methods
-            }
-        out["datasets"][dataset] = grid
-    return out
-
-
-#: Fig 10 client-count distributions over the five delay parts, as fractions
-#: of the population (paper: 500 clients → 100/100/100/100/100 etc.).
-FIG10_DISTRIBUTIONS = {
-    "uniform": (0.2, 0.2, 0.2, 0.2, 0.2),
-    "slow": (0.1, 0.1, 0.2, 0.2, 0.4),
-    "medium": (0.1, 0.2, 0.4, 0.2, 0.1),
-    "fast": (0.4, 0.2, 0.2, 0.1, 0.1),
-}
-
-
-def fig10_tier_sizes(scale: str = "bench", seed: int = 0) -> dict:
-    """Fig 10: FedAT on FEMNIST under different tier-size distributions."""
-    from repro.experiments.config import SCALES
-
-    n = SCALES[scale].large_num_clients
-    out: dict = {"configs": {}}
-    for name, fractions in FIG10_DISTRIBUTIONS.items():
-        counts = [int(round(f * n)) for f in fractions]
-        counts[-1] += n - sum(counts)  # absorb rounding in the slow part
-        h = run_cached(
-            "fedat",
-            "femnist",
-            scale=scale,
-            seed=seed,
-            delay_counts=counts,
-        )
-        out["configs"][name] = {"series": _curve(h), "best": h.best_accuracy()}
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# Cross-scenario figures from sweep checkpoints
-# --------------------------------------------------------------------------- #
 
 #: Categorical series colors (validated fixed-order palette, light mode) and
 #: text/surface tokens for the standalone SVG figures. Hues are assigned to

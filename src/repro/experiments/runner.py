@@ -6,10 +6,8 @@ that splits execution settings off a run's flat keywords, checks the rest
 and keys it: the ``run_cached`` entry, the in-run checkpoint and every
 sweep cell are named by :meth:`RunSpec.key`.
 
-Several figures/tables derive from the *same* runs (Table 1, Table 2,
-Figs 2–4 all read the per-method training histories on the 2-class
-non-IID datasets), so the runner memoizes histories in-process and on disk
-under ``.bench_cache/``.
+The paper's claims share runs (Tables 1–2 and Figs 2–4 read the same
+histories), so :meth:`RunSpec.cached` memoizes them under ``.bench_cache/``.
 """
 
 from __future__ import annotations
@@ -245,6 +243,26 @@ class RunSpec:
             history.meta["population"] = int(self.population)
         return history
 
+    def cached(self, **execution) -> RunHistory:
+        """:meth:`run`, memoized in-process and under ``.bench_cache/`` by
+        :meth:`key`, which leaves execution settings out: their history bits
+        are identical by contract. :func:`clear_cache` forces re-runs."""
+        key = self.key()
+        if key in _MEMORY_CACHE:
+            return _MEMORY_CACHE[key]
+        path = _CACHE_DIR / f"{key}.json"
+        if path.exists():
+            history = RunHistory.from_dict(load_json(path))
+            _MEMORY_CACHE[key] = history
+            return history
+        history = self.run(**execution)
+        _MEMORY_CACHE[key] = history
+        try:
+            save_json(path, history.to_dict())
+        except OSError:  # read-only checkout: in-memory cache still works
+            pass
+        return history
+
 
 def run_experiment(
     method: str,
@@ -270,31 +288,10 @@ def run_experiment(
 
 
 def run_cached(method: str, dataset_name: str, **kwargs) -> RunHistory:
-    """Memoized :func:`run_experiment` (in-process and ``.bench_cache/``).
-
-    Benchmarks for different tables/figures share runs through this cache;
-    delete ``.bench_cache/`` (or call :func:`clear_cache`) to force re-runs.
-    Entries are keyed by :meth:`RunSpec.key`, which leaves execution
-    settings out, so the same experiment run under a different executor
-    (or fault schedule) hits the cache — the history bits are identical by
-    contract, only volatile meta (timings, fault counters) differs.
-    """
+    """Memoized :func:`run_experiment`: the :class:`RunSpec` these keywords
+    describe, through :meth:`RunSpec.cached`."""
     spec, execution = RunSpec.of(method, dataset_name, **kwargs)
-    key = spec.key()
-    if key in _MEMORY_CACHE:
-        return _MEMORY_CACHE[key]
-    path = _CACHE_DIR / f"{key}.json"
-    if path.exists():
-        history = RunHistory.from_dict(load_json(path))
-        _MEMORY_CACHE[key] = history
-        return history
-    history = spec.run(**execution)
-    _MEMORY_CACHE[key] = history
-    try:
-        save_json(path, history.to_dict())
-    except OSError:  # read-only checkout: in-memory cache still works
-        pass
-    return history
+    return spec.cached(**execution)
 
 
 def clear_cache() -> None:

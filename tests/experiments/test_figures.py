@@ -1,89 +1,15 @@
-"""Structure tests for the table/figure generators (tiny scale, subsets)."""
+"""Cross-scenario figures from sweep checkpoints (``repro figures``)."""
 
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.experiments import runner as runner_mod
 from repro.experiments.figures import (
-    fig2_convergence,
-    fig5_precision_tradeoff,
-    fig6_weighted_vs_uniform,
-    fig10_tier_sizes,
     load_sweep_cells,
     render_grouped_bars_svg,
     scenario_matrix,
     write_scenario_figures,
 )
-from repro.experiments.tables import PAPER_TABLE1, TABLE1_SCENARIOS, format_table1, table1
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner_mod, "_CACHE_DIR", tmp_path / "cache")
-    runner_mod._MEMORY_CACHE.clear()
-    yield
-    runner_mod._MEMORY_CACHE.clear()
-
-
-def test_paper_reference_covers_all_scenarios():
-    for scenario in TABLE1_SCENARIOS:
-        assert scenario in PAPER_TABLE1
-        assert set(PAPER_TABLE1[scenario]) == {
-            "tifl", "fedavg", "fedprox", "fedasync", "fedat"
-        }
-
-
-def test_table1_structure_tiny_subset():
-    result = table1(scale="tiny", seed=0, methods=["fedavg", "fedat"])
-    assert set(result["scenarios"]) == {
-        "cifar10#2", "cifar10#4", "cifar10#6", "cifar10#8", "cifar10#iid",
-        "fashion_mnist#2", "sentiment140#2",
-    }
-    for cell in result["scenarios"].values():
-        assert 0.0 <= cell["fedat"]["accuracy"] <= 1.0
-        assert cell["fedat"]["norm_variance"] == pytest.approx(1.0)
-        assert "improvement_vs_best_baseline" in cell
-    text = format_table1(result)
-    assert "fedat" in text and "cifar10#2" in text
-
-
-def test_fig2_structure_tiny():
-    result = fig2_convergence(
-        "sentiment140", scale="tiny", seed=0, methods=["fedavg", "fedat"]
-    )
-    assert set(result["series"]) == {"fedavg", "fedat"}
-    for series in result["series"].values():
-        assert len(series["times"]) == len(series["accuracies"])
-        assert len(series["times"]) >= 2
-    assert result["target_accuracy"] > 0
-    assert set(result["time_to_target"]) == {"fedavg", "fedat"}
-
-
-def test_fig5_structure_tiny():
-    result = fig5_precision_tradeoff(scale="tiny", seed=0, precisions=(4, None))
-    assert set(result["precisions"]) == {"4", "none"}
-    p4 = result["precisions"]["4"]
-    none = result["precisions"]["none"]
-    # Compressed run ships fewer bytes per round.
-    p4_rate = p4["upload_bytes"][-1] / max(p4["rounds"][-1], 1)
-    none_rate = none["upload_bytes"][-1] / max(none["rounds"][-1], 1)
-    assert p4_rate < none_rate
-
-
-def test_fig6_structure_tiny():
-    result = fig6_weighted_vs_uniform(scale="tiny", seed=0)
-    for cell in result["datasets"].values():
-        assert 0 <= cell["weighted"] <= 1
-        assert 0 <= cell["uniform"] <= 1
-        assert "paper" in cell
-
-
-def test_fig10_structure_tiny():
-    result = fig10_tier_sizes(scale="tiny", seed=0)
-    assert set(result["configs"]) == {"uniform", "slow", "medium", "fast"}
-    for cell in result["configs"].values():
-        assert len(cell["series"]["times"]) >= 2
 
 
 # --------------------------------------------------------------------- #

@@ -77,6 +77,11 @@ REMOVED = re.compile(
     # namespaced sub-factory (a class per call), no integer-draw shortcut,
     # and no schedule rewind nothing called.
     r"|def child\(|_Namespaced\b|def integers\(|def reset\(self\)"
+    # The paper's evaluation is one claims manifest: no generator per figure
+    # or table, and no bench file per figure, table or ablation beside the
+    # one bench that checks the manifest.
+    r"|def fig\d+_|FIG2_METHODS|experiments\.tables|def table[12]\(|format_table[12]"
+    r"|TABLE1_SCENARIOS|bench_(?:fig\d+|table\d|ablations)"
 )
 
 
@@ -156,6 +161,13 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("    def reset(self) -> None:")
     assert not REMOVED.search("    def reset_state(self) -> None:")
     assert not REMOVED.search("    def advance_to(self, epoch: int) -> None:")
+    assert REMOVED.search('def fig5_precision_tradeoff(scale: str = "bench", seed: int = 0):')
+    assert REMOVED.search("from repro.experiments.tables import format_table1, table1")
+    assert not REMOVED.search("def write_scenario_figures(path, out_dir) -> list[Path]:")
+    assert not REMOVED.search("            + format_table(headers, rows)")
+    assert REMOVED.search("bench_fig2_convergence.py")
+    assert REMOVED.search("bench_ablations.py")
+    assert not REMOVED.search("bench_claims.py")
 
 
 def test_one_lease_state_machine():
@@ -239,6 +251,15 @@ def test_one_polyline_validation():
         assert homes == ["_scaled_zigzag"], needle
     for name in ("polyline_encode", "polyline_transmit"):
         assert "_scaled_zigzag(" in ast.unparse(functions[name]), name
+
+
+def test_one_claims_manifest():
+    """The paper's tables, figures and ablations are claims in one manifest,
+    checked by one bench: no module or bench file per table or figure."""
+    assert not (SRC / "repro" / "experiments" / "tables.py").exists()
+    benches = sorted(p.name for p in (SRC.parent / "benchmarks").glob("*.py"))
+    assert not [name for name in benches if REMOVED.search(name)]
+    assert "bench_claims.py" in benches
 
 
 def test_one_fedat():
