@@ -184,6 +184,11 @@ class ClientJoin:
     a churned client whose availability window reopened."""
 
     client_id: int
+    #: A late arrival's position in ``scenario.late_arrivals()``: handling
+    #: it queues the next arrival, so one is queued at a time. None for a
+    #: churn rejoin, and for arrivals restored from a checkpoint written
+    #: when every arrival was queued up front.
+    arrival: int | None = None
 
 
 @dataclass
@@ -749,6 +754,14 @@ class FLSystem:
         if at is not None and (self.config.max_time is None or at < self.config.max_time):
             queue.schedule_at(at, payload)
 
+    def schedule_arrival(self, queue, index: int) -> None:
+        """Queue the ``index``-th late arrival, if there is one (arrivals
+        come in time order, so one past ``max_time`` ends the chain)."""
+        arrival = self.scenario.late_arrival(index)
+        if arrival is not None:
+            client_id, at = arrival
+            self.schedule_join(queue, ClientJoin(client_id, index), at=at)
+
     def build_tiering(self):
         """Profile clients and split them into ``num_tiers`` latency tiers.
 
@@ -987,13 +1000,8 @@ class FLSystem:
         """
         views = None
         if self.scenario.has_arrivals:
-            views = {
-                "enrolled": [
-                    cid
-                    for cid in self.evaluator.client_ids
-                    if self.scenario.arrival_time(cid) <= self.now
-                ]
-            }
+            ids = np.asarray(self.evaluator.client_ids)
+            views = {"enrolled": ids[self.scenario.arrival_times(ids) <= self.now].tolist()}
         with self.timers.phase("eval"):
             stats = self.evaluator.evaluate_flat(self.global_weights, views=views)
         rec = EvalRecord(
@@ -1185,8 +1193,7 @@ class AsyncFLSystem(FLSystem):
 
     def prologue(self, queue: EventQueue) -> None:
         self._start_cycles(self.alive(range(self.num_clients), 0.0).tolist(), queue)
-        for cid, t in self.scenario.late_arrivals():
-            self.schedule_join(queue, ClientJoin(cid), at=t)
+        self.schedule_arrival(queue, 0)
 
     def handle(self, payload, queue: EventQueue) -> None:
         if isinstance(payload, ClientDone):
@@ -1196,6 +1203,8 @@ class AsyncFLSystem(FLSystem):
             self.round += 1
             if self._eval_due():
                 self.record_eval()
+        elif payload.arrival is not None:  # an arrival, not a churn rejoin
+            self.schedule_arrival(queue, payload.arrival + 1)
         # The client begins its next cycle from the current global model.
         self._start_cycles([payload.client_id], queue)
 

@@ -152,12 +152,13 @@ class FedAT(FLSystem):
 
     def prologue(self, queue: EventQueue) -> None:
         if self.arrival_pool is not None:
-            for cid, t in self.scenario.late_arrivals():
-                self.schedule_join(queue, ClientJoin(cid), at=t)
+            self.schedule_arrival(queue, 0)
         self._tiers_changed(queue)
 
     def handle(self, payload, queue: EventQueue) -> None:
         if isinstance(payload, ClientJoin):
+            if payload.arrival is not None:
+                self.schedule_arrival(queue, payload.arrival + 1)
             self._on_arrival(payload.client_id, queue)
             return
         if isinstance(payload, Wake):

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 __all__ = [
     "ClientData",
     "FederatedDataset",
@@ -38,7 +40,7 @@ class ClientData:
 
     def classes_present(self) -> np.ndarray:
         """Distinct labels across this client's train+test data."""
-        return np.unique(np.concatenate([self.y_train, self.y_test]))
+        return sorted_unique(np.concatenate([self.y_train, self.y_test]))
 
     def validate(self) -> None:
         if self.x_train.shape[0] != self.y_train.shape[0]:

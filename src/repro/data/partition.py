@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.arrays import sorted_unique
+
 __all__ = [
     "partition_iid",
     "partition_kclass",
@@ -56,7 +58,7 @@ def partition_kclass(
     """
     labels = np.asarray(labels).reshape(-1)
     _check_args(labels.size, num_clients)
-    classes = np.unique(labels)
+    classes = sorted_unique(labels)
     num_classes = classes.size
     k = int(classes_per_client)
     if not 1 <= k <= num_classes:
@@ -123,7 +125,7 @@ def partition_dirichlet(
         raise ValueError(f"alpha must be positive, got {alpha}")
     labels = np.asarray(labels).reshape(-1)
     _check_args(labels.size, num_clients)
-    classes = np.unique(labels)
+    classes = sorted_unique(labels)
     parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in classes:
         pool = rng.permutation(np.flatnonzero(labels == c))
@@ -190,5 +192,6 @@ def _steal_for_empty_clients(parts: list[np.ndarray], rng: np.random.Generator) 
         if parts[donor].size <= 4:
             raise ValueError("partition produced unrecoverably small shards")
         take = rng.choice(parts[donor], size=2 - p.size, replace=False)
-        parts[donor] = np.setdiff1d(parts[donor], take)
+        kept = sorted_unique(parts[donor])
+        parts[donor] = kept[~np.isin(kept, take)]
         parts[i] = np.sort(np.concatenate([p, take])) if p.size else np.sort(take)

@@ -42,14 +42,12 @@ from repro.exec.base import (
     OptimizerSpec,
     make_executor,
 )
-from repro.exec.dist import DistExecutor
 from repro.exec.faults import (
     ExecutorFaultError,
     FaultPlan,
     FaultSpec,
     parse_faults,
 )
-from repro.exec.parallel import ParallelExecutor
 from repro.exec.serial import SerialExecutor
 
 __all__ = [
@@ -67,3 +65,13 @@ __all__ = [
     "parse_faults",
     "ExecutorFaultError",
 ]
+
+
+def __getattr__(name: str):
+    # The socket executor loads on first use: a serial run never pays for
+    # its sockets, selectors and worker processes.
+    if name in ("DistExecutor", "ParallelExecutor"):
+        from repro.exec.dist import DistExecutor
+
+        return DistExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

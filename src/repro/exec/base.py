@@ -218,11 +218,12 @@ def make_executor(
     by ``seed`` when ``config.faults`` is set, and answers to the name it
     was asked for; ``num_workers=0`` is a local worker per CPU and 4 chunks.
     """
-    from repro.exec.dist import DistExecutor
-    from repro.exec.serial import SerialExecutor
-
     if config.executor == "serial":
+        from repro.exec.serial import SerialExecutor
+
         return SerialExecutor(model, clients, loss, optimizer)
+    from repro.exec.dist import DistExecutor
+
     spec = parse_faults(config.faults)
     settings = asdict(config)
     del settings["faults"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +50,11 @@ class SerialExecutor(ClientExecutor):
     def run_cohort(
         self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
-        clients = [self.clients[t.client_id] for t in tasks]
+        ids = [t.client_id for t in tasks]
+        if isinstance(self.clients, (Sequence, Mapping)):  # eager clients
+            clients = [self.clients[cid] for cid in ids]
+        else:  # a virtual population derives the ones it lacks in one pass
+            clients = self.clients[ids]
         trained = self.model.training_plan(self.loss).run_cohort(
             starts,
             [c.member(t.epochs, t.lam, t.start_epoch, t.row) for c, t in zip(clients, tasks)],

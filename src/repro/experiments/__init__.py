@@ -19,7 +19,6 @@ from repro.experiments.runner import (
     run_cached,
     run_experiment,
 )
-from repro.experiments.sweep import SweepCell, SweepRunner, SweepSpec
 
 __all__ = [
     "ScalePreset",
@@ -36,3 +35,12 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
 ]
+
+
+def __getattr__(name: str):
+    # The sweep (and the process pool it runs cells on) loads on first use.
+    if name in ("SweepCell", "SweepRunner", "SweepSpec"):
+        from repro.experiments import sweep
+
+        return getattr(sweep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

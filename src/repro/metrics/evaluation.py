@@ -136,11 +136,14 @@ class Evaluator:
             sample_losses[start:stop] = -np.log(
                 probs[np.arange(stop - start), chunk_labels] + LOG_EPS
             )
-        per_client = [
-            correct[a:b].mean()
-            for a, b in zip(self._bounds[:-1], self._bounds[1:])
-            if b > a
-        ]
+        # Per-client hits are exact sums of 0/1 floats, so each tested
+        # client's accuracy is the float ``correct[a:b].mean()`` gives.
+        sizes = np.diff(self._bounds)
+        tested = sizes > 0
+        hits = np.zeros(sizes.size)
+        if tested.any():
+            hits[tested] = np.add.reduceat(correct, self._bounds[:-1][tested])
+        per_client = hits[tested] / sizes[tested]
         # Drop per-layer forward caches so the evaluator's replica does not
         # pin last-chunk activations between evaluations.
         self._plan.release_caches()
@@ -151,20 +154,15 @@ class Evaluator:
         }
         if views is not None:
             out["views"] = {
-                name: self._score_view(correct, ids) for name, ids in views.items()
+                name: self._score_view(hits, sizes, ids) for name, ids in views.items()
             }
         return out
 
-    def _score_view(self, correct: np.ndarray, client_ids: Sequence[int]) -> dict:
-        slots = [self._slot[cid] for cid in client_ids if cid in self._slot]
-        samples = 0
-        hits = 0.0
-        for s in slots:
-            a, b = self._bounds[s], self._bounds[s + 1]
-            samples += int(b - a)
-            hits += float(correct[a:b].sum())
+    def _score_view(self, hits: np.ndarray, sizes: np.ndarray, client_ids: Sequence[int]) -> dict:
+        slots = np.array([self._slot[cid] for cid in client_ids if cid in self._slot], dtype=int)
+        samples = int(sizes[slots].sum())
         return {
-            "clients": len(slots),
+            "clients": int(slots.size),
             "samples": samples,
-            "accuracy": hits / samples if samples else None,
+            "accuracy": float(hits[slots].sum()) / samples if samples else None,
         }

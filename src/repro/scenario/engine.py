@@ -57,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.scenario.spec import ComposedSpec, ScenarioSpec, TraceSpec
+from repro.utils.arrays import sorted_unique
 
 __all__ = ["ScenarioEvent", "ScenarioEngine", "load_trace_events"]
 
@@ -357,6 +358,7 @@ class ScenarioEngine:
         last = a_ids.size - 1 - np.unique(a_ids[::-1], return_index=True)[1]
         a_ids, a_times = a_ids[last], a_times[last]
         self._arrival: dict[int, float] = dict(zip(a_ids.tolist(), a_times.tolist()))
+        self._arrival_ids, self._arrival_times = a_ids, a_times  # sorted by id
         late = np.flatnonzero(a_times > 0.0)
         late = late[np.lexsort((a_ids[late], a_times[late]))]
         self._late_ids, self._late_times = a_ids[late], a_times[late]
@@ -382,7 +384,7 @@ class ScenarioEngine:
         self._offline_until = np.concatenate([until, self._late_times])
         #: Clients with an availability timeline or an arrival: the only ones
         #: :meth:`next_join_after` can have anything to say about.
-        self._gated_ids = np.union1d(c, a_ids)
+        self._gated_ids = sorted_unique(np.concatenate([c, a_ids]))
 
     def _timeline(self, client_id: int) -> _Timeline:
         """The client's breakpoints, built from its events on first use."""
@@ -643,10 +645,28 @@ class ScenarioEngine:
         """When the client joins the population (0.0 = founding member)."""
         return self._arrival.get(int(client_id), 0.0)
 
+    def arrival_times(self, client_ids) -> np.ndarray:
+        """:meth:`arrival_time` over an id array, element for element."""
+        client_ids = np.asarray(client_ids, dtype=np.int64)
+        times = np.zeros(client_ids.shape)
+        if self._arrival_ids.size:
+            pos = np.searchsorted(self._arrival_ids, client_ids)
+            pos = np.minimum(pos, self._arrival_ids.size - 1)
+            found = self._arrival_ids[pos] == client_ids
+            times[found] = self._arrival_times[pos[found]]
+        return times
+
     def late_arrivals(self) -> list[tuple[int, float]]:
         """Clients that are absent at t=0, as ``(client_id, arrival_time)``
         pairs sorted by arrival time (ties by client id)."""
         return list(zip(self._late_ids.tolist(), self._late_times.tolist()))
+
+    def late_arrival(self, index: int) -> tuple[int, float] | None:
+        """The ``index``-th pair of :meth:`late_arrivals`, or None past the
+        last."""
+        if index >= self._late_ids.size:
+            return None
+        return int(self._late_ids[index]), float(self._late_times[index])
 
     def founders(self) -> list[int]:
         """Clients present at t=0 — the population a server can profile."""
@@ -701,7 +721,8 @@ class ScenarioEngine:
                 best = when
             return True
 
-        for cid in np.intersect1d(client_ids, self._gated_ids).tolist():
+        client_ids = sorted_unique(client_ids)
+        for cid in client_ids[np.isin(client_ids, self._gated_ids)].tolist():
             consider(cid, self._arrival.get(cid, 0.0))
             tl = self._timeline(cid)
             times, state = tl.avail_times, tl.avail_state

@@ -327,6 +327,88 @@ def test_checkpoint_from_before_deferral_resumes(tmp_path, tiny_bow_dataset, nam
     assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
 
 
+def _queued_joins(ckpt) -> list:
+    from repro.core.base import ClientJoin
+
+    return [ev.payload for ev in ckpt.load()["queue"]._heap if isinstance(ev.payload, ClientJoin)]
+
+
+@pytest.mark.parametrize(
+    "cls, world, kill_after",
+    [(FedAT, _GROWING_WORLD, 14), (FedAsync, _CHURN_ARRIVAL_WORLD, 39)],
+    ids=["fedat", "fedasync"],
+)
+def test_killed_run_with_a_chained_arrival_resumes(
+    tmp_path, tiny_bow_dataset, cls, world, kill_after
+):
+    """Late arrivals are queued one at a time, each handled arrival
+    queueing the next: the checkpoint holds the one in flight, and the
+    resumed run continues the chain to the uninterrupted history."""
+    kw = {**world, "guard": "reject"}
+    reference = _system(tiny_bow_dataset, cls, **kw).run()
+
+    killed = _system(tiny_bow_dataset, cls, **kw)
+    killed.attach_checkpointer(KillAfter(tmp_path, "ch", kill_after=kill_after))
+    with pytest.raises(KeyboardInterrupt):
+        killed.run()
+
+    ckpt = RunCheckpointer(tmp_path, "ch")
+    (in_flight,) = [join for join in _queued_joins(ckpt) if join.arrival is not None]
+    assert in_flight.arrival > 0, "the kill must land after the chain advanced"
+    resumed_system = _system(tiny_bow_dataset, cls, **kw)
+    assert resumed_system.attach_checkpointer(ckpt, resume=True)
+    resumed = resumed_system.run()
+    assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
+
+
+#: Mid-run checkpoints of arrival worlds, committed under
+#: ``tests/fixtures/checkpoints/`` and written by the tree that queued every
+#: late arrival before round 1: name -> (method, world). Their queues hold
+#: every arrival still to come, as ``ClientJoin`` payloads without an
+#: ``arrival`` position. Never regenerate them.
+PRE_CHAIN_CHECKPOINTS = {
+    "fedat_arrivals_queued": (FedAT, _GROWING_WORLD),
+    "fedasync_arrivals_queued": (FedAsync, _CHURN_ARRIVAL_WORLD),
+}
+
+
+def write_pre_chain_checkpoints(directory: Path, dataset) -> None:
+    """How the committed fixtures were written: the FedAT run killed after
+    its fifth save, the FedAsync run after its third, both with
+    ``guard="reject"``."""
+    for name, (cls, world) in PRE_CHAIN_CHECKPOINTS.items():
+        system = _system(dataset, cls, guard="reject", **world)
+        kill_after = 5 if cls is FedAT else 3
+        system.attach_checkpointer(KillAfter(directory, name, kill_after=kill_after))
+        try:
+            system.run()
+        except KeyboardInterrupt:
+            pass
+        (directory / f"run_{name}.ckpt").rename(directory / f"{name}.ckpt")
+
+
+@pytest.mark.parametrize("name", sorted(PRE_CHAIN_CHECKPOINTS))
+def test_checkpoint_holding_every_arrival_resumes(tmp_path, tiny_bow_dataset, name):
+    """A format-3 checkpoint from before arrivals were chained resumes to
+    the uninterrupted history: its queued arrivals are handled once each
+    and queue no successor."""
+    cls, world = PRE_CHAIN_CHECKPOINTS[name]
+    shutil.copy(CHECKPOINT_FIXTURES / f"{name}.ckpt", tmp_path / f"run_{name}.ckpt")
+    ckpt = RunCheckpointer(tmp_path, name)
+    queued = _queued_joins(ckpt)
+    assert len(queued) >= 2 and all("arrival" not in vars(join) for join in queued)
+
+    kw = {**world, "guard": "reject"}
+    resumed_system = _system(tiny_bow_dataset, cls, **kw)
+    assert resumed_system.attach_checkpointer(ckpt, resume=True)
+    resumed = resumed_system.run()
+    reference = _system(tiny_bow_dataset, cls, **kw).run()
+    assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
+    if cls is FedAT:
+        arrived = [a["client"] for a in resumed.meta["arrival_trace"]]
+        assert len(arrived) == len(set(arrived)) >= len(queued)
+
+
 def test_resume_without_checkpoint_is_fresh_start(tmp_path, tiny_bow_dataset):
     system = _system(tiny_bow_dataset, FedAvg)
     resumed = system.attach_checkpointer(

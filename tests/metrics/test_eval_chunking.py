@@ -58,3 +58,34 @@ def test_rejects_bad_batch_size(tiny_bow_dataset):
     model = build_model_builder(tiny_bow_dataset, "tiny")(np.random.default_rng(0))
     with pytest.raises(ValueError):
         Evaluator(tiny_bow_dataset, model, eval_batch_size=0)
+
+
+def test_per_client_numbers_match_the_loop_form(tiny_bow_dataset):
+    """Per-client accuracies (and so their variance) and a view's numbers
+    are those of a per-client loop over the hit vector, bit for bit, on
+    ragged shards with empty ones among them."""
+    from repro.data.federated import ClientData
+
+    model = build_model_builder(tiny_bow_dataset, "tiny")(np.random.default_rng(0))
+    sizes = [3, 0, 5, 1, 0, 7, 0]
+    clients = []
+    for cid, (source, n) in enumerate(zip(tiny_bow_dataset.clients, sizes)):
+        x = np.concatenate([source.x_test, source.x_train])[:n]
+        y = np.concatenate([source.y_test, source.y_train])[:n]
+        clients.append(ClientData(10 + cid, source.x_train, source.y_train, x, y))
+    evaluator = Evaluator.from_clients(clients, model, eval_batch_size=4)
+    flat = model.get_flat_weights() + 0.3
+    view_ids = [10, 11, 13, 15, 99]
+    stats = evaluator.evaluate_flat(flat, views={"some": view_ids, "none": [11, 99]})
+
+    evaluator._model.set_flat_weights(flat)
+    correct = []
+    for c in clients:
+        pred = np.argmax(evaluator._model.forward(c.x_test, training=False), axis=-1)
+        correct.append((pred == c.y_test).astype(np.float64))
+    per_client = [hits.mean() for hits in correct if hits.size]
+    assert stats["accuracy_variance"] == float(np.var(per_client))
+    hits = sum(float(correct[cid - 10].sum()) for cid in view_ids if cid < 17)
+    samples = sum(sizes[cid - 10] for cid in view_ids if cid < 17)
+    assert stats["views"]["some"] == {"clients": 4, "samples": samples, "accuracy": hits / samples}
+    assert stats["views"]["none"] == {"clients": 1, "samples": 0, "accuracy": None}

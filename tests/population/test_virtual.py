@@ -183,8 +183,11 @@ class TestHoldBack:
         pop = _population()
         pool = pop.hold_back([3, 5])
         assert len(pool) == 2 and 3 in pool and 5 in pool
-        data = pool.release(3)
-        _assert_same_client(data, pop.client_data(3))
+        # Release only records the arrival: nothing is derived until a
+        # cohort trains the client, and its shard is the one it always had.
+        assert pool.release(3) is None
+        assert len(pop._data_cache) == 0
+        _assert_same_client(pop.client_data(3), _population().client_data(3))
         assert pool.released == [3] and pool.remaining() == [5]
         with pytest.raises(KeyError):
             pool.release(3)

@@ -9,8 +9,10 @@ Invariants locked down here:
   window, and always leave at least one founding client;
 - bandwidth timelines are strictly positive and non-increasing at every
   queried instant;
-- the array availability query equals scalar ``is_available`` element for
-  element, and ``next_join_after`` answers an id array as it answers a list;
+- the array availability and arrival-time queries equal scalar
+  ``is_available`` / ``arrival_time`` element for element, and
+  ``next_join_after`` answers an id array as it answers a list;
+- ``late_arrival(i)`` is the i-th of ``late_arrivals()``, and None past it;
 - timelines are built on first query, so every answer must be the same in
   any order clients are first asked about, and ``next_join_after`` must equal
   a brute-force scan while building timelines only for gated clients;
@@ -84,6 +86,7 @@ def test_arrival_times_monotone_with_a_founder(fraction, n, horizon, seed):
     assert len(eng.founders()) + len(late) == n
     times = [t for _, t in late]
     assert times == sorted(times)  # monotone arrival schedule
+    assert [eng.late_arrival(i) for i in range(len(late) + 1)] == late + [None]
     lo, hi = spec.arrival_window
     assert all(lo * horizon <= t <= hi * horizon for t in times)
     arrive_events = [e.time for e in eng.events if e.kind == "arrive"]
@@ -192,6 +195,7 @@ instants = st.sampled_from([0.0, 1.0, 2.5, 4.0, 7.0])
 
 
 def _assert_mask_matches_scalar(eng: ScenarioEngine, ids: np.ndarray, times) -> None:
+    assert eng.arrival_times(ids).tolist() == [eng.arrival_time(int(c)) for c in ids]
     for t in times:
         want = [eng.is_available(int(c), t) for c in ids]
         got = eng.available_mask(ids, t)

@@ -302,6 +302,38 @@ def test_fedat_arrival_grows_tiering_from_held_back_pool(dataset):
     assert sum(trace[-1]["sizes"]) == dataset.num_clients
 
 
+@pytest.mark.parametrize(
+    "cls, scenario",
+    [(FedAT, "arrival:0.5"), (FedAsync, "churn+arrival")],
+    ids=["fedat", "fedasync"],
+)
+def test_late_arrivals_are_queued_one_at_a_time(dataset, monkeypatch, cls, scenario):
+    """The prologue queues the first late arrival and each handled arrival
+    queues the next, so the queue never holds two; in the end every arrival
+    before ``max_time`` was queued, in arrival order. Churn rejoins (also
+    ``ClientJoin`` events under FedAsync) do not advance the chain."""
+    from repro.core.base import ClientJoin
+    from repro.sim.events import EventQueue
+
+    def is_arrival(payload) -> bool:
+        return isinstance(payload, ClientJoin) and payload.arrival is not None
+
+    queued = []
+    schedule_at = EventQueue.schedule_at
+
+    def recording(queue, time, payload):
+        if is_arrival(payload):
+            assert not any(is_arrival(ev.payload) for ev in queue._heap)
+            queued.append((payload.client_id, time))
+        return schedule_at(queue, time, payload)
+
+    monkeypatch.setattr(EventQueue, "schedule_at", recording)
+    system = _build(cls, dataset, scenario=scenario, max_rounds=400, max_time=260.0)
+    system.run()
+    late = system.scenario.late_arrivals()
+    assert len(queued) >= 2 and queued == [(cid, t) for cid, t in late if t < 260.0]
+
+
 def test_sync_selection_folds_arrivals_in(dataset):
     system = _build(FedAvg, dataset)
     try:
