@@ -124,3 +124,47 @@ def test_markov_sequences_are_predictable():
     xt, yt = ds.global_test_set()
     acc = float(np.mean(pred[xt[:, -1]] == yt))
     assert acc > 3.0 / 16
+
+
+def _digest(arrays, rng) -> str:
+    """sha256 over each array's dtype, shape and bytes, then the generator's
+    final ``bit_generator.state``: equal digests mean the same samples drawn
+    by the same calls."""
+    import hashlib
+    import json
+
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str} {a.shape}".encode() + a.tobytes())
+    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+def test_sentiment140_sample_bank_is_pinned():
+    """The bag-of-words bank behind every sentiment140 virtual population;
+    recorded on the per-sample ``multinomial`` loop."""
+    from repro.data.datasets import make_sample_bank
+
+    rng = np.random.default_rng(9)
+    bank = make_sample_bank("sentiment140", rng)
+    assert _digest([bank.x, bank.y], rng) == "b463fab1fbd62b32"
+
+
+def test_sentiment140_bench_dataset_is_pinned():
+    """``make_dataset`` as the bench scale builds it at seed 0 (the stream
+    and sizes ``build_federation("sentiment140", "bench", 0)`` passes);
+    recorded on the per-sample ``multinomial`` loop."""
+    from repro.experiments.config import SCALES
+    from repro.utils.rng import SeedSequenceFactory
+
+    preset = SCALES["bench"]
+    rng = SeedSequenceFactory(0).rng("data/sentiment140")
+    ds = make_dataset(
+        "sentiment140",
+        rng,
+        num_clients=preset.num_clients,
+        samples_per_client=preset.samples_per_client,
+    )
+    arrays = [a for c in ds.clients for a in (c.x_train, c.y_train, c.x_test, c.y_test)]
+    assert _digest(arrays, rng) == "60185bdcc773fd03"

@@ -105,9 +105,9 @@ def queries_digest(eng: ScenarioEngine, n: int, horizon: float, seed: int) -> st
     return hashlib.sha256(_canon(answers).encode()).hexdigest()[:16]
 
 
-def digests(spec: str) -> dict[str, tuple[str, str]]:
+def digests(spec: str, populations=POPULATIONS) -> dict[str, tuple[str, str]]:
     out = {}
-    for n in POPULATIONS:
+    for n in populations:
         for horizon in HORIZONS:
             for seed in SEEDS:
                 eng = _compile(spec, n, horizon, seed)
@@ -341,6 +341,30 @@ PINNED: dict[str, dict[str, tuple[str, str]]] = {
 PINNED_30K: tuple[str, str] = ("3cc2578d1b3793f3", "363012083fb0ebf7")
 
 
+#: Three specs over 5,000 clients, recorded on the constructor that sorted
+#: every event into global time order before sorting by client.
+PINNED_5K: dict[str, dict[str, tuple[str, str]]] = {
+    "churn": {
+        "n=5000 horizon=100.0 seed=0": ("15c54bf7b623cc01", "cc9dbda842068f46"),
+        "n=5000 horizon=100.0 seed=5": ("1bd9c2966a0af98b", "702a7fda7750eb96"),
+        "n=5000 horizon=777.7 seed=0": ("9b8509c2844e26ca", "1ed98a8b92ddf6fc"),
+        "n=5000 horizon=777.7 seed=5": ("4260ba739c422df5", "ec9c52759c1a2669"),
+    },
+    "chaos": {
+        "n=5000 horizon=100.0 seed=0": ("fa0186598c4afd03", "2d88b5d9f838a405"),
+        "n=5000 horizon=100.0 seed=5": ("1a4090d66ea5b185", "6770047d1d1243b7"),
+        "n=5000 horizon=777.7 seed=0": ("fb62b448b8062073", "7d68602b5aee85d5"),
+        "n=5000 horizon=777.7 seed=5": ("ff878f3e488c1228", "abf5968971ebd0a6"),
+    },
+    "churn:0.2+arrival:0.1+bwdrift:2": {
+        "n=5000 horizon=100.0 seed=0": ("33fc23366a603d27", "a51f8781da2dc3eb"),
+        "n=5000 horizon=100.0 seed=5": ("7ee0674259af5dff", "ee5f4e7ad7a54255"),
+        "n=5000 horizon=777.7 seed=0": ("54b1b592d3168522", "0de64088b19f0096"),
+        "n=5000 horizon=777.7 seed=5": ("0eab9c853e0300f4", "afa887fc033ce541"),
+    },
+}
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_compiled_events_and_queries_are_pinned(spec):
     got = digests(spec)
@@ -356,3 +380,9 @@ def test_population_scale_composition_is_pinned():
     assert len(eng.events) == 60397
     got = (events_digest(eng), queries_digest(eng, n, horizon, seed))
     assert got == PINNED_30K
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_5K))
+def test_five_thousand_clients_are_pinned(spec):
+    got = digests(spec, populations=(5000,))
+    assert got == PINNED_5K[spec]
