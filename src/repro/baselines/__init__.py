@@ -8,12 +8,25 @@
   staleness-weighted mixing.
 - :class:`ASOFed` — asynchronous online FL keeping per-client weight copies
   on the server.
+
+Each loads on first use: a run imports its own method's module only.
 """
 
-from repro.baselines.asofed import ASOFed
-from repro.baselines.fedasync import FedAsync
-from repro.baselines.fedavg import FedAvg
-from repro.baselines.fedprox import FedProx
-from repro.baselines.tifl import TiFL
+import importlib
 
 __all__ = ["FedAvg", "FedProx", "TiFL", "FedAsync", "ASOFed"]
+
+#: Export -> the module that defines it.
+_HOMES = {
+    "FedAvg": "repro.baselines.fedavg",
+    "FedProx": "repro.baselines.fedprox",
+    "TiFL": "repro.baselines.tifl",
+    "FedAsync": "repro.baselines.fedasync",
+    "ASOFed": "repro.baselines.asofed",
+}
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return getattr(importlib.import_module(_HOMES[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -762,7 +762,7 @@ class FLSystem:
             client_id, at = arrival
             self.schedule_join(queue, ClientJoin(client_id, index), at=at)
 
-    def build_tiering(self):
+    def build_tiering(self, *, split: bool = True):
         """Profile clients and split them into ``num_tiers`` latency tiers.
 
         Shared by FedAT and TiFL (the paper adopts TiFL's tiering approach
@@ -773,6 +773,10 @@ class FLSystem:
         only ``k`` sampled clients are probed; everyone else is assigned by
         interpolation (see :meth:`_build_tiering_sampled`). The default
         profiles every client, bit-identical to all existing histories.
+
+        With ``split`` False the clients are profiled alike (the same
+        draws) and None is returned: FedAT under arrivals splits only the
+        founders, through its tier index.
         """
         from repro.tiering.profiler import LatencyProfiler
         from repro.tiering.tiers import Tiering
@@ -783,15 +787,15 @@ class FLSystem:
         )
         k = self.params.profile_sample
         if k is not None and k < self.num_clients:
-            return self._build_tiering_sampled(profiler, k)
+            return self._build_tiering_sampled(profiler, k, split)
         latencies = self.population.profile_latencies(
             profiler, self.factory.rng("env/profile")
         )
         #: Kept as the prior for online re-tiering (see make_retier_tracker).
         self.profiled_latencies = latencies
-        return Tiering.from_latencies(latencies, self.params.num_tiers)
+        return Tiering.from_latencies(latencies, self.params.num_tiers) if split else None
 
-    def _build_tiering_sampled(self, profiler, k: int):
+    def _build_tiering_sampled(self, profiler, k: int, split: bool):
         """Tier a large population from ``k`` probed clients.
 
         Startup cost of full profiling is O(n) RNG probe draws — fine at
@@ -814,6 +818,8 @@ class FLSystem:
         #: Kept as the prior for online re-tiering (see make_retier_tracker);
         #: expected latencies are exactly that method's no-profile fallback.
         self.profiled_latencies = expected
+        if not split:
+            return None
         boundaries = np.quantile(sampled, np.arange(1, num_tiers) / num_tiers)
         assignment = np.searchsorted(boundaries, expected, side="right")
         tiers = [np.flatnonzero(assignment == m) for m in range(num_tiers)]

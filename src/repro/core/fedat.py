@@ -60,20 +60,22 @@ class FedAT(FLSystem):
         #: (arrival scenarios only; None means the population is fixed).
         self.arrival_pool = None
         founders = None
+        num_tiers = self.params.num_tiers if tiering is None else tiering.num_tiers
         if tiering is None:
-            tiering = self.build_tiering()
-            late = self.scenario.late_arrivals()
-            if late:
-                # The server can only profile and tier clients that exist:
-                # start from the founding population and grow the tiering
-                # as arrivals land. Late clients' data stays in a held-back
-                # pool until their arrival event releases it.
+            # The server can only tier clients that exist: under arrivals it
+            # splits the founding population (through the tier index below)
+            # and grows the tiering as arrivals land, so the profile is not
+            # split here. Late clients' data stays in a held-back pool until
+            # their arrival event releases it.
+            arrivals = self.scenario.has_arrivals
+            tiering = self.build_tiering(split=not arrivals)
+            if arrivals:
                 founders = self.scenario.founders()
                 self.arrival_pool = self.population.hold_back(
-                    [cid for cid, _ in late]
+                    [cid for cid, _ in self.scenario.late_arrivals()]
                 )
         self.retier_tracker = self.make_retier_tracker()
-        self.tier_index = self.make_tier_index(tiering.num_tiers, client_ids=founders)
+        self.tier_index = self.make_tier_index(num_tiers, client_ids=founders)
         if founders is not None:
             tiering = self.tier_index.split()
         if self.arrival_pool is None and tiering.num_clients != self.num_clients:

@@ -110,7 +110,8 @@ def _synth_bow(
         topics[k, emphasized] *= 2.0
     topics /= topics.sum(axis=1, keepdims=True)
     y = rng.integers(0, num_classes, size=n)
-    counts = np.array([rng.multinomial(20, topics[k]) for k in y], dtype=np.float64)
+    # One call, row by row: the same draws a per-sample loop makes.
+    counts = rng.multinomial(20, topics[y]).astype(np.float64)
     x = np.log1p(counts) + rng.normal(0.0, noise * 0.3, size=(n, dim))
     return x, y.astype(np.int64)
 

@@ -42,12 +42,6 @@ from repro.exec.base import (
     OptimizerSpec,
     make_executor,
 )
-from repro.exec.faults import (
-    ExecutorFaultError,
-    FaultPlan,
-    FaultSpec,
-    parse_faults,
-)
 from repro.exec.serial import SerialExecutor
 
 __all__ = [
@@ -68,10 +62,15 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The socket executor loads on first use: a serial run never pays for
-    # its sockets, selectors and worker processes.
+    # The socket executor and fault injection load on first use: a serial
+    # run without faults never pays for sockets, selectors, worker
+    # processes or fault plans.
     if name in ("DistExecutor", "ParallelExecutor"):
         from repro.exec.dist import DistExecutor
 
         return DistExecutor
+    if name in ("ExecutorFaultError", "FaultPlan", "FaultSpec", "parse_faults"):
+        from repro.exec import faults
+
+        return getattr(faults, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

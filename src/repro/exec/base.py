@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.exec.faults import NETWORK_FAULT_FAMILIES, FaultPlan, parse_faults
 from repro.nn.optimizers import SGD, Adam, Optimizer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
@@ -181,6 +180,10 @@ class ExecConfig:
             )
         if self.worker_grace <= 0:
             raise ValueError("worker_grace must be positive")
+        if self.faults is None:
+            return
+        from repro.exec.faults import NETWORK_FAULT_FAMILIES, parse_faults
+
         spec = parse_faults(self.faults)  # raises ValueError on bad specs
         if spec is None:
             return
@@ -224,14 +227,12 @@ def make_executor(
         return SerialExecutor(model, clients, loss, optimizer)
     from repro.exec.dist import DistExecutor
 
-    spec = parse_faults(config.faults)
+    plan = None
+    if config.faults is not None:
+        from repro.exec.faults import FaultPlan, parse_faults
+
+        spec = parse_faults(config.faults)
+        plan = None if spec is None else FaultPlan(spec, seed=seed)
     settings = asdict(config)
     del settings["faults"]
-    return DistExecutor(
-        model,
-        clients,
-        loss,
-        optimizer,
-        faults=None if spec is None else FaultPlan(spec, seed=seed),
-        **settings,
-    )
+    return DistExecutor(model, clients, loss, optimizer, faults=plan, **settings)

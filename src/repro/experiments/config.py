@@ -13,14 +13,14 @@ Three presets:
 
 from __future__ import annotations
 
+import importlib
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
 from repro.core.config import FLConfig
-from repro.core.fedat import FedAT
 from repro.exec.base import ExecConfig
 from repro.data.federated import FederatedDataset
 from repro.nn.model import Sequential
@@ -31,14 +31,41 @@ __all__ = [
     "methods_taking", "knobs_read_by", "build_model_builder",
 ]
 
-ALGORITHMS = {
-    "fedat": FedAT,
-    "fedavg": FedAvg,
-    "fedprox": FedProx,
-    "tifl": TiFL,
-    "fedasync": FedAsync,
-    "asofed": ASOFed,
-}
+
+class _Methods(Mapping):
+    """Method name -> system class, each entry held as ``"module:Class"``
+    until its first lookup imports it: a run loads its own method only."""
+
+    def __init__(self, entries: dict[str, str]):
+        self._entries: dict[str, str | type] = dict(entries)
+
+    def __getitem__(self, name: str) -> type:
+        entry = self._entries[name]
+        if isinstance(entry, str):
+            module, _, attr = entry.partition(":")
+            entry = self._entries[name] = getattr(importlib.import_module(module), attr)
+        return entry
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+ALGORITHMS = _Methods(
+    {
+        "fedat": "repro.core.fedat:FedAT",
+        "fedavg": "repro.baselines.fedavg:FedAvg",
+        "fedprox": "repro.baselines.fedprox:FedProx",
+        "tifl": "repro.baselines.tifl:TiFL",
+        "fedasync": "repro.baselines.fedasync:FedAsync",
+        "asofed": "repro.baselines.asofed:ASOFed",
+    }
+)
 
 
 @dataclass(frozen=True)

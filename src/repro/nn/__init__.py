@@ -13,18 +13,20 @@ refuses a layer without them by name.
 
 Shapes follow the NHWC convention for images: ``(batch, height, width,
 channels)``. Token inputs are integer arrays ``(batch, time)``.
+
+The convolution, pooling and recurrent layers load on first use, so a run
+whose model has none of them does not import them.
 """
 
+import importlib
+
 from repro.nn.activations import ReLU, Sigmoid, Tanh
-from repro.nn.conv import Conv2D
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential, WeightSpec
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.plan import ScratchArena, TrainingPlan
-from repro.nn.pooling import MaxPool2D
 from repro.nn.proximal import ProximalTerm
-from repro.nn.recurrent import LSTM, Embedding
 from repro.nn.tensor import Parameter
 from repro.nn.zoo import (
     build_cnn,
@@ -62,3 +64,18 @@ __all__ = [
     "build_mlp",
     "build_lstm_classifier",
 ]
+
+
+#: Lazily loaded exports: name -> the module that defines it.
+_LAZY = {
+    "Conv2D": "repro.nn.conv",
+    "MaxPool2D": "repro.nn.pooling",
+    "LSTM": "repro.nn.recurrent",
+    "Embedding": "repro.nn.recurrent",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

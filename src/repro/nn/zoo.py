@@ -18,11 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.activations import ReLU
-from repro.nn.conv import Conv2D
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
 from repro.nn.model import Sequential
-from repro.nn.pooling import MaxPool2D
-from repro.nn.recurrent import LSTM, Embedding
 
 __all__ = [
     "build_cnn",
@@ -42,6 +39,9 @@ def build_cnn(
     dense_units: int = 64,
 ) -> Sequential:
     """The paper's image CNN: conv(f1)-pool-conv(f2)-pool-conv(f3)-dense."""
+    from repro.nn.conv import Conv2D
+    from repro.nn.pooling import MaxPool2D
+
     h, w, c = input_shape
     layers: list = []
     layers.append(Conv2D(c, filters[0], 3, padding="same", rng=rng, name="conv1"))
@@ -69,6 +69,9 @@ def build_femnist_cnn(
     dense_units: int = 128,
 ) -> Sequential:
     """A slightly smaller two-conv CNN for the 62-class FEMNIST analogue."""
+    from repro.nn.conv import Conv2D
+    from repro.nn.pooling import MaxPool2D
+
     h, w, c = input_shape
     layers = [
         Conv2D(c, filters[0], 3, padding="same", rng=rng, name="conv1"),
@@ -126,6 +129,8 @@ def build_lstm_classifier(
     Reddit analogue uses a smaller vocabulary, so defaults are scaled down
     while preserving the topology.
     """
+    from repro.nn.recurrent import LSTM, Embedding
+
     layers: list = [
         Embedding(vocab_size, embed_dim, rng=rng),
         LSTM(embed_dim, hidden_dim, rng=rng),

@@ -12,8 +12,10 @@ live clients.
 Derivation is per cohort: ``clients[ids]`` (and a worker's
 :class:`VirtualReplicaStore`) derives the clients a cohort lacks in one
 :func:`derive_client_data` pass, and one client is the cohort of one. An
-arrival pool's ``release`` only records the arrival; the client's shard is
-derived when a cohort first trains it.
+evaluator's subset is derived the same way, by blocks that bypass the
+cache, so only its test rows outlive the build. An arrival pool's
+``release`` only records the arrival; the client's shard is derived when a
+cohort first trains it.
 
 Aggregate queries the schedulers need over the *whole* population (train
 sizes, latency profiles, expected latencies) are answered from O(n) numpy
@@ -41,6 +43,9 @@ __all__ = ["VirtualPopulation", "VirtualReplicaStore"]
 #: Refuse to silently materialize the whole population into an evaluator
 #: above this size; callers must name an eval subset (FLConfig.eval_clients).
 MAX_FULL_EVAL_CLIENTS = 10_000
+#: Clients an evaluator derives at a time (the population cache's default
+#: size): a large subset, such as a TiFL tier, never holds more full shards.
+EVAL_BLOCK = 1024
 
 
 def derive_sizes(num_clients: int, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -138,6 +143,18 @@ def derive_client_data(
             y_test=y[lo : lo + t],
         )
         for cid, lo, hi, t in zip(ids, [0, *ends[:-1]], ends, n_test.tolist())
+    ]
+
+
+def _test_rows(shards: list[ClientData]) -> list[ClientData]:
+    """The shards' test rows copied into one block, as train-less shards
+    whose arrays are views of it: the derived block can then be freed."""
+    x = np.concatenate([d.x_test for d in shards])
+    y = np.concatenate([d.y_test for d in shards])
+    ends = np.cumsum([d.num_test for d in shards]).tolist()
+    return [
+        ClientData(d.client_id, x[:0], y[:0], x[lo:hi], y[lo:hi])
+        for d, lo, hi in zip(shards, [0, *ends[:-1]], ends)
     ]
 
 
@@ -394,11 +411,14 @@ class VirtualPopulation(Population):
     def cohort_data(self, client_ids: Sequence[int]) -> list[ClientData]:
         """The shards of ``client_ids``; the ones not cached are derived in
         one :func:`derive_client_data` pass."""
+        return self._data_cache.get_many(self._ids(client_ids), self._derive)
+
+    def _ids(self, client_ids: Iterable[int]) -> list[int]:
         ids = [int(cid) for cid in client_ids]
         for cid in ids:
             if not 0 <= cid < self._num_clients:
                 raise IndexError(f"client {cid} not in population")
-        return self._data_cache.get_many(ids, self._derive)
+        return ids
 
     def _derive(self, client_ids: list[int]) -> list[ClientData]:
         return derive_client_data(
@@ -487,11 +507,16 @@ class VirtualPopulation(Population):
                     "(or pass client_ids) to evaluate a fixed subset"
                 )
             client_ids = range(self._num_clients)
-        # One client at a time: one block for the whole eval set raised the
-        # world_30k ledger's peak RSS by ~4 MB (6 %) with the same bytes
-        # live, an allocator effect.
+        # Derived by blocks that bypass the data cache, so once the
+        # evaluator has copied the test rows out, the shards are freed. Past
+        # one block, each block's test rows are copied out before the next.
+        ids = self._ids(client_ids)
+        shards = []
+        for lo in range(0, len(ids), EVAL_BLOCK):
+            block = self._derive(ids[lo : lo + EVAL_BLOCK])
+            shards += block if len(ids) <= EVAL_BLOCK else _test_rows(block)
         return Evaluator.from_clients(
-            [self.client_data(c) for c in client_ids],
+            shards,
             model,
             eval_batch_size=eval_batch_size,
             max_test_per_client=max_test_per_client,

@@ -16,12 +16,12 @@ A :class:`ScenarioEngine` turns a :class:`~repro.scenario.spec.ScenarioSpec`
   client with a positive arrival time does not exist before it (it is
   never profiled, tiered, or selectable until it arrives).
 
-Compilation orders the raw events by ``(time, insertion)`` — a stable sort
-on time, the order the simulator's :class:`~repro.sim.events.EventQueue`
-pops in — so simultaneous events resolve in deterministic insertion order
-(the same tie-break every system run uses), and the resulting timelines are
-pure functions of time — queries never mutate observable state, so
-out-of-order lookups are safe.
+Each client's events are read in ``(time, insertion)`` order — the order
+the simulator's :class:`~repro.sim.events.EventQueue` pops them in — so
+simultaneous events resolve in deterministic insertion order (the same
+tie-break every system run uses), and the resulting timelines are pure
+functions of time — queries never mutate observable state, so out-of-order
+lookups are safe.
 
 Compiled events are columns (``time``, ``kind``, ``client``, ``value``,
 ``episode`` arrays), not objects. Each family draws its values through one
@@ -312,6 +312,7 @@ class ScenarioEngine:
     The constructor takes the events as five equal-length columns in
     generation (insertion) order: ``time``, ``kind`` (index into
     ``EVENT_KINDS``), ``client``, ``value`` and ``episode`` (-1 for none).
+    It keeps the arrays it is given, so they must not change afterwards.
     """
 
     def __init__(
@@ -339,24 +340,29 @@ class ScenarioEngine:
         refuse((client < 0) | (client >= num_clients), client, "event client {} out of range")
         refuse(~(time >= 0), time, "cannot schedule at {} < 0")
         refuse(~(value > 0), value, "event value must be positive, got {}")
-        # Deterministic (time, insertion) ordering, exactly like system
-        # events: a stable sort on time is the order an EventQueue pops in.
-        order = np.argsort(time, kind="stable")
         self._time, self._kind, self._client, self._value, self._episode = (
-            col[order] for col in (time, kind, client, value, episode)
+            time, kind, client, value, episode
         )
 
-        # Client-major view: a stable sort on client keeps each client's
-        # events in (time, insertion) order. Timelines are sliced from it on
-        # first query, so only clients a run asks about pay for one.
-        self._by_client = np.argsort(self._client, kind="stable")
+        # Client-major order, each client's events in (time, insertion)
+        # order: the order an EventQueue pops one client's events in. Complex
+        # numbers sort lexicographically (real part, then imaginary), so one
+        # stable sort on ``client + i·time`` gives it, and a compiled
+        # family's events are already client-major runs the sort merges.
+        # Timelines are sliced from it on first query, so only clients a run
+        # asks about pay for one.
+        key = np.empty(time.size, dtype=np.complex128)
+        key.real, key.imag = client, time
+        self._by_client = np.argsort(key, kind="stable")
         self._timelines: dict[int, _Timeline] = {}
+        by_kind = kind[self._by_client]
 
-        # Arrivals: the time-ordered last ``arrive`` per client wins.
-        arrive = self._kind == _ARRIVE
-        a_ids, a_times = self._client[arrive], self._time[arrive]
-        last = a_ids.size - 1 - np.unique(a_ids[::-1], return_index=True)[1]
-        a_ids, a_times = a_ids[last], a_times[last]
+        # Arrivals: per client, the last ``arrive`` in (time, insertion)
+        # order wins.
+        rows = self._by_client[by_kind == _ARRIVE]
+        a_ids = client[rows]
+        last = np.flatnonzero(np.diff(a_ids, append=-1))  # ids are >= 0
+        a_ids, a_times = a_ids[last], time[rows[last]]
         self._arrival: dict[int, float] = dict(zip(a_ids.tolist(), a_times.tolist()))
         self._arrival_ids, self._arrival_times = a_ids, a_times  # sorted by id
         late = np.flatnonzero(a_times > 0.0)
@@ -367,9 +373,9 @@ class ScenarioEngine:
         # the next join closes it (none: open to the end of time). With the
         # late clients' [-inf, arrival) they let array queries test everyone
         # against one instant without a Python call per client.
-        rows = self._by_client[np.isin(self._kind[self._by_client], (_LEAVE, _JOIN))]
-        c, t = self._client[rows], self._time[rows]
-        leave = self._kind[rows] == _LEAVE
+        rows = self._by_client[(by_kind == _LEAVE) | (by_kind == _JOIN)]
+        c, t = client[rows], time[rows]
+        leave = kind[rows] == _LEAVE
         after_leave = np.zeros_like(leave)
         after_leave[1:] = leave[:-1] & (c[1:] == c[:-1])
         opens = np.flatnonzero(leave & ~after_leave)
@@ -600,15 +606,12 @@ class ScenarioEngine:
     def events(self) -> list[ScenarioEvent]:
         """The compiled events in ``(time, insertion)`` order, as objects
         (built on first use; queries never need them)."""
+        # A stable sort on time is the order an EventQueue pops in.
+        order = np.argsort(self._time, kind="stable")
+        columns = (self._time, self._kind, self._client, self._value, self._episode)
         return [
             ScenarioEvent(t, EVENT_KINDS[k], c, v, None if e == _NO_EPISODE else e)
-            for t, k, c, v, e in zip(
-                self._time.tolist(),
-                self._kind.tolist(),
-                self._client.tolist(),
-                self._value.tolist(),
-                self._episode.tolist(),
-            )
+            for t, k, c, v, e in zip(*(col[order].tolist() for col in columns))
         ]
 
     @property

@@ -3,14 +3,19 @@
 The ``fedat_virtual`` golden shape (2,000 virtual clients, churn + arrivals,
 re-tier every 4 rounds — the smoke shape of the ledger's ``world_30k``) must
 run without re-sorting the enrolled population and without asking the
-scenario about every pooled client one Python call at a time. Counts repeat
-exactly on any machine; the ledger owns the wall-clock side.
+scenario about every pooled client one Python call at a time, and its build
+derives the eval subset in one pass that leaves the population's data cache
+empty. Counts repeat exactly on any machine; the ledger owns the wall-clock
+side.
 """
 
 import numpy as np
+import pytest
 
 from repro.experiments.config import build_model_builder, make_fl_config
 from repro.experiments.runner import ALGORITHMS, build_virtual_population
+from repro.metrics.evaluation import Evaluator
+from repro.population import virtual
 from repro.scenario import ScenarioEngine
 from repro.tiering import Tiering
 
@@ -29,7 +34,7 @@ def _counting(monkeypatch, owner, attr) -> list:
     return calls
 
 
-def test_fedat_virtual_never_resorts_nor_polls_the_pool(monkeypatch):
+def _fedat_virtual():
     population = build_virtual_population("sentiment140", 2000, "tiny", 7)
     config = make_fl_config(
         "fedat",
@@ -41,6 +46,11 @@ def test_fedat_virtual_never_resorts_nor_polls_the_pool(monkeypatch):
         retier_interval=4,
         eval_clients=50,
     )
+    return population, config
+
+
+def test_fedat_virtual_never_resorts_nor_polls_the_pool(monkeypatch):
+    population, config = _fedat_virtual()
     system = ALGORITHMS["fedat"](population, build_model_builder(population, "tiny"), config)
     pooled = []
     alive = system.alive
@@ -65,3 +75,40 @@ def test_fedat_virtual_never_resorts_nor_polls_the_pool(monkeypatch):
     launched = history.meta["network"]["downlink_messages"]
     assert sum(pooled) > 10 * launched
     assert len(scalar_queries) <= launched
+
+
+def test_building_the_world_derives_the_eval_subset_once(monkeypatch):
+    population, config = _fedat_virtual()
+    derived = []
+    derive = virtual.derive_client_data
+    monkeypatch.setattr(
+        virtual,
+        "derive_client_data",
+        lambda bank, ids, *a: derived.append(list(ids)) or derive(bank, ids, *a),
+    )
+    system = ALGORITHMS["fedat"](population, build_model_builder(population, "tiny"), config)
+    assert [len(ids) for ids in derived] == [50]
+    assert derived[0] == system.evaluator.client_ids
+    assert len(population._data_cache) == 0, "the eval subset went through the data cache"
+
+
+@pytest.mark.parametrize("block", [virtual.EVAL_BLOCK, 7])
+@pytest.mark.parametrize("max_test", [None, 2])
+def test_the_one_pass_evaluator_is_the_per_client_one(monkeypatch, block, max_test):
+    """Deriving the eval subset in blocks (one block, or many with each
+    block's test rows copied out) builds the evaluator a client at a time
+    would."""
+    monkeypatch.setattr(virtual, "EVAL_BLOCK", block)
+    population, _ = _fedat_virtual()
+    model = build_model_builder(population, "tiny")(np.random.default_rng(0))
+    ids = np.sort(np.random.default_rng(3).choice(2000, size=40, replace=False)).tolist()
+    ids += ids[:3]  # a repeated id is evaluated twice, as before
+    fresh, _ = _fedat_virtual()
+    want = Evaluator.from_clients(
+        [fresh.client_data(c) for c in ids], model, max_test_per_client=max_test
+    )
+    got = population.build_evaluator(model, client_ids=ids, max_test_per_client=max_test)
+    assert got.client_ids == want.client_ids == ids
+    assert got._bounds.tolist() == want._bounds.tolist()
+    for a, b in ((got._x, want._x), (got._y, want._y)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
