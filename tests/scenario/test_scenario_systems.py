@@ -302,6 +302,35 @@ def test_fedat_arrival_grows_tiering_from_held_back_pool(dataset):
     assert sum(trace[-1]["sizes"]) == dataset.num_clients
 
 
+def test_fedat_given_full_tiering_under_arrivals_queues_none(dataset):
+    """A tiering passed in already places every client, late ones too: the
+    system keeps it and enrolls no arrival. One that leaves a client out is
+    refused, arrivals or not."""
+    tiers = Tiering(
+        [np.arange(0, 4), np.arange(4, 8), np.arange(8, dataset.num_clients)]
+    )
+    system = FedAT(
+        dataset,
+        build_model_builder(dataset, "tiny"),
+        _config(FedAT, scenario="arrival:0.5", max_rounds=40, max_time=260.0),
+        tiering=tiers,
+    )
+    assert system.scenario.has_arrivals
+    history = system.run()
+    assert system.tiering is tiers
+    assert "arrival_trace" not in history.meta
+    assert history.rounds()[-1] > 0
+
+    partial = Tiering([np.arange(0, 4), np.arange(4, 8)])
+    with pytest.raises(ValueError, match="does not cover"):
+        FedAT(
+            dataset,
+            build_model_builder(dataset, "tiny"),
+            _config(FedAT, scenario="arrival:0.5"),
+            tiering=partial,
+        )
+
+
 @pytest.mark.parametrize(
     "cls, scenario",
     [(FedAT, "arrival:0.5"), (FedAsync, "churn+arrival")],
