@@ -923,7 +923,6 @@ class FLSystem:
             "failures",
             "executor",
             "_downlink_cache",
-            "arrival_pool",
             "_checkpointer",
             "_resume_queue",
             "_pending",

@@ -56,29 +56,22 @@ class FedAT(FLSystem):
         delay_model=None,
     ):
         super().__init__(population, model_builder, config, delay_model=delay_model)
-        #: Held-back data shards of clients that have not arrived yet
-        #: (arrival scenarios only; None means the population is fixed).
-        self.arrival_pool = None
         founders = None
         num_tiers = self.params.num_tiers if tiering is None else tiering.num_tiers
         if tiering is None:
             # The server can only tier clients that exist: under arrivals it
             # splits the founding population (through the tier index below)
-            # and grows the tiering as arrivals land, so the profile is not
-            # split here. Late clients' data stays in a held-back pool until
-            # their arrival event releases it.
+            # and enrolls each late client when its arrival lands, so the
+            # profile is not split here.
             arrivals = self.scenario.has_arrivals
             tiering = self.build_tiering(split=not arrivals)
             if arrivals:
                 founders = self.scenario.founders()
-                self.arrival_pool = self.population.hold_back(
-                    [cid for cid, _ in self.scenario.late_arrivals()]
-                )
         self.retier_tracker = self.make_retier_tracker()
         self.tier_index = self.make_tier_index(num_tiers, client_ids=founders)
         if founders is not None:
             tiering = self.tier_index.split()
-        if self.arrival_pool is None and tiering.num_clients != self.num_clients:
+        elif tiering.num_clients != self.num_clients:
             raise ValueError("tiering does not cover the client population")
         self.tiering = tiering
         self.server = TieredServer(
@@ -122,15 +115,14 @@ class FedAT(FLSystem):
                 self._launch_or_wake(m, queue)
 
     def _on_arrival(self, client_id: int, queue: EventQueue) -> None:
-        """Enroll one arriving client: assign its held-back data and grow
-        the tiering over the enlarged population.
+        """Enroll one arriving client and grow the tiering over the enlarged
+        population.
 
         The arrival slots into the tier index at its current latency
         estimate (EWMA-tracked when online re-tiering is on, else the
         profiled prior) and the tiers are re-split, so it lands in the tier
         matching its speed and may rebalance others.
         """
-        self.arrival_pool.release(client_id)
         self.tier_index.enroll(client_id)
         self.tiering = self.tier_index.split()
         self.history.meta.setdefault("arrival_trace", []).append(
@@ -142,18 +134,10 @@ class FedAT(FLSystem):
         )
         self._tiers_changed(queue)
 
-    def _post_restore(self) -> None:
-        super()._post_restore()
-        if self.arrival_pool is not None:
-            # ``__init__`` rebuilt the pool with every late client held
-            # back; hand back out the shards of clients that had already
-            # arrived (and enrolled) by the checkpoint.
-            for cid in self.arrival_pool.remaining():
-                if cid in self.tier_index:
-                    self.arrival_pool.release(cid)
-
     def prologue(self, queue: EventQueue) -> None:
-        if self.arrival_pool is not None:
+        # Only a tiering built over the founders leaves clients to enroll:
+        # one passed in already places every client, late ones too.
+        if self.tier_index is not None and len(self.tier_index) < self.num_clients:
             self.schedule_arrival(queue, 0)
         self._tiers_changed(queue)
 

@@ -11,7 +11,6 @@ from repro.utils.arrays import sorted_unique
 __all__ = [
     "ClientData",
     "FederatedDataset",
-    "HeldBackPool",
     "train_test_split_client",
 ]
 
@@ -103,54 +102,6 @@ class FederatedDataset:
         labels = np.concatenate([c.y_train for c in self.clients])
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError("label outside [0, num_classes)")
-
-    def hold_back(self, client_ids) -> "HeldBackPool":
-        """Withhold the named clients' shards behind an arrival pool.
-
-        Arrival scenarios grow the population over simulated time: a late
-        client's data is not part of the founding federation and is only
-        *assigned* (released from the pool) when its arrival event fires.
-        The federation object itself is unchanged — the pool is the
-        accounting layer systems drain as clients arrive.
-        """
-        shards: dict[int, ClientData] = {}
-        for cid in client_ids:
-            cid = int(cid)
-            if not 0 <= cid < self.num_clients:
-                raise ValueError(f"client {cid} not in this federation")
-            if cid in shards:
-                raise ValueError(f"client {cid} held back twice")
-            shards[cid] = self.clients[cid]
-        return HeldBackPool(shards)
-
-
-class HeldBackPool:
-    """Client shards withheld from the founding population.
-
-    ``release`` hands one shard out exactly once (a client cannot arrive
-    twice); ``remaining`` lists clients still waiting to arrive.
-    """
-
-    def __init__(self, shards: dict[int, ClientData]):
-        self._shards = dict(shards)
-        self.released: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, client_id: int) -> bool:
-        return int(client_id) in self._shards
-
-    def remaining(self) -> list[int]:
-        return sorted(self._shards)
-
-    def release(self, client_id: int) -> ClientData:
-        """Assign one arriving client's data out of the pool."""
-        cid = int(client_id)
-        if cid not in self._shards:
-            raise KeyError(f"client {cid} is not held back (already arrived?)")
-        self.released.append(cid)
-        return self._shards.pop(cid)
 
 
 def train_test_split_client(

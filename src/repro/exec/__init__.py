@@ -16,10 +16,11 @@ hands over every launch still pending as one cohort. This package owns
   :mod:`repro.exec.dist`). ``executor="parallel"`` is this executor with
   its default bind, and :class:`ParallelExecutor` another name for it.
 
-It runs on one supervisor, :mod:`repro.exec.supervision` (chunk split,
-leases, retry budget, deadlines, result verification, degrade-or-raise): a
-failure costs the chunk it hit and nothing else. Once closed, it refuses
-further cohorts.
+It runs on one lease state machine, :class:`repro.exec.supervision.Dispatch`
+(chunk leases, retry budget, deadlines, result verification): a failure
+costs the chunk it hit and nothing else, and a chunk out of attempts
+degrades in-process or raises, :class:`DistExecutor`'s call. Once closed,
+it refuses further cohorts.
 
 :class:`ExecConfig` declares and checks every execution setting
 (``FLConfig.exec``); :func:`make_executor` picks the backend and builds the

@@ -5,7 +5,10 @@ protocol over a scheduler/worker topology: the executor owns a
 :class:`~repro.exec.dist.scheduler.Scheduler` (start weights + chunk lease
 queue) and workers — local child processes or external ``repro worker``
 processes on other machines — dial in, register, heartbeat, and execute
-leases. It serves both ``executor="dist"`` and ``executor="parallel"``.
+leases. It serves both ``executor="dist"`` and ``executor="parallel"``, and
+it is the whole parent side: settings, recovery counters, an in-parent
+:class:`~repro.exec.serial.SerialExecutor` for small cohorts and degraded
+chunks, and each :class:`~repro.exec.supervision.Dispatch`'s degrade-or-raise.
 
 The bit-identity contract is the package's (:mod:`repro.exec`) and holds
 across any worker count, arrival order, mid-round kill, or injected fault
@@ -26,14 +29,17 @@ Deployment modes, chosen by the bind address:
 from __future__ import annotations
 
 import os
+import warnings
 from typing import Sequence
 
 import numpy as np
 
-from repro.exec.base import CohortTask, OptimizerSpec
+from repro.exec.base import ClientExecutor, CohortTask, ExecConfig, OptimizerSpec
 from repro.exec.dist.scheduler import Scheduler
 from repro.exec.dist.worker import parse_address, run_worker
-from repro.exec.supervision import SupervisedExecutor, wait_any, worker_context
+from repro.exec.faults import ExecutorFaultError, FaultPlan
+from repro.exec.serial import SerialExecutor
+from repro.exec.supervision import Dispatch, chunk_tasks, wait_any, worker_context
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.sim.client import LocalTrainingResult, SimClient
@@ -59,16 +65,17 @@ def _local_worker_entry(
     raise SystemExit(run_worker(host, port, reconnect_window=reconnect_window))
 
 
-class DistExecutor(SupervisedExecutor):
+class DistExecutor(ClientExecutor):
     """Lease-supervised dispatch to socket-connected workers.
 
-    Takes :class:`~repro.exec.supervision.SupervisedExecutor` 's arguments;
-    of the settings, the network layer reads ``dist_bind`` (scheduler
-    address), ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness), and
-    ``worker_grace`` (how long a dispatch tolerates an empty worker roster
-    before degrading). ``num_workers`` is the chunk count and the number of
-    local workers forked; 0 cuts ``DEFAULT_CHUNKS`` chunks and forks one
-    worker per CPU.
+    ``**settings`` are :class:`~repro.exec.base.ExecConfig` fields, declared,
+    defaulted and checked there only (``config``); ``executor`` (``"dist"``
+    unless given) is what errors and warnings call this executor.
+    ``num_workers`` is the chunk count and the number of local workers
+    forked; 0 cuts ``DEFAULT_CHUNKS`` chunks and forks one per CPU. The
+    network layer reads ``dist_bind`` (scheduler address),
+    ``heartbeat_interval`` / ``heartbeat_timeout`` (liveness), and
+    ``worker_grace`` (how long a dispatch tolerates an empty roster).
     """
 
     name = "dist"
@@ -79,17 +86,55 @@ class DistExecutor(SupervisedExecutor):
         clients: Sequence[SimClient],
         loss: Loss,
         optimizer: OptimizerSpec,
+        *,
+        faults: FaultPlan | None = None,
         **settings,
     ):
         #: Locally spawned worker processes (self-contained mode); chaos
         #: tests reach in here for pids to SIGKILL/SIGSTOP.
         self.worker_processes: list = []
         self._scheduler = None
-        super().__init__(model, clients, loss, optimizer, **settings)
+        self._closed = False
+        self.config = ExecConfig(**{"executor": self.name, **settings})
+        self.name = self.config.executor
+        self.num_workers = self.config.num_workers
         self.num_chunks = self.num_workers or DEFAULT_CHUNKS
-        # The network layer's own events (remote workers respawn themselves
-        # by reconnecting, so ``respawns`` stays a count of local processes).
-        self.fault_counters.update(heartbeat_misses=0, reconnects=0, steals=0)
+        self.faults = faults
+        self._dispatch_seq = 0
+        #: Recovery telemetry, cumulative across the run; the system layer
+        #: publishes a snapshot into ``history.meta["faults"]``. ``respawns``
+        #: counts replaced *local* worker processes; remote workers respawn
+        #: themselves by reconnecting.
+        self.fault_counters: dict[str, int] = {
+            "retries": 0,
+            "timeouts": 0,
+            "respawns": 0,
+            "worker_deaths": 0,
+            "corrupt_detected": 0,
+            "worker_errors": 0,
+            "degraded_chunks": 0,
+            "heartbeat_misses": 0,
+            "reconnects": 0,
+            "steals": 0,
+        }
+        # Cohorts below this size skip dispatch and run in-process (a lone
+        # client — a sync round of one, an async relaunch its flush caught
+        # alone — pays a full IPC round-trip for zero parallelism
+        # otherwise). Bit-identical either way, since a round is a function of
+        # its start row and task alone, so the path choice is unobservable.
+        self.min_dispatch = 2
+        # Client collections that know how to build their own replica
+        # mapping (virtual populations ship a lazy, picklable store instead
+        # of materializing every client) provide ``replicas()``; plain
+        # sequences fall back to the eager per-client dict.
+        if hasattr(clients, "replicas"):
+            replicas = clients.replicas()
+        else:
+            replicas = {c.client_id: c.replica() for c in clients}
+        # In-process executor over the replica set workers are initialised
+        # from: sub-min_dispatch cohorts and degraded chunks run here.
+        # (SerialExecutor indexes clients by id; the dict satisfies that.)
+        self._local = SerialExecutor(model.clone(), replicas, loss, optimizer)
         init_payload = {
             "model": self._local.model,
             "clients": self._local.clients,
@@ -183,27 +228,73 @@ class DistExecutor(SupervisedExecutor):
     def run_cohort(
         self, starts: np.ndarray, tasks: Sequence[CohortTask]
     ) -> list[LocalTrainingResult]:
-        results = self._in_parent(starts, tasks)
-        if results is not None:
-            return results
+        if self._closed:
+            raise RuntimeError(f"executor {self.name!r} is closed")
+        if len(tasks) < max(self.min_dispatch, 1):
+            # Outside the fault domain: injections model worker and network
+            # infrastructure, and there is none here.
+            return self._local.run_cohort(starts, tasks)
         starts = np.ascontiguousarray(starts)
-        dispatch = self._begin(tasks, self.num_chunks)
+        dispatch = Dispatch(
+            self._dispatch_seq,
+            chunk_tasks(tasks, self.num_chunks),
+            retry_budget=self.config.chunk_retries,
+            timeout=self.config.chunk_timeout,
+            counters=self.fault_counters,
+        )
+        self._dispatch_seq += 1
         done = self._scheduler.submit(dispatch, self._scheduler.publish_weights(starts))
         channel = self._scheduler.done_channel
         while not done.is_set():
+            self._scheduler.check()
             # Sleep until the job resolves, a local worker process dies (or
-            # died between dispatches, unwatched) or the scheduler drops a
-            # wedged one — the lease layer recovers the chunk, this loop
-            # the roster.
+            # died between dispatches, unwatched), the scheduler drops a
+            # wedged one or its loop dies — the lease layer recovers the
+            # chunk, this loop the roster.
             ready = wait_any([channel, *(p.sentinel for p in self.worker_processes)])
             if channel in ready:
                 channel.drain()
             self._reap_and_respawn()
+        # A loop that died abandoned the job: its chunks failed for want of
+        # a scheduler, which no degrade can stand in for.
+        self._scheduler.check()
         # A worker dropped or dead as the job resolved is replaced now, so
         # what this dispatch cost is counted before it returns.
         self._reap_and_respawn()
         roster = len(self.worker_processes) or self._scheduler.live_workers
         return self._finish(dispatch, starts, roster)
+
+    def _finish(self, dispatch: Dispatch, starts: np.ndarray, live_workers: int) -> list:
+        """Flatten a finished dispatch; degrade or raise on failed chunks."""
+        out: list = []
+        for lease, chunk, results in zip(dispatch.leases, dispatch.chunks, dispatch.results):
+            if not lease.done:
+                tries = "; ".join(
+                    f"attempt {n} on {who or 'no worker'}: {what}" for n, who, what in lease.history
+                )
+                reason = lease.failed_reason + (f" [{tries}]" if tries else "")
+                if not self.config.fault_degrade:
+                    raise ExecutorFaultError(
+                        executor=self.name,
+                        chunk=lease.chunk,
+                        chunk_size=len(chunk),
+                        num_workers=live_workers,
+                        attempts=lease.attempts,
+                        retry_budget=self.config.chunk_retries,
+                        counters=self.fault_counters,
+                        reason=reason,
+                    )
+                self.fault_counters["degraded_chunks"] += 1
+                warnings.warn(
+                    f"executor {self.name!r}: chunk {lease.chunk} exhausted its retry "
+                    f"budget ({reason}); degrading to in-process serial "
+                    "execution for this chunk",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                results = self._local.run_cohort(starts, chunk)
+            out.extend(results)
+        return out
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -222,3 +313,9 @@ class DistExecutor(SupervisedExecutor):
                 proc.terminate()
                 proc.join(timeout=2.0)
         self.worker_processes = []
+
+    def __del__(self):  # pragma: no cover - GC safety net
+        try:
+            self.close()
+        except Exception:
+            pass

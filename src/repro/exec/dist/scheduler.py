@@ -19,7 +19,7 @@ timeout. Four things arm a timer:
 
 - each registered connection: ``last_seen + heartbeat_timeout``;
 - each lease of the current dispatch with a ``chunk_timeout``: its
-  deadline (:meth:`LeaseTable.next_deadline`);
+  deadline (:meth:`Dispatch.next_deadline`);
 - a dispatch with no live worker: ``worker_grace`` from when the roster
   emptied;
 - a dispatch whose every worker is wedged on an expired lease: one stall
@@ -28,6 +28,10 @@ timeout. Four things arm a timer:
 After every wake-up, whatever its cause, the loop runs one pass that acts
 on what is due, hands pending chunks to idle workers and resolves a
 finished job — so a dispatch costs the round trip, not a poll interval.
+
+A frame or message that cannot be decoded or handled drops the connection
+it came on and nothing else; should the loop itself die,
+:meth:`Scheduler.check` raises the cause instead of leaving a dispatch to wait.
 
 Lease transitions — verify a result, requeue on error / loss / expiry,
 spend retry budget — are :class:`~repro.exec.supervision.Dispatch` 's;
@@ -73,7 +77,6 @@ class _Conn:
 
     __slots__ = (
         "sock",
-        "addr",
         "buf",
         "out",
         "worker_id",
@@ -85,9 +88,8 @@ class _Conn:
         "closed",
     )
 
-    def __init__(self, sock, addr, now: float):
+    def __init__(self, sock, now: float):
         self.sock = sock
-        self.addr = addr
         self.buf = FrameBuffer()
         self.out = bytearray()
         self.worker_id: str | None = None
@@ -124,12 +126,10 @@ class Scheduler:
         heartbeat_timeout: float,
         worker_grace: float,
         counters: dict,
-        log=None,
     ):
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.worker_grace = float(worker_grace)
         self.counters = counters
-        self.log = log
         self.live_workers = 0  # written by the loop under ``_roster``
         self._roster = threading.Condition()
         self._sel = selectors.DefaultSelector()
@@ -160,6 +160,8 @@ class Scheduler:
         self._weights_frame: bytes = b""
         self._stop = False
         self._thread: threading.Thread | None = None
+        #: Why the loop thread died, if it ever exits other than by ``stop()``.
+        self.failure: Exception | None = None
         self._told_to_exit: set[int] = set()
         #: Pids of the workers the executor forked (it keeps this current).
         self.owned: set[int] = set()
@@ -208,6 +210,11 @@ class Scheduler:
         self._inbox.append(job)
         self._wake.signal()
         return job.done
+
+    def check(self) -> None:
+        """Raise if the loop thread died: no job can resolve any more."""
+        if self.failure is not None:
+            raise RuntimeError(f"dist scheduler loop died: {self.failure!r}") from self.failure
 
     def wait_for_workers(self, count: int, timeout: float) -> int:
         """Block until ``count`` workers are registered; returns the roster size."""
@@ -272,17 +279,21 @@ class Scheduler:
                         self._on_readable(conn)
                     if mask & selectors.EVENT_WRITE and not conn.closed:
                         self._flush(conn)
+        except Exception as exc:
+            # Published before the executor is woken, so it wakes to see why.
+            self.failure = exc
+            self.done_channel.signal()
         finally:
             self._shutdown_all()
 
     def _accept(self) -> None:
         try:
-            sock, addr = self._listener.accept()
+            sock, _ = self._listener.accept()
         except OSError:
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, addr, time.monotonic())
+        conn = _Conn(sock, time.monotonic())
         self._conns.append(conn)
         self._sel.register(sock, selectors.EVENT_READ, conn)
 
@@ -327,7 +338,10 @@ class Scheduler:
             self._dead(conn, f"bad frame: {exc}")
             return
         for msg in msgs:
-            self._handle(conn, msg)
+            try:
+                self._handle(conn, msg)
+            except Exception as exc:  # a wrong shape, type or arity
+                self._dead(conn, f"bad message: {exc!r}")
             if conn.closed:
                 return
 
@@ -335,49 +349,49 @@ class Scheduler:
     # Message handling
     # ------------------------------------------------------------------ #
     def _handle(self, conn: _Conn, msg) -> None:
-        now = time.monotonic()
-        conn.last_seen = now
+        """Act on one message. Its lease is freed only once it was handled:
+        a message that raises loses the lease with its connection."""
+        conn.last_seen = time.monotonic()
         kind = msg[0]
         if kind == "register":
             self._on_register(conn, msg)
         elif kind == "heartbeat":
             pass  # last_seen already refreshed
         elif kind in ("result", "error"):
-            _, dispatch, chunk, _attempt, *body = msg
-            current = self._lease_of(conn, dispatch, chunk)
+            _, seq, chunk, _attempt, *body = msg
+            current = self._current(seq)
             if current is not None and kind == "result":
                 current.result(chunk, conn.worker_id, *body)
             elif current is not None:
                 current.error(chunk, conn.worker_id, f"worker error: {body[0]}")
+            if conn.inflight == (seq, chunk):
+                conn.inflight = None
         # Unknown frames are ignored (forward compatibility).
 
     def _on_register(self, conn: _Conn, msg) -> None:
         _, worker_id, pid, has_init, weights_version = msg
+        worker_id, pid = str(worker_id), int(pid)
+        weights_version = int(weights_version) if has_init else -1
         # A reconnect may race its old connection's EOF: the fresh socket
         # supersedes any stale one wearing the same worker_id.
         for other in list(self._conns):
             if other is not conn and other.worker_id == worker_id:
                 self._dead(other, "superseded by reconnect")
-        conn.worker_id = str(worker_id)
-        conn.pid = int(pid)
+        conn.worker_id = worker_id
+        conn.pid = pid
         conn.registered = True
-        conn.weights_version = int(weights_version) if has_init else -1
+        conn.weights_version = weights_version
         if conn.worker_id in self._seen_ids:
             self.counters["reconnects"] += 1
         self._seen_ids.add(conn.worker_id)
         if not has_init and self._init_frame is not None:
             self._queue(conn, self._init_frame)
-        if self.log:
-            self.log(f"scheduler: worker {conn.worker_id} registered (pid {conn.pid})")
 
-    def _lease_of(self, conn: _Conn, dispatch: int, chunk: int) -> Dispatch | None:
-        """Free ``conn`` of the lease an event ends; returns the current
-        dispatch if the lease is one of its own (a cross-dispatch straggler
-        was resolved elsewhere long ago)."""
-        if conn.inflight == (dispatch, chunk):
-            conn.inflight = None
+    def _current(self, seq: int) -> Dispatch | None:
+        """The running dispatch if it is number ``seq`` (a cross-dispatch
+        straggler was resolved elsewhere long ago)."""
         job = self._job
-        return job.dispatch if job is not None and job.dispatch.seq == dispatch else None
+        return job.dispatch if job is not None and job.dispatch.seq == seq else None
 
     def _dead(self, conn: _Conn, why: str) -> None:
         if conn.closed:
@@ -398,11 +412,10 @@ class Scheduler:
                 self.counters["heartbeat_misses"] += 1
             elif why != "superseded by reconnect":
                 self.counters["worker_deaths"] += 1
-        if self.log:
-            self.log(f"scheduler: dropped {conn.worker_id or conn.addr} ({why})")
         if conn.inflight is not None:
-            dispatch, chunk = conn.inflight
-            current = self._lease_of(conn, dispatch, chunk)
+            seq, chunk = conn.inflight
+            conn.inflight = None
+            current = self._current(seq)
             if current is not None:
                 current.lost(chunk, conn.worker_id, why)
 

@@ -86,11 +86,6 @@ class FaultSpec:
                     f"fault probability must be in [0, 1], got {family}:{p}"
                 )
 
-    @property
-    def is_null(self) -> bool:
-        """True when no family can ever fire (the machinery still engages)."""
-        return all(getattr(self, f) == 0.0 for f in FAULT_FAMILIES)
-
     def active_families(self) -> tuple[str, ...]:
         return tuple(f for f in FAULT_FAMILIES if getattr(self, f) > 0.0)
 

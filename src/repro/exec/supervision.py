@@ -11,8 +11,7 @@ Every requeue costs *that chunk* one attempt of its retry budget and
 nothing else — its siblings' leases, workers and budgets are untouched, so
 how a fault schedule is recovered depends on the schedule, not on what else
 was in flight when a failure was noticed. A chunk out of budget fails;
-:class:`SupervisedExecutor`, the parent-side front the executors share, then
-degrades it in-process or raises
+:class:`~repro.exec.dist.DistExecutor` then degrades it in-process or raises
 :class:`~repro.exec.faults.ExecutorFaultError`. Chunk work is deterministic,
 so duplicate attempts are harmless and the first verified result wins.
 
@@ -30,15 +29,13 @@ import multiprocessing
 import socket
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.exec.base import ClientExecutor, CohortTask, ExecConfig
-from repro.exec.faults import ExecutorFaultError, FaultPlan, chunk_checksum
-from repro.exec.serial import SerialExecutor
+from repro.exec.base import CohortTask
+from repro.exec.faults import chunk_checksum
 
 __all__ = [
     "WakeChannel",
@@ -46,9 +43,7 @@ __all__ = [
     "wait_any",
     "chunk_tasks",
     "Lease",
-    "LeaseTable",
     "Dispatch",
-    "SupervisedExecutor",
     "worker_context",
 ]
 
@@ -179,23 +174,43 @@ class Lease:
         return self.done or self.failed_reason is not None
 
 
-class LeaseTable:
-    """Attempt / budget / deadline bookkeeping over the chunks of a dispatch.
+class Dispatch:
+    """One dispatch: chunks in, per-chunk results (or failures) out.
 
     Life cycle per chunk: pending -> leased -> (done | requeued -> pending
     | failed). ``failed`` chunks exhausted their attempts; the executor
     decides whether they degrade in-process or abort the run.
+
+    The transitions below are the only code that verifies a result or spends
+    retry budget, and each counts what it did in ``counters`` (the
+    executor's ``fault_counters``). ``worker`` names who an event came from:
+    only the lease's *current* holder can requeue it — a late error, EOF or
+    corrupt frame from a superseded attempt must not clobber the live
+    reassignment. A lease handed out by :meth:`assign` has the fault key
+    ``(seq, lease.chunk, lease.attempts - 1)``.
     """
 
-    def __init__(self, num_chunks: int, *, retry_budget: int, timeout: float | None):
-        if num_chunks < 1:
+    def __init__(
+        self,
+        seq: int,
+        chunks: list[list[CohortTask]],
+        *,
+        retry_budget: int,
+        timeout: float | None,
+        counters: dict[str, int],
+    ):
+        if not chunks:
             raise ValueError("a dispatch needs at least one chunk")
         if retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
+        self.seq = seq
+        self.chunks = chunks
         self.budget = 1 + retry_budget
         self.timeout = timeout
-        self.leases = [Lease(chunk=i) for i in range(num_chunks)]
-        self._pending = list(range(num_chunks))  # FIFO of assignable chunks
+        self.counters = counters
+        self.leases = [Lease(chunk=i) for i in range(len(chunks))]
+        self.results: list = [None] * len(chunks)
+        self._pending = list(range(len(chunks)))  # FIFO of assignable chunks
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -299,6 +314,7 @@ class LeaseTable:
             lease.failed_reason = reason
             return False
         self._pending.append(lease.chunk)
+        self.counters["retries"] += 1
         return True
 
     def fail_pending(self, reason: str) -> list[Lease]:
@@ -309,39 +325,6 @@ class LeaseTable:
             lease.history.append((max(lease.attempts - 1, 0), None, reason))
         self._pending.clear()
         return failed
-
-
-class Dispatch(LeaseTable):
-    """One dispatch: chunks in, per-chunk results (or failures) out.
-
-    The transitions below are the only code that verifies a result or spends
-    retry budget, and each counts what it did in ``counters`` (the
-    executor's ``fault_counters``). ``worker`` names who an event came from:
-    only the lease's *current* holder can requeue it — a late error, EOF or
-    corrupt frame from a superseded attempt must not clobber the live
-    reassignment. A lease handed out by :meth:`assign` has the fault key
-    ``(seq, lease.chunk, lease.attempts - 1)``.
-    """
-
-    def __init__(
-        self,
-        seq: int,
-        chunks: list[list[CohortTask]],
-        *,
-        retry_budget: int,
-        timeout: float | None,
-        counters: dict[str, int],
-    ):
-        super().__init__(len(chunks), retry_budget=retry_budget, timeout=timeout)
-        self.seq = seq
-        self.chunks = chunks
-        self.results: list = [None] * len(chunks)
-        self.counters = counters
-
-    def requeue(self, chunk: int, reason: str) -> bool:
-        retried = super().requeue(chunk, reason)
-        self.counters["retries"] += retried
-        return retried
 
     def _held_by(self, chunk: int, worker: str) -> bool:
         return self.accepts(chunk) and self.leases[chunk].worker == worker
@@ -383,118 +366,3 @@ class Dispatch(LeaseTable):
         for lease in self.leases:
             if not lease.resolved:
                 lease.failed_reason = reason
-
-
-# --------------------------------------------------------------------- #
-# The parent-side front
-# --------------------------------------------------------------------- #
-class SupervisedExecutor(ClientExecutor):
-    """The parent-side half of :class:`~repro.exec.dist.DistExecutor`.
-
-    The execution settings, as ``config``: ``**settings`` are
-    :class:`ExecConfig` fields, each declared, defaulted and checked there
-    only; ``executor`` (the class's ``name`` unless given) is what errors
-    and warnings call this executor. Then the fault plan, recovery
-    counters, the in-parent executor, and both ends of a dispatch; a
-    subclass's ``run_cohort`` is :meth:`_in_parent`, :meth:`_begin`, its
-    transport, :meth:`_finish`.
-    """
-
-    def __init__(
-        self, model, clients, loss, optimizer, *, faults: FaultPlan | None = None, **settings
-    ):
-        self.config = ExecConfig(**{"executor": self.name, **settings})
-        self.name = self.config.executor
-        self.num_workers = self.config.num_workers
-        self.faults = faults
-        self._dispatch_seq = 0
-        self._closed = False
-        #: Recovery telemetry, cumulative across the run; the system layer
-        #: publishes a snapshot into ``history.meta["faults"]``. ``respawns``
-        #: counts replaced *local* worker processes.
-        self.fault_counters: dict[str, int] = {
-            "retries": 0,
-            "timeouts": 0,
-            "respawns": 0,
-            "worker_deaths": 0,
-            "corrupt_detected": 0,
-            "worker_errors": 0,
-            "degraded_chunks": 0,
-        }
-        # Cohorts below this size skip dispatch and run in-process (a lone
-        # client — a sync round of one, an async relaunch its flush caught
-        # alone — pays a full IPC round-trip for zero parallelism
-        # otherwise). Bit-identical either way, since a round is a function of
-        # its start row and task alone, so the path choice is unobservable.
-        self.min_dispatch = 2
-        # Client collections that know how to build their own replica
-        # mapping (virtual populations ship a lazy, picklable store instead
-        # of materializing every client) provide ``replicas()``; plain
-        # sequences fall back to the eager per-client dict.
-        if hasattr(clients, "replicas"):
-            replicas = clients.replicas()
-        else:
-            replicas = {c.client_id: c.replica() for c in clients}
-        # In-process executor over the replica set workers are initialised
-        # from: sub-min_dispatch cohorts and degraded chunks run here.
-        # (SerialExecutor indexes clients by id; the dict satisfies that.)
-        self._local = SerialExecutor(model.clone(), replicas, loss, optimizer)
-
-    def _in_parent(self, starts, tasks) -> list | None:
-        """Run a cohort that needs no worker (None: it must be dispatched).
-        Outside the fault domain — injections model worker and network
-        infrastructure, and there is none here."""
-        if self._closed:
-            raise RuntimeError(f"executor {self.name!r} is closed")
-        if len(tasks) < max(self.min_dispatch, 1):
-            return self._local.run_cohort(starts, tasks)
-        return None
-
-    def _begin(self, tasks: Sequence[CohortTask], num_chunks: int) -> Dispatch:
-        seq = self._dispatch_seq
-        self._dispatch_seq += 1
-        return Dispatch(
-            seq,
-            chunk_tasks(tasks, num_chunks),
-            retry_budget=self.config.chunk_retries,
-            timeout=self.config.chunk_timeout,
-            counters=self.fault_counters,
-        )
-
-    def _finish(self, dispatch: Dispatch, starts: np.ndarray, live_workers: int) -> list:
-        """Flatten a finished dispatch; degrade or raise on failed chunks."""
-        out: list = []
-        for lease, chunk, results in zip(dispatch.leases, dispatch.chunks, dispatch.results):
-            if not lease.done:
-                tries = "; ".join(
-                    f"attempt {n} on {who or 'no worker'}: {what}" for n, who, what in lease.history
-                )
-                reason = lease.failed_reason + (f" [{tries}]" if tries else "")
-                if not self.config.fault_degrade:
-                    raise ExecutorFaultError(
-                        executor=self.name,
-                        chunk=lease.chunk,
-                        chunk_size=len(chunk),
-                        num_workers=live_workers,
-                        attempts=lease.attempts,
-                        retry_budget=self.config.chunk_retries,
-                        counters=self.fault_counters,
-                        reason=reason,
-                    )
-                self.fault_counters["degraded_chunks"] += 1
-                warnings.warn(
-                    f"executor {self.name!r}: chunk {lease.chunk} exhausted its retry "
-                    f"budget ({reason}); degrading to in-process serial "
-                    "execution for this chunk",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                results = self._local.run_cohort(starts, chunk)
-            out.extend(results)
-        return out
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -158,10 +158,6 @@ class Sequential:
     def num_params(self) -> int:
         return sum(p.size for p in self.params)
 
-    @property
-    def weight_spec(self) -> WeightSpec:
-        return WeightSpec(tuple(tuple(p.shape) for p in self.params))
-
     def get_weights(self) -> list[np.ndarray]:
         """Copies of every parameter tensor (layer order)."""
         return [p.data.copy() for p in self.params]

@@ -25,11 +25,11 @@ Two implementations:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.data.federated import ClientData, FederatedDataset, HeldBackPool
+from repro.data.federated import ClientData, FederatedDataset
 from repro.metrics.evaluation import Evaluator
 from repro.nn.model import Sequential
 from repro.sim.client import SimClient
@@ -125,10 +125,6 @@ class Population:
     ) -> Evaluator:
         raise NotImplementedError
 
-    def hold_back(self, client_ids: Iterable[int]):
-        """Withhold the named clients behind an arrival pool."""
-        raise NotImplementedError
-
     def materialize(self) -> FederatedDataset:
         """Eager :class:`FederatedDataset` over the full population."""
         raise NotImplementedError
@@ -219,9 +215,6 @@ class MaterializedPopulation(Population):
             eval_batch_size=eval_batch_size,
             max_test_per_client=max_test_per_client,
         )
-
-    def hold_back(self, client_ids: Iterable[int]) -> HeldBackPool:
-        return self._dataset.hold_back(client_ids)
 
     def materialize(self) -> FederatedDataset:
         return self._dataset

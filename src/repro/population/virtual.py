@@ -13,9 +13,8 @@ Derivation is per cohort: ``clients[ids]`` (and a worker's
 :class:`VirtualReplicaStore`) derives the clients a cohort lacks in one
 :func:`derive_client_data` pass, and one client is the cohort of one. An
 evaluator's subset is derived the same way, by blocks that bypass the
-cache, so only its test rows outlive the build. An arrival pool's
-``release`` only records the arrival; the client's shard is derived when a
-cohort first trains it.
+cache, so only its test rows outlive the build. A late arrival costs
+nothing here: its shard is derived when a cohort first trains it.
 
 Aggregate queries the schedulers need over the *whole* population (train
 sizes, latency profiles, expected latencies) are answered from O(n) numpy
@@ -285,42 +284,6 @@ class _BoundClients:
         return self._population.replica_store()
 
 
-class _VirtualHeldBackPool:
-    """Arrival pool over virtual clients — same interface as
-    :class:`~repro.data.federated.HeldBackPool`, without holding shards."""
-
-    def __init__(self, population: "VirtualPopulation", client_ids: Iterable[int]):
-        pending = set()
-        for cid in client_ids:
-            cid = int(cid)
-            if not 0 <= cid < population.num_clients:
-                raise ValueError(f"client {cid} not in this federation")
-            if cid in pending:
-                raise ValueError(f"client {cid} held back twice")
-            pending.add(cid)
-        self._population = population
-        self._pending = pending
-        self.released: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def __contains__(self, client_id: int) -> bool:
-        return int(client_id) in self._pending
-
-    def remaining(self) -> list[int]:
-        return sorted(self._pending)
-
-    def release(self, client_id: int) -> None:
-        """Record one client's arrival. Nothing is derived: the client's
-        shard is made when a cohort first trains it."""
-        cid = int(client_id)
-        if cid not in self._pending:
-            raise KeyError(f"client {cid} is not held back (already arrived?)")
-        self._pending.remove(cid)
-        self.released.append(cid)
-
-
 class VirtualPopulation(Population):
     """Population whose clients are derived on demand from seeded RNG."""
 
@@ -521,9 +484,6 @@ class VirtualPopulation(Population):
             eval_batch_size=eval_batch_size,
             max_test_per_client=max_test_per_client,
         )
-
-    def hold_back(self, client_ids: Iterable[int]) -> _VirtualHeldBackPool:
-        return _VirtualHeldBackPool(self, client_ids)
 
     def materialize(self) -> FederatedDataset:
         """Eager federation over the whole population (small-n tests only)."""

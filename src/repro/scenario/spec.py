@@ -68,7 +68,7 @@ class ScenarioSpec:
 
     # --- arrival: the population grows over simulated time -------------- #
     # Late-arriving clients are absent at t=0 (not profiled, not tiered,
-    # their data held back) and join at a time drawn from the window. At
+    # never trained) and join at a time drawn from the window. At
     # least one client always founds the federation.
     arrival_fraction: float = 0.0  # fraction of clients that arrive late
     arrival_window: tuple[float, float] = (0.05, 0.7)  # arrival-time bounds

@@ -14,6 +14,7 @@ import statistics
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.exec.dist import (
 )
 from repro.exec.dist.wire import encode_frame
 from repro.exec.faults import ExecutorFaultError, FaultPlan, parse_faults
-from repro.exec.supervision import LeaseTable, worker_context
+from repro.exec.supervision import Dispatch, worker_context
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
@@ -145,18 +146,29 @@ def test_parse_address():
 
 
 # --------------------------------------------------------------------- #
-# Lease bookkeeping (repro.exec.supervision; the transitions built on it,
-# shared with the pool, are driven in test_supervision.py)
+# Lease bookkeeping (repro.exec.supervision.Dispatch; the transitions that
+# verify results and count recovery are driven in test_supervision.py)
 # --------------------------------------------------------------------- #
-class TestLeaseTable:
+def _table(num_chunks, *, retry_budget, timeout):
+    """A dispatch over ``num_chunks`` empty chunks: its leases alone."""
+    return Dispatch(
+        0,
+        [[] for _ in range(num_chunks)],
+        retry_budget=retry_budget,
+        timeout=timeout,
+        counters=dict.fromkeys(("retries", "timeouts", "corrupt_detected", "worker_errors"), 0),
+    )
+
+
+class TestDispatchLeases:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LeaseTable(0, retry_budget=1, timeout=None)
-        with pytest.raises(ValueError):
-            LeaseTable(2, retry_budget=-1, timeout=None)
+        with pytest.raises(ValueError, match="at least one chunk"):
+            _table(0, retry_budget=1, timeout=None)
+        with pytest.raises(ValueError, match="retry_budget"):
+            _table(2, retry_budget=-1, timeout=None)
 
     def test_lifecycle(self):
-        table = LeaseTable(2, retry_budget=1, timeout=None)
+        table = _table(2, retry_budget=1, timeout=None)
         assert table.has_pending() and not table.finished()
         a = table.assign("w0")
         b = table.assign("w1")
@@ -169,7 +181,7 @@ class TestLeaseTable:
         assert a.history == [(0, "w0", "done")]
 
     def test_requeue_respects_budget(self):
-        table = LeaseTable(1, retry_budget=1, timeout=None)
+        table = _table(1, retry_budget=1, timeout=None)
         table.assign("w0")
         assert table.requeue(0, "worker died")  # attempt 1 of 2 burned
         table.assign("w1")
@@ -180,7 +192,7 @@ class TestLeaseTable:
         assert [h[2] for h in failed.history] == ["worker died", "checksum mismatch"]
 
     def test_steal_detection(self):
-        table = LeaseTable(1, retry_budget=2, timeout=None)
+        table = _table(1, retry_budget=2, timeout=None)
         table.assign("w0")
         table.requeue(0, "timeout")
         lease = table.assign("w1")
@@ -190,7 +202,7 @@ class TestLeaseTable:
         assert not table.stolen(lease)  # same worker retried
 
     def test_expired_deadlines(self):
-        table = LeaseTable(2, retry_budget=1, timeout=10.0)
+        table = _table(2, retry_budget=1, timeout=10.0)
         table.assign("w0", now=100.0)
         table.assign("w1", now=105.0)
         assert table.expired(now=109.0) == []
@@ -198,7 +210,7 @@ class TestLeaseTable:
         assert [lease.chunk for lease in expired] == [0]
 
     def test_next_deadline(self):
-        table = LeaseTable(3, retry_budget=1, timeout=10.0)
+        table = _table(3, retry_budget=1, timeout=10.0)
         assert table.next_deadline() is None  # nothing leased, nothing armed
         table.assign("w0", now=100.0)
         table.assign("w1", now=105.0)
@@ -214,12 +226,12 @@ class TestLeaseTable:
         assert table.next_deadline() == 130.0
 
     def test_next_deadline_without_a_timeout(self):
-        table = LeaseTable(1, retry_budget=0, timeout=None)
+        table = _table(1, retry_budget=0, timeout=None)
         table.assign("w0", now=100.0)
         assert table.outstanding() and table.next_deadline() is None
 
     def test_accepts_bounds_and_staleness(self):
-        table = LeaseTable(2, retry_budget=0, timeout=None)
+        table = _table(2, retry_budget=0, timeout=None)
         assert not table.accepts(-1) and not table.accepts(2)
         table.assign("w0")
         assert table.accepts(0)
@@ -231,7 +243,7 @@ class TestLeaseTable:
         assert not table.accepts(0)
 
     def test_fail_pending(self):
-        table = LeaseTable(3, retry_budget=5, timeout=None)
+        table = _table(3, retry_budget=5, timeout=None)
         table.assign("w0")
         failed = table.fail_pending("no live workers")
         assert [lease.chunk for lease in failed] == [1, 2]
@@ -302,6 +314,53 @@ class TestDistExecutor:
             assert dist.fault_counters["reconnects"] > 0
             assert dist.fault_counters["retries"] > 0
             assert dist.fault_counters["degraded_chunks"] == 0
+        finally:
+            dist.close()
+            serial.close()
+
+    def test_malformed_messages_drop_only_their_connection(self, tiny_bow_dataset):
+        """A message of the wrong arity or type, from any peer, costs that
+        peer its connection: the loop, the workers and the next dispatch
+        carry on."""
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            for msg in [("register", "x"), ("result", 0, 0), 42]:
+                with socket.create_connection(dist._scheduler.address, timeout=10) as peer:
+                    peer.sendall(encode_frame(msg))
+                    while peer.recv(1 << 16):  # until the scheduler hangs up
+                        pass
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            got = []
+            runner = threading.Thread(
+                target=lambda: got.append(dist.run_cohort(start, tasks)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=20)
+            assert got, "the dispatch after the malformed messages never returned"
+            _assert_results_equal(serial.run_cohort(start, tasks), got[0])
+            assert dist._scheduler.live_workers == 2
+            assert dist.fault_counters["worker_deaths"] == 0
+        finally:
+            dist.close()
+            serial.close()
+
+    def test_dead_scheduler_loop_raises_instead_of_hanging(self, tiny_bow_dataset):
+        """A loop thread that dies other than by ``stop()`` resolves nothing
+        again: a dispatch waiting on it, or submitted after, raises its
+        cause."""
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            start = serial.model.get_flat_weights()
+
+            def broken(now):
+                raise OSError("selector gone")
+
+            dist._scheduler._step = broken
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="selector gone"):
+                    dist.run_cohort(start, _cohort(8))
         finally:
             dist.close()
             serial.close()

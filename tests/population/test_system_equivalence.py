@@ -68,7 +68,7 @@ def test_fedat_parallel_executor_matches_serial_on_virtual():
 
 
 def test_arrival_scenario_runs_on_virtual_population():
-    """Late arrivals route through the virtual hold-back pool and the
+    """Late arrivals enroll into a virtual population's tiering and the
     enrolled/full evaluation views land in history.meta."""
     vp = _virtual()
     builder = build_model_builder(vp, "tiny")
@@ -76,7 +76,7 @@ def test_arrival_scenario_runs_on_virtual_population():
     views = h.meta.get("arrival_eval")
     assert views, "arrival runs must record enrolled/full accuracy views"
     enrolled = [v["enrolled_clients"] for v in views]
-    assert enrolled[0] < vp.num_clients  # 40% of clients start held back
+    assert enrolled[0] < vp.num_clients  # 40% of clients arrive late
     assert enrolled == sorted(enrolled)  # enrollment only grows
     assert all("population_accuracy" in v for v in views)
     rerun = FedAT(_virtual(), builder, _config(scenario="arrival:0.4")).run()

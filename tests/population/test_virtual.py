@@ -176,25 +176,3 @@ class TestGuards:
             VirtualPopulation(_bank(), 0)
         with pytest.raises(ValueError):
             _population(samples_per_client=(10, 5))
-
-
-class TestHoldBack:
-    def test_virtual_pool_release_semantics(self):
-        pop = _population()
-        pool = pop.hold_back([3, 5])
-        assert len(pool) == 2 and 3 in pool and 5 in pool
-        # Release only records the arrival: nothing is derived until a
-        # cohort trains the client, and its shard is the one it always had.
-        assert pool.release(3) is None
-        assert len(pop._data_cache) == 0
-        _assert_same_client(pop.client_data(3), _population().client_data(3))
-        assert pool.released == [3] and pool.remaining() == [5]
-        with pytest.raises(KeyError):
-            pool.release(3)
-
-    def test_duplicate_and_out_of_range_rejected(self):
-        pop = _population()
-        with pytest.raises(ValueError):
-            pop.hold_back([1, 1])
-        with pytest.raises(ValueError):
-            pop.hold_back([pop.num_clients])

@@ -281,22 +281,22 @@ def test_sync_run_survives_transient_total_churn(dataset):
 # --------------------------------------------------------------------- #
 # Arrival: population growth
 # --------------------------------------------------------------------- #
-def test_fedat_arrival_grows_tiering_from_held_back_pool(dataset):
+def test_fedat_arrival_grows_tiering_from_founders(dataset):
     system = _build(
         FedAT, dataset, scenario="arrival:0.5", max_rounds=400, max_time=260.0,
     )
     founders = system.tiering.num_clients
-    pool_size = len(system.arrival_pool)
+    late = [cid for cid, _ in system.scenario.late_arrivals()]
     assert founders < dataset.num_clients
-    assert founders + pool_size == dataset.num_clients
+    assert founders + len(late) == dataset.num_clients
     # Late clients are not tiered (the server has never heard of them).
-    for cid in system.arrival_pool.remaining():
+    for cid in late:
         assert cid not in system.tiering
     history = system.run()
     assert system.tiering.num_clients == dataset.num_clients
-    assert len(system.arrival_pool) == 0
+    assert all(cid in system.tiering for cid in late)
     trace = history.meta["arrival_trace"]
-    assert len(trace) == pool_size
+    assert len(trace) == len(late)
     times = [t["time"] for t in trace]
     assert times == sorted(times)
     assert sum(trace[-1]["sizes"]) == dataset.num_clients
@@ -306,9 +306,7 @@ def test_fedat_given_full_tiering_under_arrivals_queues_none(dataset):
     """A tiering passed in already places every client, late ones too: the
     system keeps it and enrolls no arrival. One that leaves a client out is
     refused, arrivals or not."""
-    tiers = Tiering(
-        [np.arange(0, 4), np.arange(4, 8), np.arange(8, dataset.num_clients)]
-    )
+    tiers = Tiering([np.arange(0, 4), np.arange(4, 8), np.arange(8, dataset.num_clients)])
     system = FedAT(
         dataset,
         build_model_builder(dataset, "tiny"),
