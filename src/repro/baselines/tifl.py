@@ -115,7 +115,7 @@ class TiFL(SyncFLSystem):
         accuracy reports, which costs one downlink per client plus a
         synchronization delay bounded by the slowest alive client.
         """
-        alive = self.alive(range(self.num_clients))
+        alive = self.alive(np.arange(self.num_clients))
         self.send_down(self.global_weights, n_receivers=len(alive))
         if len(alive):
             # Evaluation round-trip: no training, but delays still apply.

@@ -1126,7 +1126,7 @@ class SyncFLSystem(FLSystem):
     name = "sync-base"
 
     def choose_cohort(self) -> list[int]:
-        pool = self.alive(range(self.num_clients))
+        pool = self.alive(np.arange(self.num_clients))
         return self.select_clients(pool, self.config.clients_per_round)
 
     def aggregate(self, results: list[LocalTrainingResult]) -> None:
@@ -1161,7 +1161,7 @@ class SyncFLSystem(FLSystem):
             return
         cohort = self.choose_cohort()
         if not cohort:
-            self.schedule_join(queue, Wake(), range(self.num_clients))
+            self.schedule_join(queue, Wake(), np.arange(self.num_clients))
             return
         launch = self.launch(cohort, self.now)
         queue.schedule_at(launch.end, RoundDone(None, launch))
@@ -1197,7 +1197,7 @@ class AsyncFLSystem(FLSystem):
         raise NotImplementedError
 
     def prologue(self, queue: EventQueue) -> None:
-        self._start_cycles(self.alive(range(self.num_clients), 0.0).tolist(), queue)
+        self._start_cycles(self.alive(np.arange(self.num_clients), 0.0).tolist(), queue)
         self.schedule_arrival(queue, 0)
 
     def handle(self, payload, queue: EventQueue) -> None:

@@ -47,17 +47,9 @@ class UnstableClientPolicy:
         """The instant this client drops, or None if it is stable."""
         return self._dropout_time.get(client_id)
 
-    def is_alive(self, client_id: int, now: float) -> bool:
-        """Whether the client is still participating at virtual time ``now``."""
-        t = self._dropout_time.get(client_id)
-        return t is None or now < t
-
-    def alive_clients(self, client_ids, now: float) -> list[int]:
-        """Filter a candidate list down to clients alive at ``now``."""
-        return [c for c in client_ids if self.is_alive(c, now)]
-
     def alive_array(self, client_ids: np.ndarray, now: float) -> np.ndarray:
-        """Vectorized :meth:`alive_clients`: same membership and order."""
+        """The clients among ``client_ids`` still participating at virtual
+        time ``now``, in their given order."""
         ids = np.asarray(client_ids, dtype=np.int64)
         dead = self._unstable_ids[self._unstable_times <= now]
         if dead.size == 0:

@@ -174,7 +174,8 @@ class TestSerialExecutor:
 
 
 class TestParallelExecutor:
-    def test_bitwise_matches_serial(self, tiny_bow_dataset):
+    @pytest.mark.parametrize("num_workers", [1, 3, 4])
+    def test_bitwise_matches_serial(self, tiny_bow_dataset, num_workers):
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
         model = _model(tiny_bow_dataset)
         start = model.get_flat_weights()
@@ -187,7 +188,7 @@ class TestParallelExecutor:
             _clients(tiny_bow_dataset),
             loss,
             spec,
-            num_workers=3,
+            num_workers=num_workers,
         ) as par:
             parallel = par.run_cohort(start, tasks)
         assert len(serial) == len(parallel)

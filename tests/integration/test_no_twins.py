@@ -86,6 +86,8 @@ REMOVED = re.compile(
     # it. And no base class with one subclass: the executor front is
     # DistExecutor's, the lease table Dispatch's.
     r"|HeldBackPool|hold_back|arrival_pool|SupervisedExecutor|LeaseTable"
+    # Who has dropped out is asked of an id array: no list twin beside it.
+    r"|alive_clients\b"
 )
 
 
@@ -172,6 +174,8 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("bench_fig2_convergence.py")
     assert REMOVED.search("bench_ablations.py")
     assert not REMOVED.search("bench_claims.py")
+    assert REMOVED.search("    def alive_clients(self, client_ids, now: float) -> list[int]:")
+    assert not REMOVED.search("        out = self.failures.alive_array(client_ids, t)")
 
 
 def test_one_lease_state_machine():

@@ -48,21 +48,21 @@ class TestUnstableClients:
         p = UnstableClientPolicy(20, rng, num_unstable=5, horizon=50.0)
         cid = p.unstable_ids[0]
         t = p.dropout_time(cid)
-        assert p.is_alive(cid, t - 1e-9)
-        assert not p.is_alive(cid, t)
-        assert not p.is_alive(cid, t + 100)
+        assert p.alive_array([cid], t - 1e-9).tolist() == [cid]
+        assert p.alive_array([cid], t).size == 0
+        assert p.alive_array([cid], t + 100).size == 0
 
     def test_stable_clients_always_alive(self, rng):
         p = UnstableClientPolicy(20, rng, num_unstable=5, horizon=50.0)
         stable = [c for c in range(20) if c not in p.unstable_ids]
         for c in stable:
             assert p.dropout_time(c) is None
-            assert p.is_alive(c, 1e12)
+        assert p.alive_array(stable, 1e12).tolist() == stable
 
     def test_alive_clients_filter(self, rng):
         p = UnstableClientPolicy(10, rng, num_unstable=10, horizon=1.0)
-        assert p.alive_clients(range(10), 2.0) == []
-        assert len(p.alive_clients(range(10), 0.0)) == 10
+        assert p.alive_array(np.arange(10), 2.0).tolist() == []
+        assert p.alive_array(np.arange(10), 0.0).tolist() == list(range(10))
 
     def test_will_complete(self, rng):
         p = UnstableClientPolicy(10, rng, num_unstable=1, horizon=100.0)
@@ -85,4 +85,4 @@ class TestUnstableClients:
         for c in range(30):
             t = p.dropout_time(c)
             for probe in np.linspace(t, t + 100, 7):
-                assert not p.is_alive(c, probe)
+                assert p.alive_array([c], probe).size == 0
