@@ -30,8 +30,7 @@ class FedProx(SyncFLSystem):
             return 1
         # Probability of truncation grows with the client's delay part.
         part = self.delay_model.part_of(client_id)
-        num_parts = len(self.delay_model.bands)
-        p_trunc = 0.2 + 0.6 * part / max(num_parts - 1, 1)
+        p_trunc = 0.2 + 0.6 * part / max(self.delay_model.num_parts - 1, 1)
         if self._epoch_rng.random() < p_trunc:
             return int(self._epoch_rng.integers(1, e_max))
         return e_max

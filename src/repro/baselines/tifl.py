@@ -119,11 +119,8 @@ class TiFL(SyncFLSystem):
         self.send_down(self.global_weights, n_receivers=len(alive))
         if len(alive):
             # Evaluation round-trip: no training, but delays still apply.
-            eval_delay = max(
-                self.latency_model.round_latency(c, 0, 0, self._tier_rng)
-                for c in alive
-            )
-            self.now += eval_delay
+            delays = self.latency_model.sample_latencies(alive, 0, 0, self._tier_rng)
+            self.now += float(delays.max())
         acc = np.array(
             [
                 1.0

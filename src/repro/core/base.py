@@ -813,7 +813,7 @@ class FLSystem:
         rng = self.factory.rng("env/profile")
         num_tiers = self.params.num_tiers
         ids = np.sort(rng.choice(self.num_clients, size=int(k), replace=False))
-        sampled = self.population.profile_latencies_subset(profiler, ids, rng)
+        sampled = self.population.profile_latencies(profiler, rng, client_ids=ids)
         expected = self.population.expected_latencies(self.config.local_epochs)
         #: Kept as the prior for online re-tiering (see make_retier_tracker);
         #: expected latencies are exactly that method's no-profile fallback.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.params import MethodParams
 from repro.exec.base import ExecConfig, OptimizerSpec
@@ -118,7 +118,3 @@ class FLConfig:
             from repro.compression.codec import make_codec
 
             make_codec(self.compression)  # raises ValueError on bad specs
-
-    def with_(self, **kwargs) -> "FLConfig":
-        """Return a copy with fields replaced."""
-        return replace(self, **kwargs)

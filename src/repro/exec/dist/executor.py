@@ -123,18 +123,12 @@ class DistExecutor(ClientExecutor):
         # otherwise). Bit-identical either way, since a round is a function of
         # its start row and task alone, so the path choice is unobservable.
         self.min_dispatch = 2
-        # Client collections that know how to build their own replica
-        # mapping (virtual populations ship a lazy, picklable store instead
-        # of materializing every client) provide ``replicas()``; plain
-        # sequences fall back to the eager per-client dict.
-        if hasattr(clients, "replicas"):
-            replicas = clients.replicas()
-        else:
-            replicas = {c.client_id: c.replica() for c in clients}
-        # In-process executor over the replica set workers are initialised
-        # from: sub-min_dispatch cohorts and degraded chunks run here.
-        # (SerialExecutor indexes clients by id; the dict satisfies that.)
-        self._local = SerialExecutor(model.clone(), replicas, loss, optimizer)
+        # Clients carry data only, so the system's own client collection
+        # ships as it is: a materialized population's list, or a virtual
+        # population's store (which arrives at a worker with an empty cache).
+        # The in-process executor trains from it too: sub-min_dispatch
+        # cohorts and degraded chunks run here.
+        self._local = SerialExecutor(model.clone(), clients, loss, optimizer)
         init_payload = {
             "model": self._local.model,
             "clients": self._local.clients,

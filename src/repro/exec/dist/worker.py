@@ -1,7 +1,7 @@
 """Distributed worker: register, heartbeat, serve chunk leases.
 
 One worker process holds one :class:`~repro.exec.serial.SerialExecutor`
-(model replica + client replicas + compiled training plan), built from the
+(model replica + the run's clients + compiled training plan), built from the
 init payload the scheduler ships at registration. The life cycle follows
 the AstraFlow worker/scheduler split:
 

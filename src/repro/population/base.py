@@ -1,19 +1,22 @@
 """The ``Population`` API: who is enrolled in the federation.
 
-:class:`~repro.core.base.FLSystem` historically materialized every client
-eagerly — a ``list[SimClient]`` each owning its data shards, batch schedule,
-and latency state — which caps populations at thousands. A ``Population``
-is the census the system asks instead: it knows how many clients exist and
-their task metadata, hands out per-client data/``SimClient`` objects on
-demand, and answers the aggregate queries (train sizes, latency profiles,
-expected latencies, evaluator construction) that used to require iterating
-the full client list.
+A ``Population`` is the census :class:`~repro.core.base.FLSystem` asks
+instead of iterating a client list: it knows how many clients exist and
+their task metadata, hands out per-client data and :class:`SimClient`
+objects on demand, and answers the aggregate queries — train sizes,
+evaluator construction and every latency question.
+
+The latency questions are answered once, here, for every population: a
+launch's draw (:meth:`Population.sample_round_latency`), the expectations
+(:meth:`Population.expected_latencies`) and a profile
+(:meth:`Population.profile_latencies`), each from :meth:`train_sizes` and
+the :class:`~repro.sim.latency.ResponseLatencyModel` handed over at
+:meth:`bind`. Clients carry data only.
 
 Two implementations:
 
-- :class:`MaterializedPopulation` wraps a :class:`FederatedDataset` and
-  reproduces today's eager client list bit-for-bit — every golden history
-  and the serial/parallel equivalence contract run through it unchanged.
+- :class:`MaterializedPopulation` wraps a :class:`FederatedDataset`; its
+  clients are one eager ``list[SimClient]``.
 - :class:`~repro.population.virtual.VirtualPopulation` derives clients
   lazily from seeded RNG over a shared :class:`~repro.data.datasets.SampleBank`,
   holding only a bounded cache — O(active cohort) memory at any enrolled
@@ -48,7 +51,8 @@ class Population:
 
     Lifecycle: systems call :meth:`bind` once (handing over the latency
     model and batch-schedule parameters), after which :attr:`clients` is an
-    indexable provider of bound :class:`SimClient` objects.
+    indexable provider of :class:`SimClient` objects and the latency
+    queries are answered.
     """
 
     name: str
@@ -56,6 +60,8 @@ class Population:
     input_shape: tuple[int, ...]
     task: str
     meta: dict
+    #: Set by :meth:`bind`.
+    latency_model: ResponseLatencyModel | None = None
 
     @property
     def num_clients(self) -> int:
@@ -82,7 +88,7 @@ class Population:
         raise NotImplementedError
 
     def client(self, client_id: int) -> SimClient:
-        raise NotImplementedError
+        return self.clients[client_id]
 
     def client_data(self, client_id: int) -> ClientData:
         raise NotImplementedError
@@ -95,25 +101,23 @@ class Population:
         self, client_id: int, epochs: int, rng: np.random.Generator
     ) -> float:
         """Draw one round's compute+delay latency for ``client_id``."""
-        raise NotImplementedError
+        n = int(self.train_sizes()[client_id])
+        return self.latency_model.round_latency(int(client_id), n, epochs, rng)
 
     def expected_latencies(self, epochs: int) -> np.ndarray:
-        raise NotImplementedError
+        """Expected compute+delay latency of every client's round."""
+        return self.latency_model.expected_latencies(None, self.train_sizes(), epochs)
 
-    def profile_latencies(self, profiler, rng: np.random.Generator) -> np.ndarray:
-        """Per-client latency estimates for tier assignment."""
-        raise NotImplementedError
-
-    def profile_latencies_subset(
-        self, profiler, client_ids, rng: np.random.Generator
+    def profile_latencies(
+        self, profiler, rng: np.random.Generator, client_ids=None
     ) -> np.ndarray:
-        """Latency estimates for a sampled subset of clients.
-
-        Default path materializes just the named clients; virtual
-        populations override with a vectorized probe so sampled tier
-        profiling (``profile_sample``) never touches the other millions.
-        """
-        return profiler.profile([self.client(int(i)) for i in client_ids], rng)
+        """Per-client latency estimates for tier assignment, over
+        ``client_ids`` (everyone when None)."""
+        sizes = self.train_sizes()
+        if client_ids is not None:
+            client_ids = np.asarray(client_ids, dtype=np.int64)
+            sizes = sizes[client_ids]
+        return profiler.profile_sizes(self.latency_model, sizes, rng, client_ids=client_ids)
 
     def build_evaluator(
         self,
@@ -133,13 +137,13 @@ class Population:
 class MaterializedPopulation(Population):
     """Population backed by an eager, fully partitioned federation.
 
-    This is exactly the pre-Population code path: :meth:`bind` builds the
-    same ``list[SimClient]`` (same order, same constructor arguments) that
-    ``FLSystem.__init__`` used to, so histories stay bit-identical.
+    :meth:`bind` builds one :class:`SimClient` per shard, in order; the
+    list is what the executor trains from and ships to workers as it is.
     """
 
     def __init__(self, dataset: FederatedDataset):
         self._dataset = dataset
+        self._train_sizes = dataset.client_sizes()
         self._clients: list[SimClient] | None = None
         self.name = dataset.name
         self.num_classes = dataset.num_classes
@@ -168,31 +172,17 @@ class MaterializedPopulation(Population):
         batch_size: int,
         seed: int,
     ) -> list[SimClient]:
+        self.latency_model = latency_model
         self._clients = [
-            SimClient(c, latency_model, batch_size=batch_size, seed=seed)
-            for c in self._dataset.clients
+            SimClient(c, batch_size=batch_size, seed=seed) for c in self._dataset.clients
         ]
         return self._clients
-
-    def client(self, client_id: int) -> SimClient:
-        return self.clients[client_id]
 
     def client_data(self, client_id: int) -> ClientData:
         return self._dataset.clients[client_id]
 
     def train_sizes(self) -> np.ndarray:
-        return self._dataset.client_sizes()
-
-    def sample_round_latency(
-        self, client_id: int, epochs: int, rng: np.random.Generator
-    ) -> float:
-        return self.clients[client_id].sample_latency(epochs, rng)
-
-    def expected_latencies(self, epochs: int) -> np.ndarray:
-        return np.array([c.expected_latency(epochs) for c in self.clients])
-
-    def profile_latencies(self, profiler, rng: np.random.Generator) -> np.ndarray:
-        return profiler.profile(self.clients, rng)
+        return self._train_sizes
 
     def build_evaluator(
         self,

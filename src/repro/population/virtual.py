@@ -9,16 +9,18 @@ is the property the equivalence/property tests pin, and what makes a
 1M-client FedAT run reproducible while only ever holding a bounded LRU of
 live clients.
 
-Derivation is per cohort: ``clients[ids]`` (and a worker's
-:class:`VirtualReplicaStore`) derives the clients a cohort lacks in one
-:func:`derive_client_data` pass, and one client is the cohort of one. An
-evaluator's subset is derived the same way, by blocks that bypass the
-cache, so only its test rows outlive the build. A late arrival costs
-nothing here: its shard is derived when a cohort first trains it.
+Derivation is per cohort: ``clients[ids]`` derives the clients a cohort
+lacks in one :func:`derive_client_data` pass, and one client is the cohort
+of one. ``clients`` is one self-contained, picklable store: the system,
+the serial executor and every dist worker train from it (a pickled store
+arrives with an empty cache). An evaluator's subset is derived the same
+way, by blocks that bypass the cache, so only its test rows outlive the
+build. A late arrival costs nothing here: its shard is derived when a
+cohort first trains it.
 
-Aggregate queries the schedulers need over the *whole* population (train
-sizes, latency profiles, expected latencies) are answered from O(n) numpy
-vectors — never by materializing clients.
+Aggregate queries over the *whole* population (train sizes, and through
+them every latency question :class:`~repro.population.base.Population`
+answers) come from O(n) numpy vectors — never from materialized clients.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.sim.client import SimClient
 from repro.sim.latency import ResponseLatencyModel
 from repro.utils.rng import SeedSequenceFactory
 
-__all__ = ["VirtualPopulation", "VirtualReplicaStore"]
+__all__ = ["VirtualPopulation"]
 
 #: Refuse to silently materialize the whole population into an evaluator
 #: above this size; callers must name an eval subset (FLConfig.eval_clients).
@@ -192,39 +194,35 @@ class _LRU:
         return [made[key] if value is None else value for key, value in zip(keys, found)]
 
 
-class VirtualReplicaStore:
-    """Picklable, lazily materializing client map for executor workers.
+def _checked(client_ids: Iterable[int], num_clients: int) -> list[int]:
+    ids = [int(cid) for cid in client_ids]
+    for cid in ids:
+        if not 0 <= cid < num_clients:
+            raise IndexError(f"client {cid} not in population")
+    return ids
 
-    Stands in for the eager ``{client_id: SimClient.replica()}`` dict the
-    parallel executor used to ship to each worker: indexing derives the
-    client on demand (latency-model-free, like a replica) and keeps a
-    bounded cache. Caches are dropped on pickling — each worker re-derives
-    the clients it actually trains.
+
+class _BoundClients:
+    """The bound population's ``clients[client_id] -> SimClient`` store.
+
+    It holds what derivation needs and nothing else, so one store serves
+    the system, the serial executor and every dist worker. Pickling drops
+    the cache and the size vector: a worker re-derives both for the
+    clients it trains.
     """
 
-    def __init__(
-        self,
-        bank: SampleBank,
-        num_clients: int,
-        seed: int,
-        size_range: tuple[int, int],
-        classes_per_client: int | None,
-        writer_shift: float,
-        batch_size: int,
-        schedule_seed: int,
-        cache_size: int = 512,
-    ):
-        self.bank = bank
-        self.num_clients = num_clients
-        self.seed = seed
-        self.size_range = size_range
-        self.classes_per_client = classes_per_client
-        self.writer_shift = writer_shift
+    def __init__(self, population: "VirtualPopulation", batch_size: int, schedule_seed: int):
+        self.bank = population.bank
+        self.num_clients = population.num_clients
+        self.seed = population.seed
+        self.size_range = population.size_range
+        self.classes_per_client = population.classes_per_client
+        self.writer_shift = population.writer_shift
         self.batch_size = batch_size
         self.schedule_seed = schedule_seed
-        self.cache_size = cache_size
-        self._sizes: np.ndarray | None = None
-        self._cache = _LRU(cache_size)
+        self.cache_size = population.cache_size
+        self._sizes = population.sizes()
+        self._cache = _LRU(self.cache_size)
 
     def __len__(self) -> int:
         return self.num_clients
@@ -237,6 +235,7 @@ class VirtualReplicaStore:
         return self[[key]][0]
 
     def _derive(self, client_ids: list[int]) -> list[SimClient]:
+        client_ids = _checked(client_ids, self.num_clients)
         if self._sizes is None:
             lo, hi = self.size_range
             self._sizes = derive_sizes(self.num_clients, self.seed, lo, hi)
@@ -249,7 +248,7 @@ class VirtualReplicaStore:
             self.writer_shift,
         )
         return [
-            SimClient(data, None, batch_size=self.batch_size, seed=self.schedule_seed)
+            SimClient(data, batch_size=self.batch_size, seed=self.schedule_seed)
             for data in shards
         ]
 
@@ -262,26 +261,6 @@ class VirtualReplicaStore:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._cache = _LRU(self.cache_size)
-
-
-class _BoundClients:
-    """The system-facing ``clients[client_id] -> SimClient`` view;
-    ``clients[client_ids]`` (a list) is a cohort's clients, the ones not
-    cached derived in one pass."""
-
-    def __init__(self, population: "VirtualPopulation"):
-        self._population = population
-
-    def __len__(self) -> int:
-        return self._population.num_clients
-
-    def __getitem__(self, key: int | list[int]) -> SimClient | list[SimClient]:
-        if isinstance(key, list):
-            return self._population.cohort(key)
-        return self._population.client(key)
-
-    def replicas(self) -> VirtualReplicaStore:
-        return self._population.replica_store()
 
 
 class VirtualPopulation(Population):
@@ -325,11 +304,7 @@ class VirtualPopulation(Population):
         self._sizes: np.ndarray | None = None
         self._train_sizes: np.ndarray | None = None
         self._data_cache = _LRU(cache_size)
-        self._client_cache = _LRU(cache_size)
-        self._latency_model: ResponseLatencyModel | None = None
-        self._batch_size: int | None = None
-        self._schedule_seed: int | None = None
-        self._view = _BoundClients(self)
+        self._clients: _BoundClients | None = None
 
     @property
     def num_clients(self) -> int:
@@ -356,17 +331,15 @@ class VirtualPopulation(Population):
         batch_size: int,
         seed: int,
     ) -> _BoundClients:
-        self._latency_model = latency_model
-        self._batch_size = int(batch_size)
-        self._schedule_seed = int(seed)
-        self._client_cache = _LRU(self.cache_size)
-        return self._view
+        self.latency_model = latency_model
+        self._clients = _BoundClients(self, int(batch_size), int(seed))
+        return self._clients
 
     @property
     def clients(self) -> _BoundClients:
-        if self._latency_model is None:
+        if self._clients is None:
             raise RuntimeError("population is not bound; call bind() first")
-        return self._view
+        return self._clients
 
     def client_data(self, client_id: int) -> ClientData:
         return self.cohort_data([client_id])[0]
@@ -374,14 +347,7 @@ class VirtualPopulation(Population):
     def cohort_data(self, client_ids: Sequence[int]) -> list[ClientData]:
         """The shards of ``client_ids``; the ones not cached are derived in
         one :func:`derive_client_data` pass."""
-        return self._data_cache.get_many(self._ids(client_ids), self._derive)
-
-    def _ids(self, client_ids: Iterable[int]) -> list[int]:
-        ids = [int(cid) for cid in client_ids]
-        for cid in ids:
-            if not 0 <= cid < self._num_clients:
-                raise IndexError(f"client {cid} not in population")
-        return ids
+        return self._data_cache.get_many(_checked(client_ids, self._num_clients), self._derive)
 
     def _derive(self, client_ids: list[int]) -> list[ClientData]:
         return derive_client_data(
@@ -391,67 +357,6 @@ class VirtualPopulation(Population):
             self.seed,
             self.classes_per_client,
             self.writer_shift,
-        )
-
-    def client(self, client_id: int) -> SimClient:
-        return self.cohort([client_id])[0]
-
-    def cohort(self, client_ids: Sequence[int]) -> list[SimClient]:
-        """Bound clients for ``client_ids``; the ones not cached are made
-        from one :meth:`cohort_data` call."""
-        if self._latency_model is None:
-            raise RuntimeError("population is not bound; call bind() first")
-        return self._client_cache.get_many([int(cid) for cid in client_ids], self._bound)
-
-    def _bound(self, client_ids: list[int]) -> list[SimClient]:
-        return [
-            SimClient(
-                data, self._latency_model, batch_size=self._batch_size, seed=self._schedule_seed
-            )
-            for data in self.cohort_data(client_ids)
-        ]
-
-    def replica_store(self) -> VirtualReplicaStore:
-        if self._latency_model is None:
-            raise RuntimeError("population is not bound; call bind() first")
-        return VirtualReplicaStore(
-            self.bank,
-            self._num_clients,
-            self.seed,
-            self.size_range,
-            self.classes_per_client,
-            self.writer_shift,
-            self._batch_size,
-            self._schedule_seed,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Aggregate queries (vectorized; never materialize clients)
-    # ------------------------------------------------------------------ #
-    def sample_round_latency(
-        self, client_id: int, epochs: int, rng: np.random.Generator
-    ) -> float:
-        return self._latency_model.round_latency(
-            int(client_id), int(self.train_sizes()[client_id]), epochs, rng
-        )
-
-    def expected_latencies(self, epochs: int) -> np.ndarray:
-        delays = self._latency_model.delays
-        bands = np.asarray(delays.bands, dtype=np.float64)
-        lo = bands[delays.assignment, 0]
-        hi = bands[delays.assignment, 1]
-        compute = self._latency_model.compute
-        return compute.base + compute.per_sample * self.train_sizes() * epochs + (lo + hi) / 2.0
-
-    def profile_latencies(self, profiler, rng: np.random.Generator) -> np.ndarray:
-        return profiler.profile_sizes(self._latency_model, self.train_sizes(), rng)
-
-    def profile_latencies_subset(
-        self, profiler, client_ids, rng: np.random.Generator
-    ) -> np.ndarray:
-        ids = np.asarray(client_ids, dtype=np.int64)
-        return profiler.profile_sizes(
-            self._latency_model, self.train_sizes()[ids], rng, client_ids=ids
         )
 
     def build_evaluator(
@@ -473,7 +378,7 @@ class VirtualPopulation(Population):
         # Derived by blocks that bypass the data cache, so once the
         # evaluator has copied the test rows out, the shards are freed. Past
         # one block, each block's test rows are copied out before the next.
-        ids = self._ids(client_ids)
+        ids = _checked(client_ids, self._num_clients)
         shards = []
         for lo in range(0, len(ids), EVAL_BLOCK):
             block = self._derive(ids[lo : lo + EVAL_BLOCK])

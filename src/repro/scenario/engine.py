@@ -671,11 +671,12 @@ class ScenarioEngine:
             return None
         return int(self._late_ids[index]), float(self._late_times[index])
 
-    def founders(self) -> list[int]:
-        """Clients present at t=0 — the population a server can profile."""
+    def founders(self) -> np.ndarray:
+        """Ids (int64, ascending) of the clients present at t=0 — the
+        population a server can profile."""
         present = np.ones(self.num_clients, dtype=bool)
         present[self._late_ids] = False
-        return np.flatnonzero(present).tolist()
+        return np.flatnonzero(present)
 
     @property
     def has_arrivals(self) -> bool:

@@ -1,10 +1,13 @@
-"""Simulated FL client: local training + latency sampling.
+"""Simulated FL client: one client's data and its local training.
 
-Clients do not own model instances: the execution layer (``repro.exec``)
-passes in whichever worker model should run the round — the single shared
-instance under the serial executor, or a per-process replica under the
-parallel executor. Training is a pure function of ``(start weights, batch
-schedule cursor, epochs, λ)``, so both modes produce identical results.
+A client carries data only — its shard, batch size and fixed batch
+schedule. How long its round takes is the population's to answer
+(:meth:`~repro.population.base.Population.sample_round_latency`), so the
+same client object serves the system, the serial executor and every
+worker process. Clients do not own model instances either: the execution
+layer (``repro.exec``) passes in whichever worker model should run the
+round. Training is a pure function of ``(start weights, batch schedule
+cursor, epochs, λ)``, so every executor produces identical results.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Optimizer
 from repro.nn.plan import CohortMember
-from repro.sim.latency import ResponseLatencyModel
 
 __all__ = ["SimClient", "LocalTrainingResult"]
 
@@ -51,49 +53,23 @@ class SimClient:
     def __init__(
         self,
         data: ClientData,
-        latency_model: ResponseLatencyModel | None,
+        latency_model=None,
         *,
         batch_size: int = 10,
         seed: int = 0,
     ):
+        # ``latency_model`` is ignored: the ledger's cells still pass None
+        # in its place (ROADMAP item 17(c) drops it with them).
         self.data = data
         self.client_id = data.client_id
-        self.latency_model = latency_model
         self.batch_size = batch_size
-        self.seed = seed
         self.schedule = FixedBatchSchedule(
             data.num_train, batch_size, data.client_id, seed
         )
 
-    def replica(self) -> "SimClient":
-        """A latency-model-free copy safe to ship to worker processes.
-
-        Replicas share the immutable training data and rebuild a fresh batch
-        schedule; they train as cohort members (or :meth:`local_train` with
-        an explicit ``start_epoch`` + ``latency``) with everything supplied
-        by the executor, and never sample latencies.
-        """
-        return SimClient(self.data, None, batch_size=self.batch_size, seed=self.seed)
-
     @property
     def n_train(self) -> int:
         return self.data.num_train
-
-    def sample_latency(
-        self, epochs: int, rng: np.random.Generator, *, payload_bytes: int = 0
-    ) -> float:
-        """Draw this round's response latency."""
-        if self.latency_model is None:
-            raise RuntimeError(
-                f"client {self.client_id} is a worker replica without a "
-                "latency model; latencies are sampled in the main process"
-            )
-        return self.latency_model.round_latency(
-            self.client_id, self.n_train, epochs, rng, payload_bytes=payload_bytes
-        )
-
-    def expected_latency(self, epochs: int) -> float:
-        return self.latency_model.expected_latency(self.client_id, self.n_train, epochs)
 
     def member(
         self, epochs: int, lam: float = 0.0, start_epoch: int = 0, row: int = 0
@@ -115,8 +91,7 @@ class SimClient:
         loss: Loss,
         optimizer_factory: Callable[[], Optimizer],
         lam: float = 0.0,
-        latency: float | None = None,
-        rng: np.random.Generator | None = None,
+        latency: float,
         start_epoch: int | None = None,
     ) -> LocalTrainingResult:
         """Run E local epochs starting from ``global_flat``.
@@ -132,18 +107,17 @@ class SimClient:
         :class:`~repro.nn.plan.TrainingPlan` — the loop executors hand whole
         cohorts to, so one client trains exactly as it would among others.
 
+        ``latency`` is the round's response latency, drawn by whoever
+        launched it; it is returned as is.
+
         Returns the new flat weights; the worker model is left holding them
         (callers must not rely on worker state across clients).
         """
-        if latency is None and rng is None:
-            raise ValueError("provide either latency or rng")
         first = self.schedule.epochs_consumed if start_epoch is None else start_epoch
         ((weights, mean_loss),) = worker.training_plan(loss).run_cohort(
             global_flat, [self.member(epochs, lam, first)], optimizer_factory()
         )
         self.schedule.advance_to(first + epochs)
-        if latency is None:
-            latency = self.sample_latency(epochs, rng)
         return LocalTrainingResult(
             client_id=self.client_id,
             weights=weights,

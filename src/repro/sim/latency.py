@@ -6,6 +6,12 @@ five bands depending on which fifth of the population the client belongs
 to — ``0s, 0–5s, 6–10s, 11–15s, 20–30s``. Response latency additionally
 includes the local compute time (proportional to samples × epochs) and,
 optionally, bandwidth-limited transfer time for the model payload.
+
+This module is the one home of that formula: :class:`ResponseLatencyModel`
+draws one launch's latency (:meth:`~ResponseLatencyModel.round_latency`)
+and, over arrays of client ids and sample counts, a profile's draws and
+the expectations re-tiering starts from. Nothing else reads the bands, the
+part assignment or the compute constants.
 """
 
 from __future__ import annotations
@@ -89,6 +95,10 @@ class TierDelayModel:
     def num_clients(self) -> int:
         return int(self.assignment.size)
 
+    @property
+    def num_parts(self) -> int:
+        return len(self.bands)
+
     def part_of(self, client_id: int) -> int:
         return int(self.assignment[client_id])
 
@@ -99,9 +109,12 @@ class TierDelayModel:
             return lo
         return float(rng.uniform(lo, hi))
 
-    def expected_delay(self, client_id: int) -> float:
-        lo, hi = self.bands[self.part_of(client_id)]
-        return (lo + hi) / 2.0
+    def band_edges(self, client_ids=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` of every client's band, over ``client_ids`` (all
+        clients when None)."""
+        parts = self.assignment if client_ids is None else self.assignment[client_ids]
+        edges = np.asarray(self.bands, dtype=np.float64)[parts]
+        return edges[:, 0], edges[:, 1]
 
 
 @dataclass(frozen=True)
@@ -162,8 +175,30 @@ class ResponseLatencyModel:
         t += self.transfer_seconds(payload_bytes, bandwidth_scale=bandwidth_scale)
         return t
 
-    def expected_latency(self, client_id: int, n_samples: int, epochs: int) -> float:
-        """Expectation of :meth:`round_latency` — used by the profiler."""
-        return self.compute.duration(n_samples, epochs) + self.delays.expected_delay(
-            client_id
-        )
+    def sample_latencies(
+        self, client_ids, n_samples, epochs: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`round_latency` without payload for every client of
+        ``client_ids`` (all clients when None), ``n_samples`` aligned with
+        them or one count for all.
+
+        Bit-identical to the scalar calls in id order: a delay is drawn
+        only for a client whose band has width, and one element-wise
+        ``rng.uniform`` over arrays consumes the stream as the scalar draws
+        do.
+        """
+        lo, hi = self.delays.band_edges(client_ids)
+        delays = lo.copy()
+        wide = hi > lo
+        delays[wide] = rng.uniform(lo[wide], hi[wide])
+        return self._durations(n_samples, epochs) + delays
+
+    def expected_latencies(self, client_ids, n_samples, epochs: int) -> np.ndarray:
+        """Expectation of :meth:`sample_latencies` (no draws)."""
+        lo, hi = self.delays.band_edges(client_ids)
+        return self._durations(n_samples, epochs) + (lo + hi) / 2.0
+
+    def _durations(self, n_samples, epochs: int) -> np.ndarray:
+        """:meth:`ComputeModel.duration` over an array of sample counts."""
+        sizes = np.asarray(n_samples, dtype=np.int64)
+        return self.compute.base + self.compute.per_sample * sizes * epochs

@@ -1,16 +1,18 @@
 """Response-latency profiling.
 
-Profiles clients by running (or estimating) one training round and
-recording the response latency. Measurement noise and mis-profiling let
-tests exercise the paper's claim that FedAT tolerates clients assigned to
-the wrong tier (§2.1).
+Profiling probes each client with one training round and records its
+response latency. The draw itself is the latency model's
+(:meth:`~repro.sim.latency.ResponseLatencyModel.sample_latencies`, over the
+clients' training-set sizes); a population hands it over through
+:meth:`~repro.population.base.Population.profile_latencies`. Mis-profiling
+scrambles a fraction of the estimates, which lets tests exercise the
+paper's claim that FedAT tolerates clients assigned to the wrong tier
+(§2.1).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.sim.client import SimClient
 
 __all__ = ["LatencyProfiler"]
 
@@ -18,42 +20,11 @@ __all__ = ["LatencyProfiler"]
 class LatencyProfiler:
     """Estimates per-client response latencies for tier assignment."""
 
-    def __init__(
-        self,
-        *,
-        epochs: int = 1,
-        probe_rounds: int = 1,
-        noise_std: float = 0.0,
-        misprofile_fraction: float = 0.0,
-    ):
-        if probe_rounds < 1:
-            raise ValueError("probe_rounds must be >= 1")
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+    def __init__(self, *, epochs: int = 1, misprofile_fraction: float = 0.0):
         if not 0.0 <= misprofile_fraction <= 1.0:
             raise ValueError("misprofile_fraction must be in [0, 1]")
         self.epochs = epochs
-        self.probe_rounds = probe_rounds
-        self.noise_std = noise_std
         self.misprofile_fraction = misprofile_fraction
-
-    def profile(
-        self, clients: list[SimClient], rng: np.random.Generator
-    ) -> np.ndarray:
-        """Return estimated response latency per client.
-
-        With ``probe_rounds`` probes the estimate is the mean of sampled
-        round latencies (which is what a real deployment can observe);
-        optional Gaussian noise and random scrambling of a fraction of
-        estimates model profiling error.
-        """
-        lat = np.empty(len(clients))
-        for i, c in enumerate(clients):
-            probes = [
-                c.sample_latency(self.epochs, rng) for _ in range(self.probe_rounds)
-            ]
-            lat[i] = float(np.mean(probes))
-        return self._corrupt(lat, rng)
 
     def profile_sizes(
         self,
@@ -63,47 +34,14 @@ class LatencyProfiler:
         *,
         client_ids: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vectorized :meth:`profile` over train-set sizes (no client objects).
+        """One probed round latency per client, ``train_sizes`` aligned with
+        ``client_ids`` (the whole population when None), then mis-profiled.
 
-        Bit-identical to profiling the equivalent materialized clients one by
-        one: a probe is ``compute.duration + sampled delay``, delay draws
-        happen client-major/probe-minor and only for clients whose band has
-        width (exactly the draws :meth:`profile` makes — element-wise
-        ``rng.uniform`` over arrays consumes the stream in the same order as
-        the scalar calls), and the probe mean reduces each row the same way
-        ``np.mean`` reduces a probe list.
-
-        ``client_ids`` profiles a *subset*: ``train_sizes`` then aligns with
-        those ids (not the full population) and each id selects its own
-        delay band. Sampled tier profiling (``profile_sample``) probes this
-        way so startup stays sublinear in the population size.
+        ``client_ids`` profiles a *subset*, each id in its own delay band:
+        sampled tier profiling (``profile_sample``) probes this way so
+        startup stays sublinear in the population size.
         """
-        sizes = np.asarray(train_sizes, dtype=np.int64)
-        compute = latency_model.compute
-        duration = compute.base + compute.per_sample * sizes * self.epochs
-        bands = np.asarray(latency_model.delays.bands, dtype=float)
-        assignment = latency_model.delays.assignment
-        if client_ids is not None:
-            ids = np.asarray(client_ids, dtype=np.int64)
-            if ids.shape != sizes.shape:
-                raise ValueError("client_ids must align with train_sizes")
-            assignment = np.asarray(assignment)[ids]
-        lo = bands[assignment, 0]
-        hi = bands[assignment, 1]
-        p = self.probe_rounds
-        delays = np.repeat(lo, p).reshape(sizes.size, p)
-        mask = hi > lo
-        m = int(np.count_nonzero(mask))
-        if m:
-            draws = rng.uniform(np.repeat(lo[mask], p), np.repeat(hi[mask], p))
-            delays[mask] = draws.reshape(m, p)
-        lat = (duration[:, None] + delays).mean(axis=1)
-        return self._corrupt(lat, rng)
-
-    def _corrupt(self, lat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Measurement noise + mis-profiling, shared by both profile paths."""
-        if self.noise_std > 0:
-            lat = np.maximum(lat + rng.normal(0, self.noise_std, lat.size), 0.0)
+        lat = latency_model.sample_latencies(client_ids, train_sizes, self.epochs, rng)
         if self.misprofile_fraction > 0:
             n_bad = int(round(self.misprofile_fraction * lat.size))
             if n_bad:

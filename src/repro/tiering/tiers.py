@@ -140,28 +140,3 @@ class Tiering:
 
     def sizes(self) -> list[int]:
         return [int(t.size) for t in self._members]
-
-    def mistier(self, fraction: float, rng: np.random.Generator) -> "Tiering":
-        """Return a copy with a fraction of clients moved to random tiers.
-
-        Models profiling error / latency drift; used by the mis-tiering
-        ablation bench to test the paper's robustness claim.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        assignment = {int(c): m for m, t in enumerate(self.tiers) for c in t}
-        ids = np.array(sorted(assignment))
-        n_move = int(round(fraction * ids.size))
-        if n_move:
-            movers = rng.choice(ids, size=n_move, replace=False)
-            for c in movers:
-                assignment[int(c)] = int(rng.integers(0, self.num_tiers))
-        new_tiers: list[list[int]] = [[] for _ in range(self.num_tiers)]
-        for c, m in assignment.items():
-            new_tiers[m].append(c)
-        # Guard: keep every tier non-empty by pulling from the largest tier.
-        for m in range(self.num_tiers):
-            if not new_tiers[m]:
-                donor = max(range(self.num_tiers), key=lambda j: len(new_tiers[j]))
-                new_tiers[m].append(new_tiers[donor].pop())
-        return Tiering([np.sort(np.array(t)) for t in new_tiers])

@@ -171,10 +171,9 @@ class TestTiFL:
             pytest.skip("selection never hit both extreme tiers")
         # Reconstruct per-round durations from evaluation timestamps is
         # lossy; instead verify via expected latencies of tier members.
-        lat0 = np.mean([system.clients[c].expected_latency(1)
-                        for c in system.tiering.clients_in(0)])
-        lat2 = np.mean([system.clients[c].expected_latency(1)
-                        for c in system.tiering.clients_in(2)])
+        expected = system.population.expected_latencies(1)
+        lat0 = np.mean(expected[system.tiering.clients_in(0)])
+        lat2 = np.mean(expected[system.tiering.clients_in(2)])
         assert lat0 < lat2
 
     def test_learns(self, tiny_bow_dataset):

@@ -1,7 +1,7 @@
 """FLConfig, method Params and ExecConfig validation tests."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -25,7 +25,7 @@ def test_defaults_are_paper_hyperparameters():
 
 
 def test_with_replaces_fields():
-    cfg = FLConfig().with_(max_rounds=7, algo=FedAT.Params(lam=0.0))
+    cfg = replace(FLConfig(), max_rounds=7, algo=FedAT.Params(lam=0.0))
     assert cfg.algo.lam == 0.0 and cfg.max_rounds == 7
     assert FLConfig().algo is None  # original untouched
 

@@ -753,7 +753,7 @@ def test_init_payload_survives_pickle(tiny_bow_dataset):
     try:
         payload = {
             "model": dist._local.model.clone(),
-            "clients": {0: _clients(tiny_bow_dataset)[0].replica()},
+            "clients": _clients(tiny_bow_dataset),
             "loss": SoftmaxCrossEntropy(),
             "optimizer": OptimizerSpec("sgd", 0.1),
             "faults": FaultPlan(parse_faults("drop:0.5"), seed=1),

@@ -284,13 +284,6 @@ def test_a_stack_of_start_rows_is_bit_identical_to_serial(tiny_bow_dataset, back
 
 
 class TestReplicas:
-    def test_client_replica_cannot_sample_latency(self, tiny_bow_dataset):
-        client = SimClient(tiny_bow_dataset.clients[0], None, batch_size=10, seed=0)
-        rep = client.replica()
-        assert rep.latency_model is None
-        with pytest.raises(RuntimeError, match="worker replica"):
-            rep.sample_latency(1, np.random.default_rng(0))
-
     def test_model_clone_is_independent(self, tiny_bow_dataset):
         model = _model(tiny_bow_dataset)
         clone = model.clone()

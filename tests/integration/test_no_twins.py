@@ -18,8 +18,10 @@ and keys the cache entry, the checkpoint and the sweep cell), one source of
 a client round's state, its start row and task (batch-norm statistics are
 weights and dropout draws from the round's own generator, so neither a
 cohort-order replay nor a replica-safety flag with its serial fallback
-survives), and one way weights cross the simulated wire (``Codec.transmit``
-of a whole stack; the string path is the wire format, not the run loop's).
+survives), one way weights cross the simulated wire (``Codec.transmit``
+of a whole stack; the string path is the wire format, not the run loop's),
+and one home of the latency formula (``sim/latency.py``, asked through the
+population; clients carry data only).
 The names below selected or served the other side of each pair before they
 were deleted; a later change must not quietly bring one back.
 """
@@ -88,6 +90,13 @@ REMOVED = re.compile(
     r"|HeldBackPool|hold_back|arrival_pool|SupervisedExecutor|LeaseTable"
     # Who has dropped out is asked of an id array: no list twin beside it.
     r"|alive_clients\b"
+    # Every latency question is the population's, asked once over its train
+    # sizes: clients carry data only (no replica of them, no store of
+    # replicas), a subset profiles through profile_latencies, and the
+    # profiler keeps no option nothing set. No tier shuffle beside the
+    # mis-profiling model, and no wrapper over dataclasses.replace.
+    r"|VirtualReplicaStore|replica_store|def replica\b|profile_latencies_subset"
+    r"|probe_rounds|noise_std|def mistier\b|def with_\b"
 )
 
 
@@ -176,6 +185,52 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("bench_claims.py")
     assert REMOVED.search("    def alive_clients(self, client_ids, now: float) -> list[int]:")
     assert not REMOVED.search("        out = self.failures.alive_array(client_ids, t)")
+    assert REMOVED.search("class VirtualReplicaStore:")
+    assert not REMOVED.search("class _BoundClients:")
+    assert REMOVED.search("    def replica_store(self) -> VirtualReplicaStore:")
+    assert not REMOVED.search("        self._data_cache = _LRU(cache_size)")
+    assert REMOVED.search('    def replica(self) -> "SimClient":')
+    assert not REMOVED.search("    def replicas_alive(self) -> int:")
+    assert REMOVED.search(
+        "        sampled = self.population.profile_latencies_subset(profiler, ids, rng)"
+    )
+    assert not REMOVED.search(
+        "        sampled = self.population.profile_latencies(profiler, rng, client_ids=ids)"
+    )
+    assert REMOVED.search("        probe_rounds: int = 1,")
+    assert not REMOVED.search("        self.epochs = epochs")
+    assert REMOVED.search("        noise_std: float = 0.0,")
+    assert not REMOVED.search("        misprofile_fraction: float = 0.0,")
+    assert REMOVED.search('    def mistier(self, fraction: float, rng) -> "Tiering":')
+    assert not REMOVED.search("    def tier_of(self, client_id: int) -> int:")
+    assert REMOVED.search('    def with_(self, **kwargs) -> "FLConfig":')
+    assert not REMOVED.search("    def with_defaults(self) -> dict:")
+
+
+#: A delay model's bands and part assignment, a compute model's constants.
+LATENCY_FIELDS = re.compile(r"\.(?:bands|assignment|per_sample)\b|\bcompute\.base\b")
+
+
+def test_one_home_of_the_latency_formula():
+    """Only ``sim/latency.py`` reads the parts of a latency model: every
+    draw, expectation and profile is its formula, asked through the
+    population, so no second vectorised copy of it lives beside it."""
+    hits = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() != "repro/sim/latency.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if LATENCY_FIELDS.search(line)
+    ]
+    assert not hits, "a latency model is read outside sim/latency.py:\n" + "\n".join(hits)
+    assert LATENCY_FIELDS.search(
+        "        bands = np.asarray(latency_model.delays.bands, dtype=float)"
+    )
+    assert LATENCY_FIELDS.search("        lo = bands[delays.assignment, 0]")
+    assert LATENCY_FIELDS.search("        duration = compute.base + compute.per_sample * sizes")
+    assert not LATENCY_FIELDS.search("        part = self.delay_model.part_of(client_id)")
+    assert not LATENCY_FIELDS.search("        assignment = np.searchsorted(boundaries, expected)")
+    assert not LATENCY_FIELDS.search("            assert res.weights.base is None")
 
 
 def test_one_lease_state_machine():

@@ -2,6 +2,8 @@
 is the bytes a per-client derivation gives it, and each cohort costs one
 derivation of the clients not cached."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,19 +134,20 @@ def test_one_client_is_the_one_member_cohort(derivations):
     pop = _bound_population()
     client = pop.clients[4]
     assert derivations == [[4]]
-    assert pop.clients[[4]] == [client] and pop.client_data(4) is client.data
+    assert pop.clients[[4]] == [client]
     assert len(derivations) == 1
+    assert_same_bytes(pop.client_data(4), client.data)
 
 
-def test_the_replica_store_derives_cohorts_too(derivations):
-    pop = _bound_population()
-    store = pop.clients.replicas()
-    replicas = store[[2, 8, 2]]
+def test_a_pickled_store_derives_cohorts_too(derivations):
+    """What a dist worker receives: the store with an empty cache, which
+    derives the cohorts it trains in one pass each."""
+    store = pickle.loads(pickle.dumps(_bound_population().clients))
+    clients = store[[2, 8, 2]]
     assert derivations == [[2, 8]]
-    assert replicas[0] is replicas[2] and store[8] is replicas[1]
-    for replica in replicas:
-        assert replica.latency_model is None
-        assert_same_bytes(replica.data, pop.client_data(replica.client_id))
+    assert clients[0] is clients[2] and store[8] is clients[1]
+    for client in clients:
+        assert_same_bytes(client.data, _bound_population().client_data(client.client_id))
 
 
 def test_the_serial_executor_derives_each_cohort_once(derivations):

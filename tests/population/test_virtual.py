@@ -1,5 +1,5 @@
 """VirtualPopulation correctness: order-independence, aggregate math,
-materialize equivalence, pickling, and profiling bit-identity."""
+materialize equivalence, pickling, and latency bit-identity."""
 
 import pickle
 
@@ -110,49 +110,77 @@ class TestMaterializeEquivalence:
         for c in range(pop.num_clients):
             _assert_same_client(dataset.clients[c], fresh.client_data(c))
 
-    def test_profile_sizes_matches_client_profiling(self):
-        """Vectorized size-based profiling is bitwise equal to probing the
-        equivalent materialized clients — including noise + misprofiling."""
+    def test_profiles_match_the_materialized_population(self):
+        """A virtual and a materialized population over the same shards
+        profile bitwise alike — misprofiling included — and both are one
+        ``round_latency`` probe per client."""
         pop = _population(num_clients=30)
         model = _latency_model(30)
-        bound = MaterializedPopulation(pop.materialize()).bind(
-            model, batch_size=5, seed=0
-        )
-        profiler = LatencyProfiler(
-            epochs=2, probe_rounds=3, noise_std=0.2, misprofile_fraction=0.2
-        )
-        eager = profiler.profile(list(bound), np.random.default_rng(42))
-        lazy = profiler.profile_sizes(
-            model, pop.train_sizes(), np.random.default_rng(42)
-        )
+        pop.bind(model, batch_size=5, seed=0)
+        eager_pop = MaterializedPopulation(pop.materialize())
+        eager_pop.bind(model, batch_size=5, seed=0)
+        profiler = LatencyProfiler(epochs=2, misprofile_fraction=0.2)
+        eager = eager_pop.profile_latencies(profiler, np.random.default_rng(42))
+        lazy = pop.profile_latencies(profiler, np.random.default_rng(42))
         np.testing.assert_array_equal(eager, lazy)
+        clean = pop.profile_latencies(LatencyProfiler(epochs=2), np.random.default_rng(42))
+        np.testing.assert_array_equal(
+            clean, _round_latency_loop(pop, range(30), 2, np.random.default_rng(42))
+        )
 
-    def test_sample_round_latency_matches_simclient(self):
+    def test_sample_round_latency_is_round_latency(self):
         pop = _population()
         model = _latency_model(pop.num_clients)
-        clients = pop.bind(model, batch_size=5, seed=0)
+        pop.bind(model, batch_size=5, seed=0)
         for c in (0, 7, 19):
             a = pop.sample_round_latency(c, 2, np.random.default_rng(c))
-            b = clients[c].sample_latency(2, np.random.default_rng(c))
+            (b,) = _round_latency_loop(pop, [c], 2, np.random.default_rng(c))
             assert a == b
 
+    def test_expected_latencies_match_the_materialized_population(self):
+        pop = _population()
+        model = _latency_model(pop.num_clients)
+        pop.bind(model, batch_size=5, seed=0)
+        eager_pop = MaterializedPopulation(pop.materialize())
+        eager_pop.bind(model, batch_size=5, seed=0)
+        np.testing.assert_array_equal(pop.expected_latencies(3), eager_pop.expected_latencies(3))
 
-class TestReplicaStore:
+
+def _round_latency_loop(population, client_ids, epochs, rng):
+    """The reference: one scalar ``round_latency`` per client, from its own
+    shard's training-set size."""
+    model = population.latency_model
+    return np.array(
+        [
+            model.round_latency(c, population.client_data(c).num_train, epochs, rng)
+            for c in client_ids
+        ]
+    )
+
+
+class TestBoundStore:
     def test_pickle_roundtrip_derives_identical_clients(self):
         pop = _population()
-        pop.bind(_latency_model(pop.num_clients), batch_size=5, seed=0)
-        store = pop.replica_store()
+        store = pop.bind(_latency_model(pop.num_clients), batch_size=5, seed=0)
+        store[[0, 5]]
         clone = pickle.loads(pickle.dumps(store))
+        assert len(clone._cache) == 0 and clone._sizes is None  # arrives empty
         for c in (0, 5, 19):
             _assert_same_client(store[c].data, clone[c].data)
-            assert clone[c].latency_model is None
             assert clone[c].batch_size == store[c].batch_size
+        assert len(clone) == pop.num_clients
 
-    def test_clients_view_exposes_replicas_hook(self):
+    def test_clients_carry_data_only(self):
         pop = _population()
-        clients = pop.bind(_latency_model(pop.num_clients), batch_size=5, seed=0)
-        assert hasattr(clients, "replicas")
-        assert len(clients.replicas()) == pop.num_clients
+        store = pop.bind(_latency_model(pop.num_clients), batch_size=5, seed=0)
+        assert not any("latency" in name for name in vars(store[3]))
+        assert "_population" not in vars(store)  # self-contained
+
+    def test_out_of_range_ids_are_refused(self):
+        pop = _population()
+        store = pop.bind(_latency_model(pop.num_clients), batch_size=5, seed=0)
+        with pytest.raises(IndexError, match="not in population"):
+            store[[1, pop.num_clients]]
 
 
 class TestGuards:

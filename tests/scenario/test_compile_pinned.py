@@ -100,7 +100,7 @@ def queries_digest(eng: ScenarioEngine, n: int, horizon: float, seed: int) -> st
         answers.append(eng.next_join_after(ids, t))
         answers.append(eng.next_join_after(range(n), t))
     answers.append([list(pair) for pair in eng.late_arrivals()])
-    answers.append(eng.founders())
+    answers.append(eng.founders().tolist())
     answers.append([eng.has_arrivals, eng.has_bandwidth_events, eng.is_static])
     return hashlib.sha256(_canon(answers).encode()).hexdigest()[:16]
 

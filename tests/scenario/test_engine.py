@@ -234,7 +234,8 @@ def test_arrive_gates_availability():
     assert eng.is_available(2, 25.0)  # transition applies at its time
     assert eng.arrival_time(2) == 25.0
     assert eng.arrival_time(0) == 0.0
-    assert eng.founders() == [0, 1, 3]
+    assert eng.founders().tolist() == [0, 1, 3]
+    assert eng.founders().dtype == np.int64
     assert eng.late_arrivals() == [(2, 25.0)]
     # A round must start after arrival to complete.
     assert not eng.available_throughout(2, 20.0, 30.0)

@@ -245,7 +245,8 @@ def test_available_mask_equals_scalar_on_compiled_worlds(
     times = [f * horizon for f in fractions_of_horizon] + event_times
     _assert_mask_matches_scalar(eng, np.arange(n, dtype=np.int64), times)
     assert eng.has_arrivals == bool(eng.late_arrivals())
-    assert sorted(eng.founders() + [cid for cid, _ in eng.late_arrivals()]) == list(range(n))
+    late = [cid for cid, _ in eng.late_arrivals()]
+    assert sorted(eng.founders().tolist() + late) == list(range(n))
 
 
 # --------------------------------------------------------------------- #

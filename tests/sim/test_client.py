@@ -8,22 +8,14 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
 from repro.nn.zoo import build_mlp
 from repro.sim.client import SimClient
-from repro.sim.latency import ComputeModel, ResponseLatencyModel, TierDelayModel
 
 
 @pytest.fixture
-def latency_model(rng):
-    return ResponseLatencyModel(
-        TierDelayModel.even_split(4, rng, shuffle=False), ComputeModel(0.01, 0.1)
-    )
-
-
-@pytest.fixture
-def client(rng, latency_model):
+def client(rng):
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 3, size=40)
     data = train_test_split_client(x, y, 0, rng)
-    return SimClient(data, latency_model, batch_size=8, seed=0)
+    return SimClient(data, batch_size=8, seed=0)
 
 
 def _worker():
@@ -71,19 +63,10 @@ def test_proximal_constrains_update(client):
     assert d_tied < d_free
 
 
-def test_latency_from_rng_when_not_given(client, rng):
+def test_requires_latency(client):
+    """A client draws no latency of its own: its launcher passes one."""
     worker = _worker()
-    res = client.local_train(
-        worker, worker.get_flat_weights(), epochs=1,
-        loss=SoftmaxCrossEntropy(), optimizer_factory=lambda: Adam(0.01),
-        rng=rng,
-    )
-    assert res.latency > 0
-
-
-def test_requires_latency_or_rng(client):
-    worker = _worker()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="latency"):
         client.local_train(
             worker, worker.get_flat_weights(), epochs=1,
             loss=SoftmaxCrossEntropy(), optimizer_factory=lambda: Adam(0.01),

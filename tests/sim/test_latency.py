@@ -34,10 +34,13 @@ class TestTierDelayModel:
             d = m.sample_delay(49, rng)
             assert 20.0 <= d <= 30.0
 
-    def test_expected_delay(self, rng):
+    def test_band_edges(self, rng):
         m = TierDelayModel.even_split(50, rng, shuffle=False)
-        assert m.expected_delay(0) == 0.0
-        assert m.expected_delay(49) == 25.0
+        lo, hi = m.band_edges([0, 49])
+        np.testing.assert_array_equal(lo, [0.0, 20.0])
+        np.testing.assert_array_equal(hi, [0.0, 30.0])
+        assert m.band_edges()[0].shape == (50,)
+        assert m.num_parts == 5
 
     def test_invalid_band_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -84,9 +87,9 @@ class TestResponseLatencyModel:
         with_payload = m.round_latency(0, 10, 1, rng, payload_bytes=2000)
         assert with_payload == pytest.approx(base + 2.0)
 
-    def test_expected_latency_matches_mean(self, rng):
+    def test_expected_latencies_match_mean(self, rng):
         m = self._model(rng)
-        exp = m.expected_latency(9, 20, 3)
+        (exp,) = m.expected_latencies([9], 20, 3)
         draws = [m.round_latency(9, 20, 3, rng) for _ in range(3000)]
         assert abs(np.mean(draws) - exp) < 0.3
 
@@ -94,5 +97,59 @@ class TestResponseLatencyModel:
         """Expected latency is monotonically non-decreasing in part index —
         the structural fact tiering relies on."""
         m = self._model(rng)
-        lats = [m.expected_latency(c, 20, 3) for c in range(10)]
-        assert lats == sorted(lats)
+        lats = m.expected_latencies(None, np.full(10, 20), 3)
+        assert lats.tolist() == sorted(lats)
+
+
+def _round_latency_loop(model, client_ids, sizes, epochs, rng):
+    """The reference: one scalar ``round_latency`` per client, in order."""
+    return np.array(
+        [model.round_latency(c, int(n), epochs, rng) for c, n in zip(client_ids, sizes)]
+    )
+
+
+class TestVectorisedLatencies:
+    """``sample_latencies`` / ``expected_latencies`` against a per-client
+    ``round_latency`` loop: the same draws from the same stream."""
+
+    def _model(self):
+        delays = TierDelayModel.even_split(
+            12, np.random.default_rng(0), bands=((0.0, 0.0), (1.0, 3.0), (5.0, 9.0))
+        )
+        return ResponseLatencyModel(delays, ComputeModel(per_sample=0.01, base=0.1))
+
+    def test_draws_are_the_scalar_draws(self):
+        m = self._model()
+        sizes = np.random.default_rng(1).integers(5, 40, size=12)
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        got = m.sample_latencies(None, sizes, 2, rng_a)
+        np.testing.assert_array_equal(got, _round_latency_loop(m, range(12), sizes, 2, rng_b))
+        assert rng_a.random() == rng_b.random()  # both streams at the same place
+
+    def test_a_subset_draws_in_its_own_bands(self):
+        m = self._model()
+        ids = np.array([11, 0, 5, 6])
+        sizes = np.array([9, 30, 12, 7])
+        got = m.sample_latencies(ids, sizes, 1, np.random.default_rng(3))
+        want = _round_latency_loop(m, ids, sizes, 1, np.random.default_rng(3))
+        np.testing.assert_array_equal(got, want)
+
+    def test_one_count_for_all(self):
+        m = self._model()
+        got = m.sample_latencies(np.arange(12), 0, 0, np.random.default_rng(4))
+        want = _round_latency_loop(m, range(12), [0] * 12, 0, np.random.default_rng(4))
+        np.testing.assert_array_equal(got, want)
+
+    def test_expectation_is_compute_plus_band_midpoint(self):
+        m = self._model()
+        sizes = np.arange(12) + 3
+        got = m.expected_latencies(None, sizes, 2)
+        for c in range(12):
+            lo, hi = m.delays.bands[m.delays.part_of(c)]
+            assert got[c] == m.compute.duration(int(sizes[c]), 2) + (lo + hi) / 2.0
+
+    def test_misaligned_counts_are_refused(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            self._model().sample_latencies(
+                np.array([0, 1]), np.array([10, 20, 30]), 1, np.random.default_rng(0)
+            )

@@ -62,8 +62,8 @@ class TestSampledTiering:
         s = _system(tiny_bow_dataset, profile_sample=6, num_tiers=3)
         monkeypatch.setattr(
             type(s.population),
-            "profile_latencies_subset",
-            lambda self, profiler, ids, rng: np.full(len(ids), 7.0),
+            "profile_latencies",
+            lambda self, profiler, rng, client_ids=None: np.full(len(client_ids), 7.0),
         )
         tiering = s.build_tiering()
         assert all(t.size > 0 for t in tiering.tiers)
@@ -94,69 +94,69 @@ class TestSampledTiering:
         np.testing.assert_array_equal(s.profiled_latencies, expected)
 
 
-class TestSubsetProfiling:
-    def test_materialized_subset_matches_full_profile_slice_when_noiseless(
-        self, tiny_bow_dataset
-    ):
-        """With no noise/misprofiling each probe depends only on its own
-        client's draws, so probing a subset in id order must equal the
-        corresponding draws of a fresh stream over the same clients."""
-        pop = MaterializedPopulation(tiny_bow_dataset)
-        from repro.sim.latency import ComputeModel, ResponseLatencyModel, TierDelayModel
+def _latency_model(n):
+    from repro.sim.latency import ComputeModel, ResponseLatencyModel, TierDelayModel
 
-        n = pop.num_clients
-        delays = TierDelayModel.even_split(
-            n, np.random.default_rng(0),
-            bands=((0.0, 0.0), (1.0, 3.0), (5.0, 9.0)),
-        )
-        model = ResponseLatencyModel(delays, ComputeModel(per_sample=0.01, base=0.1))
-        pop.bind(model, batch_size=5, seed=0)
-        profiler = LatencyProfiler(epochs=2, probe_rounds=2)
-        ids = np.array([1, 4, 9])
-        subset = pop.profile_latencies_subset(profiler, ids, np.random.default_rng(3))
-        direct = profiler.profile(
-            [pop.client(int(i)) for i in ids], np.random.default_rng(3)
-        )
+    delays = TierDelayModel.even_split(
+        n, np.random.default_rng(0), bands=((0.0, 0.0), (1.0, 3.0), (5.0, 9.0))
+    )
+    return ResponseLatencyModel(delays, ComputeModel(per_sample=0.01, base=0.1))
+
+
+def _round_latency_loop(population, client_ids, epochs, rng):
+    """The reference: one scalar ``round_latency`` probe per client, from
+    its own shard's training-set size."""
+    model = population.latency_model
+    return np.array(
+        [
+            model.round_latency(int(c), population.client_data(int(c)).num_train, epochs, rng)
+            for c in client_ids
+        ]
+    )
+
+
+class TestSubsetProfiling:
+    def test_materialized_subset_is_a_probe_per_named_client(self, tiny_bow_dataset):
+        """Probing a subset draws one round latency per named client, in
+        the order named, from the one stream."""
+        pop = MaterializedPopulation(tiny_bow_dataset)
+        pop.bind(_latency_model(pop.num_clients), batch_size=5, seed=0)
+        profiler = LatencyProfiler(epochs=2)
+        ids = np.array([9, 1, 4])
+        subset = pop.profile_latencies(profiler, np.random.default_rng(3), client_ids=ids)
+        direct = _round_latency_loop(pop, ids, 2, np.random.default_rng(3))
         np.testing.assert_array_equal(subset, direct)
 
-    def test_profile_sizes_subset_selects_matching_bands(self):
+    def test_virtual_subset_selects_matching_bands(self):
         """``client_ids`` must index each subset client's *own* delay band —
-        the same result as materializing just those clients."""
+        the same result as the materialized population and the loop."""
         from repro.data.datasets import make_sample_bank
         from repro.population.virtual import VirtualPopulation
-        from repro.sim.latency import ComputeModel, ResponseLatencyModel, TierDelayModel
 
         bank = make_sample_bank(
             "sentiment140", np.random.default_rng(7), num_samples=128
         )
         pop = VirtualPopulation(bank, 24, seed=11, samples_per_client=(8, 20))
-        delays = TierDelayModel.even_split(
-            24, np.random.default_rng(0),
-            bands=((0.0, 0.0), (1.0, 3.0), (5.0, 9.0)),
-        )
-        model = ResponseLatencyModel(delays, ComputeModel(per_sample=0.01, base=0.1))
+        model = _latency_model(24)
         pop.bind(model, batch_size=5, seed=0)
-        profiler = LatencyProfiler(epochs=1, probe_rounds=2)
+        profiler = LatencyProfiler(epochs=1)
         ids = np.array([0, 5, 13, 23])
-        lazy = pop.profile_latencies_subset(profiler, ids, np.random.default_rng(5))
+        lazy = pop.profile_latencies(profiler, np.random.default_rng(5), client_ids=ids)
         eager_pop = MaterializedPopulation(pop.materialize())
         eager_pop.bind(model, batch_size=5, seed=0)
-        eager = profiler.profile(
-            [eager_pop.client(int(i)) for i in ids], np.random.default_rng(5)
+        eager = eager_pop.profile_latencies(
+            profiler, np.random.default_rng(5), client_ids=ids
         )
         np.testing.assert_array_equal(lazy, eager)
+        np.testing.assert_array_equal(
+            lazy, _round_latency_loop(pop, ids, 1, np.random.default_rng(5))
+        )
 
     def test_profile_sizes_rejects_misaligned_ids(self):
-        from repro.sim.latency import ComputeModel, ResponseLatencyModel, TierDelayModel
-
-        delays = TierDelayModel.even_split(
-            10, np.random.default_rng(0), bands=((0.0, 0.0), (1.0, 2.0))
-        )
-        model = ResponseLatencyModel(delays, ComputeModel(per_sample=0.01, base=0.1))
         profiler = LatencyProfiler()
-        with pytest.raises(ValueError, match="align"):
+        with pytest.raises(ValueError, match="broadcast"):
             profiler.profile_sizes(
-                model,
+                _latency_model(10),
                 np.array([10, 20, 30]),
                 np.random.default_rng(0),
                 client_ids=np.array([0, 1]),

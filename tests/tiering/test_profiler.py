@@ -3,70 +3,69 @@
 import numpy as np
 import pytest
 
-from repro.data.federated import train_test_split_client
-from repro.sim.client import SimClient
 from repro.sim.latency import ComputeModel, ResponseLatencyModel, TierDelayModel
 from repro.tiering.profiler import LatencyProfiler
 from repro.tiering.tiers import Tiering
 
 
-def _clients(n, rng):
+def _world(n, rng):
+    """A latency model over ``n`` clients in the paper's five unshuffled
+    parts, and their training-set sizes."""
     delays = TierDelayModel.even_split(n, rng, shuffle=False)
-    model = ResponseLatencyModel(delays, ComputeModel(0.005, 0.1))
-    out = []
-    for i in range(n):
-        x = rng.normal(size=(20, 4))
-        y = rng.integers(0, 2, size=20)
-        out.append(SimClient(train_test_split_client(x, y, i, rng), model))
-    return out
+    return ResponseLatencyModel(delays, ComputeModel(0.005, 0.1)), rng.integers(12, 20, size=n)
+
+
+def _round_latency_loop(model, client_ids, sizes, epochs, rng):
+    """The reference: one scalar ``round_latency`` probe per client."""
+    return np.array(
+        [model.round_latency(int(c), int(n), epochs, rng) for c, n in zip(client_ids, sizes)]
+    )
+
+
+def test_profile_is_one_round_latency_per_client(rng):
+    model, sizes = _world(25, rng)
+    lat = LatencyProfiler(epochs=2).profile_sizes(model, sizes, np.random.default_rng(4))
+    want = _round_latency_loop(model, range(25), sizes, 2, np.random.default_rng(4))
+    np.testing.assert_array_equal(lat, want)
+
+
+def test_a_subset_is_probed_in_its_own_bands(rng):
+    model, sizes = _world(25, rng)
+    ids = np.array([3, 24, 11, 17])
+    lat = LatencyProfiler().profile_sizes(
+        model, sizes[ids], np.random.default_rng(5), client_ids=ids
+    )
+    want = _round_latency_loop(model, ids, sizes[ids], 1, np.random.default_rng(5))
+    np.testing.assert_array_equal(lat, want)
 
 
 def test_profile_orders_parts(rng):
-    clients = _clients(25, rng)
-    lat = LatencyProfiler(probe_rounds=5).profile(clients, rng)
+    model, sizes = _world(25, rng)
+    lat = LatencyProfiler().profile_sizes(model, sizes, rng)
     # Part 0 (clients 0-4, zero delay) must be clearly faster than part 4.
     assert lat[:5].mean() < lat[-5:].mean() - 10
 
 
 def test_profile_recovers_paper_tiers(rng):
     """Tiering from profiled latencies should reconstruct the delay parts."""
-    clients = _clients(25, rng)
-    lat = LatencyProfiler(probe_rounds=7).profile(clients, rng)
+    model, sizes = _world(25, rng)
+    lat = LatencyProfiler().profile_sizes(model, sizes, rng)
     tiers = Tiering.from_latencies(lat, 5)
-    # Fastest tier ⊆ part 0..1, slowest tier ⊆ part 3..4 (probing noise
-    # can blur adjacent bands but never fast↔slow).
+    # Fastest tier ⊆ part 0..1, slowest tier ⊆ part 3..4 (a probe can blur
+    # the two bands that touch zero, but never fast↔slow).
     assert set(tiers.clients_in(0)) <= set(range(10))
     assert set(tiers.clients_in(4)) <= set(range(15, 25))
 
 
-def test_more_probes_reduce_variance(rng):
-    clients = _clients(10, rng)
-    few = [LatencyProfiler(probe_rounds=1).profile(clients, np.random.default_rng(s))[7]
-           for s in range(30)]
-    many = [LatencyProfiler(probe_rounds=20).profile(clients, np.random.default_rng(s))[7]
-            for s in range(30)]
-    assert np.var(many) < np.var(few)
-
-
 def test_misprofile_scrambles_some(rng):
-    clients = _clients(20, rng)
-    clean = LatencyProfiler(probe_rounds=3).profile(clients, np.random.default_rng(0))
-    noisy = LatencyProfiler(probe_rounds=3, misprofile_fraction=0.5).profile(
-        clients, np.random.default_rng(0)
+    model, sizes = _world(20, rng)
+    clean = LatencyProfiler().profile_sizes(model, sizes, np.random.default_rng(0))
+    noisy = LatencyProfiler(misprofile_fraction=0.5).profile_sizes(
+        model, sizes, np.random.default_rng(0)
     )
     assert not np.allclose(np.argsort(clean), np.argsort(noisy))
 
 
-def test_noise_keeps_latencies_non_negative(rng):
-    clients = _clients(10, rng)
-    lat = LatencyProfiler(noise_std=100.0).profile(clients, rng)
-    assert np.all(lat >= 0)
-
-
 def test_validation():
-    with pytest.raises(ValueError):
-        LatencyProfiler(probe_rounds=0)
-    with pytest.raises(ValueError):
-        LatencyProfiler(noise_std=-1)
     with pytest.raises(ValueError):
         LatencyProfiler(misprofile_fraction=2.0)

@@ -61,36 +61,6 @@ class TestFromLatencies:
         np.testing.assert_array_equal(np.sort(allc), np.arange(n))
 
 
-class TestMistier:
-    def test_zero_fraction_identity(self, rng):
-        t = Tiering.from_latencies(rng.uniform(0, 10, 20), 4)
-        t2 = t.mistier(0.0, rng)
-        for m in range(4):
-            np.testing.assert_array_equal(t.clients_in(m), t2.clients_in(m))
-
-    def test_moves_requested_fraction(self, rng):
-        t = Tiering.from_latencies(rng.uniform(0, 10, 100), 5)
-        t2 = t.mistier(0.3, rng)
-        moved = sum(
-            1 for c in range(100) if t.tier_of(c) != t2.tier_of(c)
-        )
-        assert 10 <= moved <= 30  # some movers may land in their own tier
-
-    def test_still_a_partition(self, rng):
-        t = Tiering.from_latencies(rng.uniform(0, 10, 50), 5).mistier(0.5, rng)
-        allc = np.concatenate([t.clients_in(m) for m in range(5)])
-        np.testing.assert_array_equal(np.sort(allc), np.arange(50))
-
-    def test_no_empty_tiers(self, rng):
-        t = Tiering.from_latencies(rng.uniform(0, 10, 10), 5).mistier(1.0, rng)
-        assert all(s >= 1 for s in t.sizes())
-
-    def test_fraction_validated(self, rng):
-        t = Tiering.from_latencies(rng.uniform(0, 10, 10), 2)
-        with pytest.raises(ValueError):
-            t.mistier(1.5, rng)
-
-
 def test_duplicate_client_rejected():
     with pytest.raises(ValueError):
         Tiering([np.array([0, 1]), np.array([1, 2])])
