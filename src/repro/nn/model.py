@@ -19,7 +19,9 @@ whole-buffer operations.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,22 +44,23 @@ class WeightSpec:
     """
 
     shapes: tuple[tuple[int, ...], ...]
+    #: Element count of each tensor, and of the whole vector.
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
+    _bounds: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.prod(s)) for s in self.shapes)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
+    def __post_init__(self):
+        # Computed once: a spec is split on every bind, and recomputing
+        # these per access cost more than the split's own slicing.
+        sizes = tuple(int(math.prod(s)) for s in self.shapes)
+        ends = tuple(itertools.accumulate(sizes))
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "total", ends[-1] if ends else 0)
+        object.__setattr__(self, "_bounds", tuple(zip((0, *ends), ends)))
 
     def offsets(self) -> list[tuple[int, int]]:
         """(start, end) slice bounds of each tensor in the flat vector."""
-        out, pos = [], 0
-        for size in self.sizes:
-            out.append((pos, pos + size))
-            pos += size
-        return out
+        return list(self._bounds)
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """Unmarshal a flat vector into correctly shaped tensors."""
@@ -68,7 +71,7 @@ class WeightSpec:
             )
         return [
             flat[a:b].reshape(shape)
-            for (a, b), shape in zip(self.offsets(), self.shapes)
+            for (a, b), shape in zip(self._bounds, self.shapes)
         ]
 
     def join(self, arrays: list[np.ndarray]) -> np.ndarray:
