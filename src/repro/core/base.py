@@ -18,9 +18,10 @@ local epochs and proximal λ), and builds on two shared steps:
 everyone who will report back for training, and
 :meth:`~FLSystem.schedule_join` wakes the method when a client (re)joins
 before ``max_time``. Training waits until a result is needed
-(:meth:`~FLSystem.flush`): every launch still pending then trains as one
-cohort, so tiers in flight together share stacked waves and dispatches,
-and a client no event can read before the budget ends does not train.
+(:meth:`~FLSystem.flush`): the pending clients read then, and those due to
+be read soon, train as one cohort, so tiers in flight together share
+stacked waves and dispatches, and a client no event can read before the
+budget ends does not train.
 Every result is metered on the uplink when its event pops. Three families
 use the loop:
 
@@ -74,14 +75,16 @@ class Launch:
     """What :meth:`FLSystem.launch` sent out.
 
     ``end``, ``churned`` and ``finishes`` are known at departure.
-    ``results`` and ``quarantined`` exist once the launch has trained: the
-    first read of either while it is pending flushes every pending launch
-    (:meth:`FLSystem.flush`). A flush may resolve reporting clients as
-    :attr:`skipped` instead — no event can read them before the budget
-    ends — and then reading ``results`` or ``quarantined``, or a skipped
-    client's upload, raises ``RuntimeError``. A trained launch holds
-    exactly the attributes it held when training ran at departure,
-    ``finishes`` aside, so checkpoints written either way load alike.
+    ``results`` and ``quarantined`` exist once every reporting client has
+    trained: the first read of either while the launch is pending, or of
+    an untrained client's upload, flushes (:meth:`FLSystem.flush`). A
+    flush may train some of a launch's clients and leave the rest pending,
+    or resolve reporting clients as :attr:`skipped` instead — no event can
+    read them before the budget ends — and then reading ``results`` or
+    ``quarantined``, or a skipped client's upload, raises
+    ``RuntimeError``. A trained launch holds exactly the attributes it
+    held when training ran at departure, ``finishes`` aside, so
+    checkpoints written either way load alike.
     """
 
     #: Reporting clients a flush resolved without training them; empty
@@ -102,6 +105,9 @@ class Launch:
             self.resolve([], 0)
         else:
             self._flush = flush
+            #: ``results``' entry of each client trained while others are
+            #: still pending, by id.
+            self._uploads = {}
 
     def resolve(self, results: list, quarantined: int, skipped=(), at=None) -> None:
         """Install the trained outcome; the launch is pending no more.
@@ -110,6 +116,7 @@ class Launch:
         ``(round, max_rounds)`` the flush that skipped them ran under.
         """
         self.__dict__.pop("_flush", None)
+        self.__dict__.pop("_uploads", None)
         if skipped:
             self.skipped = frozenset(skipped)
             self._trained = results
@@ -123,10 +130,15 @@ class Launch:
 
     def upload(self, client_id: int) -> tuple[LocalTrainingResult | None, int]:
         """One reporting client's trained result and uplink bytes; ``(None,
-        0)`` when the guard quarantined it. Reading it trains a pending
-        launch; reading a skipped client raises."""
-        if "_flush" in self.__dict__:
-            self._flush()
+        0)`` when the guard quarantined it. Reading an untrained client
+        trains it; reading a skipped client raises."""
+        uploads = self.__dict__.get("_uploads")
+        if uploads is not None:
+            if client_id not in uploads:
+                self._flush(self, client_id)
+            if "_uploads" in self.__dict__:  # others still pending
+                result, _, nbytes = uploads.get(client_id, (None, None, 0))
+                return result, nbytes
         if client_id in self.skipped:
             self._refuse(client_id)
         for result, _, nbytes in self._trained if self.skipped else self.results:
@@ -149,7 +161,7 @@ class Launch:
             raise AttributeError(name)
         flush = self.__dict__.get("_flush")
         if flush is not None:
-            flush()
+            flush(self)
             return getattr(self, name)
         if self.skipped:
             self._refuse(min(self.skipped))
@@ -236,6 +248,18 @@ class _Pending(NamedTuple):
     received: np.ndarray
     round: int
     time: float
+
+
+def _clients_read(payloads, into: dict[int, set]) -> dict[int, set]:
+    """Add the reporting clients each read event in ``payloads`` reads to
+    ``into``, by ``id`` of their launch, and return it."""
+    for payload in payloads:
+        ids = into.setdefault(id(payload.launch), set())
+        if isinstance(payload, ClientDone):
+            ids.add(payload.client_id)
+        else:
+            ids.update(payload.launch.finishes)
+    return into
 
 
 class FLSystem:
@@ -615,12 +639,11 @@ class FLSystem:
         order. A client that drops out or churns away before its finish
         time never reports: it is not trained, metered, or observed by the
         re-tier tracker (online re-tiering sees exactly what a real server
-        would). The rest train from the weights they received at the next
-        :meth:`flush` — when the launch's results are first read, at the
-        latest — unless no event can read them before the budget ends,
-        and except under a stateful codec, whose uplink draws must follow
-        this launch's downlink draws before the next launch's, so the
-        launch flushes at once.
+        would). The rest train from the weights they received at a later
+        :meth:`flush` — when they are read, at the latest — unless no event
+        can read them before the budget ends, and except under a stateful
+        codec, whose uplink draws must follow this launch's downlink draws
+        before the next launch's, so the launch flushes at once.
         """
         if not client_ids:
             return Launch(start, [], {})
@@ -650,69 +673,117 @@ class FLSystem:
             self.flush()
         return launch
 
-    def flush(self) -> None:
-        """Train every pending launch the budget can still read and resolve
-        each one's results.
+    def flush(self, launch: Launch | None = None, client_id: int | None = None) -> None:
+        """Train pending clients, and resolve each launch none of whose
+        reporting clients is left pending.
 
-        Pending clients train as one cohort, in launch order — one stacked
-        cohort serially, one dispatch on parallel or dist — each from the
-        weights its launch received: launches that received the same
-        decoded downlink share one row of the start stack. Then, per
+        A read — of ``launch``'s results, or of ``client_id``'s upload
+        from it — trains the clients being read and every pending client
+        a latency horizon says will be read soon (:meth:`_due`). Every
+        other client stays pending, so one launch may train over several
+        flushes. A flush with nothing being read (:meth:`state_dict`, the
+        end of the run, a launch under a stateful codec), and every flush
+        of a run with a guard or a stateful codec, trains every pending
+        client instead, except those no event can read before the budget
+        ends (:meth:`_unread`): their launch resolves them as skipped, and
+        reading one raises.
+
+        The chosen clients train as one cohort, in launch order — one
+        stacked cohort serially, one dispatch on parallel or dist — each
+        from the weights its launch received: launches that received the
+        same decoded downlink share one row of the start stack. Then, per
         launch in launch order, the update guard filters its results
         against those weights under the launch's round and time, *before*
         the uplink codec (a rejected client never transmits, and an
         exploded update would overflow a range-limited encoder like
         polyline), and the uplink round trip sends the kept results
         through one ``codec.transmit`` call, replacing their weights in
-        place.
+        place. A launch's ``results`` are in launch order however its
+        clients were split between flushes.
 
-        A client whose read event no event can reach before the budget
-        ends (:meth:`_unread`) is neither trained, encoded nor dispatched:
-        its launch resolves it as skipped, and reading it raises.
-
-        Flushing is free to happen early: no draw that shapes the run
-        waits for training, and training order is launch order whenever it
-        runs. It must happen before anything reads what training changes —
-        a launch's results, the guard's state in a checkpoint — so
-        :meth:`state_dict` and the end of the run flush first.
+        Flushing is free to happen early or in parts: no draw that shapes
+        the run waits for training, and a client round is a pure function
+        of its start row and task. The guard's trace and a stateful
+        codec's draws follow launch order, so runs with either train every
+        pending launch whole. A flush must happen before anything reads
+        what training changes — a launch's results, the guard's state in
+        a checkpoint — so :meth:`state_dict` and the end of the run flush
+        everything first.
         """
-        pending, self._pending = self._pending, []
-        if not pending:
+        if not self._pending:
             return
-        unread = self._unread()
+        due, unread = None, {}
+        if (
+            launch is not None
+            and self._queue is not None
+            and self.guard is None
+            and self.codec.deterministic
+        ):
+            due = self._due(launch, client_id)
+        else:
+            unread = self._unread()
         rows: dict[int, int] = {}
-        starts, tasks, plans = [], [], []
-        for p in pending:
+        starts, tasks, plans, pending = [], [], [], []
+        for p in self._pending:
             skipped = unread.get(id(p.launch), ())
-            mine = [t for t in p.tasks if t.client_id not in skipped] if skipped else p.tasks
-            plans.append((p, len(mine), skipped))
+            picked = None if due is None else due.get(id(p.launch), ())
+            mine, later = [], []
+            for t in p.tasks:
+                if t.client_id not in skipped:
+                    (mine if picked is None or t.client_id in picked else later).append(t)
+            if later:
+                pending.append(p._replace(tasks=later))
+            plans.append((p, len(mine), skipped, not later))
             if not mine:
                 continue
             row = rows.setdefault(id(p.received), len(starts))
             if row == len(starts):
                 starts.append(p.received)
             tasks += [replace(t, row=row) for t in mine] if row else mine
+        self._pending = pending
         trained = []
         if tasks:
             trained = self.train_cohort(tasks, starts[0] if len(starts) == 1 else np.stack(starts))
         at = 0
-        for p, count, skipped in plans:
+        for p, count, skipped, done in plans:
             mine = trained[at : at + count]
             at += count
             kept = mine
             if self.guard is not None:
                 kept = self.guard.filter(mine, p.received, round_no=p.round, time=p.time)
-            finishes = p.launch.finishes
-            results = [
-                (r, finishes[r.client_id], nbytes)
-                for r, nbytes in zip(kept, self.uplink_roundtrip(kept))
-            ]
+            finishes, uploads = p.launch.finishes, p.launch._uploads
+            for r, nbytes in zip(kept, self.uplink_roundtrip(kept)):
+                uploads[r.client_id] = (r, finishes[r.client_id], nbytes)
+            if not done:
+                continue
             p.launch.resolve(
-                results,
-                len(mine) - len(kept),
+                [uploads[c] for c in finishes if c in uploads],
+                len(finishes) - len(skipped) - len(uploads),
                 skipped,
                 at=(self.round, self.config.max_rounds),
             )
+
+    def _due(self, launch: Launch, client_id: int | None) -> dict[int, set]:
+        """Pending clients a read trains, by ``id`` of their launch: the
+        ones being read (``client_id``, or every reporting client of
+        ``launch``), and every client whose read event is due before
+        ``now + 2·d`` with fewer than R = ``max_rounds - round`` read
+        events ahead of it (:meth:`_unread` says why R).
+
+        d is the shortest delay any read event has been queued with so far
+        (``EventQueue.read_delay``). While later delays keep to it, an
+        event queued from now on reads no earlier than ``now + d``, so none
+        pushes a client due before then past the budget. The second d is
+        speculation that keeps flushes as few, and their waves as full, as
+        training everything readable did. A client due later may yet be
+        pushed past the budget by launches still to come, and waits for
+        its read or a later flush. The horizon decides only what trains
+        when: a client trained in vain costs time, never bits.
+        """
+        due = {id(launch): set(launch.finishes) if client_id is None else {client_id}}
+        queue = self._queue
+        reads_left = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
+        return _clients_read(queue.reads_before(reads_left, self.now + 2 * queue.read_delay), due)
 
     def _unread(self) -> dict[int, set]:
         """Reporting clients no event will read, by ``id`` of their launch.
@@ -721,9 +792,10 @@ class FLSystem:
         ``ClientDone`` of a launch with a reporting client) ends exactly one
         global update, and events leave the queue only by popping. So one
         with at least R = ``max_rounds - round`` read events ahead of it is
-        never handled, and once the budget is spent nothing is. A launch
-        whose read event is not queued yet (the one being handled, or one
-        still departing) is not listed. Nothing is listed under a guard (a
+        never handled, and once the budget is spent nothing is; a later
+        launch can only add read events ahead of it. A launch whose read
+        event is not queued yet (the one being handled, or one still
+        departing) is not listed. Nothing is listed under a guard (a
         quarantined async upload consumes no round, and the guard's trace
         counts every reporting client) or a stateful codec (it draws per
         uplink row).
@@ -732,14 +804,7 @@ class FLSystem:
         if queue is None or self.guard is not None or not self.codec.deterministic:
             return {}
         reads_left = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
-        unread: dict[int, set] = {}
-        for payload in queue.reads_after(reads_left):
-            ids = unread.setdefault(id(payload.launch), set())
-            if isinstance(payload, ClientDone):
-                ids.add(payload.client_id)
-            else:
-                ids.update(payload.launch.finishes)
-        return unread
+        return _clients_read(queue.reads_after(reads_left), {})
 
     def schedule_join(self, queue, payload, client_ids=None, *, at=None) -> None:
         """Schedule ``payload`` for when a client joins, if before
@@ -1174,9 +1239,9 @@ class AsyncFLSystem(FLSystem):
     model, train, upload — and each upload is one global update. At t = 0
     the alive population departs from w0 as one launch; after that each
     upload relaunches its client alone, from the global model it just
-    moved. Relaunches wait to train until one of their uploads pops or an
-    eval is due, and then train together as one cohort, each from its own
-    global version. A client lost to churn is relaunched when it rejoins, a
+    moved. Relaunches wait to train until an upload is read, and then
+    those due soon train together as one cohort, each from its own global
+    version. A client lost to churn is relaunched when it rejoins, a
     late client when it arrives; permanent dropouts and quarantined clients
     are gone for good (a quarantined client's upload pops as a no-op).
 

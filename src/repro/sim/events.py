@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from typing import Any
 
 __all__ = ["Event", "EventQueue"]
@@ -42,8 +43,10 @@ class EventQueue:
 
     Events whose payload has a true ``reads`` attribute (they read a
     result when handled) are also kept in pop order in a side index, so
-    :meth:`reads_after` costs O(read events queued), however many other
-    events wait. The index is rebuilt on unpickling, not stored.
+    :meth:`reads_after` and :meth:`reads_before` cost O(read events
+    queued), however many other events wait. The index is rebuilt on
+    unpickling, not stored, and so is :attr:`read_delay`, which restarts
+    at +∞.
     """
 
     def __init__(self):
@@ -51,13 +54,17 @@ class EventQueue:
         self._counter = itertools.count()
         self.now = 0.0
         self._reads: list[Event] = []
+        #: The shortest delay, from ``now``, any read event has been queued
+        #: with; +∞ until one is.
+        self.read_delay = math.inf
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_reads"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("_reads", "read_delay")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._reads = sorted(ev for ev in self._heap if getattr(ev.payload, "reads", False))
+        self.read_delay = math.inf
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -80,6 +87,7 @@ class EventQueue:
         heapq.heappush(self._heap, ev)
         if getattr(payload, "reads", False):
             bisect.insort(self._reads, ev)
+            self.read_delay = min(self.read_delay, time - self.now)
         return ev
 
     def pop(self) -> Event:
@@ -102,3 +110,10 @@ class EventQueue:
         """Payloads of the queued read events with at least ``n`` read
         events ahead of them, in pop order."""
         return [ev.payload for ev in self._reads[n:]]
+
+    def reads_before(self, n: int, time: float) -> list:
+        """Payloads of the queued read events with fewer than ``n`` read
+        events ahead of them that are due before ``time``, in pop order."""
+        return [
+            ev.payload for ev in itertools.takewhile(lambda ev: ev.time < time, self._reads[:n])
+        ]

@@ -1,28 +1,34 @@
 """Deferred training is invisible: when launches train never shows.
 
 ``FLSystem.launch`` queues its clients and :meth:`FLSystem.flush` trains
-every pending launch as one cohort when a result is first read (and before
-a checkpoint and at the end of the run). The tests below hold that
-policy against the eager one the loop had before — every launch trained at
-departure, and an async client's upload scheduled only when the guard kept
-it — rebuilt here by monkeypatching, never by an option:
+pending clients as one cohort when a result is first read: the ones read
+and those a latency horizon says will be read soon. Before a checkpoint
+and at the end of the run it trains every pending client the budget can
+read. The tests below hold that policy against the eager one the loop had
+before — every launch trained at departure, and an async client's upload
+scheduled only when the guard kept it — rebuilt here by monkeypatching,
+never by an option:
 
 - every method's history and deterministic meta are the same in the loop
   pins' worlds and a churn + arrival world;
 - a quarantined async upload, which now pops as a no-op, moves neither the
   clock nor the checkpoint cadence;
 - every launch a flush trains is still in flight — an event still refers
-  to it, or it is the launch whose event is being handled — because the
-  first read of any pending launch's result flushes them all; so a
-  flush's start rows never exceed the launches in flight (FedAT's at most
-  one per tier), which is why it needs no size cap;
+  to it, or it is the launch whose event is being handled — so a flush's
+  start rows never exceed the launches in flight (FedAT's at most one per
+  tier), which is why it needs no size cap;
 - a flush trains only what the budget can read: with no guard and a
   deterministic codec, a client whose read event has at least
-  ``max_rounds - round`` read events ahead of it is skipped, and reading
-  it raises; under a guard or a stateful codec every reporting client
-  trains;
+  ``max_rounds - round`` read events ahead of it is never trained, and
+  reading it raises; a read trains the clients read and those due within
+  the horizon, and leaves the rest pending; under a guard or a stateful
+  codec every reporting client trains at the first flush;
+- reading a deferred client trains it at once, and a checkpoint holds no
+  pending or part-trained launch;
 - on the pool and dist, one FedAsync flush is one dispatch.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -86,52 +92,84 @@ def read_events(queues) -> list:
     return sorted(ev for q in queues for ev in q._heap if reads(ev.payload))
 
 
+def state(launch, client_id) -> str:
+    """``"trained"``, ``"pending"`` or ``"skipped"``: where a reporting
+    client of ``launch`` stands (a quarantined client trained)."""
+    uploads = launch.__dict__.get("_uploads")
+    if uploads is not None:
+        return "trained" if client_id in uploads else "pending"
+    return "skipped" if client_id in launch.skipped else "trained"
+
+
 def record_flushes(monkeypatch) -> list:
     """``(pending launches, distinct start rows, pending launches not in
-    flight)`` of every flush that trains something. In flight: a queued
+    flight)`` of every flush with something pending. In flight: a queued
     event refers to the launch, or the event last popped does.
 
-    Each flush also checks whom it trained. With no guard and a
-    deterministic codec, a trained client's read event is not queued yet,
-    or has fewer than R = ``max_rounds - round`` read events ahead of it
-    (none once the budget is spent), and nobody else trains. Otherwise
-    every pending client trains."""
+    Each flush also checks, against a scan of the heaps, where it left
+    every client pending when it began. Under a guard or a stateful codec
+    all train. Otherwise let R = ``max_rounds - round`` (0 once the budget
+    is spent) and n the read events ahead of a client's:
+    - a flush that reads (a launch's results, or a client's upload) trains
+      the clients read and each client with n < R whose read event is due
+      before ``now + 2·d``, d the shortest delay a read event was queued
+      with; the rest stay pending;
+    - any other flush trains a client whose read event is not queued yet
+      or has n < R, and skips the rest."""
     flush, sizes = FLSystem.flush, []
-    init, pop, queues = EventQueue.__init__, EventQueue.pop, []
+    init, pop, schedule_at = EventQueue.__init__, EventQueue.pop, EventQueue.schedule_at
+    queues = []
 
     def tracked_init(queue):
         init(queue)
-        queue.popped = None
+        queue.popped, queue.shortest = None, math.inf
         queues.append(queue)
 
     def tracked_pop(queue):
         queue.popped = pop(queue)
         return queue.popped
 
-    def recording_flush(self):
+    def tracked_schedule_at(queue, time, payload):
+        if reads(payload):
+            queue.shortest = min(queue.shortest, time - queue.now)
+        return schedule_at(queue, time, payload)
+
+    def recording_flush(self, launch=None, client_id=None):
         pending = list(self._pending)
         if not pending:
-            return flush(self)
+            return flush(self, launch, client_id)
         events = [ev for q in queues for ev in (*q._heap, q.popped) if ev is not None]
         in_flight = {id(getattr(ev.payload, "launch", None)) for ev in events}
         strays = sum(id(p.launch) not in in_flight for p in pending)
         rows = len({id(p.received) for p in pending})
         sizes.append((len(pending), rows, strays))
         ahead = {
-            (id(ev.payload.launch), getattr(ev.payload, "client_id", None)): n
+            (id(ev.payload.launch), getattr(ev.payload, "client_id", None)): (n, ev.time)
             for n, ev in enumerate(read_events(queues))
         }
         readable = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
-        flush(self)
+        horizon = self.now + 2 * min(q.shortest for q in queues)
+        flush(self, launch, client_id)
         prunes = self.guard is None and self.codec.deterministic
         for p in pending:
-            for cid in p.launch.finishes:
-                n = ahead.get((id(p.launch), cid), ahead.get((id(p.launch), None)))
-                trains = not prunes or n is None or n < readable
-                assert (cid not in p.launch.skipped) == trains, (cid, n, readable)
+            for task in p.tasks:
+                cid = task.client_id
+                n, due = ahead.get(
+                    (id(p.launch), cid), ahead.get((id(p.launch), None), (None, None))
+                )
+                if not prunes:
+                    want = "trained"
+                elif launch is not None:
+                    read = p.launch is launch and client_id in (None, cid)
+                    soon = n is not None and n < readable and due < horizon
+                    want = "trained" if read or soon else "pending"
+                else:
+                    want = "trained" if n is None or n < readable else "skipped"
+                assert state(p.launch, cid) == want, (cid, n, readable, due, horizon)
 
     monkeypatch.setattr(EventQueue, "__init__", tracked_init)
     monkeypatch.setattr(EventQueue, "pop", tracked_pop)
+    monkeypatch.setattr(EventQueue, "schedule_at", tracked_schedule_at)
     monkeypatch.setattr(FLSystem, "flush", recording_flush)
     return sizes
 
@@ -245,12 +283,13 @@ def count_training(monkeypatch) -> dict:
 
 
 #: (method, world) -> (client rounds trained, uploads metered). Training
-#: every reporting client trained 42, 37, 60 and 39.
+#: every reporting client trained 42, 37, 60 and 39; training every
+#: client the budget could read at each flush, 38, 34, 52 and 36.
 TRAINED = {
-    ("fedasync", "static"): (38, 30),
-    ("fedasync", "churn_arrival"): (34, 30),
+    ("fedasync", "static"): (32, 30),
+    ("fedasync", "churn_arrival"): (31, 30),
     ("fedat", "static"): (52, 48),
-    ("fedat", "churn_arrival"): (36, 33),
+    ("fedat", "churn_arrival"): (34, 33),
 }
 
 
@@ -277,6 +316,95 @@ def test_a_guard_or_a_stateful_codec_trains_every_reporting_client(
         record_flushes(patch)
         build_world(dataset, method, world, worlds).run()
     assert counts["trained"] == counts["reporting"] > 0
+
+
+@pytest.mark.parametrize(
+    "method, world",
+    [("fedasync", "guard_reject"), ("fedat", "guard_reject"), ("fedat", "subsample")],
+)
+def test_a_guard_or_a_stateful_codec_defers_nothing(dataset, method, world, monkeypatch):
+    """The guard's trace and ``filter`` order follow launch order, and a
+    stateful codec's draws do: every flush, a read's too, leaves nothing
+    pending."""
+    worlds = {**FLUSH_WORLDS, "subsample": ({"compression": "subsample:0.5"}, None)}
+    flush, flushes = FLSystem.flush, []
+
+    def recording_flush(self, launch=None, client_id=None):
+        if self._pending:
+            flush(self, launch, client_id)
+            flushes.append((launch is not None, len(self._pending)))
+
+    monkeypatch.setattr(FLSystem, "flush", recording_flush)
+    build_world(dataset, method, world, worlds).run()
+    assert flushes and not any(left for _, left in flushes)
+    assert any(read for read, _ in flushes) == (world == "guard_reject")
+
+
+def test_reading_a_deferred_client_trains_it_at_once(dataset, monkeypatch):
+    """The first read of FedAsync's t = 0 launch leaves clients due past
+    the horizon pending. Reading the earliest of them then trains it, in
+    a cohort of its own, and the run reads that very result when its
+    upload pops: the history does not move."""
+    flush, train_cohort = FLSystem.flush, FLSystem.train_cohort
+    cohorts, read = [], []
+
+    def recording_train_cohort(self, tasks, starts):
+        cohorts.append([t.client_id for t in tasks])
+        return train_cohort(self, tasks, starts)
+
+    def reading_flush(self, launch=None, client_id=None):
+        flush(self, launch, client_id)
+        deferred = [(p.launch, t.client_id) for p in self._pending for t in p.tasks]
+        if read or launch is None or not deferred:
+            return
+        out, cid = min(deferred, key=lambda d: d[0].finishes[d[1]])
+        read.append((out, cid, len(cohorts)))
+        read.append(out.upload(cid))
+
+    monkeypatch.setattr(FLSystem, "train_cohort", recording_train_cohort)
+    monkeypatch.setattr(FLSystem, "flush", reading_flush)
+    history = build_world(dataset, "fedasync", "static").run()
+    assert history_digest(history) == PINNED["fedasync", "static"]
+    (out, cid, before), (result, nbytes) = read
+    assert cohorts[before] == [cid] and len(cohorts) > before + 1
+    assert result.client_id == cid and nbytes > 0
+    assert out.upload(cid)[0] is result
+
+
+def test_a_checkpoint_holds_no_pending_launch_and_resumes(dataset, tmp_path):
+    """A FedAsync run saved every round: the round-0 save follows a read
+    that left the t = 0 launch part-trained, later saves follow reads that
+    left relaunches pending. Each checkpoint holds every launch resolved,
+    and a run killed after one of the later saves resumes to the
+    uninterrupted history."""
+
+    class KillWhenDeferred(RunCheckpointer):
+        def __init__(self):
+            super().__init__(tmp_path, "deferred")
+            self.part_trained = []
+
+        def save(self, system, queue=None):
+            before = system._pending
+            self.part_trained.append(any(p.launch._uploads for p in before))
+            super().save(system, queue)
+            assert not system._pending
+            for ev in self.load()["queue"]._heap:
+                launch = getattr(ev.payload, "launch", None)
+                assert launch is None or not {"_flush", "_uploads"} & vars(launch).keys()
+            if before and system.round > 0:
+                raise KeyboardInterrupt("simulated mid-run kill")
+
+    killed = build_world(dataset, "fedasync", "static")
+    checkpointer = KillWhenDeferred()
+    killed.attach_checkpointer(checkpointer)
+    with pytest.raises(KeyboardInterrupt):
+        killed.run()
+    assert checkpointer.part_trained[0] and checkpointer.saves > 1
+
+    resumed = build_world(dataset, "fedasync", "static")
+    assert resumed.attach_checkpointer(RunCheckpointer(tmp_path, "deferred"), resume=True)
+    assert resumed.round > 0
+    assert history_digest(resumed.run()) == PINNED["fedasync", "static"]
 
 
 @pytest.mark.parametrize("method, max_rounds", [("fedasync", 5), ("fedat", 12)])
