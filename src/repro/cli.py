@@ -16,10 +16,10 @@
 ``run`` executes one experiment and prints the history summary (optionally
 saving the full series as JSON). ``compare`` runs several methods on the
 identical federation and prints a side-by-side table. ``sweep`` executes a
-resumable (method × scenario × seed) grid with per-cell JSON checkpoints
+resumable (method × scenario × seed) grid, one stored run per cell,
 and prints an aggregate comparison table (``--config`` loads the grid from
 a committed JSON sweep config). ``figures`` renders method×scenario SVG
-comparison figures from a sweep's checkpoints. ``codecs`` reports
+comparison figures from a sweep's directory. ``codecs`` reports
 compression ratios on synthetic weights. ``worker`` starts one
 distributed-execution worker that dials a scheduler started by a
 ``run --executor dist --workers HOST:PORT`` elsewhere.

@@ -1,7 +1,7 @@
 """Round-granular in-run checkpointing for single experiments.
 
-The sweep runner already has cell-level bit-identical crash-resume: a
-killed grid restarts and recomputes only unfinished *cells*. This module
+The run store already gives a sweep cell-level bit-identical crash-resume:
+a killed grid restarts and recomputes only unfinished *cells*. This module
 extends that contract down into one cell — a killed paper-scale run
 resumes mid-run from its last round boundary and finishes with a history
 byte-identical to the uninterrupted run (wall-clock diagnostics such as
@@ -19,8 +19,8 @@ policy, model, executor), which keeps checkpoints at roughly the size of
 the in-flight results instead of the dataset.
 
 Writes are atomic (tmp file + ``os.replace``), so a crash mid-write
-leaves the previous checkpoint intact — the same discipline as the
-sweep's cell files.
+leaves the previous checkpoint intact — the same discipline as the run
+store's files.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
-"""Method×scenario figures from sweep checkpoints (``repro figures``): the
-data as JSON, and standalone SVG bars with no plotting dependency. The
-paper's own tables and figures are claims in :mod:`repro.experiments.claims`.
+"""Method×scenario figures from a sweep directory (``repro figures``): the
+data as JSON, and standalone SVG bars with no plotting dependency. The grid
+comes back from the directory's ``spec.json`` and the numbers from the
+sweep's own summary, read through the run store, so a leftover run of
+another grid is never counted. The paper's own tables and figures are
+claims in :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations
@@ -8,10 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.metrics.history import RunHistory
-
 __all__ = [
-    "load_sweep_cells",
     "scenario_matrix",
     "render_grouped_bars_svg",
     "write_scenario_figures",
@@ -37,132 +37,54 @@ _TEXT_SECONDARY = "#52514e"
 _GRID = "#e8e7e3"
 
 
-def load_sweep_cells(path: str | Path) -> list[dict]:
-    """Load completed cell checkpoints from a sweep directory.
-
-    ``path`` may be the checkpoint directory itself or any JSON file inside
-    it (``summary.json``, ``spec.json``, or a single cell checkpoint).
-    Returns one dict per completed cell: ``{method, scenario, seed,
-    history}``, in deterministic (method, scenario, seed) order. Partial
-    sweeps are fine — whatever cells exist are used. When the directory
-    carries a ``spec.json``, cells checkpointed under a *different* spec
-    key (leftovers from an earlier grid in a reused out-dir) are skipped,
-    mirroring the sweep runner's own staleness guard.
-    """
-    from repro.experiments.sweep import read_cell_checkpoint
-
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no sweep checkpoints at {path}")
-    directory = path if path.is_dir() else path.parent
-    spec_key = None
-    spec_path = directory / "spec.json"
-    if spec_path.exists():
-        try:
-            spec_key = json.loads(spec_path.read_text()).get("key")
-        except (OSError, json.JSONDecodeError):
-            pass
-    cells = []
-    for cell_path in sorted(directory.glob("*__*__s*.json")):
-        payload = read_cell_checkpoint(cell_path, spec_key)
-        if payload is None:
-            continue  # torn, incomplete, or stale: skip like the runner does
-        cell = payload["cell"]
-        cells.append(
-            {
-                "method": cell["method"],
-                "scenario": cell["scenario"],
-                "seed": int(cell["seed"]),
-                "history": RunHistory.from_dict(payload["history"]),
-            }
-        )
-    if not cells:
-        raise ValueError(f"no completed sweep cells found under {directory}")
-    cells.sort(key=lambda c: (c["method"], c["scenario"], c["seed"]))
-    return cells
-
-
-def _ordered(values: list[str], preference: list[str]) -> list[str]:
-    """Unique ``values`` ordered by ``preference`` first, then sorted."""
-    present = sorted(set(values))
-    ordered = [v for v in preference if v in present]
-    return ordered + [v for v in present if v not in ordered]
-
-
-def _scenario_label(scenario: str) -> str:
-    """Short axis label for a scenario string.
+def _scenario_label(group: str) -> str:
+    """Short axis label for a scenario group.
 
     Trace scenarios carry a whole file path; label them by the file's stem
-    (``trace:diurnal_tiny``). Composed scenarios keep their grammar form —
-    the full string stays in tooltips and the emitted JSON either way.
+    (``trace:diurnal_tiny``, keeping a ``#p<N>`` population suffix).
+    Composed scenarios keep their grammar form — the full string stays in
+    tooltips and the emitted JSON either way.
     """
-    if scenario.startswith("trace:"):
-        return f"trace:{Path(scenario[len('trace:'):]).stem}"
-    return scenario
+    if not group.startswith("trace:"):
+        return group
+    path, sep, population = group[len("trace:"):].partition("#p")
+    return f"trace:{Path(path).stem}{sep}{population}"
 
 
 def scenario_matrix(path: str | Path) -> dict:
-    """Aggregate sweep checkpoints into method×scenario comparison data.
+    """Method×scenario comparison data from a sweep directory.
 
-    Metrics are seed-means per (method, scenario): best/final accuracy,
-    total transferred megabytes, and global updates. Method and scenario
-    order follow the sweep's ``spec.json`` when present (the grid the
-    operator asked for), falling back to sorted order.
+    ``path`` is the directory or any JSON file in it. Metrics are the rows
+    of :meth:`SweepRunner.summarize`: seed-means per method and scenario
+    group, a virtual population's cells grouped apart as ``<scenario>#p<N>``.
+    Methods and groups follow the grid's order; cells not run yet are
+    skipped, so a partial sweep draws what it has.
     """
+    from repro.experiments.sweep import SweepRunner, SweepSpec
+
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no sweep at {path}")
     directory = path if path.is_dir() else path.parent
-    cells = load_sweep_cells(directory)
-    method_pref: list[str] = []
-    scenario_pref: list[str] = []
-    spec_path = directory / "spec.json"
-    if spec_path.exists():
-        try:
-            spec = json.loads(spec_path.read_text()).get("spec", {})
-            method_pref = list(spec.get("methods", []))
-            scenario_pref = list(spec.get("scenarios", []))
-        except (OSError, json.JSONDecodeError):
-            pass
-    methods = _ordered([c["method"] for c in cells], method_pref)
-    scenarios = _ordered([c["scenario"] for c in cells], scenario_pref)
-
-    groups: dict[tuple[str, str], list[RunHistory]] = {}
-    for c in cells:
-        groups.setdefault((c["method"], c["scenario"]), []).append(c["history"])
-
-    def mean(values: list[float]) -> float:
-        return float(sum(values) / len(values))
-
-    metrics: dict[str, dict[str, dict[str, float]]] = {
-        "best_accuracy": {},
-        "final_accuracy": {},
-        "megabytes": {},
-        "updates": {},
-    }
-    seeds: dict[str, dict[str, int]] = {}
-    for m in methods:
-        for name in metrics:
-            metrics[name].setdefault(m, {})
-        seeds.setdefault(m, {})
-        for s in scenarios:
-            histories = groups.get((m, s))
-            if not histories:
-                continue  # partial sweep: cell not run yet
-            metrics["best_accuracy"][m][s] = mean(
-                [h.best_accuracy() for h in histories]
-            )
-            metrics["final_accuracy"][m][s] = mean(
-                [h.final_accuracy() for h in histories]
-            )
-            metrics["megabytes"][m][s] = mean(
-                [float(h.total_bytes()[-1]) / 1e6 for h in histories]
-            )
-            metrics["updates"][m][s] = mean(
-                [float(h.rounds()[-1]) for h in histories]
-            )
-            seeds[m][s] = len(histories)
+    spec = SweepSpec.from_file(directory / "spec.json")
+    rows = SweepRunner(spec, directory).summarize()["rows"]
+    if not rows:
+        raise ValueError(f"no completed sweep cells found under {directory}")
+    groups = dict.fromkeys(cell.group for cell in spec.cells())
+    done = [(m, g) for m in spec.methods for g in groups if f"{m}@{g}" in rows]
+    methods = list(dict.fromkeys(m for m, _ in done))
+    drawn = {g for _, g in done}
+    names = ("best_accuracy", "final_accuracy", "megabytes", "updates")
+    metrics: dict = {name: {m: {} for m in methods} for name in names}
+    seeds: dict = {m: {} for m in methods}
+    for m, g in done:
+        row = rows[f"{m}@{g}"]
+        for name in names:
+            metrics[name][m][g] = row[name]
+        seeds[m][g] = len(row["seeds"])
     return {
         "methods": methods,
-        "scenarios": scenarios,
+        "scenarios": [g for g in groups if g in drawn],
         "metrics": metrics,
         "seeds": seeds,
         "source": str(directory),
@@ -279,8 +201,8 @@ def render_grouped_bars_svg(
 def write_scenario_figures(path: str | Path, out_dir: str | Path) -> list[Path]:
     """Emit method×scenario figures (SVG) + data table (JSON) from a sweep.
 
-    ``path`` points at a sweep checkpoint directory (or a JSON file inside
-    one); figures land in ``out_dir``. Returns the written paths.
+    ``path`` points at a sweep directory (or a JSON file inside one);
+    figures land in ``out_dir``. Returns the written paths.
     """
     matrix = scenario_matrix(path)
     out = Path(out_dir)

@@ -1,13 +1,19 @@
-"""Experiment runner: describes a run, builds its federation, runs it, caches it.
+"""Experiment runner: describes a run, builds its federation, runs it, stores it.
 
 A :class:`RunSpec` is one experiment — method, dataset, scale, seed,
 partition, population, delay counts and overrides — and is the one place
 that splits execution settings off a run's flat keywords, checks the rest
-and keys it: the ``run_cached`` entry, the in-run checkpoint and every
-sweep cell are named by :meth:`RunSpec.key`.
+and keys it: the stored run, the in-run checkpoint and every sweep cell
+are named by :meth:`RunSpec.key`.
 
-The paper's claims share runs (Tables 1–2 and Figs 2–4 read the same
-histories), so :meth:`RunSpec.cached` memoizes them under ``.bench_cache/``.
+Finished runs live in one store: a directory of ``<key>.json`` files, each
+a history without its volatile meta, written atomically.
+:meth:`RunSpec.load` reads one (a missing, torn or malformed file is a
+miss), :meth:`RunSpec.save` writes one, and :meth:`RunSpec.cached` runs on
+a miss. The paper's claims share runs (Tables 1–2 and Figs 2–4 read the
+same histories) through the default store, ``.bench_cache/``; a sweep's
+store is its out-dir, so a torn file re-runs and an extended grid keeps
+its done cells.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Any
 from repro.core.config import FLConfig
 from repro.data.datasets import DATASETS, make_dataset, make_sample_bank
 from repro.exec.base import ExecConfig
+from repro.experiments.checkpoint import strip_volatile_meta
 from repro.experiments.config import ALGORITHMS, SCALES, build_model_builder, make_fl_config
 from repro.metrics.history import RunHistory
 from repro.population.virtual import VirtualPopulation
@@ -42,7 +49,10 @@ __all__ = [
 #: million clients' shards is neither feasible nor what the paper reports).
 DEFAULT_VIRTUAL_EVAL_CLIENTS = 200
 
-_MEMORY_CACHE: dict[str, RunHistory] = {}
+#: Histories this process read or ran, by store file: a hit in one store
+#: never stands in for another store's file.
+_MEMORY_CACHE: dict[Path, RunHistory] = {}
+#: The default store.
 _CACHE_DIR = Path(".bench_cache")
 
 
@@ -243,25 +253,39 @@ class RunSpec:
             history.meta["population"] = int(self.population)
         return history
 
-    def cached(self, **execution) -> RunHistory:
-        """:meth:`run`, memoized in-process and under ``.bench_cache/`` by
-        :meth:`key`, which leaves execution settings out: their history bits
-        are identical by contract. :func:`clear_cache` forces re-runs."""
-        key = self.key()
-        if key in _MEMORY_CACHE:
-            return _MEMORY_CACHE[key]
-        path = _CACHE_DIR / f"{key}.json"
-        if path.exists():
-            history = RunHistory.from_dict(load_json(path))
-            _MEMORY_CACHE[key] = history
-            return history
-        history = self.run(**execution)
-        _MEMORY_CACHE[key] = history
+    def path(self, store: str | Path | None = None) -> Path:
+        """The run's file in ``store`` (default ``.bench_cache/``)."""
+        return Path(_CACHE_DIR if store is None else store) / f"{self.key()}.json"
+
+    def load(self, store: str | Path | None = None) -> RunHistory | None:
+        """The run's stored history, or None when its file is missing, torn
+        or malformed."""
         try:
-            save_json(path, history.to_dict())
-        except OSError:  # read-only checkout: in-memory cache still works
-            pass
-        return history
+            return RunHistory.from_dict(load_json(self.path(store)))
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def save(self, history: RunHistory, store: str | Path | None = None) -> Path:
+        """Store ``history`` atomically, without its volatile meta: a run's
+        file is the same bytes under every executor and every resume."""
+        return save_json(self.path(store), strip_volatile_meta(history.to_dict()))
+
+    def cached(self, *, store: str | Path | None = None, **execution) -> RunHistory:
+        """:meth:`load`, else :meth:`run` and :meth:`save`; memoized
+        in-process by file. The key leaves execution settings out: their
+        history bits are identical by contract. :func:`clear_cache` empties
+        the default store."""
+        path = self.path(store)
+        if path not in _MEMORY_CACHE:
+            history = self.load(store)
+            if history is None:
+                history = self.run(**execution)
+                try:
+                    self.save(history, store)
+                except OSError:  # read-only checkout: in-memory cache still works
+                    pass
+            _MEMORY_CACHE[path] = history
+        return _MEMORY_CACHE[path]
 
 
 def run_experiment(
@@ -295,7 +319,7 @@ def run_cached(method: str, dataset_name: str, **kwargs) -> RunHistory:
 
 
 def clear_cache() -> None:
-    """Drop both cache layers."""
+    """Forget every in-process history and empty the default store."""
     _MEMORY_CACHE.clear()
     if _CACHE_DIR.exists():
         for p in _CACHE_DIR.glob("*.json"):

@@ -2,25 +2,25 @@
 
 A sweep executes the full grid of methods under every scenario and seed,
 reproducing the paper's accuracy/communication comparisons *per dynamic
-world* (static, churn, drift, …). Each finished cell is checkpointed as
-one JSON file — written atomically (temp file + rename) so a crash can
-never leave a half-written checkpoint — and a re-run of the same spec in
-the same directory skips completed cells, making a killed sweep resumable
-with bit-identical merged results (every cell is a deterministic function
-of its spec).
+world* (static, churn, drift, …). Each cell is a :class:`RunSpec`
+(:meth:`SweepSpec.run_spec`), read from the run store in the sweep's
+out-dir or run and stored there (see :mod:`repro.experiments.runner`).
+The store is keyed by content and written atomically, so a killed sweep
+resumes with bit-identical merged results, a torn file re-runs, a grid
+extended by a seed or a scenario keeps its done cells, and a leftover run
+of another grid in a reused out-dir is never read.
 
 Cells run through the configured client-execution backend, so a sweep can
 fan client training out to worker processes (``executor="parallel"`` or
-``"dist"``) without changing a cell file's bytes: the sweep key every cell
-file holds digests the cells' runs, which leave execution settings out, so
-a sweep resumed under another executor finds its cells done.
+``"dist"``) without changing a stored run's bytes: a run's key leaves
+execution settings out, so a sweep resumed under another executor finds
+its cells done.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -28,35 +28,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.experiments.checkpoint import VOLATILE_META_KEYS
 from repro.experiments.config import knobs_read_by
 from repro.experiments.runner import RunSpec
-from repro.metrics.history import RunHistory
 from repro.metrics.report import format_table
 from repro.scenario.spec import parse_scenario
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import save_json
 
-__all__ = ["SweepCell", "SweepSpec", "SweepRunner", "read_cell_checkpoint"]
-
-
-def read_cell_checkpoint(path: Path, spec_key: str | None = None) -> dict | None:
-    """Read one cell checkpoint, or None when torn/incomplete/stale.
-
-    The single source of truth for the checkpoint schema: the sweep
-    runner's resume path and the figures loader both go through here, so a
-    schema or staleness-rule change cannot silently diverge between them.
-    With ``spec_key`` set, cells checkpointed under a different sweep spec
-    are treated as stale.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError):
-        return None  # torn checkpoint: the cell re-runs
-    if not payload.get("completed") or "cell" not in payload:
-        return None
-    if spec_key is not None and payload.get("spec_key") != spec_key:
-        return None  # stale: written by a different grid in this out-dir
-    return payload
+__all__ = ["SweepCell", "SweepSpec", "SweepRunner"]
 
 #: Budget overrides applied to every cell when ``smoke`` is on: the whole
 #: acceptance grid (2 methods × 3 scenarios × 2 seeds) finishes in seconds.
@@ -85,12 +63,18 @@ class SweepCell:
     @property
     def cell_id(self) -> str:
         # Scenario strings may carry composition ('+'), knob (':'), and
-        # trace-path ('/', '\\') characters; flatten them all for filenames.
+        # trace-path ('/', '\\') characters; flatten them all for log lines.
         scenario = self.scenario
         for ch in ":/\\+":
             scenario = scenario.replace(ch, "-")
         suffix = "" if self.population is None else f"__p{self.population}"
         return f"{self.method}__{scenario}__s{self.seed}{suffix}"
+
+    @property
+    def group(self) -> str:
+        """The cell's scenario group in the summary and the figures: its
+        scenario, with ``#p<N>`` on a virtual population of N clients."""
+        return self.scenario if self.population is None else f"{self.scenario}#p{self.population}"
 
 
 @dataclass(frozen=True)
@@ -191,64 +175,11 @@ class SweepSpec:
 
 
 class SweepRunner:
-    """Executes a :class:`SweepSpec` with per-cell crash-safe checkpoints."""
+    """Executes a :class:`SweepSpec` through the run store in ``out_dir``."""
 
     def __init__(self, spec: SweepSpec, out_dir: str | Path):
         self.spec = spec
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._spec_key = spec.key()
-        # A reused out-dir describes the grid currently running, executor
-        # included: repro figures reads this key to skip stale cells.
-        self._atomic_write(
-            self.out_dir / "spec.json", {"spec": asdict(spec), "key": self._spec_key}
-        )
-
-    # ------------------------------------------------------------------ #
-    # Checkpoints
-    # ------------------------------------------------------------------ #
-    def _cell_path(self, cell: SweepCell) -> Path:
-        return self.out_dir / f"{cell.cell_id}.json"
-
-    @staticmethod
-    def _atomic_write(path: Path, payload: dict) -> None:
-        """Write JSON via temp file + rename: readers never see a torn file."""
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
-        os.replace(tmp, path)
-
-    def load_cell(self, cell: SweepCell) -> RunHistory | None:
-        """A completed cell's history, or None (missing/corrupt/stale spec)."""
-        payload = read_cell_checkpoint(self._cell_path(cell), self._spec_key)
-        if payload is None:
-            return None
-        try:
-            return RunHistory.from_dict(payload["history"])
-        except (KeyError, TypeError, ValueError):
-            return None  # malformed history payload: the cell re-runs
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    def run_cell(self, cell: SweepCell) -> RunHistory:
-        """Run one grid point and checkpoint it."""
-        run, execution = self.spec.run_spec(cell)
-        history = run.run(**execution)
-        history.meta["scenario"] = cell.scenario
-        # Checkpoints must be byte-identical across resumed executions and
-        # backends; phase timers and fault counters are volatile, so strip them.
-        for key in VOLATILE_META_KEYS:
-            history.meta.pop(key, None)
-        self._atomic_write(
-            self._cell_path(cell),
-            {
-                "spec_key": self._spec_key,
-                "cell": asdict(cell),
-                "completed": True,
-                "history": history.to_dict(),
-            },
-        )
-        return history
 
     def run(
         self,
@@ -256,7 +187,7 @@ class SweepRunner:
         max_runs: int | None = None,
         log: Callable[[str], None] | None = None,
     ) -> dict:
-        """Execute pending cells (resuming from checkpoints), then aggregate.
+        """Execute the cells not in the store yet, then aggregate.
 
         ``max_runs`` bounds how many *new* cells this invocation executes —
         the hook crash-resume tests (and cautious operators) use to stop a
@@ -264,16 +195,19 @@ class SweepRunner:
         when cells remain.
         """
         say = log or (lambda _msg: None)
+        # The grid now running, executor included: repro figures rebuilds it.
+        save_json(self.out_dir / "spec.json", asdict(self.spec))
         cells = self.spec.cells()
         ran = 0
         for i, cell in enumerate(cells):
-            if self.load_cell(cell) is not None:
+            run, execution = self.spec.run_spec(cell)
+            if run.load(self.out_dir) is not None:
                 say(f"[{i + 1}/{len(cells)}] {cell.cell_id}: cached")
                 continue
             if max_runs is not None and ran >= max_runs:
                 say(f"stopping after {ran} new runs (max-runs reached)")
                 break
-            history = self.run_cell(cell)
+            history = run.cached(store=self.out_dir, **execution)
             ran += 1
             say(
                 f"[{i + 1}/{len(cells)}] {cell.cell_id}: "
@@ -283,22 +217,20 @@ class SweepRunner:
             )
         summary = self.summarize()
         if summary["complete"]:
-            self._atomic_write(self.out_dir / "summary.json", summary)
+            save_json(self.out_dir / "summary.json", summary)
         return summary
 
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
     def summarize(self) -> dict:
-        """Aggregate completed cells into per-(method, scenario) means."""
+        """Seed-means of the stored cells, one row per method and scenario
+        group (:attr:`SweepCell.group`); cells not run yet are skipped."""
         groups: dict = {}
         missing = 0
         for cell in self.spec.cells():
-            history = self.load_cell(cell)
+            history = self.spec.run_spec(cell)[0].load(self.out_dir)
             if history is None:
                 missing += 1
                 continue
-            entry = groups.setdefault((cell.method, cell.scenario, cell.population), {})
+            entry = groups.setdefault(f"{cell.method}@{cell.group}", {})
             for k, v in {
                 "best_accuracy": history.best_accuracy(),
                 "final_accuracy": history.final_accuracy(),
@@ -309,14 +241,11 @@ class SweepRunner:
             }.items():
                 entry.setdefault(k, []).append(v)
         rows = {
-            f"{method}@{scenario}" + ("" if pop is None else f"#p{pop}"): {
-                k: (v if k == "seeds" else float(np.mean(v)))
-                for k, v in entry.items()
-            }
-            for (method, scenario, pop), entry in groups.items()
+            key: {k: (v if k == "seeds" else float(np.mean(v))) for k, v in entry.items()}
+            for key, entry in groups.items()
         }
         return {
-            "spec_key": self._spec_key,
+            "key": self.spec.key(),
             "dataset": self.spec.dataset,
             "scale": "tiny" if self.spec.smoke else self.spec.scale,
             "smoke": self.spec.smoke,
@@ -343,7 +272,7 @@ class SweepRunner:
             f"PARTIAL ({summary['cells_done']}/{summary['cells_total']} cells)"
         )
         return (
-            f"sweep {summary['spec_key']} — dataset={summary['dataset']} "
+            f"sweep {summary['key']} — dataset={summary['dataset']} "
             f"scale={summary['scale']} [{status}]\n\n"
             + format_table(headers, rows)
         )

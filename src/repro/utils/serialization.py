@@ -7,6 +7,7 @@ committed. NumPy scalars/arrays are converted transparently.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -35,10 +36,17 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def save_json(path: str | Path, obj: Any, *, indent: int = 2) -> Path:
-    """Write ``obj`` to ``path`` as JSON, creating parent directories."""
+    """Write ``obj`` to ``path`` as JSON, creating parent directories.
+
+    The text goes to a temp file named for the writing process and then
+    replaces ``path`` in one rename: a reader never sees a torn file, and
+    two processes writing the same path never share a temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_jsonable(obj), indent=indent, sort_keys=True))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(to_jsonable(obj), indent=indent, sort_keys=True))
+    os.replace(tmp, path)
     return path
 
 

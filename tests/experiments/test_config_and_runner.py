@@ -212,6 +212,43 @@ class TestRunner:
         np.testing.assert_array_equal(h1.accuracies(), h2.accuracies())
         clear_cache()
 
+    def test_torn_store_file_reruns_and_is_rewritten(self, tmp_path, monkeypatch):
+        """A file a crash cut short is a miss, not an error: the run
+        re-runs and its file is rewritten whole."""
+        import repro.experiments.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "_CACHE_DIR", tmp_path / "cache")
+        clear_cache()
+        kwargs = dict(scale="tiny", seed=1, max_rounds=2, eval_every=1)
+        run_cached("fedavg", "sentiment140", **kwargs)
+        (path,) = (tmp_path / "cache").glob("*.json")
+        intact = path.read_bytes()
+        path.write_bytes(intact[:40])
+        runner_mod._MEMORY_CACHE.clear()  # the next process
+        calls = []
+        real_run = RunSpec.run
+        monkeypatch.setattr(
+            RunSpec, "run", lambda self, **k: calls.append(self) or real_run(self, **k)
+        )
+        history = run_cached("fedavg", "sentiment140", **kwargs)
+        assert len(calls) == 1 and history.records
+        assert path.read_bytes() == intact
+        clear_cache()
+
+    def test_stored_file_holds_no_volatile_meta(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+        from repro.experiments.checkpoint import VOLATILE_META_KEYS
+        from repro.utils.serialization import load_json
+
+        monkeypatch.setattr(runner_mod, "_CACHE_DIR", tmp_path / "cache")
+        clear_cache()
+        spec, _ = RunSpec.of("fedavg", "sentiment140", scale="tiny", max_rounds=2)
+        assert "phase_seconds" in spec.cached().meta  # the run had it; the file does not
+        stored = load_json(tmp_path / "cache" / f"{spec.key()}.json")
+        assert not set(VOLATILE_META_KEYS) & set(stored["meta"])
+        assert stored["records"]
+        clear_cache()
+
     def test_different_params_different_cache_entries(self, tmp_path, monkeypatch):
         import repro.experiments.runner as runner_mod
 

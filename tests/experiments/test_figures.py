@@ -1,25 +1,24 @@
-"""Cross-scenario figures from sweep checkpoints (``repro figures``)."""
+"""Cross-scenario figures from a sweep directory (``repro figures``)."""
 
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from repro.experiments.figures import (
-    load_sweep_cells,
     render_grouped_bars_svg,
     scenario_matrix,
     write_scenario_figures,
 )
+from repro.experiments.sweep import SweepRunner, SweepSpec
 
 
 # --------------------------------------------------------------------- #
-# Cross-scenario figures from sweep checkpoints
+# Cross-scenario figures from a sweep directory
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     """A small completed sweep over a dynamic + static scenario pair."""
-    from repro.experiments.sweep import SweepRunner, SweepSpec
-
     out = tmp_path_factory.mktemp("sweep")
     spec = SweepSpec(
         methods=("fedavg", "fedat"),
@@ -34,8 +33,6 @@ def sweep_dir(tmp_path_factory):
 
 
 def test_scenario_matrix_from_checkpoints(sweep_dir):
-    cells = load_sweep_cells(sweep_dir)
-    assert len(cells) == 4
     matrix = scenario_matrix(sweep_dir)
     # Order follows the sweep spec, not alphabetical sorting.
     assert matrix["methods"] == ["fedavg", "fedat"]
@@ -65,29 +62,33 @@ def test_grouped_bars_svg_structure(sweep_dir):
     assert any("arrival:0.4" in (t or "") for t in labels)
 
 
-def test_load_sweep_cells_skips_stale_spec_cells(sweep_dir, tmp_path):
-    import json as json_mod
-    import shutil
-
+def test_matrix_skips_leftover_runs_of_another_grid(sweep_dir, tmp_path):
+    """A reused directory still holds an earlier grid's runs: the matrix
+    reads the current grid's cells only."""
     reused = tmp_path / "reused"
-    shutil.copytree(sweep_dir, reused)
-    # A leftover cell from a previous grid: same filename shape, different
-    # spec key. The loader must not mix it into the matrix.
-    stale = json_mod.loads(
-        next(reused.glob("fedavg__static__s0.json")).read_text()
-    )
-    stale["spec_key"] = "0" * 16
-    stale["cell"] = {"method": "fedprox", "scenario": "burst", "seed": 0}
-    (reused / "fedprox__burst__s0.json").write_text(json_mod.dumps(stale))
-    cells = load_sweep_cells(reused)
-    assert {(c["method"], c["scenario"]) for c in cells} == {
-        ("fedavg", "static"),
-        ("fedavg", "arrival:0.4"),
-        ("fedat", "static"),
-        ("fedat", "arrival:0.4"),
-    }
+    earlier = SweepSpec(methods=("fedprox",), scenarios=("burst",), smoke=True)
+    SweepRunner(earlier, reused).run()
+    shutil.copytree(sweep_dir, reused, dirs_exist_ok=True)
+    matrix = scenario_matrix(reused)
+    assert matrix["methods"] == ["fedavg", "fedat"]
+    assert matrix["scenarios"] == ["static", "arrival:0.4"]
+    assert matrix["metrics"] == scenario_matrix(sweep_dir)["metrics"]
     with pytest.raises(FileNotFoundError):
-        load_sweep_cells(tmp_path / "no_such_dir")
+        scenario_matrix(tmp_path / "no_such_dir")
+
+
+def test_population_cells_are_their_own_scenario_groups(tmp_path):
+    """Eager and virtual cells of one scenario are never averaged together."""
+    spec = SweepSpec(
+        methods=("fedavg",),
+        populations=(None, 300),
+        smoke=True,
+        fl_overrides=(("max_rounds", 2), ("eval_every", 1)),
+    )
+    SweepRunner(spec, tmp_path).run()
+    matrix = scenario_matrix(tmp_path)
+    assert matrix["scenarios"] == ["static", "static#p300"]
+    assert matrix["seeds"] == {"fedavg": {"static": 1, "static#p300": 1}}
 
 
 def test_write_scenario_figures_emits_svg_and_json(sweep_dir, tmp_path):

@@ -94,11 +94,15 @@ class TestSweepGrid:
             methods=("fedavg",), populations=(250,), smoke=True,
             fl_overrides=(("max_rounds", 1),),
         )
-        runner = SweepRunner(spec, tmp_path)
-        runner.run()
-        assert (tmp_path / "fedavg__static__s0__p250.json").exists()
+        SweepRunner(spec, tmp_path).run()
         cell = SweepCell(method="fedavg", scenario="static", seed=0, population=250)
-        assert runner.load_cell(cell) is not None
+        run, _ = spec.run_spec(cell)
+        # The population keys the run, so its file is not the eager cell's.
+        eager, _ = spec.run_spec(SweepCell(method="fedavg", scenario="static", seed=0))
+        assert run.key() != eager.key()
+        stored = {p.name for p in tmp_path.glob("*.json")}
+        assert stored == {f"{run.key()}.json", "spec.json", "summary.json"}
+        assert run.load(tmp_path).meta["population"] == 250
 
 
 class TestCLIParsing:

@@ -1,10 +1,12 @@
-"""Sweep runner: grid execution, crash-resume, checkpoint hygiene."""
+"""Sweep runner: grid execution, crash-resume, the run store in its out-dir."""
 
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+import repro.experiments.runner as runner_mod
 import repro.experiments.sweep as sweep_mod
 from repro.cli import main
 from repro.experiments.checkpoint import VOLATILE_META_KEYS
@@ -12,6 +14,20 @@ from repro.experiments.runner import RunSpec
 from repro.experiments.sweep import SweepCell, SweepRunner, SweepSpec
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def _stored(spec, cell, out_dir):
+    """The store file of one grid point's run."""
+    return spec.run_spec(cell)[0].path(out_dir)
+
+
+@pytest.fixture()
+def count_runs(monkeypatch):
+    """The runs ``RunSpec.run`` is asked for from here on."""
+    calls = []
+    real_run = RunSpec.run
+    monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(self) or real_run(self, **k))
+    return calls
 
 
 @pytest.fixture()
@@ -70,7 +86,8 @@ def test_spec_accepts_composed_and_trace_scenarios():
 
 
 def test_sweep_completes_and_summarizes(spec, tmp_path):
-    runner = SweepRunner(spec, tmp_path / "out")
+    out = tmp_path / "out"
+    runner = SweepRunner(spec, out)
     summary = runner.run()
     assert summary["complete"]
     assert summary["cells_done"] == 8
@@ -82,17 +99,16 @@ def test_sweep_completes_and_summarizes(spec, tmp_path):
         assert 0.0 <= row["best_accuracy"] <= 1.0
     table = runner.format_summary(summary)
     assert "fedavg" in table and "churn" in table and "complete" in table
-    assert (tmp_path / "out" / "summary.json").exists()
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-        "fedavg__churn__s0.json", "fedavg__churn__s1.json",
-        "fedavg__static__s0.json", "fedavg__static__s1.json",
-        "spec.json", "summary.json",
-        "tifl__churn__s0.json", "tifl__churn__s1.json",
-        "tifl__static__s0.json", "tifl__static__s1.json",
-    ]
+    assert (out / "summary.json").exists()
+    # The out-dir is the grid, its summary and one store file per cell.
+    stored = {_stored(spec, c, out).name for c in spec.cells()}
+    assert len(stored) == 8
+    assert {p.name for p in out.iterdir()} == stored | {"spec.json", "summary.json"}
+    assert json.loads((out / "spec.json").read_text()) == json.loads(json.dumps(asdict(spec)))
+    assert SweepSpec.from_file(out / "spec.json") == spec
 
 
-def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, monkeypatch):
+def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, count_runs):
     # Uninterrupted reference run.
     full = SweepRunner(spec, tmp_path / "full")
     full_summary = full.run()
@@ -104,25 +120,23 @@ def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, monkeypatch
     assert partial_summary["cells_done"] == 3
     assert not (tmp_path / "part" / "summary.json").exists()
 
-    calls = []
-    real_run = RunSpec.run
-    monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(self) or real_run(self, **k))
+    count_runs.clear()
     resumed_summary = SweepRunner(spec, tmp_path / "part").run()
-    assert len(calls) == 5  # only the pending cells re-ran
+    assert len(count_runs) == 5  # only the pending cells re-ran
     assert resumed_summary["complete"]
 
     # Merged results are bit-identical to the uninterrupted sweep.
     assert resumed_summary == full_summary
     for cell in spec.cells():
-        a = json.loads((tmp_path / "full" / f"{cell.cell_id}.json").read_text())
-        b = json.loads((tmp_path / "part" / f"{cell.cell_id}.json").read_text())
+        a = _stored(spec, cell, tmp_path / "full").read_bytes()
+        b = _stored(spec, cell, tmp_path / "part").read_bytes()
         assert a == b, cell.cell_id
 
 
 def test_pool_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch):
     """A pool run always records fault counters, and their values depend on
-    OS races: the cell file keeps none of the volatile keys, and the sweep
-    key leaves the executor out, so the file is the serial run's, byte for
+    OS races: the stored run keeps none of the volatile keys, and its key
+    leaves the executor out, so the file is the serial run's, byte for
     byte, and a sweep resumed under the other executor runs no cell."""
     specs = {
         executor: SweepSpec(methods=("fedavg",), executor=executor, num_workers=2, smoke=True)
@@ -130,11 +144,10 @@ def test_pool_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch):
     }
     files = {}
     for executor, cell_spec in specs.items():
-        runner = SweepRunner(cell_spec, tmp_path / executor)
+        SweepRunner(cell_spec, tmp_path / executor).run()
         (cell,) = cell_spec.cells()
-        runner.run_cell(cell)
-        files[executor] = runner._cell_path(cell).read_bytes()
-    assert not set(VOLATILE_META_KEYS) & set(json.loads(files["parallel"])["history"]["meta"])
+        files[executor] = _stored(cell_spec, cell, tmp_path / executor).read_bytes()
+    assert not set(VOLATILE_META_KEYS) & set(json.loads(files["parallel"])["meta"])
     assert files["parallel"] == files["serial"]
 
     calls = []
@@ -144,27 +157,54 @@ def test_pool_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_sweep_reruns_corrupt_and_stale_checkpoints(spec, tmp_path):
+def test_sweep_reruns_a_torn_run(spec, tmp_path, monkeypatch, count_runs):
     runner = SweepRunner(spec, tmp_path / "out")
-    cells = spec.cells()
     runner.run(max_runs=2)
-    done = [c for c in cells if runner.load_cell(c) is not None]
+    done = [c for c in spec.cells() if _stored(spec, c, runner.out_dir).exists()]
     assert len(done) == 2
 
-    # Torn write: truncated JSON is treated as missing and re-run.
-    path = runner._cell_path(done[0])
-    path.write_text(path.read_text()[:40])
-    assert runner.load_cell(done[0]) is None
-
-    # Stale spec: a checkpoint from a different grid is not trusted.
-    other = json.loads(runner._cell_path(done[1]).read_text())
-    other["spec_key"] = "deadbeefdeadbeef"
-    runner._cell_path(done[1]).write_text(json.dumps(other))
-    assert runner.load_cell(done[1]) is None
-
+    # Torn write: a truncated file is a miss, and its cell re-runs.
+    path = _stored(spec, done[0], runner.out_dir)
+    intact = path.read_bytes()
+    path.write_bytes(intact[:40])
+    monkeypatch.setattr(runner_mod, "_MEMORY_CACHE", {})  # a new process
+    count_runs.clear()
     summary = runner.run()
     assert summary["complete"]
-    assert all(runner.load_cell(c) is not None for c in cells)
+    assert len(count_runs) == 7  # the six never run, and the torn one
+    assert path.read_bytes() == intact
+
+
+def test_extending_a_grid_runs_only_the_new_cells(tmp_path, count_runs):
+    """A finished seed-0 grid extended by seed 1 keeps its seed-0 cells."""
+    base = SweepSpec(methods=("fedavg",), scenarios=("static", "churn"), seeds=(0,), smoke=True)
+    SweepRunner(base, tmp_path).run()
+    count_runs.clear()
+    summary = SweepRunner(replace(base, seeds=(0, 1)), tmp_path).run()
+    assert summary["complete"]
+    assert [run.seed for run in count_runs] == [1, 1]
+
+
+def test_reused_out_dir_never_reads_another_grids_runs(spec, tmp_path, monkeypatch):
+    """A leftover run from an earlier grid in the same out-dir is neither
+    loaded nor summarized: the store is read by the current grid's keys."""
+    out = tmp_path / "out"
+    other = SweepSpec(methods=("fedprox",), scenarios=("burst",), smoke=True)
+    SweepRunner(other, out).run()
+    (leftover,) = [_stored(other, c, out) for c in other.cells()]
+
+    loaded = []
+    real_load = RunSpec.load
+
+    def load(self, store=None):
+        loaded.append(self.path(store))
+        return real_load(self, store)
+
+    monkeypatch.setattr(RunSpec, "load", load)
+    summary = SweepRunner(spec, out).run()
+    assert summary["complete"]
+    assert set(summary["rows"]) == {f"{m}@{s}" for m in spec.methods for s in spec.scenarios}
+    assert leftover.exists() and leftover not in loaded
 
 
 def _fl(spec, *cell):
@@ -237,8 +277,9 @@ def test_committed_sweep_configs_parse():
     assert any(s.startswith("bwdrift") for s in scenarios)
 
 
-#: The committed configs' keys: a moved key makes every checkpointed cell
-#: of that grid stale.
+#: The committed configs' keys, each a digest of the grid's run keys, which
+#: name its store files: a moved key means a cell's store file moved, and
+#: that cell would re-run.
 _PINNED_SWEEP_KEYS = {
     "sweep_nightly.json": "fae55c4acac3a116",
     "sweep_paper.json": "f10dfa1192d652f7",
@@ -251,8 +292,8 @@ def test_committed_sweep_keys_are_pinned(name, key):
 
 
 def test_cell_file_names_are_pinned():
-    """A cell's file is named by its grid coordinate: a moved name orphans
-    every checkpoint written under the old one."""
+    """A cell id names the cell's log lines; its store file is named by its
+    run key, which ``_PINNED_SWEEP_KEYS`` pins through the sweep key."""
     import hashlib
 
     ids = [c.cell_id for c in SweepSpec.from_file(EXAMPLES / "sweep_paper.json").cells()]

@@ -14,7 +14,8 @@ rejoin scheduler), one home for execution settings (``ExecConfig``, which
 declares and checks each one; ``make_executor`` reads it), one home per
 method knob (the ``Params`` of the methods that read it), one description
 of a run (``RunSpec``, which splits off execution settings, checks the rest
-and keys the cache entry, the checkpoint and the sweep cell), one source of
+and keys the cache entry, the checkpoint and the sweep cell), one store of
+finished runs (``RunSpec``'s, which the sweep and the figures read), one source of
 a client round's state, its start row and task (batch-norm statistics are
 weights and dropout draws from the round's own generator, so neither a
 cohort-order replay nor a replica-safety flag with its serial fallback
@@ -97,6 +98,10 @@ REMOVED = re.compile(
     # mis-profiling model, and no wrapper over dataclasses.replace.
     r"|VirtualReplicaStore|replica_store|def replica\b|profile_latencies_subset"
     r"|probe_rounds|noise_std|def mistier\b|def with_\b"
+    # A finished run is stored once, by RunSpec under its key: no sweep cell
+    # envelope with its own reader, writer and grid-wide staleness key, and
+    # no second loader of that envelope for the figures.
+    r"|read_cell_checkpoint|load_sweep_cells|_atomic_write|load_cell\b|spec_key"
 )
 
 
@@ -198,6 +203,16 @@ def test_pattern_does_not_flag_the_surviving_knob():
         "        sampled = self.population.profile_latencies(profiler, rng, client_ids=ids)"
     )
     assert REMOVED.search("        probe_rounds: int = 1,")
+    assert REMOVED.search("    payload = read_cell_checkpoint(path, self._spec_key)")
+    assert not REMOVED.search("            if run.load(self.out_dir) is not None:")
+    assert REMOVED.search("    cells = load_sweep_cells(directory)")
+    assert not REMOVED.search('    rows = SweepRunner(spec, directory).summarize()["rows"]')
+    assert REMOVED.search('            self._atomic_write(self.out_dir / "summary.json", summary)')
+    assert not REMOVED.search('            save_json(self.out_dir / "summary.json", summary)')
+    assert REMOVED.search("    def load_cell(self, cell: SweepCell) -> RunHistory | None:")
+    assert not REMOVED.search("        return RunHistory.from_dict(load_json(self.path(store)))")
+    assert REMOVED.search('            "spec_key": self._spec_key,')
+    assert not REMOVED.search('            "key": self.spec.key(),')
     assert not REMOVED.search("        self.epochs = epochs")
     assert REMOVED.search("        noise_std: float = 0.0,")
     assert not REMOVED.search("        misprofile_fraction: float = 0.0,")
