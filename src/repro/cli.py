@@ -357,7 +357,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = runner.run(max_runs=args.max_runs, log=print)
     print()
     print(runner.format_summary(summary))
-    print(f"\ncheckpoints : {out_dir}")
+    print(f"\nrun store : {out_dir}")
     if not summary["complete"]:
         print("sweep interrupted — rerun the same command to resume")
         return 3

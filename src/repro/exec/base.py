@@ -110,8 +110,8 @@ class ExecConfig:
 
     By the executor-equivalence contract none of these fields changes a bit
     of a run's history: cache and checkpoint keys ignore them, so a run
-    started serially resumes under ``"dist"``, and a run stored once (by
-    ``RunSpec.cached``, a claim's or a sweep cell's) answers the same
+    started serially resumes under ``"dist"``, and a run stored once (a
+    claim's through ``RunSpec.cached``, or a sweep cell's) answers the same
     experiment under any backend.
     :func:`make_executor` picks the backend and the fault plan from it and
     passes the other fields through; the cross-process executor rebuilds it

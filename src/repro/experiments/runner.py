@@ -9,11 +9,11 @@ are named by :meth:`RunSpec.key`.
 Finished runs live in one store: a directory of ``<key>.json`` files, each
 a history without its volatile meta, written atomically.
 :meth:`RunSpec.load` reads one (a missing, torn or malformed file is a
-miss), :meth:`RunSpec.save` writes one, and :meth:`RunSpec.cached` runs on
-a miss. The paper's claims share runs (Tables 1–2 and Figs 2–4 read the
-same histories) through the default store, ``.bench_cache/``; a sweep's
-store is its out-dir, so a torn file re-runs and an extended grid keeps
-its done cells.
+miss) and :meth:`RunSpec.save` writes one. The paper's claims share runs
+(Tables 1–2 and Figs 2–4 read the same histories) through
+:meth:`RunSpec.cached`, which runs on a miss in the default store,
+``.bench_cache/``; a sweep's store is its out-dir, so a torn file re-runs
+and an extended grid keeps its done cells.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ __all__ = [
 #: million clients' shards is neither feasible nor what the paper reports).
 DEFAULT_VIRTUAL_EVAL_CLIENTS = 200
 
-#: Histories this process read or ran, by store file: a hit in one store
-#: never stands in for another store's file.
+#: Histories :meth:`RunSpec.cached` read or ran in this process, by store file.
 _MEMORY_CACHE: dict[Path, RunHistory] = {}
 #: The default store.
 _CACHE_DIR = Path(".bench_cache")
@@ -270,18 +269,18 @@ class RunSpec:
         file is the same bytes under every executor and every resume."""
         return save_json(self.path(store), strip_volatile_meta(history.to_dict()))
 
-    def cached(self, *, store: str | Path | None = None, **execution) -> RunHistory:
-        """:meth:`load`, else :meth:`run` and :meth:`save`; memoized
-        in-process by file. The key leaves execution settings out: their
-        history bits are identical by contract. :func:`clear_cache` empties
-        the default store."""
-        path = self.path(store)
+    def cached(self, **execution) -> RunHistory:
+        """:meth:`load` from the default store, else :meth:`run` and
+        :meth:`save`; memoized in-process by file. The key leaves execution
+        settings out: their history bits are identical by contract.
+        :func:`clear_cache` empties the default store."""
+        path = self.path()
         if path not in _MEMORY_CACHE:
-            history = self.load(store)
+            history = self.load()
             if history is None:
                 history = self.run(**execution)
                 try:
-                    self.save(history, store)
+                    self.save(history)
                 except OSError:  # read-only checkout: in-memory cache still works
                     pass
             _MEMORY_CACHE[path] = history

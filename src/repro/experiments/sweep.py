@@ -207,7 +207,8 @@ class SweepRunner:
             if max_runs is not None and ran >= max_runs:
                 say(f"stopping after {ran} new runs (max-runs reached)")
                 break
-            history = run.cached(store=self.out_dir, **execution)
+            history = run.run(**execution)
+            run.save(history, self.out_dir)
             ran += 1
             say(
                 f"[{i + 1}/{len(cells)}] {cell.cell_id}: "

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.experiments.runner as runner_mod
 import repro.experiments.sweep as sweep_mod
 from repro.cli import main
 from repro.experiments.checkpoint import VOLATILE_META_KEYS
@@ -157,7 +156,7 @@ def test_pool_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch):
     assert calls == []
 
 
-def test_sweep_reruns_a_torn_run(spec, tmp_path, monkeypatch, count_runs):
+def test_sweep_reruns_a_torn_run(spec, tmp_path, count_runs):
     runner = SweepRunner(spec, tmp_path / "out")
     runner.run(max_runs=2)
     done = [c for c in spec.cells() if _stored(spec, c, runner.out_dir).exists()]
@@ -167,7 +166,6 @@ def test_sweep_reruns_a_torn_run(spec, tmp_path, monkeypatch, count_runs):
     path = _stored(spec, done[0], runner.out_dir)
     intact = path.read_bytes()
     path.write_bytes(intact[:40])
-    monkeypatch.setattr(runner_mod, "_MEMORY_CACHE", {})  # a new process
     count_runs.clear()
     summary = runner.run()
     assert summary["complete"]
