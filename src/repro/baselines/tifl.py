@@ -96,13 +96,7 @@ class TiFL(SyncFLSystem):
             if ids.size == 0:
                 evaluators.append(None)
                 continue
-            evaluators.append(
-                self.population.build_evaluator(
-                    self.worker,
-                    eval_batch_size=self.config.eval_batch_size,
-                    client_ids=ids.tolist(),
-                )
-            )
+            evaluators.append(self.population.build_evaluator(self.worker, client_ids=ids.tolist()))
         return evaluators
 
     # ------------------------------------------------------------------ #

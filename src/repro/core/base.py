@@ -369,9 +369,7 @@ class FLSystem:
                     self.num_clients, size=config.eval_clients, replace=False
                 )
             ).tolist()
-        self.evaluator = population.build_evaluator(
-            self.worker, eval_batch_size=config.eval_batch_size, client_ids=eval_ids
-        )
+        self.evaluator = population.build_evaluator(self.worker, client_ids=eval_ids)
         self.failures = UnstableClientPolicy(
             self.num_clients,
             self.factory.rng("env/failures"),

@@ -39,10 +39,6 @@ class FLConfig:
     max_rounds: int = 200
     max_time: float | None = None
     eval_every: int = 5
-    # Evaluation forward passes run in chunks of this many samples, so peak
-    # memory is bounded regardless of the federation test-set size. Chunking
-    # is bit-identical at any value (row-wise ops + a full-vector mean).
-    eval_batch_size: int = 256
     # Evaluate the global model over a fixed random subset of this many
     # clients' test shards (drawn once from the "env/eval" stream) instead
     # of every client. None keeps the historical evaluate-everyone behavior;
@@ -104,8 +100,6 @@ class FLConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
         if self.dtype not in ("float64", "float32"):
             raise ValueError(f"unknown dtype {self.dtype!r}; options: float64, float32")
         if self.guard is not None:

@@ -3,9 +3,10 @@
 Layout:
 
 - :mod:`~repro.exec.dist.wire` — length-prefixed pickled frames with crc32;
-- :mod:`~repro.exec.dist.scheduler` — selector-loop scheduler thread
-  (registration, heartbeats, lease assignment): frames, EOFs and timers in,
-  transitions of the lease state machine out;
+- :mod:`~repro.exec.dist.scheduler` — the selector-loop scheduler
+  (registration, heartbeats, lease assignment) that the executor drives on
+  its own thread: frames, EOFs and timers in, transitions of the lease
+  state machine out;
 - :mod:`~repro.exec.dist.worker` — the worker process (``repro worker``);
 - :mod:`~repro.exec.dist.executor` — :class:`DistExecutor`, the
   ``ClientExecutor`` facade behind ``executor="dist"`` and ``"parallel"``.

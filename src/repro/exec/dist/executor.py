@@ -10,6 +10,13 @@ it is the whole parent side: settings, recovery counters, an in-parent
 :class:`~repro.exec.serial.SerialExecutor` for small cohorts and degraded
 chunks, and each :class:`~repro.exec.supervision.Dispatch`'s degrade-or-raise.
 
+The parent runs one thread. ``run_cohort`` drives the scheduler's passes
+itself until its dispatch resolves, watching its local workers' process
+sentinels in the same ``select``, and replaces a worker whose sentinel
+fires between passes; an exception raised in a pass is ``run_cohort``'s
+own. Between dispatches nobody drives, and nothing is lost by that: each
+drive first reads what the sockets buffered meanwhile.
+
 The bit-identity contract is the package's (:mod:`repro.exec`) and holds
 across any worker count, arrival order, mid-round kill, or injected fault
 schedule: chunk boundaries depend only on ``num_workers`` — never on how
@@ -39,7 +46,7 @@ from repro.exec.dist.scheduler import Scheduler
 from repro.exec.dist.worker import parse_address, run_worker
 from repro.exec.faults import ExecutorFaultError, FaultPlan
 from repro.exec.serial import SerialExecutor
-from repro.exec.supervision import Dispatch, chunk_tasks, wait_any, worker_context
+from repro.exec.supervision import Dispatch, chunk_tasks, worker_context
 from repro.nn.losses import Loss
 from repro.nn.model import Sequential
 from repro.sim.client import LocalTrainingResult, SimClient
@@ -143,8 +150,8 @@ class DistExecutor(ClientExecutor):
             heartbeat_timeout=self.config.heartbeat_timeout,
             worker_grace=self.config.worker_grace,
             counters=self.fault_counters,
+            init_payload=init_payload,
         )
-        self._scheduler.start(init_payload)
         if port == 0:
             # Ephemeral port ⇒ nobody external can have been told where to
             # connect: this run owns its workers. Explicit port ⇒ external
@@ -167,7 +174,7 @@ class DistExecutor(ClientExecutor):
             self.worker_processes.append(proc)
             self._scheduler.owned.add(proc.pid)
 
-    def _reap_and_respawn(self) -> None:
+    def _reap_and_respawn(self, fired: list[int]) -> None:
         """Kill wedged local workers; replace dead ones (self-contained mode).
 
         The scheduler recovers a *chunk* on its own (the lease requeues),
@@ -175,27 +182,24 @@ class DistExecutor(ClientExecutor):
         of the run — shrinking the roster until every dispatch pays the
         no-worker grace — and a hung one would sleep on, heartbeating,
         while holding a slot. Workers the scheduler dropped on an expired
-        lease are killed and joined first, so their replacements are
-        counted here, within the dispatch that expired them. External
-        workers are their own problem: their host restarts them and they
-        reconnect.
+        lease are killed here, so their replacements are counted within the
+        dispatch that expired them. External workers are their own problem:
+        their host restarts them and they reconnect.
 
-        Death is read off the process sentinels, not ``is_alive()``: a
-        sentinel is readable from the moment the dying process's
-        descriptors close — the same moment the scheduler sees its EOF —
-        while ``waitpid`` can still report a SIGKILLed process as running
-        for as long as the kernel takes to finish it off.
+        Death is read off the process sentinels that ``fired`` in the
+        scheduler's ``select``, not off ``is_alive()``: a sentinel is
+        readable from the moment the dying process's descriptors close —
+        the same moment the scheduler sees its EOF — while ``waitpid`` can
+        still report a SIGKILLed process as running for as long as the
+        kernel takes to finish it off.
         """
+        gone = set(fired)
         wedged = self._scheduler.wedged
-        while wedged:
-            pid = wedged.popleft()
-            for proc in self.worker_processes:
-                if proc.pid == pid:
-                    proc.kill()
-                    proc.join()
-        if not self.worker_processes:
-            return
-        gone = wait_any([p.sentinel for p in self.worker_processes], timeout=0)
+        for proc in self.worker_processes:
+            if proc.pid in wedged:
+                proc.kill()
+                gone.add(proc.sentinel)
+        wedged.clear()
         if not gone:
             return
         alive = []
@@ -205,12 +209,14 @@ class DistExecutor(ClientExecutor):
                 self._scheduler.owned.discard(proc.pid)
             else:
                 alive.append(proc)
+        respawns = len(self.worker_processes) - len(alive)
         self.worker_processes = alive
-        self.fault_counters["respawns"] += len(gone)
-        self._spawn_local(len(gone))
+        self.fault_counters["respawns"] += respawns
+        self._spawn_local(respawns)
 
     def wait_for_workers(self, count: int, timeout: float = 30.0) -> int:
-        """Block until ``count`` workers are registered (or timeout).
+        """Drive the scheduler until ``count`` workers are registered (or
+        timeout).
 
         Returns the live count. Dispatch does not require this — the
         scheduler queues leases until workers appear — but scripts that
@@ -237,25 +243,20 @@ class DistExecutor(ClientExecutor):
             counters=self.fault_counters,
         )
         self._dispatch_seq += 1
-        done = self._scheduler.submit(dispatch, self._scheduler.publish_weights(starts))
-        channel = self._scheduler.done_channel
-        while not done.is_set():
-            self._scheduler.check()
-            # Sleep until the job resolves, a local worker process dies (or
-            # died between dispatches, unwatched), the scheduler drops a
-            # wedged one or its loop dies — the lease layer recovers the
-            # chunk, this loop the roster.
-            ready = wait_any([channel, *(p.sentinel for p in self.worker_processes)])
-            if channel in ready:
-                channel.drain()
-            self._reap_and_respawn()
-        # A loop that died abandoned the job: its chunks failed for want of
-        # a scheduler, which no degrade can stand in for.
-        self._scheduler.check()
-        # A worker dropped or dead as the job resolved is replaced now, so
-        # what this dispatch cost is counted before it returns.
-        self._reap_and_respawn()
-        roster = len(self.worker_processes) or self._scheduler.live_workers
+        scheduler = self._scheduler
+        scheduler.begin(dispatch, starts)
+        while not dispatch.finished():
+            # Drive until the dispatch resolves, a local worker process dies
+            # (or died between dispatches, unwatched) or the scheduler drops
+            # a wedged one — the lease layer recovers the chunk, this loop
+            # the roster. A worker dropped or dead as the dispatch resolved
+            # is replaced before it returns, so what it cost is counted.
+            fired = scheduler.drive(
+                lambda: dispatch.finished() or bool(scheduler.wedged),
+                sentinels=[p.sentinel for p in self.worker_processes],
+            )
+            self._reap_and_respawn(fired)
+        roster = len(self.worker_processes) or scheduler.live_workers
         return self._finish(dispatch, starts, roster)
 
     def _finish(self, dispatch: Dispatch, starts: np.ndarray, live_workers: int) -> list:
@@ -295,7 +296,7 @@ class DistExecutor(ClientExecutor):
         if self._closed:
             return
         self._closed = True
-        exiting = self._scheduler.stop() if self._scheduler is not None else frozenset()
+        exiting = self._scheduler.shutdown() if self._scheduler is not None else frozenset()
         # A worker that was not told to exit — it never dialled in, or it is
         # wedged on a lease — would sit out its whole reconnect window.
         for proc in self.worker_processes:

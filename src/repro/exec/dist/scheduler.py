@@ -1,21 +1,26 @@
 """Scheduler: start weights, chunk leases, and worker supervision.
 
-One background thread runs a ``selectors`` event loop over the listening
-socket, every worker connection and a wake channel. All connection and
-lease state is owned by that thread; the executor talks to it through
-narrow, thread-safe seams — :meth:`Scheduler.publish_weights` (a
-dispatch's start weights: version + cached wire frame under a lock),
-:meth:`Scheduler.submit` (a :class:`_Job` dropped on a deque, then one
-byte down the wake channel) and
-:meth:`Scheduler.wait_for_workers` (a condition the loop notifies when the
-roster changes). A resolved job sets ``job.done`` and writes one byte to
-``done_channel``, so the executor can wait for it next to its worker
-processes' sentinels.
+The scheduler runs on its caller's thread. It owns a ``selectors``
+selector over the listening socket and every worker connection, and
+:meth:`Scheduler.drive` runs *passes* until the caller's condition holds:
+:class:`~repro.exec.dist.DistExecutor` drives it until its dispatch
+resolves (:meth:`Scheduler.begin` installs the dispatch and its start
+weights) and :meth:`Scheduler.wait_for_workers` until the roster is full.
+A pass is :meth:`Scheduler._step` — act on every timer due, hand pending
+chunks to idle workers, resolve a finished dispatch — then one ``select``
+over the listener, the worker sockets and whatever process sentinels the
+caller watches. A sentinel that fires ends the drive, so the executor can
+replace the worker while the lease layer recovers its chunk.
 
-The loop never ticks. It sleeps in ``select`` until something happens — a
-frame, a connection, an EOF, a submitted job, ``stop()`` — or until the
-earliest *armed* timer is due, and with no timer armed it sleeps without a
-timeout. Four things arm a timer:
+Between drives nothing reads the sockets: heartbeats, EOFs and
+registrations wait in the kernel's buffers. Each drive therefore reads
+what they buffered before its first pass judges any deadline, so an idle
+gap between dispatches costs no worker that kept beating through it.
+
+The loop never ticks. Its ``select`` sleeps until something happens — a
+frame, a connection, an EOF, a sentinel — or until the earliest *armed*
+timer is due, and with no timer armed it sleeps without a timeout. Four
+things arm a timer:
 
 - each registered connection: ``last_seen + heartbeat_timeout``;
 - each lease of the current dispatch with a ``chunk_timeout``: its
@@ -25,13 +30,9 @@ timeout. Four things arm a timer:
 - a dispatch whose every worker is wedged on an expired lease: one stall
   window from when that began.
 
-After every wake-up, whatever its cause, the loop runs one pass that acts
-on what is due, hands pending chunks to idle workers and resolves a
-finished job — so a dispatch costs the round trip, not a poll interval.
-
 A frame or message that cannot be decoded or handled drops the connection
-it came on and nothing else; should the loop itself die,
-:meth:`Scheduler.check` raises the cause instead of leaving a dispatch to wait.
+it came on and nothing else. Anything else a pass raises leaves
+:meth:`Scheduler.drive` as itself, to the caller.
 
 Lease transitions — verify a result, requeue on error / loss / expiry,
 spend retry budget — are :class:`~repro.exec.supervision.Dispatch` 's;
@@ -56,24 +57,23 @@ from __future__ import annotations
 
 import selectors
 import socket
-import threading
 import time
-from collections import deque, namedtuple
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.exec.dist.wire import FrameBuffer, encode_frame
-from repro.exec.supervision import Dispatch, WakeChannel, wait_budget
+from repro.exec.supervision import Dispatch, wait_budget
 
 __all__ = ["Scheduler"]
 
 
-#: Selector key data of the wake channel (the listener's is None).
-_WAKE = object()
+#: Selector key data of a watched process sentinel (the listener's is None).
+_SENTINEL = object()
 
 
 class _Conn:
-    """Per-connection state, owned by the scheduler loop thread."""
+    """Per-connection state."""
 
     __slots__ = (
         "sock",
@@ -101,22 +101,12 @@ class _Conn:
         self.closed = False
 
 
-#: A submitted dispatch, the weights version it runs on, and the event set
-#: once it is resolved.
-_Job = namedtuple("_Job", "dispatch weights_version done")
-
-
 class Scheduler:
     """Socket scheduler for :class:`~repro.exec.dist.DistExecutor`.
 
-    ``counters`` is the executor's ``fault_counters`` dict; only the loop
-    thread writes it while a job is unresolved, and the executor reads it
-    after ``job.done`` — no lock needed beyond the GIL.
-
-    Cross-thread signalling is two :class:`WakeChannel` s. ``_wake`` runs
-    executor -> loop: it is signalled after the state it announces (an inbox
-    entry, ``_stop``) is published and drained before that state is read.
-    ``done_channel`` runs loop -> executor, signalled for every resolved job.
+    ``counters`` is the executor's ``fault_counters`` dict, which the passes
+    update in place. ``init_payload`` is what a worker that registers
+    without one is sent, encoded once here.
     """
 
     def __init__(
@@ -126,12 +116,13 @@ class Scheduler:
         heartbeat_timeout: float,
         worker_grace: float,
         counters: dict,
+        init_payload: dict,
     ):
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.worker_grace = float(worker_grace)
         self.counters = counters
-        self.live_workers = 0  # written by the loop under ``_roster``
-        self._roster = threading.Condition()
+        #: Registered, open connections as of the last pass.
+        self.live_workers = 0
         self._sel = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -140,103 +131,84 @@ class Scheduler:
         self._listener.setblocking(False)
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._sel.register(self._listener, selectors.EVENT_READ, None)
-        self._wake = WakeChannel()
-        #: Readable whenever a job resolved since it was last drained. For
-        #: waiting on a job *and* something else (the executor adds its local
-        #: workers' process sentinels): check ``job.done`` after every
-        #: wake-up, and drain this when it is what woke you.
-        self.done_channel = WakeChannel()
-        self._sel.register(self._wake, selectors.EVENT_READ, _WAKE)
         self._conns: list[_Conn] = []
         self._seen_ids: set[str] = set()
-        self._init_frame: bytes | None = None
-        self._inbox: deque[_Job] = deque()
-        self._job: _Job | None = None
+        self._init_frame = encode_frame(("init", init_payload))
+        self._dispatch: Dispatch | None = None
         self._no_worker_since: float | None = None
         self._stall_since: float | None = None
-        self._weights_lock = threading.Lock()
         self._weights_version = -1
         self._weights_array: np.ndarray | None = None
         self._weights_frame: bytes = b""
-        self._stop = False
-        self._thread: threading.Thread | None = None
-        #: Why the loop thread died, if it ever exits other than by ``stop()``.
-        self.failure: Exception | None = None
-        self._told_to_exit: set[int] = set()
         #: Pids of the workers the executor forked (it keeps this current).
         self.owned: set[int] = set()
         #: Pids of owned workers dropped on an expired lease, for the
-        #: executor to kill; each one also signals ``done_channel``.
-        self.wedged: deque[int] = deque()
+        #: executor to kill.
+        self.wedged: list[int] = []
 
     # ------------------------------------------------------------------ #
-    # Executor-facing API (called from the executor's thread)
+    # Caller-facing API
     # ------------------------------------------------------------------ #
-    def start(self, init_payload: dict) -> None:
-        """Encode the worker init payload once and start the loop thread."""
-        self._init_frame = encode_frame(("init", init_payload))
-        self._thread = threading.Thread(
-            target=self._run, name="repro-dist-scheduler", daemon=True
-        )
-        self._thread.start()
-
-    def publish_weights(self, weights: np.ndarray) -> int:
-        """Install a dispatch's start weights — one ``(P,)`` vector or an
-        ``(S, P)`` stack — and return their version.
+    def begin(self, dispatch: Dispatch, weights: np.ndarray) -> None:
+        """Make ``dispatch`` the one the next passes lease out, on start
+        weights ``weights`` — one ``(P,)`` vector or an ``(S, P)`` stack.
 
         Identical weights reuse the previous version (and its cached wire
         frame), so unchanged start weights between dispatches cost no
         re-broadcast — the same idea as the system's downlink cache.
         """
-        with self._weights_lock:
-            if self._weights_array is not None and np.array_equal(
-                self._weights_array, weights
-            ):
-                return self._weights_version
+        if self._weights_array is None or not np.array_equal(self._weights_array, weights):
             arr = np.ascontiguousarray(weights).copy()
             arr.flags.writeable = False
             self._weights_version += 1
             self._weights_array = arr
             self._weights_frame = encode_frame(("weights", self._weights_version, arr))
-            return self._weights_version
+        self._dispatch = dispatch
+        self._no_worker_since = None
+        self._stall_since = None
 
-    def submit(self, dispatch: Dispatch, weights_version: int) -> threading.Event:
-        """Queue one dispatch and wake the loop.
+    def drive(
+        self,
+        until: Callable[[], bool],
+        *,
+        sentinels: Iterable[int] = (),
+        timeout: float | None = None,
+    ) -> list[int]:
+        """Run passes until ``until()`` holds and no frame waits to be sent,
+        one of ``sentinels`` (process sentinels) is readable, or ``timeout``
+        seconds pass. Returns the sentinels that fired.
 
-        The returned event is set, and ``done_channel`` signalled, once
-        every chunk of ``dispatch`` is completed or failed.
+        The sockets are read before the first pass, so a deadline is never
+        judged on what arrived while nobody was driving. A drive does not
+        end with a frame half sent: a worker that registered late in it
+        must hold its init payload before the next idle gap, or it cannot
+        heartbeat through that gap.
         """
-        job = _Job(dispatch, weights_version, threading.Event())
-        self._inbox.append(job)
-        self._wake.signal()
-        return job.done
-
-    def check(self) -> None:
-        """Raise if the loop thread died: no job can resolve any more."""
-        if self.failure is not None:
-            raise RuntimeError(f"dist scheduler loop died: {self.failure!r}") from self.failure
+        end = None if timeout is None else time.monotonic() + timeout
+        watched = []
+        try:
+            for fd in sentinels:
+                self._sel.register(fd, selectors.EVENT_READ, _SENTINEL)
+                watched.append(fd)
+            fired = self._pump(0)
+            while True:
+                now = time.monotonic()
+                wait = self._step(now)
+                if fired or (until() and not any(conn.out for conn in self._conns)):
+                    return fired
+                if end is not None:
+                    if now >= end:
+                        return fired
+                    wait = end - now if wait is None else min(wait, end - now)
+                fired = self._pump(wait)
+        finally:
+            for fd in watched:
+                self._sel.unregister(fd)
 
     def wait_for_workers(self, count: int, timeout: float) -> int:
-        """Block until ``count`` workers are registered; returns the roster size."""
-        with self._roster:
-            self._roster.wait_for(lambda: self.live_workers >= count, timeout)
-            return self.live_workers
-
-    def stop(self) -> frozenset[int]:
-        """Shut down: broadcast shutdown frames, close sockets, join.
-
-        Returns the pids of the workers that will act on their shutdown
-        frame: registered, and idle when it was sent. A worker outside this
-        set never dialled in, or is still busy with (or wedged on) a lease
-        and will not read the frame any time soon.
-        """
-        self._stop = True
-        self._wake.signal()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.done_channel.close()
-        return frozenset(self._told_to_exit)
+        """Drive until ``count`` workers are registered; returns the roster size."""
+        self.drive(lambda: self.live_workers >= count, timeout=timeout)
+        return self.live_workers
 
     def close_inherited(self) -> None:
         """In a forked child: close this process's copies of every socket.
@@ -249,53 +221,71 @@ class Scheduler:
         connection likewise hides the scheduler's ``close()`` from the
         worker at its other end.
         """
-        for sock in (
-            self._listener,
-            self._wake,
-            self.done_channel,
-            *(conn.sock for conn in self._conns),
-        ):
+        for sock in (self._listener, *(conn.sock for conn in self._conns)):
             sock.close()
         self._sel.close()
 
+    def shutdown(self) -> frozenset[int]:
+        """Send every worker a shutdown frame and close every socket.
+
+        Returns the pids of the workers that will act on their shutdown
+        frame: registered, and idle when it was sent. A worker outside this
+        set never dialled in, or is still busy with (or wedged on) a lease
+        and will not read the frame any time soon.
+        """
+        frame = encode_frame(("shutdown",))
+        told = set()
+        for conn in self._conns:
+            try:
+                conn.sock.setblocking(True)
+                conn.sock.settimeout(0.5)
+                conn.sock.sendall(bytes(conn.out) + frame)
+                if conn.registered and conn.inflight is None:
+                    told.add(conn.pid)
+            except OSError:
+                pass
+            try:
+                conn.sock.close()
+            except OSError:
+                pass
+        self._conns.clear()
+        self.live_workers = 0
+        self._dispatch = None
+        self._listener.close()
+        self._sel.close()
+        return frozenset(told)
+
     # ------------------------------------------------------------------ #
-    # Event loop (everything below runs on the loop thread)
+    # I/O
     # ------------------------------------------------------------------ #
-    def _run(self) -> None:
-        try:
-            while not self._stop:
-                timeout = self._step(time.monotonic())
-                for key, mask in self._sel.select(timeout):
-                    if key.data is _WAKE:
-                        self._wake.drain()
-                        continue
-                    if key.data is None:
-                        self._accept()
-                        continue
-                    conn: _Conn = key.data
-                    if conn.closed:
-                        continue
-                    if mask & selectors.EVENT_READ:
-                        self._on_readable(conn)
-                    if mask & selectors.EVENT_WRITE and not conn.closed:
-                        self._flush(conn)
-        except Exception as exc:
-            # Published before the executor is woken, so it wakes to see why.
-            self.failure = exc
-            self.done_channel.signal()
-        finally:
-            self._shutdown_all()
+    def _pump(self, timeout: float | None) -> list[int]:
+        """One ``select``: accept, read and write what is ready; returns the
+        watched sentinels that fired."""
+        fired = []
+        for key, mask in self._sel.select(timeout):
+            if key.data is None:
+                self._accept()
+            elif key.data is _SENTINEL:
+                fired.append(key.fd)
+            elif not key.data.closed:
+                conn: _Conn = key.data
+                if mask & selectors.EVENT_READ:
+                    self._on_readable(conn)
+                if mask & selectors.EVENT_WRITE and not conn.closed:
+                    self._flush(conn)
+        return fired
 
     def _accept(self) -> None:
-        try:
-            sock, _ = self._listener.accept()
-        except OSError:
-            return
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(sock, time.monotonic())
-        self._conns.append(conn)
-        self._sel.register(sock, selectors.EVENT_READ, conn)
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # BlockingIOError once the backlog is empty
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Conn(sock, time.monotonic())
+            self._conns.append(conn)
+            self._sel.register(sock, selectors.EVENT_READ, conn)
 
     def _events_for(self, conn: _Conn) -> int:
         return selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.out else 0)
@@ -314,10 +304,7 @@ class Scheduler:
         except OSError:
             self._dead(conn, "send failed")
             return
-        try:
-            self._sel.modify(conn.sock, self._events_for(conn), conn)
-        except (KeyError, ValueError, OSError):  # pragma: no cover - closing race
-            pass
+        self._sel.modify(conn.sock, self._events_for(conn), conn)
 
     def _on_readable(self, conn: _Conn) -> None:
         while True:
@@ -384,29 +371,25 @@ class Scheduler:
         if conn.worker_id in self._seen_ids:
             self.counters["reconnects"] += 1
         self._seen_ids.add(conn.worker_id)
-        if not has_init and self._init_frame is not None:
+        if not has_init:
             self._queue(conn, self._init_frame)
 
     def _current(self, seq: int) -> Dispatch | None:
         """The running dispatch if it is number ``seq`` (a cross-dispatch
         straggler was resolved elsewhere long ago)."""
-        job = self._job
-        return job.dispatch if job is not None and job.dispatch.seq == seq else None
+        dispatch = self._dispatch
+        return dispatch if dispatch is not None and dispatch.seq == seq else None
 
     def _dead(self, conn: _Conn, why: str) -> None:
         if conn.closed:
             return
         conn.closed = True
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError):  # pragma: no cover - already gone
-            pass
+        self._sel.unregister(conn.sock)
         try:
             conn.sock.close()
         except OSError:  # pragma: no cover - best effort
             pass
-        if conn in self._conns:
-            self._conns.remove(conn)
+        self._conns.remove(conn)
         if conn.registered:
             if why == "missed heartbeats":
                 self.counters["heartbeat_misses"] += 1
@@ -420,36 +403,27 @@ class Scheduler:
                 current.lost(chunk, conn.worker_id, why)
 
     # ------------------------------------------------------------------ #
-    # One pass after every wake-up: timers, assignment, completion
+    # One pass: timers, assignment, completion
     # ------------------------------------------------------------------ #
     def _step(self, now: float) -> float | None:
         """Act on everything due at ``now``; returns the next ``select`` timeout.
 
-        Runs after every wake-up, whatever caused it, so an event (a result,
-        a registration, an EOF, a submitted job) assigns and resolves at
-        once. A timer that fires removes what armed it — the quiet
-        connection, the lease's deadline, the pending chunks — so the
-        timeout computed at the end never points at something already
-        handled.
+        Runs after every ``select``, whatever woke it, so an event (a result,
+        a registration, an EOF) assigns and resolves at once. A timer that
+        fires removes what armed it — the quiet connection, the lease's
+        deadline, the pending chunks — so the timeout computed at the end
+        never points at something already handled.
         """
         for conn in list(self._conns):
             if conn.registered and now - conn.last_seen > self.heartbeat_timeout:
                 self._dead(conn, "missed heartbeats")
-        live = [c for c in self._conns if c.registered and not c.closed]
-        self._publish_roster(len(live))
-        while True:
-            if self._job is None and self._inbox:
-                self._job = self._inbox.popleft()
-            job = self._job
-            if job is None:
-                break
-            self._supervise(job, live, now)
-            if not job.dispatch.finished():
-                break
-            self._job = None
-            self._no_worker_since = None
-            self._stall_since = None
-            self._resolve(job)
+        live = [c for c in self._conns if c.registered]
+        self.live_workers = len(live)
+        dispatch = self._dispatch
+        if dispatch is not None:
+            self._supervise(dispatch, live, now)
+            if dispatch.finished():
+                self._dispatch = None
         return wait_budget(self._deadlines(), now)
 
     def _deadlines(self):
@@ -457,30 +431,18 @@ class Scheduler:
         for conn in self._conns:
             if conn.registered:
                 yield conn.last_seen + self.heartbeat_timeout
-        job = self._job
-        if job is not None:
-            yield job.dispatch.next_deadline()
+        dispatch = self._dispatch
+        if dispatch is not None:
+            yield dispatch.next_deadline()
             if self._no_worker_since is not None:
                 yield self._no_worker_since + self.worker_grace
             if self._stall_since is not None:
-                yield self._stall_since + self._stall_window(job)
+                yield self._stall_since + self._stall_window(dispatch)
 
-    def _stall_window(self, job: _Job) -> float:
-        timeout = job.dispatch.timeout
-        return timeout if timeout is not None else self.worker_grace
+    def _stall_window(self, dispatch: Dispatch) -> float:
+        return dispatch.timeout if dispatch.timeout is not None else self.worker_grace
 
-    def _publish_roster(self, count: int) -> None:
-        if count != self.live_workers:
-            with self._roster:
-                self.live_workers = count
-                self._roster.notify_all()
-
-    def _resolve(self, job: _Job) -> None:
-        job.done.set()
-        self.done_channel.signal()
-
-    def _supervise(self, job: _Job, live: list[_Conn], now: float) -> None:
-        dispatch = job.dispatch
+    def _supervise(self, dispatch: Dispatch, live: list[_Conn], now: float) -> None:
         # An expired lease's holder keeps heartbeating but is presumed
         # wedged. A forked one is dropped here (a death, counted now, not
         # whenever its EOF would arrive) and killed by the executor; any
@@ -491,7 +453,6 @@ class Scheduler:
                 if conn.inflight == (dispatch.seq, lease.chunk) and conn.pid in self.owned:
                     self._dead(conn, "wedged on an expired lease")
                     self.wedged.append(conn.pid)
-                    self.done_channel.signal()
         if not live:
             self._stall_since = None
             if self._no_worker_since is None:
@@ -500,7 +461,7 @@ class Scheduler:
                 dispatch.fail_pending("no live workers")
             return
         self._no_worker_since = None
-        self._assign(job, now)
+        self._assign(dispatch, now)
         idle = [c for c in live if c.inflight is None and not c.closed]
         # Expired leases were requeued above, so whatever is still
         # outstanding can still land.
@@ -510,13 +471,13 @@ class Scheduler:
             # executor rather than deadlock.
             if self._stall_since is None:
                 self._stall_since = now
-            elif now - self._stall_since >= self._stall_window(job):
+            elif now - self._stall_since >= self._stall_window(dispatch):
                 dispatch.fail_pending("no responsive workers")
         else:
             self._stall_since = None
 
-    def _assign(self, job: _Job, now: float) -> None:
-        dispatch = job.dispatch
+    def _assign(self, dispatch: Dispatch, now: float) -> None:
+        version = self._weights_version
         for conn in list(self._conns):
             if conn.closed or not conn.registered or conn.inflight is not None:
                 continue
@@ -527,12 +488,11 @@ class Scheduler:
             # lasting workers can tell a rebalance from a plain retry.
             if dispatch.stolen(lease):
                 self.counters["steals"] += 1
-            if conn.weights_version != job.weights_version:
+            if conn.weights_version != version:
                 # Buffered, not sent: the weights leave with the lease below,
                 # in one send and one wake-up at the worker instead of two.
-                with self._weights_lock:
-                    conn.out.extend(self._weights_frame)
-                conn.weights_version = job.weights_version
+                conn.out.extend(self._weights_frame)
+                conn.weights_version = version
             # Marked in flight before the send, so a failed send (-> _dead)
             # finds the lease and requeues it.
             conn.inflight = (dispatch.seq, lease.chunk)
@@ -544,36 +504,8 @@ class Scheduler:
                         dispatch.seq,
                         lease.chunk,
                         lease.attempts - 1,
-                        job.weights_version,
+                        version,
                         dispatch.chunks[lease.chunk],
                     )
                 ),
             )
-
-    def _shutdown_all(self) -> None:
-        frame = encode_frame(("shutdown",))
-        for conn in list(self._conns):
-            try:
-                conn.sock.setblocking(True)
-                conn.sock.settimeout(0.5)
-                conn.sock.sendall(bytes(conn.out) + frame)
-                if conn.registered and conn.inflight is None:
-                    self._told_to_exit.add(conn.pid)
-            except OSError:
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        self._conns.clear()
-        self._publish_roster(0)
-        self._listener.close()
-        self._wake.close()
-        self._sel.close()
-        # Unblock any dispatch still waiting: surface its chunks as failed.
-        jobs = [job for job in (self._job, *self._inbox) if job is not None]
-        self._job = None
-        self._inbox.clear()
-        for job in jobs:
-            job.dispatch.abandon("scheduler stopped")
-            self._resolve(job)

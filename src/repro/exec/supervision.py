@@ -16,17 +16,16 @@ was in flight when a failure was noticed. A chunk out of budget fails;
 so duplicate attempts are harmless and the first verified result wins.
 
 The socket scheduler (:mod:`repro.exec.dist.scheduler`) turns frames, EOFs
-and heartbeat timers into those transitions. Nothing ticks: the scheduler
-sleeps until an event or the earliest armed deadline (:func:`wait_budget`),
-the executor watches its workers' process sentinels in :func:`wait_any`, and
-:class:`WakeChannel` carries the events that are not file descriptors to
-begin with — one thread handing work to, or taking a result from, another.
+and heartbeat timers into those transitions, in passes that the executor
+drives on its own thread until the dispatch resolves. Nothing ticks: each
+pass sleeps in one ``select`` — over the worker sockets and the local
+workers' process sentinels — until an event or the earliest armed deadline
+(:func:`wait_budget`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import socket
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,9 +37,7 @@ from repro.exec.base import CohortTask
 from repro.exec.faults import chunk_checksum
 
 __all__ = [
-    "WakeChannel",
     "wait_budget",
-    "wait_any",
     "chunk_tasks",
     "Lease",
     "Dispatch",
@@ -60,70 +57,13 @@ def wait_budget(deadlines: Iterable[float | None], now: float) -> float | None:
 
     ``deadlines`` are monotonic instants, ``None`` for a timer that is not
     armed. Returns the distance from ``now`` to the earliest one — the
-    ``timeout`` for ``select`` / ``multiprocessing.connection.wait`` — or
-    ``None`` when nothing is armed: block until an event.
+    ``timeout`` for ``select`` — or ``None`` when nothing is armed: block
+    until an event.
     """
     armed = [d for d in deadlines if d is not None]
     if not armed:
         return None
     return max(min(armed) - now, _MIN_WAIT)
-
-
-def wait_any(waitables, timeout: float | None = None) -> list:
-    """Block until one of ``waitables`` is ready; returns the ready ones.
-
-    ``multiprocessing.connection.wait`` — sockets, :class:`WakeChannel` s and
-    process sentinels in one call — imported on first use: it pulls in
-    ``tempfile``, ``hmac`` and a dozen more modules (about 1 MB and 8 ms)
-    that a run which never dispatches to a worker should not pay for.
-    """
-    from multiprocessing.connection import wait
-
-    return wait(waitables, timeout)
-
-
-class WakeChannel:
-    """Lets one thread wake another out of ``select`` / ``connection.wait``.
-
-    A socket pair, non-blocking at both ends. The discipline that makes a
-    wake-up impossible to lose: the sender publishes its state *first* and
-    calls :meth:`signal` after; the sleeper calls :meth:`drain` first and
-    reads the state after. A wake-up can then be spurious (the state was
-    already seen) but never missing. The object itself is what the sleeper
-    waits on — it has a ``fileno()``, which is all ``selectors`` and
-    :func:`wait_any` ask for.
-    """
-
-    def __init__(self):
-        self._r, self._w = socket.socketpair()
-        self._r.setblocking(False)
-        self._w.setblocking(False)
-
-    def fileno(self) -> int:
-        return self._r.fileno()
-
-    def signal(self) -> None:
-        """Make the channel readable; never blocks, never raises.
-
-        A full pipe means a wake-up is already pending, a closed one that
-        the sleeper is gone: either way there is nobody left to tell.
-        """
-        try:
-            self._w.send(b"\0")
-        except OSError:
-            pass
-
-    def drain(self) -> None:
-        """Swallow every pending wake-up."""
-        try:
-            while self._r.recv(4096):
-                pass
-        except OSError:
-            pass
-
-    def close(self) -> None:
-        self._r.close()
-        self._w.close()
 
 
 def worker_context():
@@ -360,9 +300,3 @@ class Dispatch:
             self.counters["timeouts"] += 1
             self.requeue(lease.chunk, "lease deadline expired")
         return expired
-
-    def abandon(self, reason: str) -> None:
-        """Fail whatever is unresolved: the scheduler is going away."""
-        for lease in self.leases:
-            if not lease.resolved:
-                lease.failed_reason = reason

@@ -259,7 +259,16 @@ class SweepRunner:
     def format_summary(self, summary: dict | None = None) -> str:
         """Aggregate comparison table, one row per (method, scenario)."""
         summary = summary or self.summarize()
-        headers = ["method", "scenario", "seeds", "best acc", "final acc", "acc var", "MB", "updates"]
+        headers = [
+            "method",
+            "scenario",
+            "seeds",
+            "best acc",
+            "final acc",
+            "acc var",
+            "MB",
+            "updates",
+        ]
         rows = []
         for key in sorted(summary["rows"]):
             method, _, scenario = key.partition("@")

@@ -14,12 +14,12 @@ Two operational properties matter here:
   path would be a genuine hazard. The flat vector it evaluates is the
   whole model, batch-norm's running statistics included, so the replica
   scores exactly what the weights say.
-- **Bounded memory.** The forward pass runs in ``eval_batch_size`` chunks
-  and per-sample losses are accumulated, so peak memory no longer scales
-  with the full concatenated federation test set. Chunking is bit-identical
-  at *any* chunk size: softmax/argmax are row-wise, and the loss is the
-  mean of the same full per-sample vector regardless of how the rows were
-  produced.
+- **Bounded memory.** The forward pass runs in chunks of
+  :data:`EVAL_CHUNK` rows and per-sample losses are accumulated, so peak
+  memory no longer scales with the full concatenated federation test set.
+  The chunk size is a constant because it can move results: a layer's
+  GEMM over a different row count may take a different BLAS path, and a
+  CNN's logits — so its loss — then differ in the last bits.
 - **Fused forwards.** The chunked forwards run through the model's
   compiled forward-only :class:`~repro.nn.plan.TrainingPlan`: every chunk
   reuses the same arena activation buffers (consumed before the next chunk
@@ -40,6 +40,10 @@ from repro.nn.model import Sequential
 
 __all__ = ["Evaluator"]
 
+#: Rows per evaluation forward pass. Every run evaluates at this size;
+#: another one is for tests of the chunking only (see the module docstring).
+EVAL_CHUNK = 256
+
 
 class Evaluator:
     """Evaluates flat weight vectors against the federation test set."""
@@ -50,7 +54,7 @@ class Evaluator:
         model: Sequential,
         *,
         max_test_per_client: int | None = None,
-        eval_batch_size: int = 256,
+        eval_batch_size: int = EVAL_CHUNK,
     ):
         self._setup(dataset.clients, model, max_test_per_client, eval_batch_size)
 
@@ -61,7 +65,7 @@ class Evaluator:
         model: Sequential,
         *,
         max_test_per_client: int | None = None,
-        eval_batch_size: int = 256,
+        eval_batch_size: int = EVAL_CHUNK,
     ) -> "Evaluator":
         """Evaluator over an explicit client subset (tier evaluators,
         population eval subsets) without wrapping them in a throwaway

@@ -123,7 +123,6 @@ class Population:
         self,
         model: Sequential,
         *,
-        eval_batch_size: int = 256,
         client_ids: Sequence[int] | None = None,
         max_test_per_client: int | None = None,
     ) -> Evaluator:
@@ -188,21 +187,14 @@ class MaterializedPopulation(Population):
         self,
         model: Sequential,
         *,
-        eval_batch_size: int = 256,
         client_ids: Sequence[int] | None = None,
         max_test_per_client: int | None = None,
     ) -> Evaluator:
         if client_ids is None:
-            return Evaluator(
-                self._dataset,
-                model,
-                eval_batch_size=eval_batch_size,
-                max_test_per_client=max_test_per_client,
-            )
+            return Evaluator(self._dataset, model, max_test_per_client=max_test_per_client)
         return Evaluator.from_clients(
             [self._dataset.clients[int(c)] for c in client_ids],
             model,
-            eval_batch_size=eval_batch_size,
             max_test_per_client=max_test_per_client,
         )
 

@@ -363,7 +363,6 @@ class VirtualPopulation(Population):
         self,
         model: Sequential,
         *,
-        eval_batch_size: int = 256,
         client_ids: Sequence[int] | None = None,
         max_test_per_client: int | None = None,
     ) -> Evaluator:
@@ -383,12 +382,7 @@ class VirtualPopulation(Population):
         for lo in range(0, len(ids), EVAL_BLOCK):
             block = self._derive(ids[lo : lo + EVAL_BLOCK])
             shards += block if len(ids) <= EVAL_BLOCK else _test_rows(block)
-        return Evaluator.from_clients(
-            shards,
-            model,
-            eval_batch_size=eval_batch_size,
-            max_test_per_client=max_test_per_client,
-        )
+        return Evaluator.from_clients(shards, model, max_test_per_client=max_test_per_client)
 
     def materialize(self) -> FederatedDataset:
         """Eager federation over the whole population (small-n tests only)."""

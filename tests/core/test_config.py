@@ -31,12 +31,12 @@ def test_with_replaces_fields():
 
 
 def test_config_holds_what_every_method_reads():
-    """22 fields: the 20 every method reads, ``algo`` and ``exec``. Each
-    method's settable values are those 20 plus its own knobs."""
-    assert len(fields(FLConfig)) == 22
+    """21 fields: the 19 every method reads, ``algo`` and ``exec``. Each
+    method's settable values are those 19 plus its own knobs."""
+    assert len(fields(FLConfig)) == 21
     own = {name: len(fields(cls.Params)) for name, cls in ALGORITHMS.items()}
-    assert {name: 20 + n for name, n in own.items()} == {
-        "fedat": 28, "fedavg": 20, "fedprox": 21, "tifl": 27, "fedasync": 22, "asofed": 22
+    assert {name: 19 + n for name, n in own.items()} == {
+        "fedat": 27, "fedavg": 19, "fedprox": 20, "tifl": 26, "fedasync": 21, "asofed": 21
     }
 
 

@@ -123,7 +123,9 @@ class TestWire:
         lock = threading.Lock()
         try:
             threads = [
-                threading.Thread(target=send_frame, args=(a, ("heartbeat", f"w{i}")), kwargs={"lock": lock})
+                threading.Thread(
+                    target=send_frame, args=(a, ("heartbeat", f"w{i}")), kwargs={"lock": lock}
+                )
                 for i in range(8)
             ]
             for t in threads:
@@ -320,38 +322,38 @@ class TestDistExecutor:
 
     def test_malformed_messages_drop_only_their_connection(self, tiny_bow_dataset):
         """A message of the wrong arity or type, from any peer, costs that
-        peer its connection: the loop, the workers and the next dispatch
-        carry on."""
+        peer its connection: the workers and the dispatch carry on. Nothing
+        reads the sockets between dispatches, so the passes of the next
+        dispatch are what find the peers and drop them."""
         serial, dist = _executors(tiny_bow_dataset)
+        peers = []
         try:
             assert dist.wait_for_workers(2) == 2
             for msg in [("register", "x"), ("result", 0, 0), 42]:
-                with socket.create_connection(dist._scheduler.address, timeout=10) as peer:
-                    peer.sendall(encode_frame(msg))
-                    while peer.recv(1 << 16):  # until the scheduler hangs up
-                        pass
+                peer = socket.create_connection(dist._scheduler.address, timeout=10)
+                peers.append(peer)
+                peer.sendall(encode_frame(msg))
             start = serial.model.get_flat_weights()
             tasks = _cohort(8)
-            got = []
-            runner = threading.Thread(
-                target=lambda: got.append(dist.run_cohort(start, tasks)), daemon=True
-            )
-            runner.start()
-            runner.join(timeout=20)
-            assert got, "the dispatch after the malformed messages never returned"
-            _assert_results_equal(serial.run_cohort(start, tasks), got[0])
+            _assert_results_equal(serial.run_cohort(start, tasks), dist.run_cohort(start, tasks))
+            for peer in peers:
+                assert peer.recv(1 << 16) == b""  # the scheduler hung up
             assert dist._scheduler.live_workers == 2
             assert dist.fault_counters["worker_deaths"] == 0
         finally:
+            for peer in peers:
+                peer.close()
             dist.close()
             serial.close()
 
-    def test_dead_scheduler_loop_raises_instead_of_hanging(self, tiny_bow_dataset):
-        """A loop thread that dies other than by ``stop()`` resolves nothing
-        again: a dispatch waiting on it, or submitted after, raises its
-        cause."""
+    def test_exception_in_a_pass_leaves_run_cohort_as_itself(self, tiny_bow_dataset):
+        """The passes run on the caller's thread, so an exception raised in
+        one is the caller's, unchanged — for this dispatch and the next —
+        and ``close()`` still shuts the workers down."""
         serial, dist = _executors(tiny_bow_dataset)
         try:
+            assert dist.wait_for_workers(2) == 2
+            workers = list(dist.worker_processes)
             start = serial.model.get_flat_weights()
 
             def broken(now):
@@ -359,11 +361,28 @@ class TestDistExecutor:
 
             dist._scheduler._step = broken
             for _ in range(2):
-                with pytest.raises(RuntimeError, match="selector gone"):
+                with pytest.raises(OSError, match="selector gone"):
                     dist.run_cohort(start, _cohort(8))
         finally:
             dist.close()
             serial.close()
+        assert [p.exitcode for p in workers] == [0, 0]
+
+    def test_parent_starts_no_thread(self, tiny_bow_dataset):
+        """The scheduler runs on the executor's thread: building the
+        executor and running a cohort leaves the parent's thread count as
+        it was (the workers it forks are processes)."""
+        before = threading.active_count()
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            _assert_results_equal(serial.run_cohort(start, tasks), dist.run_cohort(start, tasks))
+            assert threading.active_count() == before
+        finally:
+            dist.close()
+            serial.close()
+        assert threading.active_count() == before
 
     def test_sigkill_worker_recovers(self, tiny_bow_dataset):
         """SIGKILL a local worker between dispatches: the lease layer
@@ -491,14 +510,11 @@ class TestDistExecutor:
         assert [p.exitcode for p in workers] == [0, 0]
 
     def test_no_lost_wakeups_over_many_dispatches(self, tiny_bow_dataset):
-        """A job submitted, or a result landing, while the loop is between
-        its drain and its ``select`` must still wake it. 300 back-to-back
-        two-task dispatches, fresh weights every time (so each one also
-        ships a weights frame), the interpreter switching threads as often
-        as it can; a lost wake-up would hang until a heartbeat at best."""
+        """A result landing while a pass is between its ``select`` calls
+        must still end the dispatch. 300 back-to-back two-task dispatches,
+        fresh weights every time (so each one also ships a weights frame);
+        a lost wake-up would hang until a heartbeat at best."""
         serial, dist = _executors(tiny_bow_dataset)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
         try:
             assert dist.wait_for_workers(2) == 2
             start = serial.model.get_flat_weights()
@@ -514,13 +530,13 @@ class TestDistExecutor:
             assert time.monotonic() - t0 < 20.0
             assert not any(dist.fault_counters.values())
         finally:
-            sys.setswitchinterval(interval)
             dist.close()
             serial.close()
 
     def test_dispatch_has_no_poll_floor(self, tiny_bow_dataset):
         """The tick loop picked a submitted job up at its next 20 ms poll,
-        so no dispatch could beat that; ``submit`` now wakes the loop."""
+        so no dispatch could beat that; the caller's passes now lease it
+        out at once."""
         serial, dist = _executors(tiny_bow_dataset)
         try:
             assert dist.wait_for_workers(2) == 2
@@ -536,6 +552,23 @@ class TestDistExecutor:
         finally:
             dist.close()
             serial.close()
+
+    def test_unchanged_start_weights_keep_their_version(self, tiny_bow_dataset):
+        """``begin`` encodes a weights frame only for weights it has not
+        seen last: equal weights (even a fresh array) reuse the version."""
+        _, dist = _executors(tiny_bow_dataset, dist_bind=f"127.0.0.1:{_free_port()}")
+        try:
+            scheduler = dist._scheduler
+            start = dist._local.model.get_flat_weights()
+            dispatch = Dispatch(0, [[]], retry_budget=0, timeout=None, counters={})
+            scheduler.begin(dispatch, start)
+            version, frame = scheduler._weights_version, scheduler._weights_frame
+            scheduler.begin(dispatch, start.copy())
+            assert (scheduler._weights_version, scheduler._weights_frame) == (version, frame)
+            scheduler.begin(dispatch, start + 1.0)
+            assert scheduler._weights_version == version + 1
+        finally:
+            dist.close()
 
     def test_weights_and_lease_leave_in_one_send(self, tiny_bow_dataset):
         serial, dist = _executors(tiny_bow_dataset)
@@ -583,35 +616,51 @@ def _hang_plan(hung, clear=(), **plan_kw):
 
 class TestSchedulerTimers:
     def test_idle_scheduler_wakes_for_heartbeats_only(self, tiny_bow_dataset):
-        """With no job and no timer due, the loop sleeps in ``select`` until
-        a frame arrives: two workers beating every 0.1 s make ~10 wake-ups
-        in half a second, where the 20 ms tick made 25 on top of them."""
-        _, dist = _executors(tiny_bow_dataset)
+        """Between dispatches nothing reads the sockets. An idle gap of
+        2.5 heartbeat timeouts costs no worker: the next dispatch reads the
+        heartbeats that piled up before it judges any deadline by them."""
+        serial, dist = _executors(tiny_bow_dataset)
         try:
             assert dist.wait_for_workers(2) == 2
-            scheduler = dist._scheduler
-            selects, beats = [], []
-            select, handle = scheduler._sel.select, scheduler._handle
-
-            def counting_select(timeout=None):
-                selects.append(timeout)
-                return select(timeout)
-
-            def counting_handle(conn, msg):
-                beats.append(msg[0])
-                return handle(conn, msg)
-
-            scheduler._sel.select = counting_select
-            scheduler._handle = counting_handle
-            time.sleep(0.5)
-            del scheduler._sel.select, scheduler._handle
-            assert set(beats) == {"heartbeat"}
-            assert 4 <= len(beats) <= 14
-            assert len(selects) <= len(beats) + 3
-            # Every sleep was bounded by the quietest worker's heartbeat
-            # timeout (1.0 s here), never by a fixed tick.
-            assert all(0.5 < timeout <= 1.0 for timeout in selects)
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            expected = serial.run_cohort(start, tasks)
+            _assert_results_equal(expected, dist.run_cohort(start, tasks))
+            time.sleep(2.5 * dist.config.heartbeat_timeout)
+            _assert_results_equal(expected, dist.run_cohort(start, tasks))
+            counters = dist.fault_counters
+            assert counters["heartbeat_misses"] == counters["worker_deaths"] == 0
+            assert counters["respawns"] == 0
+            assert dist._scheduler.live_workers == 2
         finally:
+            dist.close()
+            serial.close()
+
+    def test_a_drive_ends_on_its_timeout(self, tiny_bow_dataset):
+        """With no timer armed and nothing arriving, a drive sleeps until
+        its own timeout and no longer: the condition alone cannot end it."""
+        _, dist = _executors(tiny_bow_dataset, dist_bind=f"127.0.0.1:{_free_port()}")
+        try:
+            t0 = time.monotonic()
+            assert dist._scheduler.drive(lambda: False, timeout=0.2) == []
+            assert 0.2 <= time.monotonic() - t0 < 2.0
+        finally:
+            dist.close()
+
+    def test_a_fired_sentinel_ends_the_drive(self, tiny_bow_dataset):
+        """A watched sentinel that turns readable ends the drive at once,
+        whatever its condition says, and comes back as fired — and is not
+        watched by the next drive."""
+        _, dist = _executors(tiny_bow_dataset, dist_bind=f"127.0.0.1:{_free_port()}")
+        read_end, write_end = os.pipe()
+        try:
+            os.close(write_end)  # what a process's exit does to its sentinel
+            t0 = time.monotonic()
+            assert dist._scheduler.drive(lambda: False, sentinels=[read_end]) == [read_end]
+            assert time.monotonic() - t0 < 1.0
+            assert dist._scheduler.drive(lambda: False, timeout=0.05) == []
+        finally:
+            os.close(read_end)
             dist.close()
 
     def test_lease_deadline_recovers_hung_worker(self, tiny_bow_dataset):

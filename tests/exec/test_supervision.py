@@ -1,17 +1,15 @@
-"""The supervision machinery: the wake channel and deadline question, the
-dispatch state machine the scheduler drives, and how the executor keeps the
-pool of workers it forked whole (``executor="parallel"``).
+"""The supervision machinery: the deadline question, the dispatch state
+machine the scheduler drives, and how the executor keeps the pool of
+workers it forked whole (``executor="parallel"``).
 
 The socket scheduler's side of the same machinery (and the lease table's
 unit tests) are in ``test_dist.py``; the chaos behaviour in
 ``test_faults.py`` and ``test_equivalence.py``.
 """
 
-import multiprocessing.connection
 import os
 import signal
 import statistics
-import threading
 import time
 from types import SimpleNamespace
 
@@ -23,15 +21,11 @@ from repro.baselines.fedavg import FedAvg
 from repro.core.config import FLConfig
 from repro.exec import CohortTask, ExecConfig, OptimizerSpec, ParallelExecutor, SerialExecutor
 from repro.exec.faults import FaultPlan, chunk_checksum, parse_faults
-from repro.exec.supervision import Dispatch, WakeChannel, wait_budget
+from repro.exec.supervision import Dispatch, wait_budget
 from repro.experiments.config import build_model_builder
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.zoo import build_logistic
 from repro.sim.client import SimClient
-
-
-def _readable(channel) -> bool:
-    return bool(multiprocessing.connection.wait([channel], timeout=0))
 
 
 class TestWaitBudget:
@@ -50,58 +44,6 @@ class TestWaitBudget:
         assert wait_budget([5.0], now=5.0) > 0
         assert wait_budget([4.0], now=5.0) > 0
         assert wait_budget([4.0], now=5.0) <= 0.01
-
-
-class TestWakeChannel:
-    def test_signal_makes_it_readable_until_drained(self):
-        channel = WakeChannel()
-        try:
-            assert not _readable(channel)
-            channel.signal()
-            channel.signal()
-            assert _readable(channel)
-            channel.drain()
-            assert not _readable(channel)
-            channel.drain()  # draining an empty channel returns at once
-        finally:
-            channel.close()
-
-    def test_full_pipe_neither_blocks_nor_raises(self):
-        channel = WakeChannel()
-        try:
-            t0 = time.monotonic()
-            for _ in range(20_000):  # far beyond a socket buffer of 1-byte sends
-                channel.signal()
-            assert time.monotonic() - t0 < 5.0
-            assert _readable(channel)
-            channel.drain()
-            assert not _readable(channel)
-        finally:
-            channel.close()
-
-    def test_signal_after_close_is_a_no_op(self):
-        channel = WakeChannel()
-        channel.close()
-        channel.signal()
-        channel.drain()
-        channel.close()
-
-    def test_wakes_a_sleeper_in_another_thread(self):
-        channel = WakeChannel()
-        woke = []
-
-        def sleeper():
-            woke.append(multiprocessing.connection.wait([channel], timeout=10.0))
-
-        thread = threading.Thread(target=sleeper)
-        try:
-            thread.start()
-            channel.signal()
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-            assert woke == [[channel]]
-        finally:
-            channel.close()
 
 
 # --------------------------------------------------------------------- #

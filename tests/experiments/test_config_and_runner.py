@@ -294,7 +294,9 @@ class TestCacheKey:
         monkeypatch.setattr(runner_mod, "_CACHE_DIR", tmp_path / "cache")
         # Observe keys only: neither build a config nor run.
         monkeypatch.setattr(runner_mod, "make_fl_config", lambda *a, **kw: None)
-        monkeypatch.setattr(RunSpec, "run", lambda self, **kw: RunHistory(self.method, self.dataset))
+        monkeypatch.setattr(
+            RunSpec, "run", lambda self, **kw: RunHistory(self.method, self.dataset)
+        )
         clear_cache()
         yield lambda **kw: run_cached("fedat", "sentiment140", **{"scale": "tiny", "seed": 1, **kw})
         clear_cache()

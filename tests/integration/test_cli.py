@@ -121,7 +121,15 @@ def test_parser_rejects_unknown_executor():
     "argv",
     [
         ["compare", "--dataset", "sentiment140", "--methods", "sgdboost"],
-        ["compare", "--dataset", "sentiment140", "--methods", "fedat,fedavg", "--scenario", "bogus"],
+        [
+            "compare",
+            "--dataset",
+            "sentiment140",
+            "--methods",
+            "fedat,fedavg",
+            "--scenario",
+            "bogus",
+        ],
         ["compare", "--dataset", "nosuch", "--methods", "fedat,fedavg"],
         ["run", "--method", "fedat", "--dataset", "nosuch"],
         ["run", "--method", "fedat", "--dataset", "sentiment140", "--scenario", "bogus"],

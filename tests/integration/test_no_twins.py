@@ -21,8 +21,10 @@ weights and dropout draws from the round's own generator, so neither a
 cohort-order replay nor a replica-safety flag with its serial fallback
 survives), one way weights cross the simulated wire (``Codec.transmit``
 of a whole stack; the string path is the wire format, not the run loop's),
-and one home of the latency formula (``sim/latency.py``, asked through the
-population; clients carry data only).
+one home of the latency formula (``sim/latency.py``, asked through the
+population; clients carry data only), and one thread in the parent (the
+dist scheduler's passes run on the caller's thread, so it has no loop
+thread to wake or to hear back from).
 The names below selected or served the other side of each pair before they
 were deleted; a later change must not quietly bring one back.
 """
@@ -102,6 +104,10 @@ REMOVED = re.compile(
     # envelope with its own reader, writer and grid-wide staleness key, and
     # no second loader of that envelope for the figures.
     r"|read_cell_checkpoint|load_sweep_cells|_atomic_write|load_cell\b|spec_key"
+    # One thread drives a dispatch: the scheduler's passes run on the
+    # executor's thread, so no loop thread of its own and no channel to wake
+    # it or to hear back from it.
+    r"|WakeChannel|done_channel|repro-dist-scheduler"
 )
 
 
@@ -152,9 +158,13 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("        return SGD(self.learning_rate)")
     assert not REMOVED.search("    def __init__(self, num_features, *, momentum=0.9):")
     assert not REMOVED.search("from repro.core.fedat import FedAT")
-    assert REMOVED.search('    key = _cache_key({"method": method, "dataset": dataset_name, **kwargs})')
+    assert REMOVED.search(
+        '    key = _cache_key({"method": method, "dataset": dataset_name, **kwargs})'
+    )
     assert not REMOVED.search('    path = _CACHE_DIR / f"{key}.json"')
-    assert REMOVED.search("        checkpointer = RunCheckpointer(checkpoint_dir, key, every=every)")
+    assert REMOVED.search(
+        "        checkpointer = RunCheckpointer(checkpoint_dir, key, every=every)"
+    )
     assert not REMOVED.search(
         "            checkpointer = RunCheckpointer(checkpoint_dir, self.key(), every=every)"
     )
@@ -163,7 +173,9 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("    kwargs = _run_kwargs(args)")
     assert not REMOVED.search("        spec, execution = _run_spec(args, args.method)")
     assert REMOVED.search("        make_fl_config(args.method, args.scale, args.seed, **flat)")
-    assert not REMOVED.search("    return make_fl_config(self.method, self.scale, self.seed, **flat)")
+    assert not REMOVED.search(
+        "    return make_fl_config(self.method, self.scale, self.seed, **flat)"
+    )
     assert REMOVED.search("            **self._cell_fl_overrides(cell),")
     assert not REMOVED.search("        run, execution = self.spec.run_spec(cell)")
     assert REMOVED.search("    def pending_cells(self) -> list[SweepCell]:")
@@ -220,6 +232,12 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("    def tier_of(self, client_id: int) -> int:")
     assert REMOVED.search('    def with_(self, **kwargs) -> "FLConfig":')
     assert not REMOVED.search("    def with_defaults(self) -> dict:")
+    assert REMOVED.search("        self._wake = WakeChannel()")
+    assert not REMOVED.search("    def test_idle_scheduler_wakes_for_heartbeats_only(self, dataset):")
+    assert REMOVED.search("        channel = self._scheduler.done_channel")
+    assert not REMOVED.search("            fired = self._pump(0)")
+    assert REMOVED.search('            target=self._run, name="repro-dist-scheduler", daemon=True')
+    assert not REMOVED.search('                name="repro-dist-worker",')
 
 
 #: A delay model's bands and part assignment, a compute model's constants.

@@ -1,17 +1,23 @@
-"""Chunked evaluation: bounded memory with bit-identical statistics, and
-the evaluator's model isolation."""
+"""Chunked evaluation: bounded memory, the chunk size on a tiny fixture,
+and the evaluator's model isolation."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from repro.experiments.config import build_model_builder
-from repro.metrics.evaluation import Evaluator
+from repro.metrics.evaluation import EVAL_CHUNK, Evaluator
 
 
 @pytest.mark.parametrize("batch", [1, 7, 64, 10_000])
 def test_chunk_size_never_changes_results(tiny_image_dataset, batch):
     """Softmax/argmax are row-wise and the loss is a mean over the same
-    full per-sample vector, so *any* chunk size is bit-identical."""
+    full per-sample vector, so on this tiny fixture these chunk sizes are
+    bit-identical. That is the fixture's property, not a general one: on a
+    larger CNN a layer's GEMM over another row count can take another BLAS
+    path and move the logits' last bits, which is why runs evaluate at one
+    constant chunk size."""
     model = build_model_builder(tiny_image_dataset, "tiny")(np.random.default_rng(0))
     flat = model.get_flat_weights()
     reference = Evaluator(tiny_image_dataset, model).evaluate_flat(flat)
@@ -52,6 +58,22 @@ def test_the_reddit_model_is_replicated_and_scored_by_its_weights(tiny_bow_datas
     shifted[model.store.trainable :] += 0.5  # running mean and variance
     assert ev.evaluate_flat(shifted)["loss"] != ev.evaluate_flat(before)["loss"]
     np.testing.assert_array_equal(model.get_flat_weights(), before)
+
+
+def test_every_evaluator_a_run_builds_chunks_at_the_constant(tiny_bow_dataset):
+    """No config field picks the chunk size: the global evaluator and
+    TiFL's tier evaluators all run at ``EVAL_CHUNK``, the size every
+    recorded history was evaluated at."""
+    from repro.baselines.tifl import TiFL
+    from repro.core.config import FLConfig
+    from repro.experiments.config import route_config
+
+    assert "eval_batch_size" not in {f.name for f in fields(FLConfig)}
+    config = route_config("tifl", clients_per_round=4, max_rounds=2, num_tiers=3)
+    system = TiFL(tiny_bow_dataset, build_model_builder(tiny_bow_dataset, "tiny"), config)
+    evaluators = [system.evaluator, *filter(None, system._tier_evaluators)]
+    assert len(evaluators) > 1
+    assert {ev._batch_size for ev in evaluators} == {EVAL_CHUNK} == {256}
 
 
 def test_rejects_bad_batch_size(tiny_bow_dataset):
