@@ -636,6 +636,32 @@ class TestSchedulerTimers:
             dist.close()
             serial.close()
 
+    def test_a_reconnected_worker_heartbeats_while_idle(self, tiny_bow_dataset):
+        """A worker that reconnects already holding its init payload gets no
+        frame until the next dispatch, yet it beats from its registration
+        on: an idle gap of 2.5 heartbeat timeouts after the reconnect costs
+        no heartbeat miss and no second reconnect."""
+        serial, dist = _executors(tiny_bow_dataset)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            start = serial.model.get_flat_weights()
+            tasks = _cohort(8)
+            expected = serial.run_cohort(start, tasks)
+            _assert_results_equal(expected, dist.run_cohort(start, tasks))
+            scheduler = dist._scheduler
+            scheduler._dead(scheduler._conns[0], "connection reset")  # the link drops
+            assert dist.wait_for_workers(2) == 2  # the worker dialled back in
+            time.sleep(2.5 * dist.config.heartbeat_timeout)
+            _assert_results_equal(expected, dist.run_cohort(start, tasks))
+            counters = dist.fault_counters
+            assert counters["heartbeat_misses"] == 0
+            assert counters["reconnects"] == 1
+            assert counters["respawns"] == 0
+            assert scheduler.live_workers == 2
+        finally:
+            dist.close()
+            serial.close()
+
     def test_a_drive_ends_on_its_timeout(self, tiny_bow_dataset):
         """With no timer armed and nothing arriving, a drive sleeps until
         its own timeout and no longer: the condition alone cannot end it."""
