@@ -4,9 +4,8 @@
 Two runs of the same experiment:
 
 1. Serial reference.
-2. A run on ``--executor dist`` (the default) or ``--executor parallel``
-   (the same executor under its other name) with 2 local socket workers;
-   one worker process is SIGKILLed as the Nth dispatch goes out
+2. A run on the dist executor with 2 local socket workers; one worker
+   process is SIGKILLed as the Nth dispatch goes out
    (``--kill-at-dispatch``), so the strike lands however fast the run is —
    a wall-clock delay would miss a run that finishes in milliseconds. The
    executor lists its local processes as ``worker_processes``, which is
@@ -21,7 +20,7 @@ before the kill lands is a failure, not a pass: it tested no recovery.
 Usage::
 
     python scripts/chaos_dist_check.py --method fedavg --dataset \
-        sentiment140 --scale tiny --seed 1 --rounds 6 [--executor parallel]
+        sentiment140 --scale tiny --seed 1 --rounds 6
 """
 
 from __future__ import annotations
@@ -91,12 +90,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument(
-        "--executor",
-        choices=("dist", "parallel"),
-        default="dist",
-        help="executor name to strike under (default: dist)",
-    )
-    parser.add_argument(
         "--kill-at-dispatch",
         type=int,
         default=2,
@@ -107,10 +100,10 @@ def main() -> int:
     print(f"[1/2] serial reference ({args.method}/{args.dataset}/{args.scale})")
     reference, _ = _run(args.method, args, executor_overrides={"executor": "serial"})
 
-    print(f"[2/2] {args.executor} run, SIGKILL one of 2 workers "
+    print("[2/2] dist run, SIGKILL one of 2 workers "
           f"at dispatch {args.kill_at_dispatch}")
     overrides = {
-        "executor": args.executor,
+        "executor": "dist",
         "num_workers": 2,
         "heartbeat_interval": 0.1,
         "heartbeat_timeout": 1.0,
@@ -132,7 +125,7 @@ def main() -> int:
     ref = strip_volatile_meta(reference.to_dict())
     got = strip_volatile_meta(chaos.to_dict())
     if ref != got:
-        print(f"FAIL: {args.executor} history diverges from the serial reference",
+        print("FAIL: dist history diverges from the serial reference",
               file=sys.stderr)
         if ref.get("records") != got.get("records"):
             print("  eval records differ", file=sys.stderr)
@@ -144,7 +137,7 @@ def main() -> int:
         print("FAIL: a worker was killed but no recovery counter recorded it",
               file=sys.stderr)
         return 1
-    print(f"OK: {args.executor} history is byte-identical to the serial reference")
+    print("OK: dist history is byte-identical to the serial reference")
     return 0
 
 

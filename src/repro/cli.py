@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from repro.exec.base import EXECUTORS
+from repro.exec.base import EXECUTORS, ExecConfig
 from repro.experiments.config import ALGORITHMS, knobs_read_by, methods_taking
 from repro.experiments.runner import RunSpec
 from repro.metrics.report import format_table, time_to_accuracy
@@ -53,19 +53,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # How the runs of run, compare and sweep execute (unset: ExecConfig's defaults).
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--executor", default=None, choices=EXECUTORS,
+                           help="client-execution backend (default: serial)")
+    execution.add_argument("--num-workers", type=int, default=None,
+                           help="workers (= chunks) per cohort; 0 = a worker "
+                           "per CPU, and 4 chunks")
+
     # Flags run and compare share; compare runs every method under them,
     # passing a method knob only to the methods that read it.
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, parents=[execution])
     shared.add_argument("--dataset", required=True)
     shared.add_argument("--scale", default="tiny", choices=["tiny", "bench", "paper"])
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--classes-per-client", type=int, default=None,
                         help="k-class non-IID level (omit for dataset default)")
-    shared.add_argument("--executor", default=None, choices=EXECUTORS,
-                        help="client-execution backend (default: serial)")
-    shared.add_argument("--num-workers", type=int, default=None,
-                        help="workers (= chunks) per cohort; 0 = a worker per "
-                        "CPU, and 4 chunks")
     shared.add_argument("--scenario", default=None,
                         help='dynamic-world scenario, e.g. "static", "churn", '
                         '"drift:0.5", "burst", "chaos", "bwheal:4", a "+"-'
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--compression", default="default",
                        help='e.g. "polyline:4", "quant:8", "none"')
     run_p.add_argument("--workers", default=None, metavar="HOST:PORT", dest="dist_bind",
-                       help="scheduler bind address for --executor parallel/dist; "
+                       help="scheduler bind address for --executor dist; "
                        "an explicit port waits for external `repro worker "
                        "--connect HOST:PORT` processes, port 0 (default) "
                        "self-spawns local workers")
@@ -125,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                        '"drop:0.2" (severed connection), "delay:0.3" '
                        '(stalled result), or a "+"-composition '
                        '("crash:0.2+corrupt:0.1"); requires --executor '
-                       "parallel or dist")
+                       "dist")
     run_p.add_argument("--chunk-timeout", type=float, default=None,
                        help="per-chunk wall-clock deadline (s) before its "
                        "lease is requeued (required for hang faults)")
@@ -160,14 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser(
         "sweep",
-        help="resumable (method x scenario x seed) grid with checkpoints",
+        parents=[execution],
+        help="resumable (method x scenario x seed) grid, one stored run per cell",
     )
     sweep_p.add_argument("--config", default=None,
                          help="JSON sweep config (see examples/sweep_*.json); "
                          "replaces the grid flags (--methods/--scenarios/"
                          "--seeds/--populations/--dataset/--scale/--classes-per-client/"
-                         "--retier-interval/--executor/--num-workers/--smoke); "
-                         "--out-dir and --max-runs still apply")
+                         "--retier-interval/--smoke); --out-dir, --max-runs, "
+                         "--executor and --num-workers still apply")
     sweep_p.add_argument("--methods", default="fedat,tifl,fedavg",
                          help="comma-separated method names")
     sweep_p.add_argument("--scenarios", default="static,churn,drift",
@@ -186,16 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--smoke", action="store_true",
                          help="tiny scale + short budgets (CI-sized grid)")
     sweep_p.add_argument("--out-dir", default=None,
-                         help="checkpoint directory (default: sweeps/<spec key>)")
+                         help="run store directory (default: sweeps/<spec key>)")
     sweep_p.add_argument("--retier-interval", type=int, default=None,
                          help="online re-tier cadence under dynamic scenarios "
                          "(default: auto — 20, or 3 with --smoke"
                          + _read_by("retier_interval") + ")")
-    sweep_p.add_argument("--executor", default="serial", choices=EXECUTORS,
-                         help="client-execution backend for every cell")
-    sweep_p.add_argument("--num-workers", type=int, default=0,
-                         help="workers (= chunks) per cohort; 0 = a worker per "
-                         "CPU, and 4 chunks")
     sweep_p.add_argument("--max-runs", type=int, default=None,
                          help="stop after N new cells (sweep stays resumable)")
 
@@ -345,16 +344,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "default" if args.classes_per_client is None else args.classes_per_client
                 ),
                 retier_interval=args.retier_interval,
-                executor=args.executor,
-                num_workers=args.num_workers,
                 smoke=args.smoke,
             )
+        execution = {"executor": args.executor, "num_workers": args.num_workers}
+        execution = {k: v for k, v in execution.items() if v is not None}
+        ExecConfig(**execution)  # refuses a bad setting before any cell runs
     except (ValueError, OSError, TypeError) as exc:
         print(f"bad sweep spec: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out_dir or f"sweeps/{spec.key()}"
     runner = SweepRunner(spec, out_dir)
-    summary = runner.run(max_runs=args.max_runs, log=print)
+    summary = runner.run(max_runs=args.max_runs, log=print, **execution)
     print()
     print(runner.format_summary(summary))
     print(f"\nrun store : {out_dir}")

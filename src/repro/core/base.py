@@ -302,8 +302,8 @@ class FLSystem:
         self.factory = SeedSequenceFactory(config.seed)
 
         # Worker model: the serial executor trains every client round through
-        # this instance, each from its start row; dist workers (``parallel``
-        # forks them locally) clone it.
+        # this instance, each from its start row; dist workers (forked
+        # locally, or external ``repro worker`` processes) clone it.
         self.worker = model_builder(self.factory.rng("model/init"))
         if config.dtype != "float64":
             # Initialize in float64 first (identical draws to the reference
@@ -687,7 +687,7 @@ class FLSystem:
         reading one raises.
 
         The chosen clients train as one cohort, in launch order — one
-        stacked cohort serially, one dispatch on parallel or dist — each
+        stacked cohort serially, one dispatch on dist — each
         from the weights its launch received: launches that received the
         same decoded downlink share one row of the start stack. Then, per
         launch in launch order, the update guard filters its results

@@ -60,7 +60,7 @@ class FixedBatchSchedule:
         """Yield batch index arrays for ``count`` epochs from ``start_epoch``.
 
         Stateless: the batches depend only on ``(seed, client_id,
-        epoch_index)``, so serial and parallel executors replay identical
+        epoch_index)``, so serial and dist executors replay identical
         schedules from an explicit cursor.
         """
         for e in range(start_epoch, start_epoch + count):

@@ -13,8 +13,8 @@ hands over every launch still pending as one cohort. This package owns
   holding model replicas rebuilt via
   :meth:`repro.nn.model.Sequential.clone`, chunked cohort dispatch, and
   bit-identical results (enforced by ``tests/exec/``; see
-  :mod:`repro.exec.dist`). ``executor="parallel"`` is this executor with
-  its default bind, and :class:`ParallelExecutor` another name for it.
+  :mod:`repro.exec.dist`), built by ``executor="dist"``; ``ParallelExecutor``
+  is an alias of it, kept only because the perf ledger resolves that name.
 
 It runs on one lease state machine, :class:`repro.exec.supervision.Dispatch`
 (chunk leases, retry budget, deadlines, result verification): a failure
@@ -52,7 +52,6 @@ __all__ = [
     "CohortTask",
     "OptimizerSpec",
     "SerialExecutor",
-    "ParallelExecutor",
     "DistExecutor",
     "make_executor",
     "FaultSpec",

@@ -101,7 +101,7 @@ class ClientExecutor:
 
 
 #: Backend names ``ExecConfig.executor`` accepts.
-EXECUTORS = ("serial", "parallel", "dist")
+EXECUTORS = ("serial", "dist")
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ class ExecConfig:
     """
 
     # "serial" trains through one shared worker model; "dist" dispatches
-    # chunk leases to socket-connected workers, and "parallel" is "dist" with
-    # its default bind (bit-identical histories either way).
+    # chunk leases to socket-connected workers (bit-identical histories
+    # either way).
     executor: str = "serial"
     # Workers per cohort and chunks cut from it; 0 = one local worker per
     # CPU and 4 chunks, so the chunk layout never follows the host.
@@ -198,9 +198,8 @@ class ExecConfig:
         if network and self.executor == "serial":
             raise ValueError(
                 f"fault families {', '.join(network)} model the "
-                "scheduler/worker network and require a cross-process "
-                "executor ('parallel' or 'dist'); serial has no connection "
-                "to sever"
+                "scheduler/worker network and require the cross-process "
+                "executor ('dist'); serial has no connection to sever"
             )
 
 
@@ -216,11 +215,11 @@ def make_executor(
     """Build the backend ``config`` names.
 
     ``"serial"`` trains through the shared worker model and reads nothing
-    else. ``"parallel"`` and ``"dist"`` both build the one cross-process
-    executor, which dispatches lease-supervised chunks to socket-connected
-    workers (see :mod:`repro.exec.dist`) under a :class:`FaultPlan` seeded
-    by ``seed`` when ``config.faults`` is set, and answers to the name it
-    was asked for; ``num_workers=0`` is a local worker per CPU and 4 chunks.
+    else. ``"dist"`` builds the cross-process executor, which dispatches
+    lease-supervised chunks to socket-connected workers (see
+    :mod:`repro.exec.dist`) under a :class:`FaultPlan` seeded by ``seed``
+    when ``config.faults`` is set; ``num_workers=0`` is a local worker per
+    CPU and 4 chunks.
     """
     if config.executor == "serial":
         from repro.exec.serial import SerialExecutor
@@ -235,5 +234,5 @@ def make_executor(
         spec = parse_faults(config.faults)
         plan = None if spec is None else FaultPlan(spec, seed=seed)
     settings = asdict(config)
-    del settings["faults"]
+    del settings["executor"], settings["faults"]
     return DistExecutor(model, clients, loss, optimizer, faults=plan, **settings)

@@ -9,7 +9,7 @@ Layout:
   state machine out;
 - :mod:`~repro.exec.dist.worker` — the worker process (``repro worker``);
 - :mod:`~repro.exec.dist.executor` — :class:`DistExecutor`, the
-  ``ClientExecutor`` facade behind ``executor="dist"`` and ``"parallel"``.
+  ``ClientExecutor`` facade behind ``executor="dist"``.
 
 The per-dispatch lease state machine is :mod:`repro.exec.supervision`.
 """

@@ -5,8 +5,8 @@ protocol over a scheduler/worker topology: the executor owns a
 :class:`~repro.exec.dist.scheduler.Scheduler` (start weights + chunk lease
 queue) and workers — local child processes or external ``repro worker``
 processes on other machines — dial in, register, heartbeat, and execute
-leases. It serves both ``executor="dist"`` and ``executor="parallel"``, and
-it is the whole parent side: settings, recovery counters, an in-parent
+leases. It is what ``executor="dist"`` builds, and it is the whole parent
+side: settings, recovery counters, an in-parent
 :class:`~repro.exec.serial.SerialExecutor` for small cohorts and degraded
 chunks, and each :class:`~repro.exec.supervision.Dispatch`'s degrade-or-raise.
 
@@ -75,9 +75,9 @@ def _local_worker_entry(
 class DistExecutor(ClientExecutor):
     """Lease-supervised dispatch to socket-connected workers.
 
-    ``**settings`` are :class:`~repro.exec.base.ExecConfig` fields, declared,
-    defaulted and checked there only (``config``); ``executor`` (``"dist"``
-    unless given) is what errors and warnings call this executor.
+    ``**settings`` are :class:`~repro.exec.base.ExecConfig` fields other
+    than ``executor``, declared, defaulted and checked there only
+    (``config``).
     ``num_workers`` is the chunk count and the number of local workers
     forked; 0 cuts ``DEFAULT_CHUNKS`` chunks and forks one per CPU. The
     network layer reads ``dist_bind`` (scheduler address),
@@ -102,8 +102,7 @@ class DistExecutor(ClientExecutor):
         self.worker_processes: list = []
         self._scheduler = None
         self._closed = False
-        self.config = ExecConfig(**{"executor": self.name, **settings})
-        self.name = self.config.executor
+        self.config = ExecConfig(executor=self.name, **settings)
         self.num_workers = self.config.num_workers
         self.num_chunks = self.num_workers or DEFAULT_CHUNKS
         self.faults = faults

@@ -89,22 +89,22 @@ class _WorkerCore:
             ),
             lock=send_lock,
         )
-        stop_beats = threading.Event()
-        beats: threading.Thread | None = None
 
-        def _beat():
-            while not stop_beats.wait(self.heartbeat_interval):
+        # Beat from registration on (a reconnecting worker may get no frame
+        # until the next dispatch); an init payload restarts it at its interval.
+        def _beat(stop: threading.Event):
+            while not stop.wait(self.heartbeat_interval):
                 try:
                     send_frame(sock, ("heartbeat", self.worker_id), lock=send_lock)
                 except OSError:
                     return
 
-        def _ensure_beats():
-            nonlocal beats
-            if beats is None and self.heartbeat_interval > 0:
-                beats = threading.Thread(target=_beat, daemon=True)
-                beats.start()
+        def _beats() -> threading.Event:  # set the event to stop the thread
+            stop = threading.Event()
+            threading.Thread(target=_beat, args=(stop,), daemon=True).start()
+            return stop
 
+        stop_beats = _beats()
         try:
             while True:
                 try:
@@ -116,11 +116,11 @@ class _WorkerCore:
                     return "shutdown"
                 if kind == "init":
                     self.install_init(msg[1])
-                    _ensure_beats()
+                    stop_beats.set()
+                    stop_beats = _beats()
                     if log:
                         log(f"worker {self.worker_id}: initialized")
                     continue
-                _ensure_beats()
                 if kind == "weights":
                     _, version, weights = msg
                     self.weights_version = int(version)

@@ -1,13 +1,9 @@
-"""``executor="parallel"``: the distributed executor in its self-contained mode.
+"""A bare alias of :class:`~repro.exec.dist.DistExecutor`.
 
-There is one cross-process executor, :class:`~repro.exec.dist.DistExecutor`.
-With its default bind (an ephemeral loopback port) it forks its own local
-workers, which is all ``"parallel"`` ever asked for; a run built with either
-name executes, recovers and counts the same way, and reports the name it
-was built with.
-
-The name stays importable from here because code outside the package
-resolves ``repro.exec.parallel.ParallelExecutor`` and its methods directly.
+There is one cross-process executor, built by ``executor="dist"``. This name
+is kept only because the perf ledger's trace targets and cells resolve
+``repro.exec.parallel.ParallelExecutor`` and its methods directly; it goes
+when the ledger stops naming it (ROADMAP item 17(b)).
 """
 
 from repro.exec.dist.executor import DistExecutor

@@ -148,6 +148,11 @@ def _leads(a: Mapping, cells, over) -> list[float]:
     return [a[c, "fedat"] - a[c, m] for c in cells for m in over]
 
 
+def _ratio(a: float, b: float) -> float:
+    """``a / b``, and NaN (which fails any claim) for a zero ``b``."""
+    return a / b if b != 0 else math.nan
+
+
 def _spread(a: Mapping) -> float:
     return max(a.values()) - min(a.values())
 
@@ -221,24 +226,25 @@ CLAIMS = [
            ">=", -0.02, P1),
     _claim("table1.fedat_lowest_variance", "Table 1",
            "per-client accuracy variance: FedAvg / FedProx / FedAsync ÷ FedAT, least over the 7 "
-           "scenarios", T1, VARIANCE, lambda v: min(v[c, m] / v[c, "fedat"]
-                                                     for c in PAPER_TABLE1 for m in FEDAVG_FAMILY),
+           "scenarios", T1, VARIANCE, lambda v: np.min([_ratio(v[c, m], v[c, "fedat"])
+                                                        for c in PAPER_TABLE1
+                                                        for m in FEDAVG_FAMILY]),
            ">=", 0.9, fails={1: 0.8628, 2: 0.801}),
     _claim("table2.fedat_reaches_target", "Table 2",
            "2-class datasets where FedAT never reaches 0.9 × FedAvg's best accuracy", T2, TOTAL,
            lambda b: sum(b[c, "fedat"] == math.inf for c in TWO_CLASS), "<=", 0, P2),
     _claim("table2.fedasync_costs_more", "Table 2",
            "bytes to that target: FedAsync ÷ FedAT, least over cifar10#2 and fashion_mnist#2", T2,
-           TOTAL, lambda b: np.min([b[c, "fedasync"] / b[c, "fedat"] for c in IMAGES]),
+           TOTAL, lambda b: np.min([_ratio(b[c, "fedasync"], b[c, "fedat"]) for c in IMAGES]),
            ">", 2.0, P2, DEVIATION_BYTES),
     _claim("fig2.fedat_first_to_target", "Fig 2",
            "time to 0.85 × FedAvg's best accuracy: FedAvg / FedProx ÷ FedAT, least over the "
            "2-class datasets (paper: 5.3–5.8× on CIFAR-10, 3.4–5.4× on Sentiment140)", T2, TIME,
-           lambda t: np.min([t[c, m] / t[c, "fedat"] for c in TWO_CLASS
+           lambda t: np.min([_ratio(t[c, m], t[c, "fedat"]) for c in TWO_CLASS
                              for m in ("fedavg", "fedprox")]), ">", 1.0, fails={2: 0.8518}),
     _claim("fig2.fedat_near_tifl", "Fig 2",
            "time to that target: FedAT ÷ TiFL, greatest over the 2-class datasets", T2, TIME,
-           lambda t: np.max([t[c, "fedat"] / t[c, "tifl"] for c in TWO_CLASS]), "<", 2.0,
+           lambda t: np.max([_ratio(t[c, "fedat"], t[c, "tifl"]) for c in TWO_CLASS]), "<", 2.0,
            fails={1: 2.202, 2: 2.315}),
     _claim("fig3.fedat_competitive", "Fig 3",
            "best accuracy: FedAT − the best baseline, least over cifar10#4, #6, #8 and #iid", T3,
@@ -259,12 +265,13 @@ CLAIMS = [
     _claim("fig4.fedasync_uploads_more", "Fig 4",
            "uploaded bytes to that target: FedAsync ÷ FedAT, least over cifar10#2 and "
            "fashion_mnist#2", T2, UPLOAD,
-           lambda u: np.min([u[c, "fedasync"] / u[c, "fedat"] for c in IMAGES]), ">", 1.0,
+           lambda u: np.min([_ratio(u[c, "fedasync"], u[c, "fedat"]) for c in IMAGES]), ">", 1.0,
            note=DEVIATION_BYTES),
     _claim("fig5.bytes_rise_with_precision", "Fig 5",
            "FedAT upload per global update, cifar10#2: each precision (3, 4, 5, 6, none) ÷ the "
            "one before, least", FIG5, UPLOAD_PER_UPDATE,
-           lambda r: min(r[b] / r[a] for a, b in zip(PRECISIONS, PRECISIONS[1:])), ">=", 1.0),
+           lambda r: np.min([_ratio(r[b], r[a]) for a, b in zip(PRECISIONS, PRECISIONS[1:])]),
+           ">=", 1.0),
     _claim("fig5.precision4_near_uncompressed", "Fig 5",
            "FedAT best accuracy, cifar10#2: precision 4 − uncompressed", FIG5, BEST,
            lambda a: a["4"] - a["none"], ">=", -0.03),
@@ -274,7 +281,7 @@ CLAIMS = [
            fails={1: 0.01096, 2: 0.02973}),
     _claim("fig5.precision4_saves_bytes", "Fig 5",
            "FedAT upload per global update, cifar10#2: precision 4 ÷ uncompressed", FIG5,
-           UPLOAD_PER_UPDATE, lambda r: r["4"] / r["none"], "<", 0.75),
+           UPLOAD_PER_UPDATE, lambda r: _ratio(r["4"], r["none"]), "<", 0.75),
     _claim("fig6.both_weightings_learn", "Fig 6",
            "FedAT best accuracy under §4.2 and uniform tier weights: lowest over the 2-class "
            "datasets", FIG6, BEST, lambda a: min(a.values()), ">", 0.3, P6),
@@ -296,10 +303,10 @@ CLAIMS = [
            lambda a: min(_leads(a, ["reddit"], ("tifl", "fedprox"))), ">=", -0.03),
     _claim("fig8.fedat_loss", "Fig 8",
            "final loss on Reddit: FedAT ÷ the lowest of the three", FIG8, LOSSES,
-           lambda x: x["reddit", "fedat"][-1] / min(v[-1] for v in x.values()), "<=", 1.25),
+           lambda x: _ratio(x["reddit", "fedat"][-1], min(v[-1] for v in x.values())), "<=", 1.25),
     _claim("fig8.fedat_loss_falls", "Fig 8",
            "FedAT's loss on Reddit: final ÷ first evaluation", FIG8, LOSSES,
-           lambda x: x["reddit", "fedat"][-1] / x["reddit", "fedat"][0], "<", 1.0),
+           lambda x: _ratio(x["reddit", "fedat"][-1], x["reddit", "fedat"][0]), "<", 1.0),
     _claim("fig9.fedat_at_2_clients", "Fig 9",
            "best accuracy at 2 clients per round: FedAT − FedAvg / TiFL / FedProx, least over "
            "cifar10#2 and sentiment140#2", FIG9, BEST,

@@ -10,11 +10,10 @@ resumes with bit-identical merged results, a torn file re-runs, a grid
 extended by a seed or a scenario keeps its done cells, and a leftover run
 of another grid in a reused out-dir is never read.
 
-Cells run through the configured client-execution backend, so a sweep can
-fan client training out to worker processes (``executor="parallel"`` or
-``"dist"``) without changing a stored run's bytes: a run's key leaves
-execution settings out, so a sweep resumed under another executor finds
-its cells done.
+The grid says what each cell computes, never how it executes: execution
+settings (``executor="dist"`` fans training out to worker processes) are
+passed to :meth:`SweepRunner.run`, and neither a stored run nor its key
+holds them, so a sweep resumed under another executor finds its cells done.
 """
 
 from __future__ import annotations
@@ -93,8 +92,6 @@ class SweepSpec:
     #: None = auto (DEFAULT_RETIER_INTERVAL, or SMOKE_RETIER_INTERVAL under
     #: smoke); an explicit value always wins, smoke or not.
     retier_interval: int | None = None
-    executor: str = "serial"
-    num_workers: int = 0
     smoke: bool = False
     #: Extra flat overrides, as sorted (k, v): each cell's method gets the
     #: ones it reads (see knobs_read_by).
@@ -142,8 +139,8 @@ class SweepSpec:
         """Load a sweep config JSON file (see ``examples/sweep_*.json``)."""
         return SweepSpec.from_dict(json.loads(Path(path).read_text()))
 
-    def run_spec(self, cell: SweepCell) -> tuple[RunSpec, dict]:
-        """The run one grid point is, and its execution settings."""
+    def run_spec(self, cell: SweepCell) -> RunSpec:
+        """The run one grid point is."""
         fl: dict[str, Any] = dict(self.fl_overrides)
         if self.smoke:
             fl = {**SMOKE_OVERRIDES, **fl}
@@ -162,15 +159,13 @@ class SweepSpec:
             seed=cell.seed,
             classes_per_client=self.classes_per_client,
             population=cell.population,
-            executor=self.executor,
-            num_workers=self.num_workers,
             **knobs_read_by(cell.method, fl),
-        )
+        )[0]
 
     def key(self) -> str:
         """Digest of the grid's runs in order (see :meth:`RunSpec.key`):
         what every cell computes, never how it executes."""
-        runs = [self.run_spec(cell)[0].key() for cell in self.cells()]
+        runs = [self.run_spec(cell).key() for cell in self.cells()]
         return hashlib.sha256(json.dumps(runs).encode()).hexdigest()[:16]
 
 
@@ -186,21 +181,23 @@ class SweepRunner:
         *,
         max_runs: int | None = None,
         log: Callable[[str], None] | None = None,
+        **execution,
     ) -> dict:
         """Execute the cells not in the store yet, then aggregate.
 
         ``max_runs`` bounds how many *new* cells this invocation executes —
         the hook crash-resume tests (and cautious operators) use to stop a
-        sweep mid-grid. Returns the aggregate summary; ``complete`` is False
-        when cells remain.
+        sweep mid-grid. ``execution`` is how every cell runs, as
+        :meth:`RunSpec.run` takes it. Returns the aggregate summary;
+        ``complete`` is False when cells remain.
         """
         say = log or (lambda _msg: None)
-        # The grid now running, executor included: repro figures rebuilds it.
+        # The grid now running: repro figures rebuilds it.
         save_json(self.out_dir / "spec.json", asdict(self.spec))
         cells = self.spec.cells()
         ran = 0
         for i, cell in enumerate(cells):
-            run, execution = self.spec.run_spec(cell)
+            run = self.spec.run_spec(cell)
             if run.load(self.out_dir) is not None:
                 say(f"[{i + 1}/{len(cells)}] {cell.cell_id}: cached")
                 continue
@@ -227,7 +224,7 @@ class SweepRunner:
         groups: dict = {}
         missing = 0
         for cell in self.spec.cells():
-            history = self.spec.run_spec(cell)[0].load(self.out_dir)
+            history = self.spec.run_spec(cell).load(self.out_dir)
             if history is None:
                 missing += 1
                 continue

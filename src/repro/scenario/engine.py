@@ -363,7 +363,6 @@ class ScenarioEngine:
         a_ids = client[rows]
         last = np.flatnonzero(np.diff(a_ids, append=-1))  # ids are >= 0
         a_ids, a_times = a_ids[last], time[rows[last]]
-        self._arrival: dict[int, float] = dict(zip(a_ids.tolist(), a_times.tolist()))
         self._arrival_ids, self._arrival_times = a_ids, a_times  # sorted by id
         late = np.flatnonzero(a_times > 0.0)
         late = late[np.lexsort((a_ids[late], a_times[late]))]
@@ -621,7 +620,7 @@ class ScenarioEngine:
     def is_available(self, client_id: int, t: float) -> bool:
         """Whether the client is online (and has arrived) at time ``t``."""
         client_id = int(client_id)
-        if t < self._arrival.get(client_id, 0.0):
+        if t < self.arrival_time(client_id):
             return False
         tl = self._timeline(client_id)
         i = bisect_right(tl.avail_times, t) - 1
@@ -646,7 +645,9 @@ class ScenarioEngine:
 
     def arrival_time(self, client_id: int) -> float:
         """When the client joins the population (0.0 = founding member)."""
-        return self._arrival.get(int(client_id), 0.0)
+        ids = self._arrival_ids
+        i = int(ids.searchsorted(client_id))
+        return float(self._arrival_times[i]) if i < ids.size and ids[i] == client_id else 0.0
 
     def arrival_times(self, client_ids) -> np.ndarray:
         """:meth:`arrival_time` over an id array, element for element."""
@@ -726,8 +727,9 @@ class ScenarioEngine:
             return True
 
         client_ids = sorted_unique(client_ids)
-        for cid in client_ids[np.isin(client_ids, self._gated_ids)].tolist():
-            consider(cid, self._arrival.get(cid, 0.0))
+        gated = client_ids[np.isin(client_ids, self._gated_ids)]
+        for cid, arrival in zip(gated.tolist(), self.arrival_times(gated).tolist()):
+            consider(cid, arrival)
             tl = self._timeline(cid)
             times, state = tl.avail_times, tl.avail_state
             for i in range(bisect_right(times, t), len(times)):

@@ -99,7 +99,7 @@ class SimClient:
         With ``start_epoch`` the mini-batch schedule is replayed statelessly
         from that cursor (batches are pure functions of the epoch index), so
         the round is a deterministic function of its inputs — the property the
-        parallel executor relies on for bit-identical histories. Without it,
+        dist executor relies on for bit-identical histories. Without it,
         the round starts at the client's own schedule cursor; either way the
         cursor ends just past the epochs trained.
 

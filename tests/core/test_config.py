@@ -137,10 +137,12 @@ def test_exec_config_rejects_invalid(field, value):
 
 
 def test_executor_names_come_from_the_fixed_table():
+    assert EXECUTORS == ("serial", "dist")
     for name in EXECUTORS:
         assert ExecConfig(executor=name).executor == name
-    with pytest.raises(ValueError, match="options: serial, parallel, dist"):
-        ExecConfig(executor="gpu")
+    for name in ("gpu", "parallel"):
+        with pytest.raises(ValueError, match=f"'{name}'; options: serial, dist$"):
+            ExecConfig(executor=name)
 
 
 def test_heartbeat_timeout_must_exceed_interval():

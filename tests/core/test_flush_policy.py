@@ -244,8 +244,7 @@ def test_quarantined_uploads_pop_as_invisible_no_ops(dataset, method, monkeypatc
     assert shipped_saves == eager_saves
 
 
-@pytest.mark.parametrize("executor", ["parallel", "dist"])
-def test_a_fedasync_flush_is_one_dispatch(dataset, executor, monkeypatch):
+def test_a_fedasync_flush_is_one_dispatch(dataset, monkeypatch):
     """Relaunches from several global versions train together: each flush
     of two or more clients is one dispatch, whatever rows it carries."""
     flushed, train_cohort = [], FLSystem.train_cohort
@@ -255,7 +254,7 @@ def test_a_fedasync_flush_is_one_dispatch(dataset, executor, monkeypatch):
         return train_cohort(self, tasks, starts)
 
     monkeypatch.setattr(FLSystem, "train_cohort", recording_train_cohort)
-    system = build_world(dataset, "fedasync", "static", executor=executor, num_workers=2)
+    system = build_world(dataset, "fedasync", "static", executor="dist", num_workers=2)
     history = system.run()
     assert history_digest(history) == PINNED["fedasync", "static"]
     dispatched = [rows for tasks, rows in flushed if tasks >= system.executor.min_dispatch]

@@ -662,6 +662,19 @@ class TestSchedulerTimers:
             dist.close()
             serial.close()
 
+    def test_a_fresh_worker_beats_at_the_runs_interval(self, tiny_bow_dataset):
+        """A worker beats from registration at its default interval until the
+        init payload names the run's, which restarts the beat: a timeout
+        shorter than that default costs no idle worker its connection."""
+        _, dist = _executors(tiny_bow_dataset, heartbeat_interval=0.02, heartbeat_timeout=0.12)
+        try:
+            assert dist.wait_for_workers(2) == 2
+            dist._scheduler.drive(lambda: False, timeout=1.0)
+            assert dist.fault_counters["heartbeat_misses"] == 0
+            assert dist._scheduler.live_workers == 2
+        finally:
+            dist.close()
+
     def test_a_drive_ends_on_its_timeout(self, tiny_bow_dataset):
         """With no timer armed and nothing arriving, a drive sleeps until
         its own timeout and no longer: the condition alone cannot end it."""

@@ -1,8 +1,7 @@
-"""Serial/parallel equivalence regression harness.
+"""Serial/dist equivalence regression harness.
 
 The hard requirement that makes parallel client execution safe: for any
-method, seed, and model, the cross-process executor — under either of its
-names, ``parallel`` and ``dist`` — must produce
+method, seed, and model, the cross-process executor (``dist``) must produce
 **bit-identical** :class:`RunHistory` records to :class:`SerialExecutor` —
 same accuracies, same losses, same byte meters, same virtual times. Tasks
 carry explicit batch-schedule cursors and pre-sampled latencies, so local
@@ -72,41 +71,44 @@ def _history(dataset, cls, seed, executor):
     return system.run()
 
 
-def _assert_identical(serial, parallel):
-    assert serial.method == parallel.method
-    assert len(serial.records) == len(parallel.records)
-    for s, p in zip(serial.records, parallel.records):
+def _assert_identical(serial, dist):
+    assert serial.method == dist.method
+    assert len(serial.records) == len(dist.records)
+    for s, p in zip(serial.records, dist.records):
         # dataclass equality is exact float equality — bit-identical or bust.
         assert dataclasses.asdict(s) == dataclasses.asdict(p)
 
 
 @pytest.mark.parametrize("cls", [FedAT, FedAvg], ids=["fedat", "fedavg"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_parallel_history_bit_identical(tiny_bow_dataset, cls, seed):
+def test_dist_history_bit_identical(tiny_bow_dataset, cls, seed):
+    """Scheduler + socket workers must reproduce the serial history bit for
+    bit — under REPRO_FAULTS chaos (including the network-only drop/delay
+    families) exactly as in the fault-free case."""
     serial = _history(tiny_bow_dataset, cls, seed, "serial")
-    parallel = _history(tiny_bow_dataset, cls, seed, "parallel")
-    _assert_identical(serial, parallel)
+    dist = _history(tiny_bow_dataset, cls, seed, "dist")
+    _assert_identical(serial, dist)
 
 
 @pytest.mark.parametrize("cls", [FedAsync, ASOFed], ids=["fedasync", "asofed"])
-def test_parallel_history_bit_identical_async(tiny_bow_dataset, cls):
+def test_dist_history_bit_identical_async(tiny_bow_dataset, cls):
     """The async methods' launch path (the initial cohort, then relaunches
     from several global versions flushed together as one multi-row
     dispatch, a lone one through the in-process fast path) must also be
     bit-identical across executors."""
     serial = _history(tiny_bow_dataset, cls, 0, "serial")
-    parallel = _history(tiny_bow_dataset, cls, 0, "parallel")
-    _assert_identical(serial, parallel)
+    dist = _history(tiny_bow_dataset, cls, 0, "dist")
+    _assert_identical(serial, dist)
 
 
-def test_parallel_matches_on_image_cnn(tiny_image_dataset):
+def test_dist_matches_on_image_cnn(tiny_image_dataset):
     """The conv stack exercises a different numeric path than logistic."""
     serial = _history(tiny_image_dataset, FedAT, 0, "serial")
-    parallel = _history(tiny_image_dataset, FedAT, 0, "parallel")
-    _assert_identical(serial, parallel)
+    dist = _history(tiny_image_dataset, FedAT, 0, "dist")
+    _assert_identical(serial, dist)
 
 
-def test_parallel_meters_match_serial(tiny_bow_dataset):
+def test_dist_meters_match_serial(tiny_bow_dataset):
     """Byte meters accumulate identically (uplink, downlink, messages)."""
     a = FedAT(
         tiny_bow_dataset,
@@ -116,7 +118,7 @@ def test_parallel_meters_match_serial(tiny_bow_dataset):
     b = FedAT(
         tiny_bow_dataset,
         build_model_builder(tiny_bow_dataset, "tiny"),
-        _config(FedAT, 0, "parallel"),
+        _config(FedAT, 0, "dist"),
     )
     a.run()
     b.run()
@@ -128,40 +130,12 @@ def test_parallel_meters_match_serial(tiny_bow_dataset):
     np.testing.assert_array_equal(a._epoch_cursor, b._epoch_cursor)
 
 
-# --------------------------------------------------------------------- #
-# Distributed executor: same contract, over sockets
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("cls", [FedAT, FedAvg], ids=["fedat", "fedavg"])
-def test_dist_history_bit_identical(tiny_bow_dataset, cls):
-    """Scheduler + socket workers must reproduce the serial history bit for
-    bit — under REPRO_FAULTS chaos (including the network-only drop/delay
-    families) exactly as in the fault-free case."""
-    serial = _history(tiny_bow_dataset, cls, 0, "serial")
-    dist = _history(tiny_bow_dataset, cls, 0, "dist")
-    _assert_identical(serial, dist)
 
-
-def test_dist_history_bit_identical_async(tiny_bow_dataset):
-    """Async steady state: flushed relaunches go over the wire as one
-    dispatch with a stack of start rows; a lone one rides the in-process
-    fast path."""
-    serial = _history(tiny_bow_dataset, FedAsync, 0, "serial")
-    dist = _history(tiny_bow_dataset, FedAsync, 0, "dist")
-    _assert_identical(serial, dist)
-
-
-def test_dist_matches_on_image_cnn(tiny_image_dataset):
-    serial = _history(tiny_image_dataset, FedAT, 0, "serial")
-    dist = _history(tiny_image_dataset, FedAT, 0, "dist")
-    _assert_identical(serial, dist)
-
-
-@pytest.mark.parametrize("executor", ["parallel", "dist"])
 @pytest.mark.parametrize("cls", [FedAT, FedAsync], ids=["fedat", "fedasync"])
-def test_reddit_model_bit_identical(tiny_reddit_dataset, cls, executor):
+def test_reddit_model_bit_identical(tiny_reddit_dataset, cls):
     """Dropout and batch-norm carry nothing from one client round to the
     next, so the reddit model trains on the workers — no serial fallback
     and no warning, which this suite would raise — bit-identical to serial."""
     serial = _history(tiny_reddit_dataset, cls, 0, "serial")
-    other = _history(tiny_reddit_dataset, cls, 0, executor)
-    _assert_identical(serial, other)
+    dist = _history(tiny_reddit_dataset, cls, 0, "dist")
+    _assert_identical(serial, dist)

@@ -8,9 +8,9 @@ import pytest
 
 from repro.exec import (
     CohortTask,
+    DistExecutor,
     ExecConfig,
     OptimizerSpec,
-    ParallelExecutor,
     SerialExecutor,
     make_executor,
     parse_faults,
@@ -78,56 +78,47 @@ def _make(dataset, seed=0, **settings):
 class TestFactory:
     def test_backends(self, tiny_bow_dataset):
         assert isinstance(_make(tiny_bow_dataset), SerialExecutor)
-        par = _make(tiny_bow_dataset, executor="parallel", num_workers=2)
-        assert isinstance(par, ParallelExecutor)
-        assert par.num_workers == 2
-        par.close()
-
-    @pytest.mark.parametrize("backend", ["parallel", "dist"])
-    def test_zero_workers_resolves_to_cpu_count(self, tiny_bow_dataset, backend):
-        """One meaning under either name: a local worker per CPU, and a
-        fixed chunk count, so the chunk layout (which keys the fault
-        schedule) never follows the host."""
-        par = _make(tiny_bow_dataset, executor=backend, num_workers=0)
-        try:
-            assert len(par.worker_processes) == (os.cpu_count() or 1)
-            assert par.num_chunks == DEFAULT_CHUNKS == 4
-        finally:
-            par.close()
-
-    def test_parallel_is_dist_under_its_own_name(self, tiny_bow_dataset):
-        """``parallel`` builds the one cross-process executor; errors,
-        warnings and the config still call it what the run asked for."""
-        from repro.exec.dist import DistExecutor
-
-        par = _make(tiny_bow_dataset, executor="parallel", num_workers=2)
-        try:
-            assert ParallelExecutor is DistExecutor and type(par) is DistExecutor
-            assert par.name == "parallel"
-            assert par.config == ExecConfig(executor="parallel", num_workers=2)
-        finally:
-            par.close()
-
-    def test_dist_backend(self, tiny_bow_dataset):
-        from repro.exec.dist import DistExecutor
-
         ex = _make(tiny_bow_dataset, executor="dist", num_workers=2)
-        assert isinstance(ex, DistExecutor)
-        assert ex.num_chunks == 2
-        ex.close()
+        try:
+            assert type(ex) is DistExecutor
+            assert ex.name == "dist" and ex.num_workers == ex.num_chunks == 2
+            assert ex.config == ExecConfig(executor="dist", num_workers=2)
+        finally:
+            ex.close()
+
+    def test_zero_workers_resolves_to_cpu_count(self, tiny_bow_dataset):
+        """A local worker per CPU, and a fixed chunk count, so the chunk
+        layout (which keys the fault schedule) never follows the host."""
+        ex = _make(tiny_bow_dataset, executor="dist", num_workers=0)
+        try:
+            assert len(ex.worker_processes) == (os.cpu_count() or 1)
+            assert ex.num_chunks == DEFAULT_CHUNKS == 4
+        finally:
+            ex.close()
 
     def test_unknown_name_lists_registered(self, tiny_bow_dataset):
         with pytest.raises(ValueError, match="serial"):
             _make(tiny_bow_dataset, executor="gpu")
 
+    def test_a_hand_built_executor_is_dist(self, tiny_bow_dataset):
+        """``DistExecutor`` takes no other name: ``executor=`` is its own."""
+        with pytest.raises(TypeError, match="executor"):
+            DistExecutor(
+                _model(tiny_bow_dataset),
+                _clients(tiny_bow_dataset),
+                SoftmaxCrossEntropy(),
+                OptimizerSpec("sgd", 0.1),
+                executor="serial",
+            )
+
     def test_fault_plan_is_built_from_the_config(self, tiny_bow_dataset):
         """The factory is the only reader of the execution settings: it
         seeds the fault plan with the run's seed and hands the supervision
         knobs to the cross-process backends."""
-        par = _make(
+        ex = _make(
             tiny_bow_dataset,
             seed=7,
-            executor="parallel",
+            executor="dist",
             num_workers=2,
             faults="crash:0.25",
             chunk_timeout=4.0,
@@ -135,18 +126,22 @@ class TestFactory:
             fault_degrade=False,
         )
         try:
-            assert par.faults.spec == parse_faults("crash:0.25")
-            assert par.faults.seed == 7
-            assert par.config == ExecConfig(
-                executor="parallel",
+            assert ex.faults.spec == parse_faults("crash:0.25")
+            assert ex.faults.seed == 7
+            assert ex.config == ExecConfig(
+                executor="dist",
                 num_workers=2,
                 chunk_timeout=4.0,
                 chunk_retries=5,
                 fault_degrade=False,
             )
         finally:
-            par.close()
-        assert _make(tiny_bow_dataset, executor="parallel", num_workers=2).faults is None
+            ex.close()
+        plain = _make(tiny_bow_dataset, executor="dist", num_workers=2)
+        try:
+            assert plain.faults is None
+        finally:
+            plain.close()
 
 
 class TestSerialExecutor:
@@ -173,7 +168,7 @@ class TestSerialExecutor:
         assert ex.run_cohort(ex.model.get_flat_weights(), []) == []
 
 
-class TestParallelExecutor:
+class TestDistCohorts:
     @pytest.mark.parametrize("num_workers", [1, 3, 4])
     def test_bitwise_matches_serial(self, tiny_bow_dataset, num_workers):
         loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("adam", 0.005)
@@ -183,16 +178,16 @@ class TestParallelExecutor:
         serial = SerialExecutor(
             model, _clients(tiny_bow_dataset), loss, spec
         ).run_cohort(start, tasks)
-        with ParallelExecutor(
+        with DistExecutor(
             _model(tiny_bow_dataset),
             _clients(tiny_bow_dataset),
             loss,
             spec,
             num_workers=num_workers,
-        ) as par:
-            parallel = par.run_cohort(start, tasks)
-        assert len(serial) == len(parallel)
-        for s, p in zip(serial, parallel):
+        ) as ex:
+            dist = ex.run_cohort(start, tasks)
+        assert len(serial) == len(dist)
+        for s, p in zip(serial, dist):
             assert s.client_id == p.client_id
             assert s.n_samples == p.n_samples
             assert s.train_loss == p.train_loss  # bitwise, not approx
@@ -207,12 +202,12 @@ class TestParallelExecutor:
         serial = SerialExecutor(
             model, _clients(tiny_bow_dataset), loss, spec
         ).run_cohort(start, task)
-        with ParallelExecutor(
+        with DistExecutor(
             _model(tiny_bow_dataset), _clients(tiny_bow_dataset), loss, spec,
             num_workers=2,
-        ) as par:
-            local = par.run_cohort(start, task)
-            assert par._dispatch_seq == 0  # never dispatched to a worker
+        ) as ex:
+            local = ex.run_cohort(start, task)
+            assert ex._dispatch_seq == 0  # never dispatched to a worker
         np.testing.assert_array_equal(serial[0].weights, local[0].weights)
         assert serial[0].train_loss == local[0].train_loss
 
@@ -225,33 +220,31 @@ class TestParallelExecutor:
         assert all(chunk_tasks(tasks[:2], 5))
 
     def test_close_idempotent(self, tiny_bow_dataset):
-        par = ParallelExecutor(
+        ex = DistExecutor(
             _model(tiny_bow_dataset),
             _clients(tiny_bow_dataset),
             SoftmaxCrossEntropy(),
             OptimizerSpec("sgd", 0.1),
             num_workers=2,
         )
-        par.run_cohort(_model(tiny_bow_dataset).get_flat_weights(), _cohort(2))
-        par.close()
-        par.close()
-        assert par.worker_processes == []
+        ex.run_cohort(_model(tiny_bow_dataset).get_flat_weights(), _cohort(2))
+        ex.close()
+        ex.close()
+        assert ex.worker_processes == []
 
 
-@pytest.mark.parametrize("backend", ["parallel", "dist"])
 @pytest.mark.parametrize("cohort", [0, 1, 4], ids=["empty", "singleton", "dispatched"])
-def test_closed_executor_refuses_cohorts(tiny_bow_dataset, backend, cohort):
-    """One rule under either name: after ``close()`` there are no workers,
-    and ``run_cohort`` says so, by the name the run asked for, instead of
-    quietly forking a fresh set nobody will close or dying on a closed
-    descriptor inside ``connection.wait`` (each happened once)."""
-    ex = _make(tiny_bow_dataset, executor=backend, num_workers=2)
+def test_closed_executor_refuses_cohorts(tiny_bow_dataset, cohort):
+    """After ``close()`` there are no workers, and ``run_cohort`` says so
+    instead of quietly forking a fresh set nobody will close or dying on a
+    closed descriptor inside ``connection.wait`` (each happened once)."""
+    ex = _make(tiny_bow_dataset, executor="dist", num_workers=2)
     start = _model(tiny_bow_dataset).get_flat_weights()
     try:
         assert len(ex.run_cohort(start, _cohort(4))) == 4
     finally:
         ex.close()
-    with pytest.raises(RuntimeError, match=f"executor '{backend}' is closed"):
+    with pytest.raises(RuntimeError, match="executor 'dist' is closed"):
         ex.run_cohort(start, _cohort(cohort))
     ex.close()  # still idempotent
     assert ex.worker_processes == []
@@ -263,13 +256,12 @@ def _fingerprint(results):
     ]
 
 
-@pytest.mark.parametrize("backend", ["parallel", "dist"])
-def test_a_stack_of_start_rows_is_bit_identical_to_serial(tiny_bow_dataset, backend):
+def test_a_stack_of_start_rows_is_bit_identical_to_serial(tiny_bow_dataset):
     """Tasks from several rows of an ``(S, P)`` stack, rows spanning chunks,
     over three dispatches whose stacks differ in height: every chunk message
     carries its dispatch's stack, and each task trains from its row."""
     serial = _make(tiny_bow_dataset)
-    ex = _make(tiny_bow_dataset, executor=backend, num_workers=2)
+    ex = _make(tiny_bow_dataset, executor="dist", num_workers=2)
     start = _model(tiny_bow_dataset).get_flat_weights()
     starts = start + np.random.default_rng(1).normal(0, 0.1, size=(3, start.size))
     one_row = _cohort(8, lam=0.4)

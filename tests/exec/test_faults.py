@@ -1,6 +1,6 @@
 """Fault-injection layer: determinism, recovery, and bit-identity under chaos.
 
-The contract mirrors the serial/parallel equivalence harness: injected
+The contract mirrors the serial/dist equivalence harness: injected
 worker crashes, hangs, and in-transit corruption may cost retries and
 respawns, but after recovery the :class:`RunHistory` must be bit-identical
 to the fault-free serial run — the infrastructure fault layer is invisible
@@ -62,12 +62,9 @@ def test_parse_faults_rejects(bad):
 
 def test_hang_faults_require_timeout_in_config():
     with pytest.raises(ValueError, match="chunk_timeout"):
-        ExecConfig(executor="parallel", faults="hang:0.5")
-    with pytest.raises(ValueError, match="chunk_timeout"):
         ExecConfig(executor="dist", faults="hang:0.5")
     # Serial runs have no worker pool: the spec parses but needs no timeout.
     ExecConfig(executor="serial", faults="hang:0.5")
-    ExecConfig(executor="parallel", faults="hang:0.5", chunk_timeout=2.0)
     ExecConfig(executor="dist", faults="hang:0.5", chunk_timeout=2.0)
 
 
@@ -78,7 +75,6 @@ def test_network_faults_require_a_cross_process_executor():
     for spec in ("drop:0.5", "delay:0.5", "crash:0.1+drop:0.2"):
         with pytest.raises(ValueError, match="cross-process"):
             ExecConfig(executor="serial", faults=spec)
-        ExecConfig(executor="parallel", faults=spec)  # valid
         ExecConfig(executor="dist", faults=spec)  # valid
     # Zero-probability network atoms are null: any executor accepts them.
     ExecConfig(executor="serial", faults="drop:0")
@@ -163,7 +159,7 @@ def _config(cls, executor, **exec_kw):
         seed=0,
         compression="polyline:4" if cls is FedAT else None,
         exec=ExecConfig(
-            executor=executor, num_workers=2 if executor == "parallel" else 0, **exec_kw
+            executor=executor, num_workers=2 if executor == "dist" else 0, **exec_kw
         ),
     )
     return route_config(cls.name, **knobs_read_by(cls.name, flat))
@@ -175,13 +171,13 @@ def _history(dataset, cls, executor, **kw):
 
 
 def _chaos_history(dataset, cls, **kw):
-    """A fault-injected parallel run. A chunk whose attempts all draw a
+    """A fault-injected dist run. A chunk whose attempts all draw a
     fault exhausts its retry budget and degrades (which ones do is fixed by
     the fault schedule, not by timing) — each one must be loud (one
     RuntimeWarning per counted chunk) and nothing else may warn."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        history = _history(dataset, cls, "parallel", **kw)
+        history = _history(dataset, cls, "dist", **kw)
     messages = [str(w.message) for w in caught]
     assert all("degrading to in-process" in m for m in messages), messages
     assert len(messages) == history.meta["faults"]["degraded_chunks"]
@@ -216,8 +212,8 @@ def test_null_fault_plan_changes_nothing(tiny_bow_dataset):
     """A fault plan with zero probabilities adds checksums and fault draws
     to the (always supervised) dispatch and nothing else: same history, all
     recovery counters zero."""
-    plain = _history(tiny_bow_dataset, FedAvg, "parallel")
-    nulled = _history(tiny_bow_dataset, FedAvg, "parallel", faults="crash:0")
+    plain = _history(tiny_bow_dataset, FedAvg, "dist")
+    nulled = _history(tiny_bow_dataset, FedAvg, "dist", faults="crash:0")
     _assert_identical(plain, nulled)
     assert plain.meta["faults"] == nulled.meta["faults"]
     assert all(v == 0 for v in nulled.meta["faults"].values())
@@ -231,7 +227,7 @@ def test_degrade_finishes_cohort_in_process(tiny_bow_dataset):
         chaos = _history(
             tiny_bow_dataset,
             FedAvg,
-            "parallel",
+            "dist",
             faults="crash:1.0",
             chunk_retries=0,
         )
@@ -245,7 +241,7 @@ def test_exhausted_budget_raises_actionable_error(tiny_bow_dataset):
         build_model_builder(tiny_bow_dataset, "tiny"),
         _config(
             FedAvg,
-            "parallel",
+            "dist",
             faults="crash:1.0",
             chunk_retries=1,
             fault_degrade=False,
@@ -254,7 +250,7 @@ def test_exhausted_budget_raises_actionable_error(tiny_bow_dataset):
     with pytest.raises(ExecutorFaultError) as excinfo:
         system.run()
     err = excinfo.value
-    assert err.executor == "parallel"
+    assert err.executor == "dist"
     assert err.num_workers == 2
     assert err.attempts == 2  # 1 + chunk_retries
     assert "chunk_retries" in str(err) and "fault_degrade" in str(err)

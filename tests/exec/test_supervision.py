@@ -1,6 +1,6 @@
 """The supervision machinery: the deadline question, the dispatch state
-machine the scheduler drives, and how the executor keeps the pool of
-workers it forked whole (``executor="parallel"``).
+machine the scheduler drives, and how the executor keeps the set of
+workers it forked whole (``executor="dist"``).
 
 The socket scheduler's side of the same machinery (and the lease table's
 unit tests) are in ``test_dist.py``; the chaos behaviour in
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.fedavg import FedAvg
 from repro.core.config import FLConfig
-from repro.exec import CohortTask, ExecConfig, OptimizerSpec, ParallelExecutor, SerialExecutor
+from repro.exec import CohortTask, DistExecutor, ExecConfig, OptimizerSpec, SerialExecutor
 from repro.exec.faults import FaultPlan, chunk_checksum, parse_faults
 from repro.exec.supervision import Dispatch, wait_budget
 from repro.experiments.config import build_model_builder
@@ -152,10 +152,10 @@ def test_out_of_range_and_foreign_frames_are_ignored():
 
 
 # --------------------------------------------------------------------- #
-# The executor's own pool of forked workers
+# The executor's own forked workers
 # --------------------------------------------------------------------- #
-def _executors(dataset, **pool_kw):
-    """A serial reference and a two-worker ``parallel`` executor whose
+def _executors(dataset, **dist_kw):
+    """A serial reference and a two-worker ``dist`` executor whose
     workers have registered, so a strike finds each one known to the
     scheduler (an unregistered worker's death is nobody's loss)."""
     def model():
@@ -168,11 +168,9 @@ def _executors(dataset, **pool_kw):
 
     loss, spec = SoftmaxCrossEntropy(), OptimizerSpec("sgd", 0.1)
     serial = SerialExecutor(model(), clients(), loss, spec)
-    pool = ParallelExecutor(
-        model(), clients(), loss, spec, executor="parallel", num_workers=2, **pool_kw
-    )
-    assert pool.wait_for_workers(2) == 2
-    return serial, pool
+    dist = DistExecutor(model(), clients(), loss, spec, num_workers=2, **dist_kw)
+    assert dist.wait_for_workers(2) == 2
+    return serial, dist
 
 
 def _cohort(n):
@@ -189,16 +187,16 @@ def _assert_results_equal(a, b):
         assert ra.train_loss == rb.train_loss
 
 
-class TestPoolSupervisor:
+class TestDistSupervisor:
     def test_default_config_survives_a_worker_killed_mid_chunk(self, tiny_bow_dataset):
-        """No fault plan, no chunk_timeout: the pool is supervised all the
+        """No fault plan, no chunk_timeout: the workers are supervised all the
         same. A worker that is killed with a chunk in hand (what the OOM
         killer does) is seen through its EOF and its sentinel, replaced,
         and its chunk run again — a bare ``pool.map`` never looks at worker
         exit codes and blocks forever. The failure costs the chunk it hit
         and nothing else: the sibling keeps its process, its chunk and its
         budget."""
-        serial, pool = _executors(tiny_bow_dataset)
+        serial, dist = _executors(tiny_bow_dataset)
         # Half a second of training per chunk, so a strike 0.15 s into the
         # dispatch finds both workers with a chunk in hand.
         tasks = [
@@ -208,28 +206,28 @@ class TestPoolSupervisor:
         try:
             start = serial.model.get_flat_weights()
             expected = serial.run_cohort(start, tasks)
-            pool.run_cohort(start, _cohort(2))  # pool and workers warm
-            assert not any(pool.fault_counters.values())
-            victim, sibling = pool.worker_processes
+            dist.run_cohort(start, _cohort(2))  # executor and workers warm
+            assert not any(dist.fault_counters.values())
+            victim, sibling = dist.worker_processes
             previous = signal.signal(
                 signal.SIGALRM, lambda *_: os.kill(victim.pid, signal.SIGKILL)
             )
             try:
                 signal.setitimer(signal.ITIMER_REAL, 0.15)
-                got = pool.run_cohort(start, tasks)
+                got = dist.run_cohort(start, tasks)
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
                 signal.signal(signal.SIGALRM, previous)
             _assert_results_equal(expected, got)
-            assert pool.fault_counters["worker_deaths"] == 1
-            assert pool.fault_counters["respawns"] == 1
-            assert pool.fault_counters["retries"] == 1  # the victim's chunk, nobody else's
-            assert pool.fault_counters["degraded_chunks"] == 0
-            workers = pool.worker_processes
+            assert dist.fault_counters["worker_deaths"] == 1
+            assert dist.fault_counters["respawns"] == 1
+            assert dist.fault_counters["retries"] == 1  # the victim's chunk, nobody else's
+            assert dist.fault_counters["degraded_chunks"] == 0
+            workers = dist.worker_processes
             assert len(workers) == 2 and sibling in workers and sibling.is_alive()
             assert victim not in workers
         finally:
-            pool.close()
+            dist.close()
             serial.close()
 
     def test_worker_killed_while_idle_is_replaced(self, tiny_bow_dataset):
@@ -237,33 +235,33 @@ class TestPoolSupervisor:
         on (each worker has a private socket — ``multiprocessing.Pool``
         could not be torn down after this): the next dispatch finds the
         corpse, replaces it and finishes."""
-        serial, pool = _executors(tiny_bow_dataset)
+        serial, dist = _executors(tiny_bow_dataset)
         try:
             start = serial.model.get_flat_weights()
             tasks = _cohort(8)
             expected = serial.run_cohort(start, tasks)
-            _assert_results_equal(expected, pool.run_cohort(start, tasks))
+            _assert_results_equal(expected, dist.run_cohort(start, tasks))
             for _ in range(2):
-                assert pool.wait_for_workers(2) == 2  # the replacement too
-                victim = pool.worker_processes[0]
+                assert dist.wait_for_workers(2) == 2  # the replacement too
+                victim = dist.worker_processes[0]
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join(timeout=10.0)
                 assert victim.exitcode is not None
-                _assert_results_equal(expected, pool.run_cohort(start, tasks))
-            assert pool.fault_counters["worker_deaths"] == 2
-            assert pool.fault_counters["respawns"] == 2
-            assert pool.fault_counters["degraded_chunks"] == 0
-            # The pool is whole again: nothing left to recover.
-            _assert_results_equal(expected, pool.run_cohort(start, tasks))
-            assert pool.fault_counters["worker_deaths"] == 2
+                _assert_results_equal(expected, dist.run_cohort(start, tasks))
+            assert dist.fault_counters["worker_deaths"] == 2
+            assert dist.fault_counters["respawns"] == 2
+            assert dist.fault_counters["degraded_chunks"] == 0
+            # The roster is whole again: nothing left to recover.
+            _assert_results_equal(expected, dist.run_cohort(start, tasks))
+            assert dist.fault_counters["worker_deaths"] == 2
         finally:
-            pool.close()
+            dist.close()
             serial.close()
 
     def test_no_lost_wakeups_over_many_dispatches(self, tiny_bow_dataset):
         """A reply that lands before the executor reaches its wait must
         still wake it: 300 back-to-back dispatches with a deadline armed."""
-        serial, pool = _executors(tiny_bow_dataset, chunk_timeout=60.0)
+        serial, dist = _executors(tiny_bow_dataset, chunk_timeout=60.0)
         try:
             start = serial.model.get_flat_weights()
             tasks = _cohort(2)
@@ -271,31 +269,31 @@ class TestPoolSupervisor:
             for i in range(300):
                 weights = start + 1e-3 * i
                 _assert_results_equal(
-                    serial.run_cohort(weights, tasks), pool.run_cohort(weights, tasks)
+                    serial.run_cohort(weights, tasks), dist.run_cohort(weights, tasks)
                 )
             # A lost wake-up would sit out the 60 s deadline.
             assert time.monotonic() - t0 < 45.0
-            assert not any(pool.fault_counters.values())
+            assert not any(dist.fault_counters.values())
         finally:
-            pool.close()
+            dist.close()
             serial.close()
 
     def test_supervised_dispatch_has_no_sleep_floor(self, tiny_bow_dataset):
         """With a chunk_timeout set the old supervisor slept 20 ms per pass,
         so no dispatch could take less; a completion now wakes it directly."""
-        serial, pool = _executors(tiny_bow_dataset, chunk_timeout=60.0)
+        serial, dist = _executors(tiny_bow_dataset, chunk_timeout=60.0)
         try:
             start = serial.model.get_flat_weights()
             tasks = _cohort(4)
-            pool.run_cohort(start, tasks)  # pool and workers warm
+            dist.run_cohort(start, tasks)  # executor and workers warm
             samples = []
             for _ in range(30):
                 t0 = time.perf_counter()
-                pool.run_cohort(start, tasks)
+                dist.run_cohort(start, tasks)
                 samples.append(time.perf_counter() - t0)
             assert statistics.median(samples) < 0.015
         finally:
-            pool.close()
+            dist.close()
             serial.close()
 
     def test_recovery_is_a_function_of_the_fault_schedule(self, tiny_bow_dataset):
@@ -311,18 +309,18 @@ class TestPoolSupervisor:
         runs = []
         for _ in range(2):
             plan = FaultPlan(parse_faults("crash:0.4+corrupt:0.2"), seed=3)
-            serial, pool = _executors(tiny_bow_dataset, faults=plan, chunk_retries=12)
+            serial, dist = _executors(tiny_bow_dataset, faults=plan, chunk_retries=12)
             try:
                 start = serial.model.get_flat_weights()
                 tasks = _cohort(4)
                 for i in range(60):
                     weights = start + 1e-3 * i
                     _assert_results_equal(
-                        serial.run_cohort(weights, tasks), pool.run_cohort(weights, tasks)
+                        serial.run_cohort(weights, tasks), dist.run_cohort(weights, tasks)
                     )
-                runs.append({k: v for k, v in pool.fault_counters.items() if k != "steals"})
+                runs.append({k: v for k, v in dist.fault_counters.items() if k != "steals"})
             finally:
-                pool.close()
+                dist.close()
                 serial.close()
         first, second = runs
         assert first == second
@@ -331,8 +329,8 @@ class TestPoolSupervisor:
         assert first["respawns"] == first["worker_deaths"]
 
 
-def test_default_pool_run_records_its_recovery_counters(tiny_bow_dataset):
-    """A ``parallel`` run with no fault plan and no chunk_timeout whose
+def test_default_dist_run_records_its_recovery_counters(tiny_bow_dataset):
+    """A ``dist`` run with no fault plan and no chunk_timeout whose
     worker is OOM-killed recovers, and ``history.meta["faults"]`` says so:
     the counters are published because the executor keeps them, not
     because the run asked for chaos."""
@@ -342,24 +340,24 @@ def test_default_pool_run_records_its_recovery_counters(tiny_bow_dataset):
         max_rounds=4,
         num_unstable=0,
         compression=None,
-        exec=ExecConfig(executor="parallel", num_workers=2),
+        exec=ExecConfig(executor="dist", num_workers=2),
     )
     system = FedAvg(tiny_bow_dataset, build_model_builder(tiny_bow_dataset, "tiny"), config)
-    pool = system.executor
-    run_cohort = pool.run_cohort
+    dist = system.executor
+    run_cohort = dist.run_cohort
     dispatches = []
 
     def striking_run_cohort(start_weights, tasks):
-        if len(tasks) >= pool.min_dispatch:  # smaller cohorts never dispatch
+        if len(tasks) >= dist.min_dispatch:  # smaller cohorts never dispatch
             dispatches.append(len(tasks))
             if len(dispatches) == 2:
-                assert pool.wait_for_workers(2) == 2
-                victim = pool.worker_processes[0]
+                assert dist.wait_for_workers(2) == 2
+                victim = dist.worker_processes[0]
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join(timeout=10.0)
         return run_cohort(start_weights, tasks)
 
-    pool.run_cohort = striking_run_cohort
+    dist.run_cohort = striking_run_cohort
     history = system.run()
     assert len(dispatches) >= 2, "the strike never landed"
     counters = history.meta["faults"]

@@ -504,11 +504,11 @@ def test_serial_checkpoint_resumes_under_the_pool(tmp_path, monkeypatch):
         "sentiment140",
         checkpoint_dir=tmp_path,
         resume=True,
-        executor="parallel",
+        executor="dist",
         num_workers=2,
         **kwargs,
     )
     [(executor, did_resume, start_round)] = attached
-    assert executor == "parallel" and did_resume and start_round > 0
+    assert executor == "dist" and did_resume and start_round > 0
     assert strip_volatile_meta(resumed.to_dict()) == strip_volatile_meta(reference.to_dict())
     assert not list(tmp_path.glob("run_*.ckpt")), "completed run clears its checkpoint"

@@ -123,6 +123,53 @@ def test_bytes_to_target_ratios_treat_never_as_infinite(monkeypatch):
     assert not claim.holds(evaluate(claim, 0))
 
 
+#: The claims whose metric is a ratio of two runs' (or two records') values.
+RATIO_CLAIMS = (
+    "table1.fedat_lowest_variance",
+    "table2.fedasync_costs_more",
+    "fig2.fedat_first_to_target",
+    "fig2.fedat_near_tifl",
+    "fig4.fedasync_uploads_more",
+    "fig5.bytes_rise_with_precision",
+    "fig5.precision4_saves_bytes",
+    "fig8.fedat_loss",
+    "fig8.fedat_loss_falls",
+)
+
+
+def test_a_zero_denominator_fails_the_claim_instead_of_raising(monkeypatch):
+    """FedAT at its target from its first record has uploaded 0 bytes by
+    then, as a tiny run can: FedAsync ÷ FedAT is no number, so the claim
+    fails (NaN), where the division raised. A non-zero FedAT keeps the
+    plain quotient."""
+    claim = BY_ID["fig4.fedasync_uploads_more"]
+    reaches = {"fedat": [0.9, 0.9], "fedasync": [0.1, 0.9]}
+
+    def cached(spec, **execution):
+        return _history(reaches.get(spec.method, [0.9, 0.9]))
+
+    monkeypatch.setattr(RunSpec, "cached", cached)
+    assert math.isnan(evaluate(claim, 0)) and not claim.holds(evaluate(claim, 0))
+    reaches["fedat"] = [0.1, 0.9]
+    assert evaluate(claim, 0) == 1000 / 1000
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda c: c.id)
+def test_every_claim_evaluates_on_runs_that_read_zero(claim, monkeypatch):
+    """Every run at its target from the first record, with no bytes, time,
+    loss or variance spent: each ratio claim reads NaN and fails, and no
+    claim raises (the tiny-scale render evaluates every one)."""
+    zero = RunHistory("m", "d")
+    for i in range(2):
+        zero.append(EvalRecord(0.0, i, 0.5, 0.0, 0.0, 0, 0))
+    monkeypatch.setattr(RunSpec, "cached", lambda spec, **execution: zero)
+    value = evaluate(claim, 0)
+    if claim.id in RATIO_CLAIMS:
+        assert math.isnan(value) and not claim.holds(value)
+    else:
+        assert not math.isnan(value)
+
+
 def test_recorded_failures_apply_at_the_recorded_scale_only():
     claim = _claim(lambda h: 0.0, ">", 0.5, fails={1: 0.25})
     assert claim.recorded(1, "bench") == 0.25

@@ -321,8 +321,8 @@ class TestCacheKey:
 
     def test_key_is_pinned(self):
         assert RunSpec.of(**_PINNED_RUN)[0].key() == _PINNED_KEY
-        parallel = {**_PINNED_RUN, "executor": "dist", "num_workers": 2}
-        assert RunSpec.of(**parallel)[0].key() == _PINNED_KEY
+        dist = {**_PINNED_RUN, "executor": "dist", "num_workers": 2}
+        assert RunSpec.of(**dist)[0].key() == _PINNED_KEY
 
     @pytest.mark.parametrize("run,key", _PINNED_METHOD_RUNS, ids=["fedasync", "tifl"])
     def test_method_knob_keys_are_pinned(self, run, key):

@@ -96,9 +96,9 @@ class TestSweepGrid:
         )
         SweepRunner(spec, tmp_path).run()
         cell = SweepCell(method="fedavg", scenario="static", seed=0, population=250)
-        run, _ = spec.run_spec(cell)
+        run = spec.run_spec(cell)
         # The population keys the run, so its file is not the eager cell's.
-        eager, _ = spec.run_spec(SweepCell(method="fedavg", scenario="static", seed=0))
+        eager = spec.run_spec(SweepCell(method="fedavg", scenario="static", seed=0))
         assert run.key() != eager.key()
         stored = {p.name for p in tmp_path.glob("*.json")}
         assert stored == {f"{run.key()}.json", "spec.json", "summary.json"}

@@ -17,7 +17,7 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 def _stored(spec, cell, out_dir):
     """The store file of one grid point's run."""
-    return spec.run_spec(cell)[0].path(out_dir)
+    return spec.run_spec(cell).path(out_dir)
 
 
 @pytest.fixture()
@@ -26,6 +26,15 @@ def count_runs(monkeypatch):
     calls = []
     real_run = RunSpec.run
     monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(self) or real_run(self, **k))
+    return calls
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """The execution settings each ``RunSpec.run`` call gets from here on."""
+    calls = []
+    real_run = RunSpec.run
+    monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(k) or real_run(self, **k))
     return calls
 
 
@@ -103,7 +112,9 @@ def test_sweep_completes_and_summarizes(spec, tmp_path):
     stored = {_stored(spec, c, out).name for c in spec.cells()}
     assert len(stored) == 8
     assert {p.name for p in out.iterdir()} == stored | {"spec.json", "summary.json"}
-    assert json.loads((out / "spec.json").read_text()) == json.loads(json.dumps(asdict(spec)))
+    grid = json.loads((out / "spec.json").read_text())
+    assert grid == json.loads(json.dumps(asdict(spec)))
+    assert not {"executor", "num_workers"} & set(grid)  # how cells run is not the grid
     assert SweepSpec.from_file(out / "spec.json") == spec
 
 
@@ -132,27 +143,26 @@ def test_sweep_kill_and_resume_matches_uninterrupted(spec, tmp_path, count_runs)
         assert a == b, cell.cell_id
 
 
-def test_pool_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch):
-    """A pool run always records fault counters, and their values depend on
+def test_dist_cell_file_holds_no_volatile_meta(tmp_path, monkeypatch, executions):
+    """A dist run always records fault counters, and their values depend on
     OS races: the stored run keeps none of the volatile keys, and its key
-    leaves the executor out, so the file is the serial run's, byte for
-    byte, and a sweep resumed under the other executor runs no cell."""
-    specs = {
-        executor: SweepSpec(methods=("fedavg",), executor=executor, num_workers=2, smoke=True)
-        for executor in ("serial", "parallel")
-    }
+    leaves execution settings out, so the file is the serial run's, byte
+    for byte, and a sweep resumed under the other executor runs no cell."""
+    spec = SweepSpec(methods=("fedavg",), smoke=True)
+    (cell,) = spec.cells()
+    dist = {"executor": "dist", "num_workers": 2}
     files = {}
-    for executor, cell_spec in specs.items():
-        SweepRunner(cell_spec, tmp_path / executor).run()
-        (cell,) = cell_spec.cells()
-        files[executor] = _stored(cell_spec, cell, tmp_path / executor).read_bytes()
-    assert not set(VOLATILE_META_KEYS) & set(json.loads(files["parallel"])["meta"])
-    assert files["parallel"] == files["serial"]
+    for name, execution in (("serial", {}), ("dist", dist)):
+        SweepRunner(spec, tmp_path / name).run(**execution)
+        files[name] = _stored(spec, cell, tmp_path / name).read_bytes()
+    assert executions == [{}, dist]
+    assert not set(VOLATILE_META_KEYS) & set(json.loads(files["dist"])["meta"])
+    assert files["dist"] == files["serial"]
 
     calls = []
     monkeypatch.setattr(RunSpec, "run", lambda self, **k: calls.append(self))
-    SweepRunner(specs["parallel"], tmp_path / "serial").run()
-    SweepRunner(specs["serial"], tmp_path / "parallel").run()
+    SweepRunner(spec, tmp_path / "serial").run(**dist)
+    SweepRunner(spec, tmp_path / "dist").run()
     assert calls == []
 
 
@@ -207,7 +217,7 @@ def test_reused_out_dir_never_reads_another_grids_runs(spec, tmp_path, monkeypat
 
 def _fl(spec, *cell):
     """The FL overrides of one grid point's run."""
-    return dict(spec.run_spec(SweepCell(*cell))[0].fl_overrides)
+    return dict(spec.run_spec(SweepCell(*cell)).fl_overrides)
 
 
 def test_smoke_enables_retiering_only_for_dynamic_tiered_cells(spec):
@@ -343,6 +353,28 @@ def test_cli_sweep_config_file(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "bwdrift:2.0" in out and "complete" in out
+
+
+def test_cli_sweep_config_takes_its_executor_from_the_command_line(
+    tmp_path, capsys, executions
+):
+    """A committed grid says what its cells compute; ``--executor`` and
+    ``--num-workers`` say how they run, with ``--config`` as without it."""
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"methods": ["fedavg"], "scenarios": ["static", "churn"],
+                                  "smoke": True}))
+    argv = ["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--executor", "dist", "--num-workers", "2"]) == 0
+    assert executions == [{"executor": "dist", "num_workers": 2}] * 2
+    assert "complete" in capsys.readouterr().out
+
+
+def test_cli_sweep_refuses_bad_execution_before_any_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--methods", "fedavg", "--smoke", "--out-dir", str(out)]
+    assert main(argv + ["--num-workers", "-1"]) == 2
+    assert "num_workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

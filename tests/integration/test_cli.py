@@ -1,6 +1,7 @@
 """CLI tests (in-process; no subprocess overhead)."""
 
 import json
+import re
 
 import pytest
 
@@ -99,22 +100,38 @@ def test_compare_passes_a_method_knob_only_where_it_is_read(capsys, monkeypatch)
     )
 
 
-def test_run_with_parallel_executor(capsys):
+def test_run_with_dist_executor(capsys):
     rc = main(
         [
             "run", "--method", "fedavg", "--dataset", "sentiment140",
             "--scale", "tiny", "--rounds", "2", "--classes-per-client", "2",
-            "--executor", "parallel", "--num-workers", "2",
+            "--executor", "dist", "--num-workers", "2",
         ]
     )
     assert rc == 0
     assert "best accuracy" in capsys.readouterr().out
 
 
-def test_parser_rejects_unknown_executor():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--method", "fedat",
-                                   "--dataset", "cifar10", "--executor", "gpu"])
+@pytest.mark.parametrize("name", ["gpu", "parallel"])
+def test_parser_rejects_unknown_executor(capsys, name):
+    """``parallel``, once another name for ``dist``, is refused like any
+    name that is not a backend, and the refusal names the two there are."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--method", "fedat", "--dataset", "cifar10", "--executor", name])
+    assert exc.value.code == 2
+    assert re.search(r"choose from '?serial'?, '?dist'?\)", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--method", "fedat", "--dataset", "cifar10"],
+    ["compare", "--dataset", "cifar10"],
+    ["sweep"],
+])
+def test_every_command_that_runs_takes_the_execution_flags(command):
+    args = build_parser().parse_args(command + ["--executor", "dist", "--num-workers", "2"])
+    assert (args.executor, args.num_workers) == ("dist", 2)
+    args = build_parser().parse_args(command)
+    assert (args.executor, args.num_workers) == (None, None)  # ExecConfig's defaults
 
 
 @pytest.mark.parametrize(

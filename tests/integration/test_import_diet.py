@@ -103,7 +103,7 @@ def test_the_socket_executor_and_sweep_still_import_by_name():
     from repro.experiments import SweepRunner
     from repro.experiments.sweep import SweepRunner as sweep_home
 
-    assert DistExecutor is ParallelExecutor is home
+    assert DistExecutor is ParallelExecutor is home  # the perf ledger's name for it
     assert SweepRunner is sweep_home
     with pytest.raises(AttributeError):
         import repro.exec

@@ -4,14 +4,15 @@
 ``FlatParameterStore``), one local-training loop (``TrainingPlan.run_cohort``,
 whose one-member case is every single client's round) with one path through
 it (every model it compiles stacks; the rest is refused), one
-cross-process transport (``parallel`` is the socket executor's
-self-contained mode, so no process pool of its own), one staleness knob
+cross-process transport under one name (``dist``: no process pool, and no
+``parallel`` alias an executor could be built under), one staleness knob
 (declared once, on ``StalenessParams``), one FedAT (Theorem 5.1 is checked
 on the one that runs, so neither a second FedAT loop on quadratics nor the
 SGD momentum kept for it survives), one run loop (``FLSystem._run``,
 with one cohort launch, one flush that trains what launches queue, and one
 rejoin scheduler), one home for execution settings (``ExecConfig``, which
-declares and checks each one; ``make_executor`` reads it), one home per
+declares and checks each one; ``make_executor`` reads it, and a sweep's
+grid holds none), one home per
 method knob (the ``Params`` of the methods that read it), one description
 of a run (``RunSpec``, which splits off execution settings, checks the rest
 and keys the cache entry, the checkpoint and the sweep cell), one store of
@@ -69,8 +70,8 @@ REMOVED = re.compile(
     # replayed in cohort order, and no model too stateful for the pool.
     r"|replica_safe|plan_cohort|plan_stream|begin_cohort|end_cohort|_ONE_STEP_PER_DRAW"
     r"|fallback_reason"
-    # One cross-process transport: "parallel" is the socket executor's
-    # self-contained mode, so the process pool and its pipe supervisor go.
+    # One cross-process transport, the socket executor: the process pool and
+    # its pipe supervisor go.
     r"|_PoolWorker|_worker_main|_discard_pool"
     # A run is described, checked and keyed once, by RunSpec: no second key
     # helper or checkpoint key dict, no CLI flag table or config pre-check,
@@ -108,6 +109,12 @@ REMOVED = re.compile(
     # executor's thread, so no loop thread of its own and no channel to wake
     # it or to hear back from it.
     r"|WakeChannel|done_channel|repro-dist-scheduler"
+    # One cross-process executor under one name: no "parallel" value to build
+    # it under, and no executor that takes the name it was built with.
+    r"|[\"']parallel[\"']|self\.name = self\.config\.executor"
+    # How a sweep's cells run is the run's, passed at run time: the grid
+    # carries no executor or worker count to hand each cell.
+    r"|executor=self\.executor\b|num_workers=self\.num_workers\b|executor=args\.executor\b"
 )
 
 
@@ -177,7 +184,7 @@ def test_pattern_does_not_flag_the_surviving_knob():
         "    return make_fl_config(self.method, self.scale, self.seed, **flat)"
     )
     assert REMOVED.search("            **self._cell_fl_overrides(cell),")
-    assert not REMOVED.search("        run, execution = self.spec.run_spec(cell)")
+    assert not REMOVED.search("            run = self.spec.run_spec(cell)")
     assert REMOVED.search("    def pending_cells(self) -> list[SweepCell]:")
     assert not REMOVED.search('            "cells_done": len(self.spec.cells()) - missing,')
     assert REMOVED.search('    def child(self, name: str) -> "SeedSequenceFactory":')
@@ -238,6 +245,17 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("            fired = self._pump(0)")
     assert REMOVED.search('            target=self._run, name="repro-dist-scheduler", daemon=True')
     assert not REMOVED.search('                name="repro-dist-worker",')
+    assert REMOVED.search('EXECUTORS = ("serial", "parallel", "dist")')
+    assert not REMOVED.search('EXECUTORS = ("serial", "dist")')
+    assert REMOVED.search("        self.name = self.config.executor")
+    assert not REMOVED.search("        self.config = ExecConfig(executor=self.name, **settings)")
+    assert REMOVED.search("            executor=self.executor,")
+    assert REMOVED.search("            num_workers=self.num_workers,")
+    assert REMOVED.search("                executor=args.executor,")
+    assert not REMOVED.search("        self.num_workers = self.config.num_workers")
+    assert not REMOVED.search(
+        '        execution = {"executor": args.executor, "num_workers": args.num_workers}'
+    )
 
 
 #: A delay model's bands and part assignment, a compute model's constants.
@@ -272,7 +290,7 @@ def test_one_lease_state_machine():
     exec_dir = SRC / "repro" / "exec"
     assert not (exec_dir / "dist" / "leases.py").exists()
     sources = {p: p.read_text() for p in sorted(exec_dir.rglob("*.py"))}
-    # The pool's module is a name and nothing else: one transport.
+    # The alias module is a name and nothing else: one transport.
     assert not re.search(r"^\s*(def|class) ", sources[exec_dir / "parallel.py"], re.M)
 
     def homes(pattern):

@@ -57,14 +57,14 @@ def test_fedat_history_identical_to_materialized_run():
     assert _clean(lazy) == _clean(eager)
 
 
-def test_fedat_parallel_executor_matches_serial_on_virtual():
+def test_fedat_dist_executor_matches_serial_on_virtual():
     vp = _virtual()
     builder = build_model_builder(vp, "tiny")
     serial = FedAT(vp, builder, _config()).run()
-    parallel = FedAT(
-        _virtual(), builder, _config(exec=ExecConfig(executor="parallel", num_workers=2))
+    dist = FedAT(
+        _virtual(), builder, _config(exec=ExecConfig(executor="dist", num_workers=2))
     ).run()
-    assert _clean(serial) == _clean(parallel)
+    assert _clean(serial) == _clean(dist)
 
 
 def test_arrival_scenario_runs_on_virtual_population():

@@ -507,14 +507,14 @@ def test_composition_only_adds_events_to_each_world():
     assert composed.meta["network"]["transfer_seconds"] > 0.0
 
 
-def test_trace_driven_fedat_replays_identically_serial_vs_parallel():
+def test_trace_driven_fedat_replays_identically_serial_vs_dist():
     serial = run_experiment(
         "fedat", "sentiment140", scale="tiny", seed=9, max_rounds=5,
         scenario=DIURNAL, executor="serial",
     )
-    parallel = run_experiment(
+    dist = run_experiment(
         "fedat", "sentiment140", scale="tiny", seed=9, max_rounds=5,
-        scenario=DIURNAL, executor="parallel", num_workers=2,
+        scenario=DIURNAL, executor="dist", num_workers=2,
     )
-    assert serial.to_dict()["records"] == parallel.to_dict()["records"]
-    assert serial.meta["tier_update_counts"] == parallel.meta["tier_update_counts"]
+    assert serial.to_dict()["records"] == dist.to_dict()["records"]
+    assert serial.meta["tier_update_counts"] == dist.meta["tier_update_counts"]
