@@ -94,7 +94,7 @@ def parse_faults(text: str | None) -> FaultSpec | None:
     """Parse a fault spec string (``None``/``"none"``/``""`` → no plan).
 
     >>> parse_faults("crash:0.2+corrupt:0.1")
-    FaultSpec(crash=0.2, hang=0.0, corrupt=0.1)
+    FaultSpec(crash=0.2, hang=0.0, corrupt=0.1, drop=0.0, delay=0.0)
     """
     if text is None:
         return None

@@ -18,6 +18,7 @@ import numpy as np
 from repro.experiments.config import SCALES
 from repro.experiments.runner import RunSpec
 from repro.metrics.history import RunHistory
+from repro.metrics.report import time_to_accuracy
 
 __all__ = ["SEEDS", "RECORDED_SCALE", "Claim", "CLAIMS", "evaluate"]
 
@@ -130,8 +131,8 @@ def _reach(fraction: float, of, series: Callable[[RunHistory], np.ndarray]):
         out = {}
         for (c, m), run in h.items():
             target = fraction * min(h[c, o].best_accuracy() for o in of)
-            hit = np.flatnonzero(run.accuracies() >= target)
-            out[c, m] = float(series(run)[hit[0]]) if hit.size else math.inf
+            hit = time_to_accuracy(run, target, series)
+            out[c, m] = math.inf if hit is None else hit
         return out
 
     return view

@@ -2,12 +2,7 @@
 
 from repro.metrics.evaluation import Evaluator
 from repro.metrics.history import EvalRecord, RunHistory
-from repro.metrics.report import (
-    bytes_to_accuracy,
-    format_table,
-    smooth_series,
-    time_to_accuracy,
-)
+from repro.metrics.report import format_table, time_to_accuracy
 from repro.metrics.straggler import RobustnessReport, compare_robustness
 
 __all__ = [
@@ -15,8 +10,6 @@ __all__ = [
     "RunHistory",
     "Evaluator",
     "time_to_accuracy",
-    "bytes_to_accuracy",
-    "smooth_series",
     "format_table",
     "RobustnessReport",
     "compare_robustness",

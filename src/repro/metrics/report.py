@@ -1,54 +1,33 @@
 """Derived statistics and plain-text table formatting for benches.
 
-``time_to_accuracy`` reproduces the bar charts at the bottom of Fig 2;
-``bytes_to_accuracy`` reproduces Table 2 and Fig 4; ``smooth_series``
-applies the paper's "averaged every 40 global rounds" smoothing.
+``time_to_accuracy`` reproduces the bar charts at the bottom of Fig 2, and
+over a byte series Table 2 and Fig 4.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.metrics.history import RunHistory
 
-__all__ = [
-    "time_to_accuracy",
-    "bytes_to_accuracy",
-    "smooth_series",
-    "format_table",
-]
+__all__ = ["time_to_accuracy", "format_table"]
 
 
-def time_to_accuracy(history: RunHistory, target: float) -> float | None:
-    """First virtual time at which test accuracy reaches ``target``.
+def time_to_accuracy(
+    history: RunHistory,
+    target: float,
+    series: Callable[[RunHistory], np.ndarray] = RunHistory.times,
+) -> float | None:
+    """``series`` at the first evaluation whose test accuracy reaches
+    ``target``: virtual time by default, bytes with ``RunHistory.total_bytes``.
 
     Returns ``None`` if the run never reaches the target (Fig 2 omits such
     methods from the bar chart; Table 2 prints "–").
     """
-    acc = history.accuracies()
-    times = history.times()
-    hit = np.flatnonzero(acc >= target)
-    return float(times[hit[0]]) if hit.size else None
-
-
-def bytes_to_accuracy(history: RunHistory, target: float) -> float | None:
-    """Total transferred bytes when accuracy first reaches ``target``."""
-    acc = history.accuracies()
-    hit = np.flatnonzero(acc >= target)
-    if not hit.size:
-        return None
-    return float(history.total_bytes()[hit[0]])
-
-
-def smooth_series(values: np.ndarray, window: int = 5) -> np.ndarray:
-    """Trailing moving average (the paper smooths over 40 global rounds)."""
-    values = np.asarray(values, dtype=float)
-    if window <= 1 or values.size == 0:
-        return values.copy()
-    kernel = np.ones(min(window, values.size))
-    sums = np.convolve(values, kernel, mode="full")[: values.size]
-    counts = np.minimum(np.arange(1, values.size + 1), kernel.size)
-    return sums / counts
+    hit = np.flatnonzero(history.accuracies() >= target)
+    return float(series(history)[hit[0]]) if hit.size else None
 
 
 def format_table(

@@ -20,7 +20,7 @@ whose model has none of them does not import them.
 
 import importlib
 
-from repro.nn.activations import ReLU, Sigmoid, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential, WeightSpec
@@ -33,7 +33,6 @@ from repro.nn.zoo import (
     build_femnist_cnn,
     build_logistic,
     build_lstm_classifier,
-    build_mlp,
 )
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "Embedding",
     "LSTM",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "SoftmaxCrossEntropy",
     "Optimizer",
     "SGD",
@@ -61,7 +58,6 @@ __all__ = [
     "build_cnn",
     "build_femnist_cnn",
     "build_logistic",
-    "build_mlp",
     "build_lstm_classifier",
 ]
 

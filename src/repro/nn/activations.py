@@ -1,11 +1,11 @@
-"""Activation layers with explicit backward passes.
+"""The ReLU layer and the activation functions the other layers share.
 
-ReLU/Tanh/Sigmoid implement the fused-plan kernel protocol (optional
-``out``/``scratch`` parameters, see :mod:`repro.nn.plan`): every planned
-operation is the ``out=`` form of exactly the legacy expression, so the
-two paths are bit-identical. Every activation here is elementwise, so a
-cohort's stacked batch runs through it unchanged. :func:`softmax` is the
-function the fused loss and the evaluator share, not a layer.
+ReLU implements the fused-plan kernel protocol (optional ``out``/``scratch``
+parameters, see :mod:`repro.nn.plan`): every planned operation is the
+``out=`` form of exactly the legacy expression, so the two paths are
+bit-identical, and being elementwise it runs a cohort's stacked batch
+unchanged. :func:`sigmoid` is the LSTM's gate function and :func:`softmax`
+the one the fused loss and the evaluator share; neither is a layer.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.layers import Layer
 
-__all__ = ["ReLU", "Tanh", "Sigmoid", "sigmoid", "softmax"]
+__all__ = ["ReLU", "sigmoid", "softmax"]
 
 
 def sigmoid(
@@ -89,84 +89,4 @@ class ReLU(Layer):
         if out is None:
             return grad * self._mask
         np.multiply(grad, self._mask, out=out)
-        return out
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent."""
-
-    plan_inplace = True
-    #: backward differentiates through the cached output, so the next
-    #: layer must not overwrite this layer's output buffer in place.
-    plan_backward_needs_output = True
-    _cache_attrs = ("_out",)
-
-    def forward(
-        self, x: np.ndarray, training: bool = False, *, out=None, scratch=None
-    ) -> np.ndarray:
-        if out is None and scratch is not None:
-            out = scratch("y", x.shape, x.dtype)
-        if out is None:
-            self._out = np.tanh(x)
-        else:
-            self._out = np.tanh(x, out=out)
-        return self._out
-
-    def backward(
-        self, grad: np.ndarray, *, out=None, scratch=None, input_grad: bool = True
-    ) -> np.ndarray | None:
-        if not input_grad:
-            return None
-        if scratch is None and out is None:
-            return grad * (1.0 - self._out**2)
-        # Same op chain as the legacy expression: power, subtract, multiply.
-        t = scratch("t", grad.shape, grad.dtype) if scratch is not None else None
-        if t is None:
-            t = 1.0 - self._out**2
-        else:
-            np.power(self._out, 2, out=t)
-            np.subtract(1.0, t, out=t)
-        if out is None:
-            out = grad  # planned backward: the upstream grad buffer is dead
-        np.multiply(grad, t, out=out)
-        return out
-
-
-class Sigmoid(Layer):
-    """Logistic sigmoid."""
-
-    plan_inplace = True
-    #: backward differentiates through the cached output, so the next
-    #: layer must not overwrite this layer's output buffer in place.
-    plan_backward_needs_output = True
-    _cache_attrs = ("_out",)
-
-    def forward(
-        self, x: np.ndarray, training: bool = False, *, out=None, scratch=None
-    ) -> np.ndarray:
-        work = None
-        if scratch is not None:
-            work = (scratch("e", x.shape, x.dtype), scratch("nonneg", x.shape, np.bool_))
-            if out is None:
-                out = scratch("y", x.shape, x.dtype)
-        self._out = sigmoid(x, out=out, work=work)
-        return self._out
-
-    def backward(
-        self, grad: np.ndarray, *, out=None, scratch=None, input_grad: bool = True
-    ) -> np.ndarray | None:
-        if not input_grad:
-            return None
-        if scratch is None and out is None:
-            return grad * self._out * (1.0 - self._out)
-        # Legacy evaluation order: (grad * out) * (1 - out).
-        a = scratch("a", grad.shape, grad.dtype) if scratch is not None else None
-        b = scratch("b", grad.shape, grad.dtype) if scratch is not None else None
-        if a is None or b is None:
-            return grad * self._out * (1.0 - self._out)
-        np.multiply(grad, self._out, out=a)
-        np.subtract(1.0, self._out, out=b)
-        if out is None:
-            out = grad  # planned backward: the upstream grad buffer is dead
-        np.multiply(a, b, out=out)
         return out

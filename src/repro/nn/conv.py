@@ -19,77 +19,64 @@ from repro.nn.tensor import Parameter
 __all__ = ["Conv2D", "im2col", "col2im"]
 
 
-def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - kernel) // stride + 1
+def _out_size(size: int, kernel: int, pad: int) -> int:
+    return size + 2 * pad - kernel + 1
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Extract sliding patches from NHWC input.
+def im2col(x: np.ndarray, kh: int, kw: int, pad: int = 0) -> tuple[np.ndarray, tuple[int, int]]:
+    """Extract sliding stride-1 patches from NHWC input.
 
     Returns ``(cols, (oh, ow))`` where ``cols`` has shape
     ``(N * oh * ow, kh * kw * C)``.
     """
     n, h, w, c = x.shape
-    oh = _out_size(h, kh, stride, pad)
-    ow = _out_size(w, kw, stride, pad)
+    oh = _out_size(h, kh, pad)
+    ow = _out_size(w, kw, pad)
     if oh <= 0 or ow <= 0:
-        raise ValueError(
-            f"kernel ({kh}x{kw}, stride={stride}, pad={pad}) too large for input {h}x{w}"
-        )
+        raise ValueError(f"kernel ({kh}x{kw}, pad={pad}) too large for input {h}x{w}")
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     sn, sh, sw, sc = x.strides
     patches = as_strided(
         x,
         shape=(n, oh, ow, kh, kw, c),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        strides=(sn, sh, sw, sh, sw, sc),
         writeable=False,
     )
     return np.ascontiguousarray(patches).reshape(n * oh * ow, kh * kw * c), (oh, ow)
 
 
 def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int = 1,
-    pad: int = 0,
+    cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int, kw: int, pad: int = 0
 ) -> np.ndarray:
     """Scatter-add column gradients back to the padded input (im2col adjoint)."""
     n, h, w, c = x_shape
-    oh = _out_size(h, kh, stride, pad)
-    ow = _out_size(w, kw, stride, pad)
+    oh = _out_size(h, kh, pad)
+    ow = _out_size(w, kw, pad)
     hp, wp = h + 2 * pad, w + 2 * pad
     dx = np.zeros((n, hp, wp, c), dtype=cols.dtype)
     cols6 = cols.reshape(n, oh, ow, kh, kw, c)
     # Loop over the (small) kernel window, vectorized over batch and space.
     for i in range(kh):
         for j in range(kw):
-            dx[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :] += cols6[
-                :, :, :, i, j, :
-            ]
+            dx[:, i : i + oh, j : j + ow, :] += cols6[:, :, :, i, j, :]
     if pad:
         return dx[:, pad : pad + h, pad : pad + w, :]
     return dx
 
 
 @functools.lru_cache(maxsize=64)  # one entry per input geometry in use
-def _scatter_pairs(h: int, w: int, oh: int, ow: int, kh: int, kw: int, stride: int, pad: int):
+def _scatter_pairs(h: int, w: int, oh: int, ow: int, kh: int, kw: int, pad: int):
     """``(input index, column index)`` of each kernel position's slice of
     the col2im scatter, clipped to the unpadded interior (see
     :meth:`Conv2D.backward`). Pure in the geometry, so computed once."""
 
     def clip(offset: int, limit: int, count: int) -> tuple[int, int, int]:
         """First source index, first interior index, and run length of
-        the scatter positions ``offset + r*stride`` inside [0, limit)."""
-        s0 = 0 if offset >= 0 else (-offset + stride - 1) // stride
-        d0 = offset + s0 * stride
-        if d0 >= limit:
-            return s0, d0, 0
-        return s0, d0, min((limit - 1 - d0) // stride + 1, count - s0)
+        the scatter positions ``offset + r`` inside [0, limit)."""
+        s0 = max(0, -offset)
+        d0 = offset + s0
+        return s0, d0, max(0, min(limit - d0, count - s0))
 
     pairs = []
     for i in range(kh):
@@ -97,15 +84,14 @@ def _scatter_pairs(h: int, w: int, oh: int, ow: int, kh: int, kw: int, stride: i
             ri, di, nr = clip(i - pad, h, oh)
             rj, dj, nc = clip(j - pad, w, ow)
             if nr > 0 and nc > 0:
-                dst = (slice(None), slice(di, di + nr * stride, stride))
-                dst += (slice(dj, dj + nc * stride, stride),)
+                dst = (slice(None), slice(di, di + nr), slice(dj, dj + nc))
                 src = (slice(None), i, j, slice(ri, ri + nr), slice(rj, rj + nc))
                 pairs.append((dst, src))
     return tuple(pairs)
 
 
 class Conv2D(Layer):
-    """2-D convolution, NHWC layout, with 'same' or 'valid' padding.
+    """2-D convolution, NHWC layout, stride 1 with 'same' zero padding.
 
     The planned path (``scratch``, see :mod:`repro.nn.plan`) reuses arena
     buffers for the padded input frame, the im2col column block, and every
@@ -123,18 +109,11 @@ class Conv2D(Layer):
         out_channels: int,
         kernel_size: int = 3,
         *,
-        stride: int = 1,
-        padding: str = "same",
         rng: np.random.Generator,
         name: str = "conv",
     ):
-        if padding not in ("same", "valid"):
-            raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-        if padding == "same" and stride != 1:
-            raise ValueError("'same' padding requires stride=1 in this implementation")
         self.kh = self.kw = int(kernel_size)
-        self.stride = stride
-        self.pad = (self.kh - 1) // 2 if padding == "same" else 0
+        self.pad = (self.kh - 1) // 2
         fan_in = self.kh * self.kw * in_channels
         fan_out = self.kh * self.kw * out_channels
         w = initializers.glorot_uniform(
@@ -150,7 +129,7 @@ class Conv2D(Layer):
     ) -> np.ndarray:
         self._x_shape = x.shape
         if scratch is None:
-            cols, (oh, ow) = im2col(x, self.kh, self.kw, self.stride, self.pad)
+            cols, (oh, ow) = im2col(x, self.kh, self.kw, self.pad)
         else:
             cols, (oh, ow) = self._im2col_arena(x, scratch)
         self._cols = cols
@@ -179,20 +158,18 @@ class Conv2D(Layer):
         is rewritten per batch, matching ``np.pad``'s zeros exactly.
         """
         n, h, w, c = x.shape
-        kh, kw, stride, pad = self.kh, self.kw, self.stride, self.pad
-        oh = _out_size(h, kh, stride, pad)
-        ow = _out_size(w, kw, stride, pad)
+        kh, kw, pad = self.kh, self.kw, self.pad
+        oh = _out_size(h, kh, pad)
+        ow = _out_size(w, kw, pad)
         if oh <= 0 or ow <= 0:
-            raise ValueError(
-                f"kernel ({kh}x{kw}, stride={stride}, pad={pad}) too large for input {h}x{w}"
-            )
+            raise ValueError(f"kernel ({kh}x{kw}, pad={pad}) too large for input {h}x{w}")
         if pad:
             padded = scratch("pad", (n, h + 2 * pad, w + 2 * pad, c), x.dtype)
             padded[:, pad : pad + h, pad : pad + w, :] = x
             x = padded
         sn, sh, sw, sc = x.strides
         shape = (n, oh, ow, kh, kw, c)
-        strides = (sn, sh * stride, sw * stride, sh, sw, sc)
+        strides = (sn, sh, sw, sh, sw, sc)
         if x.flags["C_CONTIGUOUS"]:
             # The raw constructor is ~4x cheaper per batch than the
             # as_strided wrapper; same view, same bytes.
@@ -220,7 +197,7 @@ class Conv2D(Layer):
             if not input_grad:
                 return None
             dcols = gflat @ self.w.data.T
-            return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.pad)
+            return col2im(dcols, self._x_shape, self.kh, self.kw, self.pad)
         (kernel, w_grad), (_, b_grad) = stack or self.own_stack()
         cs, gs = self._cols, gflat
         if kernel.ndim > 2:  # G clients' kernels: per-client row blocks
@@ -249,12 +226,12 @@ class Conv2D(Layer):
         # accumulates the same contributions in the same (i, j) order, so
         # the sums are bit-identical to the legacy col2im.
         nh, h, w, c = self._x_shape
-        pad, stride, kh, kw = self.pad, self.stride, self.kh, self.kw
+        pad, kh, kw = self.pad, self.kh, self.kw
         dct = scratch("~dct", (n, kh, kw, oh, ow, c), grad.dtype)
         np.copyto(dct, dcols.reshape(n, oh, ow, kh, kw, c).transpose(0, 3, 4, 1, 2, 5))
         dx = scratch("~dx", (n, h, w, c), grad.dtype)
         dx.fill(0.0)
-        for dst, src in _scatter_pairs(h, w, oh, ow, kh, kw, stride, pad):
+        for dst, src in _scatter_pairs(h, w, oh, ow, kh, kw, pad):
             dst = dx[dst]
             np.add(dst, dct[src], out=dst)
         return dx

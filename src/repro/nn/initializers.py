@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["glorot_uniform", "he_normal", "normal", "zeros", "orthogonal"]
+__all__ = ["glorot_uniform", "normal", "zeros", "orthogonal"]
 
 
 def glorot_uniform(
@@ -17,11 +17,6 @@ def glorot_uniform(
     """Glorot/Xavier uniform — TensorFlow's default for Dense/Conv layers."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """He normal — appropriate for ReLU stacks."""
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 def normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.05) -> np.ndarray:

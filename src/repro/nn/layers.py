@@ -19,8 +19,7 @@ def client_major(a: np.ndarray, clients: int) -> np.ndarray:
 def per_client(param: np.ndarray, ndim: int) -> np.ndarray:
     """A stacked ``(G, *shape)`` parameter broadcast against an ``ndim``-D
     client-major operand: bias ``(G, N)`` becomes ``(G, 1, N)`` for
-    ``(G, rows, N)``, and weights gain the batch axes a time-distributed
-    input loops over (``(G, 1, in, out)`` for ``(G, rows, T, in)``)."""
+    ``(G, rows, N)``."""
     if param.ndim == ndim:
         return param
     return param.reshape(param.shape[:1] + (1,) * (ndim - param.ndim) + param.shape[1:])
@@ -68,9 +67,9 @@ class Layer:
     #: generator per client of the batch, in client-major order — each
     #: client round's own (``FixedBatchSchedule.mask_rng``).
     draws = False
-    #: True when backward reads the layer's own *output* values (e.g.
-    #: Tanh/Sigmoid cache their output for the derivative), or the output
-    #: can be the layer's input handed through (Flatten's view; Dropout at
+    #: True when backward reads the layer's own *output* values (the LSTM's
+    #: output is a view of the slab its backward reads), or the output can
+    #: be the layer's input handed through (Flatten's view; Dropout at
     #: inference). The plan must not let the next layer overwrite such a
     #: layer's output buffer.
     plan_backward_needs_output = False
@@ -98,16 +97,10 @@ class Layer:
         without the client axis (kernels tell a cohort's by its extra axis)."""
         return [(p.data, p.grad) for p in self.params]
 
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
-
 
 class Dense(Layer):
-    """Fully connected layer ``y = x @ W + b``.
-
-    Accepts input of shape ``(N, in_features)`` or ``(N, T, in_features)``
-    (the time-distributed case used by the language model head).
-    """
+    """Fully connected layer ``y = x @ W + b`` over ``(N, in_features)``
+    inputs."""
 
     _cache_attrs = ("_x",)
 
@@ -157,13 +150,8 @@ class Dense(Layer):
     ) -> np.ndarray | None:
         x = self._x
         if scratch is None:
-            if x.ndim == 2:
-                flat_x, flat_g = x, grad
-            else:  # time-distributed: collapse leading axes
-                flat_x = x.reshape(-1, x.shape[-1])
-                flat_g = grad.reshape(-1, grad.shape[-1])
-            self.w.grad += flat_x.T @ flat_g
-            self.b.grad += flat_g.sum(axis=0)
+            self.w.grad += x.T @ grad
+            self.b.grad += grad.sum(axis=0)
             if not input_grad:
                 return None
             if out is None:
@@ -171,7 +159,7 @@ class Dense(Layer):
             np.matmul(grad, self.w.data.T, out=out)
             return out
         (w, w_grad), (_, b_grad) = stack or self.own_stack()
-        # Time-distributed leading axes collapse into rows (per client).
+        # G clients' rows as (G, rows, ·), one client's as they are.
         lead = (len(w), -1) if w.ndim > 2 else (-1,)
         flat_x = x.reshape(lead + x.shape[-1:])
         flat_g = grad.reshape(lead + grad.shape[-1:])
@@ -204,8 +192,8 @@ class Dense(Layer):
 class Flatten(Layer):
     """Collapse all axes after the batch axis: a reshape view, planned or not."""
 
-    #: The output is a view of the input, which the layer before may read
-    #: in its backward (Tanh's cached output), so the next layer must not
+    #: The output is a view of the input — caller data, or a buffer the
+    #: layer before reads in its backward — so the next layer must not
     #: overwrite it in place.
     plan_backward_needs_output = True
     _cache_attrs = ("_shape",)

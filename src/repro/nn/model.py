@@ -161,22 +161,6 @@ class Sequential:
     def num_params(self) -> int:
         return sum(p.size for p in self.params)
 
-    def get_weights(self) -> list[np.ndarray]:
-        """Copies of every parameter tensor (layer order)."""
-        return [p.data.copy() for p in self.params]
-
-    def set_weights(self, weights: list[np.ndarray]) -> None:
-        params = self.params
-        if len(weights) != len(params):
-            raise ValueError(f"expected {len(params)} arrays, got {len(weights)}")
-        for p, w in zip(params, weights):
-            w = np.asarray(w, dtype=self._dtype)
-            if w.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {p.name}: {w.shape} != {p.data.shape}"
-                )
-            np.copyto(p.data, w)
-
     def get_flat_weights(self) -> np.ndarray:
         """All parameters marshalled into one 1-D vector (an owned copy)."""
         return self._store.data.copy()  # one memcpy of the flat buffer
@@ -229,9 +213,6 @@ class Sequential:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
-
-    def zero_grad(self) -> None:
-        self._store.zero_grad()  # one fill over the whole grad buffer
 
     def release_caches(self) -> None:
         """Drop every layer's forward caches (activations, masks, columns).
@@ -313,10 +294,6 @@ class Sequential:
         if loss is not None:
             metrics["loss"] = loss.forward(logits, y)
         return metrics
-
-    def clone_weights_from(self, other: "Sequential") -> None:
-        """Copy weights from a structurally identical model."""
-        self.set_flat_weights(other.get_flat_weights())
 
     # ------------------------------------------------------------------ #
     # Replication (executor support)

@@ -41,21 +41,13 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
 
-    def step(
-        self,
-        params: list[Parameter],
-        store: FlatParameterStore | None = None,
-        scratch=None,
-    ) -> None:
+    def step(self, params: list[Parameter], store: FlatParameterStore | None = None) -> None:
         """Apply one update using each parameter's accumulated gradient, then
         clear the gradients.
 
         ``params`` must be exactly the parameters of one store — ``store``
         when given, else the one they are views of; models pass
         ``store.params`` itself, which makes the check one identity test.
-        ``scratch`` (a fused-plan arena provider, see :mod:`repro.nn.plan`)
-        lets the update reuse persistent buffers instead of allocating
-        temporaries — the identical elementwise op chain either way.
         """
         if store is None:
             store = FlatParameterStore.of(params)
@@ -65,10 +57,10 @@ class Optimizer:
                 "a reordering, or parameters of another model)"
             )
         t = store.trainable
-        self._update(store.data[:t], store.grad[:t], scratch=scratch)
+        self._update(store.data[:t], store.grad[:t])
         store.zero_grad()
 
-    def _update(self, data: np.ndarray, grad: np.ndarray, scratch=None) -> None:
+    def _update(self, data: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     def apply(self, data: np.ndarray, grad: np.ndarray, state: tuple, t: int, scratch) -> None:
@@ -80,10 +72,6 @@ class Optimizer:
         """
         raise NotImplementedError
 
-    def reset_state(self) -> None:
-        """Drop optimizer state (moments). Called when a client receives
-        a fresh global model so stale moments don't leak across rounds."""
-
 
 class SGD(Optimizer):
     """Plain gradient descent: ``w -= lr · g``."""
@@ -91,11 +79,8 @@ class SGD(Optimizer):
     def __init__(self, lr: float = 0.01):
         super().__init__(lr)
 
-    def _update(self, data, grad, scratch=None) -> None:
-        if scratch is not None:
-            self.apply(data, grad, (), 0, scratch)
-        else:
-            data -= self.lr * grad
+    def _update(self, data, grad) -> None:
+        data -= self.lr * grad
 
     def apply(self, data, grad, state, t, scratch) -> None:
         s = scratch("sgd_s", grad.shape, grad.dtype)
@@ -124,23 +109,15 @@ class Adam(Optimizer):
         self._v: np.ndarray | None = None
         self._t = 0
 
-    def step(
-        self,
-        params: list[Parameter],
-        store: FlatParameterStore | None = None,
-        scratch=None,
-    ) -> None:
+    def step(self, params: list[Parameter], store: FlatParameterStore | None = None) -> None:
         self._t += 1
-        super().step(params, store=store, scratch=scratch)
+        super().step(params, store=store)
 
-    def _update(self, data, grad, scratch=None) -> None:
+    def _update(self, data, grad) -> None:
         if self._m is None:
             self._m = np.zeros_like(data)
             self._v = np.zeros_like(data)
-        if scratch is None:
-            self._adam_step(data, grad, self._m, self._v)
-            return
-        self.apply(data, grad, (self._m, self._v), self._t, scratch)
+        self._adam_step(data, grad, self._m, self._v)
 
     def apply(self, data, grad, state, t, scratch) -> None:
         # The allocation-free form of _adam_step: the identical elementwise
@@ -175,7 +152,3 @@ class Adam(Optimizer):
         mhat = m / (1 - self.beta1**self._t)
         vhat = v / (1 - self.beta2**self._t)
         data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def reset_state(self) -> None:
-        self._m = self._v = None
-        self._t = 0

@@ -249,10 +249,6 @@ class ScratchArena:
         """True when ``array`` shares memory with any arena buffer."""
         return any(np.shares_memory(array, b) for b in self._buffers.values())
 
-    def release(self) -> None:
-        self._buffers.clear()
-        self._views.clear()
-
 
 @functools.cache
 def _takes_scratch(cls) -> bool:
@@ -410,9 +406,9 @@ class TrainingPlan:
                 self.arena.slot(i),
                 input_grad=i > 0,
                 # In-place activation: only over a buffer the previous layer
-                # just produced (arena-owned) whose backward does not read
-                # its own output values (Tanh/Sigmoid cache theirs for the
-                # derivative — overwriting would corrupt gradients).
+                # just produced (arena-owned) that no backward reads again
+                # and that is not caller data handed through (see
+                # Layer.plan_backward_needs_output).
                 inplace=i > 0 and prev_overwritable,
             )
             self._fwds.append(fwd)

@@ -1,7 +1,7 @@
 """Embedding and LSTM layers with full backpropagation through time.
 
-Used by the Reddit-analogue language model (paper §6: embedding → LSTM →
-batch-norm → dense softmax head) and the Sentiment140-analogue text models.
+Used by the Reddit-analogue model (paper §6: embedding → LSTM → batch-norm
+→ dense softmax head), which reads the LSTM's final hidden state.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class Embedding(Layer):
         return [self.w]
 
 
-def _slab_shapes(n: int, t: int, d: int, h: int, training: bool, seq: bool) -> tuple:
+def _slab_shapes(n: int, t: int, d: int, h: int, training: bool) -> tuple:
     """What the planned LSTM carves, in order, from its flat slab for an
     ``(n, t, d)`` input (a :class:`WeightSpec` does the carving).
 
@@ -110,11 +110,10 @@ def _slab_shapes(n: int, t: int, d: int, h: int, training: bool, seq: bool) -> t
         (4, n, h),  # bias: b spread over the rows, so adding it needs no broadcast
     )
     if not training:
-        # No BPTT history: h (unless the caller wants the sequence), c and
-        # the gates roll over one step's worth of memory.
+        # No BPTT history: h, c and the gates roll over one step's worth
+        # of memory.
         return forward + (
             (2, n, h),  # hc0: h_0 and the rolling c, zeroed together
-            (t if seq else 0, n, h),  # hs: h_1..h_T when returned
             (5, n, h),  # s: one step's gates and tanh(c)
         )
     return forward + (
@@ -134,15 +133,13 @@ def _slab_shapes(n: int, t: int, d: int, h: int, training: bool, seq: bool) -> t
 
 
 @functools.lru_cache(maxsize=64)
-def _slab_row(t: int, d: int, h: int, training: bool, seq: bool) -> int:
-    return WeightSpec(_slab_shapes(1, t, d, h, training, seq)).total
+def _slab_row(t: int, d: int, h: int, training: bool) -> int:
+    return WeightSpec(_slab_shapes(1, t, d, h, training)).total
 
 
 class LSTM(Layer):
-    """Single-layer LSTM over (N, T, D) inputs.
-
-    ``return_sequences=False`` (default) emits the final hidden state
-    ``(N, H)``; ``True`` emits the full sequence ``(N, T, H)``.
+    """Single-layer LSTM over (N, T, D) inputs, emitting the final hidden
+    state ``(N, H)``.
 
     Gate order in the fused kernel is ``[i, f, o, g]`` (input, forget,
     output, candidate). Forget-gate bias is initialized to 1, the standard
@@ -172,14 +169,12 @@ class LSTM(Layer):
         hidden_dim: int,
         *,
         rng: np.random.Generator,
-        return_sequences: bool = False,
         name: str = "lstm",
     ):
         if input_dim <= 0 or hidden_dim <= 0:
             raise ValueError("input_dim and hidden_dim must be positive")
         h = hidden_dim
         self.hidden_dim = h
-        self.return_sequences = return_sequences
         self.wx = Parameter(
             initializers.glorot_uniform(rng, (input_dim, 4 * h), input_dim, 4 * h),
             f"{name}.wx",
@@ -221,8 +216,6 @@ class LSTM(Layer):
             hs[step + 1] = o * np.tanh(cs[step + 1])
             gates[step] = np.concatenate([i, f, o, g], axis=1)
         self._hs, self._cs, self._gates = hs, cs, gates
-        if self.return_sequences:
-            return hs[1:].transpose(1, 0, 2)
         return hs[-1]
 
     def backward(
@@ -233,11 +226,8 @@ class LSTM(Layer):
         x, hs, cs, gates = self._x, self._hs, self._cs, self._gates
         n, t, d = x.shape
         h = self.hidden_dim
-        if self.return_sequences:
-            dh_seq = grad.transpose(1, 0, 2)  # (T, N, H)
-        else:
-            dh_seq = np.zeros((t, n, h), dtype=x.dtype)
-            dh_seq[-1] = grad
+        dh_seq = np.zeros((t, n, h), dtype=x.dtype)
+        dh_seq[-1] = grad
         dh_next = np.zeros((n, h), dtype=x.dtype)
         dc_next = np.zeros((n, h), dtype=x.dtype)
         dz_all = np.zeros((t, n, 4 * h), dtype=x.dtype)
@@ -281,8 +271,8 @@ class LSTM(Layer):
     # ------------------------------------------------------------------ #
     def _bind(self, n: int, t: int, d: int, training: bool, slab: np.ndarray):
         """Slice ``slab`` into everything the loops index, once per shape."""
-        h, seq = self.hidden_dim, self.return_sequences
-        views = WeightSpec(_slab_shapes(n, t, d, h, training, seq)).split(slab.reshape(-1))
+        h = self.hidden_dim
+        views = WeightSpec(_slab_shapes(n, t, d, h, training)).split(slab.reshape(-1))
         b = SimpleNamespace()
         b.xp, b.z, b.e, b.tmp, b.bias = views[:5]
         xp = b.xp.reshape(n, t, 4, h)
@@ -292,14 +282,14 @@ class LSTM(Layer):
             b.hc0 = hc[0]
             states = [(hc[k, 0], hc[k, 1]) for k in range(t + 1)]
             gates = list(s)
-            b.out = hc[1:, 0].transpose(1, 0, 2) if seq else hc[t, 0]
+            b.out = hc[t, 0]
         else:
-            b.hc0, hs, s = views[5:8]
+            b.hc0, s = views[5:7]
             h0, c = b.hc0
-            # h rolls over h0 unless the caller wants every h_t; c always rolls.
-            states = [(h0, c)] + [(hk, c) for hk in (hs if seq else [h0] * t)]
+            # h and c roll over h_0's and c_0's rows.
+            states = [(h0, c)] * (t + 1)
             gates = [s] * t
-            b.out = hs.transpose(1, 0, 2) if seq else h0
+            b.out = h0
         #: h_{t-1} per step: the recurrent GEMM's input.
         b.h_prev = [states[k][0] for k in range(t)]
         #: Per step, in the order the forward loop uses them.
@@ -355,7 +345,7 @@ class LSTM(Layer):
         h = self.hidden_dim
         b = scratch(
             "bptt" if training else "fwd",
-            (n, _slab_row(t, d, h, training, self.return_sequences)),
+            (n, _slab_row(t, d, h, training)),
             x.dtype,
             bind=functools.partial(self._bind, n, t, d, training),
         )
@@ -405,10 +395,7 @@ class LSTM(Layer):
         np.subtract(1, b.om2, out=b.om2)
         b.zero.fill(0.0)
         no_dh, dh_next, dc_next = b.zero
-        if self.return_sequences:
-            dh_seq = [grad[:, k] for k in range(t - 1, -1, -1)]
-        else:
-            dh_seq = [grad] + [no_dh] * (t - 1)
+        dh_seq = [grad] + [no_dh] * (t - 1)
         # G > 1 clients' GEMMs take (G, rows, ·) views, one client's its rows.
         lead, dzs, dh_next_c = wx.shape[:-2], b.dz_rows, dh_next
         if lead:

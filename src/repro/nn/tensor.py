@@ -12,8 +12,8 @@ class Parameter:
     gradient.
 
     Gradients are *accumulated* into :attr:`grad` by layer backward passes and
-    cleared by :meth:`zero_grad` (the optimizer calls it after each step), so
-    multiple backward passes (e.g. BPTT time steps) compose additively. A
+    cleared after each optimizer step (a whole-store fill), so multiple
+    backward passes (e.g. BPTT time steps) compose additively. A
     ``trainable=False`` entry (batch-norm's running statistics) travels and
     is aggregated like any other, but only its layer's forward writes it:
     no optimizer step or proximal pull moves it, and its gradient stays 0.
@@ -37,16 +37,8 @@ class Parameter:
         self.trainable = trainable
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        """Reset the accumulated gradient in place."""
-        self.grad.fill(0.0)
 
     # ------------------------------------------------------------------ #
     # Pickle / deepcopy: views into a shared flat buffer cannot survive

@@ -25,7 +25,6 @@ __all__ = [
     "build_cnn",
     "build_femnist_cnn",
     "build_logistic",
-    "build_mlp",
     "build_lstm_classifier",
 ]
 
@@ -44,13 +43,13 @@ def build_cnn(
 
     h, w, c = input_shape
     layers: list = []
-    layers.append(Conv2D(c, filters[0], 3, padding="same", rng=rng, name="conv1"))
+    layers.append(Conv2D(c, filters[0], 3, rng=rng, name="conv1"))
     layers.append(ReLU())
     layers.append(MaxPool2D(2))
-    layers.append(Conv2D(filters[0], filters[1], 3, padding="same", rng=rng, name="conv2"))
+    layers.append(Conv2D(filters[0], filters[1], 3, rng=rng, name="conv2"))
     layers.append(ReLU())
     layers.append(MaxPool2D(2))
-    layers.append(Conv2D(filters[1], filters[2], 3, padding="same", rng=rng, name="conv3"))
+    layers.append(Conv2D(filters[1], filters[2], 3, rng=rng, name="conv3"))
     layers.append(ReLU())
     layers.append(Flatten())
     spatial = (h // 4) * (w // 4)
@@ -74,10 +73,10 @@ def build_femnist_cnn(
 
     h, w, c = input_shape
     layers = [
-        Conv2D(c, filters[0], 3, padding="same", rng=rng, name="conv1"),
+        Conv2D(c, filters[0], 3, rng=rng, name="conv1"),
         ReLU(),
         MaxPool2D(2),
-        Conv2D(filters[0], filters[1], 3, padding="same", rng=rng, name="conv2"),
+        Conv2D(filters[0], filters[1], 3, rng=rng, name="conv2"),
         ReLU(),
         MaxPool2D(2),
         Flatten(),
@@ -93,24 +92,6 @@ def build_logistic(
 ) -> Sequential:
     """Multinomial logistic regression — the paper's convex Sentiment140 model."""
     return Sequential([Dense(input_dim, num_classes, rng=rng, name="logit")], name="logistic")
-
-
-def build_mlp(
-    input_dim: int,
-    num_classes: int,
-    *,
-    rng: np.random.Generator,
-    hidden: tuple[int, ...] = (64,),
-) -> Sequential:
-    """Small MLP used by the `tiny` test preset (fast, still non-convex)."""
-    layers: list = []
-    prev = input_dim
-    for i, width in enumerate(hidden):
-        layers.append(Dense(prev, width, rng=rng, name=f"fc{i + 1}"))
-        layers.append(ReLU())
-        prev = width
-    layers.append(Dense(prev, num_classes, rng=rng, name="head"))
-    return Sequential(layers, name="mlp")
 
 
 def build_lstm_classifier(

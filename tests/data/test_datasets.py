@@ -6,7 +6,8 @@ import pytest
 from repro.data.datasets import DATASETS, make_dataset
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
-from repro.nn.zoo import build_logistic, build_mlp
+from repro.nn.zoo import build_logistic
+from tests.helpers import build_mlp
 
 
 ALL_NAMES = sorted(DATASETS)

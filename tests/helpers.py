@@ -1,10 +1,12 @@
-"""Numerical-gradient checking utilities shared across nn tests."""
+"""Numerical-gradient checking utilities and the small MLP shared across
+nn tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.activations import ReLU
+from repro.nn.layers import Dense, Layer
 from repro.nn.model import Sequential
 from repro.nn.store import FlatParameterStore
 from repro.nn.tensor import Parameter
@@ -17,6 +19,24 @@ def adopted(*arrays) -> list[Parameter]:
     params = [Parameter(np.asarray(a, dtype=np.float64)) for a in arrays]
     FlatParameterStore(params)
     return params
+
+
+def build_mlp(
+    input_dim: int,
+    num_classes: int,
+    *,
+    rng: np.random.Generator,
+    hidden: tuple[int, ...] = (64,),
+) -> Sequential:
+    """A small MLP: dense + ReLU stacks, then a dense head (non-convex, fast)."""
+    layers: list = []
+    prev = input_dim
+    for i, width in enumerate(hidden):
+        layers.append(Dense(prev, width, rng=rng, name=f"fc{i + 1}"))
+        layers.append(ReLU())
+        prev = width
+    layers.append(Dense(prev, num_classes, rng=rng, name="head"))
+    return Sequential(layers, name="mlp")
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -58,7 +78,7 @@ def check_layer_gradients(
 
     # Analytic gradients.
     for p in layer.params:
-        p.zero_grad()
+        p.grad.fill(0.0)
     layer.forward(x, training=training)
     dx = layer.backward(r)
 
@@ -87,7 +107,7 @@ def check_model_loss_gradients(
     def objective() -> float:
         return loss.forward(model.forward(x, training=False), y)
 
-    model.zero_grad()
+    model.store.zero_grad()
     value = loss.forward(model.forward(x, training=False), y)
     assert np.isfinite(value)
     model.backward(loss.backward())

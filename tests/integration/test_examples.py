@@ -1,15 +1,10 @@
-"""Smoke tests: the example scripts must run end to end.
-
-Only the fast examples run in the default suite; the longer ones are
-exercised by the benchmarks that cover the same code paths.
-"""
+"""Smoke tests: every example script must run end to end (all five take
+seconds at their built-in scales)."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -45,19 +40,16 @@ def test_custom_federation_runs():
     assert "cross-tier w" in out
 
 
-@pytest.mark.slow
 def test_straggler_robustness_runs():
     out = _run("straggler_robustness.py")
     assert "FedAT more robust" in out
 
 
-@pytest.mark.slow
 def test_compression_tradeoff_runs():
     out = _run("compression_tradeoff.py")
     assert "vs float64" in out
 
 
-@pytest.mark.slow
 def test_femnist_at_scale_runs():
     out = _run("femnist_at_scale.py")
     assert "tier distribution" in out

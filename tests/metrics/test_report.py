@@ -1,14 +1,7 @@
-"""time/bytes-to-accuracy, smoothing and table formatting tests."""
-
-import numpy as np
+"""time/bytes-to-accuracy and table formatting tests."""
 
 from repro.metrics.history import EvalRecord, RunHistory
-from repro.metrics.report import (
-    bytes_to_accuracy,
-    format_table,
-    smooth_series,
-    time_to_accuracy,
-)
+from repro.metrics.report import format_table, time_to_accuracy
 
 
 def _history():
@@ -37,28 +30,8 @@ def test_time_to_accuracy_unreachable():
 
 def test_bytes_to_accuracy():
     h = _history()
-    assert bytes_to_accuracy(h, 0.5) == 3000.0
-    assert bytes_to_accuracy(h, 0.99) is None
-
-
-class TestSmooth:
-    def test_window_one_is_identity(self, rng):
-        x = rng.normal(size=20)
-        np.testing.assert_array_equal(smooth_series(x, 1), x)
-
-    def test_trailing_average(self):
-        out = smooth_series(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-        np.testing.assert_allclose(out, [1.0, 1.5, 2.5, 3.5])
-
-    def test_constant_preserved(self):
-        np.testing.assert_allclose(smooth_series(np.full(10, 3.0), 5), 3.0)
-
-    def test_reduces_variance(self, rng):
-        x = rng.normal(size=500)
-        assert smooth_series(x, 10).var() < x.var() / 3
-
-    def test_empty(self):
-        assert smooth_series(np.array([]), 5).size == 0
+    assert time_to_accuracy(h, 0.5, RunHistory.total_bytes) == 3000.0
+    assert time_to_accuracy(h, 0.99, RunHistory.total_bytes) is None
 
 
 class TestFormatTable:

@@ -1,8 +1,8 @@
-"""Activation layer tests."""
+"""ReLU layer and activation function tests."""
 
 import numpy as np
 
-from repro.nn.activations import ReLU, Sigmoid, Tanh, sigmoid, softmax
+from repro.nn.activations import ReLU, sigmoid, softmax
 from tests.helpers import check_layer_gradients
 
 
@@ -59,12 +59,4 @@ def test_relu_gradients(rng):
     x = rng.normal(size=(4, 6))
     x[np.abs(x) < 0.1] += 0.5
     check_layer_gradients(ReLU(), x, rng=rng)
-
-
-def test_tanh_gradients(rng):
-    check_layer_gradients(Tanh(), rng.normal(size=(4, 6)), rng=rng)
-
-
-def test_sigmoid_layer_gradients(rng):
-    check_layer_gradients(Sigmoid(), rng.normal(size=(4, 6)), rng=rng)
 

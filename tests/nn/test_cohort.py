@@ -53,8 +53,8 @@ from repro.nn.zoo import (
     build_femnist_cnn,
     build_logistic,
     build_lstm_classifier,
-    build_mlp,
 )
+from tests.helpers import build_mlp
 
 DTYPES = [np.float64, np.float32]
 _UINT = {np.dtype(np.float64): np.uint64, np.dtype(np.float32): np.uint32}

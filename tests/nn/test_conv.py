@@ -10,7 +10,7 @@ from tests.helpers import check_layer_gradients
 class TestIm2col:
     def test_patch_count(self, rng):
         x = rng.normal(size=(2, 6, 6, 3))
-        cols, (oh, ow) = im2col(x, 3, 3, stride=1, pad=1)
+        cols, (oh, ow) = im2col(x, 3, 3, pad=1)
         assert (oh, ow) == (6, 6)
         assert cols.shape == (2 * 36, 27)
 
@@ -21,11 +21,6 @@ class TestIm2col:
         # Top-left patch must equal the top-left 3x3 window.
         np.testing.assert_array_equal(cols[0].reshape(3, 3), x[0, :3, :3, 0])
 
-    def test_stride(self, rng):
-        x = rng.normal(size=(1, 8, 8, 2))
-        cols, (oh, ow) = im2col(x, 2, 2, stride=2)
-        assert (oh, ow) == (4, 4)
-
     def test_kernel_too_large(self, rng):
         with pytest.raises(ValueError):
             im2col(rng.normal(size=(1, 2, 2, 1)), 5, 5)
@@ -33,50 +28,35 @@ class TestIm2col:
     def test_col2im_is_adjoint(self, rng):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
         x = rng.normal(size=(2, 6, 6, 2))
-        cols, _ = im2col(x, 3, 3, stride=1, pad=1)
+        cols, _ = im2col(x, 3, 3, pad=1)
         y = rng.normal(size=cols.shape)
         lhs = float(np.sum(cols * y))
-        rhs = float(np.sum(x * col2im(y, x.shape, 3, 3, stride=1, pad=1)))
+        rhs = float(np.sum(x * col2im(y, x.shape, 3, 3, pad=1)))
         assert abs(lhs - rhs) < 1e-9
 
 
 class TestConv2D:
     def test_forward_shape_same(self, rng):
-        conv = Conv2D(3, 8, 3, padding="same", rng=rng)
+        conv = Conv2D(3, 8, 3, rng=rng)
         out = conv.forward(rng.normal(size=(2, 6, 6, 3)))
         assert out.shape == (2, 6, 6, 8)
 
-    def test_forward_shape_valid(self, rng):
-        conv = Conv2D(1, 4, 3, padding="valid", rng=rng)
-        out = conv.forward(rng.normal(size=(2, 7, 7, 1)))
-        assert out.shape == (2, 5, 5, 4)
-
     def test_matches_manual_convolution(self, rng):
         """Cross-check one output pixel against a hand-computed window sum."""
-        conv = Conv2D(2, 1, 3, padding="valid", rng=rng)
+        conv = Conv2D(2, 1, 3, rng=rng)
         x = rng.normal(size=(1, 5, 5, 2))
         out = conv.forward(x)
         window = x[0, 1:4, 2:5, :].reshape(-1)  # centered at (2, 3)
         expected = float(window @ conv.w.data[:, 0] + conv.b.data[0])
-        np.testing.assert_allclose(out[0, 1, 2, 0], expected, rtol=1e-10)
+        np.testing.assert_allclose(out[0, 2, 3, 0], expected, rtol=1e-10)
 
     def test_gradients_same_padding(self, rng):
-        conv = Conv2D(2, 3, 3, padding="same", rng=rng)
+        conv = Conv2D(2, 3, 3, rng=rng)
         check_layer_gradients(conv, rng.normal(size=(2, 5, 5, 2)), rng=rng)
-
-    def test_gradients_valid_padding(self, rng):
-        conv = Conv2D(1, 2, 3, padding="valid", rng=rng)
-        check_layer_gradients(conv, rng.normal(size=(2, 5, 5, 1)), rng=rng)
-
-    def test_rejects_bad_padding(self, rng):
-        with pytest.raises(ValueError):
-            Conv2D(1, 1, 3, padding="full", rng=rng)
-        with pytest.raises(ValueError):
-            Conv2D(1, 1, 3, padding="same", stride=2, rng=rng)
 
     def test_translation_equivariance(self, rng):
         """'same' conv commutes with interior translation."""
-        conv = Conv2D(1, 2, 3, padding="same", rng=rng)
+        conv = Conv2D(1, 2, 3, rng=rng)
         x = np.zeros((1, 8, 8, 1))
         x[0, 3, 3, 0] = 1.0
         out1 = conv.forward(x)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.activations import ReLU, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.layers import BatchNorm, Dense, Dropout, Flatten
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
@@ -28,10 +28,6 @@ class TestDense:
     def test_gradients(self, rng):
         layer = Dense(4, 3, rng=rng)
         check_layer_gradients(layer, rng.normal(size=(5, 4)), rng=rng)
-
-    def test_gradients_time_distributed(self, rng):
-        layer = Dense(4, 3, rng=rng)
-        check_layer_gradients(layer, rng.normal(size=(2, 6, 4)), rng=rng)
 
     def test_gradient_accumulation(self, rng):
         layer = Dense(3, 2, rng=rng)
@@ -82,16 +78,22 @@ class TestFlatten:
         assert back.shape == (3, 4, 5) and np.shares_memory(back, grad)
         assert layer.backward(grad, scratch=scratch, input_grad=False) is None
 
-    def test_the_next_layer_never_overwrites_what_it_hands_through(self, rng):
-        """Flatten's output is Tanh's cached output, reshaped: a ReLU after
-        it must write its own buffer, or Tanh's backward reads ReLU's."""
-        dense = Dense(4, 6, rng=rng)
-        tanh = Tanh()
-        model = Sequential([dense, tanh, Flatten(), ReLU(), Dense(6, 3, rng=rng)])
-        x = rng.normal(size=(16, 4))
-        TrainingPlan(model, SoftmaxCrossEntropy()).forward(x, training=True)
-        np.testing.assert_array_equal(tanh._out, np.tanh(x @ dense.w.data + dense.b.data))
-        assert (tanh._out < 0).any()
+    @pytest.mark.parametrize(
+        "layer, training",
+        [(Flatten(), True), (Dropout(0.5), False)],
+        ids=["flatten", "inference-dropout"],
+    )
+    def test_the_next_layer_never_overwrites_what_it_hands_through(self, layer, training, rng):
+        """Flatten's output (a view) and inference-time Dropout's (the input
+        itself) are the caller's data: a ReLU after either must write its
+        own buffer, or the plan zeroes the caller's negatives."""
+        model = Sequential([layer, ReLU(), Dense(6, 3, rng=rng)])
+        x = rng.normal(size=(16, 2, 3)) if isinstance(layer, Flatten) else rng.normal(size=(16, 6))
+        before = x.copy()
+        out = TrainingPlan(model, SoftmaxCrossEntropy()).forward(x, training=training)
+        np.testing.assert_array_equal(x, before)
+        assert (before < 0).any()
+        np.testing.assert_array_equal(out, model.forward(before, training=training))
 
 
 #: Every bit generator NumPy ships.

@@ -7,8 +7,7 @@ from repro.nn.layers import Dense
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential, WeightSpec
 from repro.nn.optimizers import SGD
-from repro.nn.zoo import build_mlp
-from tests.helpers import check_model_loss_gradients
+from tests.helpers import build_mlp, check_model_loss_gradients
 
 
 class TestWeightSpec:
@@ -51,21 +50,6 @@ class TestSequential:
         m2.set_flat_weights(flat)
         np.testing.assert_array_equal(m2.get_flat_weights(), flat)
 
-    def test_set_weights_copies(self, rng):
-        m = build_mlp(4, 2, rng=rng)
-        w = m.get_weights()
-        w[0][...] = 7.0
-        assert not np.all(m.params[0].data == 7.0)
-
-    def test_set_weights_validates(self, rng):
-        m = build_mlp(4, 2, rng=rng)
-        with pytest.raises(ValueError):
-            m.set_weights([np.zeros((2, 2))])
-        w = m.get_weights()
-        w[0] = np.zeros((3, 3))
-        with pytest.raises(ValueError):
-            m.set_weights(w)
-
     def test_training_reduces_loss(self, rng):
         m = build_mlp(8, 3, rng=rng, hidden=(16,))
         x = rng.normal(size=(40, 8))
@@ -101,12 +85,6 @@ class TestSequential:
         x = rng.normal(size=(10, 4))
         y = np.argmax(m.predict(x), axis=1)
         assert m.evaluate(x, y)["accuracy"] == 1.0
-
-    def test_clone_weights(self, rng):
-        a = build_mlp(5, 3, rng=rng)
-        b = build_mlp(5, 3, rng=np.random.default_rng(4))
-        b.clone_weights_from(a)
-        np.testing.assert_array_equal(a.get_flat_weights(), b.get_flat_weights())
 
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ValueError):

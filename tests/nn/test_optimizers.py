@@ -83,14 +83,6 @@ class TestAdam:
         assert opt._m.shape == (2,)
         np.testing.assert_array_equal(p1.data, alone.data)
 
-    def test_reset_state(self):
-        (p,) = adopted(np.array([1.0]))
-        opt = Adam(lr=0.1)
-        quadratic_step(p)
-        opt.step([p])
-        opt.reset_state()
-        assert opt._t == 0 and opt._m is None and opt._v is None
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Adam(lr=-1)

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import SGD
 from repro.nn.proximal import ProximalTerm
-from repro.nn.zoo import build_mlp
+from tests.helpers import build_mlp
 
 
 def test_zero_lambda_is_noop(rng):

@@ -20,7 +20,7 @@ import pytest
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
 from repro.nn.store import FlatParameterStore
-from repro.nn.zoo import build_mlp
+from tests.helpers import build_mlp
 
 
 def _mlp(seed=0, **kwargs):
@@ -152,9 +152,9 @@ class TestCoverage:
         seen = []
 
         class Recording(Adam):
-            def step(self, params, store=None, scratch=None):
+            def step(self, params, store=None):
                 seen.append((params, store))
-                super().step(params, store=store, scratch=scratch)
+                super().step(params, store=store)
 
         x = np.zeros((2, 6))
         y = np.zeros(2, dtype=np.int64)

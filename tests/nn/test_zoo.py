@@ -9,7 +9,6 @@ from repro.nn.zoo import (
     build_femnist_cnn,
     build_logistic,
     build_lstm_classifier,
-    build_mlp,
 )
 
 
@@ -27,7 +26,7 @@ def test_cnn_paper_architecture_param_order(rng):
         "conv1.w", "conv1.b", "conv2.w", "conv2.b", "conv3.w", "conv3.b",
         "fc1.w", "fc1.b", "fc2.w", "fc2.b",
     ]
-    assert m.params[0].shape == (27, 32)  # 3x3x3 → 32 filters
+    assert m.params[0].data.shape == (27, 32)  # 3x3x3 → 32 filters
 
 
 def test_femnist_cnn_shape(rng):
@@ -48,8 +47,8 @@ def test_lstm_classifier_shapes(rng):
 
 
 def test_builders_reproducible():
-    a = build_mlp(6, 3, rng=np.random.default_rng(42))
-    b = build_mlp(6, 3, rng=np.random.default_rng(42))
+    a = build_lstm_classifier(30, 30, rng=np.random.default_rng(42), embed_dim=8, hidden_dim=8)
+    b = build_lstm_classifier(30, 30, rng=np.random.default_rng(42), embed_dim=8, hidden_dim=8)
     np.testing.assert_array_equal(a.get_flat_weights(), b.get_flat_weights())
 
 

@@ -8,7 +8,6 @@ and a million-client FedAT run is bit-reproducible.
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
@@ -85,7 +84,6 @@ class TestBoundedMemory:
         assert len(pop._data_cache) == 0  # aggregates never materialize clients
 
 
-@pytest.mark.slow
 class TestMillionClients:
     def test_fedat_1m_clients_bit_reproducible(self):
         """The acceptance demo: FedAT over 1,000,000 enrolled clients runs in

@@ -6,8 +6,8 @@ import pytest
 from repro.data.federated import train_test_split_client
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optimizers import Adam
-from repro.nn.zoo import build_mlp
 from repro.sim.client import SimClient
+from tests.helpers import build_mlp
 
 
 @pytest.fixture
