@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import runner as runner_mod
-from repro.experiments.claims import CLAIMS, RELATIONS, SEEDS, Claim, evaluate
+from repro.experiments.claims import CLAIMS, RELATIONS, SEEDS, Claim, _reach, evaluate
 from repro.experiments.runner import RunSpec
 from repro.metrics.history import EvalRecord, RunHistory
 
@@ -121,6 +121,19 @@ def test_bytes_to_target_ratios_treat_never_as_infinite(monkeypatch):
     assert evaluate(claim, 0) == math.inf and claim.holds(math.inf)  # FedAsync never gets there
     reaches["fedat"] = [0.1, 0.2]  # FedAT never gets there either: no ratio, no claim
     assert not claim.holds(evaluate(claim, 0))
+
+
+def test_reach_targets_a_fraction_of_the_weakest_best():
+    """The target is ``fraction`` × the lowest best accuracy among ``of``;
+    each run reads its series at its first hit, and a run that never hits
+    reads inf."""
+    view = _reach(0.5, ["a", "b"], RunHistory.uplink)
+    runs = {
+        ("c", "a"): _history([0.2, 0.6]),
+        ("c", "b"): _history([0.1, 0.4, 0.3]),  # target 0.5 × 0.4 = 0.2
+        ("c", "m"): _history([0.1, 0.15]),
+    }
+    assert view(runs) == {("c", "a"): 0.0, ("c", "b"): 1000.0, ("c", "m"): math.inf}
 
 
 #: The claims whose metric is a ratio of two runs' (or two records') values.

@@ -34,6 +34,26 @@ def test_bytes_to_accuracy():
     assert time_to_accuracy(h, 0.99, RunHistory.total_bytes) is None
 
 
+def test_time_to_accuracy_counts_a_tie():
+    assert time_to_accuracy(_history(), 0.55) == 20.0
+
+
+def test_time_to_accuracy_reads_the_first_hit_not_the_best():
+    h = RunHistory("m", "d")
+    for i, a in enumerate([0.2, 0.6, 0.4, 0.8]):
+        h.append(EvalRecord(5.0 * i, i, a, 1.0, 0.0, 100 * i, 0))
+    assert time_to_accuracy(h, 0.5) == 5.0
+    assert time_to_accuracy(h, 0.7) == 15.0
+
+
+def test_uplink_to_accuracy():
+    assert time_to_accuracy(_history(), 0.5, RunHistory.uplink) == 2000.0
+
+
+def test_an_empty_history_never_reaches():
+    assert time_to_accuracy(RunHistory("m", "d"), 0.0) is None
+
+
 class TestFormatTable:
     def test_alignment_and_content(self):
         s = format_table(["name", "value"], [["a", 1.5], ["bbbb", None]])

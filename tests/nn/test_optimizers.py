@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.optimizers import SGD, Adam
+from repro.nn.plan import ScratchArena
 from repro.nn.store import FlatParameterStore
 from repro.nn.tensor import Parameter
 from tests.helpers import adopted
@@ -92,7 +93,12 @@ class TestAdam:
             Adam(beta2=-0.1)
 
 
-@pytest.mark.parametrize("make", [lambda: SGD(0.1), lambda: Adam(0.1)], ids=["sgd", "adam"])
+_EACH_OPTIMIZER = pytest.mark.parametrize(
+    "make", [lambda: SGD(0.1), lambda: Adam(0.1)], ids=["sgd", "adam"]
+)
+
+
+@_EACH_OPTIMIZER
 def test_a_step_moves_only_the_trainable_prefix(make):
     """Non-trainable entries sit after every trainable one, wherever they
     were listed, and no step moves them, whatever their gradient holds."""
@@ -105,3 +111,43 @@ def test_a_step_moves_only_the_trainable_prefix(make):
     np.testing.assert_array_equal(frozen.data, [5.0, 6.0])
     assert p.data[0] < 1.0 and q.data[0] < 2.0
     np.testing.assert_array_equal(store.grad, 0.0)
+
+
+def _apply_steps(opt, data, grads):
+    """``opt.apply`` once per gradient, from zero state, through one arena."""
+    state = tuple(np.zeros_like(data) for _ in range(opt.state_slots))
+    scratch = ScratchArena().slot(0)
+    for t, grad in enumerate(grads, start=1):
+        opt.apply(data, grad, state, t, scratch)
+
+
+@_EACH_OPTIMIZER
+def test_planned_apply_is_step_bit_for_bit(make):
+    """``apply`` (what a training plan calls) writes into scratch buffers
+    the update ``step`` computes with temporaries: the same bits, step
+    after step."""
+    rng = np.random.default_rng(0)
+    (p,) = adopted(rng.normal(size=7))
+    data = p.data.copy()
+    grads = rng.normal(size=(5, 7))
+    opt = make()
+    for grad in grads:
+        p.grad[...] = grad
+        opt.step([p])
+    _apply_steps(make(), data, grads)
+    np.testing.assert_array_equal(data, p.data)
+
+
+@_EACH_OPTIMIZER
+def test_apply_over_client_rows_is_each_row_alone(make):
+    """A cohort's ``(G, P)`` rows update exactly as each ``(P,)`` buffer
+    would on its own."""
+    rng = np.random.default_rng(0)
+    rows = rng.normal(size=(3, 5))
+    grads = rng.normal(size=(4, 3, 5))
+    together = rows.copy()
+    _apply_steps(make(), together, grads)
+    for r in range(3):
+        alone = rows[r].copy()
+        _apply_steps(make(), alone, grads[:, r])
+        np.testing.assert_array_equal(together[r], alone)

@@ -135,6 +135,21 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(a.w.grad, b.w.grad)
         np.testing.assert_array_equal(a.b.grad, b.b.grad)
 
+    @pytest.mark.parametrize(
+        "hw, k",
+        [((6, 6), 1), ((6, 6), 5), ((2, 3), 5), ((5, 7), 3), ((1, 1), 3)],
+        ids=["k1", "k5", "k5-wider-than-frame", "non-square", "one-pixel"],
+    )
+    def test_conv_geometries(self, hw, k):
+        """The planned backward's clipped scatter (``_scatter_pairs``) adds
+        what col2im adds, whatever part of the kernel overhangs the frame."""
+        rng = np.random.default_rng(0)
+        a = Conv2D(2, 3, k, rng=np.random.default_rng(1))
+        b = Conv2D(2, 3, k, rng=np.random.default_rng(1))
+        self._roundtrip(a, b, rng.normal(size=(3, *hw, 2)), rng.normal(size=(3, *hw, 3)))
+        np.testing.assert_array_equal(a.w.grad, b.w.grad)
+        np.testing.assert_array_equal(a.b.grad, b.b.grad)
+
     def test_relu(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 9))
@@ -416,6 +431,20 @@ class TestStackedKernelEquivalence:
                 _assert_same_bits(data.reshape(want.shape), want)
                 want = np.stack([p.grad for p in params])
                 _assert_same_bits(grad.reshape(want.shape), want)
+
+    def test_dense(self):
+        self._roundtrip(
+            lambda seed: Dense(5, 4, rng=np.random.default_rng(seed)),
+            lambda rng, rows: rng.normal(size=(rows, 5)),
+            lambda rng, rows: rng.normal(size=(rows, 4)),
+        )
+
+    def test_conv(self):
+        self._roundtrip(
+            lambda seed: Conv2D(2, 3, 3, rng=np.random.default_rng(seed)),
+            lambda rng, rows: rng.normal(size=(rows, 4, 5, 2)),
+            lambda rng, rows: rng.normal(size=(rows, 4, 5, 3)),
+        )
 
     def test_lstm(self):
         t, d, h = 4, 5, 6

@@ -63,6 +63,25 @@ class TestLSTM:
         out = lstm.forward(rng.normal(0, 10, size=(8, 12, 4)))
         assert np.all(np.abs(out) <= 1.0)
 
+    def test_steps_follow_the_gate_equations(self, rng):
+        """The output is the last hidden state of the recurrence, with the
+        gates in ``[i, f, o, g]`` order, written out step by step here."""
+        lstm = LSTM(3, 4, rng=rng)
+        x = rng.normal(size=(2, 3, 3))
+        h = c = np.zeros((2, 4))
+        for step in range(3):
+            z = x[:, step] @ lstm.wx.data + h @ lstm.wh.data + lstm.b.data
+            i, f, o = (1.0 / (1.0 + np.exp(-z[:, k * 4 : (k + 1) * 4])) for k in range(3))
+            c = f * c + i * np.tanh(z[:, 12:])
+            h = o * np.tanh(c)
+        np.testing.assert_allclose(lstm.forward(x), h, rtol=1e-12, atol=1e-14)
+
+    def test_gradients_single_step(self, rng):
+        lstm = LSTM(3, 5, rng=rng)
+        check_layer_gradients(
+            lstm, rng.normal(size=(3, 1, 3)), rng=rng, atol=1e-5, rtol=1e-3
+        )
+
     def test_gradients_last_output(self, rng):
         lstm = LSTM(3, 4, rng=rng)
         check_layer_gradients(

@@ -25,6 +25,16 @@ class TestInitializers:
         assert np.all(np.abs(w) <= limit)
         assert abs(w.mean()) < limit / 10
 
+    def test_glorot_variance(self, rng):
+        """Uniform on ±sqrt(6 / (fan_in + fan_out)): variance 2 / (fan_in + fan_out)."""
+        w = initializers.glorot_uniform(rng, (400, 200), 400, 200)
+        np.testing.assert_allclose(w.var(), 2.0 / 600, rtol=0.02)
+
+    def test_normal_scale(self, rng):
+        w = initializers.normal(rng, (300, 200))
+        np.testing.assert_allclose(w.std(), 0.05, rtol=0.02)
+        assert abs(w.mean()) < 0.001
+
     def test_zeros(self):
         np.testing.assert_array_equal(initializers.zeros((3, 3)), 0.0)
 
