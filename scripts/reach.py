@@ -2,18 +2,17 @@
 
 Usage::
 
-    python scripts/reach.py [--tests] [--out TABLE]
+    python scripts/reach.py [--out TABLE]
 
 Runs a fixed list of surfaces (CI's CLI steps, the five examples, the
 kill-a-worker check and the perf ledger's ``--smoke``) with a line tracer
 installed in every Python process they start: a ``sitecustomize`` module on
 ``PYTHONPATH`` records each executed line of ``src/repro`` and writes it out
 when the process exits, forked children and ``os._exit`` included. Then it
-prints every ``src/`` function none of those lines falls in. With
-``--tests`` it also runs the tier-1 suite under the tracer and marks each
-such function "tests only" (the suite enters it) or "nothing". The table
-gates nothing; it says which code is the system and which only its tests
-reach.
+runs the tier-1 suite under the tracer too and prints every ``src/``
+function none of the surfaces entered, marked "tests only" (the suite
+enters it) or "nothing". The table gates nothing; it says which code is the
+system and which only its tests reach.
 """
 
 from __future__ import annotations
@@ -170,24 +169,22 @@ def entered(executed: set[tuple[str, int]]) -> set[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tests", action="store_true", help="also run tier-1 and mark each")
     parser.add_argument("--out", type=Path, help="write the table here too")
     args = parser.parse_args(argv)
     reached = entered(trace(SURFACES))
     missed = {n: f for n, f in functions().items() if n not in reached}
-    tested = set()
-    if args.tests:
-        # Under the tracer a timing assertion may fail; what the suite
-        # entered is recorded either way.
-        tested = entered(trace(["-m pytest -q -p no:cacheprovider"], cwd=REPO, check=False))
-    rows = []
-    for name, (_, line, own) in sorted(missed.items()):
-        mark = ("tests only" if name in tested else "nothing") if args.tests else ""
-        rows.append(f"{name}\t{line}\t{len(own)}\t{mark}".rstrip())
-    summary = f"{len(missed)} of {len(reached) + len(missed)} functions no surface enters"
-    if args.tests:
-        only = sum(1 for n in missed if n in tested)
-        summary += f": {only} tests only, {len(missed) - only} nothing"
+    # Under the tracer a timing assertion may fail; what the suite entered
+    # is recorded either way.
+    tested = entered(trace(["-m pytest -q -p no:cacheprovider"], cwd=REPO, check=False))
+    rows = [
+        f"{name}\t{line}\t{len(own)}\t{'tests only' if name in tested else 'nothing'}"
+        for name, (_, line, own) in sorted(missed.items())
+    ]
+    only = sum(1 for n in missed if n in tested)
+    summary = (
+        f"{len(missed)} of {len(reached) + len(missed)} functions no surface enters:"
+        f" {only} tests only, {len(missed) - only} nothing"
+    )
     table = "\n".join(["function\tdef line\tbody lines\treached by", *rows, summary]) + "\n"
     print(table, end="")
     if args.out:

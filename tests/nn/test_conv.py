@@ -25,22 +25,14 @@ class TestIm2col:
         with pytest.raises(ValueError):
             im2col(rng.normal(size=(1, 2, 2, 1)), 5, 5)
 
-    def test_col2im_is_adjoint(self, rng):
-        """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
-        x = rng.normal(size=(2, 6, 6, 2))
-        cols, _ = im2col(x, 3, 3, pad=1)
-        y = rng.normal(size=cols.shape)
-        lhs = float(np.sum(cols * y))
-        rhs = float(np.sum(x * col2im(y, x.shape, 3, 3, pad=1)))
-        assert abs(lhs - rhs) < 1e-9
-
     @pytest.mark.parametrize(
         "hw, k, pad",
-        [((5, 5), 1, 0), ((6, 6), 3, 0), ((4, 4), 5, 2), ((4, 7), 3, 1)],
-        ids=["k1", "k3-unpadded", "k5-wider-than-frame", "non-square"],
+        [((6, 6), 3, 1), ((5, 5), 1, 0), ((6, 6), 3, 0), ((4, 4), 5, 2), ((4, 7), 3, 1)],
+        ids=["k3-same", "k1", "k3-unpadded", "k5-wider-than-frame", "non-square"],
     )
-    def test_col2im_is_adjoint_for_every_geometry(self, hw, k, pad, rng):
-        x = rng.normal(size=(2, *hw, 3))
+    def test_col2im_is_adjoint(self, hw, k, pad, rng):
+        """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
+        x = rng.normal(size=(2, *hw, 2))
         cols, _ = im2col(x, k, k, pad=pad)
         y = rng.normal(size=cols.shape)
         lhs = float(np.sum(cols * y))
@@ -49,13 +41,8 @@ class TestIm2col:
 
 
 class TestConv2D:
-    def test_forward_shape_same(self, rng):
-        conv = Conv2D(3, 8, 3, rng=rng)
-        out = conv.forward(rng.normal(size=(2, 6, 6, 3)))
-        assert out.shape == (2, 6, 6, 8)
-
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_same_padding_keeps_the_frame(self, k, rng):
+    def test_forward_shape_same(self, k, rng):
         conv = Conv2D(2, 4, k, rng=rng)
         assert conv.pad == (k - 1) // 2
         assert conv.forward(rng.normal(size=(3, 5, 7, 2))).shape == (3, 5, 7, 4)
@@ -69,14 +56,10 @@ class TestConv2D:
         expected = float(window @ conv.w.data[:, 0] + conv.b.data[0])
         np.testing.assert_allclose(out[0, 2, 3, 0], expected, rtol=1e-10)
 
-    def test_gradients_same_padding(self, rng):
-        conv = Conv2D(2, 3, 3, rng=rng)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_gradients_same_padding(self, k, rng):
+        conv = Conv2D(2, 3, k, rng=rng)
         check_layer_gradients(conv, rng.normal(size=(2, 5, 5, 2)), rng=rng)
-
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_gradients_other_kernel_sizes(self, k, rng):
-        conv = Conv2D(2, 2, k, rng=rng)
-        check_layer_gradients(conv, rng.normal(size=(2, 4, 5, 2)), rng=rng)
 
     def test_translation_equivariance(self, rng):
         """'same' conv commutes with interior translation."""

@@ -76,16 +76,11 @@ class TestLSTM:
             h = o * np.tanh(c)
         np.testing.assert_allclose(lstm.forward(x), h, rtol=1e-12, atol=1e-14)
 
-    def test_gradients_single_step(self, rng):
-        lstm = LSTM(3, 5, rng=rng)
-        check_layer_gradients(
-            lstm, rng.normal(size=(3, 1, 3)), rng=rng, atol=1e-5, rtol=1e-3
-        )
-
-    def test_gradients_last_output(self, rng):
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_gradients_last_output(self, steps, rng):
         lstm = LSTM(3, 4, rng=rng)
         check_layer_gradients(
-            lstm, rng.normal(size=(2, 5, 3)), rng=rng, atol=1e-5, rtol=1e-3
+            lstm, rng.normal(size=(2, steps, 3)), rng=rng, atol=1e-5, rtol=1e-3
         )
 
     def test_longer_sequence_gradients(self, rng):
