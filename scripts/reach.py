@@ -4,7 +4,8 @@ Usage::
 
     python scripts/reach.py [--out TABLE]
 
-Runs a fixed list of surfaces (CI's CLI steps, the five examples, the
+Runs a fixed list of surfaces (CI's CLI steps, the ``codecs`` and
+``compare`` commands, a FedProx and an ASO-Fed run, the five examples, the
 kill-a-worker check and the perf ledger's ``--smoke``) with a line tracer
 installed in every Python process they start: a ``sitecustomize`` module on
 ``PYTHONPATH`` records each executed line of ``src/repro`` and writes it out
@@ -82,8 +83,9 @@ _SWEEP = (
 _CHAOS = "{repo}/scripts/chaos_dist_check.py --scale tiny --seed 1"
 
 #: The surfaces, each the arguments of one ``python`` run from a scratch
-#: directory (``{repo}`` is the checkout): CI's CLI steps, the examples,
-#: the kill-a-worker check and the ledger smoke.
+#: directory (``{repo}`` is the checkout): CI's CLI steps, the other CLI
+#: commands, FedProx and ASO-Fed (which no sweep or example runs), the
+#: examples, the kill-a-worker check and the ledger smoke.
 SURFACES = [
     _SWEEP,
     _SWEEP + " --executor dist --num-workers 2",
@@ -91,6 +93,12 @@ SURFACES = [
     " --seeds 1 --populations 50000 --smoke --out-dir sweep_smoke_pop",
     "-m repro run --method fedat --dataset sentiment140 --scale tiny --population 300000"
     " --scenario churn:0.2+arrival:0.1+bwdrift:2 --eval-clients 200 --rounds 4",
+    "-m repro codecs --size 2000",
+    "-m repro compare --dataset sentiment140 --scale tiny --methods fedat,fedavg",
+    *(
+        f"-m repro run --method {method} --dataset sentiment140 --scale tiny --rounds 10"
+        for method in ("fedprox", "asofed")
+    ),
     "-m repro figures --from-checkpoint sweep_smoke --out-dir figures",
     *(f"{{repo}}/examples/{path.name}" for path in sorted((REPO / "examples").glob("*.py"))),
     _CHAOS + " --method fedat --dataset sentiment140 --rounds 8",

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="proximal constraint λ (default: 0.4"
                        + _read_by("lam") + ")")
     run_p.add_argument("--compression", default="default",
-                       help='e.g. "polyline:4", "quant:8", "none"')
+                       help='"polyline:P" (precision P, default 4) or "none" (raw float32)')
     run_p.add_argument("--workers", default=None, metavar="HOST:PORT", dest="dist_bind",
                        help="scheduler bind address for --executor dist; "
                        "an explicit port waits for external `repro worker "
@@ -378,21 +378,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_codecs(args: argparse.Namespace) -> int:
-    from repro.compression.codec import (
-        PolylineCodec,
-        QuantizationCodec,
-        SubsampleCodec,
-        TopKCodec,
-        compression_ratio,
-    )
+    from repro.compression.codec import PolylineCodec, compression_ratio
 
     rng = np.random.default_rng(0)
     w = rng.normal(0, args.std, size=args.size)
     rows = []
-    for codec in (
-        PolylineCodec(3), PolylineCodec(4), PolylineCodec(5),
-        QuantizationCodec(8), TopKCodec(0.1), SubsampleCodec(0.25),
-    ):
+    for codec in (PolylineCodec(3), PolylineCodec(4), PolylineCodec(5)):
         decoded, payload = codec.roundtrip(w)
         err = float(np.sqrt(np.mean((decoded - w) ** 2)))
         rows.append(

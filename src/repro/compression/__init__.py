@@ -5,8 +5,7 @@ Polyline Algorithm: round to a decimal precision, delta-encode, zigzag, and
 emit base64-style 5-bit ASCII chunks. :mod:`repro.compression.polyline`
 implements the codec vectorized over NumPy arrays;
 :mod:`repro.compression.codec` wraps it behind a common interface together
-with a no-op codec (baselines) and quantization/top-k codecs used by the
-ablation benchmarks.
+with the no-op codec the baselines use (raw float32).
 """
 
 from repro.compression.codec import (
@@ -14,9 +13,6 @@ from repro.compression.codec import (
     NullCodec,
     Payload,
     PolylineCodec,
-    QuantizationCodec,
-    SubsampleCodec,
-    TopKCodec,
     compression_ratio,
     make_codec,
 )
@@ -29,9 +25,6 @@ __all__ = [
     "Payload",
     "PolylineCodec",
     "NullCodec",
-    "QuantizationCodec",
-    "SubsampleCodec",
-    "TopKCodec",
     "compression_ratio",
     "make_codec",
 ]

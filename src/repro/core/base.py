@@ -463,13 +463,11 @@ class FLSystem:
         counter: the async methods (FedAT tier launches, FedAsync/ASO-Fed
         per-client relaunches) repeatedly send an *unchanged* global model,
         and re-encoding it per launch was pure waste. Metering is per
-        receiver exactly as before, and for a deterministic codec the
-        cached weights are byte-for-byte a fresh transmit's, so histories
-        are bit-identical. Stateful codecs (``Codec.deterministic`` False —
-        the random-mask subsample sketch) bypass the cache entirely: their
-        per-send RNG draws are part of the simulation. The cached received
-        array is returned read-only (it is shared across launches; every
-        consumer copies).
+        receiver exactly as before, and a codec's transmit is a pure
+        function of its input, so the cached weights are byte-for-byte a
+        fresh transmit's and histories are bit-identical. The cached
+        received array is returned read-only (it is shared across launches;
+        every consumer copies).
         """
         with self.timers.phase("encode"):
             cache = self._downlink_cache
@@ -483,21 +481,14 @@ class FLSystem:
                 # A copy: transmit may write the received weights into it.
                 received, nbytes = self.codec.transmit(np.array(flat, dtype=np.float64, ndmin=2))
                 decoded, payload_nbytes = received[0], int(nbytes[0])
-                if self.codec.deterministic:
-                    decoded.flags.writeable = False
-                    # Freeze the cached *source* too: the cache key is
-                    # (version, object identity), which in-place mutation
-                    # through an alias would bypass — freezing turns that
-                    # silent staleness into an immediate ValueError at the
-                    # mutation site. Aggregation always rebinds (bumping
-                    # the version), never mutates.
-                    flat.flags.writeable = False
-                    self._downlink_cache = (
-                        self._global_version,
-                        flat,
-                        payload_nbytes,
-                        decoded,
-                    )
+                decoded.flags.writeable = False
+                # Freeze the cached *source* too: the cache key is (version,
+                # object identity), which in-place mutation through an alias
+                # would bypass — freezing turns that silent staleness into
+                # an immediate ValueError at the mutation site. Aggregation
+                # always rebinds (bumping the version), never mutates.
+                flat.flags.writeable = False
+                self._downlink_cache = (self._global_version, flat, payload_nbytes, decoded)
             for _ in range(n_receivers):
                 self.meter.record_download(payload_nbytes)
             # Remember the wire size so sampled latencies can include transfer
@@ -639,9 +630,7 @@ class FLSystem:
         re-tier tracker (online re-tiering sees exactly what a real server
         would). The rest train from the weights they received at a later
         :meth:`flush` — when they are read, at the latest — unless no event
-        can read them before the budget ends, and except under a stateful
-        codec, whose uplink draws must follow this launch's downlink draws
-        before the next launch's, so the launch flushes at once.
+        can read them before the budget ends.
         """
         if not client_ids:
             return Launch(start, [], {})
@@ -667,8 +656,6 @@ class FLSystem:
             return Launch(end, churned, finishes)
         launch = Launch(end, churned, finishes, flush=self.flush)
         self._pending.append(_Pending(launch, tasks, received, self.round, self.now))
-        if not self.codec.deterministic:
-            self.flush()
         return launch
 
     def flush(self, launch: Launch | None = None, client_id: int | None = None) -> None:
@@ -680,11 +667,10 @@ class FLSystem:
         a latency horizon says will be read soon (:meth:`_due`). Every
         other client stays pending, so one launch may train over several
         flushes. A flush with nothing being read (:meth:`state_dict`, the
-        end of the run, a launch under a stateful codec), and every flush
-        of a run with a guard or a stateful codec, trains every pending
-        client instead, except those no event can read before the budget
-        ends (:meth:`_unread`): their launch resolves them as skipped, and
-        reading one raises.
+        end of the run), and every flush of a run with a guard, trains
+        every pending client instead, except those no event can read
+        before the budget ends (:meth:`_unread`): their launch resolves
+        them as skipped, and reading one raises.
 
         The chosen clients train as one cohort, in launch order — one
         stacked cohort serially, one dispatch on dist — each
@@ -701,22 +687,16 @@ class FLSystem:
 
         Flushing is free to happen early or in parts: no draw that shapes
         the run waits for training, and a client round is a pure function
-        of its start row and task. The guard's trace and a stateful
-        codec's draws follow launch order, so runs with either train every
-        pending launch whole. A flush must happen before anything reads
-        what training changes — a launch's results, the guard's state in
-        a checkpoint — so :meth:`state_dict` and the end of the run flush
-        everything first.
+        of its start row and task. The guard's trace follows launch order,
+        so a run with a guard trains every pending launch whole. A flush
+        must happen before anything reads what training changes — a
+        launch's results, the guard's state in a checkpoint — so
+        :meth:`state_dict` and the end of the run flush everything first.
         """
         if not self._pending:
             return
         due, unread = None, {}
-        if (
-            launch is not None
-            and self._queue is not None
-            and self.guard is None
-            and self.codec.deterministic
-        ):
+        if launch is not None and self._queue is not None and self.guard is None:
             due = self._due(launch, client_id)
         else:
             unread = self._unread()
@@ -795,11 +775,10 @@ class FLSystem:
         event is not queued yet (the one being handled, or one still
         departing) is not listed. Nothing is listed under a guard (a
         quarantined async upload consumes no round, and the guard's trace
-        counts every reporting client) or a stateful codec (it draws per
-        uplink row).
+        counts every reporting client).
         """
         queue = self._queue
-        if queue is None or self.guard is not None or not self.codec.deterministic:
+        if queue is None or self.guard is not None:
             return {}
         reads_left = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
         return _clients_read(queue.reads_after(reads_left), {})
@@ -1154,7 +1133,7 @@ class FLSystem:
             self.handle(ev.payload, queue)
         # Nothing reads after the loop: what is still pending resolves as
         # skipped, or trains under a guard (its counters count every
-        # reporting client) or a stateful codec.
+        # reporting client).
         self.flush()
         if not self.history.records or self.history.records[-1].round != self.round:
             self.record_eval()

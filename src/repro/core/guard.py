@@ -94,9 +94,6 @@ class UpdateGuard:
             raise ValueError(f"bad guard max_norm {arg!r} in {text!r}") from None
         return cls(policy, max_norm)
 
-    def spec(self) -> str:
-        return f"{self.policy}:{self.max_norm:g}"
-
     # ------------------------------------------------------------------ #
     def _quarantine(
         self,

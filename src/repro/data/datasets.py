@@ -340,10 +340,6 @@ class SampleBank:
         #: restricted to these so a sparse bank can never strand a client.
         self.present_classes = np.flatnonzero(self.class_counts)
 
-    @property
-    def num_samples(self) -> int:
-        return int(self.y.size)
-
     def locate(self, labels: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Bank row for each (label, in-class position) pair."""
         return self._order[self._starts[labels] + positions]

@@ -33,10 +33,6 @@ class ClientData:
     def num_test(self) -> int:
         return int(self.x_test.shape[0])
 
-    @property
-    def num_samples(self) -> int:
-        return self.num_train + self.num_test
-
     def classes_present(self) -> np.ndarray:
         """Distinct labels across this client's train+test data."""
         return sorted_unique(np.concatenate([self.y_train, self.y_test]))
@@ -72,9 +68,6 @@ class FederatedDataset:
     @property
     def total_train_samples(self) -> int:
         return sum(c.num_train for c in self.clients)
-
-    def client(self, client_id: int) -> ClientData:
-        return self.clients[client_id]
 
     def client_sizes(self) -> np.ndarray:
         """Training-set size per client (the ``n_k`` of Eq. 1)."""

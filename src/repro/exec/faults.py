@@ -86,9 +86,6 @@ class FaultSpec:
                     f"fault probability must be in [0, 1], got {family}:{p}"
                 )
 
-    def active_families(self) -> tuple[str, ...]:
-        return tuple(f for f in FAULT_FAMILIES if getattr(self, f) > 0.0)
-
 
 def parse_faults(text: str | None) -> FaultSpec | None:
     """Parse a fault spec string (``None``/``"none"``/``""`` → no plan).
@@ -176,12 +173,6 @@ class FaultPlan:
         return tuple(
             f for f in FAULT_FAMILIES if self._draw(f, dispatch, chunk, attempt)
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        atoms = "+".join(
-            f"{f}:{getattr(self.spec, f)}" for f in self.spec.active_families()
-        )
-        return f"FaultPlan({atoms or 'null'}, seed={self.seed})"
 
 
 class ExecutorFaultError(RuntimeError):

@@ -49,10 +49,6 @@ class LatencyTracker:
         self.num_observations = np.zeros(prior.size, dtype=np.int64)
         self._index: TierIndex | None = None
 
-    @property
-    def num_clients(self) -> int:
-        return int(self.estimates.size)
-
     def observe(self, client_id: int, latency: float) -> None:
         """Fold one observed response latency into the estimate."""
         # Written so a NaN fails too: it passes ``latency < 0`` and would

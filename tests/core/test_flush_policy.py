@@ -17,12 +17,12 @@ never by an option:
   to it, or it is the launch whose event is being handled — so a flush's
   start rows never exceed the launches in flight (FedAT's at most one per
   tier), which is why it needs no size cap;
-- a flush trains only what the budget can read: with no guard and a
-  deterministic codec, a client whose read event has at least
-  ``max_rounds - round`` read events ahead of it is never trained, and
-  reading it raises; a read trains the clients read and those due within
-  the horizon, and leaves the rest pending; under a guard or a stateful
-  codec every reporting client trains at the first flush;
+- a flush trains only what the budget can read: with no guard, a client
+  whose read event has at least ``max_rounds - round`` read events ahead
+  of it is never trained, and reading it raises; a read trains the
+  clients read and those due within the horizon, and leaves the rest
+  pending; under a guard every reporting client trains at the first
+  flush;
 - reading a deferred client trains it at once, and a checkpoint holds no
   pending or part-trained launch;
 - on the pool and dist, one FedAsync flush is one dispatch.
@@ -107,9 +107,9 @@ def record_flushes(monkeypatch) -> list:
     event refers to the launch, or the event last popped does.
 
     Each flush also checks, against a scan of the heaps, where it left
-    every client pending when it began. Under a guard or a stateful codec
-    all train. Otherwise let R = ``max_rounds - round`` (0 once the budget
-    is spent) and n the read events ahead of a client's:
+    every client pending when it began. Under a guard all train.
+    Otherwise let R = ``max_rounds - round`` (0 once the budget is spent)
+    and n the read events ahead of a client's:
     - a flush that reads (a launch's results, or a client's upload) trains
       the clients read and each client with n < R whose read event is due
       before ``now + 2·d``, d the shortest delay a read event was queued
@@ -150,7 +150,7 @@ def record_flushes(monkeypatch) -> list:
         readable = 0 if self.budget_exhausted() else self.config.max_rounds - self.round
         horizon = self.now + 2 * min(q.shortest for q in queues)
         flush(self, launch, client_id)
-        prunes = self.guard is None and self.codec.deterministic
+        prunes = self.guard is None
         for p in pending:
             for task in p.tasks:
                 cid = task.client_id
@@ -300,32 +300,21 @@ def test_clients_no_event_reads_do_not_train(dataset, method, world, monkeypatch
     assert counts["trained"] < counts["reporting"]
 
 
-@pytest.mark.parametrize(
-    "method, world",
-    [("fedasync", "guard_reject"), ("fedat", "guard_reject"), ("fedat", "subsample")],
-)
-def test_a_guard_or_a_stateful_codec_trains_every_reporting_client(
-    dataset, method, world, monkeypatch
-):
-    """The guard's trace counts every reporting client, and a stateful
-    codec draws per uplink row: both train them all, as before skipping."""
-    worlds = {**FLUSH_WORLDS, "subsample": ({"compression": "subsample:0.5"}, None)}
+@pytest.mark.parametrize("method", ["fedasync", "fedat"])
+def test_a_guard_trains_every_reporting_client(dataset, method, monkeypatch):
+    """The guard's trace counts every reporting client, so a run with a
+    guard trains them all, as before skipping."""
     counts = count_training(monkeypatch)
     with monkeypatch.context() as patch:
         record_flushes(patch)
-        build_world(dataset, method, world, worlds).run()
+        build_world(dataset, method, "guard_reject", FLUSH_WORLDS).run()
     assert counts["trained"] == counts["reporting"] > 0
 
 
-@pytest.mark.parametrize(
-    "method, world",
-    [("fedasync", "guard_reject"), ("fedat", "guard_reject"), ("fedat", "subsample")],
-)
-def test_a_guard_or_a_stateful_codec_defers_nothing(dataset, method, world, monkeypatch):
-    """The guard's trace and ``filter`` order follow launch order, and a
-    stateful codec's draws do: every flush, a read's too, leaves nothing
-    pending."""
-    worlds = {**FLUSH_WORLDS, "subsample": ({"compression": "subsample:0.5"}, None)}
+@pytest.mark.parametrize("method", ["fedasync", "fedat"])
+def test_a_guard_defers_nothing(dataset, method, monkeypatch):
+    """The guard's trace and ``filter`` order follow launch order: every
+    flush, a read's too, leaves nothing pending."""
     flush, flushes = FLSystem.flush, []
 
     def recording_flush(self, launch=None, client_id=None):
@@ -334,9 +323,9 @@ def test_a_guard_or_a_stateful_codec_defers_nothing(dataset, method, world, monk
             flushes.append((launch is not None, len(self._pending)))
 
     monkeypatch.setattr(FLSystem, "flush", recording_flush)
-    build_world(dataset, method, world, worlds).run()
+    build_world(dataset, method, "guard_reject", FLUSH_WORLDS).run()
     assert flushes and not any(left for _, left in flushes)
-    assert any(read for read, _ in flushes) == (world == "guard_reject")
+    assert any(read for read, _ in flushes)
 
 
 def test_reading_a_deferred_client_trains_it_at_once(dataset, monkeypatch):

@@ -17,8 +17,9 @@ def test_list_command(capsys):
 def test_codecs_command(capsys):
     assert main(["codecs", "--size", "2000"]) == 0
     out = capsys.readouterr().out
-    assert "polyline:p4" in out
     assert "vs float64" in out
+    rows = [line.split()[0] for line in out.splitlines() if line.startswith("polyline")]
+    assert rows == ["polyline:p3", "polyline:p4", "polyline:p5"]
 
 
 def test_run_command(capsys, tmp_path):
@@ -165,6 +166,17 @@ def test_compare_rejects_unknown_method(capsys, argv):
     """A bad run description fails before anything runs: one line, exit 2."""
     assert main(argv) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["quant:8", "topk:0.1", "subsample:0.25", "polyline:13"])
+def test_run_refuses_a_codec_the_paper_does_not_use(capsys, spec):
+    """``--compression`` takes polyline or ``none``; anything else fails
+    before anything runs, in one line that names the spec."""
+    argv = ["run", "--method", "fedat", "--dataset", "sentiment140", "--scale", "tiny",
+            "--compression", spec]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and repr(spec) in err[0]
 
 
 def test_parser_rejects_unknown_scale():

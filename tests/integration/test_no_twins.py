@@ -27,7 +27,9 @@ population; clients carry data only), and one thread in the parent (the
 dist scheduler's passes run on the caller's thread, so it has no loop
 thread to wake or to hear back from). ``repro.nn`` is the library the
 paper's four models need: no layer, option or method none of them builds
-or calls.
+or calls. ``repro.compression`` is the paper's codec and the baselines'
+raw float32: no related-work codec, and no stateful codec for the event
+loop to work around.
 The names below selected or served the other side of each pair before they
 were deleted; a later change must not quietly bring one back.
 """
@@ -123,6 +125,10 @@ REMOVED = re.compile(
     r"|return_sequences|he_normal|\bbuild_mlp\b|clone_weights_from"
     # One first-hit rule: time_to_accuracy takes the series; no smoothing.
     r"|bytes_to_accuracy|smooth_series"
+    # The paper's two codecs, polyline and raw float32: no related-work
+    # codec, no stateful-codec path through the event loop, and no fault
+    # family listing nothing called.
+    r"|QuantizationCodec|TopKCodec|SubsampleCodec|\.deterministic\b|active_families"
 )
 
 #: Names that are only a removed path inside ``repro.nn``; elsewhere they
@@ -319,6 +325,12 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("def bytes_to_accuracy(history: RunHistory, target: float):")
     assert REMOVED.search("def smooth_series(values: np.ndarray, window: int = 5):")
     assert not REMOVED.search("def time_to_accuracy(history, target, series=RunHistory.times):")
+    assert REMOVED.search("        QuantizationCodec(8), TopKCodec(0.1), SubsampleCodec(0.25),")
+    assert not REMOVED.search("    for codec in (PolylineCodec(3), PolylineCodec(4)):")
+    assert REMOVED.search("        if not self.codec.deterministic:")
+    assert not REMOVED.search("        # deterministic substream, so composition never perturbs")
+    assert REMOVED.search("    def active_families(self) -> tuple[str, ...]:")
+    assert not REMOVED.search("    def chunk_faults(self, dispatch, chunk, attempt):")
 
 
 #: A delay model's bands and part assignment, a compute model's constants.
