@@ -4,9 +4,10 @@ Usage::
 
     python scripts/reach.py [--out TABLE]
 
-Runs a fixed list of surfaces (CI's CLI steps, the ``codecs`` and
-``compare`` commands, a FedProx and an ASO-Fed run, the five examples, the
-kill-a-worker check and the perf ledger's ``--smoke``) with a line tracer
+Runs a fixed list of surfaces (CI's CLI steps, the ``codecs``, ``list``
+and ``compare`` commands, a FedProx, an ASO-Fed, a float32 and a 22-round
+TiFL run, the five examples, the kill-a-worker and kill-and-resume checks
+and the perf ledger's ``--smoke``) with a line tracer
 installed in every Python process they start: a ``sitecustomize`` module on
 ``PYTHONPATH`` records each executed line of ``src/repro`` and writes it out
 when the process exits, forked children and ``os._exit`` included. Then it
@@ -84,8 +85,10 @@ _CHAOS = "{repo}/scripts/chaos_dist_check.py --scale tiny --seed 1"
 
 #: The surfaces, each the arguments of one ``python`` run from a scratch
 #: directory (``{repo}`` is the checkout): CI's CLI steps, the other CLI
-#: commands, FedProx and ASO-Fed (which no sweep or example runs), the
-#: examples, the kill-a-worker check and the ledger smoke.
+#: commands, FedProx and ASO-Fed (which no sweep or example runs), a float32
+#: model, TiFL past its first tier-accuracy refresh (round 20), the
+#: examples, the kill-a-worker check, the cheapest kill-and-resume check
+#: (a checkpoint saved mid-run and restored) and the ledger smoke.
 SURFACES = [
     _SWEEP,
     _SWEEP + " --executor dist --num-workers 2",
@@ -94,15 +97,20 @@ SURFACES = [
     "-m repro run --method fedat --dataset sentiment140 --scale tiny --population 300000"
     " --scenario churn:0.2+arrival:0.1+bwdrift:2 --eval-clients 200 --rounds 4",
     "-m repro codecs --size 2000",
+    "-m repro list",
     "-m repro compare --dataset sentiment140 --scale tiny --methods fedat,fedavg",
     *(
         f"-m repro run --method {method} --dataset sentiment140 --scale tiny --rounds 10"
         for method in ("fedprox", "asofed")
     ),
+    "-m repro run --method fedat --dataset sentiment140 --scale tiny --rounds 10 --dtype float32",
+    "-m repro run --method tifl --dataset sentiment140 --scale tiny --rounds 22 --max-time 100000",
     "-m repro figures --from-checkpoint sweep_smoke --out-dir figures",
     *(f"{{repo}}/examples/{path.name}" for path in sorted((REPO / "examples").glob("*.py"))),
     _CHAOS + " --method fedat --dataset sentiment140 --rounds 8",
     _CHAOS + " --method fedasync --dataset reddit --rounds 30",
+    "{repo}/scripts/chaos_resume_check.py --method fedat --dataset sentiment140 --scale bench"
+    " --seed 1",
     "{repo}/benchmarks/ledger/run.py --smoke",
 ]
 

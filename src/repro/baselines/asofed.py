@@ -41,10 +41,6 @@ class ASOFed(AsyncFLSystem):
     def apply_update(self, result, staleness: int) -> None:
         self._install_copy(result.client_id, result.weights, staleness)
 
-    def copy_of(self, client_id: int) -> np.ndarray:
-        """The server-side copy for a client (w0 until its first upload)."""
-        return self._copies.get(client_id, self.initial_flat)
-
     def _install_copy(
         self, client_id: int, weights: np.ndarray, staleness: int
     ) -> None:

@@ -58,11 +58,10 @@ class TiFL(SyncFLSystem):
         model_builder,
         config,
         *,
-        tiering=None,
         delay_model=None,
     ):
         super().__init__(population, model_builder, config, delay_model=delay_model)
-        self.tiering = tiering if tiering is not None else self.build_tiering()
+        self.tiering = self.build_tiering()
         m = self.tiering.num_tiers
         # Credits: how many times each tier may be selected in total.
         per_tier = int(np.ceil(config.max_rounds / m * self.params.tifl_credit_slack))

@@ -115,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--worker-grace", type=float, default=None,
                        help="seconds a dispatch tolerates an empty "
                        "worker roster before degrading (default: 30)")
-    run_p.add_argument("--profile-sample", type=int, default=None,
-                       help="tier-profile only N sampled clients at startup "
-                       "and assign the rest by interpolation (default: "
-                       "profile everyone" + _read_by("profile_sample") + ")")
     run_p.add_argument("--dtype", default=None, choices=["float64", "float32"],
                        help="model parameter dtype (float32 halves memory "
                        "bandwidth; float64 keeps bit-identical histories)")

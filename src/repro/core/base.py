@@ -811,11 +811,6 @@ class FLSystem:
         for both). Profiling uses an environment-named RNG stream so both
         methods recover the same tiers under one seed.
 
-        With ``profile_sample=k`` set (and ``k`` below the population size)
-        only ``k`` sampled clients are probed; everyone else is assigned by
-        interpolation (see :meth:`_build_tiering_sampled`). The default
-        profiles every client, bit-identical to all existing histories.
-
         With ``split`` False the clients are profiled alike (the same
         draws) and None is returned: FedAT under arrivals splits only the
         founders, through its tier index.
@@ -827,9 +822,6 @@ class FLSystem:
             epochs=self.config.local_epochs,
             misprofile_fraction=self.params.misprofile_fraction,
         )
-        k = self.params.profile_sample
-        if k is not None and k < self.num_clients:
-            return self._build_tiering_sampled(profiler, k, split)
         latencies = self.population.profile_latencies(
             profiler, self.factory.rng("env/profile")
         )
@@ -837,56 +829,17 @@ class FLSystem:
         self.profiled_latencies = latencies
         return Tiering.from_latencies(latencies, self.params.num_tiers) if split else None
 
-    def _build_tiering_sampled(self, profiler, k: int, split: bool):
-        """Tier a large population from ``k`` probed clients.
-
-        Startup cost of full profiling is O(n) RNG probe draws — fine at
-        thousands of clients, dominant at a virtual million. Sampling keeps
-        the *probes* (the expensive, noisy measurement) at O(k): tier
-        boundaries come from quantiles of the k sampled probe latencies,
-        and every client is then assigned by ``searchsorted`` over its
-        (vectorized, draw-free) expected latency. Deterministic given the
-        seed; degenerate quantiles — an empty tier — fall back to sorting
-        expected latencies directly, so the invariant that every tier is
-        populated survives any latency distribution.
-        """
-        from repro.tiering.tiers import Tiering
-
-        rng = self.factory.rng("env/profile")
-        num_tiers = self.params.num_tiers
-        ids = np.sort(rng.choice(self.num_clients, size=int(k), replace=False))
-        sampled = self.population.profile_latencies(profiler, rng, client_ids=ids)
-        expected = self.population.expected_latencies(self.config.local_epochs)
-        #: Kept as the prior for online re-tiering (see make_retier_tracker);
-        #: expected latencies are exactly that method's no-profile fallback.
-        self.profiled_latencies = expected
-        if not split:
-            return None
-        boundaries = np.quantile(sampled, np.arange(1, num_tiers) / num_tiers)
-        assignment = np.searchsorted(boundaries, expected, side="right")
-        tiers = [np.flatnonzero(assignment == m) for m in range(num_tiers)]
-        if any(t.size == 0 for t in tiers):
-            # Sampled boundaries missed part of the support (tiny sample or
-            # heavy ties); equal-count split over expected latencies keeps
-            # every tier populated without probing anyone else.
-            return Tiering.from_latencies(expected, num_tiers)
-        return Tiering(tiers)
-
     def make_retier_tracker(self):
         """Latency tracker for online re-tiering, or None when disabled.
 
-        Seeded from profiled latencies when the system profiled (the usual
-        path), else from expected latencies — either way a deterministic
-        prior the EWMA refines from real observations.
+        Seeded from the latencies :meth:`build_tiering` profiled: a
+        deterministic prior the EWMA refines from real observations.
         """
         if self.params.retier_interval <= 0:
             return None
         from repro.tiering.online import LatencyTracker
 
-        prior = getattr(self, "profiled_latencies", None)
-        if prior is None:
-            prior = self.population.expected_latencies(self.config.local_epochs)
-        return LatencyTracker(prior, alpha=self.params.retier_ewma)
+        return LatencyTracker(self.profiled_latencies, alpha=self.params.retier_ewma)
 
     def make_tier_index(self, num_tiers: int, *, client_ids=None):
         """Ordered index every later re-split goes through, or None when

@@ -26,7 +26,6 @@ from repro.core.params import ProximalParams, StalenessParams, TieringParams
 from repro.core.server import TieredServer
 from repro.core.staleness import StalenessPolicy
 from repro.sim.events import EventQueue
-from repro.tiering.tiers import Tiering
 
 __all__ = ["FedAT"]
 
@@ -52,27 +51,20 @@ class FedAT(FLSystem):
         model_builder,
         config,
         *,
-        tiering: Tiering | None = None,
         delay_model=None,
     ):
         super().__init__(population, model_builder, config, delay_model=delay_model)
-        founders = None
-        num_tiers = self.params.num_tiers if tiering is None else tiering.num_tiers
-        if tiering is None:
-            # The server can only tier clients that exist: under arrivals it
-            # splits the founding population (through the tier index below)
-            # and enrolls each late client when its arrival lands, so the
-            # profile is not split here.
-            arrivals = self.scenario.has_arrivals
-            tiering = self.build_tiering(split=not arrivals)
-            if arrivals:
-                founders = self.scenario.founders()
+        # The server can only tier clients that exist: under arrivals it
+        # splits the founding population (through the tier index below)
+        # and enrolls each late client when its arrival lands, so the
+        # profile is not split here.
+        arrivals = self.scenario.has_arrivals
+        tiering = self.build_tiering(split=not arrivals)
+        founders = self.scenario.founders() if arrivals else None
         self.retier_tracker = self.make_retier_tracker()
-        self.tier_index = self.make_tier_index(num_tiers, client_ids=founders)
-        if founders is not None:
+        self.tier_index = self.make_tier_index(self.params.num_tiers, client_ids=founders)
+        if arrivals:
             tiering = self.tier_index.split()
-        elif tiering.num_clients != self.num_clients:
-            raise ValueError("tiering does not cover the client population")
         self.tiering = tiering
         self.server = TieredServer(
             self.initial_flat,
@@ -135,8 +127,10 @@ class FedAT(FLSystem):
         self._tiers_changed(queue)
 
     def prologue(self, queue: EventQueue) -> None:
-        # Only a tiering built over the founders leaves clients to enroll:
-        # one passed in already places every client, late ones too.
+        # Only tiers split over the founders leave clients to enroll: each
+        # late client is enrolled when its arrival lands, the first one
+        # queued here. A scenario swapped in after construction (the loop
+        # pins' hand-built worlds) finds every client tiered already.
         if self.tier_index is not None and len(self.tier_index) < self.num_clients:
             self.schedule_arrival(queue, 0)
         self._tiers_changed(queue)

@@ -46,14 +46,13 @@ class StalenessParams(MethodParams):
 
 @dataclass(frozen=True)
 class TieringParams(MethodParams):
-    """Latency tiers (FedAT, TiFL). ``profile_sample`` probes only that many
-    clients at startup (None: everyone); every ``retier_interval`` global
-    updates tiers are re-split on observed latencies blended with weight
-    ``retier_ewma`` (0: static tiers, the paper's behaviour)."""
+    """Latency tiers (FedAT, TiFL), split from one probe of every client at
+    startup; every ``retier_interval`` global updates tiers are re-split on
+    observed latencies blended with weight ``retier_ewma`` (0: static
+    tiers, the paper's behaviour)."""
 
     num_tiers: int = 5
     misprofile_fraction: float = 0.0
-    profile_sample: int | None = None
     retier_interval: int = 0
     retier_ewma: float = 0.3
 
@@ -65,5 +64,3 @@ class TieringParams(MethodParams):
             raise ValueError("retier_interval must be >= 0 (0 disables)")
         if not 0.0 < self.retier_ewma <= 1.0:
             raise ValueError("retier_ewma must be in (0, 1]")
-        if self.profile_sample is not None and self.profile_sample < 1:
-            raise ValueError("profile_sample must be >= 1 (None profiles everyone)")

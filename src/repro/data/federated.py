@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.arrays import sorted_unique
-
 __all__ = [
     "ClientData",
     "FederatedDataset",
@@ -32,10 +30,6 @@ class ClientData:
     @property
     def num_test(self) -> int:
         return int(self.x_test.shape[0])
-
-    def classes_present(self) -> np.ndarray:
-        """Distinct labels across this client's train+test data."""
-        return sorted_unique(np.concatenate([self.y_train, self.y_test]))
 
     def validate(self) -> None:
         if self.x_train.shape[0] != self.y_train.shape[0]:
@@ -64,10 +58,6 @@ class FederatedDataset:
     @property
     def num_clients(self) -> int:
         return len(self.clients)
-
-    @property
-    def total_train_samples(self) -> int:
-        return sum(c.num_train for c in self.clients)
 
     def client_sizes(self) -> np.ndarray:
         """Training-set size per client (the ``n_k`` of Eq. 1)."""

@@ -93,12 +93,6 @@ class ClientExecutor:
     def close(self) -> None:
         """Release backend resources; idempotent."""
 
-    def __enter__(self) -> "ClientExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 #: Backend names ``ExecConfig.executor`` accepts.
 EXECUTORS = ("serial", "dist")
@@ -144,8 +138,8 @@ class ExecConfig:
     # ("crash:0.2+corrupt:0.1"). Faults are drawn from seeded per-family
     # substreams keyed by (dispatch, chunk, attempt), so a chaos run's
     # fault schedule is bit-reproducible. None disables injection. Serial
-    # execution has no worker processes, so it injects nothing, and no
-    # connection, so it refuses drop and delay.
+    # execution has no worker, connection or chunk to fault, so it refuses
+    # any family with a probability above zero.
     faults: str | None = None
     # Per-chunk wall-clock deadline (seconds) before the supervisor declares
     # a dispatched chunk hung, requeues its lease (a local holder is also
@@ -183,23 +177,24 @@ class ExecConfig:
             raise ValueError("worker_grace must be positive")
         if self.faults is None:
             return
-        from repro.exec.faults import NETWORK_FAULT_FAMILIES, parse_faults
+        from repro.exec.faults import FAULT_FAMILIES, parse_faults
 
         spec = parse_faults(self.faults)  # raises ValueError on bad specs
         if spec is None:
             return
-        if spec.hang > 0 and self.executor != "serial" and self.chunk_timeout is None:
+        if self.executor == "serial":
+            injected = [f for f in FAULT_FAMILIES if getattr(spec, f) > 0]
+            if injected:
+                raise ValueError(
+                    f"fault families {', '.join(injected)} are injected into "
+                    "the cross-process executor's workers and require "
+                    "executor 'dist'; a serial run has none to fault"
+                )
+        elif spec.hang > 0 and self.chunk_timeout is None:
             raise ValueError(
                 "hang faults need a chunk_timeout: an injected hang "
                 "sleeps past any deadline, so without one the run "
                 "would block forever"
-            )
-        network = [f for f in NETWORK_FAULT_FAMILIES if getattr(spec, f) > 0]
-        if network and self.executor == "serial":
-            raise ValueError(
-                f"fault families {', '.join(network)} model the "
-                "scheduler/worker network and require the cross-process "
-                "executor ('dist'); serial has no connection to sever"
             )
 
 

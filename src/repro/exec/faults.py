@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
 
 __all__ = [
     "FAULT_FAMILIES",
-    "NETWORK_FAULT_FAMILIES",
     "FaultSpec",
     "FaultPlan",
     "ExecutorFaultError",
@@ -62,10 +61,6 @@ __all__ = [
 ]
 
 FAULT_FAMILIES = ("crash", "hang", "corrupt", "drop", "delay")
-
-#: Families that model the *network* between scheduler and worker; serial
-#: execution has no connection to sever or frame to stall.
-NETWORK_FAULT_FAMILIES = ("drop", "delay")
 
 
 @dataclass(frozen=True)

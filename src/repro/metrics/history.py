@@ -40,9 +40,6 @@ class RunHistory:
             raise ValueError("records must be appended in time order")
         self.records.append(record)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     # ------------------------------------------------------------------ #
     # Series accessors
     # ------------------------------------------------------------------ #

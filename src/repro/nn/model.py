@@ -165,16 +165,6 @@ class Sequential:
         """All parameters marshalled into one 1-D vector (an owned copy)."""
         return self._store.data.copy()  # one memcpy of the flat buffer
 
-    def flat_weights_view(self) -> np.ndarray:
-        """Read-only zero-copy view of the flat weights.
-
-        Callers that only *read* the weights — evaluation, norm checks —
-        can skip the defensive copy :meth:`get_flat_weights` makes.
-        """
-        view = self._store.data[:]
-        view.flags.writeable = False
-        return view
-
     def set_flat_weights(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat)
         if flat.ndim != 1 or flat.size != self._store.total:

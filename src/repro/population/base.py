@@ -7,11 +7,10 @@ objects on demand, and answers the aggregate queries — train sizes,
 evaluator construction and every latency question.
 
 The latency questions are answered once, here, for every population: a
-launch's draw (:meth:`Population.sample_round_latency`), the expectations
-(:meth:`Population.expected_latencies`) and a profile
-(:meth:`Population.profile_latencies`), each from :meth:`train_sizes` and
-the :class:`~repro.sim.latency.ResponseLatencyModel` handed over at
-:meth:`bind`. Clients carry data only.
+launch's draw (:meth:`Population.sample_round_latency`) and a profile of
+everyone (:meth:`Population.profile_latencies`), both from
+:meth:`train_sizes` and the :class:`~repro.sim.latency.ResponseLatencyModel`
+handed over at :meth:`bind`. Clients carry data only.
 
 Two implementations:
 
@@ -87,9 +86,6 @@ class Population:
         """Attach the simulation environment; returns :attr:`clients`."""
         raise NotImplementedError
 
-    def client(self, client_id: int) -> SimClient:
-        return self.clients[client_id]
-
     def client_data(self, client_id: int) -> ClientData:
         raise NotImplementedError
 
@@ -104,20 +100,9 @@ class Population:
         n = int(self.train_sizes()[client_id])
         return self.latency_model.round_latency(int(client_id), n, epochs, rng)
 
-    def expected_latencies(self, epochs: int) -> np.ndarray:
-        """Expected compute+delay latency of every client's round."""
-        return self.latency_model.expected_latencies(None, self.train_sizes(), epochs)
-
-    def profile_latencies(
-        self, profiler, rng: np.random.Generator, client_ids=None
-    ) -> np.ndarray:
-        """Per-client latency estimates for tier assignment, over
-        ``client_ids`` (everyone when None)."""
-        sizes = self.train_sizes()
-        if client_ids is not None:
-            client_ids = np.asarray(client_ids, dtype=np.int64)
-            sizes = sizes[client_ids]
-        return profiler.profile_sizes(self.latency_model, sizes, rng, client_ids=client_ids)
+    def profile_latencies(self, profiler, rng: np.random.Generator) -> np.ndarray:
+        """Every client's latency estimate for tier assignment."""
+        return profiler.profile_sizes(self.latency_model, self.train_sizes(), rng)
 
     def build_evaluator(
         self,

@@ -73,12 +73,6 @@ class EventQueue:
     def empty(self) -> bool:
         return not self._heap
 
-    def schedule(self, delay: float, payload: Any) -> Event:
-        """Schedule ``payload`` at ``now + delay`` (delay must be ≥ 0)."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, payload)
-
     def schedule_at(self, time: float, payload: Any) -> Event:
         """Schedule ``payload`` at absolute virtual time ``time`` ≥ now."""
         if time < self.now:

@@ -39,14 +39,6 @@ class UnstableClientPolicy:
         self._unstable_ids = np.asarray(ids, dtype=np.int64)
         self._unstable_times = np.asarray(times, dtype=np.float64)
 
-    @property
-    def unstable_ids(self) -> list[int]:
-        return sorted(self._dropout_time)
-
-    def dropout_time(self, client_id: int) -> float | None:
-        """The instant this client drops, or None if it is stable."""
-        return self._dropout_time.get(client_id)
-
     def alive_array(self, client_ids: np.ndarray, now: float) -> np.ndarray:
         """The clients among ``client_ids`` still participating at virtual
         time ``now``, in their given order."""

@@ -9,9 +9,9 @@ optionally, bandwidth-limited transfer time for the model payload.
 
 This module is the one home of that formula: :class:`ResponseLatencyModel`
 draws one launch's latency (:meth:`~ResponseLatencyModel.round_latency`)
-and, over arrays of client ids and sample counts, a profile's draws and
-the expectations re-tiering starts from. Nothing else reads the bands, the
-part assignment or the compute constants.
+and, over arrays of client ids and sample counts, a profile's draws.
+Nothing else reads the bands, the part assignment or the compute
+constants.
 """
 
 from __future__ import annotations
@@ -191,14 +191,5 @@ class ResponseLatencyModel:
         delays = lo.copy()
         wide = hi > lo
         delays[wide] = rng.uniform(lo[wide], hi[wide])
-        return self._durations(n_samples, epochs) + delays
-
-    def expected_latencies(self, client_ids, n_samples, epochs: int) -> np.ndarray:
-        """Expectation of :meth:`sample_latencies` (no draws)."""
-        lo, hi = self.delays.band_edges(client_ids)
-        return self._durations(n_samples, epochs) + (lo + hi) / 2.0
-
-    def _durations(self, n_samples, epochs: int) -> np.ndarray:
-        """:meth:`ComputeModel.duration` over an array of sample counts."""
         sizes = np.asarray(n_samples, dtype=np.int64)
-        return self.compute.base + self.compute.per_sample * sizes * epochs
+        return self.compute.base + self.compute.per_sample * sizes * epochs + delays

@@ -63,7 +63,3 @@ class NetworkMeter:
             "downlink_messages": self.downlink_messages,
             "transfer_seconds": self.transfer_seconds,
         }
-
-    def megabytes(self) -> float:
-        """Total transfer in MB (the unit of Table 2)."""
-        return self.total_bytes / 1e6

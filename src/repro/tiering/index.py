@@ -65,9 +65,6 @@ class TierIndex:
     def __len__(self) -> int:
         return int(self._order.size)
 
-    def __contains__(self, client_id: int) -> bool:
-        return 0 <= client_id < self._enrolled.size and bool(self._enrolled[client_id])
-
     def enroll(self, client_id: int) -> None:
         """Add one client at the position its current estimate gives it."""
         cid = int(client_id)

@@ -27,21 +27,11 @@ class LatencyProfiler:
         self.misprofile_fraction = misprofile_fraction
 
     def profile_sizes(
-        self,
-        latency_model,
-        train_sizes: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        client_ids: np.ndarray | None = None,
+        self, latency_model, train_sizes: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """One probed round latency per client, ``train_sizes`` aligned with
-        ``client_ids`` (the whole population when None), then mis-profiled.
-
-        ``client_ids`` profiles a *subset*, each id in its own delay band:
-        sampled tier profiling (``profile_sample``) probes this way so
-        startup stays sublinear in the population size.
-        """
-        lat = latency_model.sample_latencies(client_ids, train_sizes, self.epochs, rng)
+        """One probed round latency per client of the population,
+        ``train_sizes`` indexed by client id, then mis-profiled."""
+        lat = latency_model.sample_latencies(None, train_sizes, self.epochs, rng)
         if self.misprofile_fraction > 0:
             n_bad = int(round(self.misprofile_fraction * lat.size))
             if n_bad:

@@ -53,8 +53,8 @@ class Tiering:
         """Tier index per client id, -1 for an untiered one.
 
         Dense instead of a python dict: a dict of 1M int keys costs ~100 MB;
-        one small-int entry per client id costs 1 MB and makes ``tier_of`` /
-        ``in`` O(1) and "who moved" one array compare.
+        one small-int entry per client id costs 1 MB and makes "who moved"
+        one array compare.
         """
         if self._tier_of is None:
             dtype = np.min_scalar_type(-self.num_tiers)
@@ -101,29 +101,12 @@ class Tiering:
         )
 
     @property
-    def tiers(self) -> list[np.ndarray]:
-        return [self.clients_in(m) for m in range(self.num_tiers)]
-
-    @property
     def num_tiers(self) -> int:
         return len(self._members)
 
     @property
     def num_clients(self) -> int:
         return sum(self.sizes())
-
-    def tier_of(self, client_id: int) -> int:
-        """Tier index of a client (KeyError for unknown ids)."""
-        cid = int(client_id)
-        if cid not in self:
-            raise KeyError(cid)
-        return int(self._membership()[cid])
-
-    def __contains__(self, client_id: int) -> bool:
-        """Whether the client is assigned to any tier (arrival scenarios
-        tier only the part of the population that has arrived)."""
-        cid = int(client_id)
-        return 0 <= cid < self._num_ids and bool(self._membership()[cid] >= 0)
 
     def moved_from(self, old: "Tiering") -> int:
         """How many clients tiered in both splits changed tier; clients in

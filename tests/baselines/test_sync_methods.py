@@ -170,10 +170,10 @@ class TestTiFL:
         if not ((trace == 0).any() and (trace == 2).any()):
             pytest.skip("selection never hit both extreme tiers")
         # Reconstruct per-round durations from evaluation timestamps is
-        # lossy; instead verify via expected latencies of tier members.
-        expected = system.population.expected_latencies(1)
-        lat0 = np.mean(expected[system.tiering.clients_in(0)])
-        lat2 = np.mean(expected[system.tiering.clients_in(2)])
+        # lossy; instead verify via the profiled latencies of tier members.
+        profiled = system.profiled_latencies
+        lat0 = np.mean(profiled[system.tiering.clients_in(0)])
+        lat2 = np.mean(profiled[system.tiering.clients_in(2)])
         assert lat0 < lat2
 
     def test_learns(self, tiny_bow_dataset):

@@ -151,7 +151,7 @@ class TestSelection:
         np.testing.assert_array_equal(
             a.delay_model.assignment, b.delay_model.assignment
         )
-        assert a.failures.unstable_ids == b.failures.unstable_ids
+        assert a.failures._dropout_time == b.failures._dropout_time
 
 
 class TestEnvironment:
@@ -203,7 +203,7 @@ class TestTotalFailure:
         )
         h = s.run()
         assert s.round <= 1
-        assert len(h) >= 1
+        assert len(h.records) >= 1
 
     def test_all_clients_dead_fedat_terminates(self, tiny_bow_dataset):
         s = _system(
@@ -216,4 +216,4 @@ class TestTotalFailure:
         )
         h = s.run()
         assert s.round == 0
-        assert len(h) >= 1
+        assert len(h.records) >= 1

@@ -36,7 +36,7 @@ def test_config_holds_what_every_method_reads():
     assert len(fields(FLConfig)) == 21
     own = {name: len(fields(cls.Params)) for name, cls in ALGORITHMS.items()}
     assert {name: 19 + n for name, n in own.items()} == {
-        "fedat": 27, "fedavg": 19, "fedprox": 20, "tifl": 26, "fedasync": 21, "asofed": 21
+        "fedat": 26, "fedavg": 19, "fedprox": 20, "tifl": 25, "fedasync": 21, "asofed": 21
     }
 
 
@@ -66,7 +66,6 @@ def test_rejects_invalid(field, value):
         ("num_tiers", 0),
         ("server_weighting", "random"),
         ("staleness", "exp"),
-        ("profile_sample", 0),
         ("fedasync_alpha", 0.0),
         ("fedasync_alpha", 1.8),
         ("tifl_interval", 0),
@@ -152,12 +151,6 @@ def test_heartbeat_timeout_must_exceed_interval():
     ExecConfig(heartbeat_interval=0.1, heartbeat_timeout=1.0)
     with pytest.raises(ValueError, match="heartbeat_timeout"):
         ExecConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5)
-
-
-def test_profile_sample_accepts_positive_counts():
-    for cls in (FedAT, TiFL):
-        assert cls.Params(profile_sample=None).profile_sample is None
-        assert cls.Params(profile_sample=100).profile_sample == 100
 
 
 def test_frozen():

@@ -14,6 +14,7 @@ import pytest
 from repro.baselines import ASOFed, FedAsync, FedAvg, FedProx, TiFL
 from repro.core.fedat import FedAT
 from repro.experiments.config import build_model_builder, knobs_read_by, route_config
+from tests.helpers import tier_map
 
 ALL_METHODS = [FedAT, FedAvg, FedProx, TiFL, FedAsync, ASOFed]
 
@@ -63,13 +64,10 @@ def test_same_delay_band_assignment(systems):
 def test_same_dropout_schedule(systems):
     ref = systems[0]
     for other in systems[1:]:
-        assert ref.failures.unstable_ids == other.failures.unstable_ids, (
+        # Unstable client id -> the instant it drops.
+        assert ref.failures._dropout_time == other.failures._dropout_time, (
             f"{ref.name} vs {other.name}"
         )
-        for cid in ref.failures.unstable_ids:
-            assert ref.failures.dropout_time(cid) == other.failures.dropout_time(
-                cid
-            ), f"client {cid}: {ref.name} vs {other.name}"
 
 
 def test_same_latency_draws(systems):
@@ -87,7 +85,7 @@ def test_same_tier_assignment(systems):
     n = systems[0].dataset.num_clients
 
     def assignment(tiering):
-        return [tiering.tier_of(c) for c in range(n)]
+        return [tier_map(tiering)[c] for c in range(n)]
 
     tiered = [s for s in systems if hasattr(s.params, "num_tiers")]
     assert [s.name for s in tiered] == ["fedat", "tifl"]

@@ -1,12 +1,9 @@
 """FedAT system-level unit tests (tiny federation)."""
 
 import numpy as np
-import pytest
 
-from repro.core.config import FLConfig
 from repro.core.fedat import FedAT
 from repro.experiments.config import build_model_builder, route_config
-from repro.tiering.tiers import Tiering
 
 
 def _make_fedat(dataset, **cfg_overrides):
@@ -31,7 +28,7 @@ def _make_fedat(dataset, **cfg_overrides):
 def test_runs_and_records(tiny_image_dataset):
     system = _make_fedat(tiny_image_dataset)
     h = system.run()
-    assert len(h) >= 2
+    assert len(h.records) >= 2
     assert h.records[0].round == 0
     assert h.records[-1].round == system.round
     assert system.round > 0
@@ -80,27 +77,6 @@ def test_uses_polyline_codec_by_default(tiny_image_dataset):
 def test_uniform_weighting_ablation_runs(tiny_image_dataset):
     h = _make_fedat(tiny_image_dataset, server_weighting="uniform").run()
     assert h.best_accuracy() > 0
-
-
-def test_explicit_tiering_respected(tiny_image_dataset):
-    n = tiny_image_dataset.num_clients
-    tiers = Tiering([np.arange(0, 5), np.arange(5, 10), np.arange(10, n)])
-    config = FLConfig(
-        clients_per_round=3, local_epochs=1, max_rounds=9,
-        eval_every=3, num_unstable=0, seed=0, algo=FedAT.Params(num_tiers=3),
-    )
-    builder = build_model_builder(tiny_image_dataset, "tiny")
-    system = FedAT(tiny_image_dataset, builder, config, tiering=tiers)
-    system.run()
-    assert system.tiering is tiers
-
-
-def test_tiering_must_cover_population(tiny_image_dataset):
-    tiers = Tiering([np.arange(0, 3)])  # too few clients
-    config = FLConfig(max_rounds=5, seed=0, algo=FedAT.Params(num_tiers=1))
-    builder = build_model_builder(tiny_image_dataset, "tiny")
-    with pytest.raises(ValueError):
-        FedAT(tiny_image_dataset, builder, config, tiering=tiers)
 
 
 def test_budget_round_cap(tiny_image_dataset):

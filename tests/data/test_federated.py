@@ -43,7 +43,6 @@ class TestFederatedDataset:
         clients = [_client(i, 20, rng) for i in range(5)]
         ds = FederatedDataset("toy", clients, 3, (4,))
         assert ds.num_clients == 5
-        assert ds.total_train_samples == sum(c.num_train for c in clients)
         np.testing.assert_array_equal(ds.client_sizes(), [c.num_train for c in clients])
 
     def test_global_test_set_concatenates(self, rng):
@@ -71,8 +70,3 @@ class TestFederatedDataset:
         with pytest.raises(ValueError):
             c.validate()
 
-    def test_classes_present(self, rng):
-        x = np.zeros((10, 2))
-        y = np.array([0, 0, 0, 0, 0, 2, 2, 2, 2, 2])
-        c = train_test_split_client(x, y, 0, rng)
-        np.testing.assert_array_equal(c.classes_present(), [0, 2])

@@ -801,37 +801,58 @@ class TestSchedulerTimers:
                 proc.join()
 
 
+def _repro(*args: str) -> list[str]:
+    return [sys.executable, "-m", "repro", *args]
+
+
+def _repro_env() -> dict:
+    """The environment with ``src`` first on PYTHONPATH. The inherited
+    entries stay, so a tracer installed through them follows the child."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork workers")
-def test_external_worker_via_cli(tiny_bow_dataset, tmp_path):
+def test_external_worker_via_cli(tiny_bow_dataset):
     """Explicit-port mode: the executor spawns nothing; a `repro worker`
-    subprocess connects, serves the run, and exits 0 on shutdown."""
+    subprocess connects, serves a cohort bit-identical to serial's, and
+    exits 0 when the executor closes."""
     # Binding the executor to an explicit port switches off local spawning
     # (external workers are expected).
     port = _free_port()
-
     serial, dist = _executors(tiny_bow_dataset, dist_bind=f"127.0.0.1:{port}")
     worker = None
     try:
         assert dist.worker_processes == []  # external mode spawns none
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         worker = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--connect", f"127.0.0.1:{port}",
-             "--id", "ext-0", "--quiet"],
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=repo,
+            _repro("worker", "--connect", f"127.0.0.1:{port}", "--id", "ext-0", "--quiet"),
+            env=_repro_env(),
         )
         assert dist.wait_for_workers(1, timeout=30.0) >= 1
         start = serial.model.get_flat_weights()
         tasks = _cohort(6)
         _assert_results_equal(serial.run_cohort(start, tasks), dist.run_cohort(start, tasks))
+        dist.close()
+        assert worker.wait(timeout=30) == 0
     finally:
         dist.close()
         serial.close()
         if worker is not None:
-            try:
-                assert worker.wait(timeout=30) == 0
-            finally:
-                worker.kill()
+            worker.kill()
+            worker.wait()
+
+
+def test_worker_cli_refuses_a_bad_address():
+    done = subprocess.run(
+        _repro("worker", "--connect", "nonsense"),
+        env=_repro_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "bad --connect address" in done.stderr
 
 
 def test_init_payload_survives_pickle(tiny_bow_dataset):

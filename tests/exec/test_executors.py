@@ -178,14 +178,17 @@ class TestDistCohorts:
         serial = SerialExecutor(
             model, _clients(tiny_bow_dataset), loss, spec
         ).run_cohort(start, tasks)
-        with DistExecutor(
+        ex = DistExecutor(
             _model(tiny_bow_dataset),
             _clients(tiny_bow_dataset),
             loss,
             spec,
             num_workers=num_workers,
-        ) as ex:
+        )
+        try:
             dist = ex.run_cohort(start, tasks)
+        finally:
+            ex.close()
         assert len(serial) == len(dist)
         for s, p in zip(serial, dist):
             assert s.client_id == p.client_id
@@ -202,12 +205,15 @@ class TestDistCohorts:
         serial = SerialExecutor(
             model, _clients(tiny_bow_dataset), loss, spec
         ).run_cohort(start, task)
-        with DistExecutor(
+        ex = DistExecutor(
             _model(tiny_bow_dataset), _clients(tiny_bow_dataset), loss, spec,
             num_workers=2,
-        ) as ex:
+        )
+        try:
             local = ex.run_cohort(start, task)
             assert ex._dispatch_seq == 0  # never dispatched to a worker
+        finally:
+            ex.close()
         np.testing.assert_array_equal(serial[0].weights, local[0].weights)
         assert serial[0].train_loss == local[0].train_loss
 

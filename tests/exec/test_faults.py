@@ -63,21 +63,25 @@ def test_parse_faults_rejects(bad):
 def test_hang_faults_require_timeout_in_config():
     with pytest.raises(ValueError, match="chunk_timeout"):
         ExecConfig(executor="dist", faults="hang:0.5")
-    # Serial runs have no worker pool: the spec parses but needs no timeout.
-    ExecConfig(executor="serial", faults="hang:0.5")
     ExecConfig(executor="dist", faults="hang:0.5", chunk_timeout=2.0)
 
 
-def test_network_faults_require_a_cross_process_executor():
-    """drop/delay model the scheduler/worker network; serial execution has
-    no connection to sever, so the config rejects the combination there,
-    and only there."""
-    for spec in ("drop:0.5", "delay:0.5", "crash:0.1+drop:0.2"):
-        with pytest.raises(ValueError, match="cross-process"):
-            ExecConfig(executor="serial", faults=spec)
-        ExecConfig(executor="dist", faults=spec)  # valid
-    # Zero-probability network atoms are null: any executor accepts them.
-    ExecConfig(executor="serial", faults="drop:0")
+@pytest.mark.parametrize(
+    "spec", ["crash:0.5", "hang:0.5", "corrupt:0.5", "drop:0.5", "delay:0.5", "crash:0+drop:0.2"]
+)
+def test_injected_faults_require_a_cross_process_executor(spec):
+    """Every family faults the cross-process executor's workers, chunks or
+    connections; a serial run has none, so it refuses any family with a
+    probability above zero and names ``dist``, instead of injecting
+    nothing silently."""
+    with pytest.raises(ValueError, match="require executor 'dist'"):
+        ExecConfig(executor="serial", faults=spec)
+    ExecConfig(executor="dist", faults=spec, chunk_timeout=2.0)  # valid
+
+
+def test_an_all_zero_fault_spec_is_accepted_by_every_executor():
+    for executor in ("serial", "dist"):
+        ExecConfig(executor=executor, faults="crash:0+hang:0+corrupt:0+drop:0+delay:0")
 
 
 # --------------------------------------------------------------------- #

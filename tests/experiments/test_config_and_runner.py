@@ -88,6 +88,12 @@ class TestRouting:
         with pytest.raises(ValueError, match="fedat does not take 'lamda'; no method does"):
             make_fl_config("fedat", "tiny", lamda=0.3)
 
+    def test_profile_sample_is_refused(self):
+        """No method samples its tier profile: FedAT and TiFL probe everyone."""
+        message = "fedat does not take 'profile_sample'; no method does"
+        with pytest.raises(ValueError, match=message):
+            route_config("fedat", profile_sample=10)
+
     def test_another_methods_params_are_refused(self, tiny_bow_dataset):
         config = FLConfig(algo=TiFL.Params())
         for cls in (FedAT, FedAvg):

@@ -1,5 +1,5 @@
 """Numerical-gradient checking utilities and the small MLP shared across
-nn tests."""
+nn tests, and a tiering's client -> tier map."""
 
 from __future__ import annotations
 
@@ -116,3 +116,8 @@ def check_model_loss_gradients(
         np.testing.assert_allclose(
             p.grad, num, atol=atol, rtol=rtol, err_msg=f"param {p.name}"
         )
+
+
+def tier_map(tiering) -> dict[int, int]:
+    """Each tiered client id -> its tier, read through ``clients_in``."""
+    return {int(c): m for m in range(tiering.num_tiers) for c in tiering.clients_in(m)}

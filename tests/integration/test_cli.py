@@ -73,6 +73,19 @@ def test_run_refuses_a_flag_the_method_does_not_read(capsys):
     assert "fedavg does not take 'lam'; fedat, fedprox, asofed do" in capsys.readouterr().err
 
 
+def test_run_refuses_injected_faults_without_dist(capsys):
+    """A serial run has no worker to fault: an injected fault is refused
+    before anything runs, not passed off as a chaos run."""
+    rc = main(
+        [
+            "run", "--method", "fedavg", "--dataset", "sentiment140",
+            "--scale", "tiny", "--faults", "crash:0.2",
+        ]
+    )
+    assert rc == 2
+    assert "require executor 'dist'" in capsys.readouterr().err
+
+
 def test_compare_passes_a_method_knob_only_where_it_is_read(capsys, monkeypatch):
     """``--retier-interval`` reaches FedAT, which re-tiers; FedAvg, which
     reads no tiering knob, runs exactly as it does without the flag."""

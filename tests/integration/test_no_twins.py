@@ -129,6 +129,15 @@ REMOVED = re.compile(
     # codec, no stateful-codec path through the event loop, and no fault
     # family listing nothing called.
     r"|QuantizationCodec|TopKCodec|SubsampleCodec|\.deterministic\b|active_families"
+    # Tiers come one way, TiFL's: every client probed once, the latencies
+    # sorted and split. No sampled profile with its interpolated rest, no
+    # tiering handed to a constructor, and no expected-latency prior that
+    # only those two needed.
+    r"|profile_sample|_build_tiering_sampled|expected_latencies|\btiering=|tiering: Tiering \|"
+    # src/ keeps what a surface calls: not the accessors only tests read.
+    r"|\btier_of\b|def tiers\(self\)|flat_weights_view|total_train_samples|classes_present"
+    r"|\bcopy_of\b|\bunstable_ids\b|\bdropout_time\(|def megabytes\(|\bschedule\("
+    r"|def client\(self"
 )
 
 #: Names that are only a removed path inside ``repro.nn``; elsewhere they
@@ -264,7 +273,8 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert REMOVED.search("        noise_std: float = 0.0,")
     assert not REMOVED.search("        misprofile_fraction: float = 0.0,")
     assert REMOVED.search('    def mistier(self, fraction: float, rng) -> "Tiering":')
-    assert not REMOVED.search("    def tier_of(self, client_id: int) -> int:")
+    assert REMOVED.search("    def tier_of(self, client_id: int) -> int:")
+    assert not REMOVED.search("        self._tier_of: np.ndarray | None = None")
     assert REMOVED.search('    def with_(self, **kwargs) -> "FLConfig":')
     assert not REMOVED.search("    def with_defaults(self) -> dict:")
     assert REMOVED.search("        self._wake = WakeChannel()")
@@ -331,6 +341,43 @@ def test_pattern_does_not_flag_the_surviving_knob():
     assert not REMOVED.search("        # deterministic substream, so composition never perturbs")
     assert REMOVED.search("    def active_families(self) -> tuple[str, ...]:")
     assert not REMOVED.search("    def chunk_faults(self, dispatch, chunk, attempt):")
+    assert REMOVED.search("    profile_sample: int | None = None")
+    assert not REMOVED.search("    misprofile_fraction: float = 0.0")
+    assert REMOVED.search("    def _build_tiering_sampled(self, profiler, k: int, split: bool):")
+    assert not REMOVED.search("    def build_tiering(self, *, split: bool = True):")
+    assert REMOVED.search(
+        "            prior = self.population.expected_latencies(self.config.local_epochs)"
+    )
+    assert not REMOVED.search("        latencies = self.population.profile_latencies(")
+    assert REMOVED.search("        tiering: Tiering | None = None,")
+    assert REMOVED.search("    system = FedAT(dataset, builder, config, tiering=tiers)")
+    assert not REMOVED.search("        self.tiering = self.build_tiering()")
+    assert not REMOVED.search("        tiering = self.build_tiering(split=not arrivals)")
+    assert REMOVED.search("    def tiers(self) -> list[np.ndarray]:")
+    assert not REMOVED.search("    def sizes(self) -> list[int]:")
+    assert REMOVED.search("    def flat_weights_view(self) -> np.ndarray:")
+    assert not REMOVED.search("    def get_flat_weights(self) -> np.ndarray:")
+    assert REMOVED.search("    def total_train_samples(self) -> int:")
+    assert not REMOVED.search("    def client_sizes(self) -> np.ndarray:")
+    assert REMOVED.search("    def classes_present(self) -> np.ndarray:")
+    assert not REMOVED.search("    classes = sorted_unique(labels)")
+    assert REMOVED.search("    def copy_of(self, client_id: int) -> np.ndarray:")
+    assert not REMOVED.search("            old = self._copies.get(client_id, self.initial_flat)")
+    assert REMOVED.search("    def unstable_ids(self) -> list[int]:")
+    assert not REMOVED.search("        self._unstable_ids = np.asarray(ids, dtype=np.int64)")
+    assert REMOVED.search("    def dropout_time(self, client_id: int) -> float | None:")
+    assert not REMOVED.search("        t = self._dropout_time.get(client_id)")
+    assert REMOVED.search("    def megabytes(self) -> float:")
+    assert not REMOVED.search(
+        '                "megabytes": float(history.total_bytes()[-1]) / 1e6,'
+    )
+    assert REMOVED.search("    def schedule(self, delay: float, payload: Any) -> Event:")
+    assert not REMOVED.search("            queue.schedule_at(at, payload)")
+    assert not REMOVED.search(
+        "    def schedule_join(self, queue, payload, client_ids=None, *, at=None):"
+    )
+    assert REMOVED.search("    def client(self, client_id: int) -> SimClient:")
+    assert not REMOVED.search("    def client_data(self, client_id: int) -> ClientData:")
 
 
 #: A delay model's bands and part assignment, a compute model's constants.
@@ -645,7 +692,7 @@ def test_one_event_loop():
 #: The knobs only some methods read: each lives on the Params of the
 #: methods that read it, never on FLConfig.
 METHOD_KNOBS = (
-    "lam", "num_tiers", "misprofile_fraction", "profile_sample", "retier_interval",
+    "lam", "num_tiers", "misprofile_fraction", "retier_interval",
     "retier_ewma", "server_weighting", "staleness", "fedasync_alpha", "tifl_interval",
     "tifl_credit_slack",
 )
@@ -668,8 +715,8 @@ def test_method_knobs_stay_off_the_config():
         if read.search(line)
     ]
     assert not hits, "a method knob is read off a config:\n" + "\n".join(hits)
-    assert read.search("        k = self.config.profile_sample")
-    assert not read.search("        k = self.params.profile_sample")
+    assert read.search("        every = self.config.retier_interval")
+    assert not read.search("        every = self.params.retier_interval")
 
 
 def test_every_method_declares_its_knobs():

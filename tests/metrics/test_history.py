@@ -25,7 +25,7 @@ def test_append_and_series():
     h = _history([0.1, 0.5, 0.4])
     np.testing.assert_array_equal(h.accuracies(), [0.1, 0.5, 0.4])
     np.testing.assert_array_equal(h.times(), [0, 1, 2])
-    assert len(h) == 3
+    assert len(h.records) == 3
 
 
 def test_append_rejects_time_regression():

@@ -67,13 +67,6 @@ class TestAliasing:
         np.testing.assert_array_equal(m.params[0].data.reshape(-1),
                                       new[: m.params[0].size])
 
-    def test_flat_weights_view_is_readonly_and_zero_copy(self):
-        m = _mlp()
-        view = m.flat_weights_view()
-        assert view.base is m.store.data
-        with pytest.raises(ValueError):
-            view[0] = 1.0
-
     def test_set_flat_weights_validates_size(self):
         m = _mlp()
         with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ def test_the_serial_executor_derives_each_cohort_once(derivations):
     assert [r.client_id for r in trained] == [12, 4, 20]
     eager = SerialExecutor(
         model.clone(),
-        {cid: _bound_population().client(cid) for cid in (12, 4, 20)},
+        {cid: _bound_population().clients[cid] for cid in (12, 4, 20)},
         SoftmaxCrossEntropy(),
         OptimizerSpec("adam", 0.01),
     )

@@ -18,6 +18,7 @@ from repro.experiments.runner import run_experiment
 from repro.scenario import ScenarioEngine, ScenarioEvent
 from repro.tiering.online import LatencyTracker
 from repro.tiering.tiers import Tiering
+from tests.helpers import tier_map
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +171,7 @@ def test_retier_moves_drifted_client_to_slower_tier(dataset):
             dataset.num_clients, [ScenarioEvent(1.0, "speed", victim, 60.0)]
         )
         history = system.run()
-        assert system.tiering.tier_of(victim) > 0
+        assert tier_map(system.tiering)[victim] > 0
         trace = history.meta["retier_trace"]
         assert trace and all(t["sizes"] for t in trace)
         assert sum(t["moved"] for t in trace) > 0
@@ -290,43 +291,15 @@ def test_fedat_arrival_grows_tiering_from_founders(dataset):
     assert founders < dataset.num_clients
     assert founders + len(late) == dataset.num_clients
     # Late clients are not tiered (the server has never heard of them).
-    for cid in late:
-        assert cid not in system.tiering
+    assert not set(late) & tier_map(system.tiering).keys()
     history = system.run()
     assert system.tiering.num_clients == dataset.num_clients
-    assert all(cid in system.tiering for cid in late)
+    assert set(late) <= tier_map(system.tiering).keys()
     trace = history.meta["arrival_trace"]
     assert len(trace) == len(late)
     times = [t["time"] for t in trace]
     assert times == sorted(times)
     assert sum(trace[-1]["sizes"]) == dataset.num_clients
-
-
-def test_fedat_given_full_tiering_under_arrivals_queues_none(dataset):
-    """A tiering passed in already places every client, late ones too: the
-    system keeps it and enrolls no arrival. One that leaves a client out is
-    refused, arrivals or not."""
-    tiers = Tiering([np.arange(0, 4), np.arange(4, 8), np.arange(8, dataset.num_clients)])
-    system = FedAT(
-        dataset,
-        build_model_builder(dataset, "tiny"),
-        _config(FedAT, scenario="arrival:0.5", max_rounds=40, max_time=260.0),
-        tiering=tiers,
-    )
-    assert system.scenario.has_arrivals
-    history = system.run()
-    assert system.tiering is tiers
-    assert "arrival_trace" not in history.meta
-    assert history.rounds()[-1] > 0
-
-    partial = Tiering([np.arange(0, 4), np.arange(4, 8)])
-    with pytest.raises(ValueError, match="does not cover"):
-        FedAT(
-            dataset,
-            build_model_builder(dataset, "tiny"),
-            _config(FedAT, scenario="arrival:0.5"),
-            tiering=partial,
-        )
 
 
 @pytest.mark.parametrize(

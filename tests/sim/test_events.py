@@ -9,35 +9,27 @@ from repro.sim.events import EventQueue
 
 def test_pops_in_time_order():
     q = EventQueue()
-    q.schedule(5.0, "c")
-    q.schedule(1.0, "a")
-    q.schedule(3.0, "b")
+    q.schedule_at(5.0, "c")
+    q.schedule_at(1.0, "a")
+    q.schedule_at(3.0, "b")
     assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
 
 
 def test_ties_break_by_insertion_order():
     q = EventQueue()
     for name in "abc":
-        q.schedule(2.0, name)
+        q.schedule_at(2.0, name)
     assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
 
 
 def test_clock_advances_monotonically():
     q = EventQueue()
-    q.schedule(4.0, 1)
-    q.schedule(2.0, 2)
+    q.schedule_at(4.0, 1)
+    q.schedule_at(2.0, 2)
     q.pop()
     assert q.now == 2.0
     q.pop()
     assert q.now == 4.0
-
-
-def test_schedule_relative_to_now():
-    q = EventQueue()
-    q.schedule(2.0, "first")
-    q.pop()
-    q.schedule(3.0, "second")
-    assert q.peek().time == 5.0 and q.peek().payload == "second"
 
 
 def test_schedule_at_absolute():
@@ -49,10 +41,8 @@ def test_schedule_at_absolute():
 
 def test_cannot_schedule_into_past():
     q = EventQueue()
-    q.schedule(5.0, 1)
+    q.schedule_at(5.0, 1)
     q.pop()
-    with pytest.raises(ValueError):
-        q.schedule(-1.0, 2)
     with pytest.raises(ValueError):
         q.schedule_at(3.0, 2)
 
@@ -67,7 +57,7 @@ def test_pop_empty_raises():
 def test_len_and_empty():
     q = EventQueue()
     assert q.empty and len(q) == 0
-    q.schedule(1.0, None)
+    q.schedule_at(1.0, None)
     assert not q.empty and len(q) == 1
 
 
@@ -76,7 +66,7 @@ def test_len_and_empty():
 def test_property_pop_sequence_sorted(delays):
     q = EventQueue()
     for d in delays:
-        q.schedule(d, d)
+        q.schedule_at(d, d)
     popped = [q.pop().time for _ in range(len(delays))]
     assert popped == sorted(popped)
     assert q.now == max(popped)
@@ -85,14 +75,14 @@ def test_property_pop_sequence_sorted(delays):
 def test_interleaved_schedule_pop():
     """Events scheduled from handlers land in correct global order."""
     q = EventQueue()
-    q.schedule(1.0, "a")
-    q.schedule(10.0, "z")
+    q.schedule_at(1.0, "a")
+    q.schedule_at(10.0, "z")
     log = []
     while not q.empty:
         ev = q.pop()
         log.append((ev.time, ev.payload))
         if ev.payload == "a":
-            q.schedule(2.0, "a2")  # at t=3, before z
+            q.schedule_at(q.now + 2.0, "a2")  # at t=3, before z
     assert [p for _, p in log] == ["a", "a2", "z"]
 
 
@@ -119,7 +109,7 @@ def test_reads_after_matches_a_scan_of_the_heap(steps, n):
 
     q = EventQueue()
     for i, (delay, reads, pop) in enumerate(steps):
-        q.schedule(delay, _Read(i) if reads else i)
+        q.schedule_at(q.now + delay, _Read(i) if reads else i)
         if pop:
             q.pop()
         if i == len(steps) // 2:

@@ -19,11 +19,6 @@ class TestNetworkMeter:
         assert m.uplink_messages == 2
         assert m.downlink_messages == 1
 
-    def test_megabytes(self):
-        m = NetworkMeter()
-        m.record_upload(2_500_000)
-        assert m.megabytes() == pytest.approx(2.5)
-
     def test_snapshot(self):
         m = NetworkMeter()
         m.record_download(7)
@@ -38,25 +33,23 @@ class TestNetworkMeter:
 class TestUnstableClients:
     def test_selects_requested_count(self, rng):
         p = UnstableClientPolicy(100, rng, num_unstable=10, horizon=100.0)
-        assert len(p.unstable_ids) == 10
+        assert len(p._dropout_time) == 10
 
     def test_clamped_to_population(self, rng):
         p = UnstableClientPolicy(5, rng, num_unstable=10, horizon=10.0)
-        assert len(p.unstable_ids) == 5
+        assert len(p._dropout_time) == 5
 
     def test_alive_before_dropout_dead_after(self, rng):
         p = UnstableClientPolicy(20, rng, num_unstable=5, horizon=50.0)
-        cid = p.unstable_ids[0]
-        t = p.dropout_time(cid)
+        cid, t = next(iter(p._dropout_time.items()))
         assert p.alive_array([cid], t - 1e-9).tolist() == [cid]
         assert p.alive_array([cid], t).size == 0
         assert p.alive_array([cid], t + 100).size == 0
 
     def test_stable_clients_always_alive(self, rng):
         p = UnstableClientPolicy(20, rng, num_unstable=5, horizon=50.0)
-        stable = [c for c in range(20) if c not in p.unstable_ids]
-        for c in stable:
-            assert p.dropout_time(c) is None
+        stable = [c for c in range(20) if c not in p._dropout_time]
+        assert len(stable) == 15
         assert p.alive_array(stable, 1e12).tolist() == stable
 
     def test_alive_clients_filter(self, rng):
@@ -66,8 +59,7 @@ class TestUnstableClients:
 
     def test_will_complete(self, rng):
         p = UnstableClientPolicy(10, rng, num_unstable=1, horizon=100.0)
-        cid = p.unstable_ids[0]
-        t = p.dropout_time(cid)
+        cid, t = next(iter(p._dropout_time.items()))
         assert p.will_complete(cid, 0.0, t - 1.0)
         assert not p.will_complete(cid, 0.0, t + 1.0)
         stable = next(c for c in range(10) if c != cid)
@@ -83,6 +75,6 @@ class TestUnstableClients:
         """Once dropped, never alive again (paper: 'it will not come back')."""
         p = UnstableClientPolicy(30, rng, num_unstable=30, horizon=10.0)
         for c in range(30):
-            t = p.dropout_time(c)
+            t = p._dropout_time[c]
             for probe in np.linspace(t, t + 100, 7):
                 assert p.alive_array([c], probe).size == 0

@@ -29,16 +29,6 @@ def test_profile_is_one_round_latency_per_client(rng):
     np.testing.assert_array_equal(lat, want)
 
 
-def test_a_subset_is_probed_in_its_own_bands(rng):
-    model, sizes = _world(25, rng)
-    ids = np.array([3, 24, 11, 17])
-    lat = LatencyProfiler().profile_sizes(
-        model, sizes[ids], np.random.default_rng(5), client_ids=ids
-    )
-    want = _round_latency_loop(model, ids, sizes[ids], 1, np.random.default_rng(5))
-    np.testing.assert_array_equal(lat, want)
-
-
 def test_profile_orders_parts(rng):
     model, sizes = _world(25, rng)
     lat = LatencyProfiler().profile_sizes(model, sizes, rng)
